@@ -5,9 +5,10 @@
 //!   benchmark path (§4.1) and what all experiments use.
 //! * [`threaded`] — a real controller/worker runtime over OS threads and
 //!   blocking [`aim_llm::LlmBackend`] calls; Algorithm 3 in the flesh
-//!   (workers pull ready clusters, run one thread per agent, commit,
-//!   acknowledge).
-
+//!   (workers pull ready clusters, run the members' steps, commit,
+//!   acknowledge). Every member of a cluster can be blocked in the
+//!   backend at the same time, each on its own thread; steps that do not
+//!   block share threads, so nothing is spawned per agent-step.
 //! * [`spec_sim`] — the discrete-event executor driving the *speculative*
 //!   scheduler ([`crate::spec`]): poisoned results are discarded and
 //!   re-executed, and the wasted LLM work is accounted in the report.
@@ -15,6 +16,7 @@
 //!   interactive request stream on the same serving engine (§6's hybrid
 //!   interactive/offline deployment).
 
+mod crew;
 pub mod hybrid;
 pub mod sim;
 pub mod spec_sim;

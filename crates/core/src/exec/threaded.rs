@@ -1,13 +1,34 @@
-//! Controller/worker runtime over OS threads — Algorithm 3, literally.
+//! Controller/worker runtime over OS threads — Algorithm 3.
 //!
 //! The controller (the calling thread) owns the [`Scheduler`]; it pushes
 //! ready clusters into a shared priority `ready_queue` and consumes
 //! completion confirmations from an `ack_queue`, both priority-ordered by
-//! simulation step (§3.1, §3.5). Worker threads pull clusters, run **one
-//! thread per member agent** (the paper maps agents to threads and workers
-//! to processes — Rust has no GIL, so workers are threads too), resolve
-//! and commit the step through the user's [`ClusterProgram`], and
-//! acknowledge.
+//! simulation step (§3.1, §3.5). Worker threads pull clusters, run every
+//! member's step (the paper maps agents to threads and workers to
+//! processes — Rust has no GIL, so workers are threads too), resolve and
+//! commit the step through the user's [`ClusterProgram`], and acknowledge.
+//!
+//! # How members get threads
+//!
+//! The guarantee is the paper's: **every member of a cluster can be
+//! blocked in the backend at the same time**, each on an OS thread of its
+//! own, so a cluster's LLM calls are in flight together and the serving
+//! side can batch them. What the runtime does not do is pay for a thread
+//! a step never needed: **steps that do not block share threads.**
+//!
+//! A worker publishes its cluster's members as a claimable batch and then
+//! claims and runs members itself, in order. A crew of helper threads —
+//! created on demand inside the run, shared by all workers, joined before
+//! the run returns — claims from the same batches. Whoever claims a
+//! member while others remain unclaimed, and while no helper is already
+//! looking for work, wakes a parked helper or spawns one; that helper's
+//! first claim does the same. While steps block, the wake-ups therefore
+//! chain until every member is in flight at once; when steps return in
+//! microseconds the worker finishes the batch by itself and next to no
+//! thread is created ([`ThreadedReport::agent_threads_spawned`] counts
+//! them). Progress never depends on a helper: the owning worker claims
+//! every member nobody else took, and results reach
+//! [`ClusterProgram::commit`] in `cluster.members` order whoever ran them.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,6 +37,7 @@ use aim_llm::LlmBackend;
 use aim_store::PriorityQueue;
 use serde::{Deserialize, Serialize};
 
+use super::crew::{Batch, Crew};
 use crate::depgraph::{DepGraph, DepTracker};
 use crate::error::EngineError;
 use crate::ids::{AgentId, Step};
@@ -37,7 +59,11 @@ pub trait ClusterProgram<S: Space>: Send + Sync {
 
     /// Runs one agent's step: perceive, retrieve, plan — making as many
     /// blocking `llm` calls as needed — and returns the agent's intended
-    /// action. Called concurrently for every member of a cluster.
+    /// action. May be called concurrently, from different threads: every
+    /// member of a cluster can be inside it at once, each blocked on the
+    /// backend, because a member still waiting for a thread gets one while
+    /// the others block. Calls that return promptly may instead run back
+    /// to back on one thread.
     fn agent_step(&self, agent: AgentId, step: Step, llm: &dyn LlmBackend) -> Self::Action;
 
     /// Resolves conflicts between the cluster's actions, commits them to
@@ -80,6 +106,11 @@ pub struct ThreadedReport {
     pub clusters: u64,
     /// Agent-steps executed.
     pub agent_steps: u64,
+    /// Helper threads spawned to run agent steps, over the whole run
+    /// (workers run steps too and are not counted). Far below
+    /// `agent_steps` unless most steps block; also on the telemetry sink
+    /// as [`Counter::AgentThreadsSpawned`] when the run is observed.
+    pub agent_threads_spawned: u64,
     /// The serving backend's [`LlmBackend::describe`] string — with a
     /// [`aim_llm::Fleet`] backend this names every replica, so a report
     /// fully identifies the deployment that produced it.
@@ -100,10 +131,11 @@ impl std::fmt::Display for ThreadedReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "threaded run: {:.3} s wall · {} clusters · {} agent-steps",
+            "threaded run: {:.3} s wall · {} clusters · {} agent-steps · {} helper threads",
             self.wall.as_secs_f64(),
             self.clusters,
             self.agent_steps,
+            self.agent_threads_spawned,
         )?;
         writeln!(f, "  backend: {}", self.backend)?;
         if let Some(fleet) = &self.fleet {
@@ -178,6 +210,15 @@ impl<S: Space, G: DepTracker<S>> std::fmt::Debug for CheckpointHook<'_, S, G> {
     }
 }
 
+/// Runs its closure when dropped, unwinding included.
+struct OnDrop<'a>(&'a (dyn Fn() + Sync));
+
+impl Drop for OnDrop<'_> {
+    fn drop(&mut self) {
+        (self.0)();
+    }
+}
+
 /// Runs `scheduler` to completion with `cfg.workers` worker threads
 /// executing `program` against `backend`.
 ///
@@ -189,7 +230,8 @@ impl<S: Space, G: DepTracker<S>> std::fmt::Debug for CheckpointHook<'_, S, G> {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (the panic is resumed on the caller).
+/// If `agent_step` or `commit` panics, the run is stopped, every thread
+/// it started is joined, and the panic is resumed on the caller.
 pub fn run_threaded<S, G, P>(
     scheduler: &mut Scheduler<S, G>,
     program: Arc<P>,
@@ -293,57 +335,65 @@ where
     };
     let run_start_us = telemetry.as_ref().map(|t| t.now_us());
     type Ack<P2> = (crate::ids::ClusterId, Vec<(AgentId, P2)>);
-    let ready: Arc<PriorityQueue<Cluster>> = Arc::new(PriorityQueue::new());
-    let ack: Arc<PriorityQueue<Ack<S::Pos>>> = Arc::new(PriorityQueue::new());
+    let ready: PriorityQueue<Cluster> = PriorityQueue::new();
+    let ack: PriorityQueue<Ack<S::Pos>> = PriorityQueue::new();
     let started = Instant::now();
     let mut clusters = 0u64;
     let mut agent_steps = 0u64;
+    // One member's step, with the time it finished taken on the thread
+    // that ran it (0 while the sink is absent or disabled).
+    let agent_step = |agent: AgentId, step: Step| {
+        let action = program.agent_step(agent, step, backend.as_ref());
+        let finished_us = telemetry
+            .as_deref()
+            .filter(|t| t.is_enabled())
+            .map_or(0, Telemetry::now_us);
+        (action, finished_us)
+    };
+    let crew = Crew::new(&agent_step);
+    let end_run = || {
+        ready.close();
+        ack.close();
+        crew.shutdown();
+    };
 
-    let result = std::thread::scope(|scope| -> Result<(), EngineError> {
-        // Workers: pull cluster → one thread per agent → commit → ack.
+    let (result, worker_panic) = std::thread::scope(|scope| {
+        // However this thread leaves the scope — done, failed, or
+        // unwinding from the hook — workers and helpers must exit for the
+        // scope to join them.
+        let end = OnDrop(&end_run);
+        // Workers: pull cluster → run its members with the crew → commit
+        // → ack.
         let mut handles = Vec::new();
         for _ in 0..cfg.workers {
-            let ready = Arc::clone(&ready);
-            let ack = Arc::clone(&ack);
-            let program = Arc::clone(&program);
-            let backend = Arc::clone(&backend);
-            let priority = cfg.priority_enabled;
-            let telemetry = telemetry.clone();
+            let (ready, ack, crew, program, end_run) = (&ready, &ack, &crew, &*program, &end_run);
+            let (priority, telemetry) = (cfg.priority_enabled, &telemetry);
             handles.push(scope.spawn(move || {
+                // A worker that unwinds (a panic in `agent_step` or
+                // `commit`) takes the run down with it instead of
+                // leaving the controller waiting for its ack.
+                let _end = OnDrop(end_run);
                 let rec = telemetry.as_ref().map(|t| t.recorder());
                 while let Some(cluster) = ready.pop() {
                     let cluster_t0 = rec.as_ref().and_then(|r| r.start());
+                    let batch = Batch::new(cluster);
+                    let outcomes = crew.run(scope, &batch);
+                    let cluster = &batch.cluster;
                     // Per-member finish timestamps, collected only while
                     // the sink is enabled (stays empty — no allocation —
                     // on the disabled path).
                     let mut finishes: Vec<(u32, u64)> = Vec::new();
-                    let actions: Vec<(AgentId, P::Action)> = std::thread::scope(|agents| {
-                        let mut joins = Vec::with_capacity(cluster.members.len());
-                        for &m in &cluster.members {
-                            let program = Arc::clone(&program);
-                            let backend = Arc::clone(&backend);
-                            let step = cluster.step;
-                            let tel = telemetry.as_deref().filter(|t| t.is_enabled());
-                            joins.push((
-                                m,
-                                agents.spawn(move || {
-                                    let action = program.agent_step(m, step, backend.as_ref());
-                                    (action, tel.map_or(0, Telemetry::now_us))
-                                }),
-                            ));
-                        }
-                        joins
-                            .into_iter()
-                            .map(|(m, j)| {
-                                let (action, finished_us) =
-                                    j.join().expect("agent thread panicked");
-                                if finished_us > 0 {
-                                    finishes.push((m.0, finished_us));
-                                }
-                                (m, action)
-                            })
-                            .collect()
-                    });
+                    let actions: Vec<(AgentId, P::Action)> = cluster
+                        .members
+                        .iter()
+                        .zip(outcomes)
+                        .map(|(&m, (action, finished_us))| {
+                            if finished_us > 0 {
+                                finishes.push((m.0, finished_us));
+                            }
+                            (m, action)
+                        })
+                        .collect();
                     if let Some(r) = &rec {
                         // Intra-cluster barrier: everyone who finished
                         // before the straggler was blocked on it.
@@ -371,7 +421,7 @@ where
                         }
                     }
                     let commit_t0 = rec.as_ref().and_then(|r| r.start());
-                    let new_pos = program.commit(&cluster, actions);
+                    let new_pos = program.commit(cluster, actions);
                     if let Some(r) = &rec {
                         let members = cluster.members.len() as u32;
                         if let Some(t0) = commit_t0 {
@@ -406,17 +456,18 @@ where
         // Controller loop on the calling thread.
         let ctl = telemetry.as_ref().map(|t| t.recorder());
         let push_ready = |sched: &mut Scheduler<S, G>| {
-            let mut n = 0;
             for c in sched.ready_clusters() {
                 let prio = if cfg.priority_enabled {
                     c.step.priority()
                 } else {
                     0
                 };
-                ready.push(prio, c).expect("ready queue closed prematurely");
-                n += 1;
+                // Only an unwinding worker closes the queue this early;
+                // the closed ack queue ends the loop below.
+                if ready.push(prio, c).is_err() {
+                    break;
+                }
             }
-            n
         };
         // Next committed-step multiple at which the checkpoint hook fires;
         // computed from the *current* floor so resumed runs do not
@@ -429,9 +480,8 @@ where
         // Opens when the controller first defers ready work for a due
         // checkpoint; the Checkpoint span covers drain + hook.
         let mut stall_start: Option<u64> = None;
-        // Run the controller to an explicit result, then close the queues
-        // unconditionally so workers always exit (even on the error path)
-        // before the scope joins them.
+        // Run the controller to an explicit result, then end the run so
+        // workers always exit (even on the error path) and can be joined.
         let mut run = |scheduler: &mut Scheduler<S, G>| -> Result<(), EngineError> {
             push_ready(scheduler);
             while !scheduler.is_done() {
@@ -488,13 +538,22 @@ where
             Ok(())
         };
         let outcome = run(scheduler);
-        ready.close();
-        ack.close();
+        drop(end);
+        let mut worker_panic = None;
         for h in handles {
-            h.join().expect("worker thread panicked");
+            if let Err(payload) = h.join() {
+                worker_panic.get_or_insert(payload);
+            }
         }
-        outcome
+        (outcome, worker_panic)
     });
+    let agent_threads_spawned = crew.spawned();
+    if let Some(t) = &telemetry {
+        t.counter_add(Counter::AgentThreadsSpawned, agent_threads_spawned);
+    }
+    if let Some(payload) = worker_panic {
+        std::panic::resume_unwind(payload);
+    }
     result?;
 
     let telemetry = telemetry.map(|t| {
@@ -514,6 +573,7 @@ where
         wall: started.elapsed(),
         clusters,
         agent_steps,
+        agent_threads_spawned,
         backend: raw_backend.describe(),
         fleet: raw_backend.fleet_metrics(),
         telemetry,
@@ -886,6 +946,269 @@ mod tests {
                 assert!(call_reqs.contains(&request), "orphan attempt {request}");
             }
         }
+    }
+
+    /// [`WalkProgram`] with a probe called at the top of every
+    /// `agent_step` and one at the top of every `commit`.
+    struct Probed<F, G> {
+        walk: WalkProgram,
+        on_step: F,
+        on_commit: G,
+    }
+
+    impl<F, G> ClusterProgram<GridSpace> for Probed<F, G>
+    where
+        F: Fn(AgentId, Step) + Send + Sync,
+        G: Fn(&Cluster, &[(AgentId, Point)]) + Send + Sync,
+    {
+        type Action = Point;
+
+        fn agent_step(&self, agent: AgentId, step: Step, llm: &dyn LlmBackend) -> Point {
+            (self.on_step)(agent, step);
+            self.walk.agent_step(agent, step, llm)
+        }
+
+        fn commit(
+            &self,
+            cluster: &Cluster,
+            actions: Vec<(AgentId, Point)>,
+        ) -> Vec<(AgentId, Point)> {
+            (self.on_commit)(cluster, &actions);
+            self.walk.commit(cluster, actions)
+        }
+    }
+
+    /// Runs `f` on a thread of its own and returns what it returned or
+    /// panicked with; fails the test instead of hanging it when `f` is
+    /// not done within `limit`.
+    fn within<T: Send + 'static>(
+        limit: Duration,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::Result<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let _ = tx.send(outcome);
+        });
+        rx.recv_timeout(limit)
+            .unwrap_or_else(|_| panic!("the run is still going after {limit:?}"))
+    }
+
+    /// `rows` rows of `per_row` agents one cell apart (each row couples
+    /// into one cluster and stays one: everybody walks +1 in x), rows
+    /// far enough apart never to interact.
+    fn rows_of(rows: i32, per_row: i32) -> Vec<Point> {
+        (0..rows)
+            .flat_map(|r| (0..per_row).map(move |i| Point::new(i, r * 30)))
+            .collect()
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p
+                .downcast::<&str>()
+                .map_or_else(|_| "?".into(), |s| s.to_string()),
+        }
+    }
+
+    #[test]
+    fn panicking_agent_step_is_resumed_on_the_caller() {
+        let outcome = within(Duration::from_secs(20), || {
+            let initial = vec![Point::new(0, 0), Point::new(300, 0), Point::new(600, 0)];
+            let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, 4);
+            let program = Arc::new(Probed {
+                walk: WalkProgram::new(&initial),
+                on_step: |agent: AgentId, step: Step| {
+                    assert!(!(agent.0 == 1 && step.0 == 1), "agent 1 trips at step 1");
+                },
+                on_commit: |_: &Cluster, _: &[(AgentId, Point)]| {},
+            });
+            let cfg = ThreadedConfig {
+                workers: 2,
+                priority_enabled: true,
+            };
+            run_threaded(&mut sched, program, Arc::new(InstantBackend::new()), cfg).map(|_| ())
+        });
+        let message = panic_message(outcome.expect_err("the panic must reach the caller"));
+        assert!(message.contains("agent 1 trips at step 1"), "{message}");
+    }
+
+    #[test]
+    fn panicking_commit_is_resumed_on_the_caller() {
+        let outcome = within(Duration::from_secs(20), || {
+            // One coupled row: a multi-member batch is in flight when the
+            // commit goes wrong.
+            let initial = rows_of(1, 6);
+            let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, 4);
+            let program = Arc::new(Probed {
+                walk: WalkProgram::new(&initial),
+                on_step: |_: AgentId, _: Step| {},
+                on_commit: |cluster: &Cluster, _: &[(AgentId, Point)]| {
+                    assert!(cluster.step.0 != 1, "commit trips at step 1");
+                },
+            });
+            let cfg = ThreadedConfig {
+                workers: 2,
+                priority_enabled: true,
+            };
+            run_threaded(&mut sched, program, Arc::new(InstantBackend::new()), cfg).map(|_| ())
+        });
+        let message = panic_message(outcome.expect_err("the panic must reach the caller"));
+        assert!(message.contains("commit trips at step 1"), "{message}");
+    }
+
+    #[test]
+    fn members_of_a_cluster_are_all_in_flight_at_once() {
+        // Every member waits for all the others inside `agent_step`: one
+        // member run after another instead of beside it deadlocks, which
+        // is the property backends that batch a cluster's calls rely on.
+        const N: i32 = 8;
+        for (rows, workers, policy) in [
+            (1, 1, DependencyPolicy::GlobalSync),
+            (2, 2, DependencyPolicy::Spatiotemporal),
+        ] {
+            let report = within(Duration::from_secs(30), move || {
+                let initial = rows_of(rows, N);
+                let mut sched = mk_sched(&initial, policy, 5);
+                let barriers: Vec<std::sync::Barrier> = (0..rows)
+                    .map(|_| std::sync::Barrier::new(N as usize))
+                    .collect();
+                let program = Arc::new(Probed {
+                    walk: WalkProgram::new(&initial),
+                    on_step: move |agent: AgentId, _: Step| {
+                        barriers[agent.0 as usize / N as usize].wait();
+                    },
+                    on_commit: |cluster: &Cluster, _: &[(AgentId, Point)]| {
+                        assert_eq!(cluster.members.len(), N as usize);
+                    },
+                });
+                let cfg = ThreadedConfig {
+                    workers,
+                    priority_enabled: true,
+                };
+                run_threaded(&mut sched, program, Arc::new(InstantBackend::new()), cfg).unwrap()
+            })
+            .expect("no panic");
+            assert_eq!(report.agent_steps, (rows * N * 5) as u64);
+            assert!(report.agent_threads_spawned >= (N - 1) as u64);
+        }
+    }
+
+    #[test]
+    fn steps_that_do_not_block_share_threads() {
+        let initial: Vec<Point> = (0..64).map(|i| Point::new(i * 15, 0)).collect();
+        let mut sched = mk_sched(&initial, DependencyPolicy::GlobalSync, 20);
+        let program = Arc::new(WalkProgram::new(&initial));
+        let telemetry = Arc::new(Telemetry::new());
+        let report = run_threaded_observed(
+            &mut sched,
+            Arc::clone(&program),
+            Arc::new(InstantBackend::new()),
+            ThreadedConfig::default(),
+            None,
+            Some(Arc::clone(&telemetry)),
+        )
+        .unwrap();
+        assert_eq!(report.clusters, 20);
+        assert_eq!(report.agent_steps, 64 * 20);
+        assert!(
+            report.agent_threads_spawned < report.agent_steps / 4,
+            "{} threads for {} agent-steps",
+            report.agent_threads_spawned,
+            report.agent_steps
+        );
+        for (i, p) in initial.iter().enumerate() {
+            assert_eq!(
+                program.positions.lock()[&(i as u32)],
+                Point::new(p.x + 20, p.y)
+            );
+        }
+        // The sink carries the same number, and spans recorded on helper
+        // threads (every LLM call) all arrived.
+        let t = report.telemetry.as_ref().expect("observed run reports");
+        assert_eq!(
+            t.counter(Counter::AgentThreadsSpawned),
+            report.agent_threads_spawned
+        );
+        assert_eq!(t.counter(Counter::LlmCalls), 64 * 20);
+        assert_eq!(t.dropped, 0);
+    }
+
+    /// Sleeps 0–200 µs per call, chosen from the request id.
+    struct JitterBackend;
+
+    impl LlmBackend for JitterBackend {
+        fn call(&self, req: &LlmRequest) -> aim_llm::LlmResponse {
+            let us = req.id.0 * 37 % 5 * 50;
+            if us > 0 {
+                std::thread::sleep(Duration::from_micros(us));
+            }
+            aim_llm::LlmResponse {
+                id: req.id,
+                output_tokens: req.output_tokens,
+            }
+        }
+
+        fn describe(&self) -> String {
+            "jitter".to_string()
+        }
+    }
+
+    #[test]
+    fn wake_up_protocol_survives_jittered_mixed_clusters() {
+        // Six 30-member clusters and twenty singletons per step on four
+        // workers, steps that block for 0–200 µs: claims, summons, parks
+        // and drains race in every order. A lost wake-up or a lost
+        // member shows as a time-out, a double run as a count of 2.
+        const STEPS: u32 = 40;
+        within(Duration::from_secs(300), || {
+            let mut initial = rows_of(6, 30);
+            initial.extend((6..26).map(|r| Point::new(0, r * 30)));
+            assert_eq!(initial.len(), 200);
+            for _ in 0..50 {
+                let ran: Arc<Mutex<HashMap<(u32, u32), u32>>> = Arc::default();
+                let counted = Arc::clone(&ran);
+                let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, STEPS);
+                let program = Arc::new(Probed {
+                    walk: WalkProgram::new(&initial),
+                    on_step: move |agent: AgentId, step: Step| {
+                        *counted.lock().entry((agent.0, step.0)).or_default() += 1;
+                    },
+                    on_commit: |cluster: &Cluster, actions: &[(AgentId, Point)]| {
+                        let order: Vec<AgentId> = actions.iter().map(|(a, _)| *a).collect();
+                        assert_eq!(order, cluster.members, "results out of member order");
+                    },
+                });
+                let cfg = ThreadedConfig {
+                    workers: 4,
+                    priority_enabled: true,
+                };
+                let report = run_threaded(
+                    &mut sched,
+                    Arc::clone(&program),
+                    Arc::new(JitterBackend),
+                    cfg,
+                )
+                .unwrap();
+                assert_eq!(report.agent_steps, 200 * STEPS as u64);
+                assert_eq!(sched.stats().max_cluster_size, 30);
+                let ran = ran.lock();
+                assert_eq!(ran.len(), 200 * STEPS as usize);
+                assert!(ran.values().all(|&n| n == 1), "a step ran twice");
+                // Each action is its own agent's: nobody's result landed
+                // in a neighbour's slot.
+                let positions = program.walk.positions.lock();
+                for (i, p) in initial.iter().enumerate() {
+                    assert_eq!(positions[&(i as u32)], Point::new(p.x + STEPS as i32, p.y));
+                }
+                // The run returned, so the scope has joined every worker
+                // and helper; nothing else holds the program.
+                drop(positions);
+                assert_eq!(Arc::strong_count(&program), 1);
+            }
+        })
+        .expect("no panic");
     }
 
     #[test]

@@ -597,11 +597,13 @@ pub enum Counter {
     CheckpointBarriers,
     /// Protocol messages crossing the distributed-shard boundary.
     BoundaryMessages,
+    /// Helper threads the threaded executor spawned to run agent steps.
+    AgentThreadsSpawned,
 }
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 7] = [
+    pub const ALL: [Counter; 8] = [
         Counter::LlmCalls,
         Counter::FleetAttempts,
         Counter::FleetHedges,
@@ -609,6 +611,7 @@ impl Counter {
         Counter::ShardMigrations,
         Counter::CheckpointBarriers,
         Counter::BoundaryMessages,
+        Counter::AgentThreadsSpawned,
     ];
 
     /// Stable snake_case name (used by exporters).
@@ -621,6 +624,7 @@ impl Counter {
             Counter::ShardMigrations => "shard_migrations",
             Counter::CheckpointBarriers => "checkpoint_barriers",
             Counter::BoundaryMessages => "boundary_messages",
+            Counter::AgentThreadsSpawned => "agent_threads_spawned",
         }
     }
 

@@ -5,8 +5,10 @@
 //! * **Determinism** — two identical seeded runs (one worker, instant
 //!   backend) produce the identical order-normalized span structure:
 //!   same span kinds with the same logical fields (agents, steps,
-//!   cluster ids, request ids), same counters. Only timestamps may
-//!   differ between runs; the *structure* of what happened may not.
+//!   cluster ids, request ids), same counters. Only timestamps — and
+//!   the one counter that follows from them alone, how many helper
+//!   threads the executor spawned — may differ between runs; the
+//!   *structure* of what happened may not.
 //! * **Decomposition discriminates policies** — the paper's core claim
 //!   (§3.2) is that out-of-order execution removes global-barrier
 //!   waiting. Running the same village against the same latency replay
@@ -14,22 +16,71 @@
 //!   category must be strictly smaller under OOO, and both runs'
 //!   four-way decompositions must cover ≥95% of the agent-time budget.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ai_metropolis::core::telemetry::{RunTelemetry, Telemetry};
+use ai_metropolis::core::telemetry::{Counter, RunTelemetry, Telemetry};
 use ai_metropolis::llm::{InstantBackend, LatencyProfile, LlmBackend, ReplayBackend};
 use ai_metropolis::prelude::*;
 use ai_metropolis::store::Db;
 use ai_metropolis::world::program::VillageProgram;
 use ai_metropolis::world::{clock_to_step, Village};
 
-/// Drives one observed village run and returns its unified telemetry.
-fn observed_run(
+/// A [`VillageProgram`] whose request ids name the call — agent, step,
+/// n-th call of that step — instead of being drawn from the program's one
+/// shared counter. The members of a cluster may run side by side, so
+/// which of two of them draws the lower number from a shared counter is
+/// decided by the thread interleaving; these ids are not.
+struct CallNamedIds(VillageProgram);
+
+impl ClusterProgram<GridSpace> for CallNamedIds {
+    type Action = <VillageProgram as ClusterProgram<GridSpace>>::Action;
+
+    fn agent_step(&self, agent: AgentId, step: Step, llm: &dyn LlmBackend) -> Self::Action {
+        let renamed = RenameCalls {
+            inner: llm,
+            calls: AtomicU64::new(0),
+        };
+        self.0.agent_step(agent, step, &renamed)
+    }
+
+    fn commit(
+        &self,
+        cluster: &Cluster,
+        actions: Vec<(AgentId, Self::Action)>,
+    ) -> Vec<(AgentId, Point)> {
+        self.0.commit(cluster, actions)
+    }
+}
+
+/// The backend one agent-step of [`CallNamedIds`] talks to.
+struct RenameCalls<'a> {
+    inner: &'a dyn LlmBackend,
+    calls: AtomicU64,
+}
+
+impl LlmBackend for RenameCalls<'_> {
+    fn call(&self, req: &LlmRequest) -> LlmResponse {
+        let nth = self.calls.fetch_add(1, Ordering::Relaxed);
+        assert!(nth < 1 << 8 && req.step < 1 << 24, "id fields overflow");
+        let id = RequestId(u64::from(req.agent) << 32 | req.step << 8 | nth);
+        self.inner.call(&LlmRequest { id, ..*req })
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+}
+
+/// Drives one observed village run — of the program `wrap` makes of the
+/// village's — and returns its unified telemetry.
+fn observed_run<P: ClusterProgram<GridSpace> + 'static>(
     seed: u64,
     policy: DependencyPolicy,
     backend: Arc<dyn LlmBackend>,
     workers: usize,
     steps: u32,
+    wrap: impl FnOnce(VillageProgram) -> P,
 ) -> RunTelemetry {
     let start = clock_to_step(12, 0);
     let mut village = Village::generate(&VillageConfig {
@@ -39,8 +90,9 @@ fn observed_run(
     });
     village.run_lockstep(0, start, |_, _, _, _| {});
     let space = village.space();
-    let program = Arc::new(VillageProgram::with_step_offset(village, start));
+    let program = VillageProgram::with_step_offset(village, start);
     let initial = program.initial_positions();
+    let program = Arc::new(wrap(program));
     let mut sched = Scheduler::new(
         Arc::new(space),
         RuleParams::genagent(),
@@ -104,6 +156,7 @@ fn identical_seeded_runs_have_identical_span_structure() {
             Arc::new(InstantBackend::new()),
             1,
             30,
+            CallNamedIds,
         )
     };
     let (a, b) = (run(), run());
@@ -111,7 +164,18 @@ fn identical_seeded_runs_have_identical_span_structure() {
     assert_eq!(a.agents, b.agents);
     assert_eq!(a.dropped, 0, "test-sized runs must not overflow the buffer");
     assert_eq!(b.dropped, 0);
-    assert_eq!(a.counters, b.counters, "counters diverged between runs");
+    // How many helper threads a run spawns is decided by which steps
+    // happened to overlap — a wall-clock outcome, like the barrier
+    // spans `structure` leaves out; every other counter is decided by
+    // the work done.
+    let logical = |rt: &RunTelemetry| -> Vec<(Counter, u64)> {
+        rt.counters
+            .iter()
+            .copied()
+            .filter(|(c, _)| *c != Counter::AgentThreadsSpawned)
+            .collect()
+    };
+    assert_eq!(logical(&a), logical(&b), "counters diverged between runs");
     assert_eq!(
         structure(&a),
         structure(&b),
@@ -145,6 +209,7 @@ fn ooo_blocks_strictly_less_than_lockstep() {
         Arc::new(ReplayBackend::new(profile(), 64, 1.0)),
         4,
         steps,
+        std::convert::identity,
     );
     let ooo = observed_run(
         7,
@@ -152,6 +217,7 @@ fn ooo_blocks_strictly_less_than_lockstep() {
         Arc::new(ReplayBackend::new(profile(), 64, 1.0)),
         4,
         steps,
+        std::convert::identity,
     );
 
     assert!(
