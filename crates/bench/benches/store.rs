@@ -3,7 +3,8 @@
 
 use std::hint::black_box;
 
-use aim_store::Db;
+use aim_store::{Db, Key};
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_point_ops(c: &mut Criterion) {
@@ -35,8 +36,8 @@ fn bench_point_ops(c: &mut Criterion) {
 }
 
 fn bench_transactions(c: &mut Criterion) {
-    // The engine's commit shape: read-modify-write of a handful of agent
-    // records plus a counter, uncontended.
+    // A general read-modify-write: string keys built per call, five reads,
+    // five writes, uncontended. (Not what the engine issues — see below.)
     let db = Db::new();
     for i in 0..1_000u32 {
         db.set(format!("agent:{i:04}"), vec![0u8; 16]);
@@ -54,6 +55,25 @@ fn bench_transactions(c: &mut Criterion) {
                 let c = txn.get_i64("commits")?;
                 txn.set_i64("commits", c + 1);
                 Ok(())
+            })
+            .unwrap();
+            i += 1;
+        });
+    });
+    // Exactly what a singleton `DepGraph::advance` issues: one freshly
+    // encoded record under an interned key, plus the buffered counter
+    // bump. No reads, so nothing to validate.
+    let records: Vec<Key> = (0..1_000u32)
+        .map(|a| Key::tagged_u32(*b"dagt", a))
+        .collect();
+    let commits = Key::new("dep:commits");
+    c.bench_function("store/txn_commit_interned", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            let value = Bytes::copy_from_slice(&(i as u64).to_be_bytes());
+            db.transaction(|txn| {
+                txn.set_key(&records[i % records.len()], value.clone());
+                txn.incr_key(&commits, 1)
             })
             .unwrap();
             i += 1;

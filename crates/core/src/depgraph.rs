@@ -224,6 +224,8 @@ pub struct DepGraph<S: Space> {
     edges: Option<Edges<S>>,
     /// Reused `(agent, encoded record)` buffer for transactions.
     records: Vec<(u32, Bytes)>,
+    /// Reused scratch the records are encoded in before being copied out.
+    encode_buf: BytesMut,
     /// Whether per-step history records are written (see [`GraphOptions`]).
     history: bool,
     /// Reused history write/delete buffer: `(key, Some(value))` writes,
@@ -303,9 +305,10 @@ impl<S: Space> DepGraph<S> {
             })
             .collect();
         let graph = Self::assemble(space, params, db, nodes, options);
+        let mut buf = BytesMut::new();
         graph.db.transaction(|txn| {
             for (i, node) in graph.nodes.iter().enumerate() {
-                let value = graph.encode_node(node);
+                let value = encode_record(&*graph.space, &mut buf, node.step, node.pos);
                 if graph.history {
                     txn.set_key(&Key::tagged_u32_pair(HIST_TAG, 0, i as u32), value.clone());
                 }
@@ -366,6 +369,7 @@ impl<S: Space> DepGraph<S> {
             commits_key: Key::new("dep:commits"),
             edges,
             records: Vec::new(),
+            encode_buf: BytesMut::new(),
             history: options.history,
             hist_records: Vec::new(),
         };
@@ -494,17 +498,13 @@ impl<S: Space> DepGraph<S> {
         node.step = step;
         node.pos = pos;
         self.step_index.insert((step.0, a.0));
-        // Detach every edge incident to `a` (both directions).
         if let Some(edges) = self.edges.as_mut() {
-            for b in std::mem::take(&mut edges.coupled[a.index()]) {
-                remove_sorted(&mut edges.coupled[b.index()], a);
-            }
-            for b in std::mem::take(&mut edges.blockers[a.index()]) {
-                remove_sorted(&mut edges.blockees[b.index()], a);
-            }
-            for b in std::mem::take(&mut edges.blockees[a.index()]) {
-                remove_sorted(&mut edges.blockers[b.index()], a);
-            }
+            detach_edges(
+                &mut edges.coupled,
+                &mut edges.blockers,
+                &mut edges.blockees,
+                a,
+            );
         }
     }
 
@@ -549,13 +549,6 @@ impl<S: Space> DepGraph<S> {
             nodes.push(Node { pos, step });
         }
         Ok(Self::assemble(space, params, db, nodes, options))
-    }
-
-    fn encode_node(&self, node: &Node<S::Pos>) -> Bytes {
-        let mut buf = BytesMut::new();
-        codec::put_u32(&mut buf, node.step.0);
-        self.space.encode_pos(node.pos, &mut buf);
-        buf.freeze()
     }
 
     /// Number of agents.
@@ -625,18 +618,18 @@ impl<S: Space> DepGraph<S> {
     /// Panics if an agent id is out of range.
     pub fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
         // Encode the records outside the closure: retries must be
-        // idempotent and the mirror untouched until commit. The buffer,
-        // keys, and values are all reused/refcounted — the loop allocates
-        // once per record for the encoded value and nothing else.
+        // idempotent and the mirror untouched until commit. The record
+        // list, the encode scratch, the keys and the transaction's own
+        // sets are all reused or refcounted — the commit allocates once
+        // per record for the stored value, once for the counter's new
+        // value, and nothing else.
         let mut records = std::mem::take(&mut self.records);
         records.clear();
-        records.extend(updates.iter().map(|(a, pos)| {
-            let node = Node {
-                pos: *pos,
-                step: self.nodes[a.index()].step.next(),
-            };
-            (a.0, self.encode_node(&node))
-        }));
+        for (a, pos) in updates {
+            let step = self.nodes[a.index()].step.next();
+            let value = encode_record(&*self.space, &mut self.encode_buf, step, *pos);
+            records.push((a.0, value));
+        }
         let result = if self.history {
             // History rides in the same transaction: the step's record and
             // its immutable history entry commit or retry together. This
@@ -664,7 +657,7 @@ impl<S: Space> DepGraph<S> {
                         None => txn.del(key),
                     }
                 }
-                bump_commit_counter(txn, commits_key)
+                txn.incr_key(commits_key, 1)
             });
             hist.clear();
             self.hist_records = hist;
@@ -676,7 +669,7 @@ impl<S: Space> DepGraph<S> {
                 for (a, value) in &records {
                     txn.set_key(&keys[*a as usize], value.clone());
                 }
-                bump_commit_counter(txn, commits_key)
+                txn.incr_key(commits_key, 1)
             })
         };
         records.clear();
@@ -711,20 +704,15 @@ impl<S: Space> DepGraph<S> {
     pub fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
         let mut records = std::mem::take(&mut self.records);
         records.clear();
-        records.extend(updates.iter().map(|(a, step, pos)| {
+        for (a, step, pos) in updates {
             assert!(
                 *step <= self.nodes[a.index()].step,
                 "rollback of {a} to {step} is ahead of current {}",
                 self.nodes[a.index()].step
             );
-            (
-                a.0,
-                self.encode_node(&Node {
-                    pos: *pos,
-                    step: *step,
-                }),
-            )
-        }));
+            let value = encode_record(&*self.space, &mut self.encode_buf, *step, *pos);
+            records.push((a.0, value));
+        }
         let mut hist = std::mem::take(&mut self.hist_records);
         hist.clear();
         if self.history {
@@ -1021,38 +1009,59 @@ impl<S: Space> DepTracker<S> for DepGraph<S> {
     }
 }
 
-/// Reads, increments, and rewrites the cluster-commit counter inside a
-/// transaction (shared by both arms of the advance commit, and by the
-/// [`crate::dist`] shard workers for their per-worker counters).
-pub(crate) fn bump_commit_counter(
-    txn: &mut aim_store::Txn<'_>,
-    commits_key: &Key,
-) -> Result<(), StoreError> {
-    let commits = txn
-        .get_key(commits_key)
-        .map(|v| {
-            v.as_ref()
-                .try_into()
-                .map(i64::from_be_bytes)
-                .map_err(|_| StoreError::Codec("bad commit counter".into()))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    txn.set_key(commits_key, (commits + 1).to_be_bytes().to_vec());
-    Ok(())
+/// Encodes one `(step, pos)` state in the authoritative record layout
+/// (shared with the [`crate::dist`] shard workers, which keep the same
+/// records in their own databases). `buf` is scratch: the record is built
+/// in it and copied out once, so a caller that keeps `buf` around pays
+/// exactly one allocation per record — the stored value.
+pub(crate) fn encode_record<S: Space>(
+    space: &S,
+    buf: &mut BytesMut,
+    step: Step,
+    pos: S::Pos,
+) -> Bytes {
+    buf.clear();
+    codec::put_u32(buf, step.0);
+    space.encode_pos(pos, buf);
+    Bytes::copy_from_slice(buf)
+}
+
+/// Detaches every edge incident to `a`, in both directions, from three
+/// id-sorted adjacency tables (the layout all three trackers share).
+/// `a`'s own lists are emptied in place: the relink that always follows
+/// refills them, and must find their buffers still there.
+pub(crate) fn detach_edges(
+    coupled: &mut [Vec<AgentId>],
+    blockers: &mut [Vec<AgentId>],
+    blockees: &mut [Vec<AgentId>],
+    a: AgentId,
+) {
+    // Coupling partners live in the table being walked: lift `a`'s list
+    // out for the walk and put it (and its capacity) back.
+    let mut partners = std::mem::take(&mut coupled[a.index()]);
+    for b in partners.drain(..) {
+        remove_sorted(&mut coupled[b.index()], a);
+    }
+    coupled[a.index()] = partners;
+    for b in blockers[a.index()].drain(..) {
+        remove_sorted(&mut blockees[b.index()], a);
+    }
+    for b in blockees[a.index()].drain(..) {
+        remove_sorted(&mut blockers[b.index()], a);
+    }
 }
 
 /// Inserts `x` into an id-sorted adjacency list, keeping it sorted;
 /// idempotent (re-linking an existing edge is a no-op), which lets a batch
 /// update relink both endpoints of an intra-batch edge safely.
-fn insert_sorted(list: &mut Vec<AgentId>, x: AgentId) {
+pub(crate) fn insert_sorted(list: &mut Vec<AgentId>, x: AgentId) {
     if let Err(at) = list.binary_search(&x) {
         list.insert(at, x);
     }
 }
 
 /// Removes `x` from an id-sorted adjacency list if present.
-fn remove_sorted(list: &mut Vec<AgentId>, x: AgentId) {
+pub(crate) fn remove_sorted(list: &mut Vec<AgentId>, x: AgentId) {
     if let Ok(at) = list.binary_search(&x) {
         list.remove(at);
     }

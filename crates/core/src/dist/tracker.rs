@@ -29,7 +29,9 @@ use std::sync::Arc;
 
 use aim_store::{Db, StoreError};
 
-use crate::depgraph::{DepTracker, GraphOptions, GraphSnapshot, HIST_FLOOR_KEY, HIST_TAG};
+use crate::depgraph::{
+    detach_edges, insert_sorted, DepTracker, GraphOptions, GraphSnapshot, HIST_FLOOR_KEY, HIST_TAG,
+};
 use crate::health::{HealthBoard, WorkerHealth};
 use crate::ids::{AgentId, Step};
 use crate::rules::{self, RuleParams};
@@ -848,15 +850,7 @@ impl<S: Space> DistTracker<S> {
 
     /// Detaches every edge incident to `a` (both directions).
     fn detach(&mut self, a: AgentId) {
-        for b in std::mem::take(&mut self.coupled[a.index()]) {
-            remove_sorted(&mut self.coupled[b.index()], a);
-        }
-        for b in std::mem::take(&mut self.blockers[a.index()]) {
-            remove_sorted(&mut self.blockees[b.index()], a);
-        }
-        for b in std::mem::take(&mut self.blockees[a.index()]) {
-            remove_sorted(&mut self.blockers[b.index()], a);
-        }
+        detach_edges(&mut self.coupled, &mut self.blockers, &mut self.blockees, a);
     }
 
     /// Applies one worker-computed edge to the mirrored adjacency
@@ -1146,19 +1140,5 @@ impl<S: Space> DepTracker<S> for DistTracker<S> {
         // Best-effort by contract: a protocol violation here is surfaced
         // by the next real request, not by the harvest.
         let _ = DistTracker::harvest_telemetry(self);
-    }
-}
-
-/// Inserts `x` into an id-sorted adjacency list (idempotent).
-fn insert_sorted(list: &mut Vec<AgentId>, x: AgentId) {
-    if let Err(at) = list.binary_search(&x) {
-        list.insert(at, x);
-    }
-}
-
-/// Removes `x` from an id-sorted adjacency list if present.
-fn remove_sorted(list: &mut Vec<AgentId>, x: AgentId) {
-    if let Ok(at) = list.binary_search(&x) {
-        list.remove(at);
     }
 }

@@ -33,7 +33,8 @@ use parking_lot::Mutex;
 
 use aim_store::{codec, Db, Key, StoreError};
 
-use crate::depgraph::{bump_commit_counter, AGENT_TAG, HIST_FLOOR_KEY, HIST_TAG};
+use crate::depgraph::{encode_record, AGENT_TAG, HIST_FLOOR_KEY, HIST_TAG};
+use crate::ids::Step;
 use crate::rules::RuleParams;
 use crate::space::{Space, SpatialIndex};
 use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
@@ -102,15 +103,6 @@ pub trait WorkerLink<P>: Send {
     fn recv(&mut self) -> Result<ShardMsg<P>, StoreError>;
 }
 
-/// Encodes one `(step, pos)` state in the authoritative record layout
-/// shared with [`crate::depgraph::DepGraph`].
-fn encode_state<S: Space>(space: &S, step: u32, pos: S::Pos) -> Bytes {
-    let mut buf = BytesMut::new();
-    codec::put_u32(&mut buf, step);
-    space.encode_pos(pos, &mut buf);
-    buf.freeze()
-}
-
 /// An isolated shard worker (see the [module docs](super)).
 pub struct ShardWorker<S: Space> {
     id: u32,
@@ -147,6 +139,8 @@ pub struct ShardWorker<S: Space> {
     handled: u64,
     /// Reused candidate buffer for relink queries.
     scratch: Vec<u32>,
+    /// Reused scratch the records are encoded in before being copied out.
+    encode_buf: BytesMut,
 }
 
 impl<S: Space> fmt::Debug for ShardWorker<S> {
@@ -192,6 +186,7 @@ impl<S: Space> ShardWorker<S> {
             harvest_counters: [0; Counter::ALL.len()],
             handled: 0,
             scratch: Vec::new(),
+            encode_buf: BytesMut::new(),
         }
     }
 
@@ -378,7 +373,8 @@ impl<S: Space> ShardWorker<S> {
         for &(a, pos) in updates {
             let (_, step) = self.member(a)?;
             let next = step + 1;
-            records.push((a, next, encode_state(&*self.space, next, pos)));
+            let value = encode_record(&*self.space, &mut self.encode_buf, Step(next), pos);
+            records.push((a, next, value));
         }
         let history = self.history;
         let commits_key = &self.commits_key;
@@ -389,7 +385,7 @@ impl<S: Space> ShardWorker<S> {
                     txn.set_key(&Key::tagged_u32_pair(HIST_TAG, *next, *a), value.clone());
                 }
             }
-            bump_commit_counter(txn, commits_key)
+            txn.incr_key(commits_key, 1)
         })?;
         for (&(a, pos), &(_, next, _)) in updates.iter().zip(&records) {
             self.apply_state(a, next, pos);
@@ -408,7 +404,8 @@ impl<S: Space> ShardWorker<S> {
                     "rollback of agent {a} to step {step} is ahead of current {current}"
                 )));
             }
-            records.push((a, step, encode_state(&*self.space, step, pos)));
+            let value = encode_record(&*self.space, &mut self.encode_buf, Step(step), pos);
+            records.push((a, step, value));
             if self.history {
                 for squashed in (step + 1)..=current {
                     doomed.push(Key::tagged_u32_pair(HIST_TAG, squashed, a));
@@ -521,12 +518,12 @@ impl<S: Space> ShardWorker<S> {
         for r in &records {
             writes.push((
                 Key::tagged_u32(AGENT_TAG, r.agent),
-                encode_state(&*self.space, r.step, r.pos),
+                encode_record(&*self.space, &mut self.encode_buf, Step(r.step), r.pos),
             ));
             for &(step, pos) in &r.history {
                 writes.push((
                     Key::tagged_u32_pair(HIST_TAG, step, r.agent),
-                    encode_state(&*self.space, step, pos),
+                    encode_record(&*self.space, &mut self.encode_buf, Step(step), pos),
                 ));
             }
         }

@@ -80,7 +80,9 @@ use std::sync::Arc;
 
 use aim_store::{Db, StoreError};
 
-use crate::depgraph::{DepGraph, DepTracker, EdgeMode, GraphOptions, GraphSnapshot};
+use crate::depgraph::{
+    detach_edges, insert_sorted, DepGraph, DepTracker, EdgeMode, GraphOptions, GraphSnapshot,
+};
 use crate::ids::{AgentId, Step};
 use crate::rules::RuleParams;
 use crate::space::{Point, Space, SpatialIndex};
@@ -749,15 +751,7 @@ impl<S: Space> ShardedDepGraph<S> {
 
     /// Detaches every edge incident to `a` (both directions).
     fn detach(&mut self, a: AgentId) {
-        for b in std::mem::take(&mut self.coupled[a.index()]) {
-            remove_sorted(&mut self.coupled[b.index()], a);
-        }
-        for b in std::mem::take(&mut self.blockers[a.index()]) {
-            remove_sorted(&mut self.blockees[b.index()], a);
-        }
-        for b in std::mem::take(&mut self.blockees[a.index()]) {
-            remove_sorted(&mut self.blockers[b.index()], a);
-        }
+        detach_edges(&mut self.coupled, &mut self.blockers, &mut self.blockees, a);
     }
 
     /// Computes the edges incident to `a` into `out`, consulting only the
@@ -1056,20 +1050,6 @@ impl<S: Space> DepTracker<S> for ShardedDepGraph<S> {
     #[inline]
     fn set_telemetry(&mut self, telemetry: Arc<crate::telemetry::Telemetry>) {
         ShardedDepGraph::set_telemetry(self, telemetry)
-    }
-}
-
-/// Inserts `x` into an id-sorted adjacency list (idempotent).
-fn insert_sorted(list: &mut Vec<AgentId>, x: AgentId) {
-    if let Err(at) = list.binary_search(&x) {
-        list.insert(at, x);
-    }
-}
-
-/// Removes `x` from an id-sorted adjacency list if present.
-fn remove_sorted(list: &mut Vec<AgentId>, x: AgentId) {
-    if let Ok(at) = list.binary_search(&x) {
-        list.remove(at);
     }
 }
 

@@ -1,0 +1,146 @@
+//! An allocation budget for the cluster commit.
+//!
+//! `DepGraph::advance` is on every workload's blocking path, and what it
+//! costs is mostly what it allocates. The budget: the stored record and
+//! the counter's new value per commit, plus the occasional grid cell or
+//! B-tree node of the in-process mirror — not the transaction's
+//! bookkeeping, not a second copy of each value, not adjacency lists
+//! freed by the detach and reallocated by the relink.
+//!
+//! One `#[test]` only: the counter is process-wide, and a second test
+//! running beside it would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use aim_core::depgraph::DepGraph;
+use aim_core::rules::RuleParams;
+use aim_core::space::{GridSpace, Point};
+use aim_core::AgentId;
+use aim_store::Db;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Forwards to the system allocator, counting `alloc`/`realloc` calls.
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a statistic
+// that publishes no other data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` was returned by `System` through this allocator
+        // and the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const AGENTS: u32 = 25;
+const WARM_UP: usize = 500;
+const MEASURED: usize = 5_000;
+
+/// Twenty-five agents on a 5 × 5 lattice 16 units apart, each pacing a
+/// 10-unit stretch a cell or two per step. Neighbours come within 6 units
+/// of each other and no closer: never coupled (5) and never invalid one
+/// step apart (4), but blocked edges (6) form and break all the time, so
+/// the mirror's adjacency lists, grid cells and step index all churn.
+struct Walk {
+    graph: DepGraph<GridSpace>,
+    tick: Vec<i32>,
+}
+
+impl Walk {
+    fn new() -> Self {
+        let home: Vec<Point> = (0..AGENTS).map(Self::home).collect();
+        let graph = DepGraph::new(
+            Arc::new(GridSpace::new(100, 140)),
+            RuleParams::genagent(),
+            Arc::new(Db::new()),
+            &home,
+        )
+        .expect("initial population");
+        Walk {
+            graph,
+            tick: vec![0; AGENTS as usize],
+        }
+    }
+
+    fn home(a: u32) -> Point {
+        Point::new(10 + 16 * (a % 5) as i32, 10 + 16 * (a / 5) as i32)
+    }
+
+    /// Where `a` stands after its next step (a triangle wave of one- and
+    /// two-unit strides along x, inside its box).
+    fn next(&mut self, a: u32) -> (AgentId, Point) {
+        let t = &mut self.tick[a as usize];
+        *t += 1 + (*t + a as i32) % 2;
+        let phase = *t % 20;
+        let dx = if phase < 10 { phase } else { 20 - phase };
+        let home = Self::home(a);
+        (AgentId(a), Point::new(home.x + dx, home.y))
+    }
+
+    /// Commits `commits` clusters of `size` agents, round-robin over the
+    /// first `size * (AGENTS / size)` agents (the rest follow one by one,
+    /// uncounted, so no agent falls a step behind), and returns the heap
+    /// allocations made inside the counted `advance` calls.
+    fn run(&mut self, size: u32, commits: usize) -> u64 {
+        let clusters = AGENTS / size;
+        let mut counted = 0;
+        let mut updates = Vec::with_capacity(size as usize);
+        for commit in 0..commits {
+            let cluster = commit as u32 % clusters;
+            updates.clear();
+            updates.extend((cluster * size..(cluster + 1) * size).map(|a| self.next(a)));
+            let before = ALLOCS.load(Ordering::Relaxed);
+            self.graph.advance(&updates).expect("commit");
+            counted += ALLOCS.load(Ordering::Relaxed) - before;
+            if cluster + 1 == clusters {
+                for a in clusters * size..AGENTS {
+                    let straggler = [self.next(a)];
+                    self.graph.advance(&straggler).expect("commit");
+                }
+            }
+        }
+        counted
+    }
+}
+
+#[test]
+fn cluster_commit_stays_within_its_allocation_budget() {
+    for (size, budget) in [(1u32, 3.0f64), (4, 8.0)] {
+        let mut walk = Walk::new();
+        walk.run(size, WARM_UP);
+        let per_commit = walk.run(size, MEASURED) as f64 / MEASURED as f64;
+        println!("{size}-member commit: {per_commit:.2} allocations");
+        assert!(
+            per_commit <= budget,
+            "{size}-member commits average {per_commit:.2} heap allocations, budget {budget}"
+        );
+        walk.graph
+            .validate()
+            .expect("the walk keeps the graph valid");
+    }
+}

@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
@@ -25,9 +25,80 @@ pub(crate) struct Entry {
     pub(crate) value: Bytes,
 }
 
+/// The store's one key hash: a multiply-fold over the key bytes, eight at
+/// a time (the `CellKeyHasher` idea of `aim-core`'s grid index, widened to
+/// the full 128-bit product so high input bytes reach the low output bits).
+///
+/// It picks the shard ([`Db::shard_index`]) and is the hasher of every
+/// shard map, so a key costs two or three multiplies. Every byte and the
+/// length are mixed: the engine's keys are
+/// sequential big-endian ids that differ only in their last bytes, and a
+/// restored snapshot may hold any byte strings at all.
+///
+/// It is a fixed function, not a keyed one. Whoever knows it can compute
+/// colliding keys offline, so it buys speed at the price of the flooding
+/// resistance `RandomState` gave: a hostile `.aimsnap` can make its own
+/// restore slow (long probe chains), never wrong.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15_u128;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            // At most seven bytes, so the top byte is free to carry how
+            // many there were ("ab" and "ab\0" must differ).
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            word[7] = tail.len() as u8;
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    /// The length prefix `[u8]::hash` writes ahead of the bytes.
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Hashes `key` exactly as the shard maps do (length prefix included), so
+/// a transaction can compute it once and use it for the shard, for
+/// comparing buffered keys, and for ordering its write set.
+#[inline]
+pub(crate) fn key_hash(key: &[u8]) -> u64 {
+    BuildHasherDefault::<KeyHasher>::default().hash_one(key)
+}
+
+/// Shard of a key whose [`key_hash`] is `hash`. Bits 32–35: the maps use
+/// the low bits for the bucket and the top seven for the control tag, and
+/// all keys of one shard share these.
+#[inline]
+pub(crate) fn shard_of_hash(hash: u64) -> usize {
+    (hash >> 32) as usize & (SHARD_COUNT - 1)
+}
+
 #[derive(Debug, Default)]
 pub(crate) struct ShardInner {
-    pub(crate) map: HashMap<Bytes, Entry>,
+    pub(crate) map: HashMap<Bytes, Entry, BuildHasherDefault<KeyHasher>>,
     /// Next version to hand out in this shard. Starts at 1 so that version 0
     /// never appears and can be reserved for "absent" in validation logic.
     pub(crate) next_version: u64,
@@ -37,6 +108,19 @@ impl ShardInner {
     pub(crate) fn bump(&mut self) -> u64 {
         self.next_version += 1;
         self.next_version
+    }
+
+    /// Stores `value` at `key` under a fresh version. An existing entry
+    /// is overwritten in place; `owned_key` is only called (and the key
+    /// only allocated or cloned) when the key is new to the shard.
+    pub(crate) fn put(&mut self, key: &[u8], owned_key: impl FnOnce() -> Bytes, value: Bytes) {
+        let version = self.bump();
+        match self.map.get_mut(key) {
+            Some(entry) => *entry = Entry { version, value },
+            None => {
+                self.map.insert(owned_key(), Entry { version, value });
+            }
+        }
     }
 }
 
@@ -116,10 +200,17 @@ impl Db {
         }
     }
 
-    pub(crate) fn shard_index(key: &[u8]) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & (SHARD_COUNT - 1)
+    /// Index (`0..16`) of the shard that holds `key`.
+    ///
+    /// Computed from the store's fixed multiply-fold key hash — the same
+    /// function the shard maps use, which mixes every key byte and the
+    /// length, so sequential ids spread evenly. Public so tests can check
+    /// that spread; it is a placement function and nothing more. It is
+    /// not stable across versions of this crate (never persist it — a
+    /// snapshot stores keys, not shards) and it is not collision-resistant
+    /// (never use it to fingerprint or authenticate a key).
+    pub fn shard_index(key: &[u8]) -> usize {
+        shard_of_hash(key_hash(key))
     }
 
     /// Returns the value stored at `key`, if any.
@@ -130,20 +221,21 @@ impl Db {
         shard.map.get(key).map(|e| e.value.clone())
     }
 
-    /// Returns the value and its internal version, used by transactions.
-    pub(crate) fn versioned_get(&self, key: &[u8]) -> Option<(u64, Bytes)> {
-        let shard = self.shards[Self::shard_index(key)].read();
+    /// Returns the value and its internal version, used by transactions
+    /// (which already know the key's shard).
+    pub(crate) fn versioned_get(&self, shard: usize, key: &[u8]) -> Option<(u64, Bytes)> {
+        let shard = self.shards[shard].read();
         shard.map.get(key).map(|e| (e.version, e.value.clone()))
     }
 
     /// Stores `value` at `key`, replacing any previous value.
     pub fn set(&self, key: impl AsRef<[u8]>, value: impl Into<Bytes>) {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let key = Bytes::copy_from_slice(key.as_ref());
+        let key = key.as_ref();
         let value = value.into();
-        let mut shard = self.shards[Self::shard_index(&key)].write();
-        let version = shard.bump();
-        shard.map.insert(key, Entry { version, value });
+        self.shards[Self::shard_index(key)]
+            .write()
+            .put(key, || Bytes::copy_from_slice(key), value);
     }
 
     /// Removes `key`, returning `true` if it was present.
@@ -184,13 +276,10 @@ impl Db {
             Some(e) => crate::codec::i64_value(&e.value)?,
         };
         let next = cur.wrapping_add(delta);
-        let version = shard.bump();
-        shard.map.insert(
-            Bytes::copy_from_slice(key_ref),
-            Entry {
-                version,
-                value: Bytes::copy_from_slice(&next.to_be_bytes()),
-            },
+        shard.put(
+            key_ref,
+            || Bytes::copy_from_slice(key_ref),
+            Bytes::copy_from_slice(&crate::codec::i64_bytes(next)),
         );
         Ok(next)
     }
@@ -287,7 +376,7 @@ impl Db {
     /// Stores `value` as a big-endian `i64` readable by [`Db::get_i64`],
     /// [`Db::incr`], and [`crate::Txn::get_i64`].
     pub fn set_i64(&self, key: impl AsRef<[u8]>, value: i64) {
-        self.set(key, crate::codec::i64_bytes(value).to_vec());
+        self.set(key, Bytes::copy_from_slice(&crate::codec::i64_bytes(value)));
     }
 
     /// Number of keys currently stored.
@@ -503,10 +592,11 @@ mod tests {
     fn versions_strictly_increase_across_recreation() {
         let db = Db::new();
         db.set("k", vec![1]);
-        let (v1, _) = db.versioned_get(b"k").unwrap();
+        let shard = Db::shard_index(b"k");
+        let (v1, _) = db.versioned_get(shard, b"k").unwrap();
         db.del("k");
         db.set("k", vec![2]);
-        let (v2, _) = db.versioned_get(b"k").unwrap();
+        let (v2, _) = db.versioned_get(shard, b"k").unwrap();
         assert!(
             v2 > v1,
             "recreated key must have a fresh version ({v1} vs {v2})"

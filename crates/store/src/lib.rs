@@ -14,7 +14,15 @@
 //!   (`get`/`set`/`incr`/prefix scans).
 //! * [`Db::transaction`] — optimistic, serializable multi-key transactions
 //!   in the spirit of Redis `WATCH`/`MULTI`/`EXEC`: reads are validated at
-//!   commit time and the closure is retried on conflict.
+//!   commit time and the closure is retried (after a short back-off) on
+//!   conflict. This is the engine's hottest store path — every cluster
+//!   advancement is one — so a [`Txn`] keeps its read and write sets in
+//!   flat vectors reused from one transaction to the next, hashes each
+//!   key once on the way in with the store's fixed multiply-fold hash,
+//!   takes the write locks of the shards involved in ascending order, and
+//!   allocates only the values it stores. [`Txn::incr_key`] is `INCRBY`
+//!   inside `MULTI`: a counter bump that reads nothing and so cannot
+//!   conflict.
 //! * [`PriorityQueue`] — a blocking multi-producer/multi-consumer priority
 //!   queue used for the engine's `ready_queue` and `ack_queue` (§3.1), with
 //!   FIFO tie-breaking so that disabling priorities (§4.4) degrades to a

@@ -1,9 +1,11 @@
 //! Model-based property tests: the store behaves like a HashMap, the
-//! priority queue like a stable sort, and transactions serialize.
+//! priority queue like a stable sort, a transaction like a `BTreeMap`
+//! edited in place, and transactions serialize.
 
-use aim_store::{Db, PriorityQueue, Snapshot, SnapshotBuilder};
+use aim_store::{Db, Key, PriorityQueue, Snapshot, SnapshotBuilder};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -21,8 +23,192 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One step of a transaction body. Keys come from a six-letter alphabet
+/// so that double writes, delete-then-set and increments of buffered
+/// values all occur; values are integers so an increment always applies.
+#[derive(Debug, Clone)]
+enum TxnOp {
+    Set(u8, i64),
+    SetKey(u8, i64),
+    Del(u8),
+    Get(u8),
+    GetKey(u8),
+    Incr(u8, i16),
+}
+
+fn arb_txn_op() -> impl Strategy<Value = TxnOp> {
+    let key = 0u8..6;
+    prop_oneof![
+        (key.clone(), any::<i64>()).prop_map(|(k, v)| TxnOp::Set(k, v)),
+        (key.clone(), any::<i64>()).prop_map(|(k, v)| TxnOp::SetKey(k, v)),
+        key.clone().prop_map(TxnOp::Del),
+        key.clone().prop_map(TxnOp::Get),
+        key.clone().prop_map(TxnOp::GetKey),
+        (key, any::<i16>()).prop_map(|(k, d)| TxnOp::Incr(k, d)),
+    ]
+}
+
+fn txn_key(k: u8) -> [u8; 2] {
+    [b'k', k]
+}
+
+/// Wall time of one transaction writing `n` distinct history-shaped keys
+/// (best of three, on a fresh database each time).
+fn bulk_write_time(n: u32) -> Duration {
+    let keys: Vec<Key> = (0..n)
+        .map(|i| Key::tagged_u32_pair(*b"dhst", i / 100, i % 100))
+        .collect();
+    let value = bytes::Bytes::copy_from_slice(&[7u8; 12]);
+    (0..3)
+        .map(|_| {
+            let db = Db::new();
+            let t0 = Instant::now();
+            db.transaction(|txn| {
+                for key in &keys {
+                    txn.set_key(key, value.clone());
+                }
+                Ok(())
+            })
+            .unwrap();
+            let took = t0.elapsed();
+            assert_eq!(db.len(), n as usize);
+            assert_eq!(db.stats().writes, u64::from(n));
+            took
+        })
+        .min()
+        .expect("three runs")
+}
+
+/// A write-only transaction appends and sorts; nothing in it may compare
+/// each key against every other (initial population writes 2n + 2 keys,
+/// a `dist` migration ships an agent's whole history).
+#[test]
+fn bulk_write_transaction_is_near_linear() {
+    let (small, large) = (bulk_write_time(100_000), bulk_write_time(200_000));
+    assert!(
+        large < small * 4,
+        "2x the keys took {large:?} against {small:?}"
+    );
+}
+
+/// The engine's keys are sequential big-endian ids under a four-byte tag:
+/// the key hash must spread them over all 16 shards, not just differ.
+#[test]
+fn sequential_keys_spread_over_every_shard() {
+    let agents = (0..10_000u32).map(|a| Key::tagged_u32(*b"dagt", a));
+    let history =
+        (0..100u32).flat_map(|s| (0..100u32).map(move |a| Key::tagged_u32_pair(*b"dhst", s, a)));
+    for (name, keys) in [
+        ("dagt", agents.collect::<Vec<_>>()),
+        ("dhst", history.collect::<Vec<_>>()),
+    ] {
+        let mut per_shard = [0usize; 16];
+        for key in &keys {
+            per_shard[Db::shard_index(key.as_ref())] += 1;
+        }
+        let fair = keys.len() / 16;
+        for (shard, &n) in per_shard.iter().enumerate() {
+            assert!(
+                (fair / 2..=fair * 2).contains(&n),
+                "{name}: shard {shard} holds {n} of {} keys (fair share {fair})",
+                keys.len()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A transaction body behaves like the same edits made to a
+    /// `BTreeMap`: every read inside it, the distinct-key count of its
+    /// write set, and what it commits. With `conflict`, a write from
+    /// outside lands between the first run of the body and its commit;
+    /// the body runs again and must land on the model of *that* state.
+    #[test]
+    fn txn_matches_btreemap_model(
+        initial in proptest::collection::vec((0u8..6, any::<i64>()), 0..6),
+        ops in proptest::collection::vec(arb_txn_op(), 0..40),
+        outside in (0u8..6, any::<i64>()),
+        conflict in any::<bool>(),
+    ) {
+        let db = Db::new();
+        let mut model: BTreeMap<Vec<u8>, i64> = BTreeMap::new();
+        for &(k, v) in &initial {
+            db.set_i64(txn_key(k), v);
+            model.insert(txn_key(k).to_vec(), v);
+        }
+        if conflict {
+            model.insert(txn_key(outside.0).to_vec(), outside.1);
+        }
+        let mut model_reads = Vec::new();
+        let mut written = BTreeSet::new();
+        for op in &ops {
+            match *op {
+                TxnOp::Set(k, v) | TxnOp::SetKey(k, v) => {
+                    model.insert(txn_key(k).to_vec(), v);
+                    written.insert(k);
+                }
+                TxnOp::Del(k) => {
+                    model.remove(&txn_key(k)[..]);
+                    written.insert(k);
+                }
+                TxnOp::Get(k) | TxnOp::GetKey(k) => {
+                    model_reads.push(model.get(&txn_key(k)[..]).copied());
+                }
+                TxnOp::Incr(k, d) => {
+                    let slot = model.entry(txn_key(k).to_vec()).or_insert(0);
+                    *slot = slot.wrapping_add(i64::from(d));
+                    written.insert(k);
+                }
+            }
+        }
+
+        let mut attempts = 0;
+        let mut reads = Vec::new();
+        let write_set_len = db.transaction(|txn| {
+            attempts += 1;
+            reads.clear();
+            if conflict {
+                // Pin the key the outside write will hit, before any
+                // buffered write of ours could shadow the read.
+                txn.get(txn_key(outside.0));
+            }
+            for op in &ops {
+                match *op {
+                    TxnOp::Set(k, v) => txn.set_i64(txn_key(k), v),
+                    TxnOp::SetKey(k, v) => {
+                        txn.set_key(&Key::new(&txn_key(k)[..]), v.to_be_bytes().to_vec());
+                    }
+                    TxnOp::Del(k) => txn.del(txn_key(k)),
+                    TxnOp::Get(k) => reads.push(txn.get(txn_key(k))),
+                    TxnOp::GetKey(k) => reads.push(txn.get_key(&Key::new(&txn_key(k)[..]))),
+                    TxnOp::Incr(k, d) => {
+                        txn.incr_key(&Key::new(&txn_key(k)[..]), i64::from(d))?;
+                    }
+                }
+            }
+            if conflict && attempts == 1 {
+                db.set_i64(txn_key(outside.0), outside.1);
+            }
+            Ok(txn.write_set_len())
+        }).unwrap();
+
+        prop_assert_eq!(attempts, if conflict { 2 } else { 1 });
+        prop_assert_eq!(db.stats().txn_conflicts, u64::from(conflict));
+        prop_assert_eq!(write_set_len, written.len());
+        let reads: Vec<Option<i64>> = reads
+            .iter()
+            .map(|r| r.as_ref().map(|v| i64::from_be_bytes(v.as_ref().try_into().unwrap())))
+            .collect();
+        prop_assert_eq!(reads, model_reads);
+        let committed: BTreeMap<Vec<u8>, i64> = db
+            .scan_prefix("")
+            .into_iter()
+            .map(|(k, v)| (k.to_vec(), i64::from_be_bytes(v.as_ref().try_into().unwrap())))
+            .collect();
+        prop_assert_eq!(committed, model);
+    }
 
     /// Db point operations match a HashMap model (incr keys are kept in a
     /// disjoint namespace so type confusion cannot arise).

@@ -30,12 +30,18 @@ impl Bytes {
 
     /// Wraps a static slice (copied once into shared storage).
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::from(bytes.to_vec())
+        Bytes::copy_from_slice(bytes)
     }
 
-    /// Copies `data` into a new buffer.
+    /// Copies `data` into a new buffer: one allocation, the shared
+    /// storage itself (as in the real crate), not a `Vec` that is then
+    /// copied a second time into an `Arc`.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes {
+            data: Arc::from(data),
+            start: 0,
+            end: data.len(),
+        }
     }
 
     /// Length of the view in bytes.
