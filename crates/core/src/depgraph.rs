@@ -39,7 +39,7 @@ use aim_store::{codec, Db, Key, StoreError};
 
 use crate::ids::{AgentId, Step};
 use crate::rules::{self, RuleParams};
-use crate::space::{Space, SpatialIndex};
+use crate::space::{query_or_all, Space, SpatialIndex};
 
 /// Namespace tag of the per-agent node records (`Key::tagged_u32`).
 /// Crate-visible so the distributed shard workers ([`crate::dist`]) write
@@ -434,19 +434,16 @@ impl<S: Space> DepGraph<S> {
         };
         let node = self.nodes[a.index()];
         let units = self.query_units(node.step);
-        edges.scratch.clear();
         let mut scratch = std::mem::take(&mut edges.scratch);
-        let candidates: &[u32] = match edges.index.as_ref() {
-            Some(idx) => {
-                idx.query(node.pos, units, &mut scratch);
-                &scratch
-            }
-            None => {
-                scratch.extend(0..self.nodes.len() as u32);
-                &scratch
-            }
-        };
-        for &c in candidates {
+        scratch.clear();
+        query_or_all(
+            edges.index.as_deref(),
+            self.nodes.len(),
+            node.pos,
+            units,
+            &mut scratch,
+        );
+        for &c in &scratch {
             if c == a.0 || (forward_only && c < a.0) {
                 continue;
             }
@@ -894,13 +891,21 @@ impl<S: Space> DepGraph<S> {
         self.coupled_of(a).to_vec()
     }
 
-    /// Agents whose current step is `<= step`, in `(step, id)` order —
-    /// the candidates that could still write into a read performed at
-    /// `step` (used by speculative retirement clearance).
-    pub fn agents_at_or_below(&self, step: Step) -> impl Iterator<Item = (Step, AgentId)> + '_ {
-        self.step_index
-            .range(..(step.0 + 1, 0u32))
-            .map(|&(s, a)| (Step(s), AgentId(a)))
+    /// Appends to `out` every agent that may currently stand within
+    /// `units` of `center`: a superset in no particular order, possibly
+    /// with repeats, answered by the graph's own position index (the one
+    /// edge maintenance keeps current) — or every agent id when the space
+    /// has no index or edges are [`EdgeMode::Off`]. Callers re-check
+    /// candidates with [`Space::within_units`]; `out` is not cleared.
+    ///
+    /// The speculative scheduler's race, observation and clearance checks
+    /// ask this instead of walking the population. It becomes a
+    /// [`DepTracker`] method when speculation is layered over
+    /// `Scheduler<S, G>` (ROADMAP item 3) and the sharded trackers have
+    /// to answer it too.
+    pub fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        let index = self.edges.as_ref().and_then(|e| e.index.as_deref());
+        query_or_all(index, self.nodes.len(), center, units, out);
     }
 
     /// Agents whose step equals `step` (sorted by id).

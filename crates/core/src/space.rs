@@ -12,11 +12,15 @@
 //! pairs of a point set are within `units`?" ([`Space::pairs_within`],
 //! driving geo-clustering) and "which tracked agents are within `units` of
 //! this position?" ([`SpatialIndex::query`], driving incremental edge
-//! maintenance in [`crate::depgraph`]). For [`GridSpace`] both are served
-//! by a uniform grid of `units`-sized cells, so any two points within
-//! `units` land in the same or adjacent cells and only a 9-cell
-//! neighborhood is examined — O(n) for bounded-density crowds instead of
-//! the O(n²) all-pairs scan. Candidate filtering always goes through
+//! maintenance in [`crate::depgraph`] and every race, observation and
+//! clearance check of [`crate::spec`]). For [`GridSpace`] both are served
+//! by uniform grids, so any two points within `units` land in the same or
+//! adjacent cells and only a small cell neighborhood is examined — O(n)
+//! for bounded-density crowds instead of the O(n²) all-pairs scan. The
+//! static pair search sizes its cells to the one radius it is asked for;
+//! the dynamic [`UniformGrid`] is asked for radii that grow with the step
+//! gap and keeps three resolutions so that every one of them is a 9–25
+//! cell question. Candidate filtering always goes through
 //! [`Space::within_units`], which is **exact** (integer / 128-bit
 //! arithmetic, no floating point), so indexing changes *cost*, never a
 //! scheduling decision.
@@ -343,23 +347,55 @@ mod cells {
 /// with the exact dependency rules. This split keeps the index free to
 /// trade precision for speed while [`Space::within_units`] alone decides
 /// scheduling.
+///
+/// # Duplicate ids
+///
+/// An index is a *multiset* of `(id, position)` occurrences, not a map:
+/// the same id may be inserted at several positions (or several times at
+/// one), each `remove` drops exactly one occurrence at the position it
+/// names, and a query reports an id once per matching occurrence. The
+/// speculative scheduler relies on this — its live-entry index files an
+/// agent under the start position of *every* unretired step it ran, so
+/// one agent is typically present at up to run-ahead-many places — and
+/// callers that need each id once sort and deduplicate the result.
 pub trait SpatialIndex<P>: Send + Sync + fmt::Debug {
-    /// Starts tracking `id` at `pos`.
+    /// Starts tracking one occurrence of `id` at `pos`.
     fn insert(&mut self, id: u32, pos: P);
 
-    /// Moves a tracked `id` from `old` to `new`.
+    /// Moves one tracked occurrence of `id` from `old` to `new`.
     fn update(&mut self, id: u32, old: P, new: P);
 
-    /// Stops tracking `id`, currently at `pos` — the migration half of
-    /// shard rebalancing ([`crate::shard`]): an agent crossing a shard
-    /// boundary is removed from its old shard's index and inserted into
-    /// the new one's.
+    /// Stops tracking one occurrence of `id` at `pos` — retirement or
+    /// squash of a speculative entry, completion of an in-flight cluster,
+    /// and the migration half of shard rebalancing ([`crate::shard`]): an
+    /// agent crossing a shard boundary is removed from its old shard's
+    /// index and inserted into the new one's.
     fn remove(&mut self, id: u32, pos: P);
 
     /// Appends to `out` every tracked id within `units` of `center`
-    /// (plus, possibly, nearby extras — see the trait docs). `out` is not
-    /// cleared; the id at `center` itself may or may not be included.
+    /// (plus, possibly, nearby extras — see the trait docs), in no
+    /// particular order and once per occurrence. `out` is not cleared;
+    /// the id at `center` itself may or may not be included.
     fn query(&self, center: P, units: u64, out: &mut Vec<u32>);
+}
+
+/// Candidates within `units` of `center` from an *optional* index: the
+/// index's answer, or — for spaces without one ([`SocialSpace`]) — every
+/// id in `0..population`. The one no-index fallback shared by everything
+/// that asks "who might be near this position": callers re-check each
+/// candidate exactly, so the fallback is the linear reference the indexed
+/// path must agree with.
+pub(crate) fn query_or_all<P>(
+    index: Option<&dyn SpatialIndex<P>>,
+    population: usize,
+    center: P,
+    units: u64,
+    out: &mut Vec<u32>,
+) {
+    match index {
+        Some(idx) => idx.query(center, units, out),
+        None => out.extend(0..population as u32),
+    }
 }
 
 /// FxHash-style mixer for the `u64` cell keys of [`UniformGrid`]: one
@@ -387,17 +423,51 @@ impl Hasher for CellKeyHasher {
 
 type CellMap = std::collections::HashMap<u64, Vec<u32>, BuildHasherDefault<CellKeyHasher>>;
 
-/// The dynamic uniform-grid index behind [`GridSpace::make_index`]:
-/// `units`-sized cells in a hash map keyed by packed cell coordinates.
-///
-/// `insert`/`update` are O(1) amortized; `query` visits the
-/// `⌈units/cell⌉`-ring neighborhood of the center cell, falling back to
-/// enumerating every tracked id when the ring would visit more cells than
-/// there are points (e.g. a blocking radius inflated by a huge step skew).
+/// Resolution levels of a [`UniformGrid`]; each is [`LEVEL_SCALE`] times
+/// coarser than the one before.
+const LEVELS: usize = 3;
+const LEVEL_SCALE: i64 = 4;
+
+/// A query is answered from the finest level that covers its radius
+/// within this many rings of cells around the center cell (≤ 5 × 5
+/// probes).
+const MAX_RINGS: i64 = 2;
+
+/// One resolution of a [`UniformGrid`]: square cells of side `cell` in a
+/// hash map keyed by packed cell coordinates.
 #[derive(Debug)]
-pub struct UniformGrid {
+struct GridLevel {
     cell: i64,
     buckets: CellMap,
+}
+
+/// The dynamic uniform-grid index behind [`GridSpace::make_index`]: the
+/// same occurrences bucketed at three resolutions — cells of `c`, `4c`
+/// and `16c` for a grid built for radius-`c` queries — so that a grid
+/// stays a grid when the radius grows.
+///
+/// The rule radii are not constant: the blocking radius widens with the
+/// step gap, so under speculation's step skew a relink or a retirement
+/// clearance asks for 20–90 units from a grid of 5-unit cells. One level
+/// would walk hundreds of cells (or give up and enumerate the
+/// population); here a query picks the **finest level whose ring is at
+/// most two cells**, i.e. 9–25 probes for any radius up to `32c`, and
+/// only past that (or when the population is smaller than the probe
+/// count) enumerates every tracked id.
+///
+/// Costs: `insert`/`remove` touch one bucket per level; `update` walks
+/// the levels finest-first and **stops at the first whose cell did not
+/// change** — coarse cells are unions of fine ones, so nothing above it
+/// changed either, and the common one-unit move touches no bucket at
+/// all. A bucket emptied by a move is parked and handed to the next cell
+/// that fills, so steady-state maintenance does not allocate. Ids may
+/// repeat (see [`SpatialIndex`]).
+#[derive(Debug)]
+pub struct UniformGrid {
+    /// Finest first.
+    levels: [GridLevel; LEVELS],
+    /// Emptied buckets awaiting reuse (capacity kept).
+    spare: Vec<Vec<u32>>,
     len: usize,
 }
 
@@ -405,14 +475,23 @@ impl UniformGrid {
     /// Creates an empty index with cells sized for radius-`cell_units`
     /// queries (clamped to the packable range).
     pub fn new(cell_units: u64) -> Self {
+        let mut cell = cell_units.clamp(1, cells::MAX_UNITS - 1) as i64;
+        let levels = std::array::from_fn(|_| {
+            let level = GridLevel {
+                cell,
+                buckets: CellMap::default(),
+            };
+            cell *= LEVEL_SCALE;
+            level
+        });
         UniformGrid {
-            cell: cell_units.clamp(1, cells::MAX_UNITS - 1) as i64,
-            buckets: CellMap::default(),
+            levels,
+            spare: Vec::new(),
             len: 0,
         }
     }
 
-    /// Number of tracked points.
+    /// Number of tracked occurrences.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -421,11 +500,23 @@ impl UniformGrid {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+}
 
-    /// Drops `id` from the cell bucket `key` (panicking if it was never
-    /// indexed there — that would mean the caller's position bookkeeping
-    /// and the index disagree).
-    fn remove_from_cell(&mut self, id: u32, pos: Point, key: u64) {
+impl GridLevel {
+    /// Files one occurrence of `id` in the cell bucket `key`, reusing a
+    /// parked bucket when the cell is new.
+    fn add(&mut self, spare: &mut Vec<Vec<u32>>, id: u32, key: u64) {
+        self.buckets
+            .entry(key)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(id);
+    }
+
+    /// Drops one occurrence of `id` from the cell bucket `key` (panicking
+    /// if it was never indexed there — that would mean the caller's
+    /// position bookkeeping and the index disagree) and parks the bucket
+    /// if that emptied it.
+    fn remove(&mut self, spare: &mut Vec<Vec<u32>>, id: u32, pos: Point, key: u64) {
         let bucket = self
             .buckets
             .get_mut(&key)
@@ -436,51 +527,65 @@ impl UniformGrid {
             .unwrap_or_else(|| panic!("id {id} not indexed at {pos:?}"));
         bucket.swap_remove(at);
         if bucket.is_empty() {
-            self.buckets.remove(&key);
+            spare.extend(self.buckets.remove(&key));
         }
     }
 }
 
 impl SpatialIndex<Point> for UniformGrid {
     fn insert(&mut self, id: u32, pos: Point) {
-        self.buckets
-            .entry(cells::key_of(pos, self.cell))
-            .or_default()
-            .push(id);
+        for level in &mut self.levels {
+            level.add(&mut self.spare, id, cells::key_of(pos, level.cell));
+        }
         self.len += 1;
     }
 
     fn update(&mut self, id: u32, old: Point, new: Point) {
-        let from = cells::key_of(old, self.cell);
-        let to = cells::key_of(new, self.cell);
-        if from == to {
-            return;
+        for level in &mut self.levels {
+            let from = cells::key_of(old, level.cell);
+            let to = cells::key_of(new, level.cell);
+            if from == to {
+                // Cells nest: every coarser cell is unchanged too.
+                return;
+            }
+            level.remove(&mut self.spare, id, old, from);
+            level.add(&mut self.spare, id, to);
         }
-        self.remove_from_cell(id, old, from);
-        self.buckets.entry(to).or_default().push(id);
     }
 
     fn remove(&mut self, id: u32, pos: Point) {
-        self.remove_from_cell(id, pos, cells::key_of(pos, self.cell));
+        for level in &mut self.levels {
+            level.remove(&mut self.spare, id, pos, cells::key_of(pos, level.cell));
+        }
         self.len -= 1;
     }
 
     fn query(&self, center: Point, units: u64, out: &mut Vec<u32>) {
-        let rings = if units >= cells::MAX_UNITS {
-            i64::MAX
-        } else {
-            (units as i64 + self.cell - 1) / self.cell
+        let coarsest = &self.levels[LEVELS - 1];
+        let rings_at = |level: &GridLevel| {
+            if units >= cells::MAX_UNITS {
+                i64::MAX
+            } else {
+                (units as i64 + level.cell - 1) / level.cell
+            }
         };
+        let level = self
+            .levels
+            .iter()
+            .find(|level| rings_at(level) <= MAX_RINGS)
+            .unwrap_or(coarsest);
+        let rings = rings_at(level);
         let side = rings.saturating_mul(2).saturating_add(1);
         if side.saturating_mul(side) as u128 >= self.len as u128 {
-            // Scanning every cell in the ring would cost more than just
-            // enumerating the population.
-            for bucket in self.buckets.values() {
+            // Probing every cell in the ring would cost more than just
+            // enumerating the population (from the level with the fewest
+            // buckets).
+            for bucket in coarsest.buckets.values() {
                 out.extend_from_slice(bucket);
             }
             return;
         }
-        let (cx, cy) = cells::coords_of(center, self.cell);
+        let (cx, cy) = cells::coords_of(center, level.cell);
         for dx in -rings..=rings {
             let x = cx + dx;
             if !(cells::COORD_MIN..=cells::COORD_MAX).contains(&x) {
@@ -491,7 +596,7 @@ impl SpatialIndex<Point> for UniformGrid {
                 if !(cells::COORD_MIN..=cells::COORD_MAX).contains(&y) {
                     continue;
                 }
-                if let Some(bucket) = self.buckets.get(&cells::pack(x, y)) {
+                if let Some(bucket) = level.buckets.get(&cells::pack(x, y)) {
                     out.extend_from_slice(bucket);
                 }
             }
@@ -782,6 +887,66 @@ mod tests {
         out.clear();
         idx.query(Point::new(0, 0), 2, &mut out);
         assert!(!out.contains(&0));
+    }
+
+    #[test]
+    fn uniform_grid_keeps_duplicate_ids_apart() {
+        let mut idx = UniformGrid::new(5);
+        for i in 1..40u32 {
+            idx.insert(i, Point::new(1000 + i as i32 * 10, 1000));
+        }
+        // Id 0 three times: twice in one spot, once 20 units away.
+        idx.insert(0, Point::new(2, 2));
+        idx.insert(0, Point::new(2, 2));
+        idx.insert(0, Point::new(22, 2));
+        assert_eq!(idx.len(), 42);
+        let hits = |idx: &UniformGrid, x: i32| {
+            let mut out = Vec::new();
+            idx.query(Point::new(x, 2), 3, &mut out);
+            out.iter().filter(|&&i| i == 0).count()
+        };
+        assert_eq!((hits(&idx, 2), hits(&idx, 22)), (2, 1));
+        idx.remove(0, Point::new(2, 2));
+        assert_eq!((hits(&idx, 2), hits(&idx, 22)), (1, 1));
+        // A hop inside the 20-unit cell [20, 40) across three 5-unit ones.
+        idx.update(0, Point::new(22, 2), Point::new(38, 2));
+        assert_eq!((hits(&idx, 22), hits(&idx, 38)), (0, 1));
+        idx.remove(0, Point::new(38, 2));
+        idx.remove(0, Point::new(2, 2));
+        assert_eq!((hits(&idx, 2), hits(&idx, 38)), (0, 0));
+        assert_eq!(idx.len(), 39);
+    }
+
+    #[test]
+    fn skew_sized_query_stays_local() {
+        // 250 points over a ten-ville map, and the radius a relink asks
+        // for at a step gap of 35: far past the 5-unit cells the grid was
+        // built for, and still a neighbourhood, not the population.
+        let mut idx = UniformGrid::new(5);
+        let mut state = 42u64;
+        let mut next = |modulus: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % modulus) as i32
+        };
+        let pts: Vec<Point> = (0..250).map(|_| Point::new(next(500), next(280))).collect();
+        for (i, p) in pts.iter().enumerate() {
+            idx.insert(i as u32, *p);
+        }
+        let g = GridSpace::new(500, 280);
+        for center in [Point::new(250, 140), Point::new(3, 3), Point::new(480, 100)] {
+            let mut out = Vec::new();
+            idx.query(center, 40, &mut out);
+            assert!(
+                out.len() < 250 / 4,
+                "{} candidates around {center}",
+                out.len()
+            );
+            for (i, p) in pts.iter().enumerate() {
+                assert!(!g.within_units(center, *p, 40) || out.contains(&(i as u32)));
+            }
+        }
     }
 
     #[test]

@@ -13,24 +13,67 @@
 //!
 //! # Safety nets, from first line of defense to last
 //!
+//! Every check below is a question about a *neighbourhood* — the §3.2
+//! rules are spatially local — so none of them walks the population.
+//! Each takes a candidate set from one of three spatial indexes and
+//! re-checks every candidate with the exact rule
+//! ([`Space::within_units`]); an index only ever changes what a check
+//! costs. The indexes:
+//!
+//! * the **entry index** (inside [`EntryTable`]): every live entry filed
+//!   under its `start_pos` with its agent's id. An agent with several
+//!   unretired steps is present at several positions — duplicate ids are
+//!   part of the [`SpatialIndex`] contract for exactly this reason;
+//! * the **in-flight index**: every member of an executing cluster under
+//!   the position it started from (`inflight_of` names its cluster);
+//! * the **graph's position index**, through
+//!   [`DepGraph::candidates_within`]: where every agent stands now.
+//!
+//! In a space without an index ([`crate::space::SocialSpace`]) each of
+//! them names every agent id, and the same code is the linear reference.
+//! Candidates are visited in the order a full scan would visit them
+//! (agent id then step; cluster id; `(step, id)` for clearance), so the
+//! first hit — and with it every watcher registration and squash
+//! sequence — does not depend on which path answered. Costs are per
+//! cluster member, in grid cells probed (see
+//! [`crate::space::UniformGrid`]) plus candidates re-checked.
+//!
 //! 1. **Emission vetting** (in `ready_clusters`): before a cluster at
-//!    step `s` starts, run-ahead entries whose state overlaps its
-//!    read/write region are squashed out (nobody reads future state);
-//!    a *certain race* — a lagging agent already inside the combined
-//!    read+write radius, whose very next commit must collide — denies
-//!    speculation outright; and a same-step cluster in flight within
-//!    coupling range defers emission (the agents belong together).
-//! 2. **Commit-time checks** (in `complete`): a committing write poisons
-//!    overlapping *in-flight* executions and squashes overlapping
-//!    entries that were created while it ran. With the GenAgent geometry
-//!    (write radius = movement radius = `max_vel`) emission vetting
-//!    provably prevents most of these; they remain as load-bearing
-//!    checks for overlapping flights and as defense-in-depth elsewhere.
+//!    step `s` starts,
+//!    * (1a) run-ahead entries whose state overlaps its read/write
+//!      region are squashed out (nobody reads future state) — entry
+//!      index at the coupling radius, 9 cells;
+//!    * (1b) a same-step cluster in flight within coupling range defers
+//!      emission (the agents belong together) — in-flight index at the
+//!      coupling radius, 9 cells;
+//!    * (1c) a *certain race* — a lagging agent already inside the
+//!      combined read+write radius, whose very next commit must collide
+//!      — denies speculation outright — position index at the coupling
+//!      radius, 9 cells, and only asked of blocked clusters with budget
+//!      left.
+//! 2. **Commit-time checks** (in `complete`): a committing write
+//!    (2a) squashes overlapping entries that were created while it ran
+//!    and (2b) poisons overlapping *in-flight* executions — entry and
+//!    in-flight index at the coupling radius, 9 cells each. With the
+//!    GenAgent geometry (write radius = movement radius = `max_vel`)
+//!    emission vetting provably prevents most of these; they remain as
+//!    load-bearing checks for overlapping flights and as
+//!    defense-in-depth elsewhere.
 //! 3. **Observation edges**: each emission records which speculative
-//!    states fell inside its perception region; the squash cascade
-//!    invalidates observers transitively. Under the standard radii this
-//!    set is empty by construction (vetting keeps speculative state out
-//!    of read regions) — it is a backstop for exotic `Space` geometries.
+//!    states fell inside its perception region — position index at
+//!    `radius_p`, 9 cells, keeping candidates that hold entries; the
+//!    squash cascade invalidates observers transitively. Under the
+//!    standard radii this set is empty by construction (vetting keeps
+//!    speculative state out of read regions) — it is a backstop for
+//!    exotic `Space` geometries.
+//!
+//! **Retirement clearance** is the §3.2 blocking rule run backwards, so
+//! its radius grows with the step gap: the position index is asked for
+//! `blocking_units(step − min_step)` and the entry index for
+//! `blocking_units(step − oldest live entry's step)` — 17–90 units at
+//! the skews speculation reaches, which the grid's coarser levels answer
+//! in 9–25 cells. It runs once per member per retirement attempt and is
+//! the check that used to dominate.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -41,8 +84,8 @@ use crate::depgraph::DepGraph;
 use crate::ids::{AgentId, ClusterId, Step};
 use crate::rules::RuleParams;
 use crate::scheduler::Cluster;
-use crate::space::Space;
-use crate::spec::table::{EntryTable, SpecEntry};
+use crate::space::{query_or_all, Space, SpatialIndex};
+use crate::spec::table::{EntryTable, Instance};
 use crate::spec::{SpecParams, SpecStats};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,11 +96,9 @@ enum AgentState {
 }
 
 struct Inflight<P> {
-    cluster: Cluster,
-    /// Member start positions at emission, aligned with `cluster.members`.
-    starts: Vec<P>,
-    /// Speculative states within perception range at emission.
-    observed: Vec<(AgentId, Step)>,
+    /// Step, members, their start positions at emission, and the
+    /// speculative states within perception range at emission.
+    inst: Instance<P>,
     /// Hit by a squash while executing: discard the result on completion.
     poisoned: bool,
 }
@@ -114,7 +155,9 @@ pub struct SpecScheduler<S: Space> {
     /// agent → agents to re-dirty when it completes or advances.
     watchers: HashMap<u32, Vec<u32>>,
     inflight: HashMap<ClusterId, Inflight<S::Pos>>,
-    inflight_by_step: HashMap<u32, Vec<ClusterId>>,
+    /// Every in-flight member under its start position; ids are agent
+    /// ids, resolved to clusters through `inflight_of`.
+    inflight_index: Option<Box<dyn SpatialIndex<S::Pos>>>,
     inflight_of: Vec<Option<ClusterId>>,
     table: EntryTable<S::Pos>,
     /// `(step, instance)` retirement candidates.
@@ -126,6 +169,13 @@ pub struct SpecScheduler<S: Space> {
     next_cluster: u64,
     finished: usize,
     stats: SpecStats,
+    /// Records of retired and discarded executions, emptied, whose
+    /// buffers the next emissions fill.
+    spare: Vec<Instance<S::Pos>>,
+    /// Reused candidate buffer for index queries.
+    candidates: Vec<u32>,
+    /// Reused visited flags for cluster growth; all `false` between uses.
+    seen: Vec<bool>,
 }
 
 impl<S: Space> std::fmt::Debug for SpecScheduler<S> {
@@ -138,6 +188,17 @@ impl<S: Space> std::fmt::Debug for SpecScheduler<S> {
             .field("finished", &self.finished)
             .finish()
     }
+}
+
+/// Fills `out` with the ids `probe` reports around any of `centers`,
+/// ascending and each once — the order a scan over agents visits them.
+fn gather<P: Copy>(centers: &[P], out: &mut Vec<u32>, mut probe: impl FnMut(P, &mut Vec<u32>)) {
+    out.clear();
+    for c in centers {
+        probe(*c, out);
+    }
+    out.sort_unstable();
+    out.dedup();
 }
 
 impl<S: Space> SpecScheduler<S> {
@@ -160,8 +221,11 @@ impl<S: Space> SpecScheduler<S> {
     ) -> Result<Self, StoreError> {
         assert!(!initial.is_empty(), "at least one agent is required");
         assert!(target_step > Step::ZERO, "target_step must be positive");
-        let graph = DepGraph::new(space, params, db, initial)?;
         let n = initial.len();
+        let coupling = params.coupling_units();
+        let table = EntryTable::new(n, space.make_index(coupling));
+        let inflight_index = space.make_index(coupling);
+        let graph = DepGraph::new(space, params, db, initial)?;
         Ok(SpecScheduler {
             graph,
             params,
@@ -171,15 +235,18 @@ impl<S: Space> SpecScheduler<S> {
             dirty: (0..n as u32).map(|a| (0u32, a)).collect(),
             watchers: HashMap::new(),
             inflight: HashMap::new(),
-            inflight_by_step: HashMap::new(),
+            inflight_index,
             inflight_of: vec![None; n],
-            table: EntryTable::new(n),
+            table,
             retire_dirty: BTreeSet::new(),
             retire_watch: HashMap::new(),
             squash_log: Vec::new(),
             next_cluster: 0,
             finished: 0,
             stats: SpecStats::default(),
+            spare: Vec::new(),
+            candidates: Vec::new(),
+            seen: vec![false; n],
         })
     }
 
@@ -231,8 +298,18 @@ impl<S: Space> SpecScheduler<S> {
         self.graph.max_step().0 - self.graph.min_step().0
     }
 
-    fn space(&self) -> &S {
-        self.graph.space().as_ref()
+    /// Is `x` within `units` of any of `starts`?
+    fn any_within(&self, x: S::Pos, starts: &[S::Pos], units: u64) -> bool {
+        let space = self.graph.space();
+        starts.iter().any(|p| space.within_units(x, *p, units))
+    }
+
+    /// Empties a finished record and keeps its buffers for reuse.
+    fn recycle(&mut self, mut inst: Instance<S::Pos>) {
+        inst.members.clear();
+        inst.starts.clear();
+        inst.observed.clear();
+        self.spare.push(inst);
     }
 
     /// Computes and returns every cluster that may execute now, marking
@@ -245,192 +322,259 @@ impl<S: Space> SpecScheduler<S> {
     /// clearing run-ahead state out of a forming cluster's read region.
     pub fn ready_clusters(&mut self) -> Result<Vec<Cluster>, StoreError> {
         let mut out = Vec::new();
+        let mut candidates = std::mem::take(&mut self.candidates);
         while let Some(&(s, a)) = self.dirty.iter().next() {
             self.dirty.remove(&(s, a));
             if self.state[a as usize] != AgentState::Waiting || self.graph.step(AgentId(a)).0 != s {
                 continue; // stale entry
             }
-            // Grow the coupled cluster over waiting same-step agents,
-            // straight off the graph's maintained coupling adjacency.
-            let mut members = vec![AgentId(a)];
-            let mut seen: BTreeSet<u32> = BTreeSet::from([a]);
-            let mut frontier = vec![AgentId(a)];
-            while let Some(x) = frontier.pop() {
-                for &nb in self.graph.coupled_of(x) {
-                    if self.state[nb.index()] == AgentState::Waiting && seen.insert(nb.0) {
-                        members.push(nb);
-                        frontier.push(nb);
-                    }
+            let mut inst = self.spare.pop().unwrap_or_default();
+            self.grow_cluster(Step(s), AgentId(a), &mut inst);
+            match self.vet(&mut inst, AgentId(a), &mut candidates)? {
+                Some(speculative) => out.push(self.emit(inst, speculative)),
+                None => self.recycle(inst),
+            }
+        }
+        self.candidates = candidates;
+        Ok(out)
+    }
+
+    /// Fills `inst` with the coupled cluster of `a` over waiting same-step
+    /// agents, straight off the graph's maintained coupling adjacency:
+    /// members ascending, their current positions as starts.
+    fn grow_cluster(&mut self, step: Step, a: AgentId, inst: &mut Instance<S::Pos>) {
+        inst.step = step;
+        inst.members.push(a);
+        self.seen[a.index()] = true;
+        let mut next = 0;
+        while let Some(&x) = inst.members.get(next) {
+            next += 1;
+            for &nb in self.graph.coupled_of(x) {
+                if self.state[nb.index()] == AgentState::Waiting && !self.seen[nb.index()] {
+                    self.seen[nb.index()] = true;
+                    inst.members.push(nb);
                 }
             }
-            members.sort_unstable();
-            let starts: Vec<S::Pos> = members.iter().map(|m| self.graph.pos(*m)).collect();
+        }
+        for m in &inst.members {
+            self.seen[m.index()] = false;
+        }
+        inst.members.sort_unstable();
+        inst.starts
+            .extend(inst.members.iter().map(|m| self.graph.pos(*m)));
+    }
 
-            // Safety net 1a: run-ahead state overlapping this cluster's
-            // combined read/write region is about to become stale —
-            // squash it *before* executing (nobody reads future state),
-            // then re-evaluate: membership may change.
-            let coupling = self.params.coupling_units();
-            let mut seeds: Vec<(AgentId, Step)> = Vec::new();
-            for e in self.table.iter_live() {
-                if e.step.0 >= s
-                    && !members.contains(&e.agent)
-                    && starts
+    /// Runs the emission checks on the cluster in `inst`, grown from
+    /// dirty agent `a`: `Some(speculative)` if it may execute now (with
+    /// `inst.observed` filled in), `None` if it was squashed around,
+    /// deferred or denied and will be re-evaluated later.
+    fn vet(
+        &mut self,
+        inst: &mut Instance<S::Pos>,
+        a: AgentId,
+        candidates: &mut Vec<u32>,
+    ) -> Result<Option<bool>, StoreError> {
+        let step = inst.step;
+        let (members, starts) = (&inst.members, &inst.starts);
+
+        // Safety net 1a: run-ahead state overlapping this cluster's
+        // combined read/write region is about to become stale —
+        // squash it *before* executing (nobody reads future state),
+        // then re-evaluate: membership may change.
+        let seeds = self.overlapping_entries(step, members, starts, candidates);
+        if !seeds.is_empty() {
+            self.cascade(seeds)?;
+            self.dirty.insert((step.0, a.0));
+            return Ok(None);
+        }
+
+        // Safety net 1b: a same-step cluster already executing within
+        // coupling range means these agents belong together — wait
+        // for it rather than executing a conflicting write.
+        if let Some(defer_on) = self.same_step_inflight_nearby(step, starts, candidates) {
+            self.stats.deferrals += 1;
+            self.wait_on(defer_on, step, members);
+            return Ok(None);
+        }
+
+        // Conservative blocking check; blocked clusters may run ahead
+        // within budget unless the race is already certain.
+        let blocker = members.iter().find_map(|m| self.graph.first_blocker(*m));
+        let speculative = match blocker {
+            None => false,
+            Some(b) => {
+                let budget_ok = self.spec.speculation_enabled()
+                    && members
                         .iter()
-                        .any(|p| self.space().within_units(e.start_pos, *p, coupling))
-                {
+                        .all(|m| (self.table.stack_len(*m) as u32) < self.spec.max_runahead);
+                // Safety net 1c: a laggard already within the
+                // combined read+write radius collides on its very
+                // next commit — speculating is guaranteed waste.
+                let hopeless = budget_ok && self.certain_race(step, starts, candidates);
+                if !budget_ok || hopeless {
+                    if self.spec.speculation_enabled() {
+                        self.stats.spec_denied += 1;
+                    }
+                    self.wait_on(b, step, members);
+                    return Ok(None);
+                }
+                true
+            }
+        };
+
+        // Safety net 3: record which speculative states this
+        // execution can perceive — if any squashes, this execution
+        // is invalidated with it.
+        let radius = self.params.radius_p as u64;
+        if !self.table.is_empty() {
+            gather(starts, candidates, |c, out| {
+                self.graph.candidates_within(c, radius, out)
+            });
+            for &y in candidates.iter() {
+                let y = AgentId(y);
+                if self.table.stack_len(y) == 0 || members.contains(&y) {
+                    continue;
+                }
+                if self.any_within(self.graph.pos(y), starts, radius) {
+                    inst.observed.push((y, self.graph.step(y)));
+                }
+            }
+        }
+        Ok(Some(speculative))
+    }
+
+    /// Parks `members` (a cluster at `step` that may not run yet) until
+    /// agent `on` completes or advances.
+    fn wait_on(&mut self, on: AgentId, step: Step, members: &[AgentId]) {
+        let list = self.watchers.entry(on.0).or_default();
+        for m in members {
+            if !list.contains(&m.0) {
+                list.push(m.0);
+            }
+            self.dirty.remove(&(step.0, m.0));
+        }
+    }
+
+    /// Live entries at or above `step`, of agents outside `members`,
+    /// whose read ball overlaps a write from any of `starts` — in
+    /// (agent, step) order. Safety nets 1a (the cluster is about to
+    /// write there) and 2a (it just did).
+    fn overlapping_entries(
+        &self,
+        step: Step,
+        members: &[AgentId],
+        starts: &[S::Pos],
+        candidates: &mut Vec<u32>,
+    ) -> Vec<(AgentId, Step)> {
+        let mut seeds = Vec::new();
+        if self.table.is_empty() {
+            return seeds;
+        }
+        let coupling = self.params.coupling_units();
+        gather(starts, candidates, |c, out| {
+            self.table.holders_near(c, coupling, out)
+        });
+        for &holder in candidates.iter() {
+            let holder = AgentId(holder);
+            if members.contains(&holder) {
+                continue;
+            }
+            for e in self.table.stack(holder) {
+                if e.step >= step && self.any_within(e.start_pos, starts, coupling) {
                     seeds.push((e.agent, e.step));
                 }
             }
-            if !seeds.is_empty() {
-                self.cascade(seeds)?;
-                self.dirty.insert((s, a));
-                continue;
-            }
-
-            // Safety net 1b: a same-step cluster already executing within
-            // coupling range means these agents belong together — wait
-            // for it rather than executing a conflicting write.
-            if let Some(defer_on) = self.same_step_inflight_nearby(s, &starts) {
-                self.stats.deferrals += 1;
-                let list = self.watchers.entry(defer_on.0).or_default();
-                for m in &members {
-                    if !list.contains(&m.0) {
-                        list.push(m.0);
-                    }
-                    self.dirty.remove(&(s, m.0));
-                }
-                continue;
-            }
-
-            // Conservative blocking check; blocked clusters may run ahead
-            // within budget unless the race is already certain.
-            let mut blocker = None;
-            for m in &members {
-                if let Some(b) = self.graph.first_blocker(*m) {
-                    blocker = Some(b);
-                    break;
-                }
-            }
-            let speculative = match blocker {
-                None => false,
-                Some(b) => {
-                    let budget_ok = self.spec.speculation_enabled()
-                        && members
-                            .iter()
-                            .all(|m| (self.table.stack_len(*m) as u32) < self.spec.max_runahead);
-                    // Safety net 1c: a laggard already within the
-                    // combined read+write radius collides on its very
-                    // next commit — speculating is guaranteed waste.
-                    let hopeless = budget_ok && self.certain_race(Step(s), &starts);
-                    if !budget_ok || hopeless {
-                        if self.spec.speculation_enabled() {
-                            self.stats.spec_denied += 1;
-                        }
-                        let list = self.watchers.entry(b.0).or_default();
-                        for m in &members {
-                            if !list.contains(&m.0) {
-                                list.push(m.0);
-                            }
-                            self.dirty.remove(&(s, m.0));
-                        }
-                        continue;
-                    }
-                    true
-                }
-            };
-
-            // Safety net 3: record which speculative states this
-            // execution can perceive — if any squashes, this execution
-            // is invalidated with it.
-            let radius = self.params.radius_p as u64;
-            let mut observed = Vec::new();
-            let occupied: Vec<AgentId> = self.table.occupied().collect();
-            for y in occupied {
-                if members.contains(&y) {
-                    continue;
-                }
-                let ypos = self.graph.pos(y);
-                if starts
-                    .iter()
-                    .any(|p| self.space().within_units(ypos, *p, radius))
-                {
-                    observed.push((y, self.graph.step(y)));
-                }
-            }
-
-            out.push(self.emit(Step(s), members, starts, observed, speculative));
         }
-        Ok(out)
+        seeds
     }
 
     /// Is some agent at a step below `s` close enough that its next
     /// commit's write region must overlap this cluster's read region?
-    fn certain_race(&self, s: Step, starts: &[S::Pos]) -> bool {
+    fn certain_race(&self, s: Step, starts: &[S::Pos], candidates: &mut Vec<u32>) -> bool {
         let coupling = self.params.coupling_units();
-        for (_, b) in self.graph.agents_at_or_below(Step(s.0.saturating_sub(1))) {
-            let bpos = self.graph.pos(b);
-            if starts
-                .iter()
-                .any(|p| self.space().within_units(bpos, *p, coupling))
-            {
-                return true;
-            }
-        }
-        false
+        let below = Step(s.0.saturating_sub(1));
+        let space = self.graph.space();
+        starts.iter().any(|p| {
+            candidates.clear();
+            self.graph.candidates_within(*p, coupling, candidates);
+            candidates.iter().any(|&b| {
+                let b = AgentId(b);
+                self.graph.step(b) <= below && space.within_units(self.graph.pos(b), *p, coupling)
+            })
+        })
     }
 
-    fn same_step_inflight_nearby(&self, step: u32, starts: &[S::Pos]) -> Option<AgentId> {
-        let coupling = self.params.coupling_units();
-        let cids = self.inflight_by_step.get(&step)?;
-        for cid in cids {
-            let rec = &self.inflight[cid];
-            for st in &rec.starts {
-                if starts
-                    .iter()
-                    .any(|p| self.space().within_units(*st, *p, coupling))
-                {
-                    return Some(rec.cluster.members[0]);
-                }
-            }
-        }
-        None
+    /// Fills `out` with the members of executing clusters that may have
+    /// started within `units` of any of `centers`, ascending.
+    fn inflight_members_near(&self, centers: &[S::Pos], units: u64, out: &mut Vec<u32>) {
+        let index = self.inflight_index.as_deref();
+        gather(centers, out, |c, out| {
+            query_or_all(index, self.state.len(), c, units, out)
+        });
     }
 
-    fn emit(
-        &mut self,
+    /// The first member of the earliest-emitted cluster in flight at
+    /// `step` with a start within coupling range of any of `starts`.
+    fn same_step_inflight_nearby(
+        &self,
         step: Step,
-        members: Vec<AgentId>,
-        starts: Vec<S::Pos>,
-        observed: Vec<(AgentId, Step)>,
-        speculative: bool,
-    ) -> Cluster {
-        debug_assert!(!members.is_empty());
-        for m in &members {
-            debug_assert_eq!(self.state[m.index()], AgentState::Waiting);
-            self.state[m.index()] = AgentState::InFlight;
-            self.dirty.remove(&(step.0, m.0));
+        starts: &[S::Pos],
+        candidates: &mut Vec<u32>,
+    ) -> Option<AgentId> {
+        let coupling = self.params.coupling_units();
+        self.inflight_members_near(starts, coupling, candidates);
+        let mut first: Option<ClusterId> = None;
+        for &m in candidates.iter() {
+            let Some(cid) = self.inflight_of[m as usize] else {
+                continue;
+            };
+            if first.is_some_and(|f| f <= cid) {
+                continue;
+            }
+            let rec = &self.inflight[&cid].inst;
+            if rec.step == step
+                && rec
+                    .starts
+                    .iter()
+                    .any(|st| self.any_within(*st, starts, coupling))
+            {
+                first = Some(cid);
+            }
         }
+        first.map(|cid| self.inflight[&cid].inst.members[0])
+    }
+
+    fn emit(&mut self, inst: Instance<S::Pos>, speculative: bool) -> Cluster {
+        debug_assert!(!inst.members.is_empty());
         let id = ClusterId(self.next_cluster);
         self.next_cluster += 1;
+        for (m, start) in inst.members.iter().zip(&inst.starts) {
+            debug_assert_eq!(self.state[m.index()], AgentState::Waiting);
+            self.state[m.index()] = AgentState::InFlight;
+            self.dirty.remove(&(inst.step.0, m.0));
+            self.inflight_of[m.index()] = Some(id);
+            if let Some(idx) = self.inflight_index.as_mut() {
+                idx.insert(m.0, *start);
+            }
+        }
         if speculative {
             self.stats.emitted_spec += 1;
         } else {
             self.stats.emitted_firm += 1;
         }
-        self.stats.agent_steps += members.len() as u64;
-        self.stats.max_cluster_size = self.stats.max_cluster_size.max(members.len() as u32);
-        let cluster = Cluster { id, step, members };
-        self.inflight_by_step.entry(step.0).or_default().push(id);
-        for m in &cluster.members {
-            self.inflight_of[m.index()] = Some(id);
-        }
+        self.stats.agent_steps += inst.members.len() as u64;
+        self.stats.max_cluster_size = self.stats.max_cluster_size.max(inst.members.len() as u32);
+        // The caller's copy of the member list is the one allocation an
+        // emission makes; the record's own buffers are recycled.
+        let cluster = Cluster {
+            id,
+            step: inst.step,
+            members: inst.members.clone(),
+        };
         self.inflight.insert(
             id,
             Inflight {
-                cluster: cluster.clone(),
-                starts,
-                observed,
+                inst,
                 poisoned: false,
             },
         );
@@ -456,121 +600,80 @@ impl<S: Space> SpecScheduler<S> {
         cluster: &ClusterId,
         new_pos: &[(AgentId, S::Pos)],
     ) -> Result<CommitOutcome, StoreError> {
-        let rec = self
+        let Inflight { inst, poisoned } = self
             .inflight
             .remove(cluster)
             .unwrap_or_else(|| panic!("{cluster} is not in flight"));
-        if let Some(list) = self.inflight_by_step.get_mut(&rec.cluster.step.0) {
-            list.retain(|c| c != cluster);
-            if list.is_empty() {
-                self.inflight_by_step.remove(&rec.cluster.step.0);
-            }
-        }
-        for m in &rec.cluster.members {
+        for (m, start) in inst.members.iter().zip(&inst.starts) {
             self.inflight_of[m.index()] = None;
+            if let Some(idx) = self.inflight_index.as_mut() {
+                idx.remove(m.0, *start);
+            }
         }
         assert_eq!(
             new_pos.len(),
-            rec.cluster.members.len(),
+            inst.members.len(),
             "positions must cover all members"
         );
         for (a, _) in new_pos {
-            assert!(
-                rec.cluster.members.contains(a),
-                "{a} is not a member of {}",
-                rec.cluster.id
-            );
+            assert!(inst.members.contains(a), "{a} is not a member of {cluster}");
             assert_eq!(self.state[a.index()], AgentState::InFlight);
         }
 
-        if rec.poisoned {
-            return Ok(self.discard(&rec));
+        if poisoned {
+            return Ok(self.discard(inst));
         }
 
-        let s = rec.cluster.step;
+        let s = inst.step;
         let coupling = self.params.coupling_units();
+        let mut candidates = std::mem::take(&mut self.candidates);
 
         // Safety net 2a: this commit writes ball(start, max_vel) at step
         // s; any live entry at step >= s whose read ball overlaps was
         // created while this cluster flew and read stale state.
-        let mut seeds: Vec<(AgentId, Step)> = Vec::new();
-        for e in self.table.iter_live() {
-            if e.step >= s
-                && !rec.cluster.members.contains(&e.agent)
-                && rec
-                    .starts
-                    .iter()
-                    .any(|p| self.space().within_units(e.start_pos, *p, coupling))
-            {
-                seeds.push((e.agent, e.step));
-            }
-        }
+        let seeds = self.overlapping_entries(s, &inst.members, &inst.starts, &mut candidates);
+
         // Safety net 2b: the same hazard for executions still in flight —
         // poison them so their results are dropped on completion (no
         // preemption mid-inference, matching §3.5).
-        let mut poison: Vec<ClusterId> = Vec::new();
-        for (cid2, rec2) in &self.inflight {
-            if rec2.poisoned || rec2.cluster.step < s {
+        self.inflight_members_near(&inst.starts, coupling, &mut candidates);
+        for &m in &candidates {
+            let Some(cid2) = self.inflight_of[m as usize] else {
+                continue;
+            };
+            let rec2 = self
+                .inflight
+                .get_mut(&cid2)
+                .expect("inflight_of is consistent");
+            if rec2.poisoned || rec2.inst.step < s {
                 continue;
             }
-            let hit = rec2.starts.iter().any(|st2| {
-                rec.starts
+            let space = self.graph.space();
+            rec2.poisoned = rec2.inst.starts.iter().any(|st2| {
+                inst.starts
                     .iter()
-                    .any(|st| self.space().within_units(*st2, *st, coupling))
+                    .any(|st| space.within_units(*st2, *st, coupling))
             });
-            if hit {
-                poison.push(*cid2);
-            }
         }
-        for cid2 in poison {
-            self.inflight
-                .get_mut(&cid2)
-                .expect("collected above")
-                .poisoned = true;
-        }
+        self.candidates = candidates;
 
         self.cascade(seeds)?;
 
         // The cascade may have rolled back this very cluster's members
         // (their earlier steps were invalidated) — then this execution
         // read discarded state and must be dropped too.
-        let valid = rec
-            .cluster
+        let valid = inst
             .members
             .iter()
             .all(|m| self.graph.step(*m) == s && self.state[m.index()] == AgentState::InFlight);
         if !valid {
-            return Ok(self.discard(&rec));
+            return Ok(self.discard(inst));
         }
 
-        // Accept: advance the graph, record the entry, retire eagerly.
+        // Accept: advance the graph, requeue the members, record the
+        // entries (the record moves into the table), retire eagerly.
         self.graph.advance(new_pos)?;
-        let end_of = |m: &AgentId| {
-            new_pos
-                .iter()
-                .find(|(a, _)| a == m)
-                .map(|(_, p)| *p)
-                .expect("validated above")
-        };
-        let entries: Vec<SpecEntry<S::Pos>> = rec
-            .cluster
-            .members
-            .iter()
-            .zip(&rec.starts)
-            .map(|(m, start)| SpecEntry {
-                agent: *m,
-                step: s,
-                start_pos: *start,
-                end_pos: end_of(m),
-                instance: cluster.0,
-            })
-            .collect();
-        self.table
-            .push_instance(cluster.0, s, entries, rec.observed.clone());
-        self.stats.max_live_entries = self.stats.max_live_entries.max(self.table.len() as u32);
-        self.retire_dirty.insert((s.0, cluster.0));
-
-        for m in &rec.cluster.members {
+        for m in &inst.members {
             let step = self.graph.step(*m);
             if step >= self.target_step {
                 self.state[m.index()] = AgentState::Finished;
@@ -580,10 +683,13 @@ impl<S: Space> SpecScheduler<S> {
                 self.dirty.insert((step.0, m.0));
             }
         }
-        self.wake_watchers(&rec.cluster.members);
-        for m in &rec.cluster.members {
+        self.wake_watchers(&inst.members);
+        for m in &inst.members {
             self.wake_retire_watch(*m);
         }
+        self.table.push_instance(cluster.0, inst, new_pos);
+        self.stats.max_live_entries = self.stats.max_live_entries.max(self.table.len() as u32);
+        self.retire_dirty.insert((s.0, cluster.0));
         self.run_retirement();
         let skew = self.current_skew();
         self.stats.max_step_skew = self.stats.max_step_skew.max(skew);
@@ -592,14 +698,15 @@ impl<S: Space> SpecScheduler<S> {
 
     /// Drops a poisoned or invalidated execution: members return to
     /// Waiting at their (possibly rolled back) current steps.
-    fn discard(&mut self, rec: &Inflight<S::Pos>) -> CommitOutcome {
-        for m in &rec.cluster.members {
+    fn discard(&mut self, inst: Instance<S::Pos>) -> CommitOutcome {
+        for m in &inst.members {
             self.state[m.index()] = AgentState::Waiting;
             self.dirty.insert((self.graph.step(*m).0, m.0));
         }
         self.stats.poisoned_clusters += 1;
-        self.stats.poisoned_steps += rec.cluster.members.len() as u64;
-        self.wake_watchers(&rec.cluster.members);
+        self.stats.poisoned_steps += inst.members.len() as u64;
+        self.wake_watchers(&inst.members);
+        self.recycle(inst);
         self.run_retirement();
         CommitOutcome { committed: false }
     }
@@ -641,7 +748,7 @@ impl<S: Space> SpecScheduler<S> {
                     .inflight
                     .get_mut(&cid)
                     .expect("inflight_of is consistent");
-                if rec.cluster.step >= u {
+                if rec.inst.step >= u {
                     rec.poisoned = true;
                 }
             }
@@ -661,20 +768,20 @@ impl<S: Space> SpecScheduler<S> {
                 self.squash_log.push((e.agent, e.step));
                 self.stats.squashed_steps += 1;
                 if let Some(inst) = self.table.remove_instance(e.instance) {
-                    for p in inst.members {
-                        if p != x {
-                            work.push_back((p, e.step));
+                    for p in &inst.members {
+                        if *p != x {
+                            work.push_back((*p, e.step));
                         }
                     }
+                    self.recycle(inst);
                 }
             }
             // Executions that observed any of the discarded states.
             let new_step = rollback[&x.0].0;
             for seq in self.table.observers_above(x, new_step) {
                 if let Some(inst) = self.table.instance(seq) {
-                    let step = inst.step;
-                    for p in inst.members.clone() {
-                        work.push_back((p, step));
+                    for p in &inst.members {
+                        work.push_back((*p, inst.step));
                     }
                 }
             }
@@ -702,22 +809,22 @@ impl<S: Space> SpecScheduler<S> {
 
     /// Retires every instance whose reads can no longer be invalidated.
     fn run_retirement(&mut self) {
+        let mut candidates = std::mem::take(&mut self.candidates);
         while let Some(&(step, seq)) = self.retire_dirty.iter().next() {
             self.retire_dirty.remove(&(step, seq));
-            self.try_retire_instance(seq);
+            self.try_retire_instance(seq, &mut candidates);
         }
+        self.candidates = candidates;
     }
 
-    fn try_retire_instance(&mut self, seq: u64) {
+    fn try_retire_instance(&mut self, seq: u64, candidates: &mut Vec<u32>) {
         let Some(inst) = self.table.instance(seq) else {
             return; // squashed since it was queued
         };
-        let members = inst.members.clone();
-        let observed = inst.observed.clone();
         // Entries retire oldest-first: every member's front entry must be
         // this instance (predecessors retired). Re-queued when the
         // predecessor's instance retires.
-        for m in &members {
+        for m in &inst.members {
             match self.table.front(*m) {
                 Some(e) if e.instance == seq => {}
                 _ => return,
@@ -725,7 +832,7 @@ impl<S: Space> SpecScheduler<S> {
         }
         // Everything this execution read must itself be final. Re-queued
         // when the observed entry retires (or squashed along with it).
-        for (y, q) in &observed {
+        for (y, q) in &inst.observed {
             if q.0 > 0 && self.table.has_step(*y, Step(q.0 - 1)) {
                 return;
             }
@@ -734,16 +841,20 @@ impl<S: Space> SpecScheduler<S> {
         // including by rolling back and re-executing, so agents with live
         // entries are assessed from their rollback floor (their oldest
         // entry), not their current state.
-        for m in &members {
-            let e = *self.table.front(*m).expect("front checked above");
-            if let Some(b) = self.clearance_blocker(&members, e.start_pos, e.step) {
-                self.retire_watch.entry(b.0).or_default().push(seq);
-                return;
-            }
+        let blocker = inst
+            .starts
+            .iter()
+            .find_map(|start| self.clearance_blocker(&inst.members, *start, inst.step, candidates));
+        if let Some(b) = blocker {
+            self.retire_watch.entry(b.0).or_default().push(seq);
+            return;
         }
         // Retire the whole instance atomically.
-        self.table.remove_instance(seq);
-        for m in &members {
+        let inst = self
+            .table
+            .remove_instance(seq)
+            .expect("looked up at the top");
+        for m in &inst.members {
             let retired = self.table.retire_front(*m);
             debug_assert_eq!(retired.instance, seq);
             self.stats.retired_steps += 1;
@@ -757,38 +868,75 @@ impl<S: Space> SpecScheduler<S> {
             }
             self.wake_retire_watch(*m);
         }
+        self.recycle(inst);
     }
 
     /// First agent that could still write into `ball(start, radius_p)` at
     /// step `step` — the §3.2 blocking rule evaluated from each agent's
-    /// deepest possible rollback state.
-    fn clearance_blocker(&self, members: &[AgentId], start: S::Pos, step: Step) -> Option<AgentId> {
-        // Agents without live entries: assessed at their current state.
-        for (tb, b) in self.graph.agents_at_or_below(step) {
-            if members.contains(&b) || self.table.stack_len(b) > 0 {
-                continue; // co-members retire together; entry-holders below
+    /// deepest possible rollback state. Both halves ask an index for the
+    /// widest radius the rule can reach (the largest step gap on offer)
+    /// and apply each candidate's own radius.
+    fn clearance_blocker(
+        &self,
+        members: &[AgentId],
+        start: S::Pos,
+        step: Step,
+        candidates: &mut Vec<u32>,
+    ) -> Option<AgentId> {
+        let space = self.graph.space();
+        // Agents without live entries: assessed at their current state,
+        // first in (step, id) order.
+        let lowest = self.graph.min_step();
+        if lowest <= step {
+            candidates.clear();
+            let reach = self.params.blocking_units(step.0 - lowest.0);
+            self.graph.candidates_within(start, reach, candidates);
+            let mut first: Option<(Step, AgentId)> = None;
+            for &b in candidates.iter() {
+                let b = AgentId(b);
+                let tb = self.graph.step(b);
+                if tb > step || first.is_some_and(|f| f <= (tb, b)) {
+                    continue;
+                }
+                if members.contains(&b) || self.table.stack_len(b) > 0 {
+                    continue; // co-members retire together; entry-holders below
+                }
+                let units = self.params.blocking_units(step.0 - tb.0);
+                if space.within_units(start, self.graph.pos(b), units) {
+                    first = Some((tb, b));
+                }
             }
-            let units = self.params.blocking_units(step.0 - tb.0);
-            if self.space().within_units(start, self.graph.pos(b), units) {
+            if let Some((_, b)) = first {
                 return Some(b);
             }
         }
         // Agents with live entries could squash back to their oldest
-        // entry and re-execute from there.
-        for b in self.table.occupied() {
-            if members.contains(&b) {
+        // entry and re-execute from there; first in id order.
+        let oldest = self.table.min_live_step()?;
+        if oldest > step {
+            return None;
+        }
+        candidates.clear();
+        let reach = self.params.blocking_units(step.0 - oldest.0);
+        self.table.holders_near(start, reach, candidates);
+        let mut first: Option<AgentId> = None;
+        for &b in candidates.iter() {
+            let b = AgentId(b);
+            if members.contains(&b) || first.is_some_and(|f| f <= b) {
                 continue;
             }
-            let front = self.table.front(b).expect("occupied agents have entries");
+            let Some(front) = self.table.front(b) else {
+                continue; // named by the no-index fallback only
+            };
             if front.step > step {
                 continue;
             }
             let units = self.params.blocking_units(step.0 - front.step.0);
-            if self.space().within_units(start, front.start_pos, units) {
-                return Some(b);
+            if space.within_units(start, front.start_pos, units) {
+                first = Some(b);
             }
         }
-        None
+        first
     }
 }
 

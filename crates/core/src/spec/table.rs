@@ -10,11 +10,19 @@
 //! popped from the back, newest first). The two disciplines never
 //! interleave on the same entry, so each agent's live entries always form
 //! a contiguous run of steps.
+//!
+//! The table also answers the scheduler's spatial question — "which
+//! agents hold a live entry that started near here?" — from an index it
+//! keeps in step with the stacks: every live entry is filed under its
+//! `start_pos` with its agent's id, so an agent with several unretired
+//! steps is indexed at several positions (the duplicate-id contract of
+//! [`SpatialIndex`]).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
 use crate::ids::{AgentId, Step};
+use crate::space::{query_or_all, SpatialIndex};
 
 /// One speculatively executed (unretired) agent-step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,26 +40,48 @@ pub struct SpecEntry<P> {
     pub instance: u64,
 }
 
-/// A committed cluster execution whose entries are still live.
-#[derive(Debug, Clone)]
-pub(crate) struct Instance {
+/// One cluster execution, from emission to retirement: in flight it
+/// belongs to the scheduler; once committed it lives here for as long as
+/// its entries do. The record is recycled whole, so its buffers are
+/// allocated once.
+#[derive(Debug)]
+pub(crate) struct Instance<P> {
     pub step: Step,
     pub members: Vec<AgentId>,
+    /// Member start positions at emission, aligned with `members`.
+    pub starts: Vec<P>,
     /// `(agent, graph step at observation)`: speculative states within
     /// perception range that this execution read. Invalidated when the
     /// observed agent squashes below the observed step.
     pub observed: Vec<(AgentId, Step)>,
 }
 
-/// The live-entry table: stacks, instances, and the observation index.
+impl<P> Default for Instance<P> {
+    fn default() -> Self {
+        Instance {
+            step: Step::ZERO,
+            members: Vec::new(),
+            starts: Vec::new(),
+            observed: Vec::new(),
+        }
+    }
+}
+
+/// The live-entry table: stacks, instances, the observation index and
+/// the spatial index over entry start positions.
 pub struct EntryTable<P> {
     stacks: Vec<VecDeque<SpecEntry<P>>>,
-    instances: HashMap<u64, Instance>,
+    instances: HashMap<u64, Instance<P>>,
     /// observed agent → `(observed step, observing instance)`; cleaned
     /// lazily (dead instances are skipped on read).
     observers: HashMap<u32, Vec<(u32, u64)>>,
-    /// Agents with at least one live entry (for race scans).
-    occupied: BTreeSet<u32>,
+    /// Every live entry as `(agent id, start_pos)`; `None` for spaces
+    /// without an index, where [`EntryTable::holders_near`] names every
+    /// agent instead.
+    index: Option<Box<dyn SpatialIndex<P>>>,
+    /// Live entries per step. Its first key bounds how far back any
+    /// agent could still roll, hence how wide a clearance query must be.
+    per_step: BTreeMap<u32, u32>,
     live: usize,
 }
 
@@ -65,14 +95,17 @@ impl<P> fmt::Debug for EntryTable<P> {
     }
 }
 
-impl<P: Copy + fmt::Debug + PartialEq> EntryTable<P> {
-    /// Creates an empty table for `num_agents` agents.
-    pub fn new(num_agents: usize) -> Self {
+impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
+    /// Creates an empty table for `num_agents` agents, filing entries in
+    /// `index` (an empty index from [`crate::space::Space::make_index`],
+    /// or `None` if the space has none).
+    pub fn new(num_agents: usize, index: Option<Box<dyn SpatialIndex<P>>>) -> Self {
         EntryTable {
             stacks: (0..num_agents).map(|_| VecDeque::new()).collect(),
             instances: HashMap::new(),
             observers: HashMap::new(),
-            occupied: BTreeSet::new(),
+            index,
+            per_step: BTreeMap::new(),
             live: 0,
         }
     }
@@ -112,67 +145,88 @@ impl<P: Copy + fmt::Debug + PartialEq> EntryTable<P> {
         }
     }
 
-    /// Iterates every live entry (agents in id order, steps ascending).
-    pub fn iter_live(&self) -> impl Iterator<Item = &SpecEntry<P>> {
-        self.occupied
-            .iter()
-            .flat_map(|a| self.stacks[*a as usize].iter())
+    /// The lowest step any live entry is at.
+    pub fn min_live_step(&self) -> Option<Step> {
+        self.per_step.keys().next().map(|s| Step(*s))
     }
 
-    /// Agents with at least one live entry, in id order.
-    pub fn occupied(&self) -> impl Iterator<Item = AgentId> + '_ {
-        self.occupied.iter().map(|a| AgentId(*a))
+    /// Appends to `out` the id of every agent that may hold a live entry
+    /// whose `start_pos` is within `units` of `center`: a superset in no
+    /// particular order, once per matching entry — or every agent id
+    /// when the space has no index. `out` is not cleared; callers walk
+    /// the candidates' [`stack`](EntryTable::stack)s and re-check.
+    pub fn holders_near(&self, center: P, units: u64, out: &mut Vec<u32>) {
+        query_or_all(self.index.as_deref(), self.stacks.len(), center, units, out);
     }
 
-    /// Records a committed cluster execution: one entry per member.
+    fn file(&mut self, entry: &SpecEntry<P>) {
+        if let Some(idx) = self.index.as_mut() {
+            idx.insert(entry.agent.0, entry.start_pos);
+        }
+        *self.per_step.entry(entry.step.0).or_default() += 1;
+        self.live += 1;
+    }
+
+    fn unfile(&mut self, entry: &SpecEntry<P>) {
+        if let Some(idx) = self.index.as_mut() {
+            idx.remove(entry.agent.0, entry.start_pos);
+        }
+        let count = self
+            .per_step
+            .get_mut(&entry.step.0)
+            .expect("every live entry is counted");
+        *count -= 1;
+        if *count == 0 {
+            self.per_step.remove(&entry.step.0);
+        }
+        self.live -= 1;
+    }
+
+    /// Records a committed cluster execution: one entry per member, each
+    /// ending where `new_pos` says.
     ///
     /// # Panics
     ///
     /// Panics if a member's new entry does not directly follow its stack
-    /// (live steps must stay contiguous) or `members` disagrees with
-    /// `entries`.
-    pub(crate) fn push_instance(
-        &mut self,
-        seq: u64,
-        step: Step,
-        entries: Vec<SpecEntry<P>>,
-        observed: Vec<(AgentId, Step)>,
-    ) {
-        debug_assert!(!entries.is_empty());
-        let members: Vec<AgentId> = entries.iter().map(|e| e.agent).collect();
-        for entry in entries {
-            debug_assert_eq!(entry.step, step);
-            debug_assert_eq!(entry.instance, seq);
-            let stack = &mut self.stacks[entry.agent.index()];
+    /// (live steps must stay contiguous) or `new_pos` lacks a member.
+    pub(crate) fn push_instance(&mut self, seq: u64, inst: Instance<P>, new_pos: &[(AgentId, P)]) {
+        debug_assert!(!inst.members.is_empty());
+        debug_assert_eq!(inst.members.len(), inst.starts.len());
+        let step = inst.step;
+        for (agent, start) in inst.members.iter().zip(&inst.starts) {
+            let end_pos = new_pos
+                .iter()
+                .find(|(a, _)| a == agent)
+                .map(|(_, p)| *p)
+                .unwrap_or_else(|| panic!("{agent} has no end position"));
+            let entry = SpecEntry {
+                agent: *agent,
+                step,
+                start_pos: *start,
+                end_pos,
+                instance: seq,
+            };
+            let stack = &mut self.stacks[agent.index()];
             if let Some(back) = stack.back() {
                 assert_eq!(
                     back.step.next(),
                     step,
-                    "{} entry for {step} must follow {}",
-                    entry.agent,
+                    "{agent} entry for {step} must follow {}",
                     back.step
                 );
             }
-            self.occupied.insert(entry.agent.0);
             stack.push_back(entry);
-            self.live += 1;
+            self.file(&entry);
         }
-        for (obs, at) in &observed {
+        for (obs, at) in &inst.observed {
             self.observers.entry(obs.0).or_default().push((at.0, seq));
         }
-        let prev = self.instances.insert(
-            seq,
-            Instance {
-                step,
-                members,
-                observed,
-            },
-        );
+        let prev = self.instances.insert(seq, inst);
         debug_assert!(prev.is_none(), "instance {seq} recorded twice");
     }
 
     /// The instance record for `seq`, if its entries are still live.
-    pub(crate) fn instance(&self, seq: u64) -> Option<&Instance> {
+    pub(crate) fn instance(&self, seq: u64) -> Option<&Instance<P>> {
         self.instances.get(&seq)
     }
 
@@ -183,15 +237,16 @@ impl<P: Copy + fmt::Debug + PartialEq> EntryTable<P> {
     /// member lists to roll cluster partners back, and removes each record
     /// once via `remove_instance`.
     pub fn squash_from(&mut self, agent: AgentId, step: Step) -> Vec<SpecEntry<P>> {
-        let stack = &mut self.stacks[agent.index()];
         let mut dropped = Vec::new();
-        while stack.back().is_some_and(|e| e.step >= step) {
-            let entry = stack.pop_back().expect("checked non-empty");
-            self.live -= 1;
+        while self.stacks[agent.index()]
+            .back()
+            .is_some_and(|e| e.step >= step)
+        {
+            let entry = self.stacks[agent.index()]
+                .pop_back()
+                .expect("checked non-empty");
+            self.unfile(&entry);
             dropped.push(entry);
-        }
-        if stack.is_empty() {
-            self.occupied.remove(&agent.0);
         }
         dropped.reverse();
         dropped
@@ -207,20 +262,16 @@ impl<P: Copy + fmt::Debug + PartialEq> EntryTable<P> {
     ///
     /// Panics if `agent` has no live entries.
     pub fn retire_front(&mut self, agent: AgentId) -> SpecEntry<P> {
-        let stack = &mut self.stacks[agent.index()];
-        let entry = stack
+        let entry = self.stacks[agent.index()]
             .pop_front()
             .unwrap_or_else(|| panic!("{agent} has no live entries"));
-        self.live -= 1;
-        if stack.is_empty() {
-            self.occupied.remove(&agent.0);
-        }
+        self.unfile(&entry);
         entry
     }
 
     /// Removes an instance record (used by retirement; squash removes
     /// records as it drops entries).
-    pub(crate) fn remove_instance(&mut self, seq: u64) -> Option<Instance> {
+    pub(crate) fn remove_instance(&mut self, seq: u64) -> Option<Instance<P>> {
         self.instances.remove(&seq)
     }
 
@@ -248,44 +299,66 @@ impl<P: Copy + fmt::Debug + PartialEq> EntryTable<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::Point;
+    use crate::space::{GridSpace, Point, Space};
 
-    fn entry(agent: u32, step: u32, x: i32, instance: u64) -> SpecEntry<Point> {
-        SpecEntry {
-            agent: AgentId(agent),
+    fn table(num_agents: usize) -> EntryTable<Point> {
+        EntryTable::new(num_agents, GridSpace::new(100, 100).make_index(5))
+    }
+
+    /// Records instance `seq` at `step` with `(agent, x)` members, each
+    /// starting at `(x, 0)` and ending one cell east.
+    fn push(
+        t: &mut EntryTable<Point>,
+        seq: u64,
+        step: u32,
+        members: &[(u32, i32)],
+        observed: Vec<(AgentId, Step)>,
+    ) {
+        let inst = Instance {
             step: Step(step),
-            start_pos: Point::new(x, 0),
-            end_pos: Point::new(x + 1, 0),
-            instance,
-        }
+            members: members.iter().map(|&(a, _)| AgentId(a)).collect(),
+            starts: members.iter().map(|&(_, x)| Point::new(x, 0)).collect(),
+            observed,
+        };
+        let ends: Vec<(AgentId, Point)> = members
+            .iter()
+            .map(|&(a, x)| (AgentId(a), Point::new(x + 1, 0)))
+            .collect();
+        t.push_instance(seq, inst, &ends);
+    }
+
+    fn holders_near(t: &EntryTable<Point>, x: i32, units: u64) -> Vec<u32> {
+        let mut out = Vec::new();
+        t.holders_near(Point::new(x, 0), units, &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     #[test]
     fn push_and_query_stack() {
-        let mut t = EntryTable::new(3);
+        let mut t = table(3);
         assert!(t.is_empty());
-        t.push_instance(0, Step(0), vec![entry(1, 0, 5, 0)], vec![]);
-        t.push_instance(1, Step(1), vec![entry(1, 1, 6, 1)], vec![]);
+        assert_eq!(t.min_live_step(), None);
+        push(&mut t, 0, 0, &[(1, 5)], vec![]);
+        push(&mut t, 1, 1, &[(1, 6)], vec![]);
         assert_eq!(t.len(), 2);
         assert_eq!(t.stack_len(AgentId(1)), 2);
         assert_eq!(t.stack_len(AgentId(0)), 0);
         assert_eq!(t.front(AgentId(1)).unwrap().step, Step(0));
+        assert_eq!(t.front(AgentId(1)).unwrap().end_pos, Point::new(6, 0));
         assert!(t.has_step(AgentId(1), Step(0)));
         assert!(t.has_step(AgentId(1), Step(1)));
         assert!(!t.has_step(AgentId(1), Step(2)));
         assert!(!t.has_step(AgentId(0), Step(0)));
-        assert_eq!(t.iter_live().count(), 2);
+        assert_eq!(t.stack(AgentId(1)).count(), 2);
+        assert_eq!(t.min_live_step(), Some(Step(0)));
     }
 
     #[test]
     fn push_joint_instance_records_members() {
-        let mut t = EntryTable::new(3);
-        t.push_instance(
-            7,
-            Step(2),
-            vec![entry(0, 2, 0, 7), entry(2, 2, 3, 7)],
-            vec![],
-        );
+        let mut t = table(3);
+        push(&mut t, 7, 2, &[(0, 0), (2, 3)], vec![]);
         let inst = t.instance(7).unwrap();
         assert_eq!(inst.step, Step(2));
         assert_eq!(inst.members, vec![AgentId(0), AgentId(2)]);
@@ -295,21 +368,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "must follow")]
     fn non_contiguous_push_panics() {
-        let mut t = EntryTable::new(1);
-        t.push_instance(0, Step(0), vec![entry(0, 0, 0, 0)], vec![]);
-        t.push_instance(1, Step(2), vec![entry(0, 2, 0, 1)], vec![]);
+        let mut t = table(1);
+        push(&mut t, 0, 0, &[(0, 0)], vec![]);
+        push(&mut t, 1, 2, &[(0, 0)], vec![]);
     }
 
     #[test]
     fn squash_drops_newest_first_and_instances() {
-        let mut t = EntryTable::new(1);
+        let mut t = table(1);
         for s in 0..4 {
-            t.push_instance(
-                s as u64,
-                Step(s),
-                vec![entry(0, s, s as i32, s as u64)],
-                vec![],
-            );
+            push(&mut t, s as u64, s, &[(0, s as i32)], vec![]);
         }
         let dropped = t.squash_from(AgentId(0), Step(2));
         assert_eq!(dropped.len(), 2);
@@ -328,45 +396,36 @@ mod tests {
         let rest = t.squash_from(AgentId(0), Step(0));
         assert_eq!(rest.len(), 2);
         assert!(t.is_empty());
-        assert_eq!(t.iter_live().count(), 0);
+        assert_eq!(t.min_live_step(), None);
     }
 
     #[test]
     fn squash_from_future_step_is_noop() {
-        let mut t = EntryTable::new(1);
-        t.push_instance(0, Step(0), vec![entry(0, 0, 0, 0)], vec![]);
+        let mut t = table(1);
+        push(&mut t, 0, 0, &[(0, 0)], vec![]);
         assert!(t.squash_from(AgentId(0), Step(5)).is_empty());
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn retire_pops_oldest() {
-        let mut t = EntryTable::new(1);
-        t.push_instance(0, Step(3), vec![entry(0, 3, 0, 0)], vec![]);
-        t.push_instance(1, Step(4), vec![entry(0, 4, 1, 1)], vec![]);
+        let mut t = table(1);
+        push(&mut t, 0, 3, &[(0, 0)], vec![]);
+        push(&mut t, 1, 4, &[(0, 1)], vec![]);
         let retired = t.retire_front(AgentId(0));
         assert_eq!(retired.step, Step(3));
         assert_eq!(t.front(AgentId(0)).unwrap().step, Step(4));
+        assert_eq!(t.min_live_step(), Some(Step(4)));
         t.remove_instance(0);
         assert!(t.instance(0).is_none());
     }
 
     #[test]
     fn observers_filter_by_step_and_liveness() {
-        let mut t = EntryTable::new(3);
+        let mut t = table(3);
         // Instance 0 observed agent 2 at step 3; instance 1 at step 5.
-        t.push_instance(
-            0,
-            Step(6),
-            vec![entry(0, 6, 0, 0)],
-            vec![(AgentId(2), Step(3))],
-        );
-        t.push_instance(
-            1,
-            Step(6),
-            vec![entry(1, 6, 50, 1)],
-            vec![(AgentId(2), Step(5))],
-        );
+        push(&mut t, 0, 6, &[(0, 0)], vec![(AgentId(2), Step(3))]);
+        push(&mut t, 1, 6, &[(1, 50)], vec![(AgentId(2), Step(5))]);
         // Squash of agent 2 back to step 4 invalidates only instance 1.
         assert_eq!(t.observers_above(AgentId(2), Step(4)), vec![1]);
         // Squash to step 2 invalidates both.
@@ -382,19 +441,60 @@ mod tests {
 
     #[test]
     fn observers_of_unobserved_agent_is_empty() {
-        let mut t = EntryTable::<Point>::new(2);
+        let mut t = table(2);
         assert!(t.observers_above(AgentId(0), Step(0)).is_empty());
     }
 
     #[test]
     fn contiguity_after_squash_then_push() {
-        let mut t = EntryTable::new(1);
-        t.push_instance(0, Step(0), vec![entry(0, 0, 0, 0)], vec![]);
-        t.push_instance(1, Step(1), vec![entry(0, 1, 1, 1)], vec![]);
+        let mut t = table(1);
+        push(&mut t, 0, 0, &[(0, 0)], vec![]);
+        push(&mut t, 1, 1, &[(0, 1)], vec![]);
         t.squash_from(AgentId(0), Step(1));
         // Re-execution of step 1 pushes again at the back.
-        t.push_instance(2, Step(1), vec![entry(0, 1, 9, 2)], vec![]);
+        push(&mut t, 2, 1, &[(0, 9)], vec![]);
         assert_eq!(t.stack_len(AgentId(0)), 2);
         assert_eq!(t.front(AgentId(0)).unwrap().step, Step(0));
+    }
+
+    #[test]
+    fn index_follows_every_live_entry() {
+        // Enough far-away holders that tight queries probe cells rather
+        // than enumerate the population.
+        let mut t = table(40);
+        for a in 3..40u32 {
+            push(
+                &mut t,
+                100 + a as u64,
+                0,
+                &[(a, 1000 + 10 * a as i32)],
+                vec![],
+            );
+        }
+        // Agent 0 ran three steps from x = 0, 40, 80; agent 1 one from 42.
+        push(&mut t, 0, 0, &[(0, 0)], vec![]);
+        push(&mut t, 1, 1, &[(0, 40)], vec![]);
+        push(&mut t, 2, 2, &[(0, 80)], vec![]);
+        push(&mut t, 3, 0, &[(1, 42)], vec![]);
+        assert_eq!(holders_near(&t, 41, 3), vec![0, 1]);
+        assert_eq!(holders_near(&t, 80, 3), vec![0]);
+        assert!(holders_near(&t, 200, 3).is_empty());
+        // Retiring the front drops only that occurrence of agent 0...
+        t.retire_front(AgentId(0));
+        assert!(holders_near(&t, 0, 3).is_empty());
+        assert_eq!(holders_near(&t, 41, 3), vec![0, 1]);
+        // ...and a squash drops the rest.
+        t.squash_from(AgentId(0), Step(1));
+        assert_eq!(holders_near(&t, 41, 3), vec![1]);
+        assert!(holders_near(&t, 80, 3).is_empty());
+    }
+
+    #[test]
+    fn without_an_index_every_agent_is_a_candidate() {
+        let mut t: EntryTable<Point> = EntryTable::new(3, None);
+        push(&mut t, 0, 0, &[(1, 5)], vec![]);
+        assert_eq!(holders_near(&t, 500, 1), vec![0, 1, 2]);
+        t.retire_front(AgentId(1));
+        assert!(t.is_empty());
     }
 }

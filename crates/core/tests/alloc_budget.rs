@@ -1,11 +1,17 @@
-//! An allocation budget for the cluster commit.
+//! Allocation budgets for the cluster commit and the speculative cycle.
 //!
 //! `DepGraph::advance` is on every workload's blocking path, and what it
 //! costs is mostly what it allocates. The budget: the stored record and
-//! the counter's new value per commit, plus the occasional grid cell or
-//! B-tree node of the in-process mirror — not the transaction's
-//! bookkeeping, not a second copy of each value, not adjacency lists
-//! freed by the detach and reallocated by the relink.
+//! the counter's new value per commit, plus the occasional B-tree node
+//! of the in-process mirror — not the transaction's bookkeeping, not a
+//! second copy of each value, not adjacency lists freed by the detach
+//! and reallocated by the relink, not a grid bucket per emptied cell.
+//!
+//! `SpecScheduler` wraps that commit in emission vetting, entry
+//! bookkeeping and retirement. Its budget on top of the commit: the
+//! member list handed to the caller and the list of ready clusters —
+//! not a set and a stack per cluster grown, not a copy of the cluster
+//! per emission, not a copy of the members per retirement attempt.
 //!
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running beside it would be counted too.
@@ -16,8 +22,10 @@ use std::sync::Arc;
 
 use aim_core::depgraph::DepGraph;
 use aim_core::rules::RuleParams;
+use aim_core::scheduler::Cluster;
 use aim_core::space::{GridSpace, Point};
-use aim_core::AgentId;
+use aim_core::spec::{SpecParams, SpecScheduler};
+use aim_core::{AgentId, Step};
 use aim_store::Db;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -128,6 +136,74 @@ impl Walk {
     }
 }
 
+/// 250 agents on a 25 × 10 lattice 16 units apart, each pacing the same
+/// 10-unit stretch one unit per step from its own phase, under run-ahead
+/// 4. Neighbours come within 6 units and no closer: never coupled (5),
+/// so every cluster is a singleton and no entry is ever squashed, but an
+/// agent one step ahead of a neighbour 6 away is blocked — it runs ahead,
+/// its entries wait on clearance, and retirement keeps re-checking them.
+/// Clusters complete in a scrambled order, so the step skew, the entry
+/// table and the retire-watch lists all stay busy.
+struct SpecWalk {
+    sched: SpecScheduler<GridSpace>,
+    pending: Vec<Cluster>,
+    lcg: u64,
+}
+
+const SPEC_AGENTS: u32 = 250;
+
+impl SpecWalk {
+    fn new() -> Self {
+        let initial: Vec<Point> = (0..SPEC_AGENTS).map(|a| Self::pos(a, 0)).collect();
+        let sched = SpecScheduler::new(
+            Arc::new(GridSpace::new(420, 180)),
+            RuleParams::genagent(),
+            SpecParams::new(4),
+            Arc::new(Db::new()),
+            &initial,
+            Step(u32::MAX),
+        )
+        .expect("initial population");
+        SpecWalk {
+            sched,
+            pending: Vec::new(),
+            lcg: 42,
+        }
+    }
+
+    /// Where `a` stands before executing `step`: a triangle wave along x.
+    fn pos(a: u32, step: u32) -> Point {
+        let phase = (step + 7 * a) % 20;
+        let dx = if phase < 10 { phase } else { 20 - phase } as i32;
+        Point::new(10 + 16 * (a % 25) as i32 + dx, 10 + 16 * (a / 25) as i32)
+    }
+
+    /// Completes `commits` clusters, pulling ready clusters before each,
+    /// and returns the heap allocations made inside the scheduler calls.
+    fn run(&mut self, commits: usize) -> u64 {
+        let mut counted = 0;
+        for _ in 0..commits {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let ready = self.sched.ready_clusters().expect("emission");
+            counted += ALLOCS.load(Ordering::Relaxed) - before;
+            self.pending.extend(ready);
+            self.lcg = self
+                .lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pick = (self.lcg >> 33) as usize % self.pending.len();
+            let cluster = self.pending.swap_remove(pick);
+            let a = cluster.members[0];
+            let update = [(a, Self::pos(a.0, cluster.step.0 + 1))];
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let outcome = self.sched.complete(&cluster.id, &update).expect("commit");
+            counted += ALLOCS.load(Ordering::Relaxed) - before;
+            assert!(outcome.committed, "nothing in this walk races");
+        }
+        counted
+    }
+}
+
 #[test]
 fn cluster_commit_stays_within_its_allocation_budget() {
     for (size, budget) in [(1u32, 3.0f64), (4, 8.0)] {
@@ -143,4 +219,26 @@ fn cluster_commit_stays_within_its_allocation_budget() {
             .validate()
             .expect("the walk keeps the graph valid");
     }
+
+    // The speculative cycle, in the same test (see the module docs).
+    // Four times the warm-up: the skew takes that long to build.
+    let mut walk = SpecWalk::new();
+    walk.run(4 * WARM_UP);
+    let per_commit = walk.run(MEASURED) as f64 / MEASURED as f64;
+    let stats = walk.sched.stats();
+    println!(
+        "speculative cycle: {per_commit:.2} allocations per commit \
+         ({} of {} emissions ran ahead, skew {})",
+        stats.emitted_spec,
+        stats.emitted_firm + stats.emitted_spec,
+        walk.sched.current_skew()
+    );
+    assert!(
+        stats.emitted_spec > stats.emitted_firm / 10 && stats.squashed_steps == 0,
+        "the walk must speculate, and never race: {stats:?}"
+    );
+    assert!(
+        per_commit <= 6.0,
+        "a speculative emit-commit-retire cycle averages {per_commit:.2} heap allocations, budget 6"
+    );
 }

@@ -12,10 +12,12 @@ use std::sync::Arc;
 
 use aim_core::policy::DependencyPolicy;
 use aim_core::prelude::*;
-use aim_core::spec::{SpecParams, SpecScheduler};
+use aim_core::space::SpatialIndex;
+use aim_core::spec::{SpecParams, SpecScheduler, SpecStats};
 use aim_core::workload::CallSpec;
 use aim_llm::{presets, CallKind, ServerConfig, SimServer};
-use aim_store::Db;
+use aim_store::{Db, StoreError};
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 
 /// Deterministic per-(agent, step) hash — the replay-mode contract.
@@ -110,6 +112,114 @@ fn conservative_outcome(w: &HashWorkload) -> Vec<Point> {
         .collect()
 }
 
+/// [`GridSpace`] without its index: every neighbourhood question falls
+/// back to naming the whole population, which is the linear reference
+/// the indexed path must agree with — and the path `SocialSpace` runs in
+/// production.
+#[derive(Debug)]
+struct Unindexed(GridSpace);
+
+impl Space for Unindexed {
+    type Pos = Point;
+    fn dist(&self, a: Point, b: Point) -> f64 {
+        self.0.dist(a, b)
+    }
+    fn within_units(&self, a: Point, b: Point, units: u64) -> bool {
+        self.0.within_units(a, b, units)
+    }
+    fn encode_pos(&self, pos: Point, buf: &mut BytesMut) {
+        self.0.encode_pos(pos, buf)
+    }
+    fn decode_pos(&self, buf: &mut Bytes) -> Result<Point, StoreError> {
+        self.0.decode_pos(buf)
+    }
+    fn pairs_within(&self, pts: &[Point], units: u64) -> Vec<(usize, usize)> {
+        self.0.pairs_within(pts, units)
+    }
+    fn make_index(&self, _cell_units: u64) -> Option<Box<dyn SpatialIndex<Point>>> {
+        None
+    }
+}
+
+/// Everything one adversarial run decided, in the order it decided it.
+#[derive(Debug, PartialEq)]
+struct Schedule {
+    emitted: Vec<(Step, Vec<AgentId>)>,
+    squashed: Vec<(AgentId, Step)>,
+    /// `graph().validate()` after every commit: run-ahead state breaks
+    /// the §3.2 condition until it is validated, so under speculation
+    /// this is a record to compare, not a row of `Ok`s.
+    valid_after_commit: Vec<bool>,
+    stats: SpecStats,
+    final_pos: Vec<Point>,
+}
+
+/// Drives a speculative scheduler over `w` in `space`, completing
+/// whichever pending cluster `picks` names next.
+fn adversarial_run<S: Space<Pos = Point>>(
+    space: S,
+    w: &HashWorkload,
+    runahead: u32,
+    picks: &[u16],
+) -> Schedule {
+    let mut sched = SpecScheduler::new(
+        Arc::new(space),
+        RuleParams::genagent(),
+        SpecParams::new(runahead),
+        Arc::new(Db::new()),
+        &w.initial,
+        w.target,
+    )
+    .unwrap();
+    let mut run = Schedule {
+        emitted: Vec::new(),
+        squashed: Vec::new(),
+        valid_after_commit: Vec::new(),
+        stats: SpecStats::default(),
+        final_pos: Vec::new(),
+    };
+    let mut pending: Vec<Cluster> = Vec::new();
+    let mut pick_iter = picks.iter();
+    let mut safety = 0;
+    while !sched.is_done() {
+        safety += 1;
+        assert!(safety < 50_000, "speculative run failed to converge");
+        let ready = sched.ready_clusters().unwrap();
+        run.emitted
+            .extend(ready.iter().map(|c| (c.step, c.members.clone())));
+        pending.extend(ready);
+        run.squashed.extend(sched.drain_squashed());
+        assert!(
+            !pending.is_empty() || sched.inflight_len() > 0,
+            "deadlock: nothing ready, nothing in flight"
+        );
+        if pending.is_empty() {
+            continue;
+        }
+        let pick = pick_iter.next().copied().unwrap_or(0) as usize % pending.len();
+        let cluster = pending.swap_remove(pick);
+        let pos: Vec<(AgentId, Point)> = cluster
+            .members
+            .iter()
+            .map(|m| (*m, w.pos_after(*m, cluster.step)))
+            .collect();
+        sched.complete(&cluster.id, &pos).unwrap();
+        run.squashed.extend(sched.drain_squashed());
+        run.valid_after_commit
+            .push(sched.graph().validate().is_ok());
+    }
+    assert_eq!(pending.len(), 0, "nothing may remain pending at completion");
+    assert_eq!(sched.live_entries(), 0);
+    for a in 0..w.initial.len() {
+        assert_eq!(sched.graph().step(AgentId(a as u32)), w.target);
+    }
+    run.stats = sched.stats();
+    run.final_pos = (0..w.initial.len())
+        .map(|a| sched.graph().pos(AgentId(a as u32)))
+        .collect();
+    run
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -126,62 +236,18 @@ proptest! {
     ) {
         let w = HashWorkload { initial: points.clone(), target: Step(target), seed };
         let expected = conservative_outcome(&w);
-
-        let mut sched = SpecScheduler::new(
-            Arc::new(GridSpace::new(64, 64)),
-            RuleParams::genagent(),
-            SpecParams::new(runahead),
-            Arc::new(Db::new()),
-            &points,
-            Step(target),
-        ).unwrap();
-
-        let mut pending: Vec<Cluster> = Vec::new();
-        let mut pick_iter = picks.into_iter();
-        let mut squash_total = 0usize;
-        let mut safety = 0;
-        while !sched.is_done() {
-            safety += 1;
-            prop_assert!(safety < 50_000, "speculative run failed to converge");
-            pending.extend(sched.ready_clusters().unwrap());
-            squash_total += sched.drain_squashed().len();
-            prop_assert!(
-                !pending.is_empty() || sched.inflight_len() > 0,
-                "deadlock: nothing ready, nothing in flight"
-            );
-            if pending.is_empty() {
-                continue;
-            }
-            let pick = pick_iter.next().unwrap_or(0) as usize % pending.len();
-            let cluster = pending.swap_remove(pick);
-            let pos: Vec<(AgentId, Point)> = cluster
-                .members
-                .iter()
-                .map(|m| (*m, w.pos_after(*m, cluster.step)))
-                .collect();
-            sched.complete(&cluster.id, &pos).unwrap();
-            squash_total += sched.drain_squashed().len();
-        }
-        prop_assert_eq!(pending.len(), 0, "nothing may remain pending at completion");
-        prop_assert_eq!(sched.live_entries(), 0);
+        let run = adversarial_run(GridSpace::new(64, 64), &w, runahead, &picks);
 
         // Outcome equivalence with the conservative schedule.
-        for a in 0..points.len() {
-            prop_assert_eq!(sched.graph().step(AgentId(a as u32)), Step(target));
-            prop_assert_eq!(
-                sched.graph().pos(AgentId(a as u32)),
-                expected[a],
-                "agent {} final position diverged", a
-            );
-        }
-        prop_assert!(sched.graph().validate().is_ok());
+        prop_assert_eq!(&run.final_pos, &expected, "final positions diverged");
+        prop_assert_eq!(run.valid_after_commit.last(), Some(&true));
 
         // Accounting: every agent-step retires exactly once; emissions
         // cover retirements plus discarded work; the squash log matches
         // the squash counter.
-        let st = sched.stats();
+        let st = run.stats;
         prop_assert_eq!(st.retired_steps, (points.len() as u64) * target as u64);
-        prop_assert_eq!(squash_total as u64, st.squashed_steps);
+        prop_assert_eq!(run.squashed.len() as u64, st.squashed_steps);
         prop_assert_eq!(
             st.agent_steps,
             st.retired_steps + st.squashed_steps + st.poisoned_steps,
@@ -191,6 +257,7 @@ proptest! {
             prop_assert_eq!(st.emitted_spec, 0);
             prop_assert_eq!(st.squashed_steps, 0, "no speculation, no waste");
             prop_assert_eq!(st.poisoned_clusters, 0);
+            prop_assert!(run.valid_after_commit.iter().all(|ok| *ok));
         }
     }
 
@@ -295,5 +362,32 @@ proptest! {
             ahead.total_input_tokens >= base.total_input_tokens,
             "re-execution can only add tokens"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The same schedules with and without spatial indexes: the indexes
+    /// choose which candidates a check looks at, never what it decides —
+    /// same emissions in the same order, same squash sequence, same
+    /// counters, same graph validity after every commit.
+    ///
+    /// Forty agents at the density of the seven above, longer runs and
+    /// deeper run-ahead: an index holding fewer ids than a query probes
+    /// cells just enumerates them, which would compare the linear path
+    /// with itself.
+    #[test]
+    fn indexed_and_linear_candidate_paths_agree(
+        points in arb_points(40, 58),
+        target in 4u32..9,
+        runahead in 0u32..7,
+        seed in any::<u64>(),
+        picks in proptest::collection::vec(any::<u16>(), 0..2000),
+    ) {
+        let w = HashWorkload { initial: points, target: Step(target), seed };
+        let indexed = adversarial_run(GridSpace::new(64, 64), &w, runahead, &picks);
+        let linear = adversarial_run(Unindexed(GridSpace::new(64, 64)), &w, runahead, &picks);
+        prop_assert_eq!(indexed, linear);
     }
 }
