@@ -13,6 +13,15 @@
 //! cell), so the exactness argument now rests on the message types
 //! alone.
 //!
+//! What the boundary costs is the wake-up of the thread (or process) on
+//! the other side, not the bytes, so requests cross it in **hand-offs**:
+//! everything one operation has for one worker is delivered as one unit,
+//! applied in order, and answered as one unit ([`WorkerLink`]). A commit
+//! and the relink query that follows it reach their worker together; an
+//! `advance` that crosses no shard boundary is one round, one that does
+//! is two (see [`DistTracker`] for the rounds and for what a failed call
+//! leaves behind).
+//!
 //! Two transports implement the boundary:
 //!
 //! - **Phase 1 (always on):** [`ChannelLink`] — each worker is a thread

@@ -17,11 +17,12 @@
 //!    exactly one worker. A commit ([`CtrlMsg::Commit`] /
 //!    [`CtrlMsg::Rollback`]) is always sent to the agent's *current*
 //!    owner (which holds its authoritative record); if the committed
-//!    position crosses a shard boundary the controller then moves the
-//!    agent with a [`CtrlMsg::Depart`] → [`ShardMsg::Departed`] →
-//!    [`CtrlMsg::Arrive`] handshake **before** issuing any
-//!    [`CtrlMsg::RelinkQuery`], so a query never misses a mid-migration
-//!    agent.
+//!    position crosses a shard boundary the controller moves the agent
+//!    with a [`CtrlMsg::Depart`] (queued behind the commit, in the same
+//!    hand-off) → [`ShardMsg::Departed`] → [`CtrlMsg::Arrive`]
+//!    handshake, and no worker answers a [`CtrlMsg::RelinkQuery`] of
+//!    that operation before its arrivals are in (they are queued ahead
+//!    of its query), so a query never misses a mid-migration agent.
 //! 2. **Pruning is conservative.** The controller skips a worker
 //!    entirely only when [`crate::shard::ShardMap::min_distance`] (a
 //!    lower bound) exceeds the pair-gap radius derived from the
@@ -30,10 +31,17 @@
 //!    re-derives its own step bounds and re-checks every candidate with
 //!    the exact [`crate::space::Space::within_units`] predicates before
 //!    emitting a [`WireEdge`].
-//! 3. **Replies are complete.** A worker answers every request with
-//!    exactly one reply, in order; [`ShardMsg::Failed`] is the only
-//!    error channel, and the controller converts it into a store error
-//!    rather than applying a partial result.
+//! 3. **Replies are complete, and a hand-off stops at its first
+//!    failure.** Requests cross the boundary in *hand-offs*
+//!    ([`crate::dist::WorkerLink`]): everything queued for one worker,
+//!    delivered together, applied in order, answered together. Each
+//!    request receives exactly one reply, in request order;
+//!    [`ShardMsg::Failed`] is the only error channel, and the controller
+//!    converts it into a store error rather than applying a partial
+//!    result. Once a request of a hand-off has failed, the worker
+//!    applies nothing further from that hand-off and answers each
+//!    remaining request `Failed` as well — a `Depart` never runs behind
+//!    the `Commit` it was queued after if that commit was refused.
 //! 4. **Harvest never blocks commits, and drops are counted, never
 //!    silent.** [`CtrlMsg::HarvestTelemetry`] is an ordinary
 //!    request–reply on the same ordered stream — it never preempts,
@@ -97,7 +105,9 @@ pub struct WireEdge {
 }
 
 /// Controller → worker requests. Each request receives exactly one
-/// [`ShardMsg`] reply.
+/// [`ShardMsg`] reply, in request order; after the first
+/// [`ShardMsg::Failed`] of a hand-off the rest of it is answered
+/// `Failed` without being applied (protocol invariant 3).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CtrlMsg<P> {
     /// Advance every `(agent, new_position)` by one step as a single
@@ -246,7 +256,9 @@ pub enum ShardMsg<P> {
         /// Running total of spans the worker's local buffer overflowed.
         dropped: u64,
     },
-    /// The request could not be applied; nothing was committed.
+    /// The request could not be applied — or was not attempted, because
+    /// an earlier request of the same hand-off failed; nothing was
+    /// committed.
     Failed {
         /// Human-readable cause.
         message: String,

@@ -14,7 +14,7 @@
 //! survives, so the [`super::msg::CtrlMsg::Recover`] handshake can heal
 //! the shard).
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
@@ -28,16 +28,18 @@ use super::codec::{decode_ctrl, decode_shard, encode_ctrl, encode_shard, PREAMBL
 use super::msg::{CtrlMsg, ShardMsg};
 use super::worker::{ShardWorker, WorkerLink};
 
-/// Writes one already-encoded frame to the stream.
-fn write_all(stream: &mut TcpStream, frame: &BytesMut) -> Result<(), StoreError> {
-    stream.write_all(frame)?;
+/// Writes every frame encoded into `frames` with one write, and empties
+/// it: a hand-off leaves the process whole.
+fn write_frames(stream: &mut TcpStream, frames: &mut BytesMut) -> Result<(), StoreError> {
+    stream.write_all(frames)?;
     stream.flush()?;
+    frames.clear();
     Ok(())
 }
 
 /// Reads one length-prefixed frame (prefix included) into an owned
 /// buffer, or `None` on a clean EOF at a frame boundary.
-fn read_frame(stream: &mut TcpStream) -> Result<Option<Bytes>, StoreError> {
+fn read_frame(stream: &mut impl Read) -> Result<Option<Bytes>, StoreError> {
     let mut len = [0u8; 4];
     let mut filled = 0;
     while filled < len.len() {
@@ -77,9 +79,19 @@ fn handshake(stream: &mut TcpStream) -> Result<(), StoreError> {
 }
 
 /// Runs a worker's serve loop over one controller connection: handshake,
-/// then decode request → [`ShardWorker::handle`] → encode reply, until a
-/// [`CtrlMsg::Shutdown`] has been acknowledged or the controller
+/// then hand-off by hand-off — decode every request frame that arrived
+/// together → [`ShardWorker::handle_all`] → all replies in one write —
+/// until a [`CtrlMsg::Shutdown`] has been acknowledged or the controller
 /// disconnects at a frame boundary.
+///
+/// The stream does not mark where a hand-off ends, so the worker takes
+/// one to be the frames it finds buffered once the first has arrived
+/// (reading on while the last of them is incomplete). The controller
+/// writes a hand-off with one write, which is what makes them arrive
+/// together; should the transport split one anyway, its tail is served
+/// as a hand-off of its own and the stop-at-first-failure rule does not
+/// span the split — [`crate::dist::DistTracker`] does not rely on it,
+/// a failed reply aborts the whole operation there.
 ///
 /// # Errors
 ///
@@ -93,14 +105,21 @@ pub fn serve_connection<S: Space>(
 ) -> Result<(), StoreError> {
     handshake(&mut stream)?;
     let space = Arc::clone(worker.space());
-    while let Some(frame) = read_frame(&mut stream)? {
-        let mut rd = frame;
-        let msg = decode_ctrl(space.as_ref(), &mut rd)?;
-        let last = matches!(msg, CtrlMsg::Shutdown);
-        let reply = worker.handle(msg);
-        let mut out = BytesMut::new();
-        encode_shard(space.as_ref(), &reply, &mut out);
-        write_all(&mut stream, &out)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut requests = Vec::new();
+    let mut replies = Vec::new();
+    let mut out = BytesMut::new();
+    while let Some(mut frame) = read_frame(&mut reader)? {
+        requests.push(decode_ctrl(space.as_ref(), &mut frame)?);
+        if !reader.buffer().is_empty() {
+            continue; // more of this hand-off has already arrived
+        }
+        let last = requests.iter().any(|m| matches!(m, CtrlMsg::Shutdown));
+        worker.handle_all(requests.drain(..), &mut replies);
+        for reply in replies.drain(..) {
+            encode_shard(space.as_ref(), &reply, &mut out);
+        }
+        write_frames(&mut stream, &mut out)?;
         if last {
             break;
         }
@@ -109,12 +128,18 @@ pub fn serve_connection<S: Space>(
 }
 
 /// Controller-side [`WorkerLink`] over a TCP stream: each request is one
-/// `AIMMSG v1` frame, each reply one frame back.
+/// `AIMMSG v1` frame and each reply one frame back; the frames of a
+/// hand-off are written with one write.
 #[derive(Debug)]
 pub struct SocketLink<S: Space> {
     worker: u32,
     space: Arc<S>,
     stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    /// Encoded frames of the requests queued since the last hand-off.
+    queue: BytesMut,
+    /// Requests handed over whose replies have not been read yet.
+    owed: usize,
 }
 
 impl<S: Space> SocketLink<S> {
@@ -127,28 +152,47 @@ impl<S: Space> SocketLink<S> {
     /// [`StoreError::Codec`] if the peer does not speak `AIMMSG v1`.
     pub fn connect(worker: u32, space: Arc<S>, mut stream: TcpStream) -> Result<Self, StoreError> {
         handshake(&mut stream)?;
+        let reader = BufReader::new(stream.try_clone()?);
         Ok(SocketLink {
             worker,
             space,
             stream,
+            reader,
+            queue: BytesMut::new(),
+            owed: 0,
         })
     }
 }
 
 impl<S: Space> WorkerLink<S::Pos> for SocketLink<S> {
     fn send(&mut self, msg: CtrlMsg<S::Pos>) -> Result<(), StoreError> {
-        let mut out = BytesMut::new();
-        encode_ctrl(self.space.as_ref(), &msg, &mut out);
-        write_all(&mut self.stream, &out)
+        encode_ctrl(self.space.as_ref(), &msg, &mut self.queue);
+        self.owed += 1;
+        Ok(())
+    }
+
+    fn hand_off(&mut self) -> Result<(), StoreError> {
+        if self.queue.is_empty() {
+            return Ok(());
+        }
+        write_frames(&mut self.stream, &mut self.queue)
     }
 
     fn recv(&mut self) -> Result<ShardMsg<S::Pos>, StoreError> {
-        let frame = read_frame(&mut self.stream)?.ok_or_else(|| {
+        self.hand_off()?;
+        if self.owed == 0 {
+            return Err(StoreError::Codec(format!(
+                "shard worker {} owes no reply",
+                self.worker
+            )));
+        }
+        let frame = read_frame(&mut self.reader)?.ok_or_else(|| {
             StoreError::Codec(format!(
                 "shard worker {} closed its stream mid-request",
                 self.worker
             ))
         })?;
+        self.owed -= 1;
         let mut rd = frame;
         let msg = decode_shard(self.space.as_ref(), &mut rd)?;
         if rd.len() > 0 {

@@ -10,10 +10,48 @@
 //! every **edge computation** happens worker-side, reached exclusively
 //! through the typed [`super::msg`] protocol.
 //!
-//! Fan-out requests (commits, relink queries, eviction) are sent to all
-//! involved workers before any reply is awaited, so workers execute
-//! concurrently; replies are collected in worker order, keeping the
-//! whole protocol deterministic.
+//! # The hand-off rule
+//!
+//! What crosses the boundary is a **hand-off**
+//! ([`super::worker::WorkerLink`]): every request the operation has for
+//! one worker, delivered as one unit and answered as one unit, so each
+//! involved worker is woken once per round whatever it is asked. An
+//! operation hands off to every involved worker before it awaits any
+//! reply (the workers run concurrently) and collects replies in worker
+//! order, keeping the whole protocol deterministic. Rounds per
+//! operation:
+//!
+//! - [`DistTracker::advance`] / [`DistTracker::rollback`] that cross no
+//!   shard boundary: **one** round — `[Commit, RelinkQuery]` (or
+//!   `[Rollback, RelinkQuery]`) to each owner, `[RelinkQuery]` to each
+//!   neighbour the pruning test cannot rule out.
+//! - A boundary-crossing batch: **two** rounds — `[Commit, Depart]` to
+//!   the owners, then `[Arrive, RelinkQuery]` to the destinations and
+//!   unpruned neighbours, so a query never misses a mid-migration
+//!   agent.
+//! - Initial population is that second round alone; eviction, recovery
+//!   and the invariant check are one single-request round each.
+//!
+//! # What a failed call leaves behind
+//!
+//! Nothing ([`DistTracker`] states the contract); this is how. The
+//! mirror moves to the prospective state while the probes are built —
+//! so the pruning test and the edges are exactly those of a tracker
+//! that committed first and relinked after — with every overwritten
+//! entry remembered, and the workers' edges are set aside rather than
+//! applied until the last reply is in. On failure the mirror is put
+//! back, replies still owed on healthy links are consumed (departed
+//! records among them are kept: they may be the only copy), and each
+//! worker that was handed a write is resynchronised in two steps that
+//! need no knowledge of how far it got: it *forgets* the call's agents
+//! (`[Recover` without them`, Arrive` them as stubs`, Depart` them`]` —
+//! whatever the store held for them comes back as departed records),
+//! then the mirror's owner *re-adopts* each at its mirrored state with
+//! the recovered history below that step. A worker that cannot be
+//! reached is marked down with the agents in doubt and the records it
+//! owns that are in the controller's hands;
+//! [`DistTracker::respawn_worker`] runs the same two steps over its
+//! retained store.
 //!
 //! The per-worker [`Db`] handles are retained controller-side purely as
 //! the stand-in for each worker's durable storage (its "disk"): they are
@@ -23,7 +61,7 @@
 //! store in a real deployment ([`DistTracker::commits`],
 //! [`DistTracker::history_records`]).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -40,7 +78,7 @@ use crate::space::Space;
 use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
 
 use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
-use super::worker::{ChannelLink, SeveredLink, SharedTelemetry, WorkerLink};
+use super::worker::{worker_down, ChannelLink, SeveredLink, SharedTelemetry, WorkerLink};
 
 /// One mirrored node: the committed state the controller schedules from.
 #[derive(Debug, Clone, Copy)]
@@ -49,14 +87,129 @@ struct Node<P> {
     step: Step,
 }
 
+/// Which write an operation carries to the owning workers.
+#[derive(Debug, Clone, Copy)]
+enum Write {
+    Commit,
+    Rollback,
+}
+
+impl Write {
+    /// The request carrying `writes` (`(agent, step, position)` each),
+    /// or `None` for a worker with nothing to write.
+    fn request<P: Copy>(self, writes: &[(u32, u32, P)]) -> Option<CtrlMsg<P>> {
+        if writes.is_empty() {
+            return None;
+        }
+        Some(match self {
+            Write::Commit => CtrlMsg::Commit {
+                updates: writes.iter().map(|&(a, _, pos)| (a, pos)).collect(),
+            },
+            Write::Rollback => CtrlMsg::Rollback {
+                updates: writes.to_vec(),
+            },
+        })
+    }
+}
+
+/// The controller's side of one worker: its link, the hand-off
+/// accounting, and the per-worker grouping buffers an operation fills
+/// (kept, so grouping allocates nothing once they have grown).
+struct Lane<P> {
+    /// A [`SeveredLink`] while the worker is down.
+    link: Box<dyn WorkerLink<P>>,
+    /// Set when the link failed or the worker was killed: nothing is
+    /// handed over until [`DistTracker::respawn_worker`].
+    down: bool,
+    /// Requests sent since the worker (re)started; heartbeat replies
+    /// subtract the worker's handled count from this to derive queue
+    /// depth.
+    sent: u64,
+    /// Replies requested and not yet consumed.
+    owed: u32,
+    /// Replies of handed-over requests nobody has waited for yet: the
+    /// next receive blocks for them and is timed as the hand-off's wait.
+    unwaited: u32,
+    /// Whether the current operation handed this worker anything.
+    touched: bool,
+    /// Agents of failed operations this worker may have applied while
+    /// it could not be reached, repaired at respawn.
+    in_doubt: Vec<u32>,
+    /// Records of in-doubt agents this worker owns that were in the
+    /// controller's hands when it went down — possibly the only copy of
+    /// their history — kept for the respawn.
+    held: Vec<NodeRecord<P>>,
+    /// `(agent, step, position)` the operation writes through this
+    /// worker (the agents' owner before the call).
+    writes: Vec<(u32, u32, P)>,
+    /// Members the operation moves out of this worker.
+    departs: Vec<u32>,
+    /// Relink probes this worker must answer.
+    probes: Vec<Probe<P>>,
+}
+
+impl<P> Lane<P> {
+    fn new(link: Box<dyn WorkerLink<P>>) -> Self {
+        Lane {
+            link,
+            down: false,
+            sent: 0,
+            owed: 0,
+            unwaited: 0,
+            touched: false,
+            in_doubt: Vec::new(),
+            held: Vec::new(),
+            writes: Vec::new(),
+            departs: Vec::new(),
+            probes: Vec::new(),
+        }
+    }
+
+    /// One request–reply exchange outside the boundary accounting: the
+    /// harvest and heartbeat polls, which must not show up in the spans
+    /// they exist to collect. Like any link error, a failed poll leaves
+    /// the lane down.
+    fn poll(&mut self, msg: CtrlMsg<P>) -> Result<ShardMsg<P>, StoreError> {
+        if self.down {
+            return Err(StoreError::Codec("shard worker is down".into()));
+        }
+        let reply = self.link.send(msg).and_then(|()| {
+            self.sent += 1;
+            self.link.recv() // hands the request over first
+        });
+        self.down |= reply.is_err();
+        reply
+    }
+}
+
 /// The distributed dependency tracker (see the [module docs](super)).
+///
+/// Each operation reaches a worker with **one hand-off per round**
+/// ([`WorkerLink`]): [`DistTracker::advance`] and
+/// [`DistTracker::rollback`] take one round when no agent crosses a
+/// shard boundary (`[Commit, RelinkQuery]` to each owner,
+/// `[RelinkQuery]` to each neighbour the pruning test cannot rule out)
+/// and two when one does (`[Commit, Depart]`, then
+/// `[Arrive, RelinkQuery]`).
+///
+/// When either returns `Err`, the mirror — positions, steps, ownership,
+/// adjacency — is what it was before the call, every requested reply
+/// has been consumed from its link, and every reachable worker that was
+/// handed a write has been brought back to the mirror, so the failed
+/// call committed nothing. A worker that could not be reached stays
+/// down until [`DistTracker::respawn_worker`], which repairs it from
+/// its retained store whichever part of the call it had applied. Not
+/// restored: `dep:commits` keeps counting an undone commit transaction,
+/// and history the failure itself destroyed (records of a departure
+/// whose reply was lost, steps squashed by a multi-worker rollback that
+/// failed part-way) — the repaired agent keeps its current record and
+/// whatever history survived.
 pub struct DistTracker<S: Space> {
     space: Arc<S>,
     params: RuleParams,
     map: Arc<dyn ShardMap<S::Pos>>,
-    /// One link per shard worker; a [`SeveredLink`] while a worker is
-    /// down.
-    links: Vec<Box<dyn WorkerLink<S::Pos>>>,
+    /// One lane per shard worker.
+    lanes: Vec<Lane<S::Pos>>,
     /// Each worker's database, retained as its durable storage stand-in.
     worker_dbs: Vec<Arc<Db>>,
     history: bool,
@@ -79,21 +232,29 @@ pub struct DistTracker<S: Space> {
     telemetry: Option<Arc<Telemetry>>,
     /// The cell worker threads read their telemetry sink from.
     shared_telemetry: SharedTelemetry,
-    /// Messages sent per link since its worker (re)started; heartbeat
-    /// replies subtract the worker's handled count from this to derive
-    /// queue depth.
-    sent: Vec<u64>,
     /// Invoked with the worker id when a link is severed
     /// ([`DistTracker::kill_worker`]) — the flight recorder's dump
     /// trigger.
     on_severed: Option<Box<dyn FnMut(u32) + Send>>,
+    /// The running operation's `(agent, step, position)` targets. This
+    /// and the four buffers below are operation scratch, empty between
+    /// calls.
+    targets: Vec<(AgentId, u32, S::Pos)>,
+    /// `(agent, node, owner)` before the operation moved the mirror,
+    /// in application order — what a failed call restores.
+    undo: Vec<(AgentId, Node<S::Pos>, u32)>,
+    /// Edges the workers returned, applied only once every reply is in.
+    edges: Vec<WireEdge>,
+    /// Records in the controller's hands: departed and not yet known to
+    /// have arrived (initial population starts here too).
+    pool: Vec<NodeRecord<S::Pos>>,
 }
 
 impl<S: Space> fmt::Debug for DistTracker<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DistTracker")
             .field("agents", &self.nodes.len())
-            .field("workers", &self.links.len())
+            .field("workers", &self.lanes.len())
             .field("min_step", &self.min_step())
             .finish()
     }
@@ -109,10 +270,69 @@ fn protocol_err<P: fmt::Debug>(wanted: &str, got: &ShardMsg<P>) -> StoreError {
     }
 }
 
+/// The relink request carrying `probes`, or `None` for a worker with
+/// nothing to answer.
+fn relink_query<P: Copy>(probes: &[Probe<P>]) -> Option<CtrlMsg<P>> {
+    (!probes.is_empty()).then(|| CtrlMsg::RelinkQuery {
+        probes: probes.to_vec(),
+    })
+}
+
 impl<S: Space> DistTracker<S> {
+    /// A tracker over one freshly spawned channel worker per store,
+    /// with room for `num_agents` agents and a mirror that is still
+    /// empty.
+    fn spawn(
+        space: Arc<S>,
+        params: RuleParams,
+        map: Arc<dyn ShardMap<S::Pos>>,
+        worker_dbs: Vec<Arc<Db>>,
+        history: bool,
+        num_agents: usize,
+    ) -> Self {
+        let shared_telemetry: SharedTelemetry = Arc::default();
+        let lanes = worker_dbs
+            .iter()
+            .enumerate()
+            .map(|(j, db)| {
+                Lane::new(Box::new(ChannelLink::spawn(
+                    j as u32,
+                    Arc::clone(&space),
+                    params,
+                    Arc::clone(db),
+                    history,
+                    Arc::clone(&shared_telemetry),
+                )))
+            })
+            .collect();
+        DistTracker {
+            space,
+            params,
+            map,
+            lanes,
+            shard_steps: vec![BTreeSet::new(); worker_dbs.len()],
+            worker_dbs,
+            history,
+            nodes: Vec::with_capacity(num_agents),
+            owner: Vec::with_capacity(num_agents),
+            step_index: BTreeSet::new(),
+            coupled: vec![Vec::new(); num_agents],
+            blockers: vec![Vec::new(); num_agents],
+            blockees: vec![Vec::new(); num_agents],
+            hist_floor: 0,
+            telemetry: None,
+            shared_telemetry,
+            on_severed: None,
+            targets: Vec::new(),
+            undo: Vec::new(),
+            edges: Vec::new(),
+            pool: Vec::new(),
+        }
+    }
+
     /// Creates the tracker with every agent at [`Step::ZERO`]: one worker
-    /// (and one fresh [`Db`]) per shard of `map`, populated through the
-    /// initial [`CtrlMsg::Arrive`] hand-off. The `edges` field of
+    /// (and one fresh [`Db`]) per shard of `map`, populated and linked in
+    /// a single `[Arrive, RelinkQuery]` round. The `edges` field of
     /// `options` is ignored — the distributed tracker always maintains
     /// its mirrored adjacency.
     ///
@@ -127,76 +347,30 @@ impl<S: Space> DistTracker<S> {
         map: Arc<dyn ShardMap<S::Pos>>,
         options: GraphOptions,
     ) -> Result<Self, StoreError> {
-        let shards = map.num_shards();
-        let shared_telemetry: SharedTelemetry = Arc::default();
-        let mut worker_dbs = Vec::with_capacity(shards);
-        let mut links: Vec<Box<dyn WorkerLink<S::Pos>>> = Vec::with_capacity(shards);
-        for j in 0..shards {
-            let db = Arc::new(Db::new());
-            links.push(Box::new(ChannelLink::spawn(
-                j as u32,
-                Arc::clone(&space),
-                params,
-                Arc::clone(&db),
-                options.history,
-                Arc::clone(&shared_telemetry),
-            )));
-            worker_dbs.push(db);
-        }
-        let owner: Vec<u32> = initial.iter().map(|&p| map.shard_of(p) as u32).collect();
-        let nodes: Vec<Node<S::Pos>> = initial
-            .iter()
-            .map(|&pos| Node {
-                pos,
-                step: Step::ZERO,
-            })
-            .collect();
-        let n = nodes.len();
-        let mut shard_steps: Vec<BTreeSet<(u32, u32)>> = vec![BTreeSet::new(); shards];
-        let mut step_index = BTreeSet::new();
-        for (i, &o) in owner.iter().enumerate() {
-            shard_steps[o as usize].insert((0, i as u32));
-            step_index.insert((0, i as u32));
-        }
-        let mut tracker = DistTracker {
+        let worker_dbs = (0..map.num_shards()).map(|_| Arc::new(Db::new())).collect();
+        let mut tracker = Self::spawn(
             space,
             params,
             map,
-            links,
             worker_dbs,
-            history: options.history,
-            nodes,
-            owner,
-            step_index,
-            shard_steps,
-            coupled: vec![Vec::new(); n],
-            blockers: vec![Vec::new(); n],
-            blockees: vec![Vec::new(); n],
-            hist_floor: 0,
-            telemetry: None,
-            shared_telemetry,
-            sent: vec![0; shards],
-            on_severed: None,
-        };
-        // Initial population: hand every agent's step-0 record to its
-        // owner (with its step-0 history record when history is on).
-        let mut arrivals: BTreeMap<usize, Vec<NodeRecord<S::Pos>>> = BTreeMap::new();
-        for (i, node) in tracker.nodes.iter().enumerate() {
-            arrivals
-                .entry(tracker.owner[i] as usize)
-                .or_default()
-                .push(NodeRecord {
-                    agent: i as u32,
-                    step: 0,
-                    pos: node.pos,
-                    history: if options.history {
-                        vec![(0, node.pos)]
-                    } else {
-                        Vec::new()
-                    },
-                });
+            options.history,
+            initial.len(),
+        );
+        for (i, &pos) in initial.iter().enumerate() {
+            let j = tracker.map.shard_of(pos);
+            tracker.owner.push(j as u32);
+            tracker.nodes.push(Node {
+                pos,
+                step: Step::ZERO,
+            });
+            tracker.shard_steps[j].insert((0, i as u32));
+            tracker.step_index.insert((0, i as u32));
+            // Every agent's step-0 record (with its step-0 history
+            // record when history is on) starts in the controller's
+            // hands, bound for its owner.
+            let record = tracker.mirror_record(i as u32, std::iter::empty());
+            tracker.pool.push(record);
         }
-        tracker.deliver_arrivals(arrivals)?;
         tracker.refresh_edges()?;
         Ok(tracker)
     }
@@ -245,47 +419,17 @@ impl<S: Space> DistTracker<S> {
                 *slot = j as u32;
             }
         }
-        let shared_telemetry: SharedTelemetry = Arc::default();
-        let mut links: Vec<Box<dyn WorkerLink<S::Pos>>> = Vec::with_capacity(shards);
-        for (j, db) in worker_dbs.iter().enumerate() {
-            links.push(Box::new(ChannelLink::spawn(
-                j as u32,
-                Arc::clone(&space),
-                params,
-                Arc::clone(db),
-                options.history,
-                Arc::clone(&shared_telemetry),
-            )));
-        }
-        let mut tracker = DistTracker {
-            space,
-            params,
-            map,
-            links,
-            worker_dbs,
-            history: options.history,
-            nodes: Vec::new(),
-            owner,
-            step_index: BTreeSet::new(),
-            shard_steps: vec![BTreeSet::new(); shards],
-            coupled: vec![Vec::new(); num_agents],
-            blockers: vec![Vec::new(); num_agents],
-            blockees: vec![Vec::new(); num_agents],
-            hist_floor: 0,
-            telemetry: None,
-            shared_telemetry,
-            sent: vec![0; shards],
-            on_severed: None,
-        };
-        // Recover every worker (fan-out), then assemble the mirror from
-        // the authoritative states they report.
+        let mut tracker = Self::spawn(space, params, map, worker_dbs, options.history, num_agents);
+        tracker.owner = owner;
+        // Recover every worker in one round, then assemble the mirror
+        // from the authoritative states they report.
         let mut states: Vec<Option<(u32, S::Pos)>> = vec![None; num_agents];
         for (j, list) in members.iter().enumerate() {
-            tracker.send_to(
+            tracker.hand_off(
                 j,
-                CtrlMsg::Recover {
+                [CtrlMsg::Recover {
                     expected: list.clone(),
-                },
+                }],
             )?;
         }
         for (j, list) in members.iter().enumerate() {
@@ -346,7 +490,7 @@ impl<S: Space> DistTracker<S> {
 
     /// Number of shard workers.
     pub fn num_shards(&self) -> usize {
-        self.links.len()
+        self.lanes.len()
     }
 
     /// The worker currently owning `a`.
@@ -514,10 +658,12 @@ impl<S: Space> DistTracker<S> {
         }
     }
 
-    /// Attaches a telemetry sink: the controller records every protocol
-    /// send and reply-wait as [`SpanKind::Boundary`] spans (plus the
-    /// [`Counter::BoundaryMessages`] counter), and workers record their
-    /// apply time through the shared cell. Workers that cannot see the
+    /// Attaches a telemetry sink: the controller records every hand-off
+    /// and the wait for its replies as one [`SpanKind::Boundary`] span
+    /// each, `messages` saying how many requests or replies it carried
+    /// (the [`Counter::BoundaryMessages`] counter counts those), and
+    /// workers record their apply time per request through the shared
+    /// cell. Workers that cannot see the
     /// cell (out-of-process transports) buffer locally instead and are
     /// drained by [`DistTracker::harvest_telemetry`].
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
@@ -538,7 +684,7 @@ impl<S: Space> DistTracker<S> {
     /// reply empty (their spans never cross the wire), and severed
     /// workers are skipped — harvest is best-effort observability and
     /// never fails a run. The raw links are used (not the recorded
-    /// send/recv paths) so harvest traffic never inflates the
+    /// hand-off path) so harvest traffic never inflates the
     /// [`SpanKind::Boundary`] accounting it exists to collect.
     ///
     /// # Errors
@@ -551,18 +697,10 @@ impl<S: Space> DistTracker<S> {
             return Ok(0);
         };
         let mut merged = 0u64;
-        for j in 0..self.links.len() {
+        for lane in &mut self.lanes {
             let t_send = t.now_us();
-            if self.links[j]
-                .send(CtrlMsg::HarvestTelemetry { now_us: t_send })
-                .is_err()
-            {
-                continue; // severed: its buffer drains on a later round
-            }
-            self.sent[j] += 1;
-            let reply = match self.links[j].recv() {
-                Ok(reply) => reply,
-                Err(_) => continue,
+            let Ok(reply) = lane.poll(CtrlMsg::HarvestTelemetry { now_us: t_send }) else {
+                continue; // severed: its buffer drains after a respawn
             };
             let t_recv = t.now_us();
             let ShardMsg::Telemetry {
@@ -601,13 +739,8 @@ impl<S: Space> DistTracker<S> {
     /// answered.
     pub fn poll_heartbeats(&mut self, board: &HealthBoard) -> usize {
         let mut live = 0;
-        for j in 0..self.links.len() {
+        for (j, lane) in self.lanes.iter_mut().enumerate() {
             let now_us = board.now_us();
-            if self.links[j].send(CtrlMsg::Heartbeat { now_us }).is_err() {
-                board.mark_severed(j as u32);
-                continue;
-            }
-            self.sent[j] += 1;
             let Ok(ShardMsg::Heartbeat {
                 worker,
                 handled,
@@ -615,7 +748,7 @@ impl<S: Space> DistTracker<S> {
                 members,
                 dropped,
                 ..
-            }) = self.links[j].recv()
+            }) = lane.poll(CtrlMsg::Heartbeat { now_us })
             else {
                 board.mark_severed(j as u32);
                 continue;
@@ -626,7 +759,7 @@ impl<S: Space> DistTracker<S> {
                 alive: true,
                 last_seen_us: board.now_us(),
                 last_applied_step: (last_step != u32::MAX).then_some(last_step),
-                queue_depth: self.sent[j].saturating_sub(handled),
+                queue_depth: lane.sent.saturating_sub(handled),
                 members,
                 span_overflow: dropped,
             });
@@ -642,251 +775,348 @@ impl<S: Space> DistTracker<S> {
         self.on_severed = Some(hook);
     }
 
-    /// Sends one request to worker `j`, recorded as a boundary-send span.
-    fn send_to(&mut self, j: usize, msg: CtrlMsg<S::Pos>) -> Result<(), StoreError> {
+    /// Hands `requests` to worker `j` as one unit — one wake-up however
+    /// many there are — recorded as one boundary-send span. Does nothing
+    /// for an empty hand-off. A link error leaves the lane down.
+    fn hand_off(
+        &mut self,
+        j: usize,
+        requests: impl IntoIterator<Item = CtrlMsg<S::Pos>>,
+    ) -> Result<(), StoreError> {
+        let mut requests = requests.into_iter().peekable();
+        if requests.peek().is_none() {
+            return Ok(());
+        }
+        let lane = &mut self.lanes[j];
+        if lane.down {
+            return Err(worker_down(j as u32));
+        }
+        // Even a hand-off that fails may have reached the worker.
+        lane.touched = true;
         let t0 = self.telemetry.as_ref().and_then(|t| t.start());
-        let result = self.links[j].send(msg);
-        if result.is_ok() {
-            self.sent[j] += 1;
+        let mut messages = 0u32;
+        let result = requests
+            .try_for_each(|msg| {
+                messages += 1;
+                lane.link.send(msg)
+            })
+            .and_then(|()| lane.link.hand_off());
+        match result {
+            Ok(()) => {
+                lane.sent += u64::from(messages);
+                lane.owed += messages;
+                lane.unwaited += messages;
+            }
+            Err(_) => lane.down = true,
         }
         if let (Some(t), Some(t0)) = (&self.telemetry, t0) {
-            t.counter_add(Counter::BoundaryMessages, 1);
+            t.counter_add(Counter::BoundaryMessages, u64::from(messages));
             t.record(
                 t0,
                 SpanKind::Boundary {
                     worker: j as u32,
                     op: BoundaryOp::Send,
-                    messages: 1,
+                    messages,
                 },
             );
         }
         result
     }
 
-    /// Awaits worker `j`'s next reply, recorded as a boundary-wait span.
+    /// Takes worker `j`'s next reply. The first receive after a hand-off
+    /// is the one that blocks, and is recorded as the boundary-wait span
+    /// for all of that hand-off's replies; the rest are already here. A
+    /// link error leaves the lane down and whatever it owed written off.
     fn recv_from(&mut self, j: usize) -> Result<ShardMsg<S::Pos>, StoreError> {
-        let t0 = self.telemetry.as_ref().and_then(|t| t.start());
-        let result = self.links[j].recv();
+        let lane = &mut self.lanes[j];
+        if lane.down {
+            return Err(worker_down(j as u32));
+        }
+        let messages = std::mem::take(&mut lane.unwaited);
+        let t0 = match &self.telemetry {
+            Some(t) if messages > 0 => t.start(),
+            _ => None,
+        };
+        let result = lane.link.recv();
+        match result {
+            Ok(_) => lane.owed = lane.owed.saturating_sub(1),
+            Err(_) => {
+                lane.down = true;
+                lane.owed = 0;
+            }
+        }
         if let (Some(t), Some(t0)) = (&self.telemetry, t0) {
-            t.counter_add(Counter::BoundaryMessages, 1);
+            t.counter_add(Counter::BoundaryMessages, u64::from(messages));
             t.record(
                 t0,
                 SpanKind::Boundary {
                     worker: j as u32,
                     op: BoundaryOp::Wait,
-                    messages: 1,
+                    messages,
                 },
             );
         }
         result
     }
 
+    /// Consumes every reply still owed on a healthy link, so the next
+    /// operation's first reply is its own. Departed records are kept:
+    /// the reply may hold the only copy.
+    fn drain(&mut self) {
+        for j in 0..self.lanes.len() {
+            while !self.lanes[j].down && self.lanes[j].owed > 0 {
+                if let Ok(ShardMsg::Departed { records }) = self.recv_from(j) {
+                    self.pool.extend(records);
+                }
+            }
+        }
+    }
+
     /// Awaits a [`ShardMsg::Done`] from worker `j`.
     fn expect_done(&mut self, j: usize) -> Result<(), StoreError> {
-        let reply = self.recv_from(j)?;
-        match reply {
+        match self.recv_from(j)? {
             ShardMsg::Done => Ok(()),
             other => Err(protocol_err("Done", &other)),
         }
     }
 
-    /// Sends grouped [`CtrlMsg::Arrive`] batches and awaits their acks.
-    fn deliver_arrivals(
-        &mut self,
-        arrivals: BTreeMap<usize, Vec<NodeRecord<S::Pos>>>,
-    ) -> Result<(), StoreError> {
-        let targets: Vec<usize> = arrivals.keys().copied().collect();
-        for (to, records) in arrivals {
-            self.send_to(to, CtrlMsg::Arrive { records })?;
+    /// Awaits worker `j`'s [`ShardMsg::Departed`], taking the records
+    /// into the controller's hands.
+    fn expect_departed(&mut self, j: usize) -> Result<(), StoreError> {
+        match self.recv_from(j)? {
+            ShardMsg::Departed { records } => {
+                self.pool.extend(records);
+                Ok(())
+            }
+            other => Err(protocol_err("Departed", &other)),
         }
-        for to in targets {
-            self.expect_done(to)?;
-        }
-        Ok(())
     }
 
-    /// Advances every `(agent, new_position)` one step: commits fan out
-    /// to the owning workers, boundary crossings migrate through the
-    /// depart/arrive handshake, then the affected edges are repaired via
-    /// worker relink queries — migrations strictly before relinks, so a
-    /// query never misses a mid-migration agent.
+    /// Awaits worker `j`'s [`ShardMsg::Edges`] and sets them aside; the
+    /// adjacency is only touched once every reply of the operation is in.
+    fn expect_edges(&mut self, j: usize) -> Result<(), StoreError> {
+        match self.recv_from(j)? {
+            ShardMsg::Edges { edges } => {
+                let n = self.nodes.len() as u32;
+                if let Some(e) = edges.iter().find(|e| e.a >= n || e.b >= n || e.a == e.b) {
+                    return Err(StoreError::Codec(format!(
+                        "protocol violation: edge {e:?} names invalid agents"
+                    )));
+                }
+                self.edges.extend(edges);
+                Ok(())
+            }
+            other => Err(protocol_err("Edges", &other)),
+        }
+    }
+
+    /// Advances every `(agent, new_position)` one step. Without a
+    /// boundary crossing that is one round: each owner is handed its
+    /// commit and its relink query together, each unpruned neighbour its
+    /// query. Boundary crossings take two — commits and departures, then
+    /// arrivals and queries — so a query never misses a mid-migration
+    /// agent.
     ///
     /// # Errors
     ///
-    /// Propagates worker transaction failures and severed links; the
-    /// mirror is only updated after the owning workers acknowledge.
+    /// Propagates worker transaction failures and severed links. A failed
+    /// call leaves the mirror as it was and has committed nothing on any
+    /// reachable worker (see [`DistTracker`]).
     ///
     /// # Panics
     ///
     /// Panics if an agent id is out of range.
     pub fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
-        let mut commits: BTreeMap<usize, Vec<(u32, S::Pos)>> = BTreeMap::new();
-        for &(a, pos) in updates {
-            commits
-                .entry(self.owner[a.index()] as usize)
-                .or_default()
-                .push((a.0, pos));
-        }
-        let involved: Vec<usize> = commits.keys().copied().collect();
-        for (j, batch) in commits {
-            self.send_to(j, CtrlMsg::Commit { updates: batch })?;
-        }
-        for j in involved {
-            self.expect_done(j)?;
-        }
-        // Workers committed durably; update the mirror and migrate.
-        let mut departs: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-        let mut dest: HashMap<u32, usize> = HashMap::new();
-        for &(a, pos) in updates {
-            let old_step = self.nodes[a.index()].step.0;
-            self.apply_mirror(a, old_step + 1, pos, &mut departs, &mut dest);
-        }
-        self.migrate(departs, dest)?;
-        self.relink_batch(updates.iter().map(|&(a, _)| a))
+        self.targets.clear();
+        self.targets.extend(
+            updates
+                .iter()
+                .map(|&(a, pos)| (a, self.nodes[a.index()].step.0 + 1, pos)),
+        );
+        self.write(Write::Commit)
     }
 
     /// Rolls every `(agent, step, position)` back — the speculative
-    /// squash path — with the same migration + relink repair as
-    /// [`DistTracker::advance`].
+    /// squash path — in the same rounds as [`DistTracker::advance`].
     ///
     /// # Errors
     ///
     /// Propagates worker failures (including a worker-side refusal to
-    /// roll *forward*).
+    /// roll *forward*), leaving the mirror as it was.
     ///
     /// # Panics
     ///
     /// Panics if an agent id is out of range.
     pub fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
-        let mut batches: BTreeMap<usize, Vec<(u32, u32, S::Pos)>> = BTreeMap::new();
-        for &(a, step, pos) in updates {
-            batches
-                .entry(self.owner[a.index()] as usize)
-                .or_default()
-                .push((a.0, step.0, pos));
-        }
-        let involved: Vec<usize> = batches.keys().copied().collect();
-        for (j, batch) in batches {
-            self.send_to(j, CtrlMsg::Rollback { updates: batch })?;
-        }
-        for j in involved {
-            self.expect_done(j)?;
-        }
-        let mut departs: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-        let mut dest: HashMap<u32, usize> = HashMap::new();
-        for &(a, step, pos) in updates {
-            self.apply_mirror(a, step.0, pos, &mut departs, &mut dest);
-        }
-        self.migrate(departs, dest)?;
-        self.relink_batch(updates.iter().map(|&(a, _, _)| a))
+        self.targets.clear();
+        self.targets
+            .extend(updates.iter().map(|&(a, step, pos)| (a, step.0, pos)));
+        self.write(Write::Rollback)
     }
 
-    /// Applies one committed `(step, pos)` to the mirror (node, step
-    /// indexes, ownership), queueing a migration when the new position
-    /// crosses a shard boundary.
-    fn apply_mirror(
-        &mut self,
-        a: AgentId,
-        step: u32,
-        pos: S::Pos,
-        departs: &mut BTreeMap<usize, Vec<u32>>,
-        dest: &mut HashMap<u32, usize>,
-    ) {
-        let i = a.index();
-        let old_step = self.nodes[i].step.0;
-        let from = self.owner[i] as usize;
-        let to = self.map.shard_of(pos);
-        let removed = self.step_index.remove(&(old_step, a.0));
-        debug_assert!(removed, "agent {a} missing from step index");
-        self.step_index.insert((step, a.0));
-        self.shard_steps[from].remove(&(old_step, a.0));
-        self.shard_steps[to].insert((step, a.0));
-        self.nodes[i] = Node {
-            pos,
-            step: Step(step),
-        };
-        if from != to {
-            self.owner[i] = to as u32;
-            departs.entry(from).or_default().push(a.0);
-            dest.insert(a.0, to);
+    /// Runs the write operation over `self.targets`, undoing it on
+    /// failure.
+    fn write(&mut self, write: Write) -> Result<(), StoreError> {
+        let targets = std::mem::take(&mut self.targets);
+        let result = self.try_write(write, &targets);
+        if result.is_err() {
+            self.abort(&targets);
         }
+        self.end_operation(targets);
+        result
     }
 
-    /// Executes queued migrations: departs fan out, the returned records
-    /// are regrouped by destination, arrivals fan out.
-    fn migrate(
+    fn try_write(
         &mut self,
-        departs: BTreeMap<usize, Vec<u32>>,
-        dest: HashMap<u32, usize>,
+        write: Write,
+        targets: &[(AgentId, u32, S::Pos)],
     ) -> Result<(), StoreError> {
-        if departs.is_empty() {
-            return Ok(());
-        }
-        if let Some(t) = &self.telemetry {
-            t.counter_add(Counter::ShardMigrations, dest.len() as u64);
-        }
-        let froms: Vec<usize> = departs.keys().copied().collect();
-        for (from, agents) in departs {
-            self.send_to(from, CtrlMsg::Depart { agents })?;
-        }
-        let mut arrivals: BTreeMap<usize, Vec<NodeRecord<S::Pos>>> = BTreeMap::new();
-        for from in froms {
-            let reply = self.recv_from(from)?;
-            let ShardMsg::Departed { records } = reply else {
-                return Err(protocol_err("Departed", &reply));
-            };
-            for record in records {
-                let to = *dest.get(&record.agent).ok_or_else(|| {
-                    StoreError::Codec(format!(
-                        "worker {from} departed agent {} that was not migrating",
-                        record.agent
-                    ))
-                })?;
-                arrivals.entry(to).or_default().push(record);
+        // Group the writes by current owner and move the mirror to the
+        // prospective state, so the probes below see exactly what they
+        // would after the commit.
+        let mut migrations = 0u64;
+        for &(a, step, pos) in targets {
+            let i = a.index();
+            let from = self.owner[i] as usize;
+            self.undo.push((a, self.nodes[i], self.owner[i]));
+            self.lanes[from].writes.push((a.0, step, pos));
+            let to = self.map.shard_of(pos);
+            self.set_mirror(
+                a,
+                Node {
+                    pos,
+                    step: Step(step),
+                },
+                to,
+            );
+            if from != to {
+                self.lanes[from].departs.push(a.0);
+                migrations += 1;
             }
         }
-        self.deliver_arrivals(arrivals)
-    }
-
-    /// Detaches every edge incident to `a` (both directions).
-    fn detach(&mut self, a: AgentId) {
-        detach_edges(&mut self.coupled, &mut self.blockers, &mut self.blockees, a);
-    }
-
-    /// Applies one worker-computed edge to the mirrored adjacency
-    /// (idempotent — both endpoints of an intra-batch edge may emit it).
-    fn apply_wire_edge(&mut self, e: WireEdge) -> Result<(), StoreError> {
-        let n = self.nodes.len() as u32;
-        if e.a >= n || e.b >= n || e.a == e.b {
-            return Err(StoreError::Codec(format!(
-                "protocol violation: edge {e:?} names invalid agents"
-            )));
-        }
-        let (a, b) = (AgentId(e.a), AgentId(e.b));
-        if e.coupled {
-            insert_sorted(&mut self.coupled[a.index()], b);
-            insert_sorted(&mut self.coupled[b.index()], a);
+        self.build_probes(targets);
+        if migrations == 0 {
+            self.write_and_relink(write)?;
         } else {
-            insert_sorted(&mut self.blockers[b.index()], a);
-            insert_sorted(&mut self.blockees[a.index()], b);
+            if let Some(t) = &self.telemetry {
+                t.counter_add(Counter::ShardMigrations, migrations);
+            }
+            self.write_and_depart(write)?;
+            self.arrive_and_relink()?;
+        }
+        self.apply_edges(targets);
+        Ok(())
+    }
+
+    /// The single round of an operation that crosses no boundary:
+    /// `[write, RelinkQuery]` to owners, `[RelinkQuery]` to neighbours.
+    fn write_and_relink(&mut self, write: Write) -> Result<(), StoreError> {
+        for j in 0..self.lanes.len() {
+            let lane = &self.lanes[j];
+            let requests = [write.request(&lane.writes), relink_query(&lane.probes)];
+            self.hand_off(j, requests.into_iter().flatten())?;
+        }
+        for j in 0..self.lanes.len() {
+            if !self.lanes[j].writes.is_empty() {
+                self.expect_done(j)?;
+            }
+            if !self.lanes[j].probes.is_empty() {
+                self.expect_edges(j)?;
+            }
         }
         Ok(())
     }
 
-    /// Detaches and relinks a batch of agents whose mirror states already
-    /// moved: probes fan out to every worker the step-bound/distance test
-    /// cannot prune (the controller's conservative pruning, re-checked
-    /// exactly worker-side), and the returned edges are applied serially.
-    fn relink_batch(
-        &mut self,
-        agents: impl Iterator<Item = AgentId> + Clone,
-    ) -> Result<(), StoreError> {
-        for a in agents.clone() {
-            self.detach(a);
+    /// First round of a boundary-crossing operation: `[write, Depart]`
+    /// to the owners, the departed records into the controller's hands.
+    fn write_and_depart(&mut self, write: Write) -> Result<(), StoreError> {
+        for j in 0..self.lanes.len() {
+            let lane = &self.lanes[j];
+            let depart = (!lane.departs.is_empty()).then(|| CtrlMsg::Depart {
+                agents: lane.departs.clone(),
+            });
+            let requests = [write.request(&lane.writes), depart];
+            self.hand_off(j, requests.into_iter().flatten())?;
         }
-        let mut probes: Vec<Vec<Probe<S::Pos>>> = vec![Vec::new(); self.links.len()];
-        for a in agents {
-            let node = self.nodes[a.index()];
+        for j in 0..self.lanes.len() {
+            if !self.lanes[j].writes.is_empty() {
+                self.expect_done(j)?;
+            }
+            if !self.lanes[j].departs.is_empty() {
+                let held = self.pool.len();
+                self.expect_departed(j)?;
+                if let Some(r) = self.pool[held..]
+                    .iter()
+                    .find(|r| !self.lanes[j].departs.contains(&r.agent))
+                {
+                    return Err(StoreError::Codec(format!(
+                        "worker {j} departed agent {} that was not migrating",
+                        r.agent
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The records in the controller's hands whose mirror owner is `j`,
+    /// as that worker's [`CtrlMsg::Arrive`]. They are copied, not moved:
+    /// until the arrival is acknowledged the controller's copy is the
+    /// only one sure to exist.
+    fn arrivals(&self, j: usize) -> Option<CtrlMsg<S::Pos>> {
+        let records: Vec<NodeRecord<S::Pos>> = self
+            .pool
+            .iter()
+            .filter(|r| self.owner[r.agent as usize] as usize == j)
+            .cloned()
+            .collect();
+        (!records.is_empty()).then_some(CtrlMsg::Arrive { records })
+    }
+
+    /// `[Arrive, RelinkQuery]` to every worker with a record bound for
+    /// it or a probe to answer: the second round of a boundary-crossing
+    /// operation, and all of initial population and edge refresh.
+    fn arrive_and_relink(&mut self) -> Result<(), StoreError> {
+        for j in 0..self.lanes.len() {
+            let requests = [self.arrivals(j), relink_query(&self.lanes[j].probes)];
+            self.hand_off(j, requests.into_iter().flatten())?;
+        }
+        for j in 0..self.lanes.len() {
+            if self
+                .pool
+                .iter()
+                .any(|r| self.owner[r.agent as usize] as usize == j)
+            {
+                self.expect_done(j)?;
+            }
+            if !self.lanes[j].probes.is_empty() {
+                self.expect_edges(j)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Moves `a`'s mirror entry (node, step indexes, ownership) to
+    /// `node` under worker `to`.
+    fn set_mirror(&mut self, a: AgentId, node: Node<S::Pos>, to: usize) {
+        let i = a.index();
+        let old_step = self.nodes[i].step.0;
+        let from = self.owner[i] as usize;
+        let removed = self.step_index.remove(&(old_step, a.0));
+        debug_assert!(removed, "agent {a} missing from step index");
+        self.step_index.insert((node.step.0, a.0));
+        self.shard_steps[from].remove(&(old_step, a.0));
+        self.shard_steps[to].insert((node.step.0, a.0));
+        self.nodes[i] = node;
+        self.owner[i] = to as u32;
+    }
+
+    /// Fills each lane's probe list for the targets' (already moved)
+    /// mirror states: a probe goes to every worker the step-bound /
+    /// distance test cannot prune (the controller's conservative
+    /// pruning, re-checked exactly worker-side).
+    fn build_probes(&mut self, targets: &[(AgentId, u32, S::Pos)]) {
+        for &(a, step, pos) in targets {
             for (j, steps) in self.shard_steps.iter().enumerate() {
                 let (Some(&(lo, _)), Some(&(hi, _))) =
                     (steps.iter().next(), steps.iter().next_back())
@@ -895,54 +1125,223 @@ impl<S: Space> DistTracker<S> {
                 };
                 // Largest step gap between `a` and any member of `j`
                 // bounds every pair rule radius for candidates in `j`.
-                let gap = node.step.0.abs_diff(lo).max(node.step.0.abs_diff(hi));
+                let gap = step.abs_diff(lo).max(step.abs_diff(hi));
                 let units = self.params.blocking_units(gap);
-                if self.map.min_distance(node.pos, j) > units {
+                if self.map.min_distance(pos, j) > units {
                     continue; // provably out of range of every member
                 }
-                probes[j].push(Probe {
+                self.lanes[j].probes.push(Probe {
                     agent: a.0,
-                    step: node.step.0,
-                    pos: node.pos,
+                    step,
+                    pos,
                 });
             }
         }
-        let involved: Vec<usize> = (0..probes.len())
-            .filter(|&j| !probes[j].is_empty())
+    }
+
+    /// Replaces the targets' incident edges with the ones the workers
+    /// returned (validated on receipt; idempotent — both endpoints of an
+    /// intra-batch edge may emit it).
+    fn apply_edges(&mut self, targets: &[(AgentId, u32, S::Pos)]) {
+        for &(a, _, _) in targets {
+            detach_edges(&mut self.coupled, &mut self.blockers, &mut self.blockees, a);
+        }
+        for e in self.edges.drain(..) {
+            let (a, b) = (AgentId(e.a), AgentId(e.b));
+            if e.coupled {
+                insert_sorted(&mut self.coupled[a.index()], b);
+                insert_sorted(&mut self.coupled[b.index()], a);
+            } else {
+                insert_sorted(&mut self.blockers[b.index()], a);
+                insert_sorted(&mut self.blockees[a.index()], b);
+            }
+        }
+    }
+
+    /// Empties the operation scratch and hands `targets` back for reuse.
+    fn end_operation(&mut self, targets: Vec<(AgentId, u32, S::Pos)>) {
+        for lane in &mut self.lanes {
+            lane.touched = false;
+            lane.writes.clear();
+            lane.departs.clear();
+            lane.probes.clear();
+        }
+        self.undo.clear();
+        self.edges.clear();
+        self.pool.clear();
+        self.targets = targets;
+    }
+
+    /// Undoes a failed write operation: the mirror goes back, healthy
+    /// links are drained, and every worker that was handed a write is
+    /// resynchronised with the mirror — or, if it cannot be reached,
+    /// marked down with the targets in doubt for its respawn.
+    fn abort(&mut self, targets: &[(AgentId, u32, S::Pos)]) {
+        let mut involved: Vec<usize> = self
+            .undo
+            .iter()
+            .flat_map(|&(a, _, old)| [old as usize, self.owner[a.index()] as usize])
+            .filter(|&j| self.lanes[j].touched)
             .collect();
+        involved.sort_unstable();
+        involved.dedup();
+        while let Some((a, node, owner)) = self.undo.pop() {
+            self.set_mirror(a, node, owner as usize);
+        }
+        self.drain();
+        let agents: Vec<u32> = targets.iter().map(|&(a, _, _)| a.0).collect();
+        // Forget everywhere before re-adopting anywhere: an agent's
+        // history may sit with a worker other than its mirror owner.
         for &j in &involved {
-            let probes = std::mem::take(&mut probes[j]);
-            self.send_to(j, CtrlMsg::RelinkQuery { probes })?;
+            if self.forget(j, &agents).is_err() {
+                self.lanes[j].down = true;
+            }
         }
         for &j in &involved {
-            let reply = self.recv_from(j)?;
-            let ShardMsg::Edges { edges } = reply else {
-                return Err(protocol_err("Edges", &reply));
-            };
-            for e in edges {
-                self.apply_wire_edge(e)?;
+            if !self.lanes[j].down && self.readopt(j, &agents).is_err() {
+                self.lanes[j].down = true;
             }
+        }
+        for &j in &involved {
+            if self.lanes[j].down {
+                self.leave_in_doubt(j, &agents);
+            }
+        }
+    }
+
+    /// Leaves `agents` in doubt on the unreachable worker `j`, keeping
+    /// for its respawn the records in the controller's hands that it
+    /// owns.
+    fn leave_in_doubt(&mut self, j: usize, agents: &[u32]) {
+        let lane = &mut self.lanes[j];
+        lane.down = true;
+        lane.owed = 0;
+        lane.in_doubt.extend_from_slice(agents);
+        lane.in_doubt.sort_unstable();
+        lane.in_doubt.dedup();
+        let owned = self
+            .pool
+            .iter()
+            .filter(|r| agents.contains(&r.agent) && self.owner[r.agent as usize] as usize == j);
+        lane.held.extend(owned.cloned());
+    }
+
+    /// `a`'s record as the mirror has it, with whatever of `past` lies
+    /// below its step as history (and nothing above: a step the mirror
+    /// never reached did not happen).
+    fn mirror_record(
+        &self,
+        a: u32,
+        past: impl Iterator<Item = (u32, S::Pos)>,
+    ) -> NodeRecord<S::Pos> {
+        let node = self.nodes[a as usize];
+        let mut history = Vec::new();
+        if self.history {
+            history.extend(past.filter(|&(step, _)| step < node.step.0));
+            history.push((node.step.0, node.pos));
+        }
+        NodeRecord {
+            agent: a,
+            step: node.step.0,
+            pos: node.pos,
+            history,
+        }
+    }
+
+    /// First half of a resync: worker `j` rebuilds itself from its store
+    /// without `agents`, then forgets them there too — adopting each as
+    /// a stub makes it a member whatever the store held, and departing
+    /// it deletes its record and every history record, which come back
+    /// into the controller's hands. Verifies the remaining members
+    /// against the mirror (every acknowledged write was durable, so they
+    /// must agree).
+    fn forget(&mut self, j: usize, agents: &[u32]) -> Result<(), StoreError> {
+        let mut expected = self.members(j);
+        expected.retain(|a| !agents.contains(a));
+        let members = expected.len();
+        let mut requests = vec![CtrlMsg::Recover { expected }];
+        if !agents.is_empty() {
+            requests.push(CtrlMsg::Arrive {
+                records: agents
+                    .iter()
+                    .map(|&a| self.mirror_record(a, std::iter::empty()))
+                    .collect(),
+            });
+            requests.push(CtrlMsg::Depart {
+                agents: agents.to_vec(),
+            });
+        }
+        self.hand_off(j, requests)?;
+        let reply = self.recv_from(j)?;
+        let ShardMsg::Recovered { states } = reply else {
+            return Err(protocol_err("Recovered", &reply));
+        };
+        if states.len() != members {
+            return Err(StoreError::Codec(format!(
+                "worker {j} recovered {} of {members} members",
+                states.len()
+            )));
+        }
+        for (a, step, pos) in states {
+            let node = self.nodes[a as usize];
+            if node.step.0 != step || node.pos != pos {
+                return Err(StoreError::Codec(format!(
+                    "worker {j} recovered agent {a} at {:?}/{step} but the \
+                     controller mirror has {:?}/{}",
+                    pos, node.pos, node.step
+                )));
+            }
+        }
+        if !agents.is_empty() {
+            self.expect_done(j)?;
+            self.expect_departed(j)?;
         }
         Ok(())
     }
 
+    /// Second half of a resync: worker `j` adopts those of `agents` the
+    /// mirror says it owns, at their mirrored state, with the history
+    /// the first half recovered.
+    fn readopt(&mut self, j: usize, agents: &[u32]) -> Result<(), StoreError> {
+        let records: Vec<NodeRecord<S::Pos>> = agents
+            .iter()
+            .filter(|&&a| self.owner[a as usize] as usize == j)
+            .map(|&a| {
+                let held = self.pool.iter().filter(|r| r.agent == a);
+                self.mirror_record(a, held.flat_map(|r| r.history.iter().copied()))
+            })
+            .collect();
+        if records.is_empty() {
+            return Ok(());
+        }
+        self.hand_off(j, [CtrlMsg::Arrive { records }])?;
+        self.expect_done(j)
+    }
+
     /// Rebuilds every derived edge from the mirrored node states by
-    /// probing all agents (initialisation and recovery).
+    /// probing all agents (initialisation and recovery; initialisation
+    /// also delivers the initial records, in the same round).
     ///
     /// # Errors
     ///
     /// Propagates severed links and protocol violations.
     pub fn refresh_edges(&mut self) -> Result<(), StoreError> {
-        for list in self
-            .coupled
-            .iter_mut()
-            .chain(self.blockers.iter_mut())
-            .chain(self.blockees.iter_mut())
-        {
-            list.clear();
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        targets.extend(
+            self.nodes
+                .iter()
+                .enumerate()
+                .map(|(i, node)| (AgentId(i as u32), node.step.0, node.pos)),
+        );
+        self.build_probes(&targets);
+        let result = self.arrive_and_relink();
+        match result {
+            Ok(()) => self.apply_edges(&targets),
+            Err(_) => self.drain(),
         }
-        let n = self.len() as u32;
-        self.relink_batch((0..n).map(AgentId))
+        self.end_operation(targets);
+        result
     }
 
     /// Compacts history below the deepest legal rollback across every
@@ -962,18 +1361,11 @@ impl<S: Space> DistTracker<S> {
         if floor <= self.hist_floor {
             return Ok(0);
         }
-        let workers = self.links.len();
-        for j in 0..workers {
-            self.send_to(j, CtrlMsg::EvictHistory { floor })?;
+        let result = self.evict_below(floor);
+        if result.is_err() {
+            self.drain();
         }
-        let mut total = 0u64;
-        for j in 0..workers {
-            let reply = self.recv_from(j)?;
-            let ShardMsg::Evicted { removed } = reply else {
-                return Err(protocol_err("Evicted", &reply));
-            };
-            total += removed;
-        }
+        let total = result?;
         self.hist_floor = floor;
         // Eviction is the run's natural quiesce barrier: piggyback a
         // telemetry harvest so out-of-process buffers drain steadily
@@ -982,57 +1374,89 @@ impl<S: Space> DistTracker<S> {
         Ok(total)
     }
 
+    /// One [`CtrlMsg::EvictHistory`] round; the records evicted.
+    fn evict_below(&mut self, floor: u32) -> Result<u64, StoreError> {
+        for j in 0..self.lanes.len() {
+            self.hand_off(j, [CtrlMsg::EvictHistory { floor }])?;
+        }
+        let mut total = 0u64;
+        for j in 0..self.lanes.len() {
+            let reply = self.recv_from(j)?;
+            let ShardMsg::Evicted { removed } = reply else {
+                return Err(protocol_err("Evicted", &reply));
+            };
+            total += removed;
+        }
+        Ok(total)
+    }
+
     /// Severs worker `shard`'s link without a shutdown handshake —
     /// simulating a worker crash. Subsequent operations touching that
     /// shard fail until [`DistTracker::respawn_worker`] heals it; the
     /// worker's database (its durable storage) is retained.
     pub fn kill_worker(&mut self, shard: usize) {
-        self.links[shard] = Box::new(SeveredLink::new(shard as u32));
+        self.replace_link(shard, Box::new(SeveredLink::new(shard as u32)));
+        self.lanes[shard].down = true;
         if let Some(hook) = self.on_severed.as_mut() {
             hook(shard as u32);
         }
     }
 
-    /// Respawns worker `shard` over its retained database and replays the
-    /// [`CtrlMsg::Recover`] handshake: the fresh worker rebuilds its
-    /// members, index, and step bounds from its own store, and the
-    /// controller verifies the recovered states against its mirror
-    /// (every acknowledged commit was durable, so they must agree).
+    /// Swaps worker `shard`'s link for `link`, returning the old one
+    /// (not dropped, so its worker lives on behind it). For tests that
+    /// wrap a live link to count or fail its calls.
+    #[doc(hidden)]
+    pub fn replace_link(
+        &mut self,
+        shard: usize,
+        link: Box<dyn WorkerLink<S::Pos>>,
+    ) -> Box<dyn WorkerLink<S::Pos>> {
+        let lane = &mut self.lanes[shard];
+        lane.owed = 0;
+        lane.unwaited = 0;
+        std::mem::replace(&mut lane.link, link)
+    }
+
+    /// Respawns worker `shard` over its retained database and brings it
+    /// back to the mirror: the fresh worker rebuilds its members, index,
+    /// and step bounds from its own store ([`CtrlMsg::Recover`]), the
+    /// controller verifies them against its mirror (every acknowledged
+    /// write was durable, so they must agree), and the agents of calls
+    /// that failed while the worker could not be reached — which its
+    /// store may hold at either state, or not at all — are reset to
+    /// their mirrored state.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Codec`] if the recovered states disagree
-    /// with the mirror or a record is missing.
+    /// with the mirror or a record is missing; the worker stays down.
     pub fn respawn_worker(&mut self, shard: usize) -> Result<(), StoreError> {
-        // The fresh worker restarts its handled count at zero, so the
-        // controller-side sent counter must follow or queue depth would
-        // read as permanently backed up.
-        self.sent[shard] = 0;
-        self.links[shard] = Box::new(ChannelLink::spawn(
+        let link = ChannelLink::spawn(
             shard as u32,
             Arc::clone(&self.space),
             self.params,
             Arc::clone(&self.worker_dbs[shard]),
             self.history,
             Arc::clone(&self.shared_telemetry),
-        ));
-        let expected = self.members(shard);
-        self.send_to(shard, CtrlMsg::Recover { expected })?;
-        let reply = self.recv_from(shard)?;
-        let ShardMsg::Recovered { states } = reply else {
-            return Err(protocol_err("Recovered", &reply));
-        };
-        for (a, step, pos) in states {
-            let node = self.nodes[a as usize];
-            if node.step.0 != step || node.pos != pos {
-                return Err(StoreError::Codec(format!(
-                    "worker {shard} recovered agent {a} at {:?}/{step} but the \
-                     controller mirror has {:?}/{}",
-                    pos, node.pos, node.step
-                )));
-            }
+        );
+        // Dropping the old link joins the old worker, if it still runs.
+        drop(self.replace_link(shard, Box::new(link)));
+        let lane = &mut self.lanes[shard];
+        lane.down = false;
+        // The fresh worker restarts its handled count at zero, so the
+        // controller-side sent counter must follow or queue depth would
+        // read as permanently backed up.
+        lane.sent = 0;
+        let agents = std::mem::take(&mut lane.in_doubt);
+        self.pool = std::mem::take(&mut lane.held);
+        let result = self
+            .forget(shard, &agents)
+            .and_then(|()| self.readopt(shard, &agents));
+        if result.is_err() {
+            self.leave_in_doubt(shard, &agents);
         }
-        Ok(())
+        self.pool.clear();
+        result
     }
 
     /// Debug cross-check of the mirror against the workers' ground truth:
@@ -1045,10 +1469,9 @@ impl<S: Space> DistTracker<S> {
     /// Panics on any disagreement.
     #[doc(hidden)]
     pub fn check_invariants(&mut self) {
-        let workers = self.links.len();
         let mut total = 0usize;
-        for j in 0..workers {
-            self.send_to(j, CtrlMsg::Quiesce).expect("quiesce send");
+        for j in 0..self.lanes.len() {
+            self.hand_off(j, [CtrlMsg::Quiesce]).expect("quiesce send");
             let reply = self.recv_from(j).expect("quiesce recv");
             let ShardMsg::Quiesced { states } = reply else {
                 panic!("expected Quiesced, got {reply:?}");

@@ -22,7 +22,7 @@
 //! [`CtrlMsg::HarvestTelemetry`]) which the controller drains over the
 //! wire and merges onto its timeline.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -83,23 +83,47 @@ pub type SharedTelemetry = Arc<TelemetryCell>;
 
 /// One side of the message boundary: how the controller reaches a shard
 /// worker. Phase 1 is the in-process [`ChannelLink`]; phase 2 adds the
-/// socket transport behind the `dist-socket` feature. `send` and `recv`
-/// are split so the controller can fan a batch out to every worker
-/// before collecting any reply (the workers then run concurrently).
+/// socket transport behind the `dist-socket` feature.
+///
+/// The unit that crosses the boundary is a **hand-off**: every request
+/// queued by [`WorkerLink::send`] since the previous one, delivered
+/// together by [`WorkerLink::hand_off`], applied in order worker-side
+/// ([`ShardWorker::handle_all`]) and answered by one hand-off of replies
+/// back — one wake-up of the worker and one of the controller however
+/// many requests it carries, because the wake-ups, not the bytes, are
+/// what the boundary costs. Queueing and handing over never wait for
+/// the worker, so the controller can hand off to every worker before
+/// collecting any reply (the workers then run concurrently).
+///
+/// A link that has returned an error is dead: the controller stops
+/// using it until the worker is respawned behind a new one.
 pub trait WorkerLink<P>: Send {
-    /// Enqueues one request. Must not block on the worker applying it.
+    /// Queues one request for the next hand-off. Never blocks and never
+    /// wakes the worker.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the link is already known to be severed.
+    fn send(&mut self, msg: CtrlMsg<P>) -> Result<(), StoreError>;
+
+    /// Hands every queued request over to the worker as one unit. Does
+    /// nothing when nothing is queued; never blocks on the worker
+    /// applying the requests.
     ///
     /// # Errors
     ///
     /// Fails if the worker is unreachable (dead thread, severed link,
     /// closed connection).
-    fn send(&mut self, msg: CtrlMsg<P>) -> Result<(), StoreError>;
+    fn hand_off(&mut self) -> Result<(), StoreError>;
 
-    /// Blocks for the next reply, in request order.
+    /// Returns the next reply, in request order — one per request. When
+    /// none is buffered it first hands over whatever is queued, then
+    /// blocks for the worker's next hand-off of replies.
     ///
     /// # Errors
     ///
-    /// Fails if the worker is unreachable.
+    /// Fails if the worker is unreachable, or if no reply is owed (a
+    /// call that could only hang).
     fn recv(&mut self) -> Result<ShardMsg<P>, StoreError>;
 }
 
@@ -141,6 +165,8 @@ pub struct ShardWorker<S: Space> {
     scratch: Vec<u32>,
     /// Reused scratch the records are encoded in before being copied out.
     encode_buf: BytesMut,
+    /// Reused `(agent, next step, encoded record)` list of one commit.
+    records: Vec<(u32, u32, Bytes)>,
 }
 
 impl<S: Space> fmt::Debug for ShardWorker<S> {
@@ -187,6 +213,7 @@ impl<S: Space> ShardWorker<S> {
             handled: 0,
             scratch: Vec::new(),
             encode_buf: BytesMut::new(),
+            records: Vec::new(),
         }
     }
 
@@ -199,6 +226,36 @@ impl<S: Space> ShardWorker<S> {
     /// transports to encode and decode protocol frames).
     pub fn space(&self) -> &Arc<S> {
         &self.space
+    }
+
+    /// Applies one hand-off: every request in order, one reply each,
+    /// appended to `replies`. The hand-off **stops at its first
+    /// failure** — once a request is answered [`ShardMsg::Failed`],
+    /// nothing further from this hand-off is applied and every remaining
+    /// request is answered `Failed` too, so a request can never run
+    /// behind a refused one it was queued after (a [`CtrlMsg::Depart`]
+    /// behind its [`CtrlMsg::Commit`]).
+    pub fn handle_all(
+        &mut self,
+        requests: impl IntoIterator<Item = CtrlMsg<S::Pos>>,
+        replies: &mut Vec<ShardMsg<S::Pos>>,
+    ) {
+        let mut failed = false;
+        for msg in requests {
+            let reply = if failed {
+                self.handled += 1;
+                ShardMsg::Failed {
+                    message: format!(
+                        "worker {}: not applied, an earlier request of the hand-off failed",
+                        self.id
+                    ),
+                }
+            } else {
+                self.handle(msg)
+            };
+            failed |= matches!(reply, ShardMsg::Failed { .. });
+            replies.push(reply);
+        }
     }
 
     /// Applies one request and produces its reply. Failures are returned
@@ -368,8 +425,10 @@ impl<S: Space> ShardWorker<S> {
     fn commit(&mut self, updates: &[(u32, S::Pos)]) -> Result<(), StoreError> {
         // Encode outside the transaction closure: retries must be
         // idempotent, and the in-memory state untouched until commit —
-        // the same discipline as `DepGraph::advance`.
-        let mut records = Vec::with_capacity(updates.len());
+        // the same discipline (and the same reused record list) as
+        // `DepGraph::advance`. A refused commit drops the list; the next
+        // one grows it again.
+        let mut records = std::mem::take(&mut self.records);
         for &(a, pos) in updates {
             let (_, step) = self.member(a)?;
             let next = step + 1;
@@ -390,6 +449,8 @@ impl<S: Space> ShardWorker<S> {
         for (&(a, pos), &(_, next, _)) in updates.iter().zip(&records) {
             self.apply_state(a, next, pos);
         }
+        records.clear();
+        self.records = records;
         Ok(())
     }
 
@@ -656,16 +717,35 @@ impl<S: Space> ShardWorker<S> {
     }
 }
 
+/// What the controller hands a channel worker: the queued requests, and
+/// the emptied buffer of the previous hand-off's replies for the worker
+/// to fill — the two buffers go back and forth, so a steady-state
+/// hand-off allocates neither.
+type Requests<P> = (Vec<CtrlMsg<P>>, Vec<ShardMsg<P>>);
+
+/// What the worker hands back: one reply per request, and the emptied
+/// request buffer.
+type Replies<P> = (Vec<ShardMsg<P>>, Vec<CtrlMsg<P>>);
+
 /// Phase-1 transport: a worker thread owning a [`ShardWorker`], driven
-/// over a pair of in-process channels. The only shared memory between
-/// the controller and the worker is the channel itself (plus the
-/// observability-only [`SharedTelemetry`] cell) — state crosses the
-/// boundary exclusively as [`CtrlMsg`] / [`ShardMsg`] values, which is
-/// what the `prop_dist` equivalence tests rely on.
+/// over a pair of in-process channels, one channel message per hand-off
+/// each way. The only shared memory between the controller and the
+/// worker is the channel itself (plus the observability-only
+/// [`SharedTelemetry`] cell) — state crosses the boundary exclusively as
+/// [`CtrlMsg`] / [`ShardMsg`] values, which is what the `prop_dist`
+/// equivalence tests rely on.
 pub struct ChannelLink<P> {
     worker: u32,
-    tx: Option<mpsc::Sender<CtrlMsg<P>>>,
-    rx: mpsc::Receiver<ShardMsg<P>>,
+    tx: Option<mpsc::Sender<Requests<P>>>,
+    rx: mpsc::Receiver<Replies<P>>,
+    /// Requests queued since the last hand-off.
+    queue: Vec<CtrlMsg<P>>,
+    /// Hand-offs the worker has not answered yet.
+    in_flight: usize,
+    /// Replies received and not yet returned by `recv`.
+    replies: VecDeque<ShardMsg<P>>,
+    /// The emptied reply buffer that rides along with the next hand-off.
+    spare: Vec<ShardMsg<P>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -692,16 +772,16 @@ impl<P> ChannelLink<P> {
     where
         P: Send + 'static,
     {
-        let (tx, worker_rx) = mpsc::channel::<CtrlMsg<P>>();
-        let (worker_tx, rx) = mpsc::channel::<ShardMsg<P>>();
+        let (tx, worker_rx) = mpsc::channel::<Requests<P>>();
+        let (worker_tx, rx) = mpsc::channel::<Replies<P>>();
         let handle = std::thread::Builder::new()
             .name(format!("aim-dist-{id}"))
             .spawn(move || {
                 let mut worker = ShardWorker::new(id, space, params, db, history, telemetry);
-                while let Ok(msg) = worker_rx.recv() {
-                    let shutdown = matches!(msg, CtrlMsg::Shutdown);
-                    let reply = worker.handle(msg);
-                    if worker_tx.send(reply).is_err() || shutdown {
+                while let Ok((mut requests, mut replies)) = worker_rx.recv() {
+                    let shutdown = requests.iter().any(|m| matches!(m, CtrlMsg::Shutdown));
+                    worker.handle_all(requests.drain(..), &mut replies);
+                    if worker_tx.send((replies, requests)).is_err() || shutdown {
                         break;
                     }
                 }
@@ -711,6 +791,10 @@ impl<P> ChannelLink<P> {
             worker: id,
             tx: Some(tx),
             rx,
+            queue: Vec::new(),
+            in_flight: 0,
+            replies: VecDeque::new(),
+            spare: Vec::new(),
             handle: Some(handle),
         }
     }
@@ -722,15 +806,45 @@ impl<P> ChannelLink<P> {
 
 impl<P: Send> WorkerLink<P> for ChannelLink<P> {
     fn send(&mut self, msg: CtrlMsg<P>) -> Result<(), StoreError> {
+        self.queue.push(msg);
+        Ok(())
+    }
+
+    fn hand_off(&mut self) -> Result<(), StoreError> {
+        if self.queue.is_empty() {
+            return Ok(());
+        }
+        let requests = std::mem::take(&mut self.queue);
+        let spare = std::mem::take(&mut self.spare);
         self.tx
             .as_ref()
             .ok_or_else(|| self.severed())?
-            .send(msg)
-            .map_err(|_| self.severed())
+            .send((requests, spare))
+            .map_err(|_| self.severed())?;
+        self.in_flight += 1;
+        Ok(())
     }
 
     fn recv(&mut self) -> Result<ShardMsg<P>, StoreError> {
-        self.rx.recv().map_err(|_| self.severed())
+        loop {
+            if let Some(reply) = self.replies.pop_front() {
+                return Ok(reply);
+            }
+            self.hand_off()?;
+            if self.in_flight == 0 {
+                return Err(StoreError::Codec(format!(
+                    "shard worker {} owes no reply",
+                    self.worker
+                )));
+            }
+            let (mut replies, requests) = self.rx.recv().map_err(|_| self.severed())?;
+            self.in_flight -= 1;
+            self.replies.extend(replies.drain(..));
+            self.spare = replies;
+            if self.queue.capacity() == 0 {
+                self.queue = requests;
+            }
+        }
     }
 }
 
@@ -761,18 +875,21 @@ impl SeveredLink {
     }
 }
 
+/// The error every operation through a dead worker fails with.
+pub(super) fn worker_down(worker: u32) -> StoreError {
+    StoreError::Codec(format!("shard worker {worker} is down"))
+}
+
 impl<P: Send> WorkerLink<P> for SeveredLink {
     fn send(&mut self, _msg: CtrlMsg<P>) -> Result<(), StoreError> {
-        Err(StoreError::Codec(format!(
-            "shard worker {} is down",
-            self.worker
-        )))
+        Err(worker_down(self.worker))
+    }
+
+    fn hand_off(&mut self) -> Result<(), StoreError> {
+        Err(worker_down(self.worker))
     }
 
     fn recv(&mut self) -> Result<ShardMsg<P>, StoreError> {
-        Err(StoreError::Codec(format!(
-            "shard worker {} is down",
-            self.worker
-        )))
+        Err(worker_down(self.worker))
     }
 }

@@ -1,4 +1,5 @@
-//! Allocation budgets for the cluster commit and the speculative cycle.
+//! Allocation budgets for the cluster commit (in process and across the
+//! `dist` boundary) and the speculative cycle.
 //!
 //! `DepGraph::advance` is on every workload's blocking path, and what it
 //! costs is mostly what it allocates. The budget: the stored record and
@@ -13,6 +14,12 @@
 //! not a set and a stack per cluster grown, not a copy of the cluster
 //! per emission, not a copy of the members per retirement attempt.
 //!
+//! `DistTracker::advance` is the same commit with the store on the far
+//! side of a message boundary. Its budget on top: the messages' own
+//! payloads — the write, one probe list per worker asked, one edge list
+//! per worker that found any — and nothing per hand-off, per grouping
+//! map or per reply; the workers' threads are counted too.
+//!
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running beside it would be counted too.
 
@@ -20,9 +27,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use aim_core::depgraph::DepGraph;
+use aim_core::depgraph::{DepGraph, DepTracker, GraphOptions};
+use aim_core::dist::DistTracker;
 use aim_core::rules::RuleParams;
 use aim_core::scheduler::Cluster;
+use aim_core::shard::StripShardMap;
 use aim_core::space::{GridSpace, Point};
 use aim_core::spec::{SpecParams, SpecScheduler};
 use aim_core::{AgentId, Step};
@@ -74,12 +83,12 @@ const MEASURED: usize = 5_000;
 /// of each other and no closer: never coupled (5) and never invalid one
 /// step apart (4), but blocked edges (6) form and break all the time, so
 /// the mirror's adjacency lists, grid cells and step index all churn.
-struct Walk {
-    graph: DepGraph<GridSpace>,
+struct Walk<G> {
+    graph: G,
     tick: Vec<i32>,
 }
 
-impl Walk {
+impl Walk<DepGraph<GridSpace>> {
     fn new() -> Self {
         let home: Vec<Point> = (0..AGENTS).map(Self::home).collect();
         let graph = DepGraph::new(
@@ -94,7 +103,30 @@ impl Walk {
             tick: vec![0; AGENTS as usize],
         }
     }
+}
 
+impl Walk<DistTracker<GridSpace>> {
+    /// The same walk on four channel workers, one per 25-unit strip: the
+    /// middle columns pace across strip boundaries, so migrations are
+    /// part of the mix.
+    fn new_dist() -> Self {
+        let home: Vec<Point> = (0..AGENTS).map(Self::home).collect();
+        let graph = DistTracker::new(
+            Arc::new(GridSpace::new(100, 140)),
+            RuleParams::genagent(),
+            &home,
+            Arc::new(StripShardMap::new(100, 4)),
+            GraphOptions::default(),
+        )
+        .expect("initial population");
+        Walk {
+            graph,
+            tick: vec![0; AGENTS as usize],
+        }
+    }
+}
+
+impl<G: DepTracker<GridSpace>> Walk<G> {
     fn home(a: u32) -> Point {
         Point::new(10 + 16 * (a % 5) as i32, 10 + 16 * (a / 5) as i32)
     }
@@ -214,6 +246,22 @@ fn cluster_commit_stays_within_its_allocation_budget() {
         assert!(
             per_commit <= budget,
             "{size}-member commits average {per_commit:.2} heap allocations, budget {budget}"
+        );
+        walk.graph
+            .validate()
+            .expect("the walk keeps the graph valid");
+    }
+
+    // The same commits across the dist boundary, in the same test (see
+    // the module docs); worker threads allocate inside the window too.
+    for (size, budget) in [(1u32, 7.0f64), (4, 23.0)] {
+        let mut walk = Walk::new_dist();
+        walk.run(size, WARM_UP);
+        let per_commit = walk.run(size, MEASURED) as f64 / MEASURED as f64;
+        println!("{size}-member dist commit: {per_commit:.2} allocations");
+        assert!(
+            per_commit <= budget,
+            "{size}-member dist commits average {per_commit:.2} heap allocations, budget {budget}"
         );
         walk.graph
             .validate()

@@ -9,19 +9,26 @@
 //! and serves the connection, so no port discovery is needed. When the
 //! child test runs as part of a normal `cargo test` pass (no variable
 //! set) it is a no-op.
+//!
+//! The hand-off tests below it stay in one process: a worker thread
+//! behind [`serve_connection`], or a hand-written peer where the test
+//! needs to see the bytes or break the stream.
 #![cfg(feature = "dist-socket")]
 
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::Command;
 use std::sync::Arc;
 
+use aim_core::dist::codec::{decode_ctrl, encode_shard, PREAMBLE};
 use aim_core::dist::socket::{serve_connection, SocketLink};
 use aim_core::dist::{CtrlMsg, NodeRecord, Probe, ShardMsg, ShardWorker, WireEdge, WorkerLink};
 use aim_core::prelude::*;
 use aim_core::scheduler::SchedStats;
 use aim_core::space::GridSpace;
 use aim_core::telemetry::{BoundaryOp, SpanKind, Telemetry};
-use aim_store::Db;
+use aim_store::{Db, StoreError};
+use bytes::{Bytes, BytesMut};
 
 const ADDR_VAR: &str = "AIM_DIST_WORKER_ADDR";
 
@@ -259,4 +266,158 @@ fn worker_in_a_separate_process_serves_the_full_protocol() {
 
     let status = child.wait().expect("child exit status");
     assert!(status.success(), "worker process failed: {status}");
+}
+
+/// A loopback connection: the controller's link, and the peer's raw
+/// stream with the preamble already exchanged.
+fn link_and_raw_peer() -> (SocketLink<GridSpace>, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("controller connects");
+        stream.write_all(PREAMBLE).unwrap();
+        let mut got = [0u8; PREAMBLE.len()];
+        stream.read_exact(&mut got).unwrap();
+        assert_eq!(&got, PREAMBLE);
+        stream
+    });
+    let stream = TcpStream::connect(addr).expect("connect to peer");
+    let link = SocketLink::connect(7, space(), stream).expect("AIMMSG handshake");
+    (link, peer.join().expect("peer handshake"))
+}
+
+/// The `[Commit, RelinkQuery]` hand-off of an owner.
+fn queue_commit_and_query(link: &mut SocketLink<GridSpace>) {
+    link.send(CtrlMsg::Commit {
+        updates: vec![(0, Point::new(10, 11))],
+    })
+    .unwrap();
+    link.send(CtrlMsg::RelinkQuery {
+        probes: vec![Probe {
+            agent: 0,
+            step: 1,
+            pos: Point::new(10, 11),
+        }],
+    })
+    .unwrap();
+}
+
+#[test]
+fn a_hand_off_is_one_write_answered_in_order() {
+    let (mut link, mut peer) = link_and_raw_peer();
+    queue_commit_and_query(&mut link);
+    link.hand_off().expect("one write");
+
+    // Both frames are there on the peer's first read: they left the
+    // controller together.
+    let mut buf = vec![0u8; 1 << 16];
+    let n = peer.read(&mut buf).expect("first read");
+    let mut frames = Bytes::from(buf[..n].to_vec());
+    let s = space();
+    let first = decode_ctrl(s.as_ref(), &mut frames).expect("first frame");
+    let second = decode_ctrl(s.as_ref(), &mut frames).expect("second frame, same read");
+    assert!(matches!(first, CtrlMsg::Commit { .. }), "{first:?}");
+    assert!(matches!(second, CtrlMsg::RelinkQuery { .. }), "{second:?}");
+    assert_eq!(frames.len(), 0, "nothing but the two frames");
+
+    // The replies come back as one write too, and are read in order.
+    let edges = ShardMsg::Edges {
+        edges: vec![WireEdge {
+            coupled: true,
+            a: 0,
+            b: 1,
+        }],
+    };
+    let mut out = BytesMut::new();
+    encode_shard(s.as_ref(), &ShardMsg::Done, &mut out);
+    encode_shard(s.as_ref(), &edges, &mut out);
+    peer.write_all(&out).unwrap();
+    assert_eq!(link.recv().unwrap(), ShardMsg::Done);
+    assert_eq!(link.recv().unwrap(), edges);
+
+    // Nothing more is owed: a further receive is an error, not a hang.
+    assert!(matches!(link.recv(), Err(StoreError::Codec(_))));
+}
+
+#[test]
+fn a_stream_closed_inside_a_hand_off_is_an_error_not_a_hang() {
+    let (mut link, mut peer) = link_and_raw_peer();
+    queue_commit_and_query(&mut link);
+    // `recv` hands the queue over first.
+    let waiting = std::thread::spawn(move || {
+        let first = link.recv();
+        let second = link.recv();
+        (first, second)
+    });
+    let mut buf = vec![0u8; 1 << 16];
+    assert!(peer.read(&mut buf).expect("the hand-off arrives") > 0);
+    // Answer the first request only, then close between the two frames.
+    let mut out = BytesMut::new();
+    encode_shard(space().as_ref(), &ShardMsg::Done, &mut out);
+    peer.write_all(&out).unwrap();
+    drop(peer);
+    let (first, second) = waiting.join().expect("receiver thread");
+    assert_eq!(first.unwrap(), ShardMsg::Done);
+    assert!(
+        matches!(second, Err(StoreError::Codec(_) | StoreError::Io(_))),
+        "{second:?}"
+    );
+}
+
+#[test]
+fn a_served_hand_off_stops_at_its_first_failure() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let db = Arc::new(Db::new());
+    let worker_db = Arc::clone(&db);
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("controller connects");
+        let mut worker = ShardWorker::new(7, space(), params(), worker_db, true, Arc::default());
+        serve_connection(stream, &mut worker)
+    });
+    let stream = TcpStream::connect(addr).expect("connect to worker");
+    let mut link = SocketLink::connect(7, space(), stream).expect("AIMMSG handshake");
+
+    let home = Point::new(10, 10);
+    link.send(CtrlMsg::Arrive {
+        records: vec![NodeRecord {
+            agent: 0,
+            step: 0,
+            pos: home,
+            history: vec![(0, home)],
+        }],
+    })
+    .unwrap();
+    assert_eq!(link.recv().unwrap(), ShardMsg::Done);
+    let stored = db.scan_prefix("");
+
+    // A commit for a stranger, and behind it the departure of a member:
+    // the refused commit must stop the departure.
+    link.send(CtrlMsg::Commit {
+        updates: vec![(99, home)],
+    })
+    .unwrap();
+    link.send(CtrlMsg::Depart { agents: vec![0] }).unwrap();
+    link.hand_off().unwrap();
+    for cause in ["not a member", "earlier request"] {
+        match link.recv().unwrap() {
+            ShardMsg::Failed { message } => assert!(message.contains(cause), "{message}"),
+            other => panic!("expected Failed, got {other:?}"),
+        }
+    }
+    link.send(CtrlMsg::Quiesce).unwrap();
+    assert_eq!(
+        link.recv().unwrap(),
+        ShardMsg::Quiesced {
+            states: vec![(0, 0, home)],
+        }
+    );
+    assert_eq!(db.scan_prefix(""), stored, "the store was touched");
+
+    link.send(CtrlMsg::Shutdown).unwrap();
+    assert_eq!(link.recv().unwrap(), ShardMsg::Done);
+    server
+        .join()
+        .expect("server thread")
+        .expect("serve loop ends cleanly");
 }

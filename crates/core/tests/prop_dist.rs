@@ -6,15 +6,21 @@
 //! (the depart/arrive handshake) are routine; after every operation the
 //! controller mirror is cross-checked against the workers' ground truth
 //! via the quiesce protocol.
+//!
+//! A [`TapLink`] wrapped around the real links shows what the tracker
+//! hands each worker (the hand-off count tests) and can fail a chosen
+//! call on a chosen worker (the fault-schedule property test).
 
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 use aim_core::depgraph::{DepGraph, EdgeMode, GraphOptions};
-use aim_core::dist::DistTracker;
+use aim_core::dist::{CtrlMsg, DistTracker, SeveredLink, ShardMsg, WorkerLink};
 use aim_core::prelude::*;
 use aim_core::shard::StripShardMap;
 use aim_core::space::{GridSpace, Point};
-use aim_store::Db;
+use aim_core::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
+use aim_store::{Db, StoreError};
 use proptest::prelude::*;
 
 const W: u32 = 64;
@@ -68,8 +74,377 @@ fn assert_equivalent(dist: &mut DistTracker<GridSpace>, single: &DepGraph<GridSp
     assert_eq!(dist.history_floor(), single.history_floor());
 }
 
+/// Which [`WorkerLink`] call a [`Fault`] strikes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Call {
+    /// `send`: the request, and everything queued before it, is lost.
+    Queue,
+    /// `hand_off`, before anything reaches the worker.
+    HandOffLost,
+    /// `hand_off`, after the worker has the requests (and applies them).
+    HandOffDelivered,
+    /// `recv`: the worker applied the hand-off; its replies are lost.
+    Receive,
+}
+
+/// Fail the `countdown`-th next call of kind `call`, and every call
+/// after it: a crash, not a hiccup.
+#[derive(Debug, Clone, Copy)]
+struct Fault {
+    call: Call,
+    countdown: usize,
+}
+
+/// What a [`TapLink`] has seen, shared with the test.
+#[derive(Debug, Default)]
+struct Tap {
+    /// The request names of every hand-off, in order.
+    hand_offs: Vec<Vec<&'static str>>,
+    /// Whether each delivered, still unanswered request is a `Depart`.
+    unanswered: VecDeque<bool>,
+    fault: Option<Fault>,
+    dead: bool,
+    /// Set when the link died owing the reply to a `Depart`: the only
+    /// copy of the departed agents' history died with it.
+    lost_departure: bool,
+}
+
+impl Tap {
+    /// Whether this call is the one the armed fault strikes.
+    fn strikes(&mut self, call: Call) -> bool {
+        match &mut self.fault {
+            Some(f) if f.call == call && f.countdown == 0 => true,
+            Some(f) if f.call == call => {
+                f.countdown -= 1;
+                false
+            }
+            _ => false,
+        }
+    }
+
+    fn die<T>(&mut self) -> Result<T, StoreError> {
+        self.dead = true;
+        self.lost_departure |= self.unanswered.contains(&true);
+        Err(StoreError::Codec("injected link fault".into()))
+    }
+}
+
+/// A [`WorkerLink`] around the real one that records every hand-off and
+/// fails on demand.
+struct TapLink {
+    inner: Box<dyn WorkerLink<Point>>,
+    queued: Vec<&'static str>,
+    tap: Arc<Mutex<Tap>>,
+}
+
+fn request_name(msg: &CtrlMsg<Point>) -> &'static str {
+    match msg {
+        CtrlMsg::Commit { .. } => "Commit",
+        CtrlMsg::Rollback { .. } => "Rollback",
+        CtrlMsg::Depart { .. } => "Depart",
+        CtrlMsg::Arrive { .. } => "Arrive",
+        CtrlMsg::RelinkQuery { .. } => "RelinkQuery",
+        _ => "other",
+    }
+}
+
+impl WorkerLink<Point> for TapLink {
+    fn send(&mut self, msg: CtrlMsg<Point>) -> Result<(), StoreError> {
+        let mut tap = self.tap.lock().unwrap();
+        if tap.dead || tap.strikes(Call::Queue) {
+            return tap.die();
+        }
+        self.queued.push(request_name(&msg));
+        self.inner.send(msg)
+    }
+
+    fn hand_off(&mut self) -> Result<(), StoreError> {
+        let mut tap = self.tap.lock().unwrap();
+        if tap.dead || tap.strikes(Call::HandOffLost) {
+            return tap.die();
+        }
+        if self.queued.is_empty() {
+            return Ok(());
+        }
+        self.inner.hand_off()?;
+        tap.unanswered
+            .extend(self.queued.iter().map(|&name| name == "Depart"));
+        tap.hand_offs.push(std::mem::take(&mut self.queued));
+        if tap.strikes(Call::HandOffDelivered) {
+            return tap.die();
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<ShardMsg<Point>, StoreError> {
+        if !self.queued.is_empty() {
+            self.hand_off()?;
+        }
+        let mut tap = self.tap.lock().unwrap();
+        if tap.dead || tap.strikes(Call::Receive) {
+            return tap.die();
+        }
+        let reply = self.inner.recv()?;
+        tap.unanswered.pop_front();
+        Ok(reply)
+    }
+}
+
+/// Wraps worker `j`'s current link in a [`TapLink`].
+fn tap_worker(dist: &mut DistTracker<GridSpace>, j: usize) -> Arc<Mutex<Tap>> {
+    let tap = Arc::new(Mutex::new(Tap::default()));
+    let inner = dist.replace_link(j, Box::new(SeveredLink::new(j as u32)));
+    dist.replace_link(
+        j,
+        Box::new(TapLink {
+            inner,
+            queued: Vec::new(),
+            tap: Arc::clone(&tap),
+        }),
+    );
+    tap
+}
+
+/// Taps every worker; the taps, by worker.
+fn tap_all(dist: &mut DistTracker<GridSpace>) -> Vec<Arc<Mutex<Tap>>> {
+    (0..dist.num_shards())
+        .map(|j| tap_worker(dist, j))
+        .collect()
+}
+
+/// The hand-offs each worker received since the taps were last read.
+fn take_hand_offs(taps: &[Arc<Mutex<Tap>>]) -> Vec<Vec<Vec<&'static str>>> {
+    taps.iter()
+        .map(|tap| std::mem::take(&mut tap.lock().unwrap().hand_offs))
+        .collect()
+}
+
+/// Seven agents on four 16-wide strips: 0 and 1 deep inside strip 0, 2
+/// one stride from the strip 1 / strip 2 boundary with 6 behind it in
+/// strip 1, 3–5 far to the right.
+const HAND_OFF_POINTS: [(i32, i32); 7] = [
+    (4, 10),
+    (6, 10),
+    (31, 30),
+    (40, 50),
+    (52, 10),
+    (60, 40),
+    (24, 30),
+];
+
+fn hand_off_fixture() -> (DistTracker<GridSpace>, Vec<Arc<Mutex<Tap>>>) {
+    let (mut dist, _) = build_pair(&HAND_OFF_POINTS, RuleParams::new(2, 1), 4);
+    let taps = tap_all(&mut dist);
+    (dist, taps)
+}
+
+/// An operation that crosses no boundary wakes each involved worker
+/// once: the owner gets its write and its relink query as one hand-off,
+/// a neighbour the pruning test cannot rule out gets its query, and
+/// nobody else hears of it.
+#[test]
+fn an_advance_without_migration_is_one_hand_off_per_involved_worker() {
+    let (mut dist, taps) = hand_off_fixture();
+
+    // Agent 0 moves inside strip 0, far from every other strip.
+    dist.advance(&[(AgentId(0), Point::new(5, 10))]).unwrap();
+    let seen = take_hand_offs(&taps);
+    assert_eq!(seen[0], vec![vec!["Commit", "RelinkQuery"]]);
+    assert!(seen[1..].iter().all(Vec::is_empty), "{seen:?}");
+
+    // Agent 2 stays in strip 1 but stands next to strip 2: the owner is
+    // handed both requests at once, the neighbour only the query.
+    dist.advance(&[(AgentId(2), Point::new(31, 31))]).unwrap();
+    let seen = take_hand_offs(&taps);
+    assert!(seen[0].is_empty() && seen[3].is_empty(), "{seen:?}");
+    assert_eq!(seen[1], vec![vec!["Commit", "RelinkQuery"]]);
+    assert_eq!(seen[2], vec![vec!["RelinkQuery"]]);
+
+    // A cluster spanning two workers: still one hand-off each.
+    dist.advance(&[
+        (AgentId(1), Point::new(7, 10)),
+        (AgentId(5), Point::new(61, 40)),
+    ])
+    .unwrap();
+    let seen = take_hand_offs(&taps);
+    assert_eq!(seen[0], vec![vec!["Commit", "RelinkQuery"]]);
+    assert_eq!(seen[3], vec![vec!["Commit", "RelinkQuery"]]);
+    assert!(seen[1].is_empty() && seen[2].is_empty(), "{seen:?}");
+
+    // The squash path is the same round with the other write.
+    dist.rollback(&[(AgentId(0), Step(0), Point::new(4, 10))])
+        .unwrap();
+    let seen = take_hand_offs(&taps);
+    assert_eq!(seen[0], vec![vec!["Rollback", "RelinkQuery"]]);
+    assert!(seen[1..].iter().all(Vec::is_empty), "{seen:?}");
+    dist.check_invariants();
+}
+
+/// A boundary-crossing batch takes exactly two rounds: the write and
+/// the departure together, then the arrival and the queries together.
+#[test]
+fn a_migrating_advance_is_two_rounds() {
+    let (mut dist, taps) = hand_off_fixture();
+    // Agent 2 steps from strip 1 (x < 32) into strip 2, staying within
+    // reach of agent 6, so its old worker still has a query to answer.
+    dist.advance(&[(AgentId(2), Point::new(32, 30))]).unwrap();
+    assert_eq!(dist.shard_of_agent(AgentId(2)), 2);
+    let seen = take_hand_offs(&taps);
+    assert_eq!(seen[1], vec![vec!["Commit", "Depart"], vec!["RelinkQuery"]]);
+    assert_eq!(seen[2], vec![vec!["Arrive", "RelinkQuery"]]);
+    assert!(seen[0].is_empty() && seen[3].is_empty(), "{seen:?}");
+    dist.check_invariants();
+}
+
+/// Telemetry reports the hand-off, not the request: one send span and
+/// one wait span per hand-off, each saying how many messages it covered,
+/// while the message counter and the workers' apply spans still count
+/// every request.
+#[test]
+fn boundary_spans_count_hand_offs_and_messages() {
+    let (mut dist, _) = build_pair(&HAND_OFF_POINTS, RuleParams::new(2, 1), 4);
+    let telemetry = Arc::new(Telemetry::new());
+    dist.set_telemetry(Arc::clone(&telemetry));
+    let start = telemetry.now_us();
+    // Owner 1 gets [Commit, RelinkQuery], neighbour 2 gets [RelinkQuery].
+    dist.advance(&[(AgentId(2), Point::new(31, 31))]).unwrap();
+    let end = telemetry.now_us();
+    drop(dist); // workers release their clones of the sink
+    let rt = Arc::try_unwrap(telemetry)
+        .expect("sink no longer shared")
+        .finish(start, end, 7, Default::default(), None);
+    let spans = |worker: u32, op: BoundaryOp| -> Vec<u32> {
+        rt.spans
+            .iter()
+            .filter_map(|s| match s.kind {
+                SpanKind::Boundary {
+                    worker: w,
+                    op: o,
+                    messages,
+                } if w == worker && o == op => Some(messages),
+                _ => None,
+            })
+            .collect()
+    };
+    assert_eq!(spans(1, BoundaryOp::Send), vec![2]);
+    assert_eq!(spans(1, BoundaryOp::Wait), vec![2]);
+    assert_eq!(spans(1, BoundaryOp::Apply), vec![1, 1]);
+    assert_eq!(spans(2, BoundaryOp::Send), vec![1]);
+    assert_eq!(spans(2, BoundaryOp::Wait), vec![1]);
+    assert_eq!(spans(2, BoundaryOp::Apply), vec![1]);
+    assert!(
+        rt.counters.contains(&(Counter::BoundaryMessages, 6)),
+        "three requests and three replies: {:?}",
+        rt.counters
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A link that dies at an arbitrary call — queueing, handing over
+    /// (before or after the worker has the requests) or receiving — in
+    /// the middle of an arbitrary advance, rollback or boundary-crossing
+    /// batch (each step: the moves, advance or rollback, and the fault
+    /// as gate, victim, call and countdown) leaves the mirror exactly where it
+    /// was; respawning the
+    /// worker brings every worker back to the mirror, whichever part of
+    /// the call each had applied; and the retried call then lands the
+    /// tracker where the oracle is.
+    #[test]
+    fn a_link_fault_anywhere_leaves_nothing_behind(
+        points in proptest::collection::vec((0i32..W as i32, 0i32..W as i32), 4..10),
+        shards in 2usize..5,
+        steps in proptest::collection::vec(
+            (
+                proptest::collection::vec((any::<u16>(), -6i32..7, -3i32..4), 1..4),
+                any::<bool>(),
+                (0u8..10, any::<u16>(), 0u8..4, 0usize..3),
+            ),
+            1..14
+        ),
+        params in (1u32..4, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
+    ) {
+        let (mut dist, mut single) = build_pair(&points, params, shards);
+        let mut taps = tap_all(&mut dist);
+        // Until a fault destroys the only copy of some history, the
+        // stores hold exactly the oracle's records; after, no more.
+        let mut history_exact = true;
+        for (batch, roll_back, fault) in steps {
+            let mut moves: Vec<(AgentId, Step, Point)> = Vec::new();
+            for (pick, dx, dy) in batch {
+                let a = AgentId(pick as u32 % dist.len() as u32);
+                if moves.iter().any(|(x, _, _)| *x == a) {
+                    continue;
+                }
+                let lo = dist.min_step().0;
+                let target = Step(lo + pick as u32 % (dist.step(a).0 - lo + 1));
+                let cur = dist.pos(a);
+                moves.push((a, target, Point::new(cur.x + dx, cur.y + dy)));
+            }
+            let advances: Vec<(AgentId, Point)> =
+                moves.iter().map(|&(a, _, pos)| (a, pos)).collect();
+            let apply = |dist: &mut DistTracker<GridSpace>| {
+                if roll_back {
+                    dist.rollback(&moves)
+                } else {
+                    dist.advance(&advances)
+                }
+            };
+
+            // Six steps in ten carry a fault.
+            let (gate, pick, call, countdown) = fault;
+            let victim = (gate < 6).then(|| {
+                // Half the time the first mover's owner, so most faults
+                // strike a worker the call involves.
+                let victim = if pick % 2 == 0 {
+                    dist.shard_of_agent(moves[0].0)
+                } else {
+                    pick as usize % dist.num_shards()
+                };
+                let call = [
+                    Call::Queue,
+                    Call::HandOffLost,
+                    Call::HandOffDelivered,
+                    Call::Receive,
+                ][call as usize];
+                taps[victim].lock().unwrap().fault = Some(Fault { call, countdown });
+                victim
+            });
+            let before = dist.snapshot();
+            let outcome = apply(&mut dist);
+            if let Some(victim) = victim {
+                taps[victim].lock().unwrap().fault = None;
+            }
+
+            if let Err(e) = outcome {
+                let victim = victim.expect("only an injected fault fails a call");
+                prop_assert!(e.to_string().contains("injected"), "{}", e);
+                prop_assert_eq!(dist.snapshot(), before, "a failed call moved the mirror");
+                history_exact &= !taps[victim].lock().unwrap().lost_departure;
+
+                dist.respawn_worker(victim).expect("respawn from own store");
+                taps[victim] = tap_worker(&mut dist, victim);
+                dist.check_invariants();
+                prop_assert_eq!(dist.snapshot(), single.snapshot());
+
+                apply(&mut dist).expect("the retried call succeeds");
+            }
+            if roll_back {
+                single.rollback(&moves).unwrap();
+            } else {
+                single.advance(&advances).unwrap();
+            }
+
+            dist.check_invariants();
+            prop_assert_eq!(dist.snapshot(), single.snapshot(), "graphs diverged");
+            if history_exact {
+                prop_assert_eq!(dist.history_records(), single.history_records());
+            } else {
+                prop_assert!(dist.history_records() <= single.history_records());
+            }
+        }
+    }
 
     /// Random single-agent churn — advances, legal rollbacks, history
     /// evictions — leaves the worker-backed tracker world-for-world equal

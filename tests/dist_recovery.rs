@@ -111,12 +111,10 @@ fn worker_killed_mid_run_recovers_from_its_own_store() {
     );
 }
 
-#[test]
-fn severed_worker_fails_fast_and_respawn_heals() {
-    // Direct protocol-level check: once a link is severed, operations
-    // touching that worker fail (no partial state), and after respawn the
-    // tracker is again exactly equal to a single-shard oracle fed the
-    // same operations.
+/// Eight agents in a row across four strips (two per worker), history
+/// on, three warm-up steps committed — and a single-shard oracle fed the
+/// same operations.
+fn warmed_pair() -> (DistTracker<GridSpace>, DepGraph<GridSpace>) {
     let space = Arc::new(GridSpace::new(32, 32));
     let params = RuleParams::new(2, 1);
     let options = GraphOptions {
@@ -134,8 +132,6 @@ fn severed_worker_fails_fast_and_respawn_heals() {
     .unwrap();
     let mut single =
         DepGraph::new_with_options(space, params, Arc::new(Db::new()), &initial, options).unwrap();
-
-    // Warm up with a few committed steps on both sides.
     for round in 0..3 {
         let updates: Vec<(AgentId, Point)> = (0..8)
             .map(|i| {
@@ -147,6 +143,16 @@ fn severed_worker_fails_fast_and_respawn_heals() {
         dist.advance(&updates).unwrap();
         single.advance(&updates).unwrap();
     }
+    (dist, single)
+}
+
+#[test]
+fn severed_worker_fails_fast_and_respawn_heals() {
+    // Direct protocol-level check: once a link is severed, operations
+    // touching that worker fail (no partial state), and after respawn the
+    // tracker is again exactly equal to a single-shard oracle fed the
+    // same operations.
+    let (mut dist, mut single) = warmed_pair();
 
     let victim_agent = AgentId(0);
     let victim = dist.shard_of_agent(victim_agent);
@@ -170,6 +176,48 @@ fn severed_worker_fails_fast_and_respawn_heals() {
     let moved = Point::new(cur.x + 1, cur.y);
     dist.advance(&[(victim_agent, moved)]).unwrap();
     single.advance(&[(victim_agent, moved)]).unwrap();
+    assert_eq!(dist.snapshot(), single.snapshot());
+    assert_eq!(dist.history_records(), single.history_records());
+}
+
+#[test]
+fn cluster_spanning_a_dead_worker_commits_nothing_anywhere() {
+    // A two-member cluster whose members live on different workers, one
+    // of them dead: worker 0 is handed its commit and acknowledges it
+    // before the controller finds worker 3 down. The failed advance must
+    // leave worker 0's link in step (its replies consumed) and worker 0's
+    // store where it was (the acknowledged commit undone), so that after
+    // the respawn the same advance simply succeeds.
+    let (mut dist, mut single) = warmed_pair();
+    let (first, last) = (AgentId(0), AgentId(7));
+    let survivor = dist.shard_of_agent(first);
+    let victim = dist.shard_of_agent(last);
+    assert_ne!(survivor, victim, "the cluster must span two workers");
+    let updates = [
+        (first, Point::new(dist.pos(first).x + 1, 16)),
+        (last, Point::new(dist.pos(last).x - 1, 16)),
+    ];
+    let history_before = dist.history_records();
+
+    dist.kill_worker(victim);
+    let err = dist
+        .advance(&updates)
+        .expect_err("an advance through a dead worker must fail");
+    assert!(err.to_string().contains("down"), "unexpected error: {err}");
+    assert_eq!(dist.snapshot(), single.snapshot(), "the mirror moved");
+    assert_eq!(
+        dist.history_records(),
+        history_before,
+        "the surviving worker kept the failed advance's history record"
+    );
+
+    dist.respawn_worker(victim).expect("respawn from own store");
+    dist.check_invariants();
+
+    dist.advance(&updates)
+        .expect("the retried advance finds every link in step");
+    single.advance(&updates).unwrap();
+    dist.check_invariants();
     assert_eq!(dist.snapshot(), single.snapshot());
     assert_eq!(dist.history_records(), single.history_records());
 }
