@@ -4,14 +4,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use aim_core::exec::sim::{run_sim, SimConfig};
-use aim_core::metrics::RunReport;
-use aim_core::policy::{DependencyPolicy, OracleGraph};
 use aim_core::prelude::*;
-use aim_core::space::GridSpace;
-use aim_core::workload::Workload;
-use aim_llm::{Preset, ServerConfig, SimServer};
-use aim_store::Db;
+use aim_llm::{Preset, ServerConfig};
 use aim_trace::{codec, gen, oracle, Trace};
 
 /// The experiment arms of §4.2, in presentation order.
@@ -338,37 +332,12 @@ pub fn run_one(
         )),
         Mode::NoDependency => DependencyPolicy::NoDependency,
     };
-    let sim = SimConfig {
-        step_cpu_us: env.step_cpu_us,
-        commit_cpu_us: env.commit_cpu_us,
-        serial_agents: mode == Mode::SingleThread,
-        max_concurrent_clusters: if mode == Mode::SingleThread {
-            Some(1)
-        } else {
-            env.workers
-        },
-        priority_ready_queue: priority,
-        record_timeline: false,
-    };
-    let replicas = preset.replicas_for_gpus(gpus);
-    let server_cfg = ServerConfig::from_preset(preset.clone(), replicas, priority);
-    let meta = trace.meta();
-    let space = Arc::new(GridSpace::new(meta.map_width, meta.map_height));
-    let params = RuleParams::new(meta.radius_p, meta.max_vel);
-    let initial: Vec<_> = (0..meta.num_agents)
-        .map(|a| trace.initial_position(a))
-        .collect();
-    let mut scheduler = Scheduler::new(
-        space,
-        params,
-        policy,
-        Arc::new(Db::new()),
-        &initial,
-        Workload::target_step(trace),
-    )
-    .expect("scheduler construction");
-    let mut server = SimServer::new(server_cfg);
-    let mut report = run_sim(&mut scheduler, trace, &mut server, &sim).expect("replay run");
+    let single_thread = mode == Mode::SingleThread;
+    let mut report = replay_engine(env, trace, preset, gpus, priority, single_thread)
+        .policy(policy)
+        .build()
+        .run_replay(trace)
+        .expect("replay run");
     report.mode = mode.label().to_string();
     report
 }
@@ -388,34 +357,42 @@ pub fn run_one_spec(
     gpus: u32,
     priority: bool,
 ) -> RunReport {
-    use aim_core::spec::{run_spec_sim, SpecParams, SpecScheduler};
+    replay_engine(env, trace, preset, gpus, priority, false)
+        .speculation(aim_core::spec::SpecParams::new(runahead))
+        .build()
+        .run_replay(trace)
+        .expect("speculative replay run")
+}
+
+/// An engine over `trace`'s own map and rule parameters, served by
+/// `gpus` GPUs of `preset` hardware, with `env`'s executor knobs
+/// (`single_thread` serializes everything); the caller adds the policy.
+fn replay_engine(
+    env: &RunEnv,
+    trace: &Trace,
+    preset: &Preset,
+    gpus: u32,
+    priority: bool,
+    single_thread: bool,
+) -> EngineBuilder<GridSpace> {
     let sim = SimConfig {
         step_cpu_us: env.step_cpu_us,
         commit_cpu_us: env.commit_cpu_us,
-        serial_agents: false,
-        max_concurrent_clusters: env.workers,
+        serial_agents: single_thread,
+        max_concurrent_clusters: if single_thread { Some(1) } else { env.workers },
         priority_ready_queue: priority,
         record_timeline: false,
     };
-    let replicas = preset.replicas_for_gpus(gpus);
-    let server_cfg = ServerConfig::from_preset(preset.clone(), replicas, priority);
     let meta = trace.meta();
-    let space = Arc::new(GridSpace::new(meta.map_width, meta.map_height));
-    let params = RuleParams::new(meta.radius_p, meta.max_vel);
-    let initial: Vec<_> = (0..meta.num_agents)
-        .map(|a| trace.initial_position(a))
-        .collect();
-    let mut scheduler = SpecScheduler::new(
-        space,
-        params,
-        SpecParams::new(runahead),
-        Arc::new(Db::new()),
-        &initial,
-        Workload::target_step(trace),
-    )
-    .expect("spec scheduler construction");
-    let mut server = SimServer::new(server_cfg);
-    run_spec_sim(&mut scheduler, trace, &mut server, &sim).expect("speculative replay run")
+    let replicas = preset.replicas_for_gpus(gpus);
+    Engine::builder(GridSpace::new(meta.map_width, meta.map_height))
+        .rules(RuleParams::new(meta.radius_p, meta.max_vel))
+        .server(ServerConfig::from_preset(
+            preset.clone(),
+            replicas,
+            priority,
+        ))
+        .sim(sim)
 }
 
 /// Runs several modes over the same trace, returning `(mode, report)`

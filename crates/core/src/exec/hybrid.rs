@@ -15,19 +15,17 @@
 //! run it against a FIFO/priority-only server to measure what the player
 //! experiences without QoS.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
 use aim_llm::{CallKind, LlmRequest, RequestId, SimServer, VirtualTime};
 use serde::{Deserialize, Serialize};
 
+use crate::depgraph::DepTracker;
 use crate::error::EngineError;
+use crate::exec::kernel;
 use crate::exec::sim::SimConfig;
-use crate::ids::{AgentId, ClusterId};
 use crate::metrics::RunReport;
-use crate::scheduler::{Cluster, Scheduler};
+use crate::scheduler::Scheduler;
 use crate::space::Space;
-use crate::workload::{CallSpec, Workload};
+use crate::workload::Workload;
 
 /// Deterministic open-loop interactive traffic: `count` chat-style
 /// requests with pseudo-exponential interarrival times.
@@ -134,58 +132,22 @@ impl InteractiveReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvKind {
-    Start(ClusterId),
-    Commit(ClusterId),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ev {
-    at: VirtualTime,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-struct MemberChain {
-    agent: AgentId,
-    calls: Vec<CallSpec>,
-    next: usize,
-}
-
-struct Active {
-    cluster: Cluster,
-    chains: Vec<MemberChain>,
-    remaining: usize,
-}
-
 /// Runs the background simulation to completion while serving `load`'s
 /// interactive stream on the same engine; returns the simulation report
-/// (makespan measured at the last cluster commit) and the interactive
-/// latency distribution.
+/// and the interactive latency distribution.
+///
+/// The report's `makespan` is the last cluster commit, but the stream may
+/// outlive the simulation and the server is drained either way, so
+/// `gpu_utilization` and `achieved_parallelism` are averages over the
+/// whole served interval (see [`RunReport`]). Interactive requests are
+/// not counted in the call and token totals, nor in the timeline.
 ///
 /// # Errors
 ///
 /// Propagates store failures and reports scheduler deadlock as
 /// [`EngineError::Deadlock`].
-///
-/// # Panics
-///
-/// Panics if `cfg.serial_agents` is set — the hybrid driver models the
-/// deployment shape of §6, which is inherently concurrent.
-pub fn run_hybrid_sim<S, W>(
-    scheduler: &mut Scheduler<S>,
+pub fn run_hybrid_sim<S, G, W>(
+    scheduler: &mut Scheduler<S, G>,
     workload: &W,
     server: &mut SimServer,
     load: &InteractiveLoad,
@@ -193,238 +155,19 @@ pub fn run_hybrid_sim<S, W>(
 ) -> Result<(RunReport, InteractiveReport), EngineError>
 where
     S: Space,
+    G: DepTracker<S>,
     W: Workload<S::Pos> + ?Sized,
 {
-    assert!(!cfg.serial_agents, "hybrid runs are inherently concurrent");
-    // Interactive request ids live in a disjoint namespace so completions
-    // can be told apart from simulation calls.
-    const INTERACTIVE_BASE: u64 = 1 << 40;
-    let arrivals = load.arrivals();
-    let mut next_arrival = 0usize;
-    let mut latencies: Vec<u64> = Vec::with_capacity(arrivals.len());
-
-    let mut events: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
-    let mut backlog: BinaryHeap<Reverse<(u64, u64, ClusterId)>> = BinaryHeap::new();
-    let mut active: HashMap<ClusterId, Active> = HashMap::new();
-    let mut req_map: HashMap<RequestId, (ClusterId, usize)> = HashMap::new();
-    let mut slots_used = 0usize;
-    let mut event_seq = 0u64;
-    let mut next_req = 0u64;
-    let mut backlog_seq = 0u64;
-    let mut now = VirtualTime::ZERO;
-    let mut total_calls = 0u64;
-    let mut total_in = 0u64;
-    let mut total_out = 0u64;
-    let mut sim_done_at: Option<VirtualTime> = None;
-    let limit = cfg.max_concurrent_clusters.unwrap_or(usize::MAX);
-
-    macro_rules! schedule {
-        ($at:expr, $kind:expr) => {{
-            events.push(Reverse(Ev {
-                at: $at,
-                seq: event_seq,
-                kind: $kind,
-            }));
-            event_seq += 1;
-        }};
-    }
-    macro_rules! pull_ready {
-        () => {
-            for cluster in scheduler.ready_clusters() {
-                let prio = if cfg.priority_ready_queue {
-                    cluster.step.priority()
-                } else {
-                    0
-                };
-                active.insert(
-                    cluster.id,
-                    Active {
-                        cluster: cluster.clone(),
-                        chains: Vec::new(),
-                        remaining: 0,
-                    },
-                );
-                backlog.push(Reverse((prio, backlog_seq, cluster.id)));
-                backlog_seq += 1;
-            }
-        };
-    }
-    macro_rules! drain_slots {
-        ($now:expr) => {
-            while slots_used < limit {
-                let Some(Reverse((_, _, cid))) = backlog.pop() else {
-                    break;
-                };
-                slots_used += 1;
-                schedule!(
-                    $now + VirtualTime::from_micros(cfg.step_cpu_us),
-                    EvKind::Start(cid)
-                );
-            }
-        };
-    }
-    macro_rules! submit_call {
-        ($cid:expr, $member:expr, $at:expr) => {{
-            let a = active.get_mut(&$cid).expect("active cluster");
-            let chain = &mut a.chains[$member];
-            let spec = chain.calls[chain.next];
-            chain.next += 1;
-            let id = RequestId(next_req);
-            next_req += 1;
-            req_map.insert(id, ($cid, $member));
-            total_calls += 1;
-            total_in += spec.input_tokens as u64;
-            total_out += spec.output_tokens as u64;
-            server.submit(
-                $at,
-                LlmRequest::new(
-                    id,
-                    chain.agent.0,
-                    a.cluster.step.priority(),
-                    spec.input_tokens,
-                    spec.output_tokens,
-                    spec.kind,
-                ),
-            );
-        }};
-    }
-
-    pull_ready!();
-    drain_slots!(now);
-
-    loop {
-        let t_ev = events.peek().map(|Reverse(e)| e.at);
-        let t_srv = server.next_event();
-        let t_arr = arrivals.get(next_arrival).copied();
-        let next = [t_ev, t_srv, t_arr].into_iter().flatten().min();
-        let Some(next) = next else { break };
-        now = next;
-
-        if t_arr.is_some_and(|t| t <= next) {
-            // Inject every interactive request due now.
-            while arrivals.get(next_arrival).is_some_and(|t| *t <= next) {
-                let at = arrivals[next_arrival];
-                let id = RequestId(INTERACTIVE_BASE + next_arrival as u64);
-                let req = LlmRequest::new(
-                    id,
-                    u32::MAX,
-                    0,
-                    load.input_tokens,
-                    load.output_tokens,
-                    CallKind::Converse,
-                )
-                .interactive();
-                server.submit(at, req);
-                next_arrival += 1;
-            }
-        }
-        if t_srv.is_some_and(|t| t <= next) {
-            for c in server.advance(next) {
-                if c.req.id.0 >= INTERACTIVE_BASE {
-                    latencies.push(c.latency().as_micros());
-                    continue;
-                }
-                let (cid, member) = req_map
-                    .remove(&c.req.id)
-                    .expect("completion for unknown request");
-                let a = active
-                    .get_mut(&cid)
-                    .expect("completion for inactive cluster");
-                let chain = &a.chains[member];
-                if chain.next < chain.calls.len() {
-                    submit_call!(cid, member, c.finished_at);
-                    continue;
-                }
-                a.remaining -= 1;
-                if a.remaining == 0 {
-                    schedule!(
-                        c.finished_at + VirtualTime::from_micros(cfg.commit_cpu_us),
-                        EvKind::Commit(cid)
-                    );
-                }
-            }
-        }
-        while events.peek().is_some_and(|Reverse(e)| e.at <= next) {
-            let Reverse(ev) = events.pop().expect("peeked");
-            match ev.kind {
-                EvKind::Start(cid) => {
-                    let a = active.get_mut(&cid).expect("started cluster is active");
-                    let step = a.cluster.step;
-                    a.chains = a
-                        .cluster
-                        .members
-                        .iter()
-                        .map(|m| MemberChain {
-                            agent: *m,
-                            calls: workload.calls(*m, step),
-                            next: 0,
-                        })
-                        .collect();
-                    a.remaining = a.chains.iter().filter(|c| !c.calls.is_empty()).count();
-                    if a.remaining == 0 {
-                        schedule!(
-                            ev.at + VirtualTime::from_micros(cfg.commit_cpu_us),
-                            EvKind::Commit(cid)
-                        );
-                        continue;
-                    }
-                    let idxs: Vec<usize> = active[&cid]
-                        .chains
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| !c.calls.is_empty())
-                        .map(|(i, _)| i)
-                        .collect();
-                    for i in idxs {
-                        submit_call!(cid, i, ev.at);
-                    }
-                }
-                EvKind::Commit(cid) => {
-                    let a = active.remove(&cid).expect("committed cluster is active");
-                    let step = a.cluster.step;
-                    let new_pos: Vec<(AgentId, S::Pos)> = a
-                        .cluster
-                        .members
-                        .iter()
-                        .map(|m| (*m, workload.pos_after(*m, step)))
-                        .collect();
-                    scheduler.complete(&cid, &new_pos)?;
-                    slots_used -= 1;
-                    pull_ready!();
-                    drain_slots!(ev.at);
-                    if scheduler.is_done() && sim_done_at.is_none() {
-                        sim_done_at = Some(ev.at);
-                    }
-                }
-            }
-        }
-    }
-
-    if !scheduler.is_done() {
-        return Err(EngineError::Deadlock {
-            detail: format!(
-                "hybrid simulation stalled at {now}: {} clusters in flight, {} active",
-                scheduler.inflight_len(),
-                active.len()
-            ),
-        });
-    }
-
-    let makespan = sim_done_at.unwrap_or(now);
-    let m = server.metrics();
-    let report = RunReport {
-        mode: "hybrid".to_string(),
-        makespan,
-        total_calls,
-        total_input_tokens: total_in,
-        total_output_tokens: total_out,
-        achieved_parallelism: m.achieved_parallelism(makespan),
-        gpu_utilization: m.utilization(makespan),
-        sched: scheduler.stats(),
-        server: Some(m),
-        spec: None,
-        timeline: None,
+    let turn = |(k, at): (usize, VirtualTime)| {
+        let id = RequestId(kernel::INTERACTIVE_BASE + k as u64);
+        let (input, output) = (load.input_tokens, load.output_tokens);
+        let req = LlmRequest::new(id, u32::MAX, 0, input, output, CallKind::Converse);
+        (at, req.interactive())
     };
+    let stream: Vec<_> = load.arrivals().into_iter().enumerate().map(turn).collect();
+    let mut outcome = kernel::run(scheduler, workload, server, &stream, cfg)?;
+    let latencies = std::mem::take(&mut outcome.interactive_latencies_us);
+    let report = outcome.report("hybrid".to_string(), scheduler.stats(), None);
     Ok((report, InteractiveReport::from_latencies(latencies)))
 }
 
@@ -436,6 +179,7 @@ mod tests {
     use crate::rules::RuleParams;
     use crate::space::{GridSpace, Point};
     use crate::workload::testutil::TableWorkload;
+    use crate::workload::CallSpec;
     use aim_llm::{presets, ServerConfig};
     use aim_store::Db;
     use std::sync::Arc;
@@ -466,10 +210,28 @@ mod tests {
     }
 
     fn run(server_cfg: ServerConfig, load: InteractiveLoad) -> (RunReport, InteractiveReport) {
+        let (report, chat, _) = run_with(server_cfg, load, &SimConfig::default());
+        (report, chat)
+    }
+
+    /// Also returns the drained server.
+    fn run_with(
+        server_cfg: ServerConfig,
+        load: InteractiveLoad,
+        cfg: &SimConfig,
+    ) -> (RunReport, InteractiveReport, SimServer) {
         let w = busy_workload(6);
         let mut sched = mk_sched(&w.initial, 6);
         let mut server = SimServer::new(server_cfg);
-        run_hybrid_sim(&mut sched, &w, &mut server, &load, &SimConfig::default()).unwrap()
+        let (report, chat) = run_hybrid_sim(&mut sched, &w, &mut server, &load, cfg).unwrap();
+        (report, chat, server)
+    }
+
+    fn recording(cfg: SimConfig) -> SimConfig {
+        SimConfig {
+            record_timeline: true,
+            ..cfg
+        }
     }
 
     #[test]
@@ -568,5 +330,72 @@ mod tests {
         let (report, ir) = run(cfg, load);
         assert_eq!(ir.count, 10, "post-simulation arrivals still served");
         assert!(report.makespan > VirtualTime::ZERO);
+    }
+
+    #[test]
+    fn utilisation_is_taken_over_the_served_interval() {
+        // 400 chat turns keep one replica busy for seconds after a
+        // half-second simulation; whole-run server metrics divided by the
+        // makespan used to report 15 GPUs' worth of utilisation.
+        let cfg = ServerConfig::from_preset(presets::tiny_test(), 1, true);
+        let load = InteractiveLoad::chat(20_000, 400, 5);
+        let (report, chat, server) = run_with(cfg, load, &SimConfig::default());
+        assert_eq!(chat.count, 400);
+        assert!(
+            server.now() > report.makespan,
+            "the stream must outlive the simulation"
+        );
+        assert!(
+            report.gpu_utilization <= 1.0,
+            "utilisation {}",
+            report.gpu_utilization
+        );
+        let m = report.server.as_ref().unwrap();
+        assert_eq!(report.gpu_utilization, m.utilization(server.now()));
+        assert_eq!(
+            report.achieved_parallelism,
+            m.achieved_parallelism(server.now())
+        );
+    }
+
+    #[test]
+    fn empty_load_report_equals_run_sim_except_mode() {
+        let server_cfg = ServerConfig::from_preset(presets::tiny_test(), 1, true);
+        let cfg = recording(SimConfig::default());
+        let (hybrid, _, _) = run_with(server_cfg.clone(), InteractiveLoad::chat(1, 0, 1), &cfg);
+        let w = busy_workload(6);
+        let mut sched = mk_sched(&w.initial, 6);
+        let mut server = SimServer::new(server_cfg);
+        let mut plain = crate::exec::sim::run_sim(&mut sched, &w, &mut server, &cfg).unwrap();
+        assert_eq!(plain.mode, "metropolis");
+        plain.mode = "hybrid".to_string();
+        assert_eq!(hybrid, plain);
+    }
+
+    #[test]
+    fn recorded_timeline_has_background_spans_only() {
+        let server_cfg = ServerConfig::from_preset(presets::tiny_test(), 1, true);
+        let load = InteractiveLoad::chat(20_000, 50, 7);
+        let (report, chat, _) = run_with(server_cfg, load, &recording(SimConfig::default()));
+        assert_eq!(chat.count, 50);
+        let tl = report.timeline.expect("record_timeline is honoured");
+        assert_eq!(tl.spans.len() as u64, report.total_calls);
+        assert!(tl.spans.iter().all(|s| s.agent.0 < 3), "no chat spans");
+        assert_eq!(tl.commits.len(), 18, "3 singleton clusters x 6 steps");
+    }
+
+    #[test]
+    fn single_thread_never_overlaps_background_spans() {
+        let server_cfg = ServerConfig::from_preset(presets::tiny_test(), 1, true);
+        let load = InteractiveLoad::chat(20_000, 50, 7);
+        let cfg = recording(SimConfig::single_thread());
+        let (report, _, _) = run_with(server_cfg, load, &cfg);
+        let tl = report.timeline.unwrap();
+        assert_eq!(tl.spans.len(), 18);
+        assert!(
+            tl.spans.windows(2).all(|w| w[0].end <= w[1].start),
+            "one background call at a time: {:?}",
+            tl.spans
+        );
     }
 }

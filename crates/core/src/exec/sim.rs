@@ -1,17 +1,15 @@
-//! Discrete-event (virtual-time) execution of a replayed workload.
+//! Discrete-event (virtual-time) execution of a replayed workload: the
+//! conservative [`Scheduler`] mounted on the shared event loop.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
-use aim_llm::{LlmRequest, RequestId, SimServer, VirtualTime};
+use aim_llm::SimServer;
 
 use crate::depgraph::DepTracker;
 use crate::error::EngineError;
-use crate::ids::{AgentId, ClusterId};
-use crate::metrics::{CallSpan, RunReport, Timeline};
-use crate::scheduler::{Cluster, Scheduler};
+use crate::exec::kernel;
+use crate::metrics::RunReport;
+use crate::scheduler::Scheduler;
 use crate::space::Space;
-use crate::workload::{CallSpec, Workload};
+use crate::workload::Workload;
 
 /// Knobs of the discrete-event executor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +31,8 @@ pub struct SimConfig {
     /// §3.5) instead of FIFO. Only observable when the worker pool or the
     /// serving engine is saturated.
     pub priority_ready_queue: bool,
-    /// Record a full per-call [`Timeline`] (costs memory on big runs).
+    /// Record a full per-call [`crate::metrics::Timeline`] (costs memory on
+    /// big runs).
     pub record_timeline: bool,
 }
 
@@ -61,44 +60,6 @@ impl SimConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvKind {
-    Start(ClusterId),
-    Commit(ClusterId),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ev {
-    at: VirtualTime,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-struct MemberChain {
-    agent: AgentId,
-    calls: Vec<CallSpec>,
-    next: usize,
-}
-
-struct Active {
-    cluster: Cluster,
-    chains: Vec<MemberChain>,
-    remaining: usize,
-    /// Serial mode: index of the member currently issuing calls.
-    cursor: usize,
-}
-
 /// Drives `scheduler` over `workload` against `server` until every agent
 /// reaches the target step; returns the measured [`RunReport`].
 ///
@@ -119,311 +80,9 @@ where
     G: DepTracker<S>,
     W: Workload<S::Pos> + ?Sized,
 {
-    let mut exec = SimExec {
-        events: BinaryHeap::new(),
-        backlog: BinaryHeap::new(),
-        active: HashMap::new(),
-        req_map: HashMap::new(),
-        open_spans: HashMap::new(),
-        timeline: cfg.record_timeline.then(Timeline::default),
-        slots_used: 0,
-        event_seq: 0,
-        next_req: 0,
-        backlog_seq: 0,
-        now: VirtualTime::ZERO,
-        total_calls: 0,
-        total_in: 0,
-        total_out: 0,
-        cfg: cfg.clone(),
-    };
-    exec.pull_ready(scheduler);
-    exec.drain_slots(exec.now);
-
-    loop {
-        let t_ev = exec.events.peek().map(|Reverse(e)| e.at);
-        let t_srv = server.next_event();
-        let next = match (t_ev, t_srv) {
-            (None, None) => break,
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (Some(a), Some(b)) => a.min(b),
-        };
-        exec.now = next;
-        // Server completions strictly at `next`.
-        if t_srv.is_some_and(|t| t <= next) {
-            for c in server.advance(next) {
-                exec.on_completion(scheduler, server, c.req, c.finished_at)?;
-            }
-        }
-        // Scheduler/CPU events at `next`.
-        while exec.events.peek().is_some_and(|Reverse(e)| e.at <= next) {
-            let Reverse(ev) = exec.events.pop().expect("peeked");
-            exec.on_event(scheduler, server, workload, ev)?;
-        }
-    }
-
-    if !scheduler.is_done() {
-        return Err(EngineError::Deadlock {
-            detail: format!(
-                "simulation stalled at {}: {} clusters in flight, {} active records",
-                exec.now,
-                scheduler.inflight_len(),
-                exec.active.len()
-            ),
-        });
-    }
-
-    let makespan = exec.now;
-    let m = server.metrics();
-    Ok(RunReport {
-        mode: scheduler.policy().label().to_string(),
-        makespan,
-        total_calls: exec.total_calls,
-        total_input_tokens: exec.total_in,
-        total_output_tokens: exec.total_out,
-        achieved_parallelism: m.achieved_parallelism(makespan),
-        gpu_utilization: m.utilization(makespan),
-        sched: scheduler.stats(),
-        server: Some(m),
-        spec: None,
-        timeline: exec.timeline,
-    })
-}
-
-struct SimExec {
-    events: BinaryHeap<Reverse<Ev>>,
-    /// Ready clusters waiting for a worker slot: `(priority, seq)` keyed.
-    backlog: BinaryHeap<Reverse<(u64, u64, ClusterId)>>,
-    active: HashMap<ClusterId, Active>,
-    req_map: HashMap<RequestId, (ClusterId, usize)>,
-    open_spans: HashMap<RequestId, CallSpan>,
-    timeline: Option<Timeline>,
-    slots_used: usize,
-    event_seq: u64,
-    next_req: u64,
-    backlog_seq: u64,
-    now: VirtualTime,
-    total_calls: u64,
-    total_in: u64,
-    total_out: u64,
-    cfg: SimConfig,
-}
-
-impl SimExec {
-    fn schedule(&mut self, at: VirtualTime, kind: EvKind) {
-        let seq = self.event_seq;
-        self.event_seq += 1;
-        self.events.push(Reverse(Ev { at, seq, kind }));
-    }
-
-    fn pull_ready<S: Space, G: DepTracker<S>>(&mut self, scheduler: &mut Scheduler<S, G>) {
-        for cluster in scheduler.ready_clusters() {
-            let prio = if self.cfg.priority_ready_queue {
-                cluster.step.priority()
-            } else {
-                0
-            };
-            let seq = self.backlog_seq;
-            self.backlog_seq += 1;
-            self.active.insert(
-                cluster.id,
-                Active {
-                    cluster: cluster.clone(),
-                    chains: Vec::new(),
-                    remaining: 0,
-                    cursor: 0,
-                },
-            );
-            self.backlog.push(Reverse((prio, seq, cluster.id)));
-        }
-    }
-
-    fn drain_slots(&mut self, now: VirtualTime) {
-        let limit = self.cfg.max_concurrent_clusters.unwrap_or(usize::MAX);
-        while self.slots_used < limit {
-            let Some(Reverse((_, _, cid))) = self.backlog.pop() else {
-                break;
-            };
-            self.slots_used += 1;
-            self.schedule(
-                now + VirtualTime::from_micros(self.cfg.step_cpu_us),
-                EvKind::Start(cid),
-            );
-        }
-    }
-
-    fn submit_call<S: Space, G: DepTracker<S>>(
-        &mut self,
-        server: &mut SimServer,
-        scheduler: &Scheduler<S, G>,
-        cid: ClusterId,
-        member_idx: usize,
-        at: VirtualTime,
-    ) {
-        let _ = scheduler;
-        let active = self.active.get_mut(&cid).expect("active cluster");
-        let chain = &mut active.chains[member_idx];
-        let spec = chain.calls[chain.next];
-        chain.next += 1;
-        let id = RequestId(self.next_req);
-        self.next_req += 1;
-        let req = LlmRequest::new(
-            id,
-            chain.agent.0,
-            active.cluster.step.priority(),
-            spec.input_tokens,
-            spec.output_tokens,
-            spec.kind,
-        );
-        self.req_map.insert(id, (cid, member_idx));
-        self.total_calls += 1;
-        self.total_in += spec.input_tokens as u64;
-        self.total_out += spec.output_tokens as u64;
-        if self.timeline.is_some() {
-            self.open_spans.insert(
-                id,
-                CallSpan {
-                    agent: chain.agent,
-                    step: active.cluster.step,
-                    kind: spec.kind,
-                    start: at,
-                    end: at,
-                },
-            );
-        }
-        server.submit(at, req);
-    }
-
-    fn on_event<S: Space, G: DepTracker<S>, W: Workload<S::Pos> + ?Sized>(
-        &mut self,
-        scheduler: &mut Scheduler<S, G>,
-        server: &mut SimServer,
-        workload: &W,
-        ev: Ev,
-    ) -> Result<(), EngineError> {
-        match ev.kind {
-            EvKind::Start(cid) => {
-                let active = self
-                    .active
-                    .get_mut(&cid)
-                    .expect("started cluster is active");
-                let step = active.cluster.step;
-                active.chains = active
-                    .cluster
-                    .members
-                    .iter()
-                    .map(|m| MemberChain {
-                        agent: *m,
-                        calls: workload.calls(*m, step),
-                        next: 0,
-                    })
-                    .collect();
-                active.remaining = active.chains.iter().filter(|c| !c.calls.is_empty()).count();
-                if active.remaining == 0 {
-                    self.schedule(
-                        ev.at + VirtualTime::from_micros(self.cfg.commit_cpu_us),
-                        EvKind::Commit(cid),
-                    );
-                    return Ok(());
-                }
-                if self.cfg.serial_agents {
-                    let first = self.active[&cid]
-                        .chains
-                        .iter()
-                        .position(|c| !c.calls.is_empty());
-                    if let Some(i) = first {
-                        self.active.get_mut(&cid).expect("active").cursor = i;
-                        self.submit_call(server, scheduler, cid, i, ev.at);
-                    }
-                } else {
-                    let idxs: Vec<usize> = self.active[&cid]
-                        .chains
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| !c.calls.is_empty())
-                        .map(|(i, _)| i)
-                        .collect();
-                    for i in idxs {
-                        self.submit_call(server, scheduler, cid, i, ev.at);
-                    }
-                }
-            }
-            EvKind::Commit(cid) => {
-                let active = self
-                    .active
-                    .remove(&cid)
-                    .expect("committed cluster is active");
-                let step = active.cluster.step;
-                let new_pos: Vec<(AgentId, S::Pos)> = active
-                    .cluster
-                    .members
-                    .iter()
-                    .map(|m| (*m, workload.pos_after(*m, step)))
-                    .collect();
-                scheduler.complete(&cid, &new_pos)?;
-                if let Some(tl) = &mut self.timeline {
-                    tl.commits.push((step, ev.at));
-                }
-                self.slots_used -= 1;
-                self.pull_ready(scheduler);
-                self.drain_slots(ev.at);
-            }
-        }
-        Ok(())
-    }
-
-    fn on_completion<S: Space, G: DepTracker<S>>(
-        &mut self,
-        scheduler: &mut Scheduler<S, G>,
-        server: &mut SimServer,
-        req: LlmRequest,
-        at: VirtualTime,
-    ) -> Result<(), EngineError> {
-        if let Some(mut span) = self.open_spans.remove(&req.id) {
-            span.end = at;
-            if let Some(tl) = &mut self.timeline {
-                tl.spans.push(span);
-            }
-        }
-        let (cid, member_idx) = self
-            .req_map
-            .remove(&req.id)
-            .expect("completion for unknown request");
-        let active = self
-            .active
-            .get_mut(&cid)
-            .expect("completion for inactive cluster");
-        let chain = &active.chains[member_idx];
-        let chain_has_more = chain.next < chain.calls.len();
-        if chain_has_more {
-            self.submit_call(server, scheduler, cid, member_idx, at);
-            return Ok(());
-        }
-        // Member finished its chain.
-        active.remaining -= 1;
-        if self.cfg.serial_agents && active.remaining > 0 {
-            // Start the next member with a non-empty chain.
-            let next = active
-                .chains
-                .iter()
-                .enumerate()
-                .skip(active.cursor + 1)
-                .find(|(_, c)| !c.calls.is_empty() && c.next == 0)
-                .map(|(i, _)| i);
-            if let Some(i) = next {
-                active.cursor = i;
-                self.submit_call(server, scheduler, cid, i, at);
-            }
-            return Ok(());
-        }
-        if active.remaining == 0 {
-            self.schedule(
-                at + VirtualTime::from_micros(self.cfg.commit_cpu_us),
-                EvKind::Commit(cid),
-            );
-        }
-        Ok(())
-    }
+    let outcome = kernel::run(scheduler, workload, server, &[], cfg)?;
+    let mode = scheduler.policy().label().to_string();
+    Ok(outcome.report(mode, scheduler.stats(), None))
 }
 
 #[cfg(test)]
@@ -434,7 +93,8 @@ mod tests {
     use crate::rules::RuleParams;
     use crate::space::{GridSpace, Point};
     use crate::workload::testutil::TableWorkload;
-    use aim_llm::{presets, CallKind, ServerConfig};
+    use crate::workload::CallSpec;
+    use aim_llm::{presets, CallKind, ServerConfig, VirtualTime};
     use aim_store::Db;
     use std::sync::Arc;
 

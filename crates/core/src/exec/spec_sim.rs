@@ -1,78 +1,26 @@
 //! Discrete-event (virtual-time) execution of a replayed workload under
 //! the *speculative* scheduler (paper §6, [`crate::spec`]).
 //!
-//! The driver mirrors [`crate::exec::sim::run_sim`] with the optimistic
-//! twists: poisoned in-flight executions run to completion (no
-//! preemption) and their results are dropped; squashed committed steps
-//! re-execute when their agents re-emit; and every discarded execution's
-//! LLM calls are accounted as waste in [`RunReport::spec`]. Replayed
-//! workloads are deterministic, so the simulation outcome is identical
-//! to the conservative schedule — what changes is completion time
-//! (higher concurrency) against wasted tokens (misspeculation).
+//! The event loop is the one [`crate::exec::sim::run_sim`] runs on, with
+//! the optimistic twists: poisoned in-flight executions run to completion
+//! (no preemption) and their results are dropped; squashed committed
+//! steps re-execute when their agents re-emit; and every discarded
+//! execution's LLM calls are accounted as waste in [`RunReport::spec`].
+//! Replayed workloads are deterministic, so the simulation outcome is
+//! identical to the conservative schedule — what changes is completion
+//! time (higher concurrency) against wasted tokens (misspeculation).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
-use aim_llm::{LlmRequest, RequestId, SimServer, VirtualTime};
+use aim_llm::SimServer;
 
 use crate::error::EngineError;
-use crate::ids::{AgentId, ClusterId};
-use crate::metrics::{CallSpan, RunReport, Timeline};
-use crate::scheduler::Cluster;
+use crate::exec::kernel;
+use crate::metrics::RunReport;
+use crate::scheduler::SchedStats;
 use crate::space::Space;
-use crate::spec::{SpecReport, SpecScheduler};
-use crate::workload::{CallSpec, Workload};
+use crate::spec::SpecScheduler;
+use crate::workload::Workload;
 
 pub use crate::exec::sim::SimConfig;
-
-/// Alias kept for discoverability: the speculative driver reuses the
-/// discrete-event knobs of [`SimConfig`].
-pub type SpecSimConfig = SimConfig;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvKind {
-    Start(ClusterId),
-    Commit(ClusterId),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ev {
-    at: VirtualTime,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Cost {
-    calls: u64,
-    input: u64,
-    output: u64,
-}
-
-struct MemberChain {
-    agent: AgentId,
-    calls: Vec<CallSpec>,
-    next: usize,
-    cost: Cost,
-}
-
-struct Active {
-    cluster: Cluster,
-    chains: Vec<MemberChain>,
-    remaining: usize,
-    cursor: usize,
-}
 
 /// Drives the speculative `scheduler` over `workload` against `server`
 /// until every agent has retired at the target step; returns the
@@ -94,360 +42,18 @@ where
     S: Space,
     W: Workload<S::Pos> + ?Sized,
 {
-    let mut exec = SpecExec {
-        events: BinaryHeap::new(),
-        backlog: BinaryHeap::new(),
-        active: HashMap::new(),
-        req_map: HashMap::new(),
-        open_spans: HashMap::new(),
-        timeline: cfg.record_timeline.then(Timeline::default),
-        committed_cost: HashMap::new(),
-        waste: Cost::default(),
-        slots_used: 0,
-        event_seq: 0,
-        next_req: 0,
-        backlog_seq: 0,
-        now: VirtualTime::ZERO,
-        total_calls: 0,
-        total_in: 0,
-        total_out: 0,
-        cfg: cfg.clone(),
-    };
-    exec.pull_ready(scheduler)?;
-    exec.drain_slots(exec.now);
-
-    loop {
-        let t_ev = exec.events.peek().map(|Reverse(e)| e.at);
-        let t_srv = server.next_event();
-        let next = match (t_ev, t_srv) {
-            (None, None) => break,
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (Some(a), Some(b)) => a.min(b),
-        };
-        exec.now = next;
-        if t_srv.is_some_and(|t| t <= next) {
-            for c in server.advance(next) {
-                exec.on_completion(scheduler, server, c.req, c.finished_at)?;
-            }
-        }
-        while exec.events.peek().is_some_and(|Reverse(e)| e.at <= next) {
-            let Reverse(ev) = exec.events.pop().expect("peeked");
-            exec.on_event(scheduler, server, workload, ev)?;
-        }
-    }
-
-    if !scheduler.is_done() {
-        return Err(EngineError::Deadlock {
-            detail: format!(
-                "speculative simulation stalled at {}: {} clusters in flight, \
-                 {} active records, {} live entries",
-                exec.now,
-                scheduler.inflight_len(),
-                exec.active.len(),
-                scheduler.live_entries()
-            ),
-        });
-    }
-
-    let makespan = exec.now;
-    let m = server.metrics();
+    let outcome = kernel::run(scheduler, workload, server, &[], cfg)?;
     let stats = scheduler.stats();
-    Ok(RunReport {
-        mode: format!("metropolis-spec({})", scheduler.spec_params().max_runahead),
-        makespan,
-        total_calls: exec.total_calls,
-        total_input_tokens: exec.total_in,
-        total_output_tokens: exec.total_out,
-        achieved_parallelism: m.achieved_parallelism(makespan),
-        gpu_utilization: m.utilization(makespan),
-        sched: crate::scheduler::SchedStats {
-            clusters_emitted: stats.emitted_firm + stats.emitted_spec,
-            agent_steps: stats.agent_steps,
-            watcher_wakes: 0,
-            blocked_evals: stats.spec_denied,
-            max_step_skew: stats.max_step_skew,
-            max_cluster_size: stats.max_cluster_size,
-        },
-        server: Some(m),
-        spec: Some(SpecReport {
-            stats,
-            wasted_calls: exec.waste.calls,
-            wasted_input_tokens: exec.waste.input,
-            wasted_output_tokens: exec.waste.output,
-        }),
-        timeline: exec.timeline,
-    })
-}
-
-struct SpecExec {
-    events: BinaryHeap<Reverse<Ev>>,
-    backlog: BinaryHeap<Reverse<(u64, u64, ClusterId)>>,
-    active: HashMap<ClusterId, Active>,
-    req_map: HashMap<RequestId, (ClusterId, usize)>,
-    open_spans: HashMap<RequestId, CallSpan>,
-    timeline: Option<Timeline>,
-    /// Cost of the most recent *accepted* execution per (agent, step);
-    /// charged to waste when that execution is squashed.
-    committed_cost: HashMap<(u32, u32), Cost>,
-    waste: Cost,
-    slots_used: usize,
-    event_seq: u64,
-    next_req: u64,
-    backlog_seq: u64,
-    now: VirtualTime,
-    total_calls: u64,
-    total_in: u64,
-    total_out: u64,
-    cfg: SimConfig,
-}
-
-impl SpecExec {
-    fn schedule(&mut self, at: VirtualTime, kind: EvKind) {
-        let seq = self.event_seq;
-        self.event_seq += 1;
-        self.events.push(Reverse(Ev { at, seq, kind }));
-    }
-
-    fn account_squashed<S: Space>(&mut self, scheduler: &mut SpecScheduler<S>) {
-        for (agent, step) in scheduler.drain_squashed() {
-            if let Some(cost) = self.committed_cost.remove(&(agent.0, step.0)) {
-                self.waste.calls += cost.calls;
-                self.waste.input += cost.input;
-                self.waste.output += cost.output;
-            }
-        }
-    }
-
-    fn pull_ready<S: Space>(
-        &mut self,
-        scheduler: &mut SpecScheduler<S>,
-    ) -> Result<(), EngineError> {
-        let ready = scheduler.ready_clusters()?;
-        self.account_squashed(scheduler);
-        for cluster in ready {
-            let prio = if self.cfg.priority_ready_queue {
-                cluster.step.priority()
-            } else {
-                0
-            };
-            let seq = self.backlog_seq;
-            self.backlog_seq += 1;
-            self.active.insert(
-                cluster.id,
-                Active {
-                    cluster: cluster.clone(),
-                    chains: Vec::new(),
-                    remaining: 0,
-                    cursor: 0,
-                },
-            );
-            self.backlog.push(Reverse((prio, seq, cluster.id)));
-        }
-        Ok(())
-    }
-
-    fn drain_slots(&mut self, now: VirtualTime) {
-        let limit = self.cfg.max_concurrent_clusters.unwrap_or(usize::MAX);
-        while self.slots_used < limit {
-            let Some(Reverse((_, _, cid))) = self.backlog.pop() else {
-                break;
-            };
-            self.slots_used += 1;
-            self.schedule(
-                now + VirtualTime::from_micros(self.cfg.step_cpu_us),
-                EvKind::Start(cid),
-            );
-        }
-    }
-
-    fn submit_call(
-        &mut self,
-        server: &mut SimServer,
-        cid: ClusterId,
-        member_idx: usize,
-        at: VirtualTime,
-    ) {
-        let active = self.active.get_mut(&cid).expect("active cluster");
-        let chain = &mut active.chains[member_idx];
-        let spec = chain.calls[chain.next];
-        chain.next += 1;
-        chain.cost.calls += 1;
-        chain.cost.input += spec.input_tokens as u64;
-        chain.cost.output += spec.output_tokens as u64;
-        let id = RequestId(self.next_req);
-        self.next_req += 1;
-        let req = LlmRequest::new(
-            id,
-            chain.agent.0,
-            active.cluster.step.priority(),
-            spec.input_tokens,
-            spec.output_tokens,
-            spec.kind,
-        );
-        self.req_map.insert(id, (cid, member_idx));
-        self.total_calls += 1;
-        self.total_in += spec.input_tokens as u64;
-        self.total_out += spec.output_tokens as u64;
-        if self.timeline.is_some() {
-            self.open_spans.insert(
-                id,
-                CallSpan {
-                    agent: chain.agent,
-                    step: active.cluster.step,
-                    kind: spec.kind,
-                    start: at,
-                    end: at,
-                },
-            );
-        }
-        server.submit(at, req);
-    }
-
-    fn on_event<S: Space, W: Workload<S::Pos> + ?Sized>(
-        &mut self,
-        scheduler: &mut SpecScheduler<S>,
-        server: &mut SimServer,
-        workload: &W,
-        ev: Ev,
-    ) -> Result<(), EngineError> {
-        match ev.kind {
-            EvKind::Start(cid) => {
-                let active = self
-                    .active
-                    .get_mut(&cid)
-                    .expect("started cluster is active");
-                let step = active.cluster.step;
-                active.chains = active
-                    .cluster
-                    .members
-                    .iter()
-                    .map(|m| MemberChain {
-                        agent: *m,
-                        calls: workload.calls(*m, step),
-                        next: 0,
-                        cost: Cost::default(),
-                    })
-                    .collect();
-                active.remaining = active.chains.iter().filter(|c| !c.calls.is_empty()).count();
-                if active.remaining == 0 {
-                    self.schedule(
-                        ev.at + VirtualTime::from_micros(self.cfg.commit_cpu_us),
-                        EvKind::Commit(cid),
-                    );
-                    return Ok(());
-                }
-                if self.cfg.serial_agents {
-                    let first = self.active[&cid]
-                        .chains
-                        .iter()
-                        .position(|c| !c.calls.is_empty());
-                    if let Some(i) = first {
-                        self.active.get_mut(&cid).expect("active").cursor = i;
-                        self.submit_call(server, cid, i, ev.at);
-                    }
-                } else {
-                    let idxs: Vec<usize> = self.active[&cid]
-                        .chains
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| !c.calls.is_empty())
-                        .map(|(i, _)| i)
-                        .collect();
-                    for i in idxs {
-                        self.submit_call(server, cid, i, ev.at);
-                    }
-                }
-            }
-            EvKind::Commit(cid) => {
-                let active = self
-                    .active
-                    .remove(&cid)
-                    .expect("committed cluster is active");
-                let step = active.cluster.step;
-                let new_pos: Vec<(AgentId, S::Pos)> = active
-                    .cluster
-                    .members
-                    .iter()
-                    .map(|m| (*m, workload.pos_after(*m, step)))
-                    .collect();
-                let outcome = scheduler.complete(&cid, &new_pos)?;
-                self.account_squashed(scheduler);
-                if outcome.committed {
-                    for chain in &active.chains {
-                        self.committed_cost
-                            .insert((chain.agent.0, step.0), chain.cost);
-                    }
-                    if let Some(tl) = &mut self.timeline {
-                        tl.commits.push((step, ev.at));
-                    }
-                } else {
-                    // Poisoned: the issued calls are pure waste; the
-                    // members re-emit from their rolled-back steps.
-                    for chain in &active.chains {
-                        self.waste.calls += chain.cost.calls;
-                        self.waste.input += chain.cost.input;
-                        self.waste.output += chain.cost.output;
-                    }
-                }
-                self.slots_used -= 1;
-                self.pull_ready(scheduler)?;
-                self.drain_slots(ev.at);
-            }
-        }
-        Ok(())
-    }
-
-    fn on_completion<S: Space>(
-        &mut self,
-        scheduler: &mut SpecScheduler<S>,
-        server: &mut SimServer,
-        req: LlmRequest,
-        at: VirtualTime,
-    ) -> Result<(), EngineError> {
-        let _ = scheduler;
-        if let Some(mut span) = self.open_spans.remove(&req.id) {
-            span.end = at;
-            if let Some(tl) = &mut self.timeline {
-                tl.spans.push(span);
-            }
-        }
-        let (cid, member_idx) = self
-            .req_map
-            .remove(&req.id)
-            .expect("completion for unknown request");
-        let active = self
-            .active
-            .get_mut(&cid)
-            .expect("completion for inactive cluster");
-        let chain = &active.chains[member_idx];
-        if chain.next < chain.calls.len() {
-            self.submit_call(server, cid, member_idx, at);
-            return Ok(());
-        }
-        active.remaining -= 1;
-        if self.cfg.serial_agents && active.remaining > 0 {
-            let next = active
-                .chains
-                .iter()
-                .enumerate()
-                .skip(active.cursor + 1)
-                .find(|(_, c)| !c.calls.is_empty() && c.next == 0)
-                .map(|(i, _)| i);
-            if let Some(i) = next {
-                active.cursor = i;
-                self.submit_call(server, cid, i, at);
-            }
-            return Ok(());
-        }
-        if active.remaining == 0 {
-            self.schedule(
-                at + VirtualTime::from_micros(self.cfg.commit_cpu_us),
-                EvKind::Commit(cid),
-            );
-        }
-        Ok(())
-    }
+    let sched = SchedStats {
+        clusters_emitted: stats.emitted_firm + stats.emitted_spec,
+        agent_steps: stats.agent_steps,
+        watcher_wakes: 0,
+        blocked_evals: stats.spec_denied,
+        max_step_skew: stats.max_step_skew,
+        max_cluster_size: stats.max_cluster_size,
+    };
+    let mode = format!("metropolis-spec({})", scheduler.spec_params().max_runahead);
+    Ok(outcome.report(mode, sched, Some(stats)))
 }
 
 #[cfg(test)]
@@ -461,7 +67,8 @@ mod tests {
     use crate::space::{GridSpace, Point};
     use crate::spec::SpecParams;
     use crate::workload::testutil::TableWorkload;
-    use aim_llm::{presets, CallKind, ServerConfig};
+    use crate::workload::CallSpec;
+    use aim_llm::{presets, CallKind, ServerConfig, VirtualTime};
     use aim_store::Db;
     use std::sync::Arc;
 

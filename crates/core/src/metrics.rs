@@ -72,6 +72,14 @@ impl Timeline {
 }
 
 /// The result of executing one simulation run.
+///
+/// In a hybrid run ([`crate::exec::hybrid::run_hybrid_sim`]) the
+/// interactive stream may outlive the simulation, and the server is
+/// drained either way: `makespan` is still the simulation's last commit,
+/// while `server` covers the whole served interval, so
+/// `achieved_parallelism` and `gpu_utilization` are averages over that
+/// interval — up to the last completion of either kind — not over
+/// `makespan`. Everywhere else the two intervals coincide.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct RunReport {

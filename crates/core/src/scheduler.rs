@@ -20,6 +20,7 @@ use aim_store::{Db, StoreError};
 use serde::{Deserialize, Serialize};
 
 use crate::depgraph::{DepGraph, DepTracker};
+use crate::exec::kernel::Controller;
 use crate::ids::{AgentId, ClusterId, Step};
 use crate::policy::DependencyPolicy;
 use crate::rules::RuleParams;
@@ -655,6 +656,32 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
             }
         }
         out
+    }
+}
+
+/// The conservative scheduler as the virtual-time kernel sees it: every
+/// execution it hands out is final.
+impl<S: Space, G: DepTracker<S>> Controller<S::Pos> for Scheduler<S, G> {
+    const SPECULATIVE: bool = false;
+
+    fn ready(&mut self) -> Result<Vec<Cluster>, StoreError> {
+        Ok(self.ready_clusters())
+    }
+
+    fn complete(
+        &mut self,
+        cluster: &ClusterId,
+        new_pos: &[(AgentId, S::Pos)],
+    ) -> Result<bool, StoreError> {
+        Scheduler::complete(self, cluster, new_pos).map(|()| true)
+    }
+
+    fn is_done(&self) -> bool {
+        Scheduler::is_done(self)
+    }
+
+    fn inflight_len(&self) -> usize {
+        Scheduler::inflight_len(self)
     }
 }
 

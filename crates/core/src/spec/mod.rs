@@ -42,7 +42,9 @@
 //! so re-execution reproduces the conservative outcome bit-for-bit and
 //! the *cost* of speculation is isolated: wasted LLM calls for squashed
 //! work against shorter completion time from the extra parallelism.
-//! [`crate::exec::spec_sim::run_spec_sim`] measures both.
+//! [`run_spec_sim`] measures both, on the same virtual-time event loop
+//! as the conservative [`crate::exec::sim::run_sim`] — speculation is
+//! two accounting hooks in that loop, not a loop of its own.
 //!
 //! # Example
 //!
@@ -78,7 +80,7 @@ pub use scheduler::{CommitOutcome, SpecScheduler};
 pub use table::{EntryTable, SpecEntry};
 
 #[doc(inline)]
-pub use crate::exec::spec_sim::{run_spec_sim, SpecSimConfig};
+pub use crate::exec::spec_sim::run_spec_sim;
 
 use serde::{Deserialize, Serialize};
 

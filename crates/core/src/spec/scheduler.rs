@@ -81,6 +81,7 @@ use std::sync::Arc;
 use aim_store::{Db, StoreError};
 
 use crate::depgraph::DepGraph;
+use crate::exec::kernel::Controller;
 use crate::ids::{AgentId, ClusterId, Step};
 use crate::rules::RuleParams;
 use crate::scheduler::Cluster;
@@ -937,6 +938,36 @@ impl<S: Space> SpecScheduler<S> {
             }
         }
         first
+    }
+}
+
+/// The speculative scheduler as the virtual-time kernel sees it: an
+/// execution may be refused on completion or squashed after it.
+impl<S: Space> Controller<S::Pos> for SpecScheduler<S> {
+    const SPECULATIVE: bool = true;
+
+    fn ready(&mut self) -> Result<Vec<Cluster>, StoreError> {
+        self.ready_clusters()
+    }
+
+    fn complete(
+        &mut self,
+        cluster: &ClusterId,
+        new_pos: &[(AgentId, S::Pos)],
+    ) -> Result<bool, StoreError> {
+        SpecScheduler::complete(self, cluster, new_pos).map(|outcome| outcome.committed)
+    }
+
+    fn drain_squashed(&mut self) -> Vec<(AgentId, Step)> {
+        SpecScheduler::drain_squashed(self)
+    }
+
+    fn is_done(&self) -> bool {
+        SpecScheduler::is_done(self)
+    }
+
+    fn inflight_len(&self) -> usize {
+        SpecScheduler::inflight_len(self)
     }
 }
 

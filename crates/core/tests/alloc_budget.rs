@@ -20,6 +20,13 @@
 //! per worker that found any — and nothing per hand-off, per grouping
 //! map or per reply; the workers' threads are counted too.
 //!
+//! `run_sim` and `run_spec_sim` put the virtual-time kernel around those
+//! two: event heap, backlog, one active record per cluster, the request
+//! map. Its budget is what the stand-alone event loops it replaced
+//! allocated per agent-step on the same replay (11.74 conservative,
+//! 10.90 at run-ahead 4), so the merged loop cannot quietly cost more
+//! than the copies did.
+//!
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running beside it would be counted too.
 
@@ -34,7 +41,9 @@ use aim_core::scheduler::Cluster;
 use aim_core::shard::StripShardMap;
 use aim_core::space::{GridSpace, Point};
 use aim_core::spec::{SpecParams, SpecScheduler};
-use aim_core::{AgentId, Step};
+use aim_core::workload::{CallSpec, Workload};
+use aim_core::{AgentId, Engine, Step};
+use aim_llm::{presets, CallKind, ServerConfig};
 use aim_store::Db;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -236,6 +245,51 @@ impl SpecWalk {
     }
 }
 
+/// One row of [`SpecWalk`]'s lattice replayed for 200 steps, one call
+/// per agent-step.
+struct Replay;
+
+impl Workload<Point> for Replay {
+    fn num_agents(&self) -> usize {
+        AGENTS as usize
+    }
+    fn target_step(&self) -> Step {
+        Step(200)
+    }
+    fn initial_pos(&self, a: AgentId) -> Point {
+        SpecWalk::pos(a.0, 0)
+    }
+    fn calls(&self, a: AgentId, s: Step) -> Vec<CallSpec> {
+        vec![CallSpec::new(
+            80 + (a.0 + s.0) % 40,
+            4 + (a.0 * s.0) % 9,
+            CallKind::Plan,
+        )]
+    }
+    fn pos_after(&self, a: AgentId, s: Step) -> Point {
+        SpecWalk::pos(a.0, s.0 + 1)
+    }
+}
+
+/// Heap allocations per executed agent-step of one whole virtual-time
+/// replay of [`Replay`] (scheduler and server construction included),
+/// conservative or under `speculation`.
+fn replay_allocs_per_agent_step(speculation: Option<SpecParams>) -> f64 {
+    let mut builder = Engine::builder(GridSpace::new(420, 180)).server(ServerConfig::from_preset(
+        presets::tiny_test(),
+        2,
+        true,
+    ));
+    if let Some(spec) = speculation {
+        builder = builder.speculation(spec);
+    }
+    let engine = builder.build();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let report = engine.run_replay(&Replay).expect("replay");
+    let counted = ALLOCS.load(Ordering::Relaxed) - before;
+    counted as f64 / report.sched.agent_steps as f64
+}
+
 #[test]
 fn cluster_commit_stays_within_its_allocation_budget() {
     for (size, budget) in [(1u32, 3.0f64), (4, 8.0)] {
@@ -289,4 +343,15 @@ fn cluster_commit_stays_within_its_allocation_budget() {
         per_commit <= 6.0,
         "a speculative emit-commit-retire cycle averages {per_commit:.2} heap allocations, budget 6"
     );
+
+    // The virtual-time kernel around both schedulers, in the same test
+    // (see the module docs).
+    for (speculation, budget) in [(None, 11.74f64), (Some(SpecParams::new(4)), 10.90)] {
+        let per_step = replay_allocs_per_agent_step(speculation);
+        println!("virtual-time replay, {speculation:?}: {per_step:.2} allocations per agent-step");
+        assert!(
+            per_step <= budget,
+            "a replayed agent-step ({speculation:?}) averages {per_step:.2} heap allocations, budget {budget}"
+        );
+    }
 }

@@ -767,13 +767,8 @@ fn cmd_latency(args: &[String]) {
 }
 
 fn cmd_replay(args: &[String]) {
-    use aim_core::exec::sim::{run_sim, SimConfig};
-    use aim_core::policy::DependencyPolicy;
     use aim_core::prelude::*;
-    use aim_core::spec::{run_spec_sim, SpecParams, SpecScheduler};
-    use aim_core::workload::Workload;
-    use aim_llm::{ServerConfig, SimServer};
-    use aim_store::Db;
+    use aim_llm::ServerConfig;
     use std::sync::Arc;
 
     let trace = load(&args[0]);
@@ -798,51 +793,33 @@ fn cmd_replay(args: &[String]) {
     }
     let preset = parse_preset(&preset_name);
     let meta = trace.meta();
-    let space = Arc::new(GridSpace::new(meta.map_width, meta.map_height));
-    let params = RuleParams::new(meta.radius_p, meta.max_vel);
-    let initial: Vec<Point> = (0..meta.num_agents)
-        .map(|a| trace.initial_position(a))
-        .collect();
     let replicas = preset.replicas_for_gpus(gpus);
-    let server_cfg = ServerConfig::from_preset(preset, replicas, priority);
-    let target = Workload::target_step(&trace);
     let single_thread = mode == "single-thread";
-    let sim = SimConfig {
-        serial_agents: single_thread,
-        max_concurrent_clusters: if single_thread { Some(1) } else { Some(48) },
-        priority_ready_queue: priority,
-        ..SimConfig::default()
-    };
-
-    let report = if let Some(budget) = mode.strip_prefix("spec:") {
+    let engine = Engine::builder(GridSpace::new(meta.map_width, meta.map_height))
+        .rules(RuleParams::new(meta.radius_p, meta.max_vel))
+        .server(ServerConfig::from_preset(preset, replicas, priority))
+        .sim(SimConfig {
+            serial_agents: single_thread,
+            max_concurrent_clusters: if single_thread { Some(1) } else { Some(48) },
+            priority_ready_queue: priority,
+            ..SimConfig::default()
+        });
+    let engine = if let Some(budget) = mode.strip_prefix("spec:") {
         let budget: u32 = budget.parse().unwrap_or_else(|_| usage());
-        let mut sched = SpecScheduler::new(
-            space,
-            params,
-            SpecParams::new(budget),
-            Arc::new(Db::new()),
-            &initial,
-            target,
-        )
-        .expect("scheduler");
-        let mut server = SimServer::new(server_cfg);
-        run_spec_sim(&mut sched, &trace, &mut server, &sim).expect("replay")
+        engine.speculation(SpecParams::new(budget))
     } else {
-        let policy = match mode.as_str() {
+        engine.policy(match mode.as_str() {
             "single-thread" | "parallel-sync" => DependencyPolicy::GlobalSync,
             "metropolis" => DependencyPolicy::Spatiotemporal,
             "oracle" => DependencyPolicy::Oracle(Arc::new(aim_trace::oracle::mine(&trace))),
             "no-dependency" => DependencyPolicy::NoDependency,
             _ => usage(),
-        };
-        let mut sched =
-            Scheduler::new(space, params, policy, Arc::new(Db::new()), &initial, target)
-                .expect("scheduler");
-        let mut server = SimServer::new(server_cfg);
-        let mut r = run_sim(&mut sched, &trace, &mut server, &sim).expect("replay");
-        r.mode = mode.clone();
-        r
+        })
     };
+    let mut report = engine.build().run_replay(&trace).expect("replay");
+    if report.spec.is_none() {
+        report.mode = mode.clone();
+    }
 
     println!("mode             : {}", report.mode);
     println!("deployment       : {gpus} GPU(s), {replicas} replica(s) of {preset_name}");
