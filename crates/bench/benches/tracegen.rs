@@ -4,7 +4,7 @@
 use std::hint::black_box;
 
 use aim_trace::{gen, oracle};
-use aim_world::clock_to_step;
+use aim_world::{clock_to_step, Village, VillageConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_generate_hour(c: &mut Criterion) {
@@ -22,8 +22,27 @@ fn bench_generate_hour(c: &mut Criterion) {
     g.finish();
 }
 
+/// What every replay workload's set-up pays before its window opens:
+/// a world generated and lived from midnight to noon (wakes, the
+/// commute's pathfinding, a morning of perception).
+fn bench_warmup(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tracegen/warmup_to_noon");
+    g.sample_size(10);
+    g.bench_function("250", |b| {
+        b.iter(|| {
+            let mut v = Village::generate(&VillageConfig {
+                villes: 10,
+                agents_per_ville: 25,
+                seed: 42,
+            });
+            v.run_lockstep(0, clock_to_step(12, 0), |_, _, _, _| {});
+            black_box(v.positions())
+        });
+    });
+    g.finish();
+}
+
 fn bench_plan_step(c: &mut Criterion) {
-    use aim_world::{Village, VillageConfig};
     let mut v = Village::generate(&VillageConfig {
         villes: 4,
         agents_per_ville: 25,
@@ -50,9 +69,19 @@ fn bench_oracle_mine(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_calibration(c: &mut Criterion) {
+    // Machine-speed reference for bench_gate normalization (see
+    // `aim_bench::calibration_spin`).
+    c.bench_function("calibration/spin", |b| {
+        b.iter(|| black_box(aim_bench::calibration_spin()))
+    });
+}
+
 criterion_group!(
     benches,
+    bench_calibration,
     bench_generate_hour,
+    bench_warmup,
     bench_plan_step,
     bench_oracle_mine
 );

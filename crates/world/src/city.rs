@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::grid::{AreaKind, TileMap};
-use crate::pathfind::path_len;
+use crate::pathfind;
 use crate::persona::Persona;
 use crate::village::Village;
 
@@ -309,6 +309,7 @@ impl RoadGraph {
             })
             .collect();
         let mut edges = Vec::new();
+        let mut scratch = pathfind::Scratch::default();
         for d in 0..cfg.num_districts() {
             let (cx, cy) = (d % cfg.districts_x, d / cfg.districts_x);
             for (nx, ny) in [(cx + 1, cy), (cx, cy + 1)] {
@@ -316,7 +317,8 @@ impl RoadGraph {
                     continue;
                 }
                 let n = ny * cfg.districts_x + nx;
-                let w = path_len(map, nodes[d as usize], nodes[n as usize])
+                let w = scratch
+                    .path_len(map, nodes[d as usize], nodes[n as usize])
                     .unwrap_or_else(|| panic!("districts {d} and {n} disconnected"));
                 edges.push((d, n, w));
             }

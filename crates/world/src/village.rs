@@ -24,6 +24,7 @@
 use aim_core::space::Point;
 use aim_core::workload::CallSpec;
 use aim_llm::CallKind;
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -31,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use crate::conversation::{sample_turns, start_probability, CONV_COOLDOWN, CONV_RADIUS};
 use crate::grid::TileMap;
 use crate::memory::{MemoryKind, MemoryStream};
-use crate::pathfind::astar;
+use crate::pathfind;
 use crate::persona::{generate_personas, Persona};
 use crate::schedule::{ActivityKind, DailySchedule, ScheduleEntry};
 use crate::scripted::{sample_call_tokens, SiteRng};
@@ -157,19 +158,108 @@ pub struct Village {
     map: TileMap,
     agents: Vec<AgentRt>,
     events: Vec<WorldEvent>,
-    /// Spatial hash of committed positions (cell side [`BUCKET_CELL`]),
-    /// so neighbor queries stay O(local density) at 1000 agents.
-    buckets: std::collections::HashMap<(i32, i32), Vec<u32>>,
+    /// Awake agents by map cell, so neighbor queries stay O(local
+    /// density) at 1000 agents. Derived from `agents`.
+    index: CellIndex,
+    scratch: PlanScratch,
 }
 
-/// Spatial-hash cell side; ≥ the largest query radius used in planning.
+/// Cell side of the position index; ≥ the largest query radius used in
+/// planning, so a query reads the 3×3 cells around its centre.
 const BUCKET_CELL: i32 = 8;
+
+/// Perception radius (`radius_p`, paper §2.1).
+const PERCEIVE_RADIUS: u64 = 4;
+
+// Conversation candidates are read off the perception set, and the
+// perception set off one ring of cells.
+const _: () = assert!(CONV_RADIUS <= PERCEIVE_RADIUS && PERCEIVE_RADIUS <= BUCKET_CELL as u64);
 
 /// Version tag of the [`Village::capture_state`] encoding.
 const STATE_VERSION: u32 = 1;
 
-fn bucket_of(p: Point) -> (i32, i32) {
-    (p.x.div_euclid(BUCKET_CELL), p.y.div_euclid(BUCKET_CELL))
+/// The awake agents and their committed positions, bucketed by the
+/// [`BUCKET_CELL`]-sided cell they stand in: a dense row-major grid
+/// covering the map (every committed position is a map tile). A
+/// neighbourhood query reads nine cells' entries and nothing else —
+/// sleepers, which no query reports, are not filed.
+#[derive(Debug, Clone)]
+struct CellIndex {
+    cols: usize,
+    rows: usize,
+    cells: Vec<Vec<(u32, Point)>>,
+}
+
+impl CellIndex {
+    fn build(map: &TileMap, agents: &[AgentRt]) -> Self {
+        let cols = map.width().div_ceil(BUCKET_CELL as u32) as usize;
+        let rows = map.height().div_ceil(BUCKET_CELL as u32) as usize;
+        let mut index = CellIndex {
+            cols,
+            rows,
+            cells: vec![Vec::new(); cols * rows],
+        };
+        for (i, a) in agents.iter().enumerate() {
+            index.refile(i as u32, None, a.awake.then_some(a.pos));
+        }
+        index
+    }
+
+    fn cell_of(&self, p: Point) -> usize {
+        (p.y / BUCKET_CELL) as usize * self.cols + (p.x / BUCKET_CELL) as usize
+    }
+
+    /// Moves `agent`'s entry from where it was filed to where it now
+    /// belongs (`None`: asleep, not filed).
+    fn refile(&mut self, agent: u32, was: Option<Point>, now: Option<Point>) {
+        if let Some(p) = was {
+            let cell = self.cell_of(p);
+            let cell = &mut self.cells[cell];
+            let at = cell
+                .iter()
+                .position(|&(i, _)| i == agent)
+                .expect("awake agents are filed");
+            cell.swap_remove(at);
+        }
+        if let Some(p) = now {
+            let cell = self.cell_of(p);
+            self.cells[cell].push((agent, p));
+        }
+    }
+
+    /// Every entry of the 3×3 cells around `p`'s cell, in no particular
+    /// order.
+    fn around(&self, p: Point) -> impl Iterator<Item = (u32, Point)> + '_ {
+        let (cx, cy) = ((p.x / BUCKET_CELL) as usize, (p.y / BUCKET_CELL) as usize);
+        let xs = cx.saturating_sub(1)..(cx + 2).min(self.cols);
+        (cy.saturating_sub(1)..(cy + 2).min(self.rows)).flat_map(move |y| {
+            self.cells[y * self.cols + xs.start..y * self.cols + xs.end]
+                .iter()
+                .flatten()
+                .copied()
+        })
+    }
+}
+
+/// Working memory [`Village::plan_step`] reuses from call to call, so a
+/// plan's cost is what it explores: the A* scratch, and the buffer one
+/// neighbourhood query fills. It belongs to the world — one per
+/// `Village`, dropped with it — holds nothing a plan's result depends
+/// on, and is therefore not copied by `Clone`.
+#[derive(Debug, Default)]
+struct PlanScratch(Mutex<PlanBuffers>);
+
+#[derive(Debug, Default)]
+struct PlanBuffers {
+    path: pathfind::Scratch,
+    /// `(d², id)` of the awake agents in perception range, nearest first.
+    near: Vec<(u64, u32)>,
+}
+
+impl Clone for PlanScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 // Perception tuning (see DESIGN.md §4.4 and the stats tests in aim-trace):
@@ -201,7 +291,7 @@ impl Village {
         };
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let personas = generate_personas(&map, cfg.num_agents(), &mut rng);
-        let agents = personas
+        let agents: Vec<AgentRt> = personas
             .into_iter()
             .map(|persona| {
                 let schedule = DailySchedule::generate(&map, &persona, &mut rng);
@@ -219,22 +309,14 @@ impl Village {
                 }
             })
             .collect();
-        let mut village = Village {
+        Village {
             cfg: *cfg,
+            index: CellIndex::build(&map, &agents),
             map,
             agents,
             events: Vec::new(),
-            buckets: Default::default(),
-        };
-        for i in 0..village.agents.len() {
-            let pos = village.agents[i].pos;
-            village
-                .buckets
-                .entry(bucket_of(pos))
-                .or_default()
-                .push(i as u32);
+            scratch: PlanScratch::default(),
         }
-        village
     }
 
     /// Assembles a world from an externally generated substrate — map
@@ -287,22 +369,14 @@ impl Village {
                 }
             })
             .collect();
-        let mut village = Village {
+        Village {
             cfg,
+            index: CellIndex::build(&map, &agents),
             map,
             agents,
             events: Vec::new(),
-            buckets: Default::default(),
-        };
-        for i in 0..village.agents.len() {
-            let pos = village.agents[i].pos;
-            village
-                .buckets
-                .entry(bucket_of(pos))
-                .or_default()
-                .push(i as u32);
+            scratch: PlanScratch::default(),
         }
-        village
     }
 
     /// The configuration used to generate the village (`villes == 0`
@@ -386,34 +460,41 @@ impl Village {
     ///
     /// # Panics
     ///
-    /// Panics (debug) if `units` exceeds the spatial-hash cell size, which
+    /// Panics if `units` exceeds the position index's cell size, which
     /// would silently miss neighbors.
     pub fn neighbors_within(&self, agent: u32, units: u64) -> Vec<u32> {
-        debug_assert!(
-            units as i32 <= BUCKET_CELL,
-            "query radius exceeds bucket cell"
+        let mut near = Vec::new();
+        self.near_into(agent, units, &mut near);
+        near.into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// [`Village::neighbors_within`] into a caller-kept buffer, with the
+    /// squared distances it sorted by: `out` is cleared, then holds
+    /// `(d², id)` nearest-first then by id.
+    fn near_into(&self, agent: u32, units: u64, out: &mut Vec<(u64, u32)>) {
+        assert!(
+            units <= BUCKET_CELL as u64,
+            "query radius exceeds index cell"
         );
         let me = self.agents[agent as usize].pos;
-        let (cx, cy) = bucket_of(me);
-        let mut out: Vec<(u64, u32)> = Vec::new();
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let Some(ids) = self.buckets.get(&(cx + dx, cy + dy)) else {
-                    continue;
-                };
-                for &i in ids {
-                    if i == agent || !self.agents[i as usize].awake {
-                        continue;
-                    }
-                    let d2 = me.dist2(self.agents[i as usize].pos);
-                    if d2 <= units * units {
-                        out.push((d2, i));
-                    }
-                }
-            }
-        }
+        out.clear();
+        out.extend(self.index.around(me).filter_map(|(i, pos)| {
+            let d2 = me.dist2(pos);
+            (i != agent && d2 <= units * units).then_some((d2, i))
+        }));
         out.sort_unstable();
-        out.into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// Whom `agent` would strike up a conversation with at `step`: the
+    /// nearest perceived agent within [`CONV_RADIUS`] that is off
+    /// cooldown. `near` is the perception set from
+    /// [`Village::near_into`]; those within the smaller radius are a
+    /// prefix of it.
+    fn conversation_candidate(&self, step: u32, near: &[(u64, u32)]) -> Option<u32> {
+        near.iter()
+            .take_while(|&&(d2, _)| d2 <= CONV_RADIUS * CONV_RADIUS)
+            .map(|&(_, c)| c)
+            .find(|&c| step >= self.agents[c as usize].cooldown_until)
     }
 
     /// Plans `agent`'s step `step` against committed state (pure; see
@@ -467,9 +548,13 @@ impl Village {
         }
 
         // --- Perception ---------------------------------------------------
-        let neighbors = self.neighbors_within(agent, 4); // radius_p
-        let crowd = neighbors.len().min(5) as f32;
-        let p = if neighbors.is_empty() {
+        // One neighbourhood query serves perception and, further down,
+        // the conversation candidates.
+        let mut buffers = self.scratch.0.lock();
+        let near = &mut buffers.near;
+        self.near_into(agent, PERCEIVE_RADIUS, near);
+        let crowd = near.len().min(5) as f32;
+        let p = if near.is_empty() {
             AMBIENT_P * Self::perceive_factor(block.kind) * 0.5
         } else {
             ((PERCEIVE_BASE + PERCEIVE_PER_NEIGHBOR * crowd) * Self::perceive_factor(block.kind))
@@ -479,7 +564,7 @@ impl Village {
         if prng.unit() < p {
             let (i, o) = sample_call_tokens(&mut trng, CallKind::Perceive, ctx, 0);
             plan.calls.push(CallSpec::new(i, o, CallKind::Perceive));
-            let kws: Vec<u32> = neighbors.iter().take(3).copied().collect();
+            let kws: Vec<u32> = near.iter().take(3).map(|&(_, i)| i).collect();
             plan.memory_adds
                 .push((MemoryKind::Observation, 1.0 + 2.0 * prng.unit(), kws));
             // Perceived events usually warrant reactions: retrieve related
@@ -524,12 +609,7 @@ impl Village {
         if step >= a.cooldown_until {
             let social = block.kind.social_factor();
             if social > 0.0 {
-                let candidates: Vec<u32> = self
-                    .neighbors_within(agent, CONV_RADIUS)
-                    .into_iter()
-                    .filter(|&c| step >= self.agents[c as usize].cooldown_until)
-                    .collect();
-                if let Some(&cand) = candidates.first() {
+                if let Some(cand) = self.conversation_candidate(step, near) {
                     let p =
                         start_probability(a.persona.chattiness, a.persona.is_friend(cand), social);
                     let mut crng = SiteRng::new(seed, agent, step, SALT_CONV);
@@ -589,11 +669,12 @@ impl Village {
             }
         }
         // (Re)plan.
-        match astar(&self.map, a.pos, seat) {
-            Some(path) if path.len() >= 2 => {
-                let tail: Vec<Point> = path[1..].to_vec();
-                let mut plan = StepPlan::stay(tail[0]);
-                plan.new_path = Some(tail);
+        let path = self.scratch.0.lock().path.astar(&self.map, a.pos, seat);
+        match path {
+            Some(mut path) if path.len() >= 2 => {
+                path.remove(0); // `pos` itself
+                let mut plan = StepPlan::stay(path[0]);
+                plan.new_path = Some(path);
                 plan
             }
             _ => StepPlan::stay(a.pos), // unreachable seat: stay put
@@ -623,13 +704,12 @@ impl Village {
             );
         }
         let mut events = Vec::new();
-        let Village {
-            agents, buckets, ..
-        } = self;
+        let Village { agents, index, .. } = self;
         for &i in &order {
             let (agent, plan) = &plans[i];
             let block_start = agents[*agent as usize].schedule.at(step).start;
             let a = &mut agents[*agent as usize];
+            let filed = a.awake.then_some(a.pos);
             if let Some(awake) = plan.wake_change {
                 a.awake = awake;
                 events.push(WorldEvent {
@@ -647,16 +727,14 @@ impl Village {
                 a.target = *path.last().expect("paths are non-empty");
             }
             if plan.move_to != a.pos {
-                let (old_b, new_b) = (bucket_of(a.pos), bucket_of(plan.move_to));
                 a.pos = plan.move_to;
                 if a.path.first() == Some(&plan.move_to) {
                     a.path.remove(0);
                 }
-                if old_b != new_b {
-                    let cell = buckets.get_mut(&old_b).expect("agent was indexed");
-                    cell.retain(|&x| x != *agent);
-                    buckets.entry(new_b).or_default().push(*agent);
-                }
+            }
+            let now = a.awake.then_some(a.pos);
+            if now != filed {
+                index.refile(*agent, filed, now);
             }
             for (kind, importance, kws) in &plan.memory_adds {
                 a.memory.observe(step, *kind, *importance, kws.clone());
@@ -741,7 +819,7 @@ impl Village {
     /// the reflection accumulator). Plus the committed world-event log.
     /// Personas, schedules, and the tile map are deterministic functions
     /// of [`VillageConfig`] (embedded in the header) and are regenerated
-    /// on restore; the spatial hash is rebuilt from positions.
+    /// on restore; the position index is rebuilt from positions.
     ///
     /// The encoding is hand-written (the serde derives in this workspace
     /// are structural annotations only): version-tagged, big-endian,
@@ -844,6 +922,12 @@ impl Village {
         };
         for a in village.agents.iter_mut() {
             a.pos = get_point(&mut rd)?;
+            if !village.map.in_bounds(a.pos) {
+                return Err(StoreError::Codec(format!(
+                    "agent position {} lies outside the map",
+                    a.pos
+                )));
+            }
             a.target = get_point(&mut rd)?;
             let path_len = get_u32(&mut rd)? as usize;
             a.path = (0..path_len)
@@ -898,16 +982,7 @@ impl Village {
                 rd.len()
             )));
         }
-        // Rebuild the derived spatial hash from the restored positions.
-        village.buckets.clear();
-        for i in 0..village.agents.len() {
-            let pos = village.agents[i].pos;
-            village
-                .buckets
-                .entry(bucket_of(pos))
-                .or_default()
-                .push(i as u32);
-        }
+        village.index = CellIndex::build(&village.map, &village.agents);
         Ok(village)
     }
 
@@ -1189,6 +1264,16 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_positions_off_the_map() {
+        let v = village();
+        let mut state = v.capture_state().to_vec();
+        // Agent 0's position follows the 24-byte header.
+        state[24..28].copy_from_slice(&(-1i32).to_be_bytes());
+        let err = Village::restore(&bytes::Bytes::from(state)).unwrap_err();
+        assert!(err.to_string().contains("outside the map"), "{err}");
+    }
+
+    #[test]
     fn restore_state_in_place_and_config_guard() {
         let mut v = village();
         v.run_lockstep(0, clock_to_step(9, 0), |_, _, _, _| {});
@@ -1243,5 +1328,78 @@ mod tests {
             calls > 100,
             "an active hour must produce traffic, got {calls}"
         );
+    }
+
+    use proptest::prelude::*;
+
+    /// Awake agents within `units` of `agent`, by scanning everyone.
+    fn scan_within(v: &Village, agent: u32, units: u64) -> Vec<(u64, u32)> {
+        let me = v.pos(agent);
+        let mut out: Vec<(u64, u32)> = (0..v.num_agents() as u32)
+            .filter(|&i| i != agent && v.agents[i as usize].awake)
+            .map(|i| (me.dist2(v.pos(i)), i))
+            .filter(|&(d2, _)| d2 <= units * units)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// After arbitrary commits (wakes, sleeps, moves of any length
+        /// across index cells, cooldowns) the buffered query, the public
+        /// `neighbors_within` and a scan of the whole population agree
+        /// at the conversation and perception radii, and the candidate
+        /// read off the perception set is the one a second, radius-3
+        /// query gave.
+        #[test]
+        fn one_buffered_query_equals_two_scans(
+            seed in 0u64..200,
+            commits in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u32..50, 0i32..24, 0i32..24, any::<bool>(), any::<bool>()),
+                    1..20,
+                ),
+                1..6,
+            ),
+        ) {
+            let mut v = Village::generate(&VillageConfig { villes: 2, agents_per_ville: 25, seed });
+            // Crowd everyone around the boundary between the two villes,
+            // on a patch spanning 3×3 index cells.
+            let corner = Point::new(100 - 12, 0);
+            let mut near = vec![(0, 0)]; // reused, and dirty on entry
+            for (step, batch) in commits.into_iter().enumerate() {
+                let step = step as u32;
+                let mut plans: Vec<(u32, StepPlan)> = Vec::new();
+                for (agent, dx, dy, awake, chat) in batch {
+                    if plans.iter().any(|(a, _)| *a == agent) {
+                        continue;
+                    }
+                    let mut plan = StepPlan::stay(Point::new(corner.x + dx, corner.y + dy));
+                    plan.wake_change = Some(awake);
+                    if chat {
+                        plan.conv_full = Some(((agent + 1) % 50, 3));
+                    }
+                    plans.push((agent, plan));
+                }
+                v.commit_step(step, &plans);
+                for agent in 0..50 {
+                    for units in [CONV_RADIUS, PERCEIVE_RADIUS] {
+                        let want = scan_within(&v, agent, units);
+                        v.near_into(agent, units, &mut near);
+                        prop_assert_eq!(&near, &want);
+                        let ids: Vec<u32> = want.iter().map(|&(_, i)| i).collect();
+                        prop_assert_eq!(v.neighbors_within(agent, units), ids);
+                    }
+                    // `near` now holds the perception set.
+                    let second_query = v
+                        .neighbors_within(agent, CONV_RADIUS)
+                        .into_iter()
+                        .find(|&c| step >= v.agents[c as usize].cooldown_until);
+                    prop_assert_eq!(v.conversation_candidate(step, &near), second_query);
+                }
+            }
+        }
     }
 }
