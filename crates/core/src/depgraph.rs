@@ -56,10 +56,11 @@ pub(crate) const HIST_TAG: [u8; 4] = *b"dhst";
 /// step `< dep:hist_floor` has been compacted away.
 pub(crate) const HIST_FLOOR_KEY: &str = "dep:hist_floor";
 
-/// The dependency-tracking surface the [`crate::scheduler::Scheduler`]
-/// and the executors consume, abstracted so the same state machine drives
-/// both the single-shard [`DepGraph`] and the partitioned
-/// [`crate::shard::ShardedDepGraph`].
+/// The dependency-tracking surface the [`crate::scheduler::Scheduler`],
+/// the [`crate::spec::SpecScheduler`] and the executors consume,
+/// abstracted so the same state machine drives the single-shard
+/// [`DepGraph`], the partitioned [`crate::shard::ShardedDepGraph`] and
+/// the distributed [`crate::dist::DistTracker`].
 ///
 /// Implementations must answer edge queries (`first_blocker`,
 /// `coupled_of`) **exactly** per the §3.2 rules — the scheduler's
@@ -67,6 +68,18 @@ pub(crate) const HIST_FLOOR_KEY: &str = "dep:hist_floor";
 /// adjacency is stored (one global index, spatial shards…) is the
 /// implementation's business; it changes cost, never a scheduling
 /// decision.
+///
+/// # Hosting speculation
+///
+/// The speculative scheduler additionally rewinds agents
+/// ([`DepTracker::rollback`]) and asks neighbourhood questions
+/// ([`DepTracker::candidates_within`]). Both have default bodies: the
+/// default `rollback` refuses with a [`StoreError`], so a tracker that
+/// keeps it can run every conservative policy but fails the first squash
+/// of a speculative run; the default `candidates_within` names every
+/// agent, which is correct and linear. [`DepGraph`] and
+/// [`crate::shard::ShardedDepGraph`] implement both and host speculation;
+/// [`crate::dist::DistTracker`] keeps the defaults.
 pub trait DepTracker<S: Space>: Send {
     /// Number of agents tracked.
     fn len(&self) -> usize;
@@ -90,6 +103,32 @@ pub trait DepTracker<S: Space>: Send {
     ///
     /// Propagates store transaction failures.
     fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError>;
+
+    /// Rewinds every `(agent, step, position)` to that earlier state as a
+    /// single store transaction and repairs the derived edges — the
+    /// squash of a speculative run. A target step may lie several steps
+    /// back but never ahead of the agent's current step; on error no
+    /// agent has moved.
+    ///
+    /// # Errors
+    ///
+    /// Propagates store transaction failures. The default body refuses
+    /// every call: such a tracker cannot host speculation.
+    fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
+        let _ = updates;
+        Err(StoreError::TxnAborted(
+            "this dependency tracker cannot roll agents back".into(),
+        ))
+    }
+
+    /// Appends to `out` every agent that may currently stand within
+    /// `units` of `center`: a superset, in no particular order, possibly
+    /// with repeats. Callers re-check each candidate with
+    /// [`Space::within_units`] and must not depend on the order; `out` is
+    /// not cleared. The default names every agent.
+    fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        query_or_all(None, self.len(), center, units, out);
+    }
 
     /// First agent (in `(step, id)` order) currently blocking `a`.
     fn first_blocker(&self, a: AgentId) -> Option<AgentId>;
@@ -897,12 +936,6 @@ impl<S: Space> DepGraph<S> {
     /// edge maintenance keeps current) — or every agent id when the space
     /// has no index or edges are [`EdgeMode::Off`]. Callers re-check
     /// candidates with [`Space::within_units`]; `out` is not cleared.
-    ///
-    /// The speculative scheduler's race, observation and clearance checks
-    /// ask this instead of walking the population. It becomes a
-    /// [`DepTracker`] method when speculation is layered over
-    /// `Scheduler<S, G>` (ROADMAP item 3) and the sharded trackers have
-    /// to answer it too.
     pub fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
         let index = self.edges.as_ref().and_then(|e| e.index.as_deref());
         query_or_all(index, self.nodes.len(), center, units, out);
@@ -991,6 +1024,16 @@ impl<S: Space> DepTracker<S> for DepGraph<S> {
     #[inline]
     fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
         DepGraph::advance(self, updates)
+    }
+
+    #[inline]
+    fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
+        DepGraph::rollback(self, updates)
+    }
+
+    #[inline]
+    fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        DepGraph::candidates_within(self, center, units, out)
     }
 
     #[inline]

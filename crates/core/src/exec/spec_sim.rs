@@ -12,6 +12,7 @@
 
 use aim_llm::SimServer;
 
+use crate::depgraph::DepTracker;
 use crate::error::EngineError;
 use crate::exec::kernel;
 use crate::metrics::RunReport;
@@ -32,14 +33,15 @@ pub use crate::exec::sim::SimConfig;
 ///
 /// Propagates store failures and reports scheduler deadlock as
 /// [`EngineError::Deadlock`].
-pub fn run_spec_sim<S, W>(
-    scheduler: &mut SpecScheduler<S>,
+pub fn run_spec_sim<S, G, W>(
+    scheduler: &mut SpecScheduler<S, G>,
     workload: &W,
     server: &mut SimServer,
     cfg: &SimConfig,
 ) -> Result<RunReport, EngineError>
 where
     S: Space,
+    G: DepTracker<S>,
     W: Workload<S::Pos> + ?Sized,
 {
     let outcome = kernel::run(scheduler, workload, server, &[], cfg)?;

@@ -7,24 +7,29 @@
 //! clusters`](Scheduler::ready_clusters), execute them (issuing LLM calls
 //! however they like), and report [`completions`](Scheduler::complete).
 //!
-//! Internally the scheduler keeps a *dirty set* of agents whose readiness
-//! must be (re)evaluated and a *watcher table* mapping a blocking agent to
-//! the agents waiting on it, so each commit touches only the affected
+//! The ready/complete cycle itself lives in one crate-private core that
+//! [`Scheduler`] and the speculative [`crate::spec::SpecScheduler`] both
+//! hold: per-agent states, a *dirty set* of agents whose readiness must
+//! be (re)evaluated and a *watcher table* mapping a blocking agent to the
+//! agents waiting on it, so each commit touches only the affected
 //! neighborhood instead of rescanning the world — the scoreboard analogy
-//! of the paper's out-of-order execution.
+//! of the paper's out-of-order execution. [`Scheduler`] adds the policy
+//! that decides what is ready and the map of clusters in flight.
 
-use std::collections::BTreeSet;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use aim_store::{Db, StoreError};
 use serde::{Deserialize, Serialize};
 
-use crate::depgraph::{DepGraph, DepTracker};
+use crate::depgraph::{DepGraph, DepTracker, EdgeMode, GraphOptions};
 use crate::exec::kernel::Controller;
 use crate::ids::{AgentId, ClusterId, Step};
 use crate::policy::DependencyPolicy;
 use crate::rules::RuleParams;
 use crate::space::Space;
+use crate::telemetry::{BlockReason, SpanKind, Telemetry};
 
 /// A group of coupled agents scheduled to execute one step together
 /// (§3.4); the minimal synchronization unit.
@@ -66,6 +71,326 @@ pub struct SchedStats {
     pub max_cluster_size: u32,
 }
 
+/// An open dependency-blocked wait: when it began and who blocked it.
+#[derive(Debug, Clone, Copy)]
+struct BlockMark {
+    since_us: u64,
+    blocker: u32,
+}
+
+const UNMARKED: BlockMark = BlockMark {
+    since_us: u64::MAX,
+    blocker: u32::MAX,
+};
+
+/// The conservative ready/complete state machine over a dependency
+/// tracker `G` (§3.3–3.5), shared by both schedulers: what an agent is
+/// doing, which `(step, agent)` entries need evaluation, who waits on
+/// whom, cluster growth, emission, the completion check, and
+/// requeue-and-wake. Its holders decide *what* to emit and keep their
+/// clusters in flight; the core keeps the books.
+pub(crate) struct Core<S: Space, G: DepTracker<S>> {
+    graph: G,
+    target_step: Step,
+    state: Vec<AgentState>,
+    /// `(step, agent)` entries needing readiness evaluation.
+    dirty: BTreeSet<(u32, u32)>,
+    /// blocker agent → agents to re-dirty when it completes (dense, one
+    /// slot per agent — ids index directly, no hashing).
+    watchers: Vec<Vec<u32>>,
+    next_cluster: u64,
+    finished: usize,
+    stats: SchedStats,
+    /// `stamp[a] == epoch` marks `a` as already visited by the current
+    /// cluster growth or completion check (reset-free visited set).
+    stamp: Vec<u64>,
+    epoch: u64,
+    /// Telemetry sink; when set, dependency-blocked waits are recorded
+    /// as spans (opened at the blocked verdict, closed at emission).
+    telemetry: Option<Arc<Telemetry>>,
+    /// Per-agent open blocked-wait marks (`since_us == u64::MAX` means
+    /// not blocked). Only populated when telemetry is attached.
+    block_mark: Vec<BlockMark>,
+    _space: std::marker::PhantomData<fn() -> S>,
+}
+
+impl<S: Space, G: DepTracker<S>> Core<S, G> {
+    /// Builds the state machine around `graph`, deriving agent states
+    /// from its (possibly recovered) steps: agents at or past
+    /// `target_step` start finished, everyone else is evaluable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tracker is empty or `target_step` is zero.
+    pub(crate) fn new(graph: G, target_step: Step) -> Self {
+        assert!(graph.len() > 0, "at least one agent is required");
+        assert!(target_step > Step::ZERO, "target_step must be positive");
+        let n = graph.len();
+        let mut core = Core {
+            graph,
+            target_step,
+            // Every agent starts as if just completed; `reopen` places it.
+            state: vec![AgentState::InFlight; n],
+            dirty: BTreeSet::new(),
+            watchers: vec![Vec::new(); n],
+            next_cluster: 0,
+            finished: 0,
+            stats: SchedStats::default(),
+            stamp: vec![0; n],
+            epoch: 0,
+            telemetry: None,
+            block_mark: Vec::new(),
+            _space: std::marker::PhantomData,
+        };
+        for a in 0..n as u32 {
+            core.reopen(AgentId(a));
+        }
+        core
+    }
+
+    pub(crate) fn graph(&self) -> &G {
+        &self.graph
+    }
+
+    pub(crate) fn graph_mut(&mut self) -> &mut G {
+        &mut self.graph
+    }
+
+    pub(crate) fn target_step(&self) -> Step {
+        self.target_step
+    }
+
+    pub(crate) fn stats(&self) -> SchedStats {
+        self.stats
+    }
+
+    /// Every agent has reached the target step.
+    pub(crate) fn is_done(&self) -> bool {
+        self.finished == self.state.len()
+    }
+
+    fn is_waiting_at(&self, a: AgentId, step: Step) -> bool {
+        self.state[a.index()] == AgentState::Waiting && self.graph.step(a) == step
+    }
+
+    /// Max step − min step over all agents.
+    pub(crate) fn current_skew(&self) -> u32 {
+        self.graph.max_step().0 - self.graph.min_step().0
+    }
+
+    /// Gives the tracker and every blocked wait the telemetry sink.
+    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        self.block_mark = vec![UNMARKED; self.state.len()];
+        self.graph.set_telemetry(Arc::clone(&telemetry));
+        self.telemetry = Some(telemetry);
+    }
+
+    /// Pops dirty entries in `(step, agent)` order until one is live — an
+    /// agent still waiting at the step it was queued at.
+    pub(crate) fn next_dirty(&mut self) -> Option<(Step, AgentId)> {
+        while let Some((s, a)) = self.dirty.pop_first() {
+            if self.is_waiting_at(AgentId(a), Step(s)) {
+                return Some((Step(s), AgentId(a)));
+            }
+        }
+        None
+    }
+
+    /// Queues `a` for re-evaluation at `step`.
+    pub(crate) fn mark_dirty(&mut self, step: Step, a: AgentId) {
+        self.dirty.insert((step.0, a.0));
+    }
+
+    /// Fills the empty `members` with the coupled cluster of `a`: the
+    /// transitive closure of the coupling relation over waiting agents,
+    /// straight off the tracker's adjacency, ascending. The visited set
+    /// is an epoch stamp, so growth allocates nothing beyond `members`.
+    pub(crate) fn grow(&mut self, a: AgentId, members: &mut Vec<AgentId>) {
+        debug_assert!(members.is_empty());
+        self.epoch += 1;
+        self.stamp[a.index()] = self.epoch;
+        members.push(a);
+        let mut next = 0;
+        while let Some(&x) = members.get(next) {
+            next += 1;
+            for &nb in self.graph.coupled_of(x) {
+                if self.state[nb.index()] == AgentState::Waiting
+                    && self.stamp[nb.index()] != self.epoch
+                {
+                    self.stamp[nb.index()] = self.epoch;
+                    members.push(nb);
+                }
+            }
+        }
+        members.sort_unstable();
+    }
+
+    /// The first blocker of the first member that has one (§3.2): a
+    /// cluster may advance only if no member is blocked by a laggard.
+    pub(crate) fn first_blocker(&self, members: &[AgentId]) -> Option<AgentId> {
+        members.iter().find_map(|m| self.graph.first_blocker(*m))
+    }
+
+    /// Parks `members`, a cluster at `step` that may not run yet, until
+    /// agent `on` completes: the whole cluster was evaluated, so its
+    /// dirty entries go and it is not rescanned until woken.
+    pub(crate) fn wait_on(&mut self, on: AgentId, step: Step, members: &[AgentId]) {
+        self.stats.blocked_evals += 1;
+        let list = &mut self.watchers[on.index()];
+        for m in members {
+            if !list.contains(&m.0) {
+                list.push(m.0);
+            }
+            self.dirty.remove(&(step.0, m.0));
+        }
+        if self.telemetry.is_some() {
+            self.open_block_marks(members, on);
+        }
+    }
+
+    /// Marks `members` in flight at `step` and names the new cluster.
+    pub(crate) fn emit(&mut self, step: Step, members: &[AgentId]) -> ClusterId {
+        debug_assert!(!members.is_empty());
+        let id = ClusterId(self.next_cluster);
+        self.next_cluster += 1;
+        for m in members {
+            debug_assert_eq!(self.state[m.index()], AgentState::Waiting);
+            self.state[m.index()] = AgentState::InFlight;
+            self.dirty.remove(&(step.0, m.0));
+        }
+        // Close open blocked waits: the agents are executing again.
+        if self.telemetry.is_some() {
+            self.close_block_marks(step, members);
+        }
+        self.stats.clusters_emitted += 1;
+        self.stats.agent_steps += members.len() as u64;
+        self.stats.max_cluster_size = self.stats.max_cluster_size.max(members.len() as u32);
+        id
+    }
+
+    /// The one completion check, made before anything changes: `new_pos`
+    /// must name each of in-flight `cluster`'s (ascending) `members`
+    /// exactly once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it does not.
+    pub(crate) fn check_completion(
+        &mut self,
+        cluster: &ClusterId,
+        members: &[AgentId],
+        new_pos: &[(AgentId, S::Pos)],
+    ) {
+        assert_eq!(
+            new_pos.len(),
+            members.len(),
+            "positions must cover all members"
+        );
+        self.epoch += 1;
+        for (a, _) in new_pos {
+            assert!(
+                members.binary_search(a).is_ok(),
+                "{a} is not a member of {cluster}"
+            );
+            assert_ne!(
+                self.stamp[a.index()],
+                self.epoch,
+                "{a} is named twice in the positions of {cluster}"
+            );
+            self.stamp[a.index()] = self.epoch;
+            assert_eq!(self.state[a.index()], AgentState::InFlight);
+        }
+    }
+
+    /// Accepts a checked execution: advances the tracker, then — member by
+    /// member in `new_pos` order — requeues (or finishes) it and wakes the
+    /// agents waiting on it, and samples the step skew.
+    ///
+    /// # Errors
+    ///
+    /// Propagates store errors from the tracker's advance; no agent has
+    /// moved then.
+    pub(crate) fn commit(&mut self, new_pos: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
+        self.graph.advance(new_pos)?;
+        for (a, _) in new_pos {
+            self.reopen(*a);
+            self.wake(*a);
+        }
+        self.stats.max_step_skew = self.stats.max_step_skew.max(self.current_skew());
+        Ok(())
+    }
+
+    /// Puts `a` back into scheduling at its current step — after a
+    /// commit, a discarded execution, or a squash that pulled it back
+    /// (possibly from finished) — or finishes it at the target step.
+    pub(crate) fn reopen(&mut self, a: AgentId) {
+        if self.state[a.index()] == AgentState::Finished {
+            self.finished -= 1;
+        }
+        let step = self.graph.step(a);
+        if step >= self.target_step {
+            self.state[a.index()] = AgentState::Finished;
+            self.finished += 1;
+        } else {
+            self.state[a.index()] = AgentState::Waiting;
+            self.dirty.insert((step.0, a.0));
+        }
+    }
+
+    /// Re-dirties every waiting agent parked on `a`.
+    pub(crate) fn wake(&mut self, a: AgentId) {
+        for w in std::mem::take(&mut self.watchers[a.index()]) {
+            if self.state[w as usize] == AgentState::Waiting {
+                self.stats.watcher_wakes += 1;
+                self.dirty.insert((self.graph.step(AgentId(w)).0, w));
+            }
+        }
+    }
+
+    /// Closes every member's open blocked-wait mark: the cluster is
+    /// executing again, so the dependency wait that kept it parked ends
+    /// now. Out of line so the telemetry-free emit loop keeps its shape.
+    #[cold]
+    #[inline(never)]
+    fn close_block_marks(&mut self, step: Step, members: &[AgentId]) {
+        let Some(t) = &self.telemetry else { return };
+        for m in members {
+            let mark = std::mem::replace(&mut self.block_mark[m.index()], UNMARKED);
+            if mark.since_us != u64::MAX {
+                t.record(
+                    mark.since_us,
+                    SpanKind::Blocked {
+                        agent: m.0,
+                        blocker: mark.blocker,
+                        step: step.0,
+                        reason: BlockReason::Dependency,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Opens a blocked-wait mark on every member that does not already
+    /// hold one (first verdict wins — re-evaluations that stay blocked
+    /// extend the same wait rather than splitting it). Out of line for
+    /// the same reason as [`Core::close_block_marks`].
+    #[cold]
+    #[inline(never)]
+    fn open_block_marks(&mut self, members: &[AgentId], blocker: AgentId) {
+        let Some(now) = self.telemetry.as_ref().and_then(|t| t.start()) else {
+            return;
+        };
+        for m in members {
+            if self.block_mark[m.index()].since_us == u64::MAX {
+                self.block_mark[m.index()] = BlockMark {
+                    since_us: now,
+                    blocker: blocker.0,
+                };
+            }
+        }
+    }
+}
+
 /// The AI Metropolis scheduler: tracks real dependencies and hands out
 /// maximally parallel, causality-safe work.
 ///
@@ -103,53 +428,18 @@ pub struct SchedStats {
 /// worlds (built via [`Scheduler::from_graph`]); the state machine is
 /// identical either way.
 pub struct Scheduler<S: Space, G: DepTracker<S> = DepGraph<S>> {
-    graph: G,
+    core: Core<S, G>,
     policy: DependencyPolicy,
-    target_step: Step,
-    state: Vec<AgentState>,
-    /// `(step, agent)` entries needing readiness evaluation.
-    dirty: BTreeSet<(u32, u32)>,
-    /// blocker agent → agents to re-dirty when it advances (dense, one
-    /// slot per agent — ids index directly, no hashing).
-    watchers: Vec<Vec<u32>>,
-    inflight: std::collections::HashMap<ClusterId, Cluster>,
-    next_cluster: u64,
-    finished: usize,
-    stats: SchedStats,
-    /// Cluster-growth scratch: `stamp[a] == epoch` marks `a` as already
-    /// collected into the cluster being grown (reset-free visited set).
-    stamp: Vec<u64>,
-    epoch: u64,
-    /// Reused BFS frontier for cluster growth.
-    frontier: Vec<AgentId>,
-    /// Telemetry sink; when set, dependency-blocked waits are recorded
-    /// as spans (opened at the blocked verdict, closed at emission).
-    telemetry: Option<Arc<crate::telemetry::Telemetry>>,
-    /// Per-agent open blocked-wait marks (`since_us == u64::MAX` means
-    /// not blocked). Only populated when telemetry is attached.
-    block_mark: Vec<BlockMark>,
-    _space: std::marker::PhantomData<fn() -> S>,
+    inflight: HashMap<ClusterId, Cluster>,
 }
-
-/// An open dependency-blocked wait: when it began and who blocked it.
-#[derive(Debug, Clone, Copy)]
-struct BlockMark {
-    since_us: u64,
-    blocker: u32,
-}
-
-const UNMARKED: BlockMark = BlockMark {
-    since_us: u64::MAX,
-    blocker: u32::MAX,
-};
 
 impl<S: Space, G: DepTracker<S>> std::fmt::Debug for Scheduler<S, G> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
             .field("policy", &self.policy)
-            .field("agents", &self.graph.len())
-            .field("target_step", &self.target_step)
-            .field("finished", &self.finished)
+            .field("agents", &self.core.graph.len())
+            .field("target_step", &self.core.target_step)
+            .field("finished", &self.core.finished)
             .finish()
     }
 }
@@ -204,19 +494,9 @@ impl<S: Space> Scheduler<S> {
         target_step: Step,
         history: bool,
     ) -> Result<Self, StoreError> {
-        assert!(!initial.is_empty(), "at least one agent is required");
-        assert!(target_step > Step::ZERO, "target_step must be positive");
-        let graph = DepGraph::new_with_options(
-            space,
-            params,
-            db,
-            initial,
-            crate::depgraph::GraphOptions {
-                edges: Self::edge_mode_for(&policy),
-                history,
-            },
-        )?;
-        Ok(Self::around_graph(graph, policy, target_step))
+        let options = Self::graph_options(&policy, history);
+        let graph = DepGraph::new_with_options(space, params, db, initial, options)?;
+        Ok(Self::from_graph(graph, policy, target_step))
     }
 
     /// Rebuilds a scheduler from the authoritative records already in
@@ -245,29 +525,20 @@ impl<S: Space> Scheduler<S> {
         target_step: Step,
         history: bool,
     ) -> Result<Self, StoreError> {
-        assert!(num_agents > 0, "at least one agent is required");
-        assert!(target_step > Step::ZERO, "target_step must be positive");
-        let graph = DepGraph::recover_with_options(
-            space,
-            params,
-            db,
-            num_agents,
-            crate::depgraph::GraphOptions {
-                edges: Self::edge_mode_for(&policy),
-                history,
-            },
-        )?;
-        Ok(Self::around_graph(graph, policy, target_step))
+        let options = Self::graph_options(&policy, history);
+        let graph = DepGraph::recover_with_options(space, params, db, num_agents, options)?;
+        Ok(Self::from_graph(graph, policy, target_step))
     }
 
     /// Only the spatiotemporal policy consults the graph's derived
     /// edges; the ablation policies schedule without them and skip the
     /// per-commit maintenance cost.
-    fn edge_mode_for(policy: &DependencyPolicy) -> crate::depgraph::EdgeMode {
-        match policy {
-            DependencyPolicy::Spatiotemporal => crate::depgraph::EdgeMode::Maintained,
-            _ => crate::depgraph::EdgeMode::Off,
-        }
+    fn graph_options(policy: &DependencyPolicy, history: bool) -> GraphOptions {
+        let edges = match policy {
+            DependencyPolicy::Spatiotemporal => EdgeMode::Maintained,
+            _ => EdgeMode::Off,
+        };
+        GraphOptions { edges, history }
     }
 }
 
@@ -286,44 +557,10 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
     ///
     /// Panics if the tracker is empty or `target_step` is zero.
     pub fn from_graph(graph: G, policy: DependencyPolicy, target_step: Step) -> Self {
-        assert!(graph.len() > 0, "at least one agent is required");
-        assert!(target_step > Step::ZERO, "target_step must be positive");
-        Self::around_graph(graph, policy, target_step)
-    }
-
-    /// Builds the scheduler state machine around an assembled graph,
-    /// deriving agent states from the graph's (possibly recovered) steps.
-    fn around_graph(graph: G, policy: DependencyPolicy, target_step: Step) -> Self {
-        let n = graph.len();
-        let mut state = vec![AgentState::Waiting; n];
-        let mut dirty = BTreeSet::new();
-        let mut finished = 0;
-        for a in 0..n as u32 {
-            let step = graph.step(AgentId(a));
-            if step >= target_step {
-                state[a as usize] = AgentState::Finished;
-                finished += 1;
-            } else {
-                dirty.insert((step.0, a));
-            }
-        }
         Scheduler {
-            graph,
+            core: Core::new(graph, target_step),
             policy,
-            target_step,
-            state,
-            dirty,
-            watchers: vec![Vec::new(); n],
-            inflight: std::collections::HashMap::new(),
-            next_cluster: 0,
-            finished,
-            stats: SchedStats::default(),
-            stamp: vec![0; n],
-            epoch: 0,
-            frontier: Vec::new(),
-            telemetry: None,
-            block_mark: Vec::new(),
-            _space: std::marker::PhantomData,
+            inflight: HashMap::new(),
         }
     }
 
@@ -332,10 +569,8 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
     /// agent attached, and the dependency tracker is given the same sink
     /// for relink/migration spans (via
     /// [`DepTracker::set_telemetry`]).
-    pub fn set_telemetry(&mut self, telemetry: Arc<crate::telemetry::Telemetry>) {
-        self.block_mark = vec![UNMARKED; self.state.len()];
-        self.graph.set_telemetry(Arc::clone(&telemetry));
-        self.telemetry = Some(telemetry);
+    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        self.core.set_telemetry(telemetry);
     }
 
     /// The dependency tracker (positions, steps, edge queries).
@@ -344,7 +579,7 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
     /// `snapshot`) are only available under
     /// [`DependencyPolicy::Spatiotemporal`] — see [`Scheduler::new`].
     pub fn graph(&self) -> &G {
-        &self.graph
+        self.core.graph()
     }
 
     /// Mutable access to the dependency tracker, for maintenance
@@ -355,7 +590,7 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
     /// touched, so callers must not advance or roll back agents through
     /// this handle while clusters are in flight.
     pub fn graph_mut(&mut self) -> &mut G {
-        &mut self.graph
+        self.core.graph_mut()
     }
 
     /// The policy in force.
@@ -365,17 +600,17 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
 
     /// The step at which agents finish.
     pub fn target_step(&self) -> Step {
-        self.target_step
+        self.core.target_step()
     }
 
     /// All agents have reached the target step.
     pub fn is_done(&self) -> bool {
-        self.finished == self.state.len()
+        self.core.is_done()
     }
 
     /// Counters for reporting.
     pub fn stats(&self) -> SchedStats {
-        self.stats
+        self.core.stats()
     }
 
     /// Clusters currently handed out and not yet completed.
@@ -398,7 +633,7 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
     /// Reports a cluster finished: members' steps advance to the recorded
     /// positions, newly unblocked agents become evaluable.
     ///
-    /// `new_pos` must contain exactly the cluster's members.
+    /// `new_pos` must name each of the cluster's members exactly once.
     ///
     /// # Errors
     ///
@@ -406,57 +641,27 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
     ///
     /// # Panics
     ///
-    /// Panics if `cluster` is not in flight or `new_pos` does not match its
-    /// members.
+    /// Panics if `cluster` is not in flight or `new_pos` does not name
+    /// each of its members exactly once — checked before any scheduler
+    /// or store state changes.
     pub fn complete(
         &mut self,
         cluster: &ClusterId,
         new_pos: &[(AgentId, S::Pos)],
     ) -> Result<(), StoreError> {
-        let cluster = self
-            .inflight
-            .remove(cluster)
-            .unwrap_or_else(|| panic!("{cluster} is not in flight"));
-        assert_eq!(
-            new_pos.len(),
-            cluster.members.len(),
-            "positions must cover all members"
-        );
-        for (a, _) in new_pos {
-            assert!(
-                cluster.members.contains(a),
-                "{a} is not a member of {}",
-                cluster.id
-            );
-            assert_eq!(self.state[a.index()], AgentState::InFlight);
-        }
-        self.graph.advance(new_pos)?;
-        for (a, _) in new_pos {
-            let step = self.graph.step(*a);
-            if step >= self.target_step {
-                self.state[a.index()] = AgentState::Finished;
-                self.finished += 1;
-            } else {
-                self.state[a.index()] = AgentState::Waiting;
-                self.dirty.insert((step.0, a.0));
-            }
-            // Wake agents that were blocked on this member.
-            for w in std::mem::take(&mut self.watchers[a.index()]) {
-                if self.state[w as usize] == AgentState::Waiting {
-                    self.stats.watcher_wakes += 1;
-                    self.dirty.insert((self.graph.step(AgentId(w)).0, w));
-                }
-            }
-        }
-        let skew = self.current_skew();
-        self.stats.max_step_skew = self.stats.max_step_skew.max(skew);
-        Ok(())
+        let Entry::Occupied(flight) = self.inflight.entry(*cluster) else {
+            panic!("{cluster} is not in flight");
+        };
+        self.core
+            .check_completion(cluster, &flight.get().members, new_pos);
+        flight.remove();
+        self.core.commit(new_pos)
     }
 
     /// Current step skew: max step − min step over all agents, read from
     /// the graph's step index in O(log n).
     pub fn current_skew(&self) -> u32 {
-        self.graph.max_step().0 - self.graph.min_step().0
+        self.core.current_skew()
     }
 
     /// Compacts dependency-graph history below the deepest legal rollback
@@ -470,68 +675,11 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
     ///
     /// Propagates store errors.
     pub fn evict_history(&mut self) -> Result<u64, StoreError> {
-        self.graph.evict_history()
-    }
-
-    /// Closes every member's open blocked-wait mark: the cluster is
-    /// executing again, so the dependency wait that kept it parked ends
-    /// now. Out of line so the telemetry-free emit loop keeps its shape.
-    #[cold]
-    #[inline(never)]
-    fn close_block_marks(&mut self, step: Step, members: &[AgentId]) {
-        let Some(t) = &self.telemetry else { return };
-        for m in members {
-            let mark = std::mem::replace(&mut self.block_mark[m.index()], UNMARKED);
-            if mark.since_us != u64::MAX {
-                t.record(
-                    mark.since_us,
-                    crate::telemetry::SpanKind::Blocked {
-                        agent: m.0,
-                        blocker: mark.blocker,
-                        step: step.0,
-                        reason: crate::telemetry::BlockReason::Dependency,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Opens a blocked-wait mark on every member that does not already
-    /// hold one (first verdict wins — re-evaluations that stay blocked
-    /// extend the same wait rather than splitting it). Out of line for
-    /// the same reason as [`Scheduler::close_block_marks`].
-    #[cold]
-    #[inline(never)]
-    fn open_block_marks(&mut self, members: &[AgentId], blocker: AgentId) {
-        let Some(now) = self.telemetry.as_ref().and_then(|t| t.start()) else {
-            return;
-        };
-        for m in members {
-            if self.block_mark[m.index()].since_us == u64::MAX {
-                self.block_mark[m.index()] = BlockMark {
-                    since_us: now,
-                    blocker: blocker.0,
-                };
-            }
-        }
+        self.core.graph.evict_history()
     }
 
     fn emit(&mut self, step: Step, members: Vec<AgentId>) -> Cluster {
-        debug_assert!(!members.is_empty());
-        for m in &members {
-            debug_assert_eq!(self.state[m.index()], AgentState::Waiting);
-            self.state[m.index()] = AgentState::InFlight;
-            self.dirty.remove(&(step.0, m.0));
-        }
-        // Close open blocked waits: the agents are executing again.
-        if self.telemetry.is_some() {
-            self.close_block_marks(step, &members);
-        }
-        let id = ClusterId(self.next_cluster);
-        self.next_cluster += 1;
-        self.stats.clusters_emitted += 1;
-        self.stats.agent_steps += members.len() as u64;
-        self.stats.max_cluster_size = self.stats.max_cluster_size.max(members.len() as u32);
+        let id = self.core.emit(step, &members);
         let cluster = Cluster { id, step, members };
         self.inflight.insert(id, cluster.clone());
         cluster
@@ -540,21 +688,20 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
     fn ready_global_sync(&mut self) -> Vec<Cluster> {
         // One barriered cluster containing every unfinished agent; it can
         // only form when nothing is in flight.
+        self.core.dirty.clear();
         if !self.inflight.is_empty() {
-            self.dirty.clear();
             return Vec::new();
         }
-        let members: Vec<AgentId> = (0..self.state.len() as u32)
+        let members: Vec<AgentId> = (0..self.core.state.len() as u32)
             .map(AgentId)
-            .filter(|a| self.state[a.index()] == AgentState::Waiting)
+            .filter(|a| self.core.state[a.index()] == AgentState::Waiting)
             .collect();
-        self.dirty.clear();
-        if members.is_empty() {
+        let Some(&first) = members.first() else {
             return Vec::new();
-        }
-        let step = self.graph.step(members[0]);
+        };
+        let step = self.core.graph.step(first);
         debug_assert!(
-            members.iter().all(|m| self.graph.step(*m) == step),
+            members.iter().all(|m| self.core.graph.step(*m) == step),
             "global sync keeps all agents in lock step"
         );
         vec![self.emit(step, members)]
@@ -562,12 +709,8 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
 
     fn ready_no_dependency(&mut self) -> Vec<Cluster> {
         let mut out = Vec::new();
-        while let Some(&(s, a)) = self.dirty.iter().next() {
-            self.dirty.remove(&(s, a));
-            if self.state[a as usize] != AgentState::Waiting || self.graph.step(AgentId(a)).0 != s {
-                continue;
-            }
-            out.push(self.emit(Step(s), vec![AgentId(a)]));
+        while let Some((s, a)) = self.core.next_dirty() {
+            out.push(self.emit(s, vec![a]));
         }
         out
     }
@@ -577,18 +720,10 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
             unreachable!()
         };
         let mut out = Vec::new();
-        while let Some(&(s, a)) = self.dirty.iter().next() {
-            self.dirty.remove(&(s, a));
-            if self.state[a as usize] != AgentState::Waiting || self.graph.step(AgentId(a)).0 != s {
-                continue;
-            }
-            let comp = oracle.component_of(Step(s), AgentId(a));
-            let all_arrived = comp.iter().all(|&m| {
-                self.state[m as usize] == AgentState::Waiting && self.graph.step(AgentId(m)).0 == s
-            });
-            if all_arrived {
-                let members: Vec<AgentId> = comp.iter().map(|&m| AgentId(m)).collect();
-                out.push(self.emit(Step(s), members));
+        while let Some((s, a)) = self.core.next_dirty() {
+            let comp = oracle.component_of(s, a);
+            if comp.iter().all(|&m| self.core.is_waiting_at(AgentId(m), s)) {
+                out.push(self.emit(s, comp.into_iter().map(AgentId).collect()));
             }
             // Otherwise: the last member to arrive re-triggers via its own
             // dirty entry — no watcher needed.
@@ -598,61 +733,12 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
 
     fn ready_spatiotemporal(&mut self) -> Vec<Cluster> {
         let mut out = Vec::new();
-        while let Some(&(s, a)) = self.dirty.iter().next() {
-            self.dirty.remove(&(s, a));
-            if self.state[a as usize] != AgentState::Waiting || self.graph.step(AgentId(a)).0 != s {
-                continue; // stale entry
-            }
-            // Grow the coupled cluster from `a` over waiting same-step
-            // agents (transitive closure of the coupling relation). The
-            // coupling edges come straight off the graph's maintained
-            // adjacency; the visited set is an epoch stamp, so the whole
-            // growth allocates nothing beyond the emitted member list.
-            self.epoch += 1;
-            self.stamp[a as usize] = self.epoch;
-            let mut members = vec![AgentId(a)];
-            self.frontier.clear();
-            self.frontier.push(AgentId(a));
-            while let Some(x) = self.frontier.pop() {
-                for &nb in self.graph.coupled_of(x) {
-                    if self.state[nb.index()] == AgentState::Waiting
-                        && self.stamp[nb.index()] != self.epoch
-                    {
-                        self.stamp[nb.index()] = self.epoch;
-                        members.push(nb);
-                        self.frontier.push(nb);
-                    }
-                }
-            }
-            members.sort_unstable();
-            // A cluster may advance only if no member is blocked by a
-            // lagging agent (§3.2).
-            let mut blocker = None;
-            for m in &members {
-                if let Some(b) = self.graph.first_blocker(*m) {
-                    blocker = Some(b);
-                    break;
-                }
-            }
-            match blocker {
-                Some(b) => {
-                    self.stats.blocked_evals += 1;
-                    let list = &mut self.watchers[b.index()];
-                    for m in &members {
-                        if !list.contains(&m.0) {
-                            list.push(m.0);
-                        }
-                        // The whole cluster was evaluated; drop stale
-                        // entries so it is not rescanned until woken.
-                        self.dirty.remove(&(s, m.0));
-                    }
-                    if self.telemetry.is_some() {
-                        self.open_block_marks(&members, b);
-                    }
-                }
-                None => {
-                    out.push(self.emit(Step(s), members));
-                }
+        while let Some((s, a)) = self.core.next_dirty() {
+            let mut members = Vec::new();
+            self.core.grow(a, &mut members);
+            match self.core.first_blocker(&members) {
+                Some(b) => self.core.wait_on(b, s, &members),
+                None => out.push(self.emit(s, members)),
             }
         }
         out
@@ -858,6 +944,31 @@ mod tests {
         }));
         assert!(result.is_err());
         finish(&mut s, c);
+    }
+
+    #[test]
+    fn complete_rejects_a_repeated_member_before_changing_anything() {
+        let mut s = sched(&[(0, 0), (5, 0)], DependencyPolicy::Spatiotemporal, 3);
+        let ready = s.ready_clusters();
+        assert_eq!(ready[0].members, vec![AgentId(0), AgentId(1)]);
+        let twice = [
+            (AgentId(0), Point::new(1, 0)),
+            (AgentId(0), Point::new(2, 0)),
+        ];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.complete(&ready[0].id, &twice)
+        }));
+        assert!(result.is_err(), "a repeated member must be rejected");
+        assert_eq!(s.graph().step(AgentId(0)), Step(0), "the store moved");
+        assert_eq!(s.inflight_len(), 1, "the cluster left flight");
+        // The rejected call changed nothing: the run still completes.
+        finish(&mut s, &ready[0]);
+        while !s.is_done() {
+            let ready = s.ready_clusters();
+            assert!(!ready.is_empty(), "wedged");
+            ready.iter().for_each(|c| finish(&mut s, c));
+        }
+        assert!(s.graph().validate().is_ok());
     }
 
     #[test]

@@ -587,6 +587,23 @@ impl<S: Space> ShardedDepGraph<S> {
         &self.coupled[a.index()]
     }
 
+    /// Appends to `out` every agent that may currently stand within
+    /// `units` of `center` (a superset, unordered, possibly repeated; see
+    /// [`DepGraph::candidates_within`]): each shard that
+    /// [`ShardMap::min_distance`] cannot rule out answers from its own
+    /// index, or names its members when the space has none.
+    pub fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        for (j, shard) in self.shards.iter().enumerate() {
+            if shard.steps.is_empty() || self.map.min_distance(center, j) > units {
+                continue;
+            }
+            match shard.index.as_ref() {
+                Some(idx) => idx.query(center, units, out),
+                None => out.extend(shard.steps.iter().map(|&(_, a)| a)),
+            }
+        }
+    }
+
     /// Verifies the §3.2 validity condition over the whole graph.
     ///
     /// # Errors
@@ -1028,6 +1045,16 @@ impl<S: Space> DepTracker<S> for ShardedDepGraph<S> {
     }
 
     #[inline]
+    fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
+        ShardedDepGraph::rollback(self, updates)
+    }
+
+    #[inline]
+    fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        ShardedDepGraph::candidates_within(self, center, units, out)
+    }
+
+    #[inline]
     fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
         ShardedDepGraph::first_blocker(self, a)
     }
@@ -1099,6 +1126,24 @@ mod tests {
         for x in [-500, 0, 50, 99, 150, 100_000] {
             assert_eq!(one.shard_of(Point::new(x, 0)), 0);
             assert_eq!(one.min_distance(Point::new(x, 0), 0), 0, "x={x}");
+        }
+    }
+
+    #[test]
+    fn candidates_within_covers_every_strip_in_range_and_skips_the_rest() {
+        let points: Vec<(i32, i32)> = (0..40).map(|i| ((i * 37) % 100, (i * 11) % 140)).collect();
+        let g = strip_graph(&points, 4);
+        for (center, units) in [(Point::new(24, 70), 3), (Point::new(50, 10), 30)] {
+            let mut got = Vec::new();
+            g.candidates_within(center, units, &mut got);
+            for (a, &(x, y)) in points.iter().enumerate() {
+                if g.space().within_units(Point::new(x, y), center, units) {
+                    assert!(got.contains(&(a as u32)), "agent {a} missed");
+                }
+            }
+            // Strips `min_distance` rules out are not asked at all.
+            let far = |a: &u32| g.map.min_distance(center, g.shard_of_agent(AgentId(*a))) > units;
+            assert!(!got.iter().any(far), "a pruned strip answered");
         }
     }
 

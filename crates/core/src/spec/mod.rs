@@ -38,6 +38,25 @@
 //! two executions at steps `s_w < s_r` conflict iff their start positions
 //! are within `radius_p + max_vel` — the same threshold as coupling.
 //!
+//! # What this layer adds
+//!
+//! Speculation is not a second scheduler. Agent states, the dirty set,
+//! the watcher table, cluster growth, emission, the completion check and
+//! requeue-and-wake are the conservative [`crate::scheduler::Scheduler`]'s
+//! own crate-private core, which [`SpecScheduler`] holds too; §6 changes
+//! only what happens to a cluster the §3.2 rules would block. So this
+//! module adds emission vetting, the in-flight index, the [`EntryTable`]
+//! of unretired executions, the squash cascade, retirement and
+//! [`SpecStats`] — and with [`SpecParams::conservative`] it emits the
+//! conservative schedule verbatim. Like the conservative scheduler it is
+//! generic over its [`DepTracker`](crate::depgraph::DepTracker):
+//! [`SpecScheduler::new`] mounts a [`DepGraph`](crate::depgraph::DepGraph)
+//! and [`SpecScheduler::from_graph`] any tracker that implements
+//! [`rollback`](crate::depgraph::DepTracker::rollback) and answers
+//! [`candidates_within`](crate::depgraph::DepTracker::candidates_within)
+//! from its own index — the [`ShardedDepGraph`](crate::shard::ShardedDepGraph)
+//! among them, with an identical schedule.
+//!
 //! Replayed workloads ([`crate::workload::Workload`]) are deterministic,
 //! so re-execution reproduces the conservative outcome bit-for-bit and
 //! the *cost* of speculation is isolated: wasted LLM calls for squashed

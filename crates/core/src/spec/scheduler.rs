@@ -1,8 +1,15 @@
-//! The optimistic scheduler: conservative §3.2 scheduling with bounded
-//! run-ahead, race detection, cascading squash, and retirement.
+//! The optimistic scheduler: the conservative §3.2 state machine with
+//! bounded run-ahead, race detection, cascading squash, and retirement
+//! layered on it.
 //!
-//! See the [module docs](crate::spec) for the protocol. The interface
-//! mirrors [`crate::scheduler::Scheduler`] — callers pull
+//! See the [module docs](crate::spec) for the protocol. Agent states,
+//! the dirty set, the watcher table, cluster growth, emission and the
+//! completion check are the conservative [`crate::scheduler::Scheduler`]'s
+//! own core; what this layer adds is *what happens to a cluster*:
+//! emission vetting (safety nets 1a–1c below), the in-flight index, the
+//! [`EntryTable`] of unretired executions, the squash cascade,
+//! retirement, and [`SpecStats`]. The interface mirrors the conservative
+//! scheduler's — callers pull
 //! [`ready_clusters`](SpecScheduler::ready_clusters) and report
 //! [`complete`](SpecScheduler::complete) — with three differences: both
 //! calls can perform store writes (squash rollbacks), `complete` returns
@@ -10,6 +17,11 @@
 //! discarded work is reported through
 //! [`drain_squashed`](SpecScheduler::drain_squashed) so the caller can
 //! account its LLM calls as waste.
+//!
+//! Speculation runs on any [`DepTracker`] that implements
+//! [`DepTracker::rollback`] (see [`SpecScheduler::from_graph`]); trackers
+//! answer every query identically by contract, so the schedule does not
+//! depend on which one hosts it.
 //!
 //! # Safety nets, from first line of defense to last
 //!
@@ -26,8 +38,8 @@
 //!   part of the [`SpatialIndex`] contract for exactly this reason;
 //! * the **in-flight index**: every member of an executing cluster under
 //!   the position it started from (`inflight_of` names its cluster);
-//! * the **graph's position index**, through
-//!   [`DepGraph::candidates_within`]: where every agent stands now.
+//! * the **tracker's position index**, through
+//!   [`DepTracker::candidates_within`]: where every agent stands now.
 //!
 //! In a space without an index ([`crate::space::SocialSpace`]) each of
 //! them names every agent id, and the same code is the linear reference.
@@ -75,26 +87,20 @@
 //! in 9–25 cells. It runs once per member per retirement attempt and is
 //! the check that used to dominate.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use aim_store::{Db, StoreError};
 
-use crate::depgraph::DepGraph;
+use crate::depgraph::{DepGraph, DepTracker};
 use crate::exec::kernel::Controller;
 use crate::ids::{AgentId, ClusterId, Step};
 use crate::rules::RuleParams;
-use crate::scheduler::Cluster;
+use crate::scheduler::{Cluster, Core};
 use crate::space::{query_or_all, Space, SpatialIndex};
 use crate::spec::table::{EntryTable, Instance};
 use crate::spec::{SpecParams, SpecStats};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AgentState {
-    Waiting,
-    InFlight,
-    Finished,
-}
 
 struct Inflight<P> {
     /// Step, members, their start positions at emission, and the
@@ -115,6 +121,11 @@ pub struct CommitOutcome {
 }
 
 /// The speculative out-of-order scheduler (paper §6's future-work design).
+///
+/// Generic over its dependency tracker `G` like the conservative
+/// scheduler: the single-shard [`DepGraph`] by default (built by
+/// [`SpecScheduler::new`]), or any tracker that can roll back, mounted
+/// with [`SpecScheduler::from_graph`].
 ///
 /// # Example
 ///
@@ -145,16 +156,13 @@ pub struct CommitOutcome {
 /// # Ok(())
 /// # }
 /// ```
-pub struct SpecScheduler<S: Space> {
-    graph: DepGraph<S>,
+pub struct SpecScheduler<S: Space, G: DepTracker<S> = DepGraph<S>> {
+    core: Core<S, G>,
+    /// The tracker's space and rules (a [`DepTracker`] does not expose
+    /// them).
+    space: Arc<S>,
     params: RuleParams,
     spec: SpecParams,
-    target_step: Step,
-    state: Vec<AgentState>,
-    /// `(step, agent)` entries needing readiness evaluation.
-    dirty: BTreeSet<(u32, u32)>,
-    /// agent → agents to re-dirty when it completes or advances.
-    watchers: HashMap<u32, Vec<u32>>,
     inflight: HashMap<ClusterId, Inflight<S::Pos>>,
     /// Every in-flight member under its start position; ids are agent
     /// ids, resolved to clusters through `inflight_of`.
@@ -167,26 +175,24 @@ pub struct SpecScheduler<S: Space> {
     retire_watch: HashMap<u32, Vec<u64>>,
     /// Discarded `(agent, step)` executions awaiting caller pickup.
     squash_log: Vec<(AgentId, Step)>,
-    next_cluster: u64,
-    finished: usize,
+    /// The counters only speculation keeps; emission and skew counters
+    /// are read off the core.
     stats: SpecStats,
     /// Records of retired and discarded executions, emptied, whose
     /// buffers the next emissions fill.
     spare: Vec<Instance<S::Pos>>,
     /// Reused candidate buffer for index queries.
     candidates: Vec<u32>,
-    /// Reused visited flags for cluster growth; all `false` between uses.
-    seen: Vec<bool>,
 }
 
-impl<S: Space> std::fmt::Debug for SpecScheduler<S> {
+impl<S: Space, G: DepTracker<S>> std::fmt::Debug for SpecScheduler<S, G> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpecScheduler")
-            .field("agents", &self.graph.len())
-            .field("target_step", &self.target_step)
+            .field("agents", &self.graph().len())
+            .field("target_step", &self.target_step())
             .field("max_runahead", &self.spec.max_runahead)
             .field("live_entries", &self.table.len())
-            .field("finished", &self.finished)
+            .field("inflight", &self.inflight.len())
             .finish()
     }
 }
@@ -203,7 +209,8 @@ fn gather<P: Copy>(centers: &[P], out: &mut Vec<u32>, mut probe: impl FnMut(P, &
 }
 
 impl<S: Space> SpecScheduler<S> {
-    /// Creates a speculative scheduler with all agents at step 0.
+    /// Creates a speculative scheduler with all agents at step 0 on a
+    /// fresh single-shard [`DepGraph`].
     ///
     /// # Errors
     ///
@@ -220,40 +227,52 @@ impl<S: Space> SpecScheduler<S> {
         initial: &[S::Pos],
         target_step: Step,
     ) -> Result<Self, StoreError> {
-        assert!(!initial.is_empty(), "at least one agent is required");
-        assert!(target_step > Step::ZERO, "target_step must be positive");
-        let n = initial.len();
+        let graph = DepGraph::new(Arc::clone(&space), params, db, initial)?;
+        Ok(Self::from_graph(graph, space, params, spec, target_step))
+    }
+}
+
+impl<S: Space, G: DepTracker<S>> SpecScheduler<S, G> {
+    /// Mounts speculation on an assembled dependency tracker — e.g. a
+    /// [`ShardedDepGraph`](crate::shard::ShardedDepGraph) — deriving agent
+    /// states from its steps. `space` and `params` must be the ones the
+    /// tracker was built with. The tracker must maintain blocked/coupled
+    /// edges and implement [`DepTracker::rollback`]; with the default
+    /// body the first squash fails the run with its error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tracker is empty or `target_step` is zero.
+    pub fn from_graph(
+        graph: G,
+        space: Arc<S>,
+        params: RuleParams,
+        spec: SpecParams,
+        target_step: Step,
+    ) -> Self {
+        let n = graph.len();
         let coupling = params.coupling_units();
-        let table = EntryTable::new(n, space.make_index(coupling));
-        let inflight_index = space.make_index(coupling);
-        let graph = DepGraph::new(space, params, db, initial)?;
-        Ok(SpecScheduler {
-            graph,
+        SpecScheduler {
+            core: Core::new(graph, target_step),
+            table: EntryTable::new(n, space.make_index(coupling)),
+            inflight_index: space.make_index(coupling),
+            space,
             params,
             spec,
-            target_step,
-            state: vec![AgentState::Waiting; n],
-            dirty: (0..n as u32).map(|a| (0u32, a)).collect(),
-            watchers: HashMap::new(),
             inflight: HashMap::new(),
-            inflight_index,
             inflight_of: vec![None; n],
-            table,
             retire_dirty: BTreeSet::new(),
             retire_watch: HashMap::new(),
             squash_log: Vec::new(),
-            next_cluster: 0,
-            finished: 0,
             stats: SpecStats::default(),
             spare: Vec::new(),
             candidates: Vec::new(),
-            seen: vec![false; n],
-        })
+        }
     }
 
-    /// The dependency graph (positions, steps).
-    pub fn graph(&self) -> &DepGraph<S> {
-        &self.graph
+    /// The dependency tracker (positions, steps).
+    pub fn graph(&self) -> &G {
+        self.core.graph()
     }
 
     /// The speculation parameters in force.
@@ -263,12 +282,18 @@ impl<S: Space> SpecScheduler<S> {
 
     /// The step at which agents finish.
     pub fn target_step(&self) -> Step {
-        self.target_step
+        self.core.target_step()
     }
 
     /// Counters for reporting.
     pub fn stats(&self) -> SpecStats {
-        self.stats
+        let core = self.core.stats();
+        SpecStats {
+            agent_steps: core.agent_steps,
+            max_step_skew: core.max_step_skew,
+            max_cluster_size: core.max_cluster_size,
+            ..self.stats
+        }
     }
 
     /// Live (unretired) speculative entries.
@@ -291,18 +316,17 @@ impl<S: Space> SpecScheduler<S> {
     /// Every agent has *retired* at the target step: all executions are
     /// validated final — no squash can rewind the simulation anymore.
     pub fn is_done(&self) -> bool {
-        self.finished == self.state.len() && self.table.is_empty() && self.inflight.is_empty()
+        self.core.is_done() && self.table.is_empty() && self.inflight.is_empty()
     }
 
     /// Current step skew: max step − min step over all agents.
     pub fn current_skew(&self) -> u32 {
-        self.graph.max_step().0 - self.graph.min_step().0
+        self.core.current_skew()
     }
 
     /// Is `x` within `units` of any of `starts`?
     fn any_within(&self, x: S::Pos, starts: &[S::Pos], units: u64) -> bool {
-        let space = self.graph.space();
-        starts.iter().any(|p| space.within_units(x, *p, units))
+        starts.iter().any(|p| self.space.within_units(x, *p, units))
     }
 
     /// Empties a finished record and keeps its buffers for reuse.
@@ -324,45 +348,20 @@ impl<S: Space> SpecScheduler<S> {
     pub fn ready_clusters(&mut self) -> Result<Vec<Cluster>, StoreError> {
         let mut out = Vec::new();
         let mut candidates = std::mem::take(&mut self.candidates);
-        while let Some(&(s, a)) = self.dirty.iter().next() {
-            self.dirty.remove(&(s, a));
-            if self.state[a as usize] != AgentState::Waiting || self.graph.step(AgentId(a)).0 != s {
-                continue; // stale entry
-            }
+        while let Some((step, a)) = self.core.next_dirty() {
             let mut inst = self.spare.pop().unwrap_or_default();
-            self.grow_cluster(Step(s), AgentId(a), &mut inst);
-            match self.vet(&mut inst, AgentId(a), &mut candidates)? {
+            inst.step = step;
+            self.core.grow(a, &mut inst.members);
+            let graph = self.core.graph();
+            inst.starts
+                .extend(inst.members.iter().map(|m| graph.pos(*m)));
+            match self.vet(&mut inst, a, &mut candidates)? {
                 Some(speculative) => out.push(self.emit(inst, speculative)),
                 None => self.recycle(inst),
             }
         }
         self.candidates = candidates;
         Ok(out)
-    }
-
-    /// Fills `inst` with the coupled cluster of `a` over waiting same-step
-    /// agents, straight off the graph's maintained coupling adjacency:
-    /// members ascending, their current positions as starts.
-    fn grow_cluster(&mut self, step: Step, a: AgentId, inst: &mut Instance<S::Pos>) {
-        inst.step = step;
-        inst.members.push(a);
-        self.seen[a.index()] = true;
-        let mut next = 0;
-        while let Some(&x) = inst.members.get(next) {
-            next += 1;
-            for &nb in self.graph.coupled_of(x) {
-                if self.state[nb.index()] == AgentState::Waiting && !self.seen[nb.index()] {
-                    self.seen[nb.index()] = true;
-                    inst.members.push(nb);
-                }
-            }
-        }
-        for m in &inst.members {
-            self.seen[m.index()] = false;
-        }
-        inst.members.sort_unstable();
-        inst.starts
-            .extend(inst.members.iter().map(|m| self.graph.pos(*m)));
     }
 
     /// Runs the emission checks on the cluster in `inst`, grown from
@@ -385,7 +384,7 @@ impl<S: Space> SpecScheduler<S> {
         let seeds = self.overlapping_entries(step, members, starts, candidates);
         if !seeds.is_empty() {
             self.cascade(seeds)?;
-            self.dirty.insert((step.0, a.0));
+            self.core.mark_dirty(step, a);
             return Ok(None);
         }
 
@@ -394,14 +393,13 @@ impl<S: Space> SpecScheduler<S> {
         // for it rather than executing a conflicting write.
         if let Some(defer_on) = self.same_step_inflight_nearby(step, starts, candidates) {
             self.stats.deferrals += 1;
-            self.wait_on(defer_on, step, members);
+            self.core.wait_on(defer_on, step, members);
             return Ok(None);
         }
 
         // Conservative blocking check; blocked clusters may run ahead
         // within budget unless the race is already certain.
-        let blocker = members.iter().find_map(|m| self.graph.first_blocker(*m));
-        let speculative = match blocker {
+        let speculative = match self.core.first_blocker(members) {
             None => false,
             Some(b) => {
                 let budget_ok = self.spec.speculation_enabled()
@@ -416,7 +414,7 @@ impl<S: Space> SpecScheduler<S> {
                     if self.spec.speculation_enabled() {
                         self.stats.spec_denied += 1;
                     }
-                    self.wait_on(b, step, members);
+                    self.core.wait_on(b, step, members);
                     return Ok(None);
                 }
                 true
@@ -428,32 +426,21 @@ impl<S: Space> SpecScheduler<S> {
         // is invalidated with it.
         let radius = self.params.radius_p as u64;
         if !self.table.is_empty() {
+            let graph = self.graph();
             gather(starts, candidates, |c, out| {
-                self.graph.candidates_within(c, radius, out)
+                graph.candidates_within(c, radius, out)
             });
             for &y in candidates.iter() {
                 let y = AgentId(y);
                 if self.table.stack_len(y) == 0 || members.contains(&y) {
                     continue;
                 }
-                if self.any_within(self.graph.pos(y), starts, radius) {
-                    inst.observed.push((y, self.graph.step(y)));
+                if self.any_within(graph.pos(y), starts, radius) {
+                    inst.observed.push((y, graph.step(y)));
                 }
             }
         }
         Ok(Some(speculative))
-    }
-
-    /// Parks `members` (a cluster at `step` that may not run yet) until
-    /// agent `on` completes or advances.
-    fn wait_on(&mut self, on: AgentId, step: Step, members: &[AgentId]) {
-        let list = self.watchers.entry(on.0).or_default();
-        for m in members {
-            if !list.contains(&m.0) {
-                list.push(m.0);
-            }
-            self.dirty.remove(&(step.0, m.0));
-        }
     }
 
     /// Live entries at or above `step`, of agents outside `members`,
@@ -494,13 +481,13 @@ impl<S: Space> SpecScheduler<S> {
     fn certain_race(&self, s: Step, starts: &[S::Pos], candidates: &mut Vec<u32>) -> bool {
         let coupling = self.params.coupling_units();
         let below = Step(s.0.saturating_sub(1));
-        let space = self.graph.space();
+        let graph = self.graph();
         starts.iter().any(|p| {
             candidates.clear();
-            self.graph.candidates_within(*p, coupling, candidates);
+            graph.candidates_within(*p, coupling, candidates);
             candidates.iter().any(|&b| {
                 let b = AgentId(b);
-                self.graph.step(b) <= below && space.within_units(self.graph.pos(b), *p, coupling)
+                graph.step(b) <= below && self.space.within_units(graph.pos(b), *p, coupling)
             })
         })
     }
@@ -510,7 +497,7 @@ impl<S: Space> SpecScheduler<S> {
     fn inflight_members_near(&self, centers: &[S::Pos], units: u64, out: &mut Vec<u32>) {
         let index = self.inflight_index.as_deref();
         gather(centers, out, |c, out| {
-            query_or_all(index, self.state.len(), c, units, out)
+            query_or_all(index, self.inflight_of.len(), c, units, out)
         });
     }
 
@@ -546,13 +533,8 @@ impl<S: Space> SpecScheduler<S> {
     }
 
     fn emit(&mut self, inst: Instance<S::Pos>, speculative: bool) -> Cluster {
-        debug_assert!(!inst.members.is_empty());
-        let id = ClusterId(self.next_cluster);
-        self.next_cluster += 1;
+        let id = self.core.emit(inst.step, &inst.members);
         for (m, start) in inst.members.iter().zip(&inst.starts) {
-            debug_assert_eq!(self.state[m.index()], AgentState::Waiting);
-            self.state[m.index()] = AgentState::InFlight;
-            self.dirty.remove(&(inst.step.0, m.0));
             self.inflight_of[m.index()] = Some(id);
             if let Some(idx) = self.inflight_index.as_mut() {
                 idx.insert(m.0, *start);
@@ -563,8 +545,6 @@ impl<S: Space> SpecScheduler<S> {
         } else {
             self.stats.emitted_firm += 1;
         }
-        self.stats.agent_steps += inst.members.len() as u64;
-        self.stats.max_cluster_size = self.stats.max_cluster_size.max(inst.members.len() as u32);
         // The caller's copy of the member list is the one allocation an
         // emission makes; the record's own buffers are recycled.
         let cluster = Cluster {
@@ -594,33 +574,26 @@ impl<S: Space> SpecScheduler<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `cluster` is not in flight or `new_pos` does not match
-    /// its members.
+    /// Panics if `cluster` is not in flight or `new_pos` does not name
+    /// each of its members exactly once — checked before any scheduler
+    /// or store state changes.
     pub fn complete(
         &mut self,
         cluster: &ClusterId,
         new_pos: &[(AgentId, S::Pos)],
     ) -> Result<CommitOutcome, StoreError> {
-        let Inflight { inst, poisoned } = self
-            .inflight
-            .remove(cluster)
-            .unwrap_or_else(|| panic!("{cluster} is not in flight"));
+        let Entry::Occupied(rec) = self.inflight.entry(*cluster) else {
+            panic!("{cluster} is not in flight");
+        };
+        self.core
+            .check_completion(cluster, &rec.get().inst.members, new_pos);
+        let Inflight { inst, poisoned } = rec.remove();
         for (m, start) in inst.members.iter().zip(&inst.starts) {
             self.inflight_of[m.index()] = None;
             if let Some(idx) = self.inflight_index.as_mut() {
                 idx.remove(m.0, *start);
             }
         }
-        assert_eq!(
-            new_pos.len(),
-            inst.members.len(),
-            "positions must cover all members"
-        );
-        for (a, _) in new_pos {
-            assert!(inst.members.contains(a), "{a} is not a member of {cluster}");
-            assert_eq!(self.state[a.index()], AgentState::InFlight);
-        }
-
         if poisoned {
             return Ok(self.discard(inst));
         }
@@ -649,7 +622,7 @@ impl<S: Space> SpecScheduler<S> {
             if rec2.poisoned || rec2.inst.step < s {
                 continue;
             }
-            let space = self.graph.space();
+            let space = &self.space;
             rec2.poisoned = rec2.inst.starts.iter().any(|st2| {
                 inst.starts
                     .iter()
@@ -661,30 +634,16 @@ impl<S: Space> SpecScheduler<S> {
         self.cascade(seeds)?;
 
         // The cascade may have rolled back this very cluster's members
-        // (their earlier steps were invalidated) — then this execution
-        // read discarded state and must be dropped too.
-        let valid = inst
-            .members
-            .iter()
-            .all(|m| self.graph.step(*m) == s && self.state[m.index()] == AgentState::InFlight);
-        if !valid {
+        // (their earlier steps were invalidated, so they now sit below
+        // `s`) — then this execution read discarded state and must be
+        // dropped too.
+        if inst.members.iter().any(|m| self.graph().step(*m) != s) {
             return Ok(self.discard(inst));
         }
 
-        // Accept: advance the graph, requeue the members, record the
+        // Accept: advance, requeue and wake through the core, record the
         // entries (the record moves into the table), retire eagerly.
-        self.graph.advance(new_pos)?;
-        for m in &inst.members {
-            let step = self.graph.step(*m);
-            if step >= self.target_step {
-                self.state[m.index()] = AgentState::Finished;
-                self.finished += 1;
-            } else {
-                self.state[m.index()] = AgentState::Waiting;
-                self.dirty.insert((step.0, m.0));
-            }
-        }
-        self.wake_watchers(&inst.members);
+        self.core.commit(new_pos)?;
         for m in &inst.members {
             self.wake_retire_watch(*m);
         }
@@ -692,8 +651,6 @@ impl<S: Space> SpecScheduler<S> {
         self.stats.max_live_entries = self.stats.max_live_entries.max(self.table.len() as u32);
         self.retire_dirty.insert((s.0, cluster.0));
         self.run_retirement();
-        let skew = self.current_skew();
-        self.stats.max_step_skew = self.stats.max_step_skew.max(skew);
         Ok(CommitOutcome { committed: true })
     }
 
@@ -701,27 +658,14 @@ impl<S: Space> SpecScheduler<S> {
     /// Waiting at their (possibly rolled back) current steps.
     fn discard(&mut self, inst: Instance<S::Pos>) -> CommitOutcome {
         for m in &inst.members {
-            self.state[m.index()] = AgentState::Waiting;
-            self.dirty.insert((self.graph.step(*m).0, m.0));
+            self.core.reopen(*m);
+            self.core.wake(*m);
         }
         self.stats.poisoned_clusters += 1;
         self.stats.poisoned_steps += inst.members.len() as u64;
-        self.wake_watchers(&inst.members);
         self.recycle(inst);
         self.run_retirement();
         CommitOutcome { committed: false }
-    }
-
-    fn wake_watchers(&mut self, members: &[AgentId]) {
-        for m in members {
-            if let Some(watchers) = self.watchers.remove(&m.0) {
-                for w in watchers {
-                    if self.state[w as usize] == AgentState::Waiting {
-                        self.dirty.insert((self.graph.step(AgentId(w)).0, w));
-                    }
-                }
-            }
-        }
     }
 
     fn wake_retire_watch(&mut self, agent: AgentId) {
@@ -793,17 +737,14 @@ impl<S: Space> SpecScheduler<S> {
                 .map(|(a, (s, p))| (AgentId(*a), *s, *p))
                 .collect();
             batch.sort_unstable_by_key(|(a, _, _)| a.0);
-            self.graph.rollback(&batch)?;
+            self.core.graph_mut().rollback(&batch)?;
         }
         for a in touched {
-            if self.inflight_of[a as usize].is_some() {
-                continue; // requeued when the poisoned completion arrives
+            // In-flight agents are requeued when their poisoned
+            // completion arrives.
+            if self.inflight_of[a as usize].is_none() {
+                self.core.reopen(AgentId(a));
             }
-            if self.state[a as usize] == AgentState::Finished {
-                self.finished -= 1;
-            }
-            self.state[a as usize] = AgentState::Waiting;
-            self.dirty.insert((self.graph.step(AgentId(a)).0, a));
         }
         Ok(())
     }
@@ -811,8 +752,7 @@ impl<S: Space> SpecScheduler<S> {
     /// Retires every instance whose reads can no longer be invalidated.
     fn run_retirement(&mut self) {
         let mut candidates = std::mem::take(&mut self.candidates);
-        while let Some(&(step, seq)) = self.retire_dirty.iter().next() {
-            self.retire_dirty.remove(&(step, seq));
+        while let Some((_, seq)) = self.retire_dirty.pop_first() {
             self.try_retire_instance(seq, &mut candidates);
         }
         self.candidates = candidates;
@@ -884,18 +824,18 @@ impl<S: Space> SpecScheduler<S> {
         step: Step,
         candidates: &mut Vec<u32>,
     ) -> Option<AgentId> {
-        let space = self.graph.space();
+        let (space, graph) = (&self.space, self.graph());
         // Agents without live entries: assessed at their current state,
         // first in (step, id) order.
-        let lowest = self.graph.min_step();
+        let lowest = graph.min_step();
         if lowest <= step {
             candidates.clear();
             let reach = self.params.blocking_units(step.0 - lowest.0);
-            self.graph.candidates_within(start, reach, candidates);
+            graph.candidates_within(start, reach, candidates);
             let mut first: Option<(Step, AgentId)> = None;
             for &b in candidates.iter() {
                 let b = AgentId(b);
-                let tb = self.graph.step(b);
+                let tb = graph.step(b);
                 if tb > step || first.is_some_and(|f| f <= (tb, b)) {
                     continue;
                 }
@@ -903,7 +843,7 @@ impl<S: Space> SpecScheduler<S> {
                     continue; // co-members retire together; entry-holders below
                 }
                 let units = self.params.blocking_units(step.0 - tb.0);
-                if space.within_units(start, self.graph.pos(b), units) {
+                if space.within_units(start, graph.pos(b), units) {
                     first = Some((tb, b));
                 }
             }
@@ -943,7 +883,7 @@ impl<S: Space> SpecScheduler<S> {
 
 /// The speculative scheduler as the virtual-time kernel sees it: an
 /// execution may be refused on completion or squashed after it.
-impl<S: Space> Controller<S::Pos> for SpecScheduler<S> {
+impl<S: Space, G: DepTracker<S>> Controller<S::Pos> for SpecScheduler<S, G> {
     const SPECULATIVE: bool = true;
 
     fn ready(&mut self) -> Result<Vec<Cluster>, StoreError> {
@@ -1319,6 +1259,24 @@ mod tests {
             s.complete(&ClusterId(999), &[]).unwrap();
         }));
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn complete_rejects_a_repeated_member_before_changing_anything() {
+        let mut s = sched(&[(0, 0), (5, 0)], 2, 3);
+        let ready = s.ready_clusters().unwrap();
+        assert_eq!(ready[0].members, vec![A, B]);
+        let twice = [(A, Point::new(1, 0)), (A, Point::new(2, 0))];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.complete(&ready[0].id, &twice)
+        }));
+        assert!(result.is_err(), "a repeated member must be rejected");
+        assert_eq!(s.graph().step(A), Step(0), "the store moved");
+        assert_eq!(s.inflight_len(), 1, "the cluster left flight");
+        // The rejected call changed nothing: the run still completes.
+        finish(&mut s, &ready[0]);
+        drain(&mut s);
+        assert_eq!(s.stats().retired_steps, 6);
     }
 
     #[test]

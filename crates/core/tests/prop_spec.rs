@@ -10,8 +10,10 @@
 
 use std::sync::Arc;
 
+use aim_core::depgraph::DepGraph;
 use aim_core::policy::DependencyPolicy;
 use aim_core::prelude::*;
+use aim_core::shard::{ShardedDepGraph, StripShardMap};
 use aim_core::space::SpatialIndex;
 use aim_core::spec::{SpecParams, SpecScheduler, SpecStats};
 use aim_core::workload::CallSpec;
@@ -154,23 +156,43 @@ struct Schedule {
     final_pos: Vec<Point>,
 }
 
-/// Drives a speculative scheduler over `w` in `space`, completing
-/// whichever pending cluster `picks` names next.
-fn adversarial_run<S: Space<Pos = Point>>(
+/// The single-shard tracker [`SpecScheduler::new`] mounts.
+fn flat<S: Space>(space: Arc<S>, initial: &[S::Pos]) -> DepGraph<S> {
+    DepGraph::new(space, RuleParams::genagent(), Arc::new(Db::new()), initial).unwrap()
+}
+
+/// A sharded tracker over four 16-unit strips of the 64-wide map.
+fn striped(space: Arc<GridSpace>, initial: &[Point]) -> ShardedDepGraph<GridSpace> {
+    let strips = Arc::new(StripShardMap::new(64, 4));
+    ShardedDepGraph::new(
+        space,
+        RuleParams::genagent(),
+        Arc::new(Db::new()),
+        initial,
+        strips,
+    )
+    .unwrap()
+}
+
+/// Drives a speculative scheduler over `w` in `space`, on the tracker
+/// `mount` builds, completing whichever pending cluster `picks` names
+/// next.
+fn adversarial_run<S: Space<Pos = Point>, G: DepTracker<S>>(
     space: S,
+    mount: impl FnOnce(Arc<S>, &[Point]) -> G,
     w: &HashWorkload,
     runahead: u32,
     picks: &[u16],
 ) -> Schedule {
-    let mut sched = SpecScheduler::new(
-        Arc::new(space),
+    let space = Arc::new(space);
+    let graph = mount(Arc::clone(&space), &w.initial);
+    let mut sched = SpecScheduler::from_graph(
+        graph,
+        space,
         RuleParams::genagent(),
         SpecParams::new(runahead),
-        Arc::new(Db::new()),
-        &w.initial,
         w.target,
-    )
-    .unwrap();
+    );
     let mut run = Schedule {
         emitted: Vec::new(),
         squashed: Vec::new(),
@@ -220,6 +242,118 @@ fn adversarial_run<S: Space<Pos = Point>>(
     run
 }
 
+/// FNV-1a, fed little-endian integers.
+struct Fnv(u64);
+
+impl Fnv {
+    fn u64(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl Schedule {
+    /// The whole run on one line: one digest of the emitted, squashed
+    /// and validity-after-commit sequences and the final positions (each
+    /// sequence length-prefixed), then the stats in the clear.
+    fn fingerprint(&self) -> String {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.u64(self.emitted.len() as u64);
+        for (step, members) in &self.emitted {
+            h.u64(step.0.into());
+            h.u64(members.len() as u64);
+            members.iter().for_each(|m| h.u64(m.0.into()));
+        }
+        h.u64(self.squashed.len() as u64);
+        for (agent, step) in &self.squashed {
+            h.u64(agent.0.into());
+            h.u64(step.0.into());
+        }
+        h.u64(self.valid_after_commit.len() as u64);
+        self.valid_after_commit
+            .iter()
+            .for_each(|ok| h.u64(*ok as u64));
+        for p in &self.final_pos {
+            h.u64(p.x as u64);
+            h.u64(p.y as u64);
+        }
+        format!("{:016x} {:?}", h.0, self.stats)
+    }
+}
+
+/// Golden case `i`: 12–30 agents at the density of the properties below,
+/// run-ahead `i % 7`, a seeded workload and a seeded pick sequence.
+fn golden_case(i: u32) -> (HashWorkload, u32, Vec<u16>) {
+    let seed = mix(0x5eed_0025, i, 0);
+    let n = 12 + (i % 4) * 6;
+    let extent = u64::from(20 + n);
+    let initial = (0..n)
+        .map(|a| {
+            let h = mix(seed, a, 1);
+            Point::new((h % extent) as i32, ((h >> 32) % extent) as i32)
+        })
+        .collect();
+    let picks = (0..900).map(|k| mix(seed, k, 2) as u16).collect();
+    let w = HashWorkload {
+        initial,
+        target: Step(4 + i % 4),
+        seed,
+    };
+    (w, i % 7, picks)
+}
+
+/// `golden_case(i)` fingerprints, recorded on the parent of the merge of
+/// the two schedulers' state machines (PR 25) and never edited since: a
+/// refactor of `SpecScheduler` must reproduce every emission, squash and
+/// counter, not just the final world.
+const GOLDEN: [&str; 28] = [
+    "bae32cc6ff855768 SpecStats { emitted_firm: 35, emitted_spec: 0, agent_steps: 48, squashed_steps: 0, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 48, deferrals: 0, spec_denied: 0, max_live_entries: 5, max_step_skew: 4, max_cluster_size: 5 }",
+    "e0b0774e15341542 SpecStats { emitted_firm: 57, emitted_spec: 7, agent_steps: 93, squashed_steps: 3, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 90, deferrals: 1, spec_denied: 7, max_live_entries: 5, max_step_skew: 5, max_cluster_size: 4 }",
+    "00558180ec4607a0 SpecStats { emitted_firm: 82, emitted_spec: 22, agent_steps: 174, squashed_steps: 28, poisoned_clusters: 1, poisoned_steps: 2, retired_steps: 144, deferrals: 1, spec_denied: 28, max_live_entries: 21, max_step_skew: 6, max_cluster_size: 6 }",
+    "cc4fe2e7b1549a08 SpecStats { emitted_firm: 111, emitted_spec: 14, agent_steps: 222, squashed_steps: 11, poisoned_clusters: 1, poisoned_steps: 1, retired_steps: 210, deferrals: 1, spec_denied: 4, max_live_entries: 10, max_step_skew: 6, max_cluster_size: 4 }",
+    "59349625dfd77dad SpecStats { emitted_firm: 30, emitted_spec: 3, agent_steps: 49, squashed_steps: 1, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 48, deferrals: 1, spec_denied: 0, max_live_entries: 3, max_step_skew: 4, max_cluster_size: 3 }",
+    "b4cf2f7f3311a787 SpecStats { emitted_firm: 58, emitted_spec: 7, agent_steps: 90, squashed_steps: 0, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 90, deferrals: 0, spec_denied: 0, max_live_entries: 5, max_step_skew: 5, max_cluster_size: 4 }",
+    "18acb5a441255984 SpecStats { emitted_firm: 93, emitted_spec: 19, agent_steps: 145, squashed_steps: 1, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 144, deferrals: 1, spec_denied: 5, max_live_entries: 10, max_step_skew: 5, max_cluster_size: 4 }",
+    "18e9b93eef3682ee SpecStats { emitted_firm: 171, emitted_spec: 0, agent_steps: 210, squashed_steps: 0, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 210, deferrals: 0, spec_denied: 0, max_live_entries: 3, max_step_skew: 6, max_cluster_size: 3 }",
+    "50b6345e5150d10a SpecStats { emitted_firm: 36, emitted_spec: 3, agent_steps: 53, squashed_steps: 4, poisoned_clusters: 1, poisoned_steps: 1, retired_steps: 48, deferrals: 2, spec_denied: 2, max_live_entries: 4, max_step_skew: 3, max_cluster_size: 4 }",
+    "731d293efcc181cd SpecStats { emitted_firm: 54, emitted_spec: 6, agent_steps: 93, squashed_steps: 3, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 90, deferrals: 1, spec_denied: 2, max_live_entries: 8, max_step_skew: 5, max_cluster_size: 4 }",
+    "47418c5a3eeea6ef SpecStats { emitted_firm: 81, emitted_spec: 18, agent_steps: 151, squashed_steps: 7, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 144, deferrals: 0, spec_denied: 6, max_live_entries: 10, max_step_skew: 5, max_cluster_size: 4 }",
+    "6f7d35249ef0d224 SpecStats { emitted_firm: 95, emitted_spec: 25, agent_steps: 220, squashed_steps: 10, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 210, deferrals: 2, spec_denied: 18, max_live_entries: 15, max_step_skew: 6, max_cluster_size: 7 }",
+    "56fcd20f75508f8e SpecStats { emitted_firm: 24, emitted_spec: 2, agent_steps: 48, squashed_steps: 0, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 48, deferrals: 0, spec_denied: 5, max_live_entries: 4, max_step_skew: 3, max_cluster_size: 3 }",
+    "ba2a12186a75a4c4 SpecStats { emitted_firm: 35, emitted_spec: 9, agent_steps: 97, squashed_steps: 6, poisoned_clusters: 1, poisoned_steps: 1, retired_steps: 90, deferrals: 2, spec_denied: 9, max_live_entries: 13, max_step_skew: 4, max_cluster_size: 6 }",
+    "18a29d0c04475193 SpecStats { emitted_firm: 93, emitted_spec: 0, agent_steps: 144, squashed_steps: 0, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 144, deferrals: 0, spec_denied: 0, max_live_entries: 6, max_step_skew: 6, max_cluster_size: 6 }",
+    "030e6d81e9c3a8ef SpecStats { emitted_firm: 115, emitted_spec: 23, agent_steps: 213, squashed_steps: 3, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 210, deferrals: 1, spec_denied: 20, max_live_entries: 9, max_step_skew: 6, max_cluster_size: 7 }",
+    "1c044da70c684f58 SpecStats { emitted_firm: 34, emitted_spec: 6, agent_steps: 52, squashed_steps: 3, poisoned_clusters: 1, poisoned_steps: 1, retired_steps: 48, deferrals: 0, spec_denied: 3, max_live_entries: 5, max_step_skew: 3, max_cluster_size: 3 }",
+    "033c7d38af1ebeed SpecStats { emitted_firm: 57, emitted_spec: 9, agent_steps: 92, squashed_steps: 2, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 90, deferrals: 1, spec_denied: 6, max_live_entries: 6, max_step_skew: 5, max_cluster_size: 4 }",
+    "b360ed7ce5fa7bf2 SpecStats { emitted_firm: 72, emitted_spec: 26, agent_steps: 164, squashed_steps: 13, poisoned_clusters: 4, poisoned_steps: 7, retired_steps: 144, deferrals: 3, spec_denied: 1, max_live_entries: 17, max_step_skew: 6, max_cluster_size: 4 }",
+    "64c4dc45cdab884f SpecStats { emitted_firm: 105, emitted_spec: 30, agent_steps: 238, squashed_steps: 23, poisoned_clusters: 3, poisoned_steps: 5, retired_steps: 210, deferrals: 3, spec_denied: 14, max_live_entries: 17, max_step_skew: 7, max_cluster_size: 5 }",
+    "7239d389da2025c8 SpecStats { emitted_firm: 32, emitted_spec: 8, agent_steps: 49, squashed_steps: 1, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 48, deferrals: 1, spec_denied: 0, max_live_entries: 3, max_step_skew: 3, max_cluster_size: 3 }",
+    "b0dbe392957b8a4b SpecStats { emitted_firm: 65, emitted_spec: 0, agent_steps: 90, squashed_steps: 0, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 90, deferrals: 0, spec_denied: 0, max_live_entries: 4, max_step_skew: 5, max_cluster_size: 4 }",
+    "1f38240aa6d71f8b SpecStats { emitted_firm: 80, emitted_spec: 15, agent_steps: 152, squashed_steps: 8, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 144, deferrals: 2, spec_denied: 5, max_live_entries: 8, max_step_skew: 5, max_cluster_size: 8 }",
+    "70b13da7d47a16dc SpecStats { emitted_firm: 119, emitted_spec: 30, agent_steps: 223, squashed_steps: 12, poisoned_clusters: 1, poisoned_steps: 1, retired_steps: 210, deferrals: 1, spec_denied: 15, max_live_entries: 8, max_step_skew: 7, max_cluster_size: 5 }",
+    "c68ecdc757d706c8 SpecStats { emitted_firm: 31, emitted_spec: 6, agent_steps: 48, squashed_steps: 0, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 48, deferrals: 0, spec_denied: 2, max_live_entries: 9, max_step_skew: 4, max_cluster_size: 3 }",
+    "b0d4f6c07d9552a6 SpecStats { emitted_firm: 41, emitted_spec: 4, agent_steps: 92, squashed_steps: 2, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 90, deferrals: 1, spec_denied: 4, max_live_entries: 7, max_step_skew: 3, max_cluster_size: 6 }",
+    "55f98d2a3168dd0a SpecStats { emitted_firm: 73, emitted_spec: 19, agent_steps: 144, squashed_steps: 0, poisoned_clusters: 0, poisoned_steps: 0, retired_steps: 144, deferrals: 0, spec_denied: 5, max_live_entries: 10, max_step_skew: 6, max_cluster_size: 3 }",
+    "160a0aa7a76d2080 SpecStats { emitted_firm: 107, emitted_spec: 24, agent_steps: 217, squashed_steps: 6, poisoned_clusters: 1, poisoned_steps: 1, retired_steps: 210, deferrals: 3, spec_denied: 5, max_live_entries: 12, max_step_skew: 7, max_cluster_size: 7 }",
+];
+
+#[test]
+fn spec_schedules_match_the_recorded_golden() {
+    let got: Vec<String> = (0..GOLDEN.len() as u32)
+        .map(|i| {
+            let (w, runahead, picks) = golden_case(i);
+            adversarial_run(GridSpace::new(64, 64), flat, &w, runahead, &picks).fingerprint()
+        })
+        .collect();
+    if got != GOLDEN {
+        eprintln!("{got:#?}");
+    }
+    for (i, (got, want)) in got.iter().zip(GOLDEN).enumerate() {
+        assert_eq!(got, want, "golden case {i}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -236,7 +370,7 @@ proptest! {
     ) {
         let w = HashWorkload { initial: points.clone(), target: Step(target), seed };
         let expected = conservative_outcome(&w);
-        let run = adversarial_run(GridSpace::new(64, 64), &w, runahead, &picks);
+        let run = adversarial_run(GridSpace::new(64, 64), flat, &w, runahead, &picks);
 
         // Outcome equivalence with the conservative schedule.
         prop_assert_eq!(&run.final_pos, &expected, "final positions diverged");
@@ -386,8 +520,31 @@ proptest! {
         picks in proptest::collection::vec(any::<u16>(), 0..2000),
     ) {
         let w = HashWorkload { initial: points, target: Step(target), seed };
-        let indexed = adversarial_run(GridSpace::new(64, 64), &w, runahead, &picks);
-        let linear = adversarial_run(Unindexed(GridSpace::new(64, 64)), &w, runahead, &picks);
+        let indexed = adversarial_run(GridSpace::new(64, 64), flat, &w, runahead, &picks);
+        let linear = adversarial_run(Unindexed(GridSpace::new(64, 64)), flat, &w, runahead, &picks);
         prop_assert_eq!(indexed, linear);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Speculation mounted on a four-strip `ShardedDepGraph`: trackers
+    /// answer every query identically by contract, so the whole schedule
+    /// — emissions, squashes, counters, validity after every commit — is
+    /// the `DepGraph` one, and the world it ends in is the lock-step one.
+    #[test]
+    fn sharded_tracker_speculates_the_same_schedule(
+        points in arb_points(24, 44),
+        target in 3u32..7,
+        runahead in 0u32..7,
+        seed in any::<u64>(),
+        picks in proptest::collection::vec(any::<u16>(), 0..1200),
+    ) {
+        let w = HashWorkload { initial: points, target: Step(target), seed };
+        let sharded = adversarial_run(GridSpace::new(64, 64), striped, &w, runahead, &picks);
+        let single = adversarial_run(GridSpace::new(64, 64), flat, &w, runahead, &picks);
+        prop_assert_eq!(&sharded.final_pos, &conservative_outcome(&w));
+        prop_assert_eq!(sharded, single);
     }
 }
