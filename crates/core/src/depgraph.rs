@@ -15,31 +15,43 @@
 //! Blocked/coupled edges are **maintained**, not recomputed per query:
 //! when a commit (or rollback) moves a set of agents, only the edges
 //! *incident to those agents* are torn down and rebuilt, using the
-//! space's [`SpatialIndex`] to enumerate candidate neighbors instead of
-//! scanning the population. This is sound because an edge between two
-//! agents that both stayed put cannot change — positions are fixed and
-//! the blocking radius depends only on the pair's step gap — and, by the
-//! validity argument of §3.2 (Appendix A), an agent advancing can only
-//! *shed* edges it has to bystanders, never create one; every edge it
-//! gains is incident to it and therefore rebuilt here. Queries
-//! ([`DepGraph::first_blocker`], [`DepGraph::coupled_of`]) then serve
-//! from adjacency lists in O(degree) without allocating.
+//! space's [`crate::space::SpatialIndex`] to enumerate candidate
+//! neighbors instead of scanning the population. This is sound because
+//! an edge between two agents that both stayed put cannot change —
+//! positions are fixed and the blocking radius depends only on the pair's
+//! step gap — and, by the validity argument of §3.2 (Appendix A), an
+//! agent advancing can only *shed* edges it has to bystanders, never
+//! create one; every edge it gains is incident to it and therefore
+//! rebuilt here. Queries ([`DepGraph::first_blocker`],
+//! [`DepGraph::coupled_of`]) then serve from adjacency lists in
+//! O(degree) without allocating.
+//!
+//! The repair is the crate's one edge engine: the agents are partitioned
+//! over the shards of a map (one shard here; many in
+//! [`crate::shard::ShardedDepGraph`], which *is* this graph over a
+//! multi-shard map), each shard keeping its step bounds and spatial
+//! index, and every candidate is re-checked against the §3.2 rules by the
+//! same routine the distributed workers ([`crate::dist`]) answer relink
+//! probes with.
 //!
 //! The node table in the store remains the authoritative state; adjacency
 //! is a derived cache that [`DepGraph::recover`] rebuilds from scratch,
 //! which the property tests exploit to cross-check the incremental
 //! maintenance against a full rebuild after every operation.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 
 use aim_store::{codec, Db, Key, StoreError};
 
+use crate::dist::WireEdge;
+use crate::edges::{self, Adjacency, Node, Partition, Whole};
 use crate::ids::{AgentId, Step};
-use crate::rules::{self, RuleParams};
-use crate::space::{query_or_all, Space, SpatialIndex};
+use crate::rules::RuleParams;
+use crate::shard::ShardMap;
+use crate::space::{query_or_all, Space};
+use crate::telemetry::{Counter, SpanKind, Telemetry};
 
 /// Namespace tag of the per-agent node records (`Key::tagged_u32`).
 /// Crate-visible so the distributed shard workers ([`crate::dist`]) write
@@ -56,6 +68,10 @@ pub(crate) const HIST_TAG: [u8; 4] = *b"dhst";
 /// step `< dep:hist_floor` has been compacted away.
 pub(crate) const HIST_FLOOR_KEY: &str = "dep:hist_floor";
 
+/// Batch size at or above which a multi-shard graph relinks in parallel
+/// across shards (when the machine has more than one CPU).
+const PARALLEL_RELINK_THRESHOLD: usize = 64;
+
 /// The dependency-tracking surface the [`crate::scheduler::Scheduler`],
 /// the [`crate::spec::SpecScheduler`] and the executors consume,
 /// abstracted so the same state machine drives the single-shard
@@ -64,10 +80,12 @@ pub(crate) const HIST_FLOOR_KEY: &str = "dep:hist_floor";
 ///
 /// Implementations must answer edge queries (`first_blocker`,
 /// `coupled_of`) **exactly** per the §3.2 rules — the scheduler's
-/// correctness argument assumes the tracker never misses an edge. How the
-/// adjacency is stored (one global index, spatial shards…) is the
-/// implementation's business; it changes cost, never a scheduling
-/// decision.
+/// correctness argument assumes the tracker never misses an edge. The
+/// three shipped trackers share one edge engine (shard partition and
+/// prune test, rule classification, adjacency lists), so they differ only
+/// in where that engine runs — one shard, many shards, or isolated
+/// workers behind a message boundary — which changes cost, never a
+/// scheduling decision.
 ///
 /// # Hosting speculation
 ///
@@ -178,12 +196,6 @@ pub struct GraphSnapshot {
     pub coupled: Vec<(AgentId, AgentId)>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Node<P> {
-    pos: P,
-    step: Step,
-}
-
 /// Whether a [`DepGraph`] maintains the derived blocked/coupled edges.
 ///
 /// Edge maintenance costs a little work on every commit; policies that
@@ -196,8 +208,8 @@ pub enum EdgeMode {
     /// Keep blocked/coupled adjacency up to date incrementally on every
     /// advance/rollback. Edge queries are O(degree).
     Maintained,
-    /// Skip edge maintenance entirely. Edge queries
-    /// ([`DepGraph::first_blocker`], [`DepGraph::coupled_of`],
+    /// Skip edge maintenance entirely (and the spatial index it needs).
+    /// Edge queries ([`DepGraph::first_blocker`], [`DepGraph::coupled_of`],
     /// [`DepGraph::blockers_of`], [`DepGraph::snapshot`]) panic.
     Off,
 }
@@ -228,20 +240,6 @@ impl Default for GraphOptions {
     }
 }
 
-/// The derived-edge state of a [`DepGraph`] in [`EdgeMode::Maintained`].
-struct Edges<S: Space> {
-    /// Dynamic neighborhood index, when the space provides one.
-    index: Option<Box<dyn SpatialIndex<S::Pos>>>,
-    /// Same-step coupling partners per agent, ascending by id.
-    coupled: Vec<Vec<AgentId>>,
-    /// Agents currently blocking each agent, ascending by id.
-    blockers: Vec<Vec<AgentId>>,
-    /// Reverse of `blockers`: agents each agent currently blocks.
-    blockees: Vec<Vec<AgentId>>,
-    /// Reused candidate buffer for index queries.
-    scratch: Vec<u32>,
-}
-
 /// Store-backed node table plus incrementally maintained rule edges.
 ///
 /// The store holds only *nodes* (database writes per cluster advancement
@@ -254,28 +252,41 @@ pub struct DepGraph<S: Space> {
     params: RuleParams,
     db: Arc<Db>,
     nodes: Vec<Node<S::Pos>>,
-    /// `(step, agent)` ordered index for lagging-agent scans.
-    step_index: BTreeSet<(u32, u32)>,
+    /// Shard ownership and step bounds, plus the spatial indexes edge
+    /// maintenance queries (none in [`EdgeMode::Off`]).
+    part: Partition<S::Pos>,
+    /// Maintained edges, present in [`EdgeMode::Maintained`].
+    adj: Option<Adjacency>,
     /// Interned store key per agent record (allocation-free write path).
     keys: Vec<Key>,
     commits_key: Key,
-    /// Maintained edge state, present in [`EdgeMode::Maintained`].
-    edges: Option<Edges<S>>,
+    /// Whether per-step history records are written (see [`GraphOptions`]).
+    history: bool,
+    /// Reused `(agent, step, position)` targets of an advance.
+    targets: Vec<(AgentId, Step, S::Pos)>,
     /// Reused `(agent, encoded record)` buffer for transactions.
     records: Vec<(u32, Bytes)>,
     /// Reused scratch the records are encoded in before being copied out.
     encode_buf: BytesMut,
-    /// Whether per-step history records are written (see [`GraphOptions`]).
-    history: bool,
     /// Reused history write/delete buffer: `(key, Some(value))` writes,
     /// `(key, None)` deletes.
     hist_records: Vec<(Key, Option<Bytes>)>,
+    /// Reused candidate and edge buffers of a serial relink.
+    scratch: Vec<u32>,
+    edges_out: Vec<WireEdge>,
+    /// Worker tasks for parallel relink (0 = decide from the machine).
+    relink_threads: usize,
+    /// Where migration passes and relink batches are recorded. Only the
+    /// sharded tracker sets it: a single shard's repair is folded into
+    /// the controller span.
+    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl<S: Space> std::fmt::Debug for DepGraph<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DepGraph")
             .field("agents", &self.nodes.len())
+            .field("shards", &self.part.num_shards())
             .field("min_step", &self.min_step())
             .field("params", &self.params)
             .finish()
@@ -295,32 +306,7 @@ impl<S: Space> DepGraph<S> {
         db: Arc<Db>,
         initial: &[S::Pos],
     ) -> Result<Self, StoreError> {
-        Self::new_with_mode(space, params, db, initial, EdgeMode::Maintained)
-    }
-
-    /// [`DepGraph::new`] with explicit control over edge maintenance (see
-    /// [`EdgeMode`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates database errors from the initial population transaction.
-    pub fn new_with_mode(
-        space: Arc<S>,
-        params: RuleParams,
-        db: Arc<Db>,
-        initial: &[S::Pos],
-        mode: EdgeMode,
-    ) -> Result<Self, StoreError> {
-        Self::new_with_options(
-            space,
-            params,
-            db,
-            initial,
-            GraphOptions {
-                edges: mode,
-                history: false,
-            },
-        )
+        Self::new_with_options(space, params, db, initial, GraphOptions::default())
     }
 
     /// [`DepGraph::new`] with full construction options (edge maintenance
@@ -336,14 +322,26 @@ impl<S: Space> DepGraph<S> {
         initial: &[S::Pos],
         options: GraphOptions,
     ) -> Result<Self, StoreError> {
-        let nodes: Vec<Node<S::Pos>> = initial
+        Self::partitioned(space, params, db, initial, Arc::new(Whole), options)
+    }
+
+    /// [`DepGraph::new_with_options`] over the shards of `map`.
+    pub(crate) fn partitioned(
+        space: Arc<S>,
+        params: RuleParams,
+        db: Arc<Db>,
+        initial: &[S::Pos],
+        map: Arc<dyn ShardMap<S::Pos>>,
+        options: GraphOptions,
+    ) -> Result<Self, StoreError> {
+        let nodes = initial
             .iter()
-            .map(|p| Node {
-                pos: *p,
+            .map(|&pos| Node {
+                pos,
                 step: Step::ZERO,
             })
             .collect();
-        let graph = Self::assemble(space, params, db, nodes, options);
+        let graph = Self::assemble(space, params, db, nodes, map, options);
         let mut buf = BytesMut::new();
         graph.db.transaction(|txn| {
             for (i, node) in graph.nodes.iter().enumerate() {
@@ -362,186 +360,48 @@ impl<S: Space> DepGraph<S> {
         Ok(graph)
     }
 
-    /// Builds the full in-process mirror (step index, spatial index,
+    /// Builds the full in-process mirror (partition, spatial indexes,
     /// adjacency) around an already-decided node table.
     fn assemble(
         space: Arc<S>,
         params: RuleParams,
         db: Arc<Db>,
         nodes: Vec<Node<S::Pos>>,
+        map: Arc<dyn ShardMap<S::Pos>>,
         options: GraphOptions,
     ) -> Self {
+        let maintained = options.edges == EdgeMode::Maintained;
+        let units = params.coupling_units();
+        let mut part = Partition::new(map, || {
+            maintained.then(|| space.make_index(units)).flatten()
+        });
+        for (a, node) in nodes.iter().enumerate() {
+            part.insert(a as u32, node.step.0, node.pos);
+        }
         let n = nodes.len();
-        let step_index = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| (node.step.0, i as u32))
-            .collect();
-        let keys = (0..n as u32)
-            .map(|a| Key::tagged_u32(AGENT_TAG, a))
-            .collect();
-        let edges = match options.edges {
-            EdgeMode::Off => None,
-            EdgeMode::Maintained => {
-                let mut index = space.make_index(params.coupling_units());
-                if let Some(idx) = index.as_mut() {
-                    for (i, node) in nodes.iter().enumerate() {
-                        idx.insert(i as u32, node.pos);
-                    }
-                }
-                Some(Edges {
-                    index,
-                    coupled: vec![Vec::new(); n],
-                    blockers: vec![Vec::new(); n],
-                    blockees: vec![Vec::new(); n],
-                    scratch: Vec::new(),
-                })
-            }
-        };
         let mut graph = DepGraph {
             space,
             params,
             db,
             nodes,
-            step_index,
-            keys,
+            part,
+            adj: maintained.then(|| Adjacency::new(n)),
+            keys: (0..n as u32)
+                .map(|a| Key::tagged_u32(AGENT_TAG, a))
+                .collect(),
             commits_key: Key::new("dep:commits"),
-            edges,
+            history: options.history,
+            targets: Vec::new(),
             records: Vec::new(),
             encode_buf: BytesMut::new(),
-            history: options.history,
             hist_records: Vec::new(),
+            scratch: Vec::new(),
+            edges_out: Vec::new(),
+            relink_threads: 0,
+            telemetry: None,
         };
-        graph.rebuild_edges();
+        graph.refresh_edges();
         graph
-    }
-
-    /// The edge maintenance mode in force.
-    pub fn edge_mode(&self) -> EdgeMode {
-        if self.edges.is_some() {
-            EdgeMode::Maintained
-        } else {
-            EdgeMode::Off
-        }
-    }
-
-    fn edges(&self) -> &Edges<S> {
-        self.edges
-            .as_ref()
-            .expect("edge queries require EdgeMode::Maintained")
-    }
-
-    /// Recomputes every blocked/coupled edge from scratch (initialisation
-    /// and recovery; steady-state maintenance is incremental).
-    fn rebuild_edges(&mut self) {
-        let Some(edges) = self.edges.as_mut() else {
-            return;
-        };
-        for list in edges
-            .coupled
-            .iter_mut()
-            .chain(edges.blockers.iter_mut())
-            .chain(edges.blockees.iter_mut())
-        {
-            list.clear();
-        }
-        for a in 0..self.nodes.len() as u32 {
-            self.relink(AgentId(a), true);
-        }
-    }
-
-    /// The widest rule radius relevant to `a` right now: the blocking
-    /// threshold at `a`'s largest possible step gap (which also covers the
-    /// coupling threshold, `blocking_units(0)`).
-    fn query_units(&self, step: Step) -> u64 {
-        let lo = self.min_step().0;
-        let hi = self.max_step().0;
-        let gap = (step.0 - lo.min(step.0)).max(hi.max(step.0) - step.0);
-        self.params.blocking_units(gap)
-    }
-
-    /// Rebuilds the edges incident to `a` from its current node state.
-    ///
-    /// With `forward_only`, only neighbors with a larger id are linked —
-    /// used by [`DepGraph::rebuild_edges`], where every agent is visited
-    /// and each unordered pair must be linked exactly once. Incremental
-    /// callers pass `false` (and detach `a` first). No-op in
-    /// [`EdgeMode::Off`].
-    fn relink(&mut self, a: AgentId, forward_only: bool) {
-        let Some(mut edges) = self.edges.take() else {
-            return;
-        };
-        let node = self.nodes[a.index()];
-        let units = self.query_units(node.step);
-        let mut scratch = std::mem::take(&mut edges.scratch);
-        scratch.clear();
-        query_or_all(
-            edges.index.as_deref(),
-            self.nodes.len(),
-            node.pos,
-            units,
-            &mut scratch,
-        );
-        for &c in &scratch {
-            if c == a.0 || (forward_only && c < a.0) {
-                continue;
-            }
-            let b = AgentId(c);
-            let other = self.nodes[b.index()];
-            if other.step == node.step {
-                if self
-                    .space
-                    .within_units(node.pos, other.pos, self.params.coupling_units())
-                {
-                    insert_sorted(&mut edges.coupled[a.index()], b);
-                    insert_sorted(&mut edges.coupled[b.index()], a);
-                }
-            } else {
-                // The lower-step agent blocks the higher-step one inside
-                // the gap-widened radius.
-                let (lo, hi) = if node.step < other.step {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-                let gap = node.step.abs_diff(other.step);
-                if self
-                    .space
-                    .within_units(node.pos, other.pos, self.params.blocking_units(gap))
-                {
-                    insert_sorted(&mut edges.blockers[hi.index()], lo);
-                    insert_sorted(&mut edges.blockees[lo.index()], hi);
-                }
-            }
-        }
-        edges.scratch = scratch;
-        self.edges = Some(edges);
-    }
-
-    /// Applies one committed `(step, pos)` mirror update and tears down the
-    /// agent's incident edges; callers [`DepGraph::relink`] every updated
-    /// agent once the whole batch's node states are in place.
-    fn apply_node(&mut self, a: AgentId, step: Step, pos: S::Pos) {
-        let node = &mut self.nodes[a.index()];
-        let was = (node.step.0, a.0);
-        let removed = self.step_index.remove(&was);
-        debug_assert!(removed, "agent {a} missing from step index");
-        if let Some(edges) = self.edges.as_mut() {
-            if let Some(idx) = edges.index.as_mut() {
-                idx.update(a.0, node.pos, pos);
-            }
-        }
-        node.step = step;
-        node.pos = pos;
-        self.step_index.insert((step.0, a.0));
-        if let Some(edges) = self.edges.as_mut() {
-            detach_edges(
-                &mut edges.coupled,
-                &mut edges.blockers,
-                &mut edges.blockees,
-                a,
-            );
-        }
     }
 
     /// Rebuilds the in-memory mirror from the database — demonstrates that
@@ -574,17 +434,58 @@ impl<S: Space> DepGraph<S> {
         num_agents: usize,
         options: GraphOptions,
     ) -> Result<Self, StoreError> {
-        let mut nodes = Vec::with_capacity(num_agents);
-        for i in 0..num_agents {
-            let raw = db
-                .get(Key::tagged_u32(AGENT_TAG, i as u32))
-                .ok_or_else(|| StoreError::Codec(format!("missing record for agent {i}")))?;
-            let mut rd = raw;
-            let step = Step(codec::get_u32(&mut rd)?);
-            let pos = space.decode_pos(&mut rd)?;
-            nodes.push(Node { pos, step });
+        Self::recover_partitioned(space, params, db, num_agents, Arc::new(Whole), options)
+    }
+
+    /// [`DepGraph::recover_with_options`] over the shards of `map`, each
+    /// agent owned by the shard its recorded position lies in.
+    pub(crate) fn recover_partitioned(
+        space: Arc<S>,
+        params: RuleParams,
+        db: Arc<Db>,
+        num_agents: usize,
+        map: Arc<dyn ShardMap<S::Pos>>,
+        options: GraphOptions,
+    ) -> Result<Self, StoreError> {
+        let nodes = (0..num_agents as u32)
+            .map(|a| load_record(&*space, &db, a).map(|(step, pos)| Node { pos, step }))
+            .collect::<Result<_, _>>()?;
+        Ok(Self::assemble(space, params, db, nodes, map, options))
+    }
+
+    /// The edge maintenance mode in force.
+    pub fn edge_mode(&self) -> EdgeMode {
+        if self.adj.is_some() {
+            EdgeMode::Maintained
+        } else {
+            EdgeMode::Off
         }
-        Ok(Self::assemble(space, params, db, nodes, options))
+    }
+
+    fn adj(&self) -> &Adjacency {
+        self.adj
+            .as_ref()
+            .expect("edge queries require EdgeMode::Maintained")
+    }
+
+    /// The agents' shard partition (one shard unless this graph backs a
+    /// [`crate::shard::ShardedDepGraph`]).
+    pub(crate) fn partition(&self) -> &Partition<S::Pos> {
+        &self.part
+    }
+
+    /// Records migration passes and relink batches into `telemetry` (what
+    /// the sharded tracker's `set_telemetry` attaches).
+    pub(crate) fn record_repairs(&mut self, telemetry: Arc<Telemetry>) {
+        self.telemetry = Some(telemetry);
+    }
+
+    /// Overrides the worker-task count for parallel relink (`0` = decide
+    /// from [`std::thread::available_parallelism`]). Only a multi-shard
+    /// graph relinks in parallel. Mostly for tests and benches; the
+    /// default is right for production.
+    pub fn set_relink_threads(&mut self, threads: usize) {
+        self.relink_threads = threads;
     }
 
     /// Number of agents.
@@ -624,21 +525,13 @@ impl<S: Space> DepGraph<S> {
 
     /// The lowest step any agent is at — the paper's `base_step`.
     pub fn min_step(&self) -> Step {
-        self.step_index
-            .iter()
-            .next()
-            .map(|(s, _)| Step(*s))
-            .unwrap_or(Step::ZERO)
+        self.part.min_step()
     }
 
     /// The highest step any agent is at; `max_step() - min_step()` is the
-    /// current step skew, O(log n) from the step index.
+    /// current step skew, O(shards · log n) from the step bounds.
     pub fn max_step(&self) -> Step {
-        self.step_index
-            .iter()
-            .next_back()
-            .map(|(s, _)| Step(*s))
-            .unwrap_or(Step::ZERO)
+        self.part.max_step()
     }
 
     /// Advances every `(agent, new_position)` in `updates` by one step, as
@@ -653,72 +546,16 @@ impl<S: Space> DepGraph<S> {
     ///
     /// Panics if an agent id is out of range.
     pub fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
-        // Encode the records outside the closure: retries must be
-        // idempotent and the mirror untouched until commit. The record
-        // list, the encode scratch, the keys and the transaction's own
-        // sets are all reused or refcounted — the commit allocates once
-        // per record for the stored value, once for the counter's new
-        // value, and nothing else.
-        let mut records = std::mem::take(&mut self.records);
-        records.clear();
-        for (a, pos) in updates {
-            let step = self.nodes[a.index()].step.next();
-            let value = encode_record(&*self.space, &mut self.encode_buf, step, *pos);
-            records.push((a.0, value));
-        }
-        let result = if self.history {
-            // History rides in the same transaction: the step's record and
-            // its immutable history entry commit or retry together. This
-            // arm is deliberately separate from the history-off one below
-            // so runs without history keep the lean original closure on
-            // their per-commit hot path.
-            let mut hist = std::mem::take(&mut self.hist_records);
-            hist.clear();
-            hist.extend(updates.iter().zip(&records).map(|((a, _), (_, value))| {
-                let step = self.nodes[a.index()].step.next();
-                (
-                    Key::tagged_u32_pair(HIST_TAG, step.0, a.0),
-                    Some(value.clone()),
-                )
-            }));
-            let keys = &self.keys;
-            let commits_key = &self.commits_key;
-            let r = self.db.transaction(|txn| {
-                for (a, value) in &records {
-                    txn.set_key(&keys[*a as usize], value.clone());
-                }
-                for (key, value) in &hist {
-                    match value {
-                        Some(v) => txn.set_key(key, v.clone()),
-                        None => txn.del(key),
-                    }
-                }
-                txn.incr_key(commits_key, 1)
-            });
-            hist.clear();
-            self.hist_records = hist;
-            r
-        } else {
-            let keys = &self.keys;
-            let commits_key = &self.commits_key;
-            self.db.transaction(|txn| {
-                for (a, value) in &records {
-                    txn.set_key(&keys[*a as usize], value.clone());
-                }
-                txn.incr_key(commits_key, 1)
-            })
-        };
-        records.clear();
-        self.records = records;
-        result?;
-        for &(a, pos) in updates {
-            let next = self.nodes[a.index()].step.next();
-            self.apply_node(a, next, pos);
-        }
-        for &(a, _) in updates {
-            self.relink(a, false);
-        }
-        Ok(())
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        targets.extend(
+            updates
+                .iter()
+                .map(|&(a, pos)| (a, self.nodes[a.index()].step.next(), pos)),
+        );
+        let result = self.write(&targets, true);
+        self.targets = targets;
+        result
     }
 
     /// Rolls every `(agent, step, position)` in `updates` back to an
@@ -738,61 +575,206 @@ impl<S: Space> DepGraph<S> {
     /// Panics if an agent id is out of range or a target step is *ahead*
     /// of the agent's current step (rollback must rewind, not advance).
     pub fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
+        for &(a, step, _) in updates {
+            let current = self.nodes[a.index()].step;
+            assert!(
+                step <= current,
+                "rollback of {a} to {step} is ahead of current {current}"
+            );
+        }
+        self.write(updates, false)
+    }
+
+    /// Writes every `(agent, step, position)` of `targets` as one store
+    /// transaction — counted in `dep:commits` when `commit` — then moves
+    /// the mirror there and repairs the edges.
+    fn write(
+        &mut self,
+        targets: &[(AgentId, Step, S::Pos)],
+        commit: bool,
+    ) -> Result<(), StoreError> {
+        // Encode the records outside the closure: retries must be
+        // idempotent and the mirror untouched until commit. The record
+        // list, the encode scratch, the keys and the transaction's own
+        // sets are all reused or refcounted — the commit allocates once
+        // per record for the stored value, once for the counter's new
+        // value, and nothing else.
         let mut records = std::mem::take(&mut self.records);
         records.clear();
-        for (a, step, pos) in updates {
-            assert!(
-                *step <= self.nodes[a.index()].step,
-                "rollback of {a} to {step} is ahead of current {}",
-                self.nodes[a.index()].step
-            );
-            let value = encode_record(&*self.space, &mut self.encode_buf, *step, *pos);
+        for &(a, step, pos) in targets {
+            let value = encode_record(&*self.space, &mut self.encode_buf, step, pos);
             records.push((a.0, value));
         }
         let mut hist = std::mem::take(&mut self.hist_records);
         hist.clear();
         if self.history {
-            // A squash rewrites history: the target step's record is
-            // replaced (its position may differ from the first visit) and
-            // every discarded future step's record is deleted, so history
-            // only ever describes committed, non-squashed state.
-            for ((a, step, _), (_, value)) in updates.iter().zip(&records) {
-                hist.push((
-                    Key::tagged_u32_pair(HIST_TAG, step.0, a.0),
-                    Some(value.clone()),
-                ));
+            // A step's record and its immutable history entry commit or
+            // retry together. A squash rewrites history: the target
+            // step's record is replaced (its position may differ from the
+            // first visit) and every discarded future step's record is
+            // deleted, so history only ever describes committed,
+            // non-squashed state.
+            for (&(a, step, _), (_, value)) in targets.iter().zip(&records) {
+                let key = Key::tagged_u32_pair(HIST_TAG, step.0, a.0);
+                hist.push((key, Some(value.clone())));
                 for squashed in (step.0 + 1)..=self.nodes[a.index()].step.0 {
                     hist.push((Key::tagged_u32_pair(HIST_TAG, squashed, a.0), None));
                 }
             }
         }
-        let result = {
-            let keys = &self.keys;
-            self.db.transaction(|txn| {
-                for (a, value) in &records {
-                    txn.set_key(&keys[*a as usize], value.clone());
+        let (keys, commits_key) = (&self.keys, &self.commits_key);
+        let result = self.db.transaction(|txn| {
+            for (a, value) in &records {
+                txn.set_key(&keys[*a as usize], value.clone());
+            }
+            for (key, value) in &hist {
+                match value {
+                    Some(v) => txn.set_key(key, v.clone()),
+                    None => txn.del(key),
                 }
-                for (key, value) in &hist {
-                    match value {
-                        Some(v) => txn.set_key(key, v.clone()),
-                        None => txn.del(key),
-                    }
-                }
-                Ok(())
-            })
-        };
+            }
+            if commit {
+                txn.incr_key(commits_key, 1)?;
+            }
+            Ok(())
+        });
         records.clear();
         self.records = records;
         hist.clear();
         self.hist_records = hist;
         result?;
-        for &(a, step, pos) in updates {
-            self.apply_node(a, step, pos);
-        }
-        for &(a, _, _) in updates {
-            self.relink(a, false);
-        }
+        self.apply(targets);
         Ok(())
+    }
+
+    /// Moves the mirror to the just-committed `targets`: every agent's
+    /// node and shard membership first (so no relink query misses an
+    /// agent mid-migration), then one relink batch. Each half is recorded
+    /// as a span when telemetry is attached.
+    fn apply(&mut self, targets: &[(AgentId, Step, S::Pos)]) {
+        let t0 = self.telemetry.as_ref().and_then(|t| t.start());
+        let mut crossings = 0u32;
+        for &(a, step, pos) in targets {
+            let node = &mut self.nodes[a.index()];
+            let crossed = self
+                .part
+                .migrate(a.0, (node.step.0, node.pos), (step.0, pos));
+            crossings += u32::from(crossed);
+            *node = Node { pos, step };
+            if let Some(adj) = self.adj.as_mut() {
+                adj.detach(a);
+            }
+        }
+        let agents = targets.len() as u32;
+        if let (Some(t), Some(t0)) = (&self.telemetry, t0) {
+            t.counter_add(Counter::ShardMigrations, u64::from(crossings));
+            t.record(t0, SpanKind::Migrate { agents, crossings });
+        }
+        let t0 = self.telemetry.as_ref().and_then(|t| t.start());
+        let workers = self.relink(targets.iter().map(|&(a, _, _)| a), false) as u32;
+        if let (Some(t), Some(t0)) = (&self.telemetry, t0) {
+            t.counter_add(Counter::RelinkBatches, 1);
+            t.record(t0, SpanKind::Relink { agents, workers });
+        }
+    }
+
+    /// Rebuilds every derived edge from the current node states —
+    /// initialisation and recovery; steady-state maintenance is
+    /// incremental. Parallel across shards on multi-core machines; a
+    /// no-op in [`EdgeMode::Off`].
+    pub fn refresh_edges(&mut self) {
+        if let Some(adj) = self.adj.as_mut() {
+            adj.clear();
+        }
+        let n = self.nodes.len() as u32;
+        self.relink((0..n).map(AgentId), true);
+    }
+
+    /// Links the rule edges incident to `agents`, whose node states are
+    /// in place and whose old edges are gone. With `forward`, only
+    /// neighbors with a larger id are linked — a full rebuild visits
+    /// every agent, and must link each pair once. Large batches on a
+    /// multi-shard partition compute their edges in parallel, one task
+    /// per chunk of the batch; linking is serial. Returns the tasks used
+    /// (1 = serial).
+    fn relink(&mut self, agents: impl ExactSizeIterator<Item = AgentId>, forward: bool) -> usize {
+        let Some(mut adj) = self.adj.take() else {
+            return 1;
+        };
+        let mut out = std::mem::take(&mut self.edges_out);
+        let threads = self.relink_tasks(agents.len());
+        if threads <= 1 {
+            let mut scratch = std::mem::take(&mut self.scratch);
+            for a in agents {
+                self.edges_into(a, forward, &mut scratch, &mut out);
+            }
+            self.scratch = scratch;
+        } else {
+            // Deal the batch out in contiguous chunks: a straggler
+            // pocket makes one shard's relinks far dearer than another's,
+            // so chunks of the (spatially mixed) batch order balance the
+            // tasks where whole shards would not. Tasks only read.
+            let batch: Vec<AgentId> = agents.collect();
+            let this = &*self;
+            std::thread::scope(|scope| {
+                let running: Vec<_> = (batch.chunks(batch.len().div_ceil(threads)))
+                    .map(|task| {
+                        scope.spawn(move || {
+                            let (mut scratch, mut out) = (Vec::new(), Vec::new());
+                            for &a in task {
+                                this.edges_into(a, forward, &mut scratch, &mut out);
+                            }
+                            out
+                        })
+                    })
+                    .collect();
+                for task in running {
+                    out.extend(task.join().expect("relink task panicked"));
+                }
+            });
+        }
+        for &e in &out {
+            adj.link(e);
+        }
+        out.clear();
+        self.edges_out = out;
+        self.adj = Some(adj);
+        threads
+    }
+
+    /// Appends the rule edges incident to `a` (with `forward`, only those
+    /// to larger ids), from the shards the prune test keeps.
+    fn edges_into(
+        &self,
+        a: AgentId,
+        forward: bool,
+        scratch: &mut Vec<u32>,
+        out: &mut Vec<WireEdge>,
+    ) {
+        let at = self.nodes[a.index()];
+        scratch.clear();
+        self.part
+            .candidates(at.step.0, at.pos, self.params, scratch);
+        if forward {
+            scratch.retain(|&c| c > a.0);
+        }
+        let node = |c: u32| self.nodes[c as usize];
+        edges::edges_of(&*self.space, self.params, a.0, at, scratch, node, out);
+    }
+
+    /// How many parallel relink tasks a batch of `batch_len` agents
+    /// warrants.
+    fn relink_tasks(&self, batch_len: usize) -> usize {
+        let shards = self.part.num_shards();
+        if batch_len < PARALLEL_RELINK_THRESHOLD || shards < 2 {
+            return 1;
+        }
+        let hw = if self.relink_threads > 0 {
+            self.relink_threads
+        } else {
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        };
+        hw.min(shards)
     }
 
     /// Cluster advancements committed so far (read from the store).
@@ -835,13 +817,11 @@ impl<S: Space> DepGraph<S> {
     /// Returns [`StoreError::Codec`] if the record exists but is
     /// malformed.
     pub fn history_at(&self, a: AgentId, step: Step) -> Result<Option<(Step, S::Pos)>, StoreError> {
-        let Some(raw) = self.db.get(Key::tagged_u32_pair(HIST_TAG, step.0, a.0)) else {
-            return Ok(None);
-        };
-        let mut rd = raw;
-        let s = Step(codec::get_u32(&mut rd)?);
-        let pos = self.space.decode_pos(&mut rd)?;
-        Ok(Some((s, pos)))
+        let key = Key::tagged_u32_pair(HIST_TAG, step.0, a.0);
+        self.db
+            .get(key)
+            .map(|raw| decode_record(&*self.space, raw))
+            .transpose()
     }
 
     /// Compacts history records older than the deepest rollback any legal
@@ -860,7 +840,9 @@ impl<S: Space> DepGraph<S> {
     /// evicted) and the pass deletes exactly those, advancing the
     /// `dep:hist_floor` watermark. Resident history is then
     /// O(agents × window) where the window is the step skew plus the
-    /// eviction cadence, instead of O(agents × horizon).
+    /// eviction cadence, instead of O(agents × horizon). Sharding and
+    /// distribution leave it untouched: only the global `min_step` is
+    /// consulted.
     ///
     /// Call from a quiesced writer (e.g. the threaded executor's
     /// checkpoint barrier): the key walk and the deletes are not one
@@ -878,24 +860,7 @@ impl<S: Space> DepGraph<S> {
         if floor <= prev {
             return Ok(0); // nothing new below the watermark
         }
-        // Keys sort step-major, so value visits stop at the first
-        // retained step — the per-record work is O(evicted + 1). (The
-        // walk's key gather still scans the store's keys once; see
-        // `Db::for_each_prefix`.)
-        let mut doomed: Vec<Bytes> = Vec::new();
-        self.db.for_each_prefix(HIST_TAG, |k, _| {
-            let step = u32::from_be_bytes(k[4..8].try_into().expect("12-byte history key"));
-            if step >= floor {
-                return std::ops::ControlFlow::Break(());
-            }
-            doomed.push(k.clone());
-            std::ops::ControlFlow::Continue(())
-        });
-        for k in &doomed {
-            self.db.del(k);
-        }
-        self.db.set_i64(HIST_FLOOR_KEY, floor as i64);
-        Ok(doomed.len() as u64)
+        Ok(evict_below(&self.db, floor))
     }
 
     /// First agent (in `(step, id)` order) that blocks `a`, if any.
@@ -904,25 +869,20 @@ impl<S: Space> DepGraph<S> {
     /// allocating. `None` means `a`'s cluster may advance as far as `a`
     /// is concerned.
     pub fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
-        self.edges().blockers[a.index()]
-            .iter()
-            .copied()
-            .min_by_key(|b| (self.nodes[b.index()].step.0, b.0))
+        self.adj().first_blocker(a, &self.nodes)
     }
 
     /// All agents that block `a`, in `(step, id)` order (diagnostics; the
     /// scheduler uses [`DepGraph::first_blocker`]).
     pub fn blockers_of(&self, a: AgentId) -> Vec<AgentId> {
-        let mut out = self.edges().blockers[a.index()].clone();
-        out.sort_unstable_by_key(|b| (self.nodes[b.index()].step.0, b.0));
-        out
+        self.adj().blockers_of(a, &self.nodes)
     }
 
     /// Agents at the same step as `a` within the coupling radius
     /// (excluding `a`), ascending by id — the maintained adjacency slice,
     /// no allocation.
     pub fn coupled_of(&self, a: AgentId) -> &[AgentId] {
-        &self.edges().coupled[a.index()]
+        self.adj().coupled_of(a)
     }
 
     /// Allocating convenience form of [`DepGraph::coupled_of`].
@@ -932,20 +892,20 @@ impl<S: Space> DepGraph<S> {
 
     /// Appends to `out` every agent that may currently stand within
     /// `units` of `center`: a superset in no particular order, possibly
-    /// with repeats, answered by the graph's own position index (the one
-    /// edge maintenance keeps current) — or every agent id when the space
-    /// has no index or edges are [`EdgeMode::Off`]. Callers re-check
-    /// candidates with [`Space::within_units`]; `out` is not cleared.
+    /// with repeats, answered by the position indexes edge maintenance
+    /// keeps current — of every shard [`ShardMap::min_distance`] cannot
+    /// rule out — or by the members themselves when the space has no
+    /// index or edges are [`EdgeMode::Off`]. Callers re-check candidates
+    /// with [`Space::within_units`]; `out` is not cleared.
     pub fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
-        let index = self.edges.as_ref().and_then(|e| e.index.as_deref());
-        query_or_all(index, self.nodes.len(), center, units, out);
+        self.part.within(center, units, out);
     }
 
     /// Agents whose step equals `step` (sorted by id).
     pub fn agents_at_step(&self, step: Step) -> Vec<AgentId> {
-        self.step_index
-            .range((step.0, 0u32)..(step.0 + 1, 0u32))
-            .map(|&(_, b)| AgentId(b))
+        (0..self.nodes.len() as u32)
+            .map(AgentId)
+            .filter(|&a| self.step(a) == step)
             .collect()
     }
 
@@ -955,43 +915,22 @@ impl<S: Space> DepGraph<S> {
     ///
     /// Returns a human-readable description of the first violating pair.
     pub fn validate(&self) -> Result<(), String> {
-        let states: Vec<(S::Pos, Step)> = self.nodes.iter().map(|n| (n.pos, n.step)).collect();
-        match rules::find_violation(self.space.as_ref(), self.params, &states) {
-            None => Ok(()),
-            Some((i, j)) => Err(format!(
-                "validity violated: agent{} at {:?}/{} vs agent{} at {:?}/{}",
-                i, self.nodes[i].pos, self.nodes[i].step, j, self.nodes[j].pos, self.nodes[j].step
-            )),
-        }
+        edges::validate(&*self.space, self.params, &self.nodes)
     }
 
     /// Dumps nodes and the maintained edges (O(n + edges)) for
     /// visualization and for cross-checking incremental maintenance
     /// against a from-scratch rebuild.
     pub fn snapshot(&self) -> GraphSnapshot {
-        let mut blocked = Vec::new();
-        let mut coupled = Vec::new();
-        for i in 0..self.nodes.len() {
-            let a = AgentId(i as u32);
-            for b in self.blockers_of(a) {
-                blocked.push((b, a));
-            }
-            for b in self.coupled_neighbors(a) {
-                if a.0 < b.0 {
-                    coupled.push((a, b));
-                }
-            }
-        }
-        GraphSnapshot {
-            nodes: self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (AgentId(i as u32), n.step, format!("{:?}", n.pos)))
-                .collect(),
-            blocked,
-            coupled,
-        }
+        self.adj().snapshot(&self.nodes)
+    }
+
+    /// Debug cross-check of the shard partition against first
+    /// principles: ownership matches the shard map, step bounds match the
+    /// node table. Used by the property tests.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.part.check(&self.nodes);
     }
 }
 
@@ -1074,45 +1013,48 @@ pub(crate) fn encode_record<S: Space>(
     Bytes::copy_from_slice(buf)
 }
 
-/// Detaches every edge incident to `a`, in both directions, from three
-/// id-sorted adjacency tables (the layout all three trackers share).
-/// `a`'s own lists are emptied in place: the relink that always follows
-/// refills them, and must find their buffers still there.
-pub(crate) fn detach_edges(
-    coupled: &mut [Vec<AgentId>],
-    blockers: &mut [Vec<AgentId>],
-    blockees: &mut [Vec<AgentId>],
-    a: AgentId,
-) {
-    // Coupling partners live in the table being walked: lift `a`'s list
-    // out for the walk and put it (and its capacity) back.
-    let mut partners = std::mem::take(&mut coupled[a.index()]);
-    for b in partners.drain(..) {
-        remove_sorted(&mut coupled[b.index()], a);
-    }
-    coupled[a.index()] = partners;
-    for b in blockers[a.index()].drain(..) {
-        remove_sorted(&mut blockees[b.index()], a);
-    }
-    for b in blockees[a.index()].drain(..) {
-        remove_sorted(&mut blockers[b.index()], a);
-    }
+/// Decodes a record written by [`encode_record`].
+pub(crate) fn decode_record<S: Space>(
+    space: &S,
+    mut raw: Bytes,
+) -> Result<(Step, S::Pos), StoreError> {
+    let step = Step(codec::get_u32(&mut raw)?);
+    Ok((step, space.decode_pos(&mut raw)?))
 }
 
-/// Inserts `x` into an id-sorted adjacency list, keeping it sorted;
-/// idempotent (re-linking an existing edge is a no-op), which lets a batch
-/// update relink both endpoints of an intra-batch edge safely.
-pub(crate) fn insert_sorted(list: &mut Vec<AgentId>, x: AgentId) {
-    if let Err(at) = list.binary_search(&x) {
-        list.insert(at, x);
-    }
+/// Reads agent `a`'s authoritative record from `db`.
+pub(crate) fn load_record<S: Space>(
+    space: &S,
+    db: &Db,
+    a: u32,
+) -> Result<(Step, S::Pos), StoreError> {
+    let raw = db
+        .get(Key::tagged_u32(AGENT_TAG, a))
+        .ok_or_else(|| StoreError::Codec(format!("missing record for agent {a}")))?;
+    decode_record(space, raw)
 }
 
-/// Removes `x` from an id-sorted adjacency list if present.
-pub(crate) fn remove_sorted(list: &mut Vec<AgentId>, x: AgentId) {
-    if let Ok(at) = list.binary_search(&x) {
-        list.remove(at);
+/// Deletes every history record in `db` below step `floor` and raises the
+/// watermark to it, returning how many went (see
+/// [`DepGraph::evict_history`] for when that is safe). Keys sort
+/// step-major, so value visits stop at the first retained step — the
+/// per-record work is O(evicted + 1). (The walk's key gather still scans
+/// the store's keys once; see `Db::for_each_prefix`.)
+pub(crate) fn evict_below(db: &Db, floor: u32) -> u64 {
+    let mut doomed: Vec<Bytes> = Vec::new();
+    db.for_each_prefix(HIST_TAG, |k, _| {
+        let step = u32::from_be_bytes(k[4..8].try_into().expect("12-byte history key"));
+        if step >= floor {
+            return std::ops::ControlFlow::Break(());
+        }
+        doomed.push(k.clone());
+        std::ops::ControlFlow::Continue(())
+    });
+    for k in &doomed {
+        db.del(k);
     }
+    db.set_i64(HIST_FLOOR_KEY, i64::from(floor));
+    doomed.len() as u64
 }
 
 #[cfg(test)]

@@ -13,6 +13,18 @@
 //! cell), so the exactness argument now rests on the message types
 //! alone.
 //!
+//! The edge logic itself is not re-implemented here: both sides run the
+//! crate's one edge engine. The controller mirrors the workers'
+//! membership as an index-less partition — ownership, step bounds and
+//! the step-bound prune test that decides which workers a relink probe
+//! visits — plus the adjacency the scheduler reads. Each worker keeps
+//! its members as a one-shard partition with a spatial index and
+//! answers probes with the same candidate query and rule
+//! classification [`crate::depgraph::DepGraph`] relinks with, writing
+//! and evicting records through the graph's own record layout. The
+//! three trackers are therefore edge-for-edge identical by
+//! construction; what this module adds is the boundary.
+//!
 //! What the boundary costs is the wake-up of the thread (or process) on
 //! the other side, not the bytes, so requests cross it in **hand-offs**:
 //! everything one operation has for one worker is delivered as one unit,

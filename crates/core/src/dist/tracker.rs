@@ -1,14 +1,15 @@
 //! The controller-side tracker driving isolated shard workers.
 //!
-//! [`DistTracker`] re-implements the [`crate::shard::ShardedDepGraph`]
-//! API — same exactness invariants, same scheduler-facing queries — with
-//! every shard replaced by a [`super::worker::ShardWorker`] behind a
-//! [`super::worker::WorkerLink`]. The controller keeps a read-only
-//! *mirror* of the committed world (positions, steps, ownership, the
-//! derived adjacency) so scheduling queries never cross the boundary;
-//! every **write** (commit, rollback, migration, history eviction) and
-//! every **edge computation** happens worker-side, reached exclusively
-//! through the typed [`super::msg`] protocol.
+//! [`DistTracker`] runs the edge engine of [`crate::shard::ShardedDepGraph`]
+//! — same partition, prune test and rule classification, same
+//! scheduler-facing queries — with every shard replaced by a
+//! [`super::worker::ShardWorker`] behind a [`super::worker::WorkerLink`].
+//! The controller keeps a read-only *mirror* of the committed world
+//! (positions, steps, an index-less partition, the derived adjacency) so
+//! scheduling queries never cross the boundary; every **write** (commit,
+//! rollback, migration, history eviction) and every **edge computation**
+//! happens worker-side, reached exclusively through the typed
+//! [`super::msg`] protocol.
 //!
 //! # The hand-off rule
 //!
@@ -61,31 +62,22 @@
 //! store in a real deployment ([`DistTracker::commits`],
 //! [`DistTracker::history_records`]).
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use aim_store::{Db, StoreError};
 
-use crate::depgraph::{
-    detach_edges, insert_sorted, DepTracker, GraphOptions, GraphSnapshot, HIST_FLOOR_KEY, HIST_TAG,
-};
+use crate::depgraph::{DepTracker, GraphOptions, GraphSnapshot, HIST_FLOOR_KEY, HIST_TAG};
+use crate::edges::{self, Adjacency, Node, Partition};
 use crate::health::{HealthBoard, WorkerHealth};
 use crate::ids::{AgentId, Step};
-use crate::rules::{self, RuleParams};
-use crate::shard::ShardMap;
+use crate::rules::RuleParams;
+use crate::shard::{owners_of, ShardMap};
 use crate::space::Space;
 use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
 
 use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
 use super::worker::{worker_down, ChannelLink, SeveredLink, SharedTelemetry, WorkerLink};
-
-/// One mirrored node: the committed state the controller schedules from.
-#[derive(Debug, Clone, Copy)]
-struct Node<P> {
-    pos: P,
-    step: Step,
-}
 
 /// Which write an operation carries to the owning workers.
 #[derive(Debug, Clone, Copy)]
@@ -207,7 +199,6 @@ impl<P> Lane<P> {
 pub struct DistTracker<S: Space> {
     space: Arc<S>,
     params: RuleParams,
-    map: Arc<dyn ShardMap<S::Pos>>,
     /// One lane per shard worker.
     lanes: Vec<Lane<S::Pos>>,
     /// Each worker's database, retained as its durable storage stand-in.
@@ -215,18 +206,11 @@ pub struct DistTracker<S: Space> {
     history: bool,
     /// Controller mirror of every agent's committed state.
     nodes: Vec<Node<S::Pos>>,
-    /// Current owning worker per agent.
-    owner: Vec<u32>,
-    /// Global `(step, agent)` index for min/max step queries.
-    step_index: BTreeSet<(u32, u32)>,
-    /// Per-worker `(step, agent)` sets — the pruning step bounds.
-    shard_steps: Vec<BTreeSet<(u32, u32)>>,
-    /// Same-step coupling partners per agent, ascending by id.
-    coupled: Vec<Vec<AgentId>>,
-    /// Agents currently blocking each agent, ascending by id.
-    blockers: Vec<Vec<AgentId>>,
-    /// Reverse of `blockers`.
-    blockees: Vec<Vec<AgentId>>,
+    /// The workers' membership and step bounds, mirrored: ownership and
+    /// the prune test, without spatial indexes (the workers keep those).
+    part: Partition<S::Pos>,
+    /// The maintained edges, from the workers' relink replies.
+    adj: Adjacency,
     /// History-eviction watermark mirror (guards redundant sweeps).
     hist_floor: u32,
     telemetry: Option<Arc<Telemetry>>,
@@ -308,17 +292,12 @@ impl<S: Space> DistTracker<S> {
         DistTracker {
             space,
             params,
-            map,
             lanes,
-            shard_steps: vec![BTreeSet::new(); worker_dbs.len()],
             worker_dbs,
             history,
             nodes: Vec::with_capacity(num_agents),
-            owner: Vec::with_capacity(num_agents),
-            step_index: BTreeSet::new(),
-            coupled: vec![Vec::new(); num_agents],
-            blockers: vec![Vec::new(); num_agents],
-            blockees: vec![Vec::new(); num_agents],
+            part: Partition::new(map, || None),
+            adj: Adjacency::new(num_agents),
             hist_floor: 0,
             telemetry: None,
             shared_telemetry,
@@ -357,14 +336,11 @@ impl<S: Space> DistTracker<S> {
             initial.len(),
         );
         for (i, &pos) in initial.iter().enumerate() {
-            let j = tracker.map.shard_of(pos);
-            tracker.owner.push(j as u32);
             tracker.nodes.push(Node {
                 pos,
                 step: Step::ZERO,
             });
-            tracker.shard_steps[j].insert((0, i as u32));
-            tracker.step_index.insert((0, i as u32));
+            tracker.part.insert(i as u32, 0, pos);
             // Every agent's step-0 record (with its step-0 history
             // record when history is on) starts in the controller's
             // hands, bound for its owner.
@@ -404,23 +380,8 @@ impl<S: Space> DistTracker<S> {
             )));
         }
         let num_agents = members.iter().map(Vec::len).sum();
-        let mut owner = vec![u32::MAX; num_agents];
-        for (j, list) in members.iter().enumerate() {
-            for &a in list {
-                let slot = owner.get_mut(a as usize).ok_or_else(|| {
-                    StoreError::Codec(format!("shard {j} names out-of-range agent {a}"))
-                })?;
-                if *slot != u32::MAX {
-                    return Err(StoreError::Codec(format!(
-                        "agent {a} owned by shards {} and {j}",
-                        *slot
-                    )));
-                }
-                *slot = j as u32;
-            }
-        }
+        let owner = owners_of(members, num_agents)?;
         let mut tracker = Self::spawn(space, params, map, worker_dbs, options.history, num_agents);
-        tracker.owner = owner;
         // Recover every worker in one round, then assemble the mirror
         // from the authoritative states they report.
         let mut states: Vec<Option<(u32, S::Pos)>> = vec![None; num_agents];
@@ -449,8 +410,6 @@ impl<S: Space> DistTracker<S> {
             }
             for (a, step, pos) in worker_states {
                 states[a as usize] = Some((step, pos));
-                tracker.shard_steps[j].insert((step, a));
-                tracker.step_index.insert((step, a));
             }
         }
         for (i, state) in states.iter().enumerate() {
@@ -461,21 +420,9 @@ impl<S: Space> DistTracker<S> {
                 pos,
                 step: Step(step),
             });
+            tracker.part.insert(i as u32, step, pos);
         }
-        // Geometry check (release builds too): membership that disagrees
-        // with the map would make the pruning lower bound unsound.
-        if let Some(i) = (0..num_agents)
-            .find(|&i| tracker.map.shard_of(tracker.nodes[i].pos) != tracker.owner[i] as usize)
-        {
-            return Err(StoreError::Codec(format!(
-                "recorded shard membership disagrees with the shard map: \
-                 agent {i} at {:?} is owned by worker {} but the map places \
-                 it in shard {}",
-                tracker.nodes[i].pos,
-                tracker.owner[i],
-                tracker.map.shard_of(tracker.nodes[i].pos)
-            )));
-        }
+        tracker.part.check_owners(&owner)?;
         if tracker.history {
             tracker.hist_floor = tracker
                 .worker_dbs
@@ -495,14 +442,12 @@ impl<S: Space> DistTracker<S> {
 
     /// The worker currently owning `a`.
     pub fn shard_of_agent(&self, a: AgentId) -> usize {
-        self.owner[a.index()] as usize
+        self.part.owner(a.0)
     }
 
     /// Member agents of worker `shard`, ascending by id.
     pub fn members(&self, shard: usize) -> Vec<u32> {
-        let mut out: Vec<u32> = self.shard_steps[shard].iter().map(|&(_, a)| a).collect();
-        out.sort_unstable();
-        out
+        self.part.members(shard)
     }
 
     /// Number of agents.
@@ -544,20 +489,12 @@ impl<S: Space> DistTracker<S> {
 
     /// The lowest step any agent is at.
     pub fn min_step(&self) -> Step {
-        self.step_index
-            .iter()
-            .next()
-            .map(|&(s, _)| Step(s))
-            .unwrap_or(Step::ZERO)
+        self.part.min_step()
     }
 
     /// The highest step any agent is at.
     pub fn max_step(&self) -> Step {
-        self.step_index
-            .iter()
-            .next_back()
-            .map(|&(s, _)| Step(s))
-            .unwrap_or(Step::ZERO)
+        self.part.max_step()
     }
 
     /// Cluster advancements committed so far, summed over the workers'
@@ -595,22 +532,17 @@ impl<S: Space> DistTracker<S> {
 
     /// First agent (in `(step, id)` order) that blocks `a`, if any.
     pub fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
-        self.blockers[a.index()]
-            .iter()
-            .copied()
-            .min_by_key(|b| (self.nodes[b.index()].step.0, b.0))
+        self.adj.first_blocker(a, &self.nodes)
     }
 
     /// All agents that block `a`, in `(step, id)` order.
     pub fn blockers_of(&self, a: AgentId) -> Vec<AgentId> {
-        let mut out = self.blockers[a.index()].clone();
-        out.sort_unstable_by_key(|b| (self.nodes[b.index()].step.0, b.0));
-        out
+        self.adj.blockers_of(a, &self.nodes)
     }
 
     /// Same-step coupling partners of `a`, ascending by id.
     pub fn coupled_of(&self, a: AgentId) -> &[AgentId] {
-        &self.coupled[a.index()]
+        self.adj.coupled_of(a)
     }
 
     /// Verifies the §3.2 validity condition over the mirrored world.
@@ -619,43 +551,14 @@ impl<S: Space> DistTracker<S> {
     ///
     /// Returns a human-readable description of the first violating pair.
     pub fn validate(&self) -> Result<(), String> {
-        let states: Vec<(S::Pos, Step)> = self.nodes.iter().map(|n| (n.pos, n.step)).collect();
-        match rules::find_violation(self.space.as_ref(), self.params, &states) {
-            None => Ok(()),
-            Some((i, j)) => Err(format!(
-                "validity violated: agent{} at {:?}/{} vs agent{} at {:?}/{}",
-                i, self.nodes[i].pos, self.nodes[i].step, j, self.nodes[j].pos, self.nodes[j].step
-            )),
-        }
+        edges::validate(&*self.space, self.params, &self.nodes)
     }
 
     /// Dumps nodes and edges in the same shape as
     /// [`crate::depgraph::DepGraph::snapshot`], so the trackers compare
     /// directly.
     pub fn snapshot(&self) -> GraphSnapshot {
-        let mut blocked = Vec::new();
-        let mut coupled = Vec::new();
-        for i in 0..self.len() {
-            let a = AgentId(i as u32);
-            for b in self.blockers_of(a) {
-                blocked.push((b, a));
-            }
-            for &b in self.coupled_of(a) {
-                if a.0 < b.0 {
-                    coupled.push((a, b));
-                }
-            }
-        }
-        GraphSnapshot {
-            nodes: (0..self.len() as u32)
-                .map(|a| {
-                    let a = AgentId(a);
-                    (a, self.step(a), format!("{:?}", self.pos(a)))
-                })
-                .collect(),
-            blocked,
-            coupled,
-        }
+        self.adj.snapshot(&self.nodes)
     }
 
     /// Attaches a telemetry sink: the controller records every hand-off
@@ -976,20 +879,14 @@ impl<S: Space> DistTracker<S> {
         // would after the commit.
         let mut migrations = 0u64;
         for &(a, step, pos) in targets {
-            let i = a.index();
-            let from = self.owner[i] as usize;
-            self.undo.push((a, self.nodes[i], self.owner[i]));
+            let from = self.part.owner(a.0);
+            self.undo.push((a, self.nodes[a.index()], from as u32));
             self.lanes[from].writes.push((a.0, step, pos));
-            let to = self.map.shard_of(pos);
-            self.set_mirror(
-                a,
-                Node {
-                    pos,
-                    step: Step(step),
-                },
-                to,
-            );
-            if from != to {
+            let node = Node {
+                pos,
+                step: Step(step),
+            };
+            if self.set_mirror(a, node) {
                 self.lanes[from].departs.push(a.0);
                 migrations += 1;
             }
@@ -1067,7 +964,7 @@ impl<S: Space> DistTracker<S> {
         let records: Vec<NodeRecord<S::Pos>> = self
             .pool
             .iter()
-            .filter(|r| self.owner[r.agent as usize] as usize == j)
+            .filter(|r| self.part.owner(r.agent) == j)
             .cloned()
             .collect();
         (!records.is_empty()).then_some(CtrlMsg::Arrive { records })
@@ -1082,11 +979,7 @@ impl<S: Space> DistTracker<S> {
             self.hand_off(j, requests.into_iter().flatten())?;
         }
         for j in 0..self.lanes.len() {
-            if self
-                .pool
-                .iter()
-                .any(|r| self.owner[r.agent as usize] as usize == j)
-            {
+            if self.pool.iter().any(|r| self.part.owner(r.agent) == j) {
                 self.expect_done(j)?;
             }
             if !self.lanes[j].probes.is_empty() {
@@ -1096,19 +989,11 @@ impl<S: Space> DistTracker<S> {
         Ok(())
     }
 
-    /// Moves `a`'s mirror entry (node, step indexes, ownership) to
-    /// `node` under worker `to`.
-    fn set_mirror(&mut self, a: AgentId, node: Node<S::Pos>, to: usize) {
-        let i = a.index();
-        let old_step = self.nodes[i].step.0;
-        let from = self.owner[i] as usize;
-        let removed = self.step_index.remove(&(old_step, a.0));
-        debug_assert!(removed, "agent {a} missing from step index");
-        self.step_index.insert((node.step.0, a.0));
-        self.shard_steps[from].remove(&(old_step, a.0));
-        self.shard_steps[to].insert((node.step.0, a.0));
-        self.nodes[i] = node;
-        self.owner[i] = to as u32;
+    /// Moves `a`'s mirror entry (node, shard membership) to `node`;
+    /// returns whether it crossed into another worker's region.
+    fn set_mirror(&mut self, a: AgentId, node: Node<S::Pos>) -> bool {
+        let old = std::mem::replace(&mut self.nodes[a.index()], node);
+        (self.part).migrate(a.0, (old.step.0, old.pos), (node.step.0, node.pos))
     }
 
     /// Fills each lane's probe list for the targets' (already moved)
@@ -1117,24 +1002,11 @@ impl<S: Space> DistTracker<S> {
     /// pruning, re-checked exactly worker-side).
     fn build_probes(&mut self, targets: &[(AgentId, u32, S::Pos)]) {
         for &(a, step, pos) in targets {
-            for (j, steps) in self.shard_steps.iter().enumerate() {
-                let (Some(&(lo, _)), Some(&(hi, _))) =
-                    (steps.iter().next(), steps.iter().next_back())
-                else {
-                    continue; // empty shard
-                };
-                // Largest step gap between `a` and any member of `j`
-                // bounds every pair rule radius for candidates in `j`.
-                let gap = step.abs_diff(lo).max(step.abs_diff(hi));
-                let units = self.params.blocking_units(gap);
-                if self.map.min_distance(pos, j) > units {
-                    continue; // provably out of range of every member
+            for (j, lane) in self.lanes.iter_mut().enumerate() {
+                if self.part.reach(j, step, pos, self.params).is_some() {
+                    let agent = a.0;
+                    lane.probes.push(Probe { agent, step, pos });
                 }
-                self.lanes[j].probes.push(Probe {
-                    agent: a.0,
-                    step,
-                    pos,
-                });
             }
         }
     }
@@ -1144,17 +1016,10 @@ impl<S: Space> DistTracker<S> {
     /// intra-batch edge may emit it).
     fn apply_edges(&mut self, targets: &[(AgentId, u32, S::Pos)]) {
         for &(a, _, _) in targets {
-            detach_edges(&mut self.coupled, &mut self.blockers, &mut self.blockees, a);
+            self.adj.detach(a);
         }
         for e in self.edges.drain(..) {
-            let (a, b) = (AgentId(e.a), AgentId(e.b));
-            if e.coupled {
-                insert_sorted(&mut self.coupled[a.index()], b);
-                insert_sorted(&mut self.coupled[b.index()], a);
-            } else {
-                insert_sorted(&mut self.blockers[b.index()], a);
-                insert_sorted(&mut self.blockees[a.index()], b);
-            }
+            self.adj.link(e);
         }
     }
 
@@ -1180,13 +1045,13 @@ impl<S: Space> DistTracker<S> {
         let mut involved: Vec<usize> = self
             .undo
             .iter()
-            .flat_map(|&(a, _, old)| [old as usize, self.owner[a.index()] as usize])
+            .flat_map(|&(a, _, old)| [old as usize, self.part.owner(a.0)])
             .filter(|&j| self.lanes[j].touched)
             .collect();
         involved.sort_unstable();
         involved.dedup();
-        while let Some((a, node, owner)) = self.undo.pop() {
-            self.set_mirror(a, node, owner as usize);
+        while let Some((a, node, _)) = self.undo.pop() {
+            self.set_mirror(a, node);
         }
         self.drain();
         let agents: Vec<u32> = targets.iter().map(|&(a, _, _)| a.0).collect();
@@ -1222,7 +1087,7 @@ impl<S: Space> DistTracker<S> {
         let owned = self
             .pool
             .iter()
-            .filter(|r| agents.contains(&r.agent) && self.owner[r.agent as usize] as usize == j);
+            .filter(|r| agents.contains(&r.agent) && self.part.owner(r.agent) == j);
         lane.held.extend(owned.cloned());
     }
 
@@ -1305,7 +1170,7 @@ impl<S: Space> DistTracker<S> {
     fn readopt(&mut self, j: usize, agents: &[u32]) -> Result<(), StoreError> {
         let records: Vec<NodeRecord<S::Pos>> = agents
             .iter()
-            .filter(|&&a| self.owner[a as usize] as usize == j)
+            .filter(|&&a| self.part.owner(a) == j)
             .map(|&a| {
                 let held = self.pool.iter().filter(|r| r.agent == a);
                 self.mirror_record(a, held.flat_map(|r| r.history.iter().copied()))
@@ -1469,7 +1334,6 @@ impl<S: Space> DistTracker<S> {
     /// Panics on any disagreement.
     #[doc(hidden)]
     pub fn check_invariants(&mut self) {
-        let mut total = 0usize;
         for j in 0..self.lanes.len() {
             self.hand_off(j, [CtrlMsg::Quiesce]).expect("quiesce send");
             let reply = self.recv_from(j).expect("quiesce recv");
@@ -1478,27 +1342,17 @@ impl<S: Space> DistTracker<S> {
             };
             assert_eq!(
                 states.len(),
-                self.shard_steps[j].len(),
+                self.members(j).len(),
                 "worker {j} member count drifted from the mirror"
             );
-            total += states.len();
             for (a, step, pos) in states {
-                assert_eq!(self.owner[a as usize] as usize, j, "ownership drift");
+                assert_eq!(self.part.owner(a), j, "ownership drift");
                 let node = self.nodes[a as usize];
                 assert_eq!(node.step.0, step, "stale mirror step for agent {a}");
                 assert_eq!(node.pos, pos, "stale mirror position for agent {a}");
-                assert!(
-                    self.shard_steps[j].contains(&(step, a)),
-                    "agent {a} missing from shard {j} step bounds"
-                );
-                assert_eq!(
-                    self.map.shard_of(pos),
-                    j,
-                    "agent {a} owned by the wrong shard"
-                );
             }
         }
-        assert_eq!(total, self.len(), "worker membership must partition agents");
+        self.part.check(&self.nodes);
     }
 }
 

@@ -31,12 +31,15 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
-use aim_store::{codec, Db, Key, StoreError};
+use aim_store::{Db, Key, StoreError};
 
-use crate::depgraph::{encode_record, AGENT_TAG, HIST_FLOOR_KEY, HIST_TAG};
+use crate::depgraph::{
+    decode_record, encode_record, evict_below, load_record, AGENT_TAG, HIST_TAG,
+};
+use crate::edges::{edges_of, Node, Partition, Whole};
 use crate::ids::Step;
 use crate::rules::RuleParams;
-use crate::space::{Space, SpatialIndex};
+use crate::space::Space;
 use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
 
 use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
@@ -136,11 +139,10 @@ pub struct ShardWorker<S: Space> {
     history: bool,
     /// Committed `(position, step)` per member.
     members: HashMap<u32, (S::Pos, u32)>,
-    /// Spatial index over the members (`None` for spaces without one —
-    /// relink queries then scan the member set).
-    index: Option<Box<dyn SpatialIndex<S::Pos>>>,
-    /// `(step, agent)` of every member — this worker's step bounds.
-    steps: BTreeSet<(u32, u32)>,
+    /// The members as one shard of the edge engine's partition: their
+    /// step bounds and spatial index (`None` for spaces without one —
+    /// relink queries then scan the members).
+    part: Partition<S::Pos>,
     commits_key: Key,
     telemetry: SharedTelemetry,
     /// Cached copy of the shared sink, refreshed when the cell's
@@ -191,7 +193,7 @@ impl<S: Space> ShardWorker<S> {
         history: bool,
         telemetry: SharedTelemetry,
     ) -> Self {
-        let index = space.make_index(params.coupling_units());
+        let part = Self::partition(&space, params);
         let local = Arc::new(Telemetry::new());
         local.set_enabled(false); // armed by the first HarvestTelemetry
         ShardWorker {
@@ -201,8 +203,7 @@ impl<S: Space> ShardWorker<S> {
             db,
             history,
             members: HashMap::new(),
-            index,
-            steps: BTreeSet::new(),
+            part,
             commits_key: Key::new("dep:commits"),
             telemetry,
             cached_sink: None,
@@ -215,6 +216,13 @@ impl<S: Space> ShardWorker<S> {
             encode_buf: BytesMut::new(),
             records: Vec::new(),
         }
+    }
+
+    /// An empty one-shard partition, indexed when the space can be.
+    fn partition(space: &Arc<S>, params: RuleParams) -> Partition<S::Pos> {
+        Partition::new(Arc::new(Whole), || {
+            space.make_index(params.coupling_units())
+        })
     }
 
     /// This worker's shard id.
@@ -347,11 +355,11 @@ impl<S: Space> ShardWorker<S> {
     /// (no database access; protocol invariant 4). `last_step` is the
     /// highest applied member step — `u32::MAX` flags an empty worker.
     fn heartbeat(&self) -> ShardMsg<S::Pos> {
-        let last_step = self
-            .steps
-            .iter()
-            .next_back()
-            .map_or(u32::MAX, |&(step, _)| step);
+        let last_step = if self.members.is_empty() {
+            u32::MAX
+        } else {
+            self.part.max_step().0
+        };
         ShardMsg::Heartbeat {
             worker: self.id,
             now_us: self.local.now_us(),
@@ -497,12 +505,7 @@ impl<S: Space> ShardWorker<S> {
     /// Moves one member's in-memory state to its committed `(step, pos)`.
     fn apply_state(&mut self, a: u32, step: u32, pos: S::Pos) {
         let (old_pos, old_step) = self.members[&a];
-        let removed = self.steps.remove(&(old_step, a));
-        debug_assert!(removed, "agent {a} missing from worker step set");
-        self.steps.insert((step, a));
-        if let Some(idx) = self.index.as_mut() {
-            idx.update(a, old_pos, pos);
-        }
+        self.part.migrate(a, (old_step, old_pos), (step, pos));
         self.members.insert(a, (pos, step));
     }
 
@@ -524,9 +527,8 @@ impl<S: Space> ShardWorker<S> {
                     return std::ops::ControlFlow::Continue(());
                 }
                 let step = u32::from_be_bytes(k[4..8].try_into().expect("12-byte history key"));
-                let mut rd = v.clone();
-                match codec::get_u32(&mut rd).and_then(|_| space.decode_pos(&mut rd)) {
-                    Ok(pos) => history.entry(agent).or_default().push((step, pos)),
+                match decode_record(space, v.clone()) {
+                    Ok((_, pos)) => history.entry(agent).or_default().push((step, pos)),
                     Err(e) => {
                         walk_err = Some(e);
                         return std::ops::ControlFlow::Break(());
@@ -552,10 +554,7 @@ impl<S: Space> ShardWorker<S> {
         let mut records = Vec::with_capacity(agents.len());
         for &a in agents {
             let (pos, step) = self.members.remove(&a).expect("validated above");
-            self.steps.remove(&(step, a));
-            if let Some(idx) = self.index.as_mut() {
-                idx.remove(a, pos);
-            }
+            self.part.remove(a, step, pos);
             records.push(NodeRecord {
                 agent: a,
                 step,
@@ -596,122 +595,61 @@ impl<S: Space> ShardWorker<S> {
         })?;
         for r in records {
             self.members.insert(r.agent, (r.pos, r.step));
-            self.steps.insert((r.step, r.agent));
-            if let Some(idx) = self.index.as_mut() {
-                idx.insert(r.agent, r.pos);
-            }
+            self.part.insert(r.agent, r.step, r.pos);
         }
         Ok(())
     }
 
     /// Answers relink probes with the exact rule edges between each probe
-    /// and this worker's members — the same candidate enumeration and
-    /// re-check as [`crate::shard::ShardedDepGraph`]'s per-shard pass,
-    /// with the step bounds re-derived worker-side from its own members.
+    /// and this worker's members — the edge engine's candidate query and
+    /// pair classification, over the worker's own step bounds and index.
     fn relink(&mut self, probes: &[Probe<S::Pos>]) -> Vec<WireEdge> {
         let mut out = Vec::new();
         let mut scratch = std::mem::take(&mut self.scratch);
-        for probe in probes {
-            let (Some(&(lo, _)), Some(&(hi, _))) =
-                (self.steps.iter().next(), self.steps.iter().next_back())
-            else {
-                break; // no members: no edges
-            };
-            // Largest step gap between the probe and any member bounds
-            // every pair rule radius for candidates here.
-            let gap = probe.step.abs_diff(lo).max(probe.step.abs_diff(hi));
-            let units = self.params.blocking_units(gap);
-            scratch.clear();
-            let candidates: &[u32] = match self.index.as_ref() {
-                Some(idx) => {
-                    idx.query(probe.pos, units, &mut scratch);
-                    &scratch
-                }
-                None => {
-                    scratch.extend(self.steps.iter().map(|&(_, a)| a));
-                    &scratch
-                }
-            };
-            for &c in candidates {
-                if c == probe.agent {
-                    continue;
-                }
-                let (cpos, cstep) = self.members[&c];
-                if cstep == probe.step {
-                    if self
-                        .space
-                        .within_units(probe.pos, cpos, self.params.coupling_units())
-                    {
-                        out.push(WireEdge {
-                            coupled: true,
-                            a: probe.agent,
-                            b: c,
-                        });
-                    }
-                } else {
-                    // The lower-step agent blocks the higher-step one
-                    // inside the gap-widened radius.
-                    let gap = probe.step.abs_diff(cstep);
-                    if self
-                        .space
-                        .within_units(probe.pos, cpos, self.params.blocking_units(gap))
-                    {
-                        let (a, b) = if probe.step < cstep {
-                            (probe.agent, c)
-                        } else {
-                            (c, probe.agent)
-                        };
-                        out.push(WireEdge {
-                            coupled: false,
-                            a,
-                            b,
-                        });
-                    }
-                }
+        let node = |c: u32| {
+            let (pos, step) = self.members[&c];
+            Node {
+                pos,
+                step: Step(step),
             }
+        };
+        for p in probes {
+            scratch.clear();
+            self.part
+                .candidates(p.step, p.pos, self.params, &mut scratch);
+            let at = Node {
+                pos: p.pos,
+                step: Step(p.step),
+            };
+            edges_of(
+                &*self.space,
+                self.params,
+                p.agent,
+                at,
+                &scratch,
+                node,
+                &mut out,
+            );
         }
         self.scratch = scratch;
         out
     }
 
     fn evict_history(&mut self, floor: u32) -> u64 {
-        if !self.history {
-            return 0;
+        if self.history {
+            evict_below(&self.db, floor)
+        } else {
+            0
         }
-        // Keys sort step-major: stop at the first retained step.
-        let mut doomed: Vec<Bytes> = Vec::new();
-        self.db.for_each_prefix(HIST_TAG, |k, _| {
-            let step = u32::from_be_bytes(k[4..8].try_into().expect("12-byte history key"));
-            if step >= floor {
-                return std::ops::ControlFlow::Break(());
-            }
-            doomed.push(k.clone());
-            std::ops::ControlFlow::Continue(())
-        });
-        for k in &doomed {
-            self.db.del(k);
-        }
-        self.db.set_i64(HIST_FLOOR_KEY, i64::from(floor));
-        doomed.len() as u64
     }
 
     fn recover(&mut self, expected: &[u32]) -> Result<Vec<(u32, u32, S::Pos)>, StoreError> {
         self.members.clear();
-        self.steps.clear();
-        self.index = self.space.make_index(self.params.coupling_units());
+        self.part = Self::partition(&self.space, self.params);
         for &a in expected {
-            let raw = self
-                .db
-                .get(Key::tagged_u32(AGENT_TAG, a))
-                .ok_or_else(|| StoreError::Codec(format!("missing record for agent {a}")))?;
-            let mut rd = raw;
-            let step = codec::get_u32(&mut rd)?;
-            let pos = self.space.decode_pos(&mut rd)?;
+            let (Step(step), pos) = load_record(&*self.space, &self.db, a)?;
             self.members.insert(a, (pos, step));
-            self.steps.insert((step, a));
-            if let Some(idx) = self.index.as_mut() {
-                idx.insert(a, pos);
-            }
+            self.part.insert(a, step, pos);
         }
         Ok(self.states())
     }

@@ -1,0 +1,436 @@
+//! The one edge engine behind every dependency tracker (paper §3.3).
+//!
+//! Derived edges are a function of the node states and the §3.2 rules.
+//! Repairing them after a commit takes three things, each written once
+//! here:
+//!
+//! * a [`Partition`]: which shard owns each agent, every shard's
+//!   `(step, agent)` set (its step bounds) and optional spatial index,
+//!   and the one step-bound prune test ([`Partition::reach`]) deciding
+//!   which shards can hold a rule neighbour of an agent at all;
+//! * [`edges_of`]: the pair classification — every candidate re-checked
+//!   with [`Space::within_units`], each edge emitted as a [`WireEdge`];
+//! * an [`Adjacency`]: the id-sorted coupled / blockers / blockees lists
+//!   the scheduler's queries read.
+//!
+//! `DepGraph` holds all three, over one shard or — as `ShardedDepGraph`
+//! — over many. `DistTracker` mirrors an index-less partition and the
+//! adjacency controller-side, and each `ShardWorker` answers relink
+//! probes from a one-shard partition with the same `edges_of`. A rule,
+//! a prune test or the adjacency layout therefore changes in one place,
+//! and the three trackers are edge-for-edge identical by construction.
+
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
+use std::fmt;
+use std::sync::Arc;
+
+use aim_store::StoreError;
+
+use crate::depgraph::GraphSnapshot;
+use crate::dist::WireEdge;
+use crate::ids::{AgentId, Step};
+use crate::rules::{self, RuleParams};
+use crate::shard::ShardMap;
+use crate::space::{Space, SpatialIndex};
+
+/// One agent's committed state.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Node<P> {
+    pub(crate) pos: P,
+    pub(crate) step: Step,
+}
+
+/// The map of a one-shard partition: its shard owns every position.
+#[derive(Debug)]
+pub(crate) struct Whole;
+
+impl<P> ShardMap<P> for Whole {
+    fn num_shards(&self) -> usize {
+        1
+    }
+
+    fn shard_of(&self, _: P) -> usize {
+        0
+    }
+
+    fn min_distance(&self, _: P, _: usize) -> u64 {
+        0
+    }
+}
+
+/// One shard's members: the `(step, agent)` set its step bounds come
+/// from, and a spatial index over them when the partition keeps one.
+struct Part<P> {
+    steps: BTreeSet<(u32, u32)>,
+    index: Option<Box<dyn SpatialIndex<P>>>,
+}
+
+impl<P> Part<P> {
+    fn bounds(&self) -> Option<(u32, u32)> {
+        Some((self.steps.first()?.0, self.steps.last()?.0))
+    }
+}
+
+/// Agents partitioned over the shards of a [`ShardMap`]: ownership
+/// follows each member's committed position, and every shard keeps its
+/// members ordered by step and — when built with one — indexed in space.
+pub(crate) struct Partition<P> {
+    map: Arc<dyn ShardMap<P>>,
+    /// Owning shard per agent id; `u32::MAX` for an id that is not a
+    /// member.
+    owner: Vec<u32>,
+    parts: Vec<Part<P>>,
+}
+
+impl<P: Copy> Partition<P> {
+    /// An empty partition over `map`, each shard indexed by whatever
+    /// `index` builds (`None`: its members are scanned instead).
+    pub(crate) fn new(
+        map: Arc<dyn ShardMap<P>>,
+        index: impl Fn() -> Option<Box<dyn SpatialIndex<P>>>,
+    ) -> Self {
+        let parts = (0..map.num_shards())
+            .map(|_| Part {
+                steps: BTreeSet::new(),
+                index: index(),
+            })
+            .collect();
+        Partition {
+            map,
+            owner: Vec::new(),
+            parts,
+        }
+    }
+
+    pub(crate) fn num_shards(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// The shard owning member `a`.
+    pub(crate) fn owner(&self, a: u32) -> usize {
+        self.owner[a as usize] as usize
+    }
+
+    /// Member ids of shard `j`, ascending.
+    pub(crate) fn members(&self, j: usize) -> Vec<u32> {
+        let mut out: Vec<u32> = self.parts[j].steps.iter().map(|&(_, a)| a).collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Adds `a` at `(step, pos)` to the shard the map places `pos` in.
+    pub(crate) fn insert(&mut self, a: u32, step: u32, pos: P) {
+        let j = self.map.shard_of(pos);
+        if a as usize >= self.owner.len() {
+            self.owner.resize(a as usize + 1, u32::MAX);
+        }
+        self.owner[a as usize] = j as u32;
+        let part = &mut self.parts[j];
+        part.steps.insert((step, a));
+        if let Some(idx) = part.index.as_mut() {
+            idx.insert(a, pos);
+        }
+    }
+
+    /// Removes member `a`, which stands at `(step, pos)`.
+    pub(crate) fn remove(&mut self, a: u32, step: u32, pos: P) {
+        let part = &mut self.parts[self.owner[a as usize] as usize];
+        part.steps.remove(&(step, a));
+        if let Some(idx) = part.index.as_mut() {
+            idx.remove(a, pos);
+        }
+        self.owner[a as usize] = u32::MAX;
+    }
+
+    /// Moves member `a` from `(step, position)` `from` to `to`, re-homing
+    /// it when the map places its new position in another shard. Returns
+    /// whether it crossed.
+    pub(crate) fn migrate(&mut self, a: u32, from: (u32, P), to: (u32, P)) -> bool {
+        let j = self.owner(a);
+        if self.map.shard_of(to.1) != j {
+            self.remove(a, from.0, from.1);
+            self.insert(a, to.0, to.1);
+            return true;
+        }
+        let part = &mut self.parts[j];
+        let moved = part.steps.remove(&(from.0, a));
+        debug_assert!(moved, "agent {a} missing from shard {j}");
+        part.steps.insert((to.0, a));
+        if let Some(idx) = part.index.as_mut() {
+            idx.update(a, from.1, to.1);
+        }
+        false
+    }
+
+    /// The lowest step of any member ([`Step::ZERO`] without members).
+    pub(crate) fn min_step(&self) -> Step {
+        let lows = self.parts.iter().filter_map(|p| p.steps.first());
+        Step(lows.map(|&(s, _)| s).min().unwrap_or(0))
+    }
+
+    /// The highest step of any member ([`Step::ZERO`] without members).
+    pub(crate) fn max_step(&self) -> Step {
+        let highs = self.parts.iter().filter_map(|p| p.steps.last());
+        Step(highs.map(|&(s, _)| s).max().unwrap_or(0))
+    }
+
+    /// The prune test: the radius at which shard `j` must be asked for
+    /// rule neighbours of an agent at `(step, pos)`, or `None` when none
+    /// of its members can be one.
+    ///
+    /// The largest step gap between the agent and any member of `j` —
+    /// from the shard's step bounds — bounds every pair rule radius for
+    /// candidates in `j` from above; [`ShardMap::min_distance`] bounds
+    /// the distance to anything `j` can own from below. A lower bound
+    /// above an upper bound proves that no rule edge exists. With one
+    /// shard the bounds are global and nothing is pruned.
+    pub(crate) fn reach(&self, j: usize, step: u32, pos: P, params: RuleParams) -> Option<u64> {
+        let (lo, hi) = self.parts[j].bounds()?;
+        let units = params.blocking_units(step.abs_diff(lo).max(step.abs_diff(hi)));
+        (self.map.min_distance(pos, j) <= units).then_some(units)
+    }
+
+    /// Appends every agent that may have a rule edge with an agent at
+    /// `(step, pos)`: each shard [`Partition::reach`] cannot prune, asked
+    /// at its radius. A superset, possibly naming that agent itself.
+    pub(crate) fn candidates(&self, step: u32, pos: P, params: RuleParams, out: &mut Vec<u32>) {
+        for j in 0..self.parts.len() {
+            if let Some(units) = self.reach(j, step, pos, params) {
+                self.query(j, pos, units, out);
+            }
+        }
+    }
+
+    /// Appends every agent that may stand within `units` of `center`:
+    /// each non-empty shard [`ShardMap::min_distance`] cannot rule out.
+    pub(crate) fn within(&self, center: P, units: u64, out: &mut Vec<u32>) {
+        for j in 0..self.parts.len() {
+            if !self.parts[j].steps.is_empty() && self.map.min_distance(center, j) <= units {
+                self.query(j, center, units, out);
+            }
+        }
+    }
+
+    /// Shard `j`'s members within `units` of `center`, plus possibly
+    /// some farther: its index's answer, or all of them.
+    fn query(&self, j: usize, center: P, units: u64, out: &mut Vec<u32>) {
+        let part = &self.parts[j];
+        match part.index.as_ref() {
+            Some(idx) => idx.query(center, units, out),
+            None => out.extend(part.steps.iter().map(|&(_, a)| a)),
+        }
+    }
+
+    /// Checks `recorded` ownership — read from per-shard member lists —
+    /// against the partition the map derived from the agents' positions.
+    /// Enforced in release builds too: membership that disagrees with the
+    /// map's geometry would make the prune test unsound for the misplaced
+    /// agents, silently dropping edges, so a hard error (e.g. resuming a
+    /// snapshot under another map than it was written with) is the only
+    /// safe outcome.
+    pub(crate) fn check_owners(&self, recorded: &[u32]) -> Result<(), StoreError> {
+        match (0..recorded.len()).find(|&a| self.owner[a] != recorded[a]) {
+            None => Ok(()),
+            Some(a) => Err(StoreError::Codec(format!(
+                "recorded shard membership disagrees with the shard map: agent {a} \
+                 is recorded in shard {} but the map places it in shard {} — was \
+                 the snapshot written under a different ShardMap?",
+                recorded[a], self.owner[a]
+            ))),
+        }
+    }
+
+    /// Panics unless the partition matches `nodes`: every agent a member
+    /// of exactly one shard, the one the map places it in, at its step.
+    pub(crate) fn check(&self, nodes: &[Node<P>]) {
+        let mut total = 0;
+        for (j, part) in self.parts.iter().enumerate() {
+            total += part.steps.len();
+            for &(s, a) in &part.steps {
+                let node = nodes[a as usize];
+                assert_eq!(self.owner(a), j, "ownership drift");
+                assert_eq!(node.step.0, s, "stale shard step bound");
+                assert_eq!(
+                    self.map.shard_of(node.pos),
+                    j,
+                    "agent {a} owned by the wrong shard"
+                );
+            }
+        }
+        assert_eq!(total, nodes.len(), "shard membership must partition agents");
+    }
+}
+
+/// Appends every §3.2 rule edge between `agent` (in state `at`) and the
+/// `candidates` (`node` gives each one's state): candidates in step with
+/// `agent` couple within the coupling radius, and across a step gap the
+/// lower-step agent blocks the higher-step one within the gap-widened
+/// radius. Every candidate is re-checked exactly, so a superset is fine;
+/// `agent` itself is skipped.
+pub(crate) fn edges_of<S: Space>(
+    space: &S,
+    params: RuleParams,
+    agent: u32,
+    at: Node<S::Pos>,
+    candidates: &[u32],
+    node: impl Fn(u32) -> Node<S::Pos>,
+    out: &mut Vec<WireEdge>,
+) {
+    for &c in candidates {
+        if c == agent {
+            continue;
+        }
+        let other = node(c);
+        // At gap 0 the blocking radius is the coupling radius.
+        let gap = at.step.abs_diff(other.step);
+        if !space.within_units(at.pos, other.pos, params.blocking_units(gap)) {
+            continue;
+        }
+        let (coupled, a, b) = match at.step.cmp(&other.step) {
+            Ordering::Equal => (true, agent, c),
+            Ordering::Less => (false, agent, c),
+            Ordering::Greater => (false, c, agent),
+        };
+        out.push(WireEdge { coupled, a, b });
+    }
+}
+
+/// Checks the §3.2 validity condition over `nodes`.
+///
+/// # Errors
+///
+/// Returns a human-readable description of the first violating pair.
+pub(crate) fn validate<S: Space>(
+    space: &S,
+    params: RuleParams,
+    nodes: &[Node<S::Pos>],
+) -> Result<(), String> {
+    let states: Vec<(S::Pos, Step)> = nodes.iter().map(|n| (n.pos, n.step)).collect();
+    match rules::find_violation(space, params, &states) {
+        None => Ok(()),
+        Some((i, j)) => Err(format!(
+            "validity violated: agent{} at {:?}/{} vs agent{} at {:?}/{}",
+            i, nodes[i].pos, nodes[i].step, j, nodes[j].pos, nodes[j].step
+        )),
+    }
+}
+
+/// The maintained rule edges: per agent, id-sorted lists of its coupling
+/// partners, of the agents blocking it, and of the agents it blocks.
+#[derive(Debug)]
+pub(crate) struct Adjacency {
+    coupled: Vec<Vec<AgentId>>,
+    blockers: Vec<Vec<AgentId>>,
+    blockees: Vec<Vec<AgentId>>,
+}
+
+impl Adjacency {
+    /// No edges among `n` agents.
+    pub(crate) fn new(n: usize) -> Self {
+        Adjacency {
+            coupled: vec![Vec::new(); n],
+            blockers: vec![Vec::new(); n],
+            blockees: vec![Vec::new(); n],
+        }
+    }
+
+    /// Drops every edge, keeping the lists' buffers.
+    pub(crate) fn clear(&mut self) {
+        let lists = self.coupled.iter_mut().chain(&mut self.blockers);
+        for list in lists.chain(&mut self.blockees) {
+            list.clear();
+        }
+    }
+
+    /// Detaches every edge incident to `a`, in both directions. `a`'s
+    /// own lists are emptied in place: the relink that always follows
+    /// refills them, and must find their buffers still there.
+    pub(crate) fn detach(&mut self, a: AgentId) {
+        // Coupling partners live in the table being walked: lift `a`'s
+        // list out for the walk and put it (and its capacity) back.
+        let mut partners = std::mem::take(&mut self.coupled[a.index()]);
+        for b in partners.drain(..) {
+            remove_sorted(&mut self.coupled[b.index()], a);
+        }
+        self.coupled[a.index()] = partners;
+        for b in self.blockers[a.index()].drain(..) {
+            remove_sorted(&mut self.blockees[b.index()], a);
+        }
+        for b in self.blockees[a.index()].drain(..) {
+            remove_sorted(&mut self.blockers[b.index()], a);
+        }
+    }
+
+    /// Adds one edge; idempotent, so both endpoints of an intra-batch
+    /// edge may report it.
+    pub(crate) fn link(&mut self, e: WireEdge) {
+        let (a, b) = (AgentId(e.a), AgentId(e.b));
+        if e.coupled {
+            insert_sorted(&mut self.coupled[a.index()], b);
+            insert_sorted(&mut self.coupled[b.index()], a);
+        } else {
+            insert_sorted(&mut self.blockers[b.index()], a);
+            insert_sorted(&mut self.blockees[a.index()], b);
+        }
+    }
+
+    /// First agent (in `(step, id)` order) blocking `a`, in O(blockers)
+    /// without allocating.
+    pub(crate) fn first_blocker<P>(&self, a: AgentId, nodes: &[Node<P>]) -> Option<AgentId> {
+        self.blockers[a.index()]
+            .iter()
+            .copied()
+            .min_by_key(|b| (nodes[b.index()].step.0, b.0))
+    }
+
+    /// Every agent blocking `a`, in `(step, id)` order.
+    pub(crate) fn blockers_of<P>(&self, a: AgentId, nodes: &[Node<P>]) -> Vec<AgentId> {
+        let mut out = self.blockers[a.index()].clone();
+        out.sort_unstable_by_key(|b| (nodes[b.index()].step.0, b.0));
+        out
+    }
+
+    /// Coupling partners of `a`, ascending by id.
+    pub(crate) fn coupled_of(&self, a: AgentId) -> &[AgentId] {
+        &self.coupled[a.index()]
+    }
+
+    /// Dumps `nodes` and every edge (O(n + edges)).
+    pub(crate) fn snapshot<P: fmt::Debug>(&self, nodes: &[Node<P>]) -> GraphSnapshot {
+        let mut blocked = Vec::new();
+        let mut coupled = Vec::new();
+        for i in 0..nodes.len() {
+            let a = AgentId(i as u32);
+            blocked.extend(self.blockers_of(a, nodes).into_iter().map(|b| (b, a)));
+            coupled.extend(
+                self.coupled_of(a)
+                    .iter()
+                    .filter(|b| a < **b)
+                    .map(|&b| (a, b)),
+            );
+        }
+        GraphSnapshot {
+            nodes: (nodes.iter().enumerate())
+                .map(|(i, n)| (AgentId(i as u32), n.step, format!("{:?}", n.pos)))
+                .collect(),
+            blocked,
+            coupled,
+        }
+    }
+}
+
+/// Inserts `x` into an id-sorted list, keeping it sorted; a no-op when
+/// it is already there.
+fn insert_sorted(list: &mut Vec<AgentId>, x: AgentId) {
+    if let Err(at) = list.binary_search(&x) {
+        list.insert(at, x);
+    }
+}
+
+/// Removes `x` from an id-sorted list if present.
+fn remove_sorted(list: &mut Vec<AgentId>, x: AgentId) {
+    if let Ok(at) = list.binary_search(&x) {
+        list.remove(at);
+    }
+}

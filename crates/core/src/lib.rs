@@ -93,6 +93,7 @@ pub mod checkpoint;
 pub mod cluster;
 pub mod depgraph;
 pub mod dist;
+mod edges;
 pub mod engine;
 mod error;
 pub mod exec;

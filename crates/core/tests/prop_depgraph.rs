@@ -5,21 +5,43 @@
 //! brute-force oracle that evaluates the §3.2 rules over every pair. The
 //! incremental path shares no code with (b), so agreement pins down both
 //! the maintenance and the spatial-index candidate generation.
+//!
+//! The trackers share one edge engine, so the cross-tracker equality
+//! tests of `prop_shard` and `prop_dist` cannot catch a bug in it; the
+//! oracle can. It reads nothing but a [`GraphSnapshot`], and the churn
+//! test runs every input on [`ShardedDepGraph`] (1, 4 and 16 strips) and
+//! [`DistTracker`] (four workers) too.
 
 use std::sync::Arc;
 
-use aim_core::depgraph::DepGraph;
+use aim_core::depgraph::{DepGraph, EdgeMode, GraphOptions, GraphSnapshot};
 use aim_core::prelude::*;
 use aim_core::rules::{self, RuleParams};
 use aim_core::space::{GridSpace, Point};
 use aim_store::Db;
 use proptest::prelude::*;
 
-/// Expected snapshot edges computed pair-by-pair from the rules alone.
-fn oracle_edges(g: &DepGraph<GridSpace>) -> (Vec<(AgentId, AgentId)>, Vec<(AgentId, AgentId)>) {
+/// The position a snapshot node label (`Point`'s `Debug` form) names.
+fn label_pos(label: &str) -> Point {
+    let xy: Vec<i32> = label
+        .split(|c: char| c != '-' && !c.is_ascii_digit())
+        .filter(|s| !s.is_empty())
+        .map(|s| s.parse().expect("a coordinate"))
+        .collect();
+    Point::new(xy[0], xy[1])
+}
+
+/// `(a, b)` pairs: blocker and blocked, or a coupled pair.
+type Edges = Vec<(AgentId, AgentId)>;
+
+/// The edges `snap`'s nodes must have, computed pair-by-pair from the
+/// rules alone.
+fn oracle_edges(snap: &GraphSnapshot, params: RuleParams) -> (Edges, Edges) {
     let space = GridSpace::new(64, 64);
-    let params = g.params();
-    let n = g.len() as u32;
+    let states: Vec<(Point, Step)> = (snap.nodes.iter())
+        .map(|(_, step, label)| (label_pos(label), *step))
+        .collect();
+    let n = states.len() as u32;
     let mut blocked = Vec::new();
     let mut coupled = Vec::new();
     for a in 0..n {
@@ -27,8 +49,7 @@ fn oracle_edges(g: &DepGraph<GridSpace>) -> (Vec<(AgentId, AgentId)>, Vec<(Agent
             if a == b {
                 continue;
             }
-            let sa = (g.pos(AgentId(a)), g.step(AgentId(a)));
-            let sb = (g.pos(AgentId(b)), g.step(AgentId(b)));
+            let (sa, sb) = (states[a as usize], states[b as usize]);
             // Strictly lagging blockers only (same-step closeness is
             // coupling, resolved by clustering).
             if sb.1 < sa.1 && rules::blocked_by(&space, params, sa, sb) {
@@ -44,12 +65,100 @@ fn oracle_edges(g: &DepGraph<GridSpace>) -> (Vec<(AgentId, AgentId)>, Vec<(Agent
     (blocked, coupled)
 }
 
+/// Strips of the sharded trackers' maps, and of the distributed one's.
+const STRIPS: [usize; 3] = [1, 4, 16];
+const WORKERS: usize = 4;
+
+/// One tracker under the churn test.
+enum Subject {
+    Single(DepGraph<GridSpace>),
+    Sharded(ShardedDepGraph<GridSpace>, usize),
+    Dist(DistTracker<GridSpace>),
+}
+
+impl Subject {
+    /// Every tracker over `initial`: `DepGraph`, `ShardedDepGraph` on each
+    /// of [`STRIPS`], `DistTracker` on [`WORKERS`].
+    fn all(space: &Arc<GridSpace>, params: RuleParams, initial: &[Point]) -> Vec<Subject> {
+        let db = || Arc::new(Db::new());
+        let mut out = vec![Subject::Single(
+            DepGraph::new(Arc::clone(space), params, db(), initial).unwrap(),
+        )];
+        for strips in STRIPS {
+            let map = Arc::new(StripShardMap::new(64, strips));
+            let g = ShardedDepGraph::new(Arc::clone(space), params, db(), initial, map).unwrap();
+            out.push(Subject::Sharded(g, strips));
+        }
+        let map = Arc::new(StripShardMap::new(64, WORKERS));
+        let options = GraphOptions::default();
+        let g = DistTracker::new(Arc::clone(space), params, initial, map, options).unwrap();
+        out.push(Subject::Dist(g));
+        out
+    }
+
+    fn tracker(&mut self) -> &mut dyn DepTracker<GridSpace> {
+        match self {
+            Subject::Single(g) => g,
+            Subject::Sharded(g, _) => g,
+            Subject::Dist(g) => g,
+        }
+    }
+
+    /// The inherent rollback (the distributed tracker's trait impl keeps
+    /// the refusing default).
+    fn rollback(&mut self, updates: &[(AgentId, Step, Point)]) {
+        match self {
+            Subject::Single(g) => g.rollback(updates),
+            Subject::Sharded(g, _) => g.rollback(updates),
+            Subject::Dist(g) => g.rollback(updates),
+        }
+        .unwrap();
+    }
+
+    fn snapshot(&self) -> GraphSnapshot {
+        match self {
+            Subject::Single(g) => g.snapshot(),
+            Subject::Sharded(g, _) => g.snapshot(),
+            Subject::Dist(g) => g.snapshot(),
+        }
+    }
+
+    /// The same tracker rebuilt from its stores.
+    fn rebuilt(&self, space: &Arc<GridSpace>, params: RuleParams) -> GraphSnapshot {
+        let space = Arc::clone(space);
+        let options = GraphOptions {
+            edges: EdgeMode::Maintained,
+            history: false,
+        };
+        match self {
+            Subject::Single(g) => DepGraph::recover(space, params, Arc::clone(g.db()), g.len())
+                .unwrap()
+                .snapshot(),
+            Subject::Sharded(g, strips) => {
+                let map = Arc::new(StripShardMap::new(64, *strips));
+                let db = Arc::clone(g.db());
+                ShardedDepGraph::recover(space, params, db, g.len(), map, options)
+                    .unwrap()
+                    .snapshot()
+            }
+            Subject::Dist(g) => {
+                let dbs = (0..WORKERS).map(|j| Arc::clone(g.worker_db(j))).collect();
+                let members: Vec<Vec<u32>> = (0..WORKERS).map(|j| g.members(j)).collect();
+                let map = Arc::new(StripShardMap::new(64, WORKERS));
+                DistTracker::recover(space, params, dbs, map, options, &members)
+                    .unwrap()
+                    .snapshot()
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random advance/rollback sequences: after every operation the
     /// incrementally maintained graph equals a from-scratch rebuild and
-    /// the pairwise rules oracle.
+    /// the pairwise rules oracle — on every tracker.
     #[test]
     fn incremental_equals_rebuild_and_oracle(
         points in proptest::collection::vec((0i32..48, 0i32..48), 2..10),
@@ -60,46 +169,36 @@ proptest! {
         params in (1u32..5, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
     ) {
         let space = Arc::new(GridSpace::new(64, 64));
-        let db = Arc::new(Db::new());
         let initial: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let mut g = DepGraph::new(
-            Arc::clone(&space),
-            params,
-            Arc::clone(&db),
-            &initial,
-        ).unwrap();
+        for mut subject in Subject::all(&space, params, &initial) {
+            for &(pick, kind, dx, dy) in &ops {
+                let g = subject.tracker();
+                let a = AgentId(pick as u32 % g.len() as u32);
+                let cur = g.pos(a);
+                let moved = Point::new(cur.x + dx, cur.y + dy);
+                if kind < 8 || g.step(a) == Step::ZERO {
+                    // Advance one step with an arbitrary move (the graph API
+                    // does not bound displacement; maintenance must not rely
+                    // on max_vel-sized moves).
+                    g.advance(&[(a, moved)]).unwrap();
+                } else {
+                    // Rollback to a random earlier step.
+                    let target = Step(pick as u32 % g.step(a).0);
+                    subject.rollback(&[(a, target, moved)]);
+                }
 
-        for (pick, kind, dx, dy) in ops {
-            let a = AgentId(pick as u32 % g.len() as u32);
-            let cur = g.pos(a);
-            let moved = Point::new(cur.x + dx, cur.y + dy);
-            if kind < 8 || g.step(a) == Step::ZERO {
-                // Advance one step with an arbitrary move (the graph API
-                // does not bound displacement; maintenance must not rely
-                // on max_vel-sized moves).
-                g.advance(&[(a, moved)]).unwrap();
-            } else {
-                // Rollback to a random earlier step.
-                let target = Step(pick as u32 % g.step(a).0);
-                g.rollback(&[(a, target, moved)]).unwrap();
+                let live = subject.snapshot();
+                let rebuilt = subject.rebuilt(&space, params);
+                prop_assert_eq!(&live, &rebuilt, "live graph diverged from store rebuild");
+
+                let (blocked, coupled) = oracle_edges(&live, params);
+                let mut live_blocked = live.blocked.clone();
+                live_blocked.sort_unstable();
+                let mut live_coupled = live.coupled.clone();
+                live_coupled.sort_unstable();
+                prop_assert_eq!(live_blocked, blocked, "blocked edges diverged from rules oracle");
+                prop_assert_eq!(live_coupled, coupled, "coupled edges diverged from rules oracle");
             }
-
-            let live = g.snapshot();
-            let rebuilt = DepGraph::recover(
-                Arc::clone(&space),
-                params,
-                Arc::clone(&db),
-                g.len(),
-            ).unwrap().snapshot();
-            prop_assert_eq!(&live, &rebuilt, "live graph diverged from store rebuild");
-
-            let (blocked, coupled) = oracle_edges(&g);
-            let mut live_blocked = live.blocked.clone();
-            live_blocked.sort_unstable();
-            let mut live_coupled = live.coupled.clone();
-            live_coupled.sort_unstable();
-            prop_assert_eq!(live_blocked, blocked, "blocked edges diverged from rules oracle");
-            prop_assert_eq!(live_coupled, coupled, "coupled edges diverged from rules oracle");
         }
     }
 
@@ -220,8 +319,8 @@ proptest! {
             }
         }
         // …and the recovered adjacency still matches the rules oracle.
-        let (blocked, coupled) = oracle_edges(&r);
         let live = r.snapshot();
+        let (blocked, coupled) = oracle_edges(&live, params);
         let mut live_blocked = live.blocked.clone();
         live_blocked.sort_unstable();
         let mut live_coupled = live.coupled.clone();

@@ -770,9 +770,22 @@ impl FleetInner {
         let attempt = replica.attempts.fetch_add(1, Ordering::Relaxed);
         let extra_latency_us = match replica.fault.outcome(attempt, tick) {
             FaultOutcome::Fail => {
-                replica.down.store(true, Ordering::Relaxed);
-                replica.failed.fetch_add(1, Ordering::Relaxed);
-                finish(AttemptOutcome::Failed);
+                // Only the claim that takes the replica down fails it. A
+                // caller that routed here before that flip and claims past
+                // the budget too is refused as if the replica were already
+                // down: re-routed, and not a second failure.
+                let first = replica
+                    .down
+                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok();
+                if first {
+                    replica.failed.fetch_add(1, Ordering::Relaxed);
+                }
+                finish(if first {
+                    AttemptOutcome::Failed
+                } else {
+                    AttemptOutcome::Refused
+                });
                 return None;
             }
             FaultOutcome::Unavailable => {
@@ -1219,6 +1232,68 @@ mod tests {
         assert_eq!(m.replicas[1].served, 9, "the healthy replica absorbs");
         assert!(!m.replicas[1].down);
         assert_eq!(m.total_failed(), 1);
+    }
+
+    #[test]
+    fn racing_claims_past_fail_after_take_the_replica_down_once() {
+        // Both callers route to replica 0 (least-outstanding tie-break)
+        // and meet in `begin_attempt` — after routing, before the claim —
+        // so both claim past `fail_after(0)` before either marks it down.
+        // Exactly one claim fails it; the other is refused as if the
+        // replica were already down, and re-routed.
+        struct Rendezvous {
+            barrier: std::sync::Barrier,
+            outcomes: Mutex<Vec<(u32, AttemptOutcome)>>,
+        }
+        impl CallObserver for Rendezvous {
+            fn begin_attempt(&self, _: &LlmRequest, replica: u32, _: bool) -> u64 {
+                if replica == 0 {
+                    self.barrier.wait();
+                }
+                0
+            }
+            fn end_attempt(
+                &self,
+                _: u64,
+                _: &LlmRequest,
+                replica: u32,
+                _: bool,
+                o: AttemptOutcome,
+            ) {
+                self.outcomes.lock().push((replica, o));
+            }
+        }
+        let fleet = FleetConfig::new("race", RoutePolicyKind::LeastOutstanding)
+            .with_replica(ReplicaSpec::instant().with_fault(FaultPlan::none().fail_after(0)))
+            .with_replica(ReplicaSpec::instant())
+            .build();
+        let observer = Arc::new(Rendezvous {
+            barrier: std::sync::Barrier::new(2),
+            outcomes: Mutex::new(Vec::new()),
+        });
+        assert!(fleet.install_observer(Arc::clone(&observer) as Arc<dyn CallObserver>));
+        std::thread::scope(|s| {
+            for i in 0..2 {
+                let fleet = &fleet;
+                s.spawn(move || fleet.call(&req(i)));
+            }
+        });
+        let m = fleet.metrics();
+        assert!(m.replicas[0].down, "{m:?}");
+        assert_eq!(
+            m.replicas[0].failed, 1,
+            "one failure, not one per racer: {m:?}"
+        );
+        assert_eq!(m.replicas[1].served, 2, "both calls re-routed: {m:?}");
+        let mut at_zero: Vec<&str> = observer
+            .outcomes
+            .lock()
+            .iter()
+            .filter(|(r, _)| *r == 0)
+            .map(|(_, o)| o.as_str())
+            .collect();
+        at_zero.sort_unstable();
+        assert_eq!(at_zero, ["failed", "refused"]);
     }
 
     #[test]

@@ -21,7 +21,8 @@ pub enum AttemptOutcome {
     Served,
     /// The fault gate failed the attempt permanently (replica down).
     Failed,
-    /// The fault gate refused the attempt transiently (retry elsewhere).
+    /// The fault gate refused the attempt — a transient window, or a
+    /// replica a racing claim has just taken down (retry elsewhere).
     Refused,
 }
 
