@@ -14,7 +14,14 @@
 //! the wire format matches the workers' store records byte for byte.
 //! Lists carry a `u32` count prefix; strings are length-prefixed UTF-8.
 //!
-//! Controller requests use tags 1–9, worker replies tags 65–71 — the
+//! A telemetry reply's spans are not laid out here: each is its times
+//! and track, a tag byte (its [`Phase`]'s 1-based position in
+//! [`Phase::ALL`]), then the payload fields of the span schema
+//! ([`SpanKind::write_fields`] / [`SpanKind::read_fields`]) — integers
+//! at their width, a flag or a value's index in one byte. The text
+//! exporters in `aim-trace` walk the same schema.
+//!
+//! Controller requests use tags 1–11, worker replies tags 65–73 — the
 //! disjoint ranges make a swapped stream fail loudly instead of
 //! misparsing. Decoding verifies the frame is consumed exactly: trailing
 //! bytes are a [`StoreError::Codec`] error, as are truncation, unknown
@@ -23,20 +30,21 @@
 //! `decode(encode(msg)) == msg` holds for every message — property-tested
 //! below like the `AIMSNAP` snapshot format.
 
+use std::convert::Infallible;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use aim_llm::{AttemptOutcome, CallKind};
 use aim_store::{codec, StoreError};
 
 use crate::space::Space;
-use crate::telemetry::{BlockReason, BoundaryOp, Counter, Span, SpanKind};
+use crate::telemetry::{Counter, Field, FieldReader, Phase, Span, SpanKind};
 
 use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
 
 /// Stream preamble exchanged once per connection before any frame.
 pub const PREAMBLE: &[u8; 10] = b"AIMMSG v1\n";
 
-// Controller-request tags (1–10).
+// Controller-request tags (1–11).
 const TAG_COMMIT: u8 = 1;
 const TAG_ROLLBACK: u8 = 2;
 const TAG_DEPART: u8 = 3;
@@ -49,7 +57,7 @@ const TAG_SHUTDOWN: u8 = 9;
 const TAG_HARVEST_TELEMETRY: u8 = 10;
 const TAG_HEARTBEAT: u8 = 11;
 
-// Worker-reply tags (65–72).
+// Worker-reply tags (65–73).
 const TAG_DONE: u8 = 65;
 const TAG_DEPARTED: u8 = 66;
 const TAG_EDGES: u8 = 67;
@@ -150,224 +158,59 @@ fn get_states<S: Space>(space: &S, buf: &mut Bytes) -> Result<Vec<(u32, u32, S::
     Ok(out)
 }
 
-// Span-kind tags inside a [`ShardMsg::Telemetry`] frame, in
-// [`SpanKind`] declaration order.
-const SPAN_CLUSTER: u8 = 1;
-const SPAN_LLM_CALL: u8 = 2;
-const SPAN_COMMIT: u8 = 3;
-const SPAN_BLOCKED: u8 = 4;
-const SPAN_RELINK: u8 = 5;
-const SPAN_MIGRATE: u8 = 6;
-const SPAN_CHECKPOINT: u8 = 7;
-const SPAN_FLEET_ATTEMPT: u8 = 8;
-const SPAN_CONTROL: u8 = 9;
-const SPAN_BOUNDARY: u8 = 10;
+/// `AIMMSG` span fields: integers big-endian, a flag or a value's index
+/// in one byte.
+impl FieldReader for Bytes {
+    type Error = StoreError;
 
-fn put_span(s: &Span, buf: &mut BytesMut) {
-    codec::put_u64(buf, s.start_us);
-    codec::put_u64(buf, s.end_us);
-    codec::put_u32(buf, s.track);
-    match s.kind {
-        SpanKind::Cluster {
-            cluster,
-            step,
-            members,
-        } => {
-            buf.put_u8(SPAN_CLUSTER);
-            codec::put_u64(buf, cluster);
-            codec::put_u32(buf, step);
-            codec::put_u32(buf, members);
+    fn u32(&mut self, _: &'static str) -> Result<u32, StoreError> {
+        codec::get_u32(self)
+    }
+
+    fn u64(&mut self, _: &'static str) -> Result<u64, StoreError> {
+        codec::get_u64(self)
+    }
+
+    fn flag(&mut self, name: &'static str) -> Result<bool, StoreError> {
+        match get_u8(self)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            bad => Err(StoreError::Codec(format!("invalid {name} flag {bad}"))),
         }
-        SpanKind::LlmCall {
-            agent,
-            step,
-            request,
-            kind,
-        } => {
-            buf.put_u8(SPAN_LLM_CALL);
-            codec::put_u32(buf, agent);
-            codec::put_u32(buf, step);
-            codec::put_u64(buf, request);
-            buf.put_u8(kind.index() as u8);
-        }
-        SpanKind::Commit {
-            cluster,
-            step,
-            members,
-        } => {
-            buf.put_u8(SPAN_COMMIT);
-            codec::put_u64(buf, cluster);
-            codec::put_u32(buf, step);
-            codec::put_u32(buf, members);
-        }
-        SpanKind::Blocked {
-            agent,
-            blocker,
-            step,
-            reason,
-        } => {
-            buf.put_u8(SPAN_BLOCKED);
-            codec::put_u32(buf, agent);
-            codec::put_u32(buf, blocker);
-            codec::put_u32(buf, step);
-            buf.put_u8(match reason {
-                BlockReason::Dependency => 0,
-                BlockReason::Barrier => 1,
-            });
-        }
-        SpanKind::Relink { agents, workers } => {
-            buf.put_u8(SPAN_RELINK);
-            codec::put_u32(buf, agents);
-            codec::put_u32(buf, workers);
-        }
-        SpanKind::Migrate { agents, crossings } => {
-            buf.put_u8(SPAN_MIGRATE);
-            codec::put_u32(buf, agents);
-            codec::put_u32(buf, crossings);
-        }
-        SpanKind::Checkpoint { step } => {
-            buf.put_u8(SPAN_CHECKPOINT);
-            codec::put_u32(buf, step);
-        }
-        SpanKind::FleetAttempt {
-            request,
-            replica,
-            hedge,
-            outcome,
-        } => {
-            buf.put_u8(SPAN_FLEET_ATTEMPT);
-            codec::put_u64(buf, request);
-            codec::put_u32(buf, replica);
-            buf.put_u8(u8::from(hedge));
-            buf.put_u8(match outcome {
-                AttemptOutcome::Served => 0,
-                AttemptOutcome::Failed => 1,
-                AttemptOutcome::Refused => 2,
-                _ => 0,
-            });
-        }
-        SpanKind::Control { cluster, members } => {
-            buf.put_u8(SPAN_CONTROL);
-            codec::put_u64(buf, cluster);
-            codec::put_u32(buf, members);
-        }
-        SpanKind::Boundary {
-            worker,
-            op,
-            messages,
-        } => {
-            buf.put_u8(SPAN_BOUNDARY);
-            codec::put_u32(buf, worker);
-            buf.put_u8(match op {
-                BoundaryOp::Send => 0,
-                BoundaryOp::Wait => 1,
-                BoundaryOp::Apply => 2,
-            });
-            codec::put_u32(buf, messages);
-        }
+    }
+
+    fn choice<T: Copy>(
+        &mut self,
+        name: &'static str,
+        all: &[T],
+        _: fn(T) -> &'static str,
+    ) -> Result<T, StoreError> {
+        let i = get_u8(self)?;
+        all.get(usize::from(i))
+            .copied()
+            .ok_or_else(|| StoreError::Codec(format!("invalid {name} index {i}")))
     }
 }
 
-fn get_span(buf: &mut Bytes) -> Result<Span, StoreError> {
-    let start_us = codec::get_u64(buf)?;
-    let end_us = codec::get_u64(buf)?;
-    let track = codec::get_u32(buf)?;
-    let kind = match get_u8(buf)? {
-        SPAN_CLUSTER => SpanKind::Cluster {
-            cluster: codec::get_u64(buf)?,
-            step: codec::get_u32(buf)?,
-            members: codec::get_u32(buf)?,
-        },
-        SPAN_LLM_CALL => SpanKind::LlmCall {
-            agent: codec::get_u32(buf)?,
-            step: codec::get_u32(buf)?,
-            request: codec::get_u64(buf)?,
-            kind: {
-                let idx = get_u8(buf)?;
-                *CallKind::ALL
-                    .get(idx as usize)
-                    .ok_or_else(|| StoreError::Codec(format!("invalid call kind index {idx}")))?
-            },
-        },
-        SPAN_COMMIT => SpanKind::Commit {
-            cluster: codec::get_u64(buf)?,
-            step: codec::get_u32(buf)?,
-            members: codec::get_u32(buf)?,
-        },
-        SPAN_BLOCKED => SpanKind::Blocked {
-            agent: codec::get_u32(buf)?,
-            blocker: codec::get_u32(buf)?,
-            step: codec::get_u32(buf)?,
-            reason: match get_u8(buf)? {
-                0 => BlockReason::Dependency,
-                1 => BlockReason::Barrier,
-                bad => {
-                    return Err(StoreError::Codec(format!("invalid block reason {bad}")));
-                }
-            },
-        },
-        SPAN_RELINK => SpanKind::Relink {
-            agents: codec::get_u32(buf)?,
-            workers: codec::get_u32(buf)?,
-        },
-        SPAN_MIGRATE => SpanKind::Migrate {
-            agents: codec::get_u32(buf)?,
-            crossings: codec::get_u32(buf)?,
-        },
-        SPAN_CHECKPOINT => SpanKind::Checkpoint {
-            step: codec::get_u32(buf)?,
-        },
-        SPAN_FLEET_ATTEMPT => SpanKind::FleetAttempt {
-            request: codec::get_u64(buf)?,
-            replica: codec::get_u32(buf)?,
-            hedge: match get_u8(buf)? {
-                0 => false,
-                1 => true,
-                bad => {
-                    return Err(StoreError::Codec(format!("invalid hedge flag {bad}")));
-                }
-            },
-            outcome: match get_u8(buf)? {
-                0 => AttemptOutcome::Served,
-                1 => AttemptOutcome::Failed,
-                2 => AttemptOutcome::Refused,
-                bad => {
-                    return Err(StoreError::Codec(format!("invalid attempt outcome {bad}")));
-                }
-            },
-        },
-        SPAN_CONTROL => SpanKind::Control {
-            cluster: codec::get_u64(buf)?,
-            members: codec::get_u32(buf)?,
-        },
-        SPAN_BOUNDARY => SpanKind::Boundary {
-            worker: codec::get_u32(buf)?,
-            op: match get_u8(buf)? {
-                0 => BoundaryOp::Send,
-                1 => BoundaryOp::Wait,
-                2 => BoundaryOp::Apply,
-                bad => {
-                    return Err(StoreError::Codec(format!("invalid boundary op {bad}")));
-                }
-            },
-            messages: codec::get_u32(buf)?,
-        },
-        other => {
-            return Err(StoreError::Codec(format!("unknown span kind tag {other}")));
-        }
-    };
-    Ok(Span {
-        start_us,
-        end_us,
-        track,
-        kind,
-    })
-}
-
+/// A span list: each span is its times and track, its kind's 1-based
+/// position in [`Phase::ALL`] (the declaration order) as the tag, then
+/// the fields of [`SpanKind::write_fields`].
 fn put_spans(spans: &[Span], buf: &mut BytesMut) {
     codec::put_u32(buf, spans.len() as u32);
     for s in spans {
-        put_span(s, buf);
+        codec::put_u64(buf, s.start_us);
+        codec::put_u64(buf, s.end_us);
+        codec::put_u32(buf, s.track);
+        buf.put_u8(s.kind.phase() as u8 + 1);
+        let Ok(()) = s.kind.write_fields(|_, field| {
+            match field {
+                Field::U32(v) => codec::put_u32(buf, v),
+                Field::U64(v) => codec::put_u64(buf, v),
+                Field::Flag(v) => buf.put_u8(u8::from(v)),
+                Field::Choice(i, _) => buf.put_u8(i),
+            }
+            Ok::<(), Infallible>(())
+        });
     }
 }
 
@@ -375,7 +218,19 @@ fn get_spans(buf: &mut Bytes) -> Result<Vec<Span>, StoreError> {
     let n = get_count(buf, "span list")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(get_span(buf)?);
+        let start_us = codec::get_u64(buf)?;
+        let end_us = codec::get_u64(buf)?;
+        let track = codec::get_u32(buf)?;
+        let tag = get_u8(buf)?;
+        let phase = *Phase::ALL
+            .get(usize::from(tag).wrapping_sub(1))
+            .ok_or_else(|| StoreError::Codec(format!("unknown span kind tag {tag}")))?;
+        out.push(Span {
+            start_us,
+            end_us,
+            track,
+            kind: SpanKind::read_fields(phase, buf)?,
+        });
     }
     Ok(out)
 }
@@ -392,10 +247,7 @@ fn get_counters(buf: &mut Bytes) -> Result<Vec<(Counter, u64)>, StoreError> {
     let n = get_count(buf, "counter list")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let idx = get_u8(buf)?;
-        let c = *Counter::ALL
-            .get(idx as usize)
-            .ok_or_else(|| StoreError::Codec(format!("invalid counter index {idx}")))?;
+        let c = buf.choice("counter", &Counter::ALL, Counter::as_str)?;
         out.push((c, codec::get_u64(buf)?));
     }
     Ok(out)
@@ -703,6 +555,7 @@ pub fn decode_shard<S: Space>(space: &S, buf: &mut Bytes) -> Result<ShardMsg<S::
 mod tests {
     use super::*;
     use crate::space::{GridSpace, Point};
+    use crate::telemetry::BoundaryOp;
     use proptest::prelude::*;
 
     fn space() -> GridSpace {
@@ -808,20 +661,24 @@ mod tests {
         assert!(decode_ctrl(&s, &mut rd).is_err());
     }
 
+    fn span() -> Span {
+        Span {
+            start_us: 10,
+            end_us: 40,
+            track: 0,
+            kind: SpanKind::Boundary {
+                worker: 3,
+                op: BoundaryOp::Apply,
+                messages: 2,
+            },
+        }
+    }
+
     fn telemetry_reply() -> ShardMsg<Point> {
         ShardMsg::Telemetry {
             worker: 3,
             now_us: 12_345,
-            spans: vec![Span {
-                start_us: 10,
-                end_us: 40,
-                track: 0,
-                kind: SpanKind::Boundary {
-                    worker: 3,
-                    op: BoundaryOp::Apply,
-                    messages: 2,
-                },
-            }],
+            spans: vec![span()],
             counters: vec![(Counter::BoundaryMessages, 7)],
             dropped: 1,
         }
@@ -993,104 +850,13 @@ mod tests {
         ]
     }
 
-    fn arb_span_kind() -> impl Strategy<Value = SpanKind> {
-        prop_oneof![
-            (0u64..1_000, 0u32..100, 1u32..64).prop_map(|(cluster, step, members)| {
-                SpanKind::Cluster {
-                    cluster,
-                    step,
-                    members,
-                }
-            }),
-            (
-                0u32..10_000,
-                0u32..100,
-                0u64..1_000,
-                0usize..CallKind::ALL.len()
-            )
-                .prop_map(|(agent, step, request, kind)| SpanKind::LlmCall {
-                    agent,
-                    step,
-                    request,
-                    kind: CallKind::ALL[kind],
-                }),
-            (0u64..1_000, 0u32..100, 1u32..64).prop_map(|(cluster, step, members)| {
-                SpanKind::Commit {
-                    cluster,
-                    step,
-                    members,
-                }
-            }),
-            (0u32..10_000, 0u32..10_000, 0u32..100, any::<bool>()).prop_map(
-                |(agent, blocker, step, barrier)| SpanKind::Blocked {
-                    agent,
-                    blocker,
-                    step,
-                    reason: if barrier {
-                        BlockReason::Barrier
-                    } else {
-                        BlockReason::Dependency
-                    },
-                }
-            ),
-            (0u32..10_000, 1u32..32)
-                .prop_map(|(agents, workers)| SpanKind::Relink { agents, workers }),
-            (0u32..10_000, 0u32..100)
-                .prop_map(|(agents, crossings)| SpanKind::Migrate { agents, crossings }),
-            (0u32..100).prop_map(|step| SpanKind::Checkpoint { step }),
-            (
-                0u64..1_000,
-                0u32..16,
-                any::<bool>(),
-                prop_oneof![
-                    Just(AttemptOutcome::Served),
-                    Just(AttemptOutcome::Failed),
-                    Just(AttemptOutcome::Refused)
-                ]
-            )
-                .prop_map(|(request, replica, hedge, outcome)| {
-                    SpanKind::FleetAttempt {
-                        request,
-                        replica,
-                        hedge,
-                        outcome,
-                    }
-                }),
-            (0u64..1_000, 1u32..64)
-                .prop_map(|(cluster, members)| SpanKind::Control { cluster, members }),
-            (
-                0u32..16,
-                prop_oneof![
-                    Just(BoundaryOp::Send),
-                    Just(BoundaryOp::Wait),
-                    Just(BoundaryOp::Apply)
-                ],
-                1u32..100
-            )
-                .prop_map(|(worker, op, messages)| SpanKind::Boundary {
-                    worker,
-                    op,
-                    messages,
-                }),
-        ]
-    }
-
-    fn arb_span() -> impl Strategy<Value = Span> {
-        (0u64..1_000_000, 0u64..1_000_000, 0u32..8, arb_span_kind()).prop_map(
-            |(a, b, track, kind)| Span {
-                start_us: a.min(b),
-                end_us: a.max(b),
-                track,
-                kind,
-            },
-        )
-    }
-
     fn arb_telemetry_reply() -> impl Strategy<Value = ShardMsg<Point>> {
         (
             0u32..16,
             0u64..1_000_000_000,
-            proptest::collection::vec(arb_span(), 0..12),
+            // Arbitrary spans through this frame are the `aim-trace`
+            // span-schema suite's job; here the frame around them is.
+            proptest::collection::vec(Just(span()), 0..4),
             proptest::collection::vec(
                 (0usize..Counter::ALL.len(), 0u64..1_000).prop_map(|(i, n)| (Counter::ALL[i], n)),
                 0..4,

@@ -17,7 +17,11 @@
 //!   blocking agent attached, intra-cluster barrier waits with the
 //!   straggler attached, per-shard relink/migration work, quiesce +
 //!   checkpoint barriers, and per-replica fleet call attempts
-//!   (retry/hedge linked to the issuing request id).
+//!   (retry/hedge linked to the issuing request id). Each kind's payload
+//!   is described once, as named, typed fields tagged by its [`Phase`]
+//!   ([`SpanKind::write_fields`] / [`SpanKind::read_fields`]); the
+//!   `AIMMSG` frames, the `AIMTEL` file and the Perfetto/JSONL `args`
+//!   all walk that one description.
 //! * [`RunTelemetry`] — the unified report: the four existing metric
 //!   structs ([`SchedStats`], [`crate::metrics::Timeline`] (derivable via
 //!   [`RunTelemetry::timeline`]), [`ServerMetrics`], [`FleetMetrics`])
@@ -194,6 +198,9 @@ pub enum BlockReason {
 }
 
 impl BlockReason {
+    /// Every reason, in wire-index order.
+    pub const ALL: [BlockReason; 2] = [BlockReason::Dependency, BlockReason::Barrier];
+
     /// Stable lowercase name (used by exporters).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -216,22 +223,15 @@ pub enum BoundaryOp {
 }
 
 impl BoundaryOp {
+    /// Every op, in wire-index order.
+    pub const ALL: [BoundaryOp; 3] = [BoundaryOp::Send, BoundaryOp::Wait, BoundaryOp::Apply];
+
     /// Stable lowercase name (used by exporters).
     pub fn as_str(self) -> &'static str {
         match self {
             BoundaryOp::Send => "send",
             BoundaryOp::Wait => "wait",
             BoundaryOp::Apply => "apply",
-        }
-    }
-
-    /// Inverse of [`BoundaryOp::as_str`].
-    pub fn from_str(name: &str) -> Option<BoundaryOp> {
-        match name {
-            "send" => Some(BoundaryOp::Send),
-            "wait" => Some(BoundaryOp::Wait),
-            "apply" => Some(BoundaryOp::Apply),
-            _ => None,
         }
     }
 }
@@ -410,6 +410,226 @@ impl SpanKind {
             SpanKind::Boundary { .. } => Phase::Boundary,
         }
     }
+
+    /// Hands each payload field to `f` by name, in schema order: the one
+    /// layout every span format writes, after the [`Phase`] that tags
+    /// the kind. [`SpanKind::read_fields`] reads the same fields back.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    pub fn write_fields<E>(
+        &self,
+        mut f: impl FnMut(&'static str, Field) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match *self {
+            SpanKind::Cluster {
+                cluster,
+                step,
+                members,
+            }
+            | SpanKind::Commit {
+                cluster,
+                step,
+                members,
+            } => {
+                f("cluster", Field::U64(cluster))?;
+                f("step", Field::U32(step))?;
+                f("members", Field::U32(members))
+            }
+            SpanKind::LlmCall {
+                agent,
+                step,
+                request,
+                kind,
+            } => {
+                f("agent", Field::U32(agent))?;
+                f("step", Field::U32(step))?;
+                f("request", Field::U64(request))?;
+                f(
+                    "call",
+                    Field::choice(&CallKind::ALL, kind, CallKind::as_str),
+                )
+            }
+            SpanKind::Blocked {
+                agent,
+                blocker,
+                step,
+                reason,
+            } => {
+                f("agent", Field::U32(agent))?;
+                f("blocker", Field::U32(blocker))?;
+                f("step", Field::U32(step))?;
+                f(
+                    "reason",
+                    Field::choice(&BlockReason::ALL, reason, BlockReason::as_str),
+                )
+            }
+            SpanKind::Relink { agents, workers } => {
+                f("agents", Field::U32(agents))?;
+                f("workers", Field::U32(workers))
+            }
+            SpanKind::Migrate { agents, crossings } => {
+                f("agents", Field::U32(agents))?;
+                f("crossings", Field::U32(crossings))
+            }
+            SpanKind::Checkpoint { step } => f("step", Field::U32(step)),
+            SpanKind::FleetAttempt {
+                request,
+                replica,
+                hedge,
+                outcome,
+            } => {
+                f("request", Field::U64(request))?;
+                f("replica", Field::U32(replica))?;
+                f("hedge", Field::Flag(hedge))?;
+                f(
+                    "outcome",
+                    Field::choice(&AttemptOutcome::ALL, outcome, AttemptOutcome::as_str),
+                )
+            }
+            SpanKind::Control { cluster, members } => {
+                f("cluster", Field::U64(cluster))?;
+                f("members", Field::U32(members))
+            }
+            SpanKind::Boundary {
+                worker,
+                op,
+                messages,
+            } => {
+                f("worker", Field::U32(worker))?;
+                f(
+                    "op",
+                    Field::choice(&BoundaryOp::ALL, op, BoundaryOp::as_str),
+                )?;
+                f("messages", Field::U32(messages))
+            }
+        }
+    }
+
+    /// Reads the payload of a span tagged `phase` from `r`, field by
+    /// field in the order [`SpanKind::write_fields`] writes them.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `r` reports for a missing or malformed field.
+    pub fn read_fields<R: FieldReader>(phase: Phase, r: &mut R) -> Result<SpanKind, R::Error> {
+        Ok(match phase {
+            Phase::Cluster => SpanKind::Cluster {
+                cluster: r.u64("cluster")?,
+                step: r.u32("step")?,
+                members: r.u32("members")?,
+            },
+            Phase::Llm => SpanKind::LlmCall {
+                agent: r.u32("agent")?,
+                step: r.u32("step")?,
+                request: r.u64("request")?,
+                kind: r.choice("call", &CallKind::ALL, CallKind::as_str)?,
+            },
+            Phase::Commit => SpanKind::Commit {
+                cluster: r.u64("cluster")?,
+                step: r.u32("step")?,
+                members: r.u32("members")?,
+            },
+            Phase::Blocked => SpanKind::Blocked {
+                agent: r.u32("agent")?,
+                blocker: r.u32("blocker")?,
+                step: r.u32("step")?,
+                reason: r.choice("reason", &BlockReason::ALL, BlockReason::as_str)?,
+            },
+            Phase::Relink => SpanKind::Relink {
+                agents: r.u32("agents")?,
+                workers: r.u32("workers")?,
+            },
+            Phase::Migrate => SpanKind::Migrate {
+                agents: r.u32("agents")?,
+                crossings: r.u32("crossings")?,
+            },
+            Phase::Checkpoint => SpanKind::Checkpoint {
+                step: r.u32("step")?,
+            },
+            Phase::Attempt => SpanKind::FleetAttempt {
+                request: r.u64("request")?,
+                replica: r.u32("replica")?,
+                hedge: r.flag("hedge")?,
+                outcome: r.choice("outcome", &AttemptOutcome::ALL, AttemptOutcome::as_str)?,
+            },
+            Phase::Control => SpanKind::Control {
+                cluster: r.u64("cluster")?,
+                members: r.u32("members")?,
+            },
+            Phase::Boundary => SpanKind::Boundary {
+                worker: r.u32("worker")?,
+                op: r.choice("op", &BoundaryOp::ALL, BoundaryOp::as_str)?,
+                messages: r.u32("messages")?,
+            },
+        })
+    }
+}
+
+/// One span payload field, as [`SpanKind::write_fields`] hands it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Field {
+    /// A 32-bit unsigned integer.
+    U32(u32),
+    /// A 64-bit unsigned integer.
+    U64(u64),
+    /// A yes/no flag.
+    Flag(bool),
+    /// One value of a closed set: its index in the set's `ALL`, and its
+    /// `as_str` name.
+    Choice(u8, &'static str),
+}
+
+impl Field {
+    fn choice<T: Copy + PartialEq>(all: &[T], v: T, name: fn(T) -> &'static str) -> Field {
+        let index = all
+            .iter()
+            .position(|&x| x == v)
+            .expect("ALL lists every value");
+        Field::Choice(index as u8, name(v))
+    }
+}
+
+/// One format's reader of span payload fields, for
+/// [`SpanKind::read_fields`]. Each method reads the next field, named
+/// `name` for error messages.
+pub trait FieldReader {
+    /// How a missing or malformed field is reported.
+    type Error;
+
+    /// Reads a 32-bit unsigned integer.
+    ///
+    /// # Errors
+    ///
+    /// A missing, malformed or out-of-range field.
+    fn u32(&mut self, name: &'static str) -> Result<u32, Self::Error>;
+
+    /// Reads a 64-bit unsigned integer.
+    ///
+    /// # Errors
+    ///
+    /// A missing or malformed field.
+    fn u64(&mut self, name: &'static str) -> Result<u64, Self::Error>;
+
+    /// Reads a yes/no flag.
+    ///
+    /// # Errors
+    ///
+    /// A missing field or one that is neither yes nor no.
+    fn flag(&mut self, name: &'static str) -> Result<bool, Self::Error>;
+
+    /// Reads one of `all`, whose values `name_of` names.
+    ///
+    /// # Errors
+    ///
+    /// A missing field or one naming no value of `all`.
+    fn choice<T: Copy>(
+        &mut self,
+        name: &'static str,
+        all: &[T],
+        name_of: fn(T) -> &'static str,
+    ) -> Result<T, Self::Error>;
 }
 
 /// One recorded interval on the run's shared clock (µs since the
@@ -626,11 +846,6 @@ impl Counter {
             Counter::BoundaryMessages => "boundary_messages",
             Counter::AgentThreadsSpawned => "agent_threads_spawned",
         }
-    }
-
-    /// Inverse of [`Counter::as_str`].
-    pub fn from_str(name: &str) -> Option<Counter> {
-        Counter::ALL.into_iter().find(|c| c.as_str() == name)
     }
 }
 

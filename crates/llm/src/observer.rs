@@ -27,6 +27,14 @@ pub enum AttemptOutcome {
 }
 
 impl AttemptOutcome {
+    /// Every outcome, in wire-index order (the telemetry codecs code an
+    /// outcome by its position here).
+    pub const ALL: [AttemptOutcome; 3] = [
+        AttemptOutcome::Served,
+        AttemptOutcome::Failed,
+        AttemptOutcome::Refused,
+    ];
+
     /// Stable lowercase name (used by telemetry exporters).
     pub fn as_str(self) -> &'static str {
         match self {

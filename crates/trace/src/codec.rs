@@ -6,22 +6,34 @@
 //! ```text
 //! AIMTRACE v1
 //! M name=<str> agents=<n> start=<s> steps=<k> w=<w> h=<h> rp=<r> mv=<v> seed=<seed>
-//! I <agent> <x> <y>                      # initial position, one per agent
+//! I <agent> <x> <y>
 //! C <agent> <step> <seq> <kind> <in> <out>
-//! P <agent> <step> <x> <y>               # position after <step>, only when it changed
+//! P <agent> <step> <x> <y>
 //! ```
 //!
-//! `P` records are sparse (stationary agents are omitted); the reader
-//! reconstructs the dense matrix. Call and position lines may interleave
-//! but must be grouped non-decreasing by step for streaming writers (the
-//! reader tolerates any order).
+//! `I` records give each agent's initial position; `P` records the
+//! position after `<step>`, only when it changed. `P` records are sparse
+//! (stationary agents are omitted); the reader reconstructs the dense
+//! matrix. Call and position lines may interleave but must be grouped
+//! non-decreasing by step for streaming writers (the reader tolerates
+//! any order).
+//!
+//! The reader is the line-record reader `AIMTEL` telemetry files share:
+//! blank lines and `#` comment lines are skipped, every field is parsed
+//! at its own type (a `u32` field that does not fit is an error, not a
+//! truncation), a record with a field too many is rejected, and every
+//! error cites its line. A shape whose `(steps + 1) × agents` position
+//! matrix cannot be indexed in `u32` is rejected before anything is
+//! allocated for it.
 
 use std::io::{BufRead, Write};
 
 use aim_core::space::Point;
+use aim_core::telemetry::FieldReader;
 use aim_llm::CallKind;
 
 use crate::format::{Trace, TraceBuilder, TraceMeta};
+use crate::lines::{Lines, Record};
 use crate::TraceError;
 
 const MAGIC: &str = "AIMTRACE v1";
@@ -79,27 +91,20 @@ pub fn write_trace(trace: &Trace, w: &mut impl Write) -> Result<(), TraceError> 
     Ok(())
 }
 
-fn parse_err(line_no: usize, msg: impl std::fmt::Display) -> TraceError {
-    TraceError::Parse(format!("line {line_no}: {msg}"))
-}
-
 /// Deserializes a trace written by [`write_trace`].
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Parse`] on any malformed line and
-/// [`TraceError::Io`] on read failures.
+/// Returns [`TraceError::Parse`] on any malformed line — a missing,
+/// out-of-range or unknown field, or one too many — and on a shape whose
+/// position matrix cannot be indexed, and [`TraceError::Io`] on read
+/// failures.
 pub fn read_trace(r: &mut impl BufRead) -> Result<Trace, TraceError> {
-    let mut lines = r.lines().enumerate();
-    let (_, first) = lines.next().ok_or_else(|| parse_err(1, "empty file"))?;
-    if first?.trim() != MAGIC {
-        return Err(parse_err(1, "bad magic (expected AIMTRACE v1)"));
-    }
-    let (no, meta_line) = lines
-        .next()
-        .ok_or_else(|| parse_err(2, "missing meta line"))?;
-    let meta_line = meta_line?;
-    let meta = parse_meta(no + 1, &meta_line)?;
+    let mut lines = Lines::open(r, MAGIC)?;
+    let meta = match lines.next_record()? {
+        Some(mut rec) => read_meta(&mut rec)?,
+        None => return Err(TraceError::Parse("missing meta line".to_string())),
+    };
 
     let n = meta.num_agents;
     let steps = meta.num_steps;
@@ -108,57 +113,41 @@ pub fn read_trace(r: &mut impl BufRead) -> Result<Trace, TraceError> {
     let mut calls = Vec::new();
     let mut moves: Vec<(u32, u32, Point)> = Vec::new();
 
-    for (no, line) in lines {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut f = line.split_ascii_whitespace();
-        let tag = f.next().expect("nonempty line has a tag");
-        let mut next_u32 = |what: &str| -> Result<u32, TraceError> {
-            f.next()
-                .ok_or_else(|| parse_err(no + 1, format!("missing {what}")))?
-                .parse::<u32>()
-                .map_err(|e| parse_err(no + 1, format!("bad {what}: {e}")))
-        };
-        match tag {
+    while let Some(mut rec) = lines.next_record()? {
+        match rec.token("record tag")? {
             "I" => {
-                let agent = next_u32("agent")?;
-                let x = next_i32(&mut f, no + 1, "x")?;
-                let y = next_i32(&mut f, no + 1, "y")?;
+                let agent: u32 = rec.next("agent")?;
+                let pos = Point::new(rec.next("x")?, rec.next("y")?);
                 if agent >= n {
-                    return Err(parse_err(no + 1, format!("agent {agent} out of range")));
+                    return Err(rec.err(format_args!("agent {agent} out of range")));
                 }
-                initial[agent as usize] = Point::new(x, y);
+                initial[agent as usize] = pos;
                 seen_initial[agent as usize] = true;
             }
             "C" => {
-                let agent = next_u32("agent")?;
-                let step = next_u32("step")?;
-                let _seq = next_u32("seq")?;
-                let kind_s = f.next().ok_or_else(|| parse_err(no + 1, "missing kind"))?;
-                let kind = CallKind::from_str_opt(kind_s)
-                    .ok_or_else(|| parse_err(no + 1, format!("unknown kind {kind_s}")))?;
-                let input = next_u32_from(&mut f, no + 1, "input tokens")?;
-                let output = next_u32_from(&mut f, no + 1, "output tokens")?;
+                let agent: u32 = rec.next("agent")?;
+                let step: u32 = rec.next("step")?;
+                let _seq: u32 = rec.next("seq")?;
+                let kind = rec.choice("kind", &CallKind::ALL, CallKind::as_str)?;
+                let input = rec.next("input tokens")?;
+                let output = rec.next("output tokens")?;
                 if agent >= n || step >= steps {
-                    return Err(parse_err(no + 1, "call out of range"));
+                    return Err(rec.err("call out of range"));
                 }
                 calls.push((agent, step, kind, input, output));
             }
             "P" => {
-                let agent = next_u32("agent")?;
-                let step = next_u32("step")?;
-                let x = next_i32(&mut f, no + 1, "x")?;
-                let y = next_i32(&mut f, no + 1, "y")?;
+                let agent: u32 = rec.next("agent")?;
+                let step: u32 = rec.next("step")?;
+                let pos = Point::new(rec.next("x")?, rec.next("y")?);
                 if agent >= n || step >= steps {
-                    return Err(parse_err(no + 1, "position out of range"));
+                    return Err(rec.err("position out of range"));
                 }
-                moves.push((step, agent, Point::new(x, y)));
+                moves.push((step, agent, pos));
             }
-            other => return Err(parse_err(no + 1, format!("unknown record tag {other}"))),
+            other => return Err(rec.err(format_args!("unknown record tag {other}"))),
         }
+        rec.end()?;
     }
     if let Some(missing) = seen_initial.iter().position(|s| !s) {
         return Err(TraceError::Parse(format!(
@@ -184,62 +173,42 @@ pub fn read_trace(r: &mut impl BufRead) -> Result<Trace, TraceError> {
     Ok(builder.finish())
 }
 
-fn next_i32<'a>(
-    f: &mut impl Iterator<Item = &'a str>,
-    line_no: usize,
-    what: &str,
-) -> Result<i32, TraceError> {
-    f.next()
-        .ok_or_else(|| parse_err(line_no, format!("missing {what}")))?
-        .parse::<i32>()
-        .map_err(|e| parse_err(line_no, format!("bad {what}: {e}")))
-}
-
-fn next_u32_from<'a>(
-    f: &mut impl Iterator<Item = &'a str>,
-    line_no: usize,
-    what: &str,
-) -> Result<u32, TraceError> {
-    f.next()
-        .ok_or_else(|| parse_err(line_no, format!("missing {what}")))?
-        .parse::<u32>()
-        .map_err(|e| parse_err(line_no, format!("bad {what}: {e}")))
-}
-
-fn parse_meta(line_no: usize, line: &str) -> Result<TraceMeta, TraceError> {
-    if !line.starts_with("M ") {
-        return Err(parse_err(line_no, "expected meta line starting with 'M '"));
+fn read_meta(rec: &mut Record<'_>) -> Result<TraceMeta, TraceError> {
+    if rec.token("meta line")? != "M" {
+        return Err(rec.err("expected meta line starting with 'M '"));
     }
-    let mut name = String::new();
-    let mut fields: std::collections::HashMap<&str, &str> = Default::default();
-    for kv in line[2..].split_ascii_whitespace() {
-        let (k, v) = kv
-            .split_once('=')
-            .ok_or_else(|| parse_err(line_no, format!("bad meta field {kv}")))?;
-        if k == "name" {
-            name = v.replace('_', " ");
-        } else {
-            fields.insert(k, v);
-        }
+    let mut fields = std::collections::HashMap::new();
+    while let Some((k, v)) = rec.pair()? {
+        fields.insert(k, v);
     }
-    let get = |k: &str| -> Result<u64, TraceError> {
+    let get = |k: &str| {
         fields
             .get(k)
-            .ok_or_else(|| parse_err(line_no, format!("missing meta field {k}")))?
-            .parse::<u64>()
-            .map_err(|e| parse_err(line_no, format!("bad meta field {k}: {e}")))
+            .ok_or_else(|| rec.err(format_args!("missing meta field {k}")))
     };
-    Ok(TraceMeta {
-        name,
-        num_agents: get("agents")? as u32,
-        start_step: get("start")? as u32,
-        num_steps: get("steps")? as u32,
-        map_width: get("w")? as u32,
-        map_height: get("h")? as u32,
-        radius_p: get("rp")? as u32,
-        max_vel: get("mv")? as u32,
-        seed: get("seed")?,
-    })
+    let m = TraceMeta {
+        name: fields
+            .get("name")
+            .map_or(String::new(), |n| n.replace('_', " ")),
+        num_agents: rec.parse("agents", get("agents")?)?,
+        start_step: rec.parse("start", get("start")?)?,
+        num_steps: rec.parse("steps", get("steps")?)?,
+        map_width: rec.parse("w", get("w")?)?,
+        map_height: rec.parse("h", get("h")?)?,
+        radius_p: rec.parse("rp", get("rp")?)?,
+        max_vel: rec.parse("mv", get("mv")?)?,
+        seed: rec.parse("seed", get("seed")?)?,
+    };
+    // The position matrix holds `(steps + 1) × agents` points and is
+    // indexed in `u32` arithmetic.
+    let rows = m.num_steps.checked_add(1);
+    if rows.and_then(|r| r.checked_mul(m.num_agents)).is_none() {
+        return Err(rec.err(format_args!(
+            "{} steps of {} agents overflow the position matrix",
+            m.num_steps, m.num_agents
+        )));
+    }
+    Ok(m)
 }
 
 /// Writes `trace` to a file path.
@@ -291,6 +260,24 @@ mod tests {
         // agent 0 too, so all P records exist here); at least the count is
         // bounded by steps × agents.
         assert!(text.lines().filter(|l| l.starts_with("P ")).count() <= 6);
+    }
+
+    #[test]
+    fn a_shape_overflowing_the_position_matrix_is_rejected() {
+        // `(steps + 1) × agents` overflows `u32`, the position matrix's
+        // own index arithmetic: a reader that took the shape on trust
+        // overflowed (debug) or wrapped and pushed ~4·10⁹ rows (release).
+        // Bounding the allocation of shapes that do fit is a separate
+        // open item (ROADMAP 3(iii)).
+        let text = "AIMTRACE v1\n\
+                    M name=big agents=2 start=0 steps=4294967295 w=8 h=8 rp=1 mv=1 seed=0\n\
+                    I 0 1 1\n\
+                    I 1 2 2\n";
+        let err = read_trace(&mut std::io::Cursor::new(text)).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Parse(msg) if msg.starts_with("line 2: ")),
+            "{err}"
+        );
     }
 
     #[test]

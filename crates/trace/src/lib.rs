@@ -39,6 +39,7 @@ pub mod critical;
 mod format;
 pub mod gen;
 pub mod latency;
+mod lines;
 pub mod oracle;
 pub mod serving;
 pub mod stats;

@@ -5,17 +5,26 @@
 //! this module moves it across process boundaries:
 //!
 //! * [`save`]/[`load`] — the `AIMTEL v1` line-oriented file format, same
-//!   philosophy as [`crate::codec`]: inspectable with a pager, parseable
-//!   without external dependencies, exact round-trip of spans, counters,
-//!   and scheduler stats. (Live-only fields — fleet and server metric
-//!   structs — are not persisted; everything derived from spans, including
-//!   the decomposition and per-phase histograms, is recomputed on load.)
+//!   philosophy as [`crate::codec`] and read by the same line-record
+//!   reader: inspectable with a pager, parseable without external
+//!   dependencies, exact round-trip of spans, counters, and scheduler
+//!   stats. (Live-only fields — fleet and server metric structs — are not
+//!   persisted; everything derived from spans, including the
+//!   decomposition and per-phase histograms, is recomputed on load.)
 //! * [`write_chrome_trace`] — Perfetto/`chrome://tracing` complete events
 //!   (`"ph":"X"`, µs timestamps), one trace row per telemetry track:
 //!   track 0 is the shared cross-thread buffer (controller, scheduler,
 //!   backend, fleet), tracks 1.. are worker threads.
 //! * [`write_jsonl`] — one flat JSON object per span, for ad-hoc
 //!   `jq`-style analysis.
+//!
+//! No format here spells out a span kind's payload: an `S` record's
+//! fields and a trace event's `args` are both walks over the span schema
+//! in `aim-core` ([`SpanKind::write_fields`], read back through
+//! [`SpanKind::read_fields`]), so a new or changed kind needs no edit in
+//! this module. Only the Perfetto event names (`a4 blocked on a5`) are
+//! written per kind, since they are presentation.
+//!
 //! * [`validate_chrome_trace`] — a minimal JSON parser (no serde_json in
 //!   the workspace) that checks an exported `trace.json` is well-formed
 //!   and shaped like a trace-event file; CI runs this on the `repro`
@@ -24,10 +33,10 @@
 use std::io::{BufRead, Write};
 
 use aim_core::telemetry::{
-    BlockReason, BoundaryOp, Counter, MetricsSnapshot, RunTelemetry, Span, SpanKind, WorkerTrack,
+    Counter, Field, FieldReader, MetricsSnapshot, Phase, RunTelemetry, Span, SpanKind, WorkerTrack,
 };
-use aim_llm::{AttemptOutcome, CallKind};
 
+use crate::lines::Lines;
 use crate::TraceError;
 
 const MAGIC: &str = "AIMTEL v1";
@@ -40,12 +49,14 @@ const MAGIC: &str = "AIMTEL v1";
 /// K <counter-name> <u64>
 /// D <clusters_emitted> <agent_steps> <watcher_wakes> <blocked_evals> <max_step_skew> <max_cluster_size>
 /// W <track> <dropped> <name…>
-/// S <track> <start_us> <end_us> <kind> <kind-fields…>
+/// S <track> <start_us> <end_us> <phase> <kind-fields…>
 /// ```
 ///
 /// `W` records name the per-worker tracks of a merged distributed run
 /// and carry each worker's span-buffer overflow count (the name runs to
-/// end of line).
+/// end of line). An `S` record's kind is its [`Phase`] name and its
+/// fields are those of [`SpanKind::write_fields`], in order: decimal
+/// integers, `0`/`1` flags, value names.
 ///
 /// # Errors
 ///
@@ -79,89 +90,17 @@ pub fn write_telemetry(rt: &RunTelemetry, w: &mut impl Write) -> Result<(), Trac
         writeln!(w, "W {} {} {}", t.track, t.dropped, t.name)?;
     }
     for s in &rt.spans {
-        write!(w, "S {} {} {} ", s.track, s.start_us, s.end_us)?;
-        match s.kind {
-            SpanKind::Cluster {
-                cluster,
-                step,
-                members,
-            } => writeln!(w, "cluster {cluster} {step} {members}")?,
-            SpanKind::LlmCall {
-                agent,
-                step,
-                request,
-                kind,
-            } => writeln!(w, "llm {agent} {step} {request} {}", kind.as_str())?,
-            SpanKind::Commit {
-                cluster,
-                step,
-                members,
-            } => writeln!(w, "commit {cluster} {step} {members}")?,
-            SpanKind::Blocked {
-                agent,
-                blocker,
-                step,
-                reason,
-            } => writeln!(w, "blocked {agent} {blocker} {step} {}", reason.as_str())?,
-            SpanKind::Relink { agents, workers } => writeln!(w, "relink {agents} {workers}")?,
-            SpanKind::Migrate { agents, crossings } => {
-                writeln!(w, "migrate {agents} {crossings}")?;
-            }
-            SpanKind::Checkpoint { step } => writeln!(w, "checkpoint {step}")?,
-            SpanKind::FleetAttempt {
-                request,
-                replica,
-                hedge,
-                outcome,
-            } => writeln!(
-                w,
-                "attempt {request} {replica} {} {}",
-                u8::from(hedge),
-                outcome.as_str()
-            )?,
-            SpanKind::Control { cluster, members } => {
-                writeln!(w, "control {cluster} {members}")?;
-            }
-            SpanKind::Boundary {
-                worker,
-                op,
-                messages,
-            } => writeln!(w, "boundary {worker} {} {messages}", op.as_str())?,
-        }
+        let phase = s.kind.phase().as_str();
+        write!(w, "S {} {} {} {phase}", s.track, s.start_us, s.end_us)?;
+        s.kind.write_fields(|_, field| match field {
+            Field::U32(v) => write!(w, " {v}"),
+            Field::U64(v) => write!(w, " {v}"),
+            Field::Flag(v) => write!(w, " {}", u8::from(v)),
+            Field::Choice(_, name) => write!(w, " {name}"),
+        })?;
+        writeln!(w)?;
     }
     Ok(())
-}
-
-fn parse_err(line_no: usize, msg: impl std::fmt::Display) -> TraceError {
-    TraceError::Parse(format!("line {line_no}: {msg}"))
-}
-
-fn next_u64_from<'a>(
-    f: &mut impl Iterator<Item = &'a str>,
-    line_no: usize,
-    what: &str,
-) -> Result<u64, TraceError> {
-    f.next()
-        .ok_or_else(|| parse_err(line_no, format!("missing {what}")))?
-        .parse::<u64>()
-        .map_err(|e| parse_err(line_no, format!("bad {what}: {e}")))
-}
-
-fn outcome_from_str(s: &str) -> Option<AttemptOutcome> {
-    match s {
-        "served" => Some(AttemptOutcome::Served),
-        "failed" => Some(AttemptOutcome::Failed),
-        "refused" => Some(AttemptOutcome::Refused),
-        _ => None,
-    }
-}
-
-fn reason_from_str(s: &str) -> Option<BlockReason> {
-    match s {
-        "dependency" => Some(BlockReason::Dependency),
-        "barrier" => Some(BlockReason::Barrier),
-        _ => None,
-    }
 }
 
 /// Deserializes a report written by [`write_telemetry`].
@@ -172,14 +111,11 @@ fn reason_from_str(s: &str) -> Option<BlockReason> {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Parse`] on any malformed line and
+/// Returns [`TraceError::Parse`] on any malformed line — a missing,
+/// out-of-range or unknown field, or one too many — and
 /// [`TraceError::Io`] on read failures.
 pub fn read_telemetry(r: &mut impl BufRead) -> Result<RunTelemetry, TraceError> {
-    let mut lines = r.lines().enumerate();
-    let (_, first) = lines.next().ok_or_else(|| parse_err(1, "empty file"))?;
-    if first?.trim() != MAGIC {
-        return Err(parse_err(1, "bad magic (expected AIMTEL v1)"));
-    }
+    let mut lines = Lines::open(r, MAGIC)?;
     let mut wall_us = 0u64;
     let mut agents = 0u32;
     let mut dropped = 0u64;
@@ -190,165 +126,47 @@ pub fn read_telemetry(r: &mut impl BufRead) -> Result<RunTelemetry, TraceError> 
     let mut worker_tracks: Vec<WorkerTrack> = Vec::new();
     let mut spans: Vec<Span> = Vec::new();
 
-    for (no, line) in lines {
-        let no = no + 1;
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut f = line.split_ascii_whitespace();
-        let tag = f.next().expect("nonempty line has a tag");
-        match tag {
+    while let Some(mut rec) = lines.next_record()? {
+        match rec.token("record tag")? {
             "M" => {
                 seen_meta = true;
-                for kv in line[2..].split_ascii_whitespace() {
-                    let (k, v) = kv
-                        .split_once('=')
-                        .ok_or_else(|| parse_err(no, format!("bad meta field {kv}")))?;
-                    let parse = |v: &str| -> Result<u64, TraceError> {
-                        v.parse()
-                            .map_err(|e| parse_err(no, format!("bad meta field {k}: {e}")))
-                    };
+                while let Some((k, v)) = rec.pair()? {
                     match k {
-                        "wall_us" => wall_us = parse(v)?,
-                        "agents" => agents = parse(v)? as u32,
-                        "dropped" => dropped = parse(v)?,
-                        "critical_us" => {
-                            critical = if v == "none" { None } else { Some(parse(v)?) };
-                        }
-                        other => return Err(parse_err(no, format!("unknown meta field {other}"))),
+                        "wall_us" => wall_us = rec.parse(k, v)?,
+                        "agents" => agents = rec.parse(k, v)?,
+                        "dropped" => dropped = rec.parse(k, v)?,
+                        "critical_us" if v == "none" => critical = None,
+                        "critical_us" => critical = Some(rec.parse(k, v)?),
+                        other => return Err(rec.err(format_args!("unknown meta field {other}"))),
                     }
                 }
             }
             "K" => {
-                let name = f.next().ok_or_else(|| parse_err(no, "missing counter"))?;
-                let c = Counter::from_str(name)
-                    .ok_or_else(|| parse_err(no, format!("unknown counter {name}")))?;
-                let n = next_u64_from(&mut f, no, "counter value")?;
-                counters.push((c, n));
+                let c = rec.choice("counter", &Counter::ALL, Counter::as_str)?;
+                counters.push((c, rec.next("counter value")?));
             }
             "D" => {
-                sched.clusters_emitted = next_u64_from(&mut f, no, "clusters_emitted")?;
-                sched.agent_steps = next_u64_from(&mut f, no, "agent_steps")?;
-                sched.watcher_wakes = next_u64_from(&mut f, no, "watcher_wakes")?;
-                sched.blocked_evals = next_u64_from(&mut f, no, "blocked_evals")?;
-                sched.max_step_skew = next_u64_from(&mut f, no, "max_step_skew")? as u32;
-                sched.max_cluster_size = next_u64_from(&mut f, no, "max_cluster_size")? as u32;
+                sched.clusters_emitted = rec.next("clusters_emitted")?;
+                sched.agent_steps = rec.next("agent_steps")?;
+                sched.watcher_wakes = rec.next("watcher_wakes")?;
+                sched.blocked_evals = rec.next("blocked_evals")?;
+                sched.max_step_skew = rec.next("max_step_skew")?;
+                sched.max_cluster_size = rec.next("max_cluster_size")?;
             }
-            "W" => {
-                // The track name runs to end of line (it may contain
-                // spaces), so split the fixed fields off by hand.
-                let mut parts = line.splitn(4, ' ');
-                parts.next(); // "W"
-                let track = parts
-                    .next()
-                    .ok_or_else(|| parse_err(no, "missing track"))?
-                    .parse::<u32>()
-                    .map_err(|e| parse_err(no, format!("bad track: {e}")))?;
-                let dropped = parts
-                    .next()
-                    .ok_or_else(|| parse_err(no, "missing dropped"))?
-                    .parse::<u64>()
-                    .map_err(|e| parse_err(no, format!("bad dropped: {e}")))?;
-                let name = parts
-                    .next()
-                    .ok_or_else(|| parse_err(no, "missing track name"))?
-                    .to_string();
-                worker_tracks.push(WorkerTrack {
-                    track,
-                    name,
-                    dropped,
-                });
-            }
+            "W" => worker_tracks.push(WorkerTrack {
+                track: rec.next("track")?,
+                dropped: rec.next("dropped")?,
+                name: rec.rest("track name")?.to_string(),
+            }),
             "S" => {
-                let track = next_u64_from(&mut f, no, "track")? as u32;
-                let start_us = next_u64_from(&mut f, no, "start_us")?;
-                let end_us = next_u64_from(&mut f, no, "end_us")?;
+                let track = rec.next("track")?;
+                let start_us = rec.next("start_us")?;
+                let end_us = rec.next("end_us")?;
                 if end_us < start_us {
-                    return Err(parse_err(no, "span ends before it starts"));
+                    return Err(rec.err("span ends before it starts"));
                 }
-                let kind_s = f.next().ok_or_else(|| parse_err(no, "missing span kind"))?;
-                let kind = match kind_s {
-                    "cluster" => SpanKind::Cluster {
-                        cluster: next_u64_from(&mut f, no, "cluster")?,
-                        step: next_u64_from(&mut f, no, "step")? as u32,
-                        members: next_u64_from(&mut f, no, "members")? as u32,
-                    },
-                    "llm" => {
-                        let agent = next_u64_from(&mut f, no, "agent")? as u32;
-                        let step = next_u64_from(&mut f, no, "step")? as u32;
-                        let request = next_u64_from(&mut f, no, "request")?;
-                        let k = f.next().ok_or_else(|| parse_err(no, "missing call kind"))?;
-                        SpanKind::LlmCall {
-                            agent,
-                            step,
-                            request,
-                            kind: CallKind::from_str_opt(k)
-                                .ok_or_else(|| parse_err(no, format!("unknown call kind {k}")))?,
-                        }
-                    }
-                    "commit" => SpanKind::Commit {
-                        cluster: next_u64_from(&mut f, no, "cluster")?,
-                        step: next_u64_from(&mut f, no, "step")? as u32,
-                        members: next_u64_from(&mut f, no, "members")? as u32,
-                    },
-                    "blocked" => {
-                        let agent = next_u64_from(&mut f, no, "agent")? as u32;
-                        let blocker = next_u64_from(&mut f, no, "blocker")? as u32;
-                        let step = next_u64_from(&mut f, no, "step")? as u32;
-                        let r = f.next().ok_or_else(|| parse_err(no, "missing reason"))?;
-                        SpanKind::Blocked {
-                            agent,
-                            blocker,
-                            step,
-                            reason: reason_from_str(r)
-                                .ok_or_else(|| parse_err(no, format!("unknown reason {r}")))?,
-                        }
-                    }
-                    "relink" => SpanKind::Relink {
-                        agents: next_u64_from(&mut f, no, "agents")? as u32,
-                        workers: next_u64_from(&mut f, no, "workers")? as u32,
-                    },
-                    "migrate" => SpanKind::Migrate {
-                        agents: next_u64_from(&mut f, no, "agents")? as u32,
-                        crossings: next_u64_from(&mut f, no, "crossings")? as u32,
-                    },
-                    "checkpoint" => SpanKind::Checkpoint {
-                        step: next_u64_from(&mut f, no, "step")? as u32,
-                    },
-                    "attempt" => {
-                        let request = next_u64_from(&mut f, no, "request")?;
-                        let replica = next_u64_from(&mut f, no, "replica")? as u32;
-                        let hedge = next_u64_from(&mut f, no, "hedge")? != 0;
-                        let o = f.next().ok_or_else(|| parse_err(no, "missing outcome"))?;
-                        SpanKind::FleetAttempt {
-                            request,
-                            replica,
-                            hedge,
-                            outcome: outcome_from_str(o)
-                                .ok_or_else(|| parse_err(no, format!("unknown outcome {o}")))?,
-                        }
-                    }
-                    "control" => SpanKind::Control {
-                        cluster: next_u64_from(&mut f, no, "cluster")?,
-                        members: next_u64_from(&mut f, no, "members")? as u32,
-                    },
-                    "boundary" => {
-                        let worker = next_u64_from(&mut f, no, "worker")? as u32;
-                        let o = f
-                            .next()
-                            .ok_or_else(|| parse_err(no, "missing boundary op"))?;
-                        let op = BoundaryOp::from_str(o)
-                            .ok_or_else(|| parse_err(no, format!("unknown boundary op {o}")))?;
-                        SpanKind::Boundary {
-                            worker,
-                            op,
-                            messages: next_u64_from(&mut f, no, "messages")? as u32,
-                        }
-                    }
-                    other => return Err(parse_err(no, format!("unknown span kind {other}"))),
-                };
+                let phase = rec.choice("span kind", &Phase::ALL, Phase::as_str)?;
+                let kind = SpanKind::read_fields(phase, &mut rec)?;
                 spans.push(Span {
                     start_us,
                     end_us,
@@ -356,8 +174,9 @@ pub fn read_telemetry(r: &mut impl BufRead) -> Result<RunTelemetry, TraceError> 
                     kind,
                 });
             }
-            other => return Err(parse_err(no, format!("unknown record tag {other}"))),
+            other => return Err(rec.err(format_args!("unknown record tag {other}"))),
         }
+        rec.end()?;
     }
     if !seen_meta {
         return Err(TraceError::Parse("missing M meta line".to_string()));
@@ -412,89 +231,43 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Human-facing event name and `args` payload for one span.
-fn span_name_args(kind: &SpanKind) -> (String, String) {
+/// The span's Perfetto event name, e.g. `a4 blocked on a5`.
+fn display_name(kind: &SpanKind) -> String {
+    let phase = kind.phase().as_str();
     match *kind {
-        SpanKind::Cluster {
-            cluster,
-            step,
-            members,
-        } => (
-            format!("cluster {cluster} @{step}"),
-            format!("{{\"cluster\":{cluster},\"step\":{step},\"members\":{members}}}"),
-        ),
-        SpanKind::LlmCall {
-            agent,
-            step,
-            request,
-            kind,
-        } => (
-            format!("llm {} a{agent}", kind.as_str()),
-            format!(
-                "{{\"agent\":{agent},\"step\":{step},\"request\":{request},\"call\":\"{}\"}}",
-                kind.as_str()
-            ),
-        ),
-        SpanKind::Commit {
-            cluster,
-            step,
-            members,
-        } => (
-            format!("commit {cluster} @{step}"),
-            format!("{{\"cluster\":{cluster},\"step\":{step},\"members\":{members}}}"),
-        ),
-        SpanKind::Blocked {
-            agent,
-            blocker,
-            step,
-            reason,
-        } => (
-            format!("a{agent} blocked on a{blocker}"),
-            format!(
-                "{{\"agent\":{agent},\"blocker\":{blocker},\"step\":{step},\"reason\":\"{}\"}}",
-                reason.as_str()
-            ),
-        ),
-        SpanKind::Relink { agents, workers } => (
-            format!("relink ×{agents}"),
-            format!("{{\"agents\":{agents},\"workers\":{workers}}}"),
-        ),
-        SpanKind::Migrate { agents, crossings } => (
-            format!("migrate ×{agents}"),
-            format!("{{\"agents\":{agents},\"crossings\":{crossings}}}"),
-        ),
-        SpanKind::Checkpoint { step } => (
-            format!("checkpoint @{step}"),
-            format!("{{\"step\":{step}}}"),
-        ),
+        SpanKind::Cluster { cluster, step, .. } | SpanKind::Commit { cluster, step, .. } => {
+            format!("{phase} {cluster} @{step}")
+        }
+        SpanKind::LlmCall { agent, kind, .. } => format!("llm {} a{agent}", kind.as_str()),
+        SpanKind::Blocked { agent, blocker, .. } => format!("a{agent} blocked on a{blocker}"),
+        SpanKind::Relink { agents, .. } | SpanKind::Migrate { agents, .. } => {
+            format!("{phase} ×{agents}")
+        }
+        SpanKind::Checkpoint { step } => format!("checkpoint @{step}"),
         SpanKind::FleetAttempt {
-            request,
-            replica,
-            hedge,
-            outcome,
-        } => (
-            format!("attempt r{replica} req{request}"),
-            format!(
-                "{{\"request\":{request},\"replica\":{replica},\"hedge\":{hedge},\"outcome\":\"{}\"}}",
-                outcome.as_str()
-            ),
-        ),
-        SpanKind::Control { cluster, members } => (
-            format!("control {cluster}"),
-            format!("{{\"cluster\":{cluster},\"members\":{members}}}"),
-        ),
-        SpanKind::Boundary {
-            worker,
-            op,
-            messages,
-        } => (
-            format!("boundary {} w{worker}", op.as_str()),
-            format!(
-                "{{\"worker\":{worker},\"op\":\"{}\",\"messages\":{messages}}}",
-                op.as_str()
-            ),
-        ),
+            request, replica, ..
+        } => format!("attempt r{replica} req{request}"),
+        SpanKind::Control { cluster, .. } => format!("control {cluster}"),
+        SpanKind::Boundary { worker, op, .. } => format!("boundary {} w{worker}", op.as_str()),
     }
+}
+
+/// Writes the span's `args` object, the fields of
+/// [`SpanKind::write_fields`] as `"name":value` members (flags as
+/// `true`/`false`, value names quoted), and closes the event around it.
+fn write_args_and_close(kind: &SpanKind, w: &mut impl Write) -> std::io::Result<()> {
+    let mut sep = '{';
+    kind.write_fields(|name, field| {
+        write!(w, "{sep}\"{name}\":")?;
+        sep = ',';
+        match field {
+            Field::U32(v) => write!(w, "{v}"),
+            Field::U64(v) => write!(w, "{v}"),
+            Field::Flag(v) => write!(w, "{v}"),
+            Field::Choice(_, name) => write!(w, "\"{name}\""),
+        }
+    })?;
+    w.write_all(b"}}")
 }
 
 /// Writes `rt` as a Chrome trace-event file (Perfetto,
@@ -503,7 +276,8 @@ fn span_name_args(kind: &SpanKind) -> (String, String) {
 /// Every span becomes a complete event (`"ph":"X"`) with µs `ts`/`dur`;
 /// `tid` is the telemetry track (0 = shared cross-thread buffer, 1.. =
 /// workers), labeled via metadata events. The phase name goes in `cat`,
-/// so Perfetto can filter by phase.
+/// so Perfetto can filter by phase; `args` holds the span schema's
+/// fields by name.
 ///
 /// # Errors
 ///
@@ -538,40 +312,41 @@ pub fn write_chrome_trace(rt: &RunTelemetry, w: &mut impl Write) -> Result<(), T
         )?;
     }
     for s in &rt.spans {
-        let (name, args) = span_name_args(&s.kind);
         sep(w)?;
         write!(
             w,
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":0,\"tid\":{},\"args\":{args}}}",
-            json_escape(&name),
+             \"pid\":0,\"tid\":{},\"args\":",
+            json_escape(&display_name(&s.kind)),
             s.kind.phase().as_str(),
             s.start_us,
             s.end_us.saturating_sub(s.start_us),
             s.track,
         )?;
+        write_args_and_close(&s.kind, w)?;
     }
     writeln!(w, "\n]}}")?;
     Ok(())
 }
 
 /// Writes one flat JSON object per span (JSONL) — `track`, `start_us`,
-/// `end_us`, `phase`, plus the kind payload of [`write_chrome_trace`].
+/// `end_us`, `phase`, plus the `args` of [`write_chrome_trace`].
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_jsonl(rt: &RunTelemetry, w: &mut impl Write) -> Result<(), TraceError> {
     for s in &rt.spans {
-        let (_, args) = span_name_args(&s.kind);
-        writeln!(
+        write!(
             w,
-            "{{\"track\":{},\"start_us\":{},\"end_us\":{},\"phase\":\"{}\",\"args\":{args}}}",
+            "{{\"track\":{},\"start_us\":{},\"end_us\":{},\"phase\":\"{}\",\"args\":",
             s.track,
             s.start_us,
             s.end_us,
             s.kind.phase().as_str(),
         )?;
+        write_args_and_close(&s.kind, w)?;
+        writeln!(w)?;
     }
     Ok(())
 }
@@ -844,6 +619,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
     use aim_core::scheduler::SchedStats;
+    use aim_core::telemetry::{BlockReason, BoundaryOp};
+    use aim_llm::{AttemptOutcome, CallKind};
 
     fn sample() -> RunTelemetry {
         let spans = vec![
@@ -1054,6 +831,28 @@ mod tests {
         text.push_str("S 0 5 3 checkpoint 1\n"); // ends before it starts
         let err = read_telemetry(&mut std::io::Cursor::new(text.as_bytes())).unwrap_err();
         assert!(err.to_string().contains("line"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_and_leftover_fields_are_rejected() {
+        // A reader that parsed every integer as `u64` and cast it down
+        // loaded the first line as `Checkpoint { step: 1 }` and the meta
+        // line as `agents = 2`, and never looked past a record's last
+        // field.
+        for bad in [
+            "S 0 0 1 checkpoint 4294967297 99 extra",
+            "S 0 0 1 checkpoint 4294967297",
+            "S 0 0 1 checkpoint 1 99 extra",
+            "M wall_us=10 agents=4294967298 dropped=0 critical_us=none",
+        ] {
+            let text =
+                format!("AIMTEL v1\nM wall_us=10 agents=1 dropped=0 critical_us=none\n{bad}\n");
+            let err = read_telemetry(&mut std::io::Cursor::new(text)).unwrap_err();
+            assert!(
+                matches!(&err, TraceError::Parse(msg) if msg.starts_with("line 3: ")),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -177,15 +177,20 @@ fn eviction_keeps_resume_intact() {
     )
     .unwrap();
     let mut ckpt = Checkpointer::new(&dir, 5, 1);
+    // (resident, expected) history record counts after each eviction.
     let mut hist_sizes = Vec::new();
     {
         let program = Arc::clone(&program);
         let mut hook_fn = |sched: &mut Scheduler<GridSpace>| -> Result<(), EngineError> {
             sched.evict_history()?;
-            hist_sizes.push(sched.graph().history_records());
-            let committed = sched.graph().min_step().0;
+            let graph = sched.graph();
+            let floor = graph.min_step().0;
+            let expected: u64 = (0..initial.len() as u32)
+                .map(|a| u64::from(graph.step(AgentId(a)).0 - floor + 1))
+                .sum();
+            hist_sizes.push((graph.history_records(), expected));
             let builder = checkpoint::snapshot_run(sched, start, Some(program.capture_state()));
-            ckpt.write(committed, &builder)?;
+            ckpt.write(floor, &builder)?;
             Ok(())
         };
         run_threaded_with_checkpoints(
@@ -200,13 +205,18 @@ fn eviction_keeps_resume_intact() {
         )
         .unwrap();
     }
-    // Windowed history: resident records stay O(agents × window), far
-    // below the O(agents × horizon) 10 × 41 a no-eviction run retains.
-    let max_resident = *hist_sizes.iter().max().unwrap();
-    assert!(
-        max_resident < 10 * 20,
-        "history should be windowed, saw {max_resident} records"
-    );
+    // Windowed history: after each pass exactly the records at or above
+    // the global minimum step stay resident, one per agent per step from
+    // `min_step` to its own step. How far the threaded executor lets
+    // agents skew ahead decides the total, so the invariant is checked
+    // instead of a size bound.
+    assert!(hist_sizes.len() >= 2, "several eviction passes ran");
+    for (pass, &(resident, expected)) in hist_sizes.iter().enumerate() {
+        assert_eq!(
+            resident, expected,
+            "eviction pass {pass}: resident history is not exactly the window"
+        );
+    }
     let oracle = Arc::try_unwrap(program).unwrap().into_village();
 
     let snap = Snapshot::load(ckpt.last_path().unwrap()).unwrap();
