@@ -12,13 +12,15 @@
 //!   leader in the skewed-straggler regime (the `shard` bench workload)
 //!   on channel-isolated workers vs the shared-memory
 //!   [`ShardedDepGraph`] at the same width: the price of full isolation
-//!   on the hot path.
+//!   on the hot path, where the owner is handed its queued writes once
+//!   per `dist::WINDOW` of them.
 
 use std::hint::black_box;
 use std::sync::Arc;
 
 use aim_core::depgraph::{EdgeMode, GraphOptions};
 use aim_core::dist::{codec, CtrlMsg, DistTracker, Probe, ShardMsg};
+use aim_core::health::HealthBoard;
 use aim_core::prelude::*;
 use aim_core::shard::{ShardedDepGraph, StripShardMap};
 use aim_core::space::{GridSpace, Point};
@@ -98,8 +100,8 @@ fn mk_shared_skewed(n: u32, width: usize) -> ShardedDepGraph<GridSpace> {
 /// payload: the message boundary's latency floor.
 fn bench_roundtrip(c: &mut Criterion) {
     let mut grp = c.benchmark_group("dist/roundtrip");
-    // A one-worker tracker over a handful of agents; Quiesce is the
-    // smallest request whose reply still proves the worker dispatched.
+    // A one-worker tracker over a handful of agents with nothing
+    // queued: a heartbeat poll is one request and one reply.
     let pts: Vec<Point> = (0..8).map(|i| Point::new(i * 8, 10)).collect();
     let mut g = DistTracker::new(
         Arc::new(GridSpace::new(64, 64)),
@@ -109,11 +111,9 @@ fn bench_roundtrip(c: &mut Criterion) {
         options(),
     )
     .unwrap();
-    grp.bench_function("quiesce", |b| {
-        b.iter(|| {
-            g.check_invariants();
-            black_box(g.len())
-        });
+    let board = HealthBoard::new();
+    grp.bench_function("heartbeat", |b| {
+        b.iter(|| black_box(g.poll_heartbeats(&board)));
     });
     grp.finish();
 }

@@ -95,9 +95,10 @@ const PARALLEL_RELINK_THRESHOLD: usize = 64;
 /// default `rollback` refuses with a [`StoreError`], so a tracker that
 /// keeps it can run every conservative policy but fails the first squash
 /// of a speculative run; the default `candidates_within` names every
-/// agent, which is correct and linear. [`DepGraph`] and
-/// [`crate::shard::ShardedDepGraph`] implement both and host speculation;
-/// [`crate::dist::DistTracker`] keeps the defaults.
+/// agent, which is correct and linear. All three shipped trackers —
+/// [`DepGraph`], [`crate::shard::ShardedDepGraph`] and
+/// [`crate::dist::DistTracker`] — implement both from their spatially
+/// indexed partition and host speculation.
 pub trait DepTracker<S: Space>: Send {
     /// Number of agents tracked.
     fn len(&self) -> usize;
@@ -178,10 +179,11 @@ pub trait DepTracker<S: Space>: Send {
     }
 
     /// Drains any telemetry buffered outside the attached sink into it
-    /// (end-of-run and on-demand hook). Default: no-op — only trackers
-    /// whose workers record into their own buffers
-    /// ([`crate::dist::DistTracker`]) have anything to collect; harvest
-    /// is best-effort observability and must never fail a run.
+    /// (end-of-run and on-demand hook; both executors call it once when
+    /// the run is over). Default: no-op — only a tracker with workers
+    /// ([`crate::dist::DistTracker`]) has anything to collect: it first
+    /// hands them the writes it still holds queued, then their buffered
+    /// spans. Harvest is best-effort and must never fail a run.
     fn harvest_telemetry(&mut self) {}
 }
 
@@ -751,15 +753,17 @@ impl<S: Space> DepGraph<S> {
         scratch: &mut Vec<u32>,
         out: &mut Vec<WireEdge>,
     ) {
-        let at = self.nodes[a.index()];
-        scratch.clear();
-        self.part
-            .candidates(at.step.0, at.pos, self.params, scratch);
-        if forward {
-            scratch.retain(|&c| c > a.0);
-        }
-        let node = |c: u32| self.nodes[c as usize];
-        edges::edges_of(&*self.space, self.params, a.0, at, scratch, node, out);
+        let (space, params) = (&*self.space, self.params);
+        edges::edges_into(
+            space,
+            params,
+            &self.part,
+            &self.nodes,
+            a.0,
+            forward,
+            scratch,
+            out,
+        );
     }
 
     /// How many parallel relink tasks a batch of `batch_len` agents

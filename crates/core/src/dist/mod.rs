@@ -15,24 +15,30 @@
 //!
 //! The edge logic itself is not re-implemented here: both sides run the
 //! crate's one edge engine. The controller mirrors the workers'
-//! membership as an index-less partition — ownership, step bounds and
-//! the step-bound prune test that decides which workers a relink probe
-//! visits — plus the adjacency the scheduler reads. Each worker keeps
-//! its members as a one-shard partition with a spatial index and
-//! answers probes with the same candidate query and rule
-//! classification [`crate::depgraph::DepGraph`] relinks with, writing
-//! and evicting records through the graph's own record layout. The
-//! three trackers are therefore edge-for-edge identical by
-//! construction; what this module adds is the boundary.
+//! membership as a spatially indexed partition — ownership, step bounds,
+//! the prune test and the candidate query — plus the adjacency the
+//! scheduler reads, and repairs edges there exactly as
+//! [`crate::depgraph::DepGraph`] does. Each worker keeps its members as
+//! a one-shard partition and writes and evicts records through the
+//! graph's own record layout; it answers relink probes with the same
+//! candidate query and rule classification, which the invariant check
+//! uses to hold the mirror's adjacency to the workers' ground truth. The
+//! three trackers are therefore edge-for-edge identical by construction;
+//! what this module adds is the boundary.
 //!
 //! What the boundary costs is the wake-up of the thread (or process) on
-//! the other side, not the bytes, so requests cross it in **hand-offs**:
-//! everything one operation has for one worker is delivered as one unit,
-//! applied in order, and answered as one unit ([`WorkerLink`]). A commit
-//! and the relink query that follows it reach their worker together; an
-//! `advance` that crosses no shard boundary is one round, one that does
-//! is two (see [`DistTracker`] for the rounds and for what a failed call
-//! leaves behind).
+//! the other side, not the bytes, and scheduling needs nothing a worker
+//! knows, so workers only receive writes and the controller does not
+//! wait for them. Writes queue per worker, with the controller's own
+//! copy held in doubt, and cross in **hand-offs**: everything queued is
+//! delivered as one unit, applied in order, and answered as one unit
+//! ([`WorkerLink`]). A worker is handed its queue once it holds
+//! [`WINDOW`] requests, when one of its agents migrates out (the one
+//! blocking round: the controller needs the departed records), and at
+//! the quiesce points — eviction, harvest, heartbeat polls, the
+//! invariant check, a respawn, the store readers and `Drop` (see
+//! [`DistTracker`] for the rule and for what a failed call leaves
+//! behind).
 //!
 //! Two transports implement the boundary:
 //!
@@ -64,7 +70,7 @@ mod tracker;
 mod worker;
 
 pub use msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
-pub use tracker::DistTracker;
+pub use tracker::{DistTracker, WINDOW};
 pub use worker::{
     ChannelLink, SeveredLink, ShardWorker, SharedTelemetry, TelemetryCell, WorkerLink,
 };

@@ -1,58 +1,70 @@
 //! The controller-side tracker driving isolated shard workers.
 //!
 //! [`DistTracker`] runs the edge engine of [`crate::shard::ShardedDepGraph`]
-//! — same partition, prune test and rule classification, same
-//! scheduler-facing queries — with every shard replaced by a
-//! [`super::worker::ShardWorker`] behind a [`super::worker::WorkerLink`].
-//! The controller keeps a read-only *mirror* of the committed world
-//! (positions, steps, an index-less partition, the derived adjacency) so
-//! scheduling queries never cross the boundary; every **write** (commit,
-//! rollback, migration, history eviction) and every **edge computation**
-//! happens worker-side, reached exclusively through the typed
-//! [`super::msg`] protocol.
+//! on the controller — the same spatially indexed partition, prune test,
+//! rule classification and adjacency — over a *mirror* of the committed
+//! world, so scheduling queries and edge repair never cross the boundary.
+//! The workers ([`super::worker::ShardWorker`], each behind a
+//! [`super::worker::WorkerLink`]) hold the authoritative records: every
+//! **write** (commit, rollback, migration, history eviction) happens
+//! worker-side, reached only through the typed [`super::msg`] protocol.
 //!
 //! # The hand-off rule
 //!
-//! What crosses the boundary is a **hand-off**
-//! ([`super::worker::WorkerLink`]): every request the operation has for
-//! one worker, delivered as one unit and answered as one unit, so each
-//! involved worker is woken once per round whatever it is asked. An
-//! operation hands off to every involved worker before it awaits any
-//! reply (the workers run concurrently) and collects replies in worker
-//! order, keeping the whole protocol deterministic. Rounds per
-//! operation:
+//! Workers only receive writes, and the controller needs none of their
+//! replies to schedule, so it does not wait for them. A write is queued
+//! on its owner's *lane* (the controller's side of one worker) with the
+//! controller's own copy held *in doubt*, and the call returns. A lane is
+//! handed off ([`super::worker::WorkerLink`]: everything queued,
+//! delivered as one unit, applied in order, answered as one unit) and its
+//! replies reaped only:
 //!
-//! - [`DistTracker::advance`] / [`DistTracker::rollback`] that cross no
-//!   shard boundary: **one** round — `[Commit, RelinkQuery]` (or
-//!   `[Rollback, RelinkQuery]`) to each owner, `[RelinkQuery]` to each
-//!   neighbour the pruning test cannot rule out.
-//! - A boundary-crossing batch: **two** rounds — `[Commit, Depart]` to
-//!   the owners, then `[Arrive, RelinkQuery]` to the destinations and
-//!   unpruned neighbours, so a query never misses a mid-migration
-//!   agent.
-//! - Initial population is that second round alone; eviction, recovery
-//!   and the invariant check are one single-request round each.
+//! - when it holds [`WINDOW`] requests;
+//! - when a migration needs the departing worker's records: its lane is
+//!   handed off with the `Depart` last, and the call waits for the
+//!   `Departed` reply — one blocking round on that lane. The arrival is
+//!   queued on the new owner's lane like any write;
+//! - at a quiesce point: [`DistTracker::evict_history`],
+//!   [`DistTracker::harvest_telemetry`], [`DistTracker::poll_heartbeats`],
+//!   [`DistTracker::check_invariants`], [`DistTracker::respawn_worker`],
+//!   the readers of the worker stores ([`DistTracker::worker_db`],
+//!   [`DistTracker::commits`], [`DistTracker::history_records`]) and
+//!   `Drop`. Construction and [`DistTracker::recover`] leave nothing
+//!   queued.
+//!
+//! A worker therefore wakes about once per window instead of once per
+//! commit. Handing off to a lane never waits for another, and one
+//! agent's writes all queue on one lane (a migration empties the old
+//! owner's), so each worker applies them in call order.
 //!
 //! # What a failed call leaves behind
 //!
-//! Nothing ([`DistTracker`] states the contract); this is how. The
-//! mirror moves to the prospective state while the probes are built —
-//! so the pruning test and the edges are exactly those of a tracker
-//! that committed first and relinked after — with every overwritten
-//! entry remembered, and the workers' edges are set aside rather than
-//! applied until the last reply is in. On failure the mirror is put
-//! back, replies still owed on healthy links are consumed (departed
-//! records among them are kept: they may be the only copy), and each
-//! worker that was handed a write is resynchronised in two steps that
-//! need no knowledge of how far it got: it *forgets* the call's agents
-//! (`[Recover` without them`, Arrive` them as stubs`, Depart` them`]` —
-//! whatever the store held for them comes back as departed records),
-//! then the mirror's owner *re-adopts* each at its mirrored state with
-//! the recovered history below that step. A worker that cannot be
-//! reached is marked down with the agents in doubt and the records it
-//! owns that are in the controller's hands;
-//! [`DistTracker::respawn_worker`] runs the same two steps over its
-//! retained store.
+//! A call fails before it queues anything when a lane it would write to
+//! is down, or when a rollback target lies ahead of the agent. Otherwise
+//! it can only fail in a hand-off it triggered, and then:
+//!
+//! - The mirror is where it was: it only moves once the call has
+//!   succeeded.
+//! - The call's own queued requests are withdrawn, and every worker it
+//!   handed anything is resynchronised in two steps that need no
+//!   knowledge of how far it got. It *forgets* the call's agents and
+//!   every agent it holds writes in doubt for (`[Recover` without them`,
+//!   Arrive` them as stubs`, Depart` them`]` — whatever the store held
+//!   comes back as departed records). Then the mirror's owner *re-adopts*
+//!   each at its mirrored state, with the recovered history plus the
+//!   in-doubt writes replayed over it.
+//! - So writes of earlier calls that returned `Ok` are never lost: until
+//!   a worker acknowledges one, the controller holds its own copy (not
+//!   the link's queue, which [`DistTracker::kill_worker`] swaps out).
+//! - A worker that cannot be reached is marked down with its in-doubt
+//!   writes and agents, and the records in the controller's hands that it
+//!   owns. [`DistTracker::respawn_worker`] runs the same two steps over
+//!   its retained store.
+//!
+//! Not restored: `dep:commits` keeps counting an undone commit
+//! transaction and does not count queued commits a resync re-adopted
+//! instead; and history the failure itself destroyed (records of a
+//! departure whose reply was lost, steps a failed rollback squashed).
 //!
 //! The per-worker [`Db`] handles are retained controller-side purely as
 //! the stand-in for each worker's durable storage (its "disk"): they are
@@ -62,8 +74,11 @@
 //! store in a real deployment ([`DistTracker::commits`],
 //! [`DistTracker::history_records`]).
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use aim_store::{Db, StoreError};
 
@@ -79,8 +94,13 @@ use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
 use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
 use super::worker::{worker_down, ChannelLink, SeveredLink, SharedTelemetry, WorkerLink};
 
+/// Requests a lane queues before it is handed off: the most writes a
+/// worker holds in doubt between quiesce points, and the batching that
+/// wakes it about once per `WINDOW` commits.
+pub const WINDOW: usize = 32;
+
 /// Which write an operation carries to the owning workers.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Write {
     Commit,
     Rollback,
@@ -104,9 +124,44 @@ impl Write {
     }
 }
 
+/// The controller's copy of one write a worker has been (or will be)
+/// handed and has not acknowledged: what a resync replays.
+#[derive(Debug, Clone)]
+enum Unacked<P> {
+    /// A commit or rollback of `agent` to `(step, pos)`.
+    Write { agent: u32, step: u32, pos: P },
+    /// A record the worker adopts: an arrival, or initial population.
+    Arrive(NodeRecord<P>),
+}
+
+impl<P: Copy> Unacked<P> {
+    fn agent(&self) -> u32 {
+        match self {
+            Unacked::Write { agent, .. } => *agent,
+            Unacked::Arrive(r) => r.agent,
+        }
+    }
+
+    /// Applies this write to `history` as the worker's store does: an
+    /// arrival replaces it; a commit or rollback to step `s` leaves
+    /// nothing from `s` up but its own record. Replaying a sequence this
+    /// way from its first write gives the same history over any prefix
+    /// of it already applied.
+    fn replay(&self, history: &mut Vec<(u32, P)>) {
+        match self {
+            Unacked::Write { step, pos, .. } => {
+                history.retain(|&(s, _)| s < *step);
+                history.push((*step, *pos));
+            }
+            Unacked::Arrive(r) => history.clone_from(&r.history),
+        }
+    }
+}
+
 /// The controller's side of one worker: its link, the hand-off
-/// accounting, and the per-worker grouping buffers an operation fills
-/// (kept, so grouping allocates nothing once they have grown).
+/// accounting, the window of queued requests with the writes held in
+/// doubt, and the per-worker grouping buffers an operation fills (kept,
+/// so grouping allocates nothing once they have grown).
 struct Lane<P> {
     /// A [`SeveredLink`] while the worker is down.
     link: Box<dyn WorkerLink<P>>,
@@ -122,10 +177,18 @@ struct Lane<P> {
     /// Replies of handed-over requests nobody has waited for yet: the
     /// next receive blocks for them and is timed as the hand-off's wait.
     unwaited: u32,
-    /// Whether the current operation handed this worker anything.
-    touched: bool,
-    /// Agents of failed operations this worker may have applied while
-    /// it could not be reached, repaired at respawn.
+    /// Requests waiting for the next hand-off.
+    queue: Vec<CtrlMsg<P>>,
+    /// Every write queued or handed to this worker and not yet
+    /// acknowledged, in order.
+    unacked: Vec<Unacked<P>>,
+    /// Where the running call's entries begin in `queue` and `unacked`,
+    /// once it has queued any here.
+    mark: Option<(usize, usize)>,
+    /// Whether the running call handed this worker anything.
+    handed: bool,
+    /// Agents of failed calls whose state this worker may hold at
+    /// either end while it cannot be reached, repaired at respawn.
     in_doubt: Vec<u32>,
     /// Records of in-doubt agents this worker owns that were in the
     /// controller's hands when it went down — possibly the only copy of
@@ -136,11 +199,9 @@ struct Lane<P> {
     writes: Vec<(u32, u32, P)>,
     /// Members the operation moves out of this worker.
     departs: Vec<u32>,
-    /// Relink probes this worker must answer.
-    probes: Vec<Probe<P>>,
 }
 
-impl<P> Lane<P> {
+impl<P: Copy + fmt::Debug> Lane<P> {
     fn new(link: Box<dyn WorkerLink<P>>) -> Self {
         Lane {
             link,
@@ -148,12 +209,14 @@ impl<P> Lane<P> {
             sent: 0,
             owed: 0,
             unwaited: 0,
-            touched: false,
+            queue: Vec::new(),
+            unacked: Vec::new(),
+            mark: None,
+            handed: false,
             in_doubt: Vec::new(),
             held: Vec::new(),
             writes: Vec::new(),
             departs: Vec::new(),
-            probes: Vec::new(),
         }
     }
 
@@ -172,44 +235,260 @@ impl<P> Lane<P> {
         self.down |= reply.is_err();
         reply
     }
+
+    /// Notes that the running call queues here, remembering where its
+    /// entries begin.
+    fn begin(&mut self) {
+        if self.mark.is_none() {
+            self.mark = Some((self.queue.len(), self.unacked.len()));
+        }
+    }
+
+    /// Hands `requests` to worker `j` as one unit — one wake-up however
+    /// many there are — recorded as one boundary-send span. Does nothing
+    /// for an empty hand-off. A link error leaves the lane down.
+    fn hand_off(
+        &mut self,
+        j: usize,
+        telemetry: Option<&Telemetry>,
+        requests: impl IntoIterator<Item = CtrlMsg<P>>,
+    ) -> Result<(), StoreError> {
+        let mut requests = requests.into_iter().peekable();
+        if requests.peek().is_none() {
+            return Ok(());
+        }
+        if self.down {
+            return Err(worker_down(j as u32));
+        }
+        // Even a hand-off that fails may have reached the worker.
+        self.handed = true;
+        let t0 = telemetry.and_then(|t| t.start());
+        let mut messages = 0u32;
+        let link = &mut self.link;
+        let result = requests
+            .try_for_each(|msg| {
+                messages += 1;
+                link.send(msg)
+            })
+            .and_then(|()| link.hand_off());
+        match result {
+            Ok(()) => {
+                self.sent += u64::from(messages);
+                self.owed += messages;
+                self.unwaited += messages;
+            }
+            Err(_) => self.down = true,
+        }
+        if let (Some(t), Some(t0)) = (telemetry, t0) {
+            t.counter_add(Counter::BoundaryMessages, u64::from(messages));
+            let op = BoundaryOp::Send;
+            let worker = j as u32;
+            t.record(
+                t0,
+                SpanKind::Boundary {
+                    worker,
+                    op,
+                    messages,
+                },
+            );
+        }
+        result
+    }
+
+    /// Takes worker `j`'s next reply. The first receive after a hand-off
+    /// is the one that blocks, and is recorded as the boundary-wait span
+    /// for all of that hand-off's replies; the rest are already here. A
+    /// link error leaves the lane down and whatever it owed written off.
+    fn recv(&mut self, j: usize, telemetry: Option<&Telemetry>) -> Result<ShardMsg<P>, StoreError> {
+        if self.down {
+            return Err(worker_down(j as u32));
+        }
+        let messages = std::mem::take(&mut self.unwaited);
+        let t0 = telemetry.filter(|_| messages > 0).and_then(|t| t.start());
+        let result = self.link.recv();
+        match result {
+            Ok(_) => self.owed = self.owed.saturating_sub(1),
+            Err(_) => {
+                self.down = true;
+                self.owed = 0;
+            }
+        }
+        if let (Some(t), Some(t0)) = (telemetry, t0) {
+            t.counter_add(Counter::BoundaryMessages, u64::from(messages));
+            let op = BoundaryOp::Wait;
+            let worker = j as u32;
+            t.record(
+                t0,
+                SpanKind::Boundary {
+                    worker,
+                    op,
+                    messages,
+                },
+            );
+        }
+        result
+    }
+
+    /// Awaits a [`ShardMsg::Done`] from worker `j`.
+    fn expect_done(&mut self, j: usize, telemetry: Option<&Telemetry>) -> Result<(), StoreError> {
+        match self.recv(j, telemetry)? {
+            ShardMsg::Done => Ok(()),
+            other => Err(protocol_err("Done", &other)),
+        }
+    }
+
+    /// Consumes every reply still owed on a healthy link, so the next
+    /// hand-off's first reply is its own. Departed records go to `pool`:
+    /// the reply may hold the only copy.
+    fn drain(&mut self, j: usize, telemetry: Option<&Telemetry>, pool: &mut Vec<NodeRecord<P>>) {
+        while !self.down && self.owed > 0 {
+            if let Ok(ShardMsg::Departed { records }) = self.recv(j, telemetry) {
+                pool.extend(records);
+            }
+        }
+    }
+
+    /// Hands off every queued request and reaps every reply, a `Depart`'s
+    /// records into `pool`. On success the worker has acknowledged every
+    /// write this lane held in doubt.
+    fn flush(
+        &mut self,
+        j: usize,
+        telemetry: Option<&Telemetry>,
+        pool: &mut Vec<NodeRecord<P>>,
+    ) -> Result<(), StoreError> {
+        let mut queue = std::mem::take(&mut self.queue);
+        let requests = queue.len();
+        let handed = self.hand_off(j, telemetry, queue.drain(..));
+        self.queue = queue;
+        handed?;
+        for _ in 0..requests {
+            match self.recv(j, telemetry)? {
+                ShardMsg::Done => {}
+                ShardMsg::Departed { records } => pool.extend(records),
+                other => return Err(protocol_err("Done", &other)),
+            }
+        }
+        self.unacked.clear();
+        if let Some(mark) = &mut self.mark {
+            *mark = (0, 0);
+        }
+        Ok(())
+    }
+
+    /// Drops what a resync made redundant: the worker is at the mirror.
+    fn resynced(&mut self) {
+        self.queue.clear();
+        self.unacked.clear();
+        self.in_doubt.clear();
+        self.held.clear();
+    }
+}
+
+/// Flushes every healthy lane. A lane that fails is left down with its
+/// writes still in doubt, for [`DistTracker::respawn_worker`]; the first
+/// error is returned once every other lane has been flushed.
+fn settle<P: Copy + fmt::Debug>(
+    lanes: &mut [Lane<P>],
+    telemetry: Option<&Telemetry>,
+) -> Result<(), StoreError> {
+    let mut result = Ok(());
+    for (j, lane) in lanes.iter_mut().enumerate() {
+        if lane.down {
+            continue;
+        }
+        // Only a migrating call queues a `Depart`, and it flushes the
+        // lane at once: nothing departs here.
+        let mut departed = Vec::new();
+        if let Err(e) = lane.flush(j, telemetry, &mut departed) {
+            lane.down = true;
+            lane.owed = 0;
+            lane.unwaited = 0;
+            result = result.and(Err(e));
+        }
+        lane.handed = false;
+    }
+    result
+}
+
+/// Queues every record of `pool` as an arrival on the lane of the worker
+/// its position belongs to, each held in doubt there, and empties it.
+fn queue_arrivals<P: Copy + fmt::Debug>(
+    lanes: &mut [Lane<P>],
+    part: &Partition<P>,
+    pool: &mut Vec<NodeRecord<P>>,
+) {
+    for (j, lane) in lanes.iter_mut().enumerate() {
+        let records: Vec<NodeRecord<P>> = pool
+            .iter()
+            .filter(|r| part.home(r.pos) == j)
+            .cloned()
+            .collect();
+        if records.is_empty() {
+            continue;
+        }
+        lane.begin();
+        lane.unacked
+            .extend(records.iter().cloned().map(Unacked::Arrive));
+        lane.queue.push(CtrlMsg::Arrive { records });
+    }
+    pool.clear();
+}
+
+/// `a`'s record at its mirrored `node`, with whatever of `past` lies
+/// below its step as history (and nothing above: a step the mirror
+/// never reached did not happen).
+fn mirror_record<P: Copy>(
+    a: u32,
+    node: Node<P>,
+    history: bool,
+    past: impl Iterator<Item = (u32, P)>,
+) -> NodeRecord<P> {
+    let mut records = Vec::new();
+    if history {
+        records.extend(past.filter(|&(step, _)| step < node.step.0));
+        records.push((node.step.0, node.pos));
+    }
+    NodeRecord {
+        agent: a,
+        step: node.step.0,
+        pos: node.pos,
+        history: records,
+    }
 }
 
 /// The distributed dependency tracker (see the [module docs](super)).
 ///
-/// Each operation reaches a worker with **one hand-off per round**
-/// ([`WorkerLink`]): [`DistTracker::advance`] and
-/// [`DistTracker::rollback`] take one round when no agent crosses a
-/// shard boundary (`[Commit, RelinkQuery]` to each owner,
-/// `[RelinkQuery]` to each neighbour the pruning test cannot rule out)
-/// and two when one does (`[Commit, Depart]`, then
-/// `[Arrive, RelinkQuery]`).
+/// [`DistTracker::advance`] and [`DistTracker::rollback`] repair edges on
+/// the controller and queue the write for its owner, which is handed
+/// its queue once it holds [`WINDOW`] requests, when one of its agents
+/// migrates, or at a quiesce point (see the [module docs](self) for the
+/// hand-off rule).
 ///
 /// When either returns `Err`, the mirror — positions, steps, ownership,
 /// adjacency — is what it was before the call, every requested reply
-/// has been consumed from its link, and every reachable worker that was
-/// handed a write has been brought back to the mirror, so the failed
-/// call committed nothing. A worker that could not be reached stays
-/// down until [`DistTracker::respawn_worker`], which repairs it from
-/// its retained store whichever part of the call it had applied. Not
-/// restored: `dep:commits` keeps counting an undone commit transaction,
-/// and history the failure itself destroyed (records of a departure
-/// whose reply was lost, steps squashed by a multi-worker rollback that
-/// failed part-way) — the repaired agent keeps its current record and
-/// whatever history survived.
+/// has been consumed from its link, and every reachable worker the call
+/// handed anything has been brought back to the mirror, including the
+/// writes of earlier calls it held in doubt. A worker that could not be
+/// reached stays down until [`DistTracker::respawn_worker`], which
+/// repairs it from its retained store and the writes the controller
+/// kept, whichever part of them it had applied.
 pub struct DistTracker<S: Space> {
     space: Arc<S>,
     params: RuleParams,
-    /// One lane per shard worker.
-    lanes: Vec<Lane<S::Pos>>,
+    /// One lane per shard worker. Only the readers of the worker stores
+    /// lock it, to settle the window through `&self`; every other path
+    /// reaches the lanes through `get_mut`.
+    lanes: Mutex<Vec<Lane<S::Pos>>>,
     /// Each worker's database, retained as its durable storage stand-in.
     worker_dbs: Vec<Arc<Db>>,
     history: bool,
     /// Controller mirror of every agent's committed state.
     nodes: Vec<Node<S::Pos>>,
-    /// The workers' membership and step bounds, mirrored: ownership and
-    /// the prune test, without spatial indexes (the workers keep those).
+    /// The workers' membership, step bounds and spatial indexes,
+    /// mirrored: ownership, the prune test and edge repair.
     part: Partition<S::Pos>,
-    /// The maintained edges, from the workers' relink replies.
+    /// The maintained edges.
     adj: Adjacency,
     /// History-eviction watermark mirror (guards redundant sweeps).
     hist_floor: u32,
@@ -221,24 +500,21 @@ pub struct DistTracker<S: Space> {
     /// trigger.
     on_severed: Option<Box<dyn FnMut(u32) + Send>>,
     /// The running operation's `(agent, step, position)` targets. This
-    /// and the four buffers below are operation scratch, empty between
-    /// calls.
+    /// and `pool` are operation scratch, empty between calls.
     targets: Vec<(AgentId, u32, S::Pos)>,
-    /// `(agent, node, owner)` before the operation moved the mirror,
-    /// in application order — what a failed call restores.
-    undo: Vec<(AgentId, Node<S::Pos>, u32)>,
-    /// Edges the workers returned, applied only once every reply is in.
-    edges: Vec<WireEdge>,
-    /// Records in the controller's hands: departed and not yet known to
-    /// have arrived (initial population starts here too).
+    /// Records in the controller's hands: departed and not yet queued
+    /// for their new owner, or recovered by a resync.
     pool: Vec<NodeRecord<S::Pos>>,
+    /// Reused candidate and edge buffers of the edge repair.
+    scratch: Vec<u32>,
+    edges: Vec<WireEdge>,
 }
 
 impl<S: Space> fmt::Debug for DistTracker<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DistTracker")
             .field("agents", &self.nodes.len())
-            .field("workers", &self.lanes.len())
+            .field("workers", &self.worker_dbs.len())
             .field("min_step", &self.min_step())
             .finish()
     }
@@ -252,14 +528,6 @@ fn protocol_err<P: fmt::Debug>(wanted: &str, got: &ShardMsg<P>) -> StoreError {
             "protocol violation: expected {wanted}, got {other:?}"
         )),
     }
-}
-
-/// The relink request carrying `probes`, or `None` for a worker with
-/// nothing to answer.
-fn relink_query<P: Copy>(probes: &[Probe<P>]) -> Option<CtrlMsg<P>> {
-    (!probes.is_empty()).then(|| CtrlMsg::RelinkQuery {
-        probes: probes.to_vec(),
-    })
 }
 
 impl<S: Space> DistTracker<S> {
@@ -289,31 +557,32 @@ impl<S: Space> DistTracker<S> {
                 )))
             })
             .collect();
+        let units = params.coupling_units();
+        let part = Partition::new(map, || space.make_index(units));
         DistTracker {
             space,
             params,
-            lanes,
+            lanes: Mutex::new(lanes),
             worker_dbs,
             history,
             nodes: Vec::with_capacity(num_agents),
-            part: Partition::new(map, || None),
+            part,
             adj: Adjacency::new(num_agents),
             hist_floor: 0,
             telemetry: None,
             shared_telemetry,
             on_severed: None,
             targets: Vec::new(),
-            undo: Vec::new(),
-            edges: Vec::new(),
             pool: Vec::new(),
+            scratch: Vec::new(),
+            edges: Vec::new(),
         }
     }
 
     /// Creates the tracker with every agent at [`Step::ZERO`]: one worker
-    /// (and one fresh [`Db`]) per shard of `map`, populated and linked in
-    /// a single `[Arrive, RelinkQuery]` round. The `edges` field of
-    /// `options` is ignored — the distributed tracker always maintains
-    /// its mirrored adjacency.
+    /// (and one fresh [`Db`]) per shard of `map`, populated in a single
+    /// `[Arrive]` round. The `edges` field of `options` is ignored — the
+    /// distributed tracker always maintains its adjacency.
     ///
     /// # Errors
     ///
@@ -336,18 +605,22 @@ impl<S: Space> DistTracker<S> {
             initial.len(),
         );
         for (i, &pos) in initial.iter().enumerate() {
-            tracker.nodes.push(Node {
+            let node = Node {
                 pos,
                 step: Step::ZERO,
-            });
+            };
+            tracker.nodes.push(node);
             tracker.part.insert(i as u32, 0, pos);
             // Every agent's step-0 record (with its step-0 history
             // record when history is on) starts in the controller's
             // hands, bound for its owner.
-            let record = tracker.mirror_record(i as u32, std::iter::empty());
+            let record = mirror_record(i as u32, node, tracker.history, std::iter::empty());
             tracker.pool.push(record);
         }
-        tracker.refresh_edges()?;
+        let lanes = tracker.lanes.get_mut();
+        queue_arrivals(lanes, &tracker.part, &mut tracker.pool);
+        settle(lanes, None)?;
+        tracker.relink_all();
         Ok(tracker)
     }
 
@@ -385,16 +658,13 @@ impl<S: Space> DistTracker<S> {
         // Recover every worker in one round, then assemble the mirror
         // from the authoritative states they report.
         let mut states: Vec<Option<(u32, S::Pos)>> = vec![None; num_agents];
+        let lanes = tracker.lanes.get_mut();
         for (j, list) in members.iter().enumerate() {
-            tracker.hand_off(
-                j,
-                [CtrlMsg::Recover {
-                    expected: list.clone(),
-                }],
-            )?;
+            let expected = list.clone();
+            lanes[j].hand_off(j, None, [CtrlMsg::Recover { expected }])?;
         }
         for (j, list) in members.iter().enumerate() {
-            let reply = tracker.recv_from(j)?;
+            let reply = lanes[j].recv(j, None)?;
             let ShardMsg::Recovered {
                 states: worker_states,
             } = reply
@@ -431,13 +701,13 @@ impl<S: Space> DistTracker<S> {
                 .min()
                 .unwrap_or(0);
         }
-        tracker.refresh_edges()?;
+        tracker.relink_all();
         Ok(tracker)
     }
 
     /// Number of shard workers.
     pub fn num_shards(&self) -> usize {
-        self.lanes.len()
+        self.worker_dbs.len()
     }
 
     /// The worker currently owning `a`.
@@ -470,10 +740,21 @@ impl<S: Space> DistTracker<S> {
         &self.space
     }
 
+    /// Hands every lane's queue over and reaps the replies, through
+    /// `&self`: what the readers of the worker stores do first, so a
+    /// store holds every write a call has returned for. A lane that fails
+    /// is left down with its writes in doubt.
+    fn settle_stores(&self) {
+        // The error is kept where it matters: the lane is down, and the
+        // next operation touching it fails until it is respawned.
+        let _ = settle(&mut self.lanes.lock(), self.telemetry.as_deref());
+    }
+
     /// Worker `shard`'s database — its durable storage stand-in. What a
     /// checkpoint of the distributed run snapshots, and what
-    /// [`DistTracker::recover`] rebuilds from.
+    /// [`DistTracker::recover`] rebuilds from. Settles the window first.
     pub fn worker_db(&self, shard: usize) -> &Arc<Db> {
+        self.settle_stores();
         &self.worker_dbs[shard]
     }
 
@@ -499,8 +780,10 @@ impl<S: Space> DistTracker<S> {
 
     /// Cluster advancements committed so far, summed over the workers'
     /// stores (each worker bumps its own `dep:commits` transactionally,
-    /// so the sum counts per-worker commit transactions).
+    /// so the sum counts per-worker commit transactions). Settles the
+    /// window first.
     pub fn commits(&self) -> i64 {
+        self.settle_stores();
         self.worker_dbs
             .iter()
             .map(|db| db.get_i64("dep:commits").unwrap_or(0))
@@ -513,8 +796,9 @@ impl<S: Space> DistTracker<S> {
     }
 
     /// Resident history records summed over the worker stores
-    /// (diagnostics).
+    /// (diagnostics). Settles the window first.
     pub fn history_records(&self) -> u64 {
+        self.settle_stores();
         let mut n = 0u64;
         for db in &self.worker_dbs {
             db.for_each_prefix(HIST_TAG, |_, _| {
@@ -543,6 +827,15 @@ impl<S: Space> DistTracker<S> {
     /// Same-step coupling partners of `a`, ascending by id.
     pub fn coupled_of(&self, a: AgentId) -> &[AgentId] {
         self.adj.coupled_of(a)
+    }
+
+    /// Appends to `out` every agent that may currently stand within
+    /// `units` of `center`: a superset in no particular order, answered
+    /// by the mirror's spatial indexes of every shard
+    /// [`ShardMap::min_distance`] cannot rule out. Callers re-check
+    /// candidates with [`Space::within_units`]; `out` is not cleared.
+    pub fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        self.part.within(center, units, out);
     }
 
     /// Verifies the §3.2 validity condition over the mirrored world.
@@ -574,11 +867,11 @@ impl<S: Space> DistTracker<S> {
         self.telemetry = Some(telemetry);
     }
 
-    /// Drains every worker's locally-buffered telemetry into the attached
-    /// sink via the [`CtrlMsg::HarvestTelemetry`] round, returning the
-    /// number of spans merged. Runs automatically after each history
-    /// eviction barrier and at end of run; call it directly for an
-    /// on-demand drain.
+    /// Settles the window, then drains every worker's locally-buffered
+    /// telemetry into the attached sink via the
+    /// [`CtrlMsg::HarvestTelemetry`] round, returning the number of spans
+    /// merged. Runs automatically after each history eviction barrier
+    /// and at end of run; call it directly for an on-demand drain.
     ///
     /// Each round performs the clock-offset handshake: the worker's
     /// reply clock is assumed to land at the midpoint of the observed
@@ -592,15 +885,17 @@ impl<S: Space> DistTracker<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Codec`] only on a protocol violation (a
-    /// live worker answering with something other than
+    /// Returns the first lane's failure to settle (that worker is then
+    /// down, and skipped), or [`StoreError::Codec`] on a protocol
+    /// violation (a live worker answering with something other than
     /// [`ShardMsg::Telemetry`]).
     pub fn harvest_telemetry(&mut self) -> Result<u64, StoreError> {
+        let settled = settle(self.lanes.get_mut(), self.telemetry.as_deref());
         let Some(t) = self.telemetry.clone() else {
-            return Ok(0);
+            return settled.map(|()| 0);
         };
         let mut merged = 0u64;
-        for lane in &mut self.lanes {
+        for lane in self.lanes.get_mut() {
             let t_send = t.now_us();
             let Ok(reply) = lane.poll(CtrlMsg::HarvestTelemetry { now_us: t_send }) else {
                 continue; // severed: its buffer drains after a respawn
@@ -629,20 +924,22 @@ impl<S: Space> DistTracker<S> {
                 t.counter_add(c, n);
             }
         }
-        Ok(merged)
+        settled.map(|()| merged)
     }
 
-    /// Polls every worker with a [`CtrlMsg::Heartbeat`] and records the
-    /// gauges on `board`. Best-effort, like harvest: a severed or
-    /// misbehaving link marks the worker not-alive instead of failing
-    /// the run, and the raw links are used so liveness polling never
-    /// inflates the boundary accounting. Queue depth is derived
-    /// controller-side as sent-count minus the worker's handled count —
-    /// ≈ 0 on a healthy lock-step link. Returns how many workers
-    /// answered.
+    /// Settles the window, then polls every worker with a
+    /// [`CtrlMsg::Heartbeat`] and records the gauges on `board`.
+    /// Best-effort, like harvest: a severed or misbehaving link marks the
+    /// worker not-alive instead of failing the run, and the raw links
+    /// are used so liveness polling never inflates the boundary
+    /// accounting. Queue depth is derived controller-side as sent-count
+    /// minus the worker's handled count — ≈ 0 on a settled link. Returns
+    /// how many workers answered.
     pub fn poll_heartbeats(&mut self, board: &HealthBoard) -> usize {
+        // A lane that fails to settle is down, and reported severed below.
+        let _ = settle(self.lanes.get_mut(), self.telemetry.as_deref());
         let mut live = 0;
-        for (j, lane) in self.lanes.iter_mut().enumerate() {
+        for (j, lane) in self.lanes.get_mut().iter_mut().enumerate() {
             let now_us = board.now_us();
             let Ok(ShardMsg::Heartbeat {
                 worker,
@@ -678,153 +975,18 @@ impl<S: Space> DistTracker<S> {
         self.on_severed = Some(hook);
     }
 
-    /// Hands `requests` to worker `j` as one unit — one wake-up however
-    /// many there are — recorded as one boundary-send span. Does nothing
-    /// for an empty hand-off. A link error leaves the lane down.
-    fn hand_off(
-        &mut self,
-        j: usize,
-        requests: impl IntoIterator<Item = CtrlMsg<S::Pos>>,
-    ) -> Result<(), StoreError> {
-        let mut requests = requests.into_iter().peekable();
-        if requests.peek().is_none() {
-            return Ok(());
-        }
-        let lane = &mut self.lanes[j];
-        if lane.down {
-            return Err(worker_down(j as u32));
-        }
-        // Even a hand-off that fails may have reached the worker.
-        lane.touched = true;
-        let t0 = self.telemetry.as_ref().and_then(|t| t.start());
-        let mut messages = 0u32;
-        let result = requests
-            .try_for_each(|msg| {
-                messages += 1;
-                lane.link.send(msg)
-            })
-            .and_then(|()| lane.link.hand_off());
-        match result {
-            Ok(()) => {
-                lane.sent += u64::from(messages);
-                lane.owed += messages;
-                lane.unwaited += messages;
-            }
-            Err(_) => lane.down = true,
-        }
-        if let (Some(t), Some(t0)) = (&self.telemetry, t0) {
-            t.counter_add(Counter::BoundaryMessages, u64::from(messages));
-            t.record(
-                t0,
-                SpanKind::Boundary {
-                    worker: j as u32,
-                    op: BoundaryOp::Send,
-                    messages,
-                },
-            );
-        }
-        result
-    }
-
-    /// Takes worker `j`'s next reply. The first receive after a hand-off
-    /// is the one that blocks, and is recorded as the boundary-wait span
-    /// for all of that hand-off's replies; the rest are already here. A
-    /// link error leaves the lane down and whatever it owed written off.
-    fn recv_from(&mut self, j: usize) -> Result<ShardMsg<S::Pos>, StoreError> {
-        let lane = &mut self.lanes[j];
-        if lane.down {
-            return Err(worker_down(j as u32));
-        }
-        let messages = std::mem::take(&mut lane.unwaited);
-        let t0 = match &self.telemetry {
-            Some(t) if messages > 0 => t.start(),
-            _ => None,
-        };
-        let result = lane.link.recv();
-        match result {
-            Ok(_) => lane.owed = lane.owed.saturating_sub(1),
-            Err(_) => {
-                lane.down = true;
-                lane.owed = 0;
-            }
-        }
-        if let (Some(t), Some(t0)) = (&self.telemetry, t0) {
-            t.counter_add(Counter::BoundaryMessages, u64::from(messages));
-            t.record(
-                t0,
-                SpanKind::Boundary {
-                    worker: j as u32,
-                    op: BoundaryOp::Wait,
-                    messages,
-                },
-            );
-        }
-        result
-    }
-
-    /// Consumes every reply still owed on a healthy link, so the next
-    /// operation's first reply is its own. Departed records are kept:
-    /// the reply may hold the only copy.
-    fn drain(&mut self) {
-        for j in 0..self.lanes.len() {
-            while !self.lanes[j].down && self.lanes[j].owed > 0 {
-                if let Ok(ShardMsg::Departed { records }) = self.recv_from(j) {
-                    self.pool.extend(records);
-                }
-            }
-        }
-    }
-
-    /// Awaits a [`ShardMsg::Done`] from worker `j`.
-    fn expect_done(&mut self, j: usize) -> Result<(), StoreError> {
-        match self.recv_from(j)? {
-            ShardMsg::Done => Ok(()),
-            other => Err(protocol_err("Done", &other)),
-        }
-    }
-
-    /// Awaits worker `j`'s [`ShardMsg::Departed`], taking the records
-    /// into the controller's hands.
-    fn expect_departed(&mut self, j: usize) -> Result<(), StoreError> {
-        match self.recv_from(j)? {
-            ShardMsg::Departed { records } => {
-                self.pool.extend(records);
-                Ok(())
-            }
-            other => Err(protocol_err("Departed", &other)),
-        }
-    }
-
-    /// Awaits worker `j`'s [`ShardMsg::Edges`] and sets them aside; the
-    /// adjacency is only touched once every reply of the operation is in.
-    fn expect_edges(&mut self, j: usize) -> Result<(), StoreError> {
-        match self.recv_from(j)? {
-            ShardMsg::Edges { edges } => {
-                let n = self.nodes.len() as u32;
-                if let Some(e) = edges.iter().find(|e| e.a >= n || e.b >= n || e.a == e.b) {
-                    return Err(StoreError::Codec(format!(
-                        "protocol violation: edge {e:?} names invalid agents"
-                    )));
-                }
-                self.edges.extend(edges);
-                Ok(())
-            }
-            other => Err(protocol_err("Edges", &other)),
-        }
-    }
-
-    /// Advances every `(agent, new_position)` one step. Without a
-    /// boundary crossing that is one round: each owner is handed its
-    /// commit and its relink query together, each unpruned neighbour its
-    /// query. Boundary crossings take two — commits and departures, then
-    /// arrivals and queries — so a query never misses a mid-migration
-    /// agent.
+    /// Advances every `(agent, new_position)` one step: the mirror moves
+    /// and its edges are repaired, and each owner's lane queues the
+    /// commit. The call waits for a worker only when a lane's window
+    /// fills, or for the `Departed` records of an agent crossing out of
+    /// its worker's region.
     ///
     /// # Errors
     ///
-    /// Propagates worker transaction failures and severed links. A failed
-    /// call leaves the mirror as it was and has committed nothing on any
-    /// reachable worker (see [`DistTracker`]).
+    /// Fails before queueing anything if a worker it would write to is
+    /// down; otherwise propagates the failures of the hand-offs it
+    /// triggered. A failed call leaves the mirror as it was and has
+    /// committed nothing on any reachable worker (see [`DistTracker`]).
     ///
     /// # Panics
     ///
@@ -840,12 +1002,13 @@ impl<S: Space> DistTracker<S> {
     }
 
     /// Rolls every `(agent, step, position)` back — the speculative
-    /// squash path — in the same rounds as [`DistTracker::advance`].
+    /// squash path — queued like [`DistTracker::advance`].
     ///
     /// # Errors
     ///
-    /// Propagates worker failures (including a worker-side refusal to
-    /// roll *forward*), leaving the mirror as it was.
+    /// Refuses a target step ahead of the agent's current one before
+    /// queueing anything; otherwise fails as [`DistTracker::advance`]
+    /// does, leaving the mirror as it was.
     ///
     /// # Panics
     ///
@@ -857,94 +1020,86 @@ impl<S: Space> DistTracker<S> {
         self.write(Write::Rollback)
     }
 
-    /// Runs the write operation over `self.targets`, undoing it on
-    /// failure.
+    /// Runs the write operation over `self.targets`: the mirror moves if
+    /// it succeeds, the workers are brought back to it if it fails.
     fn write(&mut self, write: Write) -> Result<(), StoreError> {
         let targets = std::mem::take(&mut self.targets);
-        let result = self.try_write(write, &targets);
-        if result.is_err() {
-            self.abort(&targets);
+        let result = self.queue_write(write, &targets);
+        match result {
+            Ok(()) => self.apply(&targets),
+            Err(_) => self.abort(&targets),
         }
-        self.end_operation(targets);
+        for lane in self.lanes.get_mut() {
+            lane.mark = None;
+            lane.handed = false;
+            lane.writes.clear();
+            lane.departs.clear();
+        }
+        self.pool.clear();
+        self.targets = targets;
         result
     }
 
-    fn try_write(
+    /// Queues the operation's writes on their owners' lanes, moves every
+    /// migrating agent's records to its new owner's lane, and hands off
+    /// whatever lane that leaves with a full window.
+    fn queue_write(
         &mut self,
         write: Write,
         targets: &[(AgentId, u32, S::Pos)],
     ) -> Result<(), StoreError> {
-        // Group the writes by current owner and move the mirror to the
-        // prospective state, so the probes below see exactly what they
-        // would after the commit.
+        let lanes = self.lanes.get_mut();
+        for &(a, step, pos) in targets {
+            let current = self.nodes[a.index()].step;
+            if write == Write::Rollback && step > current.0 {
+                return Err(StoreError::Codec(format!(
+                    "rollback of agent {a} to step {step} is ahead of current {current}"
+                )));
+            }
+            for j in [self.part.owner(a.0), self.part.home(pos)] {
+                if lanes[j].down {
+                    return Err(worker_down(j as u32));
+                }
+            }
+        }
         let mut migrations = 0u64;
         for &(a, step, pos) in targets {
             let from = self.part.owner(a.0);
-            self.undo.push((a, self.nodes[a.index()], from as u32));
-            self.lanes[from].writes.push((a.0, step, pos));
-            let node = Node {
-                pos,
-                step: Step(step),
-            };
-            if self.set_mirror(a, node) {
-                self.lanes[from].departs.push(a.0);
+            lanes[from].writes.push((a.0, step, pos));
+            if self.part.home(pos) != from {
+                lanes[from].departs.push(a.0);
                 migrations += 1;
             }
         }
-        self.build_probes(targets);
-        if migrations == 0 {
-            self.write_and_relink(write)?;
-        } else {
-            if let Some(t) = &self.telemetry {
+        for lane in lanes.iter_mut() {
+            if let Some(request) = write.request(&lane.writes) {
+                lane.begin();
+                lane.queue.push(request);
+                let unacked = (lane.writes.iter()).map(|&(agent, step, pos)| Unacked::Write {
+                    agent,
+                    step,
+                    pos,
+                });
+                lane.unacked.extend(unacked);
+            }
+        }
+        let t = self.telemetry.as_deref();
+        if migrations > 0 {
+            if let Some(t) = t {
                 t.counter_add(Counter::ShardMigrations, migrations);
             }
-            self.write_and_depart(write)?;
-            self.arrive_and_relink()?;
-        }
-        self.apply_edges(targets);
-        Ok(())
-    }
-
-    /// The single round of an operation that crosses no boundary:
-    /// `[write, RelinkQuery]` to owners, `[RelinkQuery]` to neighbours.
-    fn write_and_relink(&mut self, write: Write) -> Result<(), StoreError> {
-        for j in 0..self.lanes.len() {
-            let lane = &self.lanes[j];
-            let requests = [write.request(&lane.writes), relink_query(&lane.probes)];
-            self.hand_off(j, requests.into_iter().flatten())?;
-        }
-        for j in 0..self.lanes.len() {
-            if !self.lanes[j].writes.is_empty() {
-                self.expect_done(j)?;
-            }
-            if !self.lanes[j].probes.is_empty() {
-                self.expect_edges(j)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// First round of a boundary-crossing operation: `[write, Depart]`
-    /// to the owners, the departed records into the controller's hands.
-    fn write_and_depart(&mut self, write: Write) -> Result<(), StoreError> {
-        for j in 0..self.lanes.len() {
-            let lane = &self.lanes[j];
-            let depart = (!lane.departs.is_empty()).then(|| CtrlMsg::Depart {
-                agents: lane.departs.clone(),
-            });
-            let requests = [write.request(&lane.writes), depart];
-            self.hand_off(j, requests.into_iter().flatten())?;
-        }
-        for j in 0..self.lanes.len() {
-            if !self.lanes[j].writes.is_empty() {
-                self.expect_done(j)?;
-            }
-            if !self.lanes[j].departs.is_empty() {
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                if lane.departs.is_empty() {
+                    continue;
+                }
+                let agents = lane.departs.clone();
+                lane.queue.push(CtrlMsg::Depart { agents });
                 let held = self.pool.len();
-                self.expect_departed(j)?;
+                lane.flush(j, t, &mut self.pool)?;
+                let departs = &lane.departs;
                 if let Some(r) = self.pool[held..]
                     .iter()
-                    .find(|r| !self.lanes[j].departs.contains(&r.agent))
+                    .find(|r| !departs.contains(&r.agent))
                 {
                     return Err(StoreError::Codec(format!(
                         "worker {j} departed agent {} that was not migrating",
@@ -952,135 +1107,152 @@ impl<S: Space> DistTracker<S> {
                     )));
                 }
             }
+            queue_arrivals(lanes, &self.part, &mut self.pool);
         }
-        Ok(())
-    }
-
-    /// The records in the controller's hands whose mirror owner is `j`,
-    /// as that worker's [`CtrlMsg::Arrive`]. They are copied, not moved:
-    /// until the arrival is acknowledged the controller's copy is the
-    /// only one sure to exist.
-    fn arrivals(&self, j: usize) -> Option<CtrlMsg<S::Pos>> {
-        let records: Vec<NodeRecord<S::Pos>> = self
-            .pool
-            .iter()
-            .filter(|r| self.part.owner(r.agent) == j)
-            .cloned()
-            .collect();
-        (!records.is_empty()).then_some(CtrlMsg::Arrive { records })
-    }
-
-    /// `[Arrive, RelinkQuery]` to every worker with a record bound for
-    /// it or a probe to answer: the second round of a boundary-crossing
-    /// operation, and all of initial population and edge refresh.
-    fn arrive_and_relink(&mut self) -> Result<(), StoreError> {
-        for j in 0..self.lanes.len() {
-            let requests = [self.arrivals(j), relink_query(&self.lanes[j].probes)];
-            self.hand_off(j, requests.into_iter().flatten())?;
-        }
-        for j in 0..self.lanes.len() {
-            if self.pool.iter().any(|r| self.part.owner(r.agent) == j) {
-                self.expect_done(j)?;
-            }
-            if !self.lanes[j].probes.is_empty() {
-                self.expect_edges(j)?;
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            if !lane.down && lane.queue.len() >= WINDOW {
+                lane.flush(j, t, &mut self.pool)?;
             }
         }
         Ok(())
     }
 
-    /// Moves `a`'s mirror entry (node, shard membership) to `node`;
-    /// returns whether it crossed into another worker's region.
-    fn set_mirror(&mut self, a: AgentId, node: Node<S::Pos>) -> bool {
-        let old = std::mem::replace(&mut self.nodes[a.index()], node);
-        (self.part).migrate(a.0, (old.step.0, old.pos), (node.step.0, node.pos))
-    }
-
-    /// Fills each lane's probe list for the targets' (already moved)
-    /// mirror states: a probe goes to every worker the step-bound /
-    /// distance test cannot prune (the controller's conservative
-    /// pruning, re-checked exactly worker-side).
-    fn build_probes(&mut self, targets: &[(AgentId, u32, S::Pos)]) {
+    /// Moves the mirror to `targets` — every agent's node and shard
+    /// membership first, so no repair misses an agent mid-migration —
+    /// and repairs their edges, as [`crate::depgraph::DepGraph`] does.
+    fn apply(&mut self, targets: &[(AgentId, u32, S::Pos)]) {
         for &(a, step, pos) in targets {
-            for (j, lane) in self.lanes.iter_mut().enumerate() {
-                if self.part.reach(j, step, pos, self.params).is_some() {
-                    let agent = a.0;
-                    lane.probes.push(Probe { agent, step, pos });
-                }
-            }
+            let node = Node {
+                pos,
+                step: Step(step),
+            };
+            let old = std::mem::replace(&mut self.nodes[a.index()], node);
+            (self.part).migrate(a.0, (old.step.0, old.pos), (step, pos));
+            self.adj.detach(a);
         }
+        self.relink(targets.iter().map(|&(a, _, _)| a.0), false);
     }
 
-    /// Replaces the targets' incident edges with the ones the workers
-    /// returned (validated on receipt; idempotent — both endpoints of an
-    /// intra-batch edge may emit it).
-    fn apply_edges(&mut self, targets: &[(AgentId, u32, S::Pos)]) {
-        for &(a, _, _) in targets {
-            self.adj.detach(a);
+    /// Links the rule edges incident to `agents`, whose node states are
+    /// in place and whose old edges are gone; with `forward`, only those
+    /// to larger ids (a full rebuild must link each pair once).
+    fn relink(&mut self, agents: impl Iterator<Item = u32>, forward: bool) {
+        let (space, params) = (&*self.space, self.params);
+        for a in agents {
+            let (part, nodes) = (&self.part, &self.nodes);
+            edges::edges_into(
+                space,
+                params,
+                part,
+                nodes,
+                a,
+                forward,
+                &mut self.scratch,
+                &mut self.edges,
+            );
         }
         for e in self.edges.drain(..) {
             self.adj.link(e);
         }
     }
 
-    /// Empties the operation scratch and hands `targets` back for reuse.
-    fn end_operation(&mut self, targets: Vec<(AgentId, u32, S::Pos)>) {
-        for lane in &mut self.lanes {
-            lane.touched = false;
-            lane.writes.clear();
-            lane.departs.clear();
-            lane.probes.clear();
-        }
-        self.undo.clear();
-        self.edges.clear();
-        self.pool.clear();
-        self.targets = targets;
+    /// Rebuilds every edge from the mirrored node states (construction
+    /// and recovery).
+    fn relink_all(&mut self) {
+        self.adj.clear();
+        self.relink(0..self.nodes.len() as u32, true);
     }
 
-    /// Undoes a failed write operation: the mirror goes back, healthy
-    /// links are drained, and every worker that was handed a write is
-    /// resynchronised with the mirror — or, if it cannot be reached,
-    /// marked down with the targets in doubt for its respawn.
+    /// Undoes a failed write operation: healthy links are drained, the
+    /// call's queued requests withdrawn (its arrivals back into the
+    /// controller's hands), and every worker the call handed anything is
+    /// resynchronised with the mirror.
     fn abort(&mut self, targets: &[(AgentId, u32, S::Pos)]) {
-        let mut involved: Vec<usize> = self
-            .undo
-            .iter()
-            .flat_map(|&(a, _, old)| [old as usize, self.part.owner(a.0)])
-            .filter(|&j| self.lanes[j].touched)
-            .collect();
-        involved.sort_unstable();
-        involved.dedup();
-        while let Some((a, node, _)) = self.undo.pop() {
-            self.set_mirror(a, node);
+        let t = self.telemetry.as_deref();
+        let mut involved = Vec::new();
+        for (j, lane) in self.lanes.get_mut().iter_mut().enumerate() {
+            lane.drain(j, t, &mut self.pool);
+            if let Some((queued, unacked)) = lane.mark.take() {
+                lane.queue.truncate(queued);
+                for u in lane.unacked.drain(unacked..) {
+                    if let Unacked::Arrive(record) = u {
+                        self.pool.push(record);
+                    }
+                }
+            }
+            if lane.handed {
+                involved.push(j);
+            }
         }
-        self.drain();
         let agents: Vec<u32> = targets.iter().map(|&(a, _, _)| a.0).collect();
+        // The failure is already the call's error; a worker the resync
+        // cannot reach stays down until respawned.
+        let _ = self.resync(&involved, &agents);
+    }
+
+    /// Brings each `involved` worker back to the mirror for `agents`,
+    /// the agents it holds in doubt and those it holds writes in doubt
+    /// for: first every worker forgets them, then each owner re-adopts
+    /// its own at their mirrored state, with the history recovered into
+    /// the pool and its in-doubt writes replayed over it. A worker either
+    /// step fails on is left down with the agents in doubt.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failure, or a down error for a worker that was
+    /// down before.
+    fn resync(&mut self, involved: &[usize], agents: &[u32]) -> Result<(), StoreError> {
+        let lanes = self.lanes.get_mut();
+        let sets: Vec<Vec<u32>> = involved
+            .iter()
+            .map(|&j| {
+                let lane = &lanes[j];
+                let mut set = agents.to_vec();
+                set.extend_from_slice(&lane.in_doubt);
+                set.extend(lane.unacked.iter().map(Unacked::agent));
+                set.sort_unstable();
+                set.dedup();
+                set
+            })
+            .collect();
+        let mut result = Ok(());
         // Forget everywhere before re-adopting anywhere: an agent's
         // history may sit with a worker other than its mirror owner.
-        for &j in &involved {
-            if self.forget(j, &agents).is_err() {
-                self.lanes[j].down = true;
+        for (&j, set) in involved.iter().zip(&sets) {
+            if let Err(e) = self.forget(j, set) {
+                self.lanes.get_mut()[j].down = true;
+                result = result.and(Err(e));
             }
         }
-        for &j in &involved {
-            if !self.lanes[j].down && self.readopt(j, &agents).is_err() {
-                self.lanes[j].down = true;
+        for (&j, set) in involved.iter().zip(&sets) {
+            if self.lanes.get_mut()[j].down {
+                continue;
+            }
+            match self.readopt(j, set) {
+                Ok(()) => self.lanes.get_mut()[j].resynced(),
+                Err(e) => {
+                    self.lanes.get_mut()[j].down = true;
+                    result = result.and(Err(e));
+                }
             }
         }
-        for &j in &involved {
-            if self.lanes[j].down {
-                self.leave_in_doubt(j, &agents);
+        for (&j, set) in involved.iter().zip(&sets) {
+            if self.lanes.get_mut()[j].down {
+                self.leave_in_doubt(j, set);
+                result = result.and(Err(worker_down(j as u32)));
             }
         }
+        result
     }
 
     /// Leaves `agents` in doubt on the unreachable worker `j`, keeping
     /// for its respawn the records in the controller's hands that it
     /// owns.
     fn leave_in_doubt(&mut self, j: usize, agents: &[u32]) {
-        let lane = &mut self.lanes[j];
+        let lane = &mut self.lanes.get_mut()[j];
         lane.down = true;
         lane.owed = 0;
+        lane.unwaited = 0;
         lane.in_doubt.extend_from_slice(agents);
         lane.in_doubt.sort_unstable();
         lane.in_doubt.dedup();
@@ -1091,53 +1263,32 @@ impl<S: Space> DistTracker<S> {
         lane.held.extend(owned.cloned());
     }
 
-    /// `a`'s record as the mirror has it, with whatever of `past` lies
-    /// below its step as history (and nothing above: a step the mirror
-    /// never reached did not happen).
-    fn mirror_record(
-        &self,
-        a: u32,
-        past: impl Iterator<Item = (u32, S::Pos)>,
-    ) -> NodeRecord<S::Pos> {
-        let node = self.nodes[a as usize];
-        let mut history = Vec::new();
-        if self.history {
-            history.extend(past.filter(|&(step, _)| step < node.step.0));
-            history.push((node.step.0, node.pos));
-        }
-        NodeRecord {
-            agent: a,
-            step: node.step.0,
-            pos: node.pos,
-            history,
-        }
-    }
-
     /// First half of a resync: worker `j` rebuilds itself from its store
-    /// without `agents`, then forgets them there too — adopting each as
-    /// a stub makes it a member whatever the store held, and departing
-    /// it deletes its record and every history record, which come back
-    /// into the controller's hands. Verifies the remaining members
-    /// against the mirror (every acknowledged write was durable, so they
-    /// must agree).
+    /// without `agents` (ascending), then forgets them there too —
+    /// adopting each as a stub makes it a member whatever the store held,
+    /// and departing it deletes its record and every history record,
+    /// which come back into the controller's hands. Verifies the
+    /// remaining members against the mirror (they have no write in
+    /// doubt, so they must agree).
     fn forget(&mut self, j: usize, agents: &[u32]) -> Result<(), StoreError> {
         let mut expected = self.members(j);
-        expected.retain(|a| !agents.contains(a));
+        expected.retain(|a| agents.binary_search(a).is_err());
         let members = expected.len();
         let mut requests = vec![CtrlMsg::Recover { expected }];
         if !agents.is_empty() {
+            let stub =
+                |a: u32| mirror_record(a, self.nodes[a as usize], self.history, std::iter::empty());
             requests.push(CtrlMsg::Arrive {
-                records: agents
-                    .iter()
-                    .map(|&a| self.mirror_record(a, std::iter::empty()))
-                    .collect(),
+                records: agents.iter().map(|&a| stub(a)).collect(),
             });
             requests.push(CtrlMsg::Depart {
                 agents: agents.to_vec(),
             });
         }
-        self.hand_off(j, requests)?;
-        let reply = self.recv_from(j)?;
+        let t = self.telemetry.as_deref();
+        let lane = &mut self.lanes.get_mut()[j];
+        lane.hand_off(j, t, requests)?;
+        let reply = lane.recv(j, t)?;
         let ShardMsg::Recovered { states } = reply else {
             return Err(protocol_err("Recovered", &reply));
         };
@@ -1158,62 +1309,47 @@ impl<S: Space> DistTracker<S> {
             }
         }
         if !agents.is_empty() {
-            self.expect_done(j)?;
-            self.expect_departed(j)?;
+            lane.expect_done(j, t)?;
+            match lane.recv(j, t)? {
+                ShardMsg::Departed { records } => self.pool.extend(records),
+                other => return Err(protocol_err("Departed", &other)),
+            }
         }
         Ok(())
     }
 
     /// Second half of a resync: worker `j` adopts those of `agents` the
-    /// mirror says it owns, at their mirrored state, with the history
-    /// the first half recovered.
+    /// mirror says it owns, at their mirrored state, with the history the
+    /// first half recovered and the writes `j` holds in doubt replayed
+    /// over it.
     fn readopt(&mut self, j: usize, agents: &[u32]) -> Result<(), StoreError> {
+        let lanes = self.lanes.get_mut();
         let records: Vec<NodeRecord<S::Pos>> = agents
             .iter()
             .filter(|&&a| self.part.owner(a) == j)
             .map(|&a| {
                 let held = self.pool.iter().filter(|r| r.agent == a);
-                self.mirror_record(a, held.flat_map(|r| r.history.iter().copied()))
+                let mut past: Vec<(u32, S::Pos)> =
+                    held.flat_map(|r| r.history.iter().copied()).collect();
+                for write in lanes[j].unacked.iter().filter(|u| u.agent() == a) {
+                    write.replay(&mut past);
+                }
+                mirror_record(a, self.nodes[a as usize], self.history, past.into_iter())
             })
             .collect();
         if records.is_empty() {
             return Ok(());
         }
-        self.hand_off(j, [CtrlMsg::Arrive { records }])?;
-        self.expect_done(j)
-    }
-
-    /// Rebuilds every derived edge from the mirrored node states by
-    /// probing all agents (initialisation and recovery; initialisation
-    /// also delivers the initial records, in the same round).
-    ///
-    /// # Errors
-    ///
-    /// Propagates severed links and protocol violations.
-    pub fn refresh_edges(&mut self) -> Result<(), StoreError> {
-        let mut targets = std::mem::take(&mut self.targets);
-        targets.clear();
-        targets.extend(
-            self.nodes
-                .iter()
-                .enumerate()
-                .map(|(i, node)| (AgentId(i as u32), node.step.0, node.pos)),
-        );
-        self.build_probes(&targets);
-        let result = self.arrive_and_relink();
-        match result {
-            Ok(()) => self.apply_edges(&targets),
-            Err(_) => self.drain(),
-        }
-        self.end_operation(targets);
-        result
+        let t = self.telemetry.as_deref();
+        lanes[j].hand_off(j, t, [CtrlMsg::Arrive { records }])?;
+        lanes[j].expect_done(j, t)
     }
 
     /// Compacts history below the deepest legal rollback across every
     /// worker store, returning the total evicted (see
     /// [`crate::depgraph::DepGraph::evict_history`] for the invariant —
     /// untouched by distribution, since only the global `min_step` is
-    /// consulted).
+    /// consulted). Settles the window first.
     ///
     /// # Errors
     ///
@@ -1228,7 +1364,11 @@ impl<S: Space> DistTracker<S> {
         }
         let result = self.evict_below(floor);
         if result.is_err() {
-            self.drain();
+            let t = self.telemetry.as_deref();
+            for (j, lane) in self.lanes.get_mut().iter_mut().enumerate() {
+                lane.drain(j, t, &mut self.pool);
+            }
+            self.pool.clear();
         }
         let total = result?;
         self.hist_floor = floor;
@@ -1239,14 +1379,18 @@ impl<S: Space> DistTracker<S> {
         Ok(total)
     }
 
-    /// One [`CtrlMsg::EvictHistory`] round; the records evicted.
+    /// Settles the window, then one [`CtrlMsg::EvictHistory`] round; the
+    /// records evicted.
     fn evict_below(&mut self, floor: u32) -> Result<u64, StoreError> {
-        for j in 0..self.lanes.len() {
-            self.hand_off(j, [CtrlMsg::EvictHistory { floor }])?;
+        let t = self.telemetry.as_deref();
+        let lanes = self.lanes.get_mut();
+        settle(lanes, t)?;
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            lane.hand_off(j, t, [CtrlMsg::EvictHistory { floor }])?;
         }
         let mut total = 0u64;
-        for j in 0..self.lanes.len() {
-            let reply = self.recv_from(j)?;
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            let reply = lane.recv(j, t)?;
             let ShardMsg::Evicted { removed } = reply else {
                 return Err(protocol_err("Evicted", &reply));
             };
@@ -1258,10 +1402,11 @@ impl<S: Space> DistTracker<S> {
     /// Severs worker `shard`'s link without a shutdown handshake —
     /// simulating a worker crash. Subsequent operations touching that
     /// shard fail until [`DistTracker::respawn_worker`] heals it; the
-    /// worker's database (its durable storage) is retained.
+    /// worker's database (its durable storage) and the writes it holds
+    /// in doubt are retained.
     pub fn kill_worker(&mut self, shard: usize) {
         self.replace_link(shard, Box::new(SeveredLink::new(shard as u32)));
-        self.lanes[shard].down = true;
+        self.lanes.get_mut()[shard].down = true;
         if let Some(hook) = self.on_severed.as_mut() {
             hook(shard as u32);
         }
@@ -1276,7 +1421,7 @@ impl<S: Space> DistTracker<S> {
         shard: usize,
         link: Box<dyn WorkerLink<S::Pos>>,
     ) -> Box<dyn WorkerLink<S::Pos>> {
-        let lane = &mut self.lanes[shard];
+        let lane = &mut self.lanes.get_mut()[shard];
         lane.owed = 0;
         lane.unwaited = 0;
         std::mem::replace(&mut lane.link, link)
@@ -1286,10 +1431,10 @@ impl<S: Space> DistTracker<S> {
     /// back to the mirror: the fresh worker rebuilds its members, index,
     /// and step bounds from its own store ([`CtrlMsg::Recover`]), the
     /// controller verifies them against its mirror (every acknowledged
-    /// write was durable, so they must agree), and the agents of calls
-    /// that failed while the worker could not be reached — which its
-    /// store may hold at either state, or not at all — are reset to
-    /// their mirrored state.
+    /// write was durable, so they must agree), and the agents it held in
+    /// doubt — which its store may hold at any point of their in-doubt
+    /// writes, or not at all — are re-adopted at their mirrored state
+    /// with those writes replayed into their history.
     ///
     /// # Errors
     ///
@@ -1306,43 +1451,55 @@ impl<S: Space> DistTracker<S> {
         );
         // Dropping the old link joins the old worker, if it still runs.
         drop(self.replace_link(shard, Box::new(link)));
-        let lane = &mut self.lanes[shard];
+        let lane = &mut self.lanes.get_mut()[shard];
         lane.down = false;
         // The fresh worker restarts its handled count at zero, so the
         // controller-side sent counter must follow or queue depth would
         // read as permanently backed up.
         lane.sent = 0;
-        let agents = std::mem::take(&mut lane.in_doubt);
         self.pool = std::mem::take(&mut lane.held);
-        let result = self
-            .forget(shard, &agents)
-            .and_then(|()| self.readopt(shard, &agents));
-        if result.is_err() {
-            self.leave_in_doubt(shard, &agents);
-        }
+        let result = self.resync(&[shard], &[]);
         self.pool.clear();
         result
     }
 
-    /// Debug cross-check of the mirror against the workers' ground truth:
-    /// quiesces every worker and verifies membership, positions, and
-    /// steps agree with the controller mirror (and with the shard map's
-    /// geometry). Used by the property tests.
+    /// Debug cross-check of the mirror against the workers' ground
+    /// truth: settles the window, then hands every worker
+    /// `[Quiesce, RelinkQuery]` in one round and verifies that
+    /// membership, positions and steps agree with the mirror (and the
+    /// shard map's geometry), and that the edges the workers compute for
+    /// every agent are exactly the mirror's adjacency. Used by the
+    /// property tests.
     ///
     /// # Panics
     ///
     /// Panics on any disagreement.
     #[doc(hidden)]
     pub fn check_invariants(&mut self) {
-        for j in 0..self.lanes.len() {
-            self.hand_off(j, [CtrlMsg::Quiesce]).expect("quiesce send");
-            let reply = self.recv_from(j).expect("quiesce recv");
+        let t = self.telemetry.as_deref();
+        let lanes = self.lanes.get_mut();
+        settle(lanes, t).expect("settle the window");
+        let probes: Vec<Probe<S::Pos>> = (self.nodes.iter().enumerate())
+            .map(|(a, n)| Probe {
+                agent: a as u32,
+                step: n.step.0,
+                pos: n.pos,
+            })
+            .collect();
+        let mut found = BTreeSet::new();
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            let relink = CtrlMsg::RelinkQuery {
+                probes: probes.clone(),
+            };
+            lane.hand_off(j, t, [CtrlMsg::Quiesce, relink])
+                .expect("quiesce send");
+            let reply = lane.recv(j, t).expect("quiesce recv");
             let ShardMsg::Quiesced { states } = reply else {
                 panic!("expected Quiesced, got {reply:?}");
             };
             assert_eq!(
                 states.len(),
-                self.members(j).len(),
+                self.part.members(j).len(),
                 "worker {j} member count drifted from the mirror"
             );
             for (a, step, pos) in states {
@@ -1351,8 +1508,37 @@ impl<S: Space> DistTracker<S> {
                 assert_eq!(node.step.0, step, "stale mirror step for agent {a}");
                 assert_eq!(node.pos, pos, "stale mirror position for agent {a}");
             }
+            let reply = lane.recv(j, t).expect("relink recv");
+            let ShardMsg::Edges { edges } = reply else {
+                panic!("expected Edges, got {reply:?}");
+            };
+            // Each edge comes back once per endpoint; couplings in
+            // either order.
+            found.extend(edges.into_iter().map(|e| match e.coupled {
+                true => (true, e.a.min(e.b), e.a.max(e.b)),
+                false => (false, e.a, e.b),
+            }));
         }
+        let mut kept = BTreeSet::new();
+        for a in (0..self.nodes.len() as u32).map(AgentId) {
+            let coupled = self.coupled_of(a).iter().filter(|b| a < **b);
+            kept.extend(coupled.map(|b| (true, a.0, b.0)));
+            kept.extend(self.blockers_of(a).into_iter().map(|b| (false, b.0, a.0)));
+        }
+        assert_eq!(
+            kept, found,
+            "mirror adjacency disagrees with the workers' edges"
+        );
         self.part.check(&self.nodes);
+    }
+}
+
+impl<S: Space> Drop for DistTracker<S> {
+    fn drop(&mut self) {
+        // Quiesce: every write a call returned for reaches its store
+        // before the workers stop. A worker that cannot be reached keeps
+        // what it had.
+        let _ = settle(self.lanes.get_mut(), self.telemetry.as_deref());
     }
 }
 
@@ -1388,6 +1574,16 @@ impl<S: Space> DepTracker<S> for DistTracker<S> {
     }
 
     #[inline]
+    fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
+        DistTracker::rollback(self, updates)
+    }
+
+    #[inline]
+    fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        DistTracker::candidates_within(self, center, units, out);
+    }
+
+    #[inline]
     fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
         DistTracker::first_blocker(self, a)
     }
@@ -1414,8 +1610,9 @@ impl<S: Space> DepTracker<S> for DistTracker<S> {
 
     #[inline]
     fn harvest_telemetry(&mut self) {
-        // Best-effort by contract: a protocol violation here is surfaced
-        // by the next real request, not by the harvest.
+        // Best-effort by contract: a lane that fails to settle is down
+        // with its writes kept, and a protocol violation is surfaced by
+        // the next real request, not by the harvest.
         let _ = DistTracker::harvest_telemetry(self);
     }
 }

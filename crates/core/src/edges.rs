@@ -14,11 +14,13 @@
 //!   the scheduler's queries read.
 //!
 //! `DepGraph` holds all three, over one shard or — as `ShardedDepGraph`
-//! — over many. `DistTracker` mirrors an index-less partition and the
-//! adjacency controller-side, and each `ShardWorker` answers relink
-//! probes from a one-shard partition with the same `edges_of`. A rule,
-//! a prune test or the adjacency layout therefore changes in one place,
-//! and the three trackers are edge-for-edge identical by construction.
+//! — over many. `DistTracker` holds all three controller-side too, over
+//! a mirror of its workers' membership, and repairs edges there with the
+//! same [`edges_into`]; each `ShardWorker` answers the invariant check's
+//! relink probes from a one-shard partition with the same `edges_of`. A
+//! rule, a prune test or the adjacency layout therefore changes in one
+//! place, and the three trackers are edge-for-edge identical by
+//! construction.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -110,6 +112,12 @@ impl<P: Copy> Partition<P> {
     /// The shard owning member `a`.
     pub(crate) fn owner(&self, a: u32) -> usize {
         self.owner[a as usize] as usize
+    }
+
+    /// The shard the map places `pos` in: where a member standing there
+    /// belongs.
+    pub(crate) fn home(&self, pos: P) -> usize {
+        self.map.shard_of(pos)
     }
 
     /// Member ids of shard `j`, ascending.
@@ -294,6 +302,31 @@ pub(crate) fn edges_of<S: Space>(
         };
         out.push(WireEdge { coupled, a, b });
     }
+}
+
+/// Appends the rule edges incident to `agent` (with `forward`, only those
+/// to larger ids): the candidates `part` cannot prune, classified by
+/// [`edges_of`] against the node states in `nodes`. `scratch` is the
+/// reused candidate buffer.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn edges_into<S: Space>(
+    space: &S,
+    params: RuleParams,
+    part: &Partition<S::Pos>,
+    nodes: &[Node<S::Pos>],
+    agent: u32,
+    forward: bool,
+    scratch: &mut Vec<u32>,
+    out: &mut Vec<WireEdge>,
+) {
+    let at = nodes[agent as usize];
+    scratch.clear();
+    part.candidates(at.step.0, at.pos, params, scratch);
+    if forward {
+        scratch.retain(|&c| c > agent);
+    }
+    let node = |c: u32| nodes[c as usize];
+    edges_of(space, params, agent, at, scratch, node, out);
 }
 
 /// Checks the §3.2 validity condition over `nodes`.

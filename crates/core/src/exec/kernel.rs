@@ -86,6 +86,11 @@ pub(crate) trait Controller<P> {
 
     /// Clusters handed out and not yet completed (diagnostics).
     fn inflight_len(&self) -> usize;
+
+    /// The event loop is over: the tracker settles what it buffers
+    /// ([`crate::depgraph::DepTracker::harvest_telemetry`]) inside the
+    /// run, not after it.
+    fn finish(&mut self);
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -495,6 +500,7 @@ where
         }
     }
 
+    ctl.finish();
     if !ctl.is_done() {
         return Err(EngineError::Deadlock {
             detail: format!(

@@ -769,6 +769,10 @@ impl<S: Space, G: DepTracker<S>> Controller<S::Pos> for Scheduler<S, G> {
     fn inflight_len(&self) -> usize {
         Scheduler::inflight_len(self)
     }
+
+    fn finish(&mut self) {
+        self.graph_mut().harvest_telemetry();
+    }
 }
 
 #[cfg(test)]

@@ -909,6 +909,10 @@ impl<S: Space, G: DepTracker<S>> Controller<S::Pos> for SpecScheduler<S, G> {
     fn inflight_len(&self) -> usize {
         SpecScheduler::inflight_len(self)
     }
+
+    fn finish(&mut self) {
+        self.core.graph_mut().harvest_telemetry();
+    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use aim_core::depgraph::{DepGraph, EdgeMode, GraphOptions};
-use aim_core::dist::{CtrlMsg, DistTracker, SeveredLink, ShardMsg, WorkerLink};
+use aim_core::dist::{CtrlMsg, DistTracker, SeveredLink, ShardMsg, WorkerLink, WINDOW};
 use aim_core::prelude::*;
 use aim_core::shard::StripShardMap;
 use aim_core::space::{GridSpace, Point};
@@ -238,78 +238,89 @@ fn hand_off_fixture() -> (DistTracker<GridSpace>, Vec<Arc<Mutex<Tap>>>) {
     (dist, taps)
 }
 
-/// An operation that crosses no boundary wakes each involved worker
-/// once: the owner gets its write and its relink query as one hand-off,
-/// a neighbour the pruning test cannot rule out gets its query, and
-/// nobody else hears of it.
+/// Writes that cross no boundary queue on their owner's lane: `n` of
+/// them reach the owner in ⌈n / WINDOW⌉ hand-offs — a full window each
+/// time one fills, the rest at the next quiesce point — and no other
+/// worker hears of them, not even one whose strip a mover stands next
+/// to.
 #[test]
-fn an_advance_without_migration_is_one_hand_off_per_involved_worker() {
+fn writes_inside_one_strip_cross_once_per_window() {
     let (mut dist, taps) = hand_off_fixture();
+    let n = 2 * WINDOW + 5;
+    for i in 0..n {
+        // Agent 0 paces inside strip 0, far from every other strip.
+        let x = 4 + (i % 2) as i32;
+        dist.advance(&[(AgentId(0), Point::new(x, 10))]).unwrap();
+        let seen = take_hand_offs(&taps);
+        if (i + 1) % WINDOW == 0 {
+            assert_eq!(seen[0], vec![vec!["Commit"; WINDOW]]);
+        } else {
+            assert!(seen[0].is_empty(), "call {i}: {seen:?}");
+        }
+        assert!(seen[1..].iter().all(Vec::is_empty), "{seen:?}");
+    }
 
-    // Agent 0 moves inside strip 0, far from every other strip.
-    dist.advance(&[(AgentId(0), Point::new(5, 10))]).unwrap();
-    let seen = take_hand_offs(&taps);
-    assert_eq!(seen[0], vec![vec!["Commit", "RelinkQuery"]]);
-    assert!(seen[1..].iter().all(Vec::is_empty), "{seen:?}");
-
-    // Agent 2 stays in strip 1 but stands next to strip 2: the owner is
-    // handed both requests at once, the neighbour only the query.
+    // The squash path queues the same way, and so does a write next to
+    // another strip: agent 2 stays in strip 1, beside strip 2.
+    dist.rollback(&[(AgentId(0), Step(1), Point::new(4, 10))])
+        .unwrap();
     dist.advance(&[(AgentId(2), Point::new(31, 31))]).unwrap();
     let seen = take_hand_offs(&taps);
-    assert!(seen[0].is_empty() && seen[3].is_empty(), "{seen:?}");
-    assert_eq!(seen[1], vec![vec!["Commit", "RelinkQuery"]]);
-    assert_eq!(seen[2], vec![vec!["RelinkQuery"]]);
+    assert!(seen.iter().all(Vec::is_empty), "{seen:?}");
 
-    // A cluster spanning two workers: still one hand-off each.
-    dist.advance(&[
-        (AgentId(1), Point::new(7, 10)),
-        (AgentId(5), Point::new(61, 40)),
-    ])
-    .unwrap();
+    // A quiesce point hands each lane what it holds, in call order.
+    dist.harvest_telemetry().unwrap();
     let seen = take_hand_offs(&taps);
-    assert_eq!(seen[0], vec![vec!["Commit", "RelinkQuery"]]);
-    assert_eq!(seen[3], vec![vec!["Commit", "RelinkQuery"]]);
-    assert!(seen[1].is_empty() && seen[2].is_empty(), "{seen:?}");
-
-    // The squash path is the same round with the other write.
-    dist.rollback(&[(AgentId(0), Step(0), Point::new(4, 10))])
-        .unwrap();
-    let seen = take_hand_offs(&taps);
-    assert_eq!(seen[0], vec![vec!["Rollback", "RelinkQuery"]]);
-    assert!(seen[1..].iter().all(Vec::is_empty), "{seen:?}");
+    let mut rest = vec!["Commit"; n % WINDOW];
+    rest.push("Rollback");
+    assert_eq!(seen[0], vec![rest]);
+    assert_eq!(seen[1], vec![vec!["Commit"]]);
+    assert!(seen[2].is_empty() && seen[3].is_empty(), "{seen:?}");
     dist.check_invariants();
 }
 
-/// A boundary-crossing batch takes exactly two rounds: the write and
-/// the departure together, then the arrival and the queries together.
+/// A boundary-crossing write costs one blocking round, on the departing
+/// lane only: its queue goes over with the `Depart` last, because the
+/// controller needs the departed records. The arrival queues on the new
+/// owner's lane like any write.
 #[test]
-fn a_migrating_advance_is_two_rounds() {
+fn a_migration_is_one_blocking_round_on_the_departing_lane() {
     let (mut dist, taps) = hand_off_fixture();
-    // Agent 2 steps from strip 1 (x < 32) into strip 2, staying within
-    // reach of agent 6, so its old worker still has a query to answer.
+    // Agent 6 moves inside strip 1: queued.
+    dist.advance(&[(AgentId(6), Point::new(25, 30))]).unwrap();
+    // Agent 2 steps from strip 1 (x < 32) into strip 2.
     dist.advance(&[(AgentId(2), Point::new(32, 30))]).unwrap();
     assert_eq!(dist.shard_of_agent(AgentId(2)), 2);
     let seen = take_hand_offs(&taps);
-    assert_eq!(seen[1], vec![vec!["Commit", "Depart"], vec!["RelinkQuery"]]);
-    assert_eq!(seen[2], vec![vec!["Arrive", "RelinkQuery"]]);
-    assert!(seen[0].is_empty() && seen[3].is_empty(), "{seen:?}");
+    assert_eq!(seen[1], vec![vec!["Commit", "Commit", "Depart"]]);
+    assert!(
+        seen[0].is_empty() && seen[2].is_empty() && seen[3].is_empty(),
+        "{seen:?}"
+    );
+    dist.harvest_telemetry().unwrap();
+    let seen = take_hand_offs(&taps);
+    assert_eq!(seen[2], vec![vec!["Arrive"]]);
+    assert!(seen[0].is_empty() && seen[1].is_empty() && seen[3].is_empty());
     dist.check_invariants();
 }
 
 /// Telemetry reports the hand-off, not the request: one send span and
 /// one wait span per hand-off, each saying how many messages it covered,
 /// while the message counter and the workers' apply spans still count
-/// every request.
+/// every request. A full window is one hand-off; `Drop` hands off the
+/// rest.
 #[test]
 fn boundary_spans_count_hand_offs_and_messages() {
     let (mut dist, _) = build_pair(&HAND_OFF_POINTS, RuleParams::new(2, 1), 4);
     let telemetry = Arc::new(Telemetry::new());
     dist.set_telemetry(Arc::clone(&telemetry));
     let start = telemetry.now_us();
-    // Owner 1 gets [Commit, RelinkQuery], neighbour 2 gets [RelinkQuery].
-    dist.advance(&[(AgentId(2), Point::new(31, 31))]).unwrap();
+    for i in 0..=WINDOW {
+        let x = 4 + (i % 2) as i32;
+        dist.advance(&[(AgentId(0), Point::new(x, 10))]).unwrap();
+    }
+    drop(dist); // settles the window; workers release the sink
     let end = telemetry.now_us();
-    drop(dist); // workers release their clones of the sink
     let rt = Arc::try_unwrap(telemetry)
         .expect("sink no longer shared")
         .finish(start, end, 7, Default::default(), None);
@@ -326,15 +337,19 @@ fn boundary_spans_count_hand_offs_and_messages() {
             })
             .collect()
     };
-    assert_eq!(spans(1, BoundaryOp::Send), vec![2]);
-    assert_eq!(spans(1, BoundaryOp::Wait), vec![2]);
-    assert_eq!(spans(1, BoundaryOp::Apply), vec![1, 1]);
-    assert_eq!(spans(2, BoundaryOp::Send), vec![1]);
-    assert_eq!(spans(2, BoundaryOp::Wait), vec![1]);
-    assert_eq!(spans(2, BoundaryOp::Apply), vec![1]);
+    let window = WINDOW as u32;
+    assert_eq!(spans(0, BoundaryOp::Send), vec![window, 1]);
+    assert_eq!(spans(0, BoundaryOp::Wait), vec![window, 1]);
+    assert_eq!(spans(0, BoundaryOp::Apply), vec![1; WINDOW + 1]);
+    for worker in 1..4 {
+        for op in BoundaryOp::ALL {
+            assert!(spans(worker, op).is_empty(), "worker {worker} {op:?}");
+        }
+    }
+    let messages = 2 * (window as u64 + 1);
     assert!(
-        rt.counters.contains(&(Counter::BoundaryMessages, 6)),
-        "three requests and three replies: {:?}",
+        rt.counters.contains(&(Counter::BoundaryMessages, messages)),
+        "every request and every reply: {:?}",
         rt.counters
     );
 }
@@ -344,13 +359,15 @@ proptest! {
 
     /// A link that dies at an arbitrary call — queueing, handing over
     /// (before or after the worker has the requests) or receiving — in
-    /// the middle of an arbitrary advance, rollback or boundary-crossing
-    /// batch (each step: the moves, advance or rollback, and the fault
-    /// as gate, victim, call and countdown) leaves the mirror exactly where it
-    /// was; respawning the
+    /// an arbitrary advance, rollback, boundary-crossing batch or
+    /// quiesce (each step: the moves, the operation, and the fault as
+    /// gate, victim, call and countdown) leaves the mirror exactly where
+    /// it was. Only some steps quiesce, so a fault can strike with many
+    /// writes of earlier, successful calls in doubt. Respawning the
     /// worker brings every worker back to the mirror, whichever part of
-    /// the call each had applied; and the retried call then lands the
-    /// tracker where the oracle is.
+    /// those writes and of the call each had applied, with its history
+    /// exact; and the retried call then lands the tracker where the
+    /// oracle is.
     #[test]
     fn a_link_fault_anywhere_leaves_nothing_behind(
         points in proptest::collection::vec((0i32..W as i32, 0i32..W as i32), 4..10),
@@ -358,10 +375,10 @@ proptest! {
         steps in proptest::collection::vec(
             (
                 proptest::collection::vec((any::<u16>(), -6i32..7, -3i32..4), 1..4),
-                any::<bool>(),
+                0u8..10,
                 (0u8..10, any::<u16>(), 0u8..4, 0usize..3),
             ),
-            1..14
+            1..24
         ),
         params in (1u32..4, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
     ) {
@@ -370,7 +387,9 @@ proptest! {
         // Until a fault destroys the only copy of some history, the
         // stores hold exactly the oracle's records; after, no more.
         let mut history_exact = true;
-        for (batch, roll_back, fault) in steps {
+        for (batch, op, fault) in steps {
+            // Six steps in ten advance, two roll back, two quiesce.
+            let (roll_back, quiesce) = (op == 6 || op == 7, op >= 8);
             let mut moves: Vec<(AgentId, Step, Point)> = Vec::new();
             for (pick, dx, dy) in batch {
                 let a = AgentId(pick as u32 % dist.len() as u32);
@@ -385,7 +404,9 @@ proptest! {
             let advances: Vec<(AgentId, Point)> =
                 moves.iter().map(|&(a, _, pos)| (a, pos)).collect();
             let apply = |dist: &mut DistTracker<GridSpace>| {
-                if roll_back {
+                if quiesce {
+                    dist.harvest_telemetry().map(drop)
+                } else if roll_back {
                     dist.rollback(&moves)
                 } else {
                     dist.advance(&advances)
@@ -427,22 +448,30 @@ proptest! {
                 taps[victim] = tap_worker(&mut dist, victim);
                 dist.check_invariants();
                 prop_assert_eq!(dist.snapshot(), single.snapshot());
+                if history_exact {
+                    prop_assert_eq!(dist.history_records(), single.history_records());
+                }
 
                 apply(&mut dist).expect("the retried call succeeds");
             }
-            if roll_back {
+            if quiesce {
+                dist.check_invariants();
+            } else if roll_back {
                 single.rollback(&moves).unwrap();
             } else {
                 single.advance(&advances).unwrap();
             }
 
-            dist.check_invariants();
             prop_assert_eq!(dist.snapshot(), single.snapshot(), "graphs diverged");
-            if history_exact {
+            if quiesce && history_exact {
                 prop_assert_eq!(dist.history_records(), single.history_records());
-            } else {
-                prop_assert!(dist.history_records() <= single.history_records());
             }
+        }
+        dist.check_invariants();
+        if history_exact {
+            prop_assert_eq!(dist.history_records(), single.history_records());
+        } else {
+            prop_assert!(dist.history_records() <= single.history_records());
         }
     }
 

@@ -10,7 +10,8 @@
 
 use std::sync::Arc;
 
-use aim_core::depgraph::DepGraph;
+use aim_core::depgraph::{DepGraph, GraphOptions};
+use aim_core::dist::DistTracker;
 use aim_core::policy::DependencyPolicy;
 use aim_core::prelude::*;
 use aim_core::shard::{ShardedDepGraph, StripShardMap};
@@ -172,6 +173,17 @@ fn striped(space: Arc<GridSpace>, initial: &[Point]) -> ShardedDepGraph<GridSpac
         strips,
     )
     .unwrap()
+}
+
+/// A distributed tracker over the same four strips: one channel worker
+/// per strip, with history on so every squash rewrites worker stores.
+fn distributed(space: Arc<GridSpace>, initial: &[Point]) -> DistTracker<GridSpace> {
+    let strips = Arc::new(StripShardMap::new(64, 4));
+    let options = GraphOptions {
+        history: true,
+        ..GraphOptions::default()
+    };
+    DistTracker::new(space, RuleParams::genagent(), initial, strips, options).unwrap()
 }
 
 /// Drives a speculative scheduler over `w` in `space`, on the tracker
@@ -546,5 +558,24 @@ proptest! {
         let single = adversarial_run(GridSpace::new(64, 64), flat, &w, runahead, &picks);
         prop_assert_eq!(&sharded.final_pos, &conservative_outcome(&w));
         prop_assert_eq!(sharded, single);
+    }
+
+    /// Speculation mounted on four channel workers: the controller links
+    /// edges on its own mirror and pipelines the commits and squashes to
+    /// the workers, so the schedule is the `DepGraph` one and the world
+    /// it ends in the lock-step one.
+    #[test]
+    fn dist_speculates_the_same_schedule(
+        points in arb_points(24, 44),
+        target in 3u32..7,
+        runahead in 0u32..7,
+        seed in any::<u64>(),
+        picks in proptest::collection::vec(any::<u16>(), 0..1200),
+    ) {
+        let w = HashWorkload { initial: points, target: Step(target), seed };
+        let dist = adversarial_run(GridSpace::new(64, 64), distributed, &w, runahead, &picks);
+        let single = adversarial_run(GridSpace::new(64, 64), flat, &w, runahead, &picks);
+        prop_assert_eq!(&dist.final_pos, &conservative_outcome(&w));
+        prop_assert_eq!(dist, single);
     }
 }

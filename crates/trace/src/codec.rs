@@ -22,10 +22,16 @@
 //! blank lines and `#` comment lines are skipped, every field is parsed
 //! at its own type (a `u32` field that does not fit is an error, not a
 //! truncation), a record with a field too many is rejected, and every
-//! error cites its line. A shape whose `(steps + 1) × agents` position
-//! matrix cannot be indexed in `u32` is rejected before anything is
-//! allocated for it.
+//! error cites its line.
+//!
+//! The reader allocates in proportion to what it reads, not to what the
+//! meta line declares: the agent table is built from the `I` records
+//! (every agent needs one, so a file declaring more agents than it
+//! holds is refused first), and a shape whose dense `(steps + 1) ×
+//! agents` position matrix exceeds [`MAX_POSITIONS`] is refused before
+//! anything is allocated for it.
 
+use std::cmp::Ordering;
 use std::io::{BufRead, Write};
 
 use aim_core::space::Point;
@@ -37,6 +43,11 @@ use crate::lines::{Lines, Record};
 use crate::TraceError;
 
 const MAGIC: &str = "AIMTRACE v1";
+
+/// The most positions a decoded trace may hold: its `(steps + 1) ×
+/// agents` matrix, 1 GiB of points — over ten times a simulated day of
+/// the 1 256-agent live city at ten-second steps.
+pub const MAX_POSITIONS: u64 = 1 << 27;
 
 /// Serializes `trace` to `w`.
 ///
@@ -96,9 +107,9 @@ pub fn write_trace(trace: &Trace, w: &mut impl Write) -> Result<(), TraceError> 
 /// # Errors
 ///
 /// Returns [`TraceError::Parse`] on any malformed line — a missing,
-/// out-of-range or unknown field, or one too many — and on a shape whose
-/// position matrix cannot be indexed, and [`TraceError::Io`] on read
-/// failures.
+/// out-of-range or unknown field, or one too many — on a missing initial
+/// position, and on a shape whose position matrix exceeds
+/// [`MAX_POSITIONS`]; [`TraceError::Io`] on read failures.
 pub fn read_trace(r: &mut impl BufRead) -> Result<Trace, TraceError> {
     let mut lines = Lines::open(r, MAGIC)?;
     let meta = match lines.next_record()? {
@@ -108,8 +119,7 @@ pub fn read_trace(r: &mut impl BufRead) -> Result<Trace, TraceError> {
 
     let n = meta.num_agents;
     let steps = meta.num_steps;
-    let mut initial = vec![Point::new(0, 0); n as usize];
-    let mut seen_initial = vec![false; n as usize];
+    let mut inits: Vec<(u32, Point)> = Vec::new();
     let mut calls = Vec::new();
     let mut moves: Vec<(u32, u32, Point)> = Vec::new();
 
@@ -121,8 +131,7 @@ pub fn read_trace(r: &mut impl BufRead) -> Result<Trace, TraceError> {
                 if agent >= n {
                     return Err(rec.err(format_args!("agent {agent} out of range")));
                 }
-                initial[agent as usize] = pos;
-                seen_initial[agent as usize] = true;
+                inits.push((agent, pos));
             }
             "C" => {
                 let agent: u32 = rec.next("agent")?;
@@ -149,9 +158,21 @@ pub fn read_trace(r: &mut impl BufRead) -> Result<Trace, TraceError> {
         }
         rec.end()?;
     }
-    if let Some(missing) = seen_initial.iter().position(|s| !s) {
+    // The agent table, from the `I` records read (an agent's last one
+    // wins); the stable sort keeps each agent's records in file order.
+    inits.sort_by_key(|&(agent, _)| agent);
+    let mut initial = Vec::with_capacity(inits.len());
+    for (agent, pos) in inits {
+        match (agent as usize).cmp(&initial.len()) {
+            Ordering::Less => *initial.last_mut().expect("sorted") = pos,
+            Ordering::Equal => initial.push(pos),
+            Ordering::Greater => break,
+        }
+    }
+    if initial.len() < n as usize {
         return Err(TraceError::Parse(format!(
-            "missing initial position for agent {missing}"
+            "missing initial position for agent {}",
+            initial.len()
         )));
     }
 
@@ -199,12 +220,12 @@ fn read_meta(rec: &mut Record<'_>) -> Result<TraceMeta, TraceError> {
         max_vel: rec.parse("mv", get("mv")?)?,
         seed: rec.parse("seed", get("seed")?)?,
     };
-    // The position matrix holds `(steps + 1) × agents` points and is
-    // indexed in `u32` arithmetic.
-    let rows = m.num_steps.checked_add(1);
-    if rows.and_then(|r| r.checked_mul(m.num_agents)).is_none() {
+    // The position matrix holds `(steps + 1) × agents` points (indexed
+    // in `u32` arithmetic, which the bound keeps in range).
+    let positions = (u64::from(m.num_steps) + 1) * u64::from(m.num_agents);
+    if positions > MAX_POSITIONS {
         return Err(rec.err(format_args!(
-            "{} steps of {} agents overflow the position matrix",
+            "{} steps of {} agents exceed the {MAX_POSITIONS}-position matrix bound",
             m.num_steps, m.num_agents
         )));
     }
@@ -215,11 +236,12 @@ fn read_meta(rec: &mut Record<'_>) -> Result<TraceMeta, TraceError> {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors.
+/// Propagates I/O errors, including those of the final flush.
 pub fn save(trace: &Trace, path: impl AsRef<std::path::Path>) -> Result<(), TraceError> {
     let file = std::fs::File::create(path)?;
     let mut w = std::io::BufWriter::new(file);
-    write_trace(trace, &mut w)
+    write_trace(trace, &mut w)?;
+    Ok(w.flush()?)
 }
 
 /// Reads a trace from a file path.
@@ -267,8 +289,6 @@ mod tests {
         // `(steps + 1) × agents` overflows `u32`, the position matrix's
         // own index arithmetic: a reader that took the shape on trust
         // overflowed (debug) or wrapped and pushed ~4·10⁹ rows (release).
-        // Bounding the allocation of shapes that do fit is a separate
-        // open item (ROADMAP 3(iii)).
         let text = "AIMTRACE v1\n\
                     M name=big agents=2 start=0 steps=4294967295 w=8 h=8 rp=1 mv=1 seed=0\n\
                     I 0 1 1\n\
@@ -278,6 +298,48 @@ mod tests {
             matches!(&err, TraceError::Parse(msg) if msg.starts_with("line 2: ")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_declared_population_is_not_allocated_on_trust() {
+        // One `I` record under a meta line declaring four billion agents
+        // (one row: the matrix's `u32` index fits, 32 GB of table does
+        // not — refused by the matrix bound) or a hundred million (within
+        // the bound — refused because the records read name one agent).
+        // Neither allocates for the declared population.
+        for agents in [4_000_000_000u32, 100_000_000] {
+            let text = format!(
+                "AIMTRACE v1\n\
+                 M name=big agents={agents} start=0 steps=0 w=8 h=8 rp=1 mv=1 seed=0\n\
+                 I 0 1 1\n"
+            );
+            let started = std::time::Instant::now();
+            let err = read_trace(&mut std::io::Cursor::new(text)).unwrap_err();
+            assert!(matches!(err, TraceError::Parse(_)), "{err}");
+            assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        }
+    }
+
+    #[test]
+    fn a_missing_initial_position_is_named() {
+        let text = "AIMTRACE v1\n\
+                    M name=gap agents=3 start=0 steps=1 w=8 h=8 rp=1 mv=1 seed=0\n\
+                    I 2 1 1\n\
+                    I 0 1 1\n\
+                    I 0 2 2\n";
+        let err = read_trace(&mut std::io::Cursor::new(text)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            TraceError::Parse("missing initial position for agent 1".into()).to_string()
+        );
+    }
+
+    /// A write error that only surfaces when the buffer is flushed (a
+    /// small file on a full device) is the caller's error, not lost.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_reports_a_late_write_error() {
+        assert!(save(&tiny(), "/dev/full").is_err());
     }
 
     #[test]

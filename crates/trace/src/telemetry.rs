@@ -193,11 +193,12 @@ pub fn read_telemetry(r: &mut impl BufRead) -> Result<RunTelemetry, TraceError> 
 ///
 /// # Errors
 ///
-/// Propagates I/O errors.
+/// Propagates I/O errors, including those of the final flush.
 pub fn save(rt: &RunTelemetry, path: impl AsRef<std::path::Path>) -> Result<(), TraceError> {
     let file = std::fs::File::create(path)?;
     let mut w = std::io::BufWriter::new(file);
-    write_telemetry(rt, &mut w)
+    write_telemetry(rt, &mut w)?;
+    Ok(w.flush()?)
 }
 
 /// Reads a `.telemetry` file written by [`save`].
@@ -746,6 +747,14 @@ mod tests {
         write_telemetry(&rt, &mut buf).unwrap();
         let back = read_telemetry(&mut std::io::Cursor::new(&buf)).unwrap();
         assert_eq!(rt, back);
+    }
+
+    /// A write error that only surfaces when the buffer is flushed (a
+    /// small file on a full device) is the caller's error, not lost.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_reports_a_late_write_error() {
+        assert!(save(&sample(), "/dev/full").is_err());
     }
 
     #[test]
