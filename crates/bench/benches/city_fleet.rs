@@ -1,17 +1,19 @@
 //! Microbenchmarks of the fleet machinery the city-over-fleet loop
 //! leans on per call: prefix-LRU observation (hit, miss, and eviction
-//! paths), the fault gate, prefix-affinity routing, and the full
-//! fleet-call path with prefix accounting and fault plans armed.
+//! paths), the fault gate, prefix-affinity routing, the full fleet-call
+//! path with prefix accounting and fault plans armed, and that path over
+//! simulated engines with concurrent callers waiting on each other.
 //!
 //! The `repro city-fleet` experiment measures the closed loop
 //! end-to-end; these benches isolate the per-call costs so a regression
 //! in any one layer is attributable.
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use aim_llm::{
-    CallKind, FaultPlan, FleetConfig, LlmBackend, LlmRequest, PrefixAffinity, PrefixTracker,
-    ReplicaSpec, ReplicaView, RequestId, RoutePolicy, RoutePolicyKind,
+    presets, CallKind, FaultPlan, FleetConfig, LlmBackend, LlmRequest, PrefixAffinity,
+    PrefixTracker, ReplicaSpec, ReplicaView, RequestId, RoutePolicy, RoutePolicyKind, ServerConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -142,6 +144,46 @@ fn bench_fleet_call(c: &mut Criterion) {
     g.finish();
 }
 
+/// The wait path: one call through a two-replica fleet of simulated
+/// engines at the live city's 5·10⁶× speed-up, timed on one thread while
+/// `threads - 1` others call the same fleet in a loop beside it. Every
+/// iteration end is nanoseconds of wall time away, so what is measured is
+/// the lock, the pump and how callers wait for each other.
+fn bench_realtime_call(c: &mut Criterion) {
+    let mut g = c.benchmark_group("city_fleet/realtime_call");
+    for threads in [1u64, 8] {
+        let replica = ServerConfig::from_preset(presets::tiny_test(), 1, true);
+        let fleet = FleetConfig::new("bench", RoutePolicyKind::PrefixAffinity)
+            .with_replica(ReplicaSpec::sim(replica.clone(), 5e6))
+            .with_replica(ReplicaSpec::sim(replica, 5e6))
+            .build();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // Request ids stay unique per engine: thread t issues t,
+            // t + threads, t + 2 · threads, …
+            for t in 1..threads {
+                let (fleet, stop) = (&fleet, &stop);
+                s.spawn(move || {
+                    let mut i = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        fleet.call(&req(i, 512));
+                        i += threads;
+                    }
+                });
+            }
+            let mut i = 0u64;
+            g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
+                b.iter(|| {
+                    i += threads;
+                    black_box(fleet.call(&req(i, 512)))
+                });
+            });
+            stop.store(true, Ordering::Relaxed);
+        });
+    }
+    g.finish();
+}
+
 fn bench_calibration(c: &mut Criterion) {
     // Machine-speed reference for bench_gate normalization (see
     // `aim_bench::calibration_spin`).
@@ -156,6 +198,7 @@ criterion_group!(
     bench_prefix_observe,
     bench_fault_gate,
     bench_route_affinity,
-    bench_fleet_call
+    bench_fleet_call,
+    bench_realtime_call
 );
 criterion_main!(benches);

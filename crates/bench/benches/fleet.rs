@@ -80,5 +80,13 @@ fn bench_replay_sample(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_route, bench_replay_sample);
+fn bench_calibration(c: &mut Criterion) {
+    // Machine-speed reference for bench_gate normalization (see
+    // `aim_bench::calibration_spin`).
+    c.bench_function("calibration/spin", |b| {
+        b.iter(|| black_box(aim_bench::calibration_spin()))
+    });
+}
+
+criterion_group!(benches, bench_calibration, bench_route, bench_replay_sample);
 criterion_main!(benches);

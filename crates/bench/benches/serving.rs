@@ -46,6 +46,7 @@ fn bench_burst_drain(c: &mut Criterion) {
 fn bench_submit_advance(c: &mut Criterion) {
     c.bench_function("serving/submit_advance_steady", |b| {
         let mut server = SimServer::new(ServerConfig::from_preset(presets::tiny_test(), 2, true));
+        let mut done = Vec::new();
         let mut i = 0u64;
         b.iter(|| {
             server.submit(
@@ -53,12 +54,27 @@ fn bench_submit_advance(c: &mut Criterion) {
                 LlmRequest::new(RequestId(i), 0, i % 5, 128, 8, CallKind::Perceive),
             );
             if let Some(t) = server.next_event() {
-                black_box(server.advance(t));
+                server.advance(t, &mut done);
+                black_box(done.len());
+                done.clear();
             }
             i += 1;
         });
     });
 }
 
-criterion_group!(benches, bench_burst_drain, bench_submit_advance);
+fn bench_calibration(c: &mut Criterion) {
+    // Machine-speed reference for bench_gate normalization (see
+    // `aim_bench::calibration_spin`).
+    c.bench_function("calibration/spin", |b| {
+        b.iter(|| black_box(aim_bench::calibration_spin()))
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_calibration,
+    bench_burst_drain,
+    bench_submit_advance
+);
 criterion_main!(benches);

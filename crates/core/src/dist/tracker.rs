@@ -462,7 +462,7 @@ fn mirror_record<P: Copy>(
 /// [`DistTracker::advance`] and [`DistTracker::rollback`] repair edges on
 /// the controller and queue the write for its owner, which is handed
 /// its queue once it holds [`WINDOW`] requests, when one of its agents
-/// migrates, or at a quiesce point (see the [module docs](self) for the
+/// migrates, or at a quiesce point (see the [module docs](super) for the
 /// hand-off rule).
 ///
 /// When either returns `Err`, the mirror — positions, steps, ownership,

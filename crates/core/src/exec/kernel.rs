@@ -465,6 +465,7 @@ where
     let mut now = VirtualTime::ZERO;
     let mut arrivals = interactive.iter().peekable();
     let mut latencies = Vec::with_capacity(interactive.len());
+    let mut finished = Vec::new();
     k.pull_ready(ctl)?;
     k.drain_slots(now);
 
@@ -480,7 +481,8 @@ where
             server.submit(*at, *req);
         }
         if t_srv.is_some_and(|t| t <= next) {
-            for c in server.advance(next) {
+            server.advance(next, &mut finished);
+            for c in finished.drain(..) {
                 if c.req.id.0 >= INTERACTIVE_BASE {
                     latencies.push(c.latency().as_micros());
                 } else {

@@ -22,10 +22,15 @@
 //!
 //! `run_sim` and `run_spec_sim` put the virtual-time kernel around those
 //! two: event heap, backlog, one active record per cluster, the request
-//! map. Its budget is what the stand-alone event loops it replaced
-//! allocated per agent-step on the same replay (11.74 conservative,
-//! 10.90 at run-ahead 4), so the merged loop cannot quietly cost more
-//! than the copies did.
+//! map. Its budget is what the loop allocates per agent-step on the same
+//! replay since `SimServer::advance` fills a reused buffer (8.23
+//! conservative, 7.38 at run-ahead 4) plus a 0.27 margin, so neither a
+//! per-event completion list nor a per-round due list can come back.
+//!
+//! `Fleet::call` is every live-world LLM call's way to a replica. Its
+//! own share — routing views, tried set, fault gate, prefix residency,
+//! latency histogram — allocates nothing once the prefix caches hold
+//! the callers, so a clean call over instant replicas allocates 0.
 //!
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running beside it would be counted too.
@@ -43,7 +48,10 @@ use aim_core::space::{GridSpace, Point};
 use aim_core::spec::{SpecParams, SpecScheduler};
 use aim_core::workload::{CallSpec, Workload};
 use aim_core::{AgentId, Engine, Step};
-use aim_llm::{presets, CallKind, ServerConfig};
+use aim_llm::{
+    presets, CallKind, FleetConfig, LlmBackend, LlmRequest, ReplicaSpec, RequestId,
+    RoutePolicyKind, ServerConfig,
+};
 use aim_store::Db;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -290,6 +298,32 @@ fn replay_allocs_per_agent_step(speculation: Option<SpecParams>) -> f64 {
     counted as f64 / report.sched.agent_steps as f64
 }
 
+/// Heap allocations made by `calls` clean calls through a four-replica
+/// prefix-affinity fleet of instant replicas. The warm-up fills the
+/// prefix caches and grows each one's recency queue to the length where
+/// it compacts in place (four times the 50-key capacity, plus 16).
+fn fleet_call_allocs(calls: usize) -> u64 {
+    let mut cfg = FleetConfig::new("budget", RoutePolicyKind::PrefixAffinity)
+        .with_prefix_lru_entries(2 * AGENTS);
+    for _ in 0..4 {
+        cfg = cfg.with_replica(ReplicaSpec::instant());
+    }
+    let fleet = cfg.build();
+    let req = |i: usize| {
+        let agent = i as u32 % AGENTS;
+        LlmRequest::new(RequestId(i as u64), agent, i as u64, 200, 4, CallKind::Plan)
+            .with_template(agent % 5, 100)
+    };
+    for i in 0..4 * WARM_UP {
+        fleet.call(&req(i));
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for i in 4 * WARM_UP..4 * WARM_UP + calls {
+        fleet.call(&req(i));
+    }
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn cluster_commit_stays_within_its_allocation_budget() {
     for (size, budget) in [(1u32, 3.0f64), (4, 8.0)] {
@@ -344,9 +378,14 @@ fn cluster_commit_stays_within_its_allocation_budget() {
         "a speculative emit-commit-retire cycle averages {per_commit:.2} heap allocations, budget 6"
     );
 
+    // A clean fleet call, in the same test (see the module docs).
+    let allocs = fleet_call_allocs(MEASURED);
+    println!("fleet call: {allocs} allocations over {MEASURED} calls");
+    assert_eq!(allocs, 0, "clean fleet calls must not allocate");
+
     // The virtual-time kernel around both schedulers, in the same test
     // (see the module docs).
-    for (speculation, budget) in [(None, 11.74f64), (Some(SpecParams::new(4)), 10.90)] {
+    for (speculation, budget) in [(None, 8.50f64), (Some(SpecParams::new(4)), 7.65)] {
         let per_step = replay_allocs_per_agent_step(speculation);
         println!("virtual-time replay, {speculation:?}: {per_step:.2} allocations per agent-step");
         assert!(

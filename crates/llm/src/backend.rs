@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::request::{LlmRequest, LlmResponse, RequestId};
-use crate::server::{ServerConfig, SimServer};
+use crate::server::{Completion, ServerConfig, SimServer};
 use crate::time::VirtualTime;
 
 /// A blocking LLM inference backend, as seen by the threaded runtime's
@@ -109,9 +109,26 @@ impl LlmBackend for InstantBackend {
     }
 }
 
+/// Waits shorter than this are spun off with `yield_now` instead of a
+/// condvar sleep. It is Linux's default timer slack: the kernel may
+/// stretch a timed sleep by this much, so a caller that parked for a
+/// wait of a few ns would oversleep by up to 50 µs and, in practice,
+/// only wake when another caller's pump released it.
+const YIELD_BELOW: Duration = Duration::from_micros(50);
+
+/// How long a caller parks while the engine has no iteration in flight.
+/// The engine is never idle while a caller's request is in it, so this
+/// only bounds a wait that nothing else would end.
+const IDLE_POLL: Duration = Duration::from_millis(1);
+
 struct RtInner {
     server: SimServer,
+    /// Output tokens of finished requests, until their caller takes them.
     done: HashMap<RequestId, u32>,
+    /// Reused buffer for [`SimServer::advance`].
+    finished: Vec<Completion>,
+    /// Callers asleep on `progressed`; nobody is notified when it is 0.
+    parked: usize,
 }
 
 /// An [`LlmBackend`] that answers calls from the virtual-time
@@ -123,6 +140,33 @@ struct RtInner {
 /// batch inside the shared simulated engine exactly as they would in a real
 /// continuous-batching server — so the *threaded* runtime exhibits the same
 /// batching economics as the discrete-event runtime.
+///
+/// # Pacing
+///
+/// A call never returns before the wall clock reaches its request's
+/// virtual finish time: the engine only ever advances to "wall now" in
+/// virtual units. Every loaded run is therefore at least as slow as the
+/// request's unloaded service time divided by the time scale.
+///
+/// # Waiting
+///
+/// One mutex guards the engine. A caller submits, then loops: take its
+/// response if a pump has produced it, else wait for the engine's next
+/// iteration end and *pump* — advance the engine to wall now. How it
+/// waits depends on how far that end is:
+///
+/// * under 50 µs (Linux's default timer slack) it releases the lock,
+///   `yield_now`s, re-locks and pumps itself. A condvar sleep that short
+///   would be stretched to the slack; at city speed-ups (millions of
+///   virtual seconds per wall second) nearly every wait is this short;
+/// * otherwise it parks on a condvar until that end, and a caller that
+///   times out pumps on its next pass.
+///
+/// Parked callers are counted under the lock, and a notify fires only
+/// while one is parked: after a submit (a new iteration may end before
+/// their deadline) or after a pump that finished a request (it may be
+/// theirs). A notify costs a futex syscall whether or not anyone waits,
+/// so nothing else notifies.
 pub struct RealtimeSimBackend {
     inner: Mutex<RtInner>,
     progressed: Condvar,
@@ -157,6 +201,8 @@ impl RealtimeSimBackend {
             inner: Mutex::new(RtInner {
                 server: SimServer::new(cfg),
                 done: HashMap::new(),
+                finished: Vec::new(),
+                parked: 0,
             }),
             progressed: Condvar::new(),
             epoch: Instant::now(),
@@ -178,14 +224,23 @@ impl RealtimeSimBackend {
         Duration::from_secs_f64(vt.as_secs_f64() / self.time_scale)
     }
 
+    /// Advances the simulator to "wall now" (in virtual units, never
+    /// backwards), stashing completions, and wakes parked callers if any
+    /// request finished.
     fn pump(&self, inner: &mut RtInner) {
-        // Advance the simulator to "wall now" (in virtual units), stashing
-        // completions. Never move the clock backwards.
         let vt_now = self
             .wall_to_virtual(self.epoch.elapsed())
             .max(inner.server.now());
-        for c in inner.server.advance(vt_now) {
-            inner.done.insert(c.req.id, c.req.output_tokens);
+        inner.server.advance(vt_now, &mut inner.finished);
+        if inner.finished.is_empty() {
+            return;
+        }
+        let finished = inner.finished.drain(..);
+        inner
+            .done
+            .extend(finished.map(|c| (c.req.id, c.req.output_tokens)));
+        if inner.parked > 0 {
+            self.progressed.notify_all();
         }
     }
 }
@@ -196,34 +251,33 @@ impl LlmBackend for RealtimeSimBackend {
         self.pump(&mut inner);
         let now = inner.server.now();
         inner.server.submit(now, *req);
-        self.progressed.notify_all();
+        if inner.parked > 0 {
+            self.progressed.notify_all();
+        }
         loop {
             if let Some(output_tokens) = inner.done.remove(&req.id) {
-                self.progressed.notify_all();
                 return LlmResponse {
                     id: req.id,
                     output_tokens,
                 };
             }
-            match inner.server.next_event() {
+            let wait = match inner.server.next_event() {
                 Some(t) => {
-                    let wall_deadline = self.epoch + self.virtual_to_wall(t);
-                    let timed_out = self
-                        .progressed
-                        .wait_until(&mut inner, wall_deadline)
-                        .timed_out();
-                    if timed_out {
-                        self.pump(&mut inner);
-                        self.progressed.notify_all();
-                    }
+                    (self.epoch + self.virtual_to_wall(t)).saturating_duration_since(Instant::now())
                 }
-                None => {
-                    // Our request is outstanding but the engine is idle —
-                    // another thread must pump; wait briefly and retry.
-                    self.progressed
-                        .wait_for(&mut inner, Duration::from_millis(1));
-                    self.pump(&mut inner);
+                None => IDLE_POLL,
+            };
+            if wait < YIELD_BELOW {
+                if !wait.is_zero() {
+                    drop(inner);
+                    std::thread::yield_now();
+                    inner = self.inner.lock();
                 }
+                self.pump(&mut inner);
+            } else {
+                inner.parked += 1;
+                self.progressed.wait_for(&mut inner, wait);
+                inner.parked -= 1;
             }
         }
     }
@@ -289,6 +343,102 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+    }
+
+    #[test]
+    fn loaded_calls_never_beat_their_unloaded_service_time() {
+        // Prompts fit one prefill chunk, so sharing the engine can only
+        // add or lengthen a request's iterations: its loaded latency is at
+        // least its unloaded one, and pacing puts that much virtual time
+        // between submit and return. 1 µs covers the two roundings of wall
+        // time into virtual microseconds.
+        const SCALE: f64 = 2_000.0;
+        let cfg = fast_cfg();
+        let (cost, chunk) = (cfg.cost, cfg.prefill_chunk);
+        let b = Arc::new(RealtimeSimBackend::new(cfg, SCALE));
+        let barrier = Arc::new(std::sync::Barrier::new(8));
+        let threads: Vec<_> = (0..8u64)
+            .map(|t| {
+                let (b, barrier) = (Arc::clone(&b), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    for k in 0..4u64 {
+                        let input = 50 + 40 * t as u32;
+                        let output = 1 + ((t + k) % 4) as u32;
+                        let id = RequestId(t * 100 + k);
+                        barrier.wait();
+                        let started = Instant::now();
+                        let r = b.call(&LlmRequest::new(
+                            id,
+                            t as u32,
+                            k,
+                            input,
+                            output,
+                            CallKind::Plan,
+                        ));
+                        let took_us = started.elapsed().as_secs_f64() * SCALE * 1e6;
+                        let floor_us = cost.isolated_latency(input, output, chunk).as_micros();
+                        assert_eq!(r.id, id);
+                        assert!(
+                            took_us >= floor_us as f64 - 1.0,
+                            "call {id:?} returned after {took_us:.0} virtual µs, \
+                             before its unloaded service time of {floor_us} µs"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn parked_caller_is_released_by_another_callers_pump() {
+        // In real time a 1000 µs iteration is 1 ms of wall time, far past
+        // the yield bound, so the caller parks. The test then holds the
+        // engine past the request's finish, so only the test's pump can
+        // finish the request; after it the engine is idle, with no
+        // iteration end left to wait for, and the caller must take the
+        // response that pump stashed. A lost wake-up fails the
+        // `recv_timeout` instead of hanging the test.
+        let cfg = fast_cfg();
+        let (cost, chunk) = (cfg.cost, cfg.prefill_chunk);
+        let b = Arc::new(RealtimeSimBackend::new(cfg, 1.0));
+        let req = LlmRequest::new(RequestId(7), 0, 0, 10, 1, CallKind::Plan);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || tx.send(b.call(&req)).unwrap())
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut inner = loop {
+            let inner = b.inner.lock();
+            if inner.parked == 1 {
+                break inner;
+            }
+            drop(inner);
+            assert!(Instant::now() < deadline, "the caller never parked");
+            std::thread::yield_now();
+        };
+        // Nothing has pumped since the caller submitted at `now`.
+        let finish = inner.server.now() + cost.isolated_latency(10, 1, chunk);
+        let finish_wall = b.epoch + b.virtual_to_wall(finish) + Duration::from_millis(2);
+        std::thread::sleep(finish_wall.saturating_duration_since(Instant::now()));
+        b.pump(&mut inner);
+        assert!(
+            inner.done.contains_key(&RequestId(7)),
+            "the pump finished it"
+        );
+        assert_eq!(inner.server.next_event(), None, "the engine is idle");
+        drop(inner);
+        let r = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a parked caller must take the response another caller pumped");
+        assert_eq!(r.output_tokens, 1);
+        caller.join().unwrap();
+        let inner = b.inner.lock();
+        assert_eq!(inner.parked, 0);
+        assert!(inner.done.is_empty());
     }
 
     #[test]

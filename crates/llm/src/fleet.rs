@@ -65,6 +65,16 @@ const BACKOFF_START: Duration = Duration::from_micros(50);
 /// Upper bound on the retry backoff.
 const BACKOFF_CAP: Duration = Duration::from_millis(5);
 
+/// Placeholder filling the unused tail of a call's routing views.
+const NO_VIEW: ReplicaView = ReplicaView {
+    id: 0,
+    outstanding: 0,
+    outstanding_tokens: 0,
+    served: 0,
+    interactive: false,
+    available: false,
+};
+
 /// How one fleet replica is backed.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -374,7 +384,8 @@ impl FleetConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the config has no replicas.
+    /// Panics if the config has no replicas or more than
+    /// [`Fleet::MAX_REPLICAS`].
     pub fn build(self) -> Fleet {
         assert!(
             !self.replicas.is_empty(),
@@ -580,8 +591,15 @@ struct FleetInner {
 /// [`RoutePolicy`] for a replica, runs the replica's [`FaultPlan`] gate,
 /// and forwards the (blocking) call. Refused attempts are retried on the
 /// remaining replicas with exponential backoff — see the module docs for
-/// why retrying is always state-safe. Counters are lock-free; the only
-/// lock on the call path is each replica's prefix tracker.
+/// why retrying is always state-safe.
+///
+/// The fleet's own share of a call allocates nothing: the views live in
+/// a stack array and the per-call tried set is a `u64` bitmask, which is
+/// why a fleet holds at most [`Fleet::MAX_REPLICAS`] replicas. Counters
+/// are lock-free; the locks the fleet takes per attempt are the routed
+/// replica's prefix tracker and, once an observer is installed, a read
+/// lock on it. A replica backend may lock inside its own `call` — a
+/// [`RealtimeSimBackend`] serializes its callers on its engine's mutex.
 pub struct Fleet {
     inner: Arc<FleetInner>,
 }
@@ -598,6 +616,10 @@ impl std::fmt::Debug for Fleet {
 }
 
 impl Fleet {
+    /// Most replicas one fleet may hold: a call marks the replicas it has
+    /// tried in one `u64`.
+    pub const MAX_REPLICAS: usize = 64;
+
     /// Builds a fleet from already-constructed backends — the escape
     /// hatch for replica types [`BackendSpec`] does not describe (custom
     /// [`LlmBackend`] impls, shared backends). Each entry is
@@ -606,7 +628,8 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if `backends` is empty.
+    /// Panics if `backends` is empty or longer than
+    /// [`Fleet::MAX_REPLICAS`].
     pub fn from_backends(
         name: impl Into<String>,
         policy: Box<dyn RoutePolicy>,
@@ -627,6 +650,12 @@ impl Fleet {
         prefix_lru_entries: u32,
     ) -> Self {
         assert!(!backends.is_empty(), "fleet needs at least one replica");
+        assert!(
+            backends.len() <= Fleet::MAX_REPLICAS,
+            "fleet of {} replicas exceeds the maximum of {}",
+            backends.len(),
+            Fleet::MAX_REPLICAS
+        );
         let prefix_entries = prefix_lru_entries.max(1) as usize;
         let backoff_div = backends
             .iter()
@@ -720,31 +749,35 @@ impl Fleet {
 
     #[cfg(test)]
     fn views(&self) -> Vec<ReplicaView> {
-        let n = self.inner.replicas.len();
-        self.inner.views_marking(&vec![false; n])
+        let mut views = [NO_VIEW; Fleet::MAX_REPLICAS];
+        self.inner.views_marking(0, &mut views).to_vec()
     }
 }
 
 impl FleetInner {
-    /// Routing snapshot; `tried[i]` marks replicas already refused within
-    /// the current retry round (advertised unavailable so the policy
-    /// routes around them).
-    fn views_marking(&self, tried: &[bool]) -> Vec<ReplicaView> {
+    /// Routing snapshot, written into the front of `views`; bit `i` of
+    /// `tried` marks replica `i` as already refused within the current
+    /// retry round (advertised unavailable so the policy routes around
+    /// it).
+    fn views_marking<'v>(
+        &self,
+        tried: u64,
+        views: &'v mut [ReplicaView; Fleet::MAX_REPLICAS],
+    ) -> &'v [ReplicaView] {
         let tick = self.ticks.load(Ordering::Relaxed);
-        self.replicas
-            .iter()
-            .enumerate()
-            .map(|(id, r)| ReplicaView {
+        for ((id, r), view) in self.replicas.iter().enumerate().zip(views.iter_mut()) {
+            *view = ReplicaView {
                 id,
                 outstanding: r.outstanding.load(Ordering::Relaxed),
                 outstanding_tokens: r.outstanding_tokens.load(Ordering::Relaxed),
                 served: r.served.load(Ordering::Relaxed),
                 interactive: r.interactive,
-                available: !tried[id]
+                available: tried & (1 << id) == 0
                     && !r.down.load(Ordering::Relaxed)
                     && !r.fault.unavailable_at(tick),
-            })
-            .collect()
+            };
+        }
+        &views[..self.replicas.len()]
     }
 
     /// One gated attempt on replica `id`. Claims the attempt indices,
@@ -848,17 +881,20 @@ impl FleetInner {
         is_hedge: bool,
     ) -> LlmResponse {
         let n = self.replicas.len();
-        let mut tried = vec![false; n];
+        let all_tried = u64::MAX >> (u64::BITS as usize - n);
+        let mut tried = 0u64;
         if let Some(e) = exclude {
             if n > 1 && e < n {
-                tried[e] = true;
+                tried |= 1 << e;
             }
         }
+        let mut views = [NO_VIEW; Fleet::MAX_REPLICAS];
         let mut backoff = BACKOFF_START;
         let mut first = true;
         loop {
-            let views = self.views_marking(&tried);
-            let id = self.policy.route(req, &views);
+            let id = self
+                .policy
+                .route(req, self.views_marking(tried, &mut views));
             assert!(
                 id < n,
                 "route policy {} returned replica {id} of {n}",
@@ -876,8 +912,8 @@ impl FleetInner {
                 }
                 return resp;
             }
-            tried[id] = true;
-            if tried.iter().all(|&t| t) {
+            tried |= 1 << id;
+            if tried == all_tried {
                 assert!(
                     !self.replicas.iter().all(|r| r.down.load(Ordering::Relaxed)),
                     "fleet {}: every replica has permanently failed",
@@ -890,7 +926,7 @@ impl FleetInner {
                 // simulation speed-up: a replayed deployment running 100
                 // virtual seconds per wall second should not make callers
                 // wait 100x longer than the deployment it models would.
-                tried = vec![false; n];
+                tried = 0;
                 std::thread::sleep(backoff.div_f64(self.backoff_div));
                 backoff = (backoff * 2).min(BACKOFF_CAP);
             }
@@ -1513,5 +1549,32 @@ mod tests {
     #[should_panic(expected = "at least one replica")]
     fn empty_fleet_rejected() {
         let _ = FleetConfig::new("empty", RoutePolicyKind::RoundRobin).build();
+    }
+
+    #[test]
+    fn widest_fleet_retries_to_its_last_replica() {
+        // 64 replicas, every one but the last dead on arrival: the tried
+        // mask must cover the top bit, so the call walks all 63 failures
+        // and lands on replica 63 without a backoff sweep.
+        let mut cfg = FleetConfig::new("wide", RoutePolicyKind::LeastOutstanding);
+        for _ in 0..Fleet::MAX_REPLICAS - 1 {
+            cfg = cfg
+                .with_replica(ReplicaSpec::instant().with_fault(FaultPlan::none().fail_after(0)));
+        }
+        let fleet = cfg.with_replica(ReplicaSpec::instant()).build();
+        assert_eq!(fleet.call(&req(1)).output_tokens, 2);
+        let m = fleet.metrics();
+        assert_eq!(m.total_failed(), 63, "{m:?}");
+        assert_eq!(m.replicas[63].served, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the maximum of 64")]
+    fn oversized_fleet_rejected() {
+        let mut cfg = FleetConfig::new("huge", RoutePolicyKind::RoundRobin);
+        for _ in 0..=Fleet::MAX_REPLICAS {
+            cfg = cfg.with_replica(ReplicaSpec::instant());
+        }
+        let _ = cfg.build();
     }
 }

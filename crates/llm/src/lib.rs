@@ -89,11 +89,11 @@
 //!         LlmRequest::new(RequestId(i), i as u32, 0, 640, 22, CallKind::Plan),
 //!     );
 //! }
-//! let mut done = 0;
+//! let mut done = Vec::new();
 //! while let Some(t) = server.next_event() {
-//!     done += server.advance(t).len();
+//!     server.advance(t, &mut done);
 //! }
-//! assert_eq!(done, 8);
+//! assert_eq!(done.len(), 8);
 //! ```
 
 #![warn(missing_docs)]

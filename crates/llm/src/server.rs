@@ -295,7 +295,7 @@ impl Replica {
 /// 1. [`SimServer::submit`] — enqueue a request at the current time;
 /// 2. [`SimServer::next_event`] — the earliest time an iteration finishes;
 /// 3. [`SimServer::advance`] — move the clock forward, collecting
-///    completions that occur exactly at that time.
+///    completions that occur up to that time into a caller-owned buffer.
 ///
 /// Iterations are atomic: once started, a batch runs to its computed end
 /// time (no preemption — §3.5 notes preemption during inference is
@@ -322,13 +322,12 @@ impl Replica {
 /// };
 /// let mut s = SimServer::new(cfg);
 /// s.submit(VirtualTime::ZERO, LlmRequest::new(RequestId(0), 0, 0, 100, 4, CallKind::Plan));
-/// let mut finished = None;
+/// let mut done = Vec::new();
 /// while let Some(t) = s.next_event() {
-///     if let Some(c) = s.advance(t).pop() {
-///         finished = Some(c.finished_at);
-///     }
+///     s.advance(t, &mut done);
 /// }
-/// assert!(finished.is_some());
+/// assert_eq!(done.len(), 1);
+/// assert!(done[0].finished_at > VirtualTime::ZERO);
 /// ```
 #[derive(Debug)]
 pub struct SimServer {
@@ -438,31 +437,28 @@ impl SimServer {
     }
 
     /// Advances the clock to `now`, finishing any iterations that end at or
-    /// before `now`, admitting new work, and returning completed requests
-    /// in deterministic order (replica id, then completion order).
-    pub fn advance(&mut self, now: VirtualTime) -> Vec<Completion> {
-        let mut completions = Vec::new();
-        // Iterations may chain (end exactly at `now` and restart), so loop
-        // until no replica has an event at or before `now`.
-        loop {
-            let due: Vec<usize> = self
-                .replicas
-                .iter()
-                .filter(|r| r.iter_end.is_some_and(|t| t <= now))
-                .map(|r| r.id)
-                .collect();
-            if due.is_empty() {
-                break;
-            }
-            for id in due {
-                let end = self.replicas[id].iter_end.expect("due replica is busy");
-                self.accrue(end);
-                self.finish_iteration(id, end, &mut completions);
-                self.try_start(id, end);
-            }
+    /// before `now` and admitting new work, and appends the completed
+    /// requests to `out` in deterministic order: iteration end, then
+    /// replica id, then completion order within the iteration.
+    ///
+    /// `out` is the caller's to reuse, so a steady advance allocates
+    /// nothing.
+    pub fn advance(&mut self, now: VirtualTime, out: &mut Vec<Completion>) {
+        // The earliest due iteration end goes first (ties to the lower
+        // replica id), so the clock never steps back when `now` passes
+        // several replicas' ends. Iterations may chain (end at or before
+        // `now` and restart), so loop until none is due.
+        while let Some((end, id)) = self
+            .replicas
+            .iter()
+            .filter_map(|r| r.iter_end.filter(|&t| t <= now).map(|t| (t, r.id)))
+            .min()
+        {
+            self.accrue(end);
+            self.finish_iteration(id, end, out);
+            self.try_start(id, end);
         }
         self.accrue(now);
-        completions
     }
 
     /// Runs the server to completion, returning all remaining completions.
@@ -470,7 +466,7 @@ impl SimServer {
     pub fn drain(&mut self) -> Vec<Completion> {
         let mut out = Vec::new();
         while let Some(t) = self.next_event() {
-            out.extend(self.advance(t));
+            self.advance(t, &mut out);
         }
         out
     }
@@ -717,7 +713,7 @@ mod tests {
         }
         // Let a few iterations pass, then the player speaks.
         let mid = s.next_event().expect("busy");
-        s.advance(mid);
+        s.advance(mid, &mut Vec::new());
         assert!(
             s.replicas[0].running.len() <= 2,
             "background must not exceed max_running - reserve"
@@ -942,10 +938,42 @@ mod tests {
         let mut s = SimServer::new(toy_cfg(1, true));
         s.submit(VirtualTime::ZERO, req(0, 0, 100, 2));
         let mid = VirtualTime::from_micros(1);
-        assert!(s.advance(mid).is_empty());
+        let mut done = Vec::new();
+        s.advance(mid, &mut done);
+        assert!(done.is_empty());
         assert_eq!(s.now(), mid);
         let done = s.drain();
         assert_eq!(done.len(), 1);
+    }
+
+    #[test]
+    fn advance_past_ends_out_of_replica_order_keeps_time_monotone() {
+        // Replica 0 prefills a 512-token chunk (ends at 5120 µs), replica
+        // 1 a 10-token prompt (ends at 1000 µs). One advance far past both
+        // must process replica 1's end first instead of stepping the clock
+        // back to it.
+        let mut s = SimServer::new(ServerConfig::from_preset(
+            crate::presets::tiny_test(),
+            2,
+            true,
+        ));
+        s.submit(VirtualTime::ZERO, req(0, 0, 4_000, 2));
+        s.submit(VirtualTime::ZERO, req(1, 0, 10, 2));
+        assert_eq!(
+            s.replicas[0].iter_end,
+            Some(VirtualTime::from_micros(5_120))
+        );
+        assert_eq!(
+            s.replicas[1].iter_end,
+            Some(VirtualTime::from_micros(1_000))
+        );
+        let mut done = Vec::new();
+        s.advance(VirtualTime::from_secs_f64(1_000.0), &mut done);
+        let order: Vec<u64> = done.iter().map(|c| c.req.id.0).collect();
+        assert_eq!(order, vec![1, 0], "completions in finish-time order");
+        assert!(done[0].finished_at < done[1].finished_at);
+        assert_eq!(s.outstanding(), 0);
+        assert_eq!(s.now(), VirtualTime::from_secs_f64(1_000.0));
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn run(cfg: ServerConfig, reqs: &[ReqSpec]) -> Vec<(u64, u64)> {
             if t > VirtualTime::from_micros(r.at_us) {
                 break;
             }
-            done.extend(server.advance(t));
+            server.advance(t, &mut done);
         }
         server.submit(
             VirtualTime::from_micros(r.at_us),

@@ -36,6 +36,7 @@ pub fn mine(trace: &Trace, cfg: ServerConfig, step_gap_us: u64) -> LatencyProfil
     let mut server = SimServer::new(cfg);
     let mut calls: Vec<_> = trace.calls().to_vec();
     calls.sort_by_key(|c| (c.step, c.agent, c.seq));
+    let mut finished = Vec::new();
     for (i, c) in calls.iter().enumerate() {
         let at = VirtualTime::from_micros(c.step as u64 * step_gap_us);
         // Deliver completions due before this arrival.
@@ -43,7 +44,8 @@ pub fn mine(trace: &Trace, cfg: ServerConfig, step_gap_us: u64) -> LatencyProfil
             if t > at {
                 break;
             }
-            for done in server.advance(t) {
+            server.advance(t, &mut finished);
+            for done in finished.drain(..) {
                 profile.push(done.req.kind, done.latency().as_micros());
             }
         }
