@@ -1,5 +1,5 @@
 //! Microbenchmarks of the embedded store (Redis substitute, §3.6): point
-//! ops and the optimistic transactions the dependency graph commits with.
+//! ops and the write batch the dependency graph commits with.
 
 use std::hint::black_box;
 
@@ -36,33 +36,10 @@ fn bench_point_ops(c: &mut Criterion) {
 }
 
 fn bench_transactions(c: &mut Criterion) {
-    // A general read-modify-write: string keys built per call, five reads,
-    // five writes, uncontended. (Not what the engine issues — see below.)
-    let db = Db::new();
-    for i in 0..1_000u32 {
-        db.set(format!("agent:{i:04}"), vec![0u8; 16]);
-    }
-    c.bench_function("store/txn_cluster_commit", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            let base = (i * 7) % 990;
-            db.transaction(|txn| {
-                for k in 0..4u32 {
-                    let key = format!("agent:{:04}", base + k);
-                    let v = txn.get(&key).unwrap_or_default();
-                    txn.set(&key, v.to_vec());
-                }
-                let c = txn.get_i64("commits")?;
-                txn.set_i64("commits", c + 1);
-                Ok(())
-            })
-            .unwrap();
-            i += 1;
-        });
-    });
     // Exactly what a singleton `DepGraph::advance` issues: one freshly
     // encoded record under an interned key, plus the buffered counter
-    // bump. No reads, so nothing to validate.
+    // bump.
+    let db = Db::new();
     let records: Vec<Key> = (0..1_000u32)
         .map(|a| Key::tagged_u32(*b"dagt", a))
         .collect();

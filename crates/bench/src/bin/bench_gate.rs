@@ -12,8 +12,8 @@
 //!                          fastest calibration-adjusted time is compared
 //!                          (noise bursts only ever slow a run down)
 //!   --targets a,b,c        allowlisted bench targets to gate
-//!                          (default: scheduler,depgraph,clustering,
-//!                          shard,store,snapshot,city_fleet,telemetry)
+//!                          (default: scheduler,depgraph,shard,store,
+//!                          snapshot,city_fleet,telemetry)
 //!   --threshold <pct>      allowed regression, percent (default: 5)
 //!   --min-ns <ns>          ignore baselines below this (timer noise floor,
 //!                          default: 100)
@@ -116,7 +116,6 @@ fn parse_args() -> Options {
         targets: [
             "scheduler",
             "depgraph",
-            "clustering",
             "shard",
             "store",
             "snapshot",

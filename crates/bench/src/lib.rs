@@ -24,8 +24,7 @@ pub use harness::{run_modes, run_one, Mode, RunEnv};
 pub use table::Table;
 
 /// Fixed CPU-bound calibration workload shared by the gated bench
-/// targets (`calibration/spin` in `scheduler`, `depgraph`,
-/// `clustering`).
+/// targets (`calibration/spin` in every one of them).
 ///
 /// Its measured time depends only on the machine's effective speed at
 /// bench time — never on this repository's code — so `bench_gate` uses

@@ -225,9 +225,17 @@ impl CheckpointMeta {
     /// Decodes a metadata section body (versions 1 and 2; version-1
     /// snapshots predate sharding and decode with `shards = 0`).
     ///
+    /// The section is checked here, once, against what a writer can
+    /// record: at least one agent, a positive target and velocity, no
+    /// more shards than a [`StripShardMap`] over the recorded width
+    /// reports, and nothing after the last field. The checksum of a
+    /// snapshot detects damage, not tampering, so a resume must not trust
+    /// these values further than this.
+    ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Codec`] on truncation or an unknown version.
+    /// Returns [`StoreError::Codec`] on truncation, an unknown version,
+    /// trailing bytes, or a field value no run can record.
     pub fn decode(mut body: Bytes) -> Result<Self, StoreError> {
         let version = codec::get_u32(&mut body)?;
         if version != 1 && version != META_VERSION {
@@ -235,7 +243,7 @@ impl CheckpointMeta {
                 "unsupported checkpoint meta version {version} (expected ≤ {META_VERSION})"
             )));
         }
-        Ok(CheckpointMeta {
+        let meta = CheckpointMeta {
             num_agents: codec::get_u32(&mut body)?,
             width: codec::get_u32(&mut body)?,
             height: codec::get_u32(&mut body)?,
@@ -252,7 +260,28 @@ impl CheckpointMeta {
             } else {
                 0
             },
-        })
+        };
+        let strips = meta.width.max(1);
+        let zero = [
+            ("num_agents", meta.num_agents),
+            ("target_step", meta.target_step),
+            ("max_vel", meta.max_vel),
+        ]
+        .into_iter()
+        .find(|&(_, v)| v == 0);
+        let refusal = if !body.is_empty() {
+            format!("{} trailing bytes", body.len())
+        } else if let Some((field, _)) = zero {
+            format!("{field} is 0")
+        } else if meta.shards > strips {
+            format!(
+                "shards {} exceeds the {strips}-column strip count",
+                meta.shards
+            )
+        } else {
+            return Ok(meta);
+        };
+        Err(StoreError::Codec(format!("checkpoint meta: {refusal}")))
     }
 }
 
@@ -381,7 +410,7 @@ pub fn resume_sharded(
                 .to_string(),
         )));
     }
-    let mut members = Vec::with_capacity(meta.shards as usize);
+    let mut members = Vec::new();
     for shard in 0..meta.shards {
         let name = format!("{SECTION_SHARD_PREFIX}{shard}");
         let mut body = snap
@@ -426,6 +455,15 @@ fn meta_and_policy(
         })?
         .clone();
     let meta = CheckpointMeta::decode(body).map_err(EngineError::Store)?;
+    // Every agent has a record, so the record count bounds the agent
+    // count before it sizes any per-agent table.
+    if meta.num_agents as usize > snap.records().len() {
+        return Err(EngineError::Store(StoreError::Codec(format!(
+            "checkpoint meta: num_agents {} exceeds the snapshot's {} records",
+            meta.num_agents,
+            snap.records().len()
+        ))));
+    }
     let policy = match policy {
         Some(p) => p,
         None => meta.policy.to_policy().ok_or_else(|| {

@@ -1,15 +1,11 @@
-//! Geo-clustering of coupled agents (paper §3.4).
+//! A union-find over agent indices.
 //!
-//! Coupled agents (same step, within `radius_p + max_vel`) must advance
-//! together because they may read each other's last-step writes and their
-//! own writes may conflict. A *cluster* is a connected component of the
-//! coupling relation among same-step agents, computed here with a
-//! [`DisjointSets`] union-find over the pairs reported by
-//! [`crate::space::Space::pairs_within`].
-
-use crate::ids::{AgentId, Step};
-use crate::rules::RuleParams;
-use crate::space::Space;
+//! [`DisjointSets`] groups elements into connected components of a pair
+//! relation: the oracle policy's per-step interaction components
+//! ([`crate::policy`]) and the critical-path miner's groups of interacting
+//! agents are built on it. The scheduler itself never batch-clusters: it
+//! grows each cluster from the coupling edges the dependency tracker
+//! maintains (paper §3.4).
 
 /// A classic union-find (disjoint-set) structure with path compression and
 /// union by size.
@@ -127,50 +123,9 @@ impl DisjointSets {
     }
 }
 
-/// Groups `agents` — each given with its current step and position — into
-/// clusters of transitively coupled agents.
-///
-/// # Same-step contract
-///
-/// Coupling is only defined between agents at the **same** step (§3.2):
-/// mixing steps here would union agents the rules forbid from advancing
-/// together. Every input must therefore carry `step`; this precondition
-/// is *checked* (a `debug_assert!`), not assumed — callers gathering
-/// agents from a [`crate::depgraph::DepGraph`] pass the steps they
-/// already hold, and release builds pay nothing.
-///
-/// Returns clusters as sorted member lists, ordered by smallest member id.
-/// This is the `geo_clustering` routine on line 8 of Algorithm 3.
-pub fn geo_cluster<S: Space>(
-    space: &S,
-    params: RuleParams,
-    step: Step,
-    agents: &[(AgentId, Step, S::Pos)],
-) -> Vec<Vec<AgentId>> {
-    debug_assert!(
-        agents.iter().all(|(_, s, _)| *s == step),
-        "geo_cluster requires every agent at {step}; got {:?}",
-        agents
-            .iter()
-            .filter(|(_, s, _)| *s != step)
-            .map(|(a, s, _)| (*a, *s))
-            .collect::<Vec<_>>()
-    );
-    let mut ds = DisjointSets::new(agents.len());
-    let pts: Vec<S::Pos> = agents.iter().map(|(_, _, p)| *p).collect();
-    for (i, j) in space.pairs_within(&pts, params.coupling_units()) {
-        ds.union(i, j);
-    }
-    ds.groups()
-        .into_iter()
-        .map(|g| g.into_iter().map(|i| agents[i].0).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::{GridSpace, Point};
 
     #[test]
     fn union_find_basics() {
@@ -193,66 +148,5 @@ mod tests {
         }
         assert_eq!(ds.set_count(), 1);
         assert!(ds.same(1, 999));
-    }
-
-    #[test]
-    fn clustering_transitive_chain() {
-        // Chain of agents 5 apart: each couples with its neighbor (r+v=5),
-        // so the whole chain forms one cluster even though the ends are far
-        // apart.
-        let g = GridSpace::new(100, 100);
-        let p = RuleParams::genagent();
-        let agents: Vec<(AgentId, Step, Point)> = (0..5)
-            .map(|i| (AgentId(i), Step(0), Point::new(i as i32 * 5, 0)))
-            .collect();
-        let clusters = geo_cluster(&g, p, Step(0), &agents);
-        assert_eq!(clusters.len(), 1);
-        assert_eq!(clusters[0].len(), 5);
-    }
-
-    #[test]
-    fn clustering_separates_distant_groups() {
-        let g = GridSpace::new(200, 200);
-        let p = RuleParams::genagent();
-        let agents = vec![
-            (AgentId(0), Step(0), Point::new(0, 0)),
-            (AgentId(1), Step(0), Point::new(3, 0)),
-            (AgentId(2), Step(0), Point::new(100, 100)),
-            (AgentId(3), Step(0), Point::new(103, 100)),
-            (AgentId(4), Step(0), Point::new(50, 50)),
-        ];
-        let clusters = geo_cluster(&g, p, Step(0), &agents);
-        assert_eq!(
-            clusters,
-            vec![
-                vec![AgentId(0), AgentId(1)],
-                vec![AgentId(2), AgentId(3)],
-                vec![AgentId(4)]
-            ]
-        );
-    }
-
-    #[test]
-    fn empty_and_singleton_inputs() {
-        let g = GridSpace::new(10, 10);
-        let p = RuleParams::genagent();
-        assert!(geo_cluster::<GridSpace>(&g, p, Step(0), &[]).is_empty());
-        let one = vec![(AgentId(7), Step(0), Point::new(1, 1))];
-        assert_eq!(geo_cluster(&g, p, Step(0), &one), vec![vec![AgentId(7)]]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn mixed_step_input_is_rejected() {
-        let g = GridSpace::new(10, 10);
-        let p = RuleParams::genagent();
-        let agents = vec![
-            (AgentId(0), Step(0), Point::new(0, 0)),
-            (AgentId(1), Step(1), Point::new(1, 0)),
-        ];
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            geo_cluster(&g, p, Step(0), &agents)
-        }));
-        assert!(result.is_err(), "same-step contract must be enforced");
     }
 }

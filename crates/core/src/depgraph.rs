@@ -266,13 +266,8 @@ pub struct DepGraph<S: Space> {
     history: bool,
     /// Reused `(agent, step, position)` targets of an advance.
     targets: Vec<(AgentId, Step, S::Pos)>,
-    /// Reused `(agent, encoded record)` buffer for transactions.
-    records: Vec<(u32, Bytes)>,
     /// Reused scratch the records are encoded in before being copied out.
     encode_buf: BytesMut,
-    /// Reused history write/delete buffer: `(key, Some(value))` writes,
-    /// `(key, None)` deletes.
-    hist_records: Vec<(Key, Option<Bytes>)>,
     /// Reused candidate and edge buffers of a serial relink.
     scratch: Vec<u32>,
     edges_out: Vec<WireEdge>,
@@ -394,9 +389,7 @@ impl<S: Space> DepGraph<S> {
             commits_key: Key::new("dep:commits"),
             history: options.history,
             targets: Vec::new(),
-            records: Vec::new(),
             encode_buf: BytesMut::new(),
-            hist_records: Vec::new(),
             scratch: Vec::new(),
             edges_out: Vec::new(),
             relink_threads: 0,
@@ -595,56 +588,35 @@ impl<S: Space> DepGraph<S> {
         targets: &[(AgentId, Step, S::Pos)],
         commit: bool,
     ) -> Result<(), StoreError> {
-        // Encode the records outside the closure: retries must be
-        // idempotent and the mirror untouched until commit. The record
-        // list, the encode scratch, the keys and the transaction's own
-        // sets are all reused or refcounted — the commit allocates once
-        // per record for the stored value, once for the counter's new
-        // value, and nothing else.
-        let mut records = std::mem::take(&mut self.records);
-        records.clear();
-        for &(a, step, pos) in targets {
-            let value = encode_record(&*self.space, &mut self.encode_buf, step, pos);
-            records.push((a.0, value));
-        }
-        let mut hist = std::mem::take(&mut self.hist_records);
-        hist.clear();
-        if self.history {
-            // A step's record and its immutable history entry commit or
-            // retry together. A squash rewrites history: the target
-            // step's record is replaced (its position may differ from the
-            // first visit) and every discarded future step's record is
-            // deleted, so history only ever describes committed,
-            // non-squashed state.
-            for (&(a, step, _), (_, value)) in targets.iter().zip(&records) {
-                let key = Key::tagged_u32_pair(HIST_TAG, step.0, a.0);
-                hist.push((key, Some(value.clone())));
-                for squashed in (step.0 + 1)..=self.nodes[a.index()].step.0 {
-                    hist.push((Key::tagged_u32_pair(HIST_TAG, squashed, a.0), None));
+        // The mirror stays untouched until the batch commits. The encode
+        // scratch, the keys and the batch's own buffer are all reused or
+        // refcounted — the commit allocates once per record for the
+        // stored value, once for the counter's new value, and nothing
+        // else.
+        let (space, buf, nodes) = (&*self.space, &mut self.encode_buf, &self.nodes);
+        let (keys, commits_key, history) = (&self.keys, &self.commits_key, self.history);
+        self.db.transaction(|txn| {
+            for &(a, step, pos) in targets {
+                let value = encode_record(space, buf, step, pos);
+                if history {
+                    // A step's record and its immutable history entry
+                    // commit together. A squash rewrites history: the
+                    // target step's record is replaced (its position may
+                    // differ from the first visit) and every discarded
+                    // future step's record is deleted, so history only
+                    // ever describes committed, non-squashed state.
+                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, step.0, a.0), value.clone());
+                    for squashed in (step.0 + 1)..=nodes[a.index()].step.0 {
+                        txn.del(Key::tagged_u32_pair(HIST_TAG, squashed, a.0));
+                    }
                 }
-            }
-        }
-        let (keys, commits_key) = (&self.keys, &self.commits_key);
-        let result = self.db.transaction(|txn| {
-            for (a, value) in &records {
-                txn.set_key(&keys[*a as usize], value.clone());
-            }
-            for (key, value) in &hist {
-                match value {
-                    Some(v) => txn.set_key(key, v.clone()),
-                    None => txn.del(key),
-                }
+                txn.set_key(&keys[a.index()], value);
             }
             if commit {
                 txn.incr_key(commits_key, 1)?;
             }
             Ok(())
-        });
-        records.clear();
-        self.records = records;
-        hist.clear();
-        self.hist_records = hist;
-        result?;
+        })?;
         self.apply(targets);
         Ok(())
     }

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use parking_lot::Mutex;
 
 use aim_store::{Db, Key, StoreError};
@@ -167,8 +167,6 @@ pub struct ShardWorker<S: Space> {
     scratch: Vec<u32>,
     /// Reused scratch the records are encoded in before being copied out.
     encode_buf: BytesMut,
-    /// Reused `(agent, next step, encoded record)` list of one commit.
-    records: Vec<(u32, u32, Bytes)>,
 }
 
 impl<S: Space> fmt::Debug for ShardWorker<S> {
@@ -214,7 +212,6 @@ impl<S: Space> ShardWorker<S> {
             handled: 0,
             scratch: Vec::new(),
             encode_buf: BytesMut::new(),
-            records: Vec::new(),
         }
     }
 
@@ -431,71 +428,55 @@ impl<S: Space> ShardWorker<S> {
     }
 
     fn commit(&mut self, updates: &[(u32, S::Pos)]) -> Result<(), StoreError> {
-        // Encode outside the transaction closure: retries must be
-        // idempotent, and the in-memory state untouched until commit —
-        // the same discipline (and the same reused record list) as
-        // `DepGraph::advance`. A refused commit drops the list; the next
-        // one grows it again.
-        let mut records = std::mem::take(&mut self.records);
-        for &(a, pos) in updates {
-            let (_, step) = self.member(a)?;
-            let next = step + 1;
-            let value = encode_record(&*self.space, &mut self.encode_buf, Step(next), pos);
-            records.push((a, next, value));
-        }
-        let history = self.history;
-        let commits_key = &self.commits_key;
-        self.db.transaction(|txn| {
-            for (a, next, value) in &records {
-                txn.set_key(&Key::tagged_u32(AGENT_TAG, *a), value.clone());
-                if history {
-                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, *next, *a), value.clone());
+        // One operation names each agent once: every agent moves to the
+        // step after its current one, in the store first and in memory only
+        // once the batch has committed.
+        let mut buf = std::mem::take(&mut self.encode_buf);
+        let written = self.db.transaction(|txn| {
+            for &(a, pos) in updates {
+                let next = self.member(a)?.1 + 1;
+                let value = encode_record(&*self.space, &mut buf, Step(next), pos);
+                txn.set_key(&Key::tagged_u32(AGENT_TAG, a), value.clone());
+                if self.history {
+                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, next, a), value);
                 }
             }
-            txn.incr_key(commits_key, 1)
-        })?;
-        for (&(a, pos), &(_, next, _)) in updates.iter().zip(&records) {
-            self.apply_state(a, next, pos);
+            txn.incr_key(&self.commits_key, 1)
+        });
+        self.encode_buf = buf;
+        written?;
+        for &(a, pos) in updates {
+            self.apply_state(a, self.members[&a].1 + 1, pos);
         }
-        records.clear();
-        self.records = records;
         Ok(())
     }
 
     fn rollback(&mut self, updates: &[(u32, u32, S::Pos)]) -> Result<(), StoreError> {
-        let mut records = Vec::with_capacity(updates.len());
-        // `(key, None)` deletes of squashed future history.
-        let mut doomed: Vec<Key> = Vec::new();
-        for &(a, step, pos) in updates {
-            let (_, current) = self.member(a)?;
-            if step > current {
-                return Err(StoreError::Codec(format!(
-                    "rollback of agent {a} to step {step} is ahead of current {current}"
-                )));
-            }
-            let value = encode_record(&*self.space, &mut self.encode_buf, Step(step), pos);
-            records.push((a, step, value));
-            if self.history {
-                for squashed in (step + 1)..=current {
-                    doomed.push(Key::tagged_u32_pair(HIST_TAG, squashed, a));
+        // A refused update fails the whole batch, so nothing is written.
+        let mut buf = std::mem::take(&mut self.encode_buf);
+        let written = self.db.transaction(|txn| {
+            for &(a, step, pos) in updates {
+                let (_, current) = self.member(a)?;
+                if step > current {
+                    return Err(StoreError::Codec(format!(
+                        "rollback of agent {a} to step {step} is ahead of current {current}"
+                    )));
                 }
-            }
-        }
-        let history = self.history;
-        self.db.transaction(|txn| {
-            for (a, step, value) in &records {
-                txn.set_key(&Key::tagged_u32(AGENT_TAG, *a), value.clone());
-                if history {
+                let value = encode_record(&*self.space, &mut buf, Step(step), pos);
+                txn.set_key(&Key::tagged_u32(AGENT_TAG, a), value.clone());
+                if self.history {
                     // A squash rewrites history: the target step's record
                     // is replaced and discarded future steps vanish.
-                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, *step, *a), value.clone());
+                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, step, a), value);
+                    for squashed in (step + 1)..=current {
+                        txn.del(Key::tagged_u32_pair(HIST_TAG, squashed, a));
+                    }
                 }
             }
-            for key in &doomed {
-                txn.del(key);
-            }
             Ok(())
-        })?;
+        });
+        self.encode_buf = buf;
+        written?;
         for &(a, step, pos) in updates {
             self.apply_state(a, step, pos);
         }
@@ -574,22 +555,15 @@ impl<S: Space> ShardWorker<S> {
                 )));
             }
         }
-        let mut writes: Vec<(Key, Bytes)> = Vec::with_capacity(records.len());
-        for r in &records {
-            writes.push((
-                Key::tagged_u32(AGENT_TAG, r.agent),
-                encode_record(&*self.space, &mut self.encode_buf, Step(r.step), r.pos),
-            ));
-            for &(step, pos) in &r.history {
-                writes.push((
-                    Key::tagged_u32_pair(HIST_TAG, step, r.agent),
-                    encode_record(&*self.space, &mut self.encode_buf, Step(step), pos),
-                ));
-            }
-        }
+        let (space, buf) = (&*self.space, &mut self.encode_buf);
         self.db.transaction(|txn| {
-            for (key, value) in &writes {
-                txn.set_key(key, value.clone());
+            for r in &records {
+                let value = encode_record(space, buf, Step(r.step), r.pos);
+                txn.set_key(&Key::tagged_u32(AGENT_TAG, r.agent), value);
+                for &(step, pos) in &r.history {
+                    let value = encode_record(space, buf, Step(step), pos);
+                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, step, r.agent), value);
+                }
             }
             Ok(())
         })?;

@@ -61,7 +61,7 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = EngineError::from(StoreError::TxnConflict { attempts: 2 });
+        let e = EngineError::from(StoreError::Codec("bad record".into()));
         assert!(e.to_string().contains("dependency store error"));
         assert!(e.source().is_some());
         let d = EngineError::Deadlock { detail: "x".into() };

@@ -21,12 +21,12 @@
 //! | [`rules`] | §3.2, App. A | the coupled/blocked predicates and validity condition |
 //! | [`depgraph`] | §3.3 | store-backed spatiotemporal dependency graph |
 //! | [`shard`] | scale-out | spatially sharded dependency tracking for 10k+ agents |
-//! | [`cluster`] | §3.4 | geo-clustering of coupled agents (union-find) |
-//! | [`scheduler`] | §3.1 | the controller state machine emitting ready clusters |
+//! | [`scheduler`] | §3.1, §3.4 | the controller state machine; grows each ready cluster of coupled agents from the tracker's coupling edges |
 //! | [`exec`] | §3.5–3.6 | discrete-event (replay) and threaded (live) drivers |
 //!
 //! plus [`policy`] (the evaluation's baselines: `parallel-sync`, `oracle`,
-//! `no-dependency`), [`space`] (grid and social-network metrics),
+//! `no-dependency`), [`cluster`] (the union-find behind the oracle's
+//! interaction components), [`space`] (grid and social-network metrics),
 //! [`workload`] (trace replay interface), [`metrics`] (run reports),
 //! [`spec`] (the §6 future-work design: speculative execution with race
 //! detection and rollback), and [`engine`] (a one-stop facade).
@@ -35,8 +35,8 @@
 //!
 //! The dependency-tracking loop stays sub-quadratic through two
 //! structures documented in their modules: the uniform-grid spatial
-//! index of [`space`] (`pairs_within` over sorted cell keys plus the
-//! dynamic [`space::SpatialIndex`]) and the incremental blocked/coupled
+//! index of [`space`] (the multi-resolution [`space::SpatialIndex`]
+//! behind every neighbourhood query) and the incremental blocked/coupled
 //! edge maintenance of [`depgraph`] (only edges incident to agents that
 //! moved are repaired per commit; queries serve from adjacency without
 //! allocating). Both preserve *exactness* — every index candidate is

@@ -8,19 +8,17 @@
 //!
 //! # Spatial indexing
 //!
-//! Dependency tracking asks two neighborhood questions constantly: "which
-//! pairs of a point set are within `units`?" ([`Space::pairs_within`],
-//! driving geo-clustering) and "which tracked agents are within `units` of
-//! this position?" ([`SpatialIndex::query`], driving incremental edge
-//! maintenance in [`crate::depgraph`] and every race, observation and
-//! clearance check of [`crate::spec`]). For [`GridSpace`] both are served
-//! by uniform grids, so any two points within `units` land in the same or
-//! adjacent cells and only a small cell neighborhood is examined — O(n)
-//! for bounded-density crowds instead of the O(n²) all-pairs scan. The
-//! static pair search sizes its cells to the one radius it is asked for;
-//! the dynamic [`UniformGrid`] is asked for radii that grow with the step
-//! gap and keeps three resolutions so that every one of them is a 9–25
-//! cell question. Candidate filtering always goes through
+//! Dependency tracking asks one neighborhood question constantly: "which
+//! tracked agents are within `units` of this position?"
+//! ([`SpatialIndex::query`], driving incremental edge maintenance in
+//! [`crate::depgraph`], cluster growth in the scheduler, and every race,
+//! observation and clearance check of [`crate::spec`]). For [`GridSpace`]
+//! it is served by a uniform grid, so any two points within `units` land
+//! in the same or adjacent cells and only a small cell neighborhood is
+//! examined — O(1) per query for bounded-density crowds instead of a scan
+//! of the population. The [`UniformGrid`] is asked for radii that grow
+//! with the step gap and keeps three resolutions so that every one of them
+//! is a 9–25 cell question. Candidate filtering always goes through
 //! [`Space::within_units`], which is **exact** (integer / 128-bit
 //! arithmetic, no floating point), so indexing changes *cost*, never a
 //! scheduling decision.
@@ -115,25 +113,6 @@ pub trait Space: Send + Sync + 'static {
     /// Returns [`StoreError::Codec`] on malformed input.
     fn decode_pos(&self, buf: &mut Bytes) -> Result<Self::Pos, StoreError>;
 
-    /// All unordered index pairs `(i, j)`, `i < j`, with
-    /// `dist(pts[i], pts[j]) <= units`.
-    ///
-    /// The returned *set* of pairs is exact and deterministic for a given
-    /// input, but the order is unspecified (callers that need a canonical
-    /// order sort the result). The default implementation is the O(n²)
-    /// scan; spatially indexable spaces should override it.
-    fn pairs_within(&self, pts: &[Self::Pos], units: u64) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                if self.within_units(pts[i], pts[j], units) {
-                    out.push((i, j));
-                }
-            }
-        }
-        out
-    }
-
     /// Builds a dynamic neighborhood index over this space with query
     /// granularity `cell_units` (typically the coupling radius), or `None`
     /// if the space has no better answer than scanning every tracked
@@ -214,94 +193,14 @@ impl Space for GridSpace {
         Ok(Point::new(codec::get_i32(buf)?, codec::get_i32(buf)?))
     }
 
-    /// Uniform-grid pair search: bucket points into cells of side `units`
-    /// by sorting packed cell keys (no hashing, no per-bucket
-    /// allocations), then pair each cell only with its forward
-    /// neighborhood — east, south-west, south, south-east — so every
-    /// candidate cell pair is visited exactly once. O(n log n) worst case,
-    /// O(n + pairs) for bounded-density crowds.
-    fn pairs_within(&self, pts: &[Point], units: u64) -> Vec<(usize, usize)> {
-        // Tiny inputs and degenerate thresholds (a radius that spans the
-        // whole i32 plane pairs nearly everything anyway): plain scan.
-        if pts.len() < 16 || units >= cells::MAX_UNITS {
-            let mut out = Vec::new();
-            for i in 0..pts.len() {
-                for j in (i + 1)..pts.len() {
-                    if self.within_units(pts[i], pts[j], units) {
-                        out.push((i, j));
-                    }
-                }
-            }
-            return out;
-        }
-        let cell = units.max(1) as i64;
-        let mut keyed: Vec<(u64, u32)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (cells::key_of(*p, cell), i as u32))
-            .collect();
-        keyed.sort_unstable();
-        let push_checked = |out: &mut Vec<(usize, usize)>, a: u32, b: u32| {
-            if self.within_units(pts[a as usize], pts[b as usize], units) {
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                out.push((lo as usize, hi as usize));
-            }
-        };
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        while start < keyed.len() {
-            let key = keyed[start].0;
-            let mut end = start + 1;
-            while end < keyed.len() && keyed[end].0 == key {
-                end += 1;
-            }
-            let (cx, cy) = cells::unpack(key);
-            // Same cell: all pairs (cell diagonal exceeds `units`, so the
-            // exact check still applies).
-            for a in start..end {
-                for b in (a + 1)..end {
-                    push_checked(&mut out, keyed[a].1, keyed[b].1);
-                }
-            }
-            // East neighbor (cx, cy+1): keys are consecutive, so its run
-            // (if populated) starts exactly at `end`.
-            if cy < cells::COORD_MAX {
-                let mut t = end;
-                while t < keyed.len() && keyed[t].0 == key + 1 {
-                    for a in start..end {
-                        push_checked(&mut out, keyed[a].1, keyed[t].1);
-                    }
-                    t += 1;
-                }
-            }
-            // South row trio (cx+1, cy-1..=cy+1): one contiguous key range
-            // located with a single binary search.
-            if cx < cells::COORD_MAX {
-                let lo = cells::pack(cx + 1, (cy - 1).max(cells::COORD_MIN));
-                let hi = cells::pack(cx + 1, (cy + 1).min(cells::COORD_MAX));
-                let mut t = end + keyed[end..].partition_point(|&(k, _)| k < lo);
-                while t < keyed.len() && keyed[t].0 <= hi {
-                    for a in start..end {
-                        push_checked(&mut out, keyed[a].1, keyed[t].1);
-                    }
-                    t += 1;
-                }
-            }
-            start = end;
-        }
-        out
-    }
-
     fn make_index(&self, cell_units: u64) -> Option<Box<dyn SpatialIndex<Point>>> {
         Some(Box::new(UniformGrid::new(cell_units)))
     }
 }
 
-/// Cell-coordinate math shared by the static pair search and the dynamic
-/// [`UniformGrid`]: positions are bucketed by `div_euclid(cell)` and the
-/// two cell coordinates are packed into one order-preserving `u64` key
-/// (row-major: all of row `cx` sorts before row `cx+1`, and within a row
-/// keys are consecutive in `cy`).
+/// Cell-coordinate math of the [`UniformGrid`]: positions are bucketed by
+/// `div_euclid(cell)` and the two cell coordinates are packed into one
+/// `u64` key.
 mod cells {
     use super::Point;
 
@@ -319,13 +218,6 @@ mod cells {
         debug_assert!((COORD_MIN..=COORD_MAX).contains(&cx));
         debug_assert!((COORD_MIN..=COORD_MAX).contains(&cy));
         (((cx + OFFSET) as u64) << 32) | ((cy + OFFSET) as u64)
-    }
-
-    pub(super) fn unpack(key: u64) -> (i64, i64) {
-        (
-            ((key >> 32) as i64) - OFFSET,
-            ((key & 0xffff_ffff) as i64) - OFFSET,
-        )
     }
 
     pub(super) fn coords_of(p: Point, cell: i64) -> (i64, i64) {
@@ -400,8 +292,7 @@ pub(crate) fn query_or_all<P>(
 
 /// FxHash-style mixer for the `u64` cell keys of [`UniformGrid`]: one
 /// multiply by a 64-bit golden-ratio constant plus a finishing xor-shift,
-/// ~5 ns per lookup versus ~25 ns for the default SipHash (the difference
-/// is the bulk of the old `pairs_within` cost at 1000 agents).
+/// ~5 ns per lookup versus ~25 ns for the default SipHash.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CellKeyHasher(u64);
 
@@ -777,56 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn pairs_within_matches_naive_scan() {
-        let g = GridSpace::new(1000, 1000);
-        // Deterministic pseudo-random layout.
-        let mut pts = Vec::new();
-        let mut state = 12345u64;
-        for _ in 0..200 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let x = (state >> 33) % 300;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let y = (state >> 33) % 300;
-            pts.push(Point::new(x as i32, y as i32));
-        }
-        for units in [1u64, 5, 17, 50] {
-            let mut naive = Vec::new();
-            for i in 0..pts.len() {
-                for j in (i + 1)..pts.len() {
-                    if g.within_units(pts[i], pts[j], units) {
-                        naive.push((i, j));
-                    }
-                }
-            }
-            let mut fast = g.pairs_within(&pts, units);
-            fast.sort_unstable();
-            assert_eq!(fast, naive, "units={units}");
-        }
-    }
-
-    #[test]
-    fn pairs_within_extreme_coordinates() {
-        let g = GridSpace::new(10, 10);
-        // Spanning the whole i32 range must neither overflow nor pair.
-        let pts = vec![
-            Point::new(i32::MIN, i32::MIN),
-            Point::new(i32::MAX, i32::MAX),
-            Point::new(i32::MIN + 3, i32::MIN),
-            Point::new(0, 0),
-        ];
-        let mut got = g.pairs_within(&pts, 3);
-        got.sort_unstable();
-        assert_eq!(got, vec![(0, 2)]);
-        // A threshold beyond the packable cell range pairs everything.
-        let all = g.pairs_within(&pts, u64::MAX);
-        assert_eq!(all.len(), 6);
-    }
-
-    #[test]
     fn within_units_exact_at_extremes() {
         let g = GridSpace::new(10, 10);
         let a = Point::new(i32::MIN, 0);
@@ -964,14 +805,6 @@ mod tests {
         assert_eq!(s.dist(NodeId(0), NodeId(4)), f64::INFINITY);
         assert!(!s.within_units(NodeId(0), NodeId(4), u64::MAX));
         assert_eq!(s.neighbors(NodeId(1)), &[0, 2]);
-    }
-
-    #[test]
-    fn social_pairs_within_default_impl() {
-        let s = SocialSpace::new(4, &[(0, 1), (1, 2), (2, 3)]);
-        let pts = vec![NodeId(0), NodeId(1), NodeId(3)];
-        assert_eq!(s.pairs_within(&pts, 1), vec![(0, 1)]);
-        assert_eq!(s.pairs_within(&pts, 2), vec![(0, 1), (1, 2)]);
     }
 
     #[test]

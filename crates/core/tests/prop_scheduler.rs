@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use aim_core::cluster::{geo_cluster, DisjointSets};
 use aim_core::policy::DependencyPolicy;
 use aim_core::prelude::*;
 use aim_core::rules::{self, RuleParams};
@@ -142,56 +141,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// geo_cluster returns exactly the connected components of the
-    /// coupling graph.
-    #[test]
-    fn clusters_are_connected_components(
-        points in arb_points(12, 20),
-        r in 1u32..5, v in 1u32..3,
-    ) {
-        let g = GridSpace::new(64, 64);
-        let params = RuleParams::new(r, v);
-        let agents: Vec<(AgentId, Step, Point)> =
-            points.iter().enumerate().map(|(i, p)| (AgentId(i as u32), Step(0), *p)).collect();
-        let clusters = geo_cluster(&g, params, Step(0), &agents);
-        // Reference: union-find over the naive pair scan.
-        let mut ds = DisjointSets::new(points.len());
-        for i in 0..points.len() {
-            for j in (i + 1)..points.len() {
-                if g.within_units(points[i], points[j], params.coupling_units()) {
-                    ds.union(i, j);
-                }
-            }
-        }
-        let expect: Vec<Vec<AgentId>> = ds
-            .groups()
-            .into_iter()
-            .map(|grp| grp.into_iter().map(|i| AgentId(i as u32)).collect())
-            .collect();
-        prop_assert_eq!(clusters, expect);
-    }
-
-    /// The uniform-grid pair search agrees with the naive O(n²) scan
-    /// (as a set — `pairs_within` leaves pair order unspecified).
-    #[test]
-    fn pairs_within_matches_naive(
-        points in arb_points(40, 60),
-        units in 1u64..12,
-    ) {
-        let g = GridSpace::new(64, 64);
-        let mut fast = g.pairs_within(&points, units);
-        fast.sort_unstable();
-        let mut naive = Vec::new();
-        for i in 0..points.len() {
-            for j in (i + 1)..points.len() {
-                if g.within_units(points[i], points[j], units) {
-                    naive.push((i, j));
-                }
-            }
-        }
-        prop_assert_eq!(fast, naive);
     }
 }
 

@@ -136,9 +136,6 @@ impl Space for Unindexed {
     fn decode_pos(&self, buf: &mut Bytes) -> Result<Point, StoreError> {
         self.0.decode_pos(buf)
     }
-    fn pairs_within(&self, pts: &[Point], units: u64) -> Vec<(usize, usize)> {
-        self.0.pairs_within(pts, units)
-    }
     fn make_index(&self, _cell_units: u64) -> Option<Box<dyn SpatialIndex<Point>>> {
         None
     }

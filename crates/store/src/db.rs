@@ -15,16 +15,6 @@ use crate::txn::{self, Txn};
 /// structure.
 pub(crate) const SHARD_COUNT: usize = 16;
 
-/// A single versioned value.
-#[derive(Debug, Clone)]
-pub(crate) struct Entry {
-    /// Strictly increasing per shard; used by optimistic transactions to
-    /// detect concurrent writes (including delete-then-recreate, which
-    /// receives a fresh, larger version rather than restarting at zero).
-    pub(crate) version: u64,
-    pub(crate) value: Bytes,
-}
-
 /// The store's one key hash: a multiply-fold over the key bytes, eight at
 /// a time (the `CellKeyHasher` idea of `aim-core`'s grid index, widened to
 /// the full 128-bit product so high input bytes reach the low output bits).
@@ -96,30 +86,16 @@ pub(crate) fn shard_of_hash(hash: u64) -> usize {
     (hash >> 32) as usize & (SHARD_COUNT - 1)
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct ShardInner {
-    pub(crate) map: HashMap<Bytes, Entry, BuildHasherDefault<KeyHasher>>,
-    /// Next version to hand out in this shard. Starts at 1 so that version 0
-    /// never appears and can be reserved for "absent" in validation logic.
-    pub(crate) next_version: u64,
-}
+/// One shard's keys and values.
+pub(crate) type Shard = HashMap<Bytes, Bytes, BuildHasherDefault<KeyHasher>>;
 
-impl ShardInner {
-    pub(crate) fn bump(&mut self) -> u64 {
-        self.next_version += 1;
-        self.next_version
-    }
-
-    /// Stores `value` at `key` under a fresh version. An existing entry
-    /// is overwritten in place; `owned_key` is only called (and the key
-    /// only allocated or cloned) when the key is new to the shard.
-    pub(crate) fn put(&mut self, key: &[u8], owned_key: impl FnOnce() -> Bytes, value: Bytes) {
-        let version = self.bump();
-        match self.map.get_mut(key) {
-            Some(entry) => *entry = Entry { version, value },
-            None => {
-                self.map.insert(owned_key(), Entry { version, value });
-            }
+/// Stores `value` at `key`, overwriting an existing value in place: the
+/// key is only copied when it is new to the shard.
+fn put(shard: &mut Shard, key: &[u8], value: Bytes) {
+    match shard.get_mut(key) {
+        Some(slot) => *slot = value,
+        None => {
+            shard.insert(Bytes::copy_from_slice(key), value);
         }
     }
 }
@@ -136,15 +112,18 @@ pub struct DbStats {
     pub keys: usize,
     /// Cumulative successful point reads (`get`).
     pub gets: u64,
-    /// Cumulative writes (`set`, `del`, `incr`, transactional writes).
+    /// Cumulative writes (`set`, `del`, `incr`, and one per distinct key
+    /// of a committed [`Db::transaction`]).
     pub writes: u64,
-    /// Cumulative committed transactions.
+    /// Cumulative committed [`Db::transaction`] batches.
     pub txn_commits: u64,
-    /// Cumulative transaction validation conflicts (each triggers a retry).
+    /// Always 0. A [`Db::transaction`] is a write batch that reads
+    /// nothing, so no batch can conflict with another; the field is kept
+    /// for callers that report every counter.
     pub txn_conflicts: u64,
 }
 
-/// A sharded, versioned, in-memory key-value store.
+/// A sharded, in-memory key-value store.
 ///
 /// `Db` is the embedded stand-in for the Redis instance the AI Metropolis
 /// paper uses to hold the dependency graph and simulation state (§3.3,
@@ -167,11 +146,10 @@ pub struct DbStats {
 /// assert_eq!(db.incr("counter", -1).unwrap(), 1);
 /// ```
 pub struct Db {
-    pub(crate) shards: Vec<RwLock<ShardInner>>,
+    pub(crate) shards: Vec<RwLock<Shard>>,
     gets: AtomicU64,
     writes: AtomicU64,
-    pub(crate) txn_commits: AtomicU64,
-    pub(crate) txn_conflicts: AtomicU64,
+    txn_commits: AtomicU64,
 }
 
 impl fmt::Debug for Db {
@@ -191,12 +169,11 @@ impl Db {
     pub fn new() -> Self {
         Db {
             shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(ShardInner::default()))
+                .map(|_| RwLock::new(Shard::default()))
                 .collect(),
             gets: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             txn_commits: AtomicU64::new(0),
-            txn_conflicts: AtomicU64::new(0),
         }
     }
 
@@ -218,14 +195,7 @@ impl Db {
         self.gets.fetch_add(1, Ordering::Relaxed);
         let key = key.as_ref();
         let shard = self.shards[Self::shard_index(key)].read();
-        shard.map.get(key).map(|e| e.value.clone())
-    }
-
-    /// Returns the value and its internal version, used by transactions
-    /// (which already know the key's shard).
-    pub(crate) fn versioned_get(&self, shard: usize, key: &[u8]) -> Option<(u64, Bytes)> {
-        let shard = self.shards[shard].read();
-        shard.map.get(key).map(|e| (e.version, e.value.clone()))
+        shard.get(key).cloned()
     }
 
     /// Stores `value` at `key`, replacing any previous value.
@@ -233,28 +203,23 @@ impl Db {
         self.writes.fetch_add(1, Ordering::Relaxed);
         let key = key.as_ref();
         let value = value.into();
-        self.shards[Self::shard_index(key)]
-            .write()
-            .put(key, || Bytes::copy_from_slice(key), value);
+        put(&mut self.shards[Self::shard_index(key)].write(), key, value);
     }
 
     /// Removes `key`, returning `true` if it was present.
     pub fn del(&self, key: impl AsRef<[u8]>) -> bool {
         self.writes.fetch_add(1, Ordering::Relaxed);
         let key = key.as_ref();
-        let mut shard = self.shards[Self::shard_index(key)].write();
-        // Bump the shard version so a recreation cannot reuse an old version.
-        shard.bump();
-        shard.map.remove(key).is_some()
+        self.shards[Self::shard_index(key)]
+            .write()
+            .remove(key)
+            .is_some()
     }
 
     /// Returns `true` if `key` is present.
     pub fn contains(&self, key: impl AsRef<[u8]>) -> bool {
         let key = key.as_ref();
-        self.shards[Self::shard_index(key)]
-            .read()
-            .map
-            .contains_key(key)
+        self.shards[Self::shard_index(key)].read().contains_key(key)
     }
 
     /// Atomically adds `delta` to the signed 64-bit integer at `key`
@@ -271,14 +236,14 @@ impl Db {
         self.writes.fetch_add(1, Ordering::Relaxed);
         let key_ref = key.as_ref();
         let mut shard = self.shards[Self::shard_index(key_ref)].write();
-        let cur = match shard.map.get(key_ref) {
+        let cur = match shard.get(key_ref) {
             None => 0,
-            Some(e) => crate::codec::i64_value(&e.value)?,
+            Some(value) => crate::codec::i64_value(value)?,
         };
         let next = cur.wrapping_add(delta);
-        shard.put(
+        put(
+            &mut shard,
             key_ref,
-            || Bytes::copy_from_slice(key_ref),
             Bytes::copy_from_slice(&crate::codec::i64_bytes(next)),
         );
         Ok(next)
@@ -287,9 +252,8 @@ impl Db {
     /// Returns all `(key, value)` pairs whose key starts with `prefix`,
     /// sorted by key.
     ///
-    /// Scans are *not* transactional: concurrent writers may be observed
-    /// partially. Use key-level reads inside [`Db::transaction`] when
-    /// consistency matters. Large scans that only need to *visit* records
+    /// Scans are *not* atomic: a concurrent [`Db::transaction`] may be
+    /// observed partially. Large scans that only need to *visit* records
     /// should prefer [`Db::for_each_prefix`], which does not materialize
     /// the value handles up front.
     pub fn scan_prefix(&self, prefix: impl AsRef<[u8]>) -> Vec<(Bytes, Bytes)> {
@@ -297,9 +261,9 @@ impl Db {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.read();
-            for (k, e) in &shard.map {
+            for (k, v) in shard.iter() {
                 if k.starts_with(prefix) {
-                    out.push((k.clone(), e.value.clone()));
+                    out.push((k.clone(), v.clone()));
                 }
             }
         }
@@ -335,7 +299,7 @@ impl Db {
         let mut keys: Vec<Bytes> = Vec::new();
         for shard in &self.shards {
             let shard = shard.read();
-            for k in shard.map.keys() {
+            for k in shard.keys() {
                 if k.starts_with(prefix) {
                     keys.push(k.clone());
                 }
@@ -347,8 +311,8 @@ impl Db {
             // checkpoint pass does not distort the `gets` counter.
             let value = {
                 let shard = self.shards[Self::shard_index(&k)].read();
-                match shard.map.get(&k) {
-                    Some(e) => e.value.clone(),
+                match shard.get(&k) {
+                    Some(v) => v.clone(),
                     None => continue, // deleted since the key gather
                 }
             };
@@ -358,10 +322,9 @@ impl Db {
         }
     }
 
-    /// Reads `key` as a big-endian `i64` (absent counts as 0), without
-    /// opening a transaction — the counterpart of [`crate::Txn::get_i64`]
-    /// for single-key metadata such as eviction watermarks and checkpoint
-    /// cursors.
+    /// Reads `key` as a big-endian `i64` (absent counts as 0): single-key
+    /// metadata such as commit counters, eviction watermarks and
+    /// checkpoint cursors.
     ///
     /// # Errors
     ///
@@ -373,28 +336,26 @@ impl Db {
         }
     }
 
-    /// Stores `value` as a big-endian `i64` readable by [`Db::get_i64`],
-    /// [`Db::incr`], and [`crate::Txn::get_i64`].
+    /// Stores `value` as a big-endian `i64` readable by [`Db::get_i64`]
+    /// and [`Db::incr`].
     pub fn set_i64(&self, key: impl AsRef<[u8]>, value: i64) {
         self.set(key, Bytes::copy_from_slice(&crate::codec::i64_bytes(value)));
     }
 
     /// Number of keys currently stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().map.len()).sum()
+        self.shards.iter().map(|s| s.read().len()).sum()
     }
 
     /// Returns `true` if the database holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().map.is_empty())
+        self.shards.iter().all(|s| s.read().is_empty())
     }
 
     /// Removes every key.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.write();
-            shard.bump();
-            shard.map.clear();
+            shard.write().clear();
         }
     }
 
@@ -405,65 +366,60 @@ impl Db {
             gets: self.gets.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             txn_commits: self.txn_commits.load(Ordering::Relaxed),
-            txn_conflicts: self.txn_conflicts.load(Ordering::Relaxed),
+            txn_conflicts: 0,
         }
     }
 
-    pub(crate) fn note_write(&self, n: u64) {
-        self.writes.fetch_add(n, Ordering::Relaxed);
+    /// Counts one committed batch that wrote `keys` distinct keys.
+    pub(crate) fn note_commit(&self, keys: u64) {
+        self.writes.fetch_add(keys, Ordering::Relaxed);
+        self.txn_commits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Runs `body` as an optimistic, serializable transaction and returns
-    /// its result.
+    /// Runs `body` once to fill a write batch, then applies the batch
+    /// atomically and returns the body's result.
     ///
-    /// The closure may be executed multiple times: reads performed through
-    /// the [`Txn`] handle are validated at commit time while all involved
-    /// shards are locked, and the whole closure is retried if another writer
-    /// changed any key read by this transaction. Buffered writes become
-    /// visible atomically on success.
+    /// The batch's writes become visible together: its shards are
+    /// write-locked in ascending order, each increment is resolved against
+    /// the integer the key holds under those locks, and the last write of
+    /// each key is applied. If `body` or an increment fails, nothing is
+    /// applied. [`DbStats::writes`] grows by the distinct keys written and
+    /// [`DbStats::txn_commits`] by one.
+    ///
+    /// The batch reads nothing, so it never conflicts or retries — the
+    /// engine needs no more, because each `Db` has one writer: the
+    /// controller thread that advances the dependency graph, or the one
+    /// `dist` worker that owns it. Read what a batch must decide on before
+    /// opening it.
     ///
     /// # Errors
     ///
-    /// * [`StoreError::TxnConflict`] after
-    ///   [`crate::DEFAULT_MAX_ATTEMPTS`] failed validations.
-    /// * Any error returned by `body` (e.g. via [`Txn::abort`]) is
-    ///   propagated without retrying.
+    /// * [`StoreError::Codec`] if an increment meets a stored value that
+    ///   is not an 8-byte integer (see [`Txn::incr_key`]).
+    /// * Any error returned by `body`.
     ///
     /// # Example
     ///
     /// ```
-    /// use aim_store::Db;
+    /// use aim_store::{Db, Key};
     /// # fn main() -> Result<(), aim_store::StoreError> {
     /// let db = Db::new();
-    /// db.set("a", vec![1]);
+    /// let commits = Key::new("commits");
     /// db.transaction(|txn| {
-    ///     let a = txn.get("a").unwrap_or_default();
-    ///     txn.set("b", a.to_vec());
-    ///     Ok(())
+    ///     txn.set("a", vec![1]);
+    ///     txn.set("b", vec![2]);
+    ///     txn.incr_key(&commits, 1)
     /// })?;
-    /// assert_eq!(db.get("b").as_deref(), Some(&[1u8][..]));
+    /// assert_eq!(db.get("b").as_deref(), Some(&[2u8][..]));
+    /// assert_eq!(db.get_i64(&commits)?, 1);
     /// # Ok(())
     /// # }
     /// ```
     pub fn transaction<T>(
         &self,
-        body: impl FnMut(&mut Txn<'_>) -> Result<T, StoreError>,
+        body: impl FnOnce(&mut Txn) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
-        txn::run(self, txn::DEFAULT_MAX_ATTEMPTS, body)
-    }
-
-    /// Like [`Db::transaction`] with an explicit bound on retry attempts.
-    ///
-    /// # Errors
-    ///
-    /// See [`Db::transaction`]; conflicts are reported after `max_attempts`
-    /// tries.
-    pub fn transaction_with_retries<T>(
-        &self,
-        max_attempts: u32,
-        body: impl FnMut(&mut Txn<'_>) -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
-        txn::run(self, max_attempts, body)
+        txn::run(self, body)
     }
 }
 
@@ -568,10 +524,14 @@ mod tests {
         assert_eq!(db.get_i64("w").unwrap(), 0, "absent counts as zero");
         db.set_i64("w", -7);
         assert_eq!(db.get_i64("w").unwrap(), -7);
-        // Same encoding as incr and the transactional helpers.
+        // Same encoding as incr and the batched helpers.
         assert_eq!(db.incr("w", 10).unwrap(), 3);
-        let v = db.transaction(|txn| txn.get_i64("w")).unwrap();
-        assert_eq!(v, 3);
+        db.transaction(|txn| {
+            txn.set_i64("v", 3);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(db.get_i64("v").unwrap(), 3);
         db.set("bad", vec![1, 2]);
         assert!(matches!(db.get_i64("bad"), Err(StoreError::Codec(_))));
     }
@@ -586,21 +546,6 @@ mod tests {
         assert!(!db.is_empty());
         db.clear();
         assert!(db.is_empty());
-    }
-
-    #[test]
-    fn versions_strictly_increase_across_recreation() {
-        let db = Db::new();
-        db.set("k", vec![1]);
-        let shard = Db::shard_index(b"k");
-        let (v1, _) = db.versioned_get(shard, b"k").unwrap();
-        db.del("k");
-        db.set("k", vec![2]);
-        let (v2, _) = db.versioned_get(shard, b"k").unwrap();
-        assert!(
-            v2 > v1,
-            "recreated key must have a fresh version ({v1} vs {v2})"
-        );
     }
 
     #[test]

@@ -9,16 +9,12 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StoreError {
-    /// An optimistic transaction failed validation more than the configured
-    /// number of times (another writer kept invalidating its read set).
-    TxnConflict {
-        /// Number of attempts made before giving up.
-        attempts: u32,
-    },
-    /// A transaction closure aborted with a user-supplied message.
+    /// An operation was refused with a message, applying nothing.
     ///
-    /// Returned by [`crate::Txn::abort`]; the transaction's buffered writes
-    /// are discarded.
+    /// A [`crate::Db::transaction`] body may return it to discard its
+    /// batch; callers outside the store use it for operations they do not
+    /// support (a dependency tracker without rollback refuses a squash
+    /// with it).
     TxnAborted(String),
     /// A value could not be decoded as the requested type (e.g. an `incr`
     /// on a non-integer value).
@@ -33,9 +29,6 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::TxnConflict { attempts } => {
-                write!(f, "transaction conflicted after {attempts} attempts")
-            }
             StoreError::TxnAborted(msg) => write!(f, "transaction aborted: {msg}"),
             StoreError::Codec(msg) => write!(f, "value codec error: {msg}"),
             StoreError::Io(msg) => write!(f, "snapshot i/o error: {msg}"),
@@ -57,9 +50,9 @@ mod tests {
 
     #[test]
     fn display_is_lowercase_and_concise() {
-        let e = StoreError::TxnConflict { attempts: 3 };
+        let e = StoreError::TxnAborted("no rollback".into());
         let s = e.to_string();
-        assert!(s.starts_with("transaction conflicted"));
+        assert!(s.starts_with("transaction aborted"));
         assert!(!s.ends_with('.'));
     }
 

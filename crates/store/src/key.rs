@@ -2,9 +2,9 @@
 //!
 //! The dependency-graph hot path writes one record per agent per commit.
 //! Formatting a `String` key (`format!("dep:agent:{:08}", id)`) for every
-//! write allocates and re-hashes 18 bytes per record per transaction
-//! attempt; a [`Key`] is built **once**, holds a fixed-width binary
-//! encoding in a refcounted [`Bytes`], and is cloned into transactions for
+//! write allocates and re-hashes 18 bytes per record per commit; a
+//! [`Key`] is built **once**, holds a fixed-width binary
+//! encoding in a refcounted [`Bytes`], and is cloned into write batches for
 //! the cost of a refcount bump.
 
 use std::fmt;
@@ -15,7 +15,7 @@ use bytes::Bytes;
 ///
 /// Construct once (typically at startup, one per record slot), then reuse:
 /// [`Key::clone`] and passing a key into [`crate::Txn::set_key`] /
-/// [`crate::Txn::get_key`] never copy the underlying bytes.
+/// [`crate::Txn::incr_key`] never copy the underlying bytes.
 ///
 /// # Example
 ///
