@@ -2,7 +2,8 @@
 //! the typed message boundary costs relative to the shared-memory
 //! sharded tracker, and what a protocol round-trip itself costs.
 //!
-//! Three questions, one group each:
+//! One group per question (plus `dist/handle`, the per-message dispatch
+//! floor):
 //!
 //! - `dist/roundtrip` — the floor: one no-payload request–reply cycle
 //!   through a channel-backed worker (send + worker dispatch + reply).
@@ -14,6 +15,8 @@
 //!   [`ShardedDepGraph`] at the same width: the price of full isolation
 //!   on the hot path, where the owner is handed its queued writes once
 //!   per `dist::WINDOW` of them.
+//! - `dist/depart` — one agent's departure from a worker whose store
+//!   holds 10³ or 10⁵ history records of other agents.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -235,6 +238,49 @@ fn bench_handle_no_telemetry(c: &mut Criterion) {
     grp.finish();
 }
 
+/// One agent with 8 history records departing a worker and arriving
+/// back, while the worker holds `n` history records of other agents: a
+/// migration's worker-side cost, which reads only the departing agent's
+/// records and so must not grow with the worker's store.
+fn bench_depart(c: &mut Criterion) {
+    use aim_core::dist::{NodeRecord, ShardWorker};
+    const STEPS: u32 = 100;
+    let mut grp = c.benchmark_group("dist/depart");
+    for n in [1_000u32, 100_000] {
+        let mut worker = ShardWorker::new(
+            0,
+            Arc::new(GridSpace::new(64, 64)),
+            RuleParams::genagent(),
+            Arc::new(Db::new()),
+            true,
+            Arc::default(),
+        );
+        let record = |agent: u32, steps: u32| {
+            let pos = Point::new((agent % 64) as i32, (agent / 64 % 64) as i32);
+            NodeRecord {
+                agent,
+                step: steps - 1,
+                pos,
+                history: (0..steps).map(|s| (s, pos)).collect(),
+            }
+        };
+        let mut records: Vec<_> = (1..=n / STEPS).map(|a| record(a, STEPS)).collect();
+        records.push(record(0, 8));
+        assert_eq!(worker.handle(CtrlMsg::Arrive { records }), ShardMsg::Done);
+        grp.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                let ShardMsg::Departed { records } =
+                    worker.handle(CtrlMsg::Depart { agents: vec![0] })
+                else {
+                    panic!("the mover departs");
+                };
+                black_box(worker.handle(CtrlMsg::Arrive { records }))
+            });
+        });
+    }
+    grp.finish();
+}
+
 fn bench_calibration(c: &mut Criterion) {
     // Machine-speed reference for bench_gate normalization (see
     // `aim_bench::calibration_spin`).
@@ -249,6 +295,7 @@ criterion_group!(
     bench_roundtrip,
     bench_codec,
     bench_leader_commit_skewed,
-    bench_handle_no_telemetry
+    bench_handle_no_telemetry,
+    bench_depart
 );
 criterion_main!(benches);

@@ -5,8 +5,8 @@
 //! "protocol" in its module docs is an argument about which state each
 //! boundary operation may touch. This module makes that protocol
 //! **load-bearing**: each shard becomes a [`ShardWorker`] owning its
-//! members, spatial index, step bounds, and its *own* [`aim_store::Db`]
-//! instance, and the controller-side [`DistTracker`] may only reach it
+//! members and its *own* [`aim_store::Db`] instance, and the
+//! controller-side [`DistTracker`] may only reach it
 //! through the [`msg::CtrlMsg`] / [`msg::ShardMsg`] request–reply
 //! protocol. No memory is shared between workers or with the controller
 //! (the one observability-only exception is the [`SharedTelemetry`]
@@ -18,13 +18,15 @@
 //! membership as a spatially indexed partition — ownership, step bounds,
 //! the prune test and the candidate query — plus the adjacency the
 //! scheduler reads, and repairs edges there exactly as
-//! [`crate::depgraph::DepGraph`] does. Each worker keeps its members as
-//! a one-shard partition and writes and evicts records through the
-//! graph's own record layout; it answers relink probes with the same
-//! candidate query and rule classification, which the invariant check
-//! uses to hold the mirror's adjacency to the workers' ground truth. The
-//! three trackers are therefore edge-for-edge identical by construction;
-//! what this module adds is the boundary.
+//! [`crate::depgraph::DepGraph`] does. Each worker keeps only what its
+//! store needs: its members' states, and per agent the steps of the
+//! history records its store holds, so a departure reads just the
+//! departing agents' records. It writes and evicts records through the
+//! graph's own record layout, and answers relink probes by classifying
+//! every member with the same rule classification, which the invariant
+//! check uses to hold the mirror's adjacency to the workers' ground
+//! truth. The three trackers are therefore edge-for-edge identical by
+//! construction; what this module adds is the boundary.
 //!
 //! What the boundary costs is the wake-up of the thread (or process) on
 //! the other side, not the bytes, and scheduling needs nothing a worker
@@ -32,7 +34,9 @@
 //! wait for them. Writes queue per worker, with the controller's own
 //! copy held in doubt, and cross in **hand-offs**: everything queued is
 //! delivered as one unit, applied in order, and answered as one unit
-//! ([`WorkerLink`]). A worker is handed its queue once it holds
+//! ([`WorkerLink`]); the worker writes each run of consecutive commits
+//! in it as one store batch ([`ShardWorker::handle_all`]). A worker is
+//! handed its queue once it holds
 //! [`WINDOW`] requests, when one of its agents migrates out (the one
 //! blocking round: the controller needs the departed records), and at
 //! the quiesce points — eviction, harvest, heartbeat polls, the

@@ -27,10 +27,10 @@
 //!    entirely only when [`crate::shard::ShardMap::min_distance`] (a
 //!    lower bound) exceeds the pair-gap radius derived from the
 //!    worker's step bounds (an upper bound) — the same proof as the
-//!    in-process sharded tracker. A worker that *is* queried
-//!    re-derives its own step bounds and re-checks every candidate with
-//!    the exact [`crate::space::Space::within_units`] predicates before
-//!    emitting a [`WireEdge`].
+//!    in-process sharded tracker. A worker that *is* queried checks
+//!    every member with the exact
+//!    [`crate::space::Space::within_units`] predicates before emitting a
+//!    [`WireEdge`].
 //! 3. **Replies are complete, and a hand-off stops at its first
 //!    failure.** Requests cross the boundary in *hand-offs*
 //!    ([`crate::dist::WorkerLink`]): everything queued for one worker,
@@ -110,29 +110,31 @@ pub struct WireEdge {
 /// `Failed` without being applied (protocol invariant 3).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CtrlMsg<P> {
-    /// Advance every `(agent, new_position)` by one step as a single
-    /// transaction against the worker's own database. Every agent must
-    /// be a current member. Reply: [`ShardMsg::Done`].
+    /// Advance every `(agent, new_position)` by one step. Every agent
+    /// must be a current member, named once. A run of consecutive
+    /// commits in one hand-off is written as one batch against the
+    /// worker's own database. Reply: [`ShardMsg::Done`].
     Commit {
         /// `(agent, new_position)` per advancing member.
         updates: Vec<(u32, P)>,
     },
     /// Rewind every `(agent, target_step, position)` — the speculative
-    /// squash path. Target steps must not exceed the agents' current
-    /// steps. Reply: [`ShardMsg::Done`].
+    /// squash path. Each agent is a member named once, and its target
+    /// step must not exceed its current step. Reply: [`ShardMsg::Done`].
     Rollback {
         /// `(agent, target_step, position)` per rewinding member.
         updates: Vec<(u32, u32, P)>,
     },
-    /// Remove the agents from this worker and return their full
-    /// authoritative records for re-homing. Reply:
+    /// Remove the agents (members, each named once) from this worker and
+    /// return their full authoritative records for re-homing. Reply:
     /// [`ShardMsg::Departed`].
     Depart {
         /// Members crossing out of this worker's region.
         agents: Vec<u32>,
     },
     /// Adopt the records (writing them into this worker's database) as
-    /// new members. Reply: [`ShardMsg::Done`].
+    /// new members: none may be a member already, and no agent may
+    /// appear twice. Reply: [`ShardMsg::Done`].
     Arrive {
         /// Records handed over by the departing workers.
         records: Vec<NodeRecord<P>>,
@@ -153,9 +155,10 @@ pub enum CtrlMsg<P> {
     /// Report the worker's full member state (checkpoint barriers and
     /// invariant checks). Reply: [`ShardMsg::Quiesced`].
     Quiesce,
-    /// Rebuild the worker's in-memory state (members, spatial index,
-    /// step bounds) from its own database, given the member list the
-    /// controller expects it to own. Reply: [`ShardMsg::Recovered`].
+    /// Rebuild the worker's in-memory state (its members, and the index
+    /// of the history records its store holds) from its own database,
+    /// given the member list the controller expects it to own. Reply:
+    /// [`ShardMsg::Recovered`].
     Recover {
         /// The agents this worker must own per the controller's mirror.
         expected: Vec<u32>,

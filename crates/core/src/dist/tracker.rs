@@ -485,8 +485,8 @@ pub struct DistTracker<S: Space> {
     history: bool,
     /// Controller mirror of every agent's committed state.
     nodes: Vec<Node<S::Pos>>,
-    /// The workers' membership, step bounds and spatial indexes,
-    /// mirrored: ownership, the prune test and edge repair.
+    /// The workers' membership mirrored, with a step bound and spatial
+    /// index per worker: ownership, the prune test and edge repair.
     part: Partition<S::Pos>,
     /// The maintained edges.
     adj: Adjacency,

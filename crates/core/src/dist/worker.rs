@@ -1,16 +1,22 @@
 //! The shard worker: an isolated owner of one shard's agents.
 //!
 //! A [`ShardWorker`] holds everything a shard needs to serve the
-//! [`super::msg`] protocol — its members' committed states, a spatial
-//! index over exactly those members, their `(step, agent)` step bounds,
-//! and **its own [`Db`] instance** holding the authoritative `dagt` /
-//! `dhst` records for its members (the same layout as the single-shard
+//! [`super::msg`] protocol — its members' committed states and **its own
+//! [`Db`] instance** holding the authoritative `dagt` / `dhst` records
+//! for its members (the same layout as the single-shard
 //! [`crate::depgraph::DepGraph`], so per-worker stores snapshot and
-//! recover with the existing tooling). Nothing is shared with other
-//! workers or with the controller: every state transfer is a protocol
-//! message, which is what lets phase 2 move a worker out of process
-//! behind the `dist-socket` transport without touching this file's
-//! logic.
+//! recover with the existing tooling) — plus one index over that store:
+//! the steps of each agent's history records, so a departure reads only
+//! the departing agents' records. It keeps no spatial index: the
+//! controller links edges on its own mirror, and the one query a worker
+//! answers (the invariant check's relink probes) scans the members.
+//!
+//! The unit of work is the hand-off, not the message:
+//! [`ShardWorker::handle_all`] applies each run of consecutive commits as
+//! one write batch. Nothing is shared with other workers or with the
+//! controller: every state transfer is a protocol message, which is what
+//! lets phase 2 move a worker out of process behind the `dist-socket`
+//! transport without touching this file's logic.
 //!
 //! The one deliberate exception is telemetry: a same-process worker
 //! observes the controller's [`Telemetry`] sink through a
@@ -22,8 +28,9 @@
 //! [`CtrlMsg::HarvestTelemetry`]) which the controller drains over the
 //! wire and merges onto its timeline.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -36,7 +43,7 @@ use aim_store::{Db, Key, StoreError};
 use crate::depgraph::{
     decode_record, encode_record, evict_below, load_record, AGENT_TAG, HIST_TAG,
 };
-use crate::edges::{edges_of, Node, Partition, Whole};
+use crate::edges::{edges_of, Node};
 use crate::ids::Step;
 use crate::rules::RuleParams;
 use crate::space::Space;
@@ -48,9 +55,9 @@ use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
 /// sink: set by [`crate::dist::DistTracker::set_telemetry`] (and cleared
 /// on teardown), observed by workers. The generation counter lets a
 /// worker cache the `Arc` locally and refresh with a single relaxed
-/// atomic load per message — the mutex is touched only when the sink
-/// actually changes, keeping the lock off the per-message hot path
-/// (`dist/handle` in the bench suite pins this).
+/// atomic load per hand-off — the mutex is touched only when the sink
+/// actually changes, keeping the lock off the hot path (`dist/handle` in
+/// the bench suite pins this).
 #[derive(Debug, Default)]
 pub struct TelemetryCell {
     generation: AtomicU64,
@@ -59,7 +66,7 @@ pub struct TelemetryCell {
 
 impl TelemetryCell {
     /// Installs (or clears) the shared sink, bumping the generation so
-    /// workers refresh their cached copy on their next message.
+    /// workers refresh their cached copy on their next hand-off.
     pub fn set(&self, sink: Option<Arc<Telemetry>>) {
         *self.sink.lock() = sink;
         self.generation.fetch_add(1, Ordering::Release);
@@ -130,6 +137,13 @@ pub trait WorkerLink<P>: Send {
     fn recv(&mut self) -> Result<ShardMsg<P>, StoreError>;
 }
 
+/// One member's committed state and its interned `dagt` key.
+struct Member<P> {
+    pos: P,
+    step: u32,
+    key: Key,
+}
+
 /// An isolated shard worker (see the [module docs](super)).
 pub struct ShardWorker<S: Space> {
     id: u32,
@@ -137,17 +151,20 @@ pub struct ShardWorker<S: Space> {
     params: RuleParams,
     db: Arc<Db>,
     history: bool,
-    /// Committed `(position, step)` per member.
-    members: HashMap<u32, (S::Pos, u32)>,
-    /// The members as one shard of the edge engine's partition: their
-    /// step bounds and spatial index (`None` for spaces without one —
-    /// relink queries then scan the members).
-    part: Partition<S::Pos>,
+    members: HashMap<u32, Member<S::Pos>>,
+    /// The ascending steps of every `dhst` record in `db`, per agent —
+    /// members or not: a resync can leave a stub's history in the store.
+    /// Kept equal to the store by every write the worker makes, and
+    /// rebuilt from it by [`CtrlMsg::Recover`].
+    history_steps: HashMap<u32, Vec<u32>>,
+    /// The highest member step, or `None` after a write may have moved
+    /// it (the next heartbeat recomputes it from the members).
+    top_step: Option<u32>,
     commits_key: Key,
     telemetry: SharedTelemetry,
     /// Cached copy of the shared sink, refreshed when the cell's
     /// generation counter changes — keeps the cell's mutex off the
-    /// per-message hot path.
+    /// per-hand-off path.
     cached_sink: Option<Arc<Telemetry>>,
     cached_generation: u64,
     /// The worker's own recording buffer, used when no in-process sink
@@ -163,7 +180,12 @@ pub struct ShardWorker<S: Space> {
     /// reported in [`ShardMsg::Heartbeat`] so the controller can derive
     /// queue depth as sent − handled.
     handled: u64,
-    /// Reused candidate buffer for relink queries.
+    /// The run of commits being gathered, reused across hand-offs.
+    run: Vec<Vec<(u32, S::Pos)>>,
+    /// `(agent, step, position)` before each update of the run being
+    /// written, to restore memory if the store refuses the batch.
+    undo: Vec<(u32, u32, S::Pos)>,
+    /// Reused id buffer: relink candidates and the named-twice check.
     scratch: Vec<u32>,
     /// Reused scratch the records are encoded in before being copied out.
     encode_buf: BytesMut,
@@ -191,7 +213,6 @@ impl<S: Space> ShardWorker<S> {
         history: bool,
         telemetry: SharedTelemetry,
     ) -> Self {
-        let part = Self::partition(&space, params);
         let local = Arc::new(Telemetry::new());
         local.set_enabled(false); // armed by the first HarvestTelemetry
         ShardWorker {
@@ -201,7 +222,8 @@ impl<S: Space> ShardWorker<S> {
             db,
             history,
             members: HashMap::new(),
-            part,
+            history_steps: HashMap::new(),
+            top_step: None,
             commits_key: Key::new("dep:commits"),
             telemetry,
             cached_sink: None,
@@ -210,16 +232,11 @@ impl<S: Space> ShardWorker<S> {
             harvest_cursor: Vec::new(),
             harvest_counters: [0; Counter::ALL.len()],
             handled: 0,
+            run: Vec::new(),
+            undo: Vec::new(),
             scratch: Vec::new(),
             encode_buf: BytesMut::new(),
         }
-    }
-
-    /// An empty one-shard partition, indexed when the space can be.
-    fn partition(space: &Arc<S>, params: RuleParams) -> Partition<S::Pos> {
-        Partition::new(Arc::new(Whole), || {
-            space.make_index(params.coupling_units())
-        })
     }
 
     /// This worker's shard id.
@@ -234,46 +251,124 @@ impl<S: Space> ShardWorker<S> {
     }
 
     /// Applies one hand-off: every request in order, one reply each,
-    /// appended to `replies`. The hand-off **stops at its first
-    /// failure** — once a request is answered [`ShardMsg::Failed`],
-    /// nothing further from this hand-off is applied and every remaining
-    /// request is answered `Failed` too, so a request can never run
-    /// behind a refused one it was queued after (a [`CtrlMsg::Depart`]
-    /// behind its [`CtrlMsg::Commit`]).
+    /// appended to `replies`.
+    ///
+    /// Each run of consecutive [`CtrlMsg::Commit`]s is one write batch,
+    /// which bumps `dep:commits` by the run's length and is recorded as
+    /// one apply span covering that many messages. The run's requests
+    /// are checked in order first: if request k is refused, requests
+    /// `0..k` commit and are answered [`ShardMsg::Done`], and request k
+    /// is answered [`ShardMsg::Failed`] with its own error. If the store
+    /// refuses the batch, every request of the run is answered `Failed`
+    /// and none is applied.
+    ///
+    /// The hand-off **stops at its first failure** — once a request is
+    /// answered `Failed`, nothing further from this hand-off is applied
+    /// and every remaining request is answered `Failed` too, so a request
+    /// can never run behind a refused one it was queued after (a
+    /// [`CtrlMsg::Depart`] behind its `Commit`).
     pub fn handle_all(
         &mut self,
         requests: impl IntoIterator<Item = CtrlMsg<S::Pos>>,
         replies: &mut Vec<ShardMsg<S::Pos>>,
     ) {
+        self.refresh_sink();
+        let mut run = std::mem::take(&mut self.run);
         let mut failed = false;
         for msg in requests {
-            let reply = if failed {
+            if failed {
                 self.handled += 1;
-                ShardMsg::Failed {
-                    message: format!(
-                        "worker {}: not applied, an earlier request of the hand-off failed",
-                        self.id
-                    ),
+                replies.push(self.not_applied());
+                continue;
+            }
+            match msg {
+                CtrlMsg::Commit { updates } => run.push(updates),
+                msg => {
+                    failed = self.commit_run(&mut run, replies);
+                    let reply = if failed {
+                        self.handled += 1;
+                        self.not_applied()
+                    } else {
+                        self.apply(msg)
+                    };
+                    failed = matches!(reply, ShardMsg::Failed { .. });
+                    replies.push(reply);
                 }
-            } else {
-                self.handle(msg)
-            };
-            failed |= matches!(reply, ShardMsg::Failed { .. });
-            replies.push(reply);
+            }
         }
+        self.commit_run(&mut run, replies);
+        self.run = run;
     }
 
-    /// Applies one request and produces its reply. Failures are returned
-    /// as [`ShardMsg::Failed`] (the worker never panics on protocol
-    /// input); a failed request commits nothing.
+    /// Applies one request and produces its reply: a hand-off of one.
+    /// Failures are returned as [`ShardMsg::Failed`] (the worker never
+    /// panics on protocol input); a failed request commits nothing.
     pub fn handle(&mut self, msg: CtrlMsg<S::Pos>) -> ShardMsg<S::Pos> {
-        // One relaxed-cost atomic load per message; the cell's mutex is
-        // taken only when the installed sink actually changed.
+        if !matches!(msg, CtrlMsg::Commit { .. }) {
+            self.refresh_sink();
+            return self.apply(msg);
+        }
+        let mut replies = Vec::with_capacity(1);
+        self.handle_all([msg], &mut replies);
+        replies.pop().expect("one reply per request")
+    }
+
+    /// Picks up a change of the shared sink: one relaxed-cost atomic
+    /// load, and the cell's mutex only when the sink actually changed.
+    fn refresh_sink(&mut self) {
         let generation = self.telemetry.generation();
         if generation != self.cached_generation {
             self.cached_sink = self.telemetry.get();
             self.cached_generation = generation;
         }
+    }
+
+    /// The reply to a request behind a failed one of its hand-off.
+    fn not_applied(&self) -> ShardMsg<S::Pos> {
+        ShardMsg::Failed {
+            message: format!(
+                "worker {}: not applied, an earlier request of the hand-off failed",
+                self.id
+            ),
+        }
+    }
+
+    fn failed(&self, e: &StoreError) -> ShardMsg<S::Pos> {
+        ShardMsg::Failed {
+            message: format!("worker {}: {e}", self.id),
+        }
+    }
+
+    /// The sink apply spans go to: the controller's when shared, else the
+    /// worker's own buffer.
+    fn sink(&self) -> &Telemetry {
+        self.cached_sink.as_deref().unwrap_or(&self.local)
+    }
+
+    /// Closes the apply span opened at `t0`, covering `messages` requests.
+    fn record_apply(&self, t0: Option<u64>, messages: u32) {
+        let Some(t0) = t0 else {
+            return;
+        };
+        let sink = self.sink();
+        sink.record(
+            t0,
+            SpanKind::Boundary {
+                worker: self.id,
+                op: BoundaryOp::Apply,
+                messages,
+            },
+        );
+        if self.cached_sink.is_none() {
+            // The controller counts boundary messages on its side of a
+            // shared sink; only the wire-harvested local buffer must
+            // count its own.
+            sink.counter_add(Counter::BoundaryMessages, u64::from(messages));
+        }
+    }
+
+    /// Applies one request other than a commit.
+    fn apply(&mut self, msg: CtrlMsg<S::Pos>) -> ShardMsg<S::Pos> {
         self.handled += 1;
         // Harvest and heartbeat replies are bookkeeping, not protocol
         // work: answer before the Apply-span bracket so neither appears
@@ -284,31 +379,12 @@ impl<S: Space> ShardWorker<S> {
         if matches!(msg, CtrlMsg::Heartbeat { .. }) {
             return self.heartbeat();
         }
-        let sink = self.cached_sink.as_deref().unwrap_or(&self.local);
-        let t0 = sink.start();
+        let t0 = self.sink().start();
         let reply = match self.dispatch(msg) {
             Ok(reply) => reply,
-            Err(e) => ShardMsg::Failed {
-                message: format!("worker {}: {e}", self.id),
-            },
+            Err(e) => self.failed(&e),
         };
-        if let Some(t0) = t0 {
-            let sink = self.cached_sink.as_deref().unwrap_or(&self.local);
-            sink.record(
-                t0,
-                SpanKind::Boundary {
-                    worker: self.id,
-                    op: BoundaryOp::Apply,
-                    messages: 1,
-                },
-            );
-            if self.cached_sink.is_none() {
-                // The controller counts boundary messages on its side of
-                // a shared sink; only the wire-harvested local buffer
-                // must count its own.
-                sink.counter_add(Counter::BoundaryMessages, 1);
-            }
-        }
+        self.record_apply(t0, 1);
         reply
     }
 
@@ -348,15 +424,14 @@ impl<S: Space> ShardWorker<S> {
         }
     }
 
-    /// Answers a liveness poll from gauges the worker maintains anyway
-    /// (no database access; protocol invariant 4). `last_step` is the
-    /// highest applied member step — `u32::MAX` flags an empty worker.
-    fn heartbeat(&self) -> ShardMsg<S::Pos> {
-        let last_step = if self.members.is_empty() {
-            u32::MAX
-        } else {
-            self.part.max_step().0
-        };
+    /// Answers a liveness poll from the members alone (no database
+    /// access; protocol invariant 4). `last_step` is the highest applied
+    /// member step — `u32::MAX` flags an empty worker.
+    fn heartbeat(&mut self) -> ShardMsg<S::Pos> {
+        let members = &self.members;
+        let last_step = *self
+            .top_step
+            .get_or_insert_with(|| members.values().map(|m| m.step).max().unwrap_or(u32::MAX));
         ShardMsg::Heartbeat {
             worker: self.id,
             now_us: self.local.now_us(),
@@ -369,10 +444,7 @@ impl<S: Space> ShardWorker<S> {
 
     fn dispatch(&mut self, msg: CtrlMsg<S::Pos>) -> Result<ShardMsg<S::Pos>, StoreError> {
         match msg {
-            CtrlMsg::Commit { updates } => {
-                self.commit(&updates)?;
-                Ok(ShardMsg::Done)
-            }
+            CtrlMsg::Commit { .. } => unreachable!("commits are applied in runs by handle_all"),
             CtrlMsg::Rollback { updates } => {
                 self.rollback(&updates)?;
                 Ok(ShardMsg::Done)
@@ -400,7 +472,7 @@ impl<S: Space> ShardWorker<S> {
                 let states = self.recover(&expected)?;
                 Ok(ShardMsg::Recovered { states })
             }
-            // Normally intercepted in `handle` (before the Apply-span
+            // Normally intercepted in `apply` (before the Apply-span
             // bracket); kept here so the match stays exhaustive.
             CtrlMsg::HarvestTelemetry { .. } => Ok(self.harvest()),
             CtrlMsg::Heartbeat { .. } => Ok(self.heartbeat()),
@@ -413,136 +485,226 @@ impl<S: Space> ShardWorker<S> {
         let mut out: Vec<(u32, u32, S::Pos)> = self
             .members
             .iter()
-            .map(|(&a, &(pos, step))| (a, step, pos))
+            .map(|(&a, m)| (a, m.step, m.pos))
             .collect();
         out.sort_unstable_by_key(|&(a, _, _)| a);
         out
     }
 
-    /// The member state of `a`, or a protocol error naming the worker.
-    fn member(&self, a: u32) -> Result<(S::Pos, u32), StoreError> {
+    /// The member `a`, or a protocol error naming it.
+    fn member(&self, a: u32) -> Result<&Member<S::Pos>, StoreError> {
         self.members
             .get(&a)
-            .copied()
             .ok_or_else(|| StoreError::Codec(format!("agent {a} is not a member")))
     }
 
-    fn commit(&mut self, updates: &[(u32, S::Pos)]) -> Result<(), StoreError> {
-        // One operation names each agent once: every agent moves to the
-        // step after its current one, in the store first and in memory only
-        // once the batch has committed.
-        let mut buf = std::mem::take(&mut self.encode_buf);
-        let written = self.db.transaction(|txn| {
-            for &(a, pos) in updates {
-                let next = self.member(a)?.1 + 1;
-                let value = encode_record(&*self.space, &mut buf, Step(next), pos);
-                txn.set_key(&Key::tagged_u32(AGENT_TAG, a), value.clone());
-                if self.history {
-                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, next, a), value);
-                }
-            }
-            txn.incr_key(&self.commits_key, 1)
-        });
-        self.encode_buf = buf;
-        written?;
-        for &(a, pos) in updates {
-            self.apply_state(a, self.members[&a].1 + 1, pos);
+    /// Refuses a request that names one agent twice: its writes would
+    /// disagree with each other.
+    fn check_distinct(&mut self, agents: impl Iterator<Item = u32>) -> Result<(), StoreError> {
+        let ids = &mut self.scratch;
+        ids.clear();
+        ids.extend(agents);
+        ids.sort_unstable();
+        match ids.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(StoreError::Codec(format!("agent {} is named twice", w[0]))),
+            None => Ok(()),
         }
+    }
+
+    /// Applies the gathered run of commits (see
+    /// [`ShardWorker::handle_all`]), appends one reply per commit and
+    /// empties `run`. Returns whether any of them failed.
+    fn commit_run(
+        &mut self,
+        run: &mut Vec<Vec<(u32, S::Pos)>>,
+        replies: &mut Vec<ShardMsg<S::Pos>>,
+    ) -> bool {
+        if run.is_empty() {
+            return false;
+        }
+        let n = run.len();
+        self.handled += n as u64;
+        let t0 = self.sink().start();
+        let mut refused = None;
+        for (k, updates) in run.iter().enumerate() {
+            let known = updates
+                .iter()
+                .try_for_each(|&(a, _)| self.member(a).map(drop));
+            if let Err(e) = known.and_then(|()| self.check_distinct(updates.iter().map(|u| u.0))) {
+                refused = Some((k, e));
+                break;
+            }
+        }
+        let valid = refused.as_ref().map_or(n, |&(k, _)| k);
+        let failed = match self.commit(&run[..valid]) {
+            Ok(()) => {
+                replies.extend((0..valid).map(|_| ShardMsg::Done));
+                if let Some((_, e)) = &refused {
+                    replies.push(self.failed(e));
+                    replies.extend((valid + 1..n).map(|_| self.not_applied()));
+                }
+                refused.is_some()
+            }
+            Err(e) => {
+                replies.extend((0..n).map(|_| self.failed(&e)));
+                true
+            }
+        };
+        self.record_apply(t0, n as u32);
+        run.clear();
+        failed
+    }
+
+    /// Writes `run` — commits of members, each naming an agent once — as
+    /// one batch: every update moves its agent to the step after its
+    /// current one. On an error nothing is written and memory is left as
+    /// it was.
+    fn commit(&mut self, run: &[Vec<(u32, S::Pos)>]) -> Result<(), StoreError> {
+        if run.is_empty() {
+            return Ok(());
+        }
+        let ShardWorker {
+            space,
+            db,
+            history,
+            members,
+            history_steps,
+            commits_key,
+            undo,
+            encode_buf: buf,
+            ..
+        } = self;
+        let (space, history) = (&**space, *history);
+        // A later commit of the run builds on an earlier one, so memory
+        // moves while the batch fills, and the undo log puts it back if
+        // the store refuses the batch.
+        undo.clear();
+        let written = db.transaction(|txn| {
+            for &(a, pos) in run.iter().flatten() {
+                let m = members.get_mut(&a).expect("checked by commit_run");
+                undo.push((a, m.step, m.pos));
+                m.step = m.step.checked_add(1).ok_or_else(|| {
+                    StoreError::Codec(format!("agent {a} has no step after {}", m.step))
+                })?;
+                m.pos = pos;
+                let value = encode_record(space, buf, Step(m.step), pos);
+                if history {
+                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, m.step, a), value.clone());
+                }
+                txn.set_key(&m.key, value);
+            }
+            txn.incr_key(commits_key, run.len() as i64)
+        });
+        if let Err(e) = written {
+            for &(a, step, pos) in undo.iter().rev() {
+                let m = members.get_mut(&a).expect("undo names members");
+                (m.step, m.pos) = (step, pos);
+            }
+            return Err(e);
+        }
+        if history {
+            for &(a, step, _) in undo.iter() {
+                insert_step(history_steps.entry(a).or_default(), step + 1);
+            }
+        }
+        self.top_step = None;
         Ok(())
     }
 
     fn rollback(&mut self, updates: &[(u32, u32, S::Pos)]) -> Result<(), StoreError> {
         // A refused update fails the whole batch, so nothing is written.
-        let mut buf = std::mem::take(&mut self.encode_buf);
-        let written = self.db.transaction(|txn| {
+        for &(a, step, _) in updates {
+            let current = self.member(a)?.step;
+            if step > current {
+                return Err(StoreError::Codec(format!(
+                    "rollback of agent {a} to step {step} is ahead of current {current}"
+                )));
+            }
+        }
+        self.check_distinct(updates.iter().map(|u| u.0))?;
+        let ShardWorker {
+            space,
+            db,
+            history,
+            members,
+            history_steps,
+            encode_buf: buf,
+            ..
+        } = self;
+        let (space, history) = (&**space, *history);
+        db.transaction(|txn| {
             for &(a, step, pos) in updates {
-                let (_, current) = self.member(a)?;
-                if step > current {
-                    return Err(StoreError::Codec(format!(
-                        "rollback of agent {a} to step {step} is ahead of current {current}"
-                    )));
-                }
-                let value = encode_record(&*self.space, &mut buf, Step(step), pos);
-                txn.set_key(&Key::tagged_u32(AGENT_TAG, a), value.clone());
-                if self.history {
+                let m = &members[&a];
+                let value = encode_record(space, buf, Step(step), pos);
+                txn.set_key(&m.key, value.clone());
+                if history {
                     // A squash rewrites history: the target step's record
                     // is replaced and discarded future steps vanish.
                     txn.set_key(&Key::tagged_u32_pair(HIST_TAG, step, a), value);
-                    for squashed in (step + 1)..=current {
+                    for squashed in (step + 1)..=m.step {
                         txn.del(Key::tagged_u32_pair(HIST_TAG, squashed, a));
                     }
                 }
             }
             Ok(())
-        });
-        self.encode_buf = buf;
-        written?;
+        })?;
         for &(a, step, pos) in updates {
-            self.apply_state(a, step, pos);
+            let m = members.get_mut(&a).expect("checked above");
+            if history {
+                let steps = history_steps.entry(a).or_default();
+                insert_step(steps, step);
+                let squashed =
+                    steps.partition_point(|&s| s <= step)..steps.partition_point(|&s| s <= m.step);
+                steps.drain(squashed);
+            }
+            (m.step, m.pos) = (step, pos);
         }
+        self.top_step = None;
         Ok(())
     }
 
-    /// Moves one member's in-memory state to its committed `(step, pos)`.
-    fn apply_state(&mut self, a: u32, step: u32, pos: S::Pos) {
-        let (old_pos, old_step) = self.members[&a];
-        self.part.migrate(a, (old_step, old_pos), (step, pos));
-        self.members.insert(a, (pos, step));
-    }
-
+    /// Removes the members `agents` and returns their records, reading
+    /// only their own history records (the index names each one).
     fn depart(&mut self, agents: &[u32]) -> Result<Vec<NodeRecord<S::Pos>>, StoreError> {
         for &a in agents {
             self.member(a)?; // validate the whole batch before mutating
         }
-        // Gather resident history in one prefix walk (migrations are rare
-        // next to commits; an O(worker history) sweep per batch is fine).
-        let mut history: HashMap<u32, Vec<(u32, S::Pos)>> = HashMap::new();
-        let mut doomed: Vec<Key> = Vec::new();
-        if self.history {
-            let departing: BTreeSet<u32> = agents.iter().copied().collect();
-            let space = &*self.space;
-            let mut walk_err = None;
-            self.db.for_each_prefix(HIST_TAG, |k, v| {
-                let agent = u32::from_be_bytes(k[8..12].try_into().expect("12-byte history key"));
-                if !departing.contains(&agent) {
-                    return std::ops::ControlFlow::Continue(());
-                }
-                let step = u32::from_be_bytes(k[4..8].try_into().expect("12-byte history key"));
-                match decode_record(space, v.clone()) {
-                    Ok((_, pos)) => history.entry(agent).or_default().push((step, pos)),
-                    Err(e) => {
-                        walk_err = Some(e);
-                        return std::ops::ControlFlow::Break(());
-                    }
-                }
-                doomed.push(Key::new(k.clone()));
-                std::ops::ControlFlow::Continue(())
-            });
-            if let Some(e) = walk_err {
-                return Err(e);
+        self.check_distinct(agents.iter().copied())?;
+        let mut records = Vec::with_capacity(agents.len());
+        let mut doomed: Vec<Key> = Vec::with_capacity(agents.len());
+        for &a in agents {
+            let m = &self.members[&a];
+            doomed.push(m.key.clone());
+            let mut history = Vec::new();
+            let steps = self.history_steps.get(&a).filter(|_| self.history);
+            for &step in steps.into_iter().flatten() {
+                let key = Key::tagged_u32_pair(HIST_TAG, step, a);
+                let raw = self.db.get(&key).ok_or_else(|| {
+                    StoreError::Codec(format!("agent {a} has no history record at step {step}"))
+                })?;
+                history.push((step, decode_record(&*self.space, raw)?.1));
+                doomed.push(key);
             }
+            records.push(NodeRecord {
+                agent: a,
+                step: m.step,
+                pos: m.pos,
+                history,
+            });
         }
-        let agent_keys: Vec<Key> = agents
-            .iter()
-            .map(|&a| Key::tagged_u32(AGENT_TAG, a))
-            .collect();
         self.db.transaction(|txn| {
-            for key in agent_keys.iter().chain(&doomed) {
+            for key in &doomed {
                 txn.del(key);
             }
             Ok(())
         })?;
-        let mut records = Vec::with_capacity(agents.len());
         for &a in agents {
-            let (pos, step) = self.members.remove(&a).expect("validated above");
-            self.part.remove(a, step, pos);
-            records.push(NodeRecord {
-                agent: a,
-                step,
-                pos,
-                history: history.remove(&a).unwrap_or_default(),
-            });
+            self.members.remove(&a);
+            if self.history {
+                self.history_steps.remove(&a);
+            }
         }
+        self.top_step = None;
         Ok(records)
     }
 
@@ -555,11 +717,16 @@ impl<S: Space> ShardWorker<S> {
                 )));
             }
         }
+        self.check_distinct(records.iter().map(|r| r.agent))?;
+        let keys: Vec<Key> = records
+            .iter()
+            .map(|r| Key::tagged_u32(AGENT_TAG, r.agent))
+            .collect();
         let (space, buf) = (&*self.space, &mut self.encode_buf);
         self.db.transaction(|txn| {
-            for r in &records {
+            for (r, key) in records.iter().zip(&keys) {
                 let value = encode_record(space, buf, Step(r.step), r.pos);
-                txn.set_key(&Key::tagged_u32(AGENT_TAG, r.agent), value);
+                txn.set_key(key, value);
                 for &(step, pos) in &r.history {
                     let value = encode_record(space, buf, Step(step), pos);
                     txn.set_key(&Key::tagged_u32_pair(HIST_TAG, step, r.agent), value);
@@ -567,66 +734,107 @@ impl<S: Space> ShardWorker<S> {
             }
             Ok(())
         })?;
-        for r in records {
-            self.members.insert(r.agent, (r.pos, r.step));
-            self.part.insert(r.agent, r.step, r.pos);
+        for (r, key) in records.into_iter().zip(keys) {
+            if !r.history.is_empty() {
+                let steps = self.history_steps.entry(r.agent).or_default();
+                for &(step, _) in &r.history {
+                    insert_step(steps, step);
+                }
+            }
+            let member = Member {
+                pos: r.pos,
+                step: r.step,
+                key,
+            };
+            self.members.insert(r.agent, member);
         }
+        self.top_step = None;
         Ok(())
     }
 
     /// Answers relink probes with the exact rule edges between each probe
-    /// and this worker's members — the edge engine's candidate query and
-    /// pair classification, over the worker's own step bounds and index.
+    /// and this worker's members — the edge engine's pair classification
+    /// over every member, in ascending id order.
     fn relink(&mut self, probes: &[Probe<S::Pos>]) -> Vec<WireEdge> {
         let mut out = Vec::new();
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut ids = std::mem::take(&mut self.scratch);
+        ids.clear();
+        ids.extend(self.members.keys());
+        ids.sort_unstable();
         let node = |c: u32| {
-            let (pos, step) = self.members[&c];
+            let m = &self.members[&c];
             Node {
-                pos,
-                step: Step(step),
+                pos: m.pos,
+                step: Step(m.step),
             }
         };
         for p in probes {
-            scratch.clear();
-            self.part
-                .candidates(p.step, p.pos, self.params, &mut scratch);
             let at = Node {
                 pos: p.pos,
                 step: Step(p.step),
             };
-            edges_of(
-                &*self.space,
-                self.params,
-                p.agent,
-                at,
-                &scratch,
-                node,
-                &mut out,
-            );
+            edges_of(&*self.space, self.params, p.agent, at, &ids, node, &mut out);
         }
-        self.scratch = scratch;
+        self.scratch = ids;
         out
     }
 
     fn evict_history(&mut self, floor: u32) -> u64 {
-        if self.history {
-            evict_below(&self.db, floor)
-        } else {
-            0
+        if !self.history {
+            return 0;
         }
+        let removed = evict_below(&self.db, floor);
+        self.history_steps.retain(|_, steps| {
+            steps.drain(..steps.partition_point(|&s| s < floor));
+            !steps.is_empty()
+        });
+        removed
     }
 
     fn recover(&mut self, expected: &[u32]) -> Result<Vec<(u32, u32, S::Pos)>, StoreError> {
         self.members.clear();
-        self.part = Self::partition(&self.space, self.params);
+        self.history_steps.clear();
+        self.top_step = None;
         for &a in expected {
             let (Step(step), pos) = load_record(&*self.space, &self.db, a)?;
-            self.members.insert(a, (pos, step));
-            self.part.insert(a, step, pos);
+            let key = Key::tagged_u32(AGENT_TAG, a);
+            self.members.insert(a, Member { pos, step, key });
         }
-        Ok(self.states())
+        // Keys sort step-major, so each agent's steps arrive ascending.
+        let (steps, mut malformed) = (&mut self.history_steps, None);
+        self.db
+            .for_each_prefix(HIST_TAG, |k, _| match history_ids(k) {
+                Some((step, a)) => {
+                    steps.entry(a).or_default().push(step);
+                    ControlFlow::Continue(())
+                }
+                None => {
+                    malformed = Some(StoreError::Codec(format!("malformed history key {k:?}")));
+                    ControlFlow::Break(())
+                }
+            });
+        match malformed {
+            Some(e) => Err(e),
+            None => Ok(self.states()),
+        }
     }
+}
+
+/// Adds `step` to an ascending step list, unless it is there already.
+fn insert_step(steps: &mut Vec<u32>, step: u32) {
+    if let Err(at) = steps.binary_search(&step) {
+        steps.insert(at, step);
+    }
+}
+
+/// `(step, agent)` of a `dhst` key, or `None` if it is not 12 bytes.
+fn history_ids(key: &[u8]) -> Option<(u32, u32)> {
+    let ids: [u8; 8] = key.get(4..)?.try_into().ok()?;
+    let (step, agent) = ids.split_at(4);
+    Some((
+        u32::from_be_bytes(step.try_into().ok()?),
+        u32::from_be_bytes(agent.try_into().ok()?),
+    ))
 }
 
 /// What the controller hands a channel worker: the queued requests, and
@@ -803,5 +1011,313 @@ impl<P: Send> WorkerLink<P> for SeveredLink {
 
     fn recv(&mut self) -> Result<ShardMsg<P>, StoreError> {
         Err(worker_down(self.worker))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::space::{GridSpace, Point};
+
+    fn worker(history: bool) -> (ShardWorker<GridSpace>, Arc<Db>) {
+        let db = Arc::new(Db::new());
+        let space = Arc::new(GridSpace::new(16, 16));
+        let params = RuleParams::new(2, 1);
+        let w = ShardWorker::new(0, space, params, Arc::clone(&db), history, Arc::default());
+        (w, db)
+    }
+
+    fn at(x: i32) -> Point {
+        Point::new(x, x)
+    }
+
+    fn stub(agent: u32, step: u32) -> NodeRecord<Point> {
+        NodeRecord {
+            agent,
+            step,
+            pos: at(1),
+            history: vec![],
+        }
+    }
+
+    /// A worker whose members `0..n` arrived at step 0 with that
+    /// step's history record.
+    fn populated(n: u32) -> (ShardWorker<GridSpace>, Arc<Db>) {
+        let (mut w, db) = worker(true);
+        let records = (0..n)
+            .map(|a| NodeRecord {
+                history: vec![(0, at(1))],
+                ..stub(a, 0)
+            })
+            .collect();
+        assert_eq!(w.handle(CtrlMsg::Arrive { records }), ShardMsg::Done);
+        (w, db)
+    }
+
+    fn is_failed(reply: &ShardMsg<Point>) -> bool {
+        matches!(reply, ShardMsg::Failed { .. })
+    }
+
+    fn steps(w: &mut ShardWorker<GridSpace>) -> Vec<(u32, u32)> {
+        match w.handle(CtrlMsg::Quiesce) {
+            ShardMsg::Quiesced { states } => states.iter().map(|&(a, s, _)| (a, s)).collect(),
+            other => panic!("expected Quiesced, got {other:?}"),
+        }
+    }
+
+    fn commits(db: &Db) -> i64 {
+        db.get_i64("dep:commits").unwrap()
+    }
+
+    /// Every history record of `agent` in `db`, ascending by step, found
+    /// by walking the whole store.
+    fn walked_history(db: &Db, space: &GridSpace, agent: u32) -> Vec<(u32, Point)> {
+        let mut out = Vec::new();
+        db.for_each_prefix(HIST_TAG, |k, v| {
+            let (step, a) = history_ids(k).expect("12-byte history key");
+            if a == agent {
+                out.push((step, decode_record(space, v.clone()).unwrap().1));
+            }
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// The store's history keys as the index keeps them.
+    fn stored_steps(db: &Db) -> HashMap<u32, Vec<u32>> {
+        let mut out: HashMap<u32, Vec<u32>> = HashMap::new();
+        db.for_each_prefix(HIST_TAG, |k, _| {
+            let (step, a) = history_ids(k).expect("12-byte history key");
+            out.entry(a).or_default().push(step);
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    #[test]
+    fn a_commit_naming_an_agent_twice_is_refused() {
+        let (mut w, db) = populated(1);
+        let reply = w.handle(CtrlMsg::Commit {
+            updates: vec![(0, at(2)), (0, at(3))],
+        });
+        assert!(is_failed(&reply), "{reply:?}");
+        assert_eq!(steps(&mut w), vec![(0, 0)]);
+        assert_eq!(commits(&db), 0);
+        let reply = w.handle(CtrlMsg::Recover { expected: vec![0] });
+        assert!(matches!(reply, ShardMsg::Recovered { states } if states[0].1 == 0));
+    }
+
+    #[test]
+    fn a_depart_naming_an_agent_twice_is_refused() {
+        let (mut w, db) = populated(1);
+        let reply = w.handle(CtrlMsg::Depart { agents: vec![0, 0] });
+        assert!(is_failed(&reply), "{reply:?}");
+        assert_eq!(steps(&mut w), vec![(0, 0)]);
+        assert_eq!(stored_steps(&db)[&0], vec![0]);
+    }
+
+    #[test]
+    fn a_rollback_naming_an_agent_twice_is_refused() {
+        let (mut w, db) = populated(1);
+        for x in 2..4 {
+            let reply = w.handle(CtrlMsg::Commit {
+                updates: vec![(0, at(x))],
+            });
+            assert_eq!(reply, ShardMsg::Done);
+        }
+        let reply = w.handle(CtrlMsg::Rollback {
+            updates: vec![(0, 0, at(5)), (0, 1, at(6))],
+        });
+        assert!(is_failed(&reply), "{reply:?}");
+        assert_eq!(steps(&mut w), vec![(0, 2)]);
+        assert_eq!(stored_steps(&db)[&0], vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn an_arrival_naming_an_agent_twice_is_refused() {
+        let (mut w, db) = worker(true);
+        let reply = w.handle(CtrlMsg::Arrive {
+            records: vec![stub(4, 1), stub(4, 2)],
+        });
+        assert!(is_failed(&reply), "{reply:?}");
+        assert!(steps(&mut w).is_empty());
+        assert!(db.is_empty());
+    }
+
+    /// A refused commit ends its run: the commits before it land as one
+    /// batch, it fails with its own error, and what follows is not
+    /// applied.
+    #[test]
+    fn a_refused_commit_ends_the_run_after_the_commits_before_it() {
+        let (mut w, db) = populated(1);
+        let space = GridSpace::new(16, 16);
+        let batches = db.stats().txn_commits;
+        let mut replies = Vec::new();
+        let hand_off = [
+            CtrlMsg::Commit {
+                updates: vec![(0, at(2))],
+            },
+            CtrlMsg::Commit {
+                updates: vec![(9, at(3))],
+            },
+            CtrlMsg::Commit {
+                updates: vec![(0, at(4))],
+            },
+        ];
+        w.handle_all(hand_off, &mut replies);
+        assert_eq!(replies[0], ShardMsg::Done);
+        let messages: Vec<String> = replies[1..]
+            .iter()
+            .map(|r| match r {
+                ShardMsg::Failed { message } => message.clone(),
+                other => panic!("expected Failed, got {other:?}"),
+            })
+            .collect();
+        assert!(
+            messages[0].contains("agent 9 is not a member"),
+            "{messages:?}"
+        );
+        assert!(messages[1].contains("not applied"), "{messages:?}");
+        assert_eq!(steps(&mut w), vec![(0, 1)]);
+        assert_eq!(load_record(&space, &db, 0).unwrap(), (Step(1), at(2)));
+        assert_eq!(walked_history(&db, &space, 0), vec![(0, at(1)), (1, at(2))]);
+        assert_eq!(commits(&db), 1);
+        assert_eq!(db.stats().txn_commits, batches + 1);
+    }
+
+    #[test]
+    fn a_window_of_commits_is_one_batch() {
+        let (mut w, db) = populated(2);
+        let batches = db.stats().txn_commits;
+        let window = crate::dist::WINDOW as u32;
+        let hand_off = (0..window).map(|i| CtrlMsg::Commit {
+            updates: vec![(i % 2, at(i as i32 % 16))],
+        });
+        let mut replies = Vec::new();
+        w.handle_all(hand_off, &mut replies);
+        assert_eq!(replies, vec![ShardMsg::Done; window as usize]);
+        assert_eq!(db.stats().txn_commits, batches + 1);
+        assert_eq!(commits(&db), i64::from(window));
+        assert_eq!(steps(&mut w), vec![(0, window / 2), (1, window / 2)]);
+        assert_eq!(w.history_steps, stored_steps(&db));
+    }
+
+    /// A batch the store refuses fails every commit of its run and
+    /// leaves memory where the store is.
+    #[test]
+    fn a_refused_batch_fails_its_whole_run() {
+        let (mut w, db) = populated(1);
+        db.set("dep:commits", b"not an integer".to_vec());
+        let mut replies = Vec::new();
+        let commit = || CtrlMsg::Commit {
+            updates: vec![(0, at(2))],
+        };
+        w.handle_all([commit(), commit(), CtrlMsg::Quiesce], &mut replies);
+        assert!(replies.iter().all(is_failed), "{replies:?}");
+        assert_eq!(steps(&mut w), vec![(0, 0)]);
+        assert_eq!(w.history_steps, stored_steps(&db));
+    }
+
+    /// The history index is the store: through a seeded churn of every
+    /// operation that writes history — the resync's forget sequence
+    /// included — the index names exactly the store's `dhst` keys, and
+    /// every departure returns what a walk of the whole store finds.
+    #[test]
+    fn the_history_index_is_the_store() {
+        const AGENTS: u32 = 6;
+        let (mut w, db) = populated(AGENTS);
+        let space = GridSpace::new(16, 16);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move |n: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(n)) as u32
+        };
+        let mut departed = 0;
+        for op in 0..10_000 {
+            let mut members: Vec<u32> = w.members.keys().copied().collect();
+            members.sort_unstable();
+            let absent: Vec<u32> = (0..AGENTS).filter(|a| !w.members.contains_key(a)).collect();
+            let reply = match rand(7) {
+                0 | 1 if !members.is_empty() => {
+                    let a = members[rand(members.len() as u32) as usize];
+                    let b = members[rand(members.len() as u32) as usize];
+                    let mut updates = vec![(a, at(rand(16) as i32))];
+                    if b != a {
+                        updates.push((b, at(rand(16) as i32)));
+                    }
+                    w.handle(CtrlMsg::Commit { updates })
+                }
+                2 if !members.is_empty() => {
+                    let a = members[rand(members.len() as u32) as usize];
+                    let step = rand(w.members[&a].step + 1);
+                    w.handle(CtrlMsg::Rollback {
+                        updates: vec![(a, step, at(rand(16) as i32))],
+                    })
+                }
+                3 if !absent.is_empty() => {
+                    let a = absent[rand(absent.len() as u32) as usize];
+                    let step = rand(40);
+                    let history = (0..rand(4)).map(|_| (rand(step + 3), at(2))).collect();
+                    w.handle(CtrlMsg::Arrive {
+                        records: vec![NodeRecord {
+                            history,
+                            ..stub(a, step)
+                        }],
+                    })
+                }
+                4 if !members.is_empty() => {
+                    let a = members[rand(members.len() as u32) as usize];
+                    let walked = walked_history(&db, &space, a);
+                    let reply = w.handle(CtrlMsg::Depart { agents: vec![a] });
+                    let ShardMsg::Departed { records } = &reply else {
+                        panic!("op {op}: expected Departed, got {reply:?}");
+                    };
+                    assert_eq!(records[0].history, walked, "op {op}: agent {a}");
+                    departed += 1;
+                    reply
+                }
+                5 => {
+                    let floor = members.iter().map(|a| w.members[a].step).min().unwrap_or(0);
+                    let reply = w.handle(CtrlMsg::EvictHistory {
+                        floor: rand(floor + 1),
+                    });
+                    assert!(
+                        matches!(reply, ShardMsg::Evicted { .. }),
+                        "op {op}: {reply:?}"
+                    );
+                    reply
+                }
+                _ if !members.is_empty() => {
+                    // The resync's forget: rebuild without one member,
+                    // adopt it as a stub at some step, then depart it.
+                    let a = members[rand(members.len() as u32) as usize];
+                    let expected = members.iter().copied().filter(|&m| m != a).collect();
+                    let reply = w.handle(CtrlMsg::Recover { expected });
+                    assert!(
+                        matches!(reply, ShardMsg::Recovered { .. }),
+                        "op {op}: {reply:?}"
+                    );
+                    assert_eq!(w.history_steps, stored_steps(&db), "op {op}: recovered");
+                    let reply = w.handle(CtrlMsg::Arrive {
+                        records: vec![stub(a, rand(40))],
+                    });
+                    assert_eq!(reply, ShardMsg::Done, "op {op}");
+                    let walked = walked_history(&db, &space, a);
+                    let reply = w.handle(CtrlMsg::Depart { agents: vec![a] });
+                    let ShardMsg::Departed { records } = &reply else {
+                        panic!("op {op}: expected Departed, got {reply:?}");
+                    };
+                    assert_eq!(records[0].history, walked, "op {op}: stub {a}");
+                    departed += 1;
+                    reply
+                }
+                _ => continue,
+            };
+            assert!(!is_failed(&reply), "op {op}: {reply:?}");
+            assert_eq!(w.history_steps, stored_steps(&db), "op {op}");
+        }
+        assert!(departed > 1_000, "{departed} departures");
     }
 }

@@ -17,7 +17,8 @@
 //! — over many. `DistTracker` holds all three controller-side too, over
 //! a mirror of its workers' membership, and repairs edges there with the
 //! same [`edges_into`]; each `ShardWorker` answers the invariant check's
-//! relink probes from a one-shard partition with the same `edges_of`. A
+//! relink probes by classifying all its members with the same
+//! `edges_of`. A
 //! rule, a prune test or the adjacency layout therefore changes in one
 //! place, and the three trackers are edge-for-edge identical by
 //! construction.

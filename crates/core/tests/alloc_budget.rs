@@ -342,7 +342,7 @@ fn cluster_commit_stays_within_its_allocation_budget() {
 
     // The same commits across the dist boundary, in the same test (see
     // the module docs); worker threads allocate inside the window too.
-    for (size, budget) in [(1u32, 7.0f64), (4, 23.0)] {
+    for (size, budget) in [(1u32, 3.5f64), (4, 12.0)] {
         let mut walk = Walk::new_dist();
         walk.run(size, WARM_UP);
         let per_commit = walk.run(size, MEASURED) as f64 / MEASURED as f64;

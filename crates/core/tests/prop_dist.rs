@@ -306,9 +306,9 @@ fn a_migration_is_one_blocking_round_on_the_departing_lane() {
 
 /// Telemetry reports the hand-off, not the request: one send span and
 /// one wait span per hand-off, each saying how many messages it covered,
-/// while the message counter and the workers' apply spans still count
-/// every request. A full window is one hand-off; `Drop` hands off the
-/// rest.
+/// and one apply span per run of commits the worker batched, while the
+/// message counter still counts every request. A full window is one
+/// hand-off; `Drop` hands off the rest.
 #[test]
 fn boundary_spans_count_hand_offs_and_messages() {
     let (mut dist, _) = build_pair(&HAND_OFF_POINTS, RuleParams::new(2, 1), 4);
@@ -340,7 +340,7 @@ fn boundary_spans_count_hand_offs_and_messages() {
     let window = WINDOW as u32;
     assert_eq!(spans(0, BoundaryOp::Send), vec![window, 1]);
     assert_eq!(spans(0, BoundaryOp::Wait), vec![window, 1]);
-    assert_eq!(spans(0, BoundaryOp::Apply), vec![1; WINDOW + 1]);
+    assert_eq!(spans(0, BoundaryOp::Apply), vec![window, 1]);
     for worker in 1..4 {
         for op in BoundaryOp::ALL {
             assert!(spans(worker, op).is_empty(), "worker {worker} {op:?}");

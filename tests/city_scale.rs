@@ -105,8 +105,8 @@ fn ten_thousand_agent_city_ooo_equals_lockstep() {
 #[test]
 fn ten_thousand_agent_city_on_isolated_workers_equals_lockstep() {
     // The same 10k+ bar as above, but with the dependency tracker split
-    // into channel-isolated shard *workers* — each owning its members,
-    // spatial index, and its own database, reachable only through the
+    // into channel-isolated shard *workers* — each owning its members
+    // and its own database, reachable only through the
     // typed message protocol. The scheduler and executor are unchanged;
     // the final world must still be exactly the lock-step world.
     let cfg = CityConfig::default();
