@@ -29,7 +29,7 @@ use bytes::{Bytes, BytesMut};
 
 use aim_store::{codec, Snapshot, SnapshotBuilder, StoreError};
 
-use crate::depgraph::GraphOptions;
+use crate::depgraph::{DepTracker, GraphOptions};
 use crate::error::EngineError;
 use crate::ids::Step;
 use crate::policy::DependencyPolicy;

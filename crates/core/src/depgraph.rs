@@ -45,13 +45,12 @@ use bytes::{Bytes, BytesMut};
 
 use aim_store::{codec, Db, Key, StoreError};
 
-use crate::dist::WireEdge;
-use crate::edges::{self, Adjacency, Node, Partition, Whole};
+use crate::edges::{Mirror, Node, Partition, Whole};
 use crate::ids::{AgentId, Step};
 use crate::rules::RuleParams;
 use crate::shard::ShardMap;
 use crate::space::{query_or_all, Space};
-use crate::telemetry::{Counter, SpanKind, Telemetry};
+use crate::telemetry::Telemetry;
 
 /// Namespace tag of the per-agent node records (`Key::tagged_u32`).
 /// Crate-visible so the distributed shard workers ([`crate::dist`]) write
@@ -67,10 +66,6 @@ pub(crate) const HIST_TAG: [u8; 4] = *b"dhst";
 /// Store key of the history-eviction watermark: every history record at a
 /// step `< dep:hist_floor` has been compacted away.
 pub(crate) const HIST_FLOOR_KEY: &str = "dep:hist_floor";
-
-/// Batch size at or above which a multi-shard graph relinks in parallel
-/// across shards (when the machine has more than one CPU).
-const PARALLEL_RELINK_THRESHOLD: usize = 64;
 
 /// The dependency-tracking surface the [`crate::scheduler::Scheduler`],
 /// the [`crate::spec::SpecScheduler`] and the executors consume,
@@ -250,15 +245,8 @@ impl Default for GraphOptions {
 /// adjacency so controller queries are O(degree) — see the
 /// [module docs](self) for the maintenance invariant.
 pub struct DepGraph<S: Space> {
-    space: Arc<S>,
-    params: RuleParams,
+    mirror: Mirror<S>,
     db: Arc<Db>,
-    nodes: Vec<Node<S::Pos>>,
-    /// Shard ownership and step bounds, plus the spatial indexes edge
-    /// maintenance queries (none in [`EdgeMode::Off`]).
-    part: Partition<S::Pos>,
-    /// Maintained edges, present in [`EdgeMode::Maintained`].
-    adj: Option<Adjacency>,
     /// Interned store key per agent record (allocation-free write path).
     keys: Vec<Key>,
     commits_key: Key,
@@ -268,11 +256,6 @@ pub struct DepGraph<S: Space> {
     targets: Vec<(AgentId, Step, S::Pos)>,
     /// Reused scratch the records are encoded in before being copied out.
     encode_buf: BytesMut,
-    /// Reused candidate and edge buffers of a serial relink.
-    scratch: Vec<u32>,
-    edges_out: Vec<WireEdge>,
-    /// Worker tasks for parallel relink (0 = decide from the machine).
-    relink_threads: usize,
     /// Where migration passes and relink batches are recorded. Only the
     /// sharded tracker sets it: a single shard's repair is folded into
     /// the controller span.
@@ -282,10 +265,10 @@ pub struct DepGraph<S: Space> {
 impl<S: Space> std::fmt::Debug for DepGraph<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DepGraph")
-            .field("agents", &self.nodes.len())
-            .field("shards", &self.part.num_shards())
-            .field("min_step", &self.min_step())
-            .field("params", &self.params)
+            .field("agents", &self.mirror.len())
+            .field("shards", &self.mirror.partition().num_shards())
+            .field("min_step", &self.mirror.min_step())
+            .field("params", &self.mirror.params())
             .finish()
     }
 }
@@ -331,18 +314,13 @@ impl<S: Space> DepGraph<S> {
         map: Arc<dyn ShardMap<S::Pos>>,
         options: GraphOptions,
     ) -> Result<Self, StoreError> {
-        let nodes = initial
-            .iter()
-            .map(|&pos| Node {
-                pos,
-                step: Step::ZERO,
-            })
-            .collect();
+        let step = Step::ZERO;
+        let nodes = initial.iter().map(|&pos| Node { pos, step }).collect();
         let graph = Self::assemble(space, params, db, nodes, map, options);
         let mut buf = BytesMut::new();
         graph.db.transaction(|txn| {
-            for (i, node) in graph.nodes.iter().enumerate() {
-                let value = encode_record(&*graph.space, &mut buf, node.step, node.pos);
+            for (i, &pos) in initial.iter().enumerate() {
+                let value = encode_record(&**graph.space(), &mut buf, step, pos);
                 if graph.history {
                     txn.set_key(&Key::tagged_u32_pair(HIST_TAG, 0, i as u32), value.clone());
                 }
@@ -357,7 +335,7 @@ impl<S: Space> DepGraph<S> {
         Ok(graph)
     }
 
-    /// Builds the full in-process mirror (partition, spatial indexes,
+    /// Builds the in-process mirror (partition, spatial indexes,
     /// adjacency) around an already-decided node table.
     fn assemble(
         space: Arc<S>,
@@ -368,35 +346,18 @@ impl<S: Space> DepGraph<S> {
         options: GraphOptions,
     ) -> Self {
         let maintained = options.edges == EdgeMode::Maintained;
-        let units = params.coupling_units();
-        let mut part = Partition::new(map, || {
-            maintained.then(|| space.make_index(units)).flatten()
-        });
-        for (a, node) in nodes.iter().enumerate() {
-            part.insert(a as u32, node.step.0, node.pos);
-        }
-        let n = nodes.len();
-        let mut graph = DepGraph {
-            space,
-            params,
-            db,
-            nodes,
-            part,
-            adj: maintained.then(|| Adjacency::new(n)),
-            keys: (0..n as u32)
+        DepGraph {
+            keys: (0..nodes.len() as u32)
                 .map(|a| Key::tagged_u32(AGENT_TAG, a))
                 .collect(),
+            mirror: Mirror::new(space, params, map, nodes, maintained),
+            db,
             commits_key: Key::new("dep:commits"),
             history: options.history,
             targets: Vec::new(),
             encode_buf: BytesMut::new(),
-            scratch: Vec::new(),
-            edges_out: Vec::new(),
-            relink_threads: 0,
             telemetry: None,
-        };
-        graph.refresh_edges();
-        graph
+        }
     }
 
     /// Rebuilds the in-memory mirror from the database — demonstrates that
@@ -448,25 +409,10 @@ impl<S: Space> DepGraph<S> {
         Ok(Self::assemble(space, params, db, nodes, map, options))
     }
 
-    /// The edge maintenance mode in force.
-    pub fn edge_mode(&self) -> EdgeMode {
-        if self.adj.is_some() {
-            EdgeMode::Maintained
-        } else {
-            EdgeMode::Off
-        }
-    }
-
-    fn adj(&self) -> &Adjacency {
-        self.adj
-            .as_ref()
-            .expect("edge queries require EdgeMode::Maintained")
-    }
-
     /// The agents' shard partition (one shard unless this graph backs a
     /// [`crate::shard::ShardedDepGraph`]).
     pub(crate) fn partition(&self) -> &Partition<S::Pos> {
-        &self.part
+        self.mirror.partition()
     }
 
     /// Records migration passes and relink batches into `telemetry` (what
@@ -480,104 +426,22 @@ impl<S: Space> DepGraph<S> {
     /// graph relinks in parallel. Mostly for tests and benches; the
     /// default is right for production.
     pub fn set_relink_threads(&mut self, threads: usize) {
-        self.relink_threads = threads;
-    }
-
-    /// Number of agents.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the graph tracks no agents.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.mirror.set_relink_threads(threads);
     }
 
     /// The rule parameters in force.
     pub fn params(&self) -> RuleParams {
-        self.params
+        self.mirror.params()
     }
 
     /// The space agents live in.
     pub fn space(&self) -> &Arc<S> {
-        &self.space
+        self.mirror.space()
     }
 
     /// The backing store holding the authoritative node records.
     pub fn db(&self) -> &Arc<Db> {
         &self.db
-    }
-
-    /// Current position of `a`.
-    pub fn pos(&self, a: AgentId) -> S::Pos {
-        self.nodes[a.index()].pos
-    }
-
-    /// Current (next-to-execute) step of `a`.
-    pub fn step(&self, a: AgentId) -> Step {
-        self.nodes[a.index()].step
-    }
-
-    /// The lowest step any agent is at — the paper's `base_step`.
-    pub fn min_step(&self) -> Step {
-        self.part.min_step()
-    }
-
-    /// The highest step any agent is at; `max_step() - min_step()` is the
-    /// current step skew, O(shards · log n) from the step bounds.
-    pub fn max_step(&self) -> Step {
-        self.part.max_step()
-    }
-
-    /// Advances every `(agent, new_position)` in `updates` by one step, as
-    /// a single store transaction (the paper's worker-side graph update).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transaction failures; the mirror is only updated after
-    /// the transaction commits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an agent id is out of range.
-    pub fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
-        let mut targets = std::mem::take(&mut self.targets);
-        targets.clear();
-        targets.extend(
-            updates
-                .iter()
-                .map(|&(a, pos)| (a, self.nodes[a.index()].step.next(), pos)),
-        );
-        let result = self.write(&targets, true);
-        self.targets = targets;
-        result
-    }
-
-    /// Rolls every `(agent, step, position)` in `updates` back to an
-    /// earlier state, as a single store transaction — the squash path of
-    /// speculative execution (paper §6, implemented in [`crate::spec`]).
-    ///
-    /// Unlike [`DepGraph::advance`], which always moves an agent forward by
-    /// exactly one step, a rollback may rewind several steps at once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transaction failures; the mirror is only updated after
-    /// the transaction commits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an agent id is out of range or a target step is *ahead*
-    /// of the agent's current step (rollback must rewind, not advance).
-    pub fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
-        for &(a, step, _) in updates {
-            let current = self.nodes[a.index()].step;
-            assert!(
-                step <= current,
-                "rollback of {a} to {step} is ahead of current {current}"
-            );
-        }
-        self.write(updates, false)
     }
 
     /// Writes every `(agent, step, position)` of `targets` as one store
@@ -593,7 +457,11 @@ impl<S: Space> DepGraph<S> {
         // refcounted — the commit allocates once per record for the
         // stored value, once for the counter's new value, and nothing
         // else.
-        let (space, buf, nodes) = (&*self.space, &mut self.encode_buf, &self.nodes);
+        let (space, buf, nodes) = (
+            &**self.mirror.space(),
+            &mut self.encode_buf,
+            self.mirror.nodes(),
+        );
         let (keys, commits_key, history) = (&self.keys, &self.commits_key, self.history);
         self.db.transaction(|txn| {
             for &(a, step, pos) in targets {
@@ -617,39 +485,8 @@ impl<S: Space> DepGraph<S> {
             }
             Ok(())
         })?;
-        self.apply(targets);
+        self.mirror.apply(targets, self.telemetry.as_deref());
         Ok(())
-    }
-
-    /// Moves the mirror to the just-committed `targets`: every agent's
-    /// node and shard membership first (so no relink query misses an
-    /// agent mid-migration), then one relink batch. Each half is recorded
-    /// as a span when telemetry is attached.
-    fn apply(&mut self, targets: &[(AgentId, Step, S::Pos)]) {
-        let t0 = self.telemetry.as_ref().and_then(|t| t.start());
-        let mut crossings = 0u32;
-        for &(a, step, pos) in targets {
-            let node = &mut self.nodes[a.index()];
-            let crossed = self
-                .part
-                .migrate(a.0, (node.step.0, node.pos), (step.0, pos));
-            crossings += u32::from(crossed);
-            *node = Node { pos, step };
-            if let Some(adj) = self.adj.as_mut() {
-                adj.detach(a);
-            }
-        }
-        let agents = targets.len() as u32;
-        if let (Some(t), Some(t0)) = (&self.telemetry, t0) {
-            t.counter_add(Counter::ShardMigrations, u64::from(crossings));
-            t.record(t0, SpanKind::Migrate { agents, crossings });
-        }
-        let t0 = self.telemetry.as_ref().and_then(|t| t.start());
-        let workers = self.relink(targets.iter().map(|&(a, _, _)| a), false) as u32;
-        if let (Some(t), Some(t0)) = (&self.telemetry, t0) {
-            t.counter_add(Counter::RelinkBatches, 1);
-            t.record(t0, SpanKind::Relink { agents, workers });
-        }
     }
 
     /// Rebuilds every derived edge from the current node states —
@@ -657,100 +494,7 @@ impl<S: Space> DepGraph<S> {
     /// incremental. Parallel across shards on multi-core machines; a
     /// no-op in [`EdgeMode::Off`].
     pub fn refresh_edges(&mut self) {
-        if let Some(adj) = self.adj.as_mut() {
-            adj.clear();
-        }
-        let n = self.nodes.len() as u32;
-        self.relink((0..n).map(AgentId), true);
-    }
-
-    /// Links the rule edges incident to `agents`, whose node states are
-    /// in place and whose old edges are gone. With `forward`, only
-    /// neighbors with a larger id are linked — a full rebuild visits
-    /// every agent, and must link each pair once. Large batches on a
-    /// multi-shard partition compute their edges in parallel, one task
-    /// per chunk of the batch; linking is serial. Returns the tasks used
-    /// (1 = serial).
-    fn relink(&mut self, agents: impl ExactSizeIterator<Item = AgentId>, forward: bool) -> usize {
-        let Some(mut adj) = self.adj.take() else {
-            return 1;
-        };
-        let mut out = std::mem::take(&mut self.edges_out);
-        let threads = self.relink_tasks(agents.len());
-        if threads <= 1 {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            for a in agents {
-                self.edges_into(a, forward, &mut scratch, &mut out);
-            }
-            self.scratch = scratch;
-        } else {
-            // Deal the batch out in contiguous chunks: a straggler
-            // pocket makes one shard's relinks far dearer than another's,
-            // so chunks of the (spatially mixed) batch order balance the
-            // tasks where whole shards would not. Tasks only read.
-            let batch: Vec<AgentId> = agents.collect();
-            let this = &*self;
-            std::thread::scope(|scope| {
-                let running: Vec<_> = (batch.chunks(batch.len().div_ceil(threads)))
-                    .map(|task| {
-                        scope.spawn(move || {
-                            let (mut scratch, mut out) = (Vec::new(), Vec::new());
-                            for &a in task {
-                                this.edges_into(a, forward, &mut scratch, &mut out);
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for task in running {
-                    out.extend(task.join().expect("relink task panicked"));
-                }
-            });
-        }
-        for &e in &out {
-            adj.link(e);
-        }
-        out.clear();
-        self.edges_out = out;
-        self.adj = Some(adj);
-        threads
-    }
-
-    /// Appends the rule edges incident to `a` (with `forward`, only those
-    /// to larger ids), from the shards the prune test keeps.
-    fn edges_into(
-        &self,
-        a: AgentId,
-        forward: bool,
-        scratch: &mut Vec<u32>,
-        out: &mut Vec<WireEdge>,
-    ) {
-        let (space, params) = (&*self.space, self.params);
-        edges::edges_into(
-            space,
-            params,
-            &self.part,
-            &self.nodes,
-            a.0,
-            forward,
-            scratch,
-            out,
-        );
-    }
-
-    /// How many parallel relink tasks a batch of `batch_len` agents
-    /// warrants.
-    fn relink_tasks(&self, batch_len: usize) -> usize {
-        let shards = self.part.num_shards();
-        if batch_len < PARALLEL_RELINK_THRESHOLD || shards < 2 {
-            return 1;
-        }
-        let hw = if self.relink_threads > 0 {
-            self.relink_threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        };
-        hw.min(shards)
+        self.mirror.rebuild();
     }
 
     /// Cluster advancements committed so far (read from the store).
@@ -796,8 +540,129 @@ impl<S: Space> DepGraph<S> {
         let key = Key::tagged_u32_pair(HIST_TAG, step.0, a.0);
         self.db
             .get(key)
-            .map(|raw| decode_record(&*self.space, raw))
+            .map(|raw| decode_record(&**self.space(), raw))
             .transpose()
+    }
+
+    /// All agents that block `a`, in `(step, id)` order (diagnostics; the
+    /// scheduler uses [`DepTracker::first_blocker`]).
+    pub fn blockers_of(&self, a: AgentId) -> Vec<AgentId> {
+        self.mirror.blockers_of(a)
+    }
+
+    /// Allocating convenience form of [`DepTracker::coupled_of`].
+    pub fn coupled_neighbors(&self, a: AgentId) -> Vec<AgentId> {
+        self.mirror.coupled_of(a).to_vec()
+    }
+
+    /// Agents whose step equals `step` (sorted by id).
+    pub fn agents_at_step(&self, step: Step) -> Vec<AgentId> {
+        (0..self.mirror.len() as u32)
+            .map(AgentId)
+            .filter(|&a| self.mirror.step(a) == step)
+            .collect()
+    }
+
+    /// Dumps nodes and the maintained edges (O(n + edges)) for
+    /// visualization and for cross-checking incremental maintenance
+    /// against a from-scratch rebuild.
+    pub fn snapshot(&self) -> GraphSnapshot {
+        self.mirror.snapshot()
+    }
+
+    /// Debug cross-check of the shard partition against first
+    /// principles: ownership matches the shard map, step bounds match the
+    /// node table. Used by the property tests.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.mirror.check_invariants();
+    }
+}
+
+/// Edge queries ([`DepTracker::first_blocker`], [`DepTracker::coupled_of`])
+/// are served from the maintained adjacency in O(degree) without
+/// allocating, and panic in [`EdgeMode::Off`]; `max_step() - min_step()`
+/// is the current step skew, O(shards · log n) from the step bounds.
+impl<S: Space> DepTracker<S> for DepGraph<S> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.mirror.len()
+    }
+
+    #[inline]
+    fn step(&self, a: AgentId) -> Step {
+        self.mirror.step(a)
+    }
+
+    #[inline]
+    fn pos(&self, a: AgentId) -> S::Pos {
+        self.mirror.pos(a)
+    }
+
+    #[inline]
+    fn min_step(&self) -> Step {
+        self.mirror.min_step()
+    }
+
+    #[inline]
+    fn max_step(&self) -> Step {
+        self.mirror.max_step()
+    }
+
+    /// One store transaction — the paper's worker-side graph update; the
+    /// mirror only moves once it commits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an agent id is out of range.
+    fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        targets.extend(
+            updates
+                .iter()
+                .map(|&(a, pos)| (a, self.mirror.step(a).next(), pos)),
+        );
+        let result = self.write(&targets, true);
+        self.targets = targets;
+        result
+    }
+
+    /// The squash path of speculative execution (paper §6, implemented
+    /// in [`crate::spec`]), as one store transaction; the mirror only
+    /// moves once it commits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an agent id is out of range or a target step is *ahead*
+    /// of the agent's current step (rollback must rewind, not advance).
+    fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
+        for &(a, step, _) in updates {
+            let current = self.mirror.step(a);
+            assert!(
+                step <= current,
+                "rollback of {a} to {step} is ahead of current {current}"
+            );
+        }
+        self.write(updates, false)
+    }
+
+    /// Answered by the position indexes edge maintenance keeps current,
+    /// or by the members themselves when the space has no index or edges
+    /// are [`EdgeMode::Off`].
+    #[inline]
+    fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        self.mirror.candidates_within(center, units, out);
+    }
+
+    #[inline]
+    fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
+        self.mirror.first_blocker(a)
+    }
+
+    #[inline]
+    fn coupled_of(&self, a: AgentId) -> &[AgentId] {
+        self.mirror.coupled_of(a)
     }
 
     /// Compacts history records older than the deepest rollback any legal
@@ -823,15 +688,11 @@ impl<S: Space> DepGraph<S> {
     /// Call from a quiesced writer (e.g. the threaded executor's
     /// checkpoint barrier): the key walk and the deletes are not one
     /// transaction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store errors from the watermark read.
-    pub fn evict_history(&mut self) -> Result<u64, StoreError> {
+    fn evict_history(&mut self) -> Result<u64, StoreError> {
         if !self.history {
             return Ok(0);
         }
-        let floor = self.min_step().0;
+        let floor = self.mirror.min_step().0;
         let prev = self.db.get_i64(HIST_FLOOR_KEY)?.max(0) as u32;
         if floor <= prev {
             return Ok(0); // nothing new below the watermark
@@ -839,136 +700,9 @@ impl<S: Space> DepGraph<S> {
         Ok(evict_below(&self.db, floor))
     }
 
-    /// First agent (in `(step, id)` order) that blocks `a`, if any.
-    ///
-    /// Served from the maintained adjacency in O(blocker count), without
-    /// allocating. `None` means `a`'s cluster may advance as far as `a`
-    /// is concerned.
-    pub fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
-        self.adj().first_blocker(a, &self.nodes)
-    }
-
-    /// All agents that block `a`, in `(step, id)` order (diagnostics; the
-    /// scheduler uses [`DepGraph::first_blocker`]).
-    pub fn blockers_of(&self, a: AgentId) -> Vec<AgentId> {
-        self.adj().blockers_of(a, &self.nodes)
-    }
-
-    /// Agents at the same step as `a` within the coupling radius
-    /// (excluding `a`), ascending by id — the maintained adjacency slice,
-    /// no allocation.
-    pub fn coupled_of(&self, a: AgentId) -> &[AgentId] {
-        self.adj().coupled_of(a)
-    }
-
-    /// Allocating convenience form of [`DepGraph::coupled_of`].
-    pub fn coupled_neighbors(&self, a: AgentId) -> Vec<AgentId> {
-        self.coupled_of(a).to_vec()
-    }
-
-    /// Appends to `out` every agent that may currently stand within
-    /// `units` of `center`: a superset in no particular order, possibly
-    /// with repeats, answered by the position indexes edge maintenance
-    /// keeps current — of every shard [`ShardMap::min_distance`] cannot
-    /// rule out — or by the members themselves when the space has no
-    /// index or edges are [`EdgeMode::Off`]. Callers re-check candidates
-    /// with [`Space::within_units`]; `out` is not cleared.
-    pub fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
-        self.part.within(center, units, out);
-    }
-
-    /// Agents whose step equals `step` (sorted by id).
-    pub fn agents_at_step(&self, step: Step) -> Vec<AgentId> {
-        (0..self.nodes.len() as u32)
-            .map(AgentId)
-            .filter(|&a| self.step(a) == step)
-            .collect()
-    }
-
-    /// Verifies the §3.2 validity condition over the whole graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violating pair.
-    pub fn validate(&self) -> Result<(), String> {
-        edges::validate(&*self.space, self.params, &self.nodes)
-    }
-
-    /// Dumps nodes and the maintained edges (O(n + edges)) for
-    /// visualization and for cross-checking incremental maintenance
-    /// against a from-scratch rebuild.
-    pub fn snapshot(&self) -> GraphSnapshot {
-        self.adj().snapshot(&self.nodes)
-    }
-
-    /// Debug cross-check of the shard partition against first
-    /// principles: ownership matches the shard map, step bounds match the
-    /// node table. Used by the property tests.
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.part.check(&self.nodes);
-    }
-}
-
-impl<S: Space> DepTracker<S> for DepGraph<S> {
-    #[inline]
-    fn len(&self) -> usize {
-        DepGraph::len(self)
-    }
-
-    #[inline]
-    fn step(&self, a: AgentId) -> Step {
-        DepGraph::step(self, a)
-    }
-
-    #[inline]
-    fn pos(&self, a: AgentId) -> S::Pos {
-        DepGraph::pos(self, a)
-    }
-
-    #[inline]
-    fn min_step(&self) -> Step {
-        DepGraph::min_step(self)
-    }
-
-    #[inline]
-    fn max_step(&self) -> Step {
-        DepGraph::max_step(self)
-    }
-
-    #[inline]
-    fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
-        DepGraph::advance(self, updates)
-    }
-
-    #[inline]
-    fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
-        DepGraph::rollback(self, updates)
-    }
-
-    #[inline]
-    fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
-        DepGraph::candidates_within(self, center, units, out)
-    }
-
-    #[inline]
-    fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
-        DepGraph::first_blocker(self, a)
-    }
-
-    #[inline]
-    fn coupled_of(&self, a: AgentId) -> &[AgentId] {
-        DepGraph::coupled_of(self, a)
-    }
-
-    #[inline]
-    fn evict_history(&mut self) -> Result<u64, StoreError> {
-        DepGraph::evict_history(self)
-    }
-
     #[inline]
     fn validate(&self) -> Result<(), String> {
-        DepGraph::validate(self)
+        self.mirror.validate()
     }
 }
 

@@ -1,9 +1,12 @@
 //! The controller-side tracker driving isolated shard workers.
 //!
-//! [`DistTracker`] runs the edge engine of [`crate::shard::ShardedDepGraph`]
-//! on the controller — the same spatially indexed partition, prune test,
-//! rule classification and adjacency — over a *mirror* of the committed
-//! world, so scheduling queries and edge repair never cross the boundary.
+//! [`DistTracker`] is a committed-state mirror plus one lane per worker.
+//! The mirror is the one [`crate::depgraph::DepGraph`] and
+//! [`crate::shard::ShardedDepGraph`] keep — the same spatially indexed
+//! partition, prune test, rule classification, adjacency and relink,
+//! parallel for large batches over several shards — with its partition
+//! following the workers' membership, so scheduling queries and edge
+//! repair never cross the boundary.
 //! The workers ([`super::worker::ShardWorker`], each behind a
 //! [`super::worker::WorkerLink`]) hold the authoritative records: every
 //! **write** (commit, rollback, migration, history eviction) happens
@@ -83,7 +86,7 @@ use parking_lot::Mutex;
 use aim_store::{Db, StoreError};
 
 use crate::depgraph::{DepTracker, GraphOptions, GraphSnapshot, HIST_FLOOR_KEY, HIST_TAG};
-use crate::edges::{self, Adjacency, Node, Partition};
+use crate::edges::{Mirror, Node, Partition};
 use crate::health::{HealthBoard, WorkerHealth};
 use crate::ids::{AgentId, Step};
 use crate::rules::RuleParams;
@@ -91,7 +94,7 @@ use crate::shard::{owners_of, ShardMap};
 use crate::space::Space;
 use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
 
-use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
+use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg};
 use super::worker::{worker_down, ChannelLink, SeveredLink, SharedTelemetry, WorkerLink};
 
 /// Requests a lane queues before it is handed off: the most writes a
@@ -459,7 +462,7 @@ fn mirror_record<P: Copy>(
 
 /// The distributed dependency tracker (see the [module docs](super)).
 ///
-/// [`DistTracker::advance`] and [`DistTracker::rollback`] repair edges on
+/// [`DepTracker::advance`] and [`DepTracker::rollback`] repair edges on
 /// the controller and queue the write for its owner, which is handed
 /// its queue once it holds [`WINDOW`] requests, when one of its agents
 /// migrates, or at a quiesce point (see the [module docs](super) for the
@@ -474,8 +477,10 @@ fn mirror_record<P: Copy>(
 /// repairs it from its retained store and the writes the controller
 /// kept, whichever part of them it had applied.
 pub struct DistTracker<S: Space> {
-    space: Arc<S>,
-    params: RuleParams,
+    /// Controller mirror of every agent's committed state, partitioned
+    /// as the workers' membership: ownership, the prune test and edge
+    /// repair.
+    mirror: Mirror<S>,
     /// One lane per shard worker. Only the readers of the worker stores
     /// lock it, to settle the window through `&self`; every other path
     /// reaches the lanes through `get_mut`.
@@ -483,13 +488,6 @@ pub struct DistTracker<S: Space> {
     /// Each worker's database, retained as its durable storage stand-in.
     worker_dbs: Vec<Arc<Db>>,
     history: bool,
-    /// Controller mirror of every agent's committed state.
-    nodes: Vec<Node<S::Pos>>,
-    /// The workers' membership mirrored, with a step bound and spatial
-    /// index per worker: ownership, the prune test and edge repair.
-    part: Partition<S::Pos>,
-    /// The maintained edges.
-    adj: Adjacency,
     /// History-eviction watermark mirror (guards redundant sweeps).
     hist_floor: u32,
     telemetry: Option<Arc<Telemetry>>,
@@ -501,21 +499,18 @@ pub struct DistTracker<S: Space> {
     on_severed: Option<Box<dyn FnMut(u32) + Send>>,
     /// The running operation's `(agent, step, position)` targets. This
     /// and `pool` are operation scratch, empty between calls.
-    targets: Vec<(AgentId, u32, S::Pos)>,
+    targets: Vec<(AgentId, Step, S::Pos)>,
     /// Records in the controller's hands: departed and not yet queued
     /// for their new owner, or recovered by a resync.
     pool: Vec<NodeRecord<S::Pos>>,
-    /// Reused candidate and edge buffers of the edge repair.
-    scratch: Vec<u32>,
-    edges: Vec<WireEdge>,
 }
 
 impl<S: Space> fmt::Debug for DistTracker<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DistTracker")
-            .field("agents", &self.nodes.len())
+            .field("agents", &self.mirror.len())
             .field("workers", &self.worker_dbs.len())
-            .field("min_step", &self.min_step())
+            .field("min_step", &self.mirror.min_step())
             .finish()
     }
 }
@@ -531,17 +526,9 @@ fn protocol_err<P: fmt::Debug>(wanted: &str, got: &ShardMsg<P>) -> StoreError {
 }
 
 impl<S: Space> DistTracker<S> {
-    /// A tracker over one freshly spawned channel worker per store,
-    /// with room for `num_agents` agents and a mirror that is still
-    /// empty.
-    fn spawn(
-        space: Arc<S>,
-        params: RuleParams,
-        map: Arc<dyn ShardMap<S::Pos>>,
-        worker_dbs: Vec<Arc<Db>>,
-        history: bool,
-        num_agents: usize,
-    ) -> Self {
+    /// A tracker around `mirror` over one freshly spawned channel worker
+    /// per store.
+    fn spawn(mirror: Mirror<S>, worker_dbs: Vec<Arc<Db>>, history: bool) -> Self {
         let shared_telemetry: SharedTelemetry = Arc::default();
         let lanes = worker_dbs
             .iter()
@@ -549,33 +536,25 @@ impl<S: Space> DistTracker<S> {
             .map(|(j, db)| {
                 Lane::new(Box::new(ChannelLink::spawn(
                     j as u32,
-                    Arc::clone(&space),
-                    params,
+                    Arc::clone(mirror.space()),
+                    mirror.params(),
                     Arc::clone(db),
                     history,
                     Arc::clone(&shared_telemetry),
                 )))
             })
             .collect();
-        let units = params.coupling_units();
-        let part = Partition::new(map, || space.make_index(units));
         DistTracker {
-            space,
-            params,
+            mirror,
             lanes: Mutex::new(lanes),
             worker_dbs,
             history,
-            nodes: Vec::with_capacity(num_agents),
-            part,
-            adj: Adjacency::new(num_agents),
             hist_floor: 0,
             telemetry: None,
             shared_telemetry,
             on_severed: None,
             targets: Vec::new(),
             pool: Vec::new(),
-            scratch: Vec::new(),
-            edges: Vec::new(),
         }
     }
 
@@ -596,31 +575,20 @@ impl<S: Space> DistTracker<S> {
         options: GraphOptions,
     ) -> Result<Self, StoreError> {
         let worker_dbs = (0..map.num_shards()).map(|_| Arc::new(Db::new())).collect();
-        let mut tracker = Self::spawn(
-            space,
-            params,
-            map,
-            worker_dbs,
-            options.history,
-            initial.len(),
-        );
-        for (i, &pos) in initial.iter().enumerate() {
-            let node = Node {
-                pos,
-                step: Step::ZERO,
-            };
-            tracker.nodes.push(node);
-            tracker.part.insert(i as u32, 0, pos);
-            // Every agent's step-0 record (with its step-0 history
-            // record when history is on) starts in the controller's
-            // hands, bound for its owner.
-            let record = mirror_record(i as u32, node, tracker.history, std::iter::empty());
-            tracker.pool.push(record);
-        }
+        let step = Step::ZERO;
+        let nodes = initial.iter().map(|&pos| Node { pos, step }).collect();
+        let mirror = Mirror::new(space, params, map, nodes, true);
+        let mut tracker = Self::spawn(mirror, worker_dbs, options.history);
+        // Every agent's step-0 record (with its step-0 history record
+        // when history is on) starts in the controller's hands, bound
+        // for its owner.
+        let (nodes, history) = (tracker.mirror.nodes(), tracker.history);
+        tracker.pool = (nodes.iter().enumerate())
+            .map(|(a, &node)| mirror_record(a as u32, node, history, std::iter::empty()))
+            .collect();
         let lanes = tracker.lanes.get_mut();
-        queue_arrivals(lanes, &tracker.part, &mut tracker.pool);
+        queue_arrivals(lanes, tracker.mirror.partition(), &mut tracker.pool);
         settle(lanes, None)?;
-        tracker.relink_all();
         Ok(tracker)
     }
 
@@ -654,10 +622,18 @@ impl<S: Space> DistTracker<S> {
         }
         let num_agents = members.iter().map(Vec::len).sum();
         let owner = owners_of(members, num_agents)?;
-        let mut tracker = Self::spawn(space, params, map, worker_dbs, options.history, num_agents);
-        // Recover every worker in one round, then assemble the mirror
-        // from the authoritative states they report.
-        let mut states: Vec<Option<(u32, S::Pos)>> = vec![None; num_agents];
+        // The workers come up around an empty mirror; the real one is
+        // assembled from the authoritative states they report, all
+        // recovered in one round.
+        let empty = Mirror::new(
+            Arc::clone(&space),
+            params,
+            Arc::clone(&map),
+            Vec::new(),
+            true,
+        );
+        let mut tracker = Self::spawn(empty, worker_dbs, options.history);
+        let mut states: Vec<Option<Node<S::Pos>>> = vec![None; num_agents];
         let lanes = tracker.lanes.get_mut();
         for (j, list) in members.iter().enumerate() {
             let expected = list.clone();
@@ -679,20 +655,17 @@ impl<S: Space> DistTracker<S> {
                 )));
             }
             for (a, step, pos) in worker_states {
-                states[a as usize] = Some((step, pos));
+                let step = Step(step);
+                states[a as usize] = Some(Node { pos, step });
             }
         }
-        for (i, state) in states.iter().enumerate() {
-            let &(step, pos) = state
-                .as_ref()
-                .ok_or_else(|| StoreError::Codec(format!("agent {i} owned by no shard")))?;
-            tracker.nodes.push(Node {
-                pos,
-                step: Step(step),
-            });
-            tracker.part.insert(i as u32, step, pos);
-        }
-        tracker.part.check_owners(&owner)?;
+        let nodes = (states.into_iter().enumerate())
+            .map(|(i, node)| {
+                node.ok_or_else(|| StoreError::Codec(format!("agent {i} owned by no shard")))
+            })
+            .collect::<Result<_, _>>()?;
+        tracker.mirror = Mirror::new(space, params, map, nodes, true);
+        tracker.mirror.partition().check_owners(&owner)?;
         if tracker.history {
             tracker.hist_floor = tracker
                 .worker_dbs
@@ -701,7 +674,6 @@ impl<S: Space> DistTracker<S> {
                 .min()
                 .unwrap_or(0);
         }
-        tracker.relink_all();
         Ok(tracker)
     }
 
@@ -712,32 +684,22 @@ impl<S: Space> DistTracker<S> {
 
     /// The worker currently owning `a`.
     pub fn shard_of_agent(&self, a: AgentId) -> usize {
-        self.part.owner(a.0)
+        self.mirror.partition().owner(a.0)
     }
 
     /// Member agents of worker `shard`, ascending by id.
     pub fn members(&self, shard: usize) -> Vec<u32> {
-        self.part.members(shard)
-    }
-
-    /// Number of agents.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the tracker tracks no agents.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.mirror.partition().members(shard)
     }
 
     /// The rule parameters in force.
     pub fn params(&self) -> RuleParams {
-        self.params
+        self.mirror.params()
     }
 
     /// The space agents live in.
     pub fn space(&self) -> &Arc<S> {
-        &self.space
+        self.mirror.space()
     }
 
     /// Hands every lane's queue over and reaps the replies, through
@@ -756,26 +718,6 @@ impl<S: Space> DistTracker<S> {
     pub fn worker_db(&self, shard: usize) -> &Arc<Db> {
         self.settle_stores();
         &self.worker_dbs[shard]
-    }
-
-    /// Current position of `a` (from the controller mirror).
-    pub fn pos(&self, a: AgentId) -> S::Pos {
-        self.nodes[a.index()].pos
-    }
-
-    /// Current (next-to-execute) step of `a`.
-    pub fn step(&self, a: AgentId) -> Step {
-        self.nodes[a.index()].step
-    }
-
-    /// The lowest step any agent is at.
-    pub fn min_step(&self) -> Step {
-        self.part.min_step()
-    }
-
-    /// The highest step any agent is at.
-    pub fn max_step(&self) -> Step {
-        self.part.max_step()
     }
 
     /// Cluster advancements committed so far, summed over the workers'
@@ -814,57 +756,16 @@ impl<S: Space> DistTracker<S> {
         Step(self.hist_floor)
     }
 
-    /// First agent (in `(step, id)` order) that blocks `a`, if any.
-    pub fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
-        self.adj.first_blocker(a, &self.nodes)
-    }
-
     /// All agents that block `a`, in `(step, id)` order.
     pub fn blockers_of(&self, a: AgentId) -> Vec<AgentId> {
-        self.adj.blockers_of(a, &self.nodes)
-    }
-
-    /// Same-step coupling partners of `a`, ascending by id.
-    pub fn coupled_of(&self, a: AgentId) -> &[AgentId] {
-        self.adj.coupled_of(a)
-    }
-
-    /// Appends to `out` every agent that may currently stand within
-    /// `units` of `center`: a superset in no particular order, answered
-    /// by the mirror's spatial indexes of every shard
-    /// [`ShardMap::min_distance`] cannot rule out. Callers re-check
-    /// candidates with [`Space::within_units`]; `out` is not cleared.
-    pub fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
-        self.part.within(center, units, out);
-    }
-
-    /// Verifies the §3.2 validity condition over the mirrored world.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violating pair.
-    pub fn validate(&self) -> Result<(), String> {
-        edges::validate(&*self.space, self.params, &self.nodes)
+        self.mirror.blockers_of(a)
     }
 
     /// Dumps nodes and edges in the same shape as
     /// [`crate::depgraph::DepGraph::snapshot`], so the trackers compare
     /// directly.
     pub fn snapshot(&self) -> GraphSnapshot {
-        self.adj.snapshot(&self.nodes)
-    }
-
-    /// Attaches a telemetry sink: the controller records every hand-off
-    /// and the wait for its replies as one [`SpanKind::Boundary`] span
-    /// each, `messages` saying how many requests or replies it carried
-    /// (the [`Counter::BoundaryMessages`] counter counts those), and
-    /// workers record their apply time per request through the shared
-    /// cell. Workers that cannot see the
-    /// cell (out-of-process transports) buffer locally instead and are
-    /// drained by [`DistTracker::harvest_telemetry`].
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.shared_telemetry.set(Some(Arc::clone(&telemetry)));
-        self.telemetry = Some(telemetry);
+        self.mirror.snapshot()
     }
 
     /// Settles the window, then drains every worker's locally-buffered
@@ -975,58 +876,13 @@ impl<S: Space> DistTracker<S> {
         self.on_severed = Some(hook);
     }
 
-    /// Advances every `(agent, new_position)` one step: the mirror moves
-    /// and its edges are repaired, and each owner's lane queues the
-    /// commit. The call waits for a worker only when a lane's window
-    /// fills, or for the `Departed` records of an agent crossing out of
-    /// its worker's region.
-    ///
-    /// # Errors
-    ///
-    /// Fails before queueing anything if a worker it would write to is
-    /// down; otherwise propagates the failures of the hand-offs it
-    /// triggered. A failed call leaves the mirror as it was and has
-    /// committed nothing on any reachable worker (see [`DistTracker`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an agent id is out of range.
-    pub fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
-        self.targets.clear();
-        self.targets.extend(
-            updates
-                .iter()
-                .map(|&(a, pos)| (a, self.nodes[a.index()].step.0 + 1, pos)),
-        );
-        self.write(Write::Commit)
-    }
-
-    /// Rolls every `(agent, step, position)` back — the speculative
-    /// squash path — queued like [`DistTracker::advance`].
-    ///
-    /// # Errors
-    ///
-    /// Refuses a target step ahead of the agent's current one before
-    /// queueing anything; otherwise fails as [`DistTracker::advance`]
-    /// does, leaving the mirror as it was.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an agent id is out of range.
-    pub fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
-        self.targets.clear();
-        self.targets
-            .extend(updates.iter().map(|&(a, step, pos)| (a, step.0, pos)));
-        self.write(Write::Rollback)
-    }
-
     /// Runs the write operation over `self.targets`: the mirror moves if
     /// it succeeds, the workers are brought back to it if it fails.
     fn write(&mut self, write: Write) -> Result<(), StoreError> {
         let targets = std::mem::take(&mut self.targets);
         let result = self.queue_write(write, &targets);
         match result {
-            Ok(()) => self.apply(&targets),
+            Ok(()) => self.mirror.apply(&targets, None),
             Err(_) => self.abort(&targets),
         }
         for lane in self.lanes.get_mut() {
@@ -1046,17 +902,17 @@ impl<S: Space> DistTracker<S> {
     fn queue_write(
         &mut self,
         write: Write,
-        targets: &[(AgentId, u32, S::Pos)],
+        targets: &[(AgentId, Step, S::Pos)],
     ) -> Result<(), StoreError> {
-        let lanes = self.lanes.get_mut();
+        let (lanes, part) = (self.lanes.get_mut(), self.mirror.partition());
         for &(a, step, pos) in targets {
-            let current = self.nodes[a.index()].step;
-            if write == Write::Rollback && step > current.0 {
+            let current = self.mirror.step(a);
+            if write == Write::Rollback && step > current {
                 return Err(StoreError::Codec(format!(
                     "rollback of agent {a} to step {step} is ahead of current {current}"
                 )));
             }
-            for j in [self.part.owner(a.0), self.part.home(pos)] {
+            for j in [part.owner(a.0), part.home(pos)] {
                 if lanes[j].down {
                     return Err(worker_down(j as u32));
                 }
@@ -1064,9 +920,9 @@ impl<S: Space> DistTracker<S> {
         }
         let mut migrations = 0u64;
         for &(a, step, pos) in targets {
-            let from = self.part.owner(a.0);
-            lanes[from].writes.push((a.0, step, pos));
-            if self.part.home(pos) != from {
+            let from = part.owner(a.0);
+            lanes[from].writes.push((a.0, step.0, pos));
+            if part.home(pos) != from {
                 lanes[from].departs.push(a.0);
                 migrations += 1;
             }
@@ -1107,7 +963,7 @@ impl<S: Space> DistTracker<S> {
                     )));
                 }
             }
-            queue_arrivals(lanes, &self.part, &mut self.pool);
+            queue_arrivals(lanes, part, &mut self.pool);
         }
         for (j, lane) in lanes.iter_mut().enumerate() {
             if !lane.down && lane.queue.len() >= WINDOW {
@@ -1117,57 +973,11 @@ impl<S: Space> DistTracker<S> {
         Ok(())
     }
 
-    /// Moves the mirror to `targets` — every agent's node and shard
-    /// membership first, so no repair misses an agent mid-migration —
-    /// and repairs their edges, as [`crate::depgraph::DepGraph`] does.
-    fn apply(&mut self, targets: &[(AgentId, u32, S::Pos)]) {
-        for &(a, step, pos) in targets {
-            let node = Node {
-                pos,
-                step: Step(step),
-            };
-            let old = std::mem::replace(&mut self.nodes[a.index()], node);
-            (self.part).migrate(a.0, (old.step.0, old.pos), (step, pos));
-            self.adj.detach(a);
-        }
-        self.relink(targets.iter().map(|&(a, _, _)| a.0), false);
-    }
-
-    /// Links the rule edges incident to `agents`, whose node states are
-    /// in place and whose old edges are gone; with `forward`, only those
-    /// to larger ids (a full rebuild must link each pair once).
-    fn relink(&mut self, agents: impl Iterator<Item = u32>, forward: bool) {
-        let (space, params) = (&*self.space, self.params);
-        for a in agents {
-            let (part, nodes) = (&self.part, &self.nodes);
-            edges::edges_into(
-                space,
-                params,
-                part,
-                nodes,
-                a,
-                forward,
-                &mut self.scratch,
-                &mut self.edges,
-            );
-        }
-        for e in self.edges.drain(..) {
-            self.adj.link(e);
-        }
-    }
-
-    /// Rebuilds every edge from the mirrored node states (construction
-    /// and recovery).
-    fn relink_all(&mut self) {
-        self.adj.clear();
-        self.relink(0..self.nodes.len() as u32, true);
-    }
-
     /// Undoes a failed write operation: healthy links are drained, the
     /// call's queued requests withdrawn (its arrivals back into the
     /// controller's hands), and every worker the call handed anything is
     /// resynchronised with the mirror.
-    fn abort(&mut self, targets: &[(AgentId, u32, S::Pos)]) {
+    fn abort(&mut self, targets: &[(AgentId, Step, S::Pos)]) {
         let t = self.telemetry.as_deref();
         let mut involved = Vec::new();
         for (j, lane) in self.lanes.get_mut().iter_mut().enumerate() {
@@ -1256,10 +1066,9 @@ impl<S: Space> DistTracker<S> {
         lane.in_doubt.extend_from_slice(agents);
         lane.in_doubt.sort_unstable();
         lane.in_doubt.dedup();
-        let owned = self
-            .pool
-            .iter()
-            .filter(|r| agents.contains(&r.agent) && self.part.owner(r.agent) == j);
+        let part = self.mirror.partition();
+        let owned =
+            (self.pool.iter()).filter(|r| agents.contains(&r.agent) && part.owner(r.agent) == j);
         lane.held.extend(owned.cloned());
     }
 
@@ -1276,8 +1085,9 @@ impl<S: Space> DistTracker<S> {
         let members = expected.len();
         let mut requests = vec![CtrlMsg::Recover { expected }];
         if !agents.is_empty() {
+            let nodes = self.mirror.nodes();
             let stub =
-                |a: u32| mirror_record(a, self.nodes[a as usize], self.history, std::iter::empty());
+                |a: u32| mirror_record(a, nodes[a as usize], self.history, std::iter::empty());
             requests.push(CtrlMsg::Arrive {
                 records: agents.iter().map(|&a| stub(a)).collect(),
             });
@@ -1299,7 +1109,7 @@ impl<S: Space> DistTracker<S> {
             )));
         }
         for (a, step, pos) in states {
-            let node = self.nodes[a as usize];
+            let node = self.mirror.nodes()[a as usize];
             if node.step.0 != step || node.pos != pos {
                 return Err(StoreError::Codec(format!(
                     "worker {j} recovered agent {a} at {:?}/{step} but the \
@@ -1323,10 +1133,10 @@ impl<S: Space> DistTracker<S> {
     /// first half recovered and the writes `j` holds in doubt replayed
     /// over it.
     fn readopt(&mut self, j: usize, agents: &[u32]) -> Result<(), StoreError> {
-        let lanes = self.lanes.get_mut();
+        let (lanes, mirror) = (self.lanes.get_mut(), &self.mirror);
         let records: Vec<NodeRecord<S::Pos>> = agents
             .iter()
-            .filter(|&&a| self.part.owner(a) == j)
+            .filter(|&&a| mirror.partition().owner(a) == j)
             .map(|&a| {
                 let held = self.pool.iter().filter(|r| r.agent == a);
                 let mut past: Vec<(u32, S::Pos)> =
@@ -1334,7 +1144,12 @@ impl<S: Space> DistTracker<S> {
                 for write in lanes[j].unacked.iter().filter(|u| u.agent() == a) {
                     write.replay(&mut past);
                 }
-                mirror_record(a, self.nodes[a as usize], self.history, past.into_iter())
+                mirror_record(
+                    a,
+                    mirror.nodes()[a as usize],
+                    self.history,
+                    past.into_iter(),
+                )
             })
             .collect();
         if records.is_empty() {
@@ -1343,40 +1158,6 @@ impl<S: Space> DistTracker<S> {
         let t = self.telemetry.as_deref();
         lanes[j].hand_off(j, t, [CtrlMsg::Arrive { records }])?;
         lanes[j].expect_done(j, t)
-    }
-
-    /// Compacts history below the deepest legal rollback across every
-    /// worker store, returning the total evicted (see
-    /// [`crate::depgraph::DepGraph::evict_history`] for the invariant —
-    /// untouched by distribution, since only the global `min_step` is
-    /// consulted). Settles the window first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates severed links and protocol violations.
-    pub fn evict_history(&mut self) -> Result<u64, StoreError> {
-        if !self.history {
-            return Ok(0);
-        }
-        let floor = self.min_step().0;
-        if floor <= self.hist_floor {
-            return Ok(0);
-        }
-        let result = self.evict_below(floor);
-        if result.is_err() {
-            let t = self.telemetry.as_deref();
-            for (j, lane) in self.lanes.get_mut().iter_mut().enumerate() {
-                lane.drain(j, t, &mut self.pool);
-            }
-            self.pool.clear();
-        }
-        let total = result?;
-        self.hist_floor = floor;
-        // Eviction is the run's natural quiesce barrier: piggyback a
-        // telemetry harvest so out-of-process buffers drain steadily
-        // instead of ballooning until end of run.
-        self.harvest_telemetry()?;
-        Ok(total)
     }
 
     /// Settles the window, then one [`CtrlMsg::EvictHistory`] round; the
@@ -1443,8 +1224,8 @@ impl<S: Space> DistTracker<S> {
     pub fn respawn_worker(&mut self, shard: usize) -> Result<(), StoreError> {
         let link = ChannelLink::spawn(
             shard as u32,
-            Arc::clone(&self.space),
-            self.params,
+            Arc::clone(self.mirror.space()),
+            self.mirror.params(),
             Arc::clone(&self.worker_dbs[shard]),
             self.history,
             Arc::clone(&self.shared_telemetry),
@@ -1479,7 +1260,7 @@ impl<S: Space> DistTracker<S> {
         let t = self.telemetry.as_deref();
         let lanes = self.lanes.get_mut();
         settle(lanes, t).expect("settle the window");
-        let probes: Vec<Probe<S::Pos>> = (self.nodes.iter().enumerate())
+        let probes: Vec<Probe<S::Pos>> = (self.mirror.nodes().iter().enumerate())
             .map(|(a, n)| Probe {
                 agent: a as u32,
                 step: n.step.0,
@@ -1499,12 +1280,12 @@ impl<S: Space> DistTracker<S> {
             };
             assert_eq!(
                 states.len(),
-                self.part.members(j).len(),
+                self.mirror.partition().members(j).len(),
                 "worker {j} member count drifted from the mirror"
             );
             for (a, step, pos) in states {
-                assert_eq!(self.part.owner(a), j, "ownership drift");
-                let node = self.nodes[a as usize];
+                assert_eq!(self.mirror.partition().owner(a), j, "ownership drift");
+                let node = self.mirror.nodes()[a as usize];
                 assert_eq!(node.step.0, step, "stale mirror step for agent {a}");
                 assert_eq!(node.pos, pos, "stale mirror position for agent {a}");
             }
@@ -1519,17 +1300,16 @@ impl<S: Space> DistTracker<S> {
                 false => (false, e.a, e.b),
             }));
         }
-        let mut kept = BTreeSet::new();
-        for a in (0..self.nodes.len() as u32).map(AgentId) {
-            let coupled = self.coupled_of(a).iter().filter(|b| a < **b);
-            kept.extend(coupled.map(|b| (true, a.0, b.0)));
-            kept.extend(self.blockers_of(a).into_iter().map(|b| (false, b.0, a.0)));
-        }
+        let snap = self.mirror.snapshot();
+        let mut kept: BTreeSet<_> = (snap.coupled.iter())
+            .map(|(a, b)| (true, a.0, b.0))
+            .collect();
+        kept.extend(snap.blocked.iter().map(|(b, a)| (false, b.0, a.0)));
         assert_eq!(
             kept, found,
             "mirror adjacency disagrees with the workers' edges"
         );
-        self.part.check(&self.nodes);
+        self.mirror.check_invariants();
     }
 }
 
@@ -1545,67 +1325,125 @@ impl<S: Space> Drop for DistTracker<S> {
 impl<S: Space> DepTracker<S> for DistTracker<S> {
     #[inline]
     fn len(&self) -> usize {
-        DistTracker::len(self)
+        self.mirror.len()
     }
 
     #[inline]
     fn step(&self, a: AgentId) -> Step {
-        DistTracker::step(self, a)
+        self.mirror.step(a)
     }
 
     #[inline]
     fn pos(&self, a: AgentId) -> S::Pos {
-        DistTracker::pos(self, a)
+        self.mirror.pos(a)
     }
 
     #[inline]
     fn min_step(&self) -> Step {
-        DistTracker::min_step(self)
+        self.mirror.min_step()
     }
 
     #[inline]
     fn max_step(&self) -> Step {
-        DistTracker::max_step(self)
+        self.mirror.max_step()
     }
 
-    #[inline]
+    /// The mirror moves and its edges are repaired, and each owner's lane
+    /// queues the commit. The call waits for a worker only when a lane's
+    /// window fills, or for the `Departed` records of an agent crossing
+    /// out of its worker's region.
+    ///
+    /// # Errors
+    ///
+    /// Fails before queueing anything if a worker it would write to is
+    /// down; otherwise propagates the failures of the hand-offs it
+    /// triggered. A failed call leaves the mirror as it was and has
+    /// committed nothing on any reachable worker (see [`DistTracker`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an agent id is out of range.
     fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
-        DistTracker::advance(self, updates)
+        self.targets.clear();
+        let mirror = &self.mirror;
+        let targets = updates
+            .iter()
+            .map(|&(a, pos)| (a, mirror.step(a).next(), pos));
+        self.targets.extend(targets);
+        self.write(Write::Commit)
     }
 
-    #[inline]
+    /// Queued like [`DepTracker::advance`]; a target step ahead of the
+    /// agent's current one is refused before anything is queued.
     fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
-        DistTracker::rollback(self, updates)
+        self.targets.clear();
+        self.targets.extend_from_slice(updates);
+        self.write(Write::Rollback)
     }
 
+    /// Answered by the mirror's spatial indexes of every shard
+    /// [`ShardMap::min_distance`] cannot rule out.
     #[inline]
     fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
-        DistTracker::candidates_within(self, center, units, out);
+        self.mirror.candidates_within(center, units, out);
     }
 
     #[inline]
     fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
-        DistTracker::first_blocker(self, a)
+        self.mirror.first_blocker(a)
     }
 
     #[inline]
     fn coupled_of(&self, a: AgentId) -> &[AgentId] {
-        DistTracker::coupled_of(self, a)
+        self.mirror.coupled_of(a)
     }
 
-    #[inline]
+    /// Compacts history across every worker store, returning the total
+    /// evicted (see [`crate::depgraph::DepGraph`]'s `evict_history` for
+    /// the invariant — untouched by distribution, since only the global
+    /// `min_step` is consulted). Settles the window first.
     fn evict_history(&mut self) -> Result<u64, StoreError> {
-        DistTracker::evict_history(self)
+        if !self.history {
+            return Ok(0);
+        }
+        let floor = self.mirror.min_step().0;
+        if floor <= self.hist_floor {
+            return Ok(0);
+        }
+        let result = self.evict_below(floor);
+        if result.is_err() {
+            let t = self.telemetry.as_deref();
+            for (j, lane) in self.lanes.get_mut().iter_mut().enumerate() {
+                lane.drain(j, t, &mut self.pool);
+            }
+            self.pool.clear();
+        }
+        let total = result?;
+        self.hist_floor = floor;
+        // Eviction is the run's natural quiesce barrier: piggyback a
+        // telemetry harvest so out-of-process buffers drain steadily
+        // instead of ballooning until end of run.
+        DistTracker::harvest_telemetry(self)?;
+        Ok(total)
     }
 
     #[inline]
     fn validate(&self) -> Result<(), String> {
-        DistTracker::validate(self)
+        self.mirror.validate()
     }
 
+    /// The controller records every hand-off and the wait for its
+    /// replies as one [`SpanKind::Boundary`] span each, `messages` saying
+    /// how many requests or replies it carried (the
+    /// [`Counter::BoundaryMessages`] counter counts those), and workers
+    /// record their apply time per request through the shared cell.
+    /// Workers that cannot see the cell (out-of-process transports)
+    /// buffer locally instead and are drained by
+    /// [`DistTracker::harvest_telemetry`].
     #[inline]
     fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        DistTracker::set_telemetry(self, telemetry)
+        self.shared_telemetry.set(Some(Arc::clone(&telemetry)));
+        self.telemetry = Some(telemetry);
     }
 
     #[inline]

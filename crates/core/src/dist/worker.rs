@@ -52,8 +52,9 @@ use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
 use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
 
 /// A generation-counted slot for the controller's in-process telemetry
-/// sink: set by [`crate::dist::DistTracker::set_telemetry`] (and cleared
-/// on teardown), observed by workers. The generation counter lets a
+/// sink: set by the tracker's
+/// [`crate::depgraph::DepTracker::set_telemetry`] (and cleared on
+/// teardown), observed by workers. The generation counter lets a
 /// worker cache the `Arc` locally and refresh with a single relaxed
 /// atomic load per hand-off — the mutex is touched only when the sink
 /// actually changes, keeping the lock off the hot path (`dist/handle` in
@@ -85,9 +86,9 @@ impl TelemetryCell {
     }
 }
 
-/// The controller's telemetry sink as seen by workers: filled in by
-/// [`crate::dist::DistTracker::set_telemetry`], cached per worker via the
-/// cell's generation counter. Observability-only — the message protocol
+/// The controller's telemetry sink as seen by workers: filled in by the
+/// tracker's [`crate::depgraph::DepTracker::set_telemetry`], cached per
+/// worker via the cell's generation counter. Observability-only — the message protocol
 /// remains the sole channel for simulation state.
 pub type SharedTelemetry = Arc<TelemetryCell>;
 

@@ -1,27 +1,34 @@
 //! The one edge engine behind every dependency tracker (paper §3.3).
 //!
 //! Derived edges are a function of the node states and the §3.2 rules.
-//! Repairing them after a commit takes three things, each written once
-//! here:
+//! Every tracker keeps one [`Mirror`] of the committed world — each
+//! agent's [`Node`], their [`Partition`] over shards and the
+//! [`Adjacency`] — which answers every scheduling query and is repaired
+//! after each write by [`Mirror::apply`]. A tracker is a mirror plus a
+//! write path:
+//!
+//! * `DepGraph` writes each batch as one store transaction, over one
+//!   shard or — as `ShardedDepGraph` — over many;
+//! * `DistTracker` queues each write for the shard worker owning the
+//!   agent, its partition mirroring the workers' membership.
+//!
+//! The mirror's parts are each written once here:
 //!
 //! * a [`Partition`]: which shard owns each agent, every shard's
 //!   `(step, agent)` set (its step bounds) and optional spatial index,
 //!   and the one step-bound prune test ([`Partition::reach`]) deciding
 //!   which shards can hold a rule neighbour of an agent at all;
 //! * [`edges_of`]: the pair classification — every candidate re-checked
-//!   with [`Space::within_units`], each edge emitted as a [`WireEdge`];
+//!   with [`Space::within_units`], each edge emitted as a [`WireEdge`] —
+//!   which each `ShardWorker` also answers the invariant check's relink
+//!   probes with;
 //! * an [`Adjacency`]: the id-sorted coupled / blockers / blockees lists
 //!   the scheduler's queries read.
 //!
-//! `DepGraph` holds all three, over one shard or — as `ShardedDepGraph`
-//! — over many. `DistTracker` holds all three controller-side too, over
-//! a mirror of its workers' membership, and repairs edges there with the
-//! same [`edges_into`]; each `ShardWorker` answers the invariant check's
-//! relink probes by classifying all its members with the same
-//! `edges_of`. A
-//! rule, a prune test or the adjacency layout therefore changes in one
-//! place, and the three trackers are edge-for-edge identical by
-//! construction.
+//! A rule, a prune test, the relink (serial, or parallel for large
+//! batches over several shards) or the adjacency layout therefore
+//! changes in one place, and the three trackers are edge-for-edge
+//! identical by construction.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -36,6 +43,7 @@ use crate::ids::{AgentId, Step};
 use crate::rules::{self, RuleParams};
 use crate::shard::ShardMap;
 use crate::space::{Space, SpatialIndex};
+use crate::telemetry::{Counter, SpanKind, Telemetry};
 
 /// One agent's committed state.
 #[derive(Debug, Clone, Copy)]
@@ -305,48 +313,293 @@ pub(crate) fn edges_of<S: Space>(
     }
 }
 
-/// Appends the rule edges incident to `agent` (with `forward`, only those
-/// to larger ids): the candidates `part` cannot prune, classified by
-/// [`edges_of`] against the node states in `nodes`. `scratch` is the
-/// reused candidate buffer.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn edges_into<S: Space>(
-    space: &S,
+/// Batch size at or above which a multi-shard mirror relinks in parallel
+/// across shards (when the machine has more than one CPU).
+const PARALLEL_RELINK_THRESHOLD: usize = 64;
+
+/// A tracker's mirror of the committed world: every agent's [`Node`],
+/// their [`Partition`] over the shards of a map and — when edges are
+/// maintained — the [`Adjacency`], which [`Mirror::apply`] repairs after
+/// each write. It answers every scheduling query without touching the
+/// store or a worker.
+pub(crate) struct Mirror<S: Space> {
+    space: Arc<S>,
     params: RuleParams,
-    part: &Partition<S::Pos>,
-    nodes: &[Node<S::Pos>],
-    agent: u32,
-    forward: bool,
-    scratch: &mut Vec<u32>,
-    out: &mut Vec<WireEdge>,
-) {
-    let at = nodes[agent as usize];
-    scratch.clear();
-    part.candidates(at.step.0, at.pos, params, scratch);
-    if forward {
-        scratch.retain(|&c| c > agent);
-    }
-    let node = |c: u32| nodes[c as usize];
-    edges_of(space, params, agent, at, scratch, node, out);
+    nodes: Vec<Node<S::Pos>>,
+    /// Shard ownership and step bounds, plus the spatial indexes edge
+    /// maintenance queries (none without maintained edges).
+    part: Partition<S::Pos>,
+    /// Maintained edges; `None` when the tracker keeps none.
+    adj: Option<Adjacency>,
+    /// Reused candidate and edge buffers of a serial relink.
+    scratch: Vec<u32>,
+    edges_out: Vec<WireEdge>,
+    /// Worker tasks for parallel relink (0 = decide from the machine).
+    relink_threads: usize,
 }
 
-/// Checks the §3.2 validity condition over `nodes`.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first violating pair.
-pub(crate) fn validate<S: Space>(
-    space: &S,
-    params: RuleParams,
-    nodes: &[Node<S::Pos>],
-) -> Result<(), String> {
-    let states: Vec<(S::Pos, Step)> = nodes.iter().map(|n| (n.pos, n.step)).collect();
-    match rules::find_violation(space, params, &states) {
-        None => Ok(()),
-        Some((i, j)) => Err(format!(
-            "validity violated: agent{} at {:?}/{} vs agent{} at {:?}/{}",
-            i, nodes[i].pos, nodes[i].step, j, nodes[j].pos, nodes[j].step
-        )),
+impl<S: Space> Mirror<S> {
+    /// The mirror of `nodes` over the shards of `map`, with its edges
+    /// (and the spatial indexes they need) built from scratch when
+    /// `maintained`.
+    pub(crate) fn new(
+        space: Arc<S>,
+        params: RuleParams,
+        map: Arc<dyn ShardMap<S::Pos>>,
+        nodes: Vec<Node<S::Pos>>,
+        maintained: bool,
+    ) -> Self {
+        let units = params.coupling_units();
+        let mut part = Partition::new(map, || {
+            maintained.then(|| space.make_index(units)).flatten()
+        });
+        for (a, node) in nodes.iter().enumerate() {
+            part.insert(a as u32, node.step.0, node.pos);
+        }
+        let mut mirror = Mirror {
+            adj: maintained.then(|| Adjacency::new(nodes.len())),
+            space,
+            params,
+            nodes,
+            part,
+            scratch: Vec::new(),
+            edges_out: Vec::new(),
+            relink_threads: 0,
+        };
+        mirror.rebuild();
+        mirror
+    }
+
+    pub(crate) fn space(&self) -> &Arc<S> {
+        &self.space
+    }
+
+    pub(crate) fn params(&self) -> RuleParams {
+        self.params
+    }
+
+    pub(crate) fn nodes(&self) -> &[Node<S::Pos>] {
+        &self.nodes
+    }
+
+    pub(crate) fn partition(&self) -> &Partition<S::Pos> {
+        &self.part
+    }
+
+    /// Overrides the task count of a parallel relink (`0` = decide from
+    /// [`std::thread::available_parallelism`]).
+    pub(crate) fn set_relink_threads(&mut self, threads: usize) {
+        self.relink_threads = threads;
+    }
+
+    /// Moves the mirror to the just-committed `(agent, step, position)`
+    /// `targets`: every agent's node and shard membership first (so no
+    /// relink query misses an agent mid-migration), then one relink
+    /// batch. With `telemetry`, each half is recorded as a span.
+    pub(crate) fn apply(
+        &mut self,
+        targets: &[(AgentId, Step, S::Pos)],
+        telemetry: Option<&Telemetry>,
+    ) {
+        let t0 = telemetry.and_then(|t| t.start());
+        let mut crossings = 0u32;
+        for &(a, step, pos) in targets {
+            let node = &mut self.nodes[a.index()];
+            let crossed = self
+                .part
+                .migrate(a.0, (node.step.0, node.pos), (step.0, pos));
+            crossings += u32::from(crossed);
+            *node = Node { pos, step };
+            if let Some(adj) = self.adj.as_mut() {
+                adj.detach(a);
+            }
+        }
+        let agents = targets.len() as u32;
+        if let (Some(t), Some(t0)) = (telemetry, t0) {
+            t.counter_add(Counter::ShardMigrations, u64::from(crossings));
+            t.record(t0, SpanKind::Migrate { agents, crossings });
+        }
+        let t0 = telemetry.and_then(|t| t.start());
+        let workers = self.relink(targets.iter().map(|&(a, _, _)| a), false) as u32;
+        if let (Some(t), Some(t0)) = (telemetry, t0) {
+            t.counter_add(Counter::RelinkBatches, 1);
+            t.record(t0, SpanKind::Relink { agents, workers });
+        }
+    }
+
+    /// Rebuilds every derived edge from the current node states (a no-op
+    /// without maintained edges).
+    pub(crate) fn rebuild(&mut self) {
+        if let Some(adj) = self.adj.as_mut() {
+            adj.clear();
+        }
+        let n = self.nodes.len() as u32;
+        self.relink((0..n).map(AgentId), true);
+    }
+
+    /// Links the rule edges incident to `agents`, whose node states are
+    /// in place and whose old edges are gone. With `forward`, only
+    /// neighbors with a larger id are linked — a full rebuild visits
+    /// every agent, and must link each pair once. Large batches on a
+    /// multi-shard partition compute their edges in parallel, one task
+    /// per chunk of the batch; linking is serial. Returns the tasks used
+    /// (1 = serial).
+    fn relink(&mut self, agents: impl ExactSizeIterator<Item = AgentId>, forward: bool) -> usize {
+        let Some(mut adj) = self.adj.take() else {
+            return 1;
+        };
+        let mut out = std::mem::take(&mut self.edges_out);
+        let threads = self.relink_tasks(agents.len());
+        if threads <= 1 {
+            let mut scratch = std::mem::take(&mut self.scratch);
+            for a in agents {
+                self.edges_into(a, forward, &mut scratch, &mut out);
+            }
+            self.scratch = scratch;
+        } else {
+            // Deal the batch out in contiguous chunks: a straggler
+            // pocket makes one shard's relinks far dearer than another's,
+            // so chunks of the (spatially mixed) batch order balance the
+            // tasks where whole shards would not. Tasks only read.
+            let batch: Vec<AgentId> = agents.collect();
+            let this = &*self;
+            std::thread::scope(|scope| {
+                let running: Vec<_> = (batch.chunks(batch.len().div_ceil(threads)))
+                    .map(|task| {
+                        scope.spawn(move || {
+                            let (mut scratch, mut out) = (Vec::new(), Vec::new());
+                            for &a in task {
+                                this.edges_into(a, forward, &mut scratch, &mut out);
+                            }
+                            out
+                        })
+                    })
+                    .collect();
+                for task in running {
+                    out.extend(task.join().expect("relink task panicked"));
+                }
+            });
+        }
+        for &e in &out {
+            adj.link(e);
+        }
+        out.clear();
+        self.edges_out = out;
+        self.adj = Some(adj);
+        threads
+    }
+
+    /// Appends the rule edges incident to `a` (with `forward`, only those
+    /// to larger ids): the candidates the prune test keeps, classified by
+    /// [`edges_of`]. `scratch` is the reused candidate buffer.
+    fn edges_into(
+        &self,
+        a: AgentId,
+        forward: bool,
+        scratch: &mut Vec<u32>,
+        out: &mut Vec<WireEdge>,
+    ) {
+        let at = self.nodes[a.index()];
+        scratch.clear();
+        (self.part).candidates(at.step.0, at.pos, self.params, scratch);
+        if forward {
+            scratch.retain(|&c| c > a.0);
+        }
+        let node = |c: u32| self.nodes[c as usize];
+        edges_of(&*self.space, self.params, a.0, at, scratch, node, out);
+    }
+
+    /// How many parallel relink tasks a batch of `batch_len` agents
+    /// warrants.
+    fn relink_tasks(&self, batch_len: usize) -> usize {
+        let shards = self.part.num_shards();
+        if batch_len < PARALLEL_RELINK_THRESHOLD || shards < 2 {
+            return 1;
+        }
+        let hw = if self.relink_threads > 0 {
+            self.relink_threads
+        } else {
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        };
+        hw.min(shards)
+    }
+
+    fn adj(&self) -> &Adjacency {
+        self.adj
+            .as_ref()
+            .expect("edge queries require EdgeMode::Maintained")
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    pub(crate) fn pos(&self, a: AgentId) -> S::Pos {
+        self.nodes[a.index()].pos
+    }
+
+    pub(crate) fn step(&self, a: AgentId) -> Step {
+        self.nodes[a.index()].step
+    }
+
+    pub(crate) fn min_step(&self) -> Step {
+        self.part.min_step()
+    }
+
+    pub(crate) fn max_step(&self) -> Step {
+        self.part.max_step()
+    }
+
+    /// First agent (in `(step, id)` order) blocking `a`, in O(blockers)
+    /// without allocating.
+    pub(crate) fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
+        self.adj().first_blocker(a, &self.nodes)
+    }
+
+    /// Every agent blocking `a`, in `(step, id)` order.
+    pub(crate) fn blockers_of(&self, a: AgentId) -> Vec<AgentId> {
+        self.adj().blockers_of(a, &self.nodes)
+    }
+
+    /// Coupling partners of `a`, ascending by id.
+    pub(crate) fn coupled_of(&self, a: AgentId) -> &[AgentId] {
+        self.adj().coupled_of(a)
+    }
+
+    /// Appends every agent that may stand within `units` of `center`:
+    /// the members of each shard [`ShardMap::min_distance`] cannot rule
+    /// out, through its spatial index when it keeps one.
+    pub(crate) fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        self.part.within(center, units, out);
+    }
+
+    /// Checks the §3.2 validity condition over the mirrored world.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable description of the first violating pair.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let nodes = &self.nodes;
+        let states: Vec<(S::Pos, Step)> = nodes.iter().map(|n| (n.pos, n.step)).collect();
+        match rules::find_violation(&*self.space, self.params, &states) {
+            None => Ok(()),
+            Some((i, j)) => Err(format!(
+                "validity violated: agent{} at {:?}/{} vs agent{} at {:?}/{}",
+                i, nodes[i].pos, nodes[i].step, j, nodes[j].pos, nodes[j].step
+            )),
+        }
+    }
+
+    /// Dumps the nodes and every maintained edge (O(n + edges)).
+    pub(crate) fn snapshot(&self) -> GraphSnapshot {
+        self.adj().snapshot(&self.nodes)
+    }
+
+    /// Panics unless the partition matches the nodes: every agent a
+    /// member of exactly one shard, the one the map places it in, at its
+    /// step.
+    pub(crate) fn check_invariants(&self) {
+        self.part.check(&self.nodes);
     }
 }
 

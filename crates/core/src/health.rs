@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::telemetry::{SpanKind, StallEdge, Telemetry};
+use crate::telemetry::{stall_edges, StallEdge, Telemetry};
 
 /// One worker's latest heartbeat gauges (last-writer-wins).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -243,46 +243,15 @@ impl Watchdog {
         Some(StallReport {
             stalled_us,
             last_step,
-            edges: hottest_edges(telemetry),
+            edges: stall_edges(&telemetry.drain_spans(), STALL_REPORT_EDGES),
         })
     }
-}
-
-/// Aggregates completed `Blocked` spans into (waiter, blocker, reason)
-/// edges and returns the hottest [`STALL_REPORT_EDGES`] by total wait.
-fn hottest_edges(telemetry: &Telemetry) -> Vec<StallEdge> {
-    let mut edges: BTreeMap<(u32, u32, u8), StallEdge> = BTreeMap::new();
-    for span in telemetry.drain_spans() {
-        if let SpanKind::Blocked {
-            agent,
-            blocker,
-            reason,
-            ..
-        } = span.kind
-        {
-            let e = edges
-                .entry((agent, blocker, reason as u8))
-                .or_insert(StallEdge {
-                    agent,
-                    blocker,
-                    reason,
-                    count: 0,
-                    total_us: 0,
-                });
-            e.count += 1;
-            e.total_us += span.duration_us();
-        }
-    }
-    let mut edges: Vec<StallEdge> = edges.into_values().collect();
-    edges.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.agent.cmp(&b.agent)));
-    edges.truncate(STALL_REPORT_EDGES);
-    edges
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::BlockReason;
+    use crate::telemetry::{BlockReason, RunTelemetry, SpanKind};
 
     fn blocked(t: &Telemetry, agent: u32, blocker: u32, dur_us: u64) {
         let start = t.now_us();
@@ -334,6 +303,28 @@ mod tests {
         assert!(dog.fired());
         let text = report.to_string();
         assert!(text.contains("agent 7 waited on agent 9"), "{text}");
+    }
+
+    #[test]
+    fn watchdog_and_run_report_rank_tied_edges_alike() {
+        // Agent 3 waits as long and as often on 8 as on 5: the tie falls
+        // to the blocker, whichever entry point ranks the edges.
+        let (dogged, reported) = (Telemetry::new(), Telemetry::new());
+        for t in [&dogged, &reported] {
+            blocked(t, 3, 8, 200);
+            blocked(t, 3, 5, 200);
+        }
+        let report = Watchdog::new(0)
+            .check(&dogged)
+            .expect("a zero budget fires");
+        let spans = reported.drain_spans();
+        let run = RunTelemetry::from_spans(spans, 1_000, 10, 0, vec![], Default::default(), None);
+        for edges in [report.edges, run.stall_edges(STALL_REPORT_EDGES)] {
+            let got: Vec<_> = (edges.iter())
+                .map(|e| (e.agent, e.blocker, e.count, e.total_us))
+                .collect();
+            assert_eq!(got, [(3, 5, 1, 200), (3, 8, 1, 200)]);
+        }
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //! shard's step bounds). Shards in step with `a` are queried at the tight
 //! coupling radius; distant lagging shards are pruned entirely.
 //!
-//! The sharded tracker *is* a [`DepGraph`] whose partition spans the
-//! map's shards: [`DepGraph`] itself runs the same partition, prune test
-//! and edge repair over a single shard that owns everything. With one
+//! The sharded tracker *is* a [`DepGraph`] whose committed-state mirror
+//! (the crate's one: nodes, partition, prune test, adjacency and edge
+//! repair) spans the map's shards; [`DepGraph`] itself keeps that mirror
+//! over a single shard that owns everything, and
+//! [`crate::dist::DistTracker`] over its workers' membership. With one
 //! shard the bounds are global and the behavior (and cost) is exactly the
 //! unsharded algorithm by construction — which is what the `shard/*`
 //! benches compare against.
@@ -65,8 +67,9 @@
 //! Because relink candidate generation is read-only (node table, shard
 //! indexes, step bounds), large batches — cluster commits, recovery
 //! rebuilds — compute their edge sets in parallel, one task per
-//! contiguous chunk of the batch, and apply the mutations serially.
-//! On single-core machines (or with one shard) the path stays serial;
+//! contiguous chunk of the batch, and apply the mutations serially —
+//! the mirror's relink, so a [`crate::dist::DistTracker`] takes the same
+//! path. On single-core machines (or with one shard) it stays serial;
 //! the speedups quoted in `BENCH_shard.json` on such machines come from
 //! the step-bound pruning alone.
 //!

@@ -45,6 +45,7 @@
 //! syscall while a span is open on the hot path**.
 
 use std::cell::UnsafeCell;
+use std::collections::BTreeMap;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -1576,6 +1577,38 @@ pub struct StallEdge {
     pub total_us: u64,
 }
 
+/// The top-`k` blocking edges of `spans`: every `Blocked` span folded
+/// into its `(agent, blocker, reason)` edge, ranked by total wait, then
+/// wait count, both descending, then `(agent, blocker, reason)`
+/// ascending — a total order, so every caller ranks ties alike.
+pub(crate) fn stall_edges(spans: &[Span], k: usize) -> Vec<StallEdge> {
+    let mut edges: BTreeMap<(u32, u32, u8), StallEdge> = BTreeMap::new();
+    for span in spans {
+        if let SpanKind::Blocked {
+            agent,
+            blocker,
+            reason,
+            ..
+        } = span.kind
+        {
+            let e = (edges.entry((agent, blocker, reason as u8))).or_insert(StallEdge {
+                agent,
+                blocker,
+                reason,
+                count: 0,
+                total_us: 0,
+            });
+            e.count += 1;
+            e.total_us += span.duration_us();
+        }
+    }
+    let mut ranked: Vec<StallEdge> = edges.into_values().collect();
+    // The map yields key order, and the sort is stable.
+    ranked.sort_by_key(|e| std::cmp::Reverse((e.total_us, e.count)));
+    ranked.truncate(k);
+    ranked
+}
+
 /// The unified run report: spans, counters, the four pre-existing metric
 /// structs, per-phase histograms, and the wall-clock [`Decomposition`].
 #[derive(Debug, Clone, PartialEq)]
@@ -1694,44 +1727,10 @@ impl RunTelemetry {
     }
 
     /// The top-`k` blocking edges by total wait time — who stalled whom,
-    /// and for how long.
+    /// and for how long: ranked by total wait, then wait count, both
+    /// descending, then `(agent, blocker, reason)` ascending.
     pub fn stall_edges(&self, k: usize) -> Vec<StallEdge> {
-        let mut edges: Vec<StallEdge> = Vec::new();
-        for span in &self.spans {
-            if let SpanKind::Blocked {
-                agent,
-                blocker,
-                reason,
-                ..
-            } = span.kind
-            {
-                let dur = span.duration_us();
-                match edges
-                    .iter_mut()
-                    .find(|e| e.agent == agent && e.blocker == blocker && e.reason == reason)
-                {
-                    Some(e) => {
-                        e.count += 1;
-                        e.total_us += dur;
-                    }
-                    None => edges.push(StallEdge {
-                        agent,
-                        blocker,
-                        reason,
-                        count: 1,
-                        total_us: dur,
-                    }),
-                }
-            }
-        }
-        edges.sort_unstable_by(|a, b| {
-            b.total_us
-                .cmp(&a.total_us)
-                .then(b.count.cmp(&a.count))
-                .then(a.agent.cmp(&b.agent))
-        });
-        edges.truncate(k);
-        edges
+        stall_edges(&self.spans, k)
     }
 
     /// Derives the classic [`Timeline`] (Fig. 1) from the LLM-call and

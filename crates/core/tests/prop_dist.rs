@@ -354,6 +354,68 @@ fn boundary_spans_count_hand_offs_and_messages() {
     );
 }
 
+/// Batches of at least 64 agents on four workers take the mirror's
+/// parallel relink (on a machine with more than one CPU): construction,
+/// a whole-population rollback and recovery must each land on the edges
+/// of a sharded graph over the same map that relinks serially.
+#[test]
+fn large_batches_relink_like_a_serial_sharded_graph() {
+    let params = RuleParams::new(3, 1);
+    let space = Arc::new(GridSpace::new(W, W));
+    let initial: Vec<Point> = (0..96)
+        .map(|i| Point::new((i * 7) % W as i32, (i * 13) % W as i32))
+        .collect();
+    let map: Arc<dyn ShardMap<Point>> = Arc::new(StripShardMap::new(W, 4));
+    let mut dist = DistTracker::new(
+        Arc::clone(&space),
+        params,
+        &initial,
+        Arc::clone(&map),
+        options(),
+    )
+    .unwrap();
+    let mut sharded = ShardedDepGraph::new_with_options(
+        Arc::clone(&space),
+        params,
+        Arc::new(Db::new()),
+        &initial,
+        Arc::clone(&map),
+        options(),
+    )
+    .unwrap();
+    sharded.set_relink_threads(1);
+    sharded.refresh_edges();
+    assert_eq!(dist.snapshot(), sharded.snapshot(), "after construction");
+
+    let ahead: Vec<(AgentId, Point)> = (0..96u32)
+        .map(|a| {
+            (
+                AgentId(a),
+                Point::new(initial[a as usize].x, (a % 5) as i32),
+            )
+        })
+        .collect();
+    dist.advance(&ahead).unwrap();
+    sharded.advance(&ahead).unwrap();
+    let back: Vec<(AgentId, Step, Point)> = (0..80u32)
+        .map(|a| (AgentId(a), Step::ZERO, initial[a as usize]))
+        .collect();
+    dist.rollback(&back).unwrap();
+    sharded.rollback(&back).unwrap();
+    dist.check_invariants();
+    assert_eq!(
+        dist.snapshot(),
+        sharded.snapshot(),
+        "after a rollback batch"
+    );
+
+    let dbs: Vec<Arc<Db>> = (0..4).map(|j| Arc::clone(dist.worker_db(j))).collect();
+    let members: Vec<Vec<u32>> = (0..4).map(|j| dist.members(j)).collect();
+    let mut recovered = DistTracker::recover(space, params, dbs, map, options(), &members).unwrap();
+    recovered.check_invariants();
+    assert_eq!(recovered.snapshot(), sharded.snapshot(), "after recovery");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -101,11 +101,6 @@ impl CostModel {
         1e6 / self.decode_us_per_seq
     }
 
-    /// Peak prefill throughput in tokens/second.
-    pub fn peak_prefill_tok_per_s(&self) -> f64 {
-        1e6 / self.prefill_us_per_token
-    }
-
     /// Latency of a request run **alone** on an idle replica: chunked
     /// prefill followed by one iteration per output token. This is the
     /// building block of the paper's `critical` lower bound (§4.2), which

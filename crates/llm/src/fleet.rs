@@ -620,28 +620,6 @@ impl Fleet {
     /// tried in one `u64`.
     pub const MAX_REPLICAS: usize = 64;
 
-    /// Builds a fleet from already-constructed backends — the escape
-    /// hatch for replica types [`BackendSpec`] does not describe (custom
-    /// [`LlmBackend`] impls, shared backends). Each entry is
-    /// `(backend, interactive tag)`; replicas are healthy and hedging is
-    /// off (use [`FleetConfig`] for faults and hedging).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backends` is empty or longer than
-    /// [`Fleet::MAX_REPLICAS`].
-    pub fn from_backends(
-        name: impl Into<String>,
-        policy: Box<dyn RoutePolicy>,
-        backends: Vec<(Arc<dyn LlmBackend>, bool)>,
-    ) -> Self {
-        let parts = backends
-            .into_iter()
-            .map(|(backend, interactive)| (backend, interactive, FaultPlan::none()))
-            .collect();
-        Fleet::from_parts(name, policy, parts, None, default_prefix_lru_entries())
-    }
-
     fn from_parts(
         name: impl Into<String>,
         policy: Box<dyn RoutePolicy>,

@@ -85,19 +85,6 @@ impl ServerConfig {
         }
     }
 
-    /// Enables prefix caching (see [`ServerConfig::prefix_caching`]).
-    pub fn with_prefix_caching(mut self) -> Self {
-        self.prefix_caching = true;
-        self
-    }
-
-    /// Sets the per-replica prefix LRU capacity (see
-    /// [`ServerConfig::prefix_cache_entries`]).
-    pub fn with_prefix_cache_entries(mut self, entries: u32) -> Self {
-        self.prefix_cache_entries = entries;
-        self
-    }
-
     /// Enables the interactive lane with `reserve` batch slots per replica
     /// held back from background admission (see
     /// [`ServerConfig::lane_aware`]).

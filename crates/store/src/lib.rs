@@ -70,7 +70,7 @@ mod txn;
 pub use db::{Db, DbStats};
 pub use error::StoreError;
 pub use key::Key;
-pub use queue::{PopResult, PriorityQueue, QueueClosed};
+pub use queue::{PriorityQueue, QueueClosed};
 pub use snapshot::{Checkpointer, Snapshot, SnapshotBuilder, SnapshotInfo};
 pub use txn::Txn;
 

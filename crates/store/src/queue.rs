@@ -1,6 +1,5 @@
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -17,27 +16,6 @@ impl<T> fmt::Display for QueueClosed<T> {
 }
 
 impl<T: fmt::Debug> std::error::Error for QueueClosed<T> {}
-
-/// Outcome of [`PriorityQueue::pop_timeout`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PopResult<T> {
-    /// An item was dequeued.
-    Item(T),
-    /// The queue was closed and fully drained.
-    Closed,
-    /// The timeout elapsed with the queue still open and empty.
-    TimedOut,
-}
-
-impl<T> PopResult<T> {
-    /// Returns the item if this is [`PopResult::Item`].
-    pub fn into_item(self) -> Option<T> {
-        match self {
-            PopResult::Item(t) => Some(t),
-            _ => None,
-        }
-    }
-}
 
 struct HeapEntry<T> {
     priority: u64,
@@ -171,37 +149,11 @@ impl<T> PriorityQueue<T> {
         self.inner.lock().heap.pop().map(|e| e.item)
     }
 
-    /// Dequeues with a bound on the wait time.
-    pub fn pop_timeout(&self, timeout: Duration) -> PopResult<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(e) = inner.heap.pop() {
-                return PopResult::Item(e.item);
-            }
-            if inner.closed {
-                return PopResult::Closed;
-            }
-            if self.available.wait_until(&mut inner, deadline).timed_out() {
-                return match inner.heap.pop() {
-                    Some(e) => PopResult::Item(e.item),
-                    None if inner.closed => PopResult::Closed,
-                    None => PopResult::TimedOut,
-                };
-            }
-        }
-    }
-
     /// Closes the queue: further pushes fail, and consumers drain the
     /// remaining items before observing `None`.
     pub fn close(&self) {
         self.inner.lock().closed = true;
         self.available.notify_all();
-    }
-
-    /// Returns `true` if [`PriorityQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
     }
 
     /// Number of queued items.
@@ -213,17 +165,13 @@ impl<T> PriorityQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.inner.lock().heap.is_empty()
     }
-
-    /// Smallest (most urgent) priority currently queued, if any.
-    pub fn min_priority(&self) -> Option<u64> {
-        self.inner.lock().heap.peek().map(|e| e.priority)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn orders_by_priority_then_fifo() {
@@ -255,7 +203,6 @@ mod tests {
         let q = PriorityQueue::new();
         q.push(1, 10).unwrap();
         q.close();
-        assert!(q.is_closed());
         assert_eq!(q.push(1, 11), Err(QueueClosed(11)));
         assert_eq!(q.pop(), Some(10));
         assert_eq!(q.pop(), None);
@@ -279,19 +226,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(handle.join().unwrap(), None);
-    }
-
-    #[test]
-    fn pop_timeout_times_out() {
-        let q: PriorityQueue<u32> = PriorityQueue::new();
-        assert_eq!(
-            q.pop_timeout(Duration::from_millis(10)),
-            PopResult::TimedOut
-        );
-        q.push(0, 1).unwrap();
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), PopResult::Item(1));
-        q.close();
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), PopResult::Closed);
     }
 
     #[test]
@@ -325,14 +259,5 @@ mod tests {
         q.close();
         let total: u32 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(total, 1000);
-    }
-
-    #[test]
-    fn min_priority_peeks() {
-        let q = PriorityQueue::new();
-        assert_eq!(q.min_priority(), None);
-        q.push(9, ()).unwrap();
-        q.push(3, ()).unwrap();
-        assert_eq!(q.min_priority(), Some(3));
     }
 }

@@ -578,6 +578,7 @@ fn top_dir(dir: &str) {
 
 fn cmd_snapshot(args: &[String]) {
     use aim_core::checkpoint::{self, CheckpointMeta, PolicyTag, SECTION_META, SECTION_WORLD};
+    use aim_core::depgraph::DepTracker;
     use aim_core::policy::DependencyPolicy;
     use aim_store::Snapshot;
 
