@@ -26,13 +26,19 @@
 //! [`DepGraph::coupled_of`]) then serve from adjacency lists in
 //! O(degree) without allocating.
 //!
-//! The repair is the crate's one edge engine: the agents are partitioned
-//! over the shards of a map (one shard here; many in
+//! A [`DepGraph`] is the crate's one tracker — the committed-state
+//! mirror every tracker keeps, plus a sink its writes go to — with the
+//! shard worker's store core as its sink: each advance or rollback is
+//! written inline, as one write batch on the graph's own store, by the
+//! same code that writes a [`crate::dist`] worker's store, and the mirror
+//! moves only once it has landed. A call that names one agent twice, or
+//! rolls an agent back to a step ahead of its current one, is refused
+//! before anything is written. The mirror's agents are partitioned over
+//! the shards of a map (one shard here; many in
 //! [`crate::shard::ShardedDepGraph`], which *is* this graph over a
 //! multi-shard map), each shard keeping its step bounds and spatial
 //! index, and every candidate is re-checked against the §3.2 rules by the
-//! same routine the distributed workers ([`crate::dist`]) answer relink
-//! probes with.
+//! same routine the distributed workers answer relink probes with.
 //!
 //! The node table in the store remains the authoritative state; adjacency
 //! is a derived cache that [`DepGraph::recover`] rebuilds from scratch,
@@ -41,31 +47,15 @@
 
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use aim_store::{Db, StoreError};
 
-use aim_store::{codec, Db, Key, StoreError};
-
-use crate::edges::{Mirror, Node, Partition, Whole};
+use crate::dist::worker::Records;
+pub use crate::edges::Tracker;
+use crate::edges::{Mirror, Node, Whole};
 use crate::ids::{AgentId, Step};
 use crate::rules::RuleParams;
 use crate::shard::ShardMap;
 use crate::space::{query_or_all, Space};
-use crate::telemetry::Telemetry;
-
-/// Namespace tag of the per-agent node records (`Key::tagged_u32`).
-/// Crate-visible so the distributed shard workers ([`crate::dist`]) write
-/// the identical authoritative layout into their own databases.
-pub(crate) const AGENT_TAG: [u8; 4] = *b"dagt";
-
-/// Namespace tag of the per-step history records
-/// (`Key::tagged_u32_pair(HIST_TAG, step, agent)`). Step-major layout:
-/// an ordered prefix walk visits history oldest-step-first, so the
-/// eviction pass stops touching records at the first retained step.
-pub(crate) const HIST_TAG: [u8; 4] = *b"dhst";
-
-/// Store key of the history-eviction watermark: every history record at a
-/// step `< dep:hist_floor` has been compacted away.
-pub(crate) const HIST_FLOOR_KEY: &str = "dep:hist_floor";
 
 /// The dependency-tracking surface the [`crate::scheduler::Scheduler`],
 /// the [`crate::spec::SpecScheduler`] and the executors consume,
@@ -76,11 +66,13 @@ pub(crate) const HIST_FLOOR_KEY: &str = "dep:hist_floor";
 /// Implementations must answer edge queries (`first_blocker`,
 /// `coupled_of`) **exactly** per the §3.2 rules — the scheduler's
 /// correctness argument assumes the tracker never misses an edge. The
-/// three shipped trackers share one edge engine (shard partition and
-/// prune test, rule classification, adjacency lists), so they differ only
-/// in where that engine runs — one shard, many shards, or isolated
-/// workers behind a message boundary — which changes cost, never a
-/// scheduling decision.
+/// three shipped trackers are one tracker: a committed-state mirror
+/// (shard partition and prune test, rule classification, adjacency
+/// lists) that answers every query, plus a sink its writes go to. They
+/// differ only in the mirror's shards — one, or many — and in where the
+/// records land: the graph's own store, written inline by the shard
+/// worker's store core, or isolated workers behind a message boundary.
+/// That changes cost, never a scheduling decision.
 ///
 /// # Hosting speculation
 ///
@@ -111,11 +103,13 @@ pub trait DepTracker<S: Space>: Send {
     fn max_step(&self) -> Step;
 
     /// Advances every `(agent, new_position)` one step as a single store
-    /// transaction and repairs the derived edges.
+    /// transaction and repairs the derived edges. On error no agent has
+    /// moved.
     ///
     /// # Errors
     ///
-    /// Propagates store transaction failures.
+    /// Refuses a call that names one agent twice; otherwise propagates
+    /// store transaction failures.
     fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError>;
 
     /// Rewinds every `(agent, step, position)` to that earlier state as a
@@ -126,8 +120,10 @@ pub trait DepTracker<S: Space>: Send {
     ///
     /// # Errors
     ///
-    /// Propagates store transaction failures. The default body refuses
-    /// every call: such a tracker cannot host speculation.
+    /// Refuses a call that names one agent twice or a target step ahead
+    /// of its agent's current one; otherwise propagates store
+    /// transaction failures. The default body refuses every call: such a
+    /// tracker cannot host speculation.
     fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
         let _ = updates;
         Err(StoreError::TxnAborted(
@@ -237,41 +233,17 @@ impl Default for GraphOptions {
     }
 }
 
-/// Store-backed node table plus incrementally maintained rule edges.
+/// Store-backed node table plus incrementally maintained rule edges: the
+/// one tracker writing through the shard worker's store core, inline, on
+/// its own store.
 ///
 /// The store holds only *nodes* (database writes per cluster advancement
-/// stay O(cluster size), as in the paper's worker transactions); the
-/// in-process mirror additionally maintains the derived blocked/coupled
-/// adjacency so controller queries are O(degree) — see the
-/// [module docs](self) for the maintenance invariant.
-pub struct DepGraph<S: Space> {
-    mirror: Mirror<S>,
-    db: Arc<Db>,
-    /// Interned store key per agent record (allocation-free write path).
-    keys: Vec<Key>,
-    commits_key: Key,
-    /// Whether per-step history records are written (see [`GraphOptions`]).
-    history: bool,
-    /// Reused `(agent, step, position)` targets of an advance.
-    targets: Vec<(AgentId, Step, S::Pos)>,
-    /// Reused scratch the records are encoded in before being copied out.
-    encode_buf: BytesMut,
-    /// Where migration passes and relink batches are recorded. Only the
-    /// sharded tracker sets it: a single shard's repair is folded into
-    /// the controller span.
-    telemetry: Option<Arc<Telemetry>>,
-}
-
-impl<S: Space> std::fmt::Debug for DepGraph<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DepGraph")
-            .field("agents", &self.mirror.len())
-            .field("shards", &self.mirror.partition().num_shards())
-            .field("min_step", &self.mirror.min_step())
-            .field("params", &self.mirror.params())
-            .finish()
-    }
-}
+/// stay O(cluster size), as in the paper's worker transactions), and each
+/// advance or rollback is one write batch; the in-process mirror
+/// additionally maintains the derived blocked/coupled adjacency so
+/// controller queries are O(degree) — see the [module docs](self) for the
+/// maintenance invariant.
+pub type DepGraph<S> = Tracker<S, Records<S>>;
 
 impl<S: Space> DepGraph<S> {
     /// Creates the graph with every agent at [`Step::ZERO`] and writes the
@@ -314,50 +286,30 @@ impl<S: Space> DepGraph<S> {
         map: Arc<dyn ShardMap<S::Pos>>,
         options: GraphOptions,
     ) -> Result<Self, StoreError> {
+        let mut records = Records::new(
+            Arc::clone(&space),
+            db,
+            options.history,
+            initial.len() as u32,
+        );
+        records.open(initial)?;
         let step = Step::ZERO;
         let nodes = initial.iter().map(|&pos| Node { pos, step }).collect();
-        let graph = Self::assemble(space, params, db, nodes, map, options);
-        let mut buf = BytesMut::new();
-        graph.db.transaction(|txn| {
-            for (i, &pos) in initial.iter().enumerate() {
-                let value = encode_record(&**graph.space(), &mut buf, step, pos);
-                if graph.history {
-                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, 0, i as u32), value.clone());
-                }
-                txn.set_key(&graph.keys[i], value);
-            }
-            txn.set_i64("dep:commits", 0);
-            if graph.history {
-                txn.set_i64(HIST_FLOOR_KEY, 0);
-            }
-            Ok(())
-        })?;
-        Ok(graph)
+        Ok(Self::assemble(params, records, nodes, map, options))
     }
 
-    /// Builds the in-process mirror (partition, spatial indexes,
-    /// adjacency) around an already-decided node table.
+    /// The graph over `records`, its mirror (partition, spatial indexes,
+    /// adjacency) built around an already-decided node table.
     fn assemble(
-        space: Arc<S>,
         params: RuleParams,
-        db: Arc<Db>,
+        records: Records<S>,
         nodes: Vec<Node<S::Pos>>,
         map: Arc<dyn ShardMap<S::Pos>>,
         options: GraphOptions,
     ) -> Self {
+        let space = Arc::clone(&records.space);
         let maintained = options.edges == EdgeMode::Maintained;
-        DepGraph {
-            keys: (0..nodes.len() as u32)
-                .map(|a| Key::tagged_u32(AGENT_TAG, a))
-                .collect(),
-            mirror: Mirror::new(space, params, map, nodes, maintained),
-            db,
-            commits_key: Key::new("dep:commits"),
-            history: options.history,
-            targets: Vec::new(),
-            encode_buf: BytesMut::new(),
-            telemetry: None,
-        }
+        Tracker::from_parts(Mirror::new(space, params, map, nodes, maintained), records)
     }
 
     /// Rebuilds the in-memory mirror from the database — demonstrates that
@@ -403,22 +355,11 @@ impl<S: Space> DepGraph<S> {
         map: Arc<dyn ShardMap<S::Pos>>,
         options: GraphOptions,
     ) -> Result<Self, StoreError> {
+        let records = Records::new(space, db, options.history, num_agents as u32);
         let nodes = (0..num_agents as u32)
-            .map(|a| load_record(&*space, &db, a).map(|(step, pos)| Node { pos, step }))
+            .map(|a| records.load(a).map(|(step, pos)| Node { pos, step }))
             .collect::<Result<_, _>>()?;
-        Ok(Self::assemble(space, params, db, nodes, map, options))
-    }
-
-    /// The agents' shard partition (one shard unless this graph backs a
-    /// [`crate::shard::ShardedDepGraph`]).
-    pub(crate) fn partition(&self) -> &Partition<S::Pos> {
-        self.mirror.partition()
-    }
-
-    /// Records migration passes and relink batches into `telemetry` (what
-    /// the sharded tracker's `set_telemetry` attaches).
-    pub(crate) fn record_repairs(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(telemetry);
+        Ok(Self::assemble(params, records, nodes, map, options))
     }
 
     /// Overrides the worker-task count for parallel relink (`0` = decide
@@ -429,64 +370,9 @@ impl<S: Space> DepGraph<S> {
         self.mirror.set_relink_threads(threads);
     }
 
-    /// The rule parameters in force.
-    pub fn params(&self) -> RuleParams {
-        self.mirror.params()
-    }
-
-    /// The space agents live in.
-    pub fn space(&self) -> &Arc<S> {
-        self.mirror.space()
-    }
-
     /// The backing store holding the authoritative node records.
     pub fn db(&self) -> &Arc<Db> {
-        &self.db
-    }
-
-    /// Writes every `(agent, step, position)` of `targets` as one store
-    /// transaction — counted in `dep:commits` when `commit` — then moves
-    /// the mirror there and repairs the edges.
-    fn write(
-        &mut self,
-        targets: &[(AgentId, Step, S::Pos)],
-        commit: bool,
-    ) -> Result<(), StoreError> {
-        // The mirror stays untouched until the batch commits. The encode
-        // scratch, the keys and the batch's own buffer are all reused or
-        // refcounted — the commit allocates once per record for the
-        // stored value, once for the counter's new value, and nothing
-        // else.
-        let (space, buf, nodes) = (
-            &**self.mirror.space(),
-            &mut self.encode_buf,
-            self.mirror.nodes(),
-        );
-        let (keys, commits_key, history) = (&self.keys, &self.commits_key, self.history);
-        self.db.transaction(|txn| {
-            for &(a, step, pos) in targets {
-                let value = encode_record(space, buf, step, pos);
-                if history {
-                    // A step's record and its immutable history entry
-                    // commit together. A squash rewrites history: the
-                    // target step's record is replaced (its position may
-                    // differ from the first visit) and every discarded
-                    // future step's record is deleted, so history only
-                    // ever describes committed, non-squashed state.
-                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, step.0, a.0), value.clone());
-                    for squashed in (step.0 + 1)..=nodes[a.index()].step.0 {
-                        txn.del(Key::tagged_u32_pair(HIST_TAG, squashed, a.0));
-                    }
-                }
-                txn.set_key(&keys[a.index()], value);
-            }
-            if commit {
-                txn.incr_key(commits_key, 1)?;
-            }
-            Ok(())
-        })?;
-        self.mirror.apply(targets, self.telemetry.as_deref());
-        Ok(())
+        &self.sink.db
     }
 
     /// Rebuilds every derived edge from the current node states —
@@ -497,38 +383,6 @@ impl<S: Space> DepGraph<S> {
         self.mirror.rebuild();
     }
 
-    /// Cluster advancements committed so far (read from the store).
-    pub fn commits(&self) -> i64 {
-        self.db
-            .get("dep:commits")
-            .map(|v| i64::from_be_bytes(v.as_ref().try_into().unwrap_or([0; 8])))
-            .unwrap_or(0)
-    }
-
-    /// Whether per-step history records are being written (see
-    /// [`GraphOptions`]).
-    pub fn history_enabled(&self) -> bool {
-        self.history
-    }
-
-    /// The eviction watermark: every history record at a step below this
-    /// has been compacted away. Read from the store (`dep:hist_floor`),
-    /// so it survives snapshot/restore.
-    pub fn history_floor(&self) -> Step {
-        Step(self.db.get_i64(HIST_FLOOR_KEY).unwrap_or(0).max(0) as u32)
-    }
-
-    /// Number of resident history records (an O(history) scan —
-    /// diagnostics and tests, not a hot path).
-    pub fn history_records(&self) -> u64 {
-        let mut n = 0u64;
-        self.db.for_each_prefix(HIST_TAG, |_, _| {
-            n += 1;
-            std::ops::ControlFlow::Continue(())
-        });
-        n
-    }
-
     /// Decodes the historical `(step, position)` record of `a` at `step`,
     /// if it is still resident (recorded and not evicted or squashed).
     ///
@@ -537,37 +391,7 @@ impl<S: Space> DepGraph<S> {
     /// Returns [`StoreError::Codec`] if the record exists but is
     /// malformed.
     pub fn history_at(&self, a: AgentId, step: Step) -> Result<Option<(Step, S::Pos)>, StoreError> {
-        let key = Key::tagged_u32_pair(HIST_TAG, step.0, a.0);
-        self.db
-            .get(key)
-            .map(|raw| decode_record(&**self.space(), raw))
-            .transpose()
-    }
-
-    /// All agents that block `a`, in `(step, id)` order (diagnostics; the
-    /// scheduler uses [`DepTracker::first_blocker`]).
-    pub fn blockers_of(&self, a: AgentId) -> Vec<AgentId> {
-        self.mirror.blockers_of(a)
-    }
-
-    /// Allocating convenience form of [`DepTracker::coupled_of`].
-    pub fn coupled_neighbors(&self, a: AgentId) -> Vec<AgentId> {
-        self.mirror.coupled_of(a).to_vec()
-    }
-
-    /// Agents whose step equals `step` (sorted by id).
-    pub fn agents_at_step(&self, step: Step) -> Vec<AgentId> {
-        (0..self.mirror.len() as u32)
-            .map(AgentId)
-            .filter(|&a| self.mirror.step(a) == step)
-            .collect()
-    }
-
-    /// Dumps nodes and the maintained edges (O(n + edges)) for
-    /// visualization and for cross-checking incremental maintenance
-    /// against a from-scratch rebuild.
-    pub fn snapshot(&self) -> GraphSnapshot {
-        self.mirror.snapshot()
+        self.sink.history_at(step.0, a.0)
     }
 
     /// Debug cross-check of the shard partition against first
@@ -577,194 +401,11 @@ impl<S: Space> DepGraph<S> {
     pub fn check_invariants(&self) {
         self.mirror.check_invariants();
     }
-}
 
-/// Edge queries ([`DepTracker::first_blocker`], [`DepTracker::coupled_of`])
-/// are served from the maintained adjacency in O(degree) without
-/// allocating, and panic in [`EdgeMode::Off`]; `max_step() - min_step()`
-/// is the current step skew, O(shards · log n) from the step bounds.
-impl<S: Space> DepTracker<S> for DepGraph<S> {
-    #[inline]
-    fn len(&self) -> usize {
-        self.mirror.len()
+    /// Allocating convenience form of [`DepTracker::coupled_of`].
+    pub fn coupled_neighbors(&self, a: AgentId) -> Vec<AgentId> {
+        self.mirror.coupled_of(a).to_vec()
     }
-
-    #[inline]
-    fn step(&self, a: AgentId) -> Step {
-        self.mirror.step(a)
-    }
-
-    #[inline]
-    fn pos(&self, a: AgentId) -> S::Pos {
-        self.mirror.pos(a)
-    }
-
-    #[inline]
-    fn min_step(&self) -> Step {
-        self.mirror.min_step()
-    }
-
-    #[inline]
-    fn max_step(&self) -> Step {
-        self.mirror.max_step()
-    }
-
-    /// One store transaction — the paper's worker-side graph update; the
-    /// mirror only moves once it commits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an agent id is out of range.
-    fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
-        let mut targets = std::mem::take(&mut self.targets);
-        targets.clear();
-        targets.extend(
-            updates
-                .iter()
-                .map(|&(a, pos)| (a, self.mirror.step(a).next(), pos)),
-        );
-        let result = self.write(&targets, true);
-        self.targets = targets;
-        result
-    }
-
-    /// The squash path of speculative execution (paper §6, implemented
-    /// in [`crate::spec`]), as one store transaction; the mirror only
-    /// moves once it commits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an agent id is out of range or a target step is *ahead*
-    /// of the agent's current step (rollback must rewind, not advance).
-    fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
-        for &(a, step, _) in updates {
-            let current = self.mirror.step(a);
-            assert!(
-                step <= current,
-                "rollback of {a} to {step} is ahead of current {current}"
-            );
-        }
-        self.write(updates, false)
-    }
-
-    /// Answered by the position indexes edge maintenance keeps current,
-    /// or by the members themselves when the space has no index or edges
-    /// are [`EdgeMode::Off`].
-    #[inline]
-    fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
-        self.mirror.candidates_within(center, units, out);
-    }
-
-    #[inline]
-    fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
-        self.mirror.first_blocker(a)
-    }
-
-    #[inline]
-    fn coupled_of(&self, a: AgentId) -> &[AgentId] {
-        self.mirror.coupled_of(a)
-    }
-
-    /// Compacts history records older than the deepest rollback any legal
-    /// schedule could still perform, returning the number evicted.
-    ///
-    /// # Eviction invariant
-    ///
-    /// **Never evict a record a legal rollback could read.** Rollbacks
-    /// (speculative squashes, [`crate::spec`]) always target a step at or
-    /// above the step of the lagging cluster whose commit raced them, and
-    /// that committing cluster is at or above the global minimum step —
-    /// so no rollback can ever rewind an agent below `min_step()`, and
-    /// `min_step` itself is monotone non-decreasing. Records at steps
-    /// `< min_step` are therefore dead for scheduling purposes (the
-    /// authoritative current record `dagt ‖ agent` is separate and never
-    /// evicted) and the pass deletes exactly those, advancing the
-    /// `dep:hist_floor` watermark. Resident history is then
-    /// O(agents × window) where the window is the step skew plus the
-    /// eviction cadence, instead of O(agents × horizon). Sharding and
-    /// distribution leave it untouched: only the global `min_step` is
-    /// consulted.
-    ///
-    /// Call from a quiesced writer (e.g. the threaded executor's
-    /// checkpoint barrier): the key walk and the deletes are not one
-    /// transaction.
-    fn evict_history(&mut self) -> Result<u64, StoreError> {
-        if !self.history {
-            return Ok(0);
-        }
-        let floor = self.mirror.min_step().0;
-        let prev = self.db.get_i64(HIST_FLOOR_KEY)?.max(0) as u32;
-        if floor <= prev {
-            return Ok(0); // nothing new below the watermark
-        }
-        Ok(evict_below(&self.db, floor))
-    }
-
-    #[inline]
-    fn validate(&self) -> Result<(), String> {
-        self.mirror.validate()
-    }
-}
-
-/// Encodes one `(step, pos)` state in the authoritative record layout
-/// (shared with the [`crate::dist`] shard workers, which keep the same
-/// records in their own databases). `buf` is scratch: the record is built
-/// in it and copied out once, so a caller that keeps `buf` around pays
-/// exactly one allocation per record — the stored value.
-pub(crate) fn encode_record<S: Space>(
-    space: &S,
-    buf: &mut BytesMut,
-    step: Step,
-    pos: S::Pos,
-) -> Bytes {
-    buf.clear();
-    codec::put_u32(buf, step.0);
-    space.encode_pos(pos, buf);
-    Bytes::copy_from_slice(buf)
-}
-
-/// Decodes a record written by [`encode_record`].
-pub(crate) fn decode_record<S: Space>(
-    space: &S,
-    mut raw: Bytes,
-) -> Result<(Step, S::Pos), StoreError> {
-    let step = Step(codec::get_u32(&mut raw)?);
-    Ok((step, space.decode_pos(&mut raw)?))
-}
-
-/// Reads agent `a`'s authoritative record from `db`.
-pub(crate) fn load_record<S: Space>(
-    space: &S,
-    db: &Db,
-    a: u32,
-) -> Result<(Step, S::Pos), StoreError> {
-    let raw = db
-        .get(Key::tagged_u32(AGENT_TAG, a))
-        .ok_or_else(|| StoreError::Codec(format!("missing record for agent {a}")))?;
-    decode_record(space, raw)
-}
-
-/// Deletes every history record in `db` below step `floor` and raises the
-/// watermark to it, returning how many went (see
-/// [`DepGraph::evict_history`] for when that is safe). Keys sort
-/// step-major, so value visits stop at the first retained step — the
-/// per-record work is O(evicted + 1). (The walk's key gather still scans
-/// the store's keys once; see `Db::for_each_prefix`.)
-pub(crate) fn evict_below(db: &Db, floor: u32) -> u64 {
-    let mut doomed: Vec<Bytes> = Vec::new();
-    db.for_each_prefix(HIST_TAG, |k, _| {
-        let step = u32::from_be_bytes(k[4..8].try_into().expect("12-byte history key"));
-        if step >= floor {
-            return std::ops::ControlFlow::Break(());
-        }
-        doomed.push(k.clone());
-        std::ops::ControlFlow::Continue(())
-    });
-    for k in &doomed {
-        db.del(k);
-    }
-    db.set_i64(HIST_FLOOR_KEY, i64::from(floor));
-    doomed.len() as u64
 }
 
 #[cfg(test)]
@@ -832,15 +473,6 @@ mod tests {
         g.advance(&[(AgentId(1), Point::new(5, 0))]).unwrap();
         assert!(g.coupled_neighbors(AgentId(1)).is_empty());
         assert!(g.coupled_neighbors(AgentId(0)).is_empty());
-    }
-
-    #[test]
-    fn agents_at_step_buckets() {
-        let mut g = graph(&[(0, 0), (50, 0), (99, 0)]);
-        g.advance(&[(AgentId(2), Point::new(99, 1))]).unwrap();
-        assert_eq!(g.agents_at_step(Step(0)), vec![AgentId(0), AgentId(1)]);
-        assert_eq!(g.agents_at_step(Step(1)), vec![AgentId(2)]);
-        assert!(g.agents_at_step(Step(2)).is_empty());
     }
 
     #[test]

@@ -13,19 +13,20 @@
 //! cell), so the exactness argument now rests on the message types
 //! alone.
 //!
-//! The edge logic itself is not re-implemented here: both sides run the
-//! crate's one edge engine. The controller mirrors the workers'
-//! membership as a spatially indexed partition — ownership, step bounds,
-//! the prune test and the candidate query — plus the adjacency the
-//! scheduler reads, and repairs edges there exactly as
-//! [`crate::depgraph::DepGraph`] does. Each worker keeps only what its
-//! store needs: its members' states, and per agent the steps of the
-//! history records its store holds, so a departure reads just the
-//! departing agents' records. It writes and evicts records through the
-//! graph's own record layout, and answers relink probes by classifying
-//! every member with the same rule classification, which the invariant
-//! check uses to hold the mirror's adjacency to the workers' ground
-//! truth. The three trackers are therefore edge-for-edge identical by
+//! Nothing of the tracker itself is re-implemented here: [`DistTracker`]
+//! is the crate's one tracker — the committed-state mirror every tracker
+//! keeps, answering every scheduling query and repairing edges exactly as
+//! [`crate::depgraph::DepGraph`] does — with the workers' lanes as its
+//! sink, and the mirror's partition following the workers' membership.
+//! Each worker is a protocol shell around the store core the in-process
+//! graph writes through: the core writes, rewrites on a squash and
+//! evicts the authoritative records, and the shell keeps its members'
+//! states and, per agent, the steps of the history records its store
+//! holds, so a departure reads just the departing agents' records. It
+//! answers relink probes by classifying every member with the same rule
+//! classification, which the invariant check uses to hold the mirror's
+//! adjacency to the workers' ground truth. The three trackers are
+//! therefore edge-for-edge and record-for-record identical by
 //! construction; what this module adds is the boundary.
 //!
 //! What the boundary costs is the wake-up of the thread (or process) on
@@ -71,7 +72,7 @@ pub mod msg;
 #[cfg(feature = "dist-socket")]
 pub mod socket;
 mod tracker;
-mod worker;
+pub(crate) mod worker;
 
 pub use msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
 pub use tracker::{DistTracker, WINDOW};

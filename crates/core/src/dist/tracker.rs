@@ -1,14 +1,14 @@
 //! The controller-side tracker driving isolated shard workers.
 //!
-//! [`DistTracker`] is a committed-state mirror plus one lane per worker.
-//! The mirror is the one [`crate::depgraph::DepGraph`] and
-//! [`crate::shard::ShardedDepGraph`] keep — the same spatially indexed
-//! partition, prune test, rule classification, adjacency and relink,
-//! parallel for large batches over several shards — with its partition
-//! following the workers' membership, so scheduling queries and edge
-//! repair never cross the boundary.
-//! The workers ([`super::worker::ShardWorker`], each behind a
-//! [`super::worker::WorkerLink`]) hold the authoritative records: every
+//! [`DistTracker`] is the crate's one tracker — the committed-state
+//! mirror [`crate::depgraph::DepGraph`] and
+//! [`crate::shard::ShardedDepGraph`] keep, with the same refusal contract
+//! and the same queries — over the remote sink: one lane per worker. Its
+//! mirror's partition follows the workers' membership, so scheduling
+//! queries and edge repair never cross the boundary. The workers
+//! ([`super::worker::ShardWorker`], each behind a
+//! [`super::worker::WorkerLink`]) hold the authoritative records, written
+//! by the same store core the in-process graph writes through: every
 //! **write** (commit, rollback, migration, history eviction) happens
 //! worker-side, reached only through the typed [`super::msg`] protocol.
 //!
@@ -42,8 +42,9 @@
 //!
 //! # What a failed call leaves behind
 //!
-//! A call fails before it queues anything when a lane it would write to
-//! is down, or when a rollback target lies ahead of the agent. Otherwise
+//! A call fails before it queues anything when it is refused (it names an
+//! agent twice, or a rollback target lies ahead of the agent), or when a
+//! lane it would write to is down. Otherwise
 //! it can only fail in a hand-off it triggered, and then:
 //!
 //! - The mirror is where it was: it only moves once the call has
@@ -85,8 +86,8 @@ use parking_lot::Mutex;
 
 use aim_store::{Db, StoreError};
 
-use crate::depgraph::{DepTracker, GraphOptions, GraphSnapshot, HIST_FLOOR_KEY, HIST_TAG};
-use crate::edges::{Mirror, Node, Partition};
+use crate::depgraph::GraphOptions;
+use crate::edges::{Mirror, Node, Partition, Sink, Tracker};
 use crate::health::{HealthBoard, WorkerHealth};
 use crate::ids::{AgentId, Step};
 use crate::rules::RuleParams;
@@ -95,37 +96,12 @@ use crate::space::Space;
 use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
 
 use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg};
-use super::worker::{worker_down, ChannelLink, SeveredLink, SharedTelemetry, WorkerLink};
+use super::worker::{floor_of, worker_down, ChannelLink, SeveredLink, SharedTelemetry, WorkerLink};
 
 /// Requests a lane queues before it is handed off: the most writes a
 /// worker holds in doubt between quiesce points, and the batching that
 /// wakes it about once per `WINDOW` commits.
 pub const WINDOW: usize = 32;
-
-/// Which write an operation carries to the owning workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Write {
-    Commit,
-    Rollback,
-}
-
-impl Write {
-    /// The request carrying `writes` (`(agent, step, position)` each),
-    /// or `None` for a worker with nothing to write.
-    fn request<P: Copy>(self, writes: &[(u32, u32, P)]) -> Option<CtrlMsg<P>> {
-        if writes.is_empty() {
-            return None;
-        }
-        Some(match self {
-            Write::Commit => CtrlMsg::Commit {
-                updates: writes.iter().map(|&(a, _, pos)| (a, pos)).collect(),
-            },
-            Write::Rollback => CtrlMsg::Rollback {
-                updates: writes.to_vec(),
-            },
-        })
-    }
-}
 
 /// The controller's copy of one write a worker has been (or will be)
 /// handed and has not acknowledged: what a resync replays.
@@ -460,30 +436,30 @@ fn mirror_record<P: Copy>(
     }
 }
 
-/// The distributed dependency tracker (see the [module docs](super)).
+/// The distributed dependency tracker (see the [module docs](super)):
+/// the one tracker, its mirror partitioned as the workers' membership,
+/// writing through their lanes.
 ///
-/// [`DepTracker::advance`] and [`DepTracker::rollback`] repair edges on
-/// the controller and queue the write for its owner, which is handed
-/// its queue once it holds [`WINDOW`] requests, when one of its agents
-/// migrates, or at a quiesce point (see the [module docs](super) for the
-/// hand-off rule).
-///
-/// When either returns `Err`, the mirror — positions, steps, ownership,
-/// adjacency — is what it was before the call, every requested reply
-/// has been consumed from its link, and every reachable worker the call
-/// handed anything has been brought back to the mirror, including the
-/// writes of earlier calls it held in doubt. A worker that could not be
-/// reached stays down until [`DistTracker::respawn_worker`], which
-/// repairs it from its retained store and the writes the controller
-/// kept, whichever part of them it had applied.
-pub struct DistTracker<S: Space> {
-    /// Controller mirror of every agent's committed state, partitioned
-    /// as the workers' membership: ownership, the prune test and edge
-    /// repair.
-    mirror: Mirror<S>,
+/// [`advance`](crate::depgraph::DepTracker::advance) and
+/// [`rollback`](crate::depgraph::DepTracker::rollback) repair edges on
+/// the controller and queue the write for its owner, waiting for a
+/// worker only when a lane's window fills or for the `Departed` records
+/// of a migrating agent; the module docs give the hand-off rule and what
+/// a failed call leaves behind. Once a telemetry sink is attached
+/// ([`set_telemetry`](crate::depgraph::DepTracker::set_telemetry)) every
+/// hand-off and the wait for its replies is one [`SpanKind::Boundary`]
+/// span, `messages` saying how many it carried
+/// ([`Counter::BoundaryMessages`]); workers record their apply time
+/// through the shared cell, or, out of process, buffer it for
+/// [`DistTracker::harvest_telemetry`].
+pub type DistTracker<S> = Tracker<S, Remote<S>>;
+
+/// The lanes a [`DistTracker`] writes through: one per shard worker, with
+/// each worker's database retained as its durable storage stand-in.
+pub struct Remote<S: Space> {
     /// One lane per shard worker. Only the readers of the worker stores
-    /// lock it, to settle the window through `&self`; every other path
-    /// reaches the lanes through `get_mut`.
+    /// and the invariant check lock it, to settle the window through
+    /// `&self`; every other path reaches the lanes through `get_mut`.
     lanes: Mutex<Vec<Lane<S::Pos>>>,
     /// Each worker's database, retained as its durable storage stand-in.
     worker_dbs: Vec<Arc<Db>>,
@@ -497,20 +473,17 @@ pub struct DistTracker<S: Space> {
     /// ([`DistTracker::kill_worker`]) — the flight recorder's dump
     /// trigger.
     on_severed: Option<Box<dyn FnMut(u32) + Send>>,
-    /// The running operation's `(agent, step, position)` targets. This
-    /// and `pool` are operation scratch, empty between calls.
-    targets: Vec<(AgentId, Step, S::Pos)>,
     /// Records in the controller's hands: departed and not yet queued
-    /// for their new owner, or recovered by a resync.
+    /// for their new owner, or recovered by a resync. Operation scratch,
+    /// empty between calls.
     pool: Vec<NodeRecord<S::Pos>>,
 }
 
-impl<S: Space> fmt::Debug for DistTracker<S> {
+impl<S: Space> fmt::Debug for Remote<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DistTracker")
-            .field("agents", &self.mirror.len())
+        f.debug_struct("Remote")
             .field("workers", &self.worker_dbs.len())
-            .field("min_step", &self.mirror.min_step())
+            .field("history", &self.history)
             .finish()
     }
 }
@@ -544,8 +517,7 @@ impl<S: Space> DistTracker<S> {
                 )))
             })
             .collect();
-        DistTracker {
-            mirror,
+        let remote = Remote {
             lanes: Mutex::new(lanes),
             worker_dbs,
             history,
@@ -553,9 +525,9 @@ impl<S: Space> DistTracker<S> {
             telemetry: None,
             shared_telemetry,
             on_severed: None,
-            targets: Vec::new(),
             pool: Vec::new(),
-        }
+        };
+        Tracker::from_parts(mirror, remote)
     }
 
     /// Creates the tracker with every agent at [`Step::ZERO`]: one worker
@@ -582,12 +554,12 @@ impl<S: Space> DistTracker<S> {
         // Every agent's step-0 record (with its step-0 history record
         // when history is on) starts in the controller's hands, bound
         // for its owner.
-        let (nodes, history) = (tracker.mirror.nodes(), tracker.history);
-        tracker.pool = (nodes.iter().enumerate())
-            .map(|(a, &node)| mirror_record(a as u32, node, history, std::iter::empty()))
+        let (nodes, remote) = (tracker.mirror.nodes(), &mut tracker.sink);
+        remote.pool = (nodes.iter().enumerate())
+            .map(|(a, &node)| mirror_record(a as u32, node, remote.history, std::iter::empty()))
             .collect();
-        let lanes = tracker.lanes.get_mut();
-        queue_arrivals(lanes, tracker.mirror.partition(), &mut tracker.pool);
+        let lanes = remote.lanes.get_mut();
+        queue_arrivals(lanes, tracker.mirror.partition(), &mut remote.pool);
         settle(lanes, None)?;
         Ok(tracker)
     }
@@ -634,7 +606,8 @@ impl<S: Space> DistTracker<S> {
         );
         let mut tracker = Self::spawn(empty, worker_dbs, options.history);
         let mut states: Vec<Option<Node<S::Pos>>> = vec![None; num_agents];
-        let lanes = tracker.lanes.get_mut();
+        let remote = &mut tracker.sink;
+        let lanes = remote.lanes.get_mut();
         for (j, list) in members.iter().enumerate() {
             let expected = list.clone();
             lanes[j].hand_off(j, None, [CtrlMsg::Recover { expected }])?;
@@ -666,106 +639,21 @@ impl<S: Space> DistTracker<S> {
             .collect::<Result<_, _>>()?;
         tracker.mirror = Mirror::new(space, params, map, nodes, true);
         tracker.mirror.partition().check_owners(&owner)?;
-        if tracker.history {
-            tracker.hist_floor = tracker
-                .worker_dbs
-                .iter()
-                .map(|db| db.get_i64(HIST_FLOOR_KEY).unwrap_or(0).max(0) as u32)
+        let remote = &mut tracker.sink;
+        if remote.history {
+            remote.hist_floor = (remote.worker_dbs.iter())
+                .map(|db| floor_of(db).unwrap_or(0))
                 .min()
                 .unwrap_or(0);
         }
         Ok(tracker)
     }
 
-    /// Number of shard workers.
-    pub fn num_shards(&self) -> usize {
-        self.worker_dbs.len()
-    }
-
-    /// The worker currently owning `a`.
-    pub fn shard_of_agent(&self, a: AgentId) -> usize {
-        self.mirror.partition().owner(a.0)
-    }
-
-    /// Member agents of worker `shard`, ascending by id.
-    pub fn members(&self, shard: usize) -> Vec<u32> {
-        self.mirror.partition().members(shard)
-    }
-
-    /// The rule parameters in force.
-    pub fn params(&self) -> RuleParams {
-        self.mirror.params()
-    }
-
-    /// The space agents live in.
-    pub fn space(&self) -> &Arc<S> {
-        self.mirror.space()
-    }
-
-    /// Hands every lane's queue over and reaps the replies, through
-    /// `&self`: what the readers of the worker stores do first, so a
-    /// store holds every write a call has returned for. A lane that fails
-    /// is left down with its writes in doubt.
-    fn settle_stores(&self) {
-        // The error is kept where it matters: the lane is down, and the
-        // next operation touching it fails until it is respawned.
-        let _ = settle(&mut self.lanes.lock(), self.telemetry.as_deref());
-    }
-
     /// Worker `shard`'s database — its durable storage stand-in. What a
     /// checkpoint of the distributed run snapshots, and what
     /// [`DistTracker::recover`] rebuilds from. Settles the window first.
     pub fn worker_db(&self, shard: usize) -> &Arc<Db> {
-        self.settle_stores();
-        &self.worker_dbs[shard]
-    }
-
-    /// Cluster advancements committed so far, summed over the workers'
-    /// stores (each worker bumps its own `dep:commits` transactionally,
-    /// so the sum counts per-worker commit transactions). Settles the
-    /// window first.
-    pub fn commits(&self) -> i64 {
-        self.settle_stores();
-        self.worker_dbs
-            .iter()
-            .map(|db| db.get_i64("dep:commits").unwrap_or(0))
-            .sum()
-    }
-
-    /// Whether per-step history records are written.
-    pub fn history_enabled(&self) -> bool {
-        self.history
-    }
-
-    /// Resident history records summed over the worker stores
-    /// (diagnostics). Settles the window first.
-    pub fn history_records(&self) -> u64 {
-        self.settle_stores();
-        let mut n = 0u64;
-        for db in &self.worker_dbs {
-            db.for_each_prefix(HIST_TAG, |_, _| {
-                n += 1;
-                std::ops::ControlFlow::Continue(())
-            });
-        }
-        n
-    }
-
-    /// The history-eviction watermark.
-    pub fn history_floor(&self) -> Step {
-        Step(self.hist_floor)
-    }
-
-    /// All agents that block `a`, in `(step, id)` order.
-    pub fn blockers_of(&self, a: AgentId) -> Vec<AgentId> {
-        self.mirror.blockers_of(a)
-    }
-
-    /// Dumps nodes and edges in the same shape as
-    /// [`crate::depgraph::DepGraph::snapshot`], so the trackers compare
-    /// directly.
-    pub fn snapshot(&self) -> GraphSnapshot {
-        self.mirror.snapshot()
+        &self.sink.stores()[shard]
     }
 
     /// Settles the window, then drains every worker's locally-buffered
@@ -791,6 +679,145 @@ impl<S: Space> DistTracker<S> {
     /// violation (a live worker answering with something other than
     /// [`ShardMsg::Telemetry`]).
     pub fn harvest_telemetry(&mut self) -> Result<u64, StoreError> {
+        self.sink.harvest()
+    }
+
+    /// Settles the window, then polls every worker with a
+    /// [`CtrlMsg::Heartbeat`] and records the gauges on `board`.
+    /// Best-effort, like harvest: a severed or misbehaving link marks the
+    /// worker not-alive instead of failing the run, and the raw links
+    /// are used so liveness polling never inflates the boundary
+    /// accounting. Queue depth is derived controller-side as sent-count
+    /// minus the worker's handled count — ≈ 0 on a settled link. Returns
+    /// how many workers answered.
+    pub fn poll_heartbeats(&mut self, board: &HealthBoard) -> usize {
+        let remote = &mut self.sink;
+        // A lane that fails to settle is down, and reported severed below.
+        let _ = settle(remote.lanes.get_mut(), remote.telemetry.as_deref());
+        let mut live = 0;
+        for (j, lane) in remote.lanes.get_mut().iter_mut().enumerate() {
+            let now_us = board.now_us();
+            let Ok(ShardMsg::Heartbeat {
+                worker,
+                handled,
+                last_step,
+                members,
+                dropped,
+                ..
+            }) = lane.poll(CtrlMsg::Heartbeat { now_us })
+            else {
+                board.mark_severed(j as u32);
+                continue;
+            };
+            board.record_heartbeat(WorkerHealth {
+                worker,
+                name: format!("worker {worker}"),
+                alive: true,
+                last_seen_us: board.now_us(),
+                last_applied_step: (last_step != u32::MAX).then_some(last_step),
+                queue_depth: lane.sent.saturating_sub(handled),
+                members,
+                span_overflow: dropped,
+            });
+            live += 1;
+        }
+        live
+    }
+
+    /// Installs the hook invoked (with the worker id) whenever a link is
+    /// severed via [`DistTracker::kill_worker`] — the flight recorder
+    /// dumps its tail from here.
+    pub fn set_severed_hook(&mut self, hook: Box<dyn FnMut(u32) + Send>) {
+        self.sink.on_severed = Some(hook);
+    }
+
+    /// Severs worker `shard`'s link without a shutdown handshake —
+    /// simulating a worker crash. Subsequent operations touching that
+    /// shard fail until [`DistTracker::respawn_worker`] heals it; the
+    /// worker's database (its durable storage) and the writes it holds
+    /// in doubt are retained.
+    pub fn kill_worker(&mut self, shard: usize) {
+        self.replace_link(shard, Box::new(SeveredLink::new(shard as u32)));
+        let remote = &mut self.sink;
+        remote.lanes.get_mut()[shard].down = true;
+        if let Some(hook) = remote.on_severed.as_mut() {
+            hook(shard as u32);
+        }
+    }
+
+    /// Swaps worker `shard`'s link for `link`, returning the old one
+    /// (not dropped, so its worker lives on behind it). For tests that
+    /// wrap a live link to count or fail its calls.
+    #[doc(hidden)]
+    pub fn replace_link(
+        &mut self,
+        shard: usize,
+        link: Box<dyn WorkerLink<S::Pos>>,
+    ) -> Box<dyn WorkerLink<S::Pos>> {
+        let lane = &mut self.sink.lanes.get_mut()[shard];
+        lane.owed = 0;
+        lane.unwaited = 0;
+        std::mem::replace(&mut lane.link, link)
+    }
+
+    /// Debug cross-check of the mirror against the workers' ground
+    /// truth: settles the window, then hands every worker
+    /// `[Quiesce, RelinkQuery]` in one round and verifies that
+    /// membership, positions and steps agree with the mirror (and the
+    /// shard map's geometry), and that the edges the workers compute for
+    /// every agent are exactly the mirror's adjacency. Used by the
+    /// property tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any disagreement.
+    #[doc(hidden)]
+    pub fn check_invariants(&mut self) {
+        self.sink.check(&self.mirror);
+        self.mirror.check_invariants();
+    }
+
+    /// Respawns worker `shard` over its retained database and brings it
+    /// back to the mirror: the fresh worker rebuilds its members, index,
+    /// and step bounds from its own store ([`CtrlMsg::Recover`]), the
+    /// controller verifies them against its mirror (every acknowledged
+    /// write was durable, so they must agree), and the agents it held in
+    /// doubt — which its store may hold at any point of their in-doubt
+    /// writes, or not at all — are re-adopted at their mirrored state
+    /// with those writes replayed into their history.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Codec`] if the recovered states disagree
+    /// with the mirror or a record is missing; the worker stays down.
+    pub fn respawn_worker(&mut self, shard: usize) -> Result<(), StoreError> {
+        let link = ChannelLink::spawn(
+            shard as u32,
+            Arc::clone(self.mirror.space()),
+            self.mirror.params(),
+            Arc::clone(&self.sink.worker_dbs[shard]),
+            self.sink.history,
+            Arc::clone(&self.sink.shared_telemetry),
+        );
+        // Dropping the old link joins the old worker, if it still runs.
+        drop(self.replace_link(shard, Box::new(link)));
+        let remote = &mut self.sink;
+        let lane = &mut remote.lanes.get_mut()[shard];
+        lane.down = false;
+        // The fresh worker restarts its handled count at zero, so the
+        // controller-side sent counter must follow or queue depth would
+        // read as permanently backed up.
+        lane.sent = 0;
+        remote.pool = std::mem::take(&mut lane.held);
+        let result = remote.resync(&self.mirror, &[shard], &[]);
+        remote.pool.clear();
+        result
+    }
+}
+
+impl<S: Space> Remote<S> {
+    /// [`DistTracker::harvest_telemetry`].
+    fn harvest(&mut self) -> Result<u64, StoreError> {
         let settled = settle(self.lanes.get_mut(), self.telemetry.as_deref());
         let Some(t) = self.telemetry.clone() else {
             return settled.map(|()| 0);
@@ -828,90 +855,17 @@ impl<S: Space> DistTracker<S> {
         settled.map(|()| merged)
     }
 
-    /// Settles the window, then polls every worker with a
-    /// [`CtrlMsg::Heartbeat`] and records the gauges on `board`.
-    /// Best-effort, like harvest: a severed or misbehaving link marks the
-    /// worker not-alive instead of failing the run, and the raw links
-    /// are used so liveness polling never inflates the boundary
-    /// accounting. Queue depth is derived controller-side as sent-count
-    /// minus the worker's handled count — ≈ 0 on a settled link. Returns
-    /// how many workers answered.
-    pub fn poll_heartbeats(&mut self, board: &HealthBoard) -> usize {
-        // A lane that fails to settle is down, and reported severed below.
-        let _ = settle(self.lanes.get_mut(), self.telemetry.as_deref());
-        let mut live = 0;
-        for (j, lane) in self.lanes.get_mut().iter_mut().enumerate() {
-            let now_us = board.now_us();
-            let Ok(ShardMsg::Heartbeat {
-                worker,
-                handled,
-                last_step,
-                members,
-                dropped,
-                ..
-            }) = lane.poll(CtrlMsg::Heartbeat { now_us })
-            else {
-                board.mark_severed(j as u32);
-                continue;
-            };
-            board.record_heartbeat(WorkerHealth {
-                worker,
-                name: format!("worker {worker}"),
-                alive: true,
-                last_seen_us: board.now_us(),
-                last_applied_step: (last_step != u32::MAX).then_some(last_step),
-                queue_depth: lane.sent.saturating_sub(handled),
-                members,
-                span_overflow: dropped,
-            });
-            live += 1;
-        }
-        live
-    }
-
-    /// Installs the hook invoked (with the worker id) whenever a link is
-    /// severed via [`DistTracker::kill_worker`] — the flight recorder
-    /// dumps its tail from here.
-    pub fn set_severed_hook(&mut self, hook: Box<dyn FnMut(u32) + Send>) {
-        self.on_severed = Some(hook);
-    }
-
-    /// Runs the write operation over `self.targets`: the mirror moves if
-    /// it succeeds, the workers are brought back to it if it fails.
-    fn write(&mut self, write: Write) -> Result<(), StoreError> {
-        let targets = std::mem::take(&mut self.targets);
-        let result = self.queue_write(write, &targets);
-        match result {
-            Ok(()) => self.mirror.apply(&targets, None),
-            Err(_) => self.abort(&targets),
-        }
-        for lane in self.lanes.get_mut() {
-            lane.mark = None;
-            lane.handed = false;
-            lane.writes.clear();
-            lane.departs.clear();
-        }
-        self.pool.clear();
-        self.targets = targets;
-        result
-    }
-
     /// Queues the operation's writes on their owners' lanes, moves every
     /// migrating agent's records to its new owner's lane, and hands off
     /// whatever lane that leaves with a full window.
     fn queue_write(
         &mut self,
-        write: Write,
+        mirror: &Mirror<S>,
         targets: &[(AgentId, Step, S::Pos)],
+        commit: bool,
     ) -> Result<(), StoreError> {
-        let (lanes, part) = (self.lanes.get_mut(), self.mirror.partition());
-        for &(a, step, pos) in targets {
-            let current = self.mirror.step(a);
-            if write == Write::Rollback && step > current {
-                return Err(StoreError::Codec(format!(
-                    "rollback of agent {a} to step {step} is ahead of current {current}"
-                )));
-            }
+        let (lanes, part) = (self.lanes.get_mut(), mirror.partition());
+        for &(a, _, pos) in targets {
             for j in [part.owner(a.0), part.home(pos)] {
                 if lanes[j].down {
                     return Err(worker_down(j as u32));
@@ -927,17 +881,20 @@ impl<S: Space> DistTracker<S> {
                 migrations += 1;
             }
         }
-        for lane in lanes.iter_mut() {
-            if let Some(request) = write.request(&lane.writes) {
-                lane.begin();
-                lane.queue.push(request);
-                let unacked = (lane.writes.iter()).map(|&(agent, step, pos)| Unacked::Write {
-                    agent,
-                    step,
-                    pos,
-                });
-                lane.unacked.extend(unacked);
-            }
+        for lane in lanes.iter_mut().filter(|lane| !lane.writes.is_empty()) {
+            lane.begin();
+            let writes = &lane.writes;
+            lane.queue.push(match commit {
+                true => CtrlMsg::Commit {
+                    updates: writes.iter().map(|&(a, _, pos)| (a, pos)).collect(),
+                },
+                false => CtrlMsg::Rollback {
+                    updates: writes.clone(),
+                },
+            });
+            let unacked =
+                (writes.iter()).map(|&(agent, step, pos)| Unacked::Write { agent, step, pos });
+            lane.unacked.extend(unacked);
         }
         let t = self.telemetry.as_deref();
         if migrations > 0 {
@@ -977,7 +934,7 @@ impl<S: Space> DistTracker<S> {
     /// call's queued requests withdrawn (its arrivals back into the
     /// controller's hands), and every worker the call handed anything is
     /// resynchronised with the mirror.
-    fn abort(&mut self, targets: &[(AgentId, Step, S::Pos)]) {
+    fn abort(&mut self, mirror: &Mirror<S>, targets: &[(AgentId, Step, S::Pos)]) {
         let t = self.telemetry.as_deref();
         let mut involved = Vec::new();
         for (j, lane) in self.lanes.get_mut().iter_mut().enumerate() {
@@ -997,7 +954,7 @@ impl<S: Space> DistTracker<S> {
         let agents: Vec<u32> = targets.iter().map(|&(a, _, _)| a.0).collect();
         // The failure is already the call's error; a worker the resync
         // cannot reach stays down until respawned.
-        let _ = self.resync(&involved, &agents);
+        let _ = self.resync(mirror, &involved, &agents);
     }
 
     /// Brings each `involved` worker back to the mirror for `agents`,
@@ -1011,7 +968,12 @@ impl<S: Space> DistTracker<S> {
     ///
     /// Returns the first failure, or a down error for a worker that was
     /// down before.
-    fn resync(&mut self, involved: &[usize], agents: &[u32]) -> Result<(), StoreError> {
+    fn resync(
+        &mut self,
+        mirror: &Mirror<S>,
+        involved: &[usize],
+        agents: &[u32],
+    ) -> Result<(), StoreError> {
         let lanes = self.lanes.get_mut();
         let sets: Vec<Vec<u32>> = involved
             .iter()
@@ -1029,7 +991,7 @@ impl<S: Space> DistTracker<S> {
         // Forget everywhere before re-adopting anywhere: an agent's
         // history may sit with a worker other than its mirror owner.
         for (&j, set) in involved.iter().zip(&sets) {
-            if let Err(e) = self.forget(j, set) {
+            if let Err(e) = self.forget(mirror, j, set) {
                 self.lanes.get_mut()[j].down = true;
                 result = result.and(Err(e));
             }
@@ -1038,7 +1000,7 @@ impl<S: Space> DistTracker<S> {
             if self.lanes.get_mut()[j].down {
                 continue;
             }
-            match self.readopt(j, set) {
+            match self.readopt(mirror, j, set) {
                 Ok(()) => self.lanes.get_mut()[j].resynced(),
                 Err(e) => {
                     self.lanes.get_mut()[j].down = true;
@@ -1048,7 +1010,7 @@ impl<S: Space> DistTracker<S> {
         }
         for (&j, set) in involved.iter().zip(&sets) {
             if self.lanes.get_mut()[j].down {
-                self.leave_in_doubt(j, set);
+                self.leave_in_doubt(mirror, j, set);
                 result = result.and(Err(worker_down(j as u32)));
             }
         }
@@ -1058,7 +1020,7 @@ impl<S: Space> DistTracker<S> {
     /// Leaves `agents` in doubt on the unreachable worker `j`, keeping
     /// for its respawn the records in the controller's hands that it
     /// owns.
-    fn leave_in_doubt(&mut self, j: usize, agents: &[u32]) {
+    fn leave_in_doubt(&mut self, mirror: &Mirror<S>, j: usize, agents: &[u32]) {
         let lane = &mut self.lanes.get_mut()[j];
         lane.down = true;
         lane.owed = 0;
@@ -1066,7 +1028,7 @@ impl<S: Space> DistTracker<S> {
         lane.in_doubt.extend_from_slice(agents);
         lane.in_doubt.sort_unstable();
         lane.in_doubt.dedup();
-        let part = self.mirror.partition();
+        let part = mirror.partition();
         let owned =
             (self.pool.iter()).filter(|r| agents.contains(&r.agent) && part.owner(r.agent) == j);
         lane.held.extend(owned.cloned());
@@ -1079,13 +1041,13 @@ impl<S: Space> DistTracker<S> {
     /// which come back into the controller's hands. Verifies the
     /// remaining members against the mirror (they have no write in
     /// doubt, so they must agree).
-    fn forget(&mut self, j: usize, agents: &[u32]) -> Result<(), StoreError> {
-        let mut expected = self.members(j);
+    fn forget(&mut self, mirror: &Mirror<S>, j: usize, agents: &[u32]) -> Result<(), StoreError> {
+        let mut expected = mirror.partition().members(j);
         expected.retain(|a| agents.binary_search(a).is_err());
         let members = expected.len();
         let mut requests = vec![CtrlMsg::Recover { expected }];
         if !agents.is_empty() {
-            let nodes = self.mirror.nodes();
+            let nodes = mirror.nodes();
             let stub =
                 |a: u32| mirror_record(a, nodes[a as usize], self.history, std::iter::empty());
             requests.push(CtrlMsg::Arrive {
@@ -1109,7 +1071,7 @@ impl<S: Space> DistTracker<S> {
             )));
         }
         for (a, step, pos) in states {
-            let node = self.mirror.nodes()[a as usize];
+            let node = mirror.nodes()[a as usize];
             if node.step.0 != step || node.pos != pos {
                 return Err(StoreError::Codec(format!(
                     "worker {j} recovered agent {a} at {:?}/{step} but the \
@@ -1132,8 +1094,8 @@ impl<S: Space> DistTracker<S> {
     /// mirror says it owns, at their mirrored state, with the history the
     /// first half recovered and the writes `j` holds in doubt replayed
     /// over it.
-    fn readopt(&mut self, j: usize, agents: &[u32]) -> Result<(), StoreError> {
-        let (lanes, mirror) = (self.lanes.get_mut(), &self.mirror);
+    fn readopt(&mut self, mirror: &Mirror<S>, j: usize, agents: &[u32]) -> Result<(), StoreError> {
+        let lanes = self.lanes.get_mut();
         let records: Vec<NodeRecord<S::Pos>> = agents
             .iter()
             .filter(|&&a| mirror.partition().owner(a) == j)
@@ -1180,87 +1142,12 @@ impl<S: Space> DistTracker<S> {
         Ok(total)
     }
 
-    /// Severs worker `shard`'s link without a shutdown handshake —
-    /// simulating a worker crash. Subsequent operations touching that
-    /// shard fail until [`DistTracker::respawn_worker`] heals it; the
-    /// worker's database (its durable storage) and the writes it holds
-    /// in doubt are retained.
-    pub fn kill_worker(&mut self, shard: usize) {
-        self.replace_link(shard, Box::new(SeveredLink::new(shard as u32)));
-        self.lanes.get_mut()[shard].down = true;
-        if let Some(hook) = self.on_severed.as_mut() {
-            hook(shard as u32);
-        }
-    }
-
-    /// Swaps worker `shard`'s link for `link`, returning the old one
-    /// (not dropped, so its worker lives on behind it). For tests that
-    /// wrap a live link to count or fail its calls.
-    #[doc(hidden)]
-    pub fn replace_link(
-        &mut self,
-        shard: usize,
-        link: Box<dyn WorkerLink<S::Pos>>,
-    ) -> Box<dyn WorkerLink<S::Pos>> {
-        let lane = &mut self.lanes.get_mut()[shard];
-        lane.owed = 0;
-        lane.unwaited = 0;
-        std::mem::replace(&mut lane.link, link)
-    }
-
-    /// Respawns worker `shard` over its retained database and brings it
-    /// back to the mirror: the fresh worker rebuilds its members, index,
-    /// and step bounds from its own store ([`CtrlMsg::Recover`]), the
-    /// controller verifies them against its mirror (every acknowledged
-    /// write was durable, so they must agree), and the agents it held in
-    /// doubt — which its store may hold at any point of their in-doubt
-    /// writes, or not at all — are re-adopted at their mirrored state
-    /// with those writes replayed into their history.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Codec`] if the recovered states disagree
-    /// with the mirror or a record is missing; the worker stays down.
-    pub fn respawn_worker(&mut self, shard: usize) -> Result<(), StoreError> {
-        let link = ChannelLink::spawn(
-            shard as u32,
-            Arc::clone(self.mirror.space()),
-            self.mirror.params(),
-            Arc::clone(&self.worker_dbs[shard]),
-            self.history,
-            Arc::clone(&self.shared_telemetry),
-        );
-        // Dropping the old link joins the old worker, if it still runs.
-        drop(self.replace_link(shard, Box::new(link)));
-        let lane = &mut self.lanes.get_mut()[shard];
-        lane.down = false;
-        // The fresh worker restarts its handled count at zero, so the
-        // controller-side sent counter must follow or queue depth would
-        // read as permanently backed up.
-        lane.sent = 0;
-        self.pool = std::mem::take(&mut lane.held);
-        let result = self.resync(&[shard], &[]);
-        self.pool.clear();
-        result
-    }
-
-    /// Debug cross-check of the mirror against the workers' ground
-    /// truth: settles the window, then hands every worker
-    /// `[Quiesce, RelinkQuery]` in one round and verifies that
-    /// membership, positions and steps agree with the mirror (and the
-    /// shard map's geometry), and that the edges the workers compute for
-    /// every agent are exactly the mirror's adjacency. Used by the
-    /// property tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any disagreement.
-    #[doc(hidden)]
-    pub fn check_invariants(&mut self) {
+    /// See [`DistTracker::check_invariants`].
+    fn check(&self, mirror: &Mirror<S>) {
         let t = self.telemetry.as_deref();
-        let lanes = self.lanes.get_mut();
-        settle(lanes, t).expect("settle the window");
-        let probes: Vec<Probe<S::Pos>> = (self.mirror.nodes().iter().enumerate())
+        let mut lanes = self.lanes.lock();
+        settle(&mut lanes, t).expect("settle the window");
+        let probes: Vec<Probe<S::Pos>> = (mirror.nodes().iter().enumerate())
             .map(|(a, n)| Probe {
                 agent: a as u32,
                 step: n.step.0,
@@ -1280,12 +1167,12 @@ impl<S: Space> DistTracker<S> {
             };
             assert_eq!(
                 states.len(),
-                self.mirror.partition().members(j).len(),
+                mirror.partition().members(j).len(),
                 "worker {j} member count drifted from the mirror"
             );
             for (a, step, pos) in states {
-                assert_eq!(self.mirror.partition().owner(a), j, "ownership drift");
-                let node = self.mirror.nodes()[a as usize];
+                assert_eq!(mirror.partition().owner(a), j, "ownership drift");
+                let node = mirror.nodes()[a as usize];
                 assert_eq!(node.step.0, step, "stale mirror step for agent {a}");
                 assert_eq!(node.pos, pos, "stale mirror position for agent {a}");
             }
@@ -1300,7 +1187,7 @@ impl<S: Space> DistTracker<S> {
                 false => (false, e.a, e.b),
             }));
         }
-        let snap = self.mirror.snapshot();
+        let snap = mirror.snapshot();
         let mut kept: BTreeSet<_> = (snap.coupled.iter())
             .map(|(a, b)| (true, a.0, b.0))
             .collect();
@@ -1309,11 +1196,10 @@ impl<S: Space> DistTracker<S> {
             kept, found,
             "mirror adjacency disagrees with the workers' edges"
         );
-        self.mirror.check_invariants();
     }
 }
 
-impl<S: Space> Drop for DistTracker<S> {
+impl<S: Space> Drop for Remote<S> {
     fn drop(&mut self) {
         // Quiesce: every write a call returned for reaches its store
         // before the workers stop. A worker that cannot be reached keeps
@@ -1322,94 +1208,44 @@ impl<S: Space> Drop for DistTracker<S> {
     }
 }
 
-impl<S: Space> DepTracker<S> for DistTracker<S> {
-    #[inline]
-    fn len(&self) -> usize {
-        self.mirror.len()
+/// The write path of the [module docs](super): each write is queued on
+/// its owner's lane, the workers are brought back to the mirror if the
+/// call fails, and the readers of the worker stores settle the window
+/// first.
+impl<S: Space> Sink<S> for Remote<S> {
+    fn history(&self) -> bool {
+        self.history
     }
 
-    #[inline]
-    fn step(&self, a: AgentId) -> Step {
-        self.mirror.step(a)
-    }
-
-    #[inline]
-    fn pos(&self, a: AgentId) -> S::Pos {
-        self.mirror.pos(a)
-    }
-
-    #[inline]
-    fn min_step(&self) -> Step {
-        self.mirror.min_step()
-    }
-
-    #[inline]
-    fn max_step(&self) -> Step {
-        self.mirror.max_step()
-    }
-
-    /// The mirror moves and its edges are repaired, and each owner's lane
-    /// queues the commit. The call waits for a worker only when a lane's
-    /// window fills, or for the `Departed` records of an agent crossing
-    /// out of its worker's region.
-    ///
-    /// # Errors
-    ///
-    /// Fails before queueing anything if a worker it would write to is
-    /// down; otherwise propagates the failures of the hand-offs it
-    /// triggered. A failed call leaves the mirror as it was and has
-    /// committed nothing on any reachable worker (see [`DistTracker`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an agent id is out of range.
-    fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
-        self.targets.clear();
-        let mirror = &self.mirror;
-        let targets = updates
-            .iter()
-            .map(|&(a, pos)| (a, mirror.step(a).next(), pos));
-        self.targets.extend(targets);
-        self.write(Write::Commit)
-    }
-
-    /// Queued like [`DepTracker::advance`]; a target step ahead of the
-    /// agent's current one is refused before anything is queued.
-    fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
-        self.targets.clear();
-        self.targets.extend_from_slice(updates);
-        self.write(Write::Rollback)
-    }
-
-    /// Answered by the mirror's spatial indexes of every shard
-    /// [`ShardMap::min_distance`] cannot rule out.
-    #[inline]
-    fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
-        self.mirror.candidates_within(center, units, out);
-    }
-
-    #[inline]
-    fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
-        self.mirror.first_blocker(a)
-    }
-
-    #[inline]
-    fn coupled_of(&self, a: AgentId) -> &[AgentId] {
-        self.mirror.coupled_of(a)
-    }
-
-    /// Compacts history across every worker store, returning the total
-    /// evicted (see [`crate::depgraph::DepGraph`]'s `evict_history` for
-    /// the invariant — untouched by distribution, since only the global
-    /// `min_step` is consulted). Settles the window first.
-    fn evict_history(&mut self) -> Result<u64, StoreError> {
-        if !self.history {
-            return Ok(0);
+    fn write(
+        &mut self,
+        mirror: &Mirror<S>,
+        targets: &[(AgentId, Step, S::Pos)],
+        commit: bool,
+    ) -> Result<(), StoreError> {
+        let result = self.queue_write(mirror, targets, commit);
+        if result.is_err() {
+            self.abort(mirror, targets);
         }
-        let floor = self.mirror.min_step().0;
-        if floor <= self.hist_floor {
-            return Ok(0);
+        for lane in self.lanes.get_mut() {
+            lane.mark = None;
+            lane.handed = false;
+            lane.writes.clear();
+            lane.departs.clear();
         }
+        self.pool.clear();
+        result
+    }
+
+    fn floor(&self) -> Result<u32, StoreError> {
+        Ok(self.hist_floor)
+    }
+
+    /// Compacts history across every worker store (settling the window
+    /// first), then harvests the workers' telemetry: eviction is the
+    /// run's natural quiesce barrier, so out-of-process buffers drain
+    /// steadily instead of ballooning until end of run.
+    fn evict(&mut self, floor: u32) -> Result<u64, StoreError> {
         let result = self.evict_below(floor);
         if result.is_err() {
             let t = self.telemetry.as_deref();
@@ -1420,37 +1256,29 @@ impl<S: Space> DepTracker<S> for DistTracker<S> {
         }
         let total = result?;
         self.hist_floor = floor;
-        // Eviction is the run's natural quiesce barrier: piggyback a
-        // telemetry harvest so out-of-process buffers drain steadily
-        // instead of ballooning until end of run.
-        DistTracker::harvest_telemetry(self)?;
+        self.harvest()?;
         Ok(total)
     }
 
-    #[inline]
-    fn validate(&self) -> Result<(), String> {
-        self.mirror.validate()
+    /// The workers' stores (each worker bumps its own `dep:commits`
+    /// once per commit request it applies), after handing every lane's
+    /// queue over and reaping the replies. A lane that fails to settle
+    /// is left down with its writes in doubt: the next operation touching
+    /// it fails until it is respawned.
+    fn stores(&self) -> &[Arc<Db>] {
+        let _ = settle(&mut self.lanes.lock(), self.telemetry.as_deref());
+        &self.worker_dbs
     }
 
-    /// The controller records every hand-off and the wait for its
-    /// replies as one [`SpanKind::Boundary`] span each, `messages` saying
-    /// how many requests or replies it carried (the
-    /// [`Counter::BoundaryMessages`] counter counts those), and workers
-    /// record their apply time per request through the shared cell.
-    /// Workers that cannot see the cell (out-of-process transports)
-    /// buffer locally instead and are drained by
-    /// [`DistTracker::harvest_telemetry`].
-    #[inline]
     fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.shared_telemetry.set(Some(Arc::clone(&telemetry)));
         self.telemetry = Some(telemetry);
     }
 
-    #[inline]
     fn harvest_telemetry(&mut self) {
         // Best-effort by contract: a lane that fails to settle is down
         // with its writes kept, and a protocol violation is surfaced by
         // the next real request, not by the harvest.
-        let _ = DistTracker::harvest_telemetry(self);
+        let _ = self.harvest();
     }
 }

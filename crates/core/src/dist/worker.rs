@@ -1,22 +1,24 @@
-//! The shard worker: an isolated owner of one shard's agents.
+//! The shard worker, and the store core every tracker writes through.
 //!
-//! A [`ShardWorker`] holds everything a shard needs to serve the
-//! [`super::msg`] protocol — its members' committed states and **its own
-//! [`Db`] instance** holding the authoritative `dagt` / `dhst` records
-//! for its members (the same layout as the single-shard
-//! [`crate::depgraph::DepGraph`], so per-worker stores snapshot and
-//! recover with the existing tooling) — plus one index over that store:
-//! the steps of each agent's history records, so a departure reads only
-//! the departing agents' records. It keeps no spatial index: the
-//! controller links edges on its own mirror, and the one query a worker
+//! [`Records`] is the one writer of the authoritative record layout —
+//! `dagt ‖ agent` per agent, immutable `dhst ‖ step ‖ agent` history,
+//! the `dep:commits` counter and the `dep:hist_floor` watermark: a batch
+//! of moves as one transaction, the history rewrite of a squash, and
+//! eviction. It keeps no node state; each agent's prior step comes from
+//! its caller. [`crate::depgraph::DepGraph`] calls it inline on its own
+//! store, with prior steps from its mirror; a [`ShardWorker`] on **its
+//! own [`Db`] instance**, with prior steps from its member table.
+//!
+//! Around that core a worker is a protocol shell: its members' states,
+//! the gathering of a hand-off into write batches
+//! ([`ShardWorker::handle_all`] applies each run of consecutive commits
+//! as one batch), replies, telemetry, heartbeats, and the departure
+//! index — the steps of each agent's history records, so a departure
+//! reads only its own. It keeps no spatial index: the one query it
 //! answers (the invariant check's relink probes) scans the members.
-//!
-//! The unit of work is the hand-off, not the message:
-//! [`ShardWorker::handle_all`] applies each run of consecutive commits as
-//! one write batch. Nothing is shared with other workers or with the
-//! controller: every state transfer is a protocol message, which is what
-//! lets phase 2 move a worker out of process behind the `dist-socket`
-//! transport without touching this file's logic.
+//! Nothing is shared with other workers or with the controller: every
+//! state transfer is a protocol message, which is what lets phase 2 move
+//! a worker out of process behind the `dist-socket` transport.
 //!
 //! The one deliberate exception is telemetry: a same-process worker
 //! observes the controller's [`Telemetry`] sink through a
@@ -35,21 +37,291 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
-use aim_store::{Db, Key, StoreError};
+use aim_store::{codec, Db, Key, StoreError};
 
-use crate::depgraph::{
-    decode_record, encode_record, evict_below, load_record, AGENT_TAG, HIST_TAG,
-};
-use crate::edges::{edges_of, Node};
-use crate::ids::Step;
+use crate::edges::{edges_of, Mirror, Node, Sink};
+use crate::ids::{AgentId, Step};
 use crate::rules::RuleParams;
 use crate::space::Space;
 use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
 
 use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
+
+/// Namespace tag of the per-agent node records (`Key::tagged_u32`).
+const AGENT_TAG: [u8; 4] = *b"dagt";
+
+/// Namespace tag of the per-step history records
+/// (`Key::tagged_u32_pair(HIST_TAG, step, agent)`). Step-major layout:
+/// an ordered prefix walk visits history oldest-step-first, so the
+/// eviction pass stops touching records at the first retained step.
+const HIST_TAG: [u8; 4] = *b"dhst";
+
+/// Store key of the history-eviction watermark: every history record at a
+/// step `< dep:hist_floor` has been compacted away.
+const HIST_FLOOR_KEY: &str = "dep:hist_floor";
+
+/// Store key of the count of committed advances.
+const COMMITS_KEY: &str = "dep:commits";
+
+/// One agent's move: `(agent, prior step, step, position)`. A step at or
+/// below the prior one rewinds the agent (a squash).
+pub(crate) type Move<P> = (u32, u32, u32, P);
+
+/// The store core (see the [module docs](self)): one store's
+/// authoritative records, written in the one layout.
+#[derive(Debug)]
+pub struct Records<S: Space> {
+    pub(crate) space: Arc<S>,
+    pub(crate) db: Arc<Db>,
+    /// Whether each record is also written as a history record.
+    pub(crate) history: bool,
+    /// Interned `dagt` key per agent id, each interned on its first write
+    /// (allocation-free write path).
+    keys: Vec<Option<Key>>,
+    commits_key: Key,
+    /// Reused scratch the records are encoded in before being copied out.
+    buf: BytesMut,
+}
+
+impl<S: Space> Records<S> {
+    /// The core over `db`, with the keys of agents `0..agents` interned.
+    pub(crate) fn new(space: Arc<S>, db: Arc<Db>, history: bool, agents: u32) -> Self {
+        Records {
+            space,
+            db,
+            history,
+            keys: (0..agents)
+                .map(|a| Some(Key::tagged_u32(AGENT_TAG, a)))
+                .collect(),
+            commits_key: Key::new(COMMITS_KEY),
+            buf: BytesMut::new(),
+        }
+    }
+
+    /// Writes every agent of `initial` at step 0, with both counters at
+    /// zero: a new tracker's store.
+    pub(crate) fn open(&mut self, initial: &[S::Pos]) -> Result<(), StoreError> {
+        let moves = initial.iter().enumerate();
+        self.write_moves(moves.map(|(a, &pos)| (a as u32, 0, 0, pos)), 0)?;
+        self.db.set_i64(COMMITS_KEY, 0);
+        if self.history {
+            self.db.set_i64(HIST_FLOOR_KEY, 0);
+        }
+        Ok(())
+    }
+
+    /// Writes `moves` as one batch and adds `commits` (when positive) to
+    /// `dep:commits`. Each agent's record is replaced; with history, its
+    /// history record at the new step is written beside it, and a move
+    /// back rewrites history: the target step's record is replaced (its
+    /// position may differ from the first visit) and the record of every
+    /// step it discards is deleted, so history only ever describes
+    /// committed, non-squashed state. The batch allocates once per record
+    /// for the stored value, once for the counter's new value, and
+    /// nothing else. On an error nothing is written.
+    pub(crate) fn write_moves(
+        &mut self,
+        moves: impl IntoIterator<Item = Move<S::Pos>>,
+        commits: i64,
+    ) -> Result<(), StoreError> {
+        let Records {
+            space,
+            db,
+            history,
+            keys,
+            commits_key,
+            buf,
+        } = self;
+        let (space, history) = (&**space, *history);
+        db.transaction(|txn| {
+            for (a, prior, step, pos) in moves {
+                let value = encode_record(space, buf, step, pos);
+                if history {
+                    txn.set_key(&history_key(step, a), value.clone());
+                    for squashed in step + 1..=prior {
+                        txn.del(history_key(squashed, a));
+                    }
+                }
+                txn.set_key(key(keys, a), value);
+            }
+            if commits > 0 {
+                txn.incr_key(commits_key, commits)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Writes every record of `records` — each agent's current state and
+    /// the history it brings — as one batch.
+    fn adopt(&mut self, records: &[NodeRecord<S::Pos>]) -> Result<(), StoreError> {
+        let Records {
+            space,
+            db,
+            keys,
+            buf,
+            ..
+        } = self;
+        db.transaction(|txn| {
+            for r in records {
+                let value = encode_record(&**space, buf, r.step, r.pos);
+                txn.set_key(key(keys, r.agent), value);
+                for &(step, pos) in &r.history {
+                    let value = encode_record(&**space, buf, step, pos);
+                    txn.set_key(&history_key(step, r.agent), value);
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// Deletes the records of `agents` and the `history` records (keys
+    /// from [`history_key`]) as one batch.
+    fn delete(&mut self, agents: &[u32], history: &[Key]) -> Result<(), StoreError> {
+        let keys = &mut self.keys;
+        self.db.transaction(|txn| {
+            for &a in agents {
+                txn.del(key(keys, a));
+            }
+            for key in history {
+                txn.del(key);
+            }
+            Ok(())
+        })
+    }
+
+    /// Reads agent `a`'s record; [`StoreError::Codec`] if it is missing
+    /// or malformed.
+    pub(crate) fn load(&self, a: u32) -> Result<(Step, S::Pos), StoreError> {
+        let missing = || StoreError::Codec(format!("missing record for agent {a}"));
+        self.read(&Key::tagged_u32(AGENT_TAG, a))?
+            .ok_or_else(missing)
+    }
+
+    /// Agent `a`'s history record at `step`, if it is resident;
+    /// [`StoreError::Codec`] if it is malformed.
+    pub(crate) fn history_at(
+        &self,
+        step: u32,
+        a: u32,
+    ) -> Result<Option<(Step, S::Pos)>, StoreError> {
+        self.read(&history_key(step, a))
+    }
+
+    /// The record at `key`, if any; [`StoreError::Codec`] if it is
+    /// malformed.
+    fn read(&self, key: &Key) -> Result<Option<(Step, S::Pos)>, StoreError> {
+        let raw = self.db.get(key);
+        raw.map(|raw| decode_record(&*self.space, raw)).transpose()
+    }
+
+    /// Deletes every history record below step `floor` and raises the
+    /// watermark to it, returning how many went. Keys sort step-major, so
+    /// value visits stop at the first retained step — the per-record
+    /// work is O(evicted + 1). (The walk's key gather still scans the
+    /// store's keys once; see `Db::for_each_prefix`.) Call it from a
+    /// quiesced writer: the key walk and the deletes are not one batch.
+    pub(crate) fn evict_below(&self, floor: u32) -> u64 {
+        let mut doomed: Vec<Bytes> = Vec::new();
+        self.db.for_each_prefix(HIST_TAG, |k, _| {
+            let step = u32::from_be_bytes(k[4..8].try_into().expect("12-byte history key"));
+            if step >= floor {
+                return ControlFlow::Break(());
+            }
+            doomed.push(k.clone());
+            ControlFlow::Continue(())
+        });
+        for k in &doomed {
+            self.db.del(k);
+        }
+        self.db.set_i64(HIST_FLOOR_KEY, i64::from(floor));
+        doomed.len() as u64
+    }
+}
+
+/// The in-process sink: each advance or rollback is one write batch on
+/// the graph's own store, each agent's prior step read from the mirror.
+impl<S: Space> Sink<S> for Records<S> {
+    fn history(&self) -> bool {
+        self.history
+    }
+
+    fn write(
+        &mut self,
+        mirror: &Mirror<S>,
+        targets: &[(AgentId, Step, S::Pos)],
+        commit: bool,
+    ) -> Result<(), StoreError> {
+        let moves = (targets.iter()).map(|&(a, step, pos)| (a.0, mirror.step(a).0, step.0, pos));
+        self.write_moves(moves, i64::from(commit))
+    }
+
+    /// Read from the store, so it survives snapshot and restore.
+    fn floor(&self) -> Result<u32, StoreError> {
+        floor_of(&self.db)
+    }
+
+    fn evict(&mut self, floor: u32) -> Result<u64, StoreError> {
+        Ok(self.evict_below(floor))
+    }
+
+    fn stores(&self) -> &[Arc<Db>] {
+        std::slice::from_ref(&self.db)
+    }
+}
+
+/// The eviction watermark stored in `db`.
+pub(super) fn floor_of(db: &Db) -> Result<u32, StoreError> {
+    Ok(db.get_i64(HIST_FLOOR_KEY)?.max(0) as u32)
+}
+
+/// The count of committed advances stored in `db`.
+pub(crate) fn commits_of(db: &Db) -> i64 {
+    db.get_i64(COMMITS_KEY).unwrap_or(0)
+}
+
+/// Number of history records resident in `db` (an O(history) scan —
+/// diagnostics and tests, not a hot path).
+pub(crate) fn history_records_of(db: &Db) -> u64 {
+    let mut n = 0u64;
+    db.for_each_prefix(HIST_TAG, |_, _| {
+        n += 1;
+        ControlFlow::Continue(())
+    });
+    n
+}
+
+/// The key of agent `a`'s history record at `step`.
+fn history_key(step: u32, a: u32) -> Key {
+    Key::tagged_u32_pair(HIST_TAG, step, a)
+}
+
+/// Agent `a`'s interned record key, interned on first use.
+fn key(keys: &mut Vec<Option<Key>>, a: u32) -> &Key {
+    if a as usize >= keys.len() {
+        keys.resize(a as usize + 1, None);
+    }
+    keys[a as usize].get_or_insert_with(|| Key::tagged_u32(AGENT_TAG, a))
+}
+
+/// Encodes one `(step, pos)` state in the record layout. `buf` is
+/// scratch: the record is built in it and copied out once, so a caller
+/// that keeps `buf` around pays exactly one allocation per record — the
+/// stored value.
+fn encode_record<S: Space>(space: &S, buf: &mut BytesMut, step: u32, pos: S::Pos) -> Bytes {
+    buf.clear();
+    codec::put_u32(buf, step);
+    space.encode_pos(pos, buf);
+    Bytes::copy_from_slice(buf)
+}
+
+/// Decodes a record written by [`encode_record`].
+fn decode_record<S: Space>(space: &S, mut raw: Bytes) -> Result<(Step, S::Pos), StoreError> {
+    let step = Step(codec::get_u32(&mut raw)?);
+    Ok((step, space.decode_pos(&mut raw)?))
+}
 
 /// A generation-counted slot for the controller's in-process telemetry
 /// sink: set by the tracker's
@@ -138,22 +410,21 @@ pub trait WorkerLink<P>: Send {
     fn recv(&mut self) -> Result<ShardMsg<P>, StoreError>;
 }
 
-/// One member's committed state and its interned `dagt` key.
+/// One member's committed state.
 struct Member<P> {
     pos: P,
     step: u32,
-    key: Key,
 }
 
-/// An isolated shard worker (see the [module docs](super)).
+/// An isolated shard worker (see the [module docs](super)): a protocol
+/// shell around the store core that writes the records of its own
+/// database.
 pub struct ShardWorker<S: Space> {
     id: u32,
-    space: Arc<S>,
     params: RuleParams,
-    db: Arc<Db>,
-    history: bool,
+    store: Records<S>,
     members: HashMap<u32, Member<S::Pos>>,
-    /// The ascending steps of every `dhst` record in `db`, per agent —
+    /// The ascending steps of every `dhst` record in the store, per agent —
     /// members or not: a resync can leave a stub's history in the store.
     /// Kept equal to the store by every write the worker makes, and
     /// rebuilt from it by [`CtrlMsg::Recover`].
@@ -161,7 +432,6 @@ pub struct ShardWorker<S: Space> {
     /// The highest member step, or `None` after a write may have moved
     /// it (the next heartbeat recomputes it from the members).
     top_step: Option<u32>,
-    commits_key: Key,
     telemetry: SharedTelemetry,
     /// Cached copy of the shared sink, refreshed when the cell's
     /// generation counter changes — keeps the cell's mutex off the
@@ -183,13 +453,10 @@ pub struct ShardWorker<S: Space> {
     handled: u64,
     /// The run of commits being gathered, reused across hand-offs.
     run: Vec<Vec<(u32, S::Pos)>>,
-    /// `(agent, step, position)` before each update of the run being
-    /// written, to restore memory if the store refuses the batch.
-    undo: Vec<(u32, u32, S::Pos)>,
+    /// The moves of the batch being written, reused.
+    moves: Vec<Move<S::Pos>>,
     /// Reused id buffer: relink candidates and the named-twice check.
     scratch: Vec<u32>,
-    /// Reused scratch the records are encoded in before being copied out.
-    encode_buf: BytesMut,
 }
 
 impl<S: Space> fmt::Debug for ShardWorker<S> {
@@ -197,7 +464,7 @@ impl<S: Space> fmt::Debug for ShardWorker<S> {
         f.debug_struct("ShardWorker")
             .field("id", &self.id)
             .field("members", &self.members.len())
-            .field("history", &self.history)
+            .field("history", &self.store.history)
             .finish()
     }
 }
@@ -218,14 +485,11 @@ impl<S: Space> ShardWorker<S> {
         local.set_enabled(false); // armed by the first HarvestTelemetry
         ShardWorker {
             id,
-            space,
             params,
-            db,
-            history,
+            store: Records::new(space, db, history, 0),
             members: HashMap::new(),
             history_steps: HashMap::new(),
             top_step: None,
-            commits_key: Key::new("dep:commits"),
             telemetry,
             cached_sink: None,
             cached_generation: 0,
@@ -234,9 +498,8 @@ impl<S: Space> ShardWorker<S> {
             harvest_counters: [0; Counter::ALL.len()],
             handled: 0,
             run: Vec::new(),
-            undo: Vec::new(),
+            moves: Vec::new(),
             scratch: Vec::new(),
-            encode_buf: BytesMut::new(),
         }
     }
 
@@ -248,7 +511,7 @@ impl<S: Space> ShardWorker<S> {
     /// The space this worker's positions live in (used by byte
     /// transports to encode and decode protocol frames).
     pub fn space(&self) -> &Arc<S> {
-        &self.space
+        &self.store.space
     }
 
     /// Applies one hand-off: every request in order, one reply each,
@@ -537,7 +800,15 @@ impl<S: Space> ShardWorker<S> {
             }
         }
         let valid = refused.as_ref().map_or(n, |&(k, _)| k);
-        let failed = match self.commit(&run[..valid]) {
+        let updates = run[..valid]
+            .iter()
+            .flatten()
+            .map(|&(a, pos)| (a, None, pos));
+        let written = match valid {
+            0 => Ok(()),
+            _ => self.write(updates, valid as i64),
+        };
+        let failed = match written {
             Ok(()) => {
                 replies.extend((0..valid).map(|_| ShardMsg::Done));
                 if let Some((_, e)) = &refused {
@@ -556,62 +827,6 @@ impl<S: Space> ShardWorker<S> {
         failed
     }
 
-    /// Writes `run` — commits of members, each naming an agent once — as
-    /// one batch: every update moves its agent to the step after its
-    /// current one. On an error nothing is written and memory is left as
-    /// it was.
-    fn commit(&mut self, run: &[Vec<(u32, S::Pos)>]) -> Result<(), StoreError> {
-        if run.is_empty() {
-            return Ok(());
-        }
-        let ShardWorker {
-            space,
-            db,
-            history,
-            members,
-            history_steps,
-            commits_key,
-            undo,
-            encode_buf: buf,
-            ..
-        } = self;
-        let (space, history) = (&**space, *history);
-        // A later commit of the run builds on an earlier one, so memory
-        // moves while the batch fills, and the undo log puts it back if
-        // the store refuses the batch.
-        undo.clear();
-        let written = db.transaction(|txn| {
-            for &(a, pos) in run.iter().flatten() {
-                let m = members.get_mut(&a).expect("checked by commit_run");
-                undo.push((a, m.step, m.pos));
-                m.step = m.step.checked_add(1).ok_or_else(|| {
-                    StoreError::Codec(format!("agent {a} has no step after {}", m.step))
-                })?;
-                m.pos = pos;
-                let value = encode_record(space, buf, Step(m.step), pos);
-                if history {
-                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, m.step, a), value.clone());
-                }
-                txn.set_key(&m.key, value);
-            }
-            txn.incr_key(commits_key, run.len() as i64)
-        });
-        if let Err(e) = written {
-            for &(a, step, pos) in undo.iter().rev() {
-                let m = members.get_mut(&a).expect("undo names members");
-                (m.step, m.pos) = (step, pos);
-            }
-            return Err(e);
-        }
-        if history {
-            for &(a, step, _) in undo.iter() {
-                insert_step(history_steps.entry(a).or_default(), step + 1);
-            }
-        }
-        self.top_step = None;
-        Ok(())
-    }
-
     fn rollback(&mut self, updates: &[(u32, u32, S::Pos)]) -> Result<(), StoreError> {
         // A refused update fails the whole batch, so nothing is written.
         for &(a, step, _) in updates {
@@ -623,45 +838,60 @@ impl<S: Space> ShardWorker<S> {
             }
         }
         self.check_distinct(updates.iter().map(|u| u.0))?;
-        let ShardWorker {
-            space,
-            db,
-            history,
-            members,
-            history_steps,
-            encode_buf: buf,
-            ..
-        } = self;
-        let (space, history) = (&**space, *history);
-        db.transaction(|txn| {
-            for &(a, step, pos) in updates {
-                let m = &members[&a];
-                let value = encode_record(space, buf, Step(step), pos);
-                txn.set_key(&m.key, value.clone());
-                if history {
-                    // A squash rewrites history: the target step's record
-                    // is replaced and discarded future steps vanish.
-                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, step, a), value);
-                    for squashed in (step + 1)..=m.step {
-                        txn.del(Key::tagged_u32_pair(HIST_TAG, squashed, a));
+        self.write(
+            updates.iter().map(|&(a, step, pos)| (a, Some(step), pos)),
+            0,
+        )
+    }
+
+    /// Moves members through the store core as one batch, adding
+    /// `commits` to the store's count: each `(agent, step, position)` to
+    /// its step, or — `None`, a commit — to the step after its current
+    /// one, so a later commit of a run builds on an earlier one. Once the
+    /// batch lands the history index follows it; on an error nothing is
+    /// written and memory is left as it was.
+    fn write(
+        &mut self,
+        updates: impl Iterator<Item = (u32, Option<u32>, S::Pos)>,
+        commits: i64,
+    ) -> Result<(), StoreError> {
+        let (mut moves, mut result) = (std::mem::take(&mut self.moves), Ok(()));
+        moves.clear();
+        for (a, to, pos) in updates {
+            let m = self.members.get_mut(&a).expect("the request names members");
+            let Some(step) = to.or(m.step.checked_add(1)) else {
+                let e = format!("agent {a} has no step after {}", m.step);
+                result = Err(StoreError::Codec(e));
+                break;
+            };
+            moves.push((a, m.step, step, pos));
+            m.step = step;
+        }
+        result = result.and_then(|()| self.store.write_moves(moves.iter().copied(), commits));
+        match result {
+            Ok(()) => {
+                for &(a, prior, step, pos) in &moves {
+                    self.members.get_mut(&a).expect("moves name members").pos = pos;
+                    if self.store.history {
+                        let steps = self.history_steps.entry(a).or_default();
+                        insert_step(steps, step);
+                        if prior > step {
+                            let squashed = steps.partition_point(|&s| s <= step)
+                                ..steps.partition_point(|&s| s <= prior);
+                            steps.drain(squashed);
+                        }
                     }
                 }
             }
-            Ok(())
-        })?;
-        for &(a, step, pos) in updates {
-            let m = members.get_mut(&a).expect("checked above");
-            if history {
-                let steps = history_steps.entry(a).or_default();
-                insert_step(steps, step);
-                let squashed =
-                    steps.partition_point(|&s| s <= step)..steps.partition_point(|&s| s <= m.step);
-                steps.drain(squashed);
+            Err(_) => {
+                for &(a, prior, _, _) in moves.iter().rev() {
+                    self.members.get_mut(&a).expect("moves name members").step = prior;
+                }
             }
-            (m.step, m.pos) = (step, pos);
         }
         self.top_step = None;
-        Ok(())
+        self.moves = moves;
+        result
     }
 
     /// Removes the members `agents` and returns their records, reading
@@ -672,18 +902,17 @@ impl<S: Space> ShardWorker<S> {
         }
         self.check_distinct(agents.iter().copied())?;
         let mut records = Vec::with_capacity(agents.len());
-        let mut doomed: Vec<Key> = Vec::with_capacity(agents.len());
+        let mut doomed = Vec::new();
         for &a in agents {
             let m = &self.members[&a];
-            doomed.push(m.key.clone());
             let mut history = Vec::new();
-            let steps = self.history_steps.get(&a).filter(|_| self.history);
+            let steps = self.history_steps.get(&a).filter(|_| self.store.history);
             for &step in steps.into_iter().flatten() {
-                let key = Key::tagged_u32_pair(HIST_TAG, step, a);
-                let raw = self.db.get(&key).ok_or_else(|| {
+                let key = history_key(step, a);
+                let (_, pos) = self.store.read(&key)?.ok_or_else(|| {
                     StoreError::Codec(format!("agent {a} has no history record at step {step}"))
                 })?;
-                history.push((step, decode_record(&*self.space, raw)?.1));
+                history.push((step, pos));
                 doomed.push(key);
             }
             records.push(NodeRecord {
@@ -693,17 +922,10 @@ impl<S: Space> ShardWorker<S> {
                 history,
             });
         }
-        self.db.transaction(|txn| {
-            for key in &doomed {
-                txn.del(key);
-            }
-            Ok(())
-        })?;
+        self.store.delete(agents, &doomed)?;
         for &a in agents {
             self.members.remove(&a);
-            if self.history {
-                self.history_steps.remove(&a);
-            }
+            self.history_steps.remove(&a);
         }
         self.top_step = None;
         Ok(records)
@@ -719,35 +941,16 @@ impl<S: Space> ShardWorker<S> {
             }
         }
         self.check_distinct(records.iter().map(|r| r.agent))?;
-        let keys: Vec<Key> = records
-            .iter()
-            .map(|r| Key::tagged_u32(AGENT_TAG, r.agent))
-            .collect();
-        let (space, buf) = (&*self.space, &mut self.encode_buf);
-        self.db.transaction(|txn| {
-            for (r, key) in records.iter().zip(&keys) {
-                let value = encode_record(space, buf, Step(r.step), r.pos);
-                txn.set_key(key, value);
-                for &(step, pos) in &r.history {
-                    let value = encode_record(space, buf, Step(step), pos);
-                    txn.set_key(&Key::tagged_u32_pair(HIST_TAG, step, r.agent), value);
-                }
-            }
-            Ok(())
-        })?;
-        for (r, key) in records.into_iter().zip(keys) {
+        self.store.adopt(&records)?;
+        for r in records {
             if !r.history.is_empty() {
                 let steps = self.history_steps.entry(r.agent).or_default();
                 for &(step, _) in &r.history {
                     insert_step(steps, step);
                 }
             }
-            let member = Member {
-                pos: r.pos,
-                step: r.step,
-                key,
-            };
-            self.members.insert(r.agent, member);
+            let (pos, step) = (r.pos, r.step);
+            self.members.insert(r.agent, Member { pos, step });
         }
         self.top_step = None;
         Ok(())
@@ -774,17 +977,25 @@ impl<S: Space> ShardWorker<S> {
                 pos: p.pos,
                 step: Step(p.step),
             };
-            edges_of(&*self.space, self.params, p.agent, at, &ids, node, &mut out);
+            edges_of(
+                &*self.store.space,
+                self.params,
+                p.agent,
+                at,
+                &ids,
+                node,
+                &mut out,
+            );
         }
         self.scratch = ids;
         out
     }
 
     fn evict_history(&mut self, floor: u32) -> u64 {
-        if !self.history {
+        if !self.store.history {
             return 0;
         }
-        let removed = evict_below(&self.db, floor);
+        let removed = self.store.evict_below(floor);
         self.history_steps.retain(|_, steps| {
             steps.drain(..steps.partition_point(|&s| s < floor));
             !steps.is_empty()
@@ -797,27 +1008,22 @@ impl<S: Space> ShardWorker<S> {
         self.history_steps.clear();
         self.top_step = None;
         for &a in expected {
-            let (Step(step), pos) = load_record(&*self.space, &self.db, a)?;
-            let key = Key::tagged_u32(AGENT_TAG, a);
-            self.members.insert(a, Member { pos, step, key });
+            let (Step(step), pos) = self.store.load(a)?;
+            self.members.insert(a, Member { pos, step });
         }
         // Keys sort step-major, so each agent's steps arrive ascending.
         let (steps, mut malformed) = (&mut self.history_steps, None);
-        self.db
-            .for_each_prefix(HIST_TAG, |k, _| match history_ids(k) {
-                Some((step, a)) => {
-                    steps.entry(a).or_default().push(step);
-                    ControlFlow::Continue(())
-                }
-                None => {
-                    malformed = Some(StoreError::Codec(format!("malformed history key {k:?}")));
-                    ControlFlow::Break(())
-                }
-            });
-        match malformed {
-            Some(e) => Err(e),
-            None => Ok(self.states()),
-        }
+        (self.store.db).for_each_prefix(HIST_TAG, |k, _| match history_ids(k) {
+            Some((step, a)) => {
+                steps.entry(a).or_default().push(step);
+                ControlFlow::Continue(())
+            }
+            None => {
+                malformed = Some(StoreError::Codec(format!("malformed history key {k:?}")));
+                ControlFlow::Break(())
+            }
+        });
+        malformed.map_or_else(|| Ok(self.states()), Err)
     }
 }
 
@@ -1068,6 +1274,10 @@ mod tests {
 
     fn commits(db: &Db) -> i64 {
         db.get_i64("dep:commits").unwrap()
+    }
+
+    fn load_record(space: &GridSpace, db: &Arc<Db>, a: u32) -> Result<(Step, Point), StoreError> {
+        Records::new(Arc::new(space.clone()), Arc::clone(db), false, 0).load(a)
     }
 
     /// Every history record of `agent` in `db`, ascending by step, found

@@ -1,16 +1,21 @@
-//! The one edge engine behind every dependency tracker (paper §3.3).
+//! The one dependency tracker and its edge engine (paper §3.3).
 //!
 //! Derived edges are a function of the node states and the §3.2 rules.
-//! Every tracker keeps one [`Mirror`] of the committed world — each
-//! agent's [`Node`], their [`Partition`] over shards and the
+//! There is one tracker, [`Tracker`]: a [`Mirror`] of the committed world
+//! — each agent's [`Node`], their [`Partition`] over shards and the
 //! [`Adjacency`] — which answers every scheduling query and is repaired
-//! after each write by [`Mirror::apply`]. A tracker is a mirror plus a
-//! write path:
+//! after each write by [`Mirror::apply`], plus a [`Sink`] its writes go
+//! to. It implements [`DepTracker`] once, refuses an advance or rollback
+//! that names an agent twice or rolls one ahead, applies one
+//! history-eviction watermark rule, and reads the stores through one set
+//! of readers. Its two sinks:
 //!
-//! * `DepGraph` writes each batch as one store transaction, over one
-//!   shard or — as `ShardedDepGraph` — over many;
-//! * `DistTracker` queues each write for the shard worker owning the
-//!   agent, its partition mirroring the workers' membership.
+//! * the shard worker's store core, called inline on the graph's own
+//!   store: `DepGraph`, over one shard or — as `ShardedDepGraph` — over
+//!   many, writes each advance or rollback as one write batch;
+//! * the lanes of `DistTracker`, which queue each write for the shard
+//!   worker owning the agent (whose store core writes it there), its
+//!   partition mirroring the workers' membership.
 //!
 //! The mirror's parts are each written once here:
 //!
@@ -26,18 +31,19 @@
 //!   the scheduler's queries read.
 //!
 //! A rule, a prune test, the relink (serial, or parallel for large
-//! batches over several shards) or the adjacency layout therefore
-//! changes in one place, and the three trackers are edge-for-edge
-//! identical by construction.
+//! batches over several shards), the adjacency layout or a tracker query
+//! therefore changes in one place, and the three trackers are
+//! edge-for-edge identical by construction.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use aim_store::StoreError;
+use aim_store::{Db, StoreError};
 
-use crate::depgraph::GraphSnapshot;
+use crate::depgraph::{DepTracker, GraphSnapshot};
+use crate::dist::worker::{commits_of, history_records_of};
 use crate::dist::WireEdge;
 use crate::ids::{AgentId, Step};
 use crate::rules::{self, RuleParams};
@@ -322,7 +328,7 @@ const PARALLEL_RELINK_THRESHOLD: usize = 64;
 /// maintained — the [`Adjacency`], which [`Mirror::apply`] repairs after
 /// each write. It answers every scheduling query without touching the
 /// store or a worker.
-pub(crate) struct Mirror<S: Space> {
+pub struct Mirror<S: Space> {
     space: Arc<S>,
     params: RuleParams,
     nodes: Vec<Node<S::Pos>>,
@@ -336,6 +342,15 @@ pub(crate) struct Mirror<S: Space> {
     edges_out: Vec<WireEdge>,
     /// Worker tasks for parallel relink (0 = decide from the machine).
     relink_threads: usize,
+}
+
+impl<S: Space> fmt::Debug for Mirror<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Mirror")
+            .field("agents", &self.nodes.len())
+            .field("shards", &self.part.num_shards())
+            .finish()
+    }
 }
 
 impl<S: Space> Mirror<S> {
@@ -600,6 +615,306 @@ impl<S: Space> Mirror<S> {
     /// step.
     pub(crate) fn check_invariants(&self) {
         self.part.check(&self.nodes);
+    }
+}
+
+/// Where a [`Tracker`]'s writes go: the store records behind its mirror.
+///
+/// Two sinks ship. The shard worker's store core
+/// ([`crate::dist::worker::Records`]) writes each batch inline on the
+/// in-process graph's own store; the lanes of [`crate::dist`] queue each
+/// write for the shard worker owning the agent.
+pub trait Sink<S: Space>: Send {
+    /// Whether per-step history records are written.
+    fn history(&self) -> bool;
+
+    /// Writes the `(agent, step, position)` `targets` — an advance when
+    /// `commit`, else a rollback — given `mirror` as it stands before the
+    /// move. On `Err` nothing is written that `mirror` does not already
+    /// describe.
+    fn write(
+        &mut self,
+        mirror: &Mirror<S>,
+        targets: &[(AgentId, Step, S::Pos)],
+        commit: bool,
+    ) -> Result<(), StoreError>;
+
+    /// The history-eviction watermark.
+    fn floor(&self) -> Result<u32, StoreError>;
+
+    /// Deletes every history record below step `floor`, which lies above
+    /// the watermark, and raises the watermark to it; the records deleted.
+    fn evict(&mut self, floor: u32) -> Result<u64, StoreError>;
+
+    /// The stores holding the records, each holding every write a call
+    /// has returned for.
+    fn stores(&self) -> &[Arc<Db>];
+
+    /// See [`DepTracker::set_telemetry`]. Default: ignore.
+    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        let _ = telemetry;
+    }
+
+    /// See [`DepTracker::harvest_telemetry`]. Default: nothing to drain.
+    fn harvest_telemetry(&mut self) {}
+}
+
+/// The one dependency tracker: a committed-state mirror every query
+/// reads, plus the sink `K` its writes go to. It is used through its
+/// aliases, which fix the sink: [`crate::depgraph::DepGraph`] (also
+/// behind [`crate::shard::ShardedDepGraph`]) writes through the shard
+/// worker's store core inline, and [`crate::dist::DistTracker`] through
+/// its workers' lanes. Neither the sinks nor the tracker can be built
+/// outside this crate.
+///
+/// An advance or rollback is refused — `Err`, with nothing moved and
+/// nothing written — when it names one agent twice, or when a rollback
+/// target lies ahead of its agent's current step. Otherwise the sink
+/// writes it first, and the mirror only moves once the sink has
+/// accepted it.
+pub struct Tracker<S: Space, K> {
+    pub(crate) mirror: Mirror<S>,
+    pub(crate) sink: K,
+    /// Reused `(agent, step, position)` targets of an advance.
+    targets: Vec<(AgentId, Step, S::Pos)>,
+    /// Reused ids of the named-twice check.
+    ids: Vec<u32>,
+    /// Where migration passes and relink batches are recorded. Only the
+    /// sharded tracker sets it: a single shard's repair is folded into
+    /// the controller span, and a distributed tracker records its
+    /// boundary instead.
+    pub(crate) repairs: Option<Arc<Telemetry>>,
+}
+
+impl<S: Space, K> fmt::Debug for Tracker<S, K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tracker")
+            .field("agents", &self.mirror.len())
+            .field("shards", &self.mirror.partition().num_shards())
+            .field("min_step", &self.mirror.min_step())
+            .field("params", &self.mirror.params())
+            .finish()
+    }
+}
+
+impl<S: Space, K: Sink<S>> Tracker<S, K> {
+    pub(crate) fn from_parts(mirror: Mirror<S>, sink: K) -> Self {
+        Tracker {
+            mirror,
+            sink,
+            targets: Vec::new(),
+            ids: Vec::new(),
+            repairs: None,
+        }
+    }
+
+    /// Refuses `targets` unless each names a distinct agent and, for a
+    /// rollback, a step at or below the agent's current one; then the
+    /// sink writes them, and the mirror moves there and repairs its
+    /// edges.
+    fn write(
+        &mut self,
+        targets: &[(AgentId, Step, S::Pos)],
+        commit: bool,
+    ) -> Result<(), StoreError> {
+        if !commit {
+            let mirror = &self.mirror;
+            if let Some(&(a, step, _)) = targets.iter().find(|t| t.1 > mirror.step(t.0)) {
+                let current = mirror.step(a);
+                let e = format!("rollback of {a} to {step} is ahead of current {current}");
+                return Err(StoreError::TxnAborted(e));
+            }
+        }
+        if targets.len() > 1 {
+            let ids = &mut self.ids;
+            ids.clear();
+            ids.extend(targets.iter().map(|t| t.0 .0));
+            ids.sort_unstable();
+            if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+                let a = AgentId(w[0]);
+                return Err(StoreError::TxnAborted(format!("{a} is named twice")));
+            }
+        }
+        self.sink.write(&self.mirror, targets, commit)?;
+        self.mirror.apply(targets, self.repairs.as_deref());
+        Ok(())
+    }
+
+    /// The rule parameters in force.
+    pub fn params(&self) -> RuleParams {
+        self.mirror.params()
+    }
+
+    /// The space agents live in.
+    pub fn space(&self) -> &Arc<S> {
+        self.mirror.space()
+    }
+
+    /// Number of shards the agents are partitioned over (one for a
+    /// [`crate::depgraph::DepGraph`]; a distributed tracker's workers).
+    pub fn num_shards(&self) -> usize {
+        self.mirror.partition().num_shards()
+    }
+
+    /// The shard currently owning `a`.
+    pub fn shard_of_agent(&self, a: AgentId) -> usize {
+        self.mirror.partition().owner(a.0)
+    }
+
+    /// Member agents of `shard`, ascending by id.
+    pub fn members(&self, shard: usize) -> Vec<u32> {
+        self.mirror.partition().members(shard)
+    }
+
+    /// Cluster advancements committed so far, read from the stores (a
+    /// distributed tracker sums its workers' commit batches, settling
+    /// its queued writes first).
+    pub fn commits(&self) -> i64 {
+        self.sink.stores().iter().map(|db| commits_of(db)).sum()
+    }
+
+    /// Whether per-step history records are written (see
+    /// [`crate::depgraph::GraphOptions`]).
+    pub fn history_enabled(&self) -> bool {
+        self.sink.history()
+    }
+
+    /// The eviction watermark: every history record at a step below this
+    /// has been compacted away.
+    pub fn history_floor(&self) -> Step {
+        Step(self.sink.floor().unwrap_or(0))
+    }
+
+    /// Number of resident history records (an O(history) scan —
+    /// diagnostics and tests, not a hot path).
+    pub fn history_records(&self) -> u64 {
+        (self.sink.stores().iter())
+            .map(|db| history_records_of(db))
+            .sum()
+    }
+
+    /// All agents that block `a`, in `(step, id)` order (diagnostics; the
+    /// scheduler uses [`DepTracker::first_blocker`]).
+    pub fn blockers_of(&self, a: AgentId) -> Vec<AgentId> {
+        self.mirror.blockers_of(a)
+    }
+
+    /// Dumps nodes and the maintained edges (O(n + edges)) for
+    /// visualization and for cross-checking incremental maintenance
+    /// against a from-scratch rebuild.
+    pub fn snapshot(&self) -> GraphSnapshot {
+        self.mirror.snapshot()
+    }
+}
+
+/// Queries are served by the mirror without touching a store: edge
+/// queries from the maintained adjacency in O(degree) without allocating
+/// (they panic in [`crate::depgraph::EdgeMode::Off`]), and
+/// `max_step() - min_step()`, the current step skew, from the step
+/// bounds in O(shards · log n).
+impl<S: Space, K: Sink<S>> DepTracker<S> for Tracker<S, K> {
+    fn len(&self) -> usize {
+        self.mirror.len()
+    }
+
+    fn step(&self, a: AgentId) -> Step {
+        self.mirror.step(a)
+    }
+
+    fn pos(&self, a: AgentId) -> S::Pos {
+        self.mirror.pos(a)
+    }
+
+    fn min_step(&self) -> Step {
+        self.mirror.min_step()
+    }
+
+    fn max_step(&self) -> Step {
+        self.mirror.max_step()
+    }
+
+    /// Refused, with nothing moved, if it names an agent twice. Panics if
+    /// an agent id is out of range.
+    fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        let mirror = &self.mirror;
+        targets.extend(
+            updates
+                .iter()
+                .map(|&(a, pos)| (a, mirror.step(a).next(), pos)),
+        );
+        let result = self.write(&targets, true);
+        self.targets = targets;
+        result
+    }
+
+    /// Refused, with nothing moved, if it names an agent twice or a
+    /// target step lies ahead of its agent's current step. Panics if an
+    /// agent id is out of range.
+    fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
+        self.write(updates, false)
+    }
+
+    /// Answered by the mirror's position indexes, or by the members
+    /// themselves without an index.
+    fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        self.mirror.candidates_within(center, units, out);
+    }
+
+    fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
+        self.mirror.first_blocker(a)
+    }
+
+    fn coupled_of(&self, a: AgentId) -> &[AgentId] {
+        self.mirror.coupled_of(a)
+    }
+
+    /// Compacts history records older than the deepest rollback any legal
+    /// schedule could still perform, returning the number evicted.
+    ///
+    /// # Eviction invariant
+    ///
+    /// **Never evict a record a legal rollback could read.** Rollbacks
+    /// (speculative squashes, [`crate::spec`]) always target a step at or
+    /// above the step of the lagging cluster whose commit raced them, and
+    /// that committing cluster is at or above the global minimum step —
+    /// so no rollback can ever rewind an agent below `min_step()`, and
+    /// `min_step` itself is monotone non-decreasing. Records at steps
+    /// `< min_step` are therefore dead for scheduling purposes (the
+    /// authoritative current record `dagt ‖ agent` is separate and never
+    /// evicted) and the pass deletes exactly those, advancing the
+    /// `dep:hist_floor` watermark. Resident history is then
+    /// O(agents × window) where the window is the step skew plus the
+    /// eviction cadence, instead of O(agents × horizon). Sharding and
+    /// distribution leave it untouched: only the global `min_step` is
+    /// consulted.
+    ///
+    /// Call from a quiesced writer (e.g. the threaded executor's
+    /// checkpoint barrier): the key walk and the deletes are not one
+    /// transaction. A distributed tracker settles its queued writes
+    /// first, and harvests its workers' telemetry after.
+    fn evict_history(&mut self) -> Result<u64, StoreError> {
+        if !self.sink.history() {
+            return Ok(0);
+        }
+        let floor = self.mirror.min_step().0;
+        if floor <= self.sink.floor()? {
+            return Ok(0); // nothing new below the watermark
+        }
+        self.sink.evict(floor)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        self.mirror.validate()
+    }
+
+    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        self.sink.set_telemetry(telemetry);
+    }
+
+    fn harvest_telemetry(&mut self) {
+        self.sink.harvest_telemetry();
     }
 }
 

@@ -22,10 +22,11 @@
 //! shard's step bounds). Shards in step with `a` are queried at the tight
 //! coupling radius; distant lagging shards are pruned entirely.
 //!
-//! The sharded tracker *is* a [`DepGraph`] whose committed-state mirror
-//! (the crate's one: nodes, partition, prune test, adjacency and edge
-//! repair) spans the map's shards; [`DepGraph`] itself keeps that mirror
-//! over a single shard that owns everything, and
+//! The sharded tracker *is* a [`DepGraph`] — the crate's one tracker,
+//! writing through the shard worker's store core inline — whose
+//! committed-state mirror (nodes, partition, prune test, adjacency and
+//! edge repair) spans the map's shards; [`DepGraph`] itself keeps that
+//! mirror over a single shard that owns everything, and
 //! [`crate::dist::DistTracker`] over its workers' membership. With one
 //! shard the bounds are global and the behavior (and cost) is exactly the
 //! unsharded algorithm by construction — which is what the `shard/*`
@@ -74,7 +75,8 @@
 //! the step-bound pruning alone.
 //!
 //! The authoritative node records in the store are **identical** to the
-//! unsharded layout (`dagt ‖ agent`), so snapshots interoperate: shard
+//! unsharded layout (`dagt ‖ agent`), written by the same store core, so
+//! snapshots interoperate: shard
 //! membership is derived state, serialized as per-shard sections by
 //! [`crate::checkpoint::snapshot_sharded_run`] and checked against the
 //! map's geometry on recovery.
@@ -193,13 +195,8 @@ impl ShardMap<Point> for StripShardMap {
 /// edges. It dereferences to that graph for everything sharding does not
 /// name — queries, commits, history, snapshots — and adds the
 /// constructors and shard introspection.
+#[derive(Debug)]
 pub struct ShardedDepGraph<S: Space>(DepGraph<S>);
-
-impl<S: Space> fmt::Debug for ShardedDepGraph<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("ShardedDepGraph").field(&self.0).finish()
-    }
-}
 
 impl<S: Space> Deref for ShardedDepGraph<S> {
     type Target = DepGraph<S>;
@@ -341,23 +338,8 @@ impl<S: Space> ShardedDepGraph<S> {
         }
         let owner = owners_of(members, num_agents)?;
         let graph = Self::recover(space, params, db, num_agents, map, options)?;
-        graph.partition().check_owners(&owner)?;
+        graph.mirror.partition().check_owners(&owner)?;
         Ok(graph)
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.partition().num_shards()
-    }
-
-    /// The shard currently owning `a`.
-    pub fn shard_of_agent(&self, a: AgentId) -> usize {
-        self.partition().owner(a.0)
-    }
-
-    /// Member agents of `shard`, ascending by id.
-    pub fn members(&self, shard: usize) -> Vec<u32> {
-        self.partition().members(shard)
     }
 }
 
@@ -414,7 +396,7 @@ impl<S: Space> DepTracker<S> for ShardedDepGraph<S> {
     /// advance/rollback path as a span (with agent and shard-crossing
     /// counts attached), plus the matching counters.
     fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.0.record_repairs(telemetry);
+        self.0.repairs = Some(telemetry);
     }
 }
 
