@@ -63,9 +63,6 @@ const HIST_TAG: [u8; 4] = *b"dhst";
 /// step `< dep:hist_floor` has been compacted away.
 const HIST_FLOOR_KEY: &str = "dep:hist_floor";
 
-/// Store key of the count of committed advances.
-const COMMITS_KEY: &str = "dep:commits";
-
 /// One agent's move: `(agent, prior step, step, position)`. A step at or
 /// below the prior one rewinds the agent (a squash).
 pub(crate) type Move<P> = (u32, u32, u32, P);
@@ -96,7 +93,7 @@ impl<S: Space> Records<S> {
             keys: (0..agents)
                 .map(|a| Some(Key::tagged_u32(AGENT_TAG, a)))
                 .collect(),
-            commits_key: Key::new(COMMITS_KEY),
+            commits_key: Key::new("dep:commits"),
             buf: BytesMut::new(),
         }
     }
@@ -106,7 +103,7 @@ impl<S: Space> Records<S> {
     pub(crate) fn open(&mut self, initial: &[S::Pos]) -> Result<(), StoreError> {
         let moves = initial.iter().enumerate();
         self.write_moves(moves.map(|(a, &pos)| (a as u32, 0, 0, pos)), 0)?;
-        self.db.set_i64(COMMITS_KEY, 0);
+        self.db.set_i64("dep:commits", 0);
         if self.history {
             self.db.set_i64(HIST_FLOOR_KEY, 0);
         }
@@ -279,7 +276,7 @@ pub(super) fn floor_of(db: &Db) -> Result<u32, StoreError> {
 
 /// The count of committed advances stored in `db`.
 pub(crate) fn commits_of(db: &Db) -> i64 {
-    db.get_i64(COMMITS_KEY).unwrap_or(0)
+    db.get_i64("dep:commits").unwrap_or(0)
 }
 
 /// Number of history records resident in `db` (an O(history) scan —
