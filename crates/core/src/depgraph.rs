@@ -5,10 +5,9 @@
 //! `B → A` means `A` is currently blocked by `B`, a double edge `A ↔ B`
 //! means the agents are coupled. Mirroring the paper, the authoritative
 //! node state lives in an in-memory database ([`aim_store::Db`], our Redis
-//! substitute) and every cluster advancement is applied as one
-//! transaction; an in-process mirror of the nodes answers the controller's
-//! queries (is an agent blocked? who couples with whom?) without round
-//! trips.
+//! substitute), written behind in batches of cluster advancements; an
+//! in-process mirror of the nodes answers the controller's queries (is an
+//! agent blocked? who couples with whom?) without round trips.
 //!
 //! # Incremental edge maintenance
 //!
@@ -28,10 +27,12 @@
 //!
 //! A [`DepGraph`] is the crate's one tracker — the committed-state
 //! mirror every tracker keeps, plus a sink its writes go to — with the
-//! shard worker's store core as its sink: each advance or rollback is
-//! written inline, as one write batch on the graph's own store, by the
-//! same code that writes a [`crate::dist`] worker's store, and the mirror
-//! moves only once it has landed. A call that names one agent twice, or
+//! shard worker's store core as its sink, writing to the graph's own store
+//! with the same code that writes a [`crate::dist`] worker's store. It
+//! writes behind: each advance or rollback is queued, the mirror moves as
+//! soon as the sink has accepted it, and the queue lands as one write
+//! batch per [`crate::dist::WINDOW`] calls or at a quiesce point (see
+//! [`DepTracker::advance`]). A call that names one agent twice, or
 //! rolls an agent back to a step ahead of its current one, is refused
 //! before anything is written. The mirror's agents are partitioned over
 //! the shards of a map (one shard here; many in
@@ -70,7 +71,7 @@ use crate::space::{query_or_all, Space};
 /// (shard partition and prune test, rule classification, adjacency
 /// lists) that answers every query, plus a sink its writes go to. They
 /// differ only in the mirror's shards — one, or many — and in where the
-/// records land: the graph's own store, written inline by the shard
+/// records land: the graph's own store, written behind by the shard
 /// worker's store core, or isolated workers behind a message boundary.
 /// That changes cost, never a scheduling decision.
 ///
@@ -102,28 +103,35 @@ pub trait DepTracker<S: Space>: Send {
     /// The highest step any agent is at.
     fn max_step(&self) -> Step;
 
-    /// Advances every `(agent, new_position)` one step as a single store
-    /// transaction and repairs the derived edges. On error no agent has
-    /// moved.
+    /// Advances every `(agent, new_position)` one step and repairs the
+    /// derived edges. The write is durable at the next quiesce point: the
+    /// shipped trackers queue it and write [`crate::dist::WINDOW`] calls
+    /// as one store batch, and land a partial window when a store is read
+    /// (`DepGraph::db`, `commits`, `history_records`, `history_at`,
+    /// `DistTracker::worker_db`), when history is evicted, and on `Drop`
+    /// ([`crate::dist::DistTracker`] has a few more; see [`crate::dist`]).
+    /// A store handle kept from before may miss writes queued since. On
+    /// error no agent has moved.
     ///
     /// # Errors
     ///
     /// Refuses a call that names one agent twice; otherwise propagates
-    /// store transaction failures.
+    /// the failure of a write batch this call triggered. Writes of earlier
+    /// calls that returned `Ok` are never dropped by it.
     fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError>;
 
-    /// Rewinds every `(agent, step, position)` to that earlier state as a
-    /// single store transaction and repairs the derived edges — the
-    /// squash of a speculative run. A target step may lie several steps
-    /// back but never ahead of the agent's current step; on error no
-    /// agent has moved.
+    /// Rewinds every `(agent, step, position)` to that earlier state and
+    /// repairs the derived edges — the squash of a speculative run. A
+    /// target step may lie several steps back but never ahead of the
+    /// agent's current step. Durable at the next quiesce point, like
+    /// [`DepTracker::advance`]; on error no agent has moved.
     ///
     /// # Errors
     ///
     /// Refuses a call that names one agent twice or a target step ahead
-    /// of its agent's current one; otherwise propagates store
-    /// transaction failures. The default body refuses every call: such a
-    /// tracker cannot host speculation.
+    /// of its agent's current one; otherwise propagates the failure of a
+    /// write batch this call triggered. The default body refuses every
+    /// call: such a tracker cannot host speculation.
     fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
         let _ = updates;
         Err(StoreError::TxnAborted(
@@ -216,7 +224,7 @@ pub struct GraphOptions {
     pub edges: EdgeMode,
     /// Whether every committed `(agent, step)` record is also written as
     /// an immutable history record `dhst ‖ step ‖ agent` in the same
-    /// transaction. History is what long-horizon checkpoint/resume and
+    /// write batch. History is what long-horizon checkpoint/resume and
     /// rollback auditing read; it grows O(agents × horizon) unless the
     /// run periodically calls [`DepGraph::evict_history`], which compacts
     /// it to O(agents × window). Off by default — the conservative
@@ -234,13 +242,13 @@ impl Default for GraphOptions {
 }
 
 /// Store-backed node table plus incrementally maintained rule edges: the
-/// one tracker writing through the shard worker's store core, inline, on
+/// one tracker writing through the shard worker's store core, behind, on
 /// its own store.
 ///
 /// The store holds only *nodes* (database writes per cluster advancement
-/// stay O(cluster size), as in the paper's worker transactions), and each
-/// advance or rollback is one write batch; the in-process mirror
-/// additionally maintains the derived blocked/coupled adjacency so
+/// stay O(cluster size), as in the paper's worker transactions), and a
+/// window of advances and rollbacks is one write batch; the in-process
+/// mirror additionally maintains the derived blocked/coupled adjacency so
 /// controller queries are O(degree) — see the [module docs](self) for the
 /// maintenance invariant.
 pub type DepGraph<S> = Tracker<S, Records<S>>;
@@ -370,8 +378,13 @@ impl<S: Space> DepGraph<S> {
         self.mirror.set_relink_threads(threads);
     }
 
-    /// The backing store holding the authoritative node records.
+    /// The backing store holding the authoritative node records, once
+    /// every queued write has landed: a quiesce point (see
+    /// [`DepTracker::advance`]). A queue that cannot land — its
+    /// `dep:commits` is not an integer — stays queued, and the store is
+    /// returned without it.
     pub fn db(&self) -> &Arc<Db> {
+        let _ = self.sink.settle();
         &self.sink.db
     }
 
@@ -384,13 +397,15 @@ impl<S: Space> DepGraph<S> {
     }
 
     /// Decodes the historical `(step, position)` record of `a` at `step`,
-    /// if it is still resident (recorded and not evicted or squashed).
+    /// if it is still resident (recorded and not evicted or squashed),
+    /// once every queued write has landed (a quiesce point).
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Codec`] if the record exists but is
-    /// malformed.
+    /// malformed, and the failure of a queue that cannot land.
     pub fn history_at(&self, a: AgentId, step: Step) -> Result<Option<(Step, S::Pos)>, StoreError> {
+        self.sink.settle()?;
         self.sink.history_at(step.0, a.0)
     }
 
@@ -501,7 +516,7 @@ mod tests {
         .unwrap();
         g.advance(&[(AgentId(0), Point::new(1, 1))]).unwrap();
         g.advance(&[(AgentId(0), Point::new(2, 2))]).unwrap();
-        let r = DepGraph::recover(space, RuleParams::genagent(), db, 2).unwrap();
+        let r = DepGraph::recover(space, RuleParams::genagent(), Arc::clone(g.db()), 2).unwrap();
         assert_eq!(r.step(AgentId(0)), Step(2));
         assert_eq!(r.pos(AgentId(0)), Point::new(2, 2));
         assert_eq!(r.step(AgentId(1)), Step(0));

@@ -40,6 +40,16 @@
 //! agent's writes all queue on one lane (a migration empties the old
 //! owner's), so each worker applies them in call order.
 //!
+//! The in-process sink of [`crate::depgraph::DepGraph`] and
+//! [`crate::shard::ShardedDepGraph`] follows the same rule without the
+//! thread: one queue, written on the graph's own store as one batch once
+//! it holds [`WINDOW`] calls, or at a quiesce point — the store readers
+//! (`db`, `commits`, `history_records`, `history_at`), a history
+//! eviction, and `Drop`. It has no migration to wait for. A window that
+//! fails to land (only a `dep:commits` value that is not an integer
+//! fails it) fails the call that filled it, with that call's writes
+//! withdrawn and every earlier call's kept queued.
+//!
 //! # What a failed call leaves behind
 //!
 //! A call fails before it queues anything when it is refused (it names an

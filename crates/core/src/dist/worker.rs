@@ -5,9 +5,11 @@
 //! the `dep:commits` counter and the `dep:hist_floor` watermark: a batch
 //! of moves as one transaction, the history rewrite of a squash, and
 //! eviction. It keeps no node state; each agent's prior step comes from
-//! its caller. [`crate::depgraph::DepGraph`] calls it inline on its own
-//! store, with prior steps from its mirror; a [`ShardWorker`] on **its
-//! own [`Db`] instance**, with prior steps from its member table.
+//! its caller. [`crate::depgraph::DepGraph`] queues its calls in it, with
+//! prior steps from its mirror, and it writes them on the graph's own
+//! store a window at a time (see its [`Sink`] impl); a [`ShardWorker`]
+//! calls it on **its own [`Db`] instance** for each hand-off, with prior
+//! steps from its member table.
 //!
 //! Around that core a worker is a protocol shell: its members' states,
 //! the gathering of a hand-off into write batches
@@ -49,6 +51,7 @@ use crate::space::Space;
 use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
 
 use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
+use super::WINDOW;
 
 /// Namespace tag of the per-agent node records (`Key::tagged_u32`).
 const AGENT_TAG: [u8; 4] = *b"dagt";
@@ -75,74 +78,72 @@ pub struct Records<S: Space> {
     pub(crate) db: Arc<Db>,
     /// Whether each record is also written as a history record.
     pub(crate) history: bool,
+    /// The write path's state. The quiesce points lock it to land the
+    /// queue, which lets the store readers do so through `&self`; the
+    /// write paths reach it through `get_mut`.
+    writer: Mutex<Writer<S::Pos>>,
+}
+
+/// What a [`Records`] keeps between writes: interned keys, scratch, and
+/// the in-process sink's queue.
+#[derive(Debug)]
+struct Writer<P> {
     /// Interned `dagt` key per agent id, each interned on its first write
     /// (allocation-free write path).
     keys: Vec<Option<Key>>,
     commits_key: Key,
     /// Reused scratch the records are encoded in before being copied out.
     buf: BytesMut,
+    /// Reused scratch of a batch: per agent, the index of its last move.
+    last: Vec<u32>,
+    /// The moves of every call the in-process sink has accepted and not
+    /// yet written, in call order.
+    queue: Vec<Move<P>>,
+    /// How many calls `queue` holds.
+    calls: usize,
+    /// How many of them were advances: what landing adds to
+    /// `dep:commits`.
+    commits: i64,
 }
 
-impl<S: Space> Records<S> {
-    /// The core over `db`, with the keys of agents `0..agents` interned.
-    pub(crate) fn new(space: Arc<S>, db: Arc<Db>, history: bool, agents: u32) -> Self {
-        Records {
-            space,
-            db,
-            history,
-            keys: (0..agents)
-                .map(|a| Some(Key::tagged_u32(AGENT_TAG, a)))
-                .collect(),
-            commits_key: Key::new("dep:commits"),
-            buf: BytesMut::new(),
-        }
-    }
-
-    /// Writes every agent of `initial` at step 0, with both counters at
-    /// zero: a new tracker's store.
-    pub(crate) fn open(&mut self, initial: &[S::Pos]) -> Result<(), StoreError> {
-        let moves = initial.iter().enumerate();
-        self.write_moves(moves.map(|(a, &pos)| (a as u32, 0, 0, pos)), 0)?;
-        self.db.set_i64("dep:commits", 0);
-        if self.history {
-            self.db.set_i64(HIST_FLOOR_KEY, 0);
-        }
-        Ok(())
-    }
-
-    /// Writes `moves` as one batch and adds `commits` (when positive) to
-    /// `dep:commits`. Each agent's record is replaced; with history, its
-    /// history record at the new step is written beside it, and a move
-    /// back rewrites history: the target step's record is replaced (its
-    /// position may differ from the first visit) and the record of every
-    /// step it discards is deleted, so history only ever describes
-    /// committed, non-squashed state. The batch allocates once per record
-    /// for the stored value, once for the counter's new value, and
-    /// nothing else. On an error nothing is written.
-    pub(crate) fn write_moves(
+impl<P: Copy> Writer<P> {
+    /// See [`Records::write_moves`].
+    fn write_moves<S: Space<Pos = P>>(
         &mut self,
-        moves: impl IntoIterator<Item = Move<S::Pos>>,
+        space: &S,
+        db: &Db,
+        history: bool,
+        moves: &[Move<P>],
         commits: i64,
     ) -> Result<(), StoreError> {
-        let Records {
-            space,
-            db,
-            history,
+        let Writer {
             keys,
             commits_key,
             buf,
+            last,
+            ..
         } = self;
-        let (space, history) = (&**space, *history);
+        for (i, &(a, ..)) in moves.iter().enumerate() {
+            if a as usize >= last.len() {
+                last.resize(a as usize + 1, 0);
+            }
+            last[a as usize] = i as u32;
+        }
         db.transaction(|txn| {
-            for (a, prior, step, pos) in moves {
-                let value = encode_record(space, buf, step, pos);
+            for (i, &(a, prior, step, pos)) in moves.iter().enumerate() {
+                let superseded = last[a as usize] != i as u32;
                 if history {
-                    txn.set_key(&history_key(step, a), value.clone());
+                    let value = encode_record(space, buf, step, pos);
+                    if !superseded {
+                        txn.set_key(key(keys, a), value.clone());
+                    }
+                    txn.set_key(&history_key(step, a), value);
                     for squashed in step + 1..=prior {
                         txn.del(history_key(squashed, a));
                     }
+                } else if !superseded {
+                    txn.set_key(key(keys, a), encode_record(space, buf, step, pos));
                 }
-                txn.set_key(key(keys, a), value);
             }
             if commits > 0 {
                 txn.incr_key(commits_key, commits)?;
@@ -151,22 +152,102 @@ impl<S: Space> Records<S> {
         })
     }
 
+    /// Writes the queue as one batch and empties it. On an error nothing
+    /// is written and the queue is kept.
+    fn land<S: Space<Pos = P>>(
+        &mut self,
+        space: &S,
+        db: &Db,
+        history: bool,
+    ) -> Result<(), StoreError> {
+        if self.calls == 0 {
+            return Ok(());
+        }
+        let queue = std::mem::take(&mut self.queue);
+        let landed = self.write_moves(space, db, history, &queue, self.commits);
+        self.queue = queue;
+        if landed.is_ok() {
+            self.queue.clear();
+            self.calls = 0;
+            self.commits = 0;
+        }
+        landed
+    }
+}
+
+impl<S: Space> Records<S> {
+    /// The core over `db`, with the keys of agents `0..agents` interned.
+    pub(crate) fn new(space: Arc<S>, db: Arc<Db>, history: bool, agents: u32) -> Self {
+        let writer = Writer {
+            keys: (0..agents)
+                .map(|a| Some(Key::tagged_u32(AGENT_TAG, a)))
+                .collect(),
+            commits_key: Key::new("dep:commits"),
+            buf: BytesMut::new(),
+            last: Vec::new(),
+            queue: Vec::new(),
+            calls: 0,
+            commits: 0,
+        };
+        Records {
+            space,
+            db,
+            history,
+            writer: Mutex::new(writer),
+        }
+    }
+
+    /// Writes every agent of `initial` at step 0, with both counters at
+    /// zero: a new tracker's store.
+    pub(crate) fn open(&mut self, initial: &[S::Pos]) -> Result<(), StoreError> {
+        let moves: Vec<Move<S::Pos>> = (initial.iter().enumerate())
+            .map(|(a, &pos)| (a as u32, 0, 0, pos))
+            .collect();
+        self.write_moves(&moves, 0)?;
+        self.db.set_i64("dep:commits", 0);
+        if self.history {
+            self.db.set_i64(HIST_FLOOR_KEY, 0);
+        }
+        Ok(())
+    }
+
+    /// Writes `moves` as one batch and adds `commits` (when positive) to
+    /// `dep:commits`. Each agent's record is replaced by its last move;
+    /// with history, each move's history record at the new step is
+    /// written too, and a move back rewrites history: the target step's
+    /// record is replaced (its position may differ from the first visit)
+    /// and the record of every step it discards is deleted, so history
+    /// only ever describes committed, non-squashed state. The batch
+    /// allocates once per record it writes (a move superseded by its
+    /// agent's later move writes none without history), once for the
+    /// counter's new value, and nothing else. On an error nothing is
+    /// written.
+    pub(crate) fn write_moves(
+        &mut self,
+        moves: &[Move<S::Pos>],
+        commits: i64,
+    ) -> Result<(), StoreError> {
+        let writer = self.writer.get_mut();
+        writer.write_moves(&*self.space, &self.db, self.history, moves, commits)
+    }
+
+    /// Writes every queued move: a quiesce point of the in-process sink.
+    /// On an error the queue is kept, unwritten.
+    pub(crate) fn settle(&self) -> Result<(), StoreError> {
+        (self.writer.lock()).land(&*self.space, &self.db, self.history)
+    }
+
     /// Writes every record of `records` — each agent's current state and
     /// the history it brings — as one batch.
     fn adopt(&mut self, records: &[NodeRecord<S::Pos>]) -> Result<(), StoreError> {
-        let Records {
-            space,
-            db,
-            keys,
-            buf,
-            ..
-        } = self;
-        db.transaction(|txn| {
+        let Writer { keys, buf, .. } = self.writer.get_mut();
+        let space = &*self.space;
+        self.db.transaction(|txn| {
             for r in records {
-                let value = encode_record(&**space, buf, r.step, r.pos);
+                let value = encode_record(space, buf, r.step, r.pos);
                 txn.set_key(key(keys, r.agent), value);
                 for &(step, pos) in &r.history {
-                    let value = encode_record(&**space, buf, step, pos);
+                    let value = encode_record(space, buf, step, pos);
                     txn.set_key(&history_key(step, r.agent), value);
                 }
             }
@@ -177,7 +258,7 @@ impl<S: Space> Records<S> {
     /// Deletes the records of `agents` and the `history` records (keys
     /// from [`history_key`]) as one batch.
     fn delete(&mut self, agents: &[u32], history: &[Key]) -> Result<(), StoreError> {
-        let keys = &mut self.keys;
+        let keys = &mut self.writer.get_mut().keys;
         self.db.transaction(|txn| {
             for &a in agents {
                 txn.del(key(keys, a));
@@ -238,8 +319,24 @@ impl<S: Space> Records<S> {
     }
 }
 
-/// The in-process sink: each advance or rollback is one write batch on
-/// the graph's own store, each agent's prior step read from the mirror.
+impl<S: Space> Drop for Records<S> {
+    fn drop(&mut self) {
+        // Quiesce: every write a call returned for reaches the store. A
+        // queue that cannot land (its counter is not an integer) is lost
+        // with the tracker.
+        let _ = self.settle();
+    }
+}
+
+/// The in-process sink. It writes behind, by [`super::WINDOW`] calls
+/// like a [`crate::dist::DistTracker`] lane but without the thread: each
+/// call's moves are queued, each agent's prior step read from the
+/// mirror, and the queue lands as one write batch once it holds `WINDOW`
+/// calls, or at a quiesce point — the store readers (`DepGraph::db`,
+/// `commits`, `history_records`, `history_at`), a history eviction
+/// (before its walk) and `Drop`. A call whose window fails to land (only
+/// a `dep:commits` value that is not an integer fails it) returns `Err`
+/// with its own moves withdrawn; the earlier calls' stay queued.
 impl<S: Space> Sink<S> for Records<S> {
     fn history(&self) -> bool {
         self.history
@@ -251,8 +348,22 @@ impl<S: Space> Sink<S> for Records<S> {
         targets: &[(AgentId, Step, S::Pos)],
         commit: bool,
     ) -> Result<(), StoreError> {
+        let writer = self.writer.get_mut();
+        let mark = writer.queue.len();
         let moves = (targets.iter()).map(|&(a, step, pos)| (a.0, mirror.step(a).0, step.0, pos));
-        self.write_moves(moves, i64::from(commit))
+        writer.queue.extend(moves);
+        writer.calls += 1;
+        writer.commits += i64::from(commit);
+        if writer.calls < WINDOW {
+            return Ok(());
+        }
+        let landed = writer.land(&*self.space, &self.db, self.history);
+        if landed.is_err() {
+            writer.queue.truncate(mark);
+            writer.calls -= 1;
+            writer.commits -= i64::from(commit);
+        }
+        landed
     }
 
     /// Read from the store, so it survives snapshot and restore.
@@ -261,10 +372,14 @@ impl<S: Space> Sink<S> for Records<S> {
     }
 
     fn evict(&mut self, floor: u32) -> Result<u64, StoreError> {
+        self.settle()?;
         Ok(self.evict_below(floor))
     }
 
+    /// The graph's store, once the queue has landed. A queue that cannot
+    /// land stays queued, and the store is returned without it.
     fn stores(&self) -> &[Arc<Db>] {
+        let _ = self.settle();
         std::slice::from_ref(&self.db)
     }
 }
@@ -864,7 +979,7 @@ impl<S: Space> ShardWorker<S> {
             moves.push((a, m.step, step, pos));
             m.step = step;
         }
-        result = result.and_then(|()| self.store.write_moves(moves.iter().copied(), commits));
+        result = result.and_then(|()| self.store.write_moves(&moves, commits));
         match result {
             Ok(()) => {
                 for &(a, prior, step, pos) in &moves {

@@ -10,12 +10,17 @@
 //! history-eviction watermark rule, and reads the stores through one set
 //! of readers. Its two sinks:
 //!
-//! * the shard worker's store core, called inline on the graph's own
-//!   store: `DepGraph`, over one shard or — as `ShardedDepGraph` — over
-//!   many, writes each advance or rollback as one write batch;
+//! * the shard worker's store core, on the graph's own store: `DepGraph`,
+//!   over one shard or — as `ShardedDepGraph` — over many, queues each
+//!   advance or rollback and writes the queue as one batch;
 //! * the lanes of `DistTracker`, which queue each write for the shard
 //!   worker owning the agent (whose store core writes it there), its
 //!   partition mirroring the workers' membership.
+//!
+//! Both write behind by one rule: a queue is written once it holds
+//! [`crate::dist::WINDOW`] calls, or at a quiesce point (a store read, a
+//! history eviction, `Drop`), so a write is durable at the next quiesce
+//! point.
 //!
 //! The mirror's parts are each written once here:
 //!
@@ -620,18 +625,22 @@ impl<S: Space> Mirror<S> {
 
 /// Where a [`Tracker`]'s writes go: the store records behind its mirror.
 ///
-/// Two sinks ship. The shard worker's store core
-/// ([`crate::dist::worker::Records`]) writes each batch inline on the
-/// in-process graph's own store; the lanes of [`crate::dist`] queue each
-/// write for the shard worker owning the agent.
+/// Two sinks ship, and both write behind. The shard worker's store core
+/// ([`crate::dist::worker::Records`]) queues each call for the in-process
+/// graph's own store; the lanes of [`crate::dist`] queue each write for
+/// the shard worker owning the agent. Either writes a queue once it holds
+/// [`crate::dist::WINDOW`] calls, or at a quiesce point.
 pub trait Sink<S: Space>: Send {
     /// Whether per-step history records are written.
     fn history(&self) -> bool;
 
-    /// Writes the `(agent, step, position)` `targets` — an advance when
+    /// Accepts the `(agent, step, position)` `targets` — an advance when
     /// `commit`, else a rollback — given `mirror` as it stands before the
-    /// move. On `Err` nothing is written that `mirror` does not already
-    /// describe.
+    /// move. The write may be queued; it is durable at the next quiesce
+    /// point, and it lands after every write accepted before it. On `Err`
+    /// this call's writes are withdrawn and nothing is written that
+    /// `mirror` does not already describe; the queued writes of earlier
+    /// calls are kept.
     fn write(
         &mut self,
         mirror: &Mirror<S>,
@@ -647,7 +656,9 @@ pub trait Sink<S: Space>: Send {
     fn evict(&mut self, floor: u32) -> Result<u64, StoreError>;
 
     /// The stores holding the records, each holding every write a call
-    /// has returned for.
+    /// has returned `Ok` for: a quiesce point, so the queue is written
+    /// first. A queue that cannot be written stays queued, and the stores
+    /// are returned without it.
     fn stores(&self) -> &[Arc<Db>];
 
     /// See [`DepTracker::set_telemetry`]. Default: ignore.
@@ -670,8 +681,9 @@ pub trait Sink<S: Space>: Send {
 /// An advance or rollback is refused — `Err`, with nothing moved and
 /// nothing written — when it names one agent twice, or when a rollback
 /// target lies ahead of its agent's current step. Otherwise the sink
-/// writes it first, and the mirror only moves once the sink has
-/// accepted it.
+/// accepts it first, and the mirror only moves once the sink has: the
+/// mirror may be ahead of the stores until the next quiesce point, never
+/// behind the writes queued for them.
 pub struct Tracker<S: Space, K> {
     pub(crate) mirror: Mirror<S>,
     pub(crate) sink: K,
@@ -766,9 +778,9 @@ impl<S: Space, K: Sink<S>> Tracker<S, K> {
         self.mirror.partition().members(shard)
     }
 
-    /// Cluster advancements committed so far, read from the stores (a
-    /// distributed tracker sums its workers' commit batches, settling
-    /// its queued writes first).
+    /// Cluster advancements committed so far, read from the stores once
+    /// the queued writes have landed (a distributed tracker sums its
+    /// workers' commit batches).
     pub fn commits(&self) -> i64 {
         self.sink.stores().iter().map(|db| commits_of(db)).sum()
     }
@@ -785,8 +797,9 @@ impl<S: Space, K: Sink<S>> Tracker<S, K> {
         Step(self.sink.floor().unwrap_or(0))
     }
 
-    /// Number of resident history records (an O(history) scan —
-    /// diagnostics and tests, not a hot path).
+    /// Number of resident history records, once the queued writes have
+    /// landed (an O(history) scan — diagnostics and tests, not a hot
+    /// path).
     pub fn history_records(&self) -> u64 {
         (self.sink.stores().iter())
             .map(|db| history_records_of(db))
@@ -892,8 +905,9 @@ impl<S: Space, K: Sink<S>> DepTracker<S> for Tracker<S, K> {
     ///
     /// Call from a quiesced writer (e.g. the threaded executor's
     /// checkpoint barrier): the key walk and the deletes are not one
-    /// transaction. A distributed tracker settles its queued writes
-    /// first, and harvests its workers' telemetry after.
+    /// transaction. Before it walks the history either sink writes its
+    /// queue (a quiesce point), and a distributed tracker harvests its
+    /// workers' telemetry after.
     fn evict_history(&mut self) -> Result<u64, StoreError> {
         if !self.sink.history() {
             return Ok(0);

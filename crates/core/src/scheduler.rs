@@ -637,7 +637,8 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
     ///
     /// # Errors
     ///
-    /// Propagates store errors from the graph-update transaction.
+    /// Propagates the errors of the tracker's
+    /// [`advance`](crate::depgraph::DepTracker::advance).
     ///
     /// # Panics
     ///

@@ -23,7 +23,7 @@
 //! coupling radius; distant lagging shards are pruned entirely.
 //!
 //! The sharded tracker *is* a [`DepGraph`] — the crate's one tracker,
-//! writing through the shard worker's store core inline — whose
+//! writing behind through the shard worker's store core — whose
 //! committed-state mirror (nodes, partition, prune test, adjacency and
 //! edge repair) spans the map's shards; [`DepGraph`] itself keeps that
 //! mirror over a single shard that owns everything, and

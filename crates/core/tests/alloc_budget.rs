@@ -2,11 +2,15 @@
 //! `dist` boundary) and the speculative cycle.
 //!
 //! `DepGraph::advance` is on every workload's blocking path, and what it
-//! costs is mostly what it allocates. The budget: the stored record and
-//! the counter's new value per commit, plus the occasional B-tree node
-//! of the in-process mirror — not the transaction's bookkeeping, not a
-//! second copy of each value, not adjacency lists freed by the detach
-//! and reallocated by the relink, not a grid bucket per emptied cell.
+//! costs is mostly what it allocates. It writes behind: its moves queue,
+//! and land as one batch per `dist::WINDOW` calls. The budget: the
+//! stored record of each move that is still its agent's last in the
+//! window (a superseded move's record is not encoded), the counter's new
+//! value once per window, plus the occasional B-tree node of the
+//! in-process mirror — not the queue or the transaction's bookkeeping,
+//! not a second copy of each value, not adjacency lists freed by the
+//! detach and reallocated by the relink, not a grid bucket per emptied
+//! cell.
 //!
 //! `SpecScheduler` wraps that commit in emission vetting, entry
 //! bookkeeping and retirement. Its budget on top of the commit: the
@@ -23,9 +27,9 @@
 //! `run_sim` and `run_spec_sim` put the virtual-time kernel around those
 //! two: event heap, backlog, one active record per cluster, the request
 //! map. Its budget is what the loop allocates per agent-step on the same
-//! replay since `SimServer::advance` fills a reused buffer (8.23
-//! conservative, 7.38 at run-ahead 4) plus a 0.27 margin, so neither a
-//! per-event completion list nor a per-round due list can come back.
+//! replay since the commit writes behind (7.00 conservative, 6.15 at
+//! run-ahead 4) plus a 0.27 margin, so neither a per-event completion
+//! list nor a per-round due list nor a batch per commit can come back.
 //!
 //! `Fleet::call` is every live-world LLM call's way to a replica. Its
 //! own share — routing views, tried set, fault gate, prefix residency,
@@ -326,7 +330,7 @@ fn fleet_call_allocs(calls: usize) -> u64 {
 
 #[test]
 fn cluster_commit_stays_within_its_allocation_budget() {
-    for (size, budget) in [(1u32, 3.0f64), (4, 8.0)] {
+    for (size, budget) in [(1u32, 1.4f64), (4, 1.6)] {
         let mut walk = Walk::new();
         walk.run(size, WARM_UP);
         let per_commit = walk.run(size, MEASURED) as f64 / MEASURED as f64;
@@ -385,7 +389,7 @@ fn cluster_commit_stays_within_its_allocation_budget() {
 
     // The virtual-time kernel around both schedulers, in the same test
     // (see the module docs).
-    for (speculation, budget) in [(None, 8.50f64), (Some(SpecParams::new(4)), 7.65)] {
+    for (speculation, budget) in [(None, 7.27f64), (Some(SpecParams::new(4)), 6.42)] {
         let per_step = replay_allocs_per_agent_step(speculation);
         println!("virtual-time replay, {speculation:?}: {per_step:.2} allocations per agent-step");
         assert!(

@@ -232,7 +232,7 @@ proptest! {
             let rebuilt = DepGraph::recover(
                 Arc::clone(&space),
                 params,
-                Arc::clone(&db),
+                Arc::clone(g.db()),
                 g.len(),
             ).unwrap();
             prop_assert_eq!(g.snapshot(), rebuilt.snapshot());
@@ -289,7 +289,7 @@ proptest! {
         }
         g.evict_history().unwrap();
 
-        let bytes = SnapshotBuilder::new().db(&db).to_bytes().unwrap();
+        let bytes = SnapshotBuilder::new().db(g.db()).to_bytes().unwrap();
         let snap = Snapshot::from_bytes(bytes.clone()).unwrap();
         let restored = Arc::new(snap.restore_db());
         let r = DepGraph::recover_with_options(

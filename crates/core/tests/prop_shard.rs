@@ -224,7 +224,7 @@ proptest! {
         let rescan = ShardedDepGraph::recover(
             Arc::clone(&space),
             params,
-            Arc::clone(&db),
+            Arc::clone(g.db()),
             g.len(),
             Arc::clone(&map) as Arc<dyn aim_core::shard::ShardMap<Point>>,
             options(),
