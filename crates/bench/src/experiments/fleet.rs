@@ -216,12 +216,42 @@ mod tests {
             .unwrap();
             let fleet = fleet_for(policy, &profile);
             // Interactive traffic so the lane-aware partition is exercised.
-            for i in 0..8 {
-                fleet.call(
-                    &LlmRequest::new(RequestId(900 + i), u32::MAX, 0, 100, 4, CallKind::Converse)
-                        .interactive(),
+            // The first call is long (about 20 ms of wall time) and the
+            // other seven go out while it is in flight, so a load-following
+            // policy sees that replica busy and spills to the other one,
+            // however the village's own calls happen to interleave.
+            let interactive = |i: u64, output_tokens: u32| {
+                LlmRequest::new(
+                    RequestId(900 + i),
+                    u32::MAX,
+                    0,
+                    100,
+                    output_tokens,
+                    CallKind::Converse,
+                )
+                .interactive()
+            };
+            let long = {
+                let fleet = Arc::clone(&fleet);
+                std::thread::spawn(move || fleet.call(&interactive(0, 40_000)))
+            };
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while fleet
+                .metrics()
+                .replicas
+                .iter()
+                .all(|r| r.peak_outstanding == 0)
+            {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the long interactive call never went out"
                 );
+                std::thread::yield_now();
             }
+            for i in 1..8 {
+                fleet.call(&interactive(i, 4));
+            }
+            long.join().expect("long interactive call");
             let backend: Arc<dyn LlmBackend> = Arc::clone(&fleet) as Arc<dyn LlmBackend>;
             run_threaded(
                 &mut sched,

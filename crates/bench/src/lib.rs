@@ -15,6 +15,7 @@
 //! `target/repro/`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod harness;

@@ -88,6 +88,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
 
 pub mod checkpoint;
 pub mod cluster;
