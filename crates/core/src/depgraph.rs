@@ -79,14 +79,15 @@ use crate::space::{query_or_all, Space};
 ///
 /// The speculative scheduler additionally rewinds agents
 /// ([`DepTracker::rollback`]) and asks neighbourhood questions
-/// ([`DepTracker::candidates_within`]). Both have default bodies: the
-/// default `rollback` refuses with a [`StoreError`], so a tracker that
-/// keeps it can run every conservative policy but fails the first squash
-/// of a speculative run; the default `candidates_within` names every
-/// agent, which is correct and linear. All three shipped trackers —
-/// [`DepGraph`], [`crate::shard::ShardedDepGraph`] and
-/// [`crate::dist::DistTracker`] — implement both from their spatially
-/// indexed partition and host speculation.
+/// ([`DepTracker::candidates_within`], [`DepTracker::blockers_within`]).
+/// All three have default bodies: the default `rollback` refuses with a
+/// [`StoreError`], so a tracker that keeps it can run every conservative
+/// policy but fails the first squash of a speculative run; the default
+/// `candidates_within` names every agent, which is correct and linear,
+/// and the default `blockers_within` asks `candidates_within`. All three
+/// shipped trackers — [`DepGraph`], [`crate::shard::ShardedDepGraph`] and
+/// [`crate::dist::DistTracker`] — implement them from their spatially
+/// indexed partition and maintained edges, and host speculation.
 pub trait DepTracker<S: Space>: Send {
     /// Number of agents tracked.
     fn len(&self) -> usize;
@@ -146,6 +147,29 @@ pub trait DepTracker<S: Space>: Send {
     /// not cleared. The default names every agent.
     fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
         query_or_all(None, self.len(), center, units, out);
+    }
+
+    /// Appends to `out` candidates for the agents within `units` of
+    /// `center` that block `a`: a superset of them, in no particular
+    /// order, possibly with repeats; `out` is not cleared. The default
+    /// body is [`candidates_within(center, units)`](DepTracker::candidates_within);
+    /// a tracker that maintains edges may answer with `a`'s blocked-by
+    /// list instead, which is usually far shorter.
+    ///
+    /// # Precondition
+    ///
+    /// The blocked-by list covers what the caller wants only if every
+    /// agent it wants from the ball blocks `a`. Callers make sure of
+    /// that: [`crate::spec::SpecScheduler`]'s retirement clearance asks
+    /// it for a member `a` that stands `k ≥ 1` steps past step `s`, at most
+    /// `k · max_vel` from its start `center` at step `s` (its `complete`
+    /// refuses a longer move), and wants only agents at steps `t ≤ s`
+    /// within `blocking_units(s − t)` of `center`. Each such agent lies
+    /// within `blocking_units(s + k − t)` of `a` by the triangle
+    /// inequality, so it blocks `a`.
+    fn blockers_within(&self, a: AgentId, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        let _ = a;
+        self.candidates_within(center, units, out);
     }
 
     /// First agent (in `(step, id)` order) currently blocking `a`.

@@ -581,6 +581,12 @@ impl<S: Space> Mirror<S> {
         self.adj().blockers_of(a, &self.nodes)
     }
 
+    /// `a`'s maintained blocked-by list, ascending by id, without
+    /// allocating.
+    pub(crate) fn blocked_by(&self, a: AgentId) -> &[AgentId] {
+        self.adj().blocked_by(a)
+    }
+
     /// Coupling partners of `a`, ascending by id.
     pub(crate) fn coupled_of(&self, a: AgentId) -> &[AgentId] {
         self.adj().coupled_of(a)
@@ -875,6 +881,12 @@ impl<S: Space, K: Sink<S>> DepTracker<S> for Tracker<S, K> {
         self.mirror.candidates_within(center, units, out);
     }
 
+    /// Answered by `a`'s maintained blocked-by list, whatever `center`
+    /// and `units` say (see the trait's precondition).
+    fn blockers_within(&self, a: AgentId, _center: S::Pos, _units: u64, out: &mut Vec<u32>) {
+        out.extend(self.mirror.blocked_by(a).iter().map(|b| b.0));
+    }
+
     fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
         self.mirror.first_blocker(a)
     }
@@ -998,6 +1010,11 @@ impl Adjacency {
             .iter()
             .copied()
             .min_by_key(|b| (nodes[b.index()].step.0, b.0))
+    }
+
+    /// The agents blocking `a`, ascending by id.
+    pub(crate) fn blocked_by(&self, a: AgentId) -> &[AgentId] {
+        &self.blockers[a.index()]
     }
 
     /// Every agent blocking `a`, in `(step, id)` order.

@@ -33,15 +33,18 @@
 //!
 //! Speculation adds two hooks and no branch in the order: after `ready`
 //! and after `complete` the squashed `(agent, step)` executions are
-//! drained and their cost moved to the waste ledger, and an execution
-//! the controller does not accept is charged to waste whole.
+//! drained and charged to the waste ledger, and an execution the
+//! controller does not accept is charged to waste whole. A squashed
+//! execution costs what [`Workload::calls`] names for its `(agent,
+//! step)`: the workload contract makes that deterministic, so it is what
+//! the accepted execution ran.
 //!
 //! [`run_sim`]: crate::exec::sim::run_sim
 //! [`run_spec_sim`]: crate::exec::spec_sim::run_spec_sim
 //! [`run_hybrid_sim`]: crate::exec::hybrid::run_hybrid_sim
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use aim_llm::{LlmRequest, RequestId, ServerMetrics, SimServer, VirtualTime};
 use aim_store::StoreError;
@@ -51,6 +54,7 @@ use crate::exec::sim::SimConfig;
 use crate::ids::{AgentId, ClusterId, Step};
 use crate::metrics::{CallSpan, RunReport, Timeline};
 use crate::scheduler::{Cluster, SchedStats};
+use crate::space::IdMap;
 use crate::spec::{SpecReport, SpecStats};
 use crate::workload::{CallSpec, Workload};
 
@@ -190,7 +194,7 @@ impl Outcome {
 /// The request side of the loop, apart from the cluster records so a
 /// cluster's chains can be walked while its calls are submitted.
 struct Issuer {
-    req_map: HashMap<RequestId, (ClusterId, usize)>,
+    req_map: IdMap<RequestId, (ClusterId, usize)>,
     next_req: u64,
     total: Cost,
     timeline: Option<Timeline>,
@@ -236,11 +240,8 @@ struct Kernel<'a> {
     backlog: BinaryHeap<Reverse<(u64, u64, ClusterId)>>,
     backlog_seq: u64,
     slots_used: usize,
-    active: HashMap<ClusterId, Active>,
+    active: IdMap<ClusterId, Active>,
     issuer: Issuer,
-    /// Cost of the latest accepted execution of each `(agent, step)`,
-    /// moved to `waste` if that execution is squashed.
-    accepted: HashMap<(AgentId, Step), Cost>,
     waste: Cost,
     last_commit: VirtualTime,
 }
@@ -251,20 +252,26 @@ impl Kernel<'_> {
         self.event_seq += 1;
     }
 
-    fn charge_squashed<P, C: Controller<P>>(&mut self, ctl: &mut C) {
+    fn charge_squashed<P, C: Controller<P>, W: Workload<P> + ?Sized>(
+        &mut self,
+        ctl: &mut C,
+        workload: &W,
+    ) {
         if !C::SPECULATIVE {
             return;
         }
-        for key in ctl.drain_squashed() {
-            if let Some(cost) = self.accepted.remove(&key) {
-                self.waste += cost;
-            }
+        for (agent, step) in ctl.drain_squashed() {
+            self.waste += Cost::of(&workload.calls(agent, step));
         }
     }
 
-    fn pull_ready<P, C: Controller<P>>(&mut self, ctl: &mut C) -> Result<(), EngineError> {
+    fn pull_ready<P, C: Controller<P>, W: Workload<P> + ?Sized>(
+        &mut self,
+        ctl: &mut C,
+        workload: &W,
+    ) -> Result<(), EngineError> {
         let ready = ctl.ready()?;
-        self.charge_squashed(ctl);
+        self.charge_squashed(ctl, workload);
         for cluster in ready {
             let prio = if self.cfg.priority_ready_queue {
                 cluster.step.priority()
@@ -399,17 +406,12 @@ impl Kernel<'_> {
             .map(|m| (*m, workload.pos_after(*m, step)))
             .collect();
         let committed = ctl.complete(&cid, &new_pos)?;
-        self.charge_squashed(ctl);
-        if C::SPECULATIVE {
+        self.charge_squashed(ctl, workload);
+        if C::SPECULATIVE && !committed {
             // Every chain ran to its end before the commit was scheduled,
             // so an execution costs the sum of its calls.
             for chain in &active.chains {
-                let cost = Cost::of(&chain.calls);
-                if committed {
-                    self.accepted.insert((chain.agent, step), cost);
-                } else {
-                    self.waste += cost;
-                }
+                self.waste += Cost::of(&chain.calls);
             }
         }
         if committed {
@@ -419,7 +421,7 @@ impl Kernel<'_> {
         }
         self.last_commit = at;
         self.slots_used -= 1;
-        self.pull_ready(ctl)?;
+        self.pull_ready(ctl, workload)?;
         self.drain_slots(at);
         Ok(())
     }
@@ -451,14 +453,13 @@ where
         backlog: BinaryHeap::new(),
         backlog_seq: 0,
         slots_used: 0,
-        active: HashMap::new(),
+        active: IdMap::default(),
         issuer: Issuer {
-            req_map: HashMap::new(),
+            req_map: IdMap::default(),
             next_req: 0,
             total: Cost::default(),
             timeline: cfg.record_timeline.then(Timeline::default),
         },
-        accepted: HashMap::new(),
         waste: Cost::default(),
         last_commit: VirtualTime::ZERO,
     };
@@ -466,7 +467,7 @@ where
     let mut arrivals = interactive.iter().peekable();
     let mut latencies = Vec::with_capacity(interactive.len());
     let mut finished = Vec::new();
-    k.pull_ready(ctl)?;
+    k.pull_ready(ctl, workload)?;
     k.drain_slots(now);
 
     loop {

@@ -376,6 +376,10 @@ impl<S: Space> DepTracker<S> for ShardedDepGraph<S> {
         self.0.candidates_within(center, units, out)
     }
 
+    fn blockers_within(&self, a: AgentId, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        self.0.blockers_within(a, center, units, out)
+    }
+
     fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
         self.0.first_blocker(a)
     }

@@ -11,12 +11,12 @@
 //! Dependency tracking asks one neighborhood question constantly: "which
 //! tracked agents are within `units` of this position?"
 //! ([`SpatialIndex::query`], driving incremental edge maintenance in
-//! [`crate::depgraph`], cluster growth in the scheduler, and every race,
-//! observation and clearance check of [`crate::spec`]). For [`GridSpace`]
-//! it is served by a uniform grid, so any two points within `units` land
-//! in the same or adjacent cells and only a small cell neighborhood is
-//! examined — O(1) per query for bounded-density crowds instead of a scan
-//! of the population. The [`UniformGrid`] is asked for radii that grow
+//! [`crate::depgraph`], cluster growth in the scheduler, and the race,
+//! observation and rollback-floor checks of [`crate::spec`]). For
+//! [`GridSpace`] it is served by a uniform grid, so any two points within
+//! `units` land in the same or adjacent cells and only a small cell
+//! neighborhood is examined — O(1) per query for bounded-density crowds
+//! instead of a scan of the population. The [`UniformGrid`] is asked for radii that grow
 //! with the step gap and keeps three resolutions so that every one of them
 //! is a 9–25 cell question. Candidate filtering always goes through
 //! [`Space::within_units`], which is **exact** (integer / 128-bit
@@ -290,9 +290,10 @@ pub(crate) fn query_or_all<P>(
     }
 }
 
-/// FxHash-style mixer for the `u64` cell keys of [`UniformGrid`]: one
-/// multiply by a 64-bit golden-ratio constant plus a finishing xor-shift,
-/// ~5 ns per lookup versus ~25 ns for the default SipHash.
+/// FxHash-style mixer for the `u64` cell keys of [`UniformGrid`] and the
+/// crate's id-keyed maps ([`IdMap`]): one multiply by a 64-bit
+/// golden-ratio constant plus a finishing xor-shift, ~5 ns per lookup
+/// versus ~25 ns for the default SipHash.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CellKeyHasher(u64);
 
@@ -307,12 +308,22 @@ impl Hasher for CellKeyHasher {
         self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
 
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v.into());
+    }
+
     fn finish(&self) -> u64 {
         self.0 ^ (self.0 >> 32)
     }
 }
 
-type CellMap = std::collections::HashMap<u64, Vec<u32>, BuildHasherDefault<CellKeyHasher>>;
+type CellMap = IdMap<u64, Vec<u32>>;
+
+/// A hash map keyed by small integer ids (agent, cluster, request and
+/// instance ids, cell keys) through [`CellKeyHasher`]. Its iteration order
+/// is arbitrary like any `HashMap`'s: callers never iterate one unsorted
+/// where the order could reach a schedule.
+pub(crate) type IdMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<CellKeyHasher>>;
 
 /// Resolution levels of a [`UniformGrid`]; each is [`LEVEL_SCALE`] times
 /// coarser than the one before.
@@ -338,8 +349,9 @@ struct GridLevel {
 /// stays a grid when the radius grows.
 ///
 /// The rule radii are not constant: the blocking radius widens with the
-/// step gap, so under speculation's step skew a relink or a retirement
-/// clearance asks for 20–90 units from a grid of 5-unit cells. One level
+/// step gap, so under speculation's step skew a relink, or a retirement
+/// clearance's look-up of entry holders' rollback floors, asks for 20–90
+/// units from a grid of 5-unit cells. One level
 /// would walk hundreds of cells (or give up and enumerate the
 /// population); here a query picks the **finest level whose ring is at
 /// most two cells**, i.e. 9–25 probes for any radius up to `32c`, and

@@ -27,10 +27,10 @@
 //!
 //! Every check below is a question about a *neighbourhood* — the §3.2
 //! rules are spatially local — so none of them walks the population.
-//! Each takes a candidate set from one of three spatial indexes and
-//! re-checks every candidate with the exact rule
-//! ([`Space::within_units`]); an index only ever changes what a check
-//! costs. The indexes:
+//! Each takes a candidate set from a spatial index (or, for retirement
+//! clearance, an adjacency list) and re-checks every candidate with the
+//! exact rule ([`Space::within_units`]); an index only ever changes what
+//! a check costs. The indexes:
 //!
 //! * the **entry index** (inside [`EntryTable`]): every live entry filed
 //!   under its `start_pos` with its agent's id. An agent with several
@@ -39,7 +39,9 @@
 //! * the **in-flight index**: every member of an executing cluster under
 //!   the position it started from (`inflight_of` names its cluster);
 //! * the **tracker's position index**, through
-//!   [`DepTracker::candidates_within`]: where every agent stands now.
+//!   [`DepTracker::candidates_within`]: where every agent stands now;
+//! * the **front index** (inside [`EntryTable`]): each holder's oldest
+//!   entry, once per holder; only retirement clearance asks it (below).
 //!
 //! In a space without an index ([`crate::space::SocialSpace`]) each of
 //! them names every agent id, and the same code is the linear reference.
@@ -79,16 +81,33 @@
 //!    speculative state out of read regions) — it is a backstop for
 //!    exotic `Space` geometries.
 //!
-//! **Retirement clearance** is the §3.2 blocking rule run backwards, so
-//! its radius grows with the step gap: the position index is asked for
-//! `blocking_units(step − min_step)` and the entry index for
-//! `blocking_units(step − oldest live entry's step)` — 17–90 units at
-//! the skews speculation reaches, which the grid's coarser levels answer
-//! in 9–25 cells. It runs once per member per retirement attempt and is
-//! the check that used to dominate.
+//! **Retirement clearance** is the §3.2 blocking rule run backwards from
+//! each member's start at step `s`: an agent at step `t ≤ s` within
+//! `blocking_units(s − t)` of it could still write into the read region.
+//! That radius grows with the step gap (17–90 units at the skews
+//! speculation reaches) and the check runs once per member per
+//! retirement attempt, so a ball of that radius over every agent and
+//! every entry used to dominate the scheduler. Each half now takes a far
+//! smaller superset:
+//!
+//! * agents **without** live entries come from the member's blocked-by
+//!   list ([`DepTracker::blockers_within`]). The instance retires only
+//!   while it is the member's front entry, so the member stands at step
+//!   `s + k` (k ≥ 1), at most `k · max_vel` from its start (`complete`
+//!   refuses a longer move). By the triangle inequality every agent the
+//!   rule names is within `blocking_units(s + k − t)` of the member —
+//!   it blocks the member, and the tracker already lists it;
+//! * agents **with** live entries are assessed at their rollback floor,
+//!   their front entry, which the table's **front index** files once
+//!   per holder: a superset of the floors within the widest radius on
+//!   offer, `blocking_units(s − oldest live step)`.
+//!
+//! Each candidate is re-checked with its own radius and the first in
+//! `(step, id)` (respectively id) order wins, so the blocker — and every
+//! watcher registration — is the one the gap-widened balls named.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use aim_store::{Db, StoreError};
@@ -98,7 +117,7 @@ use crate::exec::kernel::Controller;
 use crate::ids::{AgentId, ClusterId, Step};
 use crate::rules::RuleParams;
 use crate::scheduler::{Cluster, Core};
-use crate::space::{query_or_all, Space, SpatialIndex};
+use crate::space::{query_or_all, IdMap, Space, SpatialIndex};
 use crate::spec::table::{EntryTable, Instance};
 use crate::spec::{SpecParams, SpecStats};
 
@@ -163,7 +182,7 @@ pub struct SpecScheduler<S: Space, G: DepTracker<S> = DepGraph<S>> {
     space: Arc<S>,
     params: RuleParams,
     spec: SpecParams,
-    inflight: HashMap<ClusterId, Inflight<S::Pos>>,
+    inflight: IdMap<ClusterId, Inflight<S::Pos>>,
     /// Every in-flight member under its start position; ids are agent
     /// ids, resolved to clusters through `inflight_of`.
     inflight_index: Option<Box<dyn SpatialIndex<S::Pos>>>,
@@ -172,7 +191,7 @@ pub struct SpecScheduler<S: Space, G: DepTracker<S> = DepGraph<S>> {
     /// `(step, instance)` retirement candidates.
     retire_dirty: BTreeSet<(u32, u64)>,
     /// clearance-blocking agent → instances to re-check when it moves.
-    retire_watch: HashMap<u32, Vec<u64>>,
+    retire_watch: IdMap<u32, Vec<u64>>,
     /// Discarded `(agent, step)` executions awaiting caller pickup.
     squash_log: Vec<(AgentId, Step)>,
     /// The counters only speculation keeps; emission and skew counters
@@ -254,15 +273,15 @@ impl<S: Space, G: DepTracker<S>> SpecScheduler<S, G> {
         let coupling = params.coupling_units();
         SpecScheduler {
             core: Core::new(graph, target_step),
-            table: EntryTable::new(n, space.make_index(coupling)),
+            table: EntryTable::new(n, space.make_index(coupling), space.make_index(coupling)),
             inflight_index: space.make_index(coupling),
             space,
             params,
             spec,
-            inflight: HashMap::new(),
+            inflight: IdMap::default(),
             inflight_of: vec![None; n],
             retire_dirty: BTreeSet::new(),
-            retire_watch: HashMap::new(),
+            retire_watch: IdMap::default(),
             squash_log: Vec::new(),
             stats: SpecStats::default(),
             spare: Vec::new(),
@@ -574,9 +593,10 @@ impl<S: Space, G: DepTracker<S>> SpecScheduler<S, G> {
     ///
     /// # Panics
     ///
-    /// Panics if `cluster` is not in flight or `new_pos` does not name
-    /// each of its members exactly once — checked before any scheduler
-    /// or store state changes.
+    /// Panics if `cluster` is not in flight, `new_pos` does not name
+    /// each of its members exactly once, or it puts a member more than
+    /// `max_vel` from where its step started — checked before any
+    /// scheduler or store state changes.
     pub fn complete(
         &mut self,
         cluster: &ClusterId,
@@ -585,8 +605,19 @@ impl<S: Space, G: DepTracker<S>> SpecScheduler<S, G> {
         let Entry::Occupied(rec) = self.inflight.entry(*cluster) else {
             panic!("{cluster} is not in flight");
         };
+        let checked = &rec.get().inst;
         self.core
-            .check_completion(cluster, &rec.get().inst.members, new_pos);
+            .check_completion(cluster, &checked.members, new_pos);
+        // Retirement clearance relies on this bound (`clearance_blocker`).
+        let max_vel = u64::from(self.params.max_vel);
+        for (a, to) in new_pos {
+            let i = checked.members.binary_search(a).expect("checked a member");
+            let from = checked.starts[i];
+            assert!(
+                self.space.within_units(from, *to, max_vel),
+                "{a} of {cluster} moved from {from:?} to {to:?}, farther than max_vel {max_vel}"
+            );
+        }
         let Inflight { inst, poisoned } = rec.remove();
         for (m, start) in inst.members.iter().zip(&inst.starts) {
             self.inflight_of[m.index()] = None;
@@ -683,7 +714,7 @@ impl<S: Space, G: DepTracker<S>> SpecScheduler<S, G> {
     /// partners and executions that observed discarded state.
     fn cascade(&mut self, seeds: Vec<(AgentId, Step)>) -> Result<(), StoreError> {
         let mut work: VecDeque<(AgentId, Step)> = seeds.into();
-        let mut rollback: HashMap<u32, (Step, S::Pos)> = HashMap::new();
+        let mut rollback: IdMap<u32, (Step, S::Pos)> = IdMap::default();
         let mut touched: BTreeSet<u32> = BTreeSet::new();
         while let Some((x, u)) = work.pop_front() {
             // An execution in flight at or above the squash point is
@@ -782,10 +813,9 @@ impl<S: Space, G: DepTracker<S>> SpecScheduler<S, G> {
         // including by rolling back and re-executing, so agents with live
         // entries are assessed from their rollback floor (their oldest
         // entry), not their current state.
-        let blocker = inst
-            .starts
-            .iter()
-            .find_map(|start| self.clearance_blocker(&inst.members, *start, inst.step, candidates));
+        let blocker = (inst.members.iter().zip(&inst.starts)).find_map(|(m, start)| {
+            self.clearance_blocker(&inst.members, *m, *start, inst.step, candidates)
+        });
         if let Some(b) = blocker {
             self.retire_watch.entry(b.0).or_default().push(seq);
             return;
@@ -813,13 +843,14 @@ impl<S: Space, G: DepTracker<S>> SpecScheduler<S, G> {
     }
 
     /// First agent that could still write into `ball(start, radius_p)` at
-    /// step `step` — the §3.2 blocking rule evaluated from each agent's
-    /// deepest possible rollback state. Both halves ask an index for the
-    /// widest radius the rule can reach (the largest step gap on offer)
-    /// and apply each candidate's own radius.
+    /// step `step`, where `start` is member `member`'s — the §3.2 blocking
+    /// rule evaluated from each agent's deepest possible rollback state.
+    /// Each half takes a superset of the agents it assesses (see the
+    /// [module docs](self)) and applies each candidate's own radius.
     fn clearance_blocker(
         &self,
         members: &[AgentId],
+        member: AgentId,
         start: S::Pos,
         step: Step,
         candidates: &mut Vec<u32>,
@@ -831,7 +862,7 @@ impl<S: Space, G: DepTracker<S>> SpecScheduler<S, G> {
         if lowest <= step {
             candidates.clear();
             let reach = self.params.blocking_units(step.0 - lowest.0);
-            graph.candidates_within(start, reach, candidates);
+            graph.blockers_within(member, start, reach, candidates);
             let mut first: Option<(Step, AgentId)> = None;
             for &b in candidates.iter() {
                 let b = AgentId(b);
@@ -859,7 +890,7 @@ impl<S: Space, G: DepTracker<S>> SpecScheduler<S, G> {
         }
         candidates.clear();
         let reach = self.params.blocking_units(step.0 - oldest.0);
-        self.table.holders_near(start, reach, candidates);
+        self.table.floors_near(start, reach, candidates);
         let mut first: Option<AgentId> = None;
         for &b in candidates.iter() {
             let b = AgentId(b);
@@ -1279,6 +1310,27 @@ mod tests {
         assert_eq!(s.inflight_len(), 1, "the cluster left flight");
         // The rejected call changed nothing: the run still completes.
         finish(&mut s, &ready[0]);
+        drain(&mut s);
+        assert_eq!(s.stats().retired_steps, 6);
+    }
+
+    #[test]
+    fn complete_rejects_a_move_past_max_vel_before_changing_anything() {
+        let mut s = sched(&[(0, 0), (5, 0)], 2, 3);
+        let ready = s.ready_clusters().unwrap();
+        assert_eq!(ready[0].members, vec![A, B]);
+        // max_vel is 1: a diagonal step is √2 units.
+        let far = [(A, Point::new(1, 1)), (B, Point::new(5, 0))];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.complete(&ready[0].id, &far)
+        }));
+        assert!(result.is_err(), "a move past max_vel must be rejected");
+        assert_eq!(s.graph().step(A), Step(0), "the store moved");
+        assert_eq!(s.graph().pos(A), Point::new(0, 0), "the store moved");
+        assert_eq!(s.inflight_len(), 1, "the cluster left flight");
+        // The rejected call changed nothing: a move of exactly max_vel
+        // is accepted and the run still completes.
+        assert!(finish_moving(&mut s, &ready[0], A, Point::new(1, 0)).committed);
         drain(&mut s);
         assert_eq!(s.stats().retired_steps, 6);
     }

@@ -11,18 +11,22 @@
 //! interleave on the same entry, so each agent's live entries always form
 //! a contiguous run of steps.
 //!
-//! The table also answers the scheduler's spatial question — "which
-//! agents hold a live entry that started near here?" — from an index it
-//! keeps in step with the stacks: every live entry is filed under its
-//! `start_pos` with its agent's id, so an agent with several unretired
-//! steps is indexed at several positions (the duplicate-id contract of
-//! [`SpatialIndex`]).
+//! The table also answers the scheduler's spatial questions from two
+//! indexes it keeps in step with the stacks:
+//!
+//! * "which agents hold a live entry that started near here?" — every
+//!   live entry is filed under its `start_pos` with its agent's id, so an
+//!   agent with several unretired steps is indexed at several positions
+//!   (the duplicate-id contract of [`SpatialIndex`]);
+//! * "whose rollback floor started near here?" — only each holder's
+//!   front (oldest) entry, the deepest state a squash could rewind it
+//!   to, so every holder is indexed once.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::ids::{AgentId, Step};
-use crate::space::{query_or_all, SpatialIndex};
+use crate::space::{query_or_all, IdMap, SpatialIndex};
 
 /// One speculatively executed (unretired) agent-step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,17 +72,20 @@ impl<P> Default for Instance<P> {
 }
 
 /// The live-entry table: stacks, instances, the observation index and
-/// the spatial index over entry start positions.
+/// the spatial indexes over entry and front-entry start positions.
 pub struct EntryTable<P> {
     stacks: Vec<VecDeque<SpecEntry<P>>>,
-    instances: HashMap<u64, Instance<P>>,
+    instances: IdMap<u64, Instance<P>>,
     /// observed agent → `(observed step, observing instance)`; cleaned
     /// lazily (dead instances are skipped on read).
-    observers: HashMap<u32, Vec<(u32, u64)>>,
+    observers: IdMap<u32, Vec<(u32, u64)>>,
     /// Every live entry as `(agent id, start_pos)`; `None` for spaces
     /// without an index, where [`EntryTable::holders_near`] names every
     /// agent instead.
     index: Option<Box<dyn SpatialIndex<P>>>,
+    /// Every holder's front entry as `(agent id, start_pos)`; `None`
+    /// alongside `index`.
+    fronts: Option<Box<dyn SpatialIndex<P>>>,
     /// Live entries per step. Its first key bounds how far back any
     /// agent could still roll, hence how wide a clearance query must be.
     per_step: BTreeMap<u32, u32>,
@@ -97,14 +104,20 @@ impl<P> fmt::Debug for EntryTable<P> {
 
 impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
     /// Creates an empty table for `num_agents` agents, filing entries in
-    /// `index` (an empty index from [`crate::space::Space::make_index`],
-    /// or `None` if the space has none).
-    pub fn new(num_agents: usize, index: Option<Box<dyn SpatialIndex<P>>>) -> Self {
+    /// `index` and front entries in `fronts` (empty indexes from
+    /// [`crate::space::Space::make_index`], or `None` if the space has
+    /// none).
+    pub fn new(
+        num_agents: usize,
+        index: Option<Box<dyn SpatialIndex<P>>>,
+        fronts: Option<Box<dyn SpatialIndex<P>>>,
+    ) -> Self {
         EntryTable {
             stacks: (0..num_agents).map(|_| VecDeque::new()).collect(),
-            instances: HashMap::new(),
-            observers: HashMap::new(),
+            instances: IdMap::default(),
+            observers: IdMap::default(),
             index,
+            fronts,
             per_step: BTreeMap::new(),
             live: 0,
         }
@@ -159,6 +172,35 @@ impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
         query_or_all(self.index.as_deref(), self.stacks.len(), center, units, out);
     }
 
+    /// Appends to `out` the id of every agent whose [`front`](EntryTable::front)
+    /// entry — its rollback floor — may have started within `units` of
+    /// `center`: a superset in no particular order, each holder at most
+    /// once — or every agent id when the space has no index. `out` is
+    /// not cleared.
+    pub fn floors_near(&self, center: P, units: u64, out: &mut Vec<u32>) {
+        query_or_all(
+            self.fronts.as_deref(),
+            self.stacks.len(),
+            center,
+            units,
+            out,
+        );
+    }
+
+    /// Files `entry` as its agent's new front.
+    fn file_front(&mut self, entry: &SpecEntry<P>) {
+        if let Some(idx) = self.fronts.as_mut() {
+            idx.insert(entry.agent.0, entry.start_pos);
+        }
+    }
+
+    /// Unfiles `entry`, which was its agent's front.
+    fn unfile_front(&mut self, entry: &SpecEntry<P>) {
+        if let Some(idx) = self.fronts.as_mut() {
+            idx.remove(entry.agent.0, entry.start_pos);
+        }
+    }
+
     fn file(&mut self, entry: &SpecEntry<P>) {
         if let Some(idx) = self.index.as_mut() {
             idx.insert(entry.agent.0, entry.start_pos);
@@ -207,15 +249,16 @@ impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
                 instance: seq,
             };
             let stack = &mut self.stacks[agent.index()];
-            if let Some(back) = stack.back() {
-                assert_eq!(
+            match stack.back() {
+                Some(back) => assert_eq!(
                     back.step.next(),
                     step,
                     "{agent} entry for {step} must follow {}",
                     back.step
-                );
+                ),
+                None => self.file_front(&entry),
             }
-            stack.push_back(entry);
+            self.stacks[agent.index()].push_back(entry);
             self.file(&entry);
         }
         for (obs, at) in &inst.observed {
@@ -231,7 +274,8 @@ impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
     }
 
     /// Drops `agent`'s entries at steps `>= step` (newest first),
-    /// returning them oldest-first.
+    /// returning them oldest-first. Dropping the front too empties the
+    /// stack, and the agent leaves the front index.
     ///
     /// Instance records are *not* removed: the squash cascade needs their
     /// member lists to roll cluster partners back, and removes each record
@@ -249,6 +293,11 @@ impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
             dropped.push(entry);
         }
         dropped.reverse();
+        if self.stacks[agent.index()].is_empty() {
+            if let Some(front) = dropped.first() {
+                self.unfile_front(front);
+            }
+        }
         dropped
     }
 
@@ -266,6 +315,10 @@ impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
             .pop_front()
             .unwrap_or_else(|| panic!("{agent} has no live entries"));
         self.unfile(&entry);
+        self.unfile_front(&entry);
+        if let Some(&next) = self.stacks[agent.index()].front() {
+            self.file_front(&next);
+        }
         entry
     }
 
@@ -302,7 +355,8 @@ mod tests {
     use crate::space::{GridSpace, Point, Space};
 
     fn table(num_agents: usize) -> EntryTable<Point> {
-        EntryTable::new(num_agents, GridSpace::new(100, 100).make_index(5))
+        let space = GridSpace::new(100, 100);
+        EntryTable::new(num_agents, space.make_index(5), space.make_index(5))
     }
 
     /// Records instance `seq` at `step` with `(agent, x)` members, each
@@ -490,10 +544,56 @@ mod tests {
     }
 
     #[test]
+    fn front_index_files_each_holder_once_at_its_oldest_entry() {
+        let floors_near = |t: &EntryTable<Point>, x: i32, units: u64| {
+            let mut out = Vec::new();
+            t.floors_near(Point::new(x, 0), units, &mut out);
+            out.sort_unstable();
+            out
+        };
+        // Far-away holders, as above, so queries probe cells.
+        let mut t = table(40);
+        for a in 3..40u32 {
+            push(
+                &mut t,
+                100 + a as u64,
+                0,
+                &[(a, 1000 + 10 * a as i32)],
+                vec![],
+            );
+        }
+        // Pushing onto an empty stack files the front; later pushes do not.
+        push(&mut t, 0, 0, &[(0, 0)], vec![]);
+        push(&mut t, 1, 1, &[(0, 40)], vec![]);
+        push(&mut t, 2, 2, &[(0, 80)], vec![]);
+        push(&mut t, 3, 0, &[(1, 42)], vec![]);
+        assert_eq!(floors_near(&t, 0, 3), vec![0]);
+        assert_eq!(floors_near(&t, 41, 3), vec![1]);
+        assert!(floors_near(&t, 80, 3).is_empty());
+        // Retiring moves the front to the next entry.
+        t.retire_front(AgentId(0));
+        assert!(floors_near(&t, 0, 3).is_empty());
+        assert_eq!(floors_near(&t, 41, 3), vec![0, 1]);
+        // A squash that keeps the front leaves it filed...
+        t.squash_from(AgentId(0), Step(2));
+        assert_eq!(floors_near(&t, 41, 3), vec![0, 1]);
+        // ...and one that empties the stack unfiles it.
+        t.squash_from(AgentId(0), Step(1));
+        assert_eq!(floors_near(&t, 41, 3), vec![1]);
+        // A fresh push onto the emptied stack files it again.
+        push(&mut t, 4, 1, &[(0, 80)], vec![]);
+        assert_eq!(floors_near(&t, 80, 3), vec![0]);
+        assert_eq!(floors_near(&t, 1000 + 10 * 7, 0), vec![7]);
+    }
+
+    #[test]
     fn without_an_index_every_agent_is_a_candidate() {
-        let mut t: EntryTable<Point> = EntryTable::new(3, None);
+        let mut t: EntryTable<Point> = EntryTable::new(3, None, None);
         push(&mut t, 0, 0, &[(1, 5)], vec![]);
         assert_eq!(holders_near(&t, 500, 1), vec![0, 1, 2]);
+        let mut floors = Vec::new();
+        t.floors_near(Point::new(500, 0), 1, &mut floors);
+        assert_eq!(floors, vec![0, 1, 2]);
         t.retire_front(AgentId(1));
         assert!(t.is_empty());
     }

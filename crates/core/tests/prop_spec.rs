@@ -159,6 +159,62 @@ fn flat<S: Space>(space: Arc<S>, initial: &[S::Pos]) -> DepGraph<S> {
     DepGraph::new(space, RuleParams::genagent(), Arc::new(Db::new()), initial).unwrap()
 }
 
+/// A [`DepGraph`] that forwards every [`DepTracker`] method except
+/// `blockers_within`, so retirement clearance takes the trait's default
+/// body: the gap-widened `candidates_within` ball that the maintained
+/// blocked-by lists must agree with.
+struct BallClearance<S: Space>(DepGraph<S>);
+
+impl<S: Space> DepTracker<S> for BallClearance<S> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn step(&self, a: AgentId) -> Step {
+        self.0.step(a)
+    }
+    fn pos(&self, a: AgentId) -> S::Pos {
+        self.0.pos(a)
+    }
+    fn min_step(&self) -> Step {
+        self.0.min_step()
+    }
+    fn max_step(&self) -> Step {
+        self.0.max_step()
+    }
+    fn advance(&mut self, updates: &[(AgentId, S::Pos)]) -> Result<(), StoreError> {
+        self.0.advance(updates)
+    }
+    fn rollback(&mut self, updates: &[(AgentId, Step, S::Pos)]) -> Result<(), StoreError> {
+        self.0.rollback(updates)
+    }
+    fn candidates_within(&self, center: S::Pos, units: u64, out: &mut Vec<u32>) {
+        self.0.candidates_within(center, units, out)
+    }
+    fn first_blocker(&self, a: AgentId) -> Option<AgentId> {
+        self.0.first_blocker(a)
+    }
+    fn coupled_of(&self, a: AgentId) -> &[AgentId] {
+        self.0.coupled_of(a)
+    }
+    fn evict_history(&mut self) -> Result<u64, StoreError> {
+        self.0.evict_history()
+    }
+    fn validate(&self) -> Result<(), String> {
+        self.0.validate()
+    }
+    fn set_telemetry(&mut self, telemetry: Arc<aim_core::telemetry::Telemetry>) {
+        self.0.set_telemetry(telemetry)
+    }
+    fn harvest_telemetry(&mut self) {
+        self.0.harvest_telemetry()
+    }
+}
+
+/// [`flat`] behind [`BallClearance`].
+fn ball<S: Space>(space: Arc<S>, initial: &[S::Pos]) -> BallClearance<S> {
+    BallClearance(flat(space, initial))
+}
+
 /// A sharded tracker over four 16-unit strips of the 64-wide map.
 fn striped(space: Arc<GridSpace>, initial: &[Point]) -> ShardedDepGraph<GridSpace> {
     let strips = Arc::new(StripShardMap::new(64, 4));
@@ -363,6 +419,18 @@ fn spec_schedules_match_the_recorded_golden() {
     }
 }
 
+/// The golden cases again with clearance on the default gap-radius
+/// ball: the blocked-by lists the golden now runs on must reproduce
+/// what the ball decided when the literals were recorded.
+#[test]
+fn ball_clearance_matches_the_recorded_golden() {
+    for i in 0..GOLDEN.len() as u32 {
+        let (w, runahead, picks) = golden_case(i);
+        let run = adversarial_run(GridSpace::new(64, 64), ball, &w, runahead, &picks);
+        assert_eq!(run.fingerprint(), GOLDEN[i as usize], "golden case {i}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -532,6 +600,27 @@ proptest! {
         let indexed = adversarial_run(GridSpace::new(64, 64), flat, &w, runahead, &picks);
         let linear = adversarial_run(Unindexed(GridSpace::new(64, 64)), flat, &w, runahead, &picks);
         prop_assert_eq!(indexed, linear);
+    }
+
+    /// Retirement clearance from the maintained blocked-by lists and from
+    /// the trait's default gap-radius ball clears the same schedules, on
+    /// indexed and unindexed spaces: the lists are a superset of every
+    /// agent the ball's exact re-check keeps.
+    #[test]
+    fn blocked_by_lists_and_the_ball_clear_the_same_schedules(
+        points in arb_points(40, 58),
+        target in 4u32..9,
+        runahead in 0u32..7,
+        seed in any::<u64>(),
+        picks in proptest::collection::vec(any::<u16>(), 0..2000),
+    ) {
+        let w = HashWorkload { initial: points, target: Step(target), seed };
+        let lists = adversarial_run(GridSpace::new(64, 64), flat, &w, runahead, &picks);
+        let balls = adversarial_run(GridSpace::new(64, 64), ball, &w, runahead, &picks);
+        prop_assert_eq!(lists.fingerprint(), balls.fingerprint());
+        let lists = adversarial_run(Unindexed(GridSpace::new(64, 64)), flat, &w, runahead, &picks);
+        let balls = adversarial_run(Unindexed(GridSpace::new(64, 64)), ball, &w, runahead, &picks);
+        prop_assert_eq!(lists.fingerprint(), balls.fingerprint());
     }
 }
 
