@@ -581,13 +581,14 @@ mod tests {
     }
 
     #[test]
-    fn rollback_ahead_of_current_step_panics() {
+    fn rollback_ahead_of_current_step_is_refused() {
         let mut g = graph(&[(0, 0)]);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            g.rollback(&[(AgentId(0), Step(3), Point::new(0, 0))])
-                .unwrap();
-        }));
-        assert!(result.is_err());
+        g.advance(&[(AgentId(0), Point::new(0, 1))]).unwrap();
+        assert!(g
+            .rollback(&[(AgentId(0), Step(3), Point::new(5, 5))])
+            .is_err());
+        assert_eq!(g.step(AgentId(0)), Step(1));
+        assert_eq!(g.pos(AgentId(0)), Point::new(0, 1));
     }
 
     fn history_graph(points: &[(i32, i32)]) -> DepGraph<GridSpace> {

@@ -12,13 +12,15 @@
 //! test runs every input on [`ShardedDepGraph`] (1, 4 and 16 strips) and
 //! [`DistTracker`] (four workers) too.
 
+mod common;
+
 use std::sync::Arc;
 
-use aim_core::depgraph::{DepGraph, EdgeMode, GraphOptions, GraphSnapshot};
+use aim_core::depgraph::GraphSnapshot;
 use aim_core::prelude::*;
 use aim_core::rules::{self, RuleParams};
 use aim_core::space::{GridSpace, Point};
-use aim_store::Db;
+use common::{Entry, Spec, GRID};
 use proptest::prelude::*;
 
 /// The position a snapshot node label (`Point`'s `Debug` form) names.
@@ -37,7 +39,7 @@ type Edges = Vec<(AgentId, AgentId)>;
 /// The edges `snap`'s nodes must have, computed pair-by-pair from the
 /// rules alone.
 fn oracle_edges(snap: &GraphSnapshot, params: RuleParams) -> (Edges, Edges) {
-    let space = GridSpace::new(64, 64);
+    let space = GridSpace::new(GRID, GRID);
     let states: Vec<(Point, Step)> = (snap.nodes.iter())
         .map(|(_, step, label)| (label_pos(label), *step))
         .collect();
@@ -65,93 +67,22 @@ fn oracle_edges(snap: &GraphSnapshot, params: RuleParams) -> (Edges, Edges) {
     (blocked, coupled)
 }
 
-/// Strips of the sharded trackers' maps, and of the distributed one's.
-const STRIPS: [usize; 3] = [1, 4, 16];
-const WORKERS: usize = 4;
-
-/// One tracker under the churn test.
-enum Subject {
-    Single(DepGraph<GridSpace>),
-    Sharded(ShardedDepGraph<GridSpace>, usize),
-    Dist(DistTracker<GridSpace>),
+/// `snap`'s edges, sorted as [`oracle_edges`] returns them.
+fn sorted_edges(snap: &GraphSnapshot) -> (Edges, Edges) {
+    let (mut blocked, mut coupled) = (snap.blocked.clone(), snap.coupled.clone());
+    blocked.sort_unstable();
+    coupled.sort_unstable();
+    (blocked, coupled)
 }
 
-impl Subject {
-    /// Every tracker over `initial`: `DepGraph`, `ShardedDepGraph` on each
-    /// of [`STRIPS`], `DistTracker` on [`WORKERS`].
-    fn all(space: &Arc<GridSpace>, params: RuleParams, initial: &[Point]) -> Vec<Subject> {
-        let db = || Arc::new(Db::new());
-        let mut out = vec![Subject::Single(
-            DepGraph::new(Arc::clone(space), params, db(), initial).unwrap(),
-        )];
-        for strips in STRIPS {
-            let map = Arc::new(StripShardMap::new(64, strips));
-            let g = ShardedDepGraph::new(Arc::clone(space), params, db(), initial, map).unwrap();
-            out.push(Subject::Sharded(g, strips));
-        }
-        let map = Arc::new(StripShardMap::new(64, WORKERS));
-        let options = GraphOptions::default();
-        let g = DistTracker::new(Arc::clone(space), params, initial, map, options).unwrap();
-        out.push(Subject::Dist(g));
-        out
-    }
-
-    fn tracker(&mut self) -> &mut dyn DepTracker<GridSpace> {
-        match self {
-            Subject::Single(g) => g,
-            Subject::Sharded(g, _) => g,
-            Subject::Dist(g) => g,
-        }
-    }
-
-    /// The inherent rollback (the distributed tracker's trait impl keeps
-    /// the refusing default).
-    fn rollback(&mut self, updates: &[(AgentId, Step, Point)]) {
-        match self {
-            Subject::Single(g) => g.rollback(updates),
-            Subject::Sharded(g, _) => g.rollback(updates),
-            Subject::Dist(g) => g.rollback(updates),
-        }
-        .unwrap();
-    }
-
-    fn snapshot(&self) -> GraphSnapshot {
-        match self {
-            Subject::Single(g) => g.snapshot(),
-            Subject::Sharded(g, _) => g.snapshot(),
-            Subject::Dist(g) => g.snapshot(),
-        }
-    }
-
-    /// The same tracker rebuilt from its stores.
-    fn rebuilt(&self, space: &Arc<GridSpace>, params: RuleParams) -> GraphSnapshot {
-        let space = Arc::clone(space);
-        let options = GraphOptions {
-            edges: EdgeMode::Maintained,
-            history: false,
-        };
-        match self {
-            Subject::Single(g) => DepGraph::recover(space, params, Arc::clone(g.db()), g.len())
-                .unwrap()
-                .snapshot(),
-            Subject::Sharded(g, strips) => {
-                let map = Arc::new(StripShardMap::new(64, *strips));
-                let db = Arc::clone(g.db());
-                ShardedDepGraph::recover(space, params, db, g.len(), map, options)
-                    .unwrap()
-                    .snapshot()
-            }
-            Subject::Dist(g) => {
-                let dbs = (0..WORKERS).map(|j| Arc::clone(g.worker_db(j))).collect();
-                let members: Vec<Vec<u32>> = (0..WORKERS).map(|j| g.members(j)).collect();
-                let map = Arc::new(StripShardMap::new(64, WORKERS));
-                DistTracker::recover(space, params, dbs, map, options, &members)
-                    .unwrap()
-                    .snapshot()
-            }
-        }
-    }
-}
+/// The trackers the churn test runs on, none recording history.
+const TRACKERS: [&str; 5] = [
+    "depgraph-nohist",
+    "sharded-1-nohist",
+    "sharded-4-nohist",
+    "sharded-16-nohist",
+    "dist-w4-nohist",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -168,11 +99,11 @@ proptest! {
         ),
         params in (1u32..5, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
     ) {
-        let space = Arc::new(GridSpace::new(64, 64));
+        let space = Arc::new(GridSpace::new(GRID, GRID));
         let initial: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        for mut subject in Subject::all(&space, params, &initial) {
+        for name in TRACKERS {
+            let mut g = Entry::new(Spec::named(name), &space, params, &initial);
             for &(pick, kind, dx, dy) in &ops {
-                let g = subject.tracker();
                 let a = AgentId(pick as u32 % g.len() as u32);
                 let cur = g.pos(a);
                 let moved = Point::new(cur.x + dx, cur.y + dy);
@@ -184,20 +115,17 @@ proptest! {
                 } else {
                     // Rollback to a random earlier step.
                     let target = Step(pick as u32 % g.step(a).0);
-                    subject.rollback(&[(a, target, moved)]);
+                    g.rollback(&[(a, target, moved)]).unwrap();
                 }
 
-                let live = subject.snapshot();
-                let rebuilt = subject.rebuilt(&space, params);
+                let live = g.snapshot();
+                let rebuilt = g.recovered(false).snapshot();
                 prop_assert_eq!(&live, &rebuilt, "live graph diverged from store rebuild");
 
-                let (blocked, coupled) = oracle_edges(&live, params);
-                let mut live_blocked = live.blocked.clone();
-                live_blocked.sort_unstable();
-                let mut live_coupled = live.coupled.clone();
-                live_coupled.sort_unstable();
-                prop_assert_eq!(live_blocked, blocked, "blocked edges diverged from rules oracle");
-                prop_assert_eq!(live_coupled, coupled, "coupled edges diverged from rules oracle");
+                let (blocked, coupled) = sorted_edges(&live);
+                let oracle = oracle_edges(&live, params);
+                prop_assert_eq!(blocked, oracle.0, "blocked edges diverged from rules oracle");
+                prop_assert_eq!(coupled, oracle.1, "coupled edges diverged from rules oracle");
             }
         }
     }
@@ -213,10 +141,9 @@ proptest! {
         ),
         params in (1u32..4, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
     ) {
-        let space = Arc::new(GridSpace::new(64, 64));
-        let db = Arc::new(Db::new());
+        let space = Arc::new(GridSpace::new(GRID, GRID));
         let initial: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let mut g = DepGraph::new(Arc::clone(&space), params, Arc::clone(&db), &initial).unwrap();
+        let mut g = Entry::new(Spec::named("depgraph-nohist"), &space, params, &initial);
         for batch in batches {
             // Distinct agents per batch (a cluster never repeats members).
             let mut updates: Vec<(AgentId, Point)> = Vec::new();
@@ -229,13 +156,7 @@ proptest! {
                 updates.push((a, Point::new(cur.x + dx, cur.y + dy)));
             }
             g.advance(&updates).unwrap();
-            let rebuilt = DepGraph::recover(
-                Arc::clone(&space),
-                params,
-                Arc::clone(g.db()),
-                g.len(),
-            ).unwrap();
-            prop_assert_eq!(g.snapshot(), rebuilt.snapshot());
+            prop_assert_eq!(g.snapshot(), g.recovered(false).snapshot());
         }
     }
 
@@ -254,20 +175,11 @@ proptest! {
         ),
         params in (1u32..5, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
     ) {
-        use aim_core::depgraph::{EdgeMode, GraphOptions};
         use aim_store::{Snapshot, SnapshotBuilder};
 
-        let space = Arc::new(GridSpace::new(64, 64));
-        let db = Arc::new(Db::new());
+        let space = Arc::new(GridSpace::new(GRID, GRID));
         let initial: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let options = GraphOptions { edges: EdgeMode::Maintained, history: true };
-        let mut g = DepGraph::new_with_options(
-            Arc::clone(&space),
-            params,
-            Arc::clone(&db),
-            &initial,
-            options,
-        ).unwrap();
+        let mut g = Entry::new(Spec::named("depgraph"), &space, params, &initial);
 
         for (pick, kind, dx, dy) in ops {
             let a = AgentId(pick as u32 % g.len() as u32);
@@ -289,16 +201,10 @@ proptest! {
         }
         g.evict_history().unwrap();
 
-        let bytes = SnapshotBuilder::new().db(g.db()).to_bytes().unwrap();
+        let bytes = SnapshotBuilder::new().db(g.local().db()).to_bytes().unwrap();
         let snap = Snapshot::from_bytes(bytes.clone()).unwrap();
         let restored = Arc::new(snap.restore_db());
-        let r = DepGraph::recover_with_options(
-            Arc::clone(&space),
-            params,
-            Arc::clone(&restored),
-            g.len(),
-            options,
-        ).unwrap();
+        let r = Entry::from_stores(g.spec, &space, params, g.len(), vec![Arc::clone(&restored)]);
 
         // Node-for-node, edge-for-edge identical…
         prop_assert_eq!(g.snapshot(), r.snapshot(), "recovered graph diverged");
@@ -313,20 +219,14 @@ proptest! {
         for a in 0..r.len() as u32 {
             for s in r.min_step().0..=r.step(AgentId(a)).0 {
                 prop_assert!(
-                    r.history_at(AgentId(a), Step(s)).unwrap().is_some(),
+                    r.local().history_at(AgentId(a), Step(s)).unwrap().is_some(),
                     "agent {} missing resident history at step {}", a, s
                 );
             }
         }
         // …and the recovered adjacency still matches the rules oracle.
         let live = r.snapshot();
-        let (blocked, coupled) = oracle_edges(&live, params);
-        let mut live_blocked = live.blocked.clone();
-        live_blocked.sort_unstable();
-        let mut live_coupled = live.coupled.clone();
-        live_coupled.sort_unstable();
-        prop_assert_eq!(live_blocked, blocked);
-        prop_assert_eq!(live_coupled, coupled);
+        prop_assert_eq!(sorted_edges(&live), oracle_edges(&live, params));
         // Restoring and re-snapshotting is byte-for-byte stable.
         let again = SnapshotBuilder::new().db(&restored).to_bytes().unwrap();
         prop_assert_eq!(bytes.as_ref(), again.as_ref());

@@ -7,217 +7,22 @@
 //! controller mirror is cross-checked against the workers' ground truth
 //! via the quiesce protocol.
 //!
-//! A [`TapLink`] wrapped around the real links shows what the tracker
+//! The harness taps every worker's link: the tap shows what the tracker
 //! hands each worker (the hand-off count tests) and can fail a chosen
 //! call on a chosen worker (the fault-schedule property test).
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+mod common;
 
-use aim_core::depgraph::{DepGraph, EdgeMode, GraphOptions};
-use aim_core::dist::{CtrlMsg, DistTracker, SeveredLink, ShardMsg, WorkerLink, WINDOW};
+use std::sync::Arc;
+
+use aim_core::dist::WINDOW;
 use aim_core::prelude::*;
-use aim_core::shard::StripShardMap;
 use aim_core::space::{GridSpace, Point};
 use aim_core::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
-use aim_store::{Db, StoreError};
+use common::{
+    apply_both, assert_equivalent, commit_both, pair, Call, Entry, Fault, Layout, Spec, GRID,
+};
 use proptest::prelude::*;
-
-const W: u32 = 64;
-
-fn options() -> GraphOptions {
-    GraphOptions {
-        edges: EdgeMode::Maintained,
-        history: true,
-    }
-}
-
-fn build_pair(
-    points: &[(i32, i32)],
-    params: RuleParams,
-    shards: usize,
-) -> (DistTracker<GridSpace>, DepGraph<GridSpace>) {
-    let space = Arc::new(GridSpace::new(W, W));
-    let initial: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
-    let dist = DistTracker::new(
-        Arc::clone(&space),
-        params,
-        &initial,
-        Arc::new(StripShardMap::new(W, shards)),
-        options(),
-    )
-    .unwrap();
-    let single =
-        DepGraph::new_with_options(space, params, Arc::new(Db::new()), &initial, options())
-            .unwrap();
-    (dist, single)
-}
-
-/// Full equivalence check between the distributed tracker and the oracle.
-fn assert_equivalent(dist: &mut DistTracker<GridSpace>, single: &DepGraph<GridSpace>) {
-    dist.check_invariants();
-    assert_eq!(dist.snapshot(), single.snapshot(), "graphs diverged");
-    assert_eq!(dist.min_step(), single.min_step());
-    assert_eq!(dist.max_step(), single.max_step());
-    assert_eq!(dist.validate().is_ok(), single.validate().is_ok());
-    for a in 0..dist.len() as u32 {
-        let a = AgentId(a);
-        assert_eq!(
-            dist.first_blocker(a),
-            single.first_blocker(a),
-            "first blocker of {a} diverged"
-        );
-        assert_eq!(dist.coupled_of(a), single.coupled_of(a));
-        assert_eq!(dist.blockers_of(a), single.blockers_of(a));
-    }
-    assert_eq!(dist.history_records(), single.history_records());
-    assert_eq!(dist.history_floor(), single.history_floor());
-}
-
-/// Which [`WorkerLink`] call a [`Fault`] strikes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Call {
-    /// `send`: the request, and everything queued before it, is lost.
-    Queue,
-    /// `hand_off`, before anything reaches the worker.
-    HandOffLost,
-    /// `hand_off`, after the worker has the requests (and applies them).
-    HandOffDelivered,
-    /// `recv`: the worker applied the hand-off; its replies are lost.
-    Receive,
-}
-
-/// Fail the `countdown`-th next call of kind `call`, and every call
-/// after it: a crash, not a hiccup.
-#[derive(Debug, Clone, Copy)]
-struct Fault {
-    call: Call,
-    countdown: usize,
-}
-
-/// What a [`TapLink`] has seen, shared with the test.
-#[derive(Debug, Default)]
-struct Tap {
-    /// The request names of every hand-off, in order.
-    hand_offs: Vec<Vec<&'static str>>,
-    /// Whether each delivered, still unanswered request is a `Depart`.
-    unanswered: VecDeque<bool>,
-    fault: Option<Fault>,
-    dead: bool,
-    /// Set when the link died owing the reply to a `Depart`: the only
-    /// copy of the departed agents' history died with it.
-    lost_departure: bool,
-}
-
-impl Tap {
-    /// Whether this call is the one the armed fault strikes.
-    fn strikes(&mut self, call: Call) -> bool {
-        match &mut self.fault {
-            Some(f) if f.call == call && f.countdown == 0 => true,
-            Some(f) if f.call == call => {
-                f.countdown -= 1;
-                false
-            }
-            _ => false,
-        }
-    }
-
-    fn die<T>(&mut self) -> Result<T, StoreError> {
-        self.dead = true;
-        self.lost_departure |= self.unanswered.contains(&true);
-        Err(StoreError::Codec("injected link fault".into()))
-    }
-}
-
-/// A [`WorkerLink`] around the real one that records every hand-off and
-/// fails on demand.
-struct TapLink {
-    inner: Box<dyn WorkerLink<Point>>,
-    queued: Vec<&'static str>,
-    tap: Arc<Mutex<Tap>>,
-}
-
-fn request_name(msg: &CtrlMsg<Point>) -> &'static str {
-    match msg {
-        CtrlMsg::Commit { .. } => "Commit",
-        CtrlMsg::Rollback { .. } => "Rollback",
-        CtrlMsg::Depart { .. } => "Depart",
-        CtrlMsg::Arrive { .. } => "Arrive",
-        CtrlMsg::RelinkQuery { .. } => "RelinkQuery",
-        _ => "other",
-    }
-}
-
-impl WorkerLink<Point> for TapLink {
-    fn send(&mut self, msg: CtrlMsg<Point>) -> Result<(), StoreError> {
-        let mut tap = self.tap.lock().unwrap();
-        if tap.dead || tap.strikes(Call::Queue) {
-            return tap.die();
-        }
-        self.queued.push(request_name(&msg));
-        self.inner.send(msg)
-    }
-
-    fn hand_off(&mut self) -> Result<(), StoreError> {
-        let mut tap = self.tap.lock().unwrap();
-        if tap.dead || tap.strikes(Call::HandOffLost) {
-            return tap.die();
-        }
-        if self.queued.is_empty() {
-            return Ok(());
-        }
-        self.inner.hand_off()?;
-        tap.unanswered
-            .extend(self.queued.iter().map(|&name| name == "Depart"));
-        tap.hand_offs.push(std::mem::take(&mut self.queued));
-        if tap.strikes(Call::HandOffDelivered) {
-            return tap.die();
-        }
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<ShardMsg<Point>, StoreError> {
-        if !self.queued.is_empty() {
-            self.hand_off()?;
-        }
-        let mut tap = self.tap.lock().unwrap();
-        if tap.dead || tap.strikes(Call::Receive) {
-            return tap.die();
-        }
-        let reply = self.inner.recv()?;
-        tap.unanswered.pop_front();
-        Ok(reply)
-    }
-}
-
-/// Wraps worker `j`'s current link in a [`TapLink`].
-fn tap_worker(dist: &mut DistTracker<GridSpace>, j: usize) -> Arc<Mutex<Tap>> {
-    let tap = Arc::new(Mutex::new(Tap::default()));
-    let inner = dist.replace_link(j, Box::new(SeveredLink::new(j as u32)));
-    dist.replace_link(
-        j,
-        Box::new(TapLink {
-            inner,
-            queued: Vec::new(),
-            tap: Arc::clone(&tap),
-        }),
-    );
-    tap
-}
-
-/// Taps every worker; the taps, by worker.
-fn tap_all(dist: &mut DistTracker<GridSpace>) -> Vec<Arc<Mutex<Tap>>> {
-    (0..dist.num_shards())
-        .map(|j| tap_worker(dist, j))
-        .collect()
-}
-
-/// The hand-offs each worker received since the taps were last read.
-fn take_hand_offs(taps: &[Arc<Mutex<Tap>>]) -> Vec<Vec<Vec<&'static str>>> {
-    taps.iter()
-        .map(|tap| std::mem::take(&mut tap.lock().unwrap().hand_offs))
-        .collect()
-}
 
 /// Seven agents on four 16-wide strips: 0 and 1 deep inside strip 0, 2
 /// one stride from the strip 1 / strip 2 boundary with 6 behind it in
@@ -232,10 +37,14 @@ const HAND_OFF_POINTS: [(i32, i32); 7] = [
     (24, 30),
 ];
 
-fn hand_off_fixture() -> (DistTracker<GridSpace>, Vec<Arc<Mutex<Tap>>>) {
-    let (mut dist, _) = build_pair(&HAND_OFF_POINTS, RuleParams::new(2, 1), 4);
-    let taps = tap_all(&mut dist);
-    (dist, taps)
+fn hand_off_fixture() -> Entry {
+    pair(
+        Layout::Dist(4),
+        GRID,
+        &HAND_OFF_POINTS,
+        RuleParams::new(2, 1),
+    )
+    .0
 }
 
 /// Writes that cross no boundary queue on their owner's lane: `n` of
@@ -245,13 +54,13 @@ fn hand_off_fixture() -> (DistTracker<GridSpace>, Vec<Arc<Mutex<Tap>>>) {
 /// to.
 #[test]
 fn writes_inside_one_strip_cross_once_per_window() {
-    let (mut dist, taps) = hand_off_fixture();
+    let mut dist = hand_off_fixture();
     let n = 2 * WINDOW + 5;
     for i in 0..n {
         // Agent 0 paces inside strip 0, far from every other strip.
         let x = 4 + (i % 2) as i32;
         dist.advance(&[(AgentId(0), Point::new(x, 10))]).unwrap();
-        let seen = take_hand_offs(&taps);
+        let seen = dist.take_hand_offs();
         if (i + 1) % WINDOW == 0 {
             assert_eq!(seen[0], vec![vec!["Commit"; WINDOW]]);
         } else {
@@ -265,12 +74,12 @@ fn writes_inside_one_strip_cross_once_per_window() {
     dist.rollback(&[(AgentId(0), Step(1), Point::new(4, 10))])
         .unwrap();
     dist.advance(&[(AgentId(2), Point::new(31, 31))]).unwrap();
-    let seen = take_hand_offs(&taps);
+    let seen = dist.take_hand_offs();
     assert!(seen.iter().all(Vec::is_empty), "{seen:?}");
 
     // A quiesce point hands each lane what it holds, in call order.
-    dist.harvest_telemetry().unwrap();
-    let seen = take_hand_offs(&taps);
+    dist.remote().harvest_telemetry().unwrap();
+    let seen = dist.take_hand_offs();
     let mut rest = vec!["Commit"; n % WINDOW];
     rest.push("Rollback");
     assert_eq!(seen[0], vec![rest]);
@@ -285,20 +94,20 @@ fn writes_inside_one_strip_cross_once_per_window() {
 /// owner's lane like any write.
 #[test]
 fn a_migration_is_one_blocking_round_on_the_departing_lane() {
-    let (mut dist, taps) = hand_off_fixture();
+    let mut dist = hand_off_fixture();
     // Agent 6 moves inside strip 1: queued.
     dist.advance(&[(AgentId(6), Point::new(25, 30))]).unwrap();
     // Agent 2 steps from strip 1 (x < 32) into strip 2.
     dist.advance(&[(AgentId(2), Point::new(32, 30))]).unwrap();
     assert_eq!(dist.shard_of_agent(AgentId(2)), 2);
-    let seen = take_hand_offs(&taps);
+    let seen = dist.take_hand_offs();
     assert_eq!(seen[1], vec![vec!["Commit", "Commit", "Depart"]]);
     assert!(
         seen[0].is_empty() && seen[2].is_empty() && seen[3].is_empty(),
         "{seen:?}"
     );
-    dist.harvest_telemetry().unwrap();
-    let seen = take_hand_offs(&taps);
+    dist.remote().harvest_telemetry().unwrap();
+    let seen = dist.take_hand_offs();
     assert_eq!(seen[2], vec![vec!["Arrive"]]);
     assert!(seen[0].is_empty() && seen[1].is_empty() && seen[3].is_empty());
     dist.check_invariants();
@@ -311,7 +120,7 @@ fn a_migration_is_one_blocking_round_on_the_departing_lane() {
 /// hand-off; `Drop` hands off the rest.
 #[test]
 fn boundary_spans_count_hand_offs_and_messages() {
-    let (mut dist, _) = build_pair(&HAND_OFF_POINTS, RuleParams::new(2, 1), 4);
+    let mut dist = hand_off_fixture();
     let telemetry = Arc::new(Telemetry::new());
     dist.set_telemetry(Arc::clone(&telemetry));
     let start = telemetry.now_us();
@@ -361,30 +170,14 @@ fn boundary_spans_count_hand_offs_and_messages() {
 #[test]
 fn large_batches_relink_like_a_serial_sharded_graph() {
     let params = RuleParams::new(3, 1);
-    let space = Arc::new(GridSpace::new(W, W));
+    let space = Arc::new(GridSpace::new(GRID, GRID));
     let initial: Vec<Point> = (0..96)
-        .map(|i| Point::new((i * 7) % W as i32, (i * 13) % W as i32))
+        .map(|i| Point::new((i * 7) % GRID as i32, (i * 13) % GRID as i32))
         .collect();
-    let map: Arc<dyn ShardMap<Point>> = Arc::new(StripShardMap::new(W, 4));
-    let mut dist = DistTracker::new(
-        Arc::clone(&space),
-        params,
-        &initial,
-        Arc::clone(&map),
-        options(),
-    )
-    .unwrap();
-    let mut sharded = ShardedDepGraph::new_with_options(
-        Arc::clone(&space),
-        params,
-        Arc::new(Db::new()),
-        &initial,
-        Arc::clone(&map),
-        options(),
-    )
-    .unwrap();
+    let mut dist = Entry::new(Spec::new(Layout::Dist(4)), &space, params, &initial);
+    let mut sharded = Entry::new(Spec::new(Layout::Sharded(4)), &space, params, &initial);
     sharded.set_relink_threads(1);
-    sharded.refresh_edges();
+    sharded.local_mut().refresh_edges();
     assert_eq!(dist.snapshot(), sharded.snapshot(), "after construction");
 
     let ahead: Vec<(AgentId, Point)> = (0..96u32)
@@ -409,9 +202,7 @@ fn large_batches_relink_like_a_serial_sharded_graph() {
         "after a rollback batch"
     );
 
-    let dbs: Vec<Arc<Db>> = (0..4).map(|j| Arc::clone(dist.worker_db(j))).collect();
-    let members: Vec<Vec<u32>> = (0..4).map(|j| dist.members(j)).collect();
-    let mut recovered = DistTracker::recover(space, params, dbs, map, options(), &members).unwrap();
+    let mut recovered = dist.recovered(true);
     recovered.check_invariants();
     assert_eq!(recovered.snapshot(), sharded.snapshot(), "after recovery");
 }
@@ -432,7 +223,7 @@ proptest! {
     /// oracle is.
     #[test]
     fn a_link_fault_anywhere_leaves_nothing_behind(
-        points in proptest::collection::vec((0i32..W as i32, 0i32..W as i32), 4..10),
+        points in proptest::collection::vec((0i32..GRID as i32, 0i32..GRID as i32), 4..10),
         shards in 2usize..5,
         steps in proptest::collection::vec(
             (
@@ -444,8 +235,7 @@ proptest! {
         ),
         params in (1u32..4, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
     ) {
-        let (mut dist, mut single) = build_pair(&points, params, shards);
-        let mut taps = tap_all(&mut dist);
+        let (mut dist, mut single) = pair(Layout::Dist(shards), GRID, &points, params);
         // Until a fault destroys the only copy of some history, the
         // stores hold exactly the oracle's records; after, no more.
         let mut history_exact = true;
@@ -465,9 +255,9 @@ proptest! {
             }
             let advances: Vec<(AgentId, Point)> =
                 moves.iter().map(|&(a, _, pos)| (a, pos)).collect();
-            let apply = |dist: &mut DistTracker<GridSpace>| {
+            let apply = |dist: &mut Entry| {
                 if quiesce {
-                    dist.harvest_telemetry().map(drop)
+                    dist.remote().harvest_telemetry().map(drop)
                 } else if roll_back {
                     dist.rollback(&moves)
                 } else {
@@ -491,23 +281,22 @@ proptest! {
                     Call::HandOffDelivered,
                     Call::Receive,
                 ][call as usize];
-                taps[victim].lock().unwrap().fault = Some(Fault { call, countdown });
+                dist.tap(victim).fault = Some(Fault { call, countdown });
                 victim
             });
             let before = dist.snapshot();
             let outcome = apply(&mut dist);
             if let Some(victim) = victim {
-                taps[victim].lock().unwrap().fault = None;
+                dist.tap(victim).fault = None;
             }
 
             if let Err(e) = outcome {
                 let victim = victim.expect("only an injected fault fails a call");
                 prop_assert!(e.to_string().contains("injected"), "{}", e);
                 prop_assert_eq!(dist.snapshot(), before, "a failed call moved the mirror");
-                history_exact &= !taps[victim].lock().unwrap().lost_departure;
+                history_exact &= !dist.tap(victim).lost_departure;
 
-                dist.respawn_worker(victim).expect("respawn from own store");
-                taps[victim] = tap_worker(&mut dist, victim);
+                dist.respawn(victim).expect("respawn from own store");
                 dist.check_invariants();
                 prop_assert_eq!(dist.snapshot(), single.snapshot());
                 if history_exact {
@@ -543,7 +332,7 @@ proptest! {
     /// strips make boundary migrations routine.
     #[test]
     fn dist_tracker_equals_single_shard_under_churn(
-        points in proptest::collection::vec((0i32..W as i32, 0i32..W as i32), 2..10),
+        points in proptest::collection::vec((0i32..GRID as i32, 0i32..GRID as i32), 2..10),
         shards in 1usize..7,
         ops in proptest::collection::vec(
             (any::<u16>(), 0u8..12, -6i32..7, -4i32..5),
@@ -551,26 +340,10 @@ proptest! {
         ),
         params in (1u32..5, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
     ) {
-        let (mut dist, mut single) = build_pair(&points, params, shards);
+        let (mut dist, mut single) = pair(Layout::Dist(shards), GRID, &points, params);
         assert_equivalent(&mut dist, &single);
-
-        for (pick, kind, dx, dy) in ops {
-            let a = AgentId(pick as u32 % dist.len() as u32);
-            let cur = dist.pos(a);
-            let moved = Point::new(cur.x + dx, cur.y + dy);
-            if kind < 8 || dist.step(a) == Step::ZERO {
-                dist.advance(&[(a, moved)]).unwrap();
-                single.advance(&[(a, moved)]).unwrap();
-            } else if kind == 11 {
-                let e1 = dist.evict_history().unwrap();
-                let e2 = single.evict_history().unwrap();
-                prop_assert_eq!(e1, e2, "evicted counts diverged");
-            } else {
-                let lo = dist.min_step().0;
-                let target = Step(lo + pick as u32 % (dist.step(a).0 - lo + 1));
-                dist.rollback(&[(a, target, moved)]).unwrap();
-                single.rollback(&[(a, target, moved)]).unwrap();
-            }
+        for op in ops {
+            apply_both(&mut dist, &mut single, op);
             assert_equivalent(&mut dist, &single);
         }
     }
@@ -580,7 +353,7 @@ proptest! {
     /// handshake — keep the trackers identical.
     #[test]
     fn dist_batch_commits_cross_boundaries_exactly(
-        points in proptest::collection::vec((0i32..W as i32, 0i32..W as i32), 4..12),
+        points in proptest::collection::vec((0i32..GRID as i32, 0i32..GRID as i32), 4..12),
         shards in 2usize..6,
         batches in proptest::collection::vec(
             proptest::collection::vec((any::<u16>(), -5i32..6, -3i32..4), 1..5),
@@ -588,19 +361,9 @@ proptest! {
         ),
         params in (1u32..4, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
     ) {
-        let (mut dist, mut single) = build_pair(&points, params, shards);
+        let (mut dist, mut single) = pair(Layout::Dist(shards), GRID, &points, params);
         for batch in batches {
-            let mut updates: Vec<(AgentId, Point)> = Vec::new();
-            for (pick, dx, dy) in batch {
-                let a = AgentId(pick as u32 % dist.len() as u32);
-                if updates.iter().any(|(x, _)| *x == a) {
-                    continue;
-                }
-                let cur = dist.pos(a);
-                updates.push((a, Point::new(cur.x + dx, cur.y + dy)));
-            }
-            dist.advance(&updates).unwrap();
-            single.advance(&updates).unwrap();
+            commit_both(&mut dist, &mut single, &batch);
             assert_equivalent(&mut dist, &single);
         }
     }
@@ -617,81 +380,38 @@ proptest! {
         params in (1u32..4, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
     ) {
         let narrow: u32 = 8;
-        let space = Arc::new(GridSpace::new(narrow, W));
-        let initial: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let map = Arc::new(StripShardMap::new(narrow, narrow as usize + excess));
-        prop_assert!(map.num_shards() <= narrow as usize);
-        let mut dist = DistTracker::new(
-            Arc::clone(&space),
-            params,
-            &initial,
-            map,
-            options(),
-        )
-        .unwrap();
-        let mut single = DepGraph::new_with_options(
-            space,
-            params,
-            Arc::new(Db::new()),
-            &initial,
-            options(),
-        )
-        .unwrap();
+        let workers = Layout::Dist(narrow as usize + excess);
+        let (mut dist, mut single) = pair(workers, narrow, &points, params);
+        prop_assert!(dist.num_shards() <= narrow as usize);
         for (pick, dx, dy) in ops {
-            let a = AgentId(pick as u32 % dist.len() as u32);
-            let cur = dist.pos(a);
-            let moved = Point::new(cur.x + dx, cur.y + dy);
-            dist.advance(&[(a, moved)]).unwrap();
-            single.advance(&[(a, moved)]).unwrap();
+            apply_both(&mut dist, &mut single, (pick, 0, dx, dy));
             assert_equivalent(&mut dist, &single);
         }
     }
 
     /// Rebuilding a tracker from the per-worker databases and member
-    /// lists ([`DistTracker::recover`]) reproduces the live tracker after
-    /// churn — every worker recovers from its own store alone, including
-    /// agents that migrated (their history moved with them).
+    /// lists reproduces the live tracker after churn — every worker
+    /// recovers from its own store alone, including agents that migrated
+    /// (their history moved with them).
     #[test]
     fn dist_recovery_from_worker_stores(
-        points in proptest::collection::vec((0i32..W as i32, 0i32..W as i32), 2..8),
+        points in proptest::collection::vec((0i32..GRID as i32, 0i32..GRID as i32), 2..8),
         shards in 2usize..6,
         ops in proptest::collection::vec((any::<u16>(), -5i32..6, -3i32..4), 1..25),
         params in (1u32..5, 1u32..3).prop_map(|(r, v)| RuleParams::new(r, v)),
     ) {
-        let space = Arc::new(GridSpace::new(W, W));
+        let space = Arc::new(GridSpace::new(GRID, GRID));
         let initial: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let map = Arc::new(StripShardMap::new(W, shards));
-        let mut live = DistTracker::new(
-            Arc::clone(&space),
-            params,
-            &initial,
-            Arc::clone(&map) as Arc<dyn aim_core::shard::ShardMap<Point>>,
-            options(),
-        )
-        .unwrap();
+        let mut live = Entry::new(Spec::new(Layout::Dist(shards)), &space, params, &initial);
         for (pick, dx, dy) in ops {
             let a = AgentId(pick as u32 % live.len() as u32);
             let cur = live.pos(a);
             live.advance(&[(a, Point::new(cur.x + dx, cur.y + dy))]).unwrap();
         }
-        let dbs: Vec<Arc<Db>> =
-            (0..live.num_shards()).map(|j| Arc::clone(live.worker_db(j))).collect();
-        let members: Vec<Vec<u32>> =
-            (0..live.num_shards()).map(|j| live.members(j)).collect();
-        let mut rebuilt = DistTracker::recover(
-            space,
-            params,
-            dbs,
-            map,
-            options(),
-            &members,
-        )
-        .unwrap();
+        let mut rebuilt = live.recovered(true);
         rebuilt.check_invariants();
         prop_assert_eq!(live.snapshot(), rebuilt.snapshot());
         prop_assert_eq!(live.history_records(), rebuilt.history_records());
-        for j in 0..live.num_shards() {
-            prop_assert_eq!(live.members(j), rebuilt.members(j));
-        }
+        prop_assert_eq!(live.members(), rebuilt.members());
     }
 }

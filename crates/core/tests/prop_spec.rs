@@ -8,19 +8,22 @@
 //! (c) keeps its books straight — every emitted execution is eventually
 //! retired exactly once or reported squashed/poisoned.
 
+mod common;
+
 use std::sync::Arc;
 
 use aim_core::depgraph::{DepGraph, GraphOptions};
 use aim_core::dist::DistTracker;
 use aim_core::policy::DependencyPolicy;
 use aim_core::prelude::*;
-use aim_core::shard::{ShardedDepGraph, StripShardMap};
+use aim_core::shard::ShardedDepGraph;
 use aim_core::space::SpatialIndex;
 use aim_core::spec::{SpecParams, SpecScheduler, SpecStats};
 use aim_core::workload::CallSpec;
 use aim_llm::{presets, CallKind, ServerConfig, SimServer};
 use aim_store::{Db, StoreError};
 use bytes::{Bytes, BytesMut};
+use common::Fnv;
 use proptest::prelude::*;
 
 /// Deterministic per-(agent, step) hash — the replay-mode contract.
@@ -156,7 +159,12 @@ struct Schedule {
 
 /// The single-shard tracker [`SpecScheduler::new`] mounts.
 fn flat<S: Space>(space: Arc<S>, initial: &[S::Pos]) -> DepGraph<S> {
-    DepGraph::new(space, RuleParams::genagent(), Arc::new(Db::new()), initial).unwrap()
+    common::depgraph(
+        space,
+        RuleParams::genagent(),
+        initial,
+        GraphOptions::default(),
+    )
 }
 
 /// A [`DepGraph`] that forwards every [`DepTracker`] method except
@@ -217,26 +225,23 @@ fn ball<S: Space>(space: Arc<S>, initial: &[S::Pos]) -> BallClearance<S> {
 
 /// A sharded tracker over four 16-unit strips of the 64-wide map.
 fn striped(space: Arc<GridSpace>, initial: &[Point]) -> ShardedDepGraph<GridSpace> {
-    let strips = Arc::new(StripShardMap::new(64, 4));
-    ShardedDepGraph::new(
+    common::sharded(
         space,
         RuleParams::genagent(),
-        Arc::new(Db::new()),
         initial,
-        strips,
+        4,
+        GraphOptions::default(),
     )
-    .unwrap()
 }
 
 /// A distributed tracker over the same four strips: one channel worker
 /// per strip, with history on so every squash rewrites worker stores.
 fn distributed(space: Arc<GridSpace>, initial: &[Point]) -> DistTracker<GridSpace> {
-    let strips = Arc::new(StripShardMap::new(64, 4));
     let options = GraphOptions {
         history: true,
         ..GraphOptions::default()
     };
-    DistTracker::new(space, RuleParams::genagent(), initial, strips, options).unwrap()
+    common::distributed(space, RuleParams::genagent(), initial, 4, options)
 }
 
 /// Drives a speculative scheduler over `w` in `space`, on the tracker
@@ -307,23 +312,12 @@ fn adversarial_run<S: Space<Pos = Point>, G: DepTracker<S>>(
     run
 }
 
-/// FNV-1a, fed little-endian integers.
-struct Fnv(u64);
-
-impl Fnv {
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 impl Schedule {
     /// The whole run on one line: one digest of the emitted, squashed
     /// and validity-after-commit sequences and the final positions (each
     /// sequence length-prefixed), then the stats in the clear.
     fn fingerprint(&self) -> String {
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv::new();
         h.u64(self.emitted.len() as u64);
         for (step, members) in &self.emitted {
             h.u64(step.0.into());

@@ -11,14 +11,15 @@
 //! fails to land refuses only the call that triggered it, keeping every
 //! earlier call's writes queued until the store is repaired.
 
-use std::ops::ControlFlow;
+mod common;
+
 use std::sync::Arc;
 
-use aim_core::depgraph::{DepGraph, EdgeMode, GraphOptions, GraphSnapshot};
+use aim_core::depgraph::GraphSnapshot;
 use aim_core::dist::WINDOW;
 use aim_core::prelude::*;
-use aim_core::shard::{ShardMap, ShardedDepGraph, StripShardMap};
-use aim_store::Db;
+use aim_store::{Db, StoreError};
+use common::{clamp, records, Entry, Layout, Lcg, Spec};
 
 const W: u32 = 48;
 const AGENTS: u32 = 12;
@@ -27,94 +28,45 @@ fn space() -> Arc<GridSpace> {
     Arc::new(GridSpace::new(W, W))
 }
 
-fn options(history: bool) -> GraphOptions {
-    GraphOptions {
-        edges: EdgeMode::Maintained,
-        history,
-    }
+fn params() -> RuleParams {
+    RuleParams::new(3, 1)
 }
 
-fn initial() -> Vec<Point> {
-    (0..AGENTS as i32)
+/// A tracker under test, one shard or four strips, and the handle to
+/// its store the test reads: it sees only what has landed.
+fn graph(sharded: bool, history: bool) -> (Entry, Arc<Db>) {
+    let layout = if sharded {
+        Layout::Sharded(4)
+    } else {
+        Layout::DepGraph
+    };
+    let spec = Spec::new(layout).with_history(history);
+    let initial: Vec<Point> = (0..AGENTS as i32)
         .map(|i| Point::new(i * 4 % W as i32, i * 7 % W as i32))
-        .collect()
+        .collect();
+    let g = Entry::new(spec, &space(), params(), &initial);
+    // Nothing is queued yet, so this settles nothing.
+    let db = g.stores().remove(0);
+    (g, db)
 }
 
-fn clamp(p: Point) -> Point {
-    let max = W as i32 - 1;
-    Point::new(p.x.clamp(0, max), p.y.clamp(0, max))
-}
-
-/// A tracker under test: one shard, or four strips.
-enum Graph {
-    Single(DepGraph<GridSpace>),
-    Sharded(ShardedDepGraph<GridSpace>),
-}
-
-impl Graph {
-    fn new(sharded: bool, history: bool, db: &Arc<Db>) -> Self {
-        let (space, params, db) = (space(), RuleParams::new(3, 1), Arc::clone(db));
-        let options = options(history);
-        if sharded {
-            let map: Arc<dyn ShardMap<Point>> = Arc::new(StripShardMap::new(W, 4));
-            let g = ShardedDepGraph::new_with_options(space, params, db, &initial(), map, options);
-            Graph::Sharded(g.expect("initial population"))
-        } else {
-            let g = DepGraph::new_with_options(space, params, db, &initial(), options);
-            Graph::Single(g.expect("initial population"))
-        }
-    }
-
-    /// The tracker, through its own `DepTracker` impl.
-    fn tracker(&mut self) -> &mut dyn DepTracker<GridSpace> {
-        match self {
-            Graph::Single(g) => g,
-            Graph::Sharded(g) => g,
-        }
-    }
-
-    /// The graph's inherent readers.
-    fn graph(&self) -> &DepGraph<GridSpace> {
-        match self {
-            Graph::Single(g) => g,
-            Graph::Sharded(g) => g,
-        }
-    }
-
-    /// Advances `agents` one step, each a unit along a diagonal.
-    fn advance(&mut self, agents: &[u32]) -> Result<(), aim_store::StoreError> {
-        let t = self.tracker();
-        let updates: Vec<(AgentId, Point)> = (agents.iter())
-            .map(|&a| {
-                let p = t.pos(AgentId(a));
-                (AgentId(a), clamp(Point::new(p.x + 1, p.y + 1)))
-            })
-            .collect();
-        t.advance(&updates)
-    }
-}
-
-/// Every `(key, value)` of `db`, in key order.
-fn records(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let mut out = Vec::new();
-    db.for_each_prefix(b"", |k, v| {
-        out.push((k.to_vec(), v.to_vec()));
-        ControlFlow::Continue(())
-    });
-    out
+/// Advances `agents` of `g` one step, each a unit along a diagonal.
+fn advance(g: &mut Entry, agents: &[u32]) -> Result<(), StoreError> {
+    let grid = space();
+    let updates: Vec<(AgentId, Point)> = (agents.iter())
+        .map(|&a| {
+            let p = g.pos(AgentId(a));
+            (AgentId(a), clamp(&grid, Point::new(p.x + 1, p.y + 1)))
+        })
+        .collect();
+    g.advance(&updates)
 }
 
 /// The graph `db` holds, rebuilt from its records alone.
 fn recovered(db: &Arc<Db>, history: bool) -> GraphSnapshot {
-    let g = DepGraph::recover_with_options(
-        space(),
-        RuleParams::new(3, 1),
-        Arc::clone(db),
-        AGENTS as usize,
-        options(history),
-    )
-    .expect("records recover");
-    g.snapshot()
+    let spec = Spec::new(Layout::DepGraph).with_history(history);
+    let stores = vec![Arc::clone(db)];
+    Entry::from_stores(spec, &space(), params(), AGENTS as usize, stores).snapshot()
 }
 
 fn commits(db: &Db) -> i64 {
@@ -132,25 +84,24 @@ fn a_full_window_lands_as_one_batch() {
     for sharded in [false, true] {
         for history in [false, true] {
             let case = format!("sharded={sharded} history={history}");
-            let db = Arc::new(Db::new());
-            let mut g = Graph::new(sharded, history, &db);
+            let (mut g, db) = graph(sharded, history);
             let (landed, txns) = (records(&db), db.stats().txn_commits);
             for k in 0..WINDOW as u32 - 1 {
-                g.advance(&cluster(k)).unwrap();
+                advance(&mut g, &cluster(k)).unwrap();
             }
             assert_eq!(records(&db), landed, "{case}: a partial window is queued");
             assert_eq!(db.stats().txn_commits, txns, "{case}");
-            g.advance(&cluster(WINDOW as u32)).unwrap();
+            advance(&mut g, &cluster(WINDOW as u32)).unwrap();
             assert_eq!(
                 db.stats().txn_commits,
                 txns + 1,
                 "{case}: {WINDOW} advances are one batch"
             );
-            assert_eq!(recovered(&db, history), g.graph().snapshot(), "{case}");
+            assert_eq!(recovered(&db, history), g.snapshot(), "{case}");
             assert_eq!(commits(&db), WINDOW as i64, "{case}");
             let full = records(&db);
             assert_eq!(
-                records(g.graph().db()),
+                records(g.local().db()),
                 full,
                 "{case}: nothing was left queued"
             );
@@ -161,23 +112,23 @@ fn a_full_window_lands_as_one_batch() {
 
 #[test]
 fn a_partial_window_lands_at_every_quiesce_point() {
-    type Quiesce = fn(&mut Option<Graph>);
+    type Quiesce = fn(&mut Option<Entry>);
     let points: [(&str, Quiesce); 6] = [
         ("db", |g| {
-            g.as_ref().unwrap().graph().db();
+            g.as_ref().unwrap().local().db();
         }),
         ("commits", |g| {
-            g.as_ref().unwrap().graph().commits();
+            g.as_ref().unwrap().local().commits();
         }),
         ("history_records", |g| {
-            g.as_ref().unwrap().graph().history_records();
+            g.as_ref().unwrap().local().history_records();
         }),
         ("history_at", |g| {
-            let g = g.as_ref().unwrap().graph();
+            let g = g.as_ref().unwrap().local();
             g.history_at(AgentId(0), Step(1)).unwrap();
         }),
         ("evict_history", |g| {
-            let evicted = g.as_mut().unwrap().tracker().evict_history().unwrap();
+            let evicted = g.as_mut().unwrap().evict_history().unwrap();
             assert!(evicted > 0, "the churn raises the minimum step");
         }),
         ("drop", |g| drop(g.take())),
@@ -185,17 +136,17 @@ fn a_partial_window_lands_at_every_quiesce_point() {
     for (name, quiesce) in points {
         for sharded in [false, true] {
             let case = format!("{name}, sharded={sharded}");
-            let db = Arc::new(Db::new());
-            let mut g = Some(Graph::new(sharded, true, &db));
+            let (g, db) = graph(sharded, true);
+            let mut g = Some(g);
             let (landed, txns) = (records(&db), db.stats().txn_commits);
             let all: Vec<u32> = (0..AGENTS).collect();
             for k in 0..5 {
                 let live = g.as_mut().unwrap();
-                live.advance(&all).unwrap();
-                live.advance(&cluster(k)).unwrap();
+                advance(live, &all).unwrap();
+                advance(live, &cluster(k)).unwrap();
             }
             assert_eq!(records(&db), landed, "{case}: queued, not yet landed");
-            let mirror = g.as_ref().unwrap().graph().snapshot();
+            let mirror = g.as_ref().unwrap().snapshot();
             quiesce(&mut g);
             assert_eq!(db.stats().txn_commits, txns + 1, "{case}: one batch");
             assert_eq!(recovered(&db, true), mirror, "{case}");
@@ -204,57 +155,43 @@ fn a_partial_window_lands_at_every_quiesce_point() {
     }
 }
 
-/// A small deterministic generator.
-struct Lcg(u64);
-
-impl Lcg {
-    fn below(&mut self, n: u32) -> u32 {
-        self.0 = (self.0)
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((self.0 >> 33) % u64::from(n)) as u32
-    }
-}
-
 /// Runs the churn of `seed` — batch advances and multi-step batch
 /// rollbacks, more than three windows of them — reading `g.db()` after
 /// every call when `each`, else only at the end; the records it leaves.
 fn churn(seed: u64, sharded: bool, history: bool, each: bool) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let db = Arc::new(Db::new());
-    let mut g = Graph::new(sharded, history, &db);
-    let mut rng = Lcg(seed);
+    let (mut g, db) = graph(sharded, history);
+    let (grid, mut rng) = (space(), Lcg(seed));
     for _ in 0..3 * WINDOW + 7 {
         let mut agents: Vec<u32> = (0..AGENTS).collect();
         for i in (1..agents.len()).rev() {
             agents.swap(i, rng.below(i as u32 + 1) as usize);
         }
         agents.truncate(1 + rng.below(5) as usize);
-        let t = g.tracker();
         if rng.below(4) == 0 {
             let updates: Vec<(AgentId, Step, Point)> = (agents.iter())
                 .map(|&a| {
-                    let (a, p) = (AgentId(a), t.pos(AgentId(a)));
-                    let back = rng.below(t.step(a).0.min(3) + 1);
+                    let (a, p) = (AgentId(a), g.pos(AgentId(a)));
+                    let back = rng.below(g.step(a).0.min(3) + 1);
                     let moved = Point::new(p.x + rng.below(5) as i32 - 2, p.y - 1);
-                    (a, Step(t.step(a).0 - back), clamp(moved))
+                    (a, Step(g.step(a).0 - back), clamp(&grid, moved))
                 })
                 .collect();
-            t.rollback(&updates).unwrap();
+            g.rollback(&updates).unwrap();
         } else {
             let updates: Vec<(AgentId, Point)> = (agents.iter())
                 .map(|&a| {
-                    let p = t.pos(AgentId(a));
+                    let p = g.pos(AgentId(a));
                     let moved = Point::new(p.x + rng.below(3) as i32 - 1, p.y + 1);
-                    (AgentId(a), clamp(moved))
+                    (AgentId(a), clamp(&grid, moved))
                 })
                 .collect();
-            t.advance(&updates).unwrap();
+            g.advance(&updates).unwrap();
         }
         if each {
-            g.graph().db();
+            g.local().db();
         }
     }
-    assert_eq!(recovered(g.graph().db(), history), g.graph().snapshot());
+    assert_eq!(recovered(g.local().db(), history), g.snapshot());
     records(&db)
 }
 
@@ -280,33 +217,35 @@ fn a_churn_read_at_its_end_leaves_the_records_of_one_read_after_every_call() {
 fn a_window_that_fails_to_land_refuses_only_its_trigger() {
     for sharded in [false, true] {
         let case = format!("sharded={sharded}");
-        let db = Arc::new(Db::new());
-        let mut g = Graph::new(sharded, false, &db);
+        let (mut g, db) = graph(sharded, false);
         for k in 0..3 {
-            g.advance(&cluster(k)).unwrap();
+            advance(&mut g, &cluster(k)).unwrap();
         }
         db.set("dep:commits", b"not an integer".to_vec());
         let broken = records(&db);
         for k in 3..WINDOW as u32 - 1 {
-            g.advance(&cluster(k)).unwrap();
+            advance(&mut g, &cluster(k)).unwrap();
         }
-        let mirror = g.graph().snapshot();
+        let mirror = g.snapshot();
         for _ in 0..2 {
-            assert!(g.advance(&cluster(0)).is_err(), "{case}: the window fails");
-            assert_eq!(g.graph().snapshot(), mirror, "{case}: nothing moved");
+            assert!(
+                advance(&mut g, &cluster(0)).is_err(),
+                "{case}: the window fails"
+            );
+            assert_eq!(g.snapshot(), mirror, "{case}: nothing moved");
         }
-        g.graph().db();
+        g.local().db();
         assert_eq!(records(&db), broken, "{case}: nothing landed");
 
         db.set_i64("dep:commits", 100);
-        g.graph().db();
+        g.local().db();
         assert_eq!(
             recovered(&db, false),
             mirror,
             "{case}: every Ok call landed"
         );
         assert_eq!(commits(&db), 100 + WINDOW as i64 - 1, "{case}");
-        g.advance(&cluster(0)).unwrap();
-        assert_eq!(recovered(g.graph().db(), false), g.graph().snapshot());
+        advance(&mut g, &cluster(0)).unwrap();
+        assert_eq!(recovered(g.local().db(), false), g.snapshot());
     }
 }
