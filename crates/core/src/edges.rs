@@ -25,9 +25,10 @@
 //! The mirror's parts are each written once here:
 //!
 //! * a [`Partition`]: which shard owns each agent, every shard's
-//!   `(step, agent)` set (its step bounds) and optional spatial index,
-//!   and the one step-bound prune test ([`Partition::reach`]) deciding
-//!   which shards can hold a rule neighbour of an agent at all;
+//!   histogram of members per step (its step bounds) and optional
+//!   spatial index, and the one step-bound prune test
+//!   ([`Partition::reach`]) deciding which shards can hold a rule
+//!   neighbour of an agent at all;
 //! * [`edges_of`]: the pair classification — every candidate re-checked
 //!   with [`Space::within_units`], each edge emitted as a [`WireEdge`] —
 //!   which each `ShardWorker` also answers the invariant check's relink
@@ -41,7 +42,6 @@
 //! edge-for-edge identical by construction.
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -54,6 +54,7 @@ use crate::ids::{AgentId, Step};
 use crate::rules::{self, RuleParams};
 use crate::shard::ShardMap;
 use crate::space::{Space, SpatialIndex};
+use crate::step_counts::StepCounts;
 use crate::telemetry::{Counter, SpanKind, Telemetry};
 
 /// One agent's committed state.
@@ -81,22 +82,17 @@ impl<P> ShardMap<P> for Whole {
     }
 }
 
-/// One shard's members: the `(step, agent)` set its step bounds come
-/// from, and a spatial index over them when the partition keeps one.
+/// One shard's members: how many stand at each step, which its step
+/// bounds come from, and a spatial index over them when the partition
+/// keeps one.
 struct Part<P> {
-    steps: BTreeSet<(u32, u32)>,
+    steps: StepCounts,
     index: Option<Box<dyn SpatialIndex<P>>>,
 }
 
-impl<P> Part<P> {
-    fn bounds(&self) -> Option<(u32, u32)> {
-        Some((self.steps.first()?.0, self.steps.last()?.0))
-    }
-}
-
 /// Agents partitioned over the shards of a [`ShardMap`]: ownership
-/// follows each member's committed position, and every shard keeps its
-/// members ordered by step and — when built with one — indexed in space.
+/// follows each member's committed position, and every shard counts its
+/// members per step and — when built with one — indexes them in space.
 pub(crate) struct Partition<P> {
     map: Arc<dyn ShardMap<P>>,
     /// Owning shard per agent id; `u32::MAX` for an id that is not a
@@ -114,7 +110,7 @@ impl<P: Copy> Partition<P> {
     ) -> Self {
         let parts = (0..map.num_shards())
             .map(|_| Part {
-                steps: BTreeSet::new(),
+                steps: StepCounts::default(),
                 index: index(),
             })
             .collect();
@@ -142,9 +138,15 @@ impl<P: Copy> Partition<P> {
 
     /// Member ids of shard `j`, ascending.
     pub(crate) fn members(&self, j: usize) -> Vec<u32> {
-        let mut out: Vec<u32> = self.parts[j].steps.iter().map(|&(_, a)| a).collect();
-        out.sort_unstable();
+        let mut out = Vec::new();
+        self.members_into(j, &mut out);
         out
+    }
+
+    /// Appends the member ids of shard `j`, ascending.
+    fn members_into(&self, j: usize, out: &mut Vec<u32>) {
+        let owned = (self.owner.iter().enumerate()).filter(|&(_, &o)| o as usize == j);
+        out.extend(owned.map(|(a, _)| a as u32));
     }
 
     /// Adds `a` at `(step, pos)` to the shard the map places `pos` in.
@@ -155,7 +157,7 @@ impl<P: Copy> Partition<P> {
         }
         self.owner[a as usize] = j as u32;
         let part = &mut self.parts[j];
-        part.steps.insert((step, a));
+        part.steps.add(step);
         if let Some(idx) = part.index.as_mut() {
             idx.insert(a, pos);
         }
@@ -164,7 +166,7 @@ impl<P: Copy> Partition<P> {
     /// Removes member `a`, which stands at `(step, pos)`.
     pub(crate) fn remove(&mut self, a: u32, step: u32, pos: P) {
         let part = &mut self.parts[self.owner[a as usize] as usize];
-        part.steps.remove(&(step, a));
+        part.steps.remove(step);
         if let Some(idx) = part.index.as_mut() {
             idx.remove(a, pos);
         }
@@ -182,9 +184,8 @@ impl<P: Copy> Partition<P> {
             return true;
         }
         let part = &mut self.parts[j];
-        let moved = part.steps.remove(&(from.0, a));
-        debug_assert!(moved, "agent {a} missing from shard {j}");
-        part.steps.insert((to.0, a));
+        part.steps.remove(from.0);
+        part.steps.add(to.0);
         if let Some(idx) = part.index.as_mut() {
             idx.update(a, from.1, to.1);
         }
@@ -193,14 +194,14 @@ impl<P: Copy> Partition<P> {
 
     /// The lowest step of any member ([`Step::ZERO`] without members).
     pub(crate) fn min_step(&self) -> Step {
-        let lows = self.parts.iter().filter_map(|p| p.steps.first());
-        Step(lows.map(|&(s, _)| s).min().unwrap_or(0))
+        let lows = self.parts.iter().filter_map(|p| p.steps.bounds());
+        Step(lows.map(|(lo, _)| lo).min().unwrap_or(0))
     }
 
     /// The highest step of any member ([`Step::ZERO`] without members).
     pub(crate) fn max_step(&self) -> Step {
-        let highs = self.parts.iter().filter_map(|p| p.steps.last());
-        Step(highs.map(|&(s, _)| s).max().unwrap_or(0))
+        let highs = self.parts.iter().filter_map(|p| p.steps.bounds());
+        Step(highs.map(|(_, hi)| hi).max().unwrap_or(0))
     }
 
     /// The prune test: the radius at which shard `j` must be asked for
@@ -214,7 +215,7 @@ impl<P: Copy> Partition<P> {
     /// above an upper bound proves that no rule edge exists. With one
     /// shard the bounds are global and nothing is pruned.
     pub(crate) fn reach(&self, j: usize, step: u32, pos: P, params: RuleParams) -> Option<u64> {
-        let (lo, hi) = self.parts[j].bounds()?;
+        let (lo, hi) = self.parts[j].steps.bounds()?;
         let units = params.blocking_units(step.abs_diff(lo).max(step.abs_diff(hi)));
         (self.map.min_distance(pos, j) <= units).then_some(units)
     }
@@ -243,10 +244,9 @@ impl<P: Copy> Partition<P> {
     /// Shard `j`'s members within `units` of `center`, plus possibly
     /// some farther: its index's answer, or all of them.
     fn query(&self, j: usize, center: P, units: u64, out: &mut Vec<u32>) {
-        let part = &self.parts[j];
-        match part.index.as_ref() {
+        match self.parts[j].index.as_ref() {
             Some(idx) => idx.query(center, units, out),
-            None => out.extend(part.steps.iter().map(|&(_, a)| a)),
+            None => self.members_into(j, out),
         }
     }
 
@@ -270,23 +270,29 @@ impl<P: Copy> Partition<P> {
     }
 
     /// Panics unless the partition matches `nodes`: every agent a member
-    /// of exactly one shard, the one the map places it in, at its step.
+    /// of exactly one shard, the one the map places it in, and every
+    /// shard's step histogram the one its members' steps rebuild.
     pub(crate) fn check(&self, nodes: &[Node<P>]) {
-        let mut total = 0;
-        for (j, part) in self.parts.iter().enumerate() {
-            total += part.steps.len();
-            for &(s, a) in &part.steps {
-                let node = nodes[a as usize];
-                assert_eq!(self.owner(a), j, "ownership drift");
-                assert_eq!(node.step.0, s, "stale shard step bound");
-                assert_eq!(
-                    self.map.shard_of(node.pos),
-                    j,
-                    "agent {a} owned by the wrong shard"
-                );
-            }
+        let shards = self.parts.len();
+        let mut rebuilt = vec![StepCounts::default(); shards];
+        for (a, node) in nodes.iter().enumerate() {
+            let j = self.owner.get(a).map_or(shards, |&j| j as usize);
+            assert!(j < shards, "agent {a} is no shard's member");
+            assert_eq!(
+                self.map.shard_of(node.pos),
+                j,
+                "agent {a} owned by the wrong shard"
+            );
+            rebuilt[j].add(node.step.0);
         }
-        assert_eq!(total, nodes.len(), "shard membership must partition agents");
+        let strays = self.owner.get(nodes.len()..).unwrap_or_default();
+        assert!(
+            strays.iter().all(|&j| j == u32::MAX),
+            "shard membership must partition agents"
+        );
+        for (j, (part, want)) in self.parts.iter().zip(&rebuilt).enumerate() {
+            assert_eq!(&part.steps, want, "stale step histogram in shard {j}");
+        }
     }
 }
 
@@ -830,7 +836,7 @@ impl<S: Space, K: Sink<S>> Tracker<S, K> {
 /// queries from the maintained adjacency in O(degree) without allocating
 /// (they panic in [`crate::depgraph::EdgeMode::Off`]), and
 /// `max_step() - min_step()`, the current step skew, from the step
-/// bounds in O(shards · log n).
+/// bounds in O(shards).
 impl<S: Space, K: Sink<S>> DepTracker<S> for Tracker<S, K> {
     fn len(&self) -> usize {
         self.mirror.len()

@@ -107,6 +107,7 @@ pub mod scheduler;
 pub mod shard;
 pub mod space;
 pub mod spec;
+mod step_counts;
 pub mod telemetry;
 pub mod workload;
 

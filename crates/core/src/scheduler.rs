@@ -660,7 +660,7 @@ impl<S: Space, G: DepTracker<S>> Scheduler<S, G> {
     }
 
     /// Current step skew: max step − min step over all agents, read from
-    /// the graph's step index in O(log n).
+    /// the graph's per-shard step histograms in O(shards).
     pub fn current_skew(&self) -> u32 {
         self.core.current_skew()
     }

@@ -13,8 +13,8 @@
 //! migrates across a boundary). Each shard owns:
 //!
 //! * a spatial index over exactly the agents it owns, and
-//! * a `(step, agent)` ordered set of its members, giving per-shard
-//!   `min`/`max` step bounds.
+//! * a histogram of its members per step, giving per-shard `min`/`max`
+//!   step bounds in O(1).
 //!
 //! A relink query for agent `a` then visits shard `j` only if `j`'s
 //! region is within `blocking_units(gap_j)` of `a`, where `gap_j` is the

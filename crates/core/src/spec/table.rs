@@ -22,11 +22,12 @@
 //!   front (oldest) entry, the deepest state a squash could rewind it
 //!   to, so every holder is indexed once.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::ids::{AgentId, Step};
 use crate::space::{query_or_all, IdMap, SpatialIndex};
+use crate::step_counts::StepCounts;
 
 /// One speculatively executed (unretired) agent-step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,9 +87,9 @@ pub struct EntryTable<P> {
     /// Every holder's front entry as `(agent id, start_pos)`; `None`
     /// alongside `index`.
     fronts: Option<Box<dyn SpatialIndex<P>>>,
-    /// Live entries per step. Its first key bounds how far back any
+    /// Live entries per step. Its lowest step bounds how far back any
     /// agent could still roll, hence how wide a clearance query must be.
-    per_step: BTreeMap<u32, u32>,
+    per_step: StepCounts,
     live: usize,
 }
 
@@ -118,7 +119,7 @@ impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
             observers: IdMap::default(),
             index,
             fronts,
-            per_step: BTreeMap::new(),
+            per_step: StepCounts::default(),
             live: 0,
         }
     }
@@ -160,7 +161,7 @@ impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
 
     /// The lowest step any live entry is at.
     pub fn min_live_step(&self) -> Option<Step> {
-        self.per_step.keys().next().map(|s| Step(*s))
+        self.per_step.bounds().map(|(lo, _)| Step(lo))
     }
 
     /// Appends to `out` the id of every agent that may hold a live entry
@@ -205,7 +206,7 @@ impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
         if let Some(idx) = self.index.as_mut() {
             idx.insert(entry.agent.0, entry.start_pos);
         }
-        *self.per_step.entry(entry.step.0).or_default() += 1;
+        self.per_step.add(entry.step.0);
         self.live += 1;
     }
 
@@ -213,14 +214,7 @@ impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
         if let Some(idx) = self.index.as_mut() {
             idx.remove(entry.agent.0, entry.start_pos);
         }
-        let count = self
-            .per_step
-            .get_mut(&entry.step.0)
-            .expect("every live entry is counted");
-        *count -= 1;
-        if *count == 0 {
-            self.per_step.remove(&entry.step.0);
-        }
+        self.per_step.remove(entry.step.0);
         self.live -= 1;
     }
 

@@ -330,7 +330,7 @@ fn fleet_call_allocs(calls: usize) -> u64 {
 
 #[test]
 fn cluster_commit_stays_within_its_allocation_budget() {
-    for (size, budget) in [(1u32, 1.4f64), (4, 1.6)] {
+    for (size, budget) in [(1u32, 1.0f64), (4, 1.0)] {
         let mut walk = Walk::new();
         walk.run(size, WARM_UP);
         let per_commit = walk.run(size, MEASURED) as f64 / MEASURED as f64;
