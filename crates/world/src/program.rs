@@ -137,7 +137,7 @@ mod tests {
     use aim_store::Db;
     use std::sync::Arc;
 
-    fn run_live(policy: DependencyPolicy, steps: u32) -> (Village, u64) {
+    fn run_live(policy: DependencyPolicy, steps: u32) -> Village {
         let village = Village::generate(&VillageConfig {
             villes: 1,
             agents_per_ville: 10,
@@ -164,38 +164,17 @@ mod tests {
         .unwrap();
         assert!(sched.is_done());
         assert!(sched.graph().validate().is_ok());
-        let calls = program.calls_made();
-        (
-            Arc::try_unwrap(program).expect("sole owner").into_village(),
-            calls,
-        )
+        Arc::try_unwrap(program).expect("sole owner").into_village()
     }
 
     #[test]
     fn live_village_runs_under_metropolis() {
         // A morning window: agents asleep → no calls, but world advances.
-        let (v, _calls) = run_live(DependencyPolicy::Spatiotemporal, 20);
+        let v = run_live(DependencyPolicy::Spatiotemporal, 20);
         assert_eq!(
             v.events().len(),
             0,
             "asleep at midnight: no events in 20 steps"
         );
-    }
-
-    #[test]
-    fn live_ooo_matches_lockstep_outcome() {
-        // The paper's correctness claim: OOO execution does not change the
-        // simulation outcome. Run the same village lock-step and under the
-        // spatiotemporal policy and compare final world state.
-        let steps = 60;
-        let (ooo, ooo_calls) = run_live(DependencyPolicy::Spatiotemporal, steps);
-        let (sync, sync_calls) = run_live(DependencyPolicy::GlobalSync, steps);
-        assert_eq!(
-            ooo.positions(),
-            sync.positions(),
-            "final positions must match"
-        );
-        assert_eq!(ooo.events(), sync.events(), "world event logs must match");
-        assert_eq!(ooo_calls, sync_calls, "same calls issued");
     }
 }

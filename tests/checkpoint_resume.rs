@@ -13,128 +13,60 @@
 //!   where the trace says — the same positions oracle the equivalence
 //!   suite uses.
 
+mod common;
+
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use ai_metropolis::core::checkpoint::{self, SECTION_WORLD};
-use ai_metropolis::core::exec::threaded::run_threaded_with_checkpoints;
-use ai_metropolis::llm::InstantBackend;
+use ai_metropolis::core::checkpoint;
 use ai_metropolis::prelude::*;
-use ai_metropolis::store::{Checkpointer, Db, Snapshot};
-use ai_metropolis::world::program::VillageProgram;
-use ai_metropolis::world::{clock_to_step, Village};
-
-fn assert_worlds_equal(a: &Village, b: &Village) {
-    assert_eq!(a.positions(), b.positions(), "final positions diverged");
-    assert_eq!(a.events(), b.events(), "world event logs diverged");
-    for agent in 0..a.num_agents() as u32 {
-        assert_eq!(
-            a.conversation_cooldown(agent),
-            b.conversation_cooldown(agent),
-            "agent {agent} conversation state diverged"
-        );
-    }
-}
+use ai_metropolis::store::{Checkpointer, Snapshot};
+use ai_metropolis::world::clock_to_step;
+use common::{assert_worlds_equal, live_hooked, replay_until, resume, Run, World};
 
 /// Runs the checkpointed oracle to completion, then resumes from its last
 /// mid-run snapshot and checks the resumed world equals the oracle's.
 fn interrupt_and_resume(policy: DependencyPolicy, tag: &str) {
-    let start = clock_to_step(12, 0);
     let steps = 60u32;
     let every = 20u32;
-    let seed = 9;
-    let agents = 15;
     let workers = 4;
+    let world = World::smallville(9, 15, clock_to_step(12, 0));
+    let start = world.start;
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("ckpt-resume-{tag}"));
     std::fs::remove_dir_all(&dir).ok();
 
     // --- Uninterrupted oracle run, checkpointing as it goes -------------
-    let mut village = Village::generate(&VillageConfig {
-        villes: 1,
-        agents_per_ville: agents,
-        seed,
-    });
-    village.run_lockstep(0, start, |_, _, _, _| {});
-    let program = Arc::new(VillageProgram::with_step_offset(village, start));
-    let initial = program.initial_positions();
-    let mut sched = Scheduler::new_with_history(
-        Arc::new(GridSpace::new(100, 140)),
-        RuleParams::genagent(),
-        policy.clone(),
-        Arc::new(Db::new()),
-        &initial,
-        Step(steps),
-        true,
-    )
-    .expect("scheduler");
     let mut ckpt = Checkpointer::new(&dir, every, 2);
     let mut evicted_total = 0u64;
-    {
-        let program = Arc::clone(&program);
-        let mut hook_fn = |sched: &mut Scheduler<GridSpace>| -> Result<(), EngineError> {
+    let run = Run::new(policy, steps, workers);
+    let oracle = live_hooked(
+        world,
+        &run,
+        every,
+        |sched: &mut Scheduler<GridSpace>, program| {
             evicted_total += sched.evict_history()?;
             let world = program.capture_state();
             let committed = sched.graph().min_step().0;
             let builder = checkpoint::snapshot_run(sched, start, Some(world));
             ckpt.write(committed, &builder)?;
             Ok(())
-        };
-        run_threaded_with_checkpoints(
-            &mut sched,
-            Arc::clone(&program),
-            Arc::new(InstantBackend::new()),
-            ThreadedConfig {
-                workers,
-                priority_enabled: true,
-            },
-            Some(CheckpointHook {
-                every_steps: every,
-                f: &mut hook_fn,
-            }),
-        )
-        .expect("checkpointed run");
-    }
-    assert!(sched.is_done());
-    assert!(sched.graph().validate().is_ok());
+        },
+    );
     assert!(
         ckpt.written() >= 2,
         "expected mid-run checkpoints at steps 20 and 40"
     );
-    let snap_path = ckpt.last_path().expect("checkpoint written").to_path_buf();
-    let oracle = Arc::try_unwrap(program)
-        .expect("workers joined")
-        .into_village();
 
     // --- Resume from the last mid-run snapshot --------------------------
-    let snap = Snapshot::load(&snap_path).expect("snapshot loads");
-    // Policy deliberately omitted: the snapshot records it, and the
-    // recorded tag must drive the resumed scheduler's semantics.
-    let (meta, mut resumed_sched) = checkpoint::resume(&snap, None, None).expect("resume");
+    let snap_path = ckpt.last_path().expect("checkpoint written");
+    let snap = Snapshot::load(snap_path).expect("snapshot loads");
+    let (meta, resumed) = resume(&snap, workers);
     assert!(meta.min_step < steps, "snapshot must be mid-run");
     assert_eq!(meta.step_offset, start);
     assert!(meta.history);
-    let world_bytes = snap.section(SECTION_WORLD).expect("world section");
-    let village = Village::restore(world_bytes).expect("village restores");
-    let program = Arc::new(VillageProgram::with_step_offset(village, meta.step_offset));
-    run_threaded(
-        &mut resumed_sched,
-        Arc::clone(&program),
-        Arc::new(InstantBackend::new()),
-        ThreadedConfig {
-            workers,
-            priority_enabled: true,
-        },
-    )
-    .expect("resumed run");
-    assert!(resumed_sched.is_done());
-    assert!(resumed_sched.graph().validate().is_ok());
-    let resumed = Arc::try_unwrap(program)
-        .expect("workers joined")
-        .into_village();
 
-    assert_worlds_equal(&oracle, &resumed);
+    assert_worlds_equal(&oracle.world, &resumed.world);
     assert!(
-        !oracle.events().is_empty(),
+        !oracle.world.events().is_empty(),
         "a lunch window must produce events, or this proves nothing"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -155,56 +87,31 @@ fn eviction_keeps_resume_intact() {
     // Eviction must never delete anything a resume needs: identical to
     // the OOO case above but with an aggressive cadence so several
     // eviction passes run before the resume point.
-    let start = clock_to_step(12, 0);
+    let world = World::smallville(5, 10, clock_to_step(12, 0));
+    let start = world.start;
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("ckpt-evict");
     std::fs::remove_dir_all(&dir).ok();
-    let mut village = Village::generate(&VillageConfig {
-        villes: 1,
-        agents_per_ville: 10,
-        seed: 5,
-    });
-    village.run_lockstep(0, start, |_, _, _, _| {});
-    let program = Arc::new(VillageProgram::with_step_offset(village, start));
-    let initial = program.initial_positions();
-    let mut sched = Scheduler::new_with_history(
-        Arc::new(GridSpace::new(100, 140)),
-        RuleParams::genagent(),
-        DependencyPolicy::Spatiotemporal,
-        Arc::new(Db::new()),
-        &initial,
-        Step(40),
-        true,
-    )
-    .unwrap();
     let mut ckpt = Checkpointer::new(&dir, 5, 1);
     // (resident, expected) history record counts after each eviction.
     let mut hist_sizes = Vec::new();
-    {
-        let program = Arc::clone(&program);
-        let mut hook_fn = |sched: &mut Scheduler<GridSpace>| -> Result<(), EngineError> {
+    let run = Run::new(DependencyPolicy::Spatiotemporal, 40, 4);
+    let oracle = live_hooked(
+        world,
+        &run,
+        5,
+        |sched: &mut Scheduler<GridSpace>, program| {
             sched.evict_history()?;
             let graph = sched.graph();
             let floor = graph.min_step().0;
-            let expected: u64 = (0..initial.len() as u32)
+            let expected: u64 = (0..graph.len() as u32)
                 .map(|a| u64::from(graph.step(AgentId(a)).0 - floor + 1))
                 .sum();
             hist_sizes.push((graph.history_records(), expected));
             let builder = checkpoint::snapshot_run(sched, start, Some(program.capture_state()));
             ckpt.write(floor, &builder)?;
             Ok(())
-        };
-        run_threaded_with_checkpoints(
-            &mut sched,
-            Arc::clone(&program),
-            Arc::new(InstantBackend::new()),
-            ThreadedConfig::default(),
-            Some(CheckpointHook {
-                every_steps: 5,
-                f: &mut hook_fn,
-            }),
-        )
-        .unwrap();
-    }
+        },
+    );
     // Windowed history: after each pass exactly the records at or above
     // the global minimum step stay resident, one per agent per step from
     // `min_step` to its own step. How far the threaded executor lets
@@ -217,21 +124,10 @@ fn eviction_keeps_resume_intact() {
             "eviction pass {pass}: resident history is not exactly the window"
         );
     }
-    let oracle = Arc::try_unwrap(program).unwrap().into_village();
 
     let snap = Snapshot::load(ckpt.last_path().unwrap()).unwrap();
-    let (meta, mut sched2) = checkpoint::resume(&snap, None, None).unwrap();
-    let village = Village::restore(snap.section(SECTION_WORLD).unwrap()).unwrap();
-    let program = Arc::new(VillageProgram::with_step_offset(village, meta.step_offset));
-    run_threaded(
-        &mut sched2,
-        Arc::clone(&program),
-        Arc::new(InstantBackend::new()),
-        ThreadedConfig::default(),
-    )
-    .unwrap();
-    let resumed = Arc::try_unwrap(program).unwrap().into_village();
-    assert_worlds_equal(&oracle, &resumed);
+    let (_, resumed) = resume(&snap, 4);
+    assert_worlds_equal(&oracle.world, &resumed.world);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -240,8 +136,6 @@ fn des_replay_resumes_from_snapshot_position_exact() {
     // Interrupt a trace replay at half the horizon under the DES
     // executor, snapshot, resume to the full target, and compare against
     // the trace's own positions — the equivalence suite's oracle.
-    use ai_metropolis::core::exec::sim::{run_sim, SimConfig};
-    use ai_metropolis::core::workload::Workload;
     use ai_metropolis::llm::{presets, ServerConfig, SimServer};
     use ai_metropolis::trace::gen;
 
@@ -253,26 +147,12 @@ fn des_replay_resumes_from_snapshot_position_exact() {
         window_len: 60,
     });
     let meta = trace.meta().clone();
-    let initial: Vec<Point> = (0..meta.num_agents)
-        .map(|a| trace.initial_position(a))
-        .collect();
-    let space = || Arc::new(GridSpace::new(meta.map_width, meta.map_height));
-    let params = RuleParams::new(meta.radius_p, meta.max_vel);
     let half = Step(meta.num_steps / 2);
     let full = Workload::target_step(&trace);
 
     // Phase 1: run to the interruption point, then snapshot (the DES
     // executor returns quiesced — everything through `half` committed).
-    let mut sched = Scheduler::new_with_history(
-        space(),
-        params,
-        DependencyPolicy::Spatiotemporal,
-        Arc::new(Db::new()),
-        &initial,
-        half,
-        true,
-    )
-    .unwrap();
+    let mut sched = replay_until(&trace, DependencyPolicy::Spatiotemporal, half, true);
     let mut server = SimServer::new(ServerConfig::from_preset(presets::tiny_test(), 2, true));
     run_sim(&mut sched, &trace, &mut server, &SimConfig::default()).unwrap();
     assert!(sched.is_done());

@@ -1,17 +1,13 @@
 //! Bit-level reproducibility of the whole pipeline: same seed → same
 //! trace → same replay report, across both executors.
 
-use std::sync::Arc;
+mod common;
 
-use ai_metropolis::core::exec::sim::{run_sim, SimConfig};
-use ai_metropolis::core::exec::threaded::{run_threaded, ThreadedConfig};
-use ai_metropolis::core::workload::Workload;
-use ai_metropolis::llm::{presets, InstantBackend, LlmBackend, ServerConfig, SimServer};
+use ai_metropolis::llm::{presets, ServerConfig, SimServer};
 use ai_metropolis::prelude::*;
-use ai_metropolis::store::Db;
 use ai_metropolis::trace::gen;
 use ai_metropolis::world::clock_to_step;
-use ai_metropolis::world::program::VillageProgram;
+use common::{assert_worlds_equal, live, replay, Run, World};
 
 fn cfg() -> GenConfig {
     GenConfig {
@@ -32,19 +28,7 @@ fn trace_generation_is_reproducible() {
 fn des_replay_is_reproducible() {
     let trace = gen::generate(&cfg());
     let run = || {
-        let meta = trace.meta();
-        let initial: Vec<Point> = (0..meta.num_agents)
-            .map(|a| trace.initial_position(a))
-            .collect();
-        let mut sched = Scheduler::new(
-            Arc::new(GridSpace::new(meta.map_width, meta.map_height)),
-            RuleParams::new(meta.radius_p, meta.max_vel),
-            DependencyPolicy::Spatiotemporal,
-            Arc::new(Db::new()),
-            &initial,
-            Workload::target_step(&trace),
-        )
-        .unwrap();
+        let mut sched = replay(&trace, DependencyPolicy::Spatiotemporal);
         let mut server =
             SimServer::new(ServerConfig::from_preset(presets::l4_llama3_8b(), 2, true));
         run_sim(&mut sched, &trace, &mut server, &SimConfig::default()).unwrap()
@@ -60,37 +44,10 @@ fn des_replay_is_reproducible() {
 #[test]
 fn threaded_world_outcome_is_reproducible() {
     let run = || {
-        let village = Village::generate(&VillageConfig {
-            villes: 1,
-            agents_per_ville: 10,
-            seed: 31,
-        });
-        let start = clock_to_step(8, 30);
-        let mut village = village;
-        village.run_lockstep(0, start, |_, _, _, _| {});
-        let program = Arc::new(VillageProgram::with_step_offset(village, start));
-        let initial = program.initial_positions();
-        let mut sched = Scheduler::new(
-            Arc::new(GridSpace::new(100, 140)),
-            RuleParams::genagent(),
-            DependencyPolicy::Spatiotemporal,
-            Arc::new(Db::new()),
-            &initial,
-            Step(40),
-        )
-        .unwrap();
-        let backend: Arc<dyn LlmBackend> = Arc::new(InstantBackend::new());
-        run_threaded(
-            &mut sched,
-            Arc::clone(&program),
-            backend,
-            ThreadedConfig::default(),
-        )
-        .unwrap();
-        let v = Arc::try_unwrap(program).expect("joined").into_village();
-        (v.positions(), v.events().to_vec())
+        let world = World::smallville(31, 10, clock_to_step(8, 30));
+        live(world, &Run::new(DependencyPolicy::Spatiotemporal, 40, 4)).world
     };
-    assert_eq!(run(), run());
+    assert_worlds_equal(&run(), &run());
 }
 
 #[test]

@@ -6,105 +6,53 @@
 //! here one worker dies and is rebuilt while the rest of the fleet keeps
 //! its state.
 
+mod common;
+
 use std::sync::Arc;
 
 use ai_metropolis::core::depgraph::{DepGraph, EdgeMode, GraphOptions};
 use ai_metropolis::core::dist::DistTracker;
-use ai_metropolis::core::exec::threaded::run_threaded_with_checkpoints;
 use ai_metropolis::core::shard::StripShardMap;
-use ai_metropolis::llm::InstantBackend;
 use ai_metropolis::prelude::*;
 use ai_metropolis::store::Db;
-use ai_metropolis::world::program::VillageProgram;
-use ai_metropolis::world::{clock_to_step, Village};
-
-fn assert_worlds_equal(a: &Village, b: &Village) {
-    assert_eq!(a.positions(), b.positions(), "final positions diverged");
-    assert_eq!(a.events(), b.events(), "world event logs diverged");
-    for agent in 0..a.num_agents() as u32 {
-        assert_eq!(
-            a.conversation_cooldown(agent),
-            b.conversation_cooldown(agent),
-            "agent {agent} conversation state diverged"
-        );
-    }
-}
+use ai_metropolis::world::clock_to_step;
+use common::{assert_worlds_equal, live_hooked, lockstep, Layout, Run, World};
 
 #[test]
 fn worker_killed_mid_run_recovers_from_its_own_store() {
-    let start = clock_to_step(12, 0);
     let steps = 40u32;
-    let shards = 4usize;
-    let mut village = Village::generate(&VillageConfig {
-        villes: 1,
-        agents_per_ville: 15,
-        seed: 9,
-    });
-    village.run_lockstep(0, start, |_, _, _, _| {});
+    let world = World::smallville(9, 15, clock_to_step(12, 0));
 
     // Uninterrupted oracle: the same world under plain lock-step.
-    let mut oracle = village.clone();
-    oracle.run_lockstep(start, start + steps, |_, _, _, _| {});
+    let oracle = lockstep(&world, steps);
 
     // Distributed run: a worker per strip, fault injection at the first
     // quiesced hook point — kill a worker (severing its link without any
     // shutdown handshake), then respawn it from its retained database.
-    let space = Arc::new(GridSpace::new(100, 140));
-    let program = Arc::new(VillageProgram::with_step_offset(village, start));
-    let initial = program.initial_positions();
-    let graph = DistTracker::new(
-        Arc::clone(&space),
-        RuleParams::genagent(),
-        &initial,
-        Arc::new(StripShardMap::new(100, shards)),
-        GraphOptions {
-            edges: EdgeMode::Maintained,
-            history: true,
-        },
-    )
-    .expect("distributed tracker");
-    let mut sched = Scheduler::from_graph(graph, DependencyPolicy::Spatiotemporal, Step(steps));
+    let run = Run::new(DependencyPolicy::Spatiotemporal, steps, 4).on(Layout::Dist(4));
     let mut crashes = 0u32;
-    {
-        let mut hook_fn =
-            |sched: &mut Scheduler<GridSpace, DistTracker<GridSpace>>| -> Result<(), EngineError> {
-                // Crash a different worker at each firing; every one must
-                // rebuild its members, index, and step bounds from its own
-                // store and agree with the controller mirror.
-                let victim = crashes as usize % sched.graph().num_shards();
-                sched.graph_mut().kill_worker(victim);
-                sched
-                    .graph_mut()
-                    .respawn_worker(victim)
-                    .expect("worker must recover from its own database");
-                sched.graph_mut().check_invariants();
-                crashes += 1;
-                Ok(())
-            };
-        run_threaded_with_checkpoints(
-            &mut sched,
-            Arc::clone(&program),
-            Arc::new(InstantBackend::new()),
-            ThreadedConfig {
-                workers: 4,
-                priority_enabled: true,
-            },
-            Some(CheckpointHook {
-                every_steps: 10,
-                f: &mut hook_fn,
-            }),
-        )
-        .expect("distributed run with fault injection");
-    }
-    assert!(sched.is_done());
+    let recovered = live_hooked(
+        world,
+        &run,
+        10,
+        |sched: &mut Scheduler<GridSpace, DistTracker<GridSpace>>, _| {
+            // Crash a different worker at each firing; every one must
+            // rebuild its members, index, and step bounds from its own
+            // store and agree with the controller mirror.
+            let victim = crashes as usize % sched.graph().num_shards();
+            sched.graph_mut().kill_worker(victim);
+            sched
+                .graph_mut()
+                .respawn_worker(victim)
+                .expect("worker must recover from its own database");
+            sched.graph_mut().check_invariants();
+            crashes += 1;
+            Ok(())
+        },
+    );
     assert!(crashes >= 2, "fault injection never fired ({crashes})");
-    assert!(sched.graph().validate().is_ok());
-    sched.graph_mut().check_invariants();
 
-    let recovered = Arc::try_unwrap(program)
-        .expect("workers joined")
-        .into_village();
-    assert_worlds_equal(&oracle, &recovered);
+    assert_worlds_equal(&oracle, &recovered.world);
     assert!(
         !oracle.events().is_empty(),
         "a lunch window must produce events, or this proves nothing"

@@ -3,114 +3,51 @@
 //! been observed (§3.2's causality argument).
 //!
 //! We verify it end to end on the live world: the same seeded village is
-//! executed lock-step and under the spatiotemporal policy (threaded
-//! runtime, real threads), and final positions, memories, and the full
-//! world-event log must be identical.
+//! executed under global synchronization and under the spatiotemporal
+//! policy (threaded runtime, real threads), and the two final worlds must
+//! be equal in every byte of their captured runtime state — positions,
+//! targets, paths, conversation cooldowns, wakefulness, activity markers,
+//! memory streams and the world-event log — having issued the same number
+//! of LLM calls. The small-village scenarios run on every tracker of the
+//! roster. Two more tests replay generated traces under the discrete-event
+//! executor and compare final positions with the trace's.
+
+mod common;
 
 use std::sync::Arc;
 
-use ai_metropolis::core::exec::threaded::{run_threaded, ThreadedConfig};
-use ai_metropolis::llm::{InstantBackend, LlmBackend};
 use ai_metropolis::prelude::*;
-use ai_metropolis::store::Db;
-use ai_metropolis::world::program::VillageProgram;
-use ai_metropolis::world::{clock_to_step, Village};
+use ai_metropolis::world::clock_to_step;
+use common::{assert_worlds_equal, live, replay, Run, World, ROSTER};
+use DependencyPolicy::{GlobalSync, Spatiotemporal};
 
-fn run_live(
-    policy: DependencyPolicy,
-    seed: u64,
-    agents: u32,
-    start: u32,
-    steps: u32,
-    workers: usize,
-) -> Village {
-    run_live_on(
-        policy,
-        seed,
-        agents,
-        start,
-        steps,
-        workers,
-        Arc::new(InstantBackend::new()),
-    )
-}
-
-fn run_live_on(
-    policy: DependencyPolicy,
-    seed: u64,
-    agents: u32,
-    start: u32,
-    steps: u32,
-    workers: usize,
-    backend: Arc<dyn LlmBackend>,
-) -> Village {
-    let mut village = Village::generate(&VillageConfig {
-        villes: 1,
-        agents_per_ville: agents,
-        seed,
-    });
-    if start > 0 {
-        village.run_lockstep(0, start, |_, _, _, _| {});
+/// Runs `world` lock-step (global synchronization) and out of order on
+/// every tracker of the roster, for `steps` steps on `workers` workers,
+/// and holds each out-of-order run to the lock-step one; returns the
+/// lock-step world.
+fn ooo_equals_lockstep_on_every_tracker(world: World, steps: u32, workers: usize) -> Village {
+    let sync = live(world.clone(), &Run::new(GlobalSync, steps, workers));
+    for layout in ROSTER {
+        let run = Run::new(Spatiotemporal, steps, workers).on(layout);
+        let ooo = live(world.clone(), &run);
+        assert_worlds_equal(&sync.world, &ooo.world);
+        assert_eq!(sync.calls, ooo.calls, "{layout:?}: LLM calls differ");
     }
-    let program = Arc::new(VillageProgram::with_step_offset(village, start));
-    let initial = program.initial_positions();
-    let mut sched = Scheduler::new(
-        Arc::new(GridSpace::new(100, 140)),
-        RuleParams::genagent(),
-        policy,
-        Arc::new(Db::new()),
-        &initial,
-        Step(steps),
-    )
-    .expect("scheduler");
-    run_threaded(
-        &mut sched,
-        Arc::clone(&program),
-        backend,
-        ThreadedConfig {
-            workers,
-            priority_enabled: true,
-        },
-    )
-    .expect("threaded run");
-    assert!(sched.is_done());
-    assert!(
-        sched.graph().validate().is_ok(),
-        "causality invariant violated"
-    );
-    Arc::try_unwrap(program)
-        .expect("workers joined")
-        .into_village()
-}
-
-fn assert_worlds_equal(a: &Village, b: &Village) {
-    assert_eq!(a.positions(), b.positions(), "final positions diverged");
-    assert_eq!(a.events(), b.events(), "world event logs diverged");
-    for agent in 0..a.num_agents() as u32 {
-        assert_eq!(
-            a.conversation_cooldown(agent),
-            b.conversation_cooldown(agent),
-            "agent {agent} conversation state diverged"
-        );
-    }
+    sync.world
 }
 
 #[test]
 fn ooo_equals_lockstep_morning_commute() {
     // 8am: agents walk to work, perceive each other, converse.
-    let start = clock_to_step(8, 0);
-    let sync = run_live(DependencyPolicy::GlobalSync, 3, 15, start, 80, 4);
-    let ooo = run_live(DependencyPolicy::Spatiotemporal, 3, 15, start, 80, 4);
-    assert_worlds_equal(&sync, &ooo);
+    let world = World::smallville(3, 15, clock_to_step(8, 0));
+    ooo_equals_lockstep_on_every_tracker(world, 80, 4);
 }
 
 #[test]
 fn ooo_equals_lockstep_lunch_rush() {
     // The conversation-heavy window where clusters actually form.
-    let start = clock_to_step(12, 0);
-    let sync = run_live(DependencyPolicy::GlobalSync, 9, 20, start, 60, 8);
-    let ooo = run_live(DependencyPolicy::Spatiotemporal, 9, 20, start, 60, 8);
-    assert_worlds_equal(&sync, &ooo);
+    let world = World::smallville(9, 20, clock_to_step(12, 0));
+    let sync = ooo_equals_lockstep_on_every_tracker(world, 60, 8);
     // Lunch must not be silent, or this test proves nothing.
     assert!(
         !sync.events().is_empty(),
@@ -121,10 +58,14 @@ fn ooo_equals_lockstep_lunch_rush() {
 #[test]
 fn ooo_outcome_is_stable_across_worker_counts() {
     // Thread-schedule nondeterminism must never leak into the world.
-    let start = clock_to_step(9, 0);
-    let a = run_live(DependencyPolicy::Spatiotemporal, 5, 12, start, 50, 2);
-    let b = run_live(DependencyPolicy::Spatiotemporal, 5, 12, start, 50, 8);
-    assert_worlds_equal(&a, &b);
+    let world = World::smallville(5, 12, clock_to_step(9, 0));
+    let a = live(world.clone(), &Run::new(Spatiotemporal, 50, 2));
+    for layout in ROSTER {
+        let run = Run::new(Spatiotemporal, 50, 8).on(layout);
+        let b = live(world.clone(), &run);
+        assert_worlds_equal(&a.world, &b.world);
+        assert_eq!(a.calls, b.calls, "{layout:?}: LLM calls differ");
+    }
 }
 
 #[test]
@@ -139,8 +80,8 @@ fn heterogeneous_fleet_equals_lockstep_oracle() {
         presets, FleetConfig, LatencyProfile, ReplicaSpec, RoutePolicyKind, ServerConfig,
     };
 
-    let start = clock_to_step(12, 0);
-    let oracle = run_live(DependencyPolicy::GlobalSync, 11, 12, start, 50, 4);
+    let world = World::smallville(11, 12, clock_to_step(12, 0));
+    let oracle = live(world.clone(), &Run::new(GlobalSync, 50, 4));
     let mut profile = LatencyProfile::new("equivalence");
     for i in 0..16u64 {
         profile.push(ai_metropolis::llm::CallKind::Plan, 2_000 + i * 500);
@@ -158,22 +99,28 @@ fn heterogeneous_fleet_equals_lockstep_oracle() {
                 )
                 .build(),
         );
-        let ooo = run_live_on(
-            DependencyPolicy::Spatiotemporal,
-            11,
-            12,
-            start,
-            50,
-            8,
-            Arc::clone(&fleet) as Arc<dyn LlmBackend>,
-        );
-        assert_worlds_equal(&oracle, &ooo);
+        let run = Run::new(Spatiotemporal, 50, 8).against(fleet.clone());
+        let ooo = live(world.clone(), &run);
+        assert_worlds_equal(&oracle.world, &ooo.world);
+        assert_eq!(oracle.calls, ooo.calls, "{policy}: LLM calls differ");
         let m = fleet.metrics();
         assert!(
             m.total_served() > 0,
             "{policy}: the run must have gone through the fleet"
         );
     }
+}
+
+/// The warmed-up 1000-agent morning: 40 concatenated villes at 8am.
+fn thousand_agent_morning() -> World {
+    let cfg = VillageConfig {
+        villes: 40,
+        agents_per_ville: 25,
+        seed: 17,
+    };
+    let world = World::warmed(&cfg, clock_to_step(8, 0));
+    assert_eq!(world.village.num_agents(), 1000);
+    world
 }
 
 #[test]
@@ -183,53 +130,13 @@ fn ooo_equals_lockstep_thousand_agents() {
     // checked world-for-world against the lock-step oracle. The warmed-up
     // morning world is built once and cloned per arm (the warm-up is the
     // expensive part at this scale).
-    let start = clock_to_step(8, 0);
-    let mut base = Village::generate(&VillageConfig {
-        villes: 40,
-        agents_per_ville: 25,
-        seed: 17,
-    });
-    assert_eq!(base.num_agents(), 1000);
-    base.run_lockstep(0, start, |_, _, _, _| {});
-    let space = base.space();
-
-    let run = |village: Village, policy: DependencyPolicy, workers: usize| -> Village {
-        let program = Arc::new(VillageProgram::with_step_offset(village, start));
-        let initial = program.initial_positions();
-        let mut sched = Scheduler::new(
-            Arc::new(space),
-            RuleParams::genagent(),
-            policy,
-            Arc::new(Db::new()),
-            &initial,
-            Step(10),
-        )
-        .expect("scheduler");
-        run_threaded(
-            &mut sched,
-            Arc::clone(&program),
-            Arc::new(InstantBackend::new()),
-            ThreadedConfig {
-                workers,
-                priority_enabled: true,
-            },
-        )
-        .expect("threaded run");
-        assert!(sched.is_done());
-        assert!(
-            sched.graph().validate().is_ok(),
-            "causality invariant violated at 1000 agents"
-        );
-        Arc::try_unwrap(program)
-            .expect("workers joined")
-            .into_village()
-    };
-
-    let sync = run(base.clone(), DependencyPolicy::GlobalSync, 4);
-    let ooo = run(base, DependencyPolicy::Spatiotemporal, 8);
-    assert_worlds_equal(&sync, &ooo);
+    let world = thousand_agent_morning();
+    let sync = live(world.clone(), &Run::new(GlobalSync, 10, 4));
+    let ooo = live(world, &Run::new(Spatiotemporal, 10, 8));
+    assert_worlds_equal(&sync.world, &ooo.world);
+    assert_eq!(sync.calls, ooo.calls, "LLM calls differ");
     assert!(
-        !sync.events().is_empty(),
+        !sync.world.events().is_empty(),
         "a 1000-agent morning must produce events, or this proves nothing"
     );
 }
@@ -248,60 +155,10 @@ fn fault_injected_fleet_equals_lockstep_thousand_agents() {
         FaultPlan, FleetConfig, LatencyProfile, ReplicaSpec, RoutePolicyKind,
     };
 
-    let start = clock_to_step(8, 0);
-    let mut base = Village::generate(&VillageConfig {
-        villes: 40,
-        agents_per_ville: 25,
-        seed: 17,
-    });
-    assert_eq!(base.num_agents(), 1000);
-    base.run_lockstep(0, start, |_, _, _, _| {});
-    let space = base.space();
-
-    let run = |village: Village,
-               policy: DependencyPolicy,
-               workers: usize,
-               backend: Arc<dyn LlmBackend>|
-     -> Village {
-        let program = Arc::new(VillageProgram::with_step_offset(village, start));
-        let initial = program.initial_positions();
-        let mut sched = Scheduler::new(
-            Arc::new(space),
-            RuleParams::genagent(),
-            policy,
-            Arc::new(Db::new()),
-            &initial,
-            Step(10),
-        )
-        .expect("scheduler");
-        run_threaded(
-            &mut sched,
-            Arc::clone(&program),
-            backend,
-            ThreadedConfig {
-                workers,
-                priority_enabled: true,
-            },
-        )
-        .expect("threaded run");
-        assert!(sched.is_done());
-        assert!(
-            sched.graph().validate().is_ok(),
-            "causality invariant violated at 1000 agents"
-        );
-        Arc::try_unwrap(program)
-            .expect("workers joined")
-            .into_village()
-    };
-
-    let oracle = run(
-        base.clone(),
-        DependencyPolicy::GlobalSync,
-        4,
-        Arc::new(InstantBackend::new()),
-    );
+    let world = thousand_agent_morning();
+    let oracle = live(world.clone(), &Run::new(GlobalSync, 10, 4));
     assert!(
-        !oracle.events().is_empty(),
+        !oracle.world.events().is_empty(),
         "a 1000-agent morning must produce events, or this proves nothing"
     );
 
@@ -320,13 +177,10 @@ fn fault_injected_fleet_equals_lockstep_thousand_agents() {
                 .with_replica(ReplicaSpec::instant().interactive())
                 .build(),
         );
-        let ooo = run(
-            base.clone(),
-            DependencyPolicy::Spatiotemporal,
-            8,
-            Arc::clone(&fleet) as Arc<dyn LlmBackend>,
-        );
-        assert_worlds_equal(&oracle, &ooo);
+        let run = Run::new(Spatiotemporal, 10, 8).against(fleet.clone());
+        let ooo = live(world.clone(), &run);
+        assert_worlds_equal(&oracle.world, &ooo.world);
+        assert_eq!(oracle.calls, ooo.calls, "{policy}: LLM calls differ");
         let m = fleet.metrics();
         assert_eq!(
             m.replicas[0].served, 150,
@@ -350,8 +204,6 @@ fn replayed_positions_match_generated_trace_thousand_agents() {
     // Same scale under the discrete-event executor: a 1000-agent trace
     // replayed out of order through the scheduler must land every agent
     // exactly where the lock-step trace says it ends.
-    use ai_metropolis::core::exec::sim::{run_sim, SimConfig};
-    use ai_metropolis::core::workload::Workload;
     use ai_metropolis::llm::{presets, ServerConfig, SimServer};
     use ai_metropolis::trace::gen;
 
@@ -364,18 +216,7 @@ fn replayed_positions_match_generated_trace_thousand_agents() {
     });
     let meta = trace.meta().clone();
     assert_eq!(meta.num_agents, 1000);
-    let initial: Vec<Point> = (0..meta.num_agents)
-        .map(|a| trace.initial_position(a))
-        .collect();
-    let mut sched = Scheduler::new(
-        Arc::new(GridSpace::new(meta.map_width, meta.map_height)),
-        RuleParams::new(meta.radius_p, meta.max_vel),
-        DependencyPolicy::Spatiotemporal,
-        Arc::new(Db::new()),
-        &initial,
-        Workload::target_step(&trace),
-    )
-    .unwrap();
+    let mut sched = replay(&trace, Spatiotemporal);
     let mut server = SimServer::new(ServerConfig::from_preset(presets::tiny_test(), 8, true));
     run_sim(&mut sched, &trace, &mut server, &SimConfig::default()).unwrap();
     assert!(sched.is_done());
@@ -394,8 +235,6 @@ fn replayed_positions_match_generated_trace() {
     // The DES executor feeds trace movements back through the scheduler;
     // after a metropolis replay the dependency graph's final positions must
     // equal the trace's final row (i.e. replay is faithful).
-    use ai_metropolis::core::exec::sim::{run_sim, SimConfig};
-    use ai_metropolis::core::workload::Workload;
     use ai_metropolis::llm::{presets, ServerConfig, SimServer};
     use ai_metropolis::trace::gen;
 
@@ -407,18 +246,7 @@ fn replayed_positions_match_generated_trace() {
         window_len: 60,
     });
     let meta = trace.meta().clone();
-    let initial: Vec<Point> = (0..meta.num_agents)
-        .map(|a| trace.initial_position(a))
-        .collect();
-    let mut sched = Scheduler::new(
-        Arc::new(GridSpace::new(meta.map_width, meta.map_height)),
-        RuleParams::new(meta.radius_p, meta.max_vel),
-        DependencyPolicy::Spatiotemporal,
-        Arc::new(Db::new()),
-        &initial,
-        Workload::target_step(&trace),
-    )
-    .unwrap();
+    let mut sched = replay(&trace, Spatiotemporal);
     let mut server = SimServer::new(ServerConfig::from_preset(presets::tiny_test(), 2, true));
     run_sim(&mut sched, &trace, &mut server, &SimConfig::default()).unwrap();
     for a in 0..meta.num_agents {

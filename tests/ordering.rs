@@ -5,31 +5,17 @@
 //! and the scaling trend: metropolis's advantage over the barrier grows
 //! with the agent count (§4.3).
 
+mod common;
+
 use std::sync::Arc;
 
-use ai_metropolis::core::exec::sim::{run_sim, SimConfig};
-use ai_metropolis::core::metrics::RunReport;
-use ai_metropolis::core::workload::Workload;
-use ai_metropolis::llm::{presets, ServerConfig, SimServer, VirtualTime};
+use ai_metropolis::llm::{presets, ServerConfig, SimServer};
 use ai_metropolis::prelude::*;
-use ai_metropolis::store::Db;
-use ai_metropolis::trace::{critical, gen, oracle, Trace};
+use ai_metropolis::trace::{critical, gen, oracle};
 use ai_metropolis::world::clock_to_step;
 
 fn replay(trace: &Trace, policy: DependencyPolicy, sim: &SimConfig, replicas: u32) -> RunReport {
-    let meta = trace.meta();
-    let initial: Vec<Point> = (0..meta.num_agents)
-        .map(|a| trace.initial_position(a))
-        .collect();
-    let mut sched = Scheduler::new(
-        Arc::new(GridSpace::new(meta.map_width, meta.map_height)),
-        RuleParams::new(meta.radius_p, meta.max_vel),
-        policy,
-        Arc::new(Db::new()),
-        &initial,
-        Workload::target_step(trace),
-    )
-    .unwrap();
+    let mut sched = common::replay(trace, policy);
     let mut server = SimServer::new(ServerConfig::from_preset(
         presets::l4_llama3_8b(),
         replicas,
@@ -152,19 +138,7 @@ fn more_gpus_never_hurt() {
 fn priority_never_hurts_under_contention() {
     let trace = work_trace(4, 13);
     let mk = |priority: bool| {
-        let meta = trace.meta();
-        let initial: Vec<Point> = (0..meta.num_agents)
-            .map(|a| trace.initial_position(a))
-            .collect();
-        let mut sched = Scheduler::new(
-            Arc::new(GridSpace::new(meta.map_width, meta.map_height)),
-            RuleParams::new(meta.radius_p, meta.max_vel),
-            DependencyPolicy::Spatiotemporal,
-            Arc::new(Db::new()),
-            &initial,
-            Workload::target_step(&trace),
-        )
-        .unwrap();
+        let mut sched = common::replay(&trace, DependencyPolicy::Spatiotemporal);
         let mut server = SimServer::new(ServerConfig::from_preset(
             presets::l4_llama3_8b(),
             4,

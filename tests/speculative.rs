@@ -2,18 +2,16 @@
 //! over real world-generated traces, speculation on a non-Euclidean
 //! space, and the hybrid interactive driver against a replayed village.
 
+mod common;
+
 use std::sync::Arc;
 
-use ai_metropolis::core::exec::hybrid::{run_hybrid_sim, InteractiveLoad};
-use ai_metropolis::core::exec::sim::{run_sim, SimConfig};
-use ai_metropolis::core::spec::{run_spec_sim, SpecParams, SpecScheduler};
-use ai_metropolis::core::workload::Workload;
-use ai_metropolis::core::Step;
 use ai_metropolis::llm::{presets, ServerConfig, SimServer};
 use ai_metropolis::prelude::*;
 use ai_metropolis::store::Db;
 use ai_metropolis::trace::gen;
 use ai_metropolis::world::clock_to_step;
+use common::{replay, spec_replay};
 
 fn lunch_trace(villes: u32, seed: u64) -> Trace {
     gen::generate(&gen::GenConfig {
@@ -25,20 +23,8 @@ fn lunch_trace(villes: u32, seed: u64) -> Trace {
     })
 }
 
-fn conservative_run(trace: &Trace, replicas: u32) -> ai_metropolis::core::metrics::RunReport {
-    let meta = trace.meta();
-    let initial: Vec<Point> = (0..meta.num_agents)
-        .map(|a| trace.initial_position(a))
-        .collect();
-    let mut sched = Scheduler::new(
-        Arc::new(GridSpace::new(meta.map_width, meta.map_height)),
-        RuleParams::new(meta.radius_p, meta.max_vel),
-        DependencyPolicy::Spatiotemporal,
-        Arc::new(Db::new()),
-        &initial,
-        Workload::target_step(trace),
-    )
-    .unwrap();
+fn conservative_run(trace: &Trace, replicas: u32) -> RunReport {
+    let mut sched = replay(trace, DependencyPolicy::Spatiotemporal);
     let mut server = SimServer::new(ServerConfig::from_preset(
         presets::tiny_test(),
         replicas,
@@ -47,32 +33,16 @@ fn conservative_run(trace: &Trace, replicas: u32) -> ai_metropolis::core::metric
     run_sim(&mut sched, trace, &mut server, &SimConfig::default()).unwrap()
 }
 
-fn speculative_run(
-    trace: &Trace,
-    replicas: u32,
-    runahead: u32,
-) -> (ai_metropolis::core::metrics::RunReport, Vec<Point>) {
-    let meta = trace.meta();
-    let initial: Vec<Point> = (0..meta.num_agents)
-        .map(|a| trace.initial_position(a))
-        .collect();
-    let mut sched = SpecScheduler::new(
-        Arc::new(GridSpace::new(meta.map_width, meta.map_height)),
-        RuleParams::new(meta.radius_p, meta.max_vel),
-        SpecParams::new(runahead),
-        Arc::new(Db::new()),
-        &initial,
-        Workload::target_step(trace),
-    )
-    .unwrap();
+fn speculative_run(trace: &Trace, replicas: u32, runahead: u32) -> (RunReport, Vec<Point>) {
+    let mut sched = spec_replay(trace, runahead);
     let mut server = SimServer::new(ServerConfig::from_preset(
         presets::tiny_test(),
         replicas,
         true,
     ));
     let report = run_spec_sim(&mut sched, trace, &mut server, &SimConfig::default()).unwrap();
-    let finals = (0..meta.num_agents)
-        .map(|a| sched.graph().pos(ai_metropolis::core::AgentId(a)))
+    let finals = (0..trace.meta().num_agents)
+        .map(|a| sched.graph().pos(AgentId(a)))
         .collect();
     (report, finals)
 }
@@ -207,19 +177,7 @@ fn speculation_generalizes_to_social_space() {
 #[test]
 fn hybrid_driver_serves_chat_against_real_trace() {
     let trace = lunch_trace(1, 9);
-    let meta = trace.meta();
-    let initial: Vec<Point> = (0..meta.num_agents)
-        .map(|a| trace.initial_position(a))
-        .collect();
-    let mut sched = Scheduler::new(
-        Arc::new(GridSpace::new(meta.map_width, meta.map_height)),
-        RuleParams::new(meta.radius_p, meta.max_vel),
-        DependencyPolicy::Spatiotemporal,
-        Arc::new(Db::new()),
-        &initial,
-        Workload::target_step(&trace),
-    )
-    .unwrap();
+    let mut sched = replay(&trace, DependencyPolicy::Spatiotemporal);
     let mut server = SimServer::new(
         ServerConfig::from_preset(presets::tiny_test(), 1, true).with_interactive_lane(2),
     );

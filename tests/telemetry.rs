@@ -16,15 +16,18 @@
 //!   category must be strictly smaller under OOO, and both runs'
 //!   four-way decompositions must cover ≥95% of the agent-time budget.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ai_metropolis::core::telemetry::{Counter, RunTelemetry, Telemetry};
-use ai_metropolis::llm::{InstantBackend, LatencyProfile, LlmBackend, ReplayBackend};
+use ai_metropolis::core::telemetry::{Counter, RunTelemetry};
+use ai_metropolis::llm::{LatencyProfile, LlmBackend, ReplayBackend};
 use ai_metropolis::prelude::*;
-use ai_metropolis::store::Db;
+use ai_metropolis::world::clock_to_step;
 use ai_metropolis::world::program::VillageProgram;
-use ai_metropolis::world::{clock_to_step, Village};
+use common::{observe, Run, World};
+use DependencyPolicy::{GlobalSync, Spatiotemporal};
 
 /// A [`VillageProgram`] whose request ids name the call — agent, step,
 /// n-th call of that step — instead of being drawn from the program's one
@@ -72,50 +75,10 @@ impl LlmBackend for RenameCalls<'_> {
     }
 }
 
-/// Drives one observed village run — of the program `wrap` makes of the
-/// village's — and returns its unified telemetry.
-fn observed_run<P: ClusterProgram<GridSpace> + 'static>(
-    seed: u64,
-    policy: DependencyPolicy,
-    backend: Arc<dyn LlmBackend>,
-    workers: usize,
-    steps: u32,
-    wrap: impl FnOnce(VillageProgram) -> P,
-) -> RunTelemetry {
-    let start = clock_to_step(12, 0);
-    let mut village = Village::generate(&VillageConfig {
-        villes: 1,
-        agents_per_ville: 12,
-        seed,
-    });
-    village.run_lockstep(0, start, |_, _, _, _| {});
-    let space = village.space();
-    let program = VillageProgram::with_step_offset(village, start);
-    let initial = program.initial_positions();
-    let program = Arc::new(wrap(program));
-    let mut sched = Scheduler::new(
-        Arc::new(space),
-        RuleParams::genagent(),
-        policy,
-        Arc::new(Db::new()),
-        &initial,
-        Step(steps),
-    )
-    .expect("scheduler");
-    let report = run_threaded_observed(
-        &mut sched,
-        program,
-        backend,
-        ThreadedConfig {
-            workers,
-            priority_enabled: true,
-        },
-        None,
-        Some(Arc::new(Telemetry::new())),
-    )
-    .expect("observed run");
-    assert!(sched.is_done());
-    report.telemetry.expect("telemetry sink was installed")
+/// The village every observed run starts from: seed 7, twelve agents,
+/// at noon.
+fn noon() -> World {
+    World::smallville(7, 12, clock_to_step(12, 0))
 }
 
 /// The order-normalized span structure: every span reduced to its
@@ -149,16 +112,7 @@ fn structure(rt: &RunTelemetry) -> Vec<String> {
 
 #[test]
 fn identical_seeded_runs_have_identical_span_structure() {
-    let run = || {
-        observed_run(
-            7,
-            DependencyPolicy::Spatiotemporal,
-            Arc::new(InstantBackend::new()),
-            1,
-            30,
-            CallNamedIds,
-        )
-    };
+    let run = || observe(noon(), &Run::new(Spatiotemporal, 30, 1), CallNamedIds);
     let (a, b) = (run(), run());
 
     assert_eq!(a.agents, b.agents);
@@ -203,22 +157,13 @@ fn ooo_blocks_strictly_less_than_lockstep() {
         p
     };
     let steps = 8;
-    let lockstep = observed_run(
-        7,
-        DependencyPolicy::GlobalSync,
-        Arc::new(ReplayBackend::new(profile(), 64, 1.0)),
-        4,
-        steps,
-        std::convert::identity,
-    );
-    let ooo = observed_run(
-        7,
-        DependencyPolicy::Spatiotemporal,
-        Arc::new(ReplayBackend::new(profile(), 64, 1.0)),
-        4,
-        steps,
-        std::convert::identity,
-    );
+    let run = |policy| {
+        let tailed = Arc::new(ReplayBackend::new(profile(), 64, 1.0));
+        let run = Run::new(policy, steps, 4).against(tailed);
+        observe(noon(), &run, std::convert::identity)
+    };
+    let lockstep = run(GlobalSync);
+    let ooo = run(Spatiotemporal);
 
     assert!(
         lockstep.decomposition.blocked_us > 0,

@@ -2,21 +2,16 @@
 //! discrete-event simulator and through the threaded runtime (with a
 //! trace-driven `ClusterProgram`) performs the same scheduling work.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ai_metropolis::core::exec::sim::{run_sim, SimConfig};
-use ai_metropolis::core::exec::threaded::{run_threaded, ClusterProgram, ThreadedConfig};
-use ai_metropolis::core::scheduler::Cluster;
-use ai_metropolis::core::workload::Workload;
-use ai_metropolis::core::{AgentId, Step};
-use ai_metropolis::llm::{
-    presets, InstantBackend, LlmBackend, LlmRequest, RequestId, ServerConfig, SimServer,
-};
+use ai_metropolis::llm::{presets, InstantBackend, ServerConfig, SimServer};
 use ai_metropolis::prelude::*;
-use ai_metropolis::store::Db;
 use ai_metropolis::trace::gen;
 use ai_metropolis::world::clock_to_step;
+use common::{execute, replay};
 
 /// Replays a recorded trace through the threaded runtime.
 struct TraceProgram {
@@ -49,22 +44,6 @@ impl ClusterProgram<GridSpace> for TraceProgram {
     }
 }
 
-fn mk_sched(trace: &Trace, policy: DependencyPolicy) -> Scheduler<GridSpace> {
-    let meta = trace.meta();
-    let initial: Vec<Point> = (0..meta.num_agents)
-        .map(|a| trace.initial_position(a))
-        .collect();
-    Scheduler::new(
-        Arc::new(GridSpace::new(meta.map_width, meta.map_height)),
-        RuleParams::new(meta.radius_p, meta.max_vel),
-        policy,
-        Arc::new(Db::new()),
-        &initial,
-        Workload::target_step(trace),
-    )
-    .unwrap()
-}
-
 #[test]
 fn same_scheduling_work_in_both_executors() {
     let trace = gen::generate(&GenConfig {
@@ -76,28 +55,19 @@ fn same_scheduling_work_in_both_executors() {
     });
 
     // Discrete-event replay.
-    let mut des_sched = mk_sched(&trace, DependencyPolicy::Spatiotemporal);
+    let mut des_sched = replay(&trace, DependencyPolicy::Spatiotemporal);
     let mut server = SimServer::new(ServerConfig::from_preset(presets::tiny_test(), 2, true));
     let des = run_sim(&mut des_sched, &trace, &mut server, &SimConfig::default()).unwrap();
 
     // Threaded replay of the same trace.
-    let mut thr_sched = mk_sched(&trace, DependencyPolicy::Spatiotemporal);
+    let mut thr_sched = replay(&trace, DependencyPolicy::Spatiotemporal);
     let program = Arc::new(TraceProgram {
         trace: trace.clone(),
         req_ids: AtomicU64::new(0),
         calls: AtomicU64::new(0),
     });
-    let backend: Arc<dyn LlmBackend> = Arc::new(InstantBackend::new());
-    let thr = run_threaded(
-        &mut thr_sched,
-        Arc::clone(&program),
-        backend,
-        ThreadedConfig {
-            workers: 6,
-            priority_enabled: true,
-        },
-    )
-    .unwrap();
+    let backend = Arc::new(InstantBackend::new());
+    let thr = execute(&mut thr_sched, Arc::clone(&program), backend, 6, None, None);
 
     // Identical work, regardless of execution substrate.
     assert_eq!(des.total_calls, program.calls.load(Ordering::Relaxed));
@@ -124,15 +94,14 @@ fn threaded_oracle_policy_also_completes() {
         window_len: 40,
     });
     let graph = Arc::new(ai_metropolis::trace::oracle::mine(&trace));
-    let mut sched = mk_sched(&trace, DependencyPolicy::Oracle(graph));
+    let mut sched = replay(&trace, DependencyPolicy::Oracle(graph));
     let program = Arc::new(TraceProgram {
         trace: trace.clone(),
         req_ids: AtomicU64::new(0),
         calls: AtomicU64::new(0),
     });
-    let backend: Arc<dyn LlmBackend> = Arc::new(InstantBackend::new());
-    let report = run_threaded(&mut sched, program, backend, ThreadedConfig::default()).unwrap();
-    assert!(sched.is_done());
+    let backend = Arc::new(InstantBackend::new());
+    let report = execute(&mut sched, program, backend, 4, None, None);
     assert_eq!(
         report.agent_steps,
         (trace.meta().num_agents * trace.meta().num_steps) as u64
