@@ -147,8 +147,8 @@ fn bench_fleet_call(c: &mut Criterion) {
 /// The wait path: one call through a two-replica fleet of simulated
 /// engines at the live city's 5·10⁶× speed-up, timed on one thread while
 /// `threads - 1` others call the same fleet in a loop beside it. Every
-/// iteration end is nanoseconds of wall time away, so what is measured is
-/// the lock, the pump and how callers wait for each other.
+/// engine event (a run end) is nanoseconds of wall time away, so what is
+/// measured is the lock, the pump and how callers wait for each other.
 fn bench_realtime_call(c: &mut Criterion) {
     let mut g = c.benchmark_group("city_fleet/realtime_call");
     for threads in [1u64, 8] {

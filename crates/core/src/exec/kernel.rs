@@ -12,9 +12,15 @@
 //! * There are three event sources — interactive arrivals, server
 //!   completions, and CPU events (`Start`/`Commit` of a cluster). The
 //!   loop always moves to the earliest pending instant; at one instant
-//!   interactive arrivals are submitted first, then the server
-//!   completions that were due when the instant was chosen are
+//!   interactive arrivals are submitted first, then the server is
+//!   advanced to the instant and the completions due there are
 //!   delivered, then CPU events run.
+//! * The server is advanced to every instant the loop visits, not only
+//!   to its own run ends, so an iteration boundary inside a decode run
+//!   that falls on the instant has passed before a CPU event submits
+//!   there: the new call waits for the next boundary, exactly as it
+//!   would behind an iteration that ended at the instant. Arrivals,
+//!   submitted before the advance, join at the instant's boundary.
 //! * CPU events pop in `(at, seq)` order, `seq` assigned at push.
 //! * Request ids are issued `0, 1, 2, …` in submit order; interactive
 //!   requests carry ids from [`INTERACTIVE_BASE`] up, set by the caller.
@@ -481,14 +487,12 @@ where
         while let Some((at, req)) = arrivals.next_if(|(at, _)| *at <= next) {
             server.submit(*at, *req);
         }
-        if t_srv.is_some_and(|t| t <= next) {
-            server.advance(next, &mut finished);
-            for c in finished.drain(..) {
-                if c.req.id.0 >= INTERACTIVE_BASE {
-                    latencies.push(c.latency().as_micros());
-                } else {
-                    k.on_completion(server, c.req.id, c.finished_at);
-                }
+        server.advance(next, &mut finished);
+        for c in finished.drain(..) {
+            if c.req.id.0 >= INTERACTIVE_BASE {
+                latencies.push(c.latency().as_micros());
+            } else {
+                k.on_completion(server, c.req.id, c.finished_at);
             }
         }
         while let Some(&Reverse((at, _, kind))) = k.events.peek() {

@@ -109,6 +109,13 @@ impl LlmBackend for InstantBackend {
     }
 }
 
+/// Waits shorter than this are spun off, with the lock released, instead
+/// of yielded: a `yield_now` is a system call and, with another thread
+/// runnable on the CPU, a context switch, which takes longer than such a
+/// wait. At city speed-ups a whole decode run (one engine event) is a
+/// fraction of a microsecond of wall time.
+const SPIN_BELOW: Duration = Duration::from_micros(2);
+
 /// Waits shorter than this are spun off with `yield_now` instead of a
 /// condvar sleep. It is Linux's default timer slack: the kernel may
 /// stretch a timed sleep by this much, so a caller that parked for a
@@ -152,21 +159,26 @@ struct RtInner {
 ///
 /// One mutex guards the engine. A caller submits, then loops: take its
 /// response if a pump has produced it, else wait for the engine's next
-/// iteration end and *pump* — advance the engine to wall now. How it
+/// run end ([`SimServer::next_event`]: a decode run up to its first
+/// completion is one event, so nothing changes before it unless another
+/// caller submits) and *pump* — advance the engine to wall now. How it
 /// waits depends on how far that end is:
 ///
-/// * under 50 µs (Linux's default timer slack) it releases the lock,
-///   `yield_now`s, re-locks and pumps itself. A condvar sleep that short
-///   would be stretched to the slack; at city speed-ups (millions of
-///   virtual seconds per wall second) nearly every wait is this short;
+/// * under 2 µs it releases the lock, spins until that end, re-locks and
+///   pumps itself: yielding costs more than such a wait. At city
+///   speed-ups (millions of virtual seconds per wall second) nearly every
+///   wait is this short;
+/// * under 50 µs (Linux's default timer slack) it does the same but
+///   `yield_now`s instead of spinning. A condvar sleep that short would
+///   be stretched to the slack;
 /// * otherwise it parks on a condvar until that end, and a caller that
 ///   times out pumps on its next pass.
 ///
 /// Parked callers are counted under the lock, and a notify fires only
-/// while one is parked: after a submit (a new iteration may end before
-/// their deadline) or after a pump that finished a request (it may be
-/// theirs). A notify costs a futex syscall whether or not anyone waits,
-/// so nothing else notifies.
+/// while one is parked: after a submit (it may start a run, or cut one
+/// short, that ends before their deadline) or after a pump that finished
+/// a request (it may be theirs). A notify costs a futex syscall whether
+/// or not anyone waits, so nothing else notifies.
 pub struct RealtimeSimBackend {
     inner: Mutex<RtInner>,
     progressed: Condvar,
@@ -261,16 +273,21 @@ impl LlmBackend for RealtimeSimBackend {
                     output_tokens,
                 };
             }
+            let now = Instant::now();
             let wait = match inner.server.next_event() {
-                Some(t) => {
-                    (self.epoch + self.virtual_to_wall(t)).saturating_duration_since(Instant::now())
-                }
+                Some(t) => (self.epoch + self.virtual_to_wall(t)).saturating_duration_since(now),
                 None => IDLE_POLL,
             };
             if wait < YIELD_BELOW {
                 if !wait.is_zero() {
                     drop(inner);
-                    std::thread::yield_now();
+                    if wait < SPIN_BELOW {
+                        while now.elapsed() < wait {
+                            std::hint::spin_loop();
+                        }
+                    } else {
+                        std::thread::yield_now();
+                    }
                     inner = self.inner.lock();
                 }
                 self.pump(&mut inner);
@@ -398,7 +415,7 @@ mod tests {
         // the yield bound, so the caller parks. The test then holds the
         // engine past the request's finish, so only the test's pump can
         // finish the request; after it the engine is idle, with no
-        // iteration end left to wait for, and the caller must take the
+        // run end left to wait for, and the caller must take the
         // response that pump stashed. A lost wake-up fails the
         // `recv_timeout` instead of hanging the test.
         let cfg = fast_cfg();

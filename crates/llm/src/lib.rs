@@ -26,6 +26,16 @@
 //!   tensor-parallel presets whose cost models fold in TP efficiency;
 //! * **KV-cache capacity** limits with reserve-on-admit accounting.
 //!
+//! The simulator reports *runs*, not iterations: a pure-decode batch with
+//! nothing admissible at its boundaries repeats the same iteration until
+//! its first sequence completes, so the whole run is one event
+//! ([`SimServer::next_event`]), cut short only by a submit that could join
+//! the batch. Its driver advances to each `next_event` before submitting
+//! later; a boundary at or before the last `advance` has passed, so a
+//! request submitted there waits for the next one. Every completion,
+//! admission and counter is what stepping one iteration at a time would
+//! produce.
+//!
 //! Calibrated hardware/model presets live in [`presets`]; each documents the
 //! arithmetic tying it to public hardware numbers.
 //!

@@ -229,9 +229,11 @@ struct Running {
     submitted_at: VirtualTime,
     prefilled: u32,
     decoded: u32,
-    /// Prefill tokens assigned to the in-flight iteration.
+    /// Prefill tokens assigned to the in-flight run (a run that prefills
+    /// is one iteration long).
     iter_prefill: u32,
-    /// Whether this sequence decodes one token in the in-flight iteration.
+    /// Whether this sequence decodes one token in every iteration of the
+    /// in-flight run.
     iter_decode: bool,
 }
 
@@ -239,8 +241,45 @@ impl Running {
     fn target_output(&self) -> u32 {
         self.req.output_tokens.max(1)
     }
-    fn kv_need(&self) -> u64 {
-        self.req.input_tokens as u64 + self.target_output() as u64
+}
+
+/// Back-to-back iterations of one batch doing the same work in each: a
+/// single iteration, or a pure-decode batch with nothing admissible at its
+/// boundaries, planned to its earliest completion since only a completion
+/// (or a submit, which cuts the run) can change what the next iteration
+/// does.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: VirtualTime,
+    /// Length of every iteration, µs.
+    dt_us: u64,
+    iters: u64,
+    prefill_tokens: u32,
+    decode_seqs: u32,
+}
+
+impl Run {
+    fn end(&self) -> VirtualTime {
+        self.start + VirtualTime::from_micros(self.dt_us * self.iters)
+    }
+
+    /// Boundaries after the start that have passed when the clock reads
+    /// `now` and was last advanced to `advanced`: those before `now`, and
+    /// one at `now` itself once the clock has been advanced there.
+    fn passed(&self, now: VirtualTime, advanced: VirtualTime) -> u64 {
+        let d = (now - self.start).as_micros();
+        if d == 0 {
+            return 0;
+        }
+        (d - 1) / self.dt_us + u64::from(advanced == now && d % self.dt_us == 0)
+    }
+
+    /// Adds `iters` of this run's iterations to `m`.
+    fn credit(&self, m: &mut ReplicaMetrics, iters: u64) {
+        m.busy_us += self.dt_us * iters;
+        m.iterations += iters;
+        m.prefill_tokens += u64::from(self.prefill_tokens) * iters;
+        m.decode_tokens += u64::from(self.decode_seqs) * iters;
     }
 }
 
@@ -250,7 +289,9 @@ struct Replica {
     running: Vec<Running>,
     pending: BinaryHeap<Reverse<Pending>>,
     kv_reserved: u64,
-    iter_end: Option<VirtualTime>,
+    /// The run in flight; its iterations are credited to `metrics` when
+    /// it ends (see [`SimServer::metrics`]).
+    run: Option<Run>,
     metrics: ReplicaMetrics,
     /// Bounded LRU of recently served prompt prefixes (agent + template
     /// keyed) — the cache a prefix hit discounts prefill against.
@@ -264,7 +305,7 @@ impl Replica {
             running: Vec::new(),
             pending: BinaryHeap::new(),
             kv_reserved: 0,
-            iter_end: None,
+            run: None,
             metrics: ReplicaMetrics::default(),
             prefix: PrefixTracker::new(prefix_entries),
         }
@@ -273,6 +314,39 @@ impl Replica {
     fn load(&self) -> (usize, u64) {
         (self.running.len() + self.pending.len(), self.kv_reserved)
     }
+
+    /// Whether the pending head may join the batch now.
+    fn admits_head(&self, cfg: &ServerConfig) -> bool {
+        self.pending.peek().is_some_and(|Reverse(head)| {
+            cfg.admits(self.running.len(), self.kv_reserved, &head.req)
+        })
+    }
+}
+
+/// KV-cache tokens `req` reserves while it runs.
+fn kv_need(req: &LlmRequest) -> u64 {
+    u64::from(req.input_tokens) + u64::from(req.output_tokens.max(1))
+}
+
+impl ServerConfig {
+    /// Whether a replica running `running` sequences that reserve
+    /// `kv_reserved` KV tokens admits `req` into its batch.
+    fn admits(&self, running: usize, kv_reserved: u64, req: &LlmRequest) -> bool {
+        let max_running = self.max_running as usize;
+        // Background admission stops short of the interactive reserve so a
+        // latency-critical arrival never waits for a background decode to
+        // drain (§6's hybrid deployment).
+        let limit = if self.lane_aware && req.lane == crate::Lane::Background {
+            max_running
+                .saturating_sub(self.interactive_reserve as usize)
+                .max(1)
+        } else {
+            max_running
+        };
+        // A request that does not fit waits for KV to free up, unless the
+        // batch is empty: an oversized request runs alone.
+        running < limit && (running == 0 || kv_reserved + kv_need(req) <= self.kv_capacity_tokens)
+    }
 }
 
 /// A virtual-time, continuous-batching LLM serving engine.
@@ -280,7 +354,7 @@ impl Replica {
 /// `SimServer` is driven by a discrete-event executor through three calls:
 ///
 /// 1. [`SimServer::submit`] — enqueue a request at the current time;
-/// 2. [`SimServer::next_event`] — the earliest time an iteration finishes;
+/// 2. [`SimServer::next_event`] — the earliest end of a replica's run;
 /// 3. [`SimServer::advance`] — move the clock forward, collecting
 ///    completions that occur up to that time into a caller-owned buffer.
 ///
@@ -288,6 +362,25 @@ impl Replica {
 /// time (no preemption — §3.5 notes preemption during inference is
 /// avoided). Admission happens between iterations, honoring priority order,
 /// `max_running`, and KV capacity.
+///
+/// # Decode runs
+///
+/// An iteration that only decodes, with nothing admissible at its end,
+/// is followed by the same iteration until a sequence completes: the
+/// queue is empty or its head is held back by `max_running`, KV or the
+/// interactive reserve, and only a completion lifts those. Such a run is
+/// planned whole and is one event; a single iteration is a run of one. A
+/// submit routed to a replica mid-run ends the run at the first boundary
+/// where the new head could be admitted. So a driver must:
+///
+/// * advance to each `next_event` before submitting at a later time;
+/// * know that a boundary at or before the last `advance` has passed: a
+///   request submitted at `t` after `advance(t)` waits for the next
+///   boundary, one submitted at `t` before it joins at a boundary at `t`.
+///
+/// Completions, admissions, routing and [`SimServer::metrics`] read after
+/// any `advance` are then exactly what stepping one iteration at a time
+/// would give.
 ///
 /// # Example
 ///
@@ -322,6 +415,8 @@ pub struct SimServer {
     replicas: Vec<Replica>,
     arrival_seq: u64,
     now: VirtualTime,
+    /// The last instant passed to [`SimServer::advance`].
+    advanced: VirtualTime,
     outstanding: u64,
     outstanding_integral_us: f64,
     submitted: u64,
@@ -349,6 +444,7 @@ impl SimServer {
             replicas,
             arrival_seq: 0,
             now: VirtualTime::ZERO,
+            advanced: VirtualTime::ZERO,
             outstanding: 0,
             outstanding_integral_us: 0.0,
             submitted: 0,
@@ -410,42 +506,58 @@ impl SimServer {
             .min_by_key(|r| (r.load(), r.id))
             .map(|r| r.id)
             .expect("at least one replica");
-        self.replicas[target].pending.push(Reverse(Pending {
+        let replica = &mut self.replicas[target];
+        replica.pending.push(Reverse(Pending {
             key,
             req,
             submitted_at: now,
         }));
-        self.try_start(target, now);
+        let admits = replica.admits_head(&self.cfg);
+        match &mut replica.run {
+            None => self.try_start(target, now),
+            // The batch takes the new head at the first boundary that has
+            // not passed: the run ends there.
+            Some(run) if admits => run.iters = run.iters.min(run.passed(now, self.advanced) + 1),
+            Some(_) => {}
+        }
     }
 
-    /// Earliest pending iteration end, if any replica is busy.
+    /// Earliest end of a replica's run (the next instant at which a
+    /// request may complete or the batch may change), if any is busy.
     pub fn next_event(&self) -> Option<VirtualTime> {
-        self.replicas.iter().filter_map(|r| r.iter_end).min()
+        self.replicas
+            .iter()
+            .filter_map(|r| r.run)
+            .map(|run| run.end())
+            .min()
     }
 
-    /// Advances the clock to `now`, finishing any iterations that end at or
+    /// Advances the clock to `now`, finishing any runs that end at or
     /// before `now` and admitting new work, and appends the completed
-    /// requests to `out` in deterministic order: iteration end, then
-    /// replica id, then completion order within the iteration.
+    /// requests to `out` in deterministic order: run end, then replica
+    /// id, then completion order within the batch. Every iteration
+    /// boundary at or before `now` has passed afterwards.
     ///
     /// `out` is the caller's to reuse, so a steady advance allocates
     /// nothing.
     pub fn advance(&mut self, now: VirtualTime, out: &mut Vec<Completion>) {
-        // The earliest due iteration end goes first (ties to the lower
-        // replica id), so the clock never steps back when `now` passes
-        // several replicas' ends. Iterations may chain (end at or before
-        // `now` and restart), so loop until none is due.
+        // The earliest due run end goes first (ties to the lower replica
+        // id), so the clock never steps back when `now` passes several
+        // replicas' ends. Runs may chain (end at or before `now` and
+        // restart), so loop until none is due.
         while let Some((end, id)) = self
             .replicas
             .iter()
-            .filter_map(|r| r.iter_end.filter(|&t| t <= now).map(|t| (t, r.id)))
+            .filter_map(|r| r.run.map(|run| (run.end(), r.id)))
+            .filter(|&(end, _)| end <= now)
             .min()
         {
             self.accrue(end);
-            self.finish_iteration(id, end, out);
+            self.finish_run(id, end, out);
             self.try_start(id, end);
         }
         self.accrue(now);
+        self.advanced = now;
     }
 
     /// Runs the server to completion, returning all remaining completions.
@@ -458,19 +570,30 @@ impl SimServer {
         out
     }
 
-    /// Cumulative metrics snapshot.
+    /// Cumulative metrics snapshot. A run in flight counts the
+    /// iterations begun at boundaries that have passed, so a read after
+    /// `advance(t)` counts every iteration begun at or before `t`.
     pub fn metrics(&self) -> ServerMetrics {
+        let replica = |r: &Replica| {
+            let mut m = r.metrics;
+            if let Some(run) = r.run {
+                let begun = (1 + run.passed(self.now, self.advanced)).min(run.iters);
+                run.credit(&mut m, begun);
+            }
+            m
+        };
         ServerMetrics {
-            replicas: self.replicas.iter().map(|r| r.metrics).collect(),
+            replicas: self.replicas.iter().map(replica).collect(),
             outstanding_integral_us: self.outstanding_integral_us,
             submitted: self.submitted,
             completed: self.completed,
         }
     }
 
-    fn finish_iteration(&mut self, id: usize, end: VirtualTime, out: &mut Vec<Completion>) {
+    fn finish_run(&mut self, id: usize, end: VirtualTime, out: &mut Vec<Completion>) {
         let replica = &mut self.replicas[id];
-        replica.iter_end = None;
+        let run = replica.run.take().expect("a run ends");
+        run.credit(&mut replica.metrics, run.iters);
         let mut i = 0;
         let mut finished_here = 0u64;
         while i < replica.running.len() {
@@ -478,12 +601,12 @@ impl SimServer {
             r.prefilled += r.iter_prefill;
             r.iter_prefill = 0;
             if r.iter_decode {
-                r.decoded += 1;
+                r.decoded += run.iters as u32;
                 r.iter_decode = false;
             }
             if r.decoded >= r.target_output() {
                 let done = replica.running.remove(i);
-                replica.kv_reserved -= done.kv_need();
+                replica.kv_reserved -= kv_need(&done.req);
                 finished_here += 1;
                 replica.metrics.completed += 1;
                 out.push(Completion {
@@ -501,51 +624,24 @@ impl SimServer {
     }
 
     fn try_start(&mut self, id: usize, now: VirtualTime) {
-        let cfg_max_running = self.cfg.max_running as usize;
-        // Background admission stops short of the interactive reserve so a
-        // latency-critical arrival never waits for a background decode to
-        // drain (§6's hybrid deployment).
-        let background_limit = if self.cfg.lane_aware {
-            cfg_max_running
-                .saturating_sub(self.cfg.interactive_reserve as usize)
-                .max(1)
-        } else {
-            cfg_max_running
-        };
-        let cfg_kv = self.cfg.kv_capacity_tokens;
-        let chunk = self.cfg.prefill_chunk;
-        let cost = self.cfg.cost;
-        let prefix_caching = self.cfg.prefix_caching;
+        let cfg = &self.cfg;
         let replica = &mut self.replicas[id];
-        if replica.iter_end.is_some() {
-            return; // already mid-iteration; admission happens when it ends
+        if replica.run.is_some() {
+            return; // mid-run; admission happens when it ends or is cut
         }
         // Admission: lowest (lane, priority, seq) first, bounded by batch
         // and KV. Interactive requests sort first, so stopping at a
         // background head never strands an interactive request behind it.
-        while replica.running.len() < cfg_max_running {
-            let Some(Reverse(head)) = replica.pending.peek() else {
-                break;
-            };
-            if head.req.lane == crate::Lane::Background
-                && self.cfg.lane_aware
-                && replica.running.len() >= background_limit
-            {
-                break; // slots beyond this point are reserved
-            }
-            let need = head.req.input_tokens as u64 + head.req.output_tokens.max(1) as u64;
-            if replica.kv_reserved + need > cfg_kv && !replica.running.is_empty() {
-                break; // wait for KV to free up
-            }
-            let Reverse(p) = replica.pending.pop().expect("peeked");
-            replica.kv_reserved += need;
+        while replica.admits_head(cfg) {
+            let Reverse(p) = replica.pending.pop().expect("admitted head");
+            replica.kv_reserved += kv_need(&p.req);
             // Prefix caching: the matched prefix (this agent's recent
             // prompt, or the preamble shared by its persona template) is
             // already resident, so the discount is proportional to the
             // matched length — those tokens skip prefill entirely. The
             // LRU is bounded, so a replica that has not seen this agent
             // recently re-prefills from scratch.
-            let prefilled = if prefix_caching {
+            let prefilled = if cfg.prefix_caching {
                 let matched = replica.prefix.observe(
                     p.req.agent,
                     p.req.template,
@@ -576,9 +672,9 @@ impl SimServer {
             .metrics
             .peak_running
             .max(replica.running.len() as u32);
-        // Assign this iteration's work: decode every prefill-complete
+        // Assign the next iteration's work: decode every prefill-complete
         // sequence; spend up to `chunk` tokens of prefill FCFS.
-        let mut prefill_budget = chunk;
+        let mut prefill_budget = cfg.prefill_chunk;
         let mut prefill_tokens = 0u32;
         let mut decode_seqs = 0u32;
         for r in &mut replica.running {
@@ -595,14 +691,29 @@ impl SimServer {
         if prefill_tokens == 0 && decode_seqs == 0 {
             return; // nothing runnable (should not happen; defensive)
         }
-        let dt = cost
+        // Admission took all it could, so a pure-decode batch repeats the
+        // same iteration until its first sequence completes.
+        let iters = if prefill_tokens == 0 {
+            replica
+                .running
+                .iter()
+                .map(|r| u64::from(r.target_output() - r.decoded))
+                .min()
+                .expect("a running batch")
+        } else {
+            1
+        };
+        let dt = cfg
+            .cost
             .iter_time(prefill_tokens, decode_seqs)
             .max(VirtualTime::from_micros(1));
-        replica.iter_end = Some(now + dt);
-        replica.metrics.busy_us += dt.as_micros();
-        replica.metrics.iterations += 1;
-        replica.metrics.prefill_tokens += prefill_tokens as u64;
-        replica.metrics.decode_tokens += decode_seqs as u64;
+        replica.run = Some(Run {
+            start: now,
+            dt_us: dt.as_micros(),
+            iters,
+            prefill_tokens,
+            decode_seqs,
+        });
     }
 }
 
@@ -648,6 +759,35 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].finished_at, expected);
         assert_eq!(done[0].latency(), expected, "submitted at t=0");
+    }
+
+    #[test]
+    fn decode_run_is_one_event_and_a_submit_cuts_it() {
+        // One prefill iteration (1000 µs), then 9 decodes of 1000 µs
+        // each: two events, not ten.
+        let mut s = SimServer::new(toy_cfg(1, true));
+        s.submit(VirtualTime::ZERO, req(0, 0, 50, 9));
+        let ms = VirtualTime::from_micros;
+        let mut done = Vec::new();
+        assert_eq!(s.next_event(), Some(ms(1_000)));
+        s.advance(ms(1_000), &mut done);
+        assert_eq!(s.next_event(), Some(ms(10_000)), "the decode run");
+        // Mid-run, the counters hold the iterations begun so far: the
+        // boundary at 4000 µs has passed once advanced to.
+        s.advance(ms(4_000), &mut done);
+        assert_eq!(s.metrics().replicas[0].iterations, 5);
+        assert_eq!(s.metrics().replicas[0].decode_tokens, 4);
+        // A request that can join ends the run at the next boundary.
+        s.submit(ms(4_000), req(1, 0, 50, 1));
+        assert_eq!(s.next_event(), Some(ms(5_000)));
+        s.advance(ms(5_000), &mut done);
+        assert!(done.is_empty());
+        let done = s.drain();
+        assert_eq!(done.len(), 2);
+        assert_eq!(done[0].req.id.0, 1, "one prefill and one decode later");
+        assert_eq!(done[0].finished_at, ms(7_000));
+        assert_eq!(done[1].finished_at, ms(10_000), "joining costs no time");
+        assert_eq!(s.metrics().replicas[0].iterations, 10);
     }
 
     #[test]
@@ -946,14 +1086,9 @@ mod tests {
         ));
         s.submit(VirtualTime::ZERO, req(0, 0, 4_000, 2));
         s.submit(VirtualTime::ZERO, req(1, 0, 10, 2));
-        assert_eq!(
-            s.replicas[0].iter_end,
-            Some(VirtualTime::from_micros(5_120))
-        );
-        assert_eq!(
-            s.replicas[1].iter_end,
-            Some(VirtualTime::from_micros(1_000))
-        );
+        let end = |r: usize| s.replicas[r].run.map(|run| run.end());
+        assert_eq!(end(0), Some(VirtualTime::from_micros(5_120)));
+        assert_eq!(end(1), Some(VirtualTime::from_micros(1_000)));
         let mut done = Vec::new();
         s.advance(VirtualTime::from_secs_f64(1_000.0), &mut done);
         let order: Vec<u64> = done.iter().map(|c| c.req.id.0).collect();

@@ -39,15 +39,11 @@ pub fn mine(trace: &Trace, cfg: ServerConfig, step_gap_us: u64) -> LatencyProfil
     let mut finished = Vec::new();
     for (i, c) in calls.iter().enumerate() {
         let at = VirtualTime::from_micros(c.step as u64 * step_gap_us);
-        // Deliver completions due before this arrival.
-        while let Some(t) = server.next_event() {
-            if t > at {
-                break;
-            }
-            server.advance(t, &mut finished);
-            for done in finished.drain(..) {
-                profile.push(done.req.kind, done.latency().as_micros());
-            }
+        // Deliver completions due by this arrival; a boundary at the
+        // arrival instant has passed, so the call waits for the next one.
+        server.advance(at, &mut finished);
+        for done in finished.drain(..) {
+            profile.push(done.req.kind, done.latency().as_micros());
         }
         server.submit(
             at,

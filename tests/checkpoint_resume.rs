@@ -55,6 +55,10 @@ fn interrupt_and_resume(policy: DependencyPolicy, tag: &str) {
         ckpt.written() >= 2,
         "expected mid-run checkpoints at steps 20 and 40"
     );
+    assert!(
+        evicted_total > 0,
+        "the eviction passes at each checkpoint must drop history, or eviction is untested here"
+    );
 
     // --- Resume from the last mid-run snapshot --------------------------
     let snap_path = ckpt.last_path().expect("checkpoint written");

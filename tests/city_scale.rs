@@ -7,13 +7,36 @@
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ai_metropolis::prelude::*;
 use ai_metropolis::world::city::CityConfig;
 use ai_metropolis::world::clock_to_step;
+use ai_metropolis::world::Village;
 use common::{assert_worlds_equal, live, lockstep, Layout, Live, Run, World};
 use DependencyPolicy::Spatiotemporal;
+
+/// Steps each 10k-agent test runs.
+const STEPS: u32 = 6;
+
+/// The default 10k+-agent city at the start of its workday and its
+/// lock-step oracle, built once for both 10k tests.
+fn ten_thousand_agent_city() -> &'static (World, Village) {
+    static CITY: OnceLock<(World, Village)> = OnceLock::new();
+    CITY.get_or_init(|| {
+        let cfg = CityConfig::default();
+        // Cold-start the workday: at 8am every agent's first plan fires
+        // its wake chain, housemates couple into per-house clusters,
+        // early commuters start walking — plenty of dependency structure,
+        // no multi-hour warm-up.
+        let world = World::city(&cfg, clock_to_step(8, 0));
+        // Arm 1: the lock-step oracle (global synchronization, the
+        // paper's Algorithm 1 semantics via the same plan/commit
+        // pipeline).
+        let oracle = lockstep(&world, STEPS);
+        (world, oracle)
+    })
+}
 
 /// Runs the default 10k+-agent city out of order over `layout`, a
 /// 16-strip tracker, and holds it world for world to the lock-step
@@ -21,21 +44,15 @@ use DependencyPolicy::Spatiotemporal;
 fn ten_thousand_agent_city_equals_lockstep(layout: Layout) -> Live {
     let cfg = CityConfig::default();
     assert!(cfg.agents >= 10_000, "the bar is 10k+ agents");
-    // Cold-start the workday: at 8am every agent's first plan fires its
-    // wake chain, housemates couple into per-house clusters, early
-    // commuters start walking — plenty of dependency structure, no
-    // multi-hour warm-up.
-    let world = World::city(&cfg, clock_to_step(8, 0));
+    let (world, oracle) = ten_thousand_agent_city();
     assert_eq!(world.village.num_agents(), cfg.agents as usize);
-    let steps = 6u32;
-
-    // Arm 1: the lock-step oracle (global synchronization, the paper's
-    // Algorithm 1 semantics via the same plan/commit pipeline).
-    let oracle = lockstep(&world, steps);
 
     // Arm 2: out-of-order on the threaded runtime.
-    let ooo = live(world, &Run::new(Spatiotemporal, steps, 4).on(layout));
-    assert_eq!(ooo.report.agent_steps, cfg.agents as u64 * steps as u64);
+    let ooo = live(
+        world.clone(),
+        &Run::new(Spatiotemporal, STEPS, 4).on(layout),
+    );
+    assert_eq!(ooo.report.agent_steps, cfg.agents as u64 * u64::from(STEPS));
     let shards = 16usize;
     assert_eq!(ooo.shards.len(), shards);
     // Strip sharding must actually spread the population.
@@ -43,7 +60,7 @@ fn ten_thousand_agent_city_equals_lockstep(layout: Layout) -> Live {
     assert!(populated >= shards / 2, "only {populated} shards populated");
 
     // World-for-world equality with the lock-step oracle.
-    assert_worlds_equal(&ooo.world, &oracle);
+    assert_worlds_equal(&ooo.world, oracle);
     // A waking city is not silent — otherwise this proves nothing.
     assert!(
         oracle.events().len() > 5_000,
