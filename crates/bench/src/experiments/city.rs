@@ -317,7 +317,7 @@ fn drive_dist(
     let wall_s = started.elapsed().as_secs_f64();
     assert!(sched.is_done());
     assert!(sched.graph().validate().is_ok(), "validity violated");
-    sched.graph_mut().check_invariants();
+    sched.graph().check_invariants();
     let stats = sched.stats();
     let keys = (0..shards)
         .map(|i| sched.graph().worker_db(i).stats().keys as u64)

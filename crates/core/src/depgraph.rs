@@ -38,13 +38,12 @@
 //! the shards of a map (one shard here; many in
 //! [`crate::shard::ShardedDepGraph`], which *is* this graph over a
 //! multi-shard map), each shard keeping its step bounds and spatial
-//! index, and every candidate is re-checked against the §3.2 rules by the
-//! same routine the distributed workers answer relink probes with.
+//! index, and every candidate is re-checked against the §3.2 rules.
 //!
 //! The node table in the store remains the authoritative state; adjacency
-//! is a derived cache that [`DepGraph::recover`] rebuilds from scratch,
-//! which the property tests exploit to cross-check the incremental
-//! maintenance against a full rebuild after every operation.
+//! is a derived cache that [`DepGraph::recover`] rebuilds from scratch.
+//! [`DepGraph::check_invariants`] holds the mirror to that table and its
+//! adjacency to such a rebuild; the property and live-world tests run it.
 
 use std::sync::Arc;
 
@@ -109,7 +108,8 @@ pub trait DepTracker<S: Space>: Send {
     /// shipped trackers queue it and write [`crate::dist::WINDOW`] calls
     /// as one store batch, and land a partial window when a store is read
     /// (`DepGraph::db`, `commits`, `history_records`, `history_at`,
-    /// `DistTracker::worker_db`), when history is evicted, and on `Drop`
+    /// `DistTracker::worker_db`), when history is evicted, at the
+    /// invariant check ([`Tracker::check_invariants`]), and on `Drop`
     /// ([`crate::dist::DistTracker`] has a few more; see [`crate::dist`]).
     /// A store handle kept from before may miss writes queued since. On
     /// error no agent has moved.
@@ -431,14 +431,6 @@ impl<S: Space> DepGraph<S> {
     pub fn history_at(&self, a: AgentId, step: Step) -> Result<Option<(Step, S::Pos)>, StoreError> {
         self.sink.settle()?;
         self.sink.history_at(step.0, a.0)
-    }
-
-    /// Debug cross-check of the shard partition against first
-    /// principles: ownership matches the shard map, step bounds match the
-    /// node table. Used by the property tests.
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.mirror.check_invariants();
     }
 
     /// Allocating convenience form of [`DepTracker::coupled_of`].

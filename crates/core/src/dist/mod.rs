@@ -22,10 +22,11 @@
 //! graph writes through: the core writes, rewrites on a squash and
 //! evicts the authoritative records, and the shell keeps its members'
 //! states and, per agent, the steps of the history records its store
-//! holds, so a departure reads just the departing agents' records. It
-//! answers relink probes by classifying every member with the same rule
-//! classification, which the invariant check uses to hold the mirror's
-//! adjacency to the workers' ground truth. The three trackers are
+//! holds, so a departure reads just the departing agents' records. The
+//! invariant check holds the mirror to the states the workers report in
+//! one [`msg::CtrlMsg::Quiesce`] round, and its adjacency to a rebuild
+//! over them, as it does for the in-process graph with its store. The
+//! three trackers are
 //! therefore edge-for-edge and record-for-record identical by
 //! construction; what this module adds is the boundary.
 //!

@@ -11,7 +11,8 @@
 //! # Protocol invariants
 //!
 //! The exactness argument of [`crate::shard`]'s boundary-edge protocol
-//! carries over message for message:
+//! is made on the controller's mirror; the messages keep what it
+//! assumes:
 //!
 //! 1. **Ownership is total and current.** Every agent is owned by
 //!    exactly one worker. A commit ([`CtrlMsg::Commit`] /
@@ -20,17 +21,16 @@
 //!    position crosses a shard boundary the controller moves the agent
 //!    with a [`CtrlMsg::Depart`] (queued behind the commit, in the same
 //!    hand-off) → [`ShardMsg::Departed`] → [`CtrlMsg::Arrive`]
-//!    handshake, and no worker answers a [`CtrlMsg::RelinkQuery`] of
-//!    that operation before its arrivals are in (they are queued ahead
-//!    of its query), so a query never misses a mid-migration agent.
-//! 2. **Pruning is conservative.** The controller skips a worker
-//!    entirely only when [`crate::shard::ShardMap::min_distance`] (a
-//!    lower bound) exceeds the pair-gap radius derived from the
-//!    worker's step bounds (an upper bound) — the same proof as the
-//!    in-process sharded tracker. A worker that *is* queried checks
-//!    every member with the exact
-//!    [`crate::space::Space::within_units`] predicates before emitting a
-//!    [`WireEdge`].
+//!    handshake, so a [`CtrlMsg::Quiesce`] queued after an operation
+//!    finds each of its agents with exactly one worker.
+//! 2. **Edges never cross the boundary.** The controller derives every
+//!    edge from its own mirror, whose partition follows the workers'
+//!    membership; the invariant check holds that mirror to the states
+//!    the workers report ([`ShardMsg::Quiesced`]) and to a from-scratch
+//!    rebuild over them. No run and no check sends
+//!    [`CtrlMsg::RelinkQuery`]: it and its [`ShardMsg::Edges`] reply stay
+//!    in the protocol only for the wire tests and the end-to-end
+//!    benchmark's codec row.
 //! 3. **Replies are complete, and a hand-off stops at its first
 //!    failure.** Requests cross the boundary in *hand-offs*
 //!    ([`crate::dist::WorkerLink`]): everything queued for one worker,
@@ -77,10 +77,9 @@ pub struct NodeRecord<P> {
     pub history: Vec<(u32, P)>,
 }
 
-/// One relink query: "which of your members have a rule edge with this
-/// agent?" The worker answers from its own index with the exact
-/// predicates; the probe carries the agent's committed state so the
-/// worker never needs foreign lookups.
+/// One probe of a [`CtrlMsg::RelinkQuery`] (protocol invariant 2):
+/// "which of your members have a rule edge with this agent?" It carries
+/// the agent's committed state, so the worker needs no foreign lookups.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Probe<P> {
     /// The relinking agent.
@@ -91,8 +90,8 @@ pub struct Probe<P> {
     pub pos: P,
 }
 
-/// One derived edge crossing the boundary in a [`ShardMsg::Edges`]
-/// reply.
+/// One derived edge: what the controller's edge engine emits, and what
+/// a [`ShardMsg::Edges`] reply carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireEdge {
     /// `true` for a same-step coupling edge `{a, b}`; `false` for a
@@ -140,7 +139,8 @@ pub enum CtrlMsg<P> {
         records: Vec<NodeRecord<P>>,
     },
     /// Compute the rule edges between each probe and this worker's
-    /// members. Reply: [`ShardMsg::Edges`].
+    /// members; never sent by a run or a check (protocol invariant 2).
+    /// Reply: [`ShardMsg::Edges`].
     RelinkQuery {
         /// Agents whose incident edges are being rebuilt.
         probes: Vec<Probe<P>>,

@@ -29,7 +29,7 @@
 //!   queued on the new owner's lane like any write;
 //! - at a quiesce point: [`DistTracker::evict_history`],
 //!   [`DistTracker::harvest_telemetry`], [`DistTracker::poll_heartbeats`],
-//!   [`DistTracker::check_invariants`], [`DistTracker::respawn_worker`],
+//!   [`Tracker::check_invariants`], [`DistTracker::respawn_worker`],
 //!   the readers of the worker stores ([`DistTracker::worker_db`],
 //!   [`DistTracker::commits`], [`DistTracker::history_records`]) and
 //!   `Drop`. Construction and [`DistTracker::recover`] leave nothing
@@ -45,10 +45,10 @@
 //! thread: one queue, written on the graph's own store as one batch once
 //! it holds [`WINDOW`] calls, or at a quiesce point — the store readers
 //! (`db`, `commits`, `history_records`, `history_at`), a history
-//! eviction, and `Drop`. It has no migration to wait for. A window that
-//! fails to land (only a `dep:commits` value that is not an integer
-//! fails it) fails the call that filled it, with that call's writes
-//! withdrawn and every earlier call's kept queued.
+//! eviction, the invariant check, and `Drop`. It has no migration to
+//! wait for. A window that fails to land (only a `dep:commits` value
+//! that is not an integer fails it) fails the call that filled it, with
+//! that call's writes withdrawn and every earlier call's kept queued.
 //!
 //! # What a failed call leaves behind
 //!
@@ -88,7 +88,6 @@
 //! store in a real deployment ([`DistTracker::commits`],
 //! [`DistTracker::history_records`]).
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -105,7 +104,7 @@ use crate::shard::{owners_of, ShardMap};
 use crate::space::Space;
 use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
 
-use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg};
+use super::msg::{CtrlMsg, NodeRecord, ShardMsg};
 use super::worker::{floor_of, worker_down, ChannelLink, SeveredLink, SharedTelemetry, WorkerLink};
 
 /// Requests a lane queues before it is handed off: the most writes a
@@ -400,6 +399,41 @@ fn settle<P: Copy + fmt::Debug>(
     result
 }
 
+/// Hands each worker `request(j)` and gathers the `(step, position)` of
+/// every one of `agents` agents from the member states the replies
+/// carry (`Quiesced` and `Recovered` alike): each worker must report the
+/// agents `owner` gives it, each once, and no other.
+fn gather<P: Copy + fmt::Debug>(
+    lanes: &mut [Lane<P>],
+    telemetry: Option<&Telemetry>,
+    agents: usize,
+    owner: impl Fn(u32) -> usize,
+    request: impl Fn(usize) -> CtrlMsg<P>,
+) -> Result<Vec<(Step, P)>, StoreError> {
+    for (j, lane) in lanes.iter_mut().enumerate() {
+        lane.hand_off(j, telemetry, [request(j)])?;
+    }
+    let mut states = vec![None; agents];
+    for (j, lane) in lanes.iter_mut().enumerate() {
+        let reply = lane.recv(j, telemetry)?;
+        let (ShardMsg::Quiesced { states: members } | ShardMsg::Recovered { states: members }) =
+            reply
+        else {
+            return Err(protocol_err("member states", &reply));
+        };
+        for (a, step, pos) in members {
+            match states.get_mut(a as usize) {
+                Some(slot @ None) if owner(a) == j => *slot = Some((Step(step), pos)),
+                _ => return Err(StoreError::Codec(format!("worker {j} reports agent {a}"))),
+            }
+        }
+    }
+    let missing = |a| StoreError::Codec(format!("no worker reports agent {a}"));
+    (states.into_iter().enumerate())
+        .map(|(a, state)| state.ok_or_else(|| missing(a)))
+        .collect()
+}
+
 /// Queues every record of `pool` as an arrival on the lane of the worker
 /// its position belongs to, each held in doubt there, and empties it.
 fn queue_arrivals<P: Copy + fmt::Debug>(
@@ -468,8 +502,8 @@ pub type DistTracker<S> = Tracker<S, Remote<S>>;
 /// each worker's database retained as its durable storage stand-in.
 pub struct Remote<S: Space> {
     /// One lane per shard worker. Only the readers of the worker stores
-    /// and the invariant check lock it, to settle the window through
-    /// `&self`; every other path reaches the lanes through `get_mut`.
+    /// and their states lock it, to settle the window through `&self`;
+    /// every other path reaches the lanes through `get_mut`.
     lanes: Mutex<Vec<Lane<S::Pos>>>,
     /// Each worker's database, retained as its durable storage stand-in.
     worker_dbs: Vec<Arc<Db>>,
@@ -615,39 +649,14 @@ impl<S: Space> DistTracker<S> {
             true,
         );
         let mut tracker = Self::spawn(empty, worker_dbs, options.history);
-        let mut states: Vec<Option<Node<S::Pos>>> = vec![None; num_agents];
-        let remote = &mut tracker.sink;
-        let lanes = remote.lanes.get_mut();
-        for (j, list) in members.iter().enumerate() {
-            let expected = list.clone();
-            lanes[j].hand_off(j, None, [CtrlMsg::Recover { expected }])?;
-        }
-        for (j, list) in members.iter().enumerate() {
-            let reply = lanes[j].recv(j, None)?;
-            let ShardMsg::Recovered {
-                states: worker_states,
-            } = reply
-            else {
-                return Err(protocol_err("Recovered", &reply));
-            };
-            if worker_states.len() != list.len() {
-                return Err(StoreError::Codec(format!(
-                    "worker {j} recovered {} of {} members",
-                    worker_states.len(),
-                    list.len()
-                )));
-            }
-            for (a, step, pos) in worker_states {
-                let step = Step(step);
-                states[a as usize] = Some(Node { pos, step });
-            }
-        }
-        let nodes = (states.into_iter().enumerate())
-            .map(|(i, node)| {
-                node.ok_or_else(|| StoreError::Codec(format!("agent {i} owned by no shard")))
-            })
-            .collect::<Result<_, _>>()?;
-        tracker.mirror = Mirror::new(space, params, map, nodes, true);
+        let lanes = tracker.sink.lanes.get_mut();
+        let recover = |j: usize| CtrlMsg::Recover {
+            expected: members[j].clone(),
+        };
+        let owned_by = |a: u32| owner[a as usize] as usize;
+        let states = gather(lanes, None, num_agents, owned_by, recover)?;
+        let nodes = (states.into_iter()).map(|(step, pos)| Node { pos, step });
+        tracker.mirror = Mirror::new(space, params, map, nodes.collect(), true);
         tracker.mirror.partition().check_owners(&owner)?;
         let remote = &mut tracker.sink;
         if remote.history {
@@ -768,23 +777,6 @@ impl<S: Space> DistTracker<S> {
         lane.owed = 0;
         lane.unwaited = 0;
         std::mem::replace(&mut lane.link, link)
-    }
-
-    /// Debug cross-check of the mirror against the workers' ground
-    /// truth: settles the window, then hands every worker
-    /// `[Quiesce, RelinkQuery]` in one round and verifies that
-    /// membership, positions and steps agree with the mirror (and the
-    /// shard map's geometry), and that the edges the workers compute for
-    /// every agent are exactly the mirror's adjacency. Used by the
-    /// property tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any disagreement.
-    #[doc(hidden)]
-    pub fn check_invariants(&mut self) {
-        self.sink.check(&self.mirror);
-        self.mirror.check_invariants();
     }
 
     /// Respawns worker `shard` over its retained database and brings it
@@ -1151,62 +1143,6 @@ impl<S: Space> Remote<S> {
         }
         Ok(total)
     }
-
-    /// See [`DistTracker::check_invariants`].
-    fn check(&self, mirror: &Mirror<S>) {
-        let t = self.telemetry.as_deref();
-        let mut lanes = self.lanes.lock();
-        settle(&mut lanes, t).expect("settle the window");
-        let probes: Vec<Probe<S::Pos>> = (mirror.nodes().iter().enumerate())
-            .map(|(a, n)| Probe {
-                agent: a as u32,
-                step: n.step.0,
-                pos: n.pos,
-            })
-            .collect();
-        let mut found = BTreeSet::new();
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            let relink = CtrlMsg::RelinkQuery {
-                probes: probes.clone(),
-            };
-            lane.hand_off(j, t, [CtrlMsg::Quiesce, relink])
-                .expect("quiesce send");
-            let reply = lane.recv(j, t).expect("quiesce recv");
-            let ShardMsg::Quiesced { states } = reply else {
-                panic!("expected Quiesced, got {reply:?}");
-            };
-            assert_eq!(
-                states.len(),
-                mirror.partition().members(j).len(),
-                "worker {j} member count drifted from the mirror"
-            );
-            for (a, step, pos) in states {
-                assert_eq!(mirror.partition().owner(a), j, "ownership drift");
-                let node = mirror.nodes()[a as usize];
-                assert_eq!(node.step.0, step, "stale mirror step for agent {a}");
-                assert_eq!(node.pos, pos, "stale mirror position for agent {a}");
-            }
-            let reply = lane.recv(j, t).expect("relink recv");
-            let ShardMsg::Edges { edges } = reply else {
-                panic!("expected Edges, got {reply:?}");
-            };
-            // Each edge comes back once per endpoint; couplings in
-            // either order.
-            found.extend(edges.into_iter().map(|e| match e.coupled {
-                true => (true, e.a.min(e.b), e.a.max(e.b)),
-                false => (false, e.a, e.b),
-            }));
-        }
-        let snap = mirror.snapshot();
-        let mut kept: BTreeSet<_> = (snap.coupled.iter())
-            .map(|(a, b)| (true, a.0, b.0))
-            .collect();
-        kept.extend(snap.blocked.iter().map(|(b, a)| (false, b.0, a.0)));
-        assert_eq!(
-            kept, found,
-            "mirror adjacency disagrees with the workers' edges"
-        );
-    }
 }
 
 impl<S: Space> Drop for Remote<S> {
@@ -1278,6 +1214,23 @@ impl<S: Space> Sink<S> for Remote<S> {
     fn stores(&self) -> &[Arc<Db>] {
         let _ = settle(&mut self.lanes.lock(), self.telemetry.as_deref());
         &self.worker_dbs
+    }
+
+    /// Every agent's state as its worker reports it in one
+    /// [`CtrlMsg::Quiesce`] round, once the window has settled: each
+    /// worker must report exactly the members the mirror gives it.
+    fn states(&self, mirror: &Mirror<S>) -> Result<Vec<(Step, S::Pos)>, StoreError> {
+        let t = self.telemetry.as_deref();
+        let mut lanes = self.lanes.lock();
+        settle(&mut lanes, t)?;
+        let part = mirror.partition();
+        gather(
+            &mut lanes,
+            t,
+            mirror.len(),
+            |a| part.owner(a),
+            |_| CtrlMsg::Quiesce,
+        )
     }
 
     fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {

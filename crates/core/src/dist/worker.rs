@@ -17,7 +17,8 @@
 //! as one batch), replies, telemetry, heartbeats, and the departure
 //! index — the steps of each agent's history records, so a departure
 //! reads only its own. It keeps no spatial index: the one query it
-//! answers (the invariant check's relink probes) scans the members.
+//! answers, [`CtrlMsg::RelinkQuery`], scans the members, and nothing
+//! but the wire tests sends it.
 //! Nothing is shared with other workers or with the controller: every
 //! state transfer is a protocol message, which is what lets phase 2 move
 //! a worker out of process behind the `dist-socket` transport.
@@ -334,9 +335,10 @@ impl<S: Space> Drop for Records<S> {
 /// mirror, and the queue lands as one write batch once it holds `WINDOW`
 /// calls, or at a quiesce point — the store readers (`DepGraph::db`,
 /// `commits`, `history_records`, `history_at`), a history eviction
-/// (before its walk) and `Drop`. A call whose window fails to land (only
-/// a `dep:commits` value that is not an integer fails it) returns `Err`
-/// with its own moves withdrawn; the earlier calls' stay queued.
+/// (before its walk), the invariant check and `Drop`. A call whose
+/// window fails to land (only a `dep:commits` value that is not an
+/// integer fails it) returns `Err` with its own moves withdrawn; the
+/// earlier calls' stay queued.
 impl<S: Space> Sink<S> for Records<S> {
     fn history(&self) -> bool {
         self.history
@@ -381,6 +383,12 @@ impl<S: Space> Sink<S> for Records<S> {
     fn stores(&self) -> &[Arc<Db>] {
         let _ = self.settle();
         std::slice::from_ref(&self.db)
+    }
+
+    /// Every agent's record, once the queue has landed.
+    fn states(&self, mirror: &Mirror<S>) -> Result<Vec<(Step, S::Pos)>, StoreError> {
+        self.settle()?;
+        (0..mirror.len() as u32).map(|a| self.load(a)).collect()
     }
 }
 

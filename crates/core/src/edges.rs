@@ -19,8 +19,8 @@
 //!
 //! Both write behind by one rule: a queue is written once it holds
 //! [`crate::dist::WINDOW`] calls, or at a quiesce point (a store read, a
-//! history eviction, `Drop`), so a write is durable at the next quiesce
-//! point.
+//! history eviction, the invariant check, `Drop`), so a write is durable
+//! at the next quiesce point.
 //!
 //! The mirror's parts are each written once here:
 //!
@@ -30,9 +30,7 @@
 //!   ([`Partition::reach`]) deciding which shards can hold a rule
 //!   neighbour of an agent at all;
 //! * [`edges_of`]: the pair classification — every candidate re-checked
-//!   with [`Space::within_units`], each edge emitted as a [`WireEdge`] —
-//!   which each `ShardWorker` also answers the invariant check's relink
-//!   probes with;
+//!   with [`Space::within_units`], each edge emitted as a [`WireEdge`];
 //! * an [`Adjacency`]: the id-sorted coupled / blockers / blockees lists
 //!   the scheduler's queries read.
 //!
@@ -627,11 +625,31 @@ impl<S: Space> Mirror<S> {
         self.adj().snapshot(&self.nodes)
     }
 
-    /// Panics unless the partition matches the nodes: every agent a
-    /// member of exactly one shard, the one the map places it in, at its
-    /// step.
-    pub(crate) fn check_invariants(&self) {
+    /// Panics unless every node is at its `states` entry, the partition
+    /// passes [`Partition::check`], and maintained edges are those of a
+    /// mirror built from scratch over `states` on one shard.
+    pub(crate) fn check(&self, states: &[(Step, S::Pos)]) {
+        let n = self.nodes.len();
+        assert_eq!(states.len(), n, "the stores hold another agent count");
+        for (a, (node, &(step, pos))) in self.nodes.iter().zip(states).enumerate() {
+            assert_eq!(node.step, step, "stale mirror step for agent {a}");
+            assert_eq!(node.pos, pos, "stale mirror position for agent {a}");
+        }
         self.part.check(&self.nodes);
+        let Some(adj) = self.adj.as_ref() else {
+            return;
+        };
+        let nodes = states.iter().map(|&(step, pos)| Node { pos, step });
+        let space = Arc::clone(&self.space);
+        let rebuilt = Mirror::new(space, self.params, Arc::new(Whole), nodes.collect(), true);
+        if let Some(a) = (0..n).find(|&a| adj.lists(a) != rebuilt.adj().lists(a)) {
+            panic!(
+                "mirror adjacency disagrees with a rebuild at agent {a}: \
+                 [coupled, blocked by, blocks] {:?}, rebuilt {:?}",
+                adj.lists(a),
+                rebuilt.adj().lists(a)
+            );
+        }
     }
 }
 
@@ -672,6 +690,12 @@ pub trait Sink<S: Space>: Send {
     /// first. A queue that cannot be written stays queued, and the stores
     /// are returned without it.
     fn stores(&self) -> &[Arc<Db>];
+
+    /// The `(step, position)` the stores hold for each of `mirror`'s
+    /// agents, by id: a quiesce point. Fails when the queue cannot be
+    /// written, a record is missing or malformed, or the stores'
+    /// membership disagrees with `mirror`'s partition.
+    fn states(&self, mirror: &Mirror<S>) -> Result<Vec<(Step, S::Pos)>, StoreError>;
 
     /// See [`DepTracker::set_telemetry`]. Default: ignore.
     fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
@@ -829,6 +853,19 @@ impl<S: Space, K: Sink<S>> Tracker<S, K> {
     /// against a from-scratch rebuild.
     pub fn snapshot(&self) -> GraphSnapshot {
         self.mirror.snapshot()
+    }
+
+    /// Panics unless the mirror is what the stores hold (a quiesce point;
+    /// a distributed tracker's workers report in one `Quiesce` round):
+    /// every node at its stored `(step, position)`, each agent in the
+    /// shard the map gives it, every shard's step histogram rebuilt from
+    /// its members, and the maintained edges those of a mirror built from
+    /// scratch over the stored states. O(agents + edges) plus the rebuild.
+    pub fn check_invariants(&self) {
+        match self.sink.states(&self.mirror) {
+            Ok(states) => self.mirror.check(&states),
+            Err(e) => panic!("the stores cannot report their states: {e}"),
+        }
     }
 }
 
@@ -1035,6 +1072,11 @@ impl Adjacency {
         &self.coupled[a.index()]
     }
 
+    /// `a`'s coupled, blocked-by and blocks lists.
+    fn lists(&self, a: usize) -> [&[AgentId]; 3] {
+        [&self.coupled[a], &self.blockers[a], &self.blockees[a]]
+    }
+
     /// Dumps `nodes` and every edge (O(n + edges)).
     pub(crate) fn snapshot<P: fmt::Debug>(&self, nodes: &[Node<P>]) -> GraphSnapshot {
         let mut blocked = Vec::new();
@@ -1071,5 +1113,115 @@ fn insert_sorted(list: &mut Vec<AgentId>, x: AgentId) {
 fn remove_sorted(list: &mut Vec<AgentId>, x: AgentId) {
     if let Ok(at) = list.binary_search(&x) {
         list.remove(at);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use aim_store::Key;
+
+    use super::*;
+    use crate::depgraph::{DepGraph, GraphOptions};
+    use crate::dist::{CtrlMsg, DistTracker, SeveredLink, ShardMsg, WorkerLink};
+    use crate::shard::StripShardMap;
+    use crate::space::{GridSpace, Point};
+
+    /// Agents 0 and 1 side by side in the left strip of an 80-wide grid,
+    /// 2 and 3 apart in the right one.
+    fn initial() -> Vec<Point> {
+        let at = [(0, 0), (4, 0), (50, 10), (70, 10)];
+        at.iter().map(|&(x, y)| Point::new(x, y)).collect()
+    }
+
+    fn space() -> Arc<GridSpace> {
+        Arc::new(GridSpace::new(80, 20))
+    }
+
+    fn graph() -> DepGraph<GridSpace> {
+        let db = Arc::new(Db::new());
+        DepGraph::new(space(), RuleParams::genagent(), db, &initial()).unwrap()
+    }
+
+    /// The same agents on two workers, a strip each.
+    fn dist() -> DistTracker<GridSpace> {
+        let map = Arc::new(StripShardMap::new(80, 2));
+        let options = GraphOptions::default();
+        DistTracker::new(space(), RuleParams::genagent(), &initial(), map, options).unwrap()
+    }
+
+    /// Agent 1 steps ahead of agent 0 beside it, so 0 blocks 1 and the
+    /// check passes; then the mirror loses that edge, as a repair that
+    /// missed it would leave it, and is checked again.
+    fn advance_and_drop_an_edge<K: Sink<GridSpace>>(t: &mut Tracker<GridSpace, K>) {
+        t.advance(&[(AgentId(1), Point::new(4, 0))]).unwrap();
+        assert_eq!(t.first_blocker(AgentId(1)), Some(AgentId(0)));
+        t.check_invariants();
+        let adj = t.mirror.adj.as_mut().expect("maintained edges");
+        remove_sorted(&mut adj.blockers[1], AgentId(0));
+        remove_sorted(&mut adj.blockees[0], AgentId(1));
+        t.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "mirror adjacency disagrees with a rebuild at agent 0")]
+    fn a_graph_missing_an_edge_fails_the_check() {
+        advance_and_drop_an_edge(&mut graph());
+    }
+
+    #[test]
+    #[should_panic(expected = "mirror adjacency disagrees with a rebuild at agent 0")]
+    fn a_dist_tracker_missing_an_edge_fails_the_check() {
+        advance_and_drop_an_edge(&mut dist());
+    }
+
+    #[test]
+    #[should_panic(expected = "stale mirror step for agent 0")]
+    fn a_graph_whose_store_holds_another_step_fails_the_check() {
+        let mut g = graph();
+        g.advance(&[(AgentId(0), Point::new(1, 0))]).unwrap();
+        g.check_invariants();
+        // Agent 2's record, still at step 0, stored as agent 0's.
+        let record = |a| Key::tagged_u32(*b"dagt", a);
+        let db = g.db();
+        db.set(record(0), db.get(record(2)).unwrap());
+        g.check_invariants();
+    }
+
+    /// A link whose `Quiesced` replies report `agent` one step behind.
+    struct Stale {
+        link: Box<dyn WorkerLink<Point>>,
+        agent: u32,
+    }
+
+    impl WorkerLink<Point> for Stale {
+        fn send(&mut self, msg: CtrlMsg<Point>) -> Result<(), StoreError> {
+            self.link.send(msg)
+        }
+
+        fn hand_off(&mut self) -> Result<(), StoreError> {
+            self.link.hand_off()
+        }
+
+        fn recv(&mut self) -> Result<ShardMsg<Point>, StoreError> {
+            let mut reply = self.link.recv()?;
+            if let ShardMsg::Quiesced { states } = &mut reply {
+                for (_, step, _) in states.iter_mut().filter(|s| s.0 == self.agent) {
+                    *step -= 1;
+                }
+            }
+            Ok(reply)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stale mirror step for agent 2")]
+    fn a_dist_tracker_whose_worker_reports_a_stale_step_fails_the_check() {
+        let mut d = dist();
+        d.advance(&[(AgentId(2), Point::new(51, 10))]).unwrap();
+        d.check_invariants();
+        let j = d.shard_of_agent(AgentId(2));
+        let link = d.replace_link(j, Box::new(SeveredLink::new(j as u32)));
+        d.replace_link(j, Box::new(Stale { link, agent: 2 }));
+        d.check_invariants();
     }
 }

@@ -291,7 +291,7 @@ pub(crate) fn query_or_all<P>(
 }
 
 /// FxHash-style mixer for the `u64` cell keys of [`UniformGrid`] and the
-/// crate's id-keyed maps ([`IdMap`]): one multiply by a 64-bit
+/// crate's id-keyed maps (`IdMap`): one multiply by a 64-bit
 /// golden-ratio constant plus a finishing xor-shift, ~5 ns per lookup
 /// versus ~25 ns for the default SipHash.
 #[derive(Debug, Default, Clone, Copy)]

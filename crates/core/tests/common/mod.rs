@@ -340,10 +340,11 @@ impl Entry {
         each!(&self.graph, g => g.history_floor())
     }
 
-    /// Cross-checks the partition, and a distributed tracker's workers,
-    /// against the mirror; panics on any disagreement.
-    pub fn check_invariants(&mut self) {
-        each!(&mut self.graph, g => g.check_invariants())
+    /// Holds the mirror to the states its stores hold (a quiesce point
+    /// of either sink), its partition to the map and its edges to a
+    /// from-scratch rebuild; panics on any disagreement.
+    pub fn check_invariants(&self) {
+        each!(&self.graph, g => g.check_invariants())
     }
 
     /// The tracker rebuilt from its settled stores and its shard

@@ -202,7 +202,7 @@ fn large_batches_relink_like_a_serial_sharded_graph() {
         "after a rollback batch"
     );
 
-    let mut recovered = dist.recovered(true);
+    let recovered = dist.recovered(true);
     recovered.check_invariants();
     assert_eq!(recovered.snapshot(), sharded.snapshot(), "after recovery");
 }
@@ -408,7 +408,7 @@ proptest! {
             let cur = live.pos(a);
             live.advance(&[(a, Point::new(cur.x + dx, cur.y + dy))]).unwrap();
         }
-        let mut rebuilt = live.recovered(true);
+        let rebuilt = live.recovered(true);
         rebuilt.check_invariants();
         prop_assert_eq!(live.snapshot(), rebuilt.snapshot());
         prop_assert_eq!(live.history_records(), rebuilt.history_records());

@@ -110,7 +110,7 @@ proptest! {
             g.advance(&[(a, Point::new(cur.x + dx, cur.y + dy))]).unwrap();
         }
         prop_assert_eq!(g.snapshot(), g.recovered(false).snapshot());
-        let mut seeded = g.recovered(true);
+        let seeded = g.recovered(true);
         prop_assert_eq!(g.snapshot(), seeded.snapshot());
         seeded.check_invariants();
         prop_assert_eq!(g.members(), seeded.members());

@@ -151,9 +151,10 @@ pub trait Tracker: DepTracker<GridSpace> + Sized + 'static {
     /// with the agents at `initial`.
     fn build(layout: Layout, space: Arc<GridSpace>, initial: &[Point], opts: GraphOptions) -> Self;
 
-    /// Panics unless the tracker agrees with itself: its partition with
-    /// its nodes, and a distributed tracker's workers with its mirror.
-    fn check(&mut self);
+    /// Panics unless the tracker's mirror agrees with its stores (a
+    /// quiesce point): every node at its stored state, the partition
+    /// over them, and the edges those of a from-scratch rebuild.
+    fn check(&self);
 
     /// Each shard's members, ascending by id.
     fn shards(&self) -> Vec<Vec<u32>>;
@@ -165,7 +166,7 @@ pub trait Tracker: DepTracker<GridSpace> + Sized + 'static {
 /// The [`Tracker`] readers, which every tracker has under other names.
 macro_rules! readers {
     () => {
-        fn check(&mut self) {
+        fn check(&self) {
             self.check_invariants();
         }
 
@@ -240,7 +241,7 @@ pub fn execute<G: Tracker, P: ClusterProgram<GridSpace> + 'static>(
     if let Err(e) = sched.graph().validate() {
         panic!("causality invariant violated: {e}");
     }
-    sched.graph_mut().check();
+    sched.graph().check();
     report
 }
 

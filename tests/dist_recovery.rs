@@ -45,7 +45,7 @@ fn worker_killed_mid_run_recovers_from_its_own_store() {
                 .graph_mut()
                 .respawn_worker(victim)
                 .expect("worker must recover from its own database");
-            sched.graph_mut().check_invariants();
+            sched.graph().check_invariants();
             crashes += 1;
             Ok(())
         },
