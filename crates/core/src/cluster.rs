@@ -2,8 +2,8 @@
 //!
 //! [`DisjointSets`] groups elements into connected components of a pair
 //! relation: the oracle policy's per-step interaction components
-//! ([`crate::policy`]) and the critical-path miner's groups of interacting
-//! agents are built on it. The scheduler itself never batch-clusters: it
+//! ([`crate::policy::OracleGraph`], which the critical-path miner reuses)
+//! are built on it. The scheduler itself never batch-clusters: it
 //! grows each cluster from the coupling edges the dependency tracker
 //! maintains (paper §3.4).
 
@@ -37,6 +37,15 @@ impl DisjointSets {
             size: vec![1; n],
             sets: n,
         }
+    }
+
+    /// Splits every set back into singletons, keeping the storage.
+    pub fn reset(&mut self) {
+        for (p, i) in self.parent.iter_mut().zip(0..) {
+            *p = i;
+        }
+        self.size.fill(1);
+        self.sets = self.parent.len();
     }
 
     /// Number of elements.
@@ -96,31 +105,6 @@ impl DisjointSets {
     pub fn set_count(&self) -> usize {
         self.sets
     }
-
-    /// Groups elements by representative, each group sorted ascending;
-    /// groups ordered by their smallest element.
-    ///
-    /// One O(n) pass: scanning elements in ascending order both discovers
-    /// groups in smallest-member order and fills each group pre-sorted,
-    /// so no hashing or sorting is needed (the root→group mapping is a
-    /// dense scratch table indexed by representative).
-    pub fn groups(&mut self) -> Vec<Vec<usize>> {
-        let n = self.parent.len();
-        let mut slot: Vec<u32> = vec![u32::MAX; n];
-        let mut out: Vec<Vec<usize>> = Vec::with_capacity(self.sets);
-        for i in 0..n {
-            let r = self.find(i);
-            let g = if slot[r] == u32::MAX {
-                slot[r] = out.len() as u32;
-                out.push(Vec::new());
-                out.len() - 1
-            } else {
-                slot[r] as usize
-            };
-            out[g].push(i);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +121,9 @@ mod tests {
         assert!(ds.same(0, 1));
         assert!(!ds.same(0, 3));
         assert_eq!(ds.set_count(), 3);
-        assert_eq!(ds.groups(), vec![vec![0, 1], vec![2], vec![3, 4]]);
+        ds.reset();
+        assert_eq!(ds.set_count(), 5);
+        assert!(!ds.same(0, 1));
     }
 
     #[test]

@@ -25,13 +25,18 @@ use crate::ids::{AgentId, Step};
 /// range of each other during `s`). Under the oracle policy a component is
 /// the unit of execution for step `s`: its members barrier with each other
 /// before and after the step, and with nobody else.
+///
+/// The layout is flat: components are numbered step by step, each step's
+/// in smallest-member order. `lookup[s * num_agents + a]` is agent `a`'s
+/// component at step `s`, component `c` is `members[starts[c]..starts[c +
+/// 1]]` (ascending), and step `s` owns components `steps[s]..steps[s + 1]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OracleGraph {
     num_agents: usize,
-    /// `components[s]` = clusters (sorted member lists) for step `s`.
-    components: Vec<Vec<Vec<u32>>>,
-    /// `lookup[s][agent]` = index into `components[s]`.
-    lookup: Vec<Vec<u32>>,
+    lookup: Vec<u32>,
+    members: Vec<u32>,
+    starts: Vec<u32>,
+    steps: Vec<u32>,
     /// Interaction degree sums for `avg_dependencies`.
     total_degree: u64,
 }
@@ -45,39 +50,66 @@ impl OracleGraph {
     ///
     /// # Panics
     ///
-    /// Panics if a pair references an agent `>= num_agents`.
+    /// Panics if a pair references an agent `>= num_agents`, or the
+    /// oracle would hold more than `u32::MAX` agent-steps.
     pub fn from_interactions(num_agents: usize, per_step_pairs: &[Vec<(u32, u32)>]) -> Self {
-        let mut components = Vec::with_capacity(per_step_pairs.len());
-        let mut lookup = Vec::with_capacity(per_step_pairs.len());
-        let mut total_degree = 0u64;
-        for pairs in per_step_pairs {
-            let mut ds = DisjointSets::new(num_agents);
+        let n = num_agents;
+        let cells = per_step_pairs.len() * n;
+        assert!(
+            cells < u32::MAX as usize,
+            "{cells} agent-steps exceed u32 ids"
+        );
+        let mut g = OracleGraph {
+            num_agents,
+            lookup: Vec::with_capacity(cells),
+            members: vec![0; cells],
+            starts: vec![0],
+            steps: vec![0],
+            total_degree: 0,
+        };
+        let mut ds = DisjointSets::new(n);
+        // Per step: each root's component, then each component's next
+        // free slot in `members`.
+        let mut slot = vec![u32::MAX; n];
+        let mut next = Vec::new();
+        for (s, pairs) in per_step_pairs.iter().enumerate() {
+            ds.reset();
             for &(a, b) in pairs {
                 assert!(
-                    (a as usize) < num_agents && (b as usize) < num_agents,
+                    (a as usize) < n && (b as usize) < n,
                     "interaction pair ({a},{b}) out of range"
                 );
                 ds.union(a as usize, b as usize);
-                total_degree += 2;
+                g.total_degree += 2;
             }
-            let groups = ds.groups();
-            let mut look = vec![0u32; num_agents];
-            let mut comps = Vec::with_capacity(groups.len());
-            for (ci, g) in groups.into_iter().enumerate() {
-                for &m in &g {
-                    look[m] = ci as u32;
+            // Counting pass: scanning agents in ascending order numbers
+            // the components in smallest-member order and counts them.
+            let first = g.starts.len() - 1;
+            slot.fill(u32::MAX);
+            next.clear();
+            for a in 0..n {
+                let root = ds.find(a);
+                if slot[root] == u32::MAX {
+                    slot[root] = (first + next.len()) as u32;
+                    next.push(0u32);
                 }
-                comps.push(g.into_iter().map(|m| m as u32).collect());
+                g.lookup.push(slot[root]);
+                next[slot[root] as usize - first] += 1;
             }
-            components.push(comps);
-            lookup.push(look);
+            let mut end = *g.starts.last().expect("starts at 0");
+            for count in &mut next {
+                (*count, end) = (end, end + *count);
+                g.starts.push(end);
+            }
+            g.steps.push((g.starts.len() - 1) as u32);
+            // Placing pass: ascending again, so members stay ascending.
+            for a in 0..n {
+                let c = g.lookup[s * n + a] as usize - first;
+                g.members[next[c] as usize] = a as u32;
+                next[c] += 1;
+            }
         }
-        OracleGraph {
-            num_agents,
-            components,
-            lookup,
-            total_degree,
-        }
+        g
     }
 
     /// Number of agents the oracle covers.
@@ -87,34 +119,48 @@ impl OracleGraph {
 
     /// Number of steps the oracle covers.
     pub fn num_steps(&self) -> usize {
-        self.components.len()
+        self.steps.len() - 1
+    }
+
+    /// Members of component `c`, ascending.
+    fn component(&self, c: u32) -> &[u32] {
+        let c = c as usize;
+        &self.members[self.starts[c] as usize..self.starts[c + 1] as usize]
     }
 
     /// Members of `agent`'s component for `step` (sorted). Agents beyond
     /// the mined horizon act as singletons.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agent` is out of range within the horizon.
     pub fn component_of(&self, step: Step, agent: AgentId) -> Vec<u32> {
-        match self.components.get(step.0 as usize) {
-            Some(comps) => comps[self.lookup[step.0 as usize][agent.index()] as usize].clone(),
+        let (s, n) = (step.0 as usize, self.num_agents);
+        match self.lookup.get(s * n..(s + 1) * n) {
+            Some(row) => self.component(row[agent.index()]).to_vec(),
             None => vec![agent.0],
         }
     }
 
-    /// All components at `step`.
-    pub fn components_at(&self, step: Step) -> &[Vec<u32>] {
-        self.components
-            .get(step.0 as usize)
-            .map(|c| c.as_slice())
-            .unwrap_or(&[])
+    /// All components at `step`, in smallest-member order, each ascending
+    /// (none beyond the mined horizon).
+    pub fn components_at(&self, step: Step) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        let s = step.0 as usize;
+        let range = match self.steps.get(s..s + 2) {
+            Some(&[lo, hi]) => lo..hi,
+            _ => 0..0,
+        };
+        range.map(move |c| self.component(c))
     }
 
     /// The paper's §2.2 statistic: average number of prior-step agents each
     /// agent depends on, **including itself** (GenAgent measures 1.85 vs
     /// the all-to-all 25).
     pub fn avg_dependencies(&self) -> f64 {
-        if self.num_agents == 0 || self.components.is_empty() {
+        if self.num_agents == 0 || self.num_steps() == 0 {
             return 1.0;
         }
-        1.0 + self.total_degree as f64 / (self.num_agents as f64 * self.components.len() as f64)
+        1.0 + self.total_degree as f64 / (self.num_agents as f64 * self.num_steps() as f64)
     }
 }
 
@@ -182,7 +228,9 @@ mod tests {
     fn oracle_transitive_components() {
         let o = OracleGraph::from_interactions(4, &[vec![(0, 1), (1, 2)]]);
         assert_eq!(o.component_of(Step(0), AgentId(2)), vec![0, 1, 2]);
-        assert_eq!(o.components_at(Step(0)).len(), 2);
+        let comps: Vec<&[u32]> = o.components_at(Step(0)).collect();
+        assert_eq!(comps, [&[0, 1, 2][..], &[3]]);
+        assert_eq!(o.components_at(Step(1)).len(), 0, "beyond the horizon");
     }
 
     #[test]

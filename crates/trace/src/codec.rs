@@ -46,7 +46,8 @@ const MAGIC: &str = "AIMTRACE v1";
 
 /// The most positions a decoded trace may hold: its `(steps + 1) ×
 /// agents` matrix, 1 GiB of points — over ten times a simulated day of
-/// the 1 256-agent live city at ten-second steps.
+/// the 1 256-agent live city at ten-second steps. Its chain index, one
+/// row smaller, is bounded with it.
 pub const MAX_POSITIONS: u64 = 1 << 27;
 
 /// Serializes `trace` to `w`.
@@ -87,13 +88,8 @@ pub fn write_trace(trace: &Trace, w: &mut impl Write) -> Result<(), TraceError> 
         )?;
     }
     for step in 0..m.num_steps {
-        for agent in 0..m.num_agents {
-            let prev = if step == 0 {
-                trace.initial_position(agent)
-            } else {
-                trace.position_after(agent, step - 1)
-            };
-            let cur = trace.position_after(agent, step);
+        let (before, after) = (trace.row(step), trace.row(step + 1));
+        for (agent, (prev, cur)) in (0u32..).zip(before.iter().zip(after)) {
             if cur != prev {
                 writeln!(w, "P {agent} {step} {} {}", cur.x, cur.y)?;
             }

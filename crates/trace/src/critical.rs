@@ -10,8 +10,10 @@
 //! Two weights are provided: token-weighted (as the paper phrases it) and
 //! time-weighted under a serving [`CostModel`] (what a run can actually be
 //! compared against). The DAG is processed step-by-step with dynamic
-//! programming, so mining a full 8640-step day is linear in calls + pairs.
+//! programming over the oracle's per-step components, so mining a full
+//! 8640-step day is linear in calls + pairs.
 
+use aim_core::Step;
 use aim_llm::{CostModel, VirtualTime};
 
 use crate::format::Trace;
@@ -34,6 +36,9 @@ pub struct CriticalPath {
 /// commit overheads the executor also charges, so the bound stays
 /// comparable with measured makespans; pass 0 for the pure-LLM bound.
 ///
+/// The barriers are the interaction components [`oracle::mine`] finds for
+/// each step: the same components the oracle policy runs.
+///
 /// # Example
 ///
 /// ```no_run
@@ -54,7 +59,7 @@ pub fn critical_path(
 ) -> CriticalPath {
     let n = trace.meta().num_agents as usize;
     let steps = trace.meta().num_steps;
-    let pairs = oracle::interaction_pairs(trace);
+    let oracle = oracle::mine(trace);
     // dp over "completed step s" per agent; interacting agents barrier
     // around the step, so each step merges per connected component:
     // finish(c, s) = max_prev(component) + max_chain(component).
@@ -76,18 +81,13 @@ pub fn critical_path(
             chain_t[a] = t;
             chain_k[a] = k;
         }
-        let mut ds = aim_core::cluster::DisjointSets::new(n);
-        for &(x, y) in &pairs[s as usize] {
-            ds.union(x as usize, y as usize);
-        }
-        for comp in ds.groups() {
-            let base_t = comp.iter().map(|&m| dp_time[m]).max().expect("nonempty");
-            let base_k = comp.iter().map(|&m| dp_tokens[m]).max().expect("nonempty");
-            let ct = comp.iter().map(|&m| chain_t[m]).max().expect("nonempty");
-            let ck = comp.iter().map(|&m| chain_k[m]).max().expect("nonempty");
-            for &m in &comp {
-                dp_time[m] = base_t + ct;
-                dp_tokens[m] = base_k + ck;
+        for comp in oracle.components_at(Step(s)) {
+            let max = |v: &[u64]| comp.iter().map(|&m| v[m as usize]).max().expect("nonempty");
+            let t = max(&dp_time) + max(&chain_t);
+            let k = max(&dp_tokens) + max(&chain_k);
+            for &m in comp {
+                dp_time[m as usize] = t;
+                dp_tokens[m as usize] = k;
             }
         }
     }

@@ -1,7 +1,5 @@
 //! The in-memory trace representation and its [`Workload`] replay impl.
 
-use std::collections::HashMap;
-
 use aim_core::space::Point;
 use aim_core::workload::{CallSpec, Workload};
 use aim_core::{AgentId, Step};
@@ -49,10 +47,14 @@ pub struct CallEvent {
     pub output_tokens: u32,
 }
 
-/// A complete recorded workload: call chains plus a dense position matrix.
+/// A complete recorded workload: call chains plus a dense position matrix,
+/// both indexed by `(step, agent)` in row-major order.
 ///
-/// Positions are stored for the trace start (`pos_matrix[0]`) and after
-/// every step (`pos_matrix[s + 1]`), each row holding `num_agents` points.
+/// Row `s` of the positions holds every agent at the start of relative
+/// step `s` (row 0 is the trace start, row `s + 1` the state after step
+/// `s`). The calls are sorted by `(step, agent, seq)`, the same order, so
+/// `(agent, step)`'s chain is `calls[offsets[i]..offsets[i + 1]]` with
+/// `i = step * num_agents + agent`: two array reads, nothing hashed.
 /// `Trace` implements [`Workload`] so it can be handed straight to the
 /// engine's executors — this is the paper's replay mode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -61,9 +63,10 @@ pub struct Trace {
     calls: Vec<CallEvent>,
     /// `(num_steps + 1) × num_agents`, row-major by step.
     positions: Vec<Point>,
-    /// `(agent, step)` → `(offset, len)` into `calls`.
+    /// `num_steps × num_agents + 1` chain starts into `calls` (one row
+    /// fewer than `positions`, so the codec's shape bound holds it too).
     #[serde(skip)]
-    index: HashMap<(u32, u32), (u32, u32)>,
+    offsets: Vec<u32>,
 }
 
 impl Trace {
@@ -96,12 +99,22 @@ impl Trace {
         self.positions[row * self.meta.num_agents as usize + agent as usize]
     }
 
-    /// The call chain of `(agent, step)` (possibly empty).
+    /// Every agent's position at the start of relative step `step`, by
+    /// agent; `row(num_steps)` is the final state, and a later step
+    /// panics.
+    pub fn row(&self, step: u32) -> &[Point] {
+        let n = self.meta.num_agents as usize;
+        &self.positions[step as usize * n..(step as usize + 1) * n]
+    }
+
+    /// The call chain of `(agent, step)`, in `seq` order (empty when the
+    /// agent made no call then, or either is out of range).
     pub fn chain(&self, agent: u32, step: u32) -> &[CallEvent] {
-        match self.index.get(&(agent, step)) {
-            Some(&(off, len)) => &self.calls[off as usize..(off + len) as usize],
-            None => &[],
+        if agent >= self.meta.num_agents || step >= self.meta.num_steps {
+            return &[];
         }
+        let i = step as usize * self.meta.num_agents as usize + agent as usize;
+        &self.calls[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Extracts the sub-trace covering relative steps
@@ -126,57 +139,57 @@ impl Trace {
         };
         let n = self.meta.num_agents as usize;
         let positions = self.positions[from as usize * n..(from + len + 1) as usize * n].to_vec();
-        let calls: Vec<CallEvent> = self
-            .calls
+        // The window's chains are one run of the row-major call order.
+        let run = self.offsets[from as usize * n]..self.offsets[(from + len) as usize * n];
+        let calls = self.calls[run.start as usize..run.end as usize]
             .iter()
-            .filter(|c| c.step >= from && c.step < from + len)
             .map(|c| CallEvent {
                 step: c.step - from,
                 ..*c
             })
             .collect();
-        let mut t = Trace {
-            meta,
-            calls,
-            positions,
-            index: HashMap::new(),
-        };
-        t.rebuild_index();
-        t
+        Trace::from_parts(meta, calls, positions)
     }
 
-    pub(crate) fn rebuild_index(&mut self) {
-        self.index.clear();
-        let mut i = 0usize;
-        while i < self.calls.len() {
-            let key = (self.calls[i].agent, self.calls[i].step);
-            let start = i;
-            while i < self.calls.len() && (self.calls[i].agent, self.calls[i].step) == key {
-                i += 1;
-            }
-            self.index.insert(key, (start as u32, (i - start) as u32));
-        }
-    }
-
+    /// The trace of `calls`, pushed in any order: each `(agent, step)`
+    /// chain keeps its calls' order and is numbered `seq` 0, 1, … in it.
+    /// Every call must lie in the `num_agents × num_steps` grid, as
+    /// [`TraceBuilder::push_call`] checks, or it would land in another
+    /// chain's slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the position matrix does not hold `num_steps + 1` rows.
     pub(crate) fn from_parts(
         meta: TraceMeta,
         mut calls: Vec<CallEvent>,
         positions: Vec<Point>,
     ) -> Trace {
+        let (agents, steps) = (meta.num_agents as usize, meta.num_steps as usize);
         assert_eq!(
             positions.len(),
-            ((meta.num_steps + 1) * meta.num_agents) as usize,
+            (steps + 1) * agents,
             "position matrix size mismatch"
         );
-        calls.sort_by_key(|c| (c.step, c.agent, c.seq));
-        let mut t = Trace {
+        let slot = |c: &CallEvent| c.step as usize * agents + c.agent as usize;
+        calls.sort_by_key(slot); // stable: chains keep their order
+        let mut offsets = Vec::with_capacity(steps * agents + 1);
+        offsets.push(0);
+        let mut end = 0usize;
+        for i in 0..steps * agents {
+            let start = end;
+            while end < calls.len() && slot(&calls[end]) == i {
+                calls[end].seq = (end - start) as u32;
+                end += 1;
+            }
+            offsets.push(u32::try_from(end).expect("at most u32::MAX calls"));
+        }
+        Trace {
             meta,
             calls,
             positions,
-            index: HashMap::new(),
-        };
-        t.rebuild_index();
-        t
+            offsets,
+        }
     }
 }
 
@@ -215,7 +228,6 @@ pub struct TraceBuilder {
     meta: TraceMeta,
     calls: Vec<CallEvent>,
     positions: Vec<Point>,
-    seq_counter: HashMap<(u32, u32), u32>,
 }
 
 impl TraceBuilder {
@@ -236,22 +248,28 @@ impl TraceBuilder {
             meta,
             calls: Vec::new(),
             positions,
-            seq_counter: HashMap::new(),
         }
     }
 
-    /// Appends one call to `(agent, step)`'s chain (seq auto-assigned).
+    /// Appends one call to `(agent, step)`'s chain; [`finish`](Self::finish)
+    /// numbers each chain's `seq` in push order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agent` or `step` is out of range.
     pub fn push_call(&mut self, agent: u32, step: u32, kind: CallKind, input: u32, output: u32) {
-        let seq = self.seq_counter.entry((agent, step)).or_insert(0);
+        assert!(
+            agent < self.meta.num_agents && step < self.meta.num_steps,
+            "call of agent {agent} at step {step} out of range"
+        );
         self.calls.push(CallEvent {
             agent,
             step,
-            seq: *seq,
+            seq: 0,
             kind,
             input_tokens: input,
             output_tokens: output,
         });
-        *seq += 1;
     }
 
     /// Appends the position row for the step that just committed; rows must

@@ -10,8 +10,8 @@
 //! statistically matching traces via [`gen`] — self-play of the
 //! [`aim_world`] substrate with its scripted decision model.
 //!
-//! * [`Trace`] — the in-memory format: per-`(agent, step)` call chains plus
-//!   a dense position matrix; implements
+//! * [`Trace`] — the in-memory format: call chains and a position matrix,
+//!   both indexed densely by `(step, agent)`; implements
 //!   [`aim_core::workload::Workload`] so executors replay it directly.
 //! * [`codec`] — a self-contained line-oriented file format (no external
 //!   parser dependencies) with exact round-tripping.

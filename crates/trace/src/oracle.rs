@@ -15,57 +15,59 @@ use aim_core::space::Point;
 
 use crate::format::Trace;
 
-/// Positions of all agents at the *start* of relative step `s` (what they
-/// observe during `s`).
-fn start_positions(trace: &Trace, step: u32) -> Vec<Point> {
-    (0..trace.meta().num_agents)
-        .map(|a| {
-            if step == 0 {
-                trace.initial_position(a)
-            } else {
-                trace.position_after(a, step - 1)
-            }
+/// Interaction pairs for every step of the trace: `pairs[s]` lists, sorted
+/// and each once as `(a, b)` with `a < b`, the agents within `radius_p`
+/// of each other at the start of relative step `s` (its
+/// [`Trace::row`]).
+///
+/// Each row is bucketed into cells `radius_p` tiles wide, so a pair lies
+/// in one cell or two adjacent ones. The cell table is one sorted scratch
+/// list kept across steps: nothing is hashed, and a step allocates only
+/// its output.
+pub fn interaction_pairs(trace: &Trace) -> Vec<Vec<(u32, u32)>> {
+    let r = trace.meta().radius_p;
+    let mut cells = Vec::with_capacity(trace.meta().num_agents as usize);
+    (0..trace.meta().num_steps)
+        .map(|step| {
+            let mut pairs = Vec::new();
+            row_pairs(trace.row(step), r, &mut cells, &mut pairs);
+            pairs.sort_unstable();
+            pairs
         })
         .collect()
 }
 
-/// Interaction pairs (within `radius_p`) for every step of the trace.
-pub fn interaction_pairs(trace: &Trace) -> Vec<Vec<(u32, u32)>> {
-    let r = trace.meta().radius_p as u64;
-    let r2 = r * r;
-    let mut out = Vec::with_capacity(trace.meta().num_steps as usize);
-    for step in 0..trace.meta().num_steps {
-        let pos = start_positions(trace, step);
-        // Spatial hash so 1000-agent traces stay fast.
-        use std::collections::HashMap;
-        let cell = r.max(1) as i64;
-        let mut buckets: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
-        for (i, p) in pos.iter().enumerate() {
-            buckets
-                .entry(((p.x as i64).div_euclid(cell), (p.y as i64).div_euclid(cell)))
-                .or_default()
-                .push(i as u32);
-        }
-        let mut pairs = Vec::new();
-        for (i, p) in pos.iter().enumerate() {
-            let (cx, cy) = ((p.x as i64).div_euclid(cell), (p.y as i64).div_euclid(cell));
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    let Some(cand) = buckets.get(&(cx + dx, cy + dy)) else {
-                        continue;
-                    };
-                    for &j in cand {
-                        if j as usize > i && p.dist2(pos[j as usize]) <= r2 {
-                            pairs.push((i as u32, j));
-                        }
-                    }
+/// Appends to `out` every pair `(a, b)`, `a < b`, of agents of `row`
+/// within `r` of each other. `cells` is scratch: each agent's `(cell row,
+/// cell column, agent)`, sorted, so the three cells centred on any cell
+/// of a cell row are one contiguous run.
+fn row_pairs(row: &[Point], r: u32, cells: &mut Vec<(i64, i64, u32)>, out: &mut Vec<(u32, u32)>) {
+    let size = i64::from(r.max(1));
+    let r2 = u64::from(r) * u64::from(r);
+    cells.clear();
+    cells.extend(row.iter().zip(0u32..).map(|(p, a)| {
+        let cell = |v: i32| i64::from(v).div_euclid(size);
+        (cell(p.y), cell(p.x), a)
+    }));
+    cells.sort_unstable();
+    // Per cell row above, at and below: the first entry not before the
+    // run. Visiting agents in cell order moves each only forward.
+    let mut first = [0usize; 3];
+    for &(y, x, a) in cells.iter() {
+        for (lo, ny) in first.iter_mut().zip(y - 1..=y + 1) {
+            while *lo < cells.len() && (cells[*lo].0, cells[*lo].1) < (ny, x - 1) {
+                *lo += 1;
+            }
+            for &(cy, cx, b) in &cells[*lo..] {
+                if (cy, cx) > (ny, x + 1) {
+                    break;
+                }
+                if b > a && row[a as usize].dist2(row[b as usize]) <= r2 {
+                    out.push((a, b));
                 }
             }
         }
-        pairs.sort_unstable();
-        out.push(pairs);
     }
-    out
 }
 
 /// Mines the [`OracleGraph`] for `trace`.
@@ -121,18 +123,10 @@ mod tests {
         let t = work_hour_trace();
         let pairs = interaction_pairs(&t);
         // Every mined pair must genuinely be within radius_p at step start.
-        for (step, step_pairs) in pairs.iter().enumerate() {
+        for (step, step_pairs) in (0u32..).zip(&pairs) {
+            let row = t.row(step);
             for &(a, b) in step_pairs {
-                let pa = if step == 0 {
-                    t.initial_position(a)
-                } else {
-                    t.position_after(a, step as u32 - 1)
-                };
-                let pb = if step == 0 {
-                    t.initial_position(b)
-                } else {
-                    t.position_after(b, step as u32 - 1)
-                };
+                let (pa, pb) = (row[a as usize], row[b as usize]);
                 assert!(pa.dist2(pb) <= 16, "pair ({a},{b}) at step {step} too far");
             }
         }

@@ -39,7 +39,9 @@ pub fn compute(trace: &Trace) -> TraceStats {
     let mut per_kind = [0u64; 7];
     let mut per_hour = [0u64; 24];
     let mut per_agent = vec![0u64; trace.meta().num_agents as usize];
-    let mut chains = std::collections::HashMap::new();
+    // Calls are sorted by (step, agent): each chain is one run.
+    let mut chains = 0u64;
+    let mut last = None;
     for c in calls {
         in_sum += c.input_tokens as u64;
         out_sum += c.output_tokens as u64;
@@ -47,7 +49,10 @@ pub fn compute(trace: &Trace) -> TraceStats {
         let abs = trace.meta().start_step + c.step;
         per_hour[((abs / aim_world::STEPS_PER_HOUR) % 24) as usize] += 1;
         per_agent[c.agent as usize] += 1;
-        *chains.entry((c.agent, c.step)).or_insert(0u64) += 1;
+        if last != Some((c.step, c.agent)) {
+            last = Some((c.step, c.agent));
+            chains += 1;
+        }
     }
     let n = total.max(1) as f64;
     let mean = per_agent.iter().sum::<u64>() as f64 / per_agent.len().max(1) as f64;
@@ -57,10 +62,10 @@ pub fn compute(trace: &Trace) -> TraceStats {
         .sum::<f64>()
         / per_agent.len().max(1) as f64;
     let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-    let mean_chain_len = if chains.is_empty() {
+    let mean_chain_len = if chains == 0 {
         0.0
     } else {
-        chains.values().sum::<u64>() as f64 / chains.len() as f64
+        total as f64 / chains as f64
     };
     TraceStats {
         total_calls: total,

@@ -245,7 +245,8 @@ pub fn execute<G: Tracker, P: ClusterProgram<GridSpace> + 'static>(
     report
 }
 
-/// `world` run live as `run` says.
+/// `world` run live as `run` says, its tracker checked at a quiesce point
+/// every [`CHECK_EVERY`] committed steps and at the end.
 pub fn live(world: World, run: &Run) -> Live {
     match run.layout {
         Layout::DepGraph => live_on::<DepGraph<GridSpace>>(world, run, None),
@@ -262,7 +263,7 @@ type Hook<'a, G> =
 /// [`live`] on `G`, the tracker `run.layout` names, recording per-step
 /// history — what checkpoints and worker recoveries read — and calling
 /// `hook` whenever the committed step floor reaches a multiple of
-/// `every`.
+/// `every`, then checking the tracker it leaves.
 pub fn live_hooked<G: Tracker>(
     world: World,
     run: &Run,
@@ -314,6 +315,14 @@ pub fn resume(snap: &Snapshot, workers: usize) -> (CheckpointMeta, Live) {
     (meta, drive(&mut sched, world, backend, workers, None))
 }
 
+/// Committed steps between the quiesce points at which a live run
+/// without a hook of its own checks its tracker ([`Tracker::check`]);
+/// a run's own hook checks after every firing instead. Mid-run is where
+/// the edges between agents at different steps exist: at the end of a
+/// run every agent stands at the last step, and later relinks have
+/// repaired any edge lost before.
+pub const CHECK_EVERY: u32 = 2;
+
 fn drive<G: Tracker>(
     sched: &mut Scheduler<GridSpace, G>,
     world: World,
@@ -323,10 +332,20 @@ fn drive<G: Tracker>(
 ) -> Live {
     let program = Arc::new(VillageProgram::with_step_offset(world.village, world.start));
     let shared: &VillageProgram = &program;
-    let mut hook = hook.map(|(every, f)| (every, move |s: &mut Scheduler<_, _>| f(s, shared)));
-    let hook = (hook.as_mut()).map(|(every_steps, f)| CheckpointHook {
-        every_steps: *every_steps,
-        f,
+    let (every_steps, mut hook) = match hook {
+        Some((every, f)) => (every, Some(f)),
+        None => (CHECK_EVERY, None),
+    };
+    let mut f = |s: &mut Scheduler<_, _>| {
+        if let Some(f) = hook.as_mut() {
+            f(s, shared)?;
+        }
+        s.graph().check();
+        Ok(())
+    };
+    let hook = Some(CheckpointHook {
+        every_steps,
+        f: &mut f,
     });
     let report = execute(sched, Arc::clone(&program), backend, workers, hook, None);
     let calls = program.calls_made();
