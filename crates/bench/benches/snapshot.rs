@@ -1,6 +1,6 @@
 //! Checkpoint-subsystem microbenchmarks: AIMSNAP encode/restore over a
 //! long-horizon-shaped store (1000 agents × a 64-step history window),
-//! the streaming prefix walk the snapshot writer and eviction pass use,
+//! the prefix scan the snapshot writer and eviction pass use,
 //! and the eviction guard path that runs at every checkpoint.
 
 use std::hint::black_box;
@@ -56,22 +56,10 @@ fn bench_snapshot_codec(c: &mut Criterion) {
             black_box(restored.len());
         });
     });
-    c.bench_function("snapshot/for_each_prefix_66k", |b| {
-        b.iter(|| {
-            let mut count = 0u64;
-            let mut bytes_seen = 0u64;
-            db.for_each_prefix([], |k, v| {
-                count += 1;
-                bytes_seen += (k.len() + v.len()) as u64;
-                std::ops::ControlFlow::Continue(())
-            });
-            assert_eq!(count as usize, n);
-            black_box(bytes_seen);
-        });
-    });
     c.bench_function("snapshot/scan_prefix_66k", |b| {
         b.iter(|| {
             let all = db.scan_prefix([]);
+            assert_eq!(all.len(), n);
             black_box(all.len());
         });
     });

@@ -92,7 +92,7 @@ impl PolicyTag {
 
     /// The policy this tag fully determines, or `None` for
     /// [`PolicyTag::Oracle`] (whose graph is not in the snapshot).
-    pub fn to_policy(self) -> Option<DependencyPolicy> {
+    fn to_policy(self) -> Option<DependencyPolicy> {
         match self {
             PolicyTag::GlobalSync => Some(DependencyPolicy::GlobalSync),
             PolicyTag::Spatiotemporal => Some(DependencyPolicy::Spatiotemporal),
@@ -158,7 +158,7 @@ pub struct CheckpointMeta {
 
 impl CheckpointMeta {
     /// Reads the metadata off a live (quiesced) scheduler.
-    pub fn from_scheduler(sched: &Scheduler<GridSpace>, step_offset: u32) -> Self {
+    fn from_scheduler(sched: &Scheduler<GridSpace>, step_offset: u32) -> Self {
         let graph = sched.graph();
         let params = graph.params();
         let space = graph.space();
@@ -180,7 +180,7 @@ impl CheckpointMeta {
 
     /// Reads the metadata off a live (quiesced) scheduler mounted on a
     /// [`ShardedDepGraph`].
-    pub fn from_sharded_scheduler(
+    fn from_sharded_scheduler(
         sched: &Scheduler<GridSpace, ShardedDepGraph<GridSpace>>,
         step_offset: u32,
     ) -> Self {

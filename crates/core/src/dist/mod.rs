@@ -55,11 +55,11 @@
 //!   unchanged;
 //!   the property suite proves it world-for-world equal to the
 //!   single-shard oracle.
-//! - **Phase 2 (`dist-socket` feature):** the [`codec`] module frames
-//!   every message as `AIMMSG v1` bytes, and the feature-gated `socket`
-//!   module carries those frames over a TCP stream so a worker can run
-//!   in a **separate process** (`socket::SocketLink` on the controller
-//!   side, `socket::serve_connection` worker side).
+//! - **Phase 2 (also always on):** the [`codec`] module frames every
+//!   message as `AIMMSG v1` bytes, and the [`socket`] module carries
+//!   those frames over a TCP stream so a worker can run in a **separate
+//!   process** ([`socket::SocketLink`] on the controller side,
+//!   [`socket::serve_connection`] worker side).
 //!
 //! Because every worker keeps the authoritative `dagt`/`dhst` records
 //! for its members in its own store (byte-identical to the single-shard
@@ -70,7 +70,6 @@
 
 pub mod codec;
 pub mod msg;
-#[cfg(feature = "dist-socket")]
 pub mod socket;
 mod tracker;
 pub(crate) mod worker;

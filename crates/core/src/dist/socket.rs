@@ -1,4 +1,4 @@
-//! Socket transport for the worker protocol (`dist-socket` feature).
+//! Socket transport for the worker protocol.
 //!
 //! Carries `AIMMSG v1` frames ([`super::codec`]) over a byte stream so a
 //! shard worker can live in a **separate process**: the worker process

@@ -21,7 +21,7 @@
 //! but the wire tests sends it.
 //! Nothing is shared with other workers or with the controller: every
 //! state transfer is a protocol message, which is what lets phase 2 move
-//! a worker out of process behind the `dist-socket` transport.
+//! a worker out of process behind the socket transport.
 //!
 //! The one deliberate exception is telemetry: a same-process worker
 //! observes the controller's [`Telemetry`] sink through a
@@ -35,7 +35,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -298,25 +297,21 @@ impl<S: Space> Records<S> {
 
     /// Deletes every history record below step `floor` and raises the
     /// watermark to it, returning how many went. Keys sort step-major, so
-    /// value visits stop at the first retained step — the per-record
-    /// work is O(evicted + 1). (The walk's key gather still scans the
-    /// store's keys once; see `Db::for_each_prefix`.) Call it from a
-    /// quiesced writer: the key walk and the deletes are not one batch.
+    /// the deletes stop at the first retained step (the scan itself still
+    /// visits the store's keys once). Call it from a quiesced writer: the
+    /// scan and the deletes are not one batch.
     pub(crate) fn evict_below(&self, floor: u32) -> u64 {
-        let mut doomed: Vec<Bytes> = Vec::new();
-        self.db.for_each_prefix(HIST_TAG, |k, _| {
+        let mut evicted = 0u64;
+        for (k, _) in self.db.scan_prefix(HIST_TAG) {
             let step = u32::from_be_bytes(k[4..8].try_into().expect("12-byte history key"));
             if step >= floor {
-                return ControlFlow::Break(());
+                break;
             }
-            doomed.push(k.clone());
-            ControlFlow::Continue(())
-        });
-        for k in &doomed {
-            self.db.del(k);
+            self.db.del(&k);
+            evicted += 1;
         }
         self.db.set_i64(HIST_FLOOR_KEY, i64::from(floor));
-        doomed.len() as u64
+        evicted
     }
 }
 
@@ -405,12 +400,7 @@ pub(crate) fn commits_of(db: &Db) -> i64 {
 /// Number of history records resident in `db` (an O(history) scan —
 /// diagnostics and tests, not a hot path).
 pub(crate) fn history_records_of(db: &Db) -> u64 {
-    let mut n = 0u64;
-    db.for_each_prefix(HIST_TAG, |_, _| {
-        n += 1;
-        ControlFlow::Continue(())
-    });
-    n
+    db.scan_prefix(HIST_TAG).len() as u64
 }
 
 /// The key of agent `a`'s history record at `step`.
@@ -486,7 +476,7 @@ pub type SharedTelemetry = Arc<TelemetryCell>;
 
 /// One side of the message boundary: how the controller reaches a shard
 /// worker. Phase 1 is the in-process [`ChannelLink`]; phase 2 adds the
-/// socket transport behind the `dist-socket` feature.
+/// socket transport ([`super::socket`]).
 ///
 /// The unit that crosses the boundary is a **hand-off**: every request
 /// queued by [`WorkerLink::send`] since the previous one, delivered
@@ -1132,18 +1122,12 @@ impl<S: Space> ShardWorker<S> {
             self.members.insert(a, Member { pos, step });
         }
         // Keys sort step-major, so each agent's steps arrive ascending.
-        let (steps, mut malformed) = (&mut self.history_steps, None);
-        (self.store.db).for_each_prefix(HIST_TAG, |k, _| match history_ids(k) {
-            Some((step, a)) => {
-                steps.entry(a).or_default().push(step);
-                ControlFlow::Continue(())
-            }
-            None => {
-                malformed = Some(StoreError::Codec(format!("malformed history key {k:?}")));
-                ControlFlow::Break(())
-            }
-        });
-        malformed.map_or_else(|| Ok(self.states()), Err)
+        for (k, _) in self.store.db.scan_prefix(HIST_TAG) {
+            let (step, a) = history_ids(&k)
+                .ok_or_else(|| StoreError::Codec(format!("malformed history key {k:?}")))?;
+            self.history_steps.entry(a).or_default().push(step);
+        }
+        Ok(self.states())
     }
 }
 
@@ -1404,24 +1388,22 @@ mod tests {
     /// by walking the whole store.
     fn walked_history(db: &Db, space: &GridSpace, agent: u32) -> Vec<(u32, Point)> {
         let mut out = Vec::new();
-        db.for_each_prefix(HIST_TAG, |k, v| {
-            let (step, a) = history_ids(k).expect("12-byte history key");
+        for (k, v) in db.scan_prefix(HIST_TAG) {
+            let (step, a) = history_ids(&k).expect("12-byte history key");
             if a == agent {
-                out.push((step, decode_record(space, v.clone()).unwrap().1));
+                out.push((step, decode_record(space, v).unwrap().1));
             }
-            ControlFlow::Continue(())
-        });
+        }
         out
     }
 
     /// The store's history keys as the index keeps them.
     fn stored_steps(db: &Db) -> HashMap<u32, Vec<u32>> {
         let mut out: HashMap<u32, Vec<u32>> = HashMap::new();
-        db.for_each_prefix(HIST_TAG, |k, _| {
-            let (step, a) = history_ids(k).expect("12-byte history key");
+        for (k, _) in db.scan_prefix(HIST_TAG) {
+            let (step, a) = history_ids(&k).expect("12-byte history key");
             out.entry(a).or_default().push(step);
-            ControlFlow::Continue(())
-        });
+        }
         out
     }
 

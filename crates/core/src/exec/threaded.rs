@@ -139,15 +139,13 @@ impl std::fmt::Display for ThreadedReport {
         )?;
         writeln!(f, "  backend: {}", self.backend)?;
         if let Some(fleet) = &self.fleet {
-            let hedged: u64 = fleet.replicas.iter().map(|r| r.hedged).sum();
             writeln!(
                 f,
-                "  fleet: served {} · prefix hit {:.1}% · p99 {:.1} ms · failed {} · hedged {}",
+                "  fleet: served {} · prefix hit {:.1}% · p99 {:.1} ms · failed {}",
                 fleet.total_served(),
                 100.0 * fleet.hit_rate(),
                 fleet.max_p99_us() as f64 / 1000.0,
                 fleet.total_failed(),
-                hedged,
             )?;
         }
         if let Some(t) = &self.telemetry {
@@ -282,7 +280,7 @@ where
 /// - the backend is wrapped in a [`TelemetryBackend`] so every blocking
 ///   LLM call becomes a [`SpanKind::LlmCall`] span, and — if the backend
 ///   is a serving fleet — a [`TelemetryObserver`] is installed so each
-///   per-replica attempt (primary, retry, hedge) becomes a
+///   per-replica attempt (first try or retry) becomes a
 ///   [`SpanKind::FleetAttempt`] span linked to its parent call;
 /// - workers record cluster lifecycle spans (dispatch → agent steps →
 ///   commit) plus barrier waits: in a multi-member cluster, each member

@@ -110,15 +110,11 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Speedup of this run over `other` (by makespan).
+    /// Speedup of this run over `other` (by makespan). Below 1 it is the
+    /// paper's "fraction of oracle performance" when `other` is the
+    /// oracle.
     pub fn speedup_over(&self, other: &RunReport) -> f64 {
         other.makespan.as_secs_f64() / self.makespan.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// This run's completion time as a fraction of `faster`'s
-    /// (e.g. "74.7% of oracle performance" compares makespans).
-    pub fn fraction_of(&self, faster: &RunReport) -> f64 {
-        faster.makespan.as_secs_f64() / self.makespan.as_secs_f64().max(f64::MIN_POSITIVE)
     }
 }
 
@@ -147,7 +143,7 @@ mod tests {
         let fast = report(50);
         let slow = report(100);
         assert_eq!(fast.speedup_over(&slow), 2.0);
-        assert_eq!(slow.fraction_of(&fast), 0.5);
+        assert_eq!(slow.speedup_over(&fast), 0.5);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl RuleParams {
 
     /// Threshold of the *validity condition* for a step gap `gap ≥ 1`:
     /// states are valid iff `dist > radius_p + (gap − 1) · max_vel`.
-    pub fn validity_units(&self, gap: u32) -> u64 {
+    fn validity_units(&self, gap: u32) -> u64 {
         debug_assert!(gap >= 1);
         self.radius_p as u64 + (gap as u64 - 1) * self.max_vel as u64
     }

@@ -53,14 +53,14 @@ impl Point {
     /// Coordinate *differences* are taken in 64-bit arithmetic, so the
     /// full `i32` range is safe (no subtraction overflow); only the final
     /// square can exceed `u64` for spans beyond ±2³² and saturates. Exact
-    /// threshold comparisons should use [`Point::dist2_u128`].
+    /// threshold comparisons use the exact 128-bit square instead.
     pub fn dist2(self, other: Point) -> u64 {
         u64::try_from(self.dist2_u128(other)).unwrap_or(u64::MAX)
     }
 
     /// Squared Euclidean distance in 128-bit arithmetic — exact for every
     /// pair of `i32` points (the maximum is `2 · (2³² − 1)² < 2¹²⁸`).
-    pub fn dist2_u128(self, other: Point) -> u128 {
+    fn dist2_u128(self, other: Point) -> u128 {
         let dx = (self.x as i64 - other.x as i64).unsigned_abs() as u128;
         let dy = (self.y as i64 - other.y as i64).unsigned_abs() as u128;
         dx * dx + dy * dy

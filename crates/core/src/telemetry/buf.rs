@@ -29,9 +29,10 @@ use super::schema::Span;
 ///    but that one cache line; there is no CAS loop and no mutex.
 /// 3. **Publication is per-slot Release/Acquire.** The payload write
 ///    happens-before the `ready` flag's `Release` store; readers only
-///    dereference slots whose flag they observed with `Acquire`. A drain
-///    running concurrently with producers (e.g. a detached hedge thread
-///    finishing after the run) sees either a complete span or none.
+///    dereference slots whose flag they observed with `Acquire`. A copy
+///    taken while producers run (e.g. a `/status` scrape building
+///    [`Telemetry::flight_report`] mid-run) sees either a complete span
+///    or none.
 /// 4. **Overflow drops, never blocks.** When the buffer is full the span
 ///    is counted in [`SpanBuf::dropped`] and discarded — backpressure
 ///    must never change the timing being measured. A dropped span is
@@ -48,6 +49,7 @@ use super::schema::Span;
 /// every read sees a fully initialised `Span`.
 ///
 /// [`Telemetry::start`]: super::Telemetry::start
+/// [`Telemetry::flight_report`]: super::Telemetry::flight_report
 pub struct SpanBuf {
     track: u32,
     slots: Box<[SpanSlot]>,

@@ -17,7 +17,7 @@
 //!   blocking agent attached, intra-cluster barrier waits with the
 //!   straggler attached, per-shard relink/migration work, quiesce +
 //!   checkpoint barriers, and per-replica fleet call attempts
-//!   (retry/hedge linked to the issuing request id). Each kind's payload
+//!   (retries linked to the issuing request id). Each kind's payload
 //!   is described once, as named, typed fields tagged by its [`Phase`]
 //!   ([`SpanKind::write_fields`] / [`SpanKind::read_fields`]); the
 //!   `AIMMSG` frames, the `AIMTEL` file and the Perfetto/JSONL `args`

@@ -66,8 +66,8 @@ impl LlmBackend for TelemetryBackend {
 }
 
 /// The [`CallObserver`] bridging the fleet's attempt hooks into
-/// [`SpanKind::FleetAttempt`] spans — how retries and hedge backups show
-/// up on the trace, linked to their parent LLM-call span by request id.
+/// [`SpanKind::FleetAttempt`] spans — how retries show up on the trace,
+/// linked to their parent LLM-call span by request id.
 pub struct TelemetryObserver {
     telemetry: Arc<Telemetry>,
 }
@@ -86,31 +86,21 @@ impl TelemetryObserver {
 }
 
 impl CallObserver for TelemetryObserver {
-    fn begin_attempt(&self, _req: &LlmRequest, _replica: u32, _hedge: bool) -> u64 {
+    fn begin_attempt(&self, _req: &LlmRequest, _replica: u32) -> u64 {
         self.telemetry.start().unwrap_or(u64::MAX)
     }
 
-    fn end_attempt(
-        &self,
-        token: u64,
-        req: &LlmRequest,
-        replica: u32,
-        hedge: bool,
-        outcome: AttemptOutcome,
-    ) {
+    fn end_attempt(&self, token: u64, req: &LlmRequest, replica: u32, outcome: AttemptOutcome) {
         if token == u64::MAX {
             return; // opened while disabled
         }
         self.telemetry.counter_add(Counter::FleetAttempts, 1);
-        if hedge {
-            self.telemetry.counter_add(Counter::FleetHedges, 1);
-        }
         self.telemetry.record(
             token,
             SpanKind::FleetAttempt {
                 request: req.id.0,
                 replica,
-                hedge,
+                hedge: false,
                 outcome,
             },
         );

@@ -125,15 +125,17 @@ pub enum SpanKind {
         /// Minimum agent step at the barrier (the checkpoint's step).
         step: u32,
     },
-    /// One claimed per-replica attempt inside the serving fleet
-    /// (primary, retry, or hedge backup), linked to its parent
-    /// [`SpanKind::LlmCall`] by `request`.
+    /// One claimed per-replica attempt inside the serving fleet (first
+    /// try or retry), linked to its parent [`SpanKind::LlmCall`] by
+    /// `request`.
     FleetAttempt {
         /// Request id of the parent call.
         request: u64,
         /// Replica the attempt landed on.
         replica: u32,
-        /// Whether this attempt served a hedge backup.
+        /// Kept in the wire format so recorded telemetry still decodes.
+        /// The fleet never runs one call on two replicas at once, so
+        /// nothing sets it: it always reads `false`.
         hedge: bool,
         /// How the attempt resolved.
         outcome: AttemptOutcome,
@@ -484,7 +486,9 @@ pub enum Counter {
     LlmCalls,
     /// Per-replica fleet attempts claimed (served + refused).
     FleetAttempts,
-    /// Fleet attempts made on behalf of hedge backups.
+    /// Kept in the counter table so recorded telemetry still decodes.
+    /// The fleet never runs one call on two replicas at once, so nothing
+    /// adds to it: it always reads 0.
     FleetHedges,
     /// Sharded-tracker relink batches.
     RelinkBatches,

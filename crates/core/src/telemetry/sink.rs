@@ -397,8 +397,8 @@ impl Telemetry {
     /// Assembles the unified report for a run spanning
     /// `[run_start_us, run_end_us]` on this sink's clock (both from
     /// [`Telemetry::now_us`]). Span timestamps are rebased so the run
-    /// starts at 0; spans recorded by stragglers after this call (e.g.
-    /// losing hedge attempts) are not included.
+    /// starts at 0; it copies the spans published so far, so a span
+    /// recorded after this call is not included.
     pub fn finish(
         &self,
         run_start_us: u64,

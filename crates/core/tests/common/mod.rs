@@ -15,7 +15,7 @@
 #![allow(dead_code)]
 
 use std::collections::VecDeque;
-use std::ops::{ControlFlow, Deref, DerefMut};
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use aim_core::depgraph::{DepGraph, EdgeMode, GraphOptions, GraphSnapshot};
@@ -575,16 +575,14 @@ impl Fnv {
     /// Every record of `db` in key order and their count, then its
     /// `DbStats` counters.
     pub fn store(&mut self, db: &Db) {
-        let mut records = 0u64;
-        db.for_each_prefix(b"", |k, v| {
+        let records = db.scan_prefix(b"");
+        for (k, v) in &records {
             self.u64(k.len() as u64);
             self.bytes(k);
             self.u64(v.len() as u64);
             self.bytes(v);
-            records += 1;
-            ControlFlow::Continue(())
-        });
-        self.u64(records);
+        }
+        self.u64(records.len() as u64);
         let stats = db.stats();
         let counters = [
             stats.keys as u64,
@@ -601,12 +599,10 @@ impl Fnv {
 
 /// Every `(key, value)` of `db`, in key order.
 pub fn records(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let mut out = Vec::new();
-    db.for_each_prefix(b"", |k, v| {
-        out.push((k.to_vec(), v.to_vec()));
-        ControlFlow::Continue(())
-    });
-    out
+    db.scan_prefix(b"")
+        .into_iter()
+        .map(|(k, v)| (k.to_vec(), v.to_vec()))
+        .collect()
 }
 
 /// A small deterministic generator.

@@ -8,7 +8,7 @@
 //!   operation script produce the same multiset of span kinds after the
 //!   end-of-run harvest (timestamps differ run to run; structure must
 //!   not).
-//! * **Transport layer** (`dist-socket` feature) — the same request
+//! * **Transport layer** (the socket transport) — the same request
 //!   script driven through a [`ChannelLink`] and through a TCP
 //!   [`SocketLink`](aim_core::dist::socket::SocketLink), each followed by
 //!   a wire harvest + merge, produces the same order-normalized merged
@@ -107,7 +107,6 @@ fn seeded_dist_runs_merge_identically() {
     );
 }
 
-#[cfg(feature = "dist-socket")]
 mod transports {
     use super::*;
 

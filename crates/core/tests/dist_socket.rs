@@ -1,5 +1,5 @@
 //! Two-process smoke test for the `AIMMSG v1` socket transport
-//! (`dist-socket` feature): a [`ShardWorker`] served from a **separate
+//! (`aim_core::dist::socket`): a [`ShardWorker`] served from a **separate
 //! OS process** answers the full protocol — arrive, commit, relink,
 //! quiesce, history eviction, recover, shutdown — over a TCP stream.
 //!
@@ -13,7 +13,6 @@
 //! The hand-off tests below it stay in one process: a worker thread
 //! behind [`serve_connection`], or a hand-written peer where the test
 //! needs to see the bytes or break the stream.
-#![cfg(feature = "dist-socket")]
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};

@@ -60,10 +60,10 @@
 //!    request from live [`ReplicaView`]s (which carry availability, so
 //!    degraded replicas shed load);
 //! 4. **fleet** — [`Fleet`] owns the replicas and the policy, retries
-//!    refused attempts with backoff, optionally hedges slow calls, keeps
-//!    per-replica prefix-cache ([`PrefixTracker`]) and latency counters,
-//!    and is itself an [`LlmBackend`], so the threaded runtime drives a
-//!    mixed fleet exactly like a single engine.
+//!    refused attempts with backoff, keeps per-replica prefix-cache
+//!    ([`PrefixTracker`]) and latency counters, and is itself an
+//!    [`LlmBackend`], so the threaded runtime drives a mixed fleet
+//!    exactly like a single engine.
 //!
 //! # Example: a mixed fleet of a simulated engine and a latency replay
 //!

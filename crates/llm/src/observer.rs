@@ -5,8 +5,8 @@
 //! the fleet cannot record into `aim-core`'s telemetry buffers directly.
 //! Instead it exposes [`CallObserver`]: the engine installs an observer
 //! via [`crate::LlmBackend::install_observer`], and the fleet reports
-//! every *claimed attempt* — primaries, retries after a refusal, and
-//! hedge backups alike — as a begin/end pair. The observer sees attempts
+//! every *claimed attempt* — first tries and retries after a refusal
+//! alike — as a begin/end pair. The observer sees attempts
 //! at the same granularity the fault gate does, so refused attempts
 //! (which never reach a backend) are visible too.
 
@@ -50,23 +50,13 @@ impl AttemptOutcome {
 /// `begin_attempt` runs *before* the fault gate and returns an opaque
 /// token (typically a timestamp on the observer's own clock); the same
 /// token comes back in `end_attempt` once the attempt resolves. Both
-/// hooks run on the calling worker thread — or on a detached hedge
-/// thread, possibly *after* the run that issued the call has finished —
-/// so implementations must be lock-free or nearly so, and must tolerate
-/// late calls.
+/// hooks run on the worker thread that issued the call, inside that
+/// call, so implementations must be lock-free or nearly so.
 pub trait CallObserver: Send + Sync {
-    /// An attempt on `replica` was claimed for `req`; `hedge` marks
-    /// attempts made on behalf of a hedge backup. Returns a token passed
-    /// back to [`CallObserver::end_attempt`].
-    fn begin_attempt(&self, req: &LlmRequest, replica: u32, hedge: bool) -> u64;
+    /// An attempt on `replica` was claimed for `req`. Returns a token
+    /// passed back to [`CallObserver::end_attempt`].
+    fn begin_attempt(&self, req: &LlmRequest, replica: u32) -> u64;
 
     /// The attempt begun with `token` resolved with `outcome`.
-    fn end_attempt(
-        &self,
-        token: u64,
-        req: &LlmRequest,
-        replica: u32,
-        hedge: bool,
-        outcome: AttemptOutcome,
-    );
+    fn end_attempt(&self, token: u64, req: &LlmRequest, replica: u32, outcome: AttemptOutcome);
 }

@@ -170,7 +170,7 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// Total busy time across replicas, µs.
-    pub fn total_busy_us(&self) -> u64 {
+    fn total_busy_us(&self) -> u64 {
         self.replicas.iter().map(|r| r.busy_us).sum()
     }
 

@@ -28,10 +28,10 @@ pub const CRASH_TRACE: &str = "crash.trace.json";
 /// (created if missing): [`CRASH_TELEMETRY`] then [`CRASH_TRACE`].
 /// Returns both paths.
 ///
-/// Drains the sink's live buffers (plus the overflow ring) into a
-/// rebased [`RunTelemetry`](aim_core::telemetry::RunTelemetry), so
-/// call it on the way down — a continuing run would lose the drained
-/// spans from its final export.
+/// Copies the sink's live buffers (plus the overflow ring) into a
+/// rebased [`RunTelemetry`](aim_core::telemetry::RunTelemetry) through
+/// [`Telemetry::flight_report`]. Nothing is removed, so a run that
+/// continues still exports every span at its end.
 pub fn write_crash_dump(
     telemetry: &Telemetry,
     dir: &Path,

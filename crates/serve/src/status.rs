@@ -106,7 +106,7 @@ impl RunStatus {
     /// (to stderr, once) and caches it for `/status` and `/healthz`.
     /// Never panics (the watchdog guarantees this) and never fires
     /// twice.
-    pub fn poll_watchdog(&self) {
+    fn poll_watchdog(&self) {
         let (Some(t), Some(dog)) = (self.telemetry.as_deref(), self.watchdog.as_deref()) else {
             return;
         };
@@ -219,9 +219,9 @@ impl StatusSource for RunStatus {
                 let _ = write!(out, "\"{}\":{}", c.as_str(), t.counter(*c));
             }
             out.push('}');
-            // Stall decomposition so far: derived from the spans
-            // recorded up to this scrape (a scrape-time drain, not the
-            // final rebased report).
+            // Stall decomposition so far: derived from a copy of the
+            // spans recorded up to this scrape (the buffers keep them
+            // for the final rebased report).
             let rt = t.flight_report(self.agents);
             let d = &rt.decomposition;
             let _ = write!(

@@ -252,10 +252,14 @@ impl Db {
     /// Returns all `(key, value)` pairs whose key starts with `prefix`,
     /// sorted by key.
     ///
+    /// One pass over the shards under each shard's read lock, then one
+    /// sort; the pairs are refcounted handles, so the result holds no
+    /// copy of the stored bytes. The read is uncounted: a checkpoint or
+    /// eviction walk does not move [`DbStats::gets`].
+    ///
     /// Scans are *not* atomic: a concurrent [`Db::transaction`] may be
-    /// observed partially. Large scans that only need to *visit* records
-    /// should prefer [`Db::for_each_prefix`], which does not materialize
-    /// the value handles up front.
+    /// observed partially. Callers that need an exact image (the
+    /// snapshot writer) scan from a quiesced writer.
     pub fn scan_prefix(&self, prefix: impl AsRef<[u8]>) -> Vec<(Bytes, Bytes)> {
         let prefix = prefix.as_ref();
         let mut out = Vec::new();
@@ -267,59 +271,10 @@ impl Db {
                 }
             }
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        // Keys are unique, so an unstable sort gives the one order and
+        // needs no merge buffer beside `out`.
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out
-    }
-
-    /// Visits every `(key, value)` pair whose key starts with `prefix`, in
-    /// ascending key order, without materializing the result set.
-    ///
-    /// Only the (refcounted) key handles are gathered up front — an
-    /// unavoidable O(total keys) sweep of the hash-sharded store plus a
-    /// sort of the matches; each *value* is then fetched one at a time
-    /// while `f` runs, and no shard lock is held during the callback, so
-    /// `f` may freely read or write the database. Returning
-    /// [`std::ops::ControlFlow::Break`] stops the walk early, skipping
-    /// the remaining value fetches and callback work (the key gather has
-    /// already happened). What this buys over [`Db::scan_prefix`] is
-    /// peak memory — O(matching keys) handles instead of O(matching)
-    /// key+value pairs held alive at once — not asymptotic scan cost.
-    ///
-    /// Like [`Db::scan_prefix`] the walk is not transactional: pairs
-    /// deleted between the key gather and their visit are skipped, and
-    /// concurrent writes may or may not be observed. The snapshot writer
-    /// calls this from a quiesced controller thread, where the scan is
-    /// exact.
-    pub fn for_each_prefix(
-        &self,
-        prefix: impl AsRef<[u8]>,
-        mut f: impl FnMut(&Bytes, &Bytes) -> std::ops::ControlFlow<()>,
-    ) {
-        let prefix = prefix.as_ref();
-        let mut keys: Vec<Bytes> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read();
-            for k in shard.keys() {
-                if k.starts_with(prefix) {
-                    keys.push(k.clone());
-                }
-            }
-        }
-        keys.sort_unstable();
-        for k in keys {
-            // Uncounted read: the scan is instrumentation-neutral so a
-            // checkpoint pass does not distort the `gets` counter.
-            let value = {
-                let shard = self.shards[Self::shard_index(&k)].read();
-                match shard.get(&k) {
-                    Some(v) => v.clone(),
-                    None => continue, // deleted since the key gather
-                }
-            };
-            if f(&k, &value).is_break() {
-                return;
-            }
-        }
     }
 
     /// Reads `key` as a big-endian `i64` (absent counts as 0): single-key
@@ -469,53 +424,6 @@ mod tests {
             keys,
             vec![&b"agent:1"[..], &b"agent:10"[..], &b"agent:2"[..]]
         );
-    }
-
-    #[test]
-    fn for_each_prefix_streams_in_order_and_breaks() {
-        let db = Db::new();
-        for i in 0..50u32 {
-            db.set(format!("h:{i:04}"), i.to_be_bytes().to_vec());
-        }
-        db.set("other", vec![1]);
-        let mut seen = Vec::new();
-        db.for_each_prefix("h:", |k, v| {
-            seen.push((k.clone(), v.clone()));
-            std::ops::ControlFlow::Continue(())
-        });
-        assert_eq!(seen.len(), 50);
-        assert!(seen.windows(2).all(|w| w[0].0 < w[1].0), "ascending keys");
-        assert_eq!(seen, db.scan_prefix("h:"), "same pairs as scan_prefix");
-        // Early termination visits only the requested range.
-        let mut visited = 0;
-        db.for_each_prefix("h:", |_, _| {
-            visited += 1;
-            if visited == 7 {
-                std::ops::ControlFlow::Break(())
-            } else {
-                std::ops::ControlFlow::Continue(())
-            }
-        });
-        assert_eq!(visited, 7);
-    }
-
-    #[test]
-    fn for_each_prefix_skips_keys_deleted_mid_walk() {
-        let db = Db::new();
-        db.set("p:a", vec![1]);
-        db.set("p:b", vec![2]);
-        db.set("p:c", vec![3]);
-        let mut seen = Vec::new();
-        db.for_each_prefix("p:", |k, _| {
-            if k.as_ref() == b"p:a" {
-                db.del("p:b"); // the callback may write; b vanishes
-            }
-            seen.push(k.clone());
-            std::ops::ControlFlow::Continue(())
-        });
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0].as_ref(), b"p:a");
-        assert_eq!(seen[1].as_ref(), b"p:c");
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! database image is **canonical**: snapshot → restore → snapshot yields
 //! the identical byte stream (shard layout and hash-map iteration order
 //! never leak into the file), which the property tests pin down. The
-//! record stream is produced by [`Db::for_each_prefix`], one record at a
-//! time — a snapshot never materializes a second copy of the database in
-//! memory.
+//! record stream comes from one [`Db::scan_prefix`]: it holds refcounted
+//! handles to the stored keys and values, never a second copy of their
+//! bytes.
 //!
 //! # Consistency
 //!
@@ -171,9 +171,9 @@ impl<'a> SnapshotBuilder<'a> {
 
     /// Streams the snapshot into `w`, returning the total bytes written.
     ///
-    /// Database records are visited one at a time in ascending key order
-    /// ([`Db::for_each_prefix`]); resident overhead is one record, not a
-    /// second copy of the store.
+    /// Database records are written in ascending key order from one
+    /// [`Db::scan_prefix`]; resident overhead is a refcounted handle per
+    /// record, not a second copy of the store's bytes.
     ///
     /// # Errors
     ///
@@ -187,19 +187,9 @@ impl<'a> SnapshotBuilder<'a> {
             hw.put_chunk(body)?;
         }
         if let Some(db) = self.db {
-            let mut io_err = None;
-            db.for_each_prefix([], |k, v| {
-                let r = hw.put_chunk(k).and_then(|()| hw.put_chunk(v));
-                match r {
-                    Ok(()) => std::ops::ControlFlow::Continue(()),
-                    Err(e) => {
-                        io_err = Some(e);
-                        std::ops::ControlFlow::Break(())
-                    }
-                }
-            });
-            if let Some(e) = io_err {
-                return Err(e);
+            for (k, v) in db.scan_prefix([]) {
+                hw.put_chunk(&k)?;
+                hw.put_chunk(&v)?;
             }
         }
         hw.put_u32(END_OF_RECORDS)?;

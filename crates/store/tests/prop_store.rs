@@ -286,23 +286,30 @@ proptest! {
         prop_assert_eq!(bytes.as_ref(), again.as_ref());
     }
 
-    /// The streaming scan agrees with the materializing scan on every
-    /// prefix, including empty and non-matching ones.
+    /// A prefix scan returns exactly the model's matching pairs, in
+    /// ascending key order, on every prefix, including empty and
+    /// non-matching ones.
     #[test]
-    fn for_each_prefix_matches_scan_prefix(
+    fn scan_prefix_matches_a_btreemap_model(
         keys in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..5), 0..50),
         prefix in proptest::collection::vec(0u8..4, 0..3),
     ) {
         let db = Db::new();
+        let mut model = BTreeMap::new();
         for (i, k) in keys.iter().enumerate() {
             db.set(k, vec![i as u8]);
+            model.insert(k.clone(), vec![i as u8]);
         }
-        let mut streamed = Vec::new();
-        db.for_each_prefix(&prefix, |k, v| {
-            streamed.push((k.clone(), v.clone()));
-            std::ops::ControlFlow::Continue(())
-        });
-        prop_assert_eq!(streamed, db.scan_prefix(&prefix));
+        let want: Vec<(Vec<u8>, Vec<u8>)> = model
+            .into_iter()
+            .filter(|(k, _)| k.starts_with(&prefix))
+            .collect();
+        let got: Vec<(Vec<u8>, Vec<u8>)> = db
+            .scan_prefix(&prefix)
+            .into_iter()
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect();
+        prop_assert_eq!(got, want);
     }
 
     /// Eight threads of blind `incr_key` batches over random key sets

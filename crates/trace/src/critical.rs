@@ -100,9 +100,6 @@ pub fn critical_path(
 /// The `no-dependency` lower bound (§4.3): all calls issued at once; the
 /// bound is total work divided by aggregate peak throughput, plus the
 /// longest single call (which cannot be split).
-///
-/// Used as `gpu-limit = min(makespan(critical), no_dependency_bound)` in
-/// the scaling figures.
 pub fn no_dependency_bound(
     trace: &Trace,
     cost: &CostModel,

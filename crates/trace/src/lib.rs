@@ -42,7 +42,6 @@ pub mod gen;
 pub mod latency;
 mod lines;
 pub mod oracle;
-pub mod serving;
 pub mod stats;
 pub mod telemetry;
 

@@ -380,7 +380,7 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
 /// backslash, double quote, and line feed must be escaped (`\\`, `\"`,
 /// `\n`); everything else passes through verbatim.
 #[must_use]
-pub fn prometheus_escape_label(s: &str) -> String {
+fn prometheus_escape_label(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -394,8 +394,9 @@ pub fn prometheus_escape_label(s: &str) -> String {
 }
 
 /// Renders one labeled Prometheus sample line,
-/// `name{key="value",...} value`, escaping every label value with
-/// [`prometheus_escape_label`]. Label *names* are the caller's static
+/// `name{key="value",...} value`, escaping every label value
+/// (backslash, double quote and newline, as the exposition format
+/// requires). Label *names* are the caller's static
 /// identifiers and are not escaped.
 #[must_use]
 pub fn prometheus_sample(name: &str, labels: &[(&str, &str)], value: u64) -> String {

@@ -12,7 +12,7 @@
 //! [`crate::pathfind::path_len`] distances.
 //!
 //! The population comes from a seeded **template pool**
-//! ([`PersonaTemplate`], [`template_pool`]): a handful of archetypes
+//! ([`PersonaTemplate`]): a handful of archetypes
 //! (commuters, baristas, shopkeepers, students, regulars) instantiated
 //! thousands of times with per-agent jitter, the standard trick for
 //! generating believable massive-agent populations without authoring
@@ -106,7 +106,7 @@ pub struct PersonaTemplate {
 }
 
 /// The seeded archetype pool cities draw personas from.
-pub fn template_pool() -> &'static [PersonaTemplate] {
+fn template_pool() -> &'static [PersonaTemplate] {
     const POOL: &[PersonaTemplate] = &[
         PersonaTemplate {
             label: "Commuter",

@@ -986,27 +986,6 @@ impl Village {
         Ok(village)
     }
 
-    /// In-place form of [`Village::restore`]: replaces this village's
-    /// runtime state with the captured one.
-    ///
-    /// # Errors
-    ///
-    /// As [`Village::restore`], plus a codec error if the state was
-    /// captured from a village with a different [`VillageConfig`] — the
-    /// substrate (map, personas, schedules) is derived from the config,
-    /// so cross-config restores would silently mix worlds.
-    pub fn restore_state(&mut self, state: &bytes::Bytes) -> Result<(), aim_store::StoreError> {
-        let restored = Village::restore(state)?;
-        if restored.cfg != self.cfg {
-            return Err(aim_store::StoreError::Codec(format!(
-                "state belongs to config {:?}, this village is {:?}",
-                restored.cfg, self.cfg
-            )));
-        }
-        *self = restored;
-        Ok(())
-    }
-
     /// Runs the world in global lock-step over `[start, end)`, invoking
     /// `sink(step, agent, plan, new_pos)` for every agent-step — the
     /// self-play loop used for trace synthesis.
@@ -1271,24 +1250,6 @@ mod tests {
         state[24..28].copy_from_slice(&(-1i32).to_be_bytes());
         let err = Village::restore(&bytes::Bytes::from(state)).unwrap_err();
         assert!(err.to_string().contains("outside the map"), "{err}");
-    }
-
-    #[test]
-    fn restore_state_in_place_and_config_guard() {
-        let mut v = village();
-        v.run_lockstep(0, clock_to_step(9, 0), |_, _, _, _| {});
-        let state = v.capture_state();
-        let mut fresh = village();
-        fresh.restore_state(&state).unwrap();
-        assert_eq!(fresh.positions(), v.positions());
-        assert_eq!(fresh.events(), v.events());
-        // A different config must be rejected, not silently mixed.
-        let mut other = Village::generate(&VillageConfig {
-            villes: 1,
-            agents_per_ville: 10,
-            seed: 1,
-        });
-        assert!(other.restore_state(&state).is_err());
     }
 
     #[test]
