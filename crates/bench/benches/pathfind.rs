@@ -65,13 +65,5 @@ fn bench_astar(c: &mut Criterion) {
     });
 }
 
-fn bench_calibration(c: &mut Criterion) {
-    // Machine-speed reference for bench_gate normalization (see
-    // `aim_bench::calibration_spin`).
-    c.bench_function("calibration/spin", |b| {
-        b.iter(|| black_box(aim_bench::calibration_spin()))
-    });
-}
-
-criterion_group!(benches, bench_calibration, bench_astar);
+criterion_group!(benches, aim_bench::bench_calibration, bench_astar);
 criterion_main!(benches);

@@ -16,7 +16,7 @@ use aim_core::health::{HealthBoard, WorkerHealth};
 use aim_core::prelude::*;
 use aim_core::space::GridSpace;
 use aim_core::telemetry::{SpanKind, Telemetry};
-use aim_serve::{RunStatus, StatusSource};
+use aim_serve::RunStatus;
 use aim_store::Db;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -108,17 +108,9 @@ fn bench_heartbeat_handle(c: &mut Criterion) {
     });
 }
 
-fn bench_calibration(c: &mut Criterion) {
-    // Machine-speed reference for bench_gate normalization (see
-    // `aim_bench::calibration_spin`).
-    c.bench_function("calibration/spin", |b| {
-        b.iter(|| black_box(aim_bench::calibration_spin()))
-    });
-}
-
 criterion_group!(
     benches,
-    bench_calibration,
+    aim_bench::bench_calibration,
     bench_prometheus_render,
     bench_status_json,
     bench_heartbeat_handle

@@ -163,17 +163,9 @@ fn bench_emit_complete_cycle(c: &mut Criterion) {
     grp.finish();
 }
 
-fn bench_calibration(c: &mut Criterion) {
-    // Machine-speed reference for bench_gate normalization (see
-    // `aim_bench::calibration_spin`).
-    c.bench_function("calibration/spin", |b| {
-        b.iter(|| black_box(aim_bench::calibration_spin()))
-    });
-}
-
 criterion_group!(
     benches,
-    bench_calibration,
+    aim_bench::bench_calibration,
     bench_refresh_skewed,
     bench_leader_commit_skewed,
     bench_emit_complete_cycle

@@ -92,18 +92,10 @@ fn bench_eviction_guard(c: &mut Criterion) {
     });
 }
 
-fn bench_calibration(c: &mut Criterion) {
-    // Machine-speed reference for bench_gate normalization (see
-    // `aim_bench::calibration_spin`).
-    c.bench_function("calibration/spin", |b| {
-        b.iter(|| black_box(aim_bench::calibration_spin()))
-    });
-}
-
 criterion_group!(
     benches,
     bench_snapshot_codec,
     bench_eviction_guard,
-    bench_calibration,
+    aim_bench::bench_calibration,
 );
 criterion_main!(benches);

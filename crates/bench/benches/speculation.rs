@@ -148,17 +148,9 @@ fn bench_squash_cascade(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_calibration(c: &mut Criterion) {
-    // Machine-speed reference for bench_gate normalization (see
-    // `aim_bench::calibration_spin`).
-    c.bench_function("calibration/spin", |b| {
-        b.iter(|| black_box(aim_bench::calibration_spin()))
-    });
-}
-
 criterion_group!(
     benches,
-    bench_calibration,
+    aim_bench::bench_calibration,
     bench_spec_replay,
     bench_spec_cycle,
     bench_squash_cascade

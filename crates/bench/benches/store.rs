@@ -58,19 +58,10 @@ fn bench_transactions(c: &mut Criterion) {
     });
 }
 
-fn bench_calibration(c: &mut Criterion) {
-    // Machine-speed reference for bench_gate normalization (see
-    // `aim_bench::calibration_spin`); its presence is what lets the
-    // store target join the gated allowlist.
-    c.bench_function("calibration/spin", |b| {
-        b.iter(|| black_box(aim_bench::calibration_spin()))
-    });
-}
-
 criterion_group!(
     benches,
     bench_point_ops,
     bench_transactions,
-    bench_calibration
+    aim_bench::bench_calibration
 );
 criterion_main!(benches);

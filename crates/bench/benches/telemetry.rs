@@ -143,17 +143,9 @@ fn bench_harvest_decode(c: &mut Criterion) {
     });
 }
 
-fn bench_calibration(c: &mut Criterion) {
-    // Machine-speed reference for bench_gate normalization (see
-    // `aim_bench::calibration_spin`).
-    c.bench_function("calibration/spin", |b| {
-        b.iter(|| black_box(aim_bench::calibration_spin()))
-    });
-}
-
 criterion_group!(
     benches,
-    bench_calibration,
+    aim_bench::bench_calibration,
     bench_record_span,
     bench_disabled_noop,
     bench_drain,

@@ -69,17 +69,9 @@ fn bench_oracle_mine(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_calibration(c: &mut Criterion) {
-    // Machine-speed reference for bench_gate normalization (see
-    // `aim_bench::calibration_spin`).
-    c.bench_function("calibration/spin", |b| {
-        b.iter(|| black_box(aim_bench::calibration_spin()))
-    });
-}
-
 criterion_group!(
     benches,
-    bench_calibration,
+    aim_bench::bench_calibration,
     bench_generate_hour,
     bench_warmup,
     bench_plan_step,

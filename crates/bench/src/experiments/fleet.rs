@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use aim_core::exec::threaded::{run_threaded, ThreadedConfig};
+use aim_core::exec::threaded::{run_threaded_observed, ThreadedConfig};
 use aim_core::policy::DependencyPolicy;
 use aim_core::prelude::*;
 use aim_llm::presets;
@@ -147,7 +147,7 @@ pub fn run(env: &RunEnv) {
         };
 
         let backend: Arc<dyn LlmBackend> = Arc::clone(&fleet) as Arc<dyn LlmBackend>;
-        let report = run_threaded(
+        let report = run_threaded_observed(
             &mut sched,
             Arc::clone(&program),
             backend,
@@ -155,6 +155,8 @@ pub fn run(env: &RunEnv) {
                 workers: 8,
                 priority_enabled: true,
             },
+            None,
+            None,
         )
         .expect("threaded fleet run");
         stop.store(true, Ordering::Relaxed);
@@ -253,7 +255,7 @@ mod tests {
             }
             long.join().expect("long interactive call");
             let backend: Arc<dyn LlmBackend> = Arc::clone(&fleet) as Arc<dyn LlmBackend>;
-            run_threaded(
+            run_threaded_observed(
                 &mut sched,
                 program,
                 backend,
@@ -261,6 +263,8 @@ mod tests {
                     workers: 4,
                     priority_enabled: true,
                 },
+                None,
+                None,
             )
             .unwrap();
             let m = fleet.metrics();

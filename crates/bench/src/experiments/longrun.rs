@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use aim_core::checkpoint::{self, SECTION_WORLD};
-use aim_core::exec::threaded::{run_threaded_with_checkpoints, CheckpointHook, ThreadedConfig};
+use aim_core::exec::threaded::{run_threaded_observed, CheckpointHook, ThreadedConfig};
 use aim_core::policy::DependencyPolicy;
 use aim_core::prelude::*;
 use aim_llm::InstantBackend;
@@ -179,7 +179,7 @@ fn drive(env: &RunEnv, arm: &str, villes: u32, steps: u32, every: u32, evict: bo
             });
             Ok(())
         };
-        let report = run_threaded_with_checkpoints(
+        let report = run_threaded_observed(
             &mut sched,
             Arc::clone(&program),
             Arc::new(InstantBackend::new()),
@@ -191,6 +191,7 @@ fn drive(env: &RunEnv, arm: &str, villes: u32, steps: u32, every: u32, evict: bo
                 every_steps: every,
                 f: &mut hook_fn,
             }),
+            None,
         )
         .expect("checkpointed threaded run");
         print!("{report}");
@@ -240,7 +241,7 @@ fn resume_from(path: &std::path::Path, env: &RunEnv) {
             ckpt.write(committed, &builder)?;
             Ok(())
         };
-        run_threaded_with_checkpoints(
+        run_threaded_observed(
             &mut sched,
             Arc::clone(&program),
             Arc::new(InstantBackend::new()),
@@ -252,6 +253,7 @@ fn resume_from(path: &std::path::Path, env: &RunEnv) {
                 every_steps: every,
                 f: &mut hook_fn,
             }),
+            None,
         )
         .expect("resumed run");
     }

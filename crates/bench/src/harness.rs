@@ -185,10 +185,7 @@ impl RunEnv {
             status = status.with_backend(b);
         }
         let source = Arc::new(status);
-        match aim_serve::StatusServer::start(
-            port,
-            Arc::clone(&source) as Arc<dyn aim_serve::StatusSource>,
-        ) {
+        match aim_serve::StatusServer::start(port, Arc::clone(&source)) {
             Ok(server) => {
                 eprintln!(
                     "[serve] {label}: status endpoint on http://127.0.0.1:{}",

@@ -48,3 +48,11 @@ pub fn calibration_spin() -> u64 {
     }
     acc
 }
+
+/// The `calibration/spin` row: [`calibration_spin`] timed by criterion.
+/// Every bench target names it in its `criterion_group!`.
+pub fn bench_calibration(c: &mut criterion::Criterion) {
+    c.bench_function("calibration/spin", |b| {
+        b.iter(|| criterion::black_box(calibration_spin()))
+    });
+}

@@ -20,13 +20,11 @@
 /// ds.union(2, 3);
 /// assert!(ds.same(0, 1));
 /// assert!(!ds.same(1, 2));
-/// assert_eq!(ds.set_count(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DisjointSets {
     parent: Vec<u32>,
     size: Vec<u32>,
-    sets: usize,
 }
 
 impl DisjointSets {
@@ -35,7 +33,6 @@ impl DisjointSets {
         DisjointSets {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            sets: n,
         }
     }
 
@@ -45,7 +42,6 @@ impl DisjointSets {
             *p = i;
         }
         self.size.fill(1);
-        self.sets = self.parent.len();
     }
 
     /// Number of elements.
@@ -92,18 +88,12 @@ impl DisjointSets {
         };
         self.parent[small] = big as u32;
         self.size[big] += self.size[small];
-        self.sets -= 1;
         true
     }
 
     /// Whether `a` and `b` share a set.
     pub fn same(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
-    }
-
-    /// Current number of disjoint sets.
-    pub fn set_count(&self) -> usize {
-        self.sets
     }
 }
 
@@ -114,16 +104,17 @@ mod tests {
     #[test]
     fn union_find_basics() {
         let mut ds = DisjointSets::new(5);
-        assert_eq!(ds.set_count(), 5);
+        assert!(!ds.same(0, 1));
         assert!(ds.union(0, 1));
         assert!(!ds.union(1, 0));
         ds.union(3, 4);
         assert!(ds.same(0, 1));
+        assert!(ds.same(3, 4));
         assert!(!ds.same(0, 3));
-        assert_eq!(ds.set_count(), 3);
+        assert!(!ds.same(2, 4));
         ds.reset();
-        assert_eq!(ds.set_count(), 5);
         assert!(!ds.same(0, 1));
+        assert!(!ds.same(3, 4));
     }
 
     #[test]
@@ -132,7 +123,6 @@ mod tests {
         for i in 1..1000 {
             ds.union(0, i);
         }
-        assert_eq!(ds.set_count(), 1);
-        assert!(ds.same(1, 999));
+        assert!((1..1000).all(|i| ds.same(0, i)));
     }
 }

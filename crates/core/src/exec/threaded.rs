@@ -176,8 +176,7 @@ impl std::fmt::Display for ThreadedReport {
     }
 }
 
-/// A periodic quiesced-checkpoint driver for
-/// [`run_threaded_with_checkpoints`].
+/// A periodic quiesced-checkpoint hook for [`run_threaded_observed`].
 ///
 /// Whenever the fully-committed step floor (`min_step`) reaches a
 /// multiple of `every_steps`, the runtime stops handing out new clusters,
@@ -218,58 +217,9 @@ impl Drop for OnDrop<'_> {
 }
 
 /// Runs `scheduler` to completion with `cfg.workers` worker threads
-/// executing `program` against `backend`.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Deadlock`] if the scheduler reports no ready and
-/// no in-flight work before finishing (a rule bug), and propagates store
-/// errors from completions.
-///
-/// # Panics
-///
-/// If `agent_step` or `commit` panics, the run is stopped, every thread
-/// it started is joined, and the panic is resumed on the caller.
-pub fn run_threaded<S, G, P>(
-    scheduler: &mut Scheduler<S, G>,
-    program: Arc<P>,
-    backend: Arc<dyn LlmBackend>,
-    cfg: ThreadedConfig,
-) -> Result<ThreadedReport, EngineError>
-where
-    S: Space,
-    G: DepTracker<S>,
-    P: ClusterProgram<S> + 'static,
-{
-    run_threaded_with_checkpoints(scheduler, program, backend, cfg, None)
-}
-
-/// [`run_threaded`] with an optional periodic [`CheckpointHook`] (see its
-/// docs for the quiesce protocol).
-///
-/// # Errors
-///
-/// As [`run_threaded`], plus any error the hook returns.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics or the hook cadence is zero.
-pub fn run_threaded_with_checkpoints<S, G, P>(
-    scheduler: &mut Scheduler<S, G>,
-    program: Arc<P>,
-    backend: Arc<dyn LlmBackend>,
-    cfg: ThreadedConfig,
-    hook: Option<CheckpointHook<'_, S, G>>,
-) -> Result<ThreadedReport, EngineError>
-where
-    S: Space,
-    G: DepTracker<S>,
-    P: ClusterProgram<S> + 'static,
-{
-    run_threaded_observed(scheduler, program, backend, cfg, hook, None)
-}
-
-/// [`run_threaded_with_checkpoints`] with an optional [`Telemetry`] sink.
+/// executing `program` against `backend`, with an optional periodic
+/// [`CheckpointHook`] (see its docs for the quiesce protocol) and an
+/// optional [`Telemetry`] sink.
 ///
 /// When `telemetry` is `Some`, the runtime threads the sink through every
 /// layer before running:
@@ -298,11 +248,15 @@ where
 ///
 /// # Errors
 ///
-/// As [`run_threaded_with_checkpoints`].
+/// Returns [`EngineError::Deadlock`] if the scheduler reports no ready and
+/// no in-flight work before finishing (a rule bug), and propagates store
+/// errors from completions and any error the hook returns.
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics or the hook cadence is zero.
+/// Panics if the hook cadence is zero. If `agent_step` or `commit`
+/// panics, the run is stopped, every thread it started is joined, and the
+/// panic is resumed on the caller.
 pub fn run_threaded_observed<S, G, P>(
     scheduler: &mut Scheduler<S, G>,
     program: Arc<P>,
@@ -660,11 +614,13 @@ mod tests {
         let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, 4);
         let program = Arc::new(WalkProgram::new(&initial));
         let backend: Arc<dyn LlmBackend> = Arc::new(InstantBackend::new());
-        let report = run_threaded(
+        let report = run_threaded_observed(
             &mut sched,
             Arc::clone(&program),
             backend,
             ThreadedConfig::default(),
+            None,
+            None,
         )
         .unwrap();
         assert!(sched.is_done());
@@ -689,7 +645,7 @@ mod tests {
         let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, 3);
         let program = Arc::new(WalkProgram::new(&initial));
         let backend: Arc<dyn LlmBackend> = Arc::new(InstantBackend::new());
-        run_threaded(
+        run_threaded_observed(
             &mut sched,
             Arc::clone(&program),
             backend,
@@ -697,6 +653,8 @@ mod tests {
                 workers: 2,
                 priority_enabled: true,
             },
+            None,
+            None,
         )
         .unwrap();
         assert!(sched.is_done());
@@ -712,7 +670,7 @@ mod tests {
         let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, 5);
         let program = Arc::new(WalkProgram::new(&initial));
         let backend: Arc<dyn LlmBackend> = Arc::new(InstantBackend::new());
-        let report = run_threaded(
+        let report = run_threaded_observed(
             &mut sched,
             Arc::clone(&program),
             backend,
@@ -720,6 +678,8 @@ mod tests {
                 workers: 8,
                 priority_enabled: true,
             },
+            None,
+            None,
         )
         .unwrap();
         assert!(sched.is_done());
@@ -733,7 +693,15 @@ mod tests {
         let mut sched = mk_sched(&initial, DependencyPolicy::Spatiotemporal, 2);
         let program = Arc::new(WalkProgram::new(&initial));
         let backend: Arc<dyn LlmBackend> = Arc::new(InstantBackend::new());
-        let report = run_threaded(&mut sched, program, backend, ThreadedConfig::default()).unwrap();
+        let report = run_threaded_observed(
+            &mut sched,
+            program,
+            backend,
+            ThreadedConfig::default(),
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(report.backend, "instant");
     }
 
@@ -755,11 +723,13 @@ mod tests {
                 .build(),
         );
         let backend: Arc<dyn LlmBackend> = Arc::clone(&fleet) as Arc<dyn LlmBackend>;
-        let report = run_threaded(
+        let report = run_threaded_observed(
             &mut sched,
             Arc::clone(&program),
             backend,
             ThreadedConfig::default(),
+            None,
+            None,
         )
         .unwrap();
         assert!(sched.is_done());
@@ -791,7 +761,7 @@ mod tests {
             fired.push((sched.graph().min_step().0, sched.inflight_len()));
             Ok(())
         };
-        run_threaded_with_checkpoints(
+        run_threaded_observed(
             &mut sched,
             Arc::clone(&program),
             backend,
@@ -800,6 +770,7 @@ mod tests {
                 every_steps: 3,
                 f: &mut hook_fn,
             }),
+            None,
         )
         .unwrap();
         assert!(sched.is_done());
@@ -828,7 +799,7 @@ mod tests {
                 detail: "hook says stop".to_string(),
             })
         };
-        let r = run_threaded_with_checkpoints(
+        let r = run_threaded_observed(
             &mut sched,
             program,
             backend,
@@ -837,6 +808,7 @@ mod tests {
                 every_steps: 2,
                 f: &mut hook_fn,
             }),
+            None,
         );
         // The error propagates and the workers shut down (no hang).
         assert!(matches!(r, Err(EngineError::Deadlock { .. })));
@@ -1026,7 +998,15 @@ mod tests {
                 workers: 2,
                 priority_enabled: true,
             };
-            run_threaded(&mut sched, program, Arc::new(InstantBackend::new()), cfg).map(|_| ())
+            run_threaded_observed(
+                &mut sched,
+                program,
+                Arc::new(InstantBackend::new()),
+                cfg,
+                None,
+                None,
+            )
+            .map(|_| ())
         });
         let message = panic_message(outcome.expect_err("the panic must reach the caller"));
         assert!(message.contains("agent 1 trips at step 1"), "{message}");
@@ -1050,7 +1030,15 @@ mod tests {
                 workers: 2,
                 priority_enabled: true,
             };
-            run_threaded(&mut sched, program, Arc::new(InstantBackend::new()), cfg).map(|_| ())
+            run_threaded_observed(
+                &mut sched,
+                program,
+                Arc::new(InstantBackend::new()),
+                cfg,
+                None,
+                None,
+            )
+            .map(|_| ())
         });
         let message = panic_message(outcome.expect_err("the panic must reach the caller"));
         assert!(message.contains("commit trips at step 1"), "{message}");
@@ -1085,7 +1073,15 @@ mod tests {
                     workers,
                     priority_enabled: true,
                 };
-                run_threaded(&mut sched, program, Arc::new(InstantBackend::new()), cfg).unwrap()
+                run_threaded_observed(
+                    &mut sched,
+                    program,
+                    Arc::new(InstantBackend::new()),
+                    cfg,
+                    None,
+                    None,
+                )
+                .unwrap()
             })
             .expect("no panic");
             assert_eq!(report.agent_steps, (rows * N * 5) as u64);
@@ -1182,11 +1178,13 @@ mod tests {
                     workers: 4,
                     priority_enabled: true,
                 };
-                let report = run_threaded(
+                let report = run_threaded_observed(
                     &mut sched,
                     Arc::clone(&program),
                     Arc::new(JitterBackend),
                     cfg,
+                    None,
+                    None,
                 )
                 .unwrap();
                 assert_eq!(report.agent_steps, 200 * STEPS as u64);
@@ -1215,7 +1213,15 @@ mod tests {
         let mut sched = mk_sched(&initial, DependencyPolicy::GlobalSync, 3);
         let program = Arc::new(WalkProgram::new(&initial));
         let backend: Arc<dyn LlmBackend> = Arc::new(InstantBackend::new());
-        let report = run_threaded(&mut sched, program, backend, ThreadedConfig::default()).unwrap();
+        let report = run_threaded_observed(
+            &mut sched,
+            program,
+            backend,
+            ThreadedConfig::default(),
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(report.clusters, 3, "one barrier cluster per step");
         assert_eq!(sched.stats().max_step_skew, 0);
     }

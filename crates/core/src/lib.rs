@@ -125,8 +125,7 @@ pub mod prelude {
     pub use crate::exec::hybrid::{run_hybrid_sim, InteractiveLoad, InteractiveReport};
     pub use crate::exec::sim::{run_sim, SimConfig};
     pub use crate::exec::threaded::{
-        run_threaded, run_threaded_observed, run_threaded_with_checkpoints, CheckpointHook,
-        ClusterProgram, ThreadedConfig, ThreadedReport,
+        run_threaded_observed, CheckpointHook, ClusterProgram, ThreadedConfig, ThreadedReport,
     };
     pub use crate::health::{HealthBoard, StallReport, Watchdog, WorkerHealth};
     pub use crate::ids::{AgentId, ClusterId, Step};

@@ -218,15 +218,6 @@ impl SpecStats {
         }
         (self.squashed_steps + self.poisoned_clusters) as f64 / self.agent_steps as f64
     }
-
-    /// Fraction of emissions that ran ahead of a conservative block.
-    pub fn speculation_ratio(&self) -> f64 {
-        let total = self.emitted_firm + self.emitted_spec;
-        if total == 0 {
-            return 0.0;
-        }
-        self.emitted_spec as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -241,16 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn waste_and_speculation_ratios() {
+    fn waste_ratio_counts_squashed_and_poisoned() {
         let mut s = SpecStats::default();
         assert_eq!(s.waste_ratio(), 0.0);
-        assert_eq!(s.speculation_ratio(), 0.0);
         s.agent_steps = 10;
         s.squashed_steps = 1;
         s.poisoned_clusters = 1;
-        s.emitted_firm = 6;
-        s.emitted_spec = 2;
         assert!((s.waste_ratio() - 0.2).abs() < 1e-12);
-        assert!((s.speculation_ratio() - 0.25).abs() < 1e-12);
     }
 }

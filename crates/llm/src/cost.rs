@@ -124,16 +124,6 @@ impl CostModel {
         }
         t
     }
-
-    /// Aggregate decode throughput (tokens/s) at a given running batch size
-    /// — useful for plotting the concavity the scheduler exploits.
-    pub fn decode_throughput_at(&self, batch: u32) -> f64 {
-        if batch == 0 {
-            return 0.0;
-        }
-        let t = self.iter_time(0, batch);
-        batch as f64 / (t.as_micros() as f64 / 1e6)
-    }
 }
 
 #[cfg(test)]
@@ -163,11 +153,13 @@ mod tests {
     #[test]
     fn throughput_is_concave_and_saturates() {
         let m = model();
-        let t1 = m.decode_throughput_at(1);
-        let t8 = m.decode_throughput_at(8);
+        // Decode tokens per microsecond at a running batch size.
+        let throughput = |batch: u32| batch as f64 / m.iter_time(0, batch).as_micros() as f64;
+        let t1 = throughput(1);
+        let t8 = throughput(8);
         let sat = m.saturation_batch();
-        let tsat = m.decode_throughput_at(sat);
-        let t4x = m.decode_throughput_at(sat * 4);
+        let tsat = throughput(sat);
+        let t4x = throughput(sat * 4);
         assert!(
             t8 > 7.0 * t1,
             "below saturation extra sequences are nearly free"

@@ -294,7 +294,7 @@ fn default_prefix_lru_entries() -> u32 {
 ///     .with_replica(ReplicaSpec::sim(sim, 1_000_000.0))
 ///     .with_replica(ReplicaSpec::replay(LatencyProfile::constant("prod", 150_000), 7, None))
 ///     .build();
-/// assert_eq!(fleet.replica_count(), 2);
+/// assert_eq!(fleet.metrics().replicas.len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
@@ -614,11 +614,6 @@ impl Fleet {
     /// Fleet name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
     }
 
     /// Divisor applied to the wall-clock retry backoff: the largest

@@ -1,6 +1,6 @@
 //! The embedded, dependency-free HTTP status server.
 //!
-//! Serves exactly three routes from a [`StatusSource`]:
+//! Serves exactly three routes from a [`RunStatus`]:
 //!
 //! - `GET /healthz` — `200 ok` while healthy, `503 stalled` once the
 //!   watchdog fires.
@@ -10,8 +10,8 @@
 //! Built on `std::net::TcpListener` with one accept thread plus one
 //! ticker thread — no async runtime, no HTTP library, because the whole
 //! surface is three GET routes with `Connection: close` semantics. The
-//! ticker calls [`StatusSource::tick`] a few times a second so the
-//! stall watchdog can fire on schedule even when nobody scrapes.
+//! ticker checks the stall watchdog a few times a second so it can fire
+//! on schedule even when nobody scrapes.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -20,9 +20,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::status::StatusSource;
+use crate::status::RunStatus;
 
-/// How often the background ticker calls [`StatusSource::tick`].
+/// How often the background ticker checks the stall watchdog.
 const TICK_INTERVAL: Duration = Duration::from_millis(250);
 
 /// A running status server. Binds on construction, serves from a
@@ -40,7 +40,7 @@ impl StatusServer {
     /// in tests) and starts serving `source`. The bind is loopback-only
     /// on purpose: this is an operator's local scrape surface, not a
     /// public API.
-    pub fn start(port: u16, source: Arc<dyn StatusSource>) -> io::Result<StatusServer> {
+    pub fn start(port: u16, source: Arc<RunStatus>) -> io::Result<StatusServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -110,7 +110,7 @@ impl Drop for StatusServer {
 }
 
 /// Reads one request line, routes it, writes one response, closes.
-fn serve_one(stream: TcpStream, source: &dyn StatusSource) -> io::Result<()> {
+fn serve_one(stream: TcpStream, source: &RunStatus) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let mut reader = BufReader::new(stream);

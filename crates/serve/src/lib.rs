@@ -15,15 +15,15 @@
 //!
 //! The three pieces compose but don't require each other:
 //!
-//! - [`StatusSource`] + [`StatusServer`] — anything that can render a
-//!   metrics page can be served; [`RunStatus`] is the standard source
-//!   wrapping a [`Telemetry`](aim_core::telemetry::Telemetry) sink, an
-//!   optional [`HealthBoard`](aim_core::health::HealthBoard), an
-//!   optional [`Watchdog`](aim_core::health::Watchdog), and an optional
-//!   LLM backend (for fleet gauges).
-//! - The server's background ticker calls [`StatusSource::tick`] a few
-//!   times a second, which is what lets the watchdog fire within its
-//!   budget even when nobody is scraping.
+//! - [`RunStatus`] + [`StatusServer`] — the server renders one run's
+//!   [`RunStatus`], which wraps a
+//!   [`Telemetry`](aim_core::telemetry::Telemetry) sink, an optional
+//!   [`HealthBoard`](aim_core::health::HealthBoard), an optional
+//!   [`Watchdog`](aim_core::health::Watchdog), and an optional LLM
+//!   backend (for fleet gauges).
+//! - The server's background ticker checks the watchdog a few times a
+//!   second, which is what lets it fire within its budget even when
+//!   nobody is scraping.
 //! - [`flight::write_crash_dump`] / [`flight::install_panic_hook`] dump
 //!   the telemetry sink's retained span tail on the way down.
 
@@ -36,4 +36,4 @@ mod http;
 mod status;
 
 pub use http::StatusServer;
-pub use status::{RunStatus, StatusSource};
+pub use status::RunStatus;

@@ -1,4 +1,4 @@
-//! The standard [`StatusSource`]: live gauges for one observed run.
+//! [`RunStatus`]: live gauges for one observed run.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -10,29 +10,15 @@ use aim_core::telemetry::{Counter, Telemetry};
 use aim_llm::LlmBackend;
 use aim_trace::telemetry::{json_escape, prometheus_sample, prometheus_text};
 
-/// What the embedded HTTP server serves. Implementations must be cheap
-/// enough to call from the accept loop (every render happens on a
-/// scrape) and are also `tick`ed a few times per second by the server's
-/// background ticker, watchdog budget or not.
-pub trait StatusSource: Send + Sync {
-    /// Whether the run is healthy (`/healthz` → 200) or stalled (503).
-    fn healthy(&self) -> bool;
-
-    /// The Prometheus text exposition for `/metrics`.
-    fn metrics(&self) -> String;
-
-    /// The JSON digest for `/status`.
-    fn status_json(&self) -> String;
-
-    /// Periodic off-hot-path work (watchdog checks). Default: nothing.
-    fn tick(&self) {}
-}
-
-/// The standard status source for one observed run: wraps the run's
-/// telemetry sink plus whichever optional health-plane pieces the run
-/// wired up. Everything is optional except the label — a threaded run
-/// has no [`HealthBoard`], a replay has no fleet, a bare smoke run may
-/// have no watchdog.
+/// What the embedded HTTP server serves for one observed run: wraps the
+/// run's telemetry sink plus whichever optional health-plane pieces the
+/// run wired up. Everything is optional except the label — a threaded
+/// run has no [`HealthBoard`], a replay has no fleet, a bare smoke run
+/// may have no watchdog.
+///
+/// Every render happens on a scrape, from the server's accept loop; the
+/// server's background ticker also checks the watchdog a few times per
+/// second, scraped or not.
 pub struct RunStatus {
     label: String,
     agents: u32,
@@ -84,10 +70,9 @@ impl RunStatus {
         self
     }
 
-    /// Attaches the stall watchdog, checked on every [`tick`]
-    /// (and scrape) against the telemetry commit watermark.
-    ///
-    /// [`tick`]: StatusSource::tick
+    /// Attaches the stall watchdog, checked on every tick of the
+    /// server's background ticker against the telemetry commit
+    /// watermark.
     #[must_use]
     pub fn with_watchdog(mut self, watchdog: Arc<Watchdog>) -> RunStatus {
         self.watchdog = Some(watchdog);
@@ -106,7 +91,7 @@ impl RunStatus {
     /// (to stderr, once) and caches it for `/status` and `/healthz`.
     /// Never panics (the watchdog guarantees this) and never fires
     /// twice.
-    fn poll_watchdog(&self) {
+    pub(crate) fn tick(&self) {
         let (Some(t), Some(dog)) = (self.telemetry.as_deref(), self.watchdog.as_deref()) else {
             return;
         };
@@ -120,14 +105,14 @@ impl RunStatus {
     pub fn stall_report(&self) -> Option<StallReport> {
         self.stall.lock().clone()
     }
-}
 
-impl StatusSource for RunStatus {
-    fn healthy(&self) -> bool {
+    /// Whether the run is healthy (`/healthz` → 200) or stalled (503).
+    pub fn healthy(&self) -> bool {
         self.stall.lock().is_none()
     }
 
-    fn metrics(&self) -> String {
+    /// The Prometheus text exposition for `/metrics`.
+    pub fn metrics(&self) -> String {
         let mut out = String::new();
         if let Some(t) = self.telemetry.as_deref() {
             out.push_str(&prometheus_text(&t.snapshot()));
@@ -184,7 +169,8 @@ impl StatusSource for RunStatus {
         out
     }
 
-    fn status_json(&self) -> String {
+    /// The JSON digest for `/status`.
+    pub fn status_json(&self) -> String {
         // Hand-rolled JSON (the workspace has no serde_json); every
         // string is escaped with the exporter's json_escape.
         let mut out = String::from("{");
@@ -322,9 +308,5 @@ impl StatusSource for RunStatus {
         }
         out.push_str("]}");
         out
-    }
-
-    fn tick(&self) {
-        self.poll_watchdog();
     }
 }

@@ -19,7 +19,7 @@ use aim_core::dist::{CtrlMsg, NodeRecord, ShardMsg, ShardWorker, WorkerLink};
 use aim_core::health::{HealthBoard, WorkerHealth};
 use aim_core::prelude::*;
 use aim_core::space::GridSpace;
-use aim_serve::{RunStatus, StatusServer, StatusSource};
+use aim_serve::{RunStatus, StatusServer};
 use aim_store::Db;
 use aim_trace::telemetry::validate_json;
 
@@ -120,8 +120,8 @@ fn status_endpoint_tracks_a_remote_worker_live() {
     });
 
     let source = Arc::new(RunStatus::new("dist run", 2).with_board(Arc::clone(&board)));
-    let server = StatusServer::start(0, Arc::clone(&source) as Arc<dyn StatusSource>)
-        .expect("bind an ephemeral loopback port");
+    let server =
+        StatusServer::start(0, Arc::clone(&source)).expect("bind an ephemeral loopback port");
 
     let (code, status) = get(server.addr(), "/status");
     assert_eq!(code, 200);

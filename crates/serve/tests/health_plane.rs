@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use aim_core::health::{HealthBoard, Watchdog, WorkerHealth};
 use aim_core::telemetry::{BlockReason, SpanKind, Telemetry};
-use aim_serve::{RunStatus, StatusServer, StatusSource};
+use aim_serve::{RunStatus, StatusServer};
 use aim_trace::telemetry::validate_json;
 
 mod common;
@@ -42,8 +42,8 @@ fn healthy_run_serves_all_three_routes() {
             .with_board(Arc::clone(&board))
             .with_watchdog(Arc::new(Watchdog::new(60_000_000))),
     );
-    let server = StatusServer::start(0, Arc::clone(&source) as Arc<dyn StatusSource>)
-        .expect("bind an ephemeral loopback port");
+    let server =
+        StatusServer::start(0, Arc::clone(&source)).expect("bind an ephemeral loopback port");
 
     let (code, body) = get(server.addr(), "/healthz");
     assert_eq!((code, body.as_str()), (200, "ok\n"));
@@ -113,8 +113,8 @@ fn wedged_run_flips_healthz_and_names_the_blocking_edge() {
             .with_watchdog(Arc::new(Watchdog::new(1_000))),
     );
     std::thread::sleep(Duration::from_millis(5));
-    let server = StatusServer::start(0, Arc::clone(&source) as Arc<dyn StatusSource>)
-        .expect("bind an ephemeral loopback port");
+    let server =
+        StatusServer::start(0, Arc::clone(&source)).expect("bind an ephemeral loopback port");
 
     // The server's own ticker must run the watchdog — no /status scrape
     // before the flip, only the passive health probe.

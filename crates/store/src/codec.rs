@@ -29,10 +29,11 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::StoreError;
 
-fn need(buf: &Bytes, n: usize, what: &str) -> Result<(), StoreError> {
+/// Refuses a read of `n` bytes for `what` from a buffer that holds fewer.
+pub(crate) fn need(buf: &Bytes, n: usize, what: &str) -> Result<(), StoreError> {
     if buf.remaining() < n {
         return Err(StoreError::Codec(format!(
-            "truncated value: need {n} bytes for {what}, have {}",
+            "truncated: need {n} bytes for {what}, have {}",
             buf.remaining()
         )));
     }
@@ -82,11 +83,6 @@ pub fn put_i32(buf: &mut BytesMut, v: i32) {
 pub fn get_i32(buf: &mut Bytes) -> Result<i32, StoreError> {
     need(buf, 4, "i32")?;
     Ok(buf.get_i32())
-}
-
-/// Appends an `i64` (big-endian, two's complement).
-pub fn put_i64(buf: &mut BytesMut, v: i64) {
-    buf.put_i64(v);
 }
 
 /// Reads an `i64`.
@@ -177,7 +173,7 @@ mod tests {
         put_u32(&mut buf, u32::MAX);
         put_u64(&mut buf, u64::MAX - 1);
         put_i32(&mut buf, i32::MIN);
-        put_i64(&mut buf, -42);
+        buf.put_i64(-42);
         put_str(&mut buf, "héllo");
         put_u32_list(&mut buf, &[1, 2, 3]);
         let mut rd = Bytes::from(buf.freeze());

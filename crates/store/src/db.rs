@@ -9,19 +9,12 @@ use parking_lot::RwLock;
 use crate::error::StoreError;
 use crate::txn::{self, Txn};
 
-/// Number of independent shards; a power of two so the shard index is a
-/// cheap mask of the key hash. Sixteen keeps lock contention negligible for
-/// the worker counts used by the engine (≤ CPU count) without bloating the
-/// structure.
-pub(crate) const SHARD_COUNT: usize = 16;
-
 /// The store's one key hash: a multiply-fold over the key bytes, eight at
 /// a time (the `CellKeyHasher` idea of `aim-core`'s grid index, widened to
 /// the full 128-bit product so high input bytes reach the low output bits).
 ///
-/// It picks the shard ([`Db::shard_index`]) and is the hasher of every
-/// shard map, so a key costs two or three multiplies. Every byte and the
-/// length are mixed: the engine's keys are
+/// It is the hasher of the store's map, so a key costs two or three
+/// multiplies. Every byte and the length are mixed: the engine's keys are
 /// sequential big-endian ids that differ only in their last bytes, and a
 /// restored snapshot may hold any byte strings at all.
 ///
@@ -70,32 +63,24 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Hashes `key` exactly as the shard maps do (length prefix included), so
-/// a transaction can compute it once and use it for the shard, for
-/// comparing buffered keys, and for ordering its write set.
+/// Hashes `key` exactly as the map does (length prefix included), so a
+/// transaction can compute it once and use it both for comparing buffered
+/// keys and for ordering its write set.
 #[inline]
 pub(crate) fn key_hash(key: &[u8]) -> u64 {
     BuildHasherDefault::<KeyHasher>::default().hash_one(key)
 }
 
-/// Shard of a key whose [`key_hash`] is `hash`. Bits 32–35: the maps use
-/// the low bits for the bucket and the top seven for the control tag, and
-/// all keys of one shard share these.
-#[inline]
-pub(crate) fn shard_of_hash(hash: u64) -> usize {
-    (hash >> 32) as usize & (SHARD_COUNT - 1)
-}
-
-/// One shard's keys and values.
-pub(crate) type Shard = HashMap<Bytes, Bytes, BuildHasherDefault<KeyHasher>>;
+/// Every key and value of a [`Db`].
+pub(crate) type Map = HashMap<Bytes, Bytes, BuildHasherDefault<KeyHasher>>;
 
 /// Stores `value` at `key`, overwriting an existing value in place: the
-/// key is only copied when it is new to the shard.
-fn put(shard: &mut Shard, key: &[u8], value: Bytes) {
-    match shard.get_mut(key) {
+/// key is only copied when it is new to the map.
+fn put(map: &mut Map, key: &[u8], value: Bytes) {
+    match map.get_mut(key) {
         Some(slot) => *slot = value,
         None => {
-            shard.insert(Bytes::copy_from_slice(key), value);
+            map.insert(Bytes::copy_from_slice(key), value);
         }
     }
 }
@@ -123,12 +108,14 @@ pub struct DbStats {
     pub txn_conflicts: u64,
 }
 
-/// A sharded, in-memory key-value store.
+/// An in-memory key-value store: one hash map behind one lock.
 ///
 /// `Db` is the embedded stand-in for the Redis instance the AI Metropolis
 /// paper uses to hold the dependency graph and simulation state (§3.3,
-/// §3.6). It is cheap to share: clone an `Arc<Db>` or borrow it; all methods
-/// take `&self`.
+/// §3.6). Like Redis, which executes commands on one thread, it serves one
+/// writer: the controller thread, or the one `dist` worker that owns it.
+/// The lock keeps it correct under any access pattern. It is cheap to
+/// share: clone an `Arc<Db>` or borrow it; all methods take `&self`.
 ///
 /// Keys and values are raw bytes ([`bytes::Bytes`]); use [`crate::codec`]
 /// for structured values. Point operations are atomic per key;
@@ -146,7 +133,7 @@ pub struct DbStats {
 /// assert_eq!(db.incr("counter", -1).unwrap(), 1);
 /// ```
 pub struct Db {
-    pub(crate) shards: Vec<RwLock<Shard>>,
+    pub(crate) map: RwLock<Map>,
     gets: AtomicU64,
     writes: AtomicU64,
     txn_commits: AtomicU64,
@@ -167,59 +154,42 @@ impl Default for Db {
 impl Db {
     /// Creates an empty database.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty database with room for `keys` keys, so a restore
+    /// that knows its record count sizes the map once.
+    pub(crate) fn with_capacity(keys: usize) -> Self {
         Db {
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(Shard::default()))
-                .collect(),
+            map: RwLock::new(Map::with_capacity_and_hasher(keys, Default::default())),
             gets: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             txn_commits: AtomicU64::new(0),
         }
     }
 
-    /// Index (`0..16`) of the shard that holds `key`.
-    ///
-    /// Computed from the store's fixed multiply-fold key hash — the same
-    /// function the shard maps use, which mixes every key byte and the
-    /// length, so sequential ids spread evenly. Public so tests can check
-    /// that spread; it is a placement function and nothing more. It is
-    /// not stable across versions of this crate (never persist it — a
-    /// snapshot stores keys, not shards) and it is not collision-resistant
-    /// (never use it to fingerprint or authenticate a key).
-    pub fn shard_index(key: &[u8]) -> usize {
-        shard_of_hash(key_hash(key))
-    }
-
     /// Returns the value stored at `key`, if any.
     pub fn get(&self, key: impl AsRef<[u8]>) -> Option<Bytes> {
         self.gets.fetch_add(1, Ordering::Relaxed);
-        let key = key.as_ref();
-        let shard = self.shards[Self::shard_index(key)].read();
-        shard.get(key).cloned()
+        self.map.read().get(key.as_ref()).cloned()
     }
 
     /// Stores `value` at `key`, replacing any previous value.
     pub fn set(&self, key: impl AsRef<[u8]>, value: impl Into<Bytes>) {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let key = key.as_ref();
         let value = value.into();
-        put(&mut self.shards[Self::shard_index(key)].write(), key, value);
+        put(&mut self.map.write(), key.as_ref(), value);
     }
 
     /// Removes `key`, returning `true` if it was present.
     pub fn del(&self, key: impl AsRef<[u8]>) -> bool {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let key = key.as_ref();
-        self.shards[Self::shard_index(key)]
-            .write()
-            .remove(key)
-            .is_some()
+        self.map.write().remove(key.as_ref()).is_some()
     }
 
     /// Returns `true` if `key` is present.
     pub fn contains(&self, key: impl AsRef<[u8]>) -> bool {
-        let key = key.as_ref();
-        self.shards[Self::shard_index(key)].read().contains_key(key)
+        self.map.read().contains_key(key.as_ref())
     }
 
     /// Atomically adds `delta` to the signed 64-bit integer at `key`
@@ -235,14 +205,14 @@ impl Db {
     pub fn incr(&self, key: impl AsRef<[u8]>, delta: i64) -> Result<i64, StoreError> {
         self.writes.fetch_add(1, Ordering::Relaxed);
         let key_ref = key.as_ref();
-        let mut shard = self.shards[Self::shard_index(key_ref)].write();
-        let cur = match shard.get(key_ref) {
+        let mut map = self.map.write();
+        let cur = match map.get(key_ref) {
             None => 0,
             Some(value) => crate::codec::i64_value(value)?,
         };
         let next = cur.wrapping_add(delta);
         put(
-            &mut shard,
+            &mut map,
             key_ref,
             Bytes::copy_from_slice(&crate::codec::i64_bytes(next)),
         );
@@ -252,25 +222,23 @@ impl Db {
     /// Returns all `(key, value)` pairs whose key starts with `prefix`,
     /// sorted by key.
     ///
-    /// One pass over the shards under each shard's read lock, then one
-    /// sort; the pairs are refcounted handles, so the result holds no
-    /// copy of the stored bytes. The read is uncounted: a checkpoint or
-    /// eviction walk does not move [`DbStats::gets`].
+    /// One pass over the map under its read lock, then one sort; the
+    /// pairs are refcounted handles, so the result holds no copy of the
+    /// stored bytes. The read is uncounted: a checkpoint or eviction walk
+    /// does not move [`DbStats::gets`].
     ///
-    /// Scans are *not* atomic: a concurrent [`Db::transaction`] may be
-    /// observed partially. Callers that need an exact image (the
-    /// snapshot writer) scan from a quiesced writer.
+    /// A scan sees each [`Db::transaction`] whole or not at all. Callers
+    /// that pair it with other state (the snapshot writer's sections)
+    /// still scan from a quiesced writer.
     pub fn scan_prefix(&self, prefix: impl AsRef<[u8]>) -> Vec<(Bytes, Bytes)> {
         let prefix = prefix.as_ref();
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read();
-            for (k, v) in shard.iter() {
-                if k.starts_with(prefix) {
-                    out.push((k.clone(), v.clone()));
-                }
-            }
-        }
+        let mut out: Vec<(Bytes, Bytes)> = self
+            .map
+            .read()
+            .iter()
+            .filter(|(k, _)| k.starts_with(prefix))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
         // Keys are unique, so an unstable sort gives the one order and
         // needs no merge buffer beside `out`.
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -299,19 +267,17 @@ impl Db {
 
     /// Number of keys currently stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.map.read().len()
     }
 
     /// Returns `true` if the database holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.map.read().is_empty()
     }
 
     /// Removes every key.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
+        self.map.write().clear();
     }
 
     /// Snapshot of instrumentation counters.
@@ -334,10 +300,9 @@ impl Db {
     /// Runs `body` once to fill a write batch, then applies the batch
     /// atomically and returns the body's result.
     ///
-    /// The batch's writes become visible together: its shards are
-    /// write-locked in ascending order, each increment is resolved against
-    /// the integer the key holds under those locks, and the last write of
-    /// each key is applied. If `body` or an increment fails, nothing is
+    /// The batch's writes become visible together: the map is write-locked
+    /// once, each increment is resolved against the integer the key holds
+    /// under that lock, and the last write of each key is applied. If `body` or an increment fails, nothing is
     /// applied. [`DbStats::writes`] grows by the distinct keys written and
     /// [`DbStats::txn_commits`] by one.
     ///

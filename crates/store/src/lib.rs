@@ -15,16 +15,17 @@
 //! write batch — Redis `MULTI`/`EXEC` without `WATCH` — is all a commit
 //! needs:
 //!
-//! * [`Db`] — a sharded key-value store with atomic primitives
-//!   (`get`/`set`/`incr`/prefix scans).
+//! * [`Db`] — a key-value store with atomic primitives
+//!   (`get`/`set`/`incr`/prefix scans): one hash map behind one lock, as
+//!   Redis executes its commands on one thread.
 //! * [`Db::transaction`] — an atomic multi-key write batch whose body runs
 //!   once. This is the engine's hottest store path — every cluster
 //!   advancement is one — so a [`Txn`] keeps its writes in a flat vector
 //!   reused from one batch to the next, hashes each key once on the way
-//!   in with the store's fixed multiply-fold hash, takes the write locks
-//!   of the shards involved in ascending order, and allocates only the
-//!   values it stores. [`Txn::incr_key`] is `INCRBY` inside `MULTI`: a
-//!   counter bump resolved under the commit locks.
+//!   in with the store's fixed multiply-fold hash, takes the map's write
+//!   lock once, and allocates only the values it stores.
+//!   [`Txn::incr_key`] is `INCRBY` inside `MULTI`: a counter bump
+//!   resolved under the commit lock.
 //! * [`PriorityQueue`] — a blocking multi-producer/multi-consumer priority
 //!   queue used for the engine's `ready_queue` and `ack_queue` (§3.1), with
 //!   FIFO tie-breaking so that disabling priorities (§4.4) degrades to a

@@ -27,11 +27,10 @@
 //!
 //! Records are written in ascending key order, so the encoding of a given
 //! database image is **canonical**: snapshot → restore → snapshot yields
-//! the identical byte stream (shard layout and hash-map iteration order
-//! never leak into the file), which the property tests pin down. The
-//! record stream comes from one [`Db::scan_prefix`]: it holds refcounted
-//! handles to the stored keys and values, never a second copy of their
-//! bytes.
+//! the identical byte stream (hash-map iteration order never leaks into
+//! the file), which the property tests pin down. The record stream comes
+//! from one [`Db::scan_prefix`]: it holds refcounted handles to the
+//! stored keys and values, never a second copy of their bytes.
 //!
 //! # Consistency
 //!
@@ -65,6 +64,7 @@ use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 
+use crate::codec::{get_u32, need};
 use crate::db::Db;
 use crate::error::StoreError;
 
@@ -265,23 +265,6 @@ pub struct Snapshot {
     info: SnapshotInfo,
 }
 
-fn take(buf: &mut Bytes, n: usize, what: &str) -> Result<Bytes, StoreError> {
-    if buf.len() < n {
-        return Err(StoreError::Codec(format!(
-            "truncated snapshot: need {n} bytes for {what}, have {}",
-            buf.len()
-        )));
-    }
-    Ok(buf.split_to(n))
-}
-
-fn take_u32(buf: &mut Bytes, what: &str) -> Result<u32, StoreError> {
-    let raw = take(buf, 4, what)?;
-    Ok(u32::from_be_bytes(
-        raw.as_ref().try_into().expect("4 bytes"),
-    ))
-}
-
 impl Snapshot {
     /// Parses and verifies an encoded snapshot.
     ///
@@ -312,38 +295,43 @@ impl Snapshot {
             )));
         }
         let mut buf = body;
-        let magic = take(&mut buf, SNAPSHOT_MAGIC.len(), "magic")?;
+        // Long enough: checked against the length above.
+        let magic = buf.split_to(SNAPSHOT_MAGIC.len());
         if magic.as_ref() != SNAPSHOT_MAGIC {
             return Err(StoreError::Codec(format!(
                 "not an AIMSNAP v1 file (magic {:?})",
                 magic.as_ref()
             )));
         }
-        let n_sections = take_u32(&mut buf, "section count")?;
+        let n_sections = get_u32(&mut buf)?;
         // Capacity clamped by what the buffer could possibly hold (each
         // section costs ≥ 8 bytes of length prefixes): a corrupt count
         // with a matching checksum must fail with a Codec error below,
         // not abort on a absurd allocation here.
         let mut sections = Vec::with_capacity((n_sections as usize).min(buf.len() / 8));
         for _ in 0..n_sections {
-            let name_len = take_u32(&mut buf, "section name length")? as usize;
-            let name_raw = take(&mut buf, name_len, "section name")?;
+            let name_len = get_u32(&mut buf)? as usize;
+            need(&buf, name_len, "section name")?;
+            let name_raw = buf.split_to(name_len);
             let name = std::str::from_utf8(name_raw.as_ref())
                 .map_err(|e| StoreError::Codec(format!("section name not UTF-8: {e}")))?
                 .to_string();
-            let body_len = take_u32(&mut buf, "section body length")? as usize;
-            let body = take(&mut buf, body_len, "section body")?;
+            let body_len = get_u32(&mut buf)? as usize;
+            need(&buf, body_len, "section body")?;
+            let body = buf.split_to(body_len);
             sections.push((name, body));
         }
         let mut records = Vec::new();
         loop {
-            let klen = take_u32(&mut buf, "record key length")?;
+            let klen = get_u32(&mut buf)?;
             if klen == END_OF_RECORDS {
                 break;
             }
-            let key = take(&mut buf, klen as usize, "record key")?;
-            let vlen = take_u32(&mut buf, "record value length")? as usize;
-            let value = take(&mut buf, vlen, "record value")?;
+            need(&buf, klen as usize, "record key")?;
+            let key = buf.split_to(klen as usize);
+            let vlen = get_u32(&mut buf)? as usize;
+            need(&buf, vlen, "record value")?;
+            let value = buf.split_to(vlen);
             if let Some((last, _)) = records.last() {
                 if *last >= key {
                     return Err(StoreError::Codec(
@@ -421,7 +409,7 @@ impl Snapshot {
     /// Materializes a fresh [`Db`] holding exactly the snapshot's
     /// records.
     pub fn restore_db(&self) -> Db {
-        let db = Db::new();
+        let db = Db::with_capacity(self.records.len());
         for (k, v) in &self.records {
             db.set(k, v.clone());
         }

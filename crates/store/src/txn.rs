@@ -1,10 +1,9 @@
 use std::cell::Cell;
 
 use bytes::Bytes;
-use parking_lot::RwLockWriteGuard;
 
 use crate::codec::{i64_bytes, i64_value};
-use crate::db::{key_hash, shard_of_hash, Db, Shard, SHARD_COUNT};
+use crate::db::{key_hash, Db};
 use crate::error::StoreError;
 use crate::key::Key;
 
@@ -56,8 +55,8 @@ thread_local! {
 /// The batch is a flat vector, appended to in program order and handed
 /// from one batch to the next on the same thread, so a commit of a few
 /// keys allocates nothing for its bookkeeping. Every entry carries the
-/// key's hash, computed once when the key enters the batch: it names the
-/// shard, short-circuits key comparisons, and orders the batch at commit.
+/// key's hash, computed once when the key enters the batch: it
+/// short-circuits key comparisons and orders the batch at commit.
 ///
 /// Nothing is deduplicated on the way in, which keeps a bulk write of
 /// 10⁵ distinct keys linear. A key written twice simply appears twice. At
@@ -69,7 +68,7 @@ thread_local! {
 ///
 /// [`Txn::incr_key`] buffers "add `delta`" without reading the key — Redis
 /// `INCRBY` inside `MULTI`, the batched twin of [`Db::incr`]. The addition
-/// happens under the commit locks against whatever integer the key holds
+/// happens under the commit lock against whatever integer the key holds
 /// at that moment, so two batches that bump one shared counter lose
 /// nothing.
 #[derive(Debug)]
@@ -144,28 +143,14 @@ impl Txn {
         // the run (the sort is stable): the last of a run is what counts.
         self.writes
             .sort_by(|a, b| a.hash.cmp(&b.hash).then_with(|| a.key.cmp(&b.key)));
-        // Lock every involved shard in index order to stay deadlock-free.
-        let involved = self
-            .writes
-            .iter()
-            .fold(0u32, |mask, w| mask | 1 << shard_of_hash(w.hash));
-        let mut guards: [Option<RwLockWriteGuard<'_, Shard>>; SHARD_COUNT] =
-            [const { None }; SHARD_COUNT];
-        for (id, guard) in guards.iter_mut().enumerate() {
-            if involved & (1 << id) != 0 {
-                *guard = Some(db.shards[id].write());
-            }
-        }
+        let mut map = db.map.write();
         // Turn each increment into the value it produces, before anything
         // is written: a stored non-integer must fail the whole commit.
         for write in &mut self.writes {
             let Op::Incr(delta) = write.op else {
                 continue;
             };
-            let shard = guards[shard_of_hash(write.hash)]
-                .as_ref()
-                .expect("shard locked");
-            let base = match shard.get(write.key.as_ref()) {
+            let base = match map.get(write.key.as_ref()) {
                 Some(value) => i64_value(value)?,
                 None => 0,
             };
@@ -178,13 +163,12 @@ impl Txn {
                 continue; // overwritten later in this batch
             }
             applied += 1;
-            let shard = guards[shard_of_hash(hash)].as_mut().expect("shard locked");
             match op {
                 Op::Set(value) => {
-                    shard.insert(key, value);
+                    map.insert(key, value);
                 }
                 Op::Del => {
-                    shard.remove(key.as_ref());
+                    map.remove(key.as_ref());
                 }
                 Op::Incr(_) => unreachable!("increments were resolved above"),
             }

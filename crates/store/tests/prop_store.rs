@@ -87,32 +87,6 @@ fn bulk_write_transaction_is_near_linear() {
     );
 }
 
-/// The engine's keys are sequential big-endian ids under a four-byte tag:
-/// the key hash must spread them over all 16 shards, not just differ.
-#[test]
-fn sequential_keys_spread_over_every_shard() {
-    let agents = (0..10_000u32).map(|a| Key::tagged_u32(*b"dagt", a));
-    let history =
-        (0..100u32).flat_map(|s| (0..100u32).map(move |a| Key::tagged_u32_pair(*b"dhst", s, a)));
-    for (name, keys) in [
-        ("dagt", agents.collect::<Vec<_>>()),
-        ("dhst", history.collect::<Vec<_>>()),
-    ] {
-        let mut per_shard = [0usize; 16];
-        for key in &keys {
-            per_shard[Db::shard_index(key.as_ref())] += 1;
-        }
-        let fair = keys.len() / 16;
-        for (shard, &n) in per_shard.iter().enumerate() {
-            assert!(
-                (fair / 2..=fair * 2).contains(&n),
-                "{name}: shard {shard} holds {n} of {} keys (fair share {fair})",
-                keys.len()
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -313,7 +287,7 @@ proptest! {
     }
 
     /// Eight threads of blind `incr_key` batches over random key sets
-    /// lose no update: each increment resolves under the commit locks.
+    /// lose no update: each increment resolves under the commit lock.
     #[test]
     fn txn_increments_serialize(
         keysets in proptest::collection::vec(

@@ -97,28 +97,6 @@ pub fn critical_path(
     }
 }
 
-/// The `no-dependency` lower bound (§4.3): all calls issued at once; the
-/// bound is total work divided by aggregate peak throughput, plus the
-/// longest single call (which cannot be split).
-pub fn no_dependency_bound(
-    trace: &Trace,
-    cost: &CostModel,
-    prefill_chunk: u32,
-    replicas: u32,
-) -> VirtualTime {
-    let mut total_us = 0.0f64;
-    let mut longest = VirtualTime::ZERO;
-    for c in trace.calls() {
-        let t = cost.isolated_latency(c.input_tokens, c.output_tokens, prefill_chunk);
-        longest = longest.max(t);
-        // Work at full batching efficiency: prefill at peak, decode at peak.
-        total_us += c.input_tokens as f64 * cost.prefill_us_per_token
-            + c.output_tokens as f64 * cost.decode_us_per_seq;
-    }
-    let spread = VirtualTime::from_micros_f64_ceil(total_us / replicas.max(1) as f64);
-    spread.max(longest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,16 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn no_dependency_bound_scales_with_replicas() {
-        let t = hour_trace();
-        let p = presets::tiny_test();
-        let b1 = no_dependency_bound(&t, &p.cost, p.prefill_chunk, 1);
-        let b4 = no_dependency_bound(&t, &p.cost, p.prefill_chunk, 4);
-        assert!(b4 < b1);
-        assert!(b4 > VirtualTime::ZERO);
-    }
-
-    #[test]
     fn empty_trace_bounds_are_zero() {
         let t = generate(&GenConfig {
             villes: 1,
@@ -204,9 +172,6 @@ mod tests {
         let p = presets::tiny_test();
         let cp = critical_path(&t, &p.cost, p.prefill_chunk, 0, 0);
         assert_eq!(cp.tokens, 0);
-        assert_eq!(
-            no_dependency_bound(&t, &p.cost, p.prefill_chunk, 1),
-            VirtualTime::ZERO
-        );
+        assert_eq!(cp.time, VirtualTime::ZERO);
     }
 }

@@ -61,12 +61,6 @@ pub const STEPS_PER_DAY: u32 = 8_640;
 /// Steps per simulated hour.
 pub const STEPS_PER_HOUR: u32 = 360;
 
-/// Converts a step index (within a day) to `(hour, minute)`.
-pub fn step_to_clock(step: u32) -> (u32, u32) {
-    let s = step % STEPS_PER_DAY;
-    (s / STEPS_PER_HOUR, (s % STEPS_PER_HOUR) / 6)
-}
-
 /// Converts an `(hour, minute)` wall-clock time to a step index.
 pub fn clock_to_step(hour: u32, minute: u32) -> u32 {
     hour * STEPS_PER_HOUR + minute * 6
@@ -77,14 +71,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clock_conversions_roundtrip() {
-        assert_eq!(step_to_clock(0), (0, 0));
-        assert_eq!(step_to_clock(clock_to_step(12, 30)), (12, 30));
+    fn clock_to_step_counts_ten_second_steps() {
         assert_eq!(clock_to_step(24, 0), STEPS_PER_DAY);
-        assert_eq!(
-            step_to_clock(STEPS_PER_DAY + 6),
-            (0, 1),
-            "wraps around midnight"
-        );
     }
 }

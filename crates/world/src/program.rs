@@ -130,7 +130,7 @@ impl ClusterProgram<GridSpace> for VillageProgram {
 mod tests {
     use super::*;
     use crate::village::VillageConfig;
-    use aim_core::exec::threaded::{run_threaded, ThreadedConfig};
+    use aim_core::exec::threaded::{run_threaded_observed, ThreadedConfig};
     use aim_core::policy::DependencyPolicy;
     use aim_core::prelude::*;
     use aim_llm::InstantBackend;
@@ -155,11 +155,13 @@ mod tests {
         )
         .unwrap();
         let backend: Arc<dyn LlmBackend> = Arc::new(InstantBackend::new());
-        run_threaded(
+        run_threaded_observed(
             &mut sched,
             Arc::clone(&program),
             backend,
             ThreadedConfig::default(),
+            None,
+            None,
         )
         .unwrap();
         assert!(sched.is_done());

@@ -456,21 +456,14 @@ impl Village {
     }
 
     /// Awake agents within `units` of `agent`'s committed position
-    /// (excluding `agent`), sorted nearest-first then by id.
+    /// (excluding `agent`), into a caller-kept buffer with the squared
+    /// distances it sorted by: `out` is cleared, then holds `(d², id)`
+    /// nearest-first then by id.
     ///
     /// # Panics
     ///
     /// Panics if `units` exceeds the position index's cell size, which
     /// would silently miss neighbors.
-    pub fn neighbors_within(&self, agent: u32, units: u64) -> Vec<u32> {
-        let mut near = Vec::new();
-        self.near_into(agent, units, &mut near);
-        near.into_iter().map(|(_, i)| i).collect()
-    }
-
-    /// [`Village::neighbors_within`] into a caller-kept buffer, with the
-    /// squared distances it sorted by: `out` is cleared, then holds
-    /// `(d², id)` nearest-first then by id.
     fn near_into(&self, agent: u32, units: u64, out: &mut Vec<(u64, u32)>) {
         assert!(
             units <= BUCKET_CELL as u64,
@@ -1309,11 +1302,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// After arbitrary commits (wakes, sleeps, moves of any length
-        /// across index cells, cooldowns) the buffered query, the public
-        /// `neighbors_within` and a scan of the whole population agree
-        /// at the conversation and perception radii, and the candidate
-        /// read off the perception set is the one a second, radius-3
-        /// query gave.
+        /// across index cells, cooldowns) the buffered query and a scan
+        /// of the whole population agree at the conversation and
+        /// perception radii, and the candidate read off the perception
+        /// set is the one a second, radius-3 query gave.
         #[test]
         fn one_buffered_query_equals_two_scans(
             seed in 0u64..200,
@@ -1330,6 +1322,7 @@ mod tests {
             // on a patch spanning 3×3 index cells.
             let corner = Point::new(100 - 12, 0);
             let mut near = vec![(0, 0)]; // reused, and dirty on entry
+            let mut conv = Vec::new();
             for (step, batch) in commits.into_iter().enumerate() {
                 let step = step as u32;
                 let mut plans: Vec<(u32, StepPlan)> = Vec::new();
@@ -1350,13 +1343,12 @@ mod tests {
                         let want = scan_within(&v, agent, units);
                         v.near_into(agent, units, &mut near);
                         prop_assert_eq!(&near, &want);
-                        let ids: Vec<u32> = want.iter().map(|&(_, i)| i).collect();
-                        prop_assert_eq!(v.neighbors_within(agent, units), ids);
                     }
                     // `near` now holds the perception set.
-                    let second_query = v
-                        .neighbors_within(agent, CONV_RADIUS)
-                        .into_iter()
+                    v.near_into(agent, CONV_RADIUS, &mut conv);
+                    let second_query = conv
+                        .iter()
+                        .map(|&(_, c)| c)
                         .find(|&c| step >= v.agents[c as usize].cooldown_until);
                     prop_assert_eq!(v.conversation_candidate(step, &near), second_query);
                 }

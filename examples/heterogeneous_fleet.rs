@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ai_metropolis::core::exec::threaded::{run_threaded, ThreadedConfig};
+use ai_metropolis::core::exec::threaded::{run_threaded_observed, ThreadedConfig};
 use ai_metropolis::llm::presets;
 use ai_metropolis::llm::{
     CallKind, Fleet, FleetConfig, LatencyProfile, LlmBackend, LlmRequest, ReplicaSpec, RequestId,
@@ -125,7 +125,7 @@ fn main() {
         };
 
         let backend: Arc<dyn LlmBackend> = Arc::clone(&fleet) as Arc<dyn LlmBackend>;
-        let report = run_threaded(
+        let report = run_threaded_observed(
             &mut sched,
             Arc::clone(&program),
             backend,
@@ -133,6 +133,8 @@ fn main() {
                 workers: 8,
                 priority_enabled: true,
             },
+            None,
+            None,
         )
         .expect("threaded run");
         stop.store(true, Ordering::Relaxed);

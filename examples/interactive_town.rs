@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ai_metropolis::core::exec::threaded::{run_threaded, ThreadedConfig};
+use ai_metropolis::core::exec::threaded::{run_threaded_observed, ThreadedConfig};
 use ai_metropolis::llm::{presets, LlmBackend, RealtimeSimBackend, ServerConfig};
 use ai_metropolis::prelude::*;
 use ai_metropolis::store::Db;
@@ -54,7 +54,7 @@ fn main() {
     println!("backend: {}", backend.describe());
 
     let wall = Instant::now();
-    let report = run_threaded(
+    let report = run_threaded_observed(
         &mut scheduler,
         Arc::clone(&program),
         backend,
@@ -62,6 +62,8 @@ fn main() {
             workers: 4,
             priority_enabled: true,
         },
+        None,
+        None,
     )
     .expect("threaded run");
     println!(

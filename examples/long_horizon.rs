@@ -22,7 +22,6 @@
 use std::sync::Arc;
 
 use ai_metropolis::core::checkpoint::{self, SECTION_WORLD};
-use ai_metropolis::core::exec::threaded::run_threaded_with_checkpoints;
 use ai_metropolis::llm::InstantBackend;
 use ai_metropolis::prelude::*;
 use ai_metropolis::store::{Checkpointer, Db, Snapshot};
@@ -86,7 +85,7 @@ fn main() {
             ));
             Ok(())
         };
-        run_threaded_with_checkpoints(
+        run_threaded_observed(
             &mut sched,
             Arc::clone(&program),
             Arc::new(InstantBackend::new()),
@@ -98,6 +97,7 @@ fn main() {
                 every_steps: EVERY,
                 f: &mut hook_fn,
             }),
+            None,
         )
         .expect("checkpointed run");
     }
@@ -150,7 +150,7 @@ fn main() {
     let village = Village::restore(snap.section(SECTION_WORLD).expect("world section"))
         .expect("village restores");
     let program = Arc::new(VillageProgram::with_step_offset(village, meta.step_offset));
-    run_threaded(
+    run_threaded_observed(
         &mut resumed_sched,
         Arc::clone(&program),
         Arc::new(InstantBackend::new()),
@@ -158,6 +158,8 @@ fn main() {
             workers: WORKERS,
             priority_enabled: true,
         },
+        None,
+        None,
     )
     .expect("resumed run");
     assert!(resumed_sched.is_done());
