@@ -13,18 +13,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use aim_core::depgraph::GraphOptions;
-use aim_core::dist::DistTracker;
-use aim_core::exec::threaded::{run_threaded_observed, CheckpointHook, ThreadedConfig};
-use aim_core::policy::DependencyPolicy;
+use aim_core::depgraph::{EdgeMode, GraphOptions};
 use aim_core::prelude::*;
-use aim_core::shard::ShardedDepGraph;
-use aim_core::telemetry::{RunTelemetry, Telemetry};
-use aim_llm::InstantBackend;
+use aim_llm::{InstantBackend, LlmBackend};
 use aim_store::Db;
 use aim_world::city::{self, CityConfig};
-use aim_world::clock_to_step;
 use aim_world::program::VillageProgram;
+use aim_world::{clock_to_step, Village};
 
 use crate::harness::RunEnv;
 use crate::table::Table;
@@ -32,8 +27,6 @@ use crate::table::Table;
 /// One sweep cell result (shared with the `smoke` experiment, which
 /// drives a single small cell through the same machinery).
 pub(crate) struct Cell {
-    pub(crate) agents: u32,
-    pub(crate) shards: usize,
     pub(crate) wall_s: f64,
     pub(crate) steps_per_s: f64,
     pub(crate) resident: u64,
@@ -87,20 +80,18 @@ pub fn run(env: &RunEnv) {
             dx, dy
         );
         let base = city::generate(&cfg);
-        for &shards in widths {
-            let sink = env.telemetry_sink();
-            let _live = env.live_stats_guard(sink.as_ref());
-            let cell = drive(&cfg, base.clone(), shards, steps, every, sink);
+        // Prints, exports and tabulates one finished cell.
+        let mut record = |tag: String, shards: String, cell: Cell| {
             println!(
-                "  w{shards:<3} {:.2} s wall, {:.0} agent-steps/s, {} resident records",
+                "  {tag:<7} {:.2} s wall, {:.0} agent-steps/s, {} resident records",
                 cell.wall_s, cell.steps_per_s, cell.resident
             );
             if let Some(rt) = &cell.telemetry {
-                env.export_telemetry(&format!("city-{agents}-w{shards}"), rt);
+                env.export_telemetry(&format!("city-{agents}-{tag}"), rt);
             }
             table.push_row(vec![
-                cell.agents.to_string(),
-                cell.shards.to_string(),
+                agents.to_string(),
+                shards,
                 format!("{:.2}", cell.wall_s),
                 format!("{:.0}", cell.steps_per_s),
                 cell.resident.to_string(),
@@ -110,6 +101,12 @@ pub fn run(env: &RunEnv) {
                 cell.skew.to_string(),
                 cell.events.to_string(),
             ]);
+        };
+        for &shards in widths {
+            let sink = env.telemetry_sink();
+            let _live = env.live_stats_guard(sink.as_ref());
+            let cell = drive(&cfg, base.clone(), shards, steps, every, sink);
+            record(format!("w{shards}"), shards.to_string(), cell);
         }
         // Distributed arm (smallest size only — the isolation boundary
         // costs ~10× per commit): the same city over [`DistTracker`]'s
@@ -141,25 +138,11 @@ pub fn run(env: &RunEnv) {
                 board,
                 env.telemetry.clone(),
             );
-            println!(
-                "  dist w{dist_shards} {:.2} s wall, {:.0} agent-steps/s, {} resident records",
-                cell.wall_s, cell.steps_per_s, cell.resident
+            record(
+                format!("dist-w{dist_shards}"),
+                format!("dist-{dist_shards}"),
+                cell,
             );
-            if let Some(rt) = &cell.telemetry {
-                env.export_telemetry(&format!("city-{agents}-dist-w{dist_shards}"), rt);
-            }
-            table.push_row(vec![
-                cell.agents.to_string(),
-                format!("dist-{}", cell.shards),
-                format!("{:.2}", cell.wall_s),
-                format!("{:.0}", cell.steps_per_s),
-                cell.resident.to_string(),
-                cell.keys.to_string(),
-                cell.evicted.to_string(),
-                cell.max_cluster.to_string(),
-                cell.skew.to_string(),
-                cell.events.to_string(),
-            ]);
         }
     }
     print!("{}", table.render());
@@ -168,79 +151,87 @@ pub fn run(env: &RunEnv) {
     }
 }
 
-/// Drives one (city, shard width) cell to completion. With a
-/// `telemetry` sink, the checkpointed run is observed end to end.
-pub(crate) fn drive(
-    cfg: &CityConfig,
-    village: aim_world::Village,
-    shards: usize,
+/// A finished live city run (see [`drive_live`]).
+pub(crate) struct Live<G: DepTracker<GridSpace>> {
+    pub(crate) sched: Scheduler<GridSpace, G>,
+    pub(crate) report: ThreadedReport,
+    pub(crate) wall_s: f64,
+    pub(crate) evicted: u64,
+    pub(crate) village: Village,
+}
+
+/// The one live city driver: runs `village` from 8am for `steps` steps
+/// out of order on the threaded executor over `graph`, a tracker built
+/// on the village's space and positions, and asserts the run finished,
+/// executed every agent-step and is valid. With `every`, a checkpoint
+/// barrier every `every` committed steps evicts history and then runs
+/// `extra`. With a telemetry `sink`, the run is observed end to end.
+pub(crate) fn drive_live<G: DepTracker<GridSpace>>(
+    village: Village,
+    graph: G,
     steps: u32,
-    every: u32,
-    telemetry: Option<Arc<Telemetry>>,
-) -> Cell {
-    let start = clock_to_step(8, 0);
-    let space = village.space();
-    let program = Arc::new(VillageProgram::with_step_offset(village, start));
-    let initial = program.initial_positions();
-    let graph = ShardedDepGraph::new_with_options(
-        Arc::new(space),
-        RuleParams::genagent(),
-        Arc::new(Db::new()),
-        &initial,
-        Arc::new(cfg.shard_map(shards)),
-        GraphOptions {
-            edges: aim_core::depgraph::EdgeMode::Maintained,
-            history: true,
-        },
-    )
-    .expect("sharded graph");
+    backend: Arc<dyn LlmBackend>,
+    every: Option<u32>,
+    mut extra: impl FnMut(&mut Scheduler<GridSpace, G>),
+    sink: Option<Arc<Telemetry>>,
+) -> Live<G> {
+    let program = VillageProgram::with_step_offset(village, clock_to_step(8, 0));
+    let program = Arc::new(program);
     let mut sched = Scheduler::from_graph(graph, DependencyPolicy::Spatiotemporal, Step(steps));
     let started = Instant::now();
     let mut evicted = 0u64;
-    let report = {
-        let evicted = &mut evicted;
-        let mut hook_fn = move |sched: &mut Scheduler<GridSpace, ShardedDepGraph<GridSpace>>|
-              -> Result<(), EngineError> {
-            *evicted += sched.evict_history()?;
-            Ok(())
-        };
-        run_threaded_observed(
-            &mut sched,
-            Arc::clone(&program),
-            Arc::new(InstantBackend::new()),
-            ThreadedConfig {
-                workers: 8,
-                priority_enabled: true,
-            },
-            Some(CheckpointHook {
-                every_steps: every,
-                f: &mut hook_fn,
-            }),
-            telemetry,
-        )
-        .expect("threaded city run")
+    let mut hook_fn = |sched: &mut Scheduler<GridSpace, G>| -> Result<(), EngineError> {
+        evicted += sched.evict_history()?;
+        extra(sched);
+        Ok(())
     };
+    let hook = every.map(|every_steps| CheckpointHook {
+        every_steps,
+        f: &mut hook_fn,
+    });
+    let cfg = ThreadedConfig {
+        workers: 8,
+        priority_enabled: true,
+    };
+    let report = run_threaded_observed(&mut sched, Arc::clone(&program), backend, cfg, hook, sink)
+        .expect("threaded city run");
     let wall_s = started.elapsed().as_secs_f64();
     assert!(sched.is_done());
+    assert_eq!(
+        report.agent_steps,
+        sched.graph().len() as u64 * u64::from(steps),
+        "every agent-step must execute"
+    );
     assert!(sched.graph().validate().is_ok(), "validity violated");
-    sched.graph().check_invariants();
-    let stats = sched.stats();
     let village = Arc::try_unwrap(program)
         .expect("workers joined")
         .into_village();
-    Cell {
-        agents: cfg.agents,
-        shards,
+    Live {
+        sched,
+        report,
         wall_s,
-        steps_per_s: (cfg.agents as u64 * steps as u64) as f64 / wall_s,
-        resident: sched.graph().history_records(),
-        keys: sched.graph().db().stats().keys as u64,
         evicted,
-        max_cluster: stats.max_cluster_size,
-        skew: stats.max_step_skew,
-        events: village.events().len(),
-        telemetry: report.telemetry,
+        village,
     }
+}
+
+/// Drives one (city, shard width) cell to completion. With a telemetry
+/// `sink`, the checkpointed run is observed end to end.
+pub(crate) fn drive(
+    cfg: &CityConfig,
+    village: Village,
+    shards: usize,
+    steps: u32,
+    every: u32,
+    sink: Option<Arc<Telemetry>>,
+) -> Cell {
+    let graph = sharded(cfg, &village, shards);
+    let backend = Arc::new(InstantBackend::new());
+    let live = drive_live(village, graph, steps, backend, Some(every), |_| {}, sink);
+    let graph = live.sched.graph();
+    graph.check_invariants();
+    let store = (graph.history_records(), graph.db().stats().keys as u64);
+    Cell::of(cfg, steps, store, live)
 }
 
 /// Drives one cell over [`DistTracker`]: every shard is a message-driven
@@ -252,27 +243,20 @@ pub(crate) fn drive(
 #[allow(clippy::too_many_arguments)]
 fn drive_dist(
     cfg: &CityConfig,
-    village: aim_world::Village,
+    village: Village,
     shards: usize,
     steps: u32,
     every: u32,
     telemetry: Option<Arc<Telemetry>>,
-    board: Option<Arc<aim_core::health::HealthBoard>>,
+    board: Option<Arc<HealthBoard>>,
     crash_dir: Option<std::path::PathBuf>,
 ) -> Cell {
-    let start = clock_to_step(8, 0);
-    let space = village.space();
-    let program = Arc::new(VillageProgram::with_step_offset(village, start));
-    let initial = program.initial_positions();
     let mut graph = DistTracker::new(
-        Arc::new(space),
+        Arc::new(village.space()),
         RuleParams::genagent(),
-        &initial,
+        &village.positions(),
         Arc::new(cfg.shard_map(shards)),
-        GraphOptions {
-            edges: aim_core::depgraph::EdgeMode::Maintained,
-            history: true,
-        },
+        tracked(),
     )
     .expect("dist tracker");
     if let (Some(dir), Some(t)) = (crash_dir, telemetry.as_ref()) {
@@ -285,57 +269,61 @@ fn drive_dist(
             }
         }));
     }
-    let mut sched = Scheduler::from_graph(graph, DependencyPolicy::Spatiotemporal, Step(steps));
-    let started = Instant::now();
-    let mut evicted = 0u64;
-    let report = {
-        let evicted = &mut evicted;
-        let mut hook_fn = move |sched: &mut Scheduler<GridSpace, DistTracker<GridSpace>>|
-              -> Result<(), EngineError> {
-            *evicted += sched.evict_history()?;
-            if let Some(board) = &board {
-                sched.graph_mut().poll_heartbeats(board);
-            }
-            Ok(())
-        };
-        run_threaded_observed(
-            &mut sched,
-            Arc::clone(&program),
-            Arc::new(InstantBackend::new()),
-            ThreadedConfig {
-                workers: 8,
-                priority_enabled: true,
-            },
-            Some(CheckpointHook {
-                every_steps: every,
-                f: &mut hook_fn,
-            }),
-            telemetry,
-        )
-        .expect("threaded dist city run")
+    let poll = |sched: &mut Scheduler<GridSpace, DistTracker<GridSpace>>| {
+        if let Some(board) = &board {
+            sched.graph_mut().poll_heartbeats(board);
+        }
     };
-    let wall_s = started.elapsed().as_secs_f64();
-    assert!(sched.is_done());
-    assert!(sched.graph().validate().is_ok(), "validity violated");
-    sched.graph().check_invariants();
-    let stats = sched.stats();
-    let keys = (0..shards)
-        .map(|i| sched.graph().worker_db(i).stats().keys as u64)
-        .sum();
-    let village = Arc::try_unwrap(program)
-        .expect("workers joined")
-        .into_village();
-    Cell {
-        agents: cfg.agents,
-        shards,
-        wall_s,
-        steps_per_s: (cfg.agents as u64 * steps as u64) as f64 / wall_s,
-        resident: sched.graph().history_records(),
-        keys,
-        evicted,
-        max_cluster: stats.max_cluster_size,
-        skew: stats.max_step_skew,
-        events: village.events().len(),
-        telemetry: report.telemetry,
+    let backend = Arc::new(InstantBackend::new());
+    let live = drive_live(village, graph, steps, backend, Some(every), poll, telemetry);
+    let graph = live.sched.graph();
+    graph.check_invariants();
+    let keys = (0..shards).map(|i| graph.worker_db(i).stats().keys as u64);
+    let store = (graph.history_records(), keys.sum());
+    Cell::of(cfg, steps, store, live)
+}
+
+/// `cfg`'s city `village` tracked over `shards` strips.
+pub(crate) fn sharded(
+    cfg: &CityConfig,
+    village: &Village,
+    shards: usize,
+) -> ShardedDepGraph<GridSpace> {
+    let db = Arc::new(Db::new());
+    let map = Arc::new(cfg.shard_map(shards));
+    let (space, params) = (Arc::new(village.space()), RuleParams::genagent());
+    ShardedDepGraph::new_with_options(space, params, db, &village.positions(), map, tracked())
+        .expect("sharded graph")
+}
+
+/// Edges maintained and history recorded, as every city run tracks.
+fn tracked() -> GraphOptions {
+    GraphOptions {
+        edges: EdgeMode::Maintained,
+        history: true,
+    }
+}
+
+impl Cell {
+    /// The row of a finished run whose stores hold `store` =
+    /// (resident history records, keys).
+    fn of<G: DepTracker<GridSpace>>(
+        cfg: &CityConfig,
+        steps: u32,
+        (resident, keys): (u64, u64),
+        live: Live<G>,
+    ) -> Self {
+        let stats = live.sched.stats();
+        Cell {
+            wall_s: live.wall_s,
+            steps_per_s: (cfg.agents as u64 * steps as u64) as f64 / live.wall_s,
+            resident,
+            keys,
+            evicted: live.evicted,
+            max_cluster: stats.max_cluster_size,
+            skew: stats.max_step_skew,
+            events: live.village.events().len(),
+            telemetry: live.report.telemetry,
+        }
     }
 }

@@ -18,23 +18,16 @@
 //! with exactly one refused attempt and no lost world state.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use aim_core::depgraph::GraphOptions;
-use aim_core::exec::threaded::{run_threaded_observed, ThreadedConfig, ThreadedReport};
-use aim_core::policy::DependencyPolicy;
-use aim_core::prelude::*;
-use aim_core::shard::ShardedDepGraph;
+use aim_core::exec::threaded::ThreadedReport;
 use aim_core::telemetry::Telemetry;
 use aim_llm::{
     presets, FaultPlan, Fleet, FleetConfig, FleetMetrics, LatencyProfile, LlmBackend, ReplicaSpec,
     RoutePolicyKind, ServerConfig,
 };
-use aim_store::Db;
 use aim_world::city::{self, CityConfig};
-use aim_world::clock_to_step;
-use aim_world::program::VillageProgram;
 
+use crate::experiments::city as city_exp;
 use crate::harness::RunEnv;
 use crate::table::{pct, Table};
 
@@ -76,7 +69,6 @@ fn fleet_for(policy: RoutePolicyKind, agents: u32, sim_fault: FaultPlan) -> Arc<
 
 struct Cell {
     wall_s: f64,
-    calls: u64,
     metrics: FleetMetrics,
     report: ThreadedReport,
 }
@@ -92,58 +84,17 @@ fn drive(
     fleet: Arc<Fleet>,
     telemetry: Option<Arc<Telemetry>>,
 ) -> Cell {
-    let start = clock_to_step(8, 0);
-    let space = village.space();
-    let program = Arc::new(VillageProgram::with_step_offset(village, start));
-    let initial = program.initial_positions();
-    let graph = ShardedDepGraph::new_with_options(
-        Arc::new(space),
-        RuleParams::genagent(),
-        Arc::new(Db::new()),
-        &initial,
-        Arc::new(cfg.shard_map(shards)),
-        GraphOptions {
-            edges: aim_core::depgraph::EdgeMode::Maintained,
-            history: true,
-        },
-    )
-    .expect("sharded graph");
-    let mut sched = Scheduler::from_graph(graph, DependencyPolicy::Spatiotemporal, Step(steps));
-    let backend: Arc<dyn LlmBackend> = Arc::clone(&fleet) as Arc<dyn LlmBackend>;
-    let started = Instant::now();
-    let report = run_threaded_observed(
-        &mut sched,
-        Arc::clone(&program),
-        backend,
-        ThreadedConfig {
-            workers: 8,
-            priority_enabled: true,
-        },
-        None,
-        telemetry,
-    )
-    .expect("threaded city-fleet run");
-    let wall_s = started.elapsed().as_secs_f64();
-    assert!(sched.is_done());
-    assert_eq!(
-        report.agent_steps,
-        cfg.agents as u64 * steps as u64,
-        "every agent-step must execute"
+    let graph = city_exp::sharded(cfg, &village, shards);
+    let live = city_exp::drive_live(village, graph, steps, fleet, None, |_| {}, telemetry);
+    assert!(
+        !live.village.events().is_empty(),
+        "a live city must emit events"
     );
-    assert!(sched.graph().validate().is_ok(), "validity violated");
-    let village = Arc::try_unwrap(program)
-        .expect("workers joined")
-        .into_village();
-    assert!(!village.events().is_empty(), "a live city must emit events");
+    let metrics = live.report.fleet.clone();
     Cell {
-        wall_s,
-        calls: report
-            .fleet
-            .as_ref()
-            .map(FleetMetrics::total_served)
-            .unwrap_or(0),
-        metrics: report.fleet.clone().expect("fleet backends report metrics"),
-        report,
+        wall_s: live.wall_s,
+        metrics: metrics.expect("fleet backends report metrics"),
+        report: live.report,
     }
 }
 
@@ -153,7 +104,7 @@ fn push_rows(table: &mut Table, label: &str, agents: u32, cell: &Cell) {
         label.to_string(),
         agents.to_string(),
         format!("{:.2}", cell.wall_s),
-        cell.calls.to_string(),
+        m.total_served().to_string(),
         pct(m.hit_rate()),
         pct(m.replicas[0].hit_rate()),
         pct(m.replicas[1].hit_rate()),
@@ -306,7 +257,7 @@ mod tests {
             ),
             None,
         );
-        assert!(rr.calls > 0 && aff.calls > 0);
+        assert!(rr.metrics.total_served() > 0 && aff.metrics.total_served() > 0);
         let (rr_rate, aff_rate) = (rr.metrics.hit_rate(), aff.metrics.hit_rate());
         assert!(
             aff_rate > rr_rate + 0.2,

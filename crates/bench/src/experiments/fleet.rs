@@ -54,6 +54,12 @@ fn fleet_for(policy: RoutePolicyKind, profile: &aim_llm::LatencyProfile) -> Arc<
 }
 
 /// Runs the experiment; prints the table and writes `fleet_policies.csv`.
+///
+/// # Panics
+///
+/// Panics if a run's fleet served other than the village's calls plus
+/// the chat turns sent, or if lane-aware routing sent a turn anywhere
+/// but the interactive replica.
 pub fn run(env: &RunEnv) {
     let (agents, steps, chat_turns) = if env.quick {
         (10, 30, 20)
@@ -124,9 +130,11 @@ pub fn run(env: &RunEnv) {
             let fleet = Arc::clone(&fleet);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                let mut sent = 0;
                 for i in 0..chat_turns {
-                    // As in examples/heterogeneous_fleet.rs: a few turns
-                    // always go out, even if the village finishes first.
+                    // A few turns always go out, even if the village
+                    // finishes first, so the tagged replica always sees
+                    // interactive traffic.
                     if i >= 5 && stop.load(Ordering::Relaxed) {
                         break;
                     }
@@ -141,8 +149,10 @@ pub fn run(env: &RunEnv) {
                         )
                         .interactive(),
                     );
+                    sent += 1;
                     std::thread::sleep(std::time::Duration::from_micros(500));
                 }
+                sent
             })
         };
 
@@ -160,9 +170,20 @@ pub fn run(env: &RunEnv) {
         )
         .expect("threaded fleet run");
         stop.store(true, Ordering::Relaxed);
-        player.join().expect("player thread");
+        let turns = player.join().expect("player thread");
 
         let m = fleet.metrics();
+        assert_eq!(
+            m.total_served(),
+            program.calls_made() + turns,
+            "{policy}: the fleet must serve every village call and every chat turn"
+        );
+        if policy == RoutePolicyKind::LaneAware {
+            assert_eq!(
+                m.replicas[1].interactive_served, turns,
+                "lane-aware routing must send every chat turn to the interactive replica"
+            );
+        }
         let total = m.total_served().max(1);
         for r in &m.replicas {
             table.push_row(vec![

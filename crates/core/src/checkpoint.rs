@@ -29,7 +29,7 @@ use bytes::{Bytes, BytesMut};
 
 use aim_store::{codec, Snapshot, SnapshotBuilder, StoreError};
 
-use crate::depgraph::{DepTracker, GraphOptions};
+use crate::depgraph::{DepGraph, DepTracker, GraphOptions};
 use crate::error::EngineError;
 use crate::ids::Step;
 use crate::policy::DependencyPolicy;
@@ -157,34 +157,16 @@ pub struct CheckpointMeta {
 }
 
 impl CheckpointMeta {
-    /// Reads the metadata off a live (quiesced) scheduler.
-    fn from_scheduler(sched: &Scheduler<GridSpace>, step_offset: u32) -> Self {
-        let graph = sched.graph();
-        let params = graph.params();
-        let space = graph.space();
-        CheckpointMeta {
-            num_agents: graph.len() as u32,
-            width: space.width(),
-            height: space.height(),
-            radius_p: params.radius_p,
-            max_vel: params.max_vel,
-            target_step: sched.target_step().0,
-            step_offset,
-            min_step: graph.min_step().0,
-            max_step: graph.max_step().0,
-            history: graph.history_enabled(),
-            policy: PolicyTag::of(sched.policy()),
-            shards: 0,
-        }
-    }
-
-    /// Reads the metadata off a live (quiesced) scheduler mounted on a
+    /// Reads the metadata off a live (quiesced) scheduler's `graph`:
+    /// `shards` is 0 for a [`DepGraph`] and the shard count for a
     /// [`ShardedDepGraph`].
-    fn from_sharded_scheduler(
-        sched: &Scheduler<GridSpace, ShardedDepGraph<GridSpace>>,
+    fn read(
+        graph: &DepGraph<GridSpace>,
+        target: Step,
+        policy: &DependencyPolicy,
         step_offset: u32,
+        shards: u32,
     ) -> Self {
-        let graph = sched.graph();
         let params = graph.params();
         let space = graph.space();
         CheckpointMeta {
@@ -193,13 +175,13 @@ impl CheckpointMeta {
             height: space.height(),
             radius_p: params.radius_p,
             max_vel: params.max_vel,
-            target_step: sched.target_step().0,
+            target_step: target.0,
             step_offset,
             min_step: graph.min_step().0,
             max_step: graph.max_step().0,
             history: graph.history_enabled(),
-            policy: PolicyTag::of(sched.policy()),
-            shards: graph.num_shards() as u32,
+            policy: PolicyTag::of(policy),
+            shards,
         }
     }
 
@@ -297,12 +279,8 @@ pub fn snapshot_run<'a>(
     step_offset: u32,
     world: Option<Bytes>,
 ) -> SnapshotBuilder<'a> {
-    let meta = CheckpointMeta::from_scheduler(sched, step_offset);
-    let mut builder = SnapshotBuilder::new().section(SECTION_META, meta.encode());
-    if let Some(world) = world {
-        builder = builder.section(SECTION_WORLD, world);
-    }
-    builder.db(sched.graph().db())
+    let (target, policy) = (sched.target_step(), sched.policy());
+    snapshot(sched.graph(), target, policy, step_offset, 0, world)
 }
 
 /// [`snapshot_run`] for a scheduler mounted on a [`ShardedDepGraph`]:
@@ -317,17 +295,34 @@ pub fn snapshot_sharded_run<'a>(
     step_offset: u32,
     world: Option<Bytes>,
 ) -> SnapshotBuilder<'a> {
-    let meta = CheckpointMeta::from_sharded_scheduler(sched, step_offset);
+    let (graph, target, policy) = (sched.graph(), sched.target_step(), sched.policy());
+    let shards = graph.num_shards() as u32;
+    snapshot(graph, target, policy, step_offset, shards, world)
+}
+
+/// The snapshot both writers build: the metadata section, one
+/// `shard/<i>` membership section per shard (none for `shards` = 0, an
+/// unsharded run), the world section when given, and `graph`'s store
+/// image.
+fn snapshot<'a>(
+    graph: &'a DepGraph<GridSpace>,
+    target: Step,
+    policy: &DependencyPolicy,
+    step_offset: u32,
+    shards: u32,
+    world: Option<Bytes>,
+) -> SnapshotBuilder<'a> {
+    let meta = CheckpointMeta::read(graph, target, policy, step_offset, shards);
     let mut builder = SnapshotBuilder::new().section(SECTION_META, meta.encode());
-    for shard in 0..sched.graph().num_shards() {
+    for shard in 0..shards as usize {
         let mut body = BytesMut::new();
-        codec::put_u32_list(&mut body, &sched.graph().members(shard));
+        codec::put_u32_list(&mut body, &graph.members(shard));
         builder = builder.section(format!("{SECTION_SHARD_PREFIX}{shard}"), body.freeze());
     }
     if let Some(world) = world {
         builder = builder.section(SECTION_WORLD, world);
     }
-    builder.db(sched.graph().db())
+    builder.db(graph.db())
 }
 
 /// Rebuilds a scheduler (and returns the decoded metadata) from a parsed
@@ -501,7 +496,7 @@ mod tests {
     #[test]
     fn meta_roundtrips() {
         let sched = sched_with_history(&[(0, 0), (50, 50)], 4);
-        let meta = CheckpointMeta::from_scheduler(&sched, 17);
+        let meta = CheckpointMeta::read(sched.graph(), sched.target_step(), sched.policy(), 17, 0);
         assert_eq!(meta.num_agents, 2);
         assert_eq!((meta.width, meta.height), (100, 140));
         assert_eq!(meta.step_offset, 17);
@@ -563,7 +558,8 @@ mod tests {
         let mut buf = BytesMut::new();
         codec::put_u32(&mut buf, 99);
         assert!(CheckpointMeta::decode(buf.freeze()).is_err());
-        let good = CheckpointMeta::from_scheduler(&sched_with_history(&[(0, 0)], 1), 0).encode();
+        let sched = sched_with_history(&[(0, 0)], 1);
+        let good = CheckpointMeta::read(sched.graph(), Step(1), sched.policy(), 0, 0).encode();
         assert!(CheckpointMeta::decode(good.slice(..good.len() - 2)).is_err());
     }
 

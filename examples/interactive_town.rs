@@ -1,5 +1,7 @@
-//! The threaded runtime, live: Algorithm 3 with real worker threads, one
-//! thread per agent, and a wall-clock-paced simulated serving engine.
+//! The threaded runtime, live: Algorithm 3 with real worker threads and
+//! a wall-clock-paced simulated serving engine. Every member of a cluster
+//! can block in the backend at once, each on a thread of its own; steps
+//! that do not block share threads.
 //!
 //! This is the deployment shape the paper sketches for interactive use
 //! (§6): the engine schedules a *live* village (no pre-recorded trace),
