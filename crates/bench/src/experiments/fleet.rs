@@ -18,7 +18,6 @@
 //! least-outstanding follows load, and lane-aware gives the player a
 //! dedicated replica while background work keeps the other saturated.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use aim_core::exec::threaded::{run_threaded_observed, ThreadedConfig};
@@ -124,20 +123,12 @@ pub fn run(env: &RunEnv) {
 
         let fleet = fleet_for(policy, &profile);
 
-        // A player chats through the same fleet while the village runs.
-        let stop = Arc::new(AtomicBool::new(false));
+        // A player chats through the same fleet while the village runs,
+        // and sends every turn even if the village finishes first.
         let player = {
             let fleet = Arc::clone(&fleet);
-            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut sent = 0;
                 for i in 0..chat_turns {
-                    // A few turns always go out, even if the village
-                    // finishes first, so the tagged replica always sees
-                    // interactive traffic.
-                    if i >= 5 && stop.load(Ordering::Relaxed) {
-                        break;
-                    }
                     fleet.call(
                         &LlmRequest::new(
                             RequestId(1_000_000 + i),
@@ -149,10 +140,8 @@ pub fn run(env: &RunEnv) {
                         )
                         .interactive(),
                     );
-                    sent += 1;
                     std::thread::sleep(std::time::Duration::from_micros(500));
                 }
-                sent
             })
         };
 
@@ -169,18 +158,17 @@ pub fn run(env: &RunEnv) {
             None,
         )
         .expect("threaded fleet run");
-        stop.store(true, Ordering::Relaxed);
-        let turns = player.join().expect("player thread");
+        player.join().expect("player thread");
 
         let m = fleet.metrics();
         assert_eq!(
             m.total_served(),
-            program.calls_made() + turns,
+            program.calls_made() + chat_turns,
             "{policy}: the fleet must serve every village call and every chat turn"
         );
         if policy == RoutePolicyKind::LaneAware {
             assert_eq!(
-                m.replicas[1].interactive_served, turns,
+                m.replicas[1].interactive_served, chat_turns,
                 "lane-aware routing must send every chat turn to the interactive replica"
             );
         }

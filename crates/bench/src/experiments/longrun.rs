@@ -54,9 +54,7 @@ pub fn run(env: &RunEnv) {
     // Full size: 1000 agents for 600 steps — 10× the 60-step horizon of
     // the `scheduler/replay_10min_1000agents` bench target.
     let (villes, steps) = if env.quick { (4, 120) } else { (40, 600) };
-    let every = env
-        .checkpoint_every
-        .unwrap_or(if env.quick { 30 } else { 60 });
+    let every = cadence(env);
     let agents = villes * 25;
 
     let mut table = Table::new(
@@ -120,6 +118,14 @@ pub fn run(env: &RunEnv) {
     if let Ok(path) = table.write_csv(&env.out_dir) {
         println!("wrote {}", path.display());
     }
+}
+
+/// Checkpoint cadence in committed steps: the operator's
+/// `--checkpoint-every`, else 30 under `--quick` and 60 in full. A run
+/// and its resumption, given the same flags, share it.
+fn cadence(env: &RunEnv) -> u32 {
+    env.checkpoint_every
+        .unwrap_or(if env.quick { 30 } else { 60 })
 }
 
 /// Drives one checkpointed arm to completion, returning the per-
@@ -224,10 +230,10 @@ fn resume_from(path: &std::path::Path, env: &RunEnv) {
     let program = Arc::new(VillageProgram::with_step_offset(village, meta.step_offset));
     let started = Instant::now();
     // Keep the original checkpoint chain going: write into the directory
-    // the snapshot came from, at the operator's cadence (or the full-run
-    // default), so ^C during the resumed run loses at most one window.
+    // the snapshot came from, at the run's cadence, so ^C during the
+    // resumed run loses at most one window.
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let every = env.checkpoint_every.unwrap_or(60);
+    let every = cadence(env);
     let mut ckpt = Checkpointer::new(dir.unwrap_or(std::path::Path::new(".")), every, 2);
     let step_offset = meta.step_offset;
     {
@@ -259,15 +265,22 @@ fn resume_from(path: &std::path::Path, env: &RunEnv) {
     }
     assert!(sched.is_done());
     assert!(sched.graph().validate().is_ok());
+    let left = meta.target_step - meta.min_step;
+    assert!(
+        left <= every || ckpt.written() > 0,
+        "{left} steps left at a cadence of {every} wrote no checkpoint"
+    );
     let village = Arc::try_unwrap(program)
         .expect("workers joined")
         .into_village();
     println!(
-        "finished remaining {} steps in {:.1}s ({} further checkpoints); \
+        "finished remaining {left} steps in {:.1}s ({} further checkpoints); \
          {} world events total",
-        meta.target_step - meta.min_step,
         started.elapsed().as_secs_f64(),
         ckpt.written(),
         village.events().len()
     );
+    if let Some(last) = ckpt.last_path() {
+        println!("  newest checkpoint {}", last.display());
+    }
 }

@@ -121,6 +121,12 @@ impl TileMap {
         p.x >= 0 && p.y >= 0 && (p.x as u32) < self.width && (p.y as u32) < self.height
     }
 
+    /// Walkability of tiles `xs` of row `y`, both in bounds.
+    pub(crate) fn walkable_row(&self, y: u32, xs: std::ops::Range<u32>) -> &[bool] {
+        let row = (y * self.width) as usize;
+        &self.walkable[row + xs.start as usize..row + xs.end as usize]
+    }
+
     fn set_walkable(&mut self, p: Point, w: bool) {
         if self.in_bounds(p) {
             self.walkable[(p.y as u32 * self.width + p.x as u32) as usize] = w;

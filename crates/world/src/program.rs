@@ -116,9 +116,9 @@ impl ClusterProgram<GridSpace> for VillageProgram {
         cluster: &Cluster,
         actions: Vec<(AgentId, StepPlan)>,
     ) -> Vec<(AgentId, Point)> {
-        let plans: Vec<(u32, StepPlan)> = actions.into_iter().map(|(a, p)| (a.0, p)).collect();
+        let mut plans: Vec<(u32, StepPlan)> = actions.into_iter().map(|(a, p)| (a.0, p)).collect();
         let mut village = self.village.lock();
-        village.commit_step(self.step_offset + cluster.step.0, &plans);
+        village.commit_batch(self.step_offset + cluster.step.0, &mut plans);
         plans
             .into_iter()
             .map(|(a, p)| (AgentId(a), p.move_to))

@@ -62,6 +62,21 @@ pub struct DailySchedule {
     entries: Vec<ScheduleEntry>,
 }
 
+/// Where, among a day's blocks beginning at `starts` (ascending, at
+/// least one), the block in effect at `step` sits: the last one begun,
+/// the day wrapping at midnight.
+pub(crate) fn block_index(
+    mut starts: impl DoubleEndedIterator<Item = u32> + ExactSizeIterator,
+    step: u32,
+) -> usize {
+    let s = step % STEPS_PER_DAY;
+    let last = starts.len() - 1;
+    starts
+        .rposition(|start| start <= s)
+        // Before the first entry: still in the last block of yesterday.
+        .unwrap_or(last)
+}
+
 impl DailySchedule {
     /// Builds a schedule from entries (sorted internally).
     ///
@@ -76,12 +91,7 @@ impl DailySchedule {
 
     /// The block in effect at `step` (absolute or in-day; wraps midnight).
     pub fn at(&self, step: u32) -> ScheduleEntry {
-        let s = step % STEPS_PER_DAY;
-        match self.entries.iter().rev().find(|e| e.start <= s) {
-            Some(e) => *e,
-            // Before the first entry: still in the last block of yesterday.
-            None => *self.entries.last().expect("nonempty"),
-        }
+        self.entries[block_index(self.entries.iter().map(|e| e.start), step)]
     }
 
     /// All blocks.

@@ -21,6 +21,8 @@
 //! per-agent order, so world evolution is identical — a property the
 //! integration tests verify.
 
+use std::ops::Range;
+
 use aim_core::space::Point;
 use aim_core::workload::CallSpec;
 use aim_llm::CallKind;
@@ -34,7 +36,7 @@ use crate::grid::TileMap;
 use crate::memory::{MemoryKind, MemoryStream};
 use crate::pathfind;
 use crate::persona::{generate_personas, Persona};
-use crate::schedule::{ActivityKind, DailySchedule, ScheduleEntry};
+use crate::schedule::{block_index, ActivityKind, DailySchedule};
 use crate::scripted::{sample_call_tokens, SiteRng};
 
 /// Configuration of a generated village.
@@ -105,7 +107,11 @@ pub struct StepPlan {
     pub calls: Vec<CallSpec>,
     /// Position after the step commits.
     pub move_to: Point,
+    /// A freshly planned path, stored as [`AgentRt::path`] is.
     pub(crate) new_path: Option<Vec<Point>>,
+    /// Start of the schedule block planned in, which the commit records
+    /// as the agent's current block.
+    pub(crate) block_start: u32,
     /// One-step conversation held during this step: `(partner, turns)`.
     pub(crate) conv_full: Option<(u32, u32)>,
     pub(crate) memory_adds: Vec<(MemoryKind, f32, Vec<u32>)>,
@@ -124,31 +130,57 @@ impl StepPlan {
         self.conv_full
     }
 
-    fn stay(pos: Point) -> Self {
+    fn stay(pos: Point, block_start: u32) -> Self {
         StepPlan {
             calls: Vec::new(),
             move_to: pos,
             new_path: None,
+            block_start,
             conv_full: None,
             memory_adds: Vec::new(),
             wake_change: None,
             reflected: false,
         }
     }
+
+    /// Makes this plan [`StepPlan::stay`]`(pos, block_start)` again,
+    /// keeping the storage its calls and memory additions hold.
+    fn reset(&mut self, pos: Point, block_start: u32) {
+        let mut calls = std::mem::take(&mut self.calls);
+        let mut memory_adds = std::mem::take(&mut self.memory_adds);
+        calls.clear();
+        memory_adds.clear();
+        *self = StepPlan {
+            calls,
+            memory_adds,
+            ..StepPlan::stay(pos, block_start)
+        };
+    }
 }
 
 #[derive(Debug, Clone)]
 struct AgentRt {
     persona: Persona,
-    schedule: DailySchedule,
+    /// This agent's day in [`Village::blocks`].
+    day: Range<u32>,
     pos: Point,
-    /// Remaining tiles toward `target` (next tile first; `pos` excluded).
+    /// Remaining tiles toward `target`, next tile last so that a step
+    /// pops it (`pos` excluded).
     path: Vec<Point>,
     target: Point,
     cooldown_until: u32,
     awake: bool,
     last_block_start: u32,
     memory: MemoryStream,
+}
+
+/// One block of an agent's day as a plan reads it: the schedule entry's
+/// start and activity, and the seat its area gives the agent.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    start: u32,
+    kind: ActivityKind,
+    seat: Point,
 }
 
 /// The world. See the module docs for the plan/commit protocol.
@@ -161,34 +193,48 @@ pub struct Village {
     /// Awake agents by map cell, so neighbor queries stay O(local
     /// density) at 1000 agents. Derived from `agents`.
     index: CellIndex,
+    /// Every agent's schedule blocks, one agent's day after another,
+    /// each with its seat: computed once per world rather than looked up
+    /// and placed per agent-step.
+    blocks: Vec<Block>,
     scratch: PlanScratch,
 }
 
-/// Cell side of the position index; ≥ the largest query radius used in
-/// planning, so a query reads the 3×3 cells around its centre.
-const BUCKET_CELL: i32 = 8;
+/// Cell side of the position index: the perception radius, so that a
+/// perception query reads the 3×3 cells its square meets. A query's cost
+/// is the entries those cells hold (a crowded cafe's, at lunch), which
+/// cells this small keep close to the entries it reports.
+const BUCKET_CELL: i32 = PERCEIVE_RADIUS as i32;
 
 /// Perception radius (`radius_p`, paper §2.1).
 const PERCEIVE_RADIUS: u64 = 4;
 
-// Conversation candidates are read off the perception set, and the
-// perception set off one ring of cells.
-const _: () = assert!(CONV_RADIUS <= PERCEIVE_RADIUS && PERCEIVE_RADIUS <= BUCKET_CELL as u64);
+// Conversation candidates are read off the perception set.
+const _: () = assert!(CONV_RADIUS <= PERCEIVE_RADIUS);
 
 /// Version tag of the [`Village::capture_state`] encoding.
 const STATE_VERSION: u32 = 1;
 
 /// The awake agents and their committed positions, bucketed by the
 /// [`BUCKET_CELL`]-sided cell they stand in: a dense row-major grid
-/// covering the map (every committed position is a map tile). A
-/// neighbourhood query reads nine cells' entries and nothing else —
-/// sleepers, which no query reports, are not filed.
+/// covering the map (every committed position is a map tile) of chain
+/// heads, each cell's agents chained through a per-agent link. A
+/// neighbourhood query reads the heads of the cells its square meets and
+/// the chains behind them, all in two flat arrays of a few bytes per
+/// cell and per agent — sleepers, which no query reports, are not filed.
 #[derive(Debug, Clone)]
 struct CellIndex {
     cols: usize,
     rows: usize,
-    cells: Vec<Vec<(u32, Point)>>,
+    /// Per cell, the first agent filed in it or [`NIL`].
+    heads: Vec<u32>,
+    /// Per agent, the next agent filed in its cell (or [`NIL`]) and the
+    /// position it is filed at; meaningless for an agent not filed.
+    links: Vec<(u32, Point)>,
 }
+
+/// End of a cell's chain.
+const NIL: u32 = u32::MAX;
 
 impl CellIndex {
     fn build(map: &TileMap, agents: &[AgentRt]) -> Self {
@@ -197,7 +243,8 @@ impl CellIndex {
         let mut index = CellIndex {
             cols,
             rows,
-            cells: vec![Vec::new(); cols * rows],
+            heads: vec![NIL; cols * rows],
+            links: vec![(NIL, Point::new(0, 0)); agents.len()],
         };
         for (i, a) in agents.iter().enumerate() {
             index.refile(i as u32, None, a.awake.then_some(a.pos));
@@ -214,30 +261,48 @@ impl CellIndex {
     fn refile(&mut self, agent: u32, was: Option<Point>, now: Option<Point>) {
         if let Some(p) = was {
             let cell = self.cell_of(p);
-            let cell = &mut self.cells[cell];
-            let at = cell
-                .iter()
-                .position(|&(i, _)| i == agent)
-                .expect("awake agents are filed");
-            cell.swap_remove(at);
+            let (mut prev, mut at) = (NIL, self.heads[cell]);
+            while at != agent {
+                assert_ne!(at, NIL, "awake agents are filed");
+                (prev, at) = (at, self.links[at as usize].0);
+            }
+            let next = self.links[agent as usize].0;
+            match prev {
+                NIL => self.heads[cell] = next,
+                prev => self.links[prev as usize].0 = next,
+            }
         }
         if let Some(p) = now {
             let cell = self.cell_of(p);
-            self.cells[cell].push((agent, p));
+            self.links[agent as usize] = (self.heads[cell], p);
+            self.heads[cell] = agent;
         }
     }
 
-    /// Every entry of the 3×3 cells around `p`'s cell, in no particular
-    /// order.
-    fn around(&self, p: Point) -> impl Iterator<Item = (u32, Point)> + '_ {
-        let (cx, cy) = ((p.x / BUCKET_CELL) as usize, (p.y / BUCKET_CELL) as usize);
-        let xs = cx.saturating_sub(1)..(cx + 2).min(self.cols);
-        (cy.saturating_sub(1)..(cy + 2).min(self.rows)).flat_map(move |y| {
-            self.cells[y * self.cols + xs.start..y * self.cols + xs.end]
-                .iter()
-                .flatten()
-                .copied()
-        })
+    /// Appends `(d², id)` of every entry but `agent`'s within `units` of
+    /// `me` to `out`, in no particular order: one loop over the row
+    /// slices of the cells that the square of side `2 × units + 1`
+    /// around `me` meets.
+    fn within(&self, me: Point, agent: u32, units: u64, out: &mut Vec<(u64, u32)>) {
+        let r = units as i32;
+        let span = |v: i32, cells: usize| {
+            let cell = |v: i32| (v.max(0) / BUCKET_CELL) as usize;
+            cell(v - r)..(cell(v + r) + 1).min(cells)
+        };
+        let xs = span(me.x, self.cols);
+        for y in span(me.y, self.rows) {
+            for &head in &self.heads[y * self.cols + xs.start..y * self.cols + xs.end] {
+                let mut i = head;
+                while i != NIL {
+                    let (next, pos) = self.links[i as usize];
+                    let d2 = me.dist2(pos);
+                    if d2 <= units * units && i != agent {
+                        out.push((d2, i));
+                    }
+                    i = next;
+                }
+            }
+        }
     }
 }
 
@@ -245,7 +310,9 @@ impl CellIndex {
 /// plan's cost is what it explores: the A* scratch, and the buffer one
 /// neighbourhood query fills. It belongs to the world — one per
 /// `Village`, dropped with it — holds nothing a plan's result depends
-/// on, and is therefore not copied by `Clone`.
+/// on, and is therefore not copied by `Clone`. [`Village::run_lockstep`]
+/// takes the buffers out for its whole run instead of locking them per
+/// agent-step.
 #[derive(Debug, Default)]
 struct PlanScratch(Mutex<PlanBuffers>);
 
@@ -280,6 +347,49 @@ const SALT_TOKENS: u32 = 2;
 const SALT_CONV: u32 = 3;
 const SALT_REACT: u32 = 4;
 
+/// A deterministic per-agent spot inside an area's interior.
+fn seat(map: &TileMap, agent: u32, area_idx: usize) -> Point {
+    let area = &map.areas()[area_idx];
+    let w = (area.max.x - area.min.x - 1).max(1);
+    let h = (area.max.y - area.min.y - 1).max(1);
+    let hx = (agent as i32).wrapping_mul(31) & 0x7fff;
+    let hy = (agent as i32).wrapping_mul(57) & 0x7fff;
+    let p = Point::new(area.min.x + 1 + hx % w, area.min.y + 1 + hy % h);
+    if map.is_walkable(p) {
+        p
+    } else {
+        area.anchor()
+    }
+}
+
+/// Draws a plan's calls from its agent-step's token stream. The stream,
+/// and the memory context every prompt of the step carries, are set up
+/// at the first draw: most agent-steps draw nothing.
+struct CallSampler<'a> {
+    /// `(seed, agent, step)` of the stream.
+    site: (u64, u32, u32),
+    memory: &'a MemoryStream,
+    stream: Option<(SiteRng, u32)>,
+}
+
+impl CallSampler<'_> {
+    fn draw(&mut self, kind: CallKind, turn: u32) -> CallSpec {
+        let CallSampler {
+            site: (seed, agent, step),
+            memory,
+            stream,
+        } = self;
+        let (rng, ctx) = stream.get_or_insert_with(|| {
+            (
+                SiteRng::new(*seed, *agent, *step, SALT_TOKENS),
+                memory.context_tokens(),
+            )
+        });
+        let (i, o) = sample_call_tokens(rng, kind, *ctx, turn);
+        CallSpec::new(i, o, kind)
+    }
+}
+
 impl Village {
     /// Generates a village from `cfg` (deterministic in the seed).
     pub fn generate(cfg: &VillageConfig) -> Self {
@@ -291,32 +401,7 @@ impl Village {
         };
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let personas = generate_personas(&map, cfg.num_agents(), &mut rng);
-        let agents: Vec<AgentRt> = personas
-            .into_iter()
-            .map(|persona| {
-                let schedule = DailySchedule::generate(&map, &persona, &mut rng);
-                let pos = Self::seat_static(&map, persona.id, persona.home_area);
-                AgentRt {
-                    pos,
-                    target: pos,
-                    path: Vec::new(),
-                    cooldown_until: 0,
-                    awake: false,
-                    last_block_start: u32::MAX,
-                    memory: MemoryStream::new(),
-                    schedule,
-                    persona,
-                }
-            })
-            .collect();
-        Village {
-            cfg: *cfg,
-            index: CellIndex::build(&map, &agents),
-            map,
-            agents,
-            events: Vec::new(),
-            scratch: PlanScratch::default(),
-        }
+        Self::assemble(*cfg, map, personas, &mut rng)
     }
 
     /// Assembles a world from an externally generated substrate — map
@@ -340,22 +425,44 @@ impl Village {
     /// map.
     pub fn from_substrate(seed: u64, map: TileMap, personas: Vec<Persona>) -> Self {
         assert!(!personas.is_empty(), "at least one persona is required");
+        for persona in &personas {
+            assert!(
+                persona.home_area < map.areas().len() && persona.work_area < map.areas().len(),
+                "persona {} references an area outside the map",
+                persona.id
+            );
+        }
         let cfg = VillageConfig {
             villes: 0,
             agents_per_ville: personas.len() as u32,
             seed,
         };
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1_ab1e);
+        Self::assemble(cfg, map, personas, &mut rng)
+    }
+
+    /// A world at midnight: every persona asleep in its home seat, its
+    /// schedule drawn from `rng`, and what derives from the agents (the
+    /// position index, the block table) built from them.
+    fn assemble(
+        cfg: VillageConfig,
+        map: TileMap,
+        personas: Vec<Persona>,
+        rng: &mut StdRng,
+    ) -> Self {
+        let mut blocks = Vec::new();
         let agents: Vec<AgentRt> = personas
             .into_iter()
-            .map(|persona| {
-                assert!(
-                    persona.home_area < map.areas().len() && persona.work_area < map.areas().len(),
-                    "persona {} references an area outside the map",
-                    persona.id
-                );
-                let schedule = DailySchedule::generate(&map, &persona, &mut rng);
-                let pos = Self::seat_static(&map, persona.id, persona.home_area);
+            .enumerate()
+            .map(|(agent, persona)| {
+                let schedule = DailySchedule::generate(&map, &persona, rng);
+                let first = blocks.len() as u32;
+                blocks.extend(schedule.entries().iter().map(|e| Block {
+                    start: e.start,
+                    kind: e.kind,
+                    seat: seat(&map, agent as u32, e.area),
+                }));
+                let pos = seat(&map, persona.id, persona.home_area);
                 AgentRt {
                     pos,
                     target: pos,
@@ -364,7 +471,7 @@ impl Village {
                     awake: false,
                     last_block_start: u32::MAX,
                     memory: MemoryStream::new(),
-                    schedule,
+                    day: first..blocks.len() as u32,
                     persona,
                 }
             })
@@ -375,6 +482,7 @@ impl Village {
             map,
             agents,
             events: Vec::new(),
+            blocks,
             scratch: PlanScratch::default(),
         }
     }
@@ -436,45 +544,14 @@ impl Village {
         &self.events
     }
 
-    /// A deterministic per-agent spot inside an area's interior.
-    fn seat_static(map: &TileMap, agent: u32, area_idx: usize) -> Point {
-        let area = &map.areas()[area_idx];
-        let w = (area.max.x - area.min.x - 1).max(1);
-        let h = (area.max.y - area.min.y - 1).max(1);
-        let hx = (agent as i32).wrapping_mul(31) & 0x7fff;
-        let hy = (agent as i32).wrapping_mul(57) & 0x7fff;
-        let p = Point::new(area.min.x + 1 + hx % w, area.min.y + 1 + hy % h);
-        if map.is_walkable(p) {
-            p
-        } else {
-            area.anchor()
-        }
-    }
-
-    fn seat(&self, agent: u32, area_idx: usize) -> Point {
-        Self::seat_static(&self.map, agent, area_idx)
-    }
-
     /// Awake agents within `units` of `agent`'s committed position
     /// (excluding `agent`), into a caller-kept buffer with the squared
     /// distances it sorted by: `out` is cleared, then holds `(d², id)`
     /// nearest-first then by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `units` exceeds the position index's cell size, which
-    /// would silently miss neighbors.
     fn near_into(&self, agent: u32, units: u64, out: &mut Vec<(u64, u32)>) {
-        assert!(
-            units <= BUCKET_CELL as u64,
-            "query radius exceeds index cell"
-        );
-        let me = self.agents[agent as usize].pos;
         out.clear();
-        out.extend(self.index.around(me).filter_map(|(i, pos)| {
-            let d2 = me.dist2(pos);
-            (i != agent && d2 <= units * units).then_some((d2, i))
-        }));
+        self.index
+            .within(self.agents[agent as usize].pos, agent, units, out);
         out.sort_unstable();
     }
 
@@ -493,24 +570,36 @@ impl Village {
     /// Plans `agent`'s step `step` against committed state (pure; see
     /// module docs).
     pub fn plan_step(&self, agent: u32, step: u32) -> StepPlan {
+        let mut plan = StepPlan::stay(self.pos(agent), 0);
+        self.plan(&mut self.scratch.0.lock(), agent, step, &mut plan);
+        plan
+    }
+
+    /// The one planning body, on the working memory `buffers`: overwrites
+    /// `plan`, reusing what its vectors hold.
+    fn plan(&self, buffers: &mut PlanBuffers, agent: u32, step: u32, plan: &mut StepPlan) {
         let a = &self.agents[agent as usize];
-        let block: ScheduleEntry = a.schedule.at(step);
+        let day = &self.blocks[a.day.start as usize..a.day.end as usize];
+        let block = day[block_index(day.iter().map(|b| b.start), step)];
         let seed = self.cfg.seed;
+        let mut calls = CallSampler {
+            site: (seed, agent, step),
+            memory: &a.memory,
+            stream: None,
+        };
+        plan.reset(a.pos, block.start);
 
         // --- Sleep / wake transitions -----------------------------------
         if block.kind == ActivityKind::Sleep {
-            let mut plan = self.plan_movement(agent, block.area);
+            self.plan_movement(&mut buffers.path, a, block.seat, plan);
             if a.awake {
                 plan.wake_change = Some(false);
             }
-            return plan; // silent: no calls while heading to/being in bed
+            return; // silent: no calls while heading to/being in bed
         }
         if !a.awake {
             // Wake up: morning chain (retrieve yesterday, plan the day).
-            let mut plan = StepPlan::stay(a.pos);
             plan.wake_change = Some(true);
-            let ctx = a.memory.context_tokens();
-            let mut trng = SiteRng::new(seed, agent, step, SALT_TOKENS);
             // Morning chain: recall yesterday, then draft the day plan and
             // decompose it (GenAgent plans hierarchically: day → hourly).
             for kind in [
@@ -519,23 +608,19 @@ impl Village {
                 CallKind::Plan,
                 CallKind::Plan,
             ] {
-                let (i, o) = sample_call_tokens(&mut trng, kind, ctx, 0);
-                plan.calls.push(CallSpec::new(i, o, kind));
+                plan.calls.push(calls.draw(kind, 0));
             }
             plan.memory_adds.push((MemoryKind::Plan, 4.0, vec![agent]));
-            return plan;
+            return;
         }
 
         // --- Movement toward the scheduled area --------------------------
-        let mut plan = self.plan_movement(agent, block.area);
-        let ctx = a.memory.context_tokens();
-        let mut trng = SiteRng::new(seed, agent, step, SALT_TOKENS);
+        self.plan_movement(&mut buffers.path, a, block.seat, plan);
 
         // --- Activity boundary: re-planning chain -------------------------
         if a.last_block_start != block.start {
             for kind in [CallKind::Retrieve, CallKind::Plan] {
-                let (i, o) = sample_call_tokens(&mut trng, kind, ctx, 0);
-                plan.calls.push(CallSpec::new(i, o, kind));
+                plan.calls.push(calls.draw(kind, 0));
             }
             plan.memory_adds.push((MemoryKind::Plan, 3.0, vec![agent]));
         }
@@ -543,7 +628,6 @@ impl Village {
         // --- Perception ---------------------------------------------------
         // One neighbourhood query serves perception and, further down,
         // the conversation candidates.
-        let mut buffers = self.scratch.0.lock();
         let near = &mut buffers.near;
         self.near_into(agent, PERCEIVE_RADIUS, near);
         let crowd = near.len().min(5) as f32;
@@ -555,8 +639,7 @@ impl Village {
         };
         let mut prng = SiteRng::new(seed, agent, step, SALT_PERCEIVE);
         if prng.unit() < p {
-            let (i, o) = sample_call_tokens(&mut trng, CallKind::Perceive, ctx, 0);
-            plan.calls.push(CallSpec::new(i, o, CallKind::Perceive));
+            plan.calls.push(calls.draw(CallKind::Perceive, 0));
             let kws: Vec<u32> = near.iter().take(3).map(|&(_, i)| i).collect();
             plan.memory_adds
                 .push((MemoryKind::Observation, 1.0 + 2.0 * prng.unit(), kws));
@@ -569,12 +652,10 @@ impl Village {
             if rrng.unit() < REACT_RETRIEVE_P {
                 let extra_retrieves = 1 + (rrng.unit() * 2.0) as u32; // 1-2
                 for _ in 0..extra_retrieves {
-                    let (i, o) = sample_call_tokens(&mut trng, CallKind::Retrieve, ctx, 0);
-                    plan.calls.push(CallSpec::new(i, o, CallKind::Retrieve));
+                    plan.calls.push(calls.draw(CallKind::Retrieve, 0));
                 }
                 if rrng.unit() < 0.55 {
-                    let (i, o) = sample_call_tokens(&mut trng, CallKind::Plan, ctx, 0);
-                    plan.calls.push(CallSpec::new(i, o, CallKind::Plan));
+                    plan.calls.push(calls.draw(CallKind::Plan, 0));
                 }
             }
         }
@@ -592,8 +673,7 @@ impl Village {
                 CallKind::Reflect,
                 CallKind::Reflect,
             ] {
-                let (i, o) = sample_call_tokens(&mut trng, kind, ctx, 0);
-                plan.calls.push(CallSpec::new(i, o, kind));
+                plan.calls.push(calls.draw(kind, 0));
             }
             plan.reflected = true;
         }
@@ -613,12 +693,9 @@ impl Village {
                         // dominate the busy hour), closed by a summary.
                         let turns = sample_turns(crng.unit());
                         for turn in 0..turns {
-                            let (i, o) =
-                                sample_call_tokens(&mut trng, CallKind::Converse, ctx, turn);
-                            plan.calls.push(CallSpec::new(i, o, CallKind::Converse));
+                            plan.calls.push(calls.draw(CallKind::Converse, turn));
                         }
-                        let (i, o) = sample_call_tokens(&mut trng, CallKind::Summarize, ctx, 0);
-                        plan.calls.push(CallSpec::new(i, o, CallKind::Summarize));
+                        plan.calls.push(calls.draw(CallKind::Summarize, 0));
                         plan.conv_full = Some((cand, turns));
                         plan.memory_adds
                             .push((MemoryKind::Conversation, 6.0, vec![agent, cand]));
@@ -629,7 +706,6 @@ impl Village {
                 }
             }
         }
-        plan
     }
 
     fn perceive_factor(kind: ActivityKind) -> f32 {
@@ -643,34 +719,35 @@ impl Village {
         }
     }
 
-    /// Movement half of a plan: follow (or recompute) the path toward the
-    /// agent's seat in `area_idx`, advancing at most one tile (max_vel=1).
-    fn plan_movement(&self, agent: u32, area_idx: usize) -> StepPlan {
-        let a = &self.agents[agent as usize];
-        let seat = self.seat(agent, area_idx);
+    /// Movement half of a plan that stays put: follow (or recompute)
+    /// `a`'s path toward `seat`, advancing at most one tile (max_vel=1).
+    fn plan_movement(
+        &self,
+        astar: &mut pathfind::Scratch,
+        a: &AgentRt,
+        seat: Point,
+        plan: &mut StepPlan,
+    ) {
         if a.pos == seat {
-            return StepPlan::stay(a.pos);
+            return;
         }
         // Reuse the cached path when it still leads to the right target.
         if a.target == seat {
-            if let Some(&next) = a.path.first() {
+            if let Some(&next) = a.path.last() {
                 if a.pos.manhattan(next) == 1 && self.map.is_walkable(next) {
-                    let mut plan = StepPlan::stay(next);
                     plan.move_to = next;
-                    return plan;
+                    return;
                 }
             }
         }
-        // (Re)plan.
-        let path = self.scratch.0.lock().path.astar(&self.map, a.pos, seat);
-        match path {
-            Some(mut path) if path.len() >= 2 => {
-                path.remove(0); // `pos` itself
-                let mut plan = StepPlan::stay(path[0]);
+        // (Re)plan; an unreachable seat leaves the agent where it stands.
+        if let Some(mut path) = astar.astar(&self.map, a.pos, seat) {
+            if path.len() >= 2 {
+                path.reverse();
+                path.pop(); // `pos` itself
+                plan.move_to = *path.last().expect("len ≥ 2");
                 plan.new_path = Some(path);
-                plan
             }
-            _ => StepPlan::stay(a.pos), // unreachable seat: stay put
         }
     }
 
@@ -688,6 +765,17 @@ impl Village {
     ///
     /// Panics if an agent id is out of range or appears twice.
     pub fn commit_step(&mut self, step: u32, plans: &[(u32, StepPlan)]) -> Vec<WorldEvent> {
+        self.commit_batch(step, &mut plans.to_vec())
+    }
+
+    /// [`Village::commit_step`] on a batch its caller owns: each plan's
+    /// new path and memory keywords move into the world instead of
+    /// being copied, and the plans are left without them.
+    pub(crate) fn commit_batch(
+        &mut self,
+        step: u32,
+        plans: &mut [(u32, StepPlan)],
+    ) -> Vec<WorldEvent> {
         let mut order: Vec<usize> = (0..plans.len()).collect();
         order.sort_by_key(|&i| plans[i].0);
         for w in order.windows(2) {
@@ -699,8 +787,7 @@ impl Village {
         let mut events = Vec::new();
         let Village { agents, index, .. } = self;
         for &i in &order {
-            let (agent, plan) = &plans[i];
-            let block_start = agents[*agent as usize].schedule.at(step).start;
+            let (agent, plan) = &mut plans[i];
             let a = &mut agents[*agent as usize];
             let filed = a.awake.then_some(a.pos);
             if let Some(awake) = plan.wake_change {
@@ -715,22 +802,22 @@ impl Village {
                     },
                 });
             }
-            if let Some(path) = &plan.new_path {
-                a.path = path.clone();
-                a.target = *path.last().expect("paths are non-empty");
+            if let Some(path) = plan.new_path.take() {
+                a.target = *path.first().expect("paths are non-empty");
+                a.path = path;
             }
             if plan.move_to != a.pos {
                 a.pos = plan.move_to;
-                if a.path.first() == Some(&plan.move_to) {
-                    a.path.remove(0);
+                if a.path.last() == Some(&plan.move_to) {
+                    a.path.pop();
                 }
             }
             let now = a.awake.then_some(a.pos);
             if now != filed {
                 index.refile(*agent, filed, now);
             }
-            for (kind, importance, kws) in &plan.memory_adds {
-                a.memory.observe(step, *kind, *importance, kws.clone());
+            for (kind, importance, kws) in plan.memory_adds.drain(..) {
+                a.memory.observe(step, kind, importance, kws);
             }
             if plan.reflected {
                 a.memory.reflect(step, vec![*agent]);
@@ -740,7 +827,7 @@ impl Village {
                     kind: WorldEventKind::Reflected,
                 });
             }
-            a.last_block_start = block_start;
+            a.last_block_start = plan.block_start;
         }
         // Conversation commits after all individual updates, lowest
         // initiator first (deterministic conflict resolution: a partner
@@ -750,7 +837,9 @@ impl Village {
             let Some((partner, _turns)) = plan.conv_full else {
                 continue;
             };
-            let partner_in_batch = plans.iter().any(|(a2, _)| *a2 == partner);
+            let partner_in_batch = order
+                .binary_search_by_key(&partner, |&j| plans[j].0)
+                .is_ok();
             if !partner_in_batch {
                 continue;
             }
@@ -807,12 +896,13 @@ impl Village {
     /// checkpoint world-section bytes read back by [`Village::restore`].
     ///
     /// Captured per agent: committed position, movement target and
-    /// remaining path, conversation cooldown, wakefulness, the current
-    /// activity-block marker, and the full memory stream (entries plus
-    /// the reflection accumulator). Plus the committed world-event log.
-    /// Personas, schedules, and the tile map are deterministic functions
-    /// of [`VillageConfig`] (embedded in the header) and are regenerated
-    /// on restore; the position index is rebuilt from positions.
+    /// remaining path (next tile first), conversation cooldown,
+    /// wakefulness, the current activity-block marker, and the full
+    /// memory stream (entries plus the reflection accumulator). Plus the
+    /// committed world-event log. Personas, schedules with their seats,
+    /// and the tile map are deterministic functions of [`VillageConfig`]
+    /// (embedded in the header) and are regenerated on restore; the
+    /// position index is rebuilt from positions.
     ///
     /// The encoding is hand-written (the serde derives in this workspace
     /// are structural annotations only): version-tagged, big-endian,
@@ -844,7 +934,7 @@ impl Village {
             put_point(&mut buf, a.pos);
             put_point(&mut buf, a.target);
             put_u32(&mut buf, a.path.len() as u32);
-            for p in &a.path {
+            for p in a.path.iter().rev() {
                 put_point(&mut buf, *p);
             }
             put_u32(&mut buf, a.cooldown_until);
@@ -926,6 +1016,7 @@ impl Village {
             a.path = (0..path_len)
                 .map(|_| get_point(&mut rd))
                 .collect::<Result<_, _>>()?;
+            a.path.reverse();
             a.cooldown_until = get_u32(&mut rd)?;
             a.awake = get_u32(&mut rd)? != 0;
             a.last_block_start = get_u32(&mut rd)?;
@@ -982,21 +1073,32 @@ impl Village {
     /// Runs the world in global lock-step over `[start, end)`, invoking
     /// `sink(step, agent, plan, new_pos)` for every agent-step — the
     /// self-play loop used for trace synthesis.
+    ///
+    /// Each step plans every agent through the body
+    /// [`Village::plan_step`] runs, then commits the batch. One buffer of
+    /// plans, reused step to step, and the world's planning buffers
+    /// serve the whole run, so a step allocates little beyond what it
+    /// hands the world: new paths and memory keywords.
     pub fn run_lockstep(
         &mut self,
         start: u32,
         end: u32,
         mut sink: impl FnMut(u32, u32, &StepPlan, Point),
     ) {
+        let mut buffers = std::mem::take(self.scratch.0.get_mut());
+        let mut plans: Vec<(u32, StepPlan)> = (0..self.agents.len() as u32)
+            .map(|a| (a, StepPlan::stay(self.pos(a), 0)))
+            .collect();
         for step in start..end {
-            let plans: Vec<(u32, StepPlan)> = (0..self.agents.len() as u32)
-                .map(|a| (a, self.plan_step(a, step)))
-                .collect();
-            self.commit_step(step, &plans);
+            for (agent, plan) in &mut plans {
+                self.plan(&mut buffers, *agent, step, plan);
+            }
+            self.commit_batch(step, &mut plans);
             for (agent, plan) in &plans {
                 sink(step, *agent, plan, self.agents[*agent as usize].pos);
             }
         }
+        *self.scratch.0.get_mut() = buffers;
     }
 }
 
@@ -1223,6 +1325,10 @@ mod tests {
         restored.run_lockstep(clock_to_step(12, 30), end, |_, _, _, _| {});
         assert_eq!(live.positions(), restored.positions());
         assert_eq!(live.events(), restored.events());
+        // Every byte, paths and memories included: the block table and
+        // the position index live outside the capture, and a restored
+        // world plans from the ones it rebuilt.
+        assert_eq!(live.capture_state(), restored.capture_state());
     }
 
     #[test]
@@ -1330,7 +1436,7 @@ mod tests {
                     if plans.iter().any(|(a, _)| *a == agent) {
                         continue;
                     }
-                    let mut plan = StepPlan::stay(Point::new(corner.x + dx, corner.y + dy));
+                    let mut plan = StepPlan::stay(Point::new(corner.x + dx, corner.y + dy), 0);
                     plan.wake_change = Some(awake);
                     if chat {
                         plan.conv_full = Some(((agent + 1) % 50, 3));

@@ -3,6 +3,7 @@
 //! permutation-invariant — the facts that make out-of-order execution
 //! outcome-preserving.
 
+use aim_world::village::StepPlan;
 use aim_world::{clock_to_step, Village, VillageConfig};
 use proptest::prelude::*;
 
@@ -100,4 +101,41 @@ proptest! {
         });
         prop_assert_eq!(wakes, 8, "everyone wakes exactly once");
     }
+}
+
+/// `run_lockstep` plans through the body `plan_step` runs and commits
+/// as `commit_step` does: over a noon hour of a two-ville world it
+/// leaves every captured byte and event, and shows its sink every plan,
+/// as a loop driven by hand through the public calls.
+#[test]
+fn lockstep_equals_plan_and_commit_by_hand() {
+    let noon = clock_to_step(12, 0);
+    let end = noon + aim_world::STEPS_PER_HOUR;
+    let mut warm = Village::generate(&VillageConfig {
+        villes: 2,
+        agents_per_ville: 25,
+        seed: 11,
+    });
+    warm.run_lockstep(0, noon, |_, _, _, _| {});
+    let n = warm.num_agents() as u32;
+    // What a sink may read of a plan, and where its agent stands after.
+    type Seen = (Vec<aim_core::workload::CallSpec>, bool, Option<(u32, u32)>);
+    let surface = |plan: &StepPlan| (plan.calls.clone(), plan.wakes_up(), plan.conversation());
+
+    let mut driven = warm.clone();
+    let mut by_loop: Vec<(Seen, aim_core::space::Point)> = Vec::new();
+    driven.run_lockstep(noon, end, |_, _, plan, pos| {
+        assert_eq!(plan.move_to, pos, "the sink sees committed moves");
+        by_loop.push((surface(plan), pos));
+    });
+
+    let mut by_hand = Vec::new();
+    for step in noon..end {
+        let plans: Vec<(u32, StepPlan)> = (0..n).map(|a| (a, warm.plan_step(a, step))).collect();
+        warm.commit_step(step, &plans);
+        by_hand.extend(plans.iter().map(|(a, plan)| (surface(plan), warm.pos(*a))));
+    }
+    assert_eq!(by_loop, by_hand);
+    assert_eq!(driven.events(), warm.events());
+    assert_eq!(driven.capture_state(), warm.capture_state());
 }
