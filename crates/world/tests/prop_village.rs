@@ -118,12 +118,11 @@ fn lockstep_equals_plan_and_commit_by_hand() {
     });
     warm.run_lockstep(0, noon, |_, _, _, _| {});
     let n = warm.num_agents() as u32;
-    // What a sink may read of a plan, and where its agent stands after.
-    type Seen = (Vec<aim_core::workload::CallSpec>, bool, Option<(u32, u32)>);
+    // What a sink may read of a plan.
     let surface = |plan: &StepPlan| (plan.calls.clone(), plan.wakes_up(), plan.conversation());
 
     let mut driven = warm.clone();
-    let mut by_loop: Vec<(Seen, aim_core::space::Point)> = Vec::new();
+    let mut by_loop = Vec::new();
     driven.run_lockstep(noon, end, |_, _, plan, pos| {
         assert_eq!(plan.move_to, pos, "the sink sees committed moves");
         by_loop.push((surface(plan), pos));
