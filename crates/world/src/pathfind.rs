@@ -176,13 +176,10 @@ impl Table {
     }
 }
 
-/// Queues `p` at cost `g` on `level`.
-fn queue(level: &mut Vec<Vec<u64>>, g: u32, p: Point) {
-    if level.len() <= g as usize {
-        level.resize_with(g as usize + 1, Vec::new);
-    }
-    // Only in-bounds tiles are queued, so the coordinates are non-negative.
-    level[g as usize].push((p.x as u64) << 32 | p.y as u64);
+/// `p` as the open set holds it. Only in-bounds tiles are queued, so the
+/// coordinates are non-negative.
+fn key(p: Point) -> u64 {
+    (p.x as u64) << 32 | p.y as u64
 }
 
 impl Scratch {
@@ -230,7 +227,10 @@ impl Scratch {
             bucket.clear();
         }
         *table.entry(map, from) = 0;
-        queue(&mut open[0], 0, from);
+        if open[0].is_empty() {
+            open[0].push(Vec::new());
+        }
+        open[0][0].push(key(from));
         // The least `(f, g, x, y)` without a heap. `f` never decreases
         // along the pop sequence, and a relaxed neighbour is queued one
         // step deeper on its parent's level or on the next (`f + 2`,
@@ -245,13 +245,25 @@ impl Scratch {
             let mut lowest = None;
             let mut g = first;
             while g < open[cur].len() {
-                if !open[cur][g].is_empty() {
-                    lowest = lowest.or(Some(g));
+                if open[cur][g].is_empty() {
+                    g += 1;
+                    continue;
                 }
-                open[cur][g].sort_unstable();
+                lowest = lowest.or(Some(g));
+                // Whatever bucket `g` relaxes lands in bucket `g + 1`: of
+                // this level if it keeps `f`, of the next if not.
+                for level in open.iter_mut() {
+                    if level.len() < g + 2 {
+                        level.resize_with(g + 2, Vec::new);
+                    }
+                }
+                let [even, odd] = &mut *open;
+                let (here, next) = if cur == 0 { (even, odd) } else { (odd, even) };
+                let (done, ahead) = here.split_at_mut(g + 1);
+                let (bucket, same_f, next_f) = (&mut done[g], &mut ahead[0], &mut next[g + 1]);
+                bucket.sort_unstable();
                 let cost = g as u32;
-                for i in 0..open[cur][g].len() {
-                    let tile = open[cur][g][i];
+                for &tile in bucket.iter() {
                     let p = Point::new((tile >> 32) as i32, tile as u32 as i32);
                     if p == to {
                         return Some(cost);
@@ -278,16 +290,15 @@ impl Scratch {
                         // only takes a strictly smaller one.
                         if ncost < *entry >> 2 {
                             *entry = ncost << 2 | dir as u32;
-                            let level = if ncost + n.manhattan(to) == f {
-                                cur
+                            if ncost + n.manhattan(to) == f {
+                                same_f.push(key(n));
                             } else {
-                                cur ^ 1
-                            };
-                            queue(&mut open[level], ncost, n);
+                                next_f.push(key(n));
+                            }
                         }
                     }
                 }
-                open[cur][g].clear();
+                bucket.clear();
                 g += 1;
             }
             // An empty level queued nothing on the next: unreachable.
