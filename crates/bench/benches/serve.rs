@@ -12,7 +12,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use aim_core::dist::{CtrlMsg, NodeRecord, ShardWorker};
-use aim_core::health::{HealthBoard, WorkerHealth};
+use aim_core::health::{HealthBoard, Watchdog, WorkerHealth};
 use aim_core::prelude::*;
 use aim_core::space::GridSpace;
 use aim_core::telemetry::{SpanKind, Telemetry};
@@ -21,7 +21,8 @@ use aim_store::Db;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// A populated source: a telemetry sink with commits on the watermark
-/// plus a four-worker board — the shape a mid-run scrape sees.
+/// plus a four-worker board and an idle watchdog — the shape a mid-run
+/// scrape sees.
 fn scrape_source() -> RunStatus {
     let telemetry = Arc::new(Telemetry::with_capacity(1 << 14));
     for i in 0..1_024u64 {
@@ -48,9 +49,13 @@ fn scrape_source() -> RunStatus {
             span_overflow: 0,
         });
     }
-    RunStatus::new("bench run", 1_024)
-        .with_telemetry(telemetry)
-        .with_board(Arc::new(board))
+    RunStatus::new(
+        "bench run",
+        1_024,
+        telemetry,
+        Arc::new(board),
+        Arc::new(Watchdog::new(u64::MAX)),
+    )
 }
 
 /// `/metrics` render: the full Prometheus exposition — counters,

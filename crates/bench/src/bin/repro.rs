@@ -1,26 +1,32 @@
 //! The reproduction driver: `repro <experiment> [--quick] [--out DIR]
 //! [--checkpoint-every K] [--resume SNAP] [--telemetry DIR]
-//! [--live-stats N] [--serve PORT]`.
+//! [--serve PORT]`.
 
 use aim_bench::experiments;
 use aim_bench::harness::RunEnv;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <experiment> [--quick] [--out DIR] [--checkpoint-every K] [--resume SNAP] [--telemetry DIR] [--live-stats N] [--serve PORT]\n\
+        "usage: repro <experiment> [--quick] [--out DIR] [--checkpoint-every K] [--resume SNAP] [--telemetry DIR] [--serve PORT]\n\
          experiments: calibrate city city-fleet fig1 fig2 fig3 fig4a fig4b fig4c fig5 fig6 fig7 tab1 ablate spec hybrid fleet longrun smoke crash all\n\
          checkpoint flags apply to experiments that checkpoint (longrun): --checkpoint-every\n\
          overrides the snapshot cadence, --resume restarts from an AIMSNAP v1 file;\n\
          --telemetry records runtime spans on threaded experiments (city, city-fleet) and\n\
          writes .telemetry + Perfetto trace.json files under DIR (see trace_tool timeline);\n\
-         --live-stats prints a Prometheus-style metrics heartbeat on stderr every N seconds\n\
-         while an observed run is in flight (needs --telemetry; sampled without quiescing);\n\
          --serve exposes /metrics, /status, /healthz on 127.0.0.1:PORT for each observed\n\
          run, with worker heartbeats and the stall watchdog (needs --telemetry);\n\
          smoke is a small observed run for exercising the live flags; crash deliberately\n\
          panics with the flight recorder armed (exits 101 leaving crash.* dumps)"
     );
     std::process::exit(2);
+}
+
+/// The value after a flag, parsed; a missing or malformed one is a
+/// usage error.
+fn flag_value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
 }
 
 fn main() {
@@ -31,38 +37,15 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => env.quick = true,
-            "--out" => {
-                env.out_dir = it.next().unwrap_or_else(|| usage()).into();
-            }
+            "--out" => env.out_dir = flag_value(&mut it),
             "--checkpoint-every" => {
-                env.checkpoint_every = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&k| k > 0)
-                        .unwrap_or_else(|| usage()),
-                );
+                env.checkpoint_every = Some(flag_value(&mut it))
+                    .filter(|&k| k > 0)
+                    .or_else(|| usage());
             }
-            "--resume" => {
-                env.resume = Some(it.next().unwrap_or_else(|| usage()).into());
-            }
-            "--telemetry" => {
-                env.telemetry = Some(it.next().unwrap_or_else(|| usage()).into());
-            }
-            "--live-stats" => {
-                env.live_stats = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--serve" => {
-                env.serve = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
+            "--resume" => env.resume = Some(flag_value(&mut it)),
+            "--telemetry" => env.telemetry = Some(flag_value(&mut it)),
+            "--serve" => env.serve = Some(flag_value(&mut it)),
             name if !name.starts_with('-') && exp.is_none() => exp = Some(name.to_string()),
             _ => usage(),
         }

@@ -104,7 +104,12 @@ pub fn run(env: &RunEnv) {
         };
         for &shards in widths {
             let sink = env.telemetry_sink();
-            let _live = env.live_stats_guard(sink.as_ref());
+            let _serve = env.status_guard(
+                &format!("city-{agents}-w{shards}"),
+                agents,
+                sink.as_ref(),
+                None,
+            );
             let cell = drive(&cfg, base.clone(), shards, steps, every, sink);
             record(format!("w{shards}"), shards.to_string(), cell);
         }
@@ -117,7 +122,6 @@ pub fn run(env: &RunEnv) {
         if agents == sizes[0].0 {
             let dist_shards = 4;
             let sink = env.telemetry_sink();
-            let _live = env.live_stats_guard(sink.as_ref());
             // The health plane rides the dist arm: heartbeat polls feed
             // the guard's board at every checkpoint barrier, and a
             // severed worker link dumps the flight recorder.

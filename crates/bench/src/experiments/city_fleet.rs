@@ -162,7 +162,6 @@ pub fn run(env: &RunEnv) {
         for policy in POLICIES {
             let fleet = fleet_for(policy, agents, FaultPlan::none());
             let sink = env.telemetry_sink();
-            let _live = env.live_stats_guard(sink.as_ref());
             // `--serve` exposes this arm live, fleet gauges included.
             let _serve = env.status_guard(
                 &format!("city-fleet-{agents}-{}", policy.as_str()),
@@ -183,7 +182,6 @@ pub fn run(env: &RunEnv) {
         let fault = FaultPlan::none().fail_after(agents as u64 * 3 / 2);
         let fleet = fleet_for(RoutePolicyKind::PrefixAffinity, agents, fault);
         let sink = env.telemetry_sink();
-        let _live = env.live_stats_guard(sink.as_ref());
         let _serve = env.status_guard(
             &format!("city-fleet-{agents}-affinity-fault"),
             agents,

@@ -29,7 +29,7 @@ pub fn run(env: &RunEnv) {
         window_start: gen::hour(12),
         window_len: 90,
     });
-    let mut report = replay_with_timeline(env, &trace);
+    let mut report = replay_with_timeline(&trace);
     let timeline = report.timeline.take().expect("timeline recorded");
     println!("Execution trace snippet (parallel-sync, 25 agents, lunch time)");
     println!("P=perceive R=retrieve/reflect C=converse S=summarize; each row = one agent\n");
@@ -53,10 +53,8 @@ pub fn run(env: &RunEnv) {
     t.write_csv(&env.out_dir).ok();
 }
 
-fn replay_with_timeline(env: &RunEnv, trace: &aim_trace::Trace) -> RunReport {
+fn replay_with_timeline(trace: &aim_trace::Trace) -> RunReport {
     let sim = SimConfig {
-        step_cpu_us: env.step_cpu_us,
-        commit_cpu_us: env.commit_cpu_us,
         record_timeline: true,
         ..SimConfig::default()
     };

@@ -10,6 +10,7 @@
 //!   2.45× / 1.45×, ≈82% of oracle on 8 GPUs.
 //! * **4c** — LLM calls per simulated hour (the diurnal histogram).
 
+use aim_core::exec::sim::SimConfig;
 use aim_llm::presets;
 use aim_trace::{critical, gen, stats};
 
@@ -28,12 +29,13 @@ fn day_cfg(env: &RunEnv) -> gen::GenConfig {
 
 fn run_fig4(env: &RunEnv, title: &str, preset: &aim_llm::Preset, gpu_counts: &[u32]) {
     let trace = env.trace(&day_cfg(env));
+    let cpu = SimConfig::default();
     let cp = critical::critical_path(
         &trace,
         &preset.cost,
         preset.prefill_chunk,
-        env.step_cpu_us,
-        env.commit_cpu_us,
+        cpu.step_cpu_us,
+        cpu.commit_cpu_us,
     );
     let mut t = Table::new(
         title,

@@ -40,7 +40,7 @@ use aim_llm::{presets, ServerConfig, SimServer};
 use aim_store::Db;
 use aim_trace::{gen, Trace};
 
-use crate::harness::RunEnv;
+use crate::harness::{RunEnv, WORKERS};
 use crate::table::{secs, Table};
 
 /// The four QoS arms.
@@ -82,7 +82,6 @@ impl Qos {
 }
 
 fn run_arm(
-    env: &RunEnv,
     trace: &Trace,
     qos: Qos,
     gpus: u32,
@@ -103,12 +102,9 @@ fn run_arm(
     .expect("scheduler");
     let mut server = SimServer::new(qos.server(gpus));
     let sim = SimConfig {
-        step_cpu_us: env.step_cpu_us,
-        commit_cpu_us: env.commit_cpu_us,
-        serial_agents: false,
-        max_concurrent_clusters: env.workers,
+        max_concurrent_clusters: WORKERS,
         priority_ready_queue: qos != Qos::Fifo,
-        record_timeline: false,
+        ..SimConfig::default()
     };
     run_hybrid_sim(&mut sched, trace, &mut server, &load, &sim).expect("hybrid replay")
 }
@@ -131,7 +127,6 @@ pub fn run(env: &RunEnv) {
 
     // Baseline: the simulation alone (step-priority server, no stream).
     let baseline = run_arm(
-        env,
         &trace,
         Qos::StepPriority,
         gpus,
@@ -154,7 +149,7 @@ pub fn run(env: &RunEnv) {
             ],
         );
         for qos in Qos::ALL {
-            let (bg, ir) = run_arm(env, &trace, qos, gpus, load);
+            let (bg, ir) = run_arm(&trace, qos, gpus, load);
             t.push_row(vec![
                 qos.label().into(),
                 format!("{:.0}", ir.p50_us as f64 / 1e3),
@@ -198,8 +193,8 @@ mod tests {
         });
         // A demanding stream against a single batch-capped game GPU.
         let load = InteractiveLoad::chat(1_000_000, 60, 11);
-        let (_, fifo) = run_arm(&env, &trace, Qos::Fifo, 1, load);
-        let (_, reserve) = run_arm(&env, &trace, Qos::LaneReserve, 1, load);
+        let (_, fifo) = run_arm(&trace, Qos::Fifo, 1, load);
+        let (_, reserve) = run_arm(&trace, Qos::LaneReserve, 1, load);
         assert!(
             reserve.p95_us < fifo.p95_us,
             "QoS must beat FIFO tail latency: {} vs {}",

@@ -190,7 +190,7 @@ fn drive(env: &RunEnv, arm: &str, villes: u32, steps: u32, every: u32, evict: bo
             Arc::clone(&program),
             Arc::new(InstantBackend::new()),
             ThreadedConfig {
-                workers: env.workers.unwrap_or(8).min(16),
+                workers: 16,
                 priority_enabled: true,
             },
             Some(CheckpointHook {
@@ -252,7 +252,7 @@ fn resume_from(path: &std::path::Path, env: &RunEnv) {
             Arc::clone(&program),
             Arc::new(InstantBackend::new()),
             ThreadedConfig {
-                workers: env.workers.unwrap_or(8).min(16),
+                workers: 16,
                 priority_enabled: true,
             },
             Some(CheckpointHook {

@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use aim_core::exec::sim::SimConfig;
 use aim_llm::Preset;
 use aim_trace::{critical, gen, oracle};
 
@@ -60,12 +61,13 @@ pub fn run_scaling(env: &RunEnv, title: &str, preset: &Preset, gpu_counts: &[u32
             let trace = env.trace(&window.cfg(villes, 42));
             let graph = Arc::new(oracle::mine(&trace));
             let agents = trace.meta().num_agents;
+            let cpu = SimConfig::default();
             let cp = critical::critical_path(
                 &trace,
                 &preset.cost,
                 preset.prefill_chunk,
-                env.step_cpu_us,
-                env.commit_cpu_us,
+                cpu.step_cpu_us,
+                cpu.commit_cpu_us,
             );
             for &gpus in gpu_counts {
                 let modes = [

@@ -3,11 +3,10 @@
 //! Two entry points, neither part of `repro all`:
 //!
 //! - [`run`] (`repro smoke`): a small observed city run that honors
-//!   every live-operations flag — `--telemetry`, `--live-stats`,
-//!   `--serve` — and, when serving, holds the HTTP endpoint open for a
-//!   grace window after the run so external scrapers (CI `curl`) can
-//!   still reach it. A healthy smoke run must end with the stall
-//!   watchdog unfired.
+//!   both live-operations flags — `--telemetry` and `--serve` — and,
+//!   when serving, holds the HTTP endpoint open for a grace window
+//!   after the run so external scrapers (CI `curl`) can still reach it.
+//!   A healthy smoke run must end with the stall watchdog unfired.
 //! - [`crash`] (`repro crash`): deliberately panics after overflowing a
 //!   tiny telemetry buffer, exercising the flight-recorder panic hook
 //!   end to end: the process dies with exit code 101 leaving
@@ -43,10 +42,8 @@ pub fn run(env: &RunEnv) {
     println!("smoke: generating {agents}-agent mini city ({steps} steps)…");
     let base = city::generate(&cfg);
     let sink = env.telemetry_sink();
-    let live = env.live_stats_guard(sink.as_ref());
     let serve = env.status_guard("smoke", agents, sink.as_ref(), None);
     let cell = city_exp::drive(&cfg, base, 4, steps, 3, sink);
-    drop(live);
     println!(
         "smoke: {:.2} s wall · {:.0} agent-steps/s · {} resident records · {} events",
         cell.wall_s, cell.steps_per_s, cell.resident, cell.events

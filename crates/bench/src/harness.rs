@@ -53,15 +53,6 @@ pub struct RunEnv {
     pub out_dir: PathBuf,
     /// Scale-down factor for `--quick` runs (1 = full size).
     pub quick: bool,
-    /// Per-cluster-step dispatch CPU, µs.
-    pub step_cpu_us: u64,
-    /// Per-cluster commit CPU, µs.
-    pub commit_cpu_us: u64,
-    /// Worker-pool size: concurrent clusters in flight (the paper's worker
-    /// processes, §3.1). Workers hold their slot while blocked on LLM
-    /// calls, so at large agent counts the pool is contended and the
-    /// priority order of the ready queue matters (Table 1).
-    pub workers: Option<usize>,
     /// Checkpoint cadence override in committed steps
     /// (`repro --checkpoint-every K`); experiments that checkpoint pick
     /// their own default when unset.
@@ -75,13 +66,6 @@ pub struct RunEnv {
     /// executor (city, city-fleet). `None` leaves the spans subsystem
     /// disabled — a single relaxed atomic load per would-be span.
     pub telemetry: Option<PathBuf>,
-    /// Heartbeat period in seconds for the live metrics surface
-    /// (`repro --live-stats N`): while an observed threaded run is in
-    /// flight, a sampler thread prints a Prometheus-style exposition of
-    /// the current [`aim_core::telemetry::MetricsSnapshot`] every `N`
-    /// seconds — sampled without quiescing the run. Requires
-    /// `--telemetry`; `None` disables the heartbeat.
-    pub live_stats: Option<u64>,
     /// Port for the live health plane (`repro --serve PORT`): observed
     /// experiments bind an `aim-serve` [`aim_serve::StatusServer`] on
     /// `127.0.0.1:PORT` for the duration of each observed run, exposing
@@ -95,37 +79,19 @@ impl Default for RunEnv {
         RunEnv {
             out_dir: PathBuf::from("target/repro"),
             quick: false,
-            step_cpu_us: 2_000,
-            commit_cpu_us: 1_000,
-            workers: Some(48),
             checkpoint_every: None,
             resume: None,
             telemetry: None,
-            live_stats: None,
             serve: None,
         }
     }
 }
 
-/// A running `--live-stats` heartbeat: samples the observed run's
-/// [`aim_core::telemetry::Telemetry`] sink (once immediately, then on a
-/// fixed period) and prints the Prometheus-style exposition on stderr.
-/// Dropping the guard stops the sampler thread and joins it, so
-/// heartbeats never outlive the run they watch.
-#[derive(Debug)]
-pub struct LiveStats {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for LiveStats {
-    fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
+/// Worker-pool size of the replay arms: concurrent clusters in flight
+/// (the paper's worker processes, §3.1). Workers hold their slot while
+/// blocked on LLM calls, so at large agent counts the pool is contended
+/// and the priority order of the ready queue matters (Table 1).
+pub const WORKERS: Option<usize> = Some(48);
 
 /// The wall budget after which a run with no commits is declared
 /// stalled by the `--serve` watchdog (30 s: a healthy quick run commits
@@ -177,10 +143,13 @@ impl RunEnv {
         let port = self.serve?;
         let t = telemetry?;
         let board = Arc::new(HealthBoard::new());
-        let mut status = aim_serve::RunStatus::new(label, agents)
-            .with_telemetry(Arc::clone(t))
-            .with_board(Arc::clone(&board))
-            .with_watchdog(Arc::new(Watchdog::new(WATCHDOG_BUDGET_US)));
+        let mut status = aim_serve::RunStatus::new(
+            label,
+            agents,
+            Arc::clone(t),
+            Arc::clone(&board),
+            Arc::new(Watchdog::new(WATCHDOG_BUDGET_US)),
+        );
         if let Some(b) = backend {
             status = status.with_backend(b);
         }
@@ -211,45 +180,6 @@ impl RunEnv {
     pub fn telemetry_sink(&self) -> Option<Arc<aim_core::telemetry::Telemetry>> {
         self.telemetry.as_ref()?;
         Some(Arc::new(aim_core::telemetry::Telemetry::new()))
-    }
-
-    /// Starts the `--live-stats` heartbeat over `telemetry`, returning a
-    /// guard that stops the sampler when dropped (hold it across the
-    /// run). `None` when either `--live-stats` or `--telemetry` is off —
-    /// the heartbeat samples the observed sink, so it needs both.
-    pub fn live_stats_guard(
-        &self,
-        telemetry: Option<&Arc<aim_core::telemetry::Telemetry>>,
-    ) -> Option<LiveStats> {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let period = self.live_stats?;
-        let t = Arc::clone(telemetry?);
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let mut beat = 0u64;
-            loop {
-                // Beat first, then sleep: even a run shorter than one
-                // period emits at least one heartbeat.
-                beat += 1;
-                let snap = t.snapshot();
-                // Stderr, not stdout: the tables and CSV paths on stdout
-                // must stay machine-consumable even with the heartbeat on.
-                eprintln!("--- live stats · beat {beat} ---");
-                eprint!("{}", aim_trace::telemetry::prometheus_text(&snap));
-                // 100 ms granularity keeps guard drop prompt at run end.
-                for _ in 0..period.max(1) * 10 {
-                    if flag.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(100));
-                }
-            }
-        });
-        Some(LiveStats {
-            stop,
-            handle: Some(handle),
-        })
     }
 
     /// Exports one observed run's report under the `--telemetry` dir as
@@ -313,7 +243,7 @@ impl RunEnv {
 /// Panics if `Mode::Oracle` is requested without an oracle graph, or on
 /// internal scheduler errors (which would indicate a bug, not bad input).
 pub fn run_one(
-    env: &RunEnv,
+    _env: &RunEnv,
     trace: &Trace,
     mode: Mode,
     preset: &Preset,
@@ -330,7 +260,7 @@ pub fn run_one(
         Mode::NoDependency => DependencyPolicy::NoDependency,
     };
     let single_thread = mode == Mode::SingleThread;
-    let mut report = replay_engine(env, trace, preset, gpus, priority, single_thread)
+    let mut report = replay_engine(trace, preset, gpus, priority, single_thread)
         .policy(policy)
         .build()
         .run_replay(trace)
@@ -347,14 +277,14 @@ pub fn run_one(
 ///
 /// Panics on internal scheduler errors (a bug, not bad input).
 pub fn run_one_spec(
-    env: &RunEnv,
+    _env: &RunEnv,
     trace: &Trace,
     runahead: u32,
     preset: &Preset,
     gpus: u32,
     priority: bool,
 ) -> RunReport {
-    replay_engine(env, trace, preset, gpus, priority, false)
+    replay_engine(trace, preset, gpus, priority, false)
         .speculation(aim_core::spec::SpecParams::new(runahead))
         .build()
         .run_replay(trace)
@@ -362,10 +292,9 @@ pub fn run_one_spec(
 }
 
 /// An engine over `trace`'s own map and rule parameters, served by
-/// `gpus` GPUs of `preset` hardware, with `env`'s executor knobs
+/// `gpus` GPUs of `preset` hardware, with [`WORKERS`] cluster slots
 /// (`single_thread` serializes everything); the caller adds the policy.
 fn replay_engine(
-    env: &RunEnv,
     trace: &Trace,
     preset: &Preset,
     gpus: u32,
@@ -373,12 +302,10 @@ fn replay_engine(
     single_thread: bool,
 ) -> EngineBuilder<GridSpace> {
     let sim = SimConfig {
-        step_cpu_us: env.step_cpu_us,
-        commit_cpu_us: env.commit_cpu_us,
         serial_agents: single_thread,
-        max_concurrent_clusters: if single_thread { Some(1) } else { env.workers },
+        max_concurrent_clusters: if single_thread { Some(1) } else { WORKERS },
         priority_ready_queue: priority,
-        record_timeline: false,
+        ..SimConfig::default()
     };
     let meta = trace.meta();
     let replicas = preset.replicas_for_gpus(gpus);

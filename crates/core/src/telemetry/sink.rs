@@ -380,9 +380,9 @@ impl Telemetry {
             .collect()
     }
 
-    /// A cheap point-in-time sample for live surfaces
-    /// (`repro --live-stats`, Prometheus exposition): counts only — no
-    /// span copying, no quiesce — safe to take from any thread mid-run.
+    /// A cheap point-in-time sample for live surfaces (the `aim-serve`
+    /// `/metrics` and `/status` routes): counts only — no span copying,
+    /// no quiesce — safe to take from any thread mid-run.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let tracks = self.tracks.lock();
         MetricsSnapshot {
@@ -443,10 +443,9 @@ impl Telemetry {
     }
 }
 
-/// A cheap statistics sample taken mid-run without quiescing — the live
-/// metrics surface behind `repro --live-stats` and the Prometheus-style
-/// exposition in `aim-trace`. Everything here is a counter read; taking
-/// one never copies spans or perturbs producers.
+/// A cheap statistics sample taken mid-run without quiescing — what the
+/// `aim-serve` `/metrics` exposition renders. Everything here is a
+/// counter read; taking one never copies spans or perturbs producers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Sample time, µs on the sink's clock.

@@ -7,13 +7,15 @@
 //! - `GET /metrics` — Prometheus text exposition.
 //! - `GET /status` — JSON digest.
 //!
+//! A request line longer than 8 KiB is answered `414 URI Too Long`.
+//!
 //! Built on `std::net::TcpListener` with one accept thread plus one
 //! ticker thread — no async runtime, no HTTP library, because the whole
 //! surface is three GET routes with `Connection: close` semantics. The
 //! ticker checks the stall watchdog a few times a second so it can fire
 //! on schedule even when nobody scrapes.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,6 +26,12 @@ use crate::status::RunStatus;
 
 /// How often the background ticker checks the stall watchdog.
 const TICK_INTERVAL: Duration = Duration::from_millis(250);
+
+/// The most request-line bytes one connection may send (8 KiB). A line
+/// that reaches it unterminated is answered `414 URI Too Long`: the read
+/// timeout restarts on every read, so without a cap a client trickling
+/// bytes with no newline would grow the line without bound.
+const MAX_REQUEST_LINE: u64 = 8 * 1024;
 
 /// A running status server. Binds on construction, serves from a
 /// background thread, and shuts both threads down on [`Drop`].
@@ -109,20 +117,28 @@ impl Drop for StatusServer {
     }
 }
 
-/// Reads one request line, routes it, writes one response, closes.
+/// Reads one request line (at most [`MAX_REQUEST_LINE`] bytes), routes
+/// it, writes one response, closes.
 fn serve_one(stream: TcpStream, source: &RunStatus) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let mut reader = BufReader::new(stream.take(MAX_REQUEST_LINE));
+    let mut line = Vec::new();
+    reader.read_until(b'\n', &mut line)?;
+    let request_line = String::from_utf8_lossy(&line);
     // "GET /path HTTP/1.1" — tolerate missing version, reject non-GET.
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     let path = path.split('?').next().unwrap_or(path);
 
-    let (status, content_type, body) = if method != "GET" {
+    let (status, content_type, body) = if reader.get_ref().limit() == 0 && !line.ends_with(b"\n") {
+        (
+            "414 URI Too Long",
+            "text/plain; charset=utf-8",
+            "request line too long\n".to_string(),
+        )
+    } else if method != "GET" {
         (
             "405 Method Not Allowed",
             "text/plain; charset=utf-8",
@@ -155,7 +171,7 @@ fn serve_one(stream: TcpStream, source: &RunStatus) -> io::Result<()> {
         }
     };
 
-    let mut stream = reader.into_inner();
+    let mut stream = reader.into_inner().into_inner();
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",

@@ -17,10 +17,12 @@
 //!
 //! - [`RunStatus`] + [`StatusServer`] — the server renders one run's
 //!   [`RunStatus`], which wraps a
-//!   [`Telemetry`](aim_core::telemetry::Telemetry) sink, an optional
-//!   [`HealthBoard`](aim_core::health::HealthBoard), an optional
-//!   [`Watchdog`](aim_core::health::Watchdog), and an optional LLM
-//!   backend (for fleet gauges).
+//!   [`Telemetry`](aim_core::telemetry::Telemetry) sink, a
+//!   [`HealthBoard`](aim_core::health::HealthBoard) (empty when the run
+//!   has no remote workers), a [`Watchdog`](aim_core::health::Watchdog),
+//!   and an optional LLM backend (for fleet gauges). `RunStatus` is also
+//!   the one place the Prometheus text exposition of `/metrics` is
+//!   spelled.
 //! - The server's background ticker checks the watchdog a few times a
 //!   second, which is what lets it fire within its budget even when
 //!   nobody is scraping.

@@ -16,9 +16,10 @@ use std::sync::Arc;
 
 use aim_core::dist::socket::{serve_connection, SocketLink};
 use aim_core::dist::{CtrlMsg, NodeRecord, ShardMsg, ShardWorker, WorkerLink};
-use aim_core::health::{HealthBoard, WorkerHealth};
+use aim_core::health::{HealthBoard, Watchdog, WorkerHealth};
 use aim_core::prelude::*;
 use aim_core::space::GridSpace;
+use aim_core::telemetry::Telemetry;
 use aim_serve::{RunStatus, StatusServer};
 use aim_store::Db;
 use aim_trace::telemetry::validate_json;
@@ -119,7 +120,14 @@ fn status_endpoint_tracks_a_remote_worker_live() {
         span_overflow: dropped,
     });
 
-    let source = Arc::new(RunStatus::new("dist run", 2).with_board(Arc::clone(&board)));
+    let source = Arc::new(RunStatus::new(
+        "dist run",
+        2,
+        Arc::new(Telemetry::new()),
+        Arc::clone(&board),
+        // Idle: a budget no run reaches, so the watchdog never fires.
+        Arc::new(Watchdog::new(u64::MAX)),
+    ));
     let server =
         StatusServer::start(0, Arc::clone(&source)).expect("bind an ephemeral loopback port");
 

@@ -1,8 +1,12 @@
 //! End-to-end tests for the HTTP health plane: a healthy observed run
-//! serves all three routes, and a wedged run (completed waits, no
-//! commits) trips the stall watchdog via the server's own ticker —
-//! `/healthz` flips to 503 and `/status` names the blocking edge.
+//! serves all three routes, a wedged run (completed waits, no commits)
+//! trips the stall watchdog via the server's own ticker — `/healthz`
+//! flips to 503 and `/status` names the blocking edge — and a request
+//! line that never ends is refused at its cap.
 
+use std::collections::HashSet;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,12 +40,13 @@ fn healthy_run_serves_all_three_routes() {
         members: 2,
         span_overflow: 0,
     });
-    let source = Arc::new(
-        RunStatus::new("observed run", 2)
-            .with_telemetry(Arc::clone(&telemetry))
-            .with_board(Arc::clone(&board))
-            .with_watchdog(Arc::new(Watchdog::new(60_000_000))),
-    );
+    let source = Arc::new(RunStatus::new(
+        "observed run",
+        2,
+        Arc::clone(&telemetry),
+        Arc::clone(&board),
+        Arc::new(Watchdog::new(60_000_000)),
+    ));
     let server =
         StatusServer::start(0, Arc::clone(&source)).expect("bind an ephemeral loopback port");
 
@@ -60,17 +65,29 @@ fn healthy_run_serves_all_three_routes() {
         metrics.contains("aim_worker_members{worker=\"worker 0\"} 2\n"),
         "{metrics}"
     );
-    // Well-formed exposition: every non-comment line ends in a numeric
-    // sample value.
+    // Well-formed exposition: every line is `# TYPE <name>
+    // (counter|gauge)` or `<name>[{labels}] <u64>`, and every sample's
+    // name is typed exactly once, before its first sample.
+    let is_name = |n: &str| !n.is_empty() && n.bytes().all(|b| b.is_ascii_lowercase() || b == b'_');
+    let mut typed = HashSet::new();
     for line in metrics.lines() {
-        if line.starts_with('#') || line.is_empty() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = decl.split_once(' ').unwrap_or_default();
+            assert!(
+                is_name(name) && matches!(kind, "counter" | "gauge"),
+                "malformed type line {line:?}"
+            );
+            assert!(typed.insert(name), "{name} typed twice");
             continue;
         }
-        let (_, value) = line.rsplit_once(' ').expect("sample line has a value");
+        let (series, value) = line.rsplit_once(' ').unwrap_or_default();
+        let (name, labels) = series.split_once('{').unwrap_or((series, "}"));
+        let labels_close = labels.strip_suffix('}').is_some_and(|l| !l.contains('}'));
         assert!(
-            value.parse::<f64>().is_ok(),
-            "non-numeric sample value in {line:?}"
+            is_name(name) && labels_close && value.parse::<u64>().is_ok(),
+            "malformed sample line {line:?}"
         );
+        assert!(typed.contains(name), "{name} sampled before its type line");
     }
 
     let (code, status) = get(server.addr(), "/status");
@@ -107,11 +124,13 @@ fn wedged_run_flips_healthz_and_names_the_blocking_edge() {
             reason: BlockReason::Dependency,
         },
     );
-    let source = Arc::new(
-        RunStatus::new("wedged run", 8)
-            .with_telemetry(Arc::clone(&telemetry))
-            .with_watchdog(Arc::new(Watchdog::new(1_000))),
-    );
+    let source = Arc::new(RunStatus::new(
+        "wedged run",
+        8,
+        Arc::clone(&telemetry),
+        Arc::new(HealthBoard::new()),
+        Arc::new(Watchdog::new(1_000)),
+    ));
     std::thread::sleep(Duration::from_millis(5));
     let server =
         StatusServer::start(0, Arc::clone(&source)).expect("bind an ephemeral loopback port");
@@ -147,5 +166,41 @@ fn wedged_run_flips_healthz_and_names_the_blocking_edge() {
 
     let report = source.stall_report().expect("report cached for /status");
     assert!(report.stalled_us >= 1_000);
+    drop(server);
+}
+
+#[test]
+fn an_unterminated_request_line_is_refused_at_its_cap() {
+    let source = Arc::new(RunStatus::new(
+        "observed run",
+        1,
+        Arc::new(Telemetry::new()),
+        Arc::new(HealthBoard::new()),
+        Arc::new(Watchdog::new(60_000_000)),
+    ));
+    let server = StatusServer::start(0, source).expect("bind an ephemeral loopback port");
+
+    // 64 KiB and no newline, with the socket kept open: the server must
+    // answer at its 8 KiB cap rather than wait for the rest of the line.
+    let mut stream = TcpStream::connect(server.addr()).expect("connect to status server");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    // The server may close before taking every byte; the answer is what
+    // counts, so a write cut short by that close is not a failure.
+    let _ = stream.write_all(&vec![b'a'; 64 * 1024]);
+    let mut raw = Vec::new();
+    // Bytes the server never read make its close a reset, which surfaces
+    // here as an error after the response has been read.
+    let _ = stream.read_to_end(&mut raw);
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(
+        raw.starts_with("HTTP/1.1 414 URI Too Long\r\n"),
+        "expected a 414 status line, got {raw:?}"
+    );
+
+    let (code, body) = get(server.addr(), "/healthz");
+    assert_eq!((code, body.as_str()), (200, "ok\n"));
+    drop(stream);
     drop(server);
 }

@@ -15,7 +15,6 @@
 //! trace_tool stalls run.telemetry --top 10
 //! trace_tool stalls --diff before.telemetry after.telemetry --fail-over 5
 //! trace_tool top http://127.0.0.1:18080 --interval 2
-//! trace_tool top target/telemetry --count 1
 //! ```
 //!
 //! `latency` exports the serving-latency distribution the trace induces
@@ -41,12 +40,12 @@
 //! exits nonzero when the blocked share regressed by more than PCT
 //! percentage points — a CI tripwire for synchronization regressions.
 //!
-//! `top` is the live-operations dashboard: given an `http://` URL it
-//! polls a running simulation's `/status` endpoint (the `aim-serve`
-//! health plane, `repro … --serve PORT`); given a directory it digests
-//! the newest `.telemetry` export there. It refreshes every
-//! `--interval` seconds until `--count` renders have been printed
-//! (default: forever).
+//! `top` is the live-operations dashboard: it polls a running
+//! simulation's `/status` endpoint at an `http://` URL (the `aim-serve`
+//! health plane, `repro … --serve PORT`), refreshing every `--interval`
+//! seconds until `--count` renders have been printed (default:
+//! forever). A finished run's `.telemetry` export is read by `timeline`
+//! and `stalls`.
 
 use aim_trace::{codec, gen, stats, Trace};
 
@@ -63,9 +62,17 @@ fn usage() -> ! {
          trace_tool timeline <run.telemetry> [--out <dir>] [--validate]\n  \
          trace_tool stalls <run.telemetry> [--top K]\n  \
          trace_tool stalls --diff <a.telemetry> <b.telemetry> [--fail-over PCT]\n  \
-         trace_tool top <http://host:port | telemetry-dir> [--interval S] [--count N]"
+         trace_tool top <http://host:port> [--interval S] [--count N]"
     );
     std::process::exit(2);
+}
+
+/// The value after a flag, parsed; a missing or malformed one is a
+/// usage error.
+fn flag_value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
 }
 
 fn load(path: &str) -> Trace {
@@ -123,26 +130,21 @@ fn cmd_timeline(args: &[String]) {
     use aim_trace::telemetry as tel;
 
     let path = &args[0];
-    let mut out_dir: Option<&str> = None;
+    let mut out_dir: Option<std::path::PathBuf> = None;
     let mut validate = false;
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--out" => out_dir = Some(it.next().map(String::as_str).unwrap_or_else(|| usage())),
+            "--out" => out_dir = Some(flag_value(&mut it)),
             "--validate" => validate = true,
             _ => usage(),
         }
     }
     let rt = load_telemetry(path);
-    let dir = out_dir.map_or_else(
-        || {
-            std::path::Path::new(path)
-                .parent()
-                .unwrap_or_else(|| std::path::Path::new("."))
-                .to_path_buf()
-        },
-        std::path::PathBuf::from,
-    );
+    let dir = out_dir.unwrap_or_else(|| {
+        let parent = std::path::Path::new(path).parent();
+        parent.unwrap_or(std::path::Path::new(".")).to_path_buf()
+    });
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("error creating {}: {e}", dir.display());
         std::process::exit(1);
@@ -243,12 +245,9 @@ fn cmd_stalls(args: &[String]) {
         while let Some(flag) = it.next() {
             match flag.as_str() {
                 "--fail-over" => {
-                    fail_over = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|p: &f64| *p >= 0.0)
-                            .unwrap_or_else(|| usage()),
-                    );
+                    fail_over = Some(flag_value(&mut it))
+                        .filter(|p: &f64| *p >= 0.0)
+                        .or_else(|| usage());
                 }
                 _ => usage(),
             }
@@ -261,12 +260,7 @@ fn cmd_stalls(args: &[String]) {
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--top" => {
-                top = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
+            "--top" => top = flag_value(&mut it),
             _ => usage(),
         }
     }
@@ -407,47 +401,33 @@ fn cmd_stalls_diff(path_a: &str, path_b: &str, fail_over: Option<f64>) {
     }
 }
 
-/// `top <url-or-dir>`: the live-operations dashboard. A URL polls a
-/// running simulation's `/status` endpoint; a directory digests its
-/// newest `.telemetry` export. Refreshes every `--interval` seconds,
-/// `--count` times (default: forever).
+/// `top <url>`: the live-operations dashboard. Polls a running
+/// simulation's `/status` endpoint every `--interval` seconds, `--count`
+/// times (default: forever).
 fn cmd_top(args: &[String]) {
-    let target = &args[0];
-    let mut interval = 2u64;
-    let mut count: Option<u64> = None;
+    use std::num::NonZeroU64;
+
+    let url = &args[0];
+    if !url.starts_with("http://") {
+        usage();
+    }
+    // Both flags take positive counts, so a 0 is a usage error.
+    let mut interval = NonZeroU64::new(2).expect("2 is nonzero");
+    let mut count: Option<NonZeroU64> = None;
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--interval" => {
-                interval = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s| s > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--count" => {
-                count = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage()),
-                );
-            }
+            "--interval" => interval = flag_value(&mut it),
+            "--count" => count = Some(flag_value(&mut it)),
             _ => usage(),
         }
     }
-    let mut rendered = 0u64;
-    loop {
-        if target.starts_with("http://") {
-            top_live(target);
-        } else {
-            top_dir(target);
-        }
-        rendered += 1;
-        if count == Some(rendered) {
+    for rendered in 1.. {
+        top_live(url);
+        if count.is_some_and(|n| n.get() == rendered) {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_secs(interval));
+        std::thread::sleep(std::time::Duration::from_secs(interval.get()));
     }
 }
 
@@ -481,7 +461,7 @@ fn top_live(url: &str) {
         let pat = format!("\"{key}\":");
         let i = body.find(&pat)? + pat.len();
         let rest = &body[i..];
-        let end = rest.find(|c| c == ',' || c == '}').unwrap_or(rest.len());
+        let end = rest.find([',', '}']).unwrap_or(rest.len());
         Some(rest[..end].trim().trim_matches('"').to_string())
     };
     println!("--- {url} ---");
@@ -525,53 +505,6 @@ fn top_live(url: &str) {
         println!(
             "STALL       : no commit for {:.1} s — see /status edges",
             stalled as f64 / 1e6
-        );
-    }
-}
-
-/// Digests the newest `.telemetry` export under `dir`.
-fn top_dir(dir: &str) {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error reading {dir}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let newest = entries
-        .flatten()
-        .filter(|e| e.path().extension().is_some_and(|x| x == "telemetry"))
-        .max_by_key(|e| e.metadata().and_then(|m| m.modified()).ok());
-    let Some(newest) = newest else {
-        eprintln!("no .telemetry files under {dir}");
-        std::process::exit(1);
-    };
-    let path = newest.path();
-    let rt = load_telemetry(&path.display().to_string());
-    println!("--- {} ---", path.display());
-    println!(
-        "wall        : {:.3} s · {} agents · {} spans ({} dropped)",
-        rt.wall_us as f64 / 1e6,
-        rt.agents,
-        rt.spans.len(),
-        rt.dropped
-    );
-    println!("decompose   : {}", rt.decomposition);
-    for e in rt.stall_edges(5) {
-        let fmt_id = |id: u32| {
-            if id == u32::MAX {
-                "*".to_string()
-            } else {
-                format!("a{id}")
-            }
-        };
-        println!(
-            "edge        : {} waited on {} ({}) ×{} for {} µs",
-            fmt_id(e.agent),
-            fmt_id(e.blocker),
-            e.reason.as_str(),
-            e.count,
-            e.total_us
         );
     }
 }
@@ -735,19 +668,9 @@ fn cmd_latency(args: &[String]) {
     let mut it = args[2..].iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--gpus" => {
-                gpus = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--step-us" => {
-                step_us = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--preset" => preset_name = it.next().cloned().unwrap_or_else(|| usage()),
+            "--gpus" => gpus = flag_value(&mut it),
+            "--step-us" => step_us = flag_value(&mut it),
+            "--preset" => preset_name = flag_value(&mut it),
             "--no-priority" => priority = false,
             _ => usage(),
         }
@@ -780,14 +703,9 @@ fn cmd_replay(args: &[String]) {
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--mode" => mode = it.next().cloned().unwrap_or_else(|| usage()),
-            "--gpus" => {
-                gpus = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--preset" => preset_name = it.next().cloned().unwrap_or_else(|| usage()),
+            "--mode" => mode = flag_value(&mut it),
+            "--gpus" => gpus = flag_value(&mut it),
+            "--preset" => preset_name = flag_value(&mut it),
             "--no-priority" => priority = false,
             _ => usage(),
         }
@@ -855,21 +773,14 @@ fn cmd_gen(args: &[String]) {
     };
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
-        let val = || -> u64 {
-            it.clone()
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage())
-        };
         match flag.as_str() {
-            "--villes" => cfg.villes = val() as u32,
-            "--agents" => cfg.agents_per_ville = val() as u32,
-            "--seed" => cfg.seed = val(),
-            "--start-hour" => cfg.window_start = gen::hour(val() as u32),
-            "--hours" => cfg.window_len = gen::hour(val() as u32),
+            "--villes" => cfg.villes = flag_value(&mut it),
+            "--agents" => cfg.agents_per_ville = flag_value(&mut it),
+            "--seed" => cfg.seed = flag_value(&mut it),
+            "--start-hour" => cfg.window_start = gen::hour(flag_value(&mut it)),
+            "--hours" => cfg.window_len = gen::hour(flag_value(&mut it)),
             _ => usage(),
         }
-        it.next();
     }
     eprintln!(
         "generating {} agents, steps {}..{} (seed {})…",
@@ -931,7 +842,11 @@ fn cmd_window(args: &[String]) {
     let (Ok(from), Ok(len)) = (args[1].parse::<u32>(), args[2].parse::<u32>()) else {
         usage()
     };
-    if from + len > t.meta().num_steps || len == 0 {
+    if from
+        .checked_add(len)
+        .is_none_or(|end| end > t.meta().num_steps)
+        || len == 0
+    {
         eprintln!(
             "window {from}+{len} out of range (trace has {} steps)",
             t.meta().num_steps

@@ -126,11 +126,12 @@ impl Trace {
     /// Panics if the window exceeds the trace bounds or `len` is zero.
     pub fn window(&self, from: u32, len: u32, name: impl Into<String>) -> Trace {
         assert!(len > 0, "window must be non-empty");
-        assert!(
-            from + len <= self.meta.num_steps,
-            "window {from}+{len} out of {} steps",
-            self.meta.num_steps
-        );
+        let Some(end) = from
+            .checked_add(len)
+            .filter(|&end| end <= self.meta.num_steps)
+        else {
+            panic!("window {from}+{len} out of {} steps", self.meta.num_steps);
+        };
         let meta = TraceMeta {
             name: name.into(),
             start_step: self.meta.start_step + from,
@@ -138,9 +139,9 @@ impl Trace {
             ..self.meta.clone()
         };
         let n = self.meta.num_agents as usize;
-        let positions = self.positions[from as usize * n..(from + len + 1) as usize * n].to_vec();
+        let positions = self.positions[from as usize * n..(end as usize + 1) * n].to_vec();
         // The window's chains are one run of the row-major call order.
-        let run = self.offsets[from as usize * n]..self.offsets[(from + len) as usize * n];
+        let run = self.offsets[from as usize * n]..self.offsets[end as usize * n];
         let calls = self.calls[run.start as usize..run.end as usize]
             .iter()
             .map(|c| CallEvent {
@@ -387,6 +388,12 @@ mod tests {
     #[should_panic(expected = "out of")]
     fn window_bounds_checked() {
         tiny().window(2, 5, "bad");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of")]
+    fn window_end_past_u32_is_out_of_bounds() {
+        tiny().window(u32::MAX, 2, "bad");
     }
 
     #[test]

@@ -33,7 +33,7 @@
 use std::io::{BufRead, Write};
 
 use aim_core::telemetry::{
-    Counter, Field, FieldReader, MetricsSnapshot, Phase, RunTelemetry, Span, SpanKind, WorkerTrack,
+    Counter, Field, FieldReader, Phase, RunTelemetry, Span, SpanKind, WorkerTrack,
 };
 
 use crate::lines::Lines;
@@ -350,72 +350,6 @@ pub fn write_jsonl(rt: &RunTelemetry, w: &mut impl Write) -> Result<(), TraceErr
         writeln!(w)?;
     }
     Ok(())
-}
-
-/// Renders a live [`MetricsSnapshot`] in the Prometheus text exposition
-/// format (version 0.0.4): one `# TYPE` line per series, counters
-/// suffixed `_total`. The snapshot is sampled without quiescing, so the
-/// values are monotone but may lag each other by a few microseconds —
-/// fine for a heartbeat, not for invariant checks.
-#[must_use]
-pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let mut series = |name: &str, kind: &str, value: u64| {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {value}");
-    };
-    series("aim_uptime_microseconds", "gauge", snap.at_us);
-    series("aim_spans_total", "counter", snap.spans);
-    series("aim_spans_dropped_total", "counter", snap.dropped);
-    series("aim_span_buffers", "gauge", u64::from(snap.buffers));
-    for &(c, n) in &snap.counters {
-        let name = format!("aim_{}_total", c.as_str());
-        series(&name, "counter", n);
-    }
-    out
-}
-
-/// Escapes a Prometheus label *value* per the text exposition format:
-/// backslash, double quote, and line feed must be escaped (`\\`, `\"`,
-/// `\n`); everything else passes through verbatim.
-#[must_use]
-fn prometheus_escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders one labeled Prometheus sample line,
-/// `name{key="value",...} value`, escaping every label value
-/// (backslash, double quote and newline, as the exposition format
-/// requires). Label *names* are the caller's static
-/// identifiers and are not escaped.
-#[must_use]
-pub fn prometheus_sample(name: &str, labels: &[(&str, &str)], value: u64) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str(name);
-    if !labels.is_empty() {
-        out.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{k}=\"{}\"", prometheus_escape_label(v));
-        }
-        out.push('}');
-    }
-    let _ = write!(out, " {value}");
-    out.push('\n');
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -780,56 +714,6 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("worker 0 (remote)"), "{text}");
         assert!(text.contains("shared (controller/backend/fleet)"), "{text}");
-    }
-
-    #[test]
-    fn prometheus_exposition_is_typed_and_complete() {
-        let snap = MetricsSnapshot {
-            at_us: 1_234,
-            spans: 10,
-            dropped: 1,
-            buffers: 3,
-            counters: vec![(Counter::LlmCalls, 5), (Counter::BoundaryMessages, 7)],
-        };
-        let text = prometheus_text(&snap);
-        assert!(text.contains("# TYPE aim_spans_total counter"), "{text}");
-        assert!(text.contains("aim_spans_total 10"), "{text}");
-        assert!(text.contains("aim_spans_dropped_total 1"), "{text}");
-        assert!(text.contains("aim_llm_calls_total 5"), "{text}");
-        assert!(text.contains("aim_boundary_messages_total 7"), "{text}");
-        // Every series line is `name value` and every value parses.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let (name, value) = line.split_once(' ').expect("name value");
-            assert!(!name.is_empty());
-            value.parse::<u64>().expect("numeric value");
-        }
-    }
-
-    #[test]
-    fn hostile_label_values_are_escaped() {
-        // Per the exposition format, only \, ", and newline are escaped
-        // in label values; everything else passes through.
-        assert_eq!(prometheus_escape_label("worker 3"), "worker 3");
-        assert_eq!(
-            prometheus_escape_label("worker \"3\" (remote)"),
-            "worker \\\"3\\\" (remote)"
-        );
-        assert_eq!(prometheus_escape_label("a\\b"), "a\\\\b");
-        assert_eq!(prometheus_escape_label("line\nbreak"), "line\\nbreak");
-        let line = prometheus_sample(
-            "aim_worker_spans_dropped_total",
-            &[("worker", "evil\"name\\with\nnewline")],
-            7,
-        );
-        assert_eq!(
-            line,
-            "aim_worker_spans_dropped_total{worker=\"evil\\\"name\\\\with\\nnewline\"} 7\n"
-        );
-        // The rendered line stays a single physical line: the raw
-        // newline never survives into the exposition.
-        assert_eq!(line.matches('\n').count(), 1);
-        // No labels → no braces.
-        assert_eq!(prometheus_sample("aim_up", &[], 1), "aim_up 1\n");
     }
 
     #[test]
