@@ -1,7 +1,7 @@
 //! Microbenchmarks of the fleet machinery the city-over-fleet loop
 //! leans on per call: prefix-LRU observation (hit, miss, and eviction
-//! paths), the fault gate, prefix-affinity routing, the full fleet-call
-//! path with prefix accounting and fault plans armed, and that path over
+//! paths), prefix-affinity routing, the full fleet-call path with prefix
+//! accounting and a `fail_after` budget armed, and that path over
 //! simulated engines with concurrent callers waiting on each other.
 //!
 //! The `repro city-fleet` experiment measures the closed loop
@@ -9,11 +9,11 @@
 //! in any one layer is attributable.
 
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use aim_llm::{
-    presets, CallKind, FaultPlan, FleetConfig, LlmBackend, LlmRequest, PrefixAffinity,
-    PrefixTracker, ReplicaSpec, ReplicaView, RequestId, RoutePolicy, RoutePolicyKind, ServerConfig,
+    presets, CallKind, FleetConfig, LlmBackend, LlmRequest, PrefixTracker, ReplicaSpec,
+    ReplicaView, RequestId, RoutePolicyKind, ServerConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -59,32 +59,6 @@ fn bench_prefix_observe(c: &mut Criterion) {
     g.finish();
 }
 
-/// Fault-plan evaluation: the gate every attempt passes through, from
-/// the no-op plan to one with every window armed.
-fn bench_fault_gate(c: &mut Criterion) {
-    let mut g = c.benchmark_group("city_fleet/fault_gate");
-    let plans = [
-        ("none", FaultPlan::none()),
-        (
-            "armed",
-            FaultPlan::none()
-                .fail_after(u64::MAX)
-                .unavailable_between(1_000, 2_000)
-                .spike_between(5_000, 6_000, 250),
-        ),
-    ];
-    for (label, plan) in plans {
-        let mut tick = 0u64;
-        g.bench_with_input(BenchmarkId::from_parameter(label), &plan, |b, p| {
-            b.iter(|| {
-                tick = tick.wrapping_add(1);
-                black_box(p.outcome(tick % 512, tick % 8_192))
-            });
-        });
-    }
-    g.finish();
-}
-
 /// Prefix-affinity pick cost by fleet width, including the linear probe
 /// over availability (one replica in eight marked down).
 fn bench_route_affinity(c: &mut Criterion) {
@@ -95,46 +69,41 @@ fn bench_route_affinity(c: &mut Criterion) {
                 id,
                 outstanding: id % 3,
                 outstanding_tokens: (id as u64) * 640,
-                served: id as u64 * 10,
                 interactive: false,
                 available: id % 8 != 7,
             })
             .collect();
-        let policy = PrefixAffinity::new();
+        let cursor = AtomicUsize::new(0);
         let mut i = 0u64;
         g.bench_with_input(BenchmarkId::from_parameter(width), &width, |b, _| {
             b.iter(|| {
                 i = i.wrapping_add(1);
-                black_box(policy.route(&req(i, 512), &views))
+                black_box(RoutePolicyKind::PrefixAffinity.route(&cursor, &req(i, 512), &views))
             });
         });
     }
     g.finish();
 }
 
-/// The full fleet-call path over instant replicas: routing, the fault
-/// gate, prefix accounting, latency histogram — everything but the
-/// model. `faulted` arms (never-firing) windows on every replica so the
-/// gate's armed path is on the call path.
+/// The full fleet-call path over instant replicas: routing, the budget
+/// check, prefix accounting, latency histogram — everything but the
+/// model. `faulted` arms a never-firing `fail_after` budget on every
+/// replica so the armed check is on the call path.
 fn bench_fleet_call(c: &mut Criterion) {
     let mut g = c.benchmark_group("city_fleet/fleet_call");
-    for (label, fault) in [
-        ("clean", FaultPlan::none()),
-        (
-            "faulted",
-            FaultPlan::none()
-                .unavailable_between(u64::MAX - 1, u64::MAX)
-                .spike_between(u64::MAX - 1, u64::MAX, 1),
-        ),
-    ] {
+    for (label, fail_after) in [("clean", None), ("faulted", Some(u64::MAX))] {
         let mut cfg = FleetConfig::new("bench", RoutePolicyKind::PrefixAffinity)
             .with_prefix_lru_entries(1_024);
         for _ in 0..4 {
-            cfg = cfg.with_replica(ReplicaSpec::instant().with_fault(fault));
+            let replica = ReplicaSpec::instant();
+            cfg = cfg.with_replica(match fail_after {
+                Some(n) => replica.fail_after(n),
+                None => replica,
+            });
         }
         let fleet = cfg.build();
         let mut i = 0u64;
-        g.bench_with_input(BenchmarkId::from_parameter(label), &fault, |b, _| {
+        g.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
             b.iter(|| {
                 i = i.wrapping_add(1);
                 black_box(fleet.call(&req(i, 512)))
@@ -188,7 +157,6 @@ criterion_group!(
     benches,
     aim_bench::bench_calibration,
     bench_prefix_observe,
-    bench_fault_gate,
     bench_route_affinity,
     bench_fleet_call,
     bench_realtime_call

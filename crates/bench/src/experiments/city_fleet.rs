@@ -12,17 +12,18 @@
 //! prefix LRUs sized *below* the agent population so policies that
 //! scatter an agent's requests pay real evictions.
 //!
-//! A final arm re-runs prefix-affinity with a [`FaultPlan`] that kills
-//! the simulated replica mid-run: the fleet retries the failed attempt
-//! and sheds all later traffic to the survivor, so the run completes
-//! with exactly one refused attempt and no lost world state.
+//! A final arm re-runs prefix-affinity with a `fail_after` budget
+//! ([`ReplicaSpec::fail_after`]) that kills the simulated replica
+//! mid-run: the fleet retries the failed attempt and sheds all later
+//! traffic to the survivor, so the run completes with exactly one
+//! refused attempt and no lost world state.
 
 use std::sync::Arc;
 
 use aim_core::exec::threaded::ThreadedReport;
 use aim_core::telemetry::Telemetry;
 use aim_llm::{
-    presets, FaultPlan, Fleet, FleetConfig, FleetMetrics, LatencyProfile, LlmBackend, ReplicaSpec,
+    presets, Fleet, FleetConfig, FleetMetrics, LatencyProfile, LlmBackend, ReplicaSpec,
     RoutePolicyKind, ServerConfig,
 };
 use aim_world::city::{self, CityConfig};
@@ -52,11 +53,19 @@ fn cache_entries(agents: u32) -> u32 {
     (agents * 3 / 5).max(64)
 }
 
-fn fleet_for(policy: RoutePolicyKind, agents: u32, sim_fault: FaultPlan) -> Arc<Fleet> {
-    let sim = ServerConfig::from_preset(presets::tiny_test(), 1, true);
+/// The mixed fleet; the sim replica fails for good after
+/// `sim_fail_after` attempts when that is set.
+fn fleet_for(policy: RoutePolicyKind, agents: u32, sim_fail_after: Option<u64>) -> Arc<Fleet> {
+    let mut sim = ReplicaSpec::sim(
+        ServerConfig::from_preset(presets::tiny_test(), 1, true),
+        TIME_SCALE,
+    );
+    if let Some(n) = sim_fail_after {
+        sim = sim.fail_after(n);
+    }
     Arc::new(
         FleetConfig::new("city", policy)
-            .with_replica(ReplicaSpec::sim(sim, TIME_SCALE).with_fault(sim_fault))
+            .with_replica(sim)
             .with_replica(ReplicaSpec::replay(
                 LatencyProfile::constant("prod", 40_000),
                 11,
@@ -160,7 +169,7 @@ pub fn run(env: &RunEnv) {
         );
         let base = city::generate(&cfg);
         for policy in POLICIES {
-            let fleet = fleet_for(policy, agents, FaultPlan::none());
+            let fleet = fleet_for(policy, agents, None);
             let sink = env.telemetry_sink();
             // `--serve` exposes this arm live, fleet gauges included.
             let _serve = env.status_guard(
@@ -179,8 +188,8 @@ pub fn run(env: &RunEnv) {
         }
         // Fault arm: the sim replica dies a quarter of the way through;
         // prefix-affinity + the retry loop must absorb it.
-        let fault = FaultPlan::none().fail_after(agents as u64 * 3 / 2);
-        let fleet = fleet_for(RoutePolicyKind::PrefixAffinity, agents, fault);
+        let fail_after = agents as u64 * 3 / 2;
+        let fleet = fleet_for(RoutePolicyKind::PrefixAffinity, agents, Some(fail_after));
         let sink = env.telemetry_sink();
         let _serve = env.status_guard(
             &format!("city-fleet-{agents}-affinity-fault"),
@@ -240,7 +249,7 @@ mod tests {
             base.clone(),
             4,
             4,
-            fleet_for(RoutePolicyKind::RoundRobin, cfg.agents, FaultPlan::none()),
+            fleet_for(RoutePolicyKind::RoundRobin, cfg.agents, None),
             None,
         );
         let aff = drive(
@@ -248,11 +257,7 @@ mod tests {
             base,
             4,
             4,
-            fleet_for(
-                RoutePolicyKind::PrefixAffinity,
-                cfg.agents,
-                FaultPlan::none(),
-            ),
+            fleet_for(RoutePolicyKind::PrefixAffinity, cfg.agents, None),
             None,
         );
         assert!(rr.metrics.total_served() > 0 && aff.metrics.total_served() > 0);
@@ -267,11 +272,7 @@ mod tests {
     fn fault_arm_completes_with_one_retry() {
         let cfg = small_cfg();
         let base = city::generate(&cfg);
-        let fleet = fleet_for(
-            RoutePolicyKind::PrefixAffinity,
-            cfg.agents,
-            FaultPlan::none().fail_after(200),
-        );
+        let fleet = fleet_for(RoutePolicyKind::PrefixAffinity, cfg.agents, Some(200));
         let cell = drive(&cfg, base, 4, 4, Arc::clone(&fleet), None);
         assert_eq!(cell.metrics.total_failed(), 1, "{:?}", cell.metrics);
         assert!(cell.metrics.replicas[0].down);

@@ -51,7 +51,7 @@ fn run_fig4(env: &RunEnv, title: &str, preset: &aim_llm::Preset, gpu_counts: &[u
         ],
     );
     for &gpus in gpu_counts {
-        let runs = run_modes(env, &trace, &Mode::figure4(), preset, gpus, true);
+        let runs = run_modes(&trace, &Mode::figure4(), preset, gpus, true);
         let get = |m: Mode| &runs.iter().find(|(mm, _)| *mm == m).expect("ran").1;
         let st = get(Mode::SingleThread).makespan.as_secs_f64();
         let ps = get(Mode::ParallelSync).makespan.as_secs_f64();

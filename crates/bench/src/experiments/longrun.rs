@@ -157,7 +157,7 @@ fn drive(env: &RunEnv, arm: &str, villes: u32, steps: u32, every: u32, evict: bo
     // fresh ones.
     let dir = env.out_dir.join("longrun").join(arm);
     std::fs::remove_dir_all(&dir).ok();
-    let mut ckpt = Checkpointer::new(&dir, every, 2);
+    let mut ckpt = Checkpointer::new(&dir, 2);
     let started = Instant::now();
     let mut samples: Vec<Sample> = Vec::new();
     let mut evicted_total = 0u64;
@@ -234,7 +234,7 @@ fn resume_from(path: &std::path::Path, env: &RunEnv) {
     // resumed run loses at most one window.
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let every = cadence(env);
-    let mut ckpt = Checkpointer::new(dir.unwrap_or(std::path::Path::new(".")), every, 2);
+    let mut ckpt = Checkpointer::new(dir.unwrap_or(std::path::Path::new(".")), 2);
     let step_offset = meta.step_offset;
     {
         let world_src = Arc::clone(&program);

@@ -79,7 +79,7 @@ pub fn run_scaling(env: &RunEnv, title: &str, preset: &Preset, gpu_counts: &[u32
                 ];
                 let runs: Vec<_> = modes
                     .iter()
-                    .map(|&m| (m, run_one(env, &trace, m, preset, gpus, true, Some(&graph))))
+                    .map(|&m| (m, run_one(&trace, m, preset, gpus, true, Some(&graph))))
                     .collect();
                 let get = |m: Mode| {
                     runs.iter()

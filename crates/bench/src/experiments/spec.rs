@@ -40,9 +40,9 @@ pub fn run(env: &RunEnv) {
         let agents = trace.meta().num_agents;
         let graph = Arc::new(oracle::mine(&trace));
 
-        let sync = run_one(env, &trace, Mode::ParallelSync, &preset, gpus, true, None);
-        let cons = run_one(env, &trace, Mode::Metropolis, &preset, gpus, true, None);
-        let orac = run_one(env, &trace, Mode::Oracle, &preset, gpus, true, Some(&graph));
+        let sync = run_one(&trace, Mode::ParallelSync, &preset, gpus, true, None);
+        let cons = run_one(&trace, Mode::Metropolis, &preset, gpus, true, None);
+        let orac = run_one(&trace, Mode::Oracle, &preset, gpus, true, Some(&graph));
 
         let mut t = Table::new(
             format!("Speculation vs conservative ({agents} agents, busy hour, {gpus} L4s)"),
@@ -79,7 +79,7 @@ pub fn run(env: &RunEnv) {
             "-".into(),
         ]);
         for budget in BUDGETS {
-            let r = run_one_spec(env, &trace, budget, &preset, gpus, true);
+            let r = run_one_spec(&trace, budget, &preset, gpus, true);
             let sr = r.spec.as_ref().expect("speculative run reports spec stats");
             t.push_row(vec![
                 format!("spec({budget})"),
@@ -107,7 +107,7 @@ pub fn run(env: &RunEnv) {
         // best budget closes.
         let best = BUDGETS
             .iter()
-            .map(|&b| run_one_spec(env, &trace, b, &preset, gpus, true).makespan)
+            .map(|&b| run_one_spec(&trace, b, &preset, gpus, true).makespan)
             .min()
             .expect("budgets non-empty");
         let gap_total = cons.makespan.as_secs_f64() - orac.makespan.as_secs_f64();
@@ -151,8 +151,8 @@ pub fn run(env: &RunEnv) {
             "waste w/o",
         ],
     );
-    let cons_on = run_one(env, &trace, Mode::Metropolis, &preset, gpus, true, None);
-    let cons_off = run_one(env, &trace, Mode::Metropolis, &preset, gpus, false, None);
+    let cons_on = run_one(&trace, Mode::Metropolis, &preset, gpus, true, None);
+    let cons_off = run_one(&trace, Mode::Metropolis, &preset, gpus, false, None);
     t.push_row(vec![
         "metropolis".into(),
         secs(cons_on.makespan),
@@ -160,8 +160,8 @@ pub fn run(env: &RunEnv) {
         pct(cons_off.makespan.as_secs_f64() / cons_on.makespan.as_secs_f64() - 1.0),
         "-".into(),
     ]);
-    let spec_on = run_one_spec(env, &trace, 4, &preset, gpus, true);
-    let spec_off = run_one_spec(env, &trace, 4, &preset, gpus, false);
+    let spec_on = run_one_spec(&trace, 4, &preset, gpus, true);
+    let spec_off = run_one_spec(&trace, 4, &preset, gpus, false);
     let sr_off = spec_off.spec.as_ref().expect("spec stats");
     t.push_row(vec![
         "spec(4)".into(),
@@ -194,9 +194,9 @@ mod tests {
         });
         let preset = presets::tiny_test();
         let graph = Arc::new(oracle::mine(&trace));
-        let cons = run_one(&env, &trace, Mode::Metropolis, &preset, 2, true, None);
-        let orac = run_one(&env, &trace, Mode::Oracle, &preset, 2, true, Some(&graph));
-        let spec = run_one_spec(&env, &trace, 4, &preset, 2, true);
+        let cons = run_one(&trace, Mode::Metropolis, &preset, 2, true, None);
+        let orac = run_one(&trace, Mode::Oracle, &preset, 2, true, Some(&graph));
+        let spec = run_one_spec(&trace, 4, &preset, 2, true);
         assert!(
             spec.makespan <= cons.makespan,
             "speculation must not lose to conservative: {} vs {}",
@@ -231,8 +231,8 @@ mod tests {
             window_len: 30,
         });
         let preset = presets::tiny_test();
-        let cons = run_one(&env, &trace, Mode::Metropolis, &preset, 1, true, None);
-        let spec0 = run_one_spec(&env, &trace, 0, &preset, 1, true);
+        let cons = run_one(&trace, Mode::Metropolis, &preset, 1, true, None);
+        let spec0 = run_one_spec(&trace, 0, &preset, 1, true);
         assert_eq!(cons.makespan, spec0.makespan);
         assert_eq!(cons.total_calls, spec0.total_calls);
     }

@@ -37,8 +37,8 @@ pub fn run(env: &RunEnv) {
     );
     for gpus in [4u32, 8] {
         for mode in [Mode::Metropolis, Mode::Oracle] {
-            let with = run_one(env, &trace, mode, &preset, gpus, true, Some(&graph));
-            let without = run_one(env, &trace, mode, &preset, gpus, false, Some(&graph));
+            let with = run_one(&trace, mode, &preset, gpus, true, Some(&graph));
+            let without = run_one(&trace, mode, &preset, gpus, false, Some(&graph));
             let gain = without.makespan.as_secs_f64() / with.makespan.as_secs_f64() - 1.0;
             t.push_row(vec![
                 gpus.to_string(),

@@ -243,7 +243,6 @@ impl RunEnv {
 /// Panics if `Mode::Oracle` is requested without an oracle graph, or on
 /// internal scheduler errors (which would indicate a bug, not bad input).
 pub fn run_one(
-    _env: &RunEnv,
     trace: &Trace,
     mode: Mode,
     preset: &Preset,
@@ -277,7 +276,6 @@ pub fn run_one(
 ///
 /// Panics on internal scheduler errors (a bug, not bad input).
 pub fn run_one_spec(
-    _env: &RunEnv,
     trace: &Trace,
     runahead: u32,
     preset: &Preset,
@@ -322,7 +320,6 @@ fn replay_engine(
 /// Runs several modes over the same trace, returning `(mode, report)`
 /// pairs. The oracle graph is mined once if any mode needs it.
 pub fn run_modes(
-    env: &RunEnv,
     trace: &Trace,
     modes: &[Mode],
     preset: &Preset,
@@ -333,12 +330,7 @@ pub fn run_modes(
     let graph = needs_oracle.then(|| Arc::new(oracle::mine(trace)));
     modes
         .iter()
-        .map(|&m| {
-            (
-                m,
-                run_one(env, trace, m, preset, gpus, priority, graph.as_ref()),
-            )
-        })
+        .map(|&m| (m, run_one(trace, m, preset, gpus, priority, graph.as_ref())))
         .collect()
 }
 
@@ -367,7 +359,6 @@ mod tests {
         let trace = small_trace(&env);
         let preset = presets::tiny_test();
         let runs = run_modes(
-            &env,
             &trace,
             &[
                 Mode::SingleThread,

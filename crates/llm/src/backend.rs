@@ -52,12 +52,10 @@ pub trait LlmBackend: Send + Sync {
         false
     }
 
-    /// Virtual seconds this backend simulates per wall-clock second, when
-    /// it paces a simulated/replayed deployment against the wall clock
-    /// (`None` — the default — for backends that serve in real time or
-    /// never sleep). The fleet reads this to compress its wall-clock
-    /// retry backoff by the same factor, so a quick-mode run doesn't
-    /// sleep 100 virtual seconds to let a transient fault window pass.
+    /// Virtual seconds this backend simulates per wall-clock second.
+    /// `None` by default; no backend in this crate overrides it and
+    /// nothing here reads it. It stays for wrapping backends that forward
+    /// it to their inner backend.
     fn time_scale(&self) -> Option<f64> {
         None
     }
@@ -141,12 +139,13 @@ struct RtInner {
 /// An [`LlmBackend`] that answers calls from the virtual-time
 /// [`SimServer`], pacing completions against the wall clock.
 ///
-/// One wall-clock second corresponds to [`RealtimeSimBackend::time_scale`]
-/// virtual seconds, so demos can run a "realistic" deployment sped up by,
-/// say, 100×. Multiple worker threads may call concurrently; their requests
-/// batch inside the shared simulated engine exactly as they would in a real
-/// continuous-batching server — so the *threaded* runtime exhibits the same
-/// batching economics as the discrete-event runtime.
+/// One wall-clock second corresponds to `time_scale` (see
+/// [`RealtimeSimBackend::new`]) virtual seconds, so demos can run a
+/// "realistic" deployment sped up by, say, 100×. Multiple worker threads
+/// may call concurrently; their requests batch inside the shared simulated
+/// engine exactly as they would in a real continuous-batching server — so
+/// the *threaded* runtime exhibits the same batching economics as the
+/// discrete-event runtime.
 ///
 /// # Pacing
 ///
@@ -223,11 +222,6 @@ impl RealtimeSimBackend {
         }
     }
 
-    /// Virtual seconds simulated per wall-clock second.
-    pub fn time_scale(&self) -> f64 {
-        self.time_scale
-    }
-
     fn wall_to_virtual(&self, wall: Duration) -> VirtualTime {
         VirtualTime::from_secs_f64(wall.as_secs_f64() * self.time_scale)
     }
@@ -301,10 +295,6 @@ impl LlmBackend for RealtimeSimBackend {
 
     fn describe(&self) -> String {
         self.name.clone()
-    }
-
-    fn time_scale(&self) -> Option<f64> {
-        Some(self.time_scale)
     }
 }
 

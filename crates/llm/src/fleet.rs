@@ -1,5 +1,5 @@
 //! A heterogeneous **serving fleet**: N independently configured
-//! [`LlmBackend`] replicas behind one pluggable [`RoutePolicy`].
+//! [`LlmBackend`] replicas behind one [`RoutePolicyKind`].
 //!
 //! The paper's deployments are homogeneous — one [`crate::SimServer`]
 //! models every GPU. Real massive-agent serving is not: a site mixes
@@ -16,7 +16,7 @@
 //! ```text
 //! LlmBackend (trait)  ←  replica: SimServer / replay / instant / custom
 //!        ↑
-//!   Fleet::call  →  fault gate → RoutePolicy::route(req, views) → replica.call
+//!   Fleet::call  →  RoutePolicyKind::route(req, views) → budget check → replica.call
 //! ```
 //!
 //! Deployments are described declaratively by [`FleetConfig`] (the
@@ -25,24 +25,25 @@
 //!
 //! # Fault tolerance and the retry-safety invariant
 //!
-//! Replicas may carry a [`FaultPlan`] (fail-after-N, transient
-//! unavailability, latency spikes). The fleet's call path then becomes a
-//! retry loop: a refused attempt marks the replica unavailable in the
-//! next routing round, so a degraded replica **sheds load** to its peers
-//! instead of stalling the out-of-order cluster that issued the call.
+//! A replica may carry a `fail_after` budget ([`ReplicaSpec::fail_after`]):
+//! it serves that many attempts, then fails for good — a crashed engine.
+//! The fleet's call path is a retry loop: the attempt that hits the
+//! budget takes the replica down, and the call re-routes to a live peer,
+//! so a dead replica **sheds load** instead of stalling the out-of-order
+//! cluster that issued the call.
 //!
-//! The invariant that makes retrying safe: **the fault gate runs before
+//! The invariant that makes retrying safe: **the budget is checked before
 //! the replica backend is invoked**. Attempt indices are claimed
-//! atomically, the plan is consulted, and only a `Serve` outcome ever
-//! reaches `backend.call` — so a failed attempt provably produced no
-//! backend state and can be re-routed without duplicating work. A call
-//! reaches a backend exactly once, on the worker thread that issued it:
-//! the fleet starts no threads of its own.
+//! atomically, and only a claim within the budget ever reaches
+//! `backend.call` — so a failed attempt provably produced no backend
+//! state and can be re-routed without duplicating work. A call reaches a
+//! backend exactly once, on the worker thread that issued it: the fleet
+//! starts no threads of its own.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -51,22 +52,14 @@ use crate::observer::{AttemptOutcome, CallObserver};
 use crate::prefix::{PrefixStats, PrefixTracker};
 use crate::replay::{LatencyProfile, ReplayBackend};
 use crate::request::{Lane, LlmRequest, LlmResponse};
-use crate::router::{ReplicaView, RoutePolicy, RoutePolicyKind};
+use crate::router::{ReplicaView, RoutePolicyKind};
 use crate::server::ServerConfig;
-
-/// First retry backoff after a full sweep of refusals; doubles up to
-/// [`BACKOFF_CAP`]. Small because refusals are cheap (no backend work was
-/// done) and OOO clusters are latency-sensitive.
-const BACKOFF_START: Duration = Duration::from_micros(50);
-/// Upper bound on the retry backoff.
-const BACKOFF_CAP: Duration = Duration::from_millis(5);
 
 /// Placeholder filling the unused tail of a call's routing views.
 const NO_VIEW: ReplicaView = ReplicaView {
     id: 0,
     outstanding: 0,
     outstanding_tokens: 0,
-    served: 0,
     interactive: false,
     available: false,
 };
@@ -118,118 +111,17 @@ impl BackendSpec {
     }
 }
 
-/// What a [`FaultPlan`] decides for one claimed attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FaultOutcome {
-    /// The attempt proceeds to the backend, with `extra_latency_us`
-    /// wall-clock microseconds of injected delay (0 when healthy).
-    Serve {
-        /// Injected wall-clock delay, µs.
-        extra_latency_us: u64,
-    },
-    /// The replica fails this attempt permanently (it is marked down and
-    /// routed around for the rest of the run).
-    Fail,
-    /// The replica refuses this attempt but may recover (transient
-    /// window).
-    Unavailable,
-}
-
-/// Declarative per-replica fault schedule, evaluated **before** the
-/// backend is invoked (see the module docs for the retry-safety
-/// invariant this ordering guarantees).
-///
-/// Two kinds of clock index the schedule, both deterministic:
-///
-/// * `fail_after` counts **this replica's claimed attempts** — the
-///   replica serves exactly N attempts, then the N+1-th fails and the
-///   replica is down for the rest of the run (a crashed engine).
-/// * `unavailable` / `spike` windows are half-open ranges over the
-///   **fleet-wide attempt tick** (every attempt on any replica advances
-///   it), so a window opens and closes as overall traffic flows — a
-///   rolling restart or a noisy-neighbor episode, not a permanent loss.
-///
-/// All three compose; `Fail` takes precedence, then `Unavailable`, then
-/// a spiked or clean `Serve`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultPlan {
-    /// Fail permanently on the attempt with this index (0-based): the
-    /// replica serves exactly this many attempts first.
-    pub fail_after: Option<u64>,
-    /// Refuse attempts while the fleet tick is in `[start, end)`.
-    pub unavailable: Option<(u64, u64)>,
-    /// Add wall-clock latency while the fleet tick is in `[start, end)`:
-    /// `(start, end, extra_latency_us)`.
-    pub spike: Option<(u64, u64, u64)>,
-}
-
-impl FaultPlan {
-    /// A healthy replica (no faults). Equivalent to `FaultPlan::default()`.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Fail permanently after serving `attempts` attempts.
-    pub fn fail_after(mut self, attempts: u64) -> Self {
-        self.fail_after = Some(attempts);
-        self
-    }
-
-    /// Refuse (but survive) attempts while the fleet tick is in
-    /// `[start, end)`.
-    pub fn unavailable_between(mut self, start: u64, end: u64) -> Self {
-        self.unavailable = Some((start, end));
-        self
-    }
-
-    /// Inject `extra_latency_us` of wall-clock delay while the fleet
-    /// tick is in `[start, end)`.
-    pub fn spike_between(mut self, start: u64, end: u64, extra_latency_us: u64) -> Self {
-        self.spike = Some((start, end, extra_latency_us));
-        self
-    }
-
-    /// Whether any fault is configured.
-    pub fn is_none(&self) -> bool {
-        *self == FaultPlan::default()
-    }
-
-    /// Decides the outcome of one claimed attempt (`attempt` is this
-    /// replica's attempt index, `tick` the fleet-wide one).
-    pub fn outcome(&self, attempt: u64, tick: u64) -> FaultOutcome {
-        if self.fail_after.is_some_and(|n| attempt >= n) {
-            return FaultOutcome::Fail;
-        }
-        if self.unavailable_at(tick) {
-            return FaultOutcome::Unavailable;
-        }
-        let extra_latency_us = match self.spike {
-            Some((start, end, extra)) if (start..end).contains(&tick) => extra,
-            _ => 0,
-        };
-        FaultOutcome::Serve { extra_latency_us }
-    }
-
-    /// Whether the transient-unavailability window covers `tick` (used
-    /// for proactive shedding: the replica is advertised unavailable to
-    /// the router, so most traffic never even attempts it).
-    fn unavailable_at(&self, tick: u64) -> bool {
-        self.unavailable
-            .is_some_and(|(start, end)| (start..end).contains(&tick))
-    }
-}
-
 /// One replica slot of a [`FleetConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaSpec {
     /// The backend behind this replica.
     pub backend: BackendSpec,
-    /// Tag the replica for interactive traffic (consumed by the
-    /// [`crate::LaneAware`] policy; other policies ignore it).
+    /// Tag the replica for interactive traffic (consumed by
+    /// [`RoutePolicyKind::LaneAware`]; other policies ignore it).
     pub interactive: bool,
-    /// Fault schedule injected at the fleet layer (healthy by default).
-    pub fault: FaultPlan,
+    /// Attempts served before the replica fails for good (`None`, the
+    /// default: it never fails).
+    fail_after: Option<u64>,
 }
 
 impl ReplicaSpec {
@@ -238,7 +130,7 @@ impl ReplicaSpec {
         ReplicaSpec {
             backend: BackendSpec::Sim { cfg, time_scale },
             interactive: false,
-            fault: FaultPlan::none(),
+            fail_after: None,
         }
     }
 
@@ -251,7 +143,7 @@ impl ReplicaSpec {
                 time_scale,
             },
             interactive: false,
-            fault: FaultPlan::none(),
+            fail_after: None,
         }
     }
 
@@ -260,7 +152,7 @@ impl ReplicaSpec {
         ReplicaSpec {
             backend: BackendSpec::Instant,
             interactive: false,
-            fault: FaultPlan::none(),
+            fail_after: None,
         }
     }
 
@@ -270,9 +162,11 @@ impl ReplicaSpec {
         self
     }
 
-    /// Attaches a fault schedule to the replica.
-    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
+    /// Fails the replica for good after it has served `attempts`
+    /// attempts: the next one takes it down and is re-routed (see the
+    /// module docs).
+    pub fn fail_after(mut self, attempts: u64) -> Self {
+        self.fail_after = Some(attempts);
         self
     }
 }
@@ -300,7 +194,7 @@ fn default_prefix_lru_entries() -> u32 {
 pub struct FleetConfig {
     /// Human-readable fleet name (for reports).
     pub name: String,
-    /// Routing policy to instantiate at build time.
+    /// Routing policy.
     pub policy: RoutePolicyKind,
     /// Replica slots, in id order.
     pub replicas: Vec<ReplicaSpec>,
@@ -345,17 +239,42 @@ impl FleetConfig {
             !self.replicas.is_empty(),
             "fleet needs at least one replica"
         );
-        let parts = self
-            .replicas
-            .iter()
-            .map(|r| (r.backend.build(), r.interactive, r.fault))
-            .collect();
-        Fleet::from_parts(
-            self.name,
-            self.policy.build(),
-            parts,
-            self.prefix_lru_entries,
-        )
+        assert!(
+            self.replicas.len() <= Fleet::MAX_REPLICAS,
+            "fleet of {} replicas exceeds the maximum of {}",
+            self.replicas.len(),
+            Fleet::MAX_REPLICAS
+        );
+        let prefix_entries = self.prefix_lru_entries.max(1) as usize;
+        Fleet {
+            name: self.name,
+            policy: self.policy,
+            cursor: AtomicUsize::new(0),
+            replicas: self
+                .replicas
+                .iter()
+                .map(|spec| {
+                    let backend = spec.backend.build();
+                    FleetReplica {
+                        description: backend.describe(),
+                        backend,
+                        interactive: spec.interactive,
+                        fail_after: spec.fail_after,
+                        outstanding: AtomicUsize::new(0),
+                        outstanding_tokens: AtomicU64::new(0),
+                        peak_outstanding: AtomicUsize::new(0),
+                        served: AtomicU64::new(0),
+                        interactive_served: AtomicU64::new(0),
+                        attempts: AtomicU64::new(0),
+                        down: AtomicBool::new(false),
+                        prefix: Mutex::new(PrefixTracker::new(prefix_entries)),
+                        latency: LatencyHistogram::new(),
+                    }
+                })
+                .collect(),
+            observer: RwLock::new(None),
+            observed: AtomicBool::new(false),
+        }
     }
 }
 
@@ -406,20 +325,18 @@ struct FleetReplica {
     backend: Arc<dyn LlmBackend>,
     interactive: bool,
     description: String,
-    fault: FaultPlan,
+    fail_after: Option<u64>,
     outstanding: AtomicUsize,
     /// Prompt + decode tokens of the calls currently in flight — the
-    /// load estimate behind [`crate::TokenWeighted`] routing.
+    /// load estimate behind [`RoutePolicyKind::TokenWeighted`] routing.
     outstanding_tokens: AtomicU64,
     peak_outstanding: AtomicUsize,
     served: AtomicU64,
     interactive_served: AtomicU64,
     /// Attempts claimed against this replica (served + refused).
     attempts: AtomicU64,
-    /// Attempts the fault gate refused (Fail or Unavailable).
-    failed: AtomicU64,
-    /// Set once an attempt returns [`FaultOutcome::Fail`]; from then on
-    /// the replica is advertised unavailable and routed around.
+    /// Set by the attempt that takes the replica down; from then on it is
+    /// advertised unavailable and routed around.
     down: AtomicBool,
     /// Fleet-level prefix-cache residency model for this replica.
     prefix: Mutex<PrefixTracker>,
@@ -444,7 +361,9 @@ pub struct FleetReplicaMetrics {
     pub peak_outstanding: usize,
     /// Attempts claimed (served + refused).
     pub attempts: u64,
-    /// Attempts refused by the fault gate.
+    /// Attempts that took the replica down: 0, or 1 once it has failed
+    /// for good. Racing claims refused after that count only in
+    /// `attempts`.
     pub failed: u64,
     /// Whether the replica has failed permanently.
     pub down: bool,
@@ -504,7 +423,8 @@ impl FleetMetrics {
         self.replicas.iter().map(|r| r.p99_us).max().unwrap_or(0)
     }
 
-    /// Total attempts the fault gate refused across replicas.
+    /// Replicas that have failed for good (each counts its one failing
+    /// attempt).
     pub fn total_failed(&self) -> u64 {
         self.replicas.iter().map(|r| r.failed).sum()
     }
@@ -514,31 +434,26 @@ impl FleetMetrics {
 /// [`LlmBackend`].
 ///
 /// Worker threads call [`LlmBackend::call`]; the fleet snapshots per-
-/// replica load and availability into [`ReplicaView`]s, asks the
-/// [`RoutePolicy`] for a replica, runs the replica's [`FaultPlan`] gate,
-/// and forwards the (blocking) call. Refused attempts are retried on the
-/// remaining replicas with exponential backoff — see the module docs for
-/// why retrying is always state-safe.
+/// replica load and availability into [`ReplicaView`]s, asks its
+/// [`RoutePolicyKind`] for a replica, checks the replica's `fail_after`
+/// budget, and forwards the (blocking) call. An attempt past the budget
+/// takes the replica down and is re-routed to a live one — see the
+/// module docs for why retrying is always state-safe.
 ///
 /// The fleet's own share of a call allocates nothing: the views live in
-/// a stack array and the per-call tried set is a `u64` bitmask, which is
-/// why a fleet holds at most [`Fleet::MAX_REPLICAS`] replicas. Counters
+/// a stack array, which is why a fleet holds at most
+/// [`Fleet::MAX_REPLICAS`] replicas. Counters
 /// are lock-free; the locks the fleet takes per attempt are the routed
 /// replica's prefix tracker and, once an observer is installed, a read
 /// lock on it. A replica backend may lock inside its own `call` — a
 /// [`RealtimeSimBackend`] serializes its callers on its engine's mutex.
 pub struct Fleet {
     name: String,
-    policy: Box<dyn RoutePolicy>,
+    policy: RoutePolicyKind,
+    /// Round-robin position (only [`RoutePolicyKind::RoundRobin`] moves
+    /// it).
+    cursor: AtomicUsize,
     replicas: Vec<FleetReplica>,
-    /// Fleet-wide attempt tick (indexes transient fault windows).
-    ticks: AtomicU64,
-    /// Wall-clock divisor for the retry backoff: the largest replica
-    /// [`LlmBackend::time_scale`], or 1 when every replica serves in real
-    /// time. Fault windows are *tick*-indexed (ticks advance per attempt,
-    /// never with the clock), so the sweep sleep is pure CPU-courtesy
-    /// pacing and can safely be compressed by the simulation speed-up.
-    backoff_div: f64,
     /// Telemetry hook: sees every claimed attempt (begin/end). Read-locked
     /// on the call path — uncontended once installed, and never held
     /// across a backend call.
@@ -552,84 +467,22 @@ impl std::fmt::Debug for Fleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fleet")
             .field("name", &self.name)
-            .field("policy", &self.policy.name())
+            .field("policy", &self.policy.as_str())
             .field("replicas", &self.replicas.len())
             .finish()
     }
 }
 
 impl Fleet {
-    /// Most replicas one fleet may hold: a call marks the replicas it has
-    /// tried in one `u64`.
+    /// Most replicas one fleet may hold: a call snapshots its routing
+    /// views into a stack array of this size.
     pub const MAX_REPLICAS: usize = 64;
-
-    fn from_parts(
-        name: impl Into<String>,
-        policy: Box<dyn RoutePolicy>,
-        backends: Vec<(Arc<dyn LlmBackend>, bool, FaultPlan)>,
-        prefix_lru_entries: u32,
-    ) -> Self {
-        assert!(!backends.is_empty(), "fleet needs at least one replica");
-        assert!(
-            backends.len() <= Fleet::MAX_REPLICAS,
-            "fleet of {} replicas exceeds the maximum of {}",
-            backends.len(),
-            Fleet::MAX_REPLICAS
-        );
-        let prefix_entries = prefix_lru_entries.max(1) as usize;
-        let backoff_div = backends
-            .iter()
-            .filter_map(|(b, _, _)| b.time_scale())
-            .filter(|s| s.is_finite() && *s > 1.0)
-            .fold(1.0, f64::max);
-        Fleet {
-            name: name.into(),
-            policy,
-            replicas: backends
-                .into_iter()
-                .map(|(backend, interactive, fault)| FleetReplica {
-                    description: backend.describe(),
-                    backend,
-                    interactive,
-                    fault,
-                    outstanding: AtomicUsize::new(0),
-                    outstanding_tokens: AtomicU64::new(0),
-                    peak_outstanding: AtomicUsize::new(0),
-                    served: AtomicU64::new(0),
-                    interactive_served: AtomicU64::new(0),
-                    attempts: AtomicU64::new(0),
-                    failed: AtomicU64::new(0),
-                    down: AtomicBool::new(false),
-                    prefix: Mutex::new(PrefixTracker::new(prefix_entries)),
-                    latency: LatencyHistogram::new(),
-                })
-                .collect(),
-            ticks: AtomicU64::new(0),
-            backoff_div,
-            observer: RwLock::new(None),
-            observed: AtomicBool::new(false),
-        }
-    }
-
-    /// Fleet name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Divisor applied to the wall-clock retry backoff: the largest
-    /// replica [`LlmBackend::time_scale`] (clamped to at least 1). Fault
-    /// windows are indexed by attempt *ticks*, so compressing the sleep
-    /// never changes which attempts a transient window refuses — it only
-    /// stops a sped-up simulation from sleeping at real-deployment pace.
-    pub fn backoff_divisor(&self) -> f64 {
-        self.backoff_div
-    }
 
     /// Per-replica counters so far.
     pub fn metrics(&self) -> FleetMetrics {
         FleetMetrics {
             name: self.name.clone(),
-            policy: self.policy.name().to_string(),
+            policy: self.policy.as_str().to_string(),
             replicas: self
                 .replicas
                 .iter()
@@ -642,7 +495,7 @@ impl Fleet {
                     interactive_served: r.interactive_served.load(Ordering::Relaxed),
                     peak_outstanding: r.peak_outstanding.load(Ordering::Relaxed),
                     attempts: r.attempts.load(Ordering::Relaxed),
-                    failed: r.failed.load(Ordering::Relaxed),
+                    failed: u64::from(r.down.load(Ordering::Relaxed)),
                     down: r.down.load(Ordering::Relaxed),
                     prefix: r.prefix.lock().stats(),
                     p99_us: r.latency.p99_us(),
@@ -654,36 +507,29 @@ impl Fleet {
     #[cfg(test)]
     fn views(&self) -> Vec<ReplicaView> {
         let mut views = [NO_VIEW; Fleet::MAX_REPLICAS];
-        self.views_marking(0, &mut views).to_vec()
+        self.views_into(&mut views).to_vec()
     }
-    /// Routing snapshot, written into the front of `views`; bit `i` of
-    /// `tried` marks replica `i` as already refused within the current
-    /// retry round (advertised unavailable so the policy routes around
-    /// it).
-    fn views_marking<'v>(
+
+    /// Routing snapshot, written into the front of `views`.
+    fn views_into<'v>(
         &self,
-        tried: u64,
         views: &'v mut [ReplicaView; Fleet::MAX_REPLICAS],
     ) -> &'v [ReplicaView] {
-        let tick = self.ticks.load(Ordering::Relaxed);
         for ((id, r), view) in self.replicas.iter().enumerate().zip(views.iter_mut()) {
             *view = ReplicaView {
                 id,
                 outstanding: r.outstanding.load(Ordering::Relaxed),
                 outstanding_tokens: r.outstanding_tokens.load(Ordering::Relaxed),
-                served: r.served.load(Ordering::Relaxed),
                 interactive: r.interactive,
-                available: tried & (1 << id) == 0
-                    && !r.down.load(Ordering::Relaxed)
-                    && !r.fault.unavailable_at(tick),
+                available: !r.down.load(Ordering::Relaxed),
             };
         }
         &views[..self.replicas.len()]
     }
 
-    /// One gated attempt on replica `id`. Claims the attempt indices,
-    /// consults the fault plan, and only on `Serve` invokes the backend —
-    /// the retry-safety invariant: a `None` return means the backend was
+    /// One attempt on replica `id`. Claims the attempt index, checks the
+    /// `fail_after` budget, and only within it invokes the backend — the
+    /// retry-safety invariant: a `None` return means the backend was
     /// never called, so no state exists to duplicate.
     fn attempt(&self, id: usize, req: &LlmRequest) -> Option<LlmResponse> {
         let replica = &self.replicas[id];
@@ -698,35 +544,23 @@ impl Fleet {
                 o.end_attempt(t, req, id as u32, outcome);
             }
         };
-        let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
         let attempt = replica.attempts.fetch_add(1, Ordering::Relaxed);
-        let extra_latency_us = match replica.fault.outcome(attempt, tick) {
-            FaultOutcome::Fail => {
-                // Only the claim that takes the replica down fails it. A
-                // caller that routed here before that flip and claims past
-                // the budget too is refused as if the replica were already
-                // down: re-routed, and not a second failure.
-                let first = replica
-                    .down
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok();
-                if first {
-                    replica.failed.fetch_add(1, Ordering::Relaxed);
-                }
-                finish(if first {
-                    AttemptOutcome::Failed
-                } else {
-                    AttemptOutcome::Refused
-                });
-                return None;
-            }
-            FaultOutcome::Unavailable => {
-                replica.failed.fetch_add(1, Ordering::Relaxed);
-                finish(AttemptOutcome::Refused);
-                return None;
-            }
-            FaultOutcome::Serve { extra_latency_us } => extra_latency_us,
-        };
+        if replica.fail_after.is_some_and(|n| attempt >= n) {
+            // Only the claim that takes the replica down fails it. A
+            // caller that routed here before that flip and claims past the
+            // budget too is refused as if the replica were already down:
+            // re-routed, and not a second failure.
+            let first = replica
+                .down
+                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok();
+            finish(if first {
+                AttemptOutcome::Failed
+            } else {
+                AttemptOutcome::Refused
+            });
+            return None;
+        }
         let now = replica.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
         replica
             .outstanding_tokens
@@ -740,9 +574,6 @@ impl Fleet {
         );
         let started = Instant::now();
         let resp = replica.backend.call(req);
-        if extra_latency_us > 0 {
-            std::thread::sleep(Duration::from_micros(extra_latency_us));
-        }
         replica.latency.record(started.elapsed().as_micros() as u64);
         replica.outstanding.fetch_sub(1, Ordering::Relaxed);
         replica
@@ -755,66 +586,43 @@ impl Fleet {
         finish(AttemptOutcome::Served);
         Some(resp)
     }
+}
 
-    /// The retry loop: route → gate → call, re-routing refused attempts
-    /// with the refusing replica marked unavailable, backing off
-    /// exponentially once a full sweep of the fleet has refused.
+impl LlmBackend for Fleet {
+    /// The retry loop: route → budget check → call, re-routing every
+    /// refused attempt.
+    ///
+    /// A refusal always means the replica is down, and the views
+    /// advertise a down replica unavailable, so the policy routes around
+    /// it; each call therefore meets at most one refusal per replica.
     ///
     /// # Panics
     ///
     /// Panics when every replica has permanently failed — there is no
     /// replica left that could ever serve, so blocking forever would
     /// stall the simulation silently.
-    fn retry_call(&self, req: &LlmRequest) -> LlmResponse {
-        let n = self.replicas.len();
-        let all_tried = u64::MAX >> (u64::BITS as usize - n);
-        let mut tried = 0u64;
+    fn call(&self, req: &LlmRequest) -> LlmResponse {
         let mut views = [NO_VIEW; Fleet::MAX_REPLICAS];
-        let mut backoff = BACKOFF_START;
         loop {
             let id = self
                 .policy
-                .route(req, self.views_marking(tried, &mut views));
-            assert!(
-                id < n,
-                "route policy {} returned replica {id} of {n}",
-                self.policy.name()
-            );
+                .route(&self.cursor, req, self.views_into(&mut views));
             if let Some(resp) = self.attempt(id, req) {
                 return resp;
             }
-            tried |= 1 << id;
-            if tried == all_tried {
-                assert!(
-                    !self.replicas.iter().all(|r| r.down.load(Ordering::Relaxed)),
-                    "fleet {}: every replica has permanently failed",
-                    self.name
-                );
-                // Transient windows may pass as ticks advance — clear the
-                // per-round marks and back off before sweeping again. The
-                // sleep is wall-clock pacing only (windows are indexed by
-                // attempt ticks, not time), so divide it by the fleet's
-                // simulation speed-up: a replayed deployment running 100
-                // virtual seconds per wall second should not make callers
-                // wait 100x longer than the deployment it models would.
-                tried = 0;
-                std::thread::sleep(backoff.div_f64(self.backoff_div));
-                backoff = (backoff * 2).min(BACKOFF_CAP);
-            }
+            assert!(
+                !self.replicas.iter().all(|r| r.down.load(Ordering::Relaxed)),
+                "fleet {}: every replica has permanently failed",
+                self.name
+            );
         }
-    }
-}
-
-impl LlmBackend for Fleet {
-    fn call(&self, req: &LlmRequest) -> LlmResponse {
-        self.retry_call(req)
     }
 
     fn describe(&self) -> String {
         let mut out = format!(
             "fleet({}, {}, {} replicas: ",
             self.name,
-            self.policy.name(),
+            self.policy.as_str(),
             self.replicas.len()
         );
         for (i, r) in self.replicas.iter().enumerate() {
@@ -825,7 +633,7 @@ impl LlmBackend for Fleet {
             if r.interactive {
                 out.push_str(" [interactive]");
             }
-            if !r.fault.is_none() {
+            if r.fail_after.is_some() {
                 out.push_str(" [faulted]");
             }
         }
@@ -841,14 +649,6 @@ impl LlmBackend for Fleet {
         *self.observer.write() = Some(observer);
         self.observed.store(true, Ordering::Release);
         true
-    }
-
-    fn time_scale(&self) -> Option<f64> {
-        if self.backoff_div > 1.0 {
-            Some(self.backoff_div)
-        } else {
-            None
-        }
     }
 }
 
@@ -949,7 +749,7 @@ mod tests {
     fn describe_marks_faulted_replicas() {
         let fleet = FleetConfig::new("faulty", RoutePolicyKind::RoundRobin)
             .with_replica(ReplicaSpec::instant())
-            .with_replica(ReplicaSpec::instant().with_fault(FaultPlan::none().fail_after(5)))
+            .with_replica(ReplicaSpec::instant().fail_after(5))
             .build();
         assert!(fleet.describe().contains("[faulted]"));
     }
@@ -1071,7 +871,7 @@ mod tests {
         // answered, with the failure absorbed by one retry and all later
         // traffic shed to replica 1.
         let fleet = FleetConfig::new("shed", RoutePolicyKind::RoundRobin)
-            .with_replica(ReplicaSpec::instant().with_fault(FaultPlan::none().fail_after(3)))
+            .with_replica(ReplicaSpec::instant().fail_after(3))
             .with_replica(ReplicaSpec::instant())
             .build();
         for i in 0..12 {
@@ -1111,7 +911,7 @@ mod tests {
             }
         }
         let fleet = FleetConfig::new("race", RoutePolicyKind::LeastOutstanding)
-            .with_replica(ReplicaSpec::instant().with_fault(FaultPlan::none().fail_after(0)))
+            .with_replica(ReplicaSpec::instant().fail_after(0))
             .with_replica(ReplicaSpec::instant())
             .build();
         let observer = Arc::new(Rendezvous {
@@ -1144,95 +944,10 @@ mod tests {
     }
 
     #[test]
-    fn transient_unavailability_recovers() {
-        // Replica 0 refuses during the first 4 fleet ticks, then comes
-        // back; no attempt on it fails because routing sheds proactively
-        // (its window is advertised via the availability view).
-        let fleet = FleetConfig::new("transient", RoutePolicyKind::RoundRobin)
-            .with_replica(
-                ReplicaSpec::instant().with_fault(FaultPlan::none().unavailable_between(0, 4)),
-            )
-            .with_replica(ReplicaSpec::instant())
-            .build();
-        for i in 0..12 {
-            fleet.call(&req(i));
-        }
-        let m = fleet.metrics();
-        assert_eq!(m.total_served(), 12);
-        assert_eq!(m.replicas[0].failed, 0, "shedding is proactive: {m:?}");
-        assert!(
-            m.replicas[0].served > 0,
-            "the replica must recover after the window: {m:?}"
-        );
-        assert!(m.replicas[1].served >= 4, "{m:?}");
-        assert!(!m.replicas[0].down);
-    }
-
-    #[test]
-    fn latency_spike_shows_up_in_p99() {
-        let fleet = FleetConfig::new("spiky", RoutePolicyKind::RoundRobin)
-            .with_replica(
-                ReplicaSpec::instant().with_fault(FaultPlan::none().spike_between(0, 5, 3_000)),
-            )
-            .build();
-        for i in 0..20 {
-            fleet.call(&req(i));
-        }
-        let m = fleet.metrics();
-        assert_eq!(m.total_served(), 20);
-        assert!(
-            m.replicas[0].p99_us >= 3_000,
-            "p99 must surface the spiked calls: {}",
-            m.replicas[0].p99_us
-        );
-        assert_eq!(m.max_p99_us(), m.replicas[0].p99_us);
-    }
-
-    #[test]
-    fn scaled_backoff_compresses_sweep_sleeps_for_paced_fleets() {
-        // Regression: the all-refused sweep used to sleep the raw
-        // BACKOFF_START..BACKOFF_CAP schedule even when every replica is
-        // a sped-up simulation. Fault windows are tick-indexed, so the
-        // compressed sleep refuses exactly the same attempts — only the
-        // wall clock differs.
-        let fleet = FleetConfig::new("paced", RoutePolicyKind::RoundRobin)
-            .with_replica(
-                ReplicaSpec::replay(LatencyProfile::constant("fast", 1_000), 0, Some(1_000.0))
-                    .with_fault(FaultPlan::none().unavailable_between(0, 40)),
-            )
-            .build();
-        assert_eq!(fleet.backoff_divisor(), 1_000.0);
-        assert_eq!(LlmBackend::time_scale(&fleet), Some(1_000.0));
-        let started = Instant::now();
-        let r = fleet.call(&req(1));
-        let elapsed = started.elapsed();
-        assert_eq!(r.output_tokens, 2);
-        // Unscaled, 40 refused sweeps sleep ~170 ms (the schedule caps at
-        // 5 ms); at 1000x the total pacing is well under a millisecond.
-        assert!(
-            elapsed < Duration::from_millis(60),
-            "scaled backoff must not sleep at real-deployment pace: {elapsed:?}"
-        );
-        let m = fleet.metrics();
-        assert_eq!(
-            m.replicas[0].failed, 40,
-            "window length is tick-exact: {m:?}"
-        );
-        assert!(!m.replicas[0].down);
-    }
-
-    #[test]
-    fn realtime_fleets_keep_the_unscaled_backoff() {
-        let fleet = instant_fleet(2, RoutePolicyKind::RoundRobin);
-        assert_eq!(fleet.backoff_divisor(), 1.0);
-        assert_eq!(LlmBackend::time_scale(&fleet), None);
-    }
-
-    #[test]
     #[should_panic(expected = "every replica has permanently failed")]
     fn fully_failed_fleet_panics_instead_of_hanging() {
         let fleet = FleetConfig::new("dead", RoutePolicyKind::RoundRobin)
-            .with_replica(ReplicaSpec::instant().with_fault(FaultPlan::none().fail_after(0)))
+            .with_replica(ReplicaSpec::instant().fail_after(0))
             .build();
         fleet.call(&req(1));
     }
@@ -1279,13 +994,12 @@ mod tests {
 
     #[test]
     fn widest_fleet_retries_to_its_last_replica() {
-        // 64 replicas, every one but the last dead on arrival: the tried
-        // mask must cover the top bit, so the call walks all 63 failures
-        // and lands on replica 63 without a backoff sweep.
+        // 64 replicas, every one but the last dead on arrival: the call
+        // walks all 63 failures, each taking its replica down, and lands
+        // on replica 63.
         let mut cfg = FleetConfig::new("wide", RoutePolicyKind::LeastOutstanding);
         for _ in 0..Fleet::MAX_REPLICAS - 1 {
-            cfg = cfg
-                .with_replica(ReplicaSpec::instant().with_fault(FaultPlan::none().fail_after(0)));
+            cfg = cfg.with_replica(ReplicaSpec::instant().fail_after(0));
         }
         let fleet = cfg.with_replica(ReplicaSpec::instant()).build();
         assert_eq!(fleet.call(&req(1)).output_tokens, 2);

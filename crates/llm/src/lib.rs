@@ -52,15 +52,15 @@
 //!    latency`);
 //! 2. **replica** — a [`ReplicaSpec`] wraps one backend plus fleet-level
 //!    tags (e.g. `interactive` for dedicated player-facing capacity) and
-//!    an optional [`FaultPlan`] (fail-after-N, transient unavailability,
-//!    latency spikes — injected at the fleet layer, gated *before* the
-//!    backend runs so retries are always state-safe);
-//! 3. **router** — a [`RoutePolicy`] ([`RoundRobin`], [`LeastOutstanding`],
-//!    [`LaneAware`], [`PrefixAffinity`]) picks the replica for each
-//!    request from live [`ReplicaView`]s (which carry availability, so
-//!    degraded replicas shed load);
-//! 4. **fleet** — [`Fleet`] owns the replicas and the policy, retries
-//!    refused attempts with backoff, keeps per-replica prefix-cache
+//!    an optional `fail_after` budget ([`ReplicaSpec::fail_after`]: the
+//!    replica fails for good after N attempts, checked at the fleet layer
+//!    *before* the backend runs so retries are always state-safe);
+//! 3. **router** — a [`RoutePolicyKind`] (round-robin, least-outstanding,
+//!    token-weighted, lane-aware, prefix-affinity) picks the replica for
+//!    each request from live [`ReplicaView`]s (which carry availability,
+//!    so failed replicas shed load);
+//! 4. **fleet** — [`Fleet`] owns the replicas and the policy, re-routes
+//!    the attempt that takes a replica down, keeps per-replica prefix-cache
 //!    ([`PrefixTracker`]) and latency counters, and is itself an
 //!    [`LlmBackend`], so the threaded runtime drives a mixed fleet
 //!    exactly like a single engine.
@@ -124,18 +124,12 @@ mod time;
 
 pub use backend::{InstantBackend, LlmBackend, RealtimeSimBackend};
 pub use cost::CostModel;
-pub use fleet::{
-    BackendSpec, FaultOutcome, FaultPlan, Fleet, FleetConfig, FleetMetrics, FleetReplicaMetrics,
-    ReplicaSpec,
-};
+pub use fleet::{BackendSpec, Fleet, FleetConfig, FleetMetrics, FleetReplicaMetrics, ReplicaSpec};
 pub use observer::{AttemptOutcome, CallObserver};
 pub use prefix::{PrefixLru, PrefixStats, PrefixTracker};
 pub use presets::Preset;
 pub use replay::{LatencyProfile, ReplayBackend, ReplayMetrics};
 pub use request::{CallKind, Lane, LlmRequest, LlmResponse, RequestId};
-pub use router::{
-    LaneAware, LeastOutstanding, PrefixAffinity, ReplicaView, RoundRobin, RoutePolicy,
-    RoutePolicyKind, TokenWeighted,
-};
+pub use router::{ReplicaView, RoutePolicyKind};
 pub use server::{Completion, ReplicaMetrics, ServerConfig, ServerMetrics, SimServer};
 pub use time::VirtualTime;

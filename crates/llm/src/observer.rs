@@ -6,23 +6,23 @@
 //! Instead it exposes [`CallObserver`]: the engine installs an observer
 //! via [`crate::LlmBackend::install_observer`], and the fleet reports
 //! every *claimed attempt* — first tries and retries after a refusal
-//! alike — as a begin/end pair. The observer sees attempts
-//! at the same granularity the fault gate does, so refused attempts
-//! (which never reach a backend) are visible too.
+//! alike — as a begin/end pair. The observer sees every attempt the
+//! `fail_after` budget check sees, so failed and refused attempts (which
+//! never reach a backend) are visible too.
 
 use crate::request::LlmRequest;
 
-/// How one claimed fleet attempt resolved (the observer-facing mirror of
-/// [`crate::FaultOutcome`], after the backend ran).
+/// How one claimed fleet attempt resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum AttemptOutcome {
     /// The backend ran and returned a response.
     Served,
-    /// The fault gate failed the attempt permanently (replica down).
+    /// The attempt passed the replica's `fail_after` budget and took the
+    /// replica down for good (the call re-routes).
     Failed,
-    /// The fault gate refused the attempt — a transient window, or a
-    /// replica a racing claim has just taken down (retry elsewhere).
+    /// The attempt passed the budget of a replica a racing claim had just
+    /// taken down (the call re-routes; not a second failure).
     Refused,
 }
 
@@ -47,7 +47,7 @@ impl AttemptOutcome {
 
 /// Observes every attempt a [`crate::Fleet`] claims against a replica.
 ///
-/// `begin_attempt` runs *before* the fault gate and returns an opaque
+/// `begin_attempt` runs *before* the budget check and returns an opaque
 /// token (typically a timestamp on the observer's own clock); the same
 /// token comes back in `end_attempt` once the attempt resolves. Both
 /// hooks run on the worker thread that issued the call, inside that

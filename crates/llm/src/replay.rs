@@ -357,10 +357,6 @@ impl LlmBackend for ReplayBackend {
             ),
         }
     }
-
-    fn time_scale(&self) -> Option<f64> {
-        self.time_scale
-    }
 }
 
 #[cfg(test)]

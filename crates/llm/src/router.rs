@@ -1,11 +1,11 @@
-//! Pluggable request routing for a heterogeneous serving [`Fleet`].
+//! Request routing for a heterogeneous serving [`Fleet`].
 //!
 //! The paper's deployments route data-parallel replicas with a single
 //! hard-wired shortest-queue rule inside [`crate::SimServer`]. A *fleet*
 //! generalizes that: replicas may be entirely different backends (different
 //! presets, a latency-replay engine, a real HTTP endpoint…), and the
-//! routing rule is a user-pluggable [`RoutePolicy`] — routing/placement
-//! policy dominates at scale, so it must be swappable per experiment.
+//! routing rule is one of the five [`RoutePolicyKind`]s, chosen per
+//! experiment — routing/placement policy dominates at scale.
 //!
 //! [`Fleet`]: crate::Fleet
 
@@ -14,8 +14,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::request::{Lane, LlmRequest};
 
+/// Seed of [`RoutePolicyKind::PrefixAffinity`]'s group hash — chosen so
+/// the five built-in city persona templates spread over small (2–4
+/// replica) test fleets instead of all hashing onto one replica.
+const AFFINITY_SEED: u64 = 0xA1;
+
 /// A router's read-only view of one fleet replica at decision time.
-/// Plain data, constructible by custom fleets and tests.
+/// Plain data, constructible by tests and benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaView {
     /// Replica index within the fleet (stable across the run).
@@ -23,22 +28,19 @@ pub struct ReplicaView {
     /// Calls currently in flight on this replica.
     pub outstanding: usize,
     /// Estimated tokens (prompt + decode) of the calls currently in
-    /// flight on this replica — the load signal [`TokenWeighted`] routes
-    /// on: a replica chewing one 4k-token conversation is busier than one
-    /// serving three 60-token perceive calls.
+    /// flight on this replica — the load signal
+    /// [`RoutePolicyKind::TokenWeighted`] routes on: a replica chewing one
+    /// 4k-token conversation is busier than one serving three 60-token
+    /// perceive calls.
     pub outstanding_tokens: u64,
-    /// Calls completed by this replica so far.
-    pub served: u64,
     /// Whether the replica is tagged for interactive traffic (see
-    /// [`LaneAware`]).
+    /// [`RoutePolicyKind::LaneAware`]).
     pub interactive: bool,
-    /// Whether the replica is currently willing to accept traffic.
-    /// `false` while a fault window ([`crate::FaultPlan`]) holds it
-    /// unavailable, after it failed permanently, or — within a single
-    /// routing retry — once an attempt on it already failed. Every
-    /// shipped policy routes among available replicas first and falls
-    /// back to the full fleet only when none is available (the fleet's
-    /// retry loop then decides whether to back off or give up).
+    /// Whether the replica accepts traffic: `false` once it has failed
+    /// for good (its `fail_after` budget ran out). Every policy routes
+    /// among available replicas first and falls back to the full fleet
+    /// only when none is available (the fleet then panics: no replica is
+    /// left that could serve).
     pub available: bool,
 }
 
@@ -52,218 +54,9 @@ fn available_or_all(replicas: &[ReplicaView]) -> impl Iterator<Item = &ReplicaVi
         .filter(move |r| r.available || !any_available)
 }
 
-/// Picks the replica that serves the next request.
-///
-/// Implementations must be shareable across the threaded runtime's worker
-/// threads; `route` is called once per [`crate::LlmBackend::call`] on the
-/// fleet and must return an index `< replicas.len()`. `replicas` is never
-/// empty and is ordered by replica id.
-pub trait RoutePolicy: Send + Sync {
-    /// Chooses the replica index for `req`.
-    fn route(&self, req: &LlmRequest, replicas: &[ReplicaView]) -> usize;
-
-    /// Stable policy name (for logs, metrics, and CLI round-trips).
-    fn name(&self) -> &'static str;
-}
-
-/// Cycles through replicas in order, ignoring load and lanes.
-///
-/// The baseline policy: perfectly fair in request *count*, oblivious to
-/// heterogeneity — a slow replica gets the same share as a fast one, which
-/// is exactly the failure mode the other policies exist to fix.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    next: AtomicUsize,
-}
-
-impl RoundRobin {
-    /// Creates the policy, starting at replica 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl RoutePolicy for RoundRobin {
-    fn route(&self, _req: &LlmRequest, replicas: &[ReplicaView]) -> usize {
-        let n = available_or_all(replicas).count();
-        let pick = self.next.fetch_add(1, Ordering::Relaxed) % n;
-        available_or_all(replicas)
-            .nth(pick)
-            .expect("pick < available count")
-            .id
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Routes to the replica with the fewest in-flight calls (join the
-/// shortest queue), ties broken by lowest replica id.
-///
-/// On a heterogeneous fleet this is self-balancing: a fast replica drains
-/// its queue sooner, stays short, and therefore absorbs proportionally
-/// more traffic than a slow one.
-#[derive(Debug, Default)]
-pub struct LeastOutstanding;
-
-impl LeastOutstanding {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
+/// The fewest in-flight calls, ties broken by lowest id.
 fn least_outstanding_of<'a>(replicas: impl Iterator<Item = &'a ReplicaView>) -> Option<usize> {
     replicas.min_by_key(|r| (r.outstanding, r.id)).map(|r| r.id)
-}
-
-impl RoutePolicy for LeastOutstanding {
-    fn route(&self, _req: &LlmRequest, replicas: &[ReplicaView]) -> usize {
-        least_outstanding_of(available_or_all(replicas)).expect("fleet has at least one replica")
-    }
-
-    fn name(&self) -> &'static str {
-        "least-outstanding"
-    }
-}
-
-/// Routes to the replica with the smallest **outstanding token
-/// estimate** (prompt + decode tokens of its in-flight calls), ties
-/// broken by fewest in-flight calls then lowest id.
-///
-/// Call *count* is a poor load proxy for LLM serving: per-request cost
-/// is dominated by token volume, and the workload mixes 60-token
-/// perceive calls with multi-thousand-token conversation chains (the
-/// Fig. 1 stragglers). Weighting by the tokens a replica still has in
-/// flight sends the next heavy call to the replica that will actually
-/// drain first. With a homogeneous all-light load it degrades to
-/// [`LeastOutstanding`].
-#[derive(Debug, Default)]
-pub struct TokenWeighted;
-
-impl TokenWeighted {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl RoutePolicy for TokenWeighted {
-    fn route(&self, _req: &LlmRequest, replicas: &[ReplicaView]) -> usize {
-        available_or_all(replicas)
-            .min_by_key(|r| (r.outstanding_tokens, r.outstanding, r.id))
-            .map(|r| r.id)
-            .expect("fleet has at least one replica")
-    }
-
-    fn name(&self) -> &'static str {
-        "token-weighted"
-    }
-}
-
-/// Partitions the fleet by service class (paper §6's hybrid deployment,
-/// fleet-level): [`Lane::Interactive`] requests go to replicas tagged
-/// `interactive`, background requests to the untagged rest, each side
-/// balanced by least-outstanding.
-///
-/// Degrades gracefully: if the partition a request belongs to is empty
-/// (no replica tagged, or all tagged), the whole fleet is eligible — the
-/// policy then behaves exactly like [`LeastOutstanding`].
-#[derive(Debug, Default)]
-pub struct LaneAware;
-
-impl LaneAware {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl RoutePolicy for LaneAware {
-    fn route(&self, req: &LlmRequest, replicas: &[ReplicaView]) -> usize {
-        let wants_interactive = req.lane == Lane::Interactive;
-        least_outstanding_of(
-            available_or_all(replicas).filter(|r| r.interactive == wants_interactive),
-        )
-        .or_else(|| least_outstanding_of(available_or_all(replicas)))
-        .expect("fleet has at least one replica")
-    }
-
-    fn name(&self) -> &'static str {
-        "lane-aware"
-    }
-}
-
-/// Routes every request of one **routing group** (persona template when
-/// tagged, issuing agent otherwise — [`LlmRequest::routing_group`]) to
-/// the same replica, so the group's shared prompt prefix stays resident
-/// in that replica's cache.
-///
-/// The anchor replica is a seeded hash of the group
-/// (`splitmix64(seed ^ group) % fleet_size`), which spreads groups
-/// across the fleet without any shared mutable state — the policy is a
-/// pure function of (seed, group, replica count), hence deterministic
-/// for a fixed seed and replica set and stable across threads and runs.
-/// When the anchor is unavailable (fault window, failed attempt), the
-/// request probes linearly to the next available replica — its group's
-/// prefix is re-seeded there, degrading hit rate but never stalling a
-/// cluster on a dead replica.
-///
-/// This is the OpenCity observation operationalized: massive-city
-/// personas come from a small template pool, so same-template agents
-/// share a long preamble, and affinity converts that structure into
-/// per-replica prefix-cache hits — measurable via
-/// `FleetReplicaMetrics::hit_rate` and the `repro city-fleet` sweep.
-#[derive(Debug)]
-pub struct PrefixAffinity {
-    seed: u64,
-}
-
-impl PrefixAffinity {
-    /// Seed used by [`RoutePolicyKind::PrefixAffinity`] — chosen so the
-    /// five built-in city persona templates spread over small (2–4
-    /// replica) test fleets instead of all hashing onto one replica.
-    pub const DEFAULT_SEED: u64 = 0xA1;
-
-    /// Creates the policy with the default seed.
-    pub fn new() -> Self {
-        Self::with_seed(Self::DEFAULT_SEED)
-    }
-
-    /// Creates the policy with an explicit seed (exposed so experiments
-    /// can re-shuffle the group→replica assignment).
-    pub fn with_seed(seed: u64) -> Self {
-        PrefixAffinity { seed }
-    }
-
-    /// The replica the group would land on with every replica available.
-    fn anchor(&self, group: u64, n: usize) -> usize {
-        (splitmix64(self.seed ^ group) % n as u64) as usize
-    }
-}
-
-impl Default for PrefixAffinity {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RoutePolicy for PrefixAffinity {
-    fn route(&self, req: &LlmRequest, replicas: &[ReplicaView]) -> usize {
-        let n = replicas.len();
-        let anchor = self.anchor(req.routing_group(), n);
-        // Linear probe from the anchor to the first available replica;
-        // a fully-unavailable fleet falls back to the anchor itself.
-        (0..n)
-            .map(|i| (anchor + i) % n)
-            .find(|&i| replicas[i].available)
-            .unwrap_or(anchor)
-    }
-
-    fn name(&self) -> &'static str {
-        "prefix-affinity"
-    }
 }
 
 /// SplitMix64 finalizer — a cheap, well-mixed hash for group→replica
@@ -275,20 +68,65 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Declarative name for a shipped [`RoutePolicy`] — the serializable /
-/// CLI-facing counterpart, used by [`crate::FleetConfig`].
+/// A fleet's routing policy (used by [`crate::FleetConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutePolicyKind {
-    /// [`RoundRobin`].
+    /// Cycles through the replicas in order, ignoring load and lanes.
+    ///
+    /// The baseline: perfectly fair in request *count*, oblivious to
+    /// heterogeneity — a slow replica gets the same share as a fast one,
+    /// which is exactly the failure mode the other policies exist to fix.
     RoundRobin,
-    /// [`LeastOutstanding`] (the default).
+    /// Routes to the replica with the fewest in-flight calls (join the
+    /// shortest queue), ties broken by lowest replica id (the default).
+    ///
+    /// On a heterogeneous fleet this is self-balancing: a fast replica
+    /// drains its queue sooner, stays short, and therefore absorbs
+    /// proportionally more traffic than a slow one.
     #[default]
     LeastOutstanding,
-    /// [`TokenWeighted`].
+    /// Routes to the replica with the smallest **outstanding token
+    /// estimate** (prompt + decode tokens of its in-flight calls), ties
+    /// broken by fewest in-flight calls then lowest id.
+    ///
+    /// Call *count* is a poor load proxy for LLM serving: per-request
+    /// cost is dominated by token volume, and the workload mixes 60-token
+    /// perceive calls with multi-thousand-token conversation chains (the
+    /// Fig. 1 stragglers). Weighting by the tokens a replica still has in
+    /// flight sends the next heavy call to the replica that will actually
+    /// drain first. With a homogeneous all-light load it degrades to
+    /// [`RoutePolicyKind::LeastOutstanding`].
     TokenWeighted,
-    /// [`LaneAware`].
+    /// Partitions the fleet by service class (paper §6's hybrid
+    /// deployment, fleet-level): [`Lane::Interactive`] requests go to
+    /// replicas tagged `interactive`, background requests to the untagged
+    /// rest, each side balanced by least-outstanding.
+    ///
+    /// Degrades gracefully: if the partition a request belongs to is
+    /// empty (no replica tagged, or all tagged), the whole fleet is
+    /// eligible — the policy then behaves exactly like
+    /// [`RoutePolicyKind::LeastOutstanding`].
     LaneAware,
-    /// [`PrefixAffinity`] (with [`PrefixAffinity::DEFAULT_SEED`]).
+    /// Routes every request of one **routing group** (persona template
+    /// when tagged, issuing agent otherwise —
+    /// [`LlmRequest::routing_group`]) to the same replica, so the group's
+    /// shared prompt prefix stays resident in that replica's cache.
+    ///
+    /// The anchor replica is a seeded hash of the group
+    /// (`splitmix64(seed ^ group) % fleet_size`), which spreads groups
+    /// across the fleet without any shared mutable state — a pure
+    /// function of (group, replica count), hence deterministic for a
+    /// fixed replica set and stable across threads and runs. When the
+    /// anchor is unavailable (failed for good), the request probes
+    /// linearly to the next available replica — its group's prefix is
+    /// re-seeded there, degrading hit rate but never stalling a cluster
+    /// on a dead replica.
+    ///
+    /// This is the OpenCity observation operationalized: massive-city
+    /// personas come from a small template pool, so same-template agents
+    /// share a long preamble, and affinity converts that structure into
+    /// per-replica prefix-cache hits — measurable via
+    /// `FleetReplicaMetrics::hit_rate` and the `repro city-fleet` sweep.
     PrefixAffinity,
 }
 
@@ -302,7 +140,7 @@ impl RoutePolicyKind {
         RoutePolicyKind::PrefixAffinity,
     ];
 
-    /// Stable name matching the built policy's [`RoutePolicy::name`].
+    /// Stable policy name (for logs, metrics, and CLI round-trips).
     pub fn as_str(self) -> &'static str {
         match self {
             RoutePolicyKind::RoundRobin => "round-robin",
@@ -313,19 +151,47 @@ impl RoutePolicyKind {
         }
     }
 
-    /// Parses a name produced by [`RoutePolicyKind::as_str`].
-    pub fn from_str_opt(s: &str) -> Option<RoutePolicyKind> {
-        RoutePolicyKind::ALL.into_iter().find(|k| k.as_str() == s)
-    }
-
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn RoutePolicy> {
+    /// Picks the replica that serves `req`: an index `< replicas.len()`.
+    ///
+    /// `replicas` must be non-empty and ordered by replica id. `cursor`
+    /// is the fleet's round-robin position; only
+    /// [`RoutePolicyKind::RoundRobin`] reads or advances it.
+    pub fn route(self, cursor: &AtomicUsize, req: &LlmRequest, replicas: &[ReplicaView]) -> usize {
+        const NON_EMPTY: &str = "fleet has at least one replica";
         match self {
-            RoutePolicyKind::RoundRobin => Box::new(RoundRobin::new()),
-            RoutePolicyKind::LeastOutstanding => Box::new(LeastOutstanding::new()),
-            RoutePolicyKind::TokenWeighted => Box::new(TokenWeighted::new()),
-            RoutePolicyKind::LaneAware => Box::new(LaneAware::new()),
-            RoutePolicyKind::PrefixAffinity => Box::new(PrefixAffinity::new()),
+            RoutePolicyKind::RoundRobin => {
+                let n = available_or_all(replicas).count();
+                let pick = cursor.fetch_add(1, Ordering::Relaxed) % n;
+                available_or_all(replicas).nth(pick).expect(NON_EMPTY).id
+            }
+            RoutePolicyKind::LeastOutstanding => {
+                least_outstanding_of(available_or_all(replicas)).expect(NON_EMPTY)
+            }
+            RoutePolicyKind::TokenWeighted => {
+                available_or_all(replicas)
+                    .min_by_key(|r| (r.outstanding_tokens, r.outstanding, r.id))
+                    .expect(NON_EMPTY)
+                    .id
+            }
+            RoutePolicyKind::LaneAware => {
+                let wants_interactive = req.lane == Lane::Interactive;
+                least_outstanding_of(
+                    available_or_all(replicas).filter(|r| r.interactive == wants_interactive),
+                )
+                .or_else(|| least_outstanding_of(available_or_all(replicas)))
+                .expect(NON_EMPTY)
+            }
+            RoutePolicyKind::PrefixAffinity => {
+                let n = replicas.len();
+                let anchor = (splitmix64(AFFINITY_SEED ^ req.routing_group()) % n as u64) as usize;
+                // Linear probe from the anchor to the first available
+                // replica; a fully-unavailable fleet falls back to the
+                // anchor itself.
+                (0..n)
+                    .map(|i| (anchor + i) % n)
+                    .find(|&i| replicas[i].available)
+                    .unwrap_or(anchor)
+            }
         }
     }
 }
@@ -340,6 +206,9 @@ impl fmt::Display for RoutePolicyKind {
 mod tests {
     use super::*;
     use crate::request::{CallKind, RequestId};
+    use crate::{FleetConfig, ReplicaSpec};
+
+    use RoutePolicyKind::*;
 
     fn req(lane: Lane) -> LlmRequest {
         let r = LlmRequest::new(RequestId(1), 0, 0, 10, 2, CallKind::Plan);
@@ -357,58 +226,61 @@ mod tests {
                 id,
                 outstanding: o,
                 outstanding_tokens: o as u64 * 100,
-                served: 0,
                 interactive: false,
                 available: true,
             })
             .collect()
     }
 
+    /// Routes through `kind` with a fresh round-robin cursor.
+    fn route(kind: RoutePolicyKind, r: &LlmRequest, v: &[ReplicaView]) -> usize {
+        kind.route(&AtomicUsize::new(0), r, v)
+    }
+
     #[test]
     fn round_robin_cycles() {
-        let p = RoundRobin::new();
+        let cursor = AtomicUsize::new(0);
         let v = views(&[5, 0, 0]);
         let picks: Vec<usize> = (0..6)
-            .map(|_| p.route(&req(Lane::Background), &v))
+            .map(|_| RoundRobin.route(&cursor, &req(Lane::Background), &v))
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2], "load must be ignored");
     }
 
     #[test]
     fn least_outstanding_picks_min_then_lowest_id() {
-        let p = LeastOutstanding::new();
-        assert_eq!(p.route(&req(Lane::Background), &views(&[3, 1, 2])), 1);
-        assert_eq!(p.route(&req(Lane::Background), &views(&[2, 1, 1])), 1);
-        assert_eq!(p.route(&req(Lane::Background), &views(&[0, 0, 0])), 0);
+        let r = req(Lane::Background);
+        assert_eq!(route(LeastOutstanding, &r, &views(&[3, 1, 2])), 1);
+        assert_eq!(route(LeastOutstanding, &r, &views(&[2, 1, 1])), 1);
+        assert_eq!(route(LeastOutstanding, &r, &views(&[0, 0, 0])), 0);
     }
 
     #[test]
     fn token_weighted_prefers_lightest_token_load() {
-        let p = TokenWeighted::new();
+        let r = req(Lane::Background);
         // Token estimate dominates: replica 1 has more calls in flight
         // but fewer outstanding tokens.
         let mut v = views(&[1, 3]);
         v[0].outstanding_tokens = 5_000;
         v[1].outstanding_tokens = 400;
-        assert_eq!(p.route(&req(Lane::Background), &v), 1);
+        assert_eq!(route(TokenWeighted, &r, &v), 1);
         // Token tie → fewest calls → lowest id (degrades to
         // least-outstanding on uniform loads).
         let mut v = views(&[2, 1, 1]);
         for r in &mut v {
             r.outstanding_tokens = 700;
         }
-        assert_eq!(p.route(&req(Lane::Background), &v), 1);
-        assert_eq!(p.route(&req(Lane::Background), &views(&[0, 0])), 0);
+        assert_eq!(route(TokenWeighted, &r, &v), 1);
+        assert_eq!(route(TokenWeighted, &r, &views(&[0, 0])), 0);
     }
 
     #[test]
     fn lane_aware_partitions_by_tag() {
-        let p = LaneAware::new();
         let mut v = views(&[0, 9]);
         v[1].interactive = true;
-        assert_eq!(p.route(&req(Lane::Background), &v), 0);
+        assert_eq!(route(LaneAware, &req(Lane::Background), &v), 0);
         assert_eq!(
-            p.route(&req(Lane::Interactive), &v),
+            route(LaneAware, &req(Lane::Interactive), &v),
             1,
             "interactive must go to the tagged replica even when loaded"
         );
@@ -416,14 +288,16 @@ mod tests {
 
     #[test]
     fn lane_aware_degrades_to_least_outstanding() {
-        let p = LaneAware::new();
         // No replica tagged: interactive falls back to the whole fleet.
-        assert_eq!(p.route(&req(Lane::Interactive), &views(&[2, 1])), 1);
+        assert_eq!(
+            route(LaneAware, &req(Lane::Interactive), &views(&[2, 1])),
+            1
+        );
         // All tagged: background falls back likewise.
         let mut v = views(&[2, 1]);
         v[0].interactive = true;
         v[1].interactive = true;
-        assert_eq!(p.route(&req(Lane::Background), &v), 1);
+        assert_eq!(route(LaneAware, &req(Lane::Background), &v), 1);
     }
 
     #[test]
@@ -431,11 +305,11 @@ mod tests {
         let mut v = views(&[0, 9]);
         v[0].available = false;
         for kind in RoutePolicyKind::ALL {
-            let p = kind.build();
+            let cursor = AtomicUsize::new(0);
             for lane in [Lane::Background, Lane::Interactive] {
                 for _ in 0..4 {
                     assert_eq!(
-                        p.route(&req(lane), &v),
+                        kind.route(&cursor, &req(lane), &v),
                         1,
                         "{kind}: replica 0 is unavailable"
                     );
@@ -450,76 +324,94 @@ mod tests {
         v[0].available = false;
         v[1].available = false;
         for kind in RoutePolicyKind::ALL {
-            let pick = kind.build().route(&req(Lane::Background), &v);
+            let pick = route(kind, &req(Lane::Background), &v);
             assert!(pick < v.len(), "{kind}: index out of range");
         }
     }
 
     #[test]
     fn round_robin_cycles_over_available_subset() {
-        let p = RoundRobin::new();
+        let cursor = AtomicUsize::new(0);
         let mut v = views(&[0, 0, 0]);
         v[1].available = false;
         let picks: Vec<usize> = (0..4)
-            .map(|_| p.route(&req(Lane::Background), &v))
+            .map(|_| RoundRobin.route(&cursor, &req(Lane::Background), &v))
             .collect();
         assert_eq!(picks, vec![0, 2, 0, 2]);
     }
 
     #[test]
     fn prefix_affinity_is_deterministic_and_groups_stick() {
-        let p = PrefixAffinity::new();
+        let cursor = AtomicUsize::new(0);
         let v = views(&[3, 0, 1, 0]);
         let r = req(Lane::Background).with_template(2, 100);
-        let first = p.route(&r, &v);
+        let first = PrefixAffinity.route(&cursor, &r, &v);
         for _ in 0..10 {
-            assert_eq!(p.route(&r, &v), first, "same group must pin");
+            assert_eq!(
+                PrefixAffinity.route(&cursor, &r, &v),
+                first,
+                "same group must pin"
+            );
         }
-        // Same seed, fresh policy instance: identical assignment (no
-        // hidden mutable state).
-        assert_eq!(PrefixAffinity::new().route(&r, &v), first);
+        // A fresh cursor: identical assignment (affinity keeps no
+        // mutable state).
+        assert_eq!(route(PrefixAffinity, &r, &v), first);
         // Load never moves a group; only availability does.
         let mut loaded = v.clone();
         loaded[first].outstanding = 999;
         loaded[first].outstanding_tokens = 1 << 40;
-        assert_eq!(p.route(&r, &loaded), first);
+        assert_eq!(PrefixAffinity.route(&cursor, &r, &loaded), first);
     }
 
     #[test]
     fn prefix_affinity_spreads_groups_and_probes_on_failure() {
-        let p = PrefixAffinity::new();
         let v = views(&[0, 0]);
         // The five built-in city templates must not all collapse onto a
         // single replica of a 2-fleet (the constant seed is picked for
         // this; a collapse would make affinity == worst-case hotspot).
         let anchors: Vec<usize> = (0..5u32)
-            .map(|t| p.route(&req(Lane::Background).with_template(t, 50), &v))
+            .map(|t| {
+                route(
+                    PrefixAffinity,
+                    &req(Lane::Background).with_template(t, 50),
+                    &v,
+                )
+            })
             .collect();
         assert!(anchors.contains(&0) && anchors.contains(&1), "{anchors:?}");
         // Untagged requests group per agent and likewise spread.
         let by_agent: Vec<usize> = (0..16u32)
             .map(|a| {
                 let r = LlmRequest::new(RequestId(1), a, 0, 10, 2, CallKind::Plan);
-                p.route(&r, &v)
+                route(PrefixAffinity, &r, &v)
             })
             .collect();
         assert!(by_agent.contains(&0) && by_agent.contains(&1));
         // When the anchor goes unavailable the group probes to the next
         // available replica instead of stalling.
         let t0 = req(Lane::Background).with_template(0, 50);
-        let anchor = p.route(&t0, &v);
+        let anchor = route(PrefixAffinity, &t0, &v);
         let mut degraded = v.clone();
         degraded[anchor].available = false;
-        assert_eq!(p.route(&t0, &degraded), 1 - anchor);
+        assert_eq!(route(PrefixAffinity, &t0, &degraded), 1 - anchor);
     }
 
     #[test]
     fn kind_roundtrip_and_names_match_policies() {
+        let by_name = |s: &str| RoutePolicyKind::ALL.into_iter().find(|k| k.as_str() == s);
         for k in RoutePolicyKind::ALL {
-            assert_eq!(RoutePolicyKind::from_str_opt(k.as_str()), Some(k));
-            assert_eq!(k.build().name(), k.as_str(), "kind and policy disagree");
+            assert_eq!(by_name(k.as_str()), Some(k));
+            assert_eq!(k.to_string(), k.as_str());
+            let fleet = FleetConfig::new("names", k)
+                .with_replica(ReplicaSpec::instant())
+                .build();
+            assert_eq!(
+                fleet.metrics().policy,
+                k.as_str(),
+                "kind and fleet disagree"
+            );
         }
-        assert_eq!(RoutePolicyKind::from_str_opt("nope"), None);
+        assert_eq!(by_name("nope"), None);
         assert_eq!(
             RoutePolicyKind::default(),
             RoutePolicyKind::LeastOutstanding

@@ -56,7 +56,7 @@ pub struct ServerConfig {
     /// templates). Bounded because real KV-cache memory is: at city scale
     /// an agent's entry is evicted between its visits unless routing keeps
     /// the agent on one replica — which is exactly what
-    /// [`crate::PrefixAffinity`] is for. Values ≤ 1 behave as a
+    /// [`crate::RoutePolicyKind::PrefixAffinity`] is for. Values ≤ 1 behave as a
     /// single-entry cache.
     #[serde(default = "default_prefix_cache_entries")]
     pub prefix_cache_entries: u32,

@@ -4,14 +4,14 @@
 //! an evicted prefix must never report a hit, hit/miss counters must be
 //! exact over arbitrary prompt streams — including through a real
 //! [`Fleet`] — and affinity routing must be a pure function of
-//! (seed, group, replica set). Also checks the fleet's retry-backoff
-//! divisor: exactly the largest replica time scale, clamped to ≥ 1.
+//! (group, replica set).
 
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use aim_llm::{
-    CallKind, Fleet, FleetConfig, LlmBackend, LlmRequest, PrefixAffinity, PrefixLru, PrefixTracker,
-    ReplicaSpec, ReplicaView, RequestId, RoutePolicy, RoutePolicyKind,
+    CallKind, Fleet, FleetConfig, LlmBackend, LlmRequest, PrefixLru, PrefixTracker, ReplicaSpec,
+    ReplicaView, RequestId, RoutePolicyKind,
 };
 use proptest::prelude::*;
 
@@ -153,13 +153,12 @@ proptest! {
         prop_assert_eq!(s.matched_tokens, oracle.matched_tokens);
     }
 
-    /// Prefix-affinity routing is a pure function of (seed, routing
-    /// group, replica set): deterministic across calls and across policy
-    /// instances, always in range, and never picks an unavailable
-    /// replica while an available one exists.
+    /// Prefix-affinity routing is a pure function of (routing group,
+    /// replica set): deterministic across calls and across round-robin
+    /// cursors, always in range, and never picks an unavailable replica
+    /// while an available one exists.
     #[test]
     fn prefix_affinity_is_deterministic_and_respects_availability(
-        seed in any::<u64>(),
         agent in any::<u32>(),
         template in (any::<u32>(), any::<bool>()).prop_map(|(t, some)| some.then_some(t)),
         n in 1usize..8,
@@ -170,7 +169,6 @@ proptest! {
                 id,
                 outstanding: id,        // varying load must not matter
                 outstanding_tokens: (id as u64) * 17,
-                served: id as u64,
                 interactive: id % 2 == 0,
                 available: avail_bits & (1 << id) != 0,
             })
@@ -179,14 +177,15 @@ proptest! {
         if let Some(t) = template {
             req = req.with_template(t, 50);
         }
-        let policy = PrefixAffinity::with_seed(seed);
-        let pick = policy.route(&req, &views);
+        let policy = RoutePolicyKind::PrefixAffinity;
+        let cursor = AtomicUsize::new(0);
+        let pick = policy.route(&cursor, &req, &views);
         prop_assert!(pick < n, "route must stay in range");
-        prop_assert_eq!(pick, policy.route(&req, &views), "same policy, same pick");
+        prop_assert_eq!(pick, policy.route(&cursor, &req, &views), "same cursor, same pick");
         prop_assert_eq!(
             pick,
-            PrefixAffinity::with_seed(seed).route(&req, &views),
-            "fresh instance, same pick"
+            policy.route(&AtomicUsize::new(7), &req, &views),
+            "fresh cursor, same pick"
         );
         if views.iter().any(|v| v.available) {
             prop_assert!(views[pick].available, "picked a dead replica over a live one");
@@ -233,42 +232,6 @@ proptest! {
                 "replica {} matched tokens",
                 r.replica
             );
-        }
-    }
-
-    /// The fleet's retry-backoff divisor is exactly the largest replica
-    /// time scale (clamped to at least 1): a mixed fleet compresses its
-    /// sweep sleep by the fastest simulation it fronts, and an all-
-    /// realtime fleet advertises no time scale at all.
-    #[test]
-    fn backoff_divisor_is_the_max_replica_time_scale(
-        scales in proptest::collection::vec(
-            (1u32..5_000, any::<bool>()).prop_map(|(s, paced)| paced.then_some(s as f64)),
-            1..6,
-        ),
-    ) {
-        let mut cfg = FleetConfig::new("scales", RoutePolicyKind::RoundRobin);
-        for scale in &scales {
-            cfg = cfg.with_replica(match scale {
-                Some(s) => ReplicaSpec::replay(
-                    aim_llm::LatencyProfile::constant("paced", 100),
-                    0,
-                    Some(*s),
-                ),
-                None => ReplicaSpec::instant(),
-            });
-        }
-        let fleet = cfg.build();
-        let want = scales
-            .iter()
-            .flatten()
-            .fold(1.0f64, |acc, &s| acc.max(s));
-        prop_assert_eq!(fleet.backoff_divisor(), want);
-        let advertised = LlmBackend::time_scale(&fleet);
-        if want > 1.0 {
-            prop_assert_eq!(advertised, Some(want), "fleet must re-export its pacing");
-        } else {
-            prop_assert_eq!(advertised, None, "an unpaced fleet has no time scale");
         }
     }
 }

@@ -11,13 +11,17 @@
 //!
 //! Built on `std::net::TcpListener` with one accept thread plus one
 //! ticker thread — no async runtime, no HTTP library, because the whole
-//! surface is three GET routes with `Connection: close` semantics. The
+//! surface is three GET routes with `Connection: close` semantics. Each
+//! connection is served on a short-lived thread of its own, at most
+//! [`MAX_IN_FLIGHT`] at once, so a client that connects and sends
+//! nothing holds only its own slot; past the cap the accept thread
+//! answers `503 busy` itself, spending at most [`BUSY_WAIT`] on it. The
 //! ticker checks the stall watchdog a few times a second so it can fire
 //! on schedule even when nobody scrapes.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -32,6 +36,15 @@ const TICK_INTERVAL: Duration = Duration::from_millis(250);
 /// timeout restarts on every read, so without a cap a client trickling
 /// bytes with no newline would grow the line without bound.
 const MAX_REQUEST_LINE: u64 = 8 * 1024;
+
+/// Connections served at once. Each one may wait up to its 2 s read
+/// timeout on a silent client; a connection past the cap is answered
+/// `503` by the accept thread.
+const MAX_IN_FLIGHT: usize = 4;
+
+/// The longest the accept thread spends answering one connection past
+/// [`MAX_IN_FLIGHT`].
+const BUSY_WAIT: Duration = Duration::from_millis(100);
 
 /// A running status server. Binds on construction, serves from a
 /// background thread, and shuts both threads down on [`Drop`].
@@ -56,6 +69,7 @@ impl StatusServer {
         let accept = {
             let stop = Arc::clone(&stop);
             let source = Arc::clone(&source);
+            let in_flight = Arc::new(AtomicUsize::new(0));
             std::thread::Builder::new()
                 .name("aim-serve-http".into())
                 .spawn(move || {
@@ -64,10 +78,21 @@ impl StatusServer {
                             break;
                         }
                         let Ok(stream) = conn else { continue };
-                        // Serve inline: responses are small strings and
-                        // clients are curl/Prometheus, so a connection
-                        // never blocks the loop for long.
-                        let _ = serve_one(stream, source.as_ref());
+                        if in_flight.fetch_add(1, Ordering::AcqRel) >= MAX_IN_FLIGHT {
+                            in_flight.fetch_sub(1, Ordering::AcqRel);
+                            let _ = refuse_busy(&stream);
+                            continue;
+                        }
+                        let (source, slots) = (Arc::clone(&source), Arc::clone(&in_flight));
+                        let spawned = std::thread::Builder::new()
+                            .name("aim-serve-conn".into())
+                            .spawn(move || {
+                                let _ = serve_one(stream, source.as_ref());
+                                slots.fetch_sub(1, Ordering::AcqRel);
+                            });
+                        if spawned.is_err() {
+                            in_flight.fetch_sub(1, Ordering::AcqRel);
+                        }
                     }
                 })?
         };
@@ -117,6 +142,9 @@ impl Drop for StatusServer {
     }
 }
 
+/// One response: status line, content type, body.
+type Response = (&'static str, &'static str, String);
+
 /// Reads one request line (at most [`MAX_REQUEST_LINE`] bytes), routes
 /// it, writes one response, closes.
 fn serve_one(stream: TcpStream, source: &RunStatus) -> io::Result<()> {
@@ -132,7 +160,7 @@ fn serve_one(stream: TcpStream, source: &RunStatus) -> io::Result<()> {
     let path = parts.next().unwrap_or("");
     let path = path.split('?').next().unwrap_or(path);
 
-    let (status, content_type, body) = if reader.get_ref().limit() == 0 && !line.ends_with(b"\n") {
+    let response = if reader.get_ref().limit() == 0 && !line.ends_with(b"\n") {
         (
             "414 URI Too Long",
             "text/plain; charset=utf-8",
@@ -171,7 +199,29 @@ fn serve_one(stream: TcpStream, source: &RunStatus) -> io::Result<()> {
         }
     };
 
-    let mut stream = reader.into_inner().into_inner();
+    respond(&reader.into_inner().into_inner(), response)
+}
+
+/// Answers `503 busy`, then reads what the client sent until it closes
+/// (within [`BUSY_WAIT`]): closing over unread bytes would reset the
+/// connection before the client reads the answer.
+fn refuse_busy(stream: &TcpStream) -> io::Result<()> {
+    stream.set_write_timeout(Some(BUSY_WAIT))?;
+    stream.set_read_timeout(Some(BUSY_WAIT))?;
+    respond(
+        stream,
+        (
+            "503 Service Unavailable",
+            "text/plain; charset=utf-8",
+            "busy\n".to_string(),
+        ),
+    )?;
+    stream.shutdown(Shutdown::Write)?;
+    io::copy(&mut stream.take(MAX_REQUEST_LINE), &mut io::sink()).map(drop)
+}
+
+/// Writes `response` with `Connection: close`.
+fn respond(mut stream: &TcpStream, (status, content_type, body): Response) -> io::Result<()> {
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",

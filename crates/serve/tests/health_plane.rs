@@ -1,8 +1,9 @@
 //! End-to-end tests for the HTTP health plane: a healthy observed run
 //! serves all three routes, a wedged run (completed waits, no commits)
 //! trips the stall watchdog via the server's own ticker — `/healthz`
-//! flips to 503 and `/status` names the blocking edge — and a request
-//! line that never ends is refused at its cap.
+//! flips to 503 and `/status` names the blocking edge — a request line
+//! that never ends is refused at its cap, and a client that connects and
+//! sends nothing does not hold up anyone else's probe.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -202,5 +203,60 @@ fn an_unterminated_request_line_is_refused_at_its_cap() {
     let (code, body) = get(server.addr(), "/healthz");
     assert_eq!((code, body.as_str()), (200, "ok\n"));
     drop(stream);
+    drop(server);
+}
+
+#[test]
+fn an_idle_connection_does_not_hold_up_healthz() {
+    let source = Arc::new(RunStatus::new(
+        "observed run",
+        1,
+        Arc::new(Telemetry::new()),
+        Arc::new(HealthBoard::new()),
+        Arc::new(Watchdog::new(60_000_000)),
+    ));
+    let server = StatusServer::start(0, source).expect("bind an ephemeral loopback port");
+
+    // Connected first and silent: the server may wait out its read
+    // timeout on this socket, but not before answering the next one.
+    let idle = TcpStream::connect(server.addr()).expect("connect to status server");
+    let started = Instant::now();
+    let (code, body) = get(server.addr(), "/healthz");
+    let waited = started.elapsed();
+    assert_eq!((code, body.as_str()), (200, "ok\n"));
+    assert!(
+        waited < Duration::from_millis(500),
+        "/healthz waited {waited:?} behind an idle connection"
+    );
+    drop(idle);
+    drop(server);
+}
+
+#[test]
+fn connections_past_the_cap_are_answered_busy() {
+    let source = Arc::new(RunStatus::new(
+        "observed run",
+        1,
+        Arc::new(Telemetry::new()),
+        Arc::new(HealthBoard::new()),
+        Arc::new(Watchdog::new(60_000_000)),
+    ));
+    let server = StatusServer::start(0, source).expect("bind an ephemeral loopback port");
+
+    // Four silent clients fill every serving slot; the fifth connection
+    // is answered by the accept thread itself.
+    let idle: Vec<TcpStream> = (0..4)
+        .map(|_| TcpStream::connect(server.addr()).expect("connect to status server"))
+        .collect();
+    let (code, body) = get(server.addr(), "/healthz");
+    assert_eq!((code, body.as_str()), (503, "busy\n"));
+
+    // Closing them frees the slots again.
+    drop(idle);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while get(server.addr(), "/healthz").0 != 200 {
+        assert!(Instant::now() < deadline, "slots never freed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     drop(server);
 }

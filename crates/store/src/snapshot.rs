@@ -417,11 +417,12 @@ impl Snapshot {
     }
 }
 
-/// Writes rotating snapshot files on a fixed committed-step cadence.
+/// Writes rotating snapshot files.
 ///
-/// The executor (or any run loop) owns the *cut* — it decides when the
-/// state is quiescent and what goes into the [`SnapshotBuilder`]; the
-/// checkpointer owns cadence bookkeeping, file naming
+/// The executor (or any run loop) owns the *cut* and its cadence — it
+/// decides when the state is quiescent (an executor's `CheckpointHook`
+/// fires every `every_steps` committed steps) and what goes into the
+/// [`SnapshotBuilder`]; the checkpointer owns file naming
 /// (`ckpt-<step:08>.aimsnap`), atomic writes, and rotation.
 ///
 /// # Example
@@ -430,64 +431,44 @@ impl Snapshot {
 /// use aim_store::{Checkpointer, Db, SnapshotBuilder};
 ///
 /// let db = Db::new();
-/// let mut ckpt = Checkpointer::new("target/ckpts", 50, 2);
-/// for step in 0..200u32 {
-///     // … advance the simulation one committed step …
-///     if ckpt.due(step) {
-///         ckpt.write(step, &SnapshotBuilder::new().db(&db)).unwrap();
-///     }
+/// let mut ckpt = Checkpointer::new("target/ckpts", 2);
+/// for step in (50..200u32).step_by(50) {
+///     // … advance the simulation to committed step `step` …
+///     ckpt.write(step, &SnapshotBuilder::new().db(&db)).unwrap();
 /// }
-/// assert_eq!(ckpt.written(), 3); // steps 50, 100, 150
+/// assert_eq!(ckpt.written(), 3); // steps 50, 100, 150; 100 and 150 kept
 /// ```
 #[derive(Debug)]
 pub struct Checkpointer {
     dir: PathBuf,
-    every_steps: u32,
     keep: usize,
-    next_due: u32,
     written: u64,
     last: Option<PathBuf>,
 }
 
 impl Checkpointer {
-    /// Creates a checkpointer writing into `dir` every `every_steps`
-    /// committed steps, retaining the `keep` most recent files.
+    /// Creates a checkpointer writing into `dir` and retaining the `keep`
+    /// most recent files.
     ///
     /// # Panics
     ///
-    /// Panics if `every_steps` or `keep` is zero.
-    pub fn new(dir: impl Into<PathBuf>, every_steps: u32, keep: usize) -> Self {
-        assert!(every_steps > 0, "checkpoint cadence must be positive");
+    /// Panics if `keep` is zero.
+    pub fn new(dir: impl Into<PathBuf>, keep: usize) -> Self {
         assert!(keep > 0, "must retain at least one checkpoint");
         Checkpointer {
             dir: dir.into(),
-            every_steps,
             keep,
-            next_due: every_steps,
             written: 0,
             last: None,
         }
     }
 
-    /// The configured cadence in committed steps.
-    pub fn every_steps(&self) -> u32 {
-        self.every_steps
-    }
-
-    /// Whether the cadence calls for a checkpoint at `committed_step`
-    /// (the run's fully-committed step floor, e.g. `min_step`).
-    pub fn due(&self, committed_step: u32) -> bool {
-        committed_step >= self.next_due
-    }
-
-    /// Writes `builder` as `ckpt-<step:08>.aimsnap`, rotates old files,
-    /// and advances the cadence to the next multiple of `every_steps`
-    /// above `committed_step`.
+    /// Writes `builder` as `ckpt-<step:08>.aimsnap` and rotates old
+    /// files.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; the cadence only advances on
-    /// success, so a failed write is retried at the next opportunity.
+    /// Propagates filesystem errors.
     pub fn write(
         &mut self,
         committed_step: u32,
@@ -495,7 +476,6 @@ impl Checkpointer {
     ) -> io::Result<PathBuf> {
         let path = self.dir.join(format!("ckpt-{committed_step:08}.aimsnap"));
         builder.save(&path)?;
-        self.next_due = committed_step - committed_step % self.every_steps + self.every_steps;
         self.written += 1;
         self.last = Some(path.clone());
         self.rotate()?;
@@ -666,23 +646,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("aimsnap-ckpt-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let db = demo_db();
-        let mut ckpt = Checkpointer::new(&dir, 10, 2);
-        assert!(!ckpt.due(0));
-        assert!(!ckpt.due(9));
-        assert!(ckpt.due(10) && ckpt.due(23));
+        let mut ckpt = Checkpointer::new(&dir, 2);
         // A stale orphan from a previously killed writer must be swept.
         std::fs::create_dir_all(&dir).unwrap();
         let orphan = dir.join("ckpt-00000003.tmp");
         std::fs::write(&orphan, b"dead").unwrap();
         let mut paths = Vec::new();
         for step in [10u32, 23, 31] {
-            assert!(ckpt.due(step));
             paths.push(ckpt.write(step, &SnapshotBuilder::new().db(&db)).unwrap());
-            // Cadence advances to the next multiple of 10.
-            assert!(!ckpt.due(step));
         }
         assert!(!orphan.exists(), "stale .tmp must be rotated away");
-        assert!(ckpt.due(40));
         assert_eq!(ckpt.written(), 3);
         assert_eq!(ckpt.last_path(), Some(paths[2].as_path()));
         // keep = 2: the oldest file is rotated away.

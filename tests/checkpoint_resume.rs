@@ -35,7 +35,7 @@ fn interrupt_and_resume(policy: DependencyPolicy, tag: &str) {
     std::fs::remove_dir_all(&dir).ok();
 
     // --- Uninterrupted oracle run, checkpointing as it goes -------------
-    let mut ckpt = Checkpointer::new(&dir, every, 2);
+    let mut ckpt = Checkpointer::new(&dir, 2);
     let mut evicted_total = 0u64;
     let run = Run::new(policy, steps, workers);
     let oracle = live_hooked(
@@ -95,7 +95,7 @@ fn eviction_keeps_resume_intact() {
     let start = world.start;
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("ckpt-evict");
     std::fs::remove_dir_all(&dir).ok();
-    let mut ckpt = Checkpointer::new(&dir, 5, 1);
+    let mut ckpt = Checkpointer::new(&dir, 1);
     // (resident, expected) history record counts after each eviction.
     let mut hist_sizes = Vec::new();
     let run = Run::new(DependencyPolicy::Spatiotemporal, 40, 4);

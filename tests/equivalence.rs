@@ -151,9 +151,7 @@ fn fault_injected_fleet_equals_lockstep_thousand_agents() {
     // state: the fault gate runs before the backend, so a failed attempt
     // provably produced nothing to duplicate, and the retried call
     // commits exactly once in the worker that issued it.
-    use ai_metropolis::llm::{
-        FaultPlan, FleetConfig, LatencyProfile, ReplicaSpec, RoutePolicyKind,
-    };
+    use ai_metropolis::llm::{FleetConfig, LatencyProfile, ReplicaSpec, RoutePolicyKind};
 
     let world = thousand_agent_morning();
     let oracle = live(world.clone(), &Run::new(GlobalSync, 10, 4));
@@ -168,7 +166,7 @@ fn fault_injected_fleet_equals_lockstep_thousand_agents() {
         // ~1.2k calls), well before the end.
         let fleet = Arc::new(
             FleetConfig::new("fault-equiv", policy)
-                .with_replica(ReplicaSpec::instant().with_fault(FaultPlan::none().fail_after(150)))
+                .with_replica(ReplicaSpec::instant().fail_after(150))
                 .with_replica(ReplicaSpec::replay(
                     LatencyProfile::constant("equiv", 5_000),
                     3,
