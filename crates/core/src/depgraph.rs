@@ -540,6 +540,42 @@ mod tests {
     }
 
     #[test]
+    fn recovery_refuses_a_node_outside_the_social_space() {
+        use crate::space::{NodeId, SocialSpace};
+        let ring = |n: u32| {
+            SocialSpace::new(
+                n as usize,
+                &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>(),
+            )
+        };
+        let g = DepGraph::new(
+            Arc::new(ring(10)),
+            RuleParams::genagent(),
+            Arc::new(Db::new()),
+            &[NodeId(1), NodeId(7)],
+        )
+        .unwrap();
+        // The same records read against a three-node graph: agent 1's
+        // node 7 lies past the end of its hop table.
+        match DepGraph::recover(
+            Arc::new(ring(3)),
+            RuleParams::genagent(),
+            Arc::clone(g.db()),
+            2,
+        ) {
+            Err(StoreError::Codec(msg)) => assert!(msg.contains("node 7"), "{msg}"),
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+        DepGraph::recover(
+            Arc::new(ring(10)),
+            RuleParams::genagent(),
+            Arc::clone(g.db()),
+            2,
+        )
+        .unwrap();
+    }
+
+    #[test]
     fn rollback_rewinds_step_and_position() {
         let mut g = graph(&[(0, 0), (50, 50)]);
         g.advance(&[(AgentId(0), Point::new(1, 0))]).unwrap();

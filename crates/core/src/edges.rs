@@ -374,8 +374,11 @@ impl<S: Space> Mirror<S> {
         maintained: bool,
     ) -> Self {
         let units = params.coupling_units();
+        let population = nodes.len();
         let mut part = Partition::new(map, || {
-            maintained.then(|| space.make_index(units)).flatten()
+            maintained
+                .then(|| space.make_index(units, population))
+                .flatten()
         });
         for (a, node) in nodes.iter().enumerate() {
             part.insert(a as u32, node.step.0, node.pos);

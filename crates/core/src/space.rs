@@ -18,10 +18,14 @@
 //! neighborhood is examined — O(1) per query for bounded-density crowds
 //! instead of a scan of the population. The [`UniformGrid`] is asked for radii that grow
 //! with the step gap and keeps three resolutions so that every one of them
-//! is a 9–25 cell question. Candidate filtering always goes through
-//! [`Space::within_units`], which is **exact** (integer / 128-bit
-//! arithmetic, no floating point), so indexing changes *cost*, never a
-//! scheduling decision.
+//! is a 9–25 cell question. Each level finds a cell's bucket by array
+//! index in a dense slot table over the map when the map is small for its
+//! population (at most 64 finest cells per indexed agent, and at most
+//! 2²⁰ cells), and by hashing the cell key otherwise;
+//! [`Space::make_index`] takes the population for that choice.
+//! Candidate filtering always goes through [`Space::within_units`], which
+//! is **exact** (integer / 128-bit arithmetic, no floating point), so
+//! indexing changes *cost*, never a scheduling decision.
 
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -118,8 +122,18 @@ pub trait Space: Send + Sync + 'static {
     /// if the space has no better answer than scanning every tracked
     /// point. [`crate::depgraph::DepGraph`] uses this to maintain edges
     /// incrementally; correctness never depends on an index existing.
-    fn make_index(&self, cell_units: u64) -> Option<Box<dyn SpatialIndex<Self::Pos>>> {
-        let _ = cell_units;
+    ///
+    /// `population` is how many agents the caller will index (an agent
+    /// may be filed at several positions, see [`SpatialIndex`]). A space
+    /// may size the index's layout by it — [`GridSpace`] builds a dense
+    /// cell table only when the map has few cells per agent — but any
+    /// number of occurrences may be tracked whatever it says.
+    fn make_index(
+        &self,
+        cell_units: u64,
+        population: usize,
+    ) -> Option<Box<dyn SpatialIndex<Self::Pos>>> {
+        let _ = (cell_units, population);
         None
     }
 }
@@ -193,14 +207,45 @@ impl Space for GridSpace {
         Ok(Point::new(codec::get_i32(buf)?, codec::get_i32(buf)?))
     }
 
-    fn make_index(&self, cell_units: u64) -> Option<Box<dyn SpatialIndex<Point>>> {
-        Some(Box::new(UniformGrid::new(cell_units)))
+    /// A [`UniformGrid`] over slot tables when the finest level has at
+    /// most 64 cells per indexed agent and at most 2²⁰ cells, hashed cells
+    /// otherwise.
+    fn make_index(
+        &self,
+        cell_units: u64,
+        population: usize,
+    ) -> Option<Box<dyn SpatialIndex<Point>>> {
+        let mut grid = UniformGrid::new(cell_units);
+        let finest = grid.levels[0].cell;
+        let budget = (population as u64)
+            .saturating_mul(SLOT_CELLS_PER_AGENT)
+            .min(MAX_SLOT_CELLS);
+        let finest_cells =
+            cells::extent(self.width, finest).saturating_mul(cells::extent(self.height, finest));
+        if finest_cells <= budget {
+            for level in &mut grid.levels {
+                level.cells = CellIndex::Slots(SlotTable::new(self.width, self.height, level.cell));
+            }
+        }
+        Some(Box::new(grid))
     }
 }
 
+/// Finest-level cells per indexed agent up to which
+/// [`GridSpace::make_index`] finds cells through a slot table: every
+/// replay workload's map has about 22, a sparse one (a few agents on a
+/// large map) keeps the hashed cells and memory in proportion to its
+/// agents.
+const SLOT_CELLS_PER_AGENT: u64 = 64;
+
+/// The most finest-level cells a slot table covers (4 MiB of slots),
+/// whatever the population: past it a map is hashed, so a map that claims
+/// huge dimensions allocates nothing in proportion to them.
+const MAX_SLOT_CELLS: u64 = 1 << 20;
+
 /// Cell-coordinate math of the [`UniformGrid`]: positions are bucketed by
-/// `div_euclid(cell)` and the two cell coordinates are packed into one
-/// `u64` key.
+/// `div_euclid(cell)`, and the two cell coordinates are packed into one
+/// `u64` key to hash, or clamped to a map's cells to index a slot table.
 mod cells {
     use super::Point;
 
@@ -224,9 +269,10 @@ mod cells {
         ((p.x as i64).div_euclid(cell), (p.y as i64).div_euclid(cell))
     }
 
-    pub(super) fn key_of(p: Point, cell: i64) -> u64 {
-        let (cx, cy) = coords_of(p, cell);
-        pack(cx, cy)
+    /// Cells of side `cell` along a map side of `len` units (at least one,
+    /// so an empty map still has its edge cell).
+    pub(super) fn extent(len: u32, cell: i64) -> u64 {
+        u64::from(len).div_ceil(cell as u64).max(1)
     }
 }
 
@@ -317,8 +363,6 @@ impl Hasher for CellKeyHasher {
     }
 }
 
-type CellMap = IdMap<u64, Vec<u32>>;
-
 /// A hash map keyed by small integer ids (agent, cluster, request and
 /// instance ids, cell keys) through [`CellKeyHasher`]. Its iteration order
 /// is arbitrary like any `HashMap`'s: callers never iterate one unsorted
@@ -335,12 +379,105 @@ const LEVEL_SCALE: i64 = 4;
 /// probes).
 const MAX_RINGS: i64 = 2;
 
-/// One resolution of a [`UniformGrid`]: square cells of side `cell` in a
-/// hash map keyed by packed cell coordinates.
+/// One resolution of a [`UniformGrid`]: square cells of side `cell`.
 #[derive(Debug)]
 struct GridLevel {
     cell: i64,
-    buckets: CellMap,
+    cells: CellIndex,
+}
+
+/// How a [`GridLevel`] finds a cell's bucket.
+#[derive(Debug)]
+enum CellIndex {
+    /// Buckets by packed cell coordinates, hashed: any extent, memory in
+    /// proportion to the occupied cells. A bucket emptied is parked in
+    /// the grid's `spare`.
+    Hashed(IdMap<u64, Vec<u32>>),
+    /// Buckets by array index over a map's cells.
+    Slots(SlotTable),
+}
+
+/// A dense table over a map's `cols × rows` cells, row-major, naming each
+/// occupied cell's bucket in `pool` by slot number (0 = empty). Cell
+/// coordinates clamp to the map's edge cells, so a position off the map
+/// is filed in the nearest edge cell.
+struct SlotTable {
+    cols: i64,
+    rows: i64,
+    slots: Vec<u32>,
+    /// Buckets by slot number minus one.
+    pool: Vec<Vec<u32>>,
+    /// Slots whose buckets were emptied, parked for the next cell that
+    /// fills (capacity kept).
+    free: Vec<u32>,
+}
+
+impl fmt::Debug for SlotTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SlotTable")
+            .field("cols", &self.cols)
+            .field("rows", &self.rows)
+            .field("buckets", &self.pool)
+            .finish_non_exhaustive()
+    }
+}
+
+impl SlotTable {
+    /// An empty table over a `width × height` map of `cell`-unit cells.
+    fn new(width: u32, height: u32, cell: i64) -> Self {
+        let (cols, rows) = (cells::extent(width, cell), cells::extent(height, cell));
+        SlotTable {
+            cols: cols as i64,
+            rows: rows as i64,
+            slots: vec![0; (cols * rows) as usize],
+            pool: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// The coordinates of the cell `p` lies in, clamped to the map.
+    fn coords(&self, p: Point, cell: i64) -> (i64, i64) {
+        let (cx, cy) = cells::coords_of(p, cell);
+        (cx.clamp(0, self.cols - 1), cy.clamp(0, self.rows - 1))
+    }
+
+    /// The table index of the cell `p` lies in, clamped to the map.
+    fn index(&self, p: Point, cell: i64) -> usize {
+        let (cx, cy) = self.coords(p, cell);
+        (cy * self.cols + cx) as usize
+    }
+
+    /// The bucket of the cell at `index` (empty if the cell is).
+    fn bucket(&self, index: usize) -> &[u32] {
+        match self.slots[index] {
+            0 => &[],
+            slot => &self.pool[slot as usize - 1],
+        }
+    }
+
+    /// The bucket of the occupied cell at `index`, if it is occupied.
+    fn bucket_mut(&mut self, index: usize) -> Option<&mut Vec<u32>> {
+        let slot = self.slots[index].checked_sub(1)?;
+        Some(&mut self.pool[slot as usize])
+    }
+
+    /// The bucket of the cell at `index`, handing it a parked one (or a
+    /// new one) if the cell was empty.
+    fn bucket_or_open(&mut self, index: usize) -> &mut Vec<u32> {
+        let slot = &mut self.slots[index];
+        if *slot == 0 {
+            *slot = self.free.pop().unwrap_or_else(|| {
+                self.pool.push(Vec::new());
+                self.pool.len() as u32
+            });
+        }
+        &mut self.pool[*slot as usize - 1]
+    }
+
+    /// Empties the cell at `index`, parking its (emptied) bucket.
+    fn park(&mut self, index: usize) {
+        self.free.push(std::mem::take(&mut self.slots[index]));
+    }
 }
 
 /// The dynamic uniform-grid index behind [`GridSpace::make_index`]: the
@@ -358,31 +495,40 @@ struct GridLevel {
 /// only past that (or when the population is smaller than the probe
 /// count) enumerates every tracked id.
 ///
+/// Each level finds a cell's bucket one of two ways. On a map with few
+/// cells per indexed agent ([`GridSpace::make_index`] decides) it reads a
+/// slot number from a dense table over the map by array index, cell
+/// coordinates clamped to the map's edge cells; otherwise (and for
+/// [`UniformGrid::new`], which knows no map) it hashes the packed cell
+/// coordinates. Clamping moves a position off the map into an edge cell,
+/// which a query near that edge may report — never fewer candidates,
+/// since clamping brings no two cells farther apart.
+///
 /// Costs: `insert`/`remove` touch one bucket per level; `update` walks
 /// the levels finest-first and **stops at the first whose cell did not
-/// change** — coarse cells are unions of fine ones, so nothing above it
-/// changed either, and the common one-unit move touches no bucket at
-/// all. A bucket emptied by a move is parked and handed to the next cell
-/// that fills, so steady-state maintenance does not allocate. Ids may
-/// repeat (see [`SpatialIndex`]).
+/// change** — coarse cells are unions of fine ones (clamped ones too), so
+/// nothing above it changed either, and the common one-unit move touches
+/// no bucket at all. A bucket emptied by a move is parked and handed to
+/// the next cell that fills, so steady-state maintenance does not
+/// allocate. Ids may repeat (see [`SpatialIndex`]).
 #[derive(Debug)]
 pub struct UniformGrid {
     /// Finest first.
     levels: [GridLevel; LEVELS],
-    /// Emptied buckets awaiting reuse (capacity kept).
+    /// Emptied buckets of hashed cells awaiting reuse (capacity kept).
     spare: Vec<Vec<u32>>,
     len: usize,
 }
 
 impl UniformGrid {
-    /// Creates an empty index with cells sized for radius-`cell_units`
-    /// queries (clamped to the packable range).
+    /// Creates an empty index with hashed cells sized for
+    /// radius-`cell_units` queries (clamped to the packable range).
     pub fn new(cell_units: u64) -> Self {
         let mut cell = cell_units.clamp(1, cells::MAX_UNITS - 1) as i64;
         let levels = std::array::from_fn(|_| {
             let level = GridLevel {
                 cell,
-                buckets: CellMap::default(),
+                cells: CellIndex::Hashed(IdMap::default()),
             };
             cell *= LEVEL_SCALE;
             level
@@ -406,31 +552,98 @@ impl UniformGrid {
 }
 
 impl GridLevel {
-    /// Files one occurrence of `id` in the cell bucket `key`, reusing a
-    /// parked bucket when the cell is new.
-    fn add(&mut self, spare: &mut Vec<Vec<u32>>, id: u32, key: u64) {
-        self.buckets
-            .entry(key)
-            .or_insert_with(|| spare.pop().unwrap_or_default())
-            .push(id);
+    /// The cell `p` lies in: its packed coordinates when hashed, its
+    /// (clamped) table index otherwise.
+    fn key(&self, p: Point) -> u64 {
+        match &self.cells {
+            CellIndex::Hashed(_) => {
+                let (cx, cy) = cells::coords_of(p, self.cell);
+                cells::pack(cx, cy)
+            }
+            CellIndex::Slots(table) => table.index(p, self.cell) as u64,
+        }
     }
 
-    /// Drops one occurrence of `id` from the cell bucket `key` (panicking
-    /// if it was never indexed there — that would mean the caller's
-    /// position bookkeeping and the index disagree) and parks the bucket
-    /// if that emptied it.
+    /// Files one occurrence of `id` in the bucket of cell `key`, reusing a
+    /// parked bucket when the cell is new.
+    fn add(&mut self, spare: &mut Vec<Vec<u32>>, id: u32, key: u64) {
+        let bucket = match &mut self.cells {
+            CellIndex::Hashed(buckets) => buckets
+                .entry(key)
+                .or_insert_with(|| spare.pop().unwrap_or_default()),
+            CellIndex::Slots(table) => table.bucket_or_open(key as usize),
+        };
+        bucket.push(id);
+    }
+
+    /// Drops one occurrence of `id` from the bucket of cell `key`
+    /// (panicking if it was never indexed there — that would mean the
+    /// caller's position bookkeeping and the index disagree) and parks the
+    /// bucket if that emptied it.
     fn remove(&mut self, spare: &mut Vec<Vec<u32>>, id: u32, pos: Point, key: u64) {
-        let bucket = self
-            .buckets
-            .get_mut(&key)
-            .unwrap_or_else(|| panic!("id {id} not indexed at {pos:?}"));
+        let bucket = match &mut self.cells {
+            CellIndex::Hashed(buckets) => buckets.get_mut(&key),
+            CellIndex::Slots(table) => table.bucket_mut(key as usize),
+        }
+        .unwrap_or_else(|| panic!("id {id} not indexed at {pos:?}"));
         let at = bucket
             .iter()
             .position(|&x| x == id)
             .unwrap_or_else(|| panic!("id {id} not indexed at {pos:?}"));
         bucket.swap_remove(at);
         if bucket.is_empty() {
-            spare.extend(self.buckets.remove(&key));
+            match &mut self.cells {
+                CellIndex::Hashed(buckets) => spare.extend(buckets.remove(&key)),
+                CellIndex::Slots(table) => table.park(key as usize),
+            }
+        }
+    }
+
+    /// Appends every occurrence in the cells within `rings` of the cell
+    /// `center` lies in.
+    fn ring(&self, center: Point, rings: i64, out: &mut Vec<u32>) {
+        match &self.cells {
+            CellIndex::Hashed(buckets) => {
+                let (cx, cy) = cells::coords_of(center, self.cell);
+                let span =
+                    |c: i64| (c - rings).max(cells::COORD_MIN)..=(c + rings).min(cells::COORD_MAX);
+                for x in span(cx) {
+                    for y in span(cy) {
+                        if let Some(bucket) = buckets.get(&cells::pack(x, y)) {
+                            out.extend_from_slice(bucket);
+                        }
+                    }
+                }
+            }
+            CellIndex::Slots(table) => {
+                // Clamping is a contraction, so every cell within `rings`
+                // of the center's cell, clamped, is within `rings` of the
+                // center's clamped cell.
+                let (cx, cy) = table.coords(center, self.cell);
+                let span = |c: i64, len: i64| (c - rings).max(0)..=(c + rings).min(len - 1);
+                for y in span(cy, table.rows) {
+                    for x in span(cx, table.cols) {
+                        out.extend_from_slice(table.bucket((y * table.cols + x) as usize));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Appends every occurrence this level holds.
+    fn all(&self, out: &mut Vec<u32>) {
+        match &self.cells {
+            CellIndex::Hashed(buckets) => {
+                for bucket in buckets.values() {
+                    out.extend_from_slice(bucket);
+                }
+            }
+            // A parked bucket is empty.
+            CellIndex::Slots(table) => {
+                for bucket in &table.pool {
+                    out.extend_from_slice(bucket);
+                }
+            }
         }
     }
 }
@@ -438,15 +651,16 @@ impl GridLevel {
 impl SpatialIndex<Point> for UniformGrid {
     fn insert(&mut self, id: u32, pos: Point) {
         for level in &mut self.levels {
-            level.add(&mut self.spare, id, cells::key_of(pos, level.cell));
+            let key = level.key(pos);
+            level.add(&mut self.spare, id, key);
         }
         self.len += 1;
     }
 
     fn update(&mut self, id: u32, old: Point, new: Point) {
         for level in &mut self.levels {
-            let from = cells::key_of(old, level.cell);
-            let to = cells::key_of(new, level.cell);
+            let from = level.key(old);
+            let to = level.key(new);
             if from == to {
                 // Cells nest: every coarser cell is unchanged too.
                 return;
@@ -458,7 +672,8 @@ impl SpatialIndex<Point> for UniformGrid {
 
     fn remove(&mut self, id: u32, pos: Point) {
         for level in &mut self.levels {
-            level.remove(&mut self.spare, id, pos, cells::key_of(pos, level.cell));
+            let key = level.key(pos);
+            level.remove(&mut self.spare, id, pos, key);
         }
         self.len -= 1;
     }
@@ -483,27 +698,10 @@ impl SpatialIndex<Point> for UniformGrid {
             // Probing every cell in the ring would cost more than just
             // enumerating the population (from the level with the fewest
             // buckets).
-            for bucket in coarsest.buckets.values() {
-                out.extend_from_slice(bucket);
-            }
+            coarsest.all(out);
             return;
         }
-        let (cx, cy) = cells::coords_of(center, level.cell);
-        for dx in -rings..=rings {
-            let x = cx + dx;
-            if !(cells::COORD_MIN..=cells::COORD_MAX).contains(&x) {
-                continue;
-            }
-            for dy in -rings..=rings {
-                let y = cy + dy;
-                if !(cells::COORD_MIN..=cells::COORD_MAX).contains(&y) {
-                    continue;
-                }
-                if let Some(bucket) = level.buckets.get(&cells::pack(x, y)) {
-                    out.extend_from_slice(bucket);
-                }
-            }
-        }
+        level.ring(center, rings, out);
     }
 }
 
@@ -633,8 +831,17 @@ impl Space for SocialSpace {
         codec::put_u32(buf, pos.0);
     }
 
+    /// Refuses a node outside `0..n`: every distance look-up indexes the
+    /// hop table by it.
     fn decode_pos(&self, buf: &mut Bytes) -> Result<NodeId, StoreError> {
-        Ok(NodeId(codec::get_u32(buf)?))
+        let node = codec::get_u32(buf)?;
+        if node as usize >= self.n {
+            return Err(StoreError::Codec(format!(
+                "node {node} outside a {}-node social space",
+                self.n
+            )));
+        }
+        Ok(NodeId(node))
     }
 }
 
@@ -699,7 +906,7 @@ mod tests {
     #[test]
     fn uniform_grid_tracks_moves() {
         let g = GridSpace::new(100, 100);
-        let mut idx = g.make_index(5).expect("grid space is indexable");
+        let mut idx = g.make_index(5, 40).expect("grid space is indexable");
         idx.insert(0, Point::new(0, 0));
         idx.insert(1, Point::new(3, 0));
         idx.insert(2, Point::new(90, 90));
@@ -726,7 +933,7 @@ mod tests {
     #[test]
     fn uniform_grid_remove_untracks() {
         let g = GridSpace::new(100, 100);
-        let mut idx = g.make_index(5).expect("grid space is indexable");
+        let mut idx = g.make_index(5, 20).expect("grid space is indexable");
         for i in 0..20u32 {
             idx.insert(i, Point::new(i as i32 * 3, 0));
         }
@@ -805,7 +1012,7 @@ mod tests {
     #[test]
     fn social_space_has_no_index() {
         let s = SocialSpace::new(2, &[(0, 1)]);
-        assert!(s.make_index(5).is_none());
+        assert!(s.make_index(5, 2).is_none());
     }
 
     #[test]

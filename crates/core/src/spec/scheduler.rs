@@ -49,8 +49,10 @@
 //! (agent id then step; cluster id; `(step, id)` for clearance), so the
 //! first hit — and with it every watcher registration and squash
 //! sequence — does not depend on which path answered. Costs are per
-//! cluster member, in grid cells probed (see
-//! [`crate::space::UniformGrid`]) plus candidates re-checked.
+//! cluster member, in grid cells probed plus candidates re-checked; on a
+//! map with few cells per agent a probe is an array read from a slot
+//! table, otherwise a hash look-up (see [`crate::space::UniformGrid`]),
+//! and so is each filing and unfiling of an entry.
 //!
 //! 1. **Emission vetting** (in `ready_clusters`): before a cluster at
 //!    step `s` starts,
@@ -273,8 +275,12 @@ impl<S: Space, G: DepTracker<S>> SpecScheduler<S, G> {
         let coupling = params.coupling_units();
         SpecScheduler {
             core: Core::new(graph, target_step),
-            table: EntryTable::new(n, space.make_index(coupling), space.make_index(coupling)),
-            inflight_index: space.make_index(coupling),
+            table: EntryTable::new(
+                n,
+                space.make_index(coupling, n),
+                space.make_index(coupling, n),
+            ),
+            inflight_index: space.make_index(coupling, n),
             space,
             params,
             spec,

@@ -106,8 +106,8 @@ impl<P> fmt::Debug for EntryTable<P> {
 impl<P: Copy + fmt::Debug + PartialEq + 'static> EntryTable<P> {
     /// Creates an empty table for `num_agents` agents, filing entries in
     /// `index` and front entries in `fronts` (empty indexes from
-    /// [`crate::space::Space::make_index`], or `None` if the space has
-    /// none).
+    /// [`crate::space::Space::make_index`] for a population of
+    /// `num_agents`, or `None` if the space has none).
     pub fn new(
         num_agents: usize,
         index: Option<Box<dyn SpatialIndex<P>>>,
@@ -348,9 +348,16 @@ mod tests {
     use super::*;
     use crate::space::{GridSpace, Point, Space};
 
+    /// A 1,400 × 5 strip holds every position the tests file (x up to
+    /// 1,391, y = 0), so no holder is clamped into an edge cell, and its
+    /// 280 cells put a table of 40 agents on the slot-table path.
     fn table(num_agents: usize) -> EntryTable<Point> {
-        let space = GridSpace::new(100, 100);
-        EntryTable::new(num_agents, space.make_index(5), space.make_index(5))
+        let space = GridSpace::new(1400, 5);
+        EntryTable::new(
+            num_agents,
+            space.make_index(5, num_agents),
+            space.make_index(5, num_agents),
+        )
     }
 
     /// Records instance `seq` at `step` with `(agent, x)` members, each

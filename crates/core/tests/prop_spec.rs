@@ -139,7 +139,11 @@ impl Space for Unindexed {
     fn decode_pos(&self, buf: &mut Bytes) -> Result<Point, StoreError> {
         self.0.decode_pos(buf)
     }
-    fn make_index(&self, _cell_units: u64) -> Option<Box<dyn SpatialIndex<Point>>> {
+    fn make_index(
+        &self,
+        _cell_units: u64,
+        _population: usize,
+    ) -> Option<Box<dyn SpatialIndex<Point>>> {
         None
     }
 }
