@@ -1,8 +1,10 @@
 //! Checkpoint-subsystem microbenchmarks: AIMSNAP encode/restore over a
 //! long-horizon-shaped store (1000 agents × a 64-step history window),
-//! the prefix scan the snapshot writer and eviction pass use,
-//! and the eviction guard path that runs at every checkpoint.
+//! the ordered walk the snapshot writer reads through and its copying
+//! `scan_prefix`, the one-pass prefix removal history eviction uses, and
+//! the eviction guard path that runs at every checkpoint.
 
+use std::convert::Infallible;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -63,6 +65,47 @@ fn bench_snapshot_codec(c: &mut Criterion) {
             black_box(all.len());
         });
     });
+    c.bench_function("snapshot/walk_prefix_66k", |b| {
+        b.iter(|| {
+            let mut bytes = 0;
+            let walked = db.walk_prefix([], |k, v| {
+                bytes += k.len() + v.len();
+                Ok::<(), Infallible>(())
+            });
+            let Ok(()) = walked;
+            black_box(bytes);
+        });
+    });
+}
+
+/// One step of a rolling history window over the 66k-record store:
+/// remove the oldest step's 1000 history records in one pass of
+/// `Db::remove_prefix_if`, as history eviction does, then write the next
+/// step's 1000 as one batch, so the store keeps its shape.
+fn bench_prefix_removal(c: &mut Criterion) {
+    let db = long_horizon_db();
+    let n = db.len();
+    let mut oldest = 0u32;
+    c.bench_function("snapshot/evict_step_66k", |b| {
+        b.iter(|| {
+            let step = |k: &[u8]| u32::from_be_bytes(k[4..8].try_into().expect("12-byte key"));
+            let removed = db.remove_prefix_if(b"dhst", |k| step(k) <= oldest);
+            assert_eq!(removed, u64::from(AGENTS));
+            db.transaction(|txn| {
+                for a in 0..AGENTS {
+                    let mut key = *b"dhst\0\0\0\0\0\0\0\0";
+                    key[4..8].copy_from_slice(&(oldest + WINDOW).to_be_bytes());
+                    key[8..].copy_from_slice(&a.to_be_bytes());
+                    txn.set_slice(key, &[0u8; 12]);
+                }
+                Ok(())
+            })
+            .unwrap();
+            oldest += 1;
+            black_box(removed);
+        });
+    });
+    assert_eq!(db.len(), n);
 }
 
 fn bench_eviction_guard(c: &mut Criterion) {
@@ -95,6 +138,7 @@ fn bench_eviction_guard(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_snapshot_codec,
+    bench_prefix_removal,
     bench_eviction_guard,
     aim_bench::bench_calibration,
 );

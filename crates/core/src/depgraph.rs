@@ -318,12 +318,7 @@ impl<S: Space> DepGraph<S> {
         map: Arc<dyn ShardMap<S::Pos>>,
         options: GraphOptions,
     ) -> Result<Self, StoreError> {
-        let mut records = Records::new(
-            Arc::clone(&space),
-            db,
-            options.history,
-            initial.len() as u32,
-        );
+        let mut records = Records::new(Arc::clone(&space), db, options.history);
         records.open(initial)?;
         let step = Step::ZERO;
         let nodes = initial.iter().map(|&pos| Node { pos, step }).collect();
@@ -387,7 +382,7 @@ impl<S: Space> DepGraph<S> {
         map: Arc<dyn ShardMap<S::Pos>>,
         options: GraphOptions,
     ) -> Result<Self, StoreError> {
-        let records = Records::new(space, db, options.history, num_agents as u32);
+        let records = Records::new(space, db, options.history);
         let nodes = (0..num_agents as u32)
             .map(|a| records.load(a).map(|(step, pos)| Node { pos, step }))
             .collect::<Result<_, _>>()?;

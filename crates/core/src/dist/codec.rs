@@ -88,6 +88,15 @@ fn get_count(buf: &mut Bytes, what: &str) -> Result<usize, StoreError> {
     Ok(n)
 }
 
+/// Decodes a position from the front of `buf` and advances past it.
+fn get_pos<S: Space>(space: &S, buf: &mut Bytes) -> Result<S::Pos, StoreError> {
+    let mut rest: &[u8] = buf;
+    let pos = space.decode_pos(&mut rest)?;
+    let used = buf.len() - rest.len();
+    buf.advance(used);
+    Ok(pos)
+}
+
 fn put_record<S: Space>(space: &S, r: &NodeRecord<S::Pos>, buf: &mut BytesMut) {
     codec::put_u32(buf, r.agent);
     codec::put_u32(buf, r.step);
@@ -102,12 +111,12 @@ fn put_record<S: Space>(space: &S, r: &NodeRecord<S::Pos>, buf: &mut BytesMut) {
 fn get_record<S: Space>(space: &S, buf: &mut Bytes) -> Result<NodeRecord<S::Pos>, StoreError> {
     let agent = codec::get_u32(buf)?;
     let step = codec::get_u32(buf)?;
-    let pos = space.decode_pos(buf)?;
+    let pos = get_pos(space, buf)?;
     let n = get_count(buf, "history")?;
     let mut history = Vec::with_capacity(n);
     for _ in 0..n {
         let step = codec::get_u32(buf)?;
-        let pos = space.decode_pos(buf)?;
+        let pos = get_pos(space, buf)?;
         history.push((step, pos));
     }
     Ok(NodeRecord {
@@ -152,7 +161,7 @@ fn get_states<S: Space>(space: &S, buf: &mut Bytes) -> Result<Vec<(u32, u32, S::
     for _ in 0..n {
         let agent = codec::get_u32(buf)?;
         let step = codec::get_u32(buf)?;
-        let pos = space.decode_pos(buf)?;
+        let pos = get_pos(space, buf)?;
         out.push((agent, step, pos));
     }
     Ok(out)
@@ -352,7 +361,7 @@ pub fn decode_ctrl<S: Space>(space: &S, buf: &mut Bytes) -> Result<CtrlMsg<S::Po
             let mut updates = Vec::with_capacity(n);
             for _ in 0..n {
                 let agent = codec::get_u32(&mut body)?;
-                let pos = space.decode_pos(&mut body)?;
+                let pos = get_pos(space, &mut body)?;
                 updates.push((agent, pos));
             }
             CtrlMsg::Commit { updates }
@@ -372,7 +381,7 @@ pub fn decode_ctrl<S: Space>(space: &S, buf: &mut Bytes) -> Result<CtrlMsg<S::Po
             for _ in 0..n {
                 let agent = codec::get_u32(&mut body)?;
                 let step = codec::get_u32(&mut body)?;
-                let pos = space.decode_pos(&mut body)?;
+                let pos = get_pos(space, &mut body)?;
                 probes.push(Probe { agent, step, pos });
             }
             CtrlMsg::RelinkQuery { probes }

@@ -33,13 +33,14 @@
 //! [`CtrlMsg::HarvestTelemetry`]) which the controller drains over the
 //! wire and merges onto its timeline.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use parking_lot::Mutex;
 
 use aim_store::{codec, Db, Key, StoreError};
@@ -47,19 +48,18 @@ use aim_store::{codec, Db, Key, StoreError};
 use crate::edges::{edges_of, Mirror, Node, Sink};
 use crate::ids::{AgentId, Step};
 use crate::rules::RuleParams;
-use crate::space::Space;
+use crate::space::{IdMap, Space};
 use crate::telemetry::{BoundaryOp, Counter, SpanKind, Telemetry};
 
 use super::msg::{CtrlMsg, NodeRecord, Probe, ShardMsg, WireEdge};
 use super::WINDOW;
 
-/// Namespace tag of the per-agent node records (`Key::tagged_u32`).
+/// Namespace tag of the per-agent node records ([`agent_key`]).
 const AGENT_TAG: [u8; 4] = *b"dagt";
 
-/// Namespace tag of the per-step history records
-/// (`Key::tagged_u32_pair(HIST_TAG, step, agent)`). Step-major layout:
-/// an ordered prefix walk visits history oldest-step-first, so the
-/// eviction pass stops touching records at the first retained step.
+/// Namespace tag of the per-step history records ([`history_key`]).
+/// Step-major layout: an ordered prefix walk visits history
+/// oldest-step-first, and each agent's steps ascending.
 const HIST_TAG: [u8; 4] = *b"dhst";
 
 /// Store key of the history-eviction watermark: every history record at a
@@ -84,15 +84,12 @@ pub struct Records<S: Space> {
     writer: Mutex<Writer<S::Pos>>,
 }
 
-/// What a [`Records`] keeps between writes: interned keys, scratch, and
-/// the in-process sink's queue.
+/// What a [`Records`] keeps between writes: scratch, and the in-process
+/// sink's queue.
 #[derive(Debug)]
 struct Writer<P> {
-    /// Interned `dagt` key per agent id, each interned on its first write
-    /// (allocation-free write path).
-    keys: Vec<Option<Key>>,
     commits_key: Key,
-    /// Reused scratch the records are encoded in before being copied out.
+    /// Reused scratch each record is encoded in and written from.
     buf: BytesMut,
     /// Reused scratch of a batch: per agent, the index of its last move.
     last: Vec<u32>,
@@ -117,7 +114,6 @@ impl<P: Copy> Writer<P> {
         commits: i64,
     ) -> Result<(), StoreError> {
         let Writer {
-            keys,
             commits_key,
             buf,
             last,
@@ -132,17 +128,18 @@ impl<P: Copy> Writer<P> {
         db.transaction(|txn| {
             for (i, &(a, prior, step, pos)) in moves.iter().enumerate() {
                 let superseded = last[a as usize] != i as u32;
+                if superseded && !history {
+                    continue;
+                }
+                let value = encode_record(space, buf, step, pos);
+                if !superseded {
+                    txn.set_slice(agent_key(a), value);
+                }
                 if history {
-                    let value = encode_record(space, buf, step, pos);
-                    if !superseded {
-                        txn.set_key(key(keys, a), value.clone());
-                    }
-                    txn.set_key(&history_key(step, a), value);
+                    txn.set_slice(history_key(step, a), value);
                     for squashed in step + 1..=prior {
                         txn.del(history_key(squashed, a));
                     }
-                } else if !superseded {
-                    txn.set_key(key(keys, a), encode_record(space, buf, step, pos));
                 }
             }
             if commits > 0 {
@@ -176,12 +173,9 @@ impl<P: Copy> Writer<P> {
 }
 
 impl<S: Space> Records<S> {
-    /// The core over `db`, with the keys of agents `0..agents` interned.
-    pub(crate) fn new(space: Arc<S>, db: Arc<Db>, history: bool, agents: u32) -> Self {
+    /// The core over `db`.
+    pub(crate) fn new(space: Arc<S>, db: Arc<Db>, history: bool) -> Self {
         let writer = Writer {
-            keys: (0..agents)
-                .map(|a| Some(Key::tagged_u32(AGENT_TAG, a)))
-                .collect(),
             commits_key: Key::new("dep:commits"),
             buf: BytesMut::new(),
             last: Vec::new(),
@@ -217,11 +211,12 @@ impl<S: Space> Records<S> {
     /// written too, and a move back rewrites history: the target step's
     /// record is replaced (its position may differ from the first visit)
     /// and the record of every step it discards is deleted, so history
-    /// only ever describes committed, non-squashed state. The batch
-    /// allocates once per record it writes (a move superseded by its
-    /// agent's later move writes none without history), once for the
-    /// counter's new value, and nothing else. On an error nothing is
-    /// written.
+    /// only ever describes committed, non-squashed state. Each record is
+    /// encoded in the writer's scratch and written with a key built on the
+    /// stack, and the store holds both inline, so the batch allocates
+    /// nothing once the thread's write buffer and the store's map have
+    /// grown to size (a move superseded by its agent's later move writes
+    /// no record without history). On an error nothing is written.
     pub(crate) fn write_moves(
         &mut self,
         moves: &[Move<S::Pos>],
@@ -240,15 +235,14 @@ impl<S: Space> Records<S> {
     /// Writes every record of `records` — each agent's current state and
     /// the history it brings — as one batch.
     fn adopt(&mut self, records: &[NodeRecord<S::Pos>]) -> Result<(), StoreError> {
-        let Writer { keys, buf, .. } = self.writer.get_mut();
+        let buf = &mut self.writer.get_mut().buf;
         let space = &*self.space;
         self.db.transaction(|txn| {
             for r in records {
-                let value = encode_record(space, buf, r.step, r.pos);
-                txn.set_key(key(keys, r.agent), value);
+                txn.set_slice(agent_key(r.agent), encode_record(space, buf, r.step, r.pos));
                 for &(step, pos) in &r.history {
                     let value = encode_record(space, buf, step, pos);
-                    txn.set_key(&history_key(step, r.agent), value);
+                    txn.set_slice(history_key(step, r.agent), value);
                 }
             }
             Ok(())
@@ -257,11 +251,10 @@ impl<S: Space> Records<S> {
 
     /// Deletes the records of `agents` and the `history` records (keys
     /// from [`history_key`]) as one batch.
-    fn delete(&mut self, agents: &[u32], history: &[Key]) -> Result<(), StoreError> {
-        let keys = &mut self.writer.get_mut().keys;
+    fn delete(&self, agents: &[u32], history: &[[u8; 12]]) -> Result<(), StoreError> {
         self.db.transaction(|txn| {
             for &a in agents {
-                txn.del(key(keys, a));
+                txn.del(agent_key(a));
             }
             for key in history {
                 txn.del(key);
@@ -274,8 +267,7 @@ impl<S: Space> Records<S> {
     /// or malformed.
     pub(crate) fn load(&self, a: u32) -> Result<(Step, S::Pos), StoreError> {
         let missing = || StoreError::Codec(format!("missing record for agent {a}"));
-        self.read(&Key::tagged_u32(AGENT_TAG, a))?
-            .ok_or_else(missing)
+        self.read(&agent_key(a))?.ok_or_else(missing)
     }
 
     /// Agent `a`'s history record at `step`, if it is resident;
@@ -288,28 +280,22 @@ impl<S: Space> Records<S> {
         self.read(&history_key(step, a))
     }
 
-    /// The record at `key`, if any; [`StoreError::Codec`] if it is
-    /// malformed.
-    fn read(&self, key: &Key) -> Result<Option<(Step, S::Pos)>, StoreError> {
-        let raw = self.db.get(key);
-        raw.map(|raw| decode_record(&*self.space, raw)).transpose()
+    /// The record at `key`, if any, decoded in place; [`StoreError::Codec`]
+    /// if it is malformed.
+    fn read(&self, key: &[u8]) -> Result<Option<(Step, S::Pos)>, StoreError> {
+        (self
+            .db
+            .get_with(key, |raw| decode_record(&*self.space, raw)))
+        .transpose()
     }
 
     /// Deletes every history record below step `floor` and raises the
-    /// watermark to it, returning how many went. Keys sort step-major, so
-    /// the deletes stop at the first retained step (the scan itself still
-    /// visits the store's keys once). Call it from a quiesced writer: the
-    /// scan and the deletes are not one batch.
+    /// watermark to it, returning how many went: one pass over the store
+    /// under one write lock, which copies and sorts nothing. Call it from
+    /// a quiesced writer: the removal and the watermark are not one batch.
     pub(crate) fn evict_below(&self, floor: u32) -> u64 {
-        let mut evicted = 0u64;
-        for (k, _) in self.db.scan_prefix(HIST_TAG) {
-            let step = u32::from_be_bytes(k[4..8].try_into().expect("12-byte history key"));
-            if step >= floor {
-                break;
-            }
-            self.db.del(&k);
-            evicted += 1;
-        }
+        let below = |key: &[u8]| history_ids(key).is_some_and(|(step, _)| step < floor);
+        let evicted = self.db.remove_prefix_if(HIST_TAG, below);
         self.db.set_i64(HIST_FLOOR_KEY, i64::from(floor));
         evicted
     }
@@ -397,38 +383,53 @@ pub(crate) fn commits_of(db: &Db) -> i64 {
     db.get_i64("dep:commits").unwrap_or(0)
 }
 
-/// Number of history records resident in `db` (an O(history) scan —
+/// Number of history records resident in `db` (an O(history) walk —
 /// diagnostics and tests, not a hot path).
 pub(crate) fn history_records_of(db: &Db) -> u64 {
-    db.scan_prefix(HIST_TAG).len() as u64
+    let mut n = 0;
+    let walked = db.walk_prefix(HIST_TAG, |_, _| {
+        n += 1;
+        Ok::<(), Infallible>(())
+    });
+    let Ok(()) = walked;
+    n
 }
 
-/// The key of agent `a`'s history record at `step`.
-fn history_key(step: u32, a: u32) -> Key {
-    Key::tagged_u32_pair(HIST_TAG, step, a)
+/// The key of agent `a`'s record: `dagt ‖ a`, the layout of
+/// [`Key::tagged_u32`], built on the stack.
+fn agent_key(a: u32) -> [u8; 8] {
+    let mut key = [0u8; 8];
+    key[..4].copy_from_slice(&AGENT_TAG);
+    key[4..].copy_from_slice(&a.to_be_bytes());
+    key
 }
 
-/// Agent `a`'s interned record key, interned on first use.
-fn key(keys: &mut Vec<Option<Key>>, a: u32) -> &Key {
-    if a as usize >= keys.len() {
-        keys.resize(a as usize + 1, None);
-    }
-    keys[a as usize].get_or_insert_with(|| Key::tagged_u32(AGENT_TAG, a))
+/// The key of agent `a`'s history record at `step`: `dhst ‖ step ‖ a`,
+/// the layout of [`Key::tagged_u32_pair`], built on the stack.
+fn history_key(step: u32, a: u32) -> [u8; 12] {
+    let mut key = [0u8; 12];
+    key[..4].copy_from_slice(&HIST_TAG);
+    key[4..8].copy_from_slice(&step.to_be_bytes());
+    key[8..].copy_from_slice(&a.to_be_bytes());
+    key
 }
 
-/// Encodes one `(step, pos)` state in the record layout. `buf` is
-/// scratch: the record is built in it and copied out once, so a caller
-/// that keeps `buf` around pays exactly one allocation per record — the
-/// stored value.
-fn encode_record<S: Space>(space: &S, buf: &mut BytesMut, step: u32, pos: S::Pos) -> Bytes {
+/// Encodes one `(step, pos)` state in the record layout, in the scratch
+/// `buf`, and returns it there for the store to copy.
+fn encode_record<'b, S: Space>(
+    space: &S,
+    buf: &'b mut BytesMut,
+    step: u32,
+    pos: S::Pos,
+) -> &'b [u8] {
     buf.clear();
     codec::put_u32(buf, step);
     space.encode_pos(pos, buf);
-    Bytes::copy_from_slice(buf)
+    buf
 }
 
 /// Decodes a record written by [`encode_record`].
-fn decode_record<S: Space>(space: &S, mut raw: Bytes) -> Result<(Step, S::Pos), StoreError> {
+fn decode_record<S: Space>(space: &S, mut raw: &[u8]) -> Result<(Step, S::Pos), StoreError> {
     let step = Step(codec::get_u32(&mut raw)?);
     Ok((step, space.decode_pos(&mut raw)?))
 }
@@ -533,12 +534,12 @@ pub struct ShardWorker<S: Space> {
     id: u32,
     params: RuleParams,
     store: Records<S>,
-    members: HashMap<u32, Member<S::Pos>>,
+    members: IdMap<u32, Member<S::Pos>>,
     /// The ascending steps of every `dhst` record in the store, per agent —
     /// members or not: a resync can leave a stub's history in the store.
     /// Kept equal to the store by every write the worker makes, and
     /// rebuilt from it by [`CtrlMsg::Recover`].
-    history_steps: HashMap<u32, Vec<u32>>,
+    history_steps: IdMap<u32, Vec<u32>>,
     /// The highest member step, or `None` after a write may have moved
     /// it (the next heartbeat recomputes it from the members).
     top_step: Option<u32>,
@@ -596,9 +597,9 @@ impl<S: Space> ShardWorker<S> {
         ShardWorker {
             id,
             params,
-            store: Records::new(space, db, history, 0),
-            members: HashMap::new(),
-            history_steps: HashMap::new(),
+            store: Records::new(space, db, history),
+            members: IdMap::default(),
+            history_steps: IdMap::default(),
             top_step: None,
             telemetry,
             cached_sink: None,
@@ -1122,11 +1123,13 @@ impl<S: Space> ShardWorker<S> {
             self.members.insert(a, Member { pos, step });
         }
         // Keys sort step-major, so each agent's steps arrive ascending.
-        for (k, _) in self.store.db.scan_prefix(HIST_TAG) {
-            let (step, a) = history_ids(&k)
+        let steps = &mut self.history_steps;
+        self.store.db.walk_prefix(HIST_TAG, |k, _| {
+            let (step, a) = history_ids(k)
                 .ok_or_else(|| StoreError::Codec(format!("malformed history key {k:?}")))?;
-            self.history_steps.entry(a).or_default().push(step);
-        }
+            steps.entry(a).or_default().push(step);
+            Ok::<(), StoreError>(())
+        })?;
         Ok(self.states())
     }
 }
@@ -1381,7 +1384,7 @@ mod tests {
     }
 
     fn load_record(space: &GridSpace, db: &Arc<Db>, a: u32) -> Result<(Step, Point), StoreError> {
-        Records::new(Arc::new(space.clone()), Arc::clone(db), false, 0).load(a)
+        Records::new(Arc::new(space.clone()), Arc::clone(db), false).load(a)
     }
 
     /// Every history record of `agent` in `db`, ascending by step, found
@@ -1391,15 +1394,15 @@ mod tests {
         for (k, v) in db.scan_prefix(HIST_TAG) {
             let (step, a) = history_ids(&k).expect("12-byte history key");
             if a == agent {
-                out.push((step, decode_record(space, v).unwrap().1));
+                out.push((step, decode_record(space, &v).unwrap().1));
             }
         }
         out
     }
 
     /// The store's history keys as the index keeps them.
-    fn stored_steps(db: &Db) -> HashMap<u32, Vec<u32>> {
-        let mut out: HashMap<u32, Vec<u32>> = HashMap::new();
+    fn stored_steps(db: &Db) -> IdMap<u32, Vec<u32>> {
+        let mut out: IdMap<u32, Vec<u32>> = IdMap::default();
         for (k, _) in db.scan_prefix(HIST_TAG) {
             let (step, a) = history_ids(&k).expect("12-byte history key");
             out.entry(a).or_default().push(step);

@@ -30,7 +30,7 @@
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
 
 use aim_store::{codec, StoreError};
@@ -110,12 +110,14 @@ pub trait Space: Send + Sync + 'static {
     /// Serializes a position for the dependency-graph store.
     fn encode_pos(&self, pos: Self::Pos, buf: &mut BytesMut);
 
-    /// Deserializes a position written by [`Space::encode_pos`].
+    /// Deserializes a position written by [`Space::encode_pos`] from the
+    /// front of `buf`, advancing it past the position: a slice borrowed
+    /// from the store or from a message frame, so decoding copies nothing.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Codec`] on malformed input.
-    fn decode_pos(&self, buf: &mut Bytes) -> Result<Self::Pos, StoreError>;
+    fn decode_pos(&self, buf: &mut &[u8]) -> Result<Self::Pos, StoreError>;
 
     /// Builds a dynamic neighborhood index over this space with query
     /// granularity `cell_units` (typically the coupling radius), or `None`
@@ -203,7 +205,7 @@ impl Space for GridSpace {
         codec::put_i32(buf, pos.y);
     }
 
-    fn decode_pos(&self, buf: &mut Bytes) -> Result<Point, StoreError> {
+    fn decode_pos(&self, buf: &mut &[u8]) -> Result<Point, StoreError> {
         Ok(Point::new(codec::get_i32(buf)?, codec::get_i32(buf)?))
     }
 
@@ -833,7 +835,7 @@ impl Space for SocialSpace {
 
     /// Refuses a node outside `0..n`: every distance look-up indexes the
     /// hop table by it.
-    fn decode_pos(&self, buf: &mut Bytes) -> Result<NodeId, StoreError> {
+    fn decode_pos(&self, buf: &mut &[u8]) -> Result<NodeId, StoreError> {
         let node = codec::get_u32(buf)?;
         if node as usize >= self.n {
             return Err(StoreError::Codec(format!(
@@ -882,7 +884,7 @@ mod tests {
         let g = GridSpace::new(10, 10);
         let mut buf = BytesMut::new();
         g.encode_pos(Point::new(-7, 42), &mut buf);
-        let mut rd = Bytes::from(buf.freeze());
+        let mut rd = &buf[..];
         assert_eq!(g.decode_pos(&mut rd).unwrap(), Point::new(-7, 42));
     }
 
@@ -1031,7 +1033,7 @@ mod tests {
         let s = SocialSpace::new(3, &[(0, 1)]);
         let mut buf = BytesMut::new();
         s.encode_pos(NodeId(2), &mut buf);
-        let mut rd = Bytes::from(buf.freeze());
+        let mut rd = &buf[..];
         assert_eq!(s.decode_pos(&mut rd).unwrap(), NodeId(2));
     }
 

@@ -22,7 +22,7 @@ use aim_core::spec::{SpecParams, SpecScheduler, SpecStats};
 use aim_core::workload::CallSpec;
 use aim_llm::{presets, CallKind, ServerConfig, SimServer};
 use aim_store::{Db, StoreError};
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use common::Fnv;
 use proptest::prelude::*;
 
@@ -136,7 +136,7 @@ impl Space for Unindexed {
     fn encode_pos(&self, pos: Point, buf: &mut BytesMut) {
         self.0.encode_pos(pos, buf)
     }
-    fn decode_pos(&self, buf: &mut Bytes) -> Result<Point, StoreError> {
+    fn decode_pos(&self, buf: &mut &[u8]) -> Result<Point, StoreError> {
         self.0.decode_pos(buf)
     }
     fn make_index(

@@ -3,10 +3,11 @@
 //! Values in [`crate::Db`] are raw bytes. The engine stores small fixed
 //! records (agent step + coordinates, edge lists); these helpers keep that
 //! encoding in one place and give decode failures a typed error instead of
-//! a panic.
+//! a panic. The integer readers take any [`Buf`]: a [`Bytes`] frame, or a
+//! `&[u8]` borrowed from the store by [`crate::Db::get_with`].
 //!
 //! All integers are big-endian so that encoded keys also sort numerically,
-//! which makes `scan_prefix` output meaningfully ordered.
+//! which makes [`crate::Db::walk_prefix`] visit them in numeric order.
 //!
 //! # Example
 //!
@@ -30,7 +31,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crate::error::StoreError;
 
 /// Refuses a read of `n` bytes for `what` from a buffer that holds fewer.
-pub(crate) fn need(buf: &Bytes, n: usize, what: &str) -> Result<(), StoreError> {
+pub(crate) fn need(buf: &impl Buf, n: usize, what: &str) -> Result<(), StoreError> {
     if buf.remaining() < n {
         return Err(StoreError::Codec(format!(
             "truncated: need {n} bytes for {what}, have {}",
@@ -50,7 +51,7 @@ pub fn put_u32(buf: &mut BytesMut, v: u32) {
 /// # Errors
 ///
 /// Returns [`StoreError::Codec`] if fewer than 4 bytes remain.
-pub fn get_u32(buf: &mut Bytes) -> Result<u32, StoreError> {
+pub fn get_u32(buf: &mut impl Buf) -> Result<u32, StoreError> {
     need(buf, 4, "u32")?;
     Ok(buf.get_u32())
 }
@@ -65,7 +66,7 @@ pub fn put_u64(buf: &mut BytesMut, v: u64) {
 /// # Errors
 ///
 /// Returns [`StoreError::Codec`] if fewer than 8 bytes remain.
-pub fn get_u64(buf: &mut Bytes) -> Result<u64, StoreError> {
+pub fn get_u64(buf: &mut impl Buf) -> Result<u64, StoreError> {
     need(buf, 8, "u64")?;
     Ok(buf.get_u64())
 }
@@ -80,7 +81,7 @@ pub fn put_i32(buf: &mut BytesMut, v: i32) {
 /// # Errors
 ///
 /// Returns [`StoreError::Codec`] if fewer than 4 bytes remain.
-pub fn get_i32(buf: &mut Bytes) -> Result<i32, StoreError> {
+pub fn get_i32(buf: &mut impl Buf) -> Result<i32, StoreError> {
     need(buf, 4, "i32")?;
     Ok(buf.get_i32())
 }
@@ -90,7 +91,7 @@ pub fn get_i32(buf: &mut Bytes) -> Result<i32, StoreError> {
 /// # Errors
 ///
 /// Returns [`StoreError::Codec`] if fewer than 8 bytes remain.
-pub fn get_i64(buf: &mut Bytes) -> Result<i64, StoreError> {
+pub fn get_i64(buf: &mut impl Buf) -> Result<i64, StoreError> {
     need(buf, 8, "i64")?;
     Ok(buf.get_i64())
 }
@@ -153,7 +154,7 @@ pub fn put_u32_list(buf: &mut BytesMut, vs: &[u32]) {
 /// # Errors
 ///
 /// Returns [`StoreError::Codec`] on truncation.
-pub fn get_u32_list(buf: &mut Bytes) -> Result<Vec<u32>, StoreError> {
+pub fn get_u32_list(buf: &mut impl Buf) -> Result<Vec<u32>, StoreError> {
     let n = get_u32(buf)? as usize;
     need(buf, n.saturating_mul(4), "u32 list body")?;
     let mut out = Vec::with_capacity(n);

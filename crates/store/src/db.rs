@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -6,6 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bytes::Bytes;
 use parking_lot::RwLock;
 
+use crate::blob::Blob;
+use crate::codec::{i64_bytes, i64_value};
 use crate::error::StoreError;
 use crate::txn::{self, Txn};
 
@@ -71,16 +74,16 @@ pub(crate) fn key_hash(key: &[u8]) -> u64 {
     BuildHasherDefault::<KeyHasher>::default().hash_one(key)
 }
 
-/// Every key and value of a [`Db`].
-pub(crate) type Map = HashMap<Bytes, Bytes, BuildHasherDefault<KeyHasher>>;
+/// Every key and value of a [`Db`], short ones inline.
+pub(crate) type Map = HashMap<Blob, Blob, BuildHasherDefault<KeyHasher>>;
 
 /// Stores `value` at `key`, overwriting an existing value in place: the
 /// key is only copied when it is new to the map.
-fn put(map: &mut Map, key: &[u8], value: Bytes) {
+fn put(map: &mut Map, key: &[u8], value: Blob) {
     match map.get_mut(key) {
         Some(slot) => *slot = value,
         None => {
-            map.insert(Bytes::copy_from_slice(key), value);
+            map.insert(Blob::copy_from_slice(key), value);
         }
     }
 }
@@ -117,8 +120,11 @@ pub struct DbStats {
 /// The lock keeps it correct under any access pattern. It is cheap to
 /// share: clone an `Arc<Db>` or borrow it; all methods take `&self`.
 ///
-/// Keys and values are raw bytes ([`bytes::Bytes`]); use [`crate::codec`]
-/// for structured values. Point operations are atomic per key;
+/// Keys and values are raw bytes; use [`crate::codec`] for structured
+/// values. A key or value of at most 22 bytes — every key and record the
+/// engine writes — is held inline in the map's own table, so storing,
+/// overwriting, walking and evicting it allocate nothing; a longer one is
+/// a shared [`bytes::Bytes`]. Point operations are atomic per key;
 /// multi-key atomicity is provided by [`Db::transaction`].
 ///
 /// # Example
@@ -168,17 +174,35 @@ impl Db {
         }
     }
 
-    /// Returns the value stored at `key`, if any.
+    /// Returns the value stored at `key`, if any: shared when it is
+    /// long, a copy when it is short (see [`Db::get_with`] for a read
+    /// that copies nothing).
     pub fn get(&self, key: impl AsRef<[u8]>) -> Option<Bytes> {
         self.gets.fetch_add(1, Ordering::Relaxed);
-        self.map.read().get(key.as_ref()).cloned()
+        self.map.read().get(key.as_ref()).map(Blob::to_bytes)
+    }
+
+    /// Hands the value stored at `key`, if any, to `read` under the map's
+    /// read lock and returns what `read` returns: a point read that
+    /// copies nothing. Counted in [`DbStats::gets`] like [`Db::get`].
+    /// `read` must not write to this `Db`.
+    pub fn get_with<R>(&self, key: impl AsRef<[u8]>, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.gets.fetch_add(1, Ordering::Relaxed);
+        self.map
+            .read()
+            .get(key.as_ref())
+            .map(|v| read(v.as_slice()))
     }
 
     /// Stores `value` at `key`, replacing any previous value.
     pub fn set(&self, key: impl AsRef<[u8]>, value: impl Into<Bytes>) {
+        self.put(key.as_ref(), Blob::from_bytes(value.into()));
+    }
+
+    /// One counted write of `value` at `key`.
+    fn put(&self, key: &[u8], value: Blob) {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let value = value.into();
-        put(&mut self.map.write(), key.as_ref(), value);
+        put(&mut self.map.write(), key, value);
     }
 
     /// Removes `key`, returning `true` if it was present.
@@ -208,41 +232,93 @@ impl Db {
         let mut map = self.map.write();
         let cur = match map.get(key_ref) {
             None => 0,
-            Some(value) => crate::codec::i64_value(value)?,
+            Some(value) => i64_value(value.as_slice())?,
         };
         let next = cur.wrapping_add(delta);
-        put(
-            &mut map,
-            key_ref,
-            Bytes::copy_from_slice(&crate::codec::i64_bytes(next)),
-        );
+        put(&mut map, key_ref, Blob::copy_from_slice(&i64_bytes(next)));
         Ok(next)
     }
 
-    /// Returns all `(key, value)` pairs whose key starts with `prefix`,
-    /// sorted by key.
+    /// Hands every `(key, value)` pair whose key starts with `prefix` to
+    /// `visit`, in ascending key order, stopping at the first error
+    /// `visit` returns: the store's one ordered walk.
     ///
-    /// One pass over the map under its read lock, then one sort; the
-    /// pairs are refcounted handles, so the result holds no copy of the
-    /// stored bytes. The read is uncounted: a checkpoint or eviction walk
-    /// does not move [`DbStats::gets`].
+    /// One pass over the map under its read lock gathers references to
+    /// the matching pairs, one sort orders them, and `visit` borrows each
+    /// pair in place, so the walk allocates one list of references and
+    /// copies no record. The read lock is held until the walk ends, so
+    /// `visit` must not write to this `Db`. The walk is uncounted: a
+    /// checkpoint or a diagnostic walk does not move [`DbStats::gets`].
     ///
-    /// A scan sees each [`Db::transaction`] whole or not at all. Callers
+    /// A walk sees each [`Db::transaction`] whole or not at all. Callers
     /// that pair it with other state (the snapshot writer's sections)
-    /// still scan from a quiesced writer.
-    pub fn scan_prefix(&self, prefix: impl AsRef<[u8]>) -> Vec<(Bytes, Bytes)> {
+    /// still walk a quiesced writer.
+    ///
+    /// # Errors
+    ///
+    /// The first error `visit` returns.
+    pub fn walk_prefix<E>(
+        &self,
+        prefix: impl AsRef<[u8]>,
+        mut visit: impl FnMut(&[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
         let prefix = prefix.as_ref();
-        let mut out: Vec<(Bytes, Bytes)> = self
-            .map
-            .read()
+        let map = self.map.read();
+        let mut pairs: Vec<(&[u8], &[u8])> = map
             .iter()
+            .map(|(k, v)| (k.as_slice(), v.as_slice()))
             .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         // Keys are unique, so an unstable sort gives the one order and
-        // needs no merge buffer beside `out`.
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
+        // needs no merge buffer beside `pairs`.
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        pairs.into_iter().try_for_each(|(k, v)| visit(k, v))
+    }
+
+    /// Returns all `(key, value)` pairs whose key starts with `prefix`,
+    /// sorted by key: [`Db::walk_prefix`], copied out. Every pair is a
+    /// slice of one buffer the walk fills, so the copy costs two
+    /// allocations, not one per record.
+    pub fn scan_prefix(&self, prefix: impl AsRef<[u8]>) -> Vec<(Bytes, Bytes)> {
+        let (mut buf, mut ends) = (Vec::new(), Vec::new());
+        let walked = self.walk_prefix(prefix, |k, v| {
+            buf.extend_from_slice(k);
+            let key_end = buf.len();
+            buf.extend_from_slice(v);
+            ends.push((key_end, buf.len()));
+            Ok::<(), Infallible>(())
+        });
+        let Ok(()) = walked;
+        let buf = Bytes::from(buf);
+        let mut start = 0;
+        (ends.into_iter())
+            .map(|(key_end, end)| {
+                let pair = (buf.slice(start..key_end), buf.slice(key_end..end));
+                start = end;
+                pair
+            })
+            .collect()
+    }
+
+    /// Removes every key that starts with `prefix` and for which `doomed`
+    /// returns `true`, in one pass over the map under one write lock, and
+    /// returns how many went. Each removal counts as one write in
+    /// [`DbStats::writes`], as a [`Db::del`] of that key would.
+    pub fn remove_prefix_if(
+        &self,
+        prefix: impl AsRef<[u8]>,
+        mut doomed: impl FnMut(&[u8]) -> bool,
+    ) -> u64 {
+        let prefix = prefix.as_ref();
+        let mut removed = 0u64;
+        self.map.write().retain(|k, _| {
+            let key = k.as_slice();
+            let remove = key.starts_with(prefix) && doomed(key);
+            removed += u64::from(remove);
+            !remove
+        });
+        self.writes.fetch_add(removed, Ordering::Relaxed);
+        removed
     }
 
     /// Reads `key` as a big-endian `i64` (absent counts as 0): single-key
@@ -253,16 +329,13 @@ impl Db {
     ///
     /// Returns [`StoreError::Codec`] if the stored value is not 8 bytes.
     pub fn get_i64(&self, key: impl AsRef<[u8]>) -> Result<i64, StoreError> {
-        match self.get(key) {
-            None => Ok(0),
-            Some(v) => crate::codec::i64_value(&v),
-        }
+        self.get_with(key, i64_value).unwrap_or(Ok(0))
     }
 
     /// Stores `value` as a big-endian `i64` readable by [`Db::get_i64`]
     /// and [`Db::incr`].
     pub fn set_i64(&self, key: impl AsRef<[u8]>, value: i64) {
-        self.set(key, Bytes::copy_from_slice(&crate::codec::i64_bytes(value)));
+        self.put(key.as_ref(), Blob::copy_from_slice(&i64_bytes(value)));
     }
 
     /// Number of keys currently stored.

@@ -1,11 +1,13 @@
 //! Interned store keys.
 //!
-//! The dependency-graph hot path writes one record per agent per commit.
-//! Formatting a `String` key (`format!("dep:agent:{:08}", id)`) for every
-//! write allocates and re-hashes 18 bytes per record per commit; a
-//! [`Key`] is built **once**, holds a fixed-width binary
-//! encoding in a refcounted [`Bytes`], and is cloned into write batches for
-//! the cost of a refcount bump.
+//! A [`Key`] is a byte string built **once** and kept: a fixed-width
+//! binary encoding (`tag ‖ id`) in a refcounted [`Bytes`], cheap to clone
+//! and to hand to [`crate::Txn::set_key`] / [`crate::Txn::incr_key`]
+//! (the counter bump takes one). Interning is not what keeps a commit free
+//! of allocations: the store holds every key of at most 22 bytes inline,
+//! so a key built on the stack and written through
+//! [`crate::Txn::set_slice`] allocates nothing either — which is how the
+//! dependency-graph records are written.
 
 use std::fmt;
 
@@ -13,9 +15,8 @@ use bytes::Bytes;
 
 /// An interned, cheaply-cloneable store key.
 ///
-/// Construct once (typically at startup, one per record slot), then reuse:
-/// [`Key::clone`] and passing a key into [`crate::Txn::set_key`] /
-/// [`crate::Txn::incr_key`] never copy the underlying bytes.
+/// Construct once, then reuse: [`Key::clone`] never copies the underlying
+/// bytes, and a batch stores a short key inline and shares a long one.
 ///
 /// # Example
 ///

@@ -16,14 +16,19 @@
 //! needs:
 //!
 //! * [`Db`] — a key-value store with atomic primitives
-//!   (`get`/`set`/`incr`/prefix scans): one hash map behind one lock, as
-//!   Redis executes its commands on one thread.
+//!   (`get`/`set`/`incr`, an ordered prefix walk, a prefix removal): one
+//!   hash map behind one lock, as Redis executes its commands on one
+//!   thread. Keys and values of at most 22 bytes — every key and record
+//!   the engine writes — sit inline in the map's table; longer ones are
+//!   shared [`bytes::Bytes`].
 //! * [`Db::transaction`] — an atomic multi-key write batch whose body runs
 //!   once. This is the engine's hottest store path — every cluster
 //!   advancement is one — so a [`Txn`] keeps its writes in a flat vector
-//!   reused from one batch to the next, hashes each key once on the way
-//!   in with the store's fixed multiply-fold hash, takes the map's write
-//!   lock once, and allocates only the values it stores.
+//!   reused from one batch to the next, holds short keys and values
+//!   inline as the map does, hashes each key once on the way in with the
+//!   store's fixed multiply-fold hash, and takes the map's write lock
+//!   once: a batch of short records written through [`Txn::set_slice`]
+//!   allocates nothing.
 //!   [`Txn::incr_key`] is `INCRBY` inside `MULTI`: a counter bump
 //!   resolved under the commit lock.
 //! * [`PriorityQueue`] — a blocking multi-producer/multi-consumer priority
@@ -61,6 +66,7 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+mod blob;
 pub mod codec;
 mod db;
 mod error;

@@ -29,8 +29,9 @@
 //! database image is **canonical**: snapshot → restore → snapshot yields
 //! the identical byte stream (hash-map iteration order never leaks into
 //! the file), which the property tests pin down. The record stream comes
-//! from one [`Db::scan_prefix`]: it holds refcounted handles to the
-//! stored keys and values, never a second copy of their bytes.
+//! from one [`Db::walk_prefix`], which lends each stored key and value in
+//! place: the writer holds no copy of the records and no handle per
+//! record.
 //!
 //! # Consistency
 //!
@@ -172,8 +173,10 @@ impl<'a> SnapshotBuilder<'a> {
     /// Streams the snapshot into `w`, returning the total bytes written.
     ///
     /// Database records are written in ascending key order from one
-    /// [`Db::scan_prefix`]; resident overhead is a refcounted handle per
-    /// record, not a second copy of the store's bytes.
+    /// [`Db::walk_prefix`]: the walk's resident overhead is one list of
+    /// references to the stored pairs, with no copy of their bytes and no
+    /// handle per record. The store's read lock is held while the records
+    /// stream out.
     ///
     /// # Errors
     ///
@@ -187,10 +190,10 @@ impl<'a> SnapshotBuilder<'a> {
             hw.put_chunk(body)?;
         }
         if let Some(db) = self.db {
-            for (k, v) in db.scan_prefix([]) {
-                hw.put_chunk(&k)?;
-                hw.put_chunk(&v)?;
-            }
+            db.walk_prefix([], |k, v| {
+                hw.put_chunk(k)?;
+                hw.put_chunk(v)
+            })?;
         }
         hw.put_u32(END_OF_RECORDS)?;
         let checksum = hw.hash.finish();

@@ -2,36 +2,41 @@ use std::cell::Cell;
 
 use bytes::Bytes;
 
+use crate::blob::Blob;
 use crate::codec::{i64_bytes, i64_value};
 use crate::db::{key_hash, Db};
 use crate::error::StoreError;
 use crate::key::Key;
 
-/// Buffers above this many entries are freed when a batch ends instead of
+/// Buffers above this many bytes are freed when a batch ends instead of
 /// being kept for the thread's next one: a bulk load (initial population,
 /// a migrating agent's history) must not pin its high-water mark on every
-/// thread that ever ran one.
-const RETAINED_ENTRIES: usize = 64;
+/// thread that ever ran one. 32 KiB holds 409 entries, so the buffer of a
+/// write-behind window — 32 calls, about 80 writes on a `dist` worker —
+/// is kept from one batch to the next.
+const RETAINED_BYTES: usize = 32 << 10;
 
 #[derive(Debug)]
 enum Op {
-    Set(Bytes),
+    Set(Blob),
     Del,
     /// Add to whatever integer the key holds when the commit applies it.
     Incr(i64),
 }
 
-/// One buffered write, in program order.
+/// One buffered write.
 #[derive(Debug)]
 struct Write {
     hash: u64,
-    key: Bytes,
+    /// Its place in program order.
+    seq: u32,
+    key: Blob,
     op: Op,
 }
 
 impl Write {
     fn is_for(&self, hash: u64, key: &[u8]) -> bool {
-        self.hash == hash && self.key.as_ref() == key
+        self.hash == hash && self.key.as_slice() == key
     }
 }
 
@@ -53,16 +58,21 @@ thread_local! {
 /// # Representation
 ///
 /// The batch is a flat vector, appended to in program order and handed
-/// from one batch to the next on the same thread, so a commit of a few
-/// keys allocates nothing for its bookkeeping. Every entry carries the
+/// from one batch to the next on the same thread (up to 32 KiB of
+/// entries, a write-behind window's worth), so a batch allocates nothing
+/// for its bookkeeping. Each entry holds its key and value the way the
+/// map does: inline up to 22 bytes, a shared [`Bytes`] above. So a batch
+/// of short keys and values written through [`Txn::set_slice`] — every
+/// record the engine writes — allocates nothing at all, and its commit
+/// moves the entries into the map as they are. Every entry carries the
 /// key's hash, computed once when the key enters the batch: it
 /// short-circuits key comparisons and orders the batch at commit.
 ///
 /// Nothing is deduplicated on the way in, which keeps a bulk write of
 /// 10⁵ distinct keys linear. A key written twice simply appears twice. At
-/// commit the batch is stably sorted by key, so each key's writes become
-/// one run whose last member is applied, and [`crate::DbStats::writes`]
-/// counts runs — distinct keys — not calls.
+/// commit the batch is sorted in place by key, then by program order, so
+/// each key's writes become one run whose last member is applied, and
+/// [`crate::DbStats::writes`] counts runs — distinct keys — not calls.
 ///
 /// # Increments
 ///
@@ -77,26 +87,37 @@ pub struct Txn {
 }
 
 impl Txn {
-    fn write(&mut self, key: Bytes, op: Op) {
-        let hash = key_hash(&key);
-        self.writes.push(Write { hash, key, op });
+    fn write(&mut self, key: Blob, op: Op) {
+        let hash = key_hash(key.as_slice());
+        let seq = self.writes.len() as u32;
+        self.writes.push(Write { hash, seq, key, op });
     }
 
     /// Buffers a write of `value` to `key`.
     pub fn set(&mut self, key: impl AsRef<[u8]>, value: impl Into<Bytes>) {
-        self.write(Bytes::copy_from_slice(key.as_ref()), Op::Set(value.into()));
+        let key = Blob::copy_from_slice(key.as_ref());
+        self.write(key, Op::Set(Blob::from_bytes(value.into())));
     }
 
-    /// Like [`Txn::set`] for an interned [`Key`]: neither the key nor a
-    /// [`Bytes`] value is copied — both are refcount bumps, which is what
-    /// keeps the per-record cost of the dependency-graph commit loop flat.
+    /// Buffers a write of a copy of `value` to `key`: the slice write. A
+    /// key and value of at most 22 bytes each are held inline, so the
+    /// write allocates nothing; a caller can build both on the stack or
+    /// in reused scratch.
+    pub fn set_slice(&mut self, key: impl AsRef<[u8]>, value: &[u8]) {
+        let key = Blob::copy_from_slice(key.as_ref());
+        self.write(key, Op::Set(Blob::copy_from_slice(value)));
+    }
+
+    /// Like [`Txn::set`] for an interned [`Key`]: a long key or [`Bytes`]
+    /// value is shared, not copied (a short one is held inline).
     pub fn set_key(&mut self, key: &Key, value: impl Into<Bytes>) {
-        self.write(key.bytes().clone(), Op::Set(value.into()));
+        let key = Blob::from_shared(key.bytes());
+        self.write(key, Op::Set(Blob::from_bytes(value.into())));
     }
 
     /// Buffers a deletion of `key`.
     pub fn del(&mut self, key: impl AsRef<[u8]>) {
-        self.write(Bytes::copy_from_slice(key.as_ref()), Op::Del);
+        self.write(Blob::copy_from_slice(key.as_ref()), Op::Del);
     }
 
     /// Buffers "add `delta` to the big-endian `i64` at `key`" (absent
@@ -116,14 +137,15 @@ impl Txn {
         let Some(write) = latest.find(|w| w.is_for(hash, key.as_ref())) else {
             self.writes.push(Write {
                 hash,
-                key: key.bytes().clone(),
+                seq: self.writes.len() as u32,
+                key: Blob::from_shared(key.bytes()),
                 op: Op::Incr(delta),
             });
             return Ok(());
         };
-        let sum = |base: i64| Bytes::copy_from_slice(&i64_bytes(base.wrapping_add(delta)));
+        let sum = |base: i64| Blob::copy_from_slice(&i64_bytes(base.wrapping_add(delta)));
         write.op = match &write.op {
-            Op::Set(value) => Op::Set(sum(i64_value(value)?)),
+            Op::Set(value) => Op::Set(sum(i64_value(value.as_slice())?)),
             Op::Del => Op::Set(sum(0)),
             Op::Incr(earlier) => Op::Incr(earlier.wrapping_add(delta)),
         };
@@ -133,16 +155,21 @@ impl Txn {
     /// Buffers a write of `value` as a big-endian `i64` (the same encoding
     /// as [`crate::Db::set_i64`], via [`crate::codec::i64_bytes`]).
     pub fn set_i64(&mut self, key: impl AsRef<[u8]>, value: i64) {
-        self.set(key, Bytes::copy_from_slice(&i64_bytes(value)));
+        self.set_slice(key, &i64_bytes(value));
     }
 
     /// Publishes the batch. `Err` if an increment found a stored value
     /// that is not an integer, in which case nothing was applied.
     fn commit(&mut self, db: &Db) -> Result<(), StoreError> {
         // Gather each key's writes into one run, in program order within
-        // the run (the sort is stable): the last of a run is what counts.
-        self.writes
-            .sort_by(|a, b| a.hash.cmp(&b.hash).then_with(|| a.key.cmp(&b.key)));
+        // the run: the last of a run is what counts. The sort is in place
+        // (a stable sort would allocate a merge buffer for a batch of more
+        // than about 50 writes), ordered by program order within a run.
+        self.writes.sort_unstable_by(|a, b| {
+            (a.hash.cmp(&b.hash))
+                .then_with(|| a.key.as_slice().cmp(b.key.as_slice()))
+                .then(a.seq.cmp(&b.seq))
+        });
         let mut map = db.map.write();
         // Turn each increment into the value it produces, before anything
         // is written: a stored non-integer must fail the whole commit.
@@ -150,16 +177,19 @@ impl Txn {
             let Op::Incr(delta) = write.op else {
                 continue;
             };
-            let base = match map.get(write.key.as_ref()) {
-                Some(value) => i64_value(value)?,
+            let base = match map.get(write.key.as_slice()) {
+                Some(value) => i64_value(value.as_slice())?,
                 None => 0,
             };
-            write.op = Op::Set(Bytes::copy_from_slice(&i64_bytes(base.wrapping_add(delta))));
+            write.op = Op::Set(Blob::copy_from_slice(&i64_bytes(base.wrapping_add(delta))));
         }
         let mut applied = 0u64;
         let mut writes = self.writes.drain(..).peekable();
-        while let Some(Write { hash, key, op }) = writes.next() {
-            if writes.peek().is_some_and(|next| next.is_for(hash, &key)) {
+        while let Some(Write { hash, key, op, .. }) = writes.next() {
+            if writes
+                .peek()
+                .is_some_and(|next| next.is_for(hash, key.as_slice()))
+            {
                 continue; // overwritten later in this batch
             }
             applied += 1;
@@ -168,7 +198,7 @@ impl Txn {
                     map.insert(key, value);
                 }
                 Op::Del => {
-                    map.remove(key.as_ref());
+                    map.remove(key.as_slice());
                 }
                 Op::Incr(_) => unreachable!("increments were resolved above"),
             }
@@ -182,7 +212,7 @@ impl Drop for Txn {
     /// Hands the emptied buffer to this thread's next batch.
     fn drop(&mut self) {
         self.writes.clear();
-        if self.writes.capacity() > RETAINED_ENTRIES {
+        if self.writes.capacity() * std::mem::size_of::<Write>() > RETAINED_BYTES {
             return;
         }
         let writes = std::mem::take(&mut self.writes);

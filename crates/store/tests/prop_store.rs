@@ -1,6 +1,7 @@
 //! Model-based property tests: the store behaves like a HashMap, the
 //! priority queue like a stable sort, a write batch like a `BTreeMap`
-//! edited in place, and concurrent batches lose no increment.
+//! edited in place — with keys and values on both sides of the inline
+//! limit too — and concurrent batches lose no increment.
 
 use aim_store::{Db, Key, PriorityQueue, Snapshot, SnapshotBuilder};
 use proptest::prelude::*;
@@ -46,6 +47,77 @@ fn arb_txn_op() -> impl Strategy<Value = TxnOp> {
 
 fn txn_key(k: u8) -> [u8; 2] {
     [b'k', k]
+}
+
+/// The longest key or value the store holds inline (a private constant
+/// of `aim-store`; a string one byte longer is a shared `Bytes`).
+const INLINE: usize = 22;
+
+/// A length on either side of the inline limit, or well above it.
+fn arb_boundary_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0),
+        Just(INLINE - 1),
+        Just(INLINE),
+        Just(INLINE + 1),
+        64usize..80,
+    ]
+}
+
+/// A key of a boundary length from one of four byte runs: keys of one
+/// run and different lengths are prefixes of each other, and keys of
+/// one run and length collide, so overwrites and prefix matches occur.
+fn arb_boundary_key() -> impl Strategy<Value = Vec<u8>> {
+    (arb_boundary_len(), 0u8..4).prop_map(|(len, run)| {
+        (0..len)
+            .map(|i| run.wrapping_mul(61).wrapping_add(i as u8))
+            .collect()
+    })
+}
+
+fn arb_boundary_value() -> impl Strategy<Value = Vec<u8>> {
+    arb_boundary_len().prop_flat_map(|len| proptest::collection::vec(any::<u8>(), len))
+}
+
+/// One write, through one of the store's write paths.
+#[derive(Debug, Clone)]
+enum Write {
+    /// `Db::set` outside a batch, `Txn::set` inside one.
+    Set(Vec<u8>, Vec<u8>),
+    /// `Txn::set_key` inside a batch.
+    SetKey(Vec<u8>, Vec<u8>),
+    /// `Txn::set_slice` inside a batch.
+    SetSlice(Vec<u8>, Vec<u8>),
+    Del(Vec<u8>),
+}
+
+fn arb_write() -> impl Strategy<Value = Write> {
+    let pair = || (arb_boundary_key(), arb_boundary_value());
+    prop_oneof![
+        pair().prop_map(|(k, v)| Write::Set(k, v)),
+        pair().prop_map(|(k, v)| Write::SetKey(k, v)),
+        pair().prop_map(|(k, v)| Write::SetSlice(k, v)),
+        arb_boundary_key().prop_map(Write::Del),
+    ]
+}
+
+/// Every `(key, value)` of `db` under `prefix`, through the ordered walk.
+fn walked(db: &Db, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut out = Vec::new();
+    db.walk_prefix(prefix, |k, v| {
+        out.push((k.to_vec(), v.to_vec()));
+        Ok::<(), ()>(())
+    })
+    .unwrap();
+    out
+}
+
+/// The model's pairs under `prefix`, ascending.
+fn model_under(model: &BTreeMap<Vec<u8>, Vec<u8>>, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+    (model.iter())
+        .filter(|(k, _)| k.starts_with(prefix))
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect()
 }
 
 /// Wall time of one batch writing `n` distinct history-shaped keys
@@ -166,6 +238,118 @@ proptest! {
             .map(|(k, v)| (k.to_vec(), i64::from_be_bytes(v.as_ref().try_into().unwrap())))
             .collect();
         prop_assert_eq!(committed, model);
+    }
+
+    /// Keys and values whose lengths straddle the inline limit behave
+    /// like a `BTreeMap`, whichever path wrote them: `Db::set` and
+    /// `Db::del` outside a batch, `Txn::set`, `Txn::set_key`,
+    /// `Txn::set_slice` and `Txn::del` inside one. Read back through
+    /// `get`, the ordered walk (and `scan_prefix` over it), the prefix
+    /// removal and a snapshot write, parse and restore, the bytes, the
+    /// order and every `DbStats` counter are the model's.
+    #[test]
+    fn inline_boundary_matches_a_btreemap_model(
+        batches in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec(arb_write(), 1..8)),
+            1..8,
+        ),
+        probe in arb_boundary_key(),
+        prefix_len in 0usize..30,
+        doomed_parity in 0usize..2,
+    ) {
+        let db = Db::new();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let (mut writes, mut commits) = (0u64, 0u64);
+        for (direct, batch) in &batches {
+            let mut distinct = BTreeSet::new();
+            for write in batch {
+                match write {
+                    Write::Set(k, v) | Write::SetKey(k, v) | Write::SetSlice(k, v) => {
+                        model.insert(k.clone(), v.clone());
+                        distinct.insert(k.clone());
+                    }
+                    Write::Del(k) => {
+                        model.remove(k);
+                        distinct.insert(k.clone());
+                    }
+                }
+            }
+            if *direct {
+                for write in batch {
+                    match write {
+                        Write::Set(k, v) | Write::SetKey(k, v) | Write::SetSlice(k, v) => {
+                            db.set(k, v.clone());
+                        }
+                        Write::Del(k) => {
+                            db.del(k);
+                        }
+                    }
+                }
+                writes += batch.len() as u64;
+                continue;
+            }
+            db.transaction(|txn| {
+                for write in batch {
+                    match write {
+                        Write::Set(k, v) => txn.set(k, v.clone()),
+                        Write::SetKey(k, v) => txn.set_key(&Key::new(k.clone()), v.clone()),
+                        Write::SetSlice(k, v) => txn.set_slice(k, v),
+                        Write::Del(k) => txn.del(k),
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+            writes += distinct.len() as u64;
+            commits += 1;
+        }
+
+        // Point reads, of every key and of one that may be absent.
+        for (k, v) in &model {
+            prop_assert_eq!(db.get(k).as_deref(), Some(v.as_slice()));
+            prop_assert_eq!(db.get_with(k, <[u8]>::to_vec).as_ref(), Some(v));
+        }
+        prop_assert_eq!(db.get(&probe).map(|v| v.to_vec()), model.get(&probe).cloned());
+        let gets = 2 * model.len() as u64 + 1;
+
+        // The ordered walk and its copying wrapper, on every prefix of
+        // the probe up to `prefix_len` bytes.
+        let prefix = &probe[..prefix_len.min(probe.len())];
+        for p in [&[][..], prefix, &probe[..]] {
+            let want = model_under(&model, p);
+            prop_assert_eq!(walked(&db, p), want.clone());
+            let scanned: Vec<(Vec<u8>, Vec<u8>)> = (db.scan_prefix(p).into_iter())
+                .map(|(k, v)| (k.to_vec(), v.to_vec()))
+                .collect();
+            prop_assert_eq!(scanned, want);
+        }
+
+        let stats = db.stats();
+        prop_assert_eq!(
+            (stats.keys, stats.gets, stats.writes, stats.txn_commits, stats.txn_conflicts),
+            (model.len(), gets, writes, commits, 0)
+        );
+
+        // A snapshot restores the same records, and writes the same
+        // stream again.
+        let bytes = SnapshotBuilder::new().db(&db).to_bytes().unwrap();
+        let restored = Snapshot::from_bytes(bytes.clone()).unwrap().restore_db();
+        prop_assert_eq!(walked(&restored, &[]), model_under(&model, &[]));
+        let again = SnapshotBuilder::new().db(&restored).to_bytes().unwrap();
+        prop_assert_eq!(bytes.as_ref(), again.as_ref());
+        let stats = restored.stats();
+        prop_assert_eq!((stats.keys, stats.writes), (model.len(), model.len() as u64));
+
+        // Removing the keys under the prefix whose length has the drawn
+        // parity: the model's removals, counted as writes.
+        let doomed = |k: &[u8]| k.starts_with(prefix) && k.len() % 2 == doomed_parity;
+        let before = model.len();
+        model.retain(|k, _| !doomed(k));
+        let removed = db.remove_prefix_if(prefix, |k| k.len() % 2 == doomed_parity);
+        prop_assert_eq!(removed, (before - model.len()) as u64);
+        prop_assert_eq!(walked(&db, &[]), model_under(&model, &[]));
+        let stats = db.stats();
+        prop_assert_eq!((stats.keys, stats.writes), (model.len(), writes + removed));
     }
 
     /// Db point operations match a HashMap model (incr keys are kept in a
